@@ -6,9 +6,10 @@ Pins the structural wins of the columnar refactor:
   streams them with zero per-call conversion — enforced as a hard >=2x
   end-to-end floor against the list-bucket hand-off the engine previously
   received (which re-converted every bucket on every call);
-- sharded (multi-SSD) Step 2 runs through the backend's
-  ``intersect_sharded`` kernels, benchmarked for both backends against the
-  single-SSD result it must reproduce bit for bit;
+- sharded (multi-SSD) Step 2 runs the shard kernel
+  (``repro.megis.multissd.shard_step_two``) per shard, benchmarked for
+  both backends against the single-SSD result it must reproduce bit for
+  bit;
 - KSS retrieval emits CSR owner columns and hit accumulation + containment
   run as ``np.unique``/array expressions — enforced as a hard >=3x
   retrieval+accumulate floor for the numpy engine over the register-level
@@ -198,7 +199,7 @@ def test_retrieval_accumulate_scaling(benchmark, backend):
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_sharded_step2(benchmark, bench_sorted_db, bench_kss, backend):
-    """Multi-SSD Step 2 through the backend's intersect_sharded kernel."""
+    """Multi-SSD Step 2: the shard kernel over four shards, gathered."""
     query = bench_sorted_db.kmers[::3]
     single = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8,
                         backend=backend).run(query)

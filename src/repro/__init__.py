@@ -27,10 +27,9 @@ from repro.megis import (
     IndexBuilder,
     MegisConfig,
     MegisIndex,
-    MegisPipeline,
 )
 from repro.taxonomy import AbundanceProfile, Taxonomy, f1_score, l1_norm_error
-from repro.tools import Kraken2Classifier, MetalignPipeline
+from repro.tools import Kraken2Classifier
 from repro.workloads import CamiDiversity, make_cami_sample
 
 __version__ = "1.0.0"
@@ -46,8 +45,6 @@ __all__ = [
     "KssTables",
     "MegisConfig",
     "MegisIndex",
-    "MegisPipeline",
-    "MetalignPipeline",
     "SketchDatabase",
     "SortedKmerDatabase",
     "Taxonomy",

@@ -19,7 +19,6 @@ from typing import Callable, Dict, Tuple, Union
 from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
-    ShardSlice,
     StepTwoBackend,
     column_to_list,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "PhaseTimings",
     "PythonStepTwoBackend",
     "RetrievalResult",
-    "ShardSlice",
     "StepTwoBackend",
     "available_backends",
     "column_to_list",

@@ -46,10 +46,6 @@ from repro.backends.retrieval import (  # noqa: F401
 #: to denote the full key space (used by the un-bucketed ``intersect``).
 BucketSlice = Tuple[Optional[int], Optional[int], IntColumn]
 
-#: One database shard: (lo, hi, database) covering the lexicographic range
-#: ``[lo, hi)`` — what :func:`repro.megis.multissd.split_database` produces.
-ShardSlice = Tuple[int, int, Any]
-
 
 @dataclass
 class PhaseTimings:
@@ -280,23 +276,6 @@ def clip_buckets(
     return clipped
 
 
-def check_shards(shards: Sequence[ShardSlice]) -> None:
-    """Reject shard lists that are not in ascending, non-overlapping order.
-
-    Ascending disjoint ranges are what make per-shard results concatenate
-    into a globally sorted stream (§6.1) — violations would silently
-    produce unsorted output, so they raise instead.
-    """
-    prev_hi = None
-    for lo, hi, _ in shards:
-        lo, hi = int(lo), int(hi)
-        if hi < lo or (prev_hi is not None and lo < prev_hi):
-            raise ValueError(
-                "shards must cover ascending, non-overlapping ranges"
-            )
-        prev_hi = hi
-
-
 class StepTwoBackend(abc.ABC):
     """Execution engine for intersection and KSS retrieval kernels."""
 
@@ -375,65 +354,6 @@ class StepTwoBackend(abc.ABC):
         intersection list per sample, each identical to what
         :meth:`intersect_bucketed` would produce for that sample alone.
         """
-
-    # -- sharded intersection (§6.1, multi-SSD) -------------------------------
-
-    def intersect_sharded(
-        self,
-        shards: Sequence[ShardSlice],
-        sorted_query: IntColumn,
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        """Range-split the query at shard boundaries; intersect per shard.
-
-        ``shards`` are ``(lo, hi, database)`` triples in ascending disjoint
-        range order (one per SSD).  The range split happens here in the
-        backend — each shard only ever sees the query slice that can match
-        its range, and because shards ascend, the concatenation of the
-        returned per-shard intersections is globally sorted.
-        """
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        check_shards(shards)
-        results: List[List[int]] = []
-        start = 0
-        for lo, hi, database in shards:
-            i = bisect_column(sorted_query, int(lo), lo=start)
-            j = bisect_column(sorted_query, int(hi), lo=i)
-            start = j
-            results.append(
-                self.intersect_bucketed(
-                    database, [(int(lo), int(hi), sorted_query[i:j])],
-                    n_channels, timings,
-                )
-            )
-        return results
-
-    def intersect_sharded_multi(
-        self,
-        shards: Sequence[ShardSlice],
-        samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        """Batched multi-sample Step 2 across shards (§4.7 x §6.1).
-
-        Each shard streams its database slice once for the whole batch
-        (every sample's clipped buckets share the stream); per-sample
-        results are the concatenation over shards, already sorted, and
-        identical to :meth:`intersect_bucketed_multi` on the whole database.
-        """
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        check_shards(shards)
-        results: List[List[int]] = [[] for _ in samples]
-        for lo, hi, database in shards:
-            clipped = [clip_buckets(buckets, lo, hi) for buckets in samples]
-            partial = self.intersect_bucketed_multi(
-                database, clipped, n_channels, timings
-            )
-            for out, part in zip(results, partial):
-                out.extend(part)
-        return results
 
     # -- retrieval ------------------------------------------------------------
 

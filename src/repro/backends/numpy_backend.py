@@ -33,10 +33,7 @@ from repro.backends.base import (
     BucketSlice,
     IntColumn,
     PhaseTimings,
-    ShardSlice,
     StepTwoBackend,
-    check_shards,
-    clip_buckets,
     interval_edges,
 )
 from repro.backends.retrieval import LevelHits, RetrievalResult, csr_gather
@@ -209,63 +206,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
         if not columns:
             return np.empty(0, dtype=dtype)
         return np.concatenate(columns)
-
-    # -- sharded intersection (§6.1) ------------------------------------------
-
-    def intersect_sharded(
-        self,
-        shards: Sequence[ShardSlice],
-        sorted_query: IntColumn,
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        """Vectorized range split: one ``searchsorted`` over every shard edge."""
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        check_shards(shards)
-        if not shards:
-            return []
-        query = as_column(sorted_query, column_dtype(shards[0][2].k))
-        edges = [int(e) for lo, hi, _ in shards for e in (lo, hi)]
-        cuts = _edge_cuts(query, edges)
-        results: List[List[int]] = []
-        for (lo, hi, database), i, j in zip(shards, cuts[::2], cuts[1::2]):
-            results.append(
-                self.intersect_bucketed(
-                    database, [(int(lo), int(hi), query[i:j])],
-                    n_channels, timings,
-                )
-            )
-        return results
-
-    def intersect_sharded_multi(
-        self,
-        shards: Sequence[ShardSlice],
-        samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        check_shards(shards)
-        results: List[List[int]] = [[] for _ in samples]
-        if not shards:
-            return results
-        # Columnar bucket k-mers up front: boundary clipping then slices
-        # ndarray views and the per-shard batch concatenates them natively.
-        dtype = column_dtype(shards[0][2].k)
-        columnar_samples = [
-            [(lo, hi, as_column(kmers, dtype)) for lo, hi, kmers in buckets]
-            for buckets in samples
-        ]
-        for lo, hi, database in shards:
-            clipped = [
-                clip_buckets(buckets, lo, hi) for buckets in columnar_samples
-            ]
-            partial = self.intersect_bucketed_multi(
-                database, clipped, n_channels, timings
-            )
-            for out, part in zip(results, partial):
-                out.extend(part)
-        return results
 
     def _intersect_slice(
         self,

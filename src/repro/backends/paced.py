@@ -39,7 +39,6 @@ from repro.backends.base import (
     BucketSlice,
     IntColumn,
     PhaseTimings,
-    ShardSlice,
     StepTwoBackend,
 )
 from repro.backends.retrieval import RetrievalResult
@@ -161,40 +160,6 @@ class PacedStepTwoBackend(StepTwoBackend):
         # charged each interval once, so the paced wait is paid once for
         # the whole batch rather than once per sample.
         slept = self._pace(scratch, self._record_bytes(database))
-        self._merge_paced(scratch, slept, timings)
-        return result
-
-    # -- sharded intersection (§6.1) ------------------------------------------
-
-    def intersect_sharded(
-        self,
-        shards: Sequence[ShardSlice],
-        sorted_query: IntColumn,
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        scratch = PhaseTimings(backend=self.name)
-        result = self._inner.intersect_sharded(
-            shards, sorted_query, n_channels, scratch
-        )
-        record_bytes = self._record_bytes(shards[0][2]) if shards else 0
-        slept = self._pace(scratch, record_bytes)
-        self._merge_paced(scratch, slept, timings)
-        return result
-
-    def intersect_sharded_multi(
-        self,
-        shards: Sequence[ShardSlice],
-        samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        scratch = PhaseTimings(backend=self.name)
-        result = self._inner.intersect_sharded_multi(
-            shards, samples, n_channels, scratch
-        )
-        record_bytes = self._record_bytes(shards[0][2]) if shards else 0
-        slept = self._pace(scratch, record_bytes)
         self._merge_paced(scratch, slept, timings)
         return result
 

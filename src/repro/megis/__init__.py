@@ -25,8 +25,7 @@ An efficient pipeline between the host and the SSD (paper §4):
   ``repro serve`` and ``repro gateway``;
 - :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the asyncio
   multi-client TCP front door with per-client rate limiting and
-  graceful drain;
-- :mod:`repro.megis.pipeline` — the deprecated per-call facade.
+  graceful drain.
 """
 
 from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get_backend
@@ -45,7 +44,6 @@ from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever
 from repro.megis.multissd import DatabaseShard, MultiSsdStepTwo, shard_kss, split_database
-from repro.megis.pipeline import MegisPipeline
 from repro.megis.service import AnalysisService, ServiceStats
 from repro.megis.session import (
     AnalysisSession,
@@ -80,7 +78,6 @@ __all__ = [
     "MegisIndex",
     "MegisFtl",
     "MegisInit",
-    "MegisPipeline",
     "MegisResult",
     "MegisStep",
     "MegisWrite",

@@ -12,7 +12,8 @@ schema-1 JSONL wire format:
 - ``{"schema": 1, "op": "ping", "id": ...}`` is the heartbeat; the pong
   carries the node id, its shard range, and a served counter;
 - anything else — bad JSON, a missing/unknown ``schema``, an unknown
-  ``op``, malformed queries — yields a structured error frame and the
+  ``op``, malformed queries (not int lists, bools, unsorted, k-mers
+  outside ``[0, 4^k)``) — yields a structured error frame and the
   connection stays up (same resilience contract as serve/gateway).
 
 Step-2 work runs in a thread pool so concurrent router scatters overlap
@@ -25,12 +26,42 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
+from repro.backends.numpy_backend import as_column, column_dtype
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import _FrameReader
 from repro.megis.session import AnalysisSession
+
+
+def _query_columns(queries: object, k: int) -> List[npt.NDArray[Any]]:
+    """A step2 frame's ``queries`` as sorted k-mer columns, or ``ValueError``.
+
+    The kernel bisects each column at shard edges, so an unsorted column
+    would yield a silently wrong partial and an out-of-range k-mer
+    overflows the column dtype: both are refused here, once per request.
+    JSON ``true``/``false`` are not k-mers although ``bool`` is an ``int``.
+    """
+    if not isinstance(queries, list):
+        raise ValueError("'queries' must be a list of k-mer int lists")
+    space = 1 << (2 * k)
+    columns = []
+    for query in queries:
+        if not isinstance(query, list) or not all(
+            type(kmer) is int for kmer in query
+        ):
+            raise ValueError("'queries' must be a list of k-mer int lists")
+        if query and not (0 <= min(query) and max(query) < space):
+            raise ValueError(f"query k-mers must lie in [0, 4^{k})")
+        column = as_column(query, column_dtype(k))
+        if np.any(np.asarray(column[1:] < column[:-1], dtype=bool)):
+            raise ValueError("each query column must be sorted ascending")
+        columns.append(column)
+    return columns
 
 
 class ClusterNode:
@@ -237,15 +268,12 @@ class ClusterNode:
     async def _step2(
         self, request_id: object, request: Dict[str, Any], line_no: int
     ) -> wire.Record:
-        queries = request.get("queries")
-        if not isinstance(queries, list) or not all(
-            isinstance(q, list) and all(isinstance(k, int) for k in q)
-            for q in queries
-        ):
-            return wire.error_record(
-                request_id, "'queries' must be a list of k-mer int lists",
-                line_no,
+        try:
+            queries = _query_columns(
+                request.get("queries"), self.session.database.k
             )
+        except ValueError as exc:
+            return wire.error_record(request_id, str(exc), line_no)
         try:
             partials = await asyncio.get_running_loop().run_in_executor(
                 self._pool, self.session.step_two_partial, queries

@@ -38,10 +38,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import PhaseTimings, RetrievalResult, get_backend
+from repro.backends import PhaseTimings, RetrievalResult
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
+from repro.megis.multissd import gather
 from repro.megis.session import AnalysisSession, MegisResult
 from repro.sequences.reads import Read
 
@@ -191,16 +192,7 @@ class ClusterStepTwo:
             self._mark_alive(endpoint.node_id)
             per_node.append(wire.parse_step2_result(record))
 
-        gathered: List[Tuple[List[int], RetrievalResult]] = []
-        for s in range(n_samples):
-            intersecting = [
-                kmer for partials in per_node for kmer in partials[s][0]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [partials[s][1] for partials in per_node]
-            )
-            gathered.append((intersecting, retrieved))
-        return gathered
+        return gather(per_node)
 
     def _retry(self, endpoint: NodeEndpoint, failed_address: Address,
                frame: bytes, request_id: int, n_samples: int,
@@ -397,7 +389,8 @@ class ClusterAnalysisSession:
 
     @property
     def backend_name(self) -> str:
-        return get_backend(self.session._backend_spec).name
+        name: str = self.session.backend_name
+        return name
 
     def warm(self) -> "ClusterAnalysisSession":
         self.session.warm()
@@ -413,41 +406,24 @@ class ClusterAnalysisSession:
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
     ) -> List[MegisResult]:
-        """One scatter per batch: every node streams its shard group once
+        """The local session's analysis sequence with Step 2 scattered:
+        one scatter per batch, so every node streams its shard group once
         for all buffered samples (§4.7 across the cluster)."""
         if not samples:
             return []
-        local = self.session
-        backend = self.backend_name
-        results = [
-            MegisResult(timings=PhaseTimings(backend=backend))
-            for _ in samples
-        ]
-
-        # Step 1 (router-local), buffered for the whole batch.
-        bucket_sets: List[Any] = []
-        for reads, result in zip(samples, results):
-            with result.timings.phase("extract"):
-                bucket_sets.append(local._partition(reads, result))
-
-        # Step 2: one scatter for the batch; the wall time the router
-        # spends waiting on nodes lands in the intersect phase.
-        batch_timings = PhaseTimings(backend=backend,
-                                     samples_batched=len(samples))
-        queries = [buckets.merged_column() for buckets in bucket_sets]
-        with batch_timings.phase("intersect"):
-            step_two = self.step_two.scatter(queries)
-
-        # Step 3 (router-local) on the gathered columns.
-        for result, reads, (intersecting, retrieved) in zip(
-            results, samples, step_two
-        ):
-            result.timings.merge(batch_timings)
-            local._finish_step_two(result, intersecting, retrieved)
-            if with_abundance:
-                with result.timings.phase("abundance"):
-                    local._estimate_abundance(result, reads, retrieved)
+        results: List[MegisResult] = self.session._analyze(
+            samples, with_abundance, self._scatter
+        )
         return results
+
+    def _scatter(
+        self, bucket_sets: Sequence[Any], timings: PhaseTimings
+    ) -> List[Tuple[List[int], RetrievalResult]]:
+        """The Step-2 stage: the wall time the router spends waiting on
+        nodes lands in the intersect phase."""
+        queries = [buckets.merged_column() for buckets in bucket_sets]
+        with timings.phase("intersect"):
+            return self.step_two.scatter(queries)
 
 
 class ClusterRouter(AnalysisGateway):

@@ -7,12 +7,18 @@ per-shard results.  This module implements that split functionally so the
 Fig 15 scaling experiment has a correctness counterpart: the sharded
 pipeline must produce exactly the single-SSD result.
 
-The range split itself lives in the Step-2 backend
-(:meth:`~repro.backends.StepTwoBackend.intersect_sharded`): the numpy
-engine splits the query column against every shard edge with one
-vectorized ``searchsorted``, and shard databases are positional column
-slices of the parent (sharing its ndarray cache as zero-copy views), so
-sharding adds no host-side per-element work.
+Step 2 over one shard is one function, :func:`shard_step_two`: clip every
+buffered sample's buckets to the shard's ``[lo, hi)``, stream the shard's
+database slice once for the whole batch, retrieve each sample's taxIDs
+from the shard's own KSS range.  :func:`gather` concatenates the
+per-shard results in ascending range order, and
+:func:`step_two_over_shards` is the two together over a shard list.  Every
+sharded path — the executor fan-out here, the pinned worker task of
+:mod:`repro.megis.procpool`, and a cluster node's
+:meth:`~repro.megis.session.AnalysisSession.step_two_partial` — calls it.
+Shard databases are positional column slices of the parent (sharing its
+ndarray cache as zero-copy views), so sharding adds no host-side
+per-element work.
 
 Each shard also carries its own KSS range
 (:meth:`~repro.databases.kss.KssTables.slice_range`, prefix-aligned), so an
@@ -31,14 +37,19 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.backends import (
     BucketSlice,
+    IntColumn,
     PhaseTimings,
     RetrievalResult,
     StepTwoBackend,
     get_backend,
 )
+from repro.backends.base import clip_buckets
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import ExecutorSpec, get_executor
+
+#: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
+StepTwoResult = Tuple[List[int], RetrievalResult]
 
 
 @dataclass
@@ -100,29 +111,141 @@ def shard_kss(kss: KssTables, shards: Sequence[DatabaseShard]) -> None:
             shard.kss = kss.slice_range(shard.lo, shard.hi)
 
 
+def check_shards(shards: Sequence[DatabaseShard]) -> None:
+    """Reject shard lists that are not in ascending, non-overlapping order.
+
+    Ascending disjoint ranges are what make per-shard results concatenate
+    into a globally sorted stream (§6.1) — violations would silently
+    produce unsorted output, so they raise instead.
+    """
+    prev_hi = None
+    for shard in shards:
+        lo, hi = int(shard.lo), int(shard.hi)
+        if hi < lo or (prev_hi is not None and lo < prev_hi):
+            raise ValueError(
+                "shards must cover ascending, non-overlapping ranges"
+            )
+        prev_hi = hi
+
+
+def warm_shards(shards: Sequence[DatabaseShard], columnar: bool) -> None:
+    """Materialize every shard's database and KSS structures.
+
+    Serving threads (and forked workers, copy-on-write) then only read
+    them.  The reference backend walks row objects and the per-level
+    covered-owner caches; an empty retrieval touches them all.
+    """
+    for shard in shards:
+        if shard.kss is None:
+            raise ValueError(f"shard {shard.index} carries no KSS range")
+        if columnar:
+            shard.database.column()
+            shard.kss.columns()
+        else:
+            shard.kss.retrieve([])
+
+
+def whole_range(sorted_query: IntColumn, k: int) -> List[BucketSlice]:
+    """A sorted query column as one bucket spanning the whole key space."""
+    return [(0, 1 << (2 * k), sorted_query)]
+
+
+def shard_step_two(
+    backend: StepTwoBackend,
+    shard: DatabaseShard,
+    sample_buckets: Sequence[Sequence[BucketSlice]],
+    channels: int,
+) -> Tuple[List[StepTwoResult], PhaseTimings]:
+    """Step 2 of one shard for a batch of bucketed samples (§4.7 x §6.1).
+
+    Each sample's ascending buckets are clipped to the shard's
+    ``[lo, hi)`` — the shard only ever sees the query slices that can
+    match its range — and the shard's database slice is streamed once for
+    the whole batch; retrieval then runs per sample against the shard's
+    own KSS range.  Returns one ``(intersecting, retrieved)`` pair per
+    sample, restricted to this shard, and the shard's timings.
+    """
+    kss = shard.kss
+    if kss is None:
+        raise ValueError(f"shard {shard.index} carries no KSS range")
+    timings = PhaseTimings(backend=backend.name)
+    clipped = [
+        clip_buckets(buckets, shard.lo, shard.hi) for buckets in sample_buckets
+    ]
+    partials = backend.intersect_bucketed_multi(
+        shard.database, clipped, channels, timings
+    )
+    return [
+        (partial, backend.retrieve(kss, partial, timings))
+        for partial in partials
+    ], timings
+
+
+def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:
+    """Concatenate per-shard Step-2 results, sample by sample.
+
+    ``parts`` holds one per-sample result list per shard (or per shard
+    group, or per cluster node), in ascending range order.  Because the
+    ranges are disjoint and ascending, the concatenated intersections are
+    already sorted and the CSR owner columns concatenate
+    (:meth:`RetrievalResult.concatenate`) into exactly the single-SSD
+    result; no per-element host work.
+    """
+    return [
+        (
+            [kmer for partial, _ in sample for kmer in partial],
+            RetrievalResult.concatenate([retrieved for _, retrieved in sample]),
+        )
+        for sample in zip(*parts)
+    ]
+
+
+def step_two_over_shards(
+    backend: StepTwoBackend,
+    shards: Sequence[DatabaseShard],
+    sample_buckets: Sequence[Sequence[BucketSlice]],
+    channels: int,
+    executor: ExecutorSpec = None,
+) -> Tuple[List[StepTwoResult], PhaseTimings]:
+    """Step 2 over an ascending shard list: kernel per shard, then gather.
+
+    The per-shard tasks are dispatched through ``executor`` (serial by
+    default) and merged in shard order, so the results and the counter
+    totals are identical however the tasks interleave.
+    """
+
+    def shard_task(shard: DatabaseShard) -> Tuple[List[StepTwoResult], PhaseTimings]:
+        return shard_step_two(backend, shard, sample_buckets, channels)
+
+    outcomes = get_executor(executor).map_ordered(shard_task, shards)
+    timings = PhaseTimings(backend=backend.name)
+    for _, shard_timings in outcomes:
+        timings.merge(shard_timings)
+    return gather([partials for partials, _ in outcomes]), timings
+
+
 class MultiSsdStepTwo:
     """Step 2 fanned out over database shards, one SSD per shard.
 
-    The query range split runs inside the Step-2 backend
-    (:meth:`~repro.backends.StepTwoBackend.intersect_sharded`); each shard
-    runs KSS retrieval over its own intersections against its own KSS
-    range, and the host only concatenates the already-sorted per-shard
-    intersections and CSR owner columns.  ``self.timings`` accumulates
-    per-phase wall time and streaming counters across calls, exactly like
+    :func:`step_two_over_shards` with this engine's executor: each shard
+    runs :func:`shard_step_two` and the host only gathers the
+    already-sorted per-shard intersections and CSR owner columns.
+    ``self.timings`` accumulates per-phase wall time and streaming
+    counters across calls, exactly like
     :class:`~repro.megis.isp.IspStepTwo`.
 
     Shard handles are built once at construction — either split here from
     ``(database, n_ssds)`` or passed in pre-built via ``shards`` (what
-    :class:`~repro.megis.index.MegisIndex.shards` supplies), so serving
-    many queries never re-splits anything.
+    :class:`~repro.megis.index.MegisIndex.shards` supplies, checked to be
+    in ascending disjoint range order), so serving many queries never
+    re-splits anything.
 
     ``executor`` selects the execution policy for the per-shard work
     (:mod:`repro.megis.executors`): with a :class:`ThreadedExecutor`, the
-    shards' intersect + retrieve tasks run concurrently — each SSD is an
-    independent engine (§6.1), and every task owns its
-    :class:`~repro.backends.PhaseTimings`, so results stay bit-identical
-    to the serial dispatch while ``step2_wall_ms`` records the genuinely
-    overlapped wall-clock window.
+    shards' tasks run concurrently — each SSD is an independent engine
+    (§6.1), and every task owns its :class:`~repro.backends.PhaseTimings`,
+    so results stay bit-identical to the serial dispatch while
+    ``step2_wall_ms`` records the genuinely overlapped wall-clock window.
     """
 
     def __init__(self, database: Optional[SortedKmerDatabase] = None,
@@ -130,7 +253,7 @@ class MultiSsdStepTwo:
                  n_ssds: Optional[int] = None, channels_per_ssd: int = 8,
                  backend: Union[str, StepTwoBackend, None] = None,
                  shards: Optional[Sequence[DatabaseShard]] = None,
-                 executor: ExecutorSpec = None):
+                 executor: ExecutorSpec = None) -> None:
         self._backend = get_backend(backend)
         self._executor = get_executor(executor)
         if kss is None:
@@ -147,6 +270,7 @@ class MultiSsdStepTwo:
             shards = split_database(database, n_ssds)
         elif not shards:
             raise ValueError("shards must be non-empty")
+        check_shards(shards)
         self.shards = list(shards)
         shard_kss(kss, self.shards)
         self.kss = kss
@@ -164,7 +288,7 @@ class MultiSsdStepTwo:
 
     @property
     def executor_name(self) -> str:
-        return self._executor.name
+        return str(self._executor.name)
 
     @property
     def n_ssds(self) -> int:
@@ -172,95 +296,40 @@ class MultiSsdStepTwo:
 
     def run(
         self,
-        sorted_query: Sequence[int],
+        sorted_query: IntColumn,
         timings: Optional[PhaseTimings] = None,
-    ) -> Tuple[List[int], RetrievalResult]:
-        """Intersect and retrieve per shard, concatenate owner columns.
+    ) -> StepTwoResult:
+        """One sample's sorted query column against every shard.
 
-        Each shard only sees the query slice that can match its range —
-        the same range-pruning the bucket scheme exploits (§4.2.1) — and
-        runs KSS retrieval over its own intersections against its own KSS
-        range slice.  Because shards cover ascending disjoint ranges, the
-        per-shard CSR owner columns concatenate
-        (:meth:`RetrievalResult.concatenate`) into exactly the single-SSD
-        retrieval result; no per-element host work.
-
-        The per-shard tasks are dispatched through the configured executor
-        — one independent SSD engine per shard — and merged in shard
-        order, so the result (and the counter totals) are identical
-        however the tasks interleave.
+        The one-sample, one-bucket case of :meth:`run_multi`: the column
+        is a single bucket spanning the key space, which each shard clips
+        to its own range.
         """
-        t = PhaseTimings(backend=self._backend.name)
-
-        def shard_task(shard: DatabaseShard):
-            st = PhaseTimings(backend=self._backend.name)
-            [partial] = self._backend.intersect_sharded(
-                [(shard.lo, shard.hi, shard.database)], sorted_query,
-                self.channels_per_ssd, st,
-            )
-            retrieved = self._backend.retrieve(shard.kss, partial, st)
-            return partial, retrieved, st
-
-        start = time.perf_counter()
-        outcomes = self._executor.map_ordered(shard_task, self.shards)
-        t.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        for _, _, st in outcomes:
-            t.merge(st)
-        # Shards are contiguous ranges in ascending order, so the
-        # concatenation is already sorted.
-        intersecting = [kmer for partial, _, _ in outcomes for kmer in partial]
-        retrieved = RetrievalResult.concatenate(
-            [retrieved for _, retrieved, _ in outcomes]
-        )
-        self._record(t, timings)
-        return intersecting, retrieved
+        k = self.shards[0].database.k
+        [result] = self.run_multi([whole_range(sorted_query, k)], timings)
+        return result
 
     def run_multi(
         self,
         samples: Sequence[Sequence[BucketSlice]],
         timings: Optional[PhaseTimings] = None,
-    ) -> List[Tuple[List[int], RetrievalResult]]:
+    ) -> List[StepTwoResult]:
         """Batched multi-sample Step 2 across shards (§4.7 x §6.1).
 
         Each shard streams its database slice once for the whole batch;
         per-sample results are identical to a single-SSD
-        :meth:`~repro.megis.isp.IspStepTwo.run_bucketed_multi`.  Retrieval
-        runs per (sample, shard) slice against the shard's KSS range and
-        each sample's owner columns are the concatenation over shards,
-        mirroring :meth:`run` — including the executor dispatch: each
-        shard's whole-batch stream plus retrievals is one task.
+        :meth:`~repro.megis.isp.IspStepTwo.run_bucketed_multi`.  The
+        per-shard tasks are dispatched through the configured executor —
+        one independent SSD engine per shard — and gathered in shard
+        order, so the result (and the counter totals) are identical
+        however the tasks interleave.
         """
-        t = PhaseTimings(
-            backend=self._backend.name, samples_batched=max(1, len(samples))
-        )
-        sample_buckets = [list(buckets) for buckets in samples]
-
-        def shard_task(shard: DatabaseShard):
-            st = PhaseTimings(backend=self._backend.name)
-            per_sample = self._backend.intersect_sharded_multi(
-                [(shard.lo, shard.hi, shard.database)], sample_buckets,
-                self.channels_per_ssd, st,
-            )
-            retrievals = [
-                self._backend.retrieve(shard.kss, partial, st)
-                for partial in per_sample
-            ]
-            return per_sample, retrievals, st
-
         start = time.perf_counter()
-        outcomes = self._executor.map_ordered(shard_task, self.shards)
+        results, t = step_two_over_shards(
+            self._backend, self.shards, [list(buckets) for buckets in samples],
+            self.channels_per_ssd, self._executor,
+        )
         t.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        for _, _, st in outcomes:
-            t.merge(st)
-        results = []
-        for s in range(len(sample_buckets)):
-            intersecting = [
-                kmer for per_sample, _, _ in outcomes for kmer in per_sample[s]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [retrievals[s] for _, retrievals, _ in outcomes]
-            )
-            results.append((intersecting, retrieved))
         self._record(t, timings)
         return results
 

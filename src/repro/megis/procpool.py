@@ -18,14 +18,14 @@ shards for the session's lifetime (tasks are pinned with
 ``ProcessExecutor.submit_to``).  A batch runs in three fan-outs —
 
 1. Step 1 per sample on any worker (extraction parallelizes freely);
-2. Step 2 per worker-group: each worker streams its own shard group
-   once for the whole batch, mirroring
-   :meth:`~repro.megis.multissd.MultiSsdStepTwo.run_multi`'s kernels;
+2. Step 2 per worker-group: each worker runs
+   :func:`~repro.megis.multissd.step_two_over_shards` over its own shard
+   group, streaming each shard once for the whole batch;
 3. Step 3 per sample on any worker (mapping/EM over the merged
    retrieval).
 
-— and the parent merges per-shard results in ascending range order with
-:meth:`~repro.backends.retrieval.RetrievalResult.concatenate`, so the
+— and the parent gathers the per-group results in ascending range order
+(:func:`~repro.megis.multissd.gather`), so the
 output is bit-identical to the serial engines (the golden-fixture tests
 pin this).  Task functions are module-level (they cross the worker pipe
 by reference) and reach the forked state through
@@ -49,7 +49,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 from repro.backends import PhaseTimings, get_backend
 from repro.backends.retrieval import RetrievalResult
 from repro.megis.executors import ProcessExecutor, worker_state
-from repro.megis.multissd import DatabaseShard
+from repro.megis.multissd import (
+    DatabaseShard,
+    StepTwoResult,
+    gather,
+    step_two_over_shards,
+    warm_shards,
+)
 from repro.sequences.reads import Read
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,29 +75,14 @@ def _task_step1(reads: Sequence[Read]) -> Tuple[Any, float]:
 def _task_step2(
     shard_indexes: Sequence[int],
     sample_buckets: List[List[Tuple[Optional[int], Optional[int], Any]]],
-) -> Tuple[List[Tuple[List[List[int]], List[RetrievalResult]]], PhaseTimings]:
-    """Step 2 over this worker's shard group, batched across samples.
-
-    Mirrors :meth:`MultiSsdStepTwo.run_multi`'s per-shard kernel calls
-    exactly — one ``intersect_sharded_multi`` stream per shard for the
-    whole batch, then per-sample retrieval against the shard's KSS range
-    — so the merged result is bit-identical to the serial fan-out.
-    """
+) -> Tuple[List[StepTwoResult], PhaseTimings]:
+    """Step 2 over this worker's shard group, batched across samples:
+    the group's gathered per-sample partials and its merged timings."""
     runner = worker_state()
-    backend = runner.backend
-    st = PhaseTimings(backend=backend.name)
-    out = []
-    for index in shard_indexes:
-        shard: DatabaseShard = runner.shards[index]
-        per_sample = backend.intersect_sharded_multi(
-            [(shard.lo, shard.hi, shard.database)], sample_buckets,
-            runner.channels, st,
-        )
-        retrievals = [
-            backend.retrieve(shard.kss, partial, st) for partial in per_sample
-        ]
-        out.append((per_sample, retrievals))
-    return out, st
+    return step_two_over_shards(
+        runner.backend, [runner.shards[index] for index in shard_indexes],
+        sample_buckets, runner.channels,
+    )
 
 
 def _task_step3(
@@ -154,7 +145,8 @@ class ProcessAnalysisRunner:
         #: SSD count keeps the modeled fan-out width.
         shard_count = max(session.config.n_ssds, workers)
         self.shards: List[DatabaseShard] = list(session.index.shards(shard_count))
-        self._warm_shards()
+        # Materialized pre-fork: the copy-on-write prerequisite.
+        warm_shards(self.shards, self.backend.columnar)
         #: Contiguous shard groups: worker *w* owns ``groups[w]``.  The
         #: groups partition ``range(shard_count)`` in ascending order, so
         #: iterating workers then shards yields ascending ranges — the
@@ -167,16 +159,6 @@ class ProcessAnalysisRunner:
         ]
         self.pool = ProcessExecutor(workers, state=self)
         self.pool.start()  # <- the fork
-
-    def _warm_shards(self) -> None:
-        """Materialize every shard's columns pre-fork (COW prerequisite)."""
-        if self.backend.columnar:
-            for shard in self.shards:
-                shard.database.column()
-                shard.kss.columns()
-        else:
-            for shard in self.shards:
-                shard.kss.retrieve([])
 
     def after_fork(self) -> None:
         """Child-side repair, run first thing inside every forked worker.
@@ -207,13 +189,9 @@ class ProcessAnalysisRunner:
         concurrently and the pool interleaves their tasks; each batch's
         results are assembled from its own futures only.
         """
-        from repro.megis.session import MegisResult
-
         if not samples:
             return []
-        session = self.session
         pool = self.pool
-        backend_name = self.backend.name
 
         # Fan-out 1 — Step 1 per sample, any worker.
         step1 = [pool.submit(_task_step1, list(reads)) for reads in samples]
@@ -227,7 +205,7 @@ class ProcessAnalysisRunner:
         # Fan-out 2 — Step 2 per worker-group, pinned to the shard owner;
         # each worker streams its shard group once for the whole batch.
         batch_timings = PhaseTimings(
-            backend=backend_name, samples_batched=len(samples)
+            backend=self.backend.name, samples_batched=len(samples)
         )
         start = time.perf_counter()
         step2 = [
@@ -236,19 +214,9 @@ class ProcessAnalysisRunner:
         ]
         outcomes = [future.result() for future in step2]
         batch_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        per_shard: List[Tuple[List[List[int]], List[RetrievalResult]]] = []
-        for shard_results, st in outcomes:
-            batch_timings.merge(st)
-            per_shard.extend(shard_results)
-        merged: List[Tuple[List[int], RetrievalResult]] = []
-        for s in range(len(samples)):
-            intersecting = [
-                kmer for per_sample, _ in per_shard for kmer in per_sample[s]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [retrievals[s] for _, retrievals in per_shard]
-            )
-            merged.append((intersecting, retrieved))
+        for _, group_timings in outcomes:
+            batch_timings.merge(group_timings)
+        merged = gather([partials for partials, _ in outcomes])
 
         # Fan-out 3 — Step 3 per sample, any worker.
         step3 = [
@@ -256,29 +224,14 @@ class ProcessAnalysisRunner:
             for reads, (_, retrieved) in zip(samples, merged)
         ]
 
-        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
-        results: List[MegisResult] = []
-        for (_reads, buckets, (_, extract_ms), (intersecting, _retrieved),
-             future) in zip(samples, bucket_sets, partitioned, merged, step3):
-            hits, candidates, profile, merge_stats, abundance_ms = future.result()
-            result = MegisResult(timings=PhaseTimings(backend=backend_name))
-            result.timings.extract_ms += extract_ms
-            result.timings.merge(batch_timings)
+        results = self.session._batch_results(
+            bucket_sets, [ms for _, ms in partitioned], batch_timings
+        )
+        for result, (intersecting, _), future in zip(results, merged, step3):
+            (result.sketch_hits, result.candidates, result.profile,
+             result.merge_stats, abundance_ms) = future.result()
             result.intersecting_kmers = intersecting
-            result.sketch_hits = hits
-            result.candidates = candidates
-            result.profile = profile
-            result.merge_stats = merge_stats
-            result.n_buckets = len(buckets)
-            result.spilled_bytes = buckets.spilled_bytes
-            result.query_kmers = buckets.total_kmers()
-            result.transfer_batches = session._count_batches(
-                buckets, session._partitioner.kmer_bytes
-            )
-            share = buckets.total_kmers() / total_query if total_query else 0.0
-            session._model_overlap(result.timings, buckets, intersect_share=share)
             result.timings.abundance_ms += abundance_ms
-            results.append(result)
         return results
 
     # -- introspection / lifecycle ---------------------------------------------

@@ -28,10 +28,6 @@ bucket slice is streamed from flash once and intersected against every
 buffered sample's query bucket before advancing, so the dominant flash
 traffic is amortized over the batch while each sample's result stays
 identical to an independent analysis.
-
-:class:`MegisPipeline` (:mod:`repro.megis.pipeline`) remains as a thin
-deprecated wrapper that builds a single-use index and session per
-construction.
 """
 
 from __future__ import annotations
@@ -40,12 +36,28 @@ import heapq
 import itertools
 import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.backends import PhaseTimings, StepTwoBackend, available_backends
+from repro.backends import (
+    PhaseTimings,
+    StepTwoBackend,
+    available_backends,
+    get_backend,
+)
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
@@ -53,7 +65,14 @@ from repro.megis.executors import ExecutorSpec, parse_spec
 from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.multissd import (
+    DatabaseShard,
+    MultiSsdStepTwo,
+    StepTwoResult,
+    step_two_over_shards,
+    warm_shards,
+    whole_range,
+)
 from repro.megis.sorting import sort_cost_weights
 from repro.sequences.reads import Read
 from repro.ssd.device import SSD
@@ -69,6 +88,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index -> session)
     from repro.databases.kss import KssTables
     from repro.megis.index import MegisIndex
     from repro.megis.procpool import ProcessAnalysisRunner
+
+
+#: The Step-2 stage of :meth:`AnalysisSession._analyze`: the batch's
+#: bucket sets and timings in, one result per sample out.
+StepTwoStage = Callable[[Sequence[BucketSet], PhaseTimings], List[StepTwoResult]]
 
 
 @dataclass
@@ -445,7 +469,8 @@ class AnalysisSession:
 
     @property
     def backend_name(self) -> str:
-        return self.isp.backend_name
+        """Resolved from the backend spec — no engine is built to read it."""
+        return get_backend(self._backend_spec).name
 
     def warm(self) -> "AnalysisSession":
         """Pre-build every lazily-constructed engine structure.
@@ -463,23 +488,16 @@ class AnalysisSession:
         """
         import numpy as np
 
-        from repro.backends import get_backend
-
+        columnar = get_backend(self._backend_spec).columnar
         if self.shard_range is not None:
             # Cluster-node warm: materialize this node's shard subset only
             # — each shard's database/KSS owner columns — plus the parent
             # key column the zero-copy shard views slice.  No candidate
             # scoring or Step-3 state is built: a shard-range session
             # serves :meth:`step_two_partial` and nothing else.
-            columnar = get_backend(self._backend_spec).columnar
             if columnar:
                 self.database.column()
-            for shard in self.cluster_shards():
-                if columnar:
-                    shard.database.column()
-                    shard.kss.columns()
-                else:
-                    shard.kss.retrieve([])
+            warm_shards(self.cluster_shards(), columnar)
             return self
 
         engine = self.multissd if self.multissd is not None else self.isp
@@ -487,7 +505,6 @@ class AnalysisSession:
         # Candidate scoring consults the sorted sketch-size columns on
         # every sample; build them once, before any thread shares them.
         self.sketch.size_column(np.empty(0, dtype=np.int64))
-        columnar = get_backend(self._backend_spec).columnar
         if columnar:
             self.database.column()
             self.kss.columns()
@@ -496,12 +513,7 @@ class AnalysisSession:
             # covered-owner caches; an empty retrieval touches them all.
             self.kss.retrieve([])
         if isinstance(engine, MultiSsdStepTwo):
-            for shard in engine.shards:
-                if columnar:
-                    shard.database.column()
-                    shard.kss.columns()
-                else:
-                    shard.kss.retrieve([])
+            warm_shards(engine.shards, columnar)
         # Process-backed serving forks *here* — after every column /
         # memmap section above is materialized, so the workers inherit
         # the warmed engine state copy-on-write (the fork-after-mmap
@@ -542,7 +554,7 @@ class AnalysisSession:
             self.warm()
         return self._runner
 
-    # -- single sample ----------------------------------------------------------
+    # -- analysis (single sample and §4.7 batch) ---------------------------------
 
     def analyze(self, reads: Sequence[Read], with_abundance: bool = True) -> MegisResult:
         """Run the three steps for one sample against the open index."""
@@ -550,43 +562,7 @@ class AnalysisSession:
         runner = self._process_runner()
         if runner is not None:
             return runner.analyze(reads, with_abundance)
-        result = MegisResult(timings=PhaseTimings(backend=self.isp.backend_name))
-        if self._processor is not None:
-            self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
-
-        # Step 1 (host): extract, bucket, sort, exclude.
-        self._step_marker(HostStep.KMER_EXTRACTION)
-        with result.timings.phase("extract"):
-            buckets = self._partition(reads, result)
-        self._step_marker(HostStep.KMER_EXTRACTION)
-
-        # Step 2 (ISP): bucketed intersection + KSS retrieval.  With a real
-        # SSD attached, reserve the §4.3.1 buffers in internal DRAM for the
-        # duration of the step.
-        self._step_marker(HostStep.SORTING)
-        self._step_marker(HostStep.SORTING)
-        with self._isp_buffers():
-            if self.multissd is not None:
-                intersecting, retrieved = self.multissd.run(
-                    buckets.merged_column(), timings=result.timings
-                )
-            else:
-                intersecting, retrieved = self.isp.run_bucket_set(
-                    buckets, timings=result.timings
-                )
-        self._finish_step_two(result, intersecting, retrieved)
-        self._model_overlap(result.timings, buckets)
-
-        # Step 3: abundance estimation (mapping or lightweight statistics).
-        if with_abundance:
-            with result.timings.phase("abundance"):
-                self._estimate_abundance(result, reads, retrieved)
-
-        if self._processor is not None:
-            self._processor.finish()
-        return result
-
-    # -- multi-sample (§4.7) --------------------------------------------------------
+        return self._analyze([reads], with_abundance, self._step_two_single)[0]
 
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
@@ -610,55 +586,112 @@ class AnalysisSession:
         runner = self._process_runner()
         if runner is not None:
             return runner.analyze_batch(samples, with_abundance)
-        backend = self.isp.backend_name
-        results = [MegisResult(timings=PhaseTimings(backend=backend)) for _ in samples]
+        return self._analyze(samples, with_abundance, self._step_two_batched)
+
+    def _analyze(
+        self,
+        samples: Sequence[Sequence[Read]],
+        with_abundance: bool,
+        step_two: StepTwoStage,
+    ) -> List[MegisResult]:
+        """The one Step 1 -> Step 2 -> candidates -> Step 3 sequence.
+
+        ``step_two`` is the Step-2 stage: given every sample's buffered
+        bucket set and the batch's timings, it returns one
+        ``(intersecting, retrieved)`` pair per sample — from the local
+        engines (:meth:`_step_two_single`, :meth:`_step_two_batched`) or
+        from a cluster scatter.
+        """
         if self._processor is not None:
             self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
 
-        # Step 1 per sample: all samples' buckets are buffered before the
-        # shared database stream starts.
+        # Step 1 (host) per sample: extract, bucket, sort, exclude.  All
+        # samples' buckets are buffered before the database stream starts.
         self._step_marker(HostStep.KMER_EXTRACTION)
         bucket_sets: List[BucketSet] = []
-        for reads, result in zip(samples, results):
-            with result.timings.phase("extract"):
-                bucket_sets.append(self._partition(reads, result))
+        extract_ms: List[float] = []
+        for reads in samples:
+            start = time.perf_counter()
+            bucket_sets.append(self._partitioner.partition(reads))
+            extract_ms.append((time.perf_counter() - start) * 1e3)
         self._step_marker(HostStep.KMER_EXTRACTION)
 
-        # Step 2, batched: one database stream for the whole batch.
+        # Step 2 (ISP): intersection + KSS retrieval, one database stream
+        # for the whole batch.  With a real SSD attached, reserve the
+        # §4.3.1 buffers in internal DRAM for the duration of the step.
         self._step_marker(HostStep.SORTING)
         self._step_marker(HostStep.SORTING)
-        batch_timings = PhaseTimings(backend=backend, samples_batched=len(samples))
-        sample_buckets = [
-            [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
-            for buckets in bucket_sets
-        ]
+        batch_timings = PhaseTimings(
+            backend=self.backend_name, samples_batched=len(samples)
+        )
         with self._isp_buffers():
-            if self.multissd is not None:
-                step_two = self.multissd.run_multi(
-                    sample_buckets, timings=batch_timings
-                )
-            else:
-                step_two = self.isp.run_bucketed_multi(
-                    sample_buckets, timings=batch_timings
-                )
+            step_two_results = step_two(bucket_sets, batch_timings)
+        results = self._batch_results(bucket_sets, extract_ms, batch_timings)
 
-        # Step 3 per sample.  Each sample's overlap model charges it the
-        # batch's intersect time in proportion to its share of the query
-        # stream (the database stream is shared across the batch).
-        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
-        for result, reads, buckets, (intersecting, retrieved) in zip(
-            results, samples, bucket_sets, step_two
+        # Candidates, then Step 3 (mapping or lightweight statistics).
+        for result, reads, (intersecting, retrieved) in zip(
+            results, samples, step_two_results
         ):
-            result.timings.merge(batch_timings)
             self._finish_step_two(result, intersecting, retrieved)
-            share = buckets.total_kmers() / total_query if total_query else 0.0
-            self._model_overlap(result.timings, buckets, intersect_share=share)
             if with_abundance:
                 with result.timings.phase("abundance"):
                     self._estimate_abundance(result, reads, retrieved)
 
         if self._processor is not None:
             self._processor.finish()
+        return results
+
+    def _step_two_single(
+        self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
+    ) -> List[StepTwoResult]:
+        """One sample: bucket-by-bucket on one SSD, or its merged column
+        range-split across the shards."""
+        [buckets] = bucket_sets
+        if self.multissd is not None:
+            return [self.multissd.run(buckets.merged_column(), timings=timings)]
+        return [self.isp.run_bucket_set(buckets, timings=timings)]
+
+    def _step_two_batched(
+        self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
+    ) -> List[StepTwoResult]:
+        """A batch: every sample's buckets share one database stream."""
+        sample_buckets = [
+            [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
+            for buckets in bucket_sets
+        ]
+        if self.multissd is not None:
+            return self.multissd.run_multi(sample_buckets, timings=timings)
+        return self.isp.run_bucketed_multi(sample_buckets, timings=timings)
+
+    def _batch_results(
+        self,
+        bucket_sets: Sequence[BucketSet],
+        extract_ms: Sequence[float],
+        batch_timings: PhaseTimings,
+    ) -> List[MegisResult]:
+        """One result per sample carrying its Step-1 statistics, the
+        batch's Step-2 timings and its §4.2.1 overlap model.
+
+        Each sample's overlap model charges it the batch's intersect time
+        in proportion to its share of the query stream (the database
+        stream is shared across the batch).
+        """
+        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
+        results = []
+        for buckets, ms in zip(bucket_sets, extract_ms):
+            result = MegisResult(
+                n_buckets=len(buckets),
+                spilled_bytes=buckets.spilled_bytes,
+                query_kmers=buckets.total_kmers(),
+                transfer_batches=self._count_batches(
+                    buckets, self._partitioner.kmer_bytes
+                ),
+                timings=PhaseTimings(backend=batch_timings.backend, extract_ms=ms),
+            )
+            result.timings.merge(batch_timings)
+            share = buckets.total_kmers() / total_query if total_query else 0.0
+            self._model_overlap(result.timings, buckets, intersect_share=share)
+            results.append(result)
         return results
 
     # -- partial Step 2 over a shard range (cluster-node mode) --------------------
@@ -671,7 +704,7 @@ class AnalysisSession:
                 f"{self.config.n_ssds} only (use step_two_partial)"
             )
 
-    def cluster_shards(self) -> List:
+    def cluster_shards(self) -> List[DatabaseShard]:
         """The shard handles this session serves (all, or its range).
 
         Shard boundaries come from :meth:`MegisIndex.shards` over
@@ -689,47 +722,31 @@ class AnalysisSession:
         self,
         queries: Sequence[Sequence[int]],
         timings: Optional[PhaseTimings] = None,
-    ):
+    ) -> List[StepTwoResult]:
         """Step 2 over this session's shard subset, one result per sample.
 
         ``queries`` are sorted query columns (one per sample — what
         :meth:`~repro.megis.host.BucketSet.merged_column` produces, or
-        plain int lists off the wire).  Each sample is intersected and
-        retrieved per shard with exactly the kernels
-        :class:`~repro.megis.multissd.MultiSsdStepTwo` runs — the
-        backend's range split clips the column to each shard's
-        ``[lo, hi)`` — and the per-shard partials are concatenated in
-        ascending shard order.  Because a cluster node owns a
-        *contiguous* shard group, concatenating the per-node results (in
-        node order) reproduces the single-host sharded result
-        bit-identically, which is the router's gather step.
+        plain int lists off the wire).
+        :func:`~repro.megis.multissd.step_two_over_shards` runs each shard
+        once for the whole request — one database stream however many
+        samples it carries — and gathers the per-shard partials in
+        ascending shard order.
+        Because a cluster node owns a *contiguous* shard group, gathering
+        the per-node results (in node order) reproduces the single-host
+        sharded result bit-identically, which is the router's gather step.
 
         Returns ``[(intersecting_kmers, RetrievalResult), ...]`` — the
         intersecting k-mers are the retrieval result's ``queries``
         column restricted to this shard subset.
         """
-        from repro.backends import RetrievalResult, get_backend
-
-        backend = get_backend(self._backend_spec)
-        shards = self.cluster_shards()
-        results = []
-        for query in queries:
-            partials = []
-            retrievals = []
-            for shard in shards:
-                st = PhaseTimings(backend=backend.name)
-                [partial] = backend.intersect_sharded(
-                    [(shard.lo, shard.hi, shard.database)], query,
-                    self._n_channels, st,
-                )
-                retrievals.append(backend.retrieve(shard.kss, partial, st))
-                partials.append(partial)
-                if timings is not None:
-                    timings.merge(st)
-            intersecting = [int(k) for p in partials for k in p]
-            results.append(
-                (intersecting, RetrievalResult.concatenate(retrievals))
-            )
+        results, partial_timings = step_two_over_shards(
+            get_backend(self._backend_spec), self.cluster_shards(),
+            [whole_range(query, self.database.k) for query in queries],
+            self._n_channels,
+        )
+        if timings is not None:
+            timings.merge(partial_timings)
         return results
 
     # -- Metalign baseline over the same index ----------------------------------
@@ -855,17 +872,6 @@ class AnalysisSession:
         return ReadMapper(unified).estimate_abundance(reads)
 
     # -- helpers ------------------------------------------------------------------
-
-    def _partition(self, reads: Sequence[Read], result: MegisResult) -> BucketSet:
-        """Step 1 for one sample, recording its statistics on the result."""
-        buckets = self._partitioner.partition(reads)
-        result.n_buckets = len(buckets)
-        result.spilled_bytes = buckets.spilled_bytes
-        result.query_kmers = buckets.total_kmers()
-        result.transfer_batches = self._count_batches(
-            buckets, self._partitioner.kmer_bytes
-        )
-        return buckets
 
     @contextmanager
     def _isp_buffers(self):

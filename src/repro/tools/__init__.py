@@ -12,14 +12,13 @@
 from repro.tools.bracken import BrackenEstimator
 from repro.tools.kraken2 import Kraken2Classifier, Kraken2Result
 from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
-from repro.tools.metalign import MetalignPipeline, MetalignResult
+from repro.tools.metalign import MetalignResult
 from repro.tools.statistical import StatisticalAbundanceEstimator
 
 __all__ = [
     "BrackenEstimator",
     "Kraken2Classifier",
     "Kraken2Result",
-    "MetalignPipeline",
     "MetalignResult",
     "ReadMapper",
     "SpeciesIndex",

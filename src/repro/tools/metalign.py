@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 import numpy as np
 
 from repro.backends.retrieval import RetrievalResult
-from repro.databases.sketch import SketchDatabase, TernarySearchTree
-from repro.databases.sorted_db import SortedKmerDatabase
-from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import KmerCounter
-from repro.sequences.reads import Read
+from repro.databases.sketch import SketchDatabase
 from repro.taxonomy.profiles import AbundanceProfile
 
 
@@ -167,103 +163,3 @@ class MetalignResult:
 
     def present(self, threshold: float = 0.0) -> Set[int]:
         return self.profile.present(threshold)
-
-
-class MetalignPipeline:
-    """KMC + sorted intersection + CMash lookup + mapping.
-
-    .. deprecated::
-        A thin wrapper over :class:`~repro.megis.session.AnalysisSession`'s
-        Metalign mode — construct a
-        :class:`~repro.megis.index.MegisIndex` and call
-        :meth:`AnalysisSession.analyze_metalign` directly to serve many
-        samples from one session (the ternary tree and the Step-3 unified
-        indexes are built once per session, not per call).
-    """
-
-    def __init__(
-        self,
-        database: SortedKmerDatabase,
-        sketch: SketchDatabase,
-        references: ReferenceCollection,
-        min_count: int = 1,
-        max_count: Optional[int] = None,
-        min_containment: float = 0.15,
-        mapper_k: int = 15,
-    ):
-        import warnings
-
-        from repro.megis.index import MegisIndex
-        from repro.megis.session import AnalysisSession, MegisConfig
-
-        warnings.warn(
-            "MetalignPipeline is deprecated; build a MegisIndex and call "
-            "AnalysisSession.analyze_metalign instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._session = AnalysisSession(
-            MegisIndex(database, sketch, references),
-            config=MegisConfig(
-                min_count=min_count,
-                max_count=max_count,
-                min_containment=min_containment,
-                mapper_k=mapper_k,
-            ),
-        )
-        self.database = database
-        self.sketch = sketch
-        self.references = references
-        self.min_count = min_count
-        self.max_count = max_count
-        self.min_containment = min_containment
-        self.mapper_k = mapper_k
-
-    @property
-    def session(self):
-        """The backing session (shared caches, Metalign mode)."""
-        return self._session
-
-    @property
-    def tree(self) -> TernarySearchTree:
-        return self._session.ternary_tree
-
-    # -- step 1: query preparation ------------------------------------------
-
-    def prepare_queries(self, reads: Sequence[Read]) -> np.ndarray:
-        """Extract, count, exclude, and sort sample k-mers (KMC role)."""
-        counter = KmerCounter(self.database.k, canonical=False)
-        counter.add_sequences(read.sequence for read in reads)
-        return counter.selected(min_count=self.min_count, max_count=self.max_count)
-
-    # -- step 2: finding species ------------------------------------------------
-
-    def find_candidates(self, sorted_query: Sequence[int]) -> MetalignResult:
-        """Intersection + sketch lookups -> candidate species.
-
-        Delegates to :meth:`AnalysisSession.find_candidates_metalign`: the
-        per-k-mer ternary-tree lookups are packed into the same CSR
-        :class:`~repro.backends.retrieval.RetrievalResult` layout the
-        Step-2 backends emit, so hit accumulation and containment scoring
-        share the exact columnar kernels with the MegIS pipeline — the two
-        pipelines call species identically by construction.
-        """
-        return self._session.find_candidates_metalign(sorted_query)
-
-    def _containment(self, taxid: int, level_hits: Dict[int, int]) -> float:
-        return containment_score(self.sketch, taxid, level_hits)
-
-    # -- abundance estimation ------------------------------------------------------
-
-    def estimate_abundance(
-        self, reads: Sequence[Read], candidates: Set[int]
-    ) -> AbundanceProfile:
-        return self._session.map_abundance(reads, candidates)
-
-    # -- end to end ---------------------------------------------------------------
-
-    def analyze(self, reads: Sequence[Read]) -> MetalignResult:
-        sorted_query = self.prepare_queries(reads)
-        result = self.find_candidates(sorted_query.tolist())
-        result.profile = self.estimate_abundance(reads, result.candidates)
-        return result

@@ -23,7 +23,9 @@ from repro.backends import (
 from repro.backends.numpy_backend import as_column, stripe_columns
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.pipeline import MegisConfig, MegisPipeline
+from repro.megis.index import MegisIndex
+from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.session import AnalysisSession, MegisConfig
 from tests.conftest import SKETCH_K
 
 BACKENDS = ("python", "numpy")
@@ -230,27 +232,30 @@ class TestMultiSampleBatching:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestShardedKernels:
-    """Backend-level sharded Step 2 (§6.1): range split inside the backend."""
+    """Sharded Step 2 (§6.1) on randomized databases.
+
+    Sharding is not a backend entry point: a shard clips the buckets to
+    its range and runs the batched kernel
+    (:func:`repro.megis.multissd.shard_step_two`).  These seeds drive it
+    through :class:`MultiSsdStepTwo`; the generated-input form is the
+    kernel property in ``tests/test_multissd.py``.
+    """
 
     @pytest.mark.parametrize("seed", [30, 31, 32])
-    def test_sharded_matches_reference(self, backend, seed):
-        from repro.megis.multissd import split_database
-
+    def test_sharded_matches_reference(self, backend, seed, kss_tables):
         rng = random.Random(seed)
         database = random_database(rng, 400)
         query = random_query(rng, database, 150)
-        shards = split_database(database, rng.randrange(1, 6))
-        per_shard = get_backend(backend).intersect_sharded(
-            [(s.lo, s.hi, s.database) for s in shards], query, 4
-        )
-        assert len(per_shard) == len(shards)
-        flat = [x for partial in per_shard for x in partial]
-        assert flat == database.intersect(query)
+        engine = MultiSsdStepTwo(database, kss_tables, n_ssds=rng.randrange(1, 6),
+                                 backend=backend)
+        timings = PhaseTimings()
+        intersecting, retrieved = engine.run(query, timings=timings)
+        assert timings.db_stream_passes == engine.n_ssds
+        assert intersecting == database.intersect(query)
+        assert retrieved == kss_tables.retrieve(intersecting)
 
     @pytest.mark.parametrize("seed", [40, 41])
-    def test_sharded_multi_matches_whole_db_batch(self, backend, seed):
-        from repro.megis.multissd import split_database
-
+    def test_sharded_multi_matches_whole_db_batch(self, backend, seed, kss_tables):
         rng = random.Random(seed)
         database = random_database(rng, 350)
         samples = []
@@ -258,27 +263,27 @@ class TestShardedKernels:
             query = random_query(rng, database, rng.randrange(40, 120))
             edges = sorted(rng.sample(range(1, SPACE), rng.randrange(2, 6)))
             samples.append(bucketize(query, edges))
-        shards = split_database(database, 3)
-        engine = get_backend(backend)
-        sharded = engine.intersect_sharded_multi(
-            [(s.lo, s.hi, s.database) for s in shards], samples, 4
+        engine = MultiSsdStepTwo(database, kss_tables, n_ssds=3, backend=backend)
+        sharded = [intersecting for intersecting, _ in engine.run_multi(samples)]
+        assert sharded == get_backend(backend).intersect_bucketed_multi(
+            database, samples, 4
         )
-        assert sharded == engine.intersect_bucketed_multi(database, samples, 4)
 
-    def test_sharded_cross_backend(self, backend):
-        from repro.megis.multissd import split_database
-
+    def test_sharded_cross_backend(self, backend, kss_tables):
         rng = random.Random(50)
         database = random_database(rng, 300)
         query = random_query(rng, database, 120)
-        shards = [(s.lo, s.hi, s.database) for s in split_database(database, 4)]
-        mine = get_backend(backend).intersect_sharded(shards, query, 4)
-        reference = get_backend("python").intersect_sharded(shards, query, 4)
+        mine = MultiSsdStepTwo(database, kss_tables, n_ssds=4,
+                               backend=backend).run(query)
+        reference = MultiSsdStepTwo(database, kss_tables, n_ssds=4,
+                                    backend="python").run(query)
         assert mine == reference
 
-    def test_no_shards(self, backend):
-        assert get_backend(backend).intersect_sharded([], [1, 2, 3], 2) == []
-        assert get_backend(backend).intersect_sharded_multi([], [], 2) == []
+    def test_no_shards(self, backend, kss_tables):
+        """An empty shard list has no answer to give; it is refused where
+        shard lists enter, at construction."""
+        with pytest.raises(ValueError, match="non-empty"):
+            MultiSsdStepTwo(kss=kss_tables, shards=[], backend=backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -343,11 +348,11 @@ class TestPipelineEquivalence:
     def per_backend_results(self, sorted_db, sketch_db, sample):
         results = {}
         for backend in BACKENDS:
-            pipeline = MegisPipeline(
-                sorted_db, sketch_db, sample.references,
+            session = AnalysisSession(
+                MegisIndex(sorted_db, sketch_db, sample.references),
                 config=MegisConfig(backend=backend),
             )
-            results[backend] = pipeline.analyze(sample.reads)
+            results[backend] = session.analyze(sample.reads)
         return results
 
     def test_identical_outputs(self, per_backend_results):
@@ -366,13 +371,13 @@ class TestPipelineEquivalence:
             assert result.timings.samples_batched == 1
 
     def test_multi_sample_batched_matches_individual(self, sorted_db, sketch_db, sample):
-        pipeline = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references),
             config=MegisConfig(backend="numpy"),
         )
         halves = [sample.reads[:200], sample.reads[200:]]
-        batched = pipeline.analyze_multi(halves)
-        individual = [pipeline.analyze(reads) for reads in halves]
+        batched = session.analyze_batch(halves)
+        individual = [session.analyze(reads) for reads in halves]
         for got, want in zip(batched, individual):
             assert got.intersecting_kmers == want.intersecting_kmers
             assert got.candidates == want.candidates
@@ -385,8 +390,10 @@ class TestPipelineEquivalence:
             )
 
     def test_multi_sample_empty(self, sorted_db, sketch_db, sample):
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references)
-        assert pipeline.analyze_multi([]) == []
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references)
+        )
+        assert session.analyze_batch([]) == []
 
     def test_sharded_pipeline_bit_identical(self, sorted_db, sketch_db, sample,
                                             per_backend_results):
@@ -394,11 +401,11 @@ class TestPipelineEquivalence:
         candidates, and abundance profile as the single-SSD python run."""
         reference = per_backend_results["python"]
         for backend in BACKENDS:
-            pipeline = MegisPipeline(
-                sorted_db, sketch_db, sample.references,
+            session = AnalysisSession(
+                MegisIndex(sorted_db, sketch_db, sample.references),
                 config=MegisConfig(backend=backend, n_ssds=3),
             )
-            result = pipeline.analyze(sample.reads)
+            result = session.analyze(sample.reads)
             assert result.intersecting_kmers == reference.intersecting_kmers
             assert result.sketch_hits == reference.sketch_hits
             assert result.candidates == reference.candidates

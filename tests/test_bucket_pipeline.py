@@ -10,10 +10,11 @@ import random
 import pytest
 
 from repro.backends import PhaseTimings
-from repro.megis.pipeline import (
+from repro.megis.index import MegisIndex
+from repro.megis.session import (
+    AnalysisSession,
     BucketPipelineScheduler,
     MegisConfig,
-    MegisPipeline,
 )
 from repro.megis.sorting import sort_cost_weights
 
@@ -133,11 +134,11 @@ class TestPhaseTimingsOverlapSurface:
 class TestPipelineOverlapModel:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_analyze_reports_overlap(self, sorted_db, sketch_db, sample, backend):
-        pipeline = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references),
             config=MegisConfig(backend=backend),
         )
-        result = pipeline.analyze(sample.reads, with_abundance=False)
+        result = session.analyze(sample.reads, with_abundance=False)
         timings = result.timings
         assert timings.overlapped_ms > 0
         assert timings.overlapped_ms <= timings.serialized_ms + 1e-9
@@ -149,11 +150,11 @@ class TestPipelineOverlapModel:
     def test_multi_sample_reports_overlap_per_sample(
         self, sorted_db, sketch_db, sample
     ):
-        pipeline = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references),
             config=MegisConfig(backend="numpy"),
         )
-        results = pipeline.analyze_multi(
+        results = session.analyze_batch(
             [sample.reads[:150], sample.reads[150:300]], with_abundance=False
         )
         for result in results:
@@ -161,10 +162,10 @@ class TestPipelineOverlapModel:
             assert result.timings.overlapped_ms <= result.timings.serialized_ms + 1e-9
 
     def test_sharded_pipeline_reports_overlap(self, sorted_db, sketch_db, sample):
-        pipeline = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references),
             config=MegisConfig(backend="numpy", n_ssds=4),
         )
-        result = pipeline.analyze(sample.reads, with_abundance=False)
+        result = session.analyze(sample.reads, with_abundance=False)
         assert result.timings.overlapped_ms > 0
         assert result.timings.overlapped_ms <= result.timings.serialized_ms + 1e-9

@@ -340,9 +340,7 @@ class TestShardRangeSession:
             make_node_session(index, golden, cluster_map, w).warm()
             for w in range(2)
         ]
-        scratch = MegisResult(timings=PhaseTimings(backend="python"))
-        buckets = full._partition(chunks[0], scratch)
-        query = buckets.merged_column()
+        query = full._partitioner.partition(chunks[0]).merged_column()
         partials = [s.step_two_partial([query])[0] for s in sessions]
         gathered = RetrievalResult.concatenate([p[1] for p in partials])
         intersecting = [k for p in partials for k in p[0]]
@@ -350,6 +348,32 @@ class TestShardRangeSession:
         clustered = MegisResult(timings=PhaseTimings(backend="python"))
         full._finish_step_two(clustered, intersecting, gathered)
         assert sorted(clustered.candidates) == sorted(reference.candidates)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_partial_streams_each_shard_once_per_request(
+        self, golden_world, golden, chunks, backend
+    ):
+        """A 2-sample request shares one database stream per shard (§4.7
+        on the node), and answers what two 1-sample requests answer."""
+        from repro.backends import PhaseTimings
+
+        _, index = golden_world
+        cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
+        session = AnalysisSession(
+            index, _config(golden, backend=backend, n_ssds=N_SHARDS),
+            shard_range=cluster_map.group(0),
+        ).warm()
+        full = AnalysisSession(index, _config(golden, backend=backend))
+        queries = [
+            full._partitioner.partition(chunk).merged_column()
+            for chunk in chunks[:2]
+        ]
+        one, two = PhaseTimings(), PhaseTimings()
+        single = session.step_two_partial(queries[:1], timings=one)
+        both = session.step_two_partial(queries, timings=two)
+        assert two.db_stream_passes == len(session.cluster_shards()) == 2
+        assert two.db_kmers_streamed == one.db_kmers_streamed
+        assert both == single + session.step_two_partial(queries[1:])
 
 
 class TestBitIdentity:
@@ -369,6 +393,30 @@ class TestBitIdentity:
         assert_bit_identical(records, serial_records,
                              [f"c{i}" for i in range(N_CHUNKS)])
         assert scatters >= 1
+
+    def test_cluster_result_carries_the_overlap_model(self, golden_world,
+                                                      golden, chunks):
+        """The router runs the local session's one analysis sequence, so
+        a cluster result models the §4.2.1 overlap like a local one."""
+        _, index = golden_world
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, cluster.router.session.analyze_batch, chunks[:2]
+                )
+
+        results = run_scenario(scenario())
+        local = AnalysisSession(index, _config(golden)).analyze_batch(chunks[:2])
+        for routed, serial in zip(results, local):
+            assert routed.candidates == serial.candidates
+            assert routed.profile.fractions == serial.profile.fractions
+            assert routed.n_buckets == serial.n_buckets
+            assert routed.timings.samples_batched == 2
+            assert routed.timings.serialized_ms > 0
+            assert 0 < routed.timings.overlapped_ms <= (
+                routed.timings.serialized_ms + 1e-9
+            )
 
     def test_heartbeat_tracks_live_nodes(self, golden_world, golden,
                                          requests_wire):
@@ -539,3 +587,57 @@ class TestNodeProtocol:
         assert pong["op"] == "pong"
         assert pong["node"] == 0
         assert pong["shards"] == [0, 2]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_malformed_query_columns_refused(self, golden_world, golden,
+                                             chunks, backend):
+        """A query column is validated once per request, before the
+        kernel bisects it: unsorted, out-of-range and bool entries get a
+        structured error frame and the connection keeps serving."""
+        _, index = golden_world
+        cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
+        config = _config(golden, backend=backend, n_ssds=N_SHARDS)
+        full = AnalysisSession(index, _config(golden, backend=backend))
+        column = [
+            int(kmer) for kmer in
+            full._partitioner.partition(chunks[0]).merged_column()
+        ]
+        half = len(column) // 2
+        space = 1 << (2 * index.k)
+
+        def step2(request_id, query):
+            return {"schema": 1, "op": "step2", "id": request_id,
+                    "queries": [query]}
+
+        async def scenario():
+            node = ClusterNode(
+                AnalysisSession(index, config,
+                                shard_range=cluster_map.group(0)),
+                0, cluster_map,
+            )
+            async with node:
+                return await self._ask(node, [
+                    step2(1, column[half:] + column[:half]),
+                    step2(2, [-1] + column),
+                    step2(3, column + [space]),
+                    step2(4, [True] + column),
+                    step2(5, [1.5]),
+                    step2(6, column),
+                    {"schema": 1, "op": "ping", "id": 7},
+                ])
+
+        records = run_scenario(scenario())
+        assert len(records) == 7
+        assert "sorted ascending" in records[0]["error"]
+        assert "must lie in [0, 4^" in records[1]["error"]
+        assert "must lie in [0, 4^" in records[2]["error"]
+        assert "k-mer int lists" in records[3]["error"]
+        assert "k-mer int lists" in records[4]["error"]
+        served = records[5]
+        assert served["op"] == "step2_result" and served["id"] == 6
+        lo, hi = (index.shards(N_SHARDS)[0].lo, index.shards(N_SHARDS)[1].hi)
+        assert served["samples"][0]["queries"] == [
+            kmer for kmer in index.database.intersect(column) if lo <= kmer < hi
+        ]
+        assert records[6]["op"] == "pong"
+        assert records[6]["served"] == 1

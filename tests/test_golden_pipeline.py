@@ -18,7 +18,8 @@ import pytest
 
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.pipeline import MegisConfig, MegisPipeline
+from repro.megis.index import MegisIndex
+from repro.megis.session import AnalysisSession, MegisConfig
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 GOLDEN = Path(__file__).parent / "data" / "golden_pipeline.json"
@@ -53,15 +54,15 @@ def world(golden):
 def _run(world, golden, backend: str, method: str, n_ssds: int = 1):
     sample, sorted_db, sketch = world
     p = golden["params"]
-    pipeline = MegisPipeline(
-        sorted_db, sketch, sample.references,
+    session = AnalysisSession(
+        MegisIndex(sorted_db, sketch, sample.references),
         config=MegisConfig(
             backend=backend, n_buckets=p["n_buckets"],
             min_containment=p["min_containment"],
             abundance_method=method, n_ssds=n_ssds,
         ),
     )
-    return pipeline.analyze(sample.reads)
+    return session.analyze(sample.reads)
 
 
 def _check(result, expected):

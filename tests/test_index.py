@@ -27,7 +27,6 @@ from repro.databases.serialization import (
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.pipeline import MegisPipeline
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.tools.mapping import SpeciesIndex
 
@@ -134,8 +133,8 @@ class TestServedEquivalence:
                                            sample, backend, method, n_ssds):
         config = MegisConfig(backend=backend, abundance_method=method,
                              n_ssds=n_ssds)
-        fresh = MegisPipeline(
-            sorted_db, sketch_db, sample.references, config=config
+        fresh = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), config=config
         ).analyze(sample.reads)
         served = AnalysisSession(opened, config).analyze(sample.reads)
         assert served.intersecting_kmers == fresh.intersecting_kmers
@@ -179,6 +178,22 @@ class TestZeroReconstruction:
             assert shard.database.column_builds == 0
             assert shard.kss.column_builds == 0
             assert shard.kss.row_materializations == 0
+
+    def test_sharded_session_never_builds_the_single_ssd_engine(
+        self, opened, sample
+    ):
+        """Reading the backend's name (analyze, analyze_batch,
+        backend_name) must not construct an IspStepTwo the sharded session
+        never runs."""
+        session = AnalysisSession(opened, MegisConfig(backend="numpy", n_ssds=4))
+        assert session.backend_name == "numpy"
+        session.analyze(sample.reads, with_abundance=False)
+        session.analyze_batch([sample.reads[:100]], with_abundance=False)
+        assert session._isp is None
+        partial = AnalysisSession(opened, MegisConfig(backend="numpy", n_ssds=4),
+                                  shard_range=(0, 2))
+        assert partial.backend_name == "numpy"
+        assert partial._isp is None
 
     def test_species_index_cache_across_overlapping_candidates(
         self, opened, sample, monkeypatch

@@ -59,23 +59,29 @@ class TestFlashImageStreaming:
 
 class TestPipelineOnSimulatedSsd:
     def test_buffers_released_after_analysis(self, sorted_db, sketch_db, sample):
-        from repro.megis.pipeline import MegisPipeline
+        from repro.megis.index import MegisIndex
+        from repro.megis.session import AnalysisSession
         from repro.ssd.device import SSD
 
         ssd = SSD(ssd_c())
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references, ssd=ssd)
-        pipeline.analyze(sample.reads, with_abundance=False)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
+        )
+        session.analyze(sample.reads, with_abundance=False)
         # Only the restored baseline L2P remains allocated.
         assert set(ssd.dram.allocations()) == {"baseline_l2p"}
 
     def test_two_analyses_back_to_back(self, sorted_db, sketch_db, sample):
-        from repro.megis.pipeline import MegisPipeline
+        from repro.megis.index import MegisIndex
+        from repro.megis.session import AnalysisSession
         from repro.ssd.device import SSD
 
         ssd = SSD(ssd_c())
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references, ssd=ssd)
-        first = pipeline.analyze(sample.reads, with_abundance=False)
-        second = pipeline.analyze(sample.reads, with_abundance=False)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
+        )
+        first = session.analyze(sample.reads, with_abundance=False)
+        second = session.analyze(sample.reads, with_abundance=False)
         assert first.candidates == second.candidates
 
 

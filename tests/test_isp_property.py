@@ -82,16 +82,17 @@ def test_kss_equals_tree_on_random_worlds(params):
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_megis_equals_metalign_on_random_worlds(params, n_reads):
-    from repro.megis.pipeline import MegisPipeline
-    from repro.tools.metalign import MetalignPipeline
+    from repro.megis.index import MegisIndex
+    from repro.megis.session import AnalysisSession
 
     references, database, sketch = build_world(params)
     taxids = references.species_taxids
     profile = {t: 1.0 for t in taxids[: max(1, len(taxids) // 2)]}
     reads = ReadSimulator(read_length=80, error_rate=0.01,
                           seed=params["seed"]).simulate(references, profile, n_reads)
-    ours = MegisPipeline(database, sketch, references).analyze(reads)
-    theirs = MetalignPipeline(database, sketch, references).analyze(reads)
+    session = AnalysisSession(MegisIndex(database, sketch, references))
+    ours = session.analyze(reads)
+    theirs = session.analyze_metalign(reads)
     assert ours.intersecting_kmers == theirs.intersecting_kmers
     assert ours.candidates == theirs.candidates
     assert ours.profile.fractions == theirs.profile.fractions

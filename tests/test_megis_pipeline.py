@@ -4,36 +4,33 @@ import pytest
 
 from repro.megis.abundance import build_unified_index, merge_species_indexes
 from repro.megis.accelerator import accelerator_report, scale_area
-from repro.megis.pipeline import MegisConfig, MegisPipeline
+from repro.megis.index import MegisIndex
+from repro.megis.session import AnalysisSession, MegisConfig
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
 from repro.taxonomy.metrics import f1_score
 from repro.tools.mapping import SpeciesIndex, UnifiedIndex
-from repro.tools.metalign import MetalignPipeline
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 
 @pytest.fixture(scope="module")
-def pipelines(sorted_db, sketch_db, sample):
-    megis = MegisPipeline(sorted_db, sketch_db, sample.references)
-    metalign = MetalignPipeline(sorted_db, sketch_db, sample.references)
-    return megis, metalign
+def session(sorted_db, sketch_db, sample):
+    """One session serves both MegIS and the Metalign baseline mode."""
+    return AnalysisSession(MegisIndex(sorted_db, sketch_db, sample.references))
 
 
 class TestEquivalenceWithMetalign:
     """MegIS must match the accuracy-optimized baseline exactly (§5)."""
 
-    def test_same_intersection(self, pipelines, sample):
-        megis, metalign = pipelines
+    def test_same_intersection(self, session, sample):
         assert (
-            megis.analyze(sample.reads).intersecting_kmers
-            == metalign.analyze(sample.reads).intersecting_kmers
+            session.analyze(sample.reads).intersecting_kmers
+            == session.analyze_metalign(sample.reads).intersecting_kmers
         )
 
-    def test_same_candidates_and_profile(self, pipelines, sample):
-        megis, metalign = pipelines
-        ours = megis.analyze(sample.reads)
-        theirs = metalign.analyze(sample.reads)
+    def test_same_candidates_and_profile(self, session, sample):
+        ours = session.analyze(sample.reads)
+        theirs = session.analyze_metalign(sample.reads)
         assert ours.candidates == theirs.candidates
         assert ours.profile.fractions == theirs.profile.fractions
 
@@ -49,40 +46,37 @@ class TestEquivalenceWithMetalign:
         )
         db = SortedKmerDatabase.build(sample.references, k=20)
         sketch = SketchDatabase.build(sample.references, k_max=20, smaller_ks=(12, 8))
-        megis = MegisPipeline(db, sketch, sample.references).analyze(sample.reads)
-        metalign = MetalignPipeline(db, sketch, sample.references).analyze(sample.reads)
+        index = MegisIndex(db, sketch, sample.references)
+        megis = AnalysisSession(index).analyze(sample.reads)
+        metalign = AnalysisSession(index).analyze_metalign(sample.reads)
         assert megis.intersecting_kmers == metalign.intersecting_kmers
         assert megis.candidates == metalign.candidates
         assert megis.profile.fractions == metalign.profile.fractions
 
 
 class TestPipelineBehaviour:
-    def test_accuracy_against_truth(self, pipelines, sample):
-        megis, _ = pipelines
-        result = megis.analyze(sample.reads)
+    def test_accuracy_against_truth(self, session, sample):
+        result = session.analyze(sample.reads)
         assert f1_score(result.present(), sample.present_species()) > 0.8
 
-    def test_presence_only_mode(self, pipelines, sample):
-        megis, _ = pipelines
-        result = megis.analyze(sample.reads, with_abundance=False)
+    def test_presence_only_mode(self, session, sample):
+        result = session.analyze(sample.reads, with_abundance=False)
         assert result.candidates
         assert len(result.profile) == 0
         assert result.merge_stats is None
 
-    def test_stats_populated(self, pipelines, sample):
-        megis, _ = pipelines
-        result = megis.analyze(sample.reads)
-        assert result.n_buckets == megis.config.n_buckets
+    def test_stats_populated(self, session, sample):
+        result = session.analyze(sample.reads)
+        assert result.n_buckets == session.config.n_buckets
         assert result.query_kmers > 0
         assert result.transfer_batches > 0
         assert result.merge_stats is not None
         assert result.merge_stats.entries_written > 0
 
-    def test_multi_sample_matches_individual(self, pipelines, sample):
-        megis, _ = pipelines
+    def test_multi_sample_matches_individual(self, session, sample):
         halves = [sample.reads[:200], sample.reads[200:]]
-        batched = megis.analyze_multi(halves)
-        individual = [megis.analyze(reads) for reads in halves]
+        batched = session.analyze_batch(halves)
+        individual = [session.analyze(reads) for reads in halves]
         for got, want in zip(batched, individual):
             assert got.candidates == want.candidates
             assert got.profile.fractions == want.profile.fractions
@@ -92,20 +86,24 @@ class TestPipelineBehaviour:
 
         wrong = SketchDatabase.build(sample.references, k_max=16, smaller_ks=(8,))
         with pytest.raises(ValueError):
-            MegisPipeline(sorted_db, wrong, sample.references)
+            AnalysisSession(MegisIndex(sorted_db, wrong, sample.references))
 
     def test_with_ssd_attached(self, sorted_db, sketch_db, sample):
         ssd = SSD(ssd_c())
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references, ssd=ssd)
-        result = pipeline.analyze(sample.reads)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
+        )
+        result = session.analyze(sample.reads)
         assert result.candidates
         # Mode restored and baseline metadata resident again.
         assert "baseline_l2p" in ssd.dram.allocations()
 
     def test_spill_reported_with_tiny_host_dram(self, sorted_db, sketch_db, sample):
         config = MegisConfig(host_dram_bytes=1024)
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references, config=config)
-        result = pipeline.analyze(sample.reads, with_abundance=False)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), config=config
+        )
+        result = session.analyze(sample.reads, with_abundance=False)
         assert result.spilled_bytes > 0
 
 
@@ -169,20 +167,3 @@ class TestAccelerator:
         with pytest.raises(ValueError):
             accelerator_report(0)
 
-
-class TestDeprecationShims:
-    def test_both_shims_warn_on_construction(self, sorted_db, sketch_db,
-                                             sample):
-        """The facades still work but announce their replacement: the
-        suite-wide filterwarnings ignore covers the legacy tests above;
-        this is the one place the warnings themselves are asserted."""
-        with pytest.warns(DeprecationWarning,
-                          match="MegisPipeline is deprecated"):
-            pipeline = MegisPipeline(sorted_db, sketch_db, sample.references)
-        with pytest.warns(DeprecationWarning,
-                          match="MetalignPipeline is deprecated"):
-            metalign = MetalignPipeline(sorted_db, sketch_db,
-                                        sample.references)
-        # Shims stay functional: both delegate to a live AnalysisSession.
-        assert pipeline.session.analyze(sample.reads[:20]).profile is not None
-        assert metalign.session is not None

@@ -1,24 +1,135 @@
 """Tests for functional multi-SSD database partitioning (Fig 15's premise).
 
-The range split now lives in the Step-2 backends
-(``intersect_sharded``/``intersect_sharded_multi``); these tests pin the
-§6.1 claim — sharded Step 2 is bit-identical to single-SSD Step 2 — across
-both backends, batched multi-sample mode, and the boundary edge cases
-(empty shards, duplicated boundary k-mers, databases smaller than the
-shard count).
+Step 2 of one shard is one kernel (``shard_step_two``: clip, one batched
+stream, retrieve) and the shards' results are gathered in range order;
+these tests pin the §6.1 claim — sharded Step 2 is bit-identical to
+single-SSD Step 2 — across both backends, batched multi-sample mode, and
+the boundary edge cases (empty shards, duplicated boundary k-mers,
+databases smaller than the shard count).
 """
+
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import PhaseTimings, get_backend
+from repro.databases.kss import KssTables
+from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo, split_database
+from repro.megis.multissd import (
+    MultiSsdStepTwo,
+    gather,
+    shard_kss,
+    shard_step_two,
+    split_database,
+)
 
 BACKENDS = ("python", "numpy")
+
+#: The kernel property's world: small enough that random k-mers collide
+#: with shard edges and share KSS prefixes.
+K, SMALLER_KS = 8, (5, 3)
+SPACE = 1 << (2 * K)
+
+
+@st.composite
+def worlds(draw):
+    """A random sorted database and the KSS over a random sketch of it."""
+    kmers = sorted(draw(st.sets(st.integers(0, SPACE - 1), min_size=1, max_size=40)))
+    owners = draw(st.lists(
+        st.frozensets(st.integers(1, 4), min_size=1, max_size=2),
+        min_size=len(kmers), max_size=len(kmers),
+    ))
+    sketched = draw(st.lists(st.booleans(), min_size=len(kmers), max_size=len(kmers)))
+    tables = {K: {x: own for x, own, keep in zip(kmers, owners, sketched) if keep}}
+    for k in SMALLER_KS:
+        level = {}
+        for kmer, own in tables[K].items():
+            prefix = kmer >> (2 * (K - k))
+            level[prefix] = level.get(prefix, frozenset()) | own
+        # A level-only owner on some rows: the remainder KSS stores beyond
+        # the covered k_max owners.
+        extra = draw(st.lists(st.booleans(), min_size=len(level), max_size=len(level)))
+        tables[k] = {
+            prefix: own | {9} if more else own
+            for (prefix, own), more in zip(sorted(level.items()), extra)
+        }
+    sizes = {}
+    for own in tables[K].values():
+        for taxid in own:
+            sizes[taxid] = sizes.get(taxid, 0) + 1
+    sketch = SketchDatabase(K, SMALLER_KS, tables, sizes)
+    return SortedKmerDatabase(K, kmers, owners), KssTables(sketch)
+
+
+@st.composite
+def batches(draw, database, shards):
+    """1-4 bucketed samples: database hits, misses, and (twice each) the
+    k-mers sitting exactly on shard boundaries."""
+    edges = [shard.lo for shard in shards[1:]]
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        query = draw(st.lists(st.sampled_from(database.kmers), max_size=20))
+        query += draw(st.lists(st.integers(0, SPACE - 1), max_size=10))
+        if edges:
+            query += 2 * draw(st.lists(st.sampled_from(edges), max_size=3))
+        query.sort()
+        cuts = sorted(draw(st.sets(st.integers(1, SPACE - 1), max_size=4)))
+        bounds = [0, *cuts, SPACE]
+        samples.append([
+            (lo, hi, query[bisect_left(query, lo):bisect_left(query, hi)])
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+    return samples
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_gather_equals_whole_range_and_references(backend, data):
+    """The shard kernel + gather, on generated worlds, both backends.
+
+    gather over N shards == the single whole-range shard ==
+    ``SortedKmerDatabase.intersect`` + ``KssTables.retrieve``, for N from
+    1 up to more shards than k-mers, batches of 1-4 bucketed samples, and
+    queries that repeat a boundary k-mer (matched once); and every shard
+    streams its slice exactly once whatever the batch width
+    (``db_stream_passes == n_shards``).
+
+    This stands for what the direct ``intersect_sharded`` /
+    ``intersect_sharded_multi`` tests pinned before sharding stopped being
+    a backend entry point: per-shard intersections concatenate to
+    ``database.intersect`` for any shard count; the batched sharded result
+    equals the whole-database ``intersect_bucketed_multi``; ``numpy``
+    agrees with ``python`` (both equal the same references here).  The
+    two input checks moved to where shard lists enter — an empty or
+    misordered shard list is refused by ``MultiSsdStepTwo`` at construction
+    (``TestShardedKernels.test_no_shards``,
+    ``TestShardValidation.test_misordered_shards_rejected``).
+    """
+    database, kss = data.draw(worlds())
+    n_shards = data.draw(st.integers(1, 6))
+    shards = split_database(database, n_shards)
+    shard_kss(kss, shards)
+    samples = data.draw(batches(database, shards))
+    engine = get_backend(backend)
+
+    outcomes = [shard_step_two(engine, shard, samples, 4) for shard in shards]
+    sharded = gather([partials for partials, _ in outcomes])
+    assert sum(t.db_stream_passes for _, t in outcomes) == n_shards
+
+    [whole] = split_database(database, 1)
+    shard_kss(kss, [whole])
+    assert sharded == shard_step_two(engine, whole, samples, 4)[0]
+
+    for (intersecting, retrieved), buckets in zip(sharded, samples):
+        query = sorted({kmer for _, _, kmers in buckets for kmer in kmers})
+        assert intersecting == database.intersect(query)
+        assert retrieved == kss.retrieve(intersecting)
 
 
 class TestSplitDatabase:
@@ -253,10 +364,10 @@ class TestUint64BoundaryOverflow:
 
 class TestShardValidation:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_misordered_shards_rejected(self, sorted_db, backend):
+    def test_misordered_shards_rejected(self, sorted_db, kss_tables, backend):
+        """Misordered shards would gather into unsorted output; they are
+        refused where shard lists enter, at construction."""
         shards = split_database(sorted_db, 3)
-        triples = [(s.lo, s.hi, s.database) for s in reversed(shards)]
-        with pytest.raises(ValueError):
-            get_backend(backend).intersect_sharded(triples, sorted_db.kmers[:10])
-        with pytest.raises(ValueError):
-            get_backend(backend).intersect_sharded_multi(triples, [[]])
+        with pytest.raises(ValueError, match="ascending"):
+            MultiSsdStepTwo(kss=kss_tables, shards=list(reversed(shards)),
+                            backend=backend)

@@ -204,13 +204,14 @@ class TestDatabaseBuilder:
         assert sizes["kss"] < sizes["flat_sketch"]
 
     def test_pipelines_work_from_bundle(self, bundle, sample):
-        from repro.megis.pipeline import MegisPipeline
-        from repro.tools.metalign import MetalignPipeline
+        from repro.megis.index import MegisIndex
+        from repro.megis.session import AnalysisSession
 
-        megis = MegisPipeline(bundle.sorted_db, bundle.sketch, bundle.references)
-        metalign = MetalignPipeline(bundle.sorted_db, bundle.sketch, bundle.references)
-        ours = megis.analyze(sample.reads)
-        theirs = metalign.analyze(sample.reads)
+        session = AnalysisSession(
+            MegisIndex(bundle.sorted_db, bundle.sketch, bundle.references)
+        )
+        ours = session.analyze(sample.reads)
+        theirs = session.analyze_metalign(sample.reads)
         assert ours.profile.fractions == theirs.profile.fractions
 
     def test_build_from_fasta(self, references):

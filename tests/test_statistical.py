@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.megis.pipeline import MegisConfig, MegisPipeline
+from repro.megis.index import MegisIndex
+from repro.megis.session import AnalysisSession, MegisConfig
 from repro.taxonomy.metrics import l1_norm_error
 from repro.tools.statistical import StatisticalAbundanceEstimator
 
@@ -111,8 +112,10 @@ class TestPipelineIntegration:
         self, sorted_db, sketch_db, sample
     ):
         config = MegisConfig(abundance_method="statistical")
-        pipeline = MegisPipeline(sorted_db, sketch_db, sample.references, config=config)
-        result = pipeline.analyze(sample.reads)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), config=config
+        )
+        result = session.analyze(sample.reads)
         assert result.profile.total() == pytest.approx(1.0)
         # Lightweight statistics are less accurate than mapping but must
         # still be broadly correct (truth species dominate the profile).
@@ -124,13 +127,12 @@ class TestPipelineIntegration:
     def test_statistical_less_accurate_than_mapping(
         self, sorted_db, sketch_db, sample
     ):
-        mapping = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
-            config=MegisConfig(abundance_method="mapping"),
+        index = MegisIndex(sorted_db, sketch_db, sample.references)
+        mapping = AnalysisSession(
+            index, config=MegisConfig(abundance_method="mapping")
         ).analyze(sample.reads)
-        statistical = MegisPipeline(
-            sorted_db, sketch_db, sample.references,
-            config=MegisConfig(abundance_method="statistical"),
+        statistical = AnalysisSession(
+            index, config=MegisConfig(abundance_method="statistical")
         ).analyze(sample.reads)
         truth = sample.truth.fractions
         l1_map = l1_norm_error(mapping.profile.fractions, truth)

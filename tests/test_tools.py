@@ -2,13 +2,21 @@
 
 import pytest
 
+from repro.megis.index import MegisIndex
+from repro.megis.session import AnalysisSession
+from repro.sequences.kmers import KmerCounter
 from repro.sequences.reads import ReadSimulator
 from repro.taxonomy.metrics import f1_score
 from repro.taxonomy.tree import ROOT_TAXID, Rank
 from repro.tools.bracken import BrackenEstimator
 from repro.tools.kraken2 import Kraken2Classifier
 from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
-from repro.tools.metalign import MetalignPipeline, containment_score
+from repro.tools.metalign import containment_score
+
+
+def _session(sorted_db, sketch_db, references):
+    """A session in Metalign (A-Opt baseline) mode over the fixture world."""
+    return AnalysisSession(MegisIndex(sorted_db, sketch_db, references))
 
 
 @pytest.fixture(scope="module")
@@ -171,20 +179,22 @@ class TestMapping:
 
 class TestMetalign:
     def test_pipeline_finds_truth(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        result = pipeline.analyze(sample.reads)
+        session = _session(sorted_db, sketch_db, sample.references)
+        result = session.analyze_metalign(sample.reads)
         truth = sample.present_species()
         assert f1_score(result.present(), truth) > 0.8
 
     def test_intersection_subset_of_db(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        query = pipeline.prepare_queries(sample.reads)
-        result = pipeline.find_candidates(query.tolist())
+        session = _session(sorted_db, sketch_db, sample.references)
+        counter = KmerCounter(sorted_db.k, canonical=False)
+        counter.add_sequences(read.sequence for read in sample.reads)
+        query = counter.selected(min_count=1, max_count=None)
+        result = session.find_candidates_metalign(query.tolist())
         assert set(result.intersecting_kmers) <= set(sorted_db.kmers)
 
     def test_candidates_superset_of_final_present(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        result = pipeline.analyze(sample.reads)
+        session = _session(sorted_db, sketch_db, sample.references)
+        result = session.analyze_metalign(sample.reads)
         assert result.present() <= result.candidates
 
     def test_mismatched_k_raises(self, sorted_db, sample):
@@ -192,7 +202,7 @@ class TestMetalign:
 
         other = SketchDatabase.build(sample.references, k_max=16, smaller_ks=(8,))
         with pytest.raises(ValueError):
-            MetalignPipeline(sorted_db, other, sample.references)
+            _session(sorted_db, other, sample.references)
 
     def test_containment_score_weights_levels(self, sketch_db):
         taxid = next(iter(sketch_db.sketch_sizes))
@@ -201,6 +211,6 @@ class TestMetalign:
         assert mixed > kmax_only
 
     def test_empty_candidates_empty_profile(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        profile = pipeline.estimate_abundance(sample.reads, set())
+        session = _session(sorted_db, sketch_db, sample.references)
+        profile = session.map_abundance(sample.reads, set())
         assert len(profile) == 0
