@@ -15,7 +15,8 @@ from repro.backends import get_backend
 from repro.databases.sketch import TernarySearchTree
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever
+from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
+from repro.megis.isp import IspStepTwo
 from repro.sequences.kmers import extract_kmers
 from repro.ssd.channel import AccessPattern, ChannelSimulator
 from repro.ssd.config import ssd_c

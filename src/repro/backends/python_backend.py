@@ -6,10 +6,6 @@ This is the fidelity backend.  :class:`IntersectUnit` and
 flash stream, and an Index Generator that detects prefix transitions while
 streaming the KSS tables.  Every faster backend must reproduce these
 results bit for bit.
-
-The classes are re-exported from :mod:`repro.megis.isp` for backwards
-compatibility — that module remains the documented home of the Step-2
-hardware model.
 """
 
 from __future__ import annotations

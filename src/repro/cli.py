@@ -10,27 +10,25 @@ The commands cover the library's main entry points:
 - ``analyze`` — run a pipeline (megis / metalign / kraken2) over a
   FASTA+FASTQ pair, or serve the sample from a prebuilt index
   (``--index PATH``) without rebuilding any database;
-- ``serve`` — daemon mode: open an index once (optionally memory-mapped),
-  then serve a *stream* of samples concurrently through an
-  :class:`~repro.megis.service.AnalysisService`.  Input is JSONL on
-  stdin, one sample per line: ``{"schema": 1, "id": ...,
-  "reads": ["ACGT...", ...]}``;
-  each result is emitted on stdout the moment it completes (add
-  ``--strict-order`` for input order).  Every output line carries
-  ``"schema": 1`` — either a result
-  (``{"schema", "id", "n_reads", "candidates", "profile",
+- ``gateway`` — open an index once (optionally memory-mapped), then
+  serve a *stream* of samples to many concurrent TCP connections through
+  an :class:`~repro.megis.gateway.AnalysisGateway` over one warmed
+  session.  Input is schema-1 JSONL, one sample per line: ``{"schema": 1,
+  "id": ..., "reads": ["ACGT...", ...]}``; each result is emitted the
+  moment it completes.  Every output line carries ``"schema": 1`` —
+  either a result (``{"schema", "id", "n_reads", "candidates", "profile",
   "samples_batched", "queue_wait_ms", "latency_ms"}``) or a structured
   error object (``{"schema", "id", "error", "line"}``).  ``--max-queue``
-  bounds admission (stdin reading blocks when full), ``--batch-window-ms``
-  holds forming §4.7 batches to coalesce trickling arrivals, and
-  ``--deadline-ms`` bounds per-request queue wait;
-- ``gateway`` — the multi-client flavour of ``serve``: an asyncio TCP
-  server speaking the same schema-1 JSONL wire format to many concurrent
-  connections over one warmed session, with per-client token-bucket rate
-  limiting (``--rate-limit``/``--rate-burst``), a connection cap
-  (``--max-clients``), per-request admission rejection
-  (``--admission-timeout-ms``), and graceful drain on SIGTERM (finish
-  every accepted request, emit a drain summary frame per connection);
+  bounds admission (reading blocks when full), ``--batch-window-ms``
+  holds forming §4.7 batches to coalesce trickling arrivals,
+  ``--deadline-ms`` bounds per-request queue wait; per client there is
+  token-bucket rate limiting (``--rate-limit``/``--rate-burst``), a
+  connection cap (``--max-clients``) and per-request admission rejection
+  (``--admission-timeout-ms``); SIGTERM drains gracefully (finish every
+  accepted request, emit a drain summary frame per connection);
+- ``serve`` — the same gateway with stdin/stdout as its one connection:
+  same parsing, admission, deadlines and drain, no socket, no rate-limit
+  or client-cap flags; ``--strict-order`` emits results in input order;
 - ``node`` / ``cluster`` — the distributed flavour of ``gateway``: each
   ``node`` serves partial Step 2 over its contiguous shard group of a
   shared index, and ``cluster`` is the client-facing router that runs
@@ -44,15 +42,18 @@ The commands cover the library's main entry points:
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import signal
 import sys
-import threading
 from pathlib import Path
+from typing import Optional
 
 from repro.databases.kraken import KrakenDatabase
 from repro.databases.sketch import SketchDatabase
+from repro.databases.serialization import SerializationError
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis import wire
+from repro.megis.gateway import AnalysisGateway
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.options import (
@@ -62,6 +63,7 @@ from repro.options import (
     add_node_flags,
     add_serving_flags,
     execution_config_kwargs,
+    gateway_kwargs,
 )
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
@@ -119,12 +121,29 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_session(args: argparse.Namespace) -> AnalysisSession:
-    """An AnalysisSession over the prebuilt index named by ``--index``."""
-    index = MegisIndex.open(args.index, mmap=getattr(args, "mmap", False))
+class _CliError(Exception):
+    """A bad invocation: ``main`` prints the message, exit status 2."""
+
+
+def _open_index(args: argparse.Namespace) -> MegisIndex:
+    """The prebuilt index named by ``--index``."""
+    try:
+        return MegisIndex.open(args.index, mmap=args.mmap)
+    except (OSError, SerializationError) as exc:
+        raise _CliError(f"cannot open index {args.index}: {exc}") from exc
+
+
+def _open_session(args: argparse.Namespace,
+                  metalign: bool = False) -> AnalysisSession:
+    """An AnalysisSession over ``--index``, able to run the Step 3 asked
+    for (read mapping needs the index's references)."""
     config = MegisConfig(abundance_method=args.abundance,
                          **execution_config_kwargs(args))
-    return AnalysisSession(index, config)
+    session = AnalysisSession(_open_index(args), config)
+    if (metalign or args.abundance == "mapping") and session.references is None:
+        raise _CliError("index was built with --no-references; mapping-based "
+                        "abundance is unavailable (use --abundance statistical)")
+    return session
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -136,13 +155,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # With a prebuilt index the references positional holds the reads.
         reads_path = args.reads if args.reads is not None else args.references
         reads = reads_from_fastq(Path(reads_path).read_text())
-        session = _open_session(args)
-        needs_references = args.tool == "metalign" or args.abundance == "mapping"
-        if needs_references and session.references is None:
-            print("index was built with --no-references; mapping-based "
-                  "abundance is unavailable (use --abundance statistical)",
-                  file=sys.stderr)
-            return 2
+        session = _open_session(args, metalign=args.tool == "metalign")
         with session:  # close() reaps any forked process-pool workers
             if args.tool == "megis":
                 result = session.analyze(reads)
@@ -202,119 +215,84 @@ def _print_timings(timings) -> None:
               f"({timings.overlap_saved_ms:.2f} ms hidden)")
 
 
-#: Wire-format version stamped on every serving output line (the format
-#: itself lives in :mod:`repro.megis.wire`, shared with ``repro gateway``).
-SERVE_SCHEMA = wire.SCHEMA
+class _StdinReader:
+    """stdin as a connection's read side: one line per ``read``.
 
-#: Request-line parser, re-exported for callers that predate ``wire``.
-_parse_serve_line = wire.parse_request_line
+    Lines are pulled off-loop and on demand, so ``--max-queue``
+    backpressure reaches stdin, from the raw byte stream where there is
+    one — undecodable input is then a per-line error, not a crash (tests
+    may patch in text, or a bare iterator).
+    """
+
+    def __init__(self) -> None:
+        self._lines = iter(getattr(sys.stdin, "buffer", sys.stdin))
+
+    async def read(self, n: int) -> bytes:
+        line = await asyncio.get_running_loop().run_in_executor(
+            None, next, self._lines, b""
+        )
+        return line.encode("utf-8") if isinstance(line, str) else line
+
+
+class _StdoutWriter:
+    """stdout as a connection's write side: whole lines, flushed off-loop."""
+
+    def __init__(self) -> None:
+        self._pending = b""
+
+    def write(self, data: bytes) -> None:
+        self._pending += data
+
+    async def drain(self) -> None:
+        text, self._pending = self._pending.decode("utf-8"), b""
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._emit, text
+        )
+
+    @staticmethod
+    def _emit(text: str) -> None:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except ValueError as exc:  # stdout is already closed
+            raise BrokenPipeError(str(exc)) from exc
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Daemon mode: JSONL samples on stdin -> streamed JSONL results.
+    """The gateway on stdin/stdout: JSONL samples in, streamed JSONL out.
 
-    A reader thread parses stdin and submits samples; the main thread
-    emits each result the moment it completes (``--strict-order``
-    restores input order).  With ``--max-queue`` the reader blocks when
-    the admission queue is full — backpressure all the way to stdin — so
+    One connection, no socket.  Each result is emitted the moment it
+    completes (``--strict-order`` restores input order); with
+    ``--max-queue`` reading blocks while the admission queue is full, so
     queue memory stays bounded under an infinite stream.  Malformed
     lines and per-line submit failures produce a structured error object
     and do not stop the stream; a consumer that closes stdout stops the
-    server cleanly (submitters parked on backpressure are unblocked,
-    accepted samples drain, exit status 1).
+    server cleanly (no further input is read, accepted samples drain,
+    exit status 1).
     """
-    from repro.megis.service import AnalysisService, ServiceClosed
-    from repro.sequences.reads import Read
+    session = _open_session(args)
+    gateway = AnalysisGateway(session, strict_order=args.strict_order,
+                              **gateway_kwargs(args))
 
-    index = MegisIndex.open(args.index, mmap=args.mmap)
-    config = MegisConfig(abundance_method=args.abundance,
-                         **execution_config_kwargs(args))
-    session = AnalysisSession(index, config)
-    if args.abundance == "mapping" and session.references is None:
-        print("index was built with --no-references; mapping-based "
-              "abundance is unavailable (use --abundance statistical)",
-              file=sys.stderr)
-        return 2
-    emit_lock = threading.Lock()  # reader errors vs results, whole lines
-    emit_failed = []
+    async def run() -> bool:
+        await gateway.open()
+        try:
+            return await gateway.handle_connection(_StdinReader(),
+                                                   _StdoutWriter())
+        finally:
+            await gateway.drain()
 
-    def emit(record) -> bool:
-        with emit_lock:
-            if emit_failed:
-                return False
-            try:
-                print(json.dumps(record), flush=True)
-                return True
-            except (BrokenPipeError, OSError, ValueError):
-                # The consumer closed stdout.  Stop admitting so a reader
-                # parked on --max-queue backpressure wakes up instead of
-                # deadlocking the drain; accepted samples still finish.
-                emit_failed.append(True)
-                service.close_submissions()
-                return False
-
-    reader_failure = []
-    # ``session`` closes after the service: its close() reaps the forked
+    # ``session`` closes after the drain: its close() reaps the forked
     # process-pool workers of an ``--executor processes[:N]`` session.
-    with session, AnalysisService(session, workers=args.workers,
-                                  max_batch=args.max_batch,
-                                  max_queue=args.max_queue,
-                                  batch_window_ms=args.batch_window_ms) as service:
-
-        def read_stdin() -> None:
-            # Prefer the raw byte stream so undecodable input is a
-            # per-line error, not a crash (tests may patch in text).
-            stream = getattr(sys.stdin, "buffer", sys.stdin)
-            seen_ids = set()
-            try:
-                for line_no, line in enumerate(stream, 1):
-                    if not line.strip():
-                        continue
-                    request_id, reads, error = wire.parse_request_line(
-                        line, line_no, seen_ids=seen_ids,
-                        max_bytes=args.max_line_bytes,
-                    )
-                    if error is not None:
-                        emit(wire.error_record(request_id, error, line_no))
-                        continue
-                    sample = [
-                        Read(read_id=i, sequence=seq, true_taxid=0)
-                        for i, seq in enumerate(reads)
-                    ]
-                    try:
-                        service.submit(sample,
-                                       tag=(request_id, line_no, len(sample)),
-                                       deadline_ms=args.deadline_ms)
-                    except ServiceClosed:
-                        # The emitter lost stdout and closed admissions.
-                        break
-                    except Exception as exc:
-                        # One failed submission is one structured error
-                        # line — the stream keeps serving (and the stderr
-                        # summary still prints at the end).
-                        emit(wire.error_record(
-                            request_id, f"submit failed: {exc}", line_no
-                        ))
-            except BaseException as exc:
-                reader_failure.append(exc)
-            finally:
-                service.close_submissions()
-
-        reader = threading.Thread(target=read_stdin, name="serve-stdin",
-                                  daemon=True)
-        reader.start()
-        for completed in service.results(strict_order=args.strict_order):
-            request_id, line_no, n_reads = completed.tag
-            metrics = completed.metrics
-            try:
-                result = completed.future.result()
-                record = wire.result_record(request_id, n_reads, result,
-                                            metrics)
-            except Exception as exc:  # surface per-sample failures
-                record = wire.error_record(request_id, str(exc), line_no)
-            emit(record)
-        reader.join()
-        stats = service.stats
+    with session:
+        delivered = asyncio.run(run())
+    stats = gateway.last_service_stats
     summary = (f"served {stats.samples_completed} samples in "
                f"{stats.batches_dispatched} batches "
                f"(widest {stats.widest_batch}) with {args.workers} workers; "
@@ -322,52 +300,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                f"{stats.mean_queue_wait_ms:.1f} ms")
     if stats.samples_expired:
         summary += f", {stats.samples_expired} past deadline"
-    if emit_failed:
+    if not delivered:
         summary += "; output consumer went away, stopped early"
     print(summary, file=sys.stderr)
-    if reader_failure:
-        raise reader_failure[0]
-    return 1 if emit_failed else 0
+    return 0 if delivered else 1
 
 
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    """Multi-client TCP serving: the gateway flavour of ``serve``.
-
-    Binds an asyncio TCP server (``--host``/``--port``; port 0 picks a
-    free port, printed on stderr) over one warmed session and serves
-    until SIGTERM/SIGINT, then drains gracefully: admission stops, every
-    accepted request finishes, and each open connection receives a drain
-    summary frame before close.
-    """
-    import asyncio
-    import signal
-
-    from repro.megis.gateway import AnalysisGateway
-
-    index = MegisIndex.open(args.index, mmap=args.mmap)
-    config = MegisConfig(abundance_method=args.abundance,
-                         **execution_config_kwargs(args))
-    session = AnalysisSession(index, config)
-    if args.abundance == "mapping" and session.references is None:
-        print("index was built with --no-references; mapping-based "
-              "abundance is unavailable (use --abundance statistical)",
-              file=sys.stderr)
-        return 2
-    gateway = AnalysisGateway(
-        session,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        batch_window_ms=args.batch_window_ms,
-        deadline_ms=args.deadline_ms,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        max_clients=args.max_clients,
-        admission_timeout_ms=args.admission_timeout_ms,
-        max_line_bytes=args.max_line_bytes,
-    )
+def _serve_until_signalled(start, stop_serving, listening: str,
+                           stopping: Optional[str] = None) -> None:
+    """Await ``start()``, announce the bound address on stderr, serve
+    until SIGTERM/SIGINT, then await ``stop_serving()``."""
 
     async def run() -> None:
         loop = asyncio.get_running_loop()
@@ -377,15 +319,32 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):
                 pass  # platforms/loops without signal handler support
-        host, port = await gateway.start()
-        print(f"gateway listening on {host}:{port}", file=sys.stderr,
+        host, port = await start()
+        print(listening.format(host=host, port=port), file=sys.stderr,
               flush=True)
         await stop.wait()
-        print("gateway draining...", file=sys.stderr, flush=True)
-        await gateway.drain()
+        if stopping is not None:
+            print(stopping, file=sys.stderr, flush=True)
+        await stop_serving()
 
+    asyncio.run(run())
+
+
+def _cmd_gateway(args: argparse.Namespace) -> int:
+    """Multi-client TCP serving.
+
+    Binds an asyncio TCP server (``--host``/``--port``; port 0 picks a
+    free port, printed on stderr) over one warmed session and serves
+    until SIGTERM/SIGINT, then drains gracefully: admission stops, every
+    accepted request finishes, and each open connection receives a drain
+    summary frame before close.
+    """
+    session = _open_session(args)
+    gateway = AnalysisGateway(session, **gateway_kwargs(args))
     with session:  # close() reaps any forked process-pool workers
-        asyncio.run(run())
+        _serve_until_signalled(gateway.start, gateway.drain,
+                               "gateway listening on {host}:{port}",
+                               "gateway draining...")
     gw = gateway.stats
     stats = gateway.last_service_stats
     summary = (f"served {gw.requests_completed} requests from "
@@ -439,12 +398,9 @@ def _cmd_node(args: argparse.Namespace) -> int:
     placement map fixes the contiguous group), binds the scatter-frame
     server, and serves until SIGTERM/SIGINT.
     """
-    import asyncio
-    import signal
-
     from repro.megis.cluster import ClusterNode
 
-    index = MegisIndex.open(args.index, mmap=args.mmap)
+    index = _open_index(args)
     try:
         cluster_map = _resolve_cluster_map(args, index)
         if not (0 <= args.node_id < cluster_map.n_nodes):
@@ -464,26 +420,13 @@ def _cmd_node(args: argparse.Namespace) -> int:
             step_workers=args.step_workers,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    async def run() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        host, port = await node.start()
-        start, stop_shard = cluster_map.group(args.node_id)
-        print(f"node {args.node_id} serving shards [{start}, {stop_shard}) "
-              f"of {cluster_map.n_shards} on {host}:{port}",
-              file=sys.stderr, flush=True)
-        await stop.wait()
-        await node.stop()
-
-    asyncio.run(run())
+        raise _CliError(str(exc)) from exc
+    first, last = cluster_map.group(args.node_id)
+    _serve_until_signalled(
+        node.start, node.stop,
+        f"node {args.node_id} serving shards [{first}, {last}) of "
+        f"{cluster_map.n_shards} on {{host}}:{{port}}",
+    )
     print(f"node {args.node_id} served {node.served} scatter frames",
           file=sys.stderr)
     return 0
@@ -496,9 +439,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     rate limiting, admission, drain); Step 2 fans out to every ``--node``
     and the gathered results are bit-identical to single-node serving.
     """
-    import asyncio
-    import signal
-
     from repro.megis.cluster import (
         ClusterAnalysisSession,
         ClusterMap,
@@ -507,9 +447,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         NodeEndpoint,
     )
 
-    index = MegisIndex.open(args.index, mmap=args.mmap)
+    local = _open_session(args)
     try:
-        cluster_map = _resolve_cluster_map(args, index)
+        cluster_map = _resolve_cluster_map(args, local.index)
         endpoints_given = args.node or []
         if len(endpoints_given) != cluster_map.n_nodes:
             raise ValueError(
@@ -524,16 +464,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"--replica names nodes {unknown} outside "
                 f"[0, {cluster_map.n_nodes})"
             )
-        local = AnalysisSession(
-            index,
-            MegisConfig(abundance_method=args.abundance,
-                        backend=args.backend),
-        )
-        if args.abundance == "mapping" and local.references is None:
-            print("index was built with --no-references; mapping-based "
-                  "abundance is unavailable (use --abundance statistical)",
-                  file=sys.stderr)
-            return 2
         if args.write_map:
             saved = cluster_map.save(ClusterMap.sibling_path(args.index))
             print(f"wrote placement map to {saved}", file=sys.stderr)
@@ -546,41 +476,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         router = ClusterRouter(
             ClusterAnalysisSession(local, step_two),
             heartbeat_ms=args.heartbeat_ms,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
-            batch_window_ms=args.batch_window_ms,
-            deadline_ms=args.deadline_ms,
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
-            max_clients=args.max_clients,
-            admission_timeout_ms=args.admission_timeout_ms,
-            max_line_bytes=args.max_line_bytes,
+            **gateway_kwargs(args),
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    async def run() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        host, port = await router.start()
-        print(f"cluster router listening on {host}:{port} "
-              f"({cluster_map.n_nodes} nodes, {cluster_map.n_shards} "
-              f"shards)", file=sys.stderr, flush=True)
-        await stop.wait()
-        print("cluster router draining...", file=sys.stderr, flush=True)
-        await router.drain()
-
+        raise _CliError(str(exc)) from exc
     with local:
-        asyncio.run(run())
+        _serve_until_signalled(
+            router.start, router.drain,
+            f"cluster router listening on {{host}}:{{port}} "
+            f"({cluster_map.n_nodes} nodes, {cluster_map.n_shards} shards)",
+            "cluster router draining...",
+        )
     gw = router.stats
     cluster = step_two.stats
     summary = (f"served {gw.requests_completed} requests from "
@@ -841,14 +747,11 @@ def build_parser() -> argparse.ArgumentParser:
             + _PROCESS_EPILOG
             + "\n"
             "serve vs gateway:\n"
-            "  `serve` is the single-client pipe (one stdin stream, "
-            "optional\n"
-            "  --strict-order); `gateway` is the shared network front door "
-            "(many\n"
-            "  clients, per-client fairness and rate limits, graceful "
-            "drain).  Both\n"
-            "  speak the same schema-1 frames over the same "
-            "AnalysisService.\n"
+            "  `serve` is this gateway with stdin/stdout as its one "
+            "connection:\n"
+            "  same parsing, admission, deadlines and drain; no socket, "
+            "no rate\n"
+            "  limit or client cap flags, and an optional --strict-order.\n"
         ),
     )
     add_serving_flags(gateway)
@@ -984,7 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CliError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,11 +22,15 @@ retry path, still bit-identically, with the retries accounted.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import time
 
 from repro.backends.paced import PacedStepTwoBackend
+from repro.experiments._serving import (
+    build_world,
+    jsonl_client,
+    percentile,
+    wire_expectations,
+)
 from repro.experiments.runner import ExperimentResult
 from repro.megis.cluster import (
     ClusterAnalysisSession,
@@ -36,11 +40,7 @@ from repro.megis.cluster import (
     ClusterStepTwo,
     NodeEndpoint,
 )
-from repro.megis import wire
-from repro.megis.index import IndexBuilder
 from repro.megis.session import AnalysisSession, MegisConfig
-from repro.sequences.reads import Read
-from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_SHARDS = 4
 N_SAMPLES = 8
@@ -54,50 +54,6 @@ MB_PER_S = 0.5
 ROUNDS = 2
 
 
-def _percentile(values, q: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
-def _build_world():
-    world = make_cami_sample(
-        CamiDiversity.MEDIUM, n_reads=N_SAMPLES * READS_PER_SAMPLE,
-        n_genera=3, species_per_genus=2, genome_length=2400, seed=53,
-    )
-    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
-        world.references
-    )
-    samples = [
-        world.reads[i * READS_PER_SAMPLE:(i + 1) * READS_PER_SAMPLE]
-        for i in range(N_SAMPLES)
-    ]
-    return index, samples
-
-
-def _expectations(index, samples):
-    """Serial single-host reference every routed frame must reproduce."""
-    session = AnalysisSession(
-        index, MegisConfig(abundance_method="statistical")
-    )
-    expected = {}
-    for i, sample in enumerate(samples):
-        result = session.analyze([
-            Read(read_id=j, sequence=read.sequence, true_taxid=0)
-            for j, read in enumerate(sample)
-        ])
-        expected[f"s{i}"] = (
-            sorted(int(t) for t in result.candidates),
-            {str(t): f for t, f in sorted(result.profile.fractions.items())},
-        )
-    requests = [
-        wire.request_record(f"s{i}", [read.sequence for read in sample])
-        for i, sample in enumerate(samples)
-    ]
-    session.close()
-    return expected, requests
-
-
 def _node_session(index, cluster_map, node_id):
     return AnalysisSession(
         index,
@@ -106,26 +62,6 @@ def _node_session(index, cluster_map, node_id):
         backend=PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S),
         shard_range=cluster_map.group(node_id),
     )
-
-
-async def _client(host, port, requests):
-    reader, writer = await asyncio.open_connection(host, port)
-    for request in requests:
-        writer.write((json.dumps(request) + "\n").encode("utf-8"))
-        await writer.drain()
-    writer.write_eof()
-    records = []
-    while True:
-        line = await reader.readline()
-        if not line:
-            break
-        records.append(json.loads(line))
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, OSError):
-        pass
-    return records
 
 
 async def _run_cell(index, requests, n_nodes, *, replica_for=None,
@@ -165,7 +101,7 @@ async def _run_cell(index, requests, n_nodes, *, replica_for=None,
     per = len(requests) // N_CLIENTS
     start = time.perf_counter()
     per_client = await asyncio.gather(*(
-        _client(host, port, requests[c * per:(c + 1) * per])
+        jsonl_client(host, port, requests[c * per:(c + 1) * per])
         for c in range(N_CLIENTS)
     ))
     elapsed = time.perf_counter() - start
@@ -205,8 +141,13 @@ def run() -> ExperimentResult:
         notes="every frame asserted bit-identical to serial analyze; the "
               "kill+replica row rides the retry path for the whole stream",
     )
-    index, samples = _build_world()
-    expected, requests = _expectations(index, samples)
+    index, samples = build_world(N_SAMPLES, READS_PER_SAMPLE,
+                                 genome_length=2400, seed=53)
+    # Serial single-host reference every routed frame must reproduce.
+    with AnalysisSession(
+        index, MegisConfig(abundance_method="statistical")
+    ) as serial:
+        expected, requests = wire_expectations(serial, samples)
 
     base_rate = None
     for n_nodes in (1, 2, 4):
@@ -234,7 +175,7 @@ def run() -> ExperimentResult:
             scatters=stats.scatters,
             node_retries=stats.node_retries,
             node_failures=stats.node_failures,
-            p99_ms=_percentile(latencies, 0.99),
+            p99_ms=percentile(latencies, 0.99),
             samples_per_s=rate,
             speedup_vs_1=rate / base_rate if base_rate else 0.0,
         )
@@ -257,7 +198,7 @@ def run() -> ExperimentResult:
         scatters=stats.scatters,
         node_retries=stats.node_retries,
         node_failures=stats.node_failures,
-        p99_ms=_percentile(latencies, 0.99),
+        p99_ms=percentile(latencies, 0.99),
         samples_per_s=rate,
         speedup_vs_1=rate / base_rate if base_rate else 0.0,
     )

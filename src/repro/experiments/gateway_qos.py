@@ -26,18 +26,17 @@ asserted bit-identical to serial ``session.analyze``.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import time
 
-from repro.backends.paced import PacedStepTwoBackend
+from repro.experiments._serving import (
+    build_world,
+    jsonl_client,
+    paced_session,
+    percentile,
+    wire_expectations,
+)
 from repro.experiments.runner import ExperimentResult
-from repro.megis import wire
 from repro.megis.gateway import AnalysisGateway
-from repro.megis.index import IndexBuilder
-from repro.megis.session import AnalysisSession, MegisConfig
-from repro.sequences.reads import Read
-from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_CLIENTS = 4
 SAMPLES_PER_CLIENT = 3
@@ -53,62 +52,12 @@ RATE_LIMIT = 1.0
 RATE_BURST = float(SAMPLES_PER_CLIENT + 1)
 
 
-def _percentile(values, q: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
-def _build_world():
-    n_samples = N_CLIENTS * SAMPLES_PER_CLIENT
-    world = make_cami_sample(
-        CamiDiversity.MEDIUM, n_reads=n_samples * READS_PER_SAMPLE,
-        n_genera=3, species_per_genus=2, genome_length=900, seed=47,
-    )
-    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
-        world.references
-    )
-    samples = [
-        world.reads[i * READS_PER_SAMPLE:(i + 1) * READS_PER_SAMPLE]
-        for i in range(n_samples)
-    ]
-    return index, samples
-
-
-async def _run_client(host, port, requests, gap_s: float = 0.0):
-    """Send ``requests`` as JSONL frames, EOF, read every record back."""
-    reader, writer = await asyncio.open_connection(host, port)
-    records = []
-
-    async def _read() -> None:
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            records.append(json.loads(line))
-
-    read_task = asyncio.ensure_future(_read())
-    for i, request in enumerate(requests):
-        if i and gap_s:
-            await asyncio.sleep(gap_s)
-        writer.write((json.dumps(request) + "\n").encode("utf-8"))
-        await writer.drain()
-    writer.write_eof()
-    await read_task
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, OSError):
-        pass
-    return records
-
-
 async def _scenario(gateway, client_requests, client_gaps):
     """One serving period: start, run all clients, drain."""
     host, port = await gateway.start()
     start = time.perf_counter()
     per_client = await asyncio.gather(*(
-        _run_client(host, port, requests, gap_s=gap)
+        jsonl_client(host, port, requests, gap_s=gap)
         for requests, gap in zip(client_requests, client_gaps)
     ))
     elapsed = time.perf_counter() - start
@@ -127,27 +76,12 @@ def run() -> ExperimentResult:
         notes="one warmed session across every start->drain->start cycle; "
               "every frame asserted bit-identical to serial analyze",
     )
-    index, samples = _build_world()
-    backend = PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S)
-    session = AnalysisSession(
-        index, MegisConfig(abundance_method="statistical"), backend=backend
-    )
+    index, samples = build_world(N_CLIENTS * SAMPLES_PER_CLIENT,
+                                 READS_PER_SAMPLE)
+    session = paced_session(index, MB_PER_S)
 
     # Serial reference: what every gateway result frame must reproduce.
-    expected = {}
-    for i, sample in enumerate(samples):
-        reference = session.analyze([
-            Read(read_id=j, sequence=read.sequence, true_taxid=0)
-            for j, read in enumerate(sample)
-        ])
-        expected[f"s{i}"] = (
-            sorted(int(t) for t in reference.candidates),
-            {str(t): f for t, f in sorted(reference.profile.fractions.items())},
-        )
-    requests = [
-        wire.request_record(f"s{i}", [read.sequence for read in sample])
-        for i, sample in enumerate(samples)
-    ]
+    expected, requests = wire_expectations(session, samples)
     by_client = [
         requests[c * SAMPLES_PER_CLIENT:(c + 1) * SAMPLES_PER_CLIENT]
         for c in range(N_CLIENTS)
@@ -206,8 +140,8 @@ def run() -> ExperimentResult:
             rate_limit=rate_limit if rate_limit is not None else 0.0,
             completed=completed,
             rate_limited=rate_limited,
-            victim_p99_ms=_percentile(victim_lat, 0.99),
-            flooder_p99_ms=_percentile(flooder_lat, 0.99),
+            victim_p99_ms=percentile(victim_lat, 0.99),
+            flooder_p99_ms=percentile(flooder_lat, 0.99),
             samples_per_s=completed / elapsed if elapsed else 0.0,
         )
     assert gateway.stats.drains == len(scenarios), "each period must drain"

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from repro.backends.paced import PacedStepTwoBackend
 from repro.databases.serialization import kmer_record_bytes
+from repro.experiments._serving import build_world
 from repro.experiments.runner import ExperimentResult
-from repro.megis.index import IndexBuilder
 from repro.megis.multissd import MultiSsdStepTwo
-from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_READS = 160
 #: Slow enough that each shard's paced stream dwarfs kernel time, so the
@@ -36,17 +35,6 @@ N_READS = 160
 MB_PER_S = 0.8
 SSD_COUNTS = (1, 2, 4)
 TRIALS = 3
-
-
-def _build_world():
-    world = make_cami_sample(
-        CamiDiversity.MEDIUM, n_reads=N_READS,
-        n_genera=3, species_per_genus=2, genome_length=900, seed=47,
-    )
-    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
-        world.references
-    )
-    return index
 
 
 def _shard_volumes(engine: MultiSsdStepTwo) -> list:
@@ -69,7 +57,7 @@ def run() -> ExperimentResult:
         notes="measured = overlap_saved / busy over the paced streams "
               "(best of trials); model = 1 - max_shard/total byte volume",
     )
-    index = _build_world()
+    index, _ = build_world(1, N_READS)
     # Every third database k-mer: a dense sorted query column, the shape
     # Step 2 consumes after extraction.
     query = index.database.kmers[::3]

@@ -27,15 +27,11 @@ sweep asserts it.
 
 from __future__ import annotations
 
-import math
 import time
 
-from repro.backends.paced import PacedStepTwoBackend
+from repro.experiments._serving import build_world, paced_session, percentile
 from repro.experiments.runner import ExperimentResult
-from repro.megis.index import IndexBuilder
 from repro.megis.service import AnalysisService
-from repro.megis.session import AnalysisSession, MegisConfig
-from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_SAMPLES = 6
 READS_PER_SAMPLE = 25
@@ -58,39 +54,11 @@ WINDOWS_MS = (0.0, 25.0, 90.0)
 SLO_FACTOR = 2.5
 
 
-def _percentile(values, q: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
-def _build_world():
-    world = make_cami_sample(
-        CamiDiversity.MEDIUM, n_reads=N_SAMPLES * READS_PER_SAMPLE,
-        n_genera=3, species_per_genus=2, genome_length=900, seed=47,
-    )
-    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
-        world.references
-    )
-    samples = [
-        world.reads[i * READS_PER_SAMPLE:(i + 1) * READS_PER_SAMPLE]
-        for i in range(N_SAMPLES)
-    ]
-    return index, samples
-
-
-def _paced_session(index) -> AnalysisSession:
-    backend = PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S)
-    return AnalysisSession(
-        index, MegisConfig(abundance_method="statistical"), backend=backend
-    )
-
-
 def _serve_stream(index, samples, *, workers: int, window_ms: float,
                   gap_s: float):
     """Pace ``samples`` into a fresh service; returns (elapsed, emitted,
     stats) with every result signature-checked downstream."""
-    session = _paced_session(index)
+    session = paced_session(index, MB_PER_S)
     with AnalysisService(session, workers=workers, max_batch=N_SAMPLES,
                          batch_window_ms=window_ms) as service:
         start = time.perf_counter()
@@ -115,11 +83,11 @@ def run() -> ExperimentResult:
         notes="burst: coalescing amortizes the paced stream (throughput "
               "up); trickle: the window is pure admission delay (p99 up)",
     )
-    index, samples = _build_world()
+    index, samples = build_world(N_SAMPLES, READS_PER_SAMPLE)
 
     # Warm pass: prices one solo sample end to end (stream + Step 3) and
     # warms every lazily-built structure out of the measured sweeps.
-    warm_session = _paced_session(index)
+    warm_session = paced_session(index, MB_PER_S)
     warm_start = time.perf_counter()
     reference = warm_session.analyze(samples[0])
     single_ms = (time.perf_counter() - warm_start) * 1e3
@@ -149,8 +117,8 @@ def run() -> ExperimentResult:
                 window_ms=window_ms,
                 workers=workers,
                 samples_per_s=N_SAMPLES / elapsed,
-                p50_ms=_percentile(latencies, 0.50),
-                p99_ms=_percentile(latencies, 0.99),
+                p50_ms=percentile(latencies, 0.50),
+                p99_ms=percentile(latencies, 0.99),
                 slo_ms=slo_ms,
                 slo_attainment=sum(
                     1 for lat in latencies if lat <= slo_ms

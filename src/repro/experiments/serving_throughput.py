@@ -28,12 +28,9 @@ from __future__ import annotations
 
 import time
 
-from repro.backends.paced import PacedStepTwoBackend
+from repro.experiments._serving import build_world, paced_session
 from repro.experiments.runner import ExperimentResult
-from repro.megis.index import IndexBuilder
 from repro.megis.service import AnalysisService
-from repro.megis.session import AnalysisSession, MegisConfig
-from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_SAMPLES = 8
 READS_PER_SAMPLE = 25
@@ -54,25 +51,10 @@ def run() -> ExperimentResult:
               "flash stream; workers overlap the paced waits; processes "
               "rows fork a shard-per-process pool after warm()",
     )
-    world = make_cami_sample(
-        CamiDiversity.MEDIUM, n_reads=N_SAMPLES * READS_PER_SAMPLE,
-        n_genera=3, species_per_genus=2, genome_length=900, seed=47,
-    )
-    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
-        world.references
-    )
-    samples = [
-        world.reads[i * READS_PER_SAMPLE:(i + 1) * READS_PER_SAMPLE]
-        for i in range(N_SAMPLES)
-    ]
+    index, samples = build_world(N_SAMPLES, READS_PER_SAMPLE)
 
     def serve(workers: int, max_batch: int, executor=None):
-        backend = PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S)
-        session = AnalysisSession(
-            index,
-            MegisConfig(abundance_method="statistical", executor=executor),
-            backend=backend,
-        )
+        session = paced_session(index, MB_PER_S, executor=executor)
         with session:  # reaps a forked pool, if the executor forked one
             with AnalysisService(session, workers=workers,
                                  max_batch=max_batch) as service:

@@ -17,18 +17,21 @@ An efficient pipeline between the host and the SSD (paper §4):
   (:class:`MegisIndex` / :class:`IndexBuilder`);
 - :mod:`repro.megis.session` — :class:`AnalysisSession`, the open-once /
   query-many serving loop, including the multi-sample mode (§4.7);
+- :mod:`repro.megis.overlap` — the §4.2.1 bucket-pipeline scheduler and
+  overlap model;
 - :mod:`repro.megis.executors` — the pluggable execution policies
   (serial reference / thread pool) the Step-2 engines dispatch through;
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
   futures-based serving front-end over one shared session;
-- :mod:`repro.megis.wire` — the versioned JSONL wire format shared by
-  ``repro serve`` and ``repro gateway``;
-- :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the asyncio
-  multi-client TCP front door with per-client rate limiting and
-  graceful drain.
+- :mod:`repro.megis.wire` — the versioned JSONL wire format and its
+  newline framing, shared by every serving command;
+- :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the one asyncio
+  serving front end (TCP clients, or ``repro serve``'s stdin/stdout)
+  with per-client rate limiting and graceful drain.
 """
 
 from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get_backend
+from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
 from repro.megis.accelerator import AcceleratorReport, accelerator_report
 from repro.megis.commands import CommandProcessor, MegisInit, MegisStep, MegisWrite
 from repro.megis.executors import (
@@ -42,17 +45,19 @@ from repro.megis.ftl import DatabaseLayout, MegisFtl
 from repro.megis.gateway import AnalysisGateway, GatewayStats, TokenBucket
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever
+from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import DatabaseShard, MultiSsdStepTwo, shard_kss, split_database
+from repro.megis.overlap import (
+    BucketPipelineScheduler,
+    BucketSchedule,
+    ScheduledBucket,
+)
 from repro.megis.service import AnalysisService, ServiceStats
 from repro.megis.session import (
     AnalysisSession,
-    BucketPipelineScheduler,
-    BucketSchedule,
     CacheStats,
     MegisConfig,
     MegisResult,
-    ScheduledBucket,
 )
 
 __all__ = [

@@ -25,6 +25,7 @@ flash waits sleep); the engine structures are read-only after
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -34,7 +35,6 @@ import numpy.typing as npt
 from repro.backends.numpy_backend import as_column, column_dtype
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
-from repro.megis.gateway import _FrameReader
 from repro.megis.session import AnalysisSession
 
 
@@ -215,31 +215,20 @@ class ClusterNode:
 
     async def _serve_frames(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        frames = _FrameReader(reader, self.max_line_bytes)
-        line_no = 0
+        frames = wire.FrameReader(reader, self.max_line_bytes)
         while True:
-            kind, payload = await frames.next_frame()
-            if kind == "eof":
+            frame = await frames.next_frame()
+            if frame is None:
                 return
-            line_no += 1
-            if kind == "overflow":
-                await self._reply(writer, wire.error_record(
-                    None,
-                    f"line too long ({payload} bytes > "
-                    f"--max-line-bytes {self.max_line_bytes})",
-                    line_no,
-                ))
-                continue
-            if not payload.strip():
-                continue
-            record = await self._dispatch(payload, line_no)
-            if record is not None:
-                await self._reply(writer, record)
+            line_no, line = frame
+            if isinstance(line, bytes):
+                record = await self._dispatch(line, line_no)
+            else:
+                record = wire.error_record(None, line, line_no)
+            await self._reply(writer, record)
 
-    async def _dispatch(self, payload: bytes, line_no: int) -> Optional[wire.Record]:
-        """One frame -> one reply record (or None for a blank line)."""
-        import json
-
+    async def _dispatch(self, payload: bytes, line_no: int) -> wire.Record:
+        """One frame -> one reply record."""
         try:
             request = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:

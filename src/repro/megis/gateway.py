@@ -1,9 +1,11 @@
-"""Asyncio TCP gateway in front of a shared :class:`AnalysisService`.
+"""Asyncio gateway in front of a shared :class:`AnalysisService`.
 
-``repro serve`` talks to exactly one client over stdin/stdout; the
-gateway (stage 3 of the distributed serving tier) opens the same
-schema-1 JSONL wire format (:mod:`repro.megis.wire`) to many concurrent
-TCP clients over one warmed :class:`~repro.megis.session.AnalysisSession`:
+The one serving front end: every request — from a TCP client of
+``repro gateway`` / ``repro cluster``, or from the stdin/stdout pair
+``repro serve`` hands to :meth:`AnalysisGateway.handle_connection` —
+crosses the same parse → admit → stream → drain path, speaking the
+schema-1 JSONL wire format (:mod:`repro.megis.wire`) over one warmed
+:class:`~repro.megis.session.AnalysisSession`:
 
 - **Per-client rate limiting.** Each connection gets its own
   :class:`TokenBucket` (``rate_limit`` requests/s refill, ``rate_burst``
@@ -19,7 +21,8 @@ TCP clients over one warmed :class:`~repro.megis.session.AnalysisSession`:
   and writer coroutine; a client that stops reading stalls only its own
   ``writer.drain()``, and each client's submissions are sequential, so
   one flooding or slow client cannot starve the others' completion
-  streams.
+  streams.  A client whose write side fails stops being read: its
+  pipelined requests are not parsed or analysed for nobody.
 - **Event-loop bridge.** The threaded service's completion stream is
   pumped from a dedicated thread into the loop via
   ``loop.call_soon_threadsafe``; submissions run in a thread pool via
@@ -157,70 +160,16 @@ class _Client:
             return self._inflight == 0
 
 
-class _FrameReader:
-    """Newline framing over raw reads, resilient to oversized frames.
-
-    ``StreamReader.readline`` raises ``LimitOverrunError`` and leaves the
-    buffer mid-frame; this reader instead reports an oversized frame as
-    an ``("overflow", n_bytes)`` event after discarding through its
-    terminating newline, so one huge line costs an error record — not the
-    connection.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, max_line_bytes: int):
-        self._reader = reader
-        self._max = max_line_bytes
-        self._buf = bytearray()
-        self._eof = False
-
-    async def next_frame(self) -> Tuple[str, object]:
-        """Return ("line", bytes) | ("overflow", dropped_len) | ("eof", None)."""
-        while True:
-            newline = self._buf.find(b"\n")
-            if newline >= 0:
-                line = bytes(self._buf[:newline])
-                del self._buf[: newline + 1]
-                return "line", line
-            if len(self._buf) > self._max:
-                dropped = await self._discard_to_newline()
-                return "overflow", dropped
-            if self._eof:
-                if self._buf:
-                    line = bytes(self._buf)
-                    self._buf.clear()
-                    return "line", line
-                return "eof", None
-            chunk = await self._reader.read(65536)
-            if not chunk:
-                self._eof = True
-            else:
-                self._buf.extend(chunk)
-
-    async def _discard_to_newline(self) -> int:
-        dropped = len(self._buf)
-        self._buf.clear()
-        while not self._eof:
-            newline_chunk = await self._reader.read(65536)
-            if not newline_chunk:
-                self._eof = True
-                break
-            newline = newline_chunk.find(b"\n")
-            if newline >= 0:
-                dropped += newline
-                self._buf.extend(newline_chunk[newline + 1:])
-                return dropped
-            dropped += len(newline_chunk)
-        return dropped
-
-
 class AnalysisGateway:
-    """Multi-client TCP front door over one warmed analysis session.
+    """Multi-client front door over one warmed analysis session.
 
-    The session must outlive the gateway; :meth:`start` warms it (a
+    The session must outlive the gateway; :meth:`open` warms it (a
     no-op after the first time) and builds a fresh
     :class:`AnalysisService` for this serving period, so
     ``start → drain → start`` resumes against the same warmed columns
-    without re-reading the index.
+    without re-reading the index.  :meth:`start` is :meth:`open` plus a
+    TCP listener; either way each connection is one
+    :meth:`handle_connection` call.
     """
 
     def __init__(
@@ -240,6 +189,7 @@ class AnalysisGateway:
         max_clients: Optional[int] = None,
         admission_timeout_ms: Optional[float] = None,
         max_line_bytes: int = 32 * 1024 * 1024,
+        strict_order: bool = False,
     ):
         self.session = session
         self.host = host
@@ -255,6 +205,8 @@ class AnalysisGateway:
         self.max_clients = max_clients
         self.admission_timeout_ms = admission_timeout_ms
         self.max_line_bytes = max_line_bytes
+        #: Emit completions in submission order, not completion order.
+        self.strict_order = strict_order
 
         self.stats = GatewayStats()
         #: Stats of the service most recently drained (for CLI summaries).
@@ -283,8 +235,12 @@ class AnalysisGateway:
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> Tuple[str, int]:
-        """Begin (or resume) a serving period; returns the bound address."""
+    async def open(self) -> None:
+        """Begin (or resume) a serving period without listening.
+
+        Connections are then served by :meth:`handle_connection`, called
+        by :meth:`start`'s listener or handed a stream pair directly.
+        """
         if self._started:
             raise RuntimeError("gateway is already started")
         self._loop = asyncio.get_running_loop()
@@ -306,24 +262,28 @@ class AnalysisGateway:
             target=self._pump, name="gateway-pump", daemon=True
         )
         self._pump_thread.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port
-        )
         self._draining = False
         self._started = True
+
+    async def start(self) -> Tuple[str, int]:
+        """:meth:`open`, then listen on TCP; returns the bound address."""
+        await self.open()
+        self._server = await asyncio.start_server(
+            self.handle_connection, host=self.host, port=self.port
+        )
         return self.bound_address
 
     def _pump(self) -> None:
         """Service completion stream -> loop thread, one callback each."""
         try:
-            for completed in self._service.results():
+            for completed in self._service.results(self.strict_order):
                 self._loop.call_soon_threadsafe(self._route, completed)
         finally:
             self._loop.call_soon_threadsafe(self._pump_done.set)
 
     def _route(self, completed) -> None:
         """Deliver one completion to its client's outbox (loop thread)."""
-        cid, request_id, line_no, n_reads = completed.tag
+        request_id, line_no, n_reads, cid = completed.tag
         try:
             result = completed.future.result()
         except Exception as exc:
@@ -364,8 +324,9 @@ class AnalysisGateway:
         self._draining = True
 
         # No new connections.
-        self._server.close()
-        await self._server.wait_closed()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
 
         # Stop the per-connection readers: no further submissions begin.
         for task in list(self._reader_tasks.values()):
@@ -405,7 +366,8 @@ class AnalysisGateway:
                     writer_tasks.append(client.writer_task)
         if writer_tasks:
             await asyncio.gather(*writer_tasks, return_exceptions=True)
-        for client in self._clients.values():
+        # A snapshot: a connection finishing on its own meanwhile pops itself.
+        for client in list(self._clients.values()):
             client.connected = False
             await self._close_transport(client.writer)
         self._clients.clear()
@@ -427,9 +389,17 @@ class AnalysisGateway:
 
     # -- per-connection handling -----------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def handle_connection(
+        self, reader: wire.ByteSource, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Serve one connection until its read side ends.
+
+        ``reader`` needs ``read(n)`` and ``writer`` ``write`` / ``drain``
+        / ``close`` / ``wait_closed`` — asyncio's stream pair, or any
+        duck-typed equivalent.  Returns ``False`` when the peer stopped
+        taking output (its reader was cancelled and undelivered results
+        were dropped), ``True`` otherwise.
+        """
         if self._draining or (
             self.max_clients is not None
             and len(self._clients) >= self.max_clients
@@ -446,7 +416,7 @@ class AnalysisGateway:
             except (ConnectionError, OSError):
                 pass
             await self._close_transport(writer)
-            return
+            return True
 
         cid = self._next_cid
         self._next_cid += 1
@@ -464,57 +434,63 @@ class AnalysisGateway:
         try:
             await asyncio.shield(task)
         except asyncio.CancelledError:
-            # Drain cancelled the reader; it leaves the connection to
-            # drain() (summary frame + close). Nothing more to do here.
-            return
+            if client.connected:
+                # Drain cancelled the reader; it leaves the connection to
+                # drain() (summary frame + close). Nothing more to do here.
+                return True
+            # The client's own writer failed and stopped its reader.
         finally:
             self._reader_tasks.pop(cid, None)
-        await self._finish_client(client)
+        return await self._finish_client(client)
 
-    async def _write_outbox(self, client: _Client) -> None:
-        """The client's private writer: a slow reader stalls only itself."""
+    async def _write_outbox(self, client: _Client) -> bool:
+        """The client's private writer: a slow reader stalls only itself.
+
+        ``False`` when a write failed: nobody is reading, so the client's
+        reader is cancelled rather than left parsing and submitting its
+        pipelined requests (in-flight ones finish and are dropped).
+        """
         while True:
             record = await client.outbox.get()
             if record is _CLOSE:
-                return
+                return True
             try:
                 client.writer.write(wire.encode(record))
                 await client.writer.drain()
             except (ConnectionError, OSError):
                 client.connected = False
-                return
+                reader_task = self._reader_tasks.get(client.cid)
+                if reader_task is not None:
+                    reader_task.cancel()
+                return False
 
     async def _read_requests(
-        self, client: _Client, reader: asyncio.StreamReader
+        self, client: _Client, reader: wire.ByteSource
     ) -> None:
         """Parse and submit this client's requests, one at a time."""
-        frames = _FrameReader(reader, self.max_line_bytes)
-        line_no = 0
+        frames = wire.FrameReader(reader, self.max_line_bytes)
         while True:
             try:
-                kind, payload = await frames.next_frame()
+                frame = await frames.next_frame()
             except (ConnectionError, OSError):
                 client.connected = False
                 return
-            if kind == "eof":
+            if frame is None:
                 return
-            line_no += 1
-            if kind == "overflow":
-                self._client_error(
-                    client, line_no,
-                    f"line too long ({payload} bytes > "
-                    f"--max-line-bytes {self.max_line_bytes})",
+            line_no, line = frame
+            if isinstance(line, bytes):
+                request_id, reads, error = wire.parse_request_line(
+                    line, line_no, seen_ids=client.seen_ids,
+                    max_bytes=self.max_line_bytes,
                 )
-                continue
-            if not payload.strip():
-                continue
-            request_id, reads, error = wire.parse_request_line(
-                payload, line_no, seen_ids=client.seen_ids,
-                max_bytes=self.max_line_bytes,
-            )
+            else:
+                request_id, reads, error = None, None, line
             if error is not None:
-                self._client_error(client, line_no, error,
-                                   request_id=request_id)
+                client.stats.malformed += 1
+                self.stats.malformed += 1
+                client.outbox.put_nowait(
+                    wire.error_record(request_id, error, line_no)
+                )
                 continue
             if client.bucket is not None and not client.bucket.try_acquire():
                 client.stats.rate_limited += 1
@@ -546,14 +522,6 @@ class AnalysisGateway:
                     request_id, "gateway is draining", line_no
                 ))
 
-    def _client_error(self, client: _Client, line_no: int, message: str,
-                      request_id=None) -> None:
-        client.stats.malformed += 1
-        self.stats.malformed += 1
-        client.outbox.put_nowait(
-            wire.error_record(request_id, message, line_no)
-        )
-
     def _submit_sync(self, client: _Client, request_id, reads,
                      line_no: int) -> None:
         """Runs in the submit pool; pushes its own outcome frames."""
@@ -571,7 +539,7 @@ class AnalysisGateway:
         try:
             self._service.submit(
                 sample,
-                tag=(client.cid, request_id, line_no, len(sample)),
+                tag=(request_id, line_no, len(sample), client.cid),
                 deadline_ms=self.deadline_ms,
                 block=block,
                 timeout=timeout,
@@ -606,17 +574,20 @@ class AnalysisGateway:
         if client.end_request():
             self._loop.call_soon_threadsafe(client.drained.set)
 
-    async def _finish_client(self, client: _Client) -> None:
-        """Client EOF: finish its in-flight requests, flush, close."""
+    async def _finish_client(self, client: _Client) -> bool:
+        """Client EOF: finish its in-flight requests, flush, close.
+
+        Returns whether the writer delivered everything it was handed.
+        """
         if client.mark_eof():
             client.drained.set()
         await client.drained.wait()
         client.outbox.put_nowait(_CLOSE)
-        if client.writer_task is not None:
-            await client.writer_task
+        delivered = await client.writer_task
         client.connected = False
         await self._close_transport(client.writer)
         self._clients.pop(client.cid, None)
+        return delivered
 
     @staticmethod
     async def _close_transport(writer: asyncio.StreamWriter) -> None:

@@ -34,11 +34,6 @@ from repro.backends import (
     StepTwoBackend,
     get_backend,
 )
-from repro.backends.python_backend import (  # noqa: F401 - compat re-exports
-    IntersectUnit,
-    TaxIdRetriever,
-    stripe_database,
-)
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import ExecutorSpec, get_executor

@@ -29,6 +29,10 @@ source of truth so the surfaces can never drift:
   :func:`retrieval_columns` / :func:`parse_retrieval`), and
   :func:`ping_record` / :func:`pong_record` are the heartbeat pair.
 
+Framing is here too: :class:`FrameReader` cuts a byte stream into numbered
+lines for every ingest loop (gateway connections, ``repro serve``'s stdin,
+the node's scatter socket).
+
 Every emitted line carries ``"schema": `` :data:`SCHEMA` so clients can
 version-gate their parsers.  These constructors are also the registry
 the ``repro check`` RPR004 rule enforces: a frame dict built anywhere
@@ -47,6 +51,7 @@ from typing import (
     Mapping,
     MutableSet,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -315,8 +320,89 @@ def encode(record: Mapping[str, object]) -> bytes:
     return json.dumps(record).encode("utf-8") + b"\n"
 
 
+class ByteSource(Protocol):
+    """What :class:`FrameReader` pulls from: ``asyncio.StreamReader``, or
+    any object with the same ``read`` (``repro serve`` wraps stdin)."""
+
+    async def read(self, n: int, /) -> bytes: ...
+
+
+#: One framed input line: ``(line_no, line)``, where ``line`` is the
+#: payload ``bytes`` — or, for a discarded over-long line, the ``str``
+#: rejection message.
+Frame = Tuple[int, Union[bytes, str]]
+
+
+class FrameReader:
+    """Newline framing over raw reads, resilient to oversized frames.
+
+    ``StreamReader.readline`` raises ``LimitOverrunError`` and leaves the
+    buffer mid-frame; this reader instead discards an oversized frame
+    through its terminating newline and reports it as a rejection, so one
+    huge line costs an error record — not the connection.  Lines are
+    numbered from 1 in arrival order; blank lines are counted but not
+    delivered.
+    """
+
+    def __init__(self, reader: ByteSource, max_line_bytes: int) -> None:
+        self._reader = reader
+        self._max = max_line_bytes
+        self._buf = bytearray()
+        self._eof = False
+        self._line_no = 0
+
+    async def next_frame(self) -> Optional[Frame]:
+        """The next non-blank line (a final unterminated one included),
+        or ``None`` at end of stream."""
+        while True:
+            newline = self._buf.find(b"\n")
+            if newline >= 0:
+                line = bytes(self._buf[:newline])
+                del self._buf[: newline + 1]
+            elif len(self._buf) > self._max:
+                self._line_no += 1
+                dropped = await self._discard_to_newline()
+                return self._line_no, (
+                    f"line too long ({dropped} bytes > "
+                    f"--max-line-bytes {self._max})"
+                )
+            elif not self._eof:
+                chunk = await self._reader.read(65536)
+                if chunk:
+                    self._buf.extend(chunk)
+                else:
+                    self._eof = True
+                continue
+            elif self._buf:
+                line = bytes(self._buf)
+                self._buf.clear()
+            else:
+                return None
+            self._line_no += 1
+            if line.strip():
+                return self._line_no, line
+
+    async def _discard_to_newline(self) -> int:
+        dropped = len(self._buf)
+        self._buf.clear()
+        while not self._eof:
+            chunk = await self._reader.read(65536)
+            if not chunk:
+                self._eof = True
+                break
+            newline = chunk.find(b"\n")
+            if newline >= 0:
+                self._buf.extend(chunk[newline + 1:])
+                return dropped + newline
+            dropped += len(chunk)
+        return dropped
+
+
 __all__ = [
     "SCHEMA",
+    "ByteSource",
+    "Frame",
+    "FrameReader",
     "Record",
     "check_schema",
     "drain_record",

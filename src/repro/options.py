@@ -17,7 +17,7 @@ accepted forms instead of surfacing later as a ``ValueError`` mid-run.
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.backends import available_backends
 from repro.megis.executors import available_executors, parse_spec
@@ -138,10 +138,10 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                       execution: bool = True) -> None:
     """Register the flags shared by ``repro serve`` and ``repro gateway``.
 
-    Both front doors sit on the same :class:`~repro.megis.service.AnalysisService`
-    (index, worker pool, §4.7 batching, bounded admission, deadlines) and
-    speak the same schema-1 wire format, so their knobs are registered
-    once here and stay name- and default-identical.
+    Both are one :class:`~repro.megis.gateway.AnalysisGateway` (index,
+    worker pool, §4.7 batching, bounded admission, deadlines, schema-1
+    wire format) — over stdin/stdout and over TCP — so their knobs are
+    registered once here and stay name- and default-identical.
     """
     parser.add_argument("--index", required=True, metavar="PATH",
                         help="prebuilt index (`repro index build`)")
@@ -286,6 +286,19 @@ def execution_config_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
+def gateway_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``AnalysisGateway`` kwargs carried by :func:`add_serving_flags`
+    and, where the parser has them (``repro serve`` does not),
+    :func:`add_gateway_flags`; a flag not registered keeps the
+    constructor's default."""
+    names = (
+        "workers", "max_batch", "max_queue", "batch_window_ms", "deadline_ms",
+        "max_line_bytes", "host", "port", "rate_limit", "rate_burst",
+        "max_clients", "admission_timeout_ms",
+    )
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 __all__ = [
     "add_cluster_flags",
     "add_cluster_map_flags",
@@ -296,6 +309,7 @@ __all__ = [
     "address",
     "execution_config_kwargs",
     "executor_spec",
+    "gateway_kwargs",
     "nonnegative_float",
     "positive_float",
     "positive_int",

@@ -11,11 +11,8 @@ import pytest
 
 from repro.backends import PhaseTimings
 from repro.megis.index import MegisIndex
-from repro.megis.session import (
-    AnalysisSession,
-    BucketPipelineScheduler,
-    MegisConfig,
-)
+from repro.megis.overlap import BucketPipelineScheduler
+from repro.megis.session import AnalysisSession, MegisConfig
 from repro.megis.sorting import sort_cost_weights
 
 

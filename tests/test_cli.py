@@ -114,6 +114,46 @@ class TestIndexLifecycle:
         assert "READS" in capsys.readouterr().err
 
 
+class TestUnopenableIndex:
+    """A missing or corrupt --index is one stderr line and exit status 2
+    from every command that opens one — never a traceback."""
+
+    COMMANDS = {
+        "analyze": lambda dataset, index: [
+            "analyze", str(dataset / "reads.fastq"), "--index", index],
+        "serve": lambda dataset, index: ["serve", "--index", index],
+        "gateway": lambda dataset, index: ["gateway", "--index", index],
+        "node": lambda dataset, index: [
+            "node", "--index", index, "--node-id", "0", "--nodes", "1"],
+        "cluster": lambda dataset, index: [
+            "cluster", "--index", index, "--nodes", "1",
+            "--node", "127.0.0.1:1"],
+    }
+
+    @pytest.fixture(scope="class")
+    def truncated(self, dataset, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("broken")
+        whole = directory / "whole.megis"
+        assert main(["index", "build", str(dataset / "references.fasta"),
+                     str(whole)]) == 0
+        path = directory / "truncated.megis"
+        path.write_bytes(whole.read_bytes()[: whole.stat().st_size // 2])
+        return path
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_nonexistent_path(self, command, dataset, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere.megis")
+        assert main(self.COMMANDS[command](dataset, missing)) == 2
+        err = capsys.readouterr().err
+        assert missing in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_truncated_file(self, command, dataset, truncated, capsys):
+        assert main(self.COMMANDS[command](dataset, str(truncated))) == 2
+        err = capsys.readouterr().err
+        assert str(truncated) in err and len(err.splitlines()) == 1
+
+
 class TestServe:
     @pytest.fixture(scope="class")
     def index_path(self, dataset, tmp_path_factory):
@@ -367,62 +407,6 @@ class TestServe:
                                        "--abundance", "statistical")
         assert code == 0
         assert records[0]["candidates"]
-
-
-class TestParseServeLine:
-    """Edge-case coverage for the wire parser itself."""
-
-    def _parse(self, line, line_no=1, **kwargs):
-        from repro.cli import _parse_serve_line
-
-        return _parse_serve_line(line, line_no, **kwargs)
-
-    def test_accepts_bytes_and_str(self):
-        payload = {"schema": 1, "id": "x", "reads": ["ACGT"]}
-        for line in (json.dumps(payload), json.dumps(payload).encode()):
-            request_id, reads, error = self._parse(line)
-            assert error is None
-            assert (request_id, reads) == ("x", ["ACGT"])
-
-    def test_non_utf8_bytes_are_an_error_not_a_crash(self):
-        request_id, reads, error = self._parse(b'{"id": "\xff\xfe", "reads": []}',
-                                               line_no=7)
-        assert reads is None
-        assert request_id == 7
-        assert "not valid UTF-8" in error
-
-    def test_oversized_payload_rejected_without_parsing(self):
-        line = json.dumps({"schema": 1, "id": "big", "reads": ["A" * 1000]})
-        request_id, reads, error = self._parse(line, line_no=3, max_bytes=64)
-        assert reads is None
-        assert request_id == 3
-        assert "line too long" in error and "--max-line-bytes 64" in error
-        # Under the limit the same line parses fine.
-        _, reads, error = self._parse(line, max_bytes=len(line.encode()))
-        assert error is None and len(reads) == 1
-
-    def test_duplicate_id_rejected_second_time(self):
-        seen = set()
-        line = json.dumps({"schema": 1, "id": 9, "reads": ["ACGT"]})
-        _, reads, error = self._parse(line, seen_ids=seen)
-        assert error is None and reads == ["ACGT"]
-        request_id, reads, error = self._parse(line, line_no=2, seen_ids=seen)
-        assert reads is None and request_id == 9
-        assert "duplicate id 9" in error
-
-    def test_missing_id_defaults_to_line_number(self):
-        seen = set()
-        request_id, reads, error = self._parse(
-            json.dumps({"schema": 1, "reads": ["ACGT"]}), line_no=5,
-            seen_ids=seen)
-        assert error is None and request_id == 5
-        assert seen == {5}
-
-    def test_non_scalar_id_rejected(self):
-        request_id, reads, error = self._parse(
-            json.dumps({"id": {"nested": 1}, "reads": ["ACGT"]}), line_no=2)
-        assert reads is None and request_id == 2
-        assert "'id' must be a JSON scalar" in error
 
     def test_non_utf8_stdin_serves_error_record(self, monkeypatch, capsys,
                                                 tmp_path):

@@ -169,7 +169,7 @@ class TestMeasuredBucketTimings:
 
     def test_scheduler_replays_measured_durations(self):
         """Measured slices matching the sample's buckets replace the model."""
-        from repro.megis.session import AnalysisSession as Session
+        from repro.megis.overlap import measured_bucket_ms
 
         buckets = BucketSet(k=10, buckets=[
             Bucket(index=0, lo=0, hi=100, kmers=[1, 2]),
@@ -178,15 +178,15 @@ class TestMeasuredBucketTimings:
         timings = PhaseTimings(intersect_ms=30.0)
         timings.record_bucket(0, 100, 20.0)
         timings.record_bucket(100, 200, 10.0)
-        assert Session._measured_bucket_ms(timings, buckets) == [20.0, 10.0]
+        assert measured_bucket_ms(timings, buckets) == [20.0, 10.0]
         # A sharded/batched run logs different slices -> fall back to model.
         mismatched = PhaseTimings(intersect_ms=30.0)
         mismatched.record_bucket(0, 50, 20.0)
         mismatched.record_bucket(50, 200, 10.0)
-        assert Session._measured_bucket_ms(mismatched, buckets) is None
+        assert measured_bucket_ms(mismatched, buckets) is None
         short = PhaseTimings(intersect_ms=30.0)
         short.record_bucket(0, 100, 20.0)
-        assert Session._measured_bucket_ms(short, buckets) is None
+        assert measured_bucket_ms(short, buckets) is None
 
     def test_analyze_models_overlap_from_measured_buckets(self, sorted_db,
                                                           sketch_db, sample):

@@ -1,9 +1,12 @@
 """Gateway behaviour: wire fidelity, QoS, failure paths, drain/resume.
 
-Every test drives a real asyncio TCP connection against an
-:class:`~repro.megis.gateway.AnalysisGateway` over the golden-fixture
-world, so the per-client framing, the thread/event-loop bridge, and the
-socket lifecycle are all exercised for real — no mocked transports.
+Every test but ``TestHandedConnection`` drives a real asyncio TCP
+connection against an :class:`~repro.megis.gateway.AnalysisGateway` over
+the golden-fixture world, so the per-client framing, the
+thread/event-loop bridge, and the socket lifecycle are all exercised for
+real — no mocked transports.  ``TestHandedConnection`` hands the gateway
+duck-typed stream ends directly, the way ``repro serve`` hands it
+stdin/stdout.
 The async scenarios run under ``asyncio.run`` with a hard timeout so a
 regression hangs a test, not the suite.
 """
@@ -13,6 +16,7 @@ import json
 import socket
 import struct
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +152,44 @@ async def client_roundtrip(host, port, frames):
     return records
 
 
+class ListReader:
+    """A connection's read side holding pre-framed requests: one frame
+    per ``read``, then EOF."""
+
+    def __init__(self, frames):
+        self.unread = [(json.dumps(f) + "\n").encode("utf-8") for f in frames]
+
+    async def read(self, n):
+        return self.unread.pop(0) if self.unread else b""
+
+
+class ListWriter:
+    """A connection's write side collecting records; with ``fail_after``
+    the consumer goes away once that many were delivered."""
+
+    def __init__(self, fail_after=None):
+        self.records = []
+        self.fail_after = fail_after
+        self._pending = b""
+
+    def write(self, data):
+        self._pending += data
+
+    async def drain(self):
+        if self.fail_after is not None and len(self.records) >= self.fail_after:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.records.extend(
+            json.loads(line) for line in self._pending.splitlines()
+        )
+        self._pending = b""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
 def assert_result_matches(record, serial_records):
     assert record["schema"] == 1
     expected = serial_records[record["id"]]
@@ -219,6 +261,100 @@ class TestRoundtrip:
                 assert_result_matches(record, serial_records)
         assert gateway.stats.clients_connected == 4
         assert gateway.stats.requests_completed == 4 * N_CHUNKS
+
+
+class TestHandedConnection:
+    def test_open_serves_without_a_socket_then_start_resumes(
+        self, session, requests_wire, serial_records
+    ):
+        """open() binds nothing yet serves a connection handed to it;
+        start -> drain -> start afterwards still resumes over TCP."""
+        gateway = AnalysisGateway(session, workers=2)
+
+        async def scenario():
+            await gateway.open()
+            with pytest.raises(RuntimeError):
+                _ = gateway.bound_address
+            writer = ListWriter()
+            delivered = await gateway.handle_connection(
+                ListReader(requests_wire), writer
+            )
+            await gateway.drain()
+            over_tcp = []
+            for _ in range(2):
+                host, port = await gateway.start()
+                over_tcp.append(
+                    await client_roundtrip(host, port, requests_wire)
+                )
+                await gateway.drain()
+            return delivered, writer.records, over_tcp
+
+        delivered, handed, over_tcp = run_scenario(scenario())
+        assert delivered
+        assert gateway.stats.drains == 3
+        for records in (handed, *over_tcp):
+            assert {r["id"] for r in records} == set(serial_records)
+            for record in records:
+                assert_result_matches(record, serial_records)
+
+    def test_dead_consumer_stops_its_own_reader(self, session, requests_wire,
+                                                monkeypatch):
+        """A write side that fails after one record: the connection's
+        pipelined requests stop being read and admitted (they used to be
+        parsed and analysed for nobody), max_queue=1 backpressure does
+        not deadlock the teardown, and the caller is told."""
+        real_analyze = session.analyze
+
+        def slow_analyze(reads, with_abundance=True):
+            time.sleep(0.05)  # completions, not parsing, pace the reader
+            return real_analyze(reads, with_abundance)
+
+        monkeypatch.setattr(session, "analyze", slow_analyze)
+        gateway = AnalysisGateway(session, workers=1, max_batch=1,
+                                  max_queue=1)
+        pipelined = requests_wire + [dict(requests_wire[0], id="c5")]
+        reader = ListReader(pipelined)
+        writer = ListWriter(fail_after=1)
+
+        async def scenario():
+            await gateway.open()
+            try:
+                return await gateway.handle_connection(reader, writer)
+            finally:
+                await gateway.drain()
+
+        assert run_scenario(scenario()) is False
+        assert len(writer.records) == 1
+        assert reader.unread, "a dead consumer's requests must stay unread"
+        assert gateway.stats.requests_admitted < len(pipelined)
+        # Conservation: what was admitted still finished (and was dropped).
+        assert (gateway.stats.requests_completed
+                + gateway.stats.requests_failed
+                ) == gateway.stats.requests_admitted
+        assert gateway.stats.results_dropped >= 1
+
+
+class TestStrictOrder:
+    def test_frames_come_back_in_submission_order(self, session, chunks):
+        """strict_order reaches the service's completion stream: with two
+        workers and no batching the small requests finish first, yet the
+        large one submitted ahead of them is still emitted first."""
+        gateway = AnalysisGateway(session, workers=2, max_batch=1,
+                                  strict_order=True)
+        everything = [r.sequence for chunk in chunks for r in chunk]
+        frames = [{"schema": 1, "id": "large", "reads": everything}] + [
+            {"schema": 1, "id": f"small{i}", "reads": everything[i:i + 2]}
+            for i in range(6)
+        ]
+
+        async def scenario():
+            async with gateway:
+                host, port = gateway.bound_address
+                return await client_roundtrip(host, port, frames)
+
+        records = run_scenario(scenario())
+        assert all("candidates" in r for r in records)
+        assert [r["id"] for r in records] == [f["id"] for f in frames]
 
 
 class TestMalformedFrames:

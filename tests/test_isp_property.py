@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.databases.kss import KssTables
 from repro.databases.sketch import SketchDatabase, TernarySearchTree
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.isp import IspStepTwo, TaxIdRetriever
+from repro.backends.python_backend import TaxIdRetriever
+from repro.megis.isp import IspStepTwo
 from repro.sequences.generator import GenomeGenerator
 from repro.sequences.reads import ReadSimulator
 

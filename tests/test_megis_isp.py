@@ -9,7 +9,12 @@ TaxIdRetriever's streaming KSS pass.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever, stripe_database
+from repro.backends.python_backend import (
+    IntersectUnit,
+    TaxIdRetriever,
+    stripe_database,
+)
+from repro.megis.isp import IspStepTwo
 from tests.conftest import SKETCH_K
 
 

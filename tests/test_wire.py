@@ -8,6 +8,7 @@ end-to-end coverage lives with each surface, byte-level fidelity lives
 here.
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -104,9 +105,12 @@ class TestParseRequestLine:
         assert error is None and seen == {"r"}
 
     def test_missing_id_defaults_to_line_number(self):
+        seen = set()
         request_id, reads, error = parse(
-            json.dumps({"schema": 1, "reads": ["ACGT"]}), line_no=11)
+            json.dumps({"schema": 1, "reads": ["ACGT"]}), line_no=11,
+            seen_ids=seen)
         assert error is None and request_id == 11
+        assert seen == {11}
 
     def test_non_scalar_id(self):
         request_id, reads, error = parse(
@@ -273,3 +277,49 @@ class TestClusterRecords:
         assert (pong["id"], pong["node"]) == (3, 1)
         assert pong["shards"] == [2, 4]
         assert pong["served"] == 17
+
+
+class _Chunks:
+    """A byte source handing out fixed chunks, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    async def read(self, n):
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+TOO_LONG = "line too long ({} bytes > --max-line-bytes 8)"
+
+
+class TestFrameReader:
+    @pytest.mark.parametrize("chunks, expected", [
+        pytest.param(
+            [b"a\n\n  \nb\n"], [(1, b"a"), (4, b"b")],
+            id="blank lines are skipped but counted"),
+        pytest.param(
+            [b"a\n", b"0123456789", b"ABCDE\nb\n"],
+            [(1, b"a"), (2, TOO_LONG.format(15)), (3, b"b")],
+            id="an over-long line costs one rejection, the next is served"),
+        pytest.param(
+            [b"a\nta", b"il"], [(1, b"a"), (2, b"tail")],
+            id="a final unterminated line is delivered"),
+        pytest.param(
+            [b"a\n", b"0123456789", b"ABCDE"],
+            [(1, b"a"), (2, TOO_LONG.format(15))],
+            id="EOF mid-overflow ends cleanly"),
+        pytest.param(
+            [b"one\ntw", b"o\nthree\n"],
+            [(1, b"one"), (2, b"two"), (3, b"three")],
+            id="lines split across reads are reassembled"),
+        pytest.param([], [], id="empty stream"),
+    ])
+    def test_framing(self, chunks, expected):
+        async def frames():
+            reader = wire.FrameReader(_Chunks(chunks), max_line_bytes=8)
+            out = []
+            while (frame := await reader.next_frame()) is not None:
+                out.append(frame)
+            return out
+
+        assert asyncio.run(frames()) == expected
