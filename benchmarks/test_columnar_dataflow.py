@@ -77,17 +77,21 @@ def test_columnar_buckets_speedup_floor():
     """
     database, list_buckets, column_buckets = _partitioned_query()
     engine = get_backend("numpy")
-    expected = engine.intersect_bucketed(database, column_buckets, 8)
-    assert expected == engine.intersect_bucketed(database, list_buckets, 8)
+    [expected] = engine.intersect_bucketed_multi(database, [column_buckets], 8)
+    assert [expected] == engine.intersect_bucketed_multi(
+        database, [list_buckets], 8
+    )
 
     # Best-of-N on both sides so a noisy-neighbor pause in any single run
     # cannot flip the verdict on shared CI runners.
     list_s = min(
-        _timed(lambda: engine.intersect_bucketed(database, list_buckets, 8))
+        _timed(lambda: engine.intersect_bucketed_multi(
+            database, [list_buckets], 8))
         for _ in range(3)
     )
     column_s = min(
-        _timed(lambda: engine.intersect_bucketed(database, column_buckets, 8))
+        _timed(lambda: engine.intersect_bucketed_multi(
+            database, [column_buckets], 8))
         for _ in range(5)
     )
     speedup = list_s / column_s
@@ -122,9 +126,9 @@ def test_columnar_partition_intersect(benchmark, bench_sorted_db, bench_sample,
 
     def partition_then_intersect():
         buckets = partitioner.partition(bench_sample.reads)
-        return engine.intersect_bucketed(
-            bench_sorted_db, [(b.lo, b.hi, b.kmers) for b in buckets.buckets], 8
-        )
+        return engine.intersect_bucketed_multi(
+            bench_sorted_db, [buckets.slices()], 8
+        )[0]
 
     result = benchmark(partition_then_intersect)
     assert result

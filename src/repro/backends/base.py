@@ -1,10 +1,12 @@
 """Backend abstraction for MegIS Step 2 (paper §4.3).
 
-A :class:`StepTwoBackend` supplies the three data-path kernels that
-dominate end-to-end time — sorted-stream intersection, bucketed
-intersection, and KSS taxID retrieval — plus the batched multi-sample
-variant (§4.7) in which every database bucket slice is streamed from flash
-once and intersected against all buffered samples before advancing.
+A :class:`StepTwoBackend` supplies the two data-path kernels Step 2 is
+made of: :meth:`~StepTwoBackend.intersect_bucketed_multi`, which streams
+every database interval from flash once and intersects it against all
+buffered samples' sorted buckets before advancing (§4.7), and
+:meth:`~StepTwoBackend.retrieve`, the KSS taxID retrieval (§4.3.2).  One
+sample is the batch of one; an un-bucketed query is the one bucket
+spanning the key space (:meth:`~StepTwoBackend.intersect`).
 
 Backends must be *functionally identical*: the paper's accuracy-identity
 claim rests on MegIS computing exactly what the software pipeline computes,
@@ -42,9 +44,8 @@ from repro.backends.retrieval import (  # noqa: F401
     RetrievalResult,
 )
 
-#: One query bucket: (lo, hi, sorted k-mers).  ``lo``/``hi`` may be ``None``
-#: to denote the full key space (used by the un-bucketed ``intersect``).
-BucketSlice = Tuple[Optional[int], Optional[int], IntColumn]
+#: One query bucket: (lo, hi, sorted k-mers), covering ``[lo, hi)``.
+BucketSlice = Tuple[int, int, IntColumn]
 
 
 @dataclass
@@ -82,13 +83,11 @@ class PhaseTimings:
     #: concurrent executor it is smaller — the gap is *measured* overlap,
     #: as opposed to the scheduler-modeled ``serialized/overlapped`` pair.
     step2_wall_ms: float = 0.0
-    #: Measured per-bucket intersect wall times as ``(lo, hi, ms)`` bucket
-    #: slices, appended by the Step-2 backends while streaming.  When these
-    #: cover a sample's buckets exactly, the §4.2.1 scheduler replays the
-    #: measured durations instead of cost-model apportionment.
-    measured_buckets: List[Tuple[Optional[int], Optional[int], float]] = field(
-        default_factory=list
-    )
+    #: Measured intersect wall times as ``(lo, hi, ms)`` slices, one per
+    #: database interval streamed, appended by the Step-2 backends.  When
+    #: these cover a sample's buckets exactly, the §4.2.1 scheduler replays
+    #: the measured durations instead of cost-model apportionment.
+    measured_buckets: List[Tuple[int, int, float]] = field(default_factory=list)
     channel_matches: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -113,10 +112,8 @@ class PhaseTimings:
             return 0.0
         return max(0.0, self.intersect_ms + self.retrieve_ms - self.step2_wall_ms)
 
-    def record_bucket(
-        self, lo: Optional[int], hi: Optional[int], elapsed_ms: float
-    ) -> None:
-        """Log one bucket slice's measured intersect wall time."""
+    def record_bucket(self, lo: int, hi: int, elapsed_ms: float) -> None:
+        """Log one streamed interval's measured intersect wall time."""
         self.measured_buckets.append((lo, hi, elapsed_ms))
 
     @contextmanager
@@ -202,8 +199,6 @@ def interval_edges(samples: Sequence[Sequence[BucketSlice]]) -> List[int]:
     for buckets in samples:
         prev_hi = None
         for lo, hi, kmers in buckets:
-            if lo is None or hi is None:
-                raise ValueError("multi-sample buckets must have explicit ranges")
             lo, hi = int(lo), int(hi)
             if hi < lo or (prev_hi is not None and lo < prev_hi):
                 raise ValueError(
@@ -265,8 +260,6 @@ def clip_buckets(
     """
     clipped: List[BucketSlice] = []
     for blo, bhi, kmers in buckets:
-        if blo is None or bhi is None:
-            raise ValueError("sharded buckets must have explicit ranges")
         new_lo, new_hi = max(int(blo), int(lo)), min(int(bhi), int(hi))
         if new_hi <= new_lo:
             continue
@@ -324,20 +317,13 @@ class StepTwoBackend(abc.ABC):
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
     ) -> List[int]:
-        """Intersect one sorted query stream against the whole database."""
-        return self.intersect_bucketed(
-            database, [(None, None, sorted_query)], n_channels, timings
+        """Intersect one sorted query stream against the whole database:
+        the one-sample batch of the one bucket spanning the key space."""
+        [result] = self.intersect_bucketed_multi(
+            database, [[(0, 1 << (2 * database.k), sorted_query)]],
+            n_channels, timings,
         )
-
-    @abc.abstractmethod
-    def intersect_bucketed(
-        self,
-        database: Any,
-        buckets: Sequence[BucketSlice],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[int]:
-        """Intersect each query bucket against its database range (§4.2.1)."""
+        return result
 
     @abc.abstractmethod
     def intersect_bucketed_multi(
@@ -347,12 +333,16 @@ class StepTwoBackend(abc.ABC):
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
     ) -> List[List[int]]:
-        """Batched multi-sample Step 2 (§4.7).
+        """The intersect kernel: bucketed (§4.2.1), batched (§4.7).
 
-        Streams every database interval once, intersecting it against all
-        buffered samples' query slices before advancing; returns one sorted
-        intersection list per sample, each identical to what
-        :meth:`intersect_bucketed` would produce for that sample alone.
+        Each sample is its ascending ``(lo, hi, sorted k-mers)`` buckets;
+        only the database range ``[lo, hi)`` can match a bucket.  Streams
+        every database interval (:func:`interval_edges`) once, intersecting
+        it against all buffered samples' query slices before advancing, and
+        logs one measured ``(lo, hi, ms)`` slice per interval
+        (:meth:`PhaseTimings.record_bucket`).  Returns one sorted
+        intersection list per sample, each identical to what that sample
+        alone would produce.
         """
 
     # -- retrieval ------------------------------------------------------------

@@ -125,40 +125,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
 
     # -- intersection ---------------------------------------------------------
 
-    def intersect_bucketed(
-        self,
-        database: Any,
-        buckets: Sequence[BucketSlice],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[int]:
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        column = database.column()
-        parts: List[npt.NDArray[Any]] = []
-        with timings.phase("intersect"):
-            for lo, hi, kmers in buckets:
-                bucket_start = time.perf_counter()
-                db_slice = self._slice(column, lo, hi)
-                query = as_column(kmers, column.dtype)
-                timings.db_kmers_streamed += len(db_slice)
-                timings.query_kmers_streamed += len(query)
-                timings.buckets_processed += 1
-                matches = self._intersect_slice(db_slice, query, n_channels, timings)
-                if len(matches):
-                    parts.append(matches)
-                timings.record_bucket(
-                    lo, hi, (time.perf_counter() - bucket_start) * 1e3
-                )
-            timings.db_stream_passes += 1
-        if not parts:
-            return []
-        out = np.concatenate(parts)
-        if len(parts) > 1 and np.any(np.asarray(out[1:] < out[:-1], dtype=bool)):
-            # Buckets may arrive in any range order (the python backend
-            # sorts its merged output too); ascending buckets skip this.
-            out = np.sort(out)
-        return list(out.tolist())
-
     def intersect_bucketed_multi(
         self,
         database: Any,
@@ -177,22 +143,30 @@ class NumpyStepTwoBackend(StepTwoBackend):
         parts: List[List[npt.NDArray[Any]]] = [[] for _ in samples]
         edges = interval_edges(samples)
         with timings.phase("intersect"):
-            for lo, hi in zip(edges, edges[1:]):
-                db_slice = self._slice(column, lo, hi)
+            # Every interval boundary located once, in the columns' own
+            # dtype (a bare Python int would promote a uint64 column to
+            # float64 on every lookup).
+            db_cuts = _edge_cuts(column, edges)
+            query_cuts = [_edge_cuts(query, edges) for query in merged]
+            for n, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                interval_start = time.perf_counter()
+                db_slice = column[db_cuts[n]:db_cuts[n + 1]]
                 # Charged once: the flash stream is shared by all samples.
                 timings.db_kmers_streamed += len(db_slice)
                 timings.buckets_processed += 1
                 for s, query in enumerate(merged):
-                    i = _searchsorted(query, lo)
-                    j = _searchsorted(query, hi)
+                    i, j = query_cuts[s][n], query_cuts[s][n + 1]
                     if i == j:
                         continue
-                    timings.query_kmers_streamed += int(j - i)
+                    timings.query_kmers_streamed += j - i
                     matches = self._intersect_slice(
                         db_slice, query[i:j], n_channels, timings
                     )
                     if len(matches):
                         parts[s].append(matches)
+                timings.record_bucket(
+                    lo, hi, (time.perf_counter() - interval_start) * 1e3
+                )
             timings.db_stream_passes += 1
         return [
             list(np.concatenate(p).tolist()) if p else [] for p in parts
@@ -244,14 +218,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
             for channel, count in zip(channels.tolist(), counts.tolist()):
                 timings.add_channel_matches(int(channel), int(count))
         return matches
-
-    @staticmethod
-    def _slice(
-        column: npt.NDArray[Any], lo: Optional[int], hi: Optional[int]
-    ) -> npt.NDArray[Any]:
-        start = 0 if lo is None else int(_searchsorted(column, lo))
-        stop = len(column) if hi is None else int(_searchsorted(column, hi))
-        return column[start:stop]
 
     # -- retrieval ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ economics become measurable:
 
 - batched multi-sample Step 2 streams each database interval once per
   batch, so a batch of four pays one paced stream instead of four;
-- per-shard and per-bucket tasks dispatched on a
+- per-shard tasks dispatched on a
   :class:`~repro.megis.executors.ThreadedExecutor` overlap their paced
   waits (``time.sleep`` releases the GIL), exactly like independent SSD
   channels;
@@ -78,45 +78,16 @@ class PacedStepTwoBackend(StepTwoBackend):
 
     # -- pacing ---------------------------------------------------------------
 
-    def _pace(self, scratch: PhaseTimings, record_bytes: int) -> float:
-        """Sleep for the modeled flash-stream time of one kernel call.
-
-        The volume is the database traffic the inner kernel just recorded
-        (each database k-mer read once per stream), at ``record_bytes``
-        per k-mer record — the same size the serialization format derives.
-        Returns the seconds slept, which the caller adds to the intersect
-        wall time so the paced stream shows up in ``PhaseTimings``.
-        """
-        streamed = scratch.db_kmers_streamed * record_bytes
-        wait_s = streamed / (self.mb_per_s * 1e6)
-        if wait_s >= _MIN_SLEEP_S:
-            time.sleep(wait_s)
-            return wait_s
-        return 0.0
-
-    def _merge_paced(
-        self,
-        scratch: PhaseTimings,
-        slept_s: float,
-        timings: Optional[PhaseTimings],
-    ) -> None:
-        scratch.intersect_ms += slept_s * 1e3
-        if scratch.measured_buckets and slept_s > 0:
-            # Spread the paced wait over the measured bucket slices in
-            # proportion to nothing finer than equal shares — the stream
-            # pacing is per call, and each bucket streamed its range once.
-            share = slept_s * 1e3 / len(scratch.measured_buckets)
-            scratch.measured_buckets = [
-                (lo, hi, ms + share) for lo, hi, ms in scratch.measured_buckets
-            ]
-        if timings is not None:
-            timings.merge(scratch)
-
-    @staticmethod
-    def _record_bytes(database: Any) -> int:
-        from repro.databases.serialization import kmer_record_bytes
-
-        return kmer_record_bytes(database.k)
+    def _stream(self, streamed_bytes: int) -> float:
+        """Wait out the modeled flash-stream time of ``streamed_bytes`` at
+        the configured bandwidth; returns the milliseconds slept, which
+        the caller adds to its phase so the stream shows in
+        ``PhaseTimings``."""
+        wait_s = streamed_bytes / (self.mb_per_s * 1e6)
+        if wait_s < _MIN_SLEEP_S:
+            return 0.0
+        time.sleep(wait_s)
+        return wait_s * 1e3
 
     # -- query columns --------------------------------------------------------
 
@@ -130,21 +101,6 @@ class PacedStepTwoBackend(StepTwoBackend):
 
     # -- intersection ---------------------------------------------------------
 
-    def intersect_bucketed(
-        self,
-        database: Any,
-        buckets: Sequence[BucketSlice],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[int]:
-        scratch = PhaseTimings(backend=self.name)
-        result = self._inner.intersect_bucketed(
-            database, buckets, n_channels, scratch
-        )
-        slept = self._pace(scratch, self._record_bytes(database))
-        self._merge_paced(scratch, slept, timings)
-        return result
-
     def intersect_bucketed_multi(
         self,
         database: Any,
@@ -152,15 +108,29 @@ class PacedStepTwoBackend(StepTwoBackend):
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
     ) -> List[List[int]]:
+        from repro.databases.serialization import kmer_record_bytes
+
         scratch = PhaseTimings(backend=self.name)
         result = self._inner.intersect_bucketed_multi(
             database, samples, n_channels, scratch
         )
         # The batch shares one database stream (§4.7): the inner kernel
-        # charged each interval once, so the paced wait is paid once for
-        # the whole batch rather than once per sample.
-        slept = self._pace(scratch, self._record_bytes(database))
-        self._merge_paced(scratch, slept, timings)
+        # charged each interval once — each database k-mer record read
+        # once, at the size the serialization format derives — so the
+        # paced wait is paid once for the whole batch, not per sample.
+        slept_ms = self._stream(
+            scratch.db_kmers_streamed * kmer_record_bytes(database.k)
+        )
+        scratch.intersect_ms += slept_ms
+        if slept_ms and scratch.measured_buckets:
+            # The pacing is per call, so the wait is spread over the
+            # measured interval slices in equal shares.
+            share = slept_ms / len(scratch.measured_buckets)
+            scratch.measured_buckets = [
+                (lo, hi, ms + share) for lo, hi, ms in scratch.measured_buckets
+            ]
+        if timings is not None:
+            timings.merge(scratch)
         return result
 
     # -- retrieval ------------------------------------------------------------
@@ -180,10 +150,7 @@ class PacedStepTwoBackend(StepTwoBackend):
         result = self._inner.retrieve(kss, sorted_intersecting, scratch)
         streamed = int(kss.size_bytes())
         scratch.kss_bytes_streamed += streamed
-        wait_s = streamed / (self.mb_per_s * 1e6)
-        if wait_s >= _MIN_SLEEP_S:
-            time.sleep(wait_s)
-            scratch.retrieve_ms += wait_s * 1e3
+        scratch.retrieve_ms += self._stream(streamed)
         if timings is not None:
             timings.merge(scratch)
         return result

@@ -81,8 +81,6 @@ def _next_or_none(iterator: Iterator[int]) -> Optional[int]:
         return None
 
 
-
-
 def stripe_database(kmers: Sequence[int], n_channels: int) -> List[List[int]]:
     """Round-robin channel striping of the sorted database (§4.5, Fig 10).
 
@@ -198,35 +196,6 @@ class PythonStepTwoBackend(StepTwoBackend):
 
     name = "python"
 
-    def intersect_bucketed(
-        self,
-        database: Any,
-        buckets: Sequence[BucketSlice],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[int]:
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        units = [IntersectUnit(channel=c) for c in range(n_channels)]
-        intersecting: List[int] = []
-        with timings.phase("intersect"):
-            for lo, hi, kmers in buckets:
-                bucket_start = time.perf_counter()
-                db_slice = self._db_slice(database, lo, hi)
-                query = column_to_list(kmers)
-                timings.db_kmers_streamed += len(db_slice)
-                timings.query_kmers_streamed += len(query)
-                timings.buckets_processed += 1
-                for unit, stripe in zip(units, stripe_database(db_slice, n_channels)):
-                    matches = unit.intersect(stripe, query)
-                    timings.add_channel_matches(unit.channel, len(matches))
-                    intersecting.extend(matches)
-                timings.record_bucket(
-                    lo, hi, (time.perf_counter() - bucket_start) * 1e3
-                )
-            timings.db_stream_passes += 1
-            intersecting.sort()
-        return intersecting
-
     def intersect_bucketed_multi(
         self,
         database: Any,
@@ -249,6 +218,7 @@ class PythonStepTwoBackend(StepTwoBackend):
         edges = interval_edges(samples)
         with timings.phase("intersect"):
             for lo, hi in zip(edges, edges[1:]):
+                interval_start = time.perf_counter()
                 db_slice = list(database.stream_range(lo, hi))
                 # Charged once: the flash stream is shared by all samples.
                 timings.db_kmers_streamed += len(db_slice)
@@ -264,6 +234,9 @@ class PythonStepTwoBackend(StepTwoBackend):
                         matches = unit.intersect(stripe, query[i:j])
                         timings.add_channel_matches(unit.channel, len(matches))
                         results[s].extend(matches)
+                timings.record_bucket(
+                    lo, hi, (time.perf_counter() - interval_start) * 1e3
+                )
             timings.db_stream_passes += 1
             for partial in results:
                 partial.sort()
@@ -278,9 +251,3 @@ class PythonStepTwoBackend(StepTwoBackend):
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         with timings.phase("retrieve"):
             return TaxIdRetriever(kss).retrieve(sorted_intersecting)
-
-    @staticmethod
-    def _db_slice(database: Any, lo: Optional[int], hi: Optional[int]) -> List[int]:
-        if lo is None or hi is None:
-            return database.kmers
-        return list(database.stream_range(lo, hi))

@@ -421,9 +421,7 @@ class KssTables:
 
     # -- retrieval -------------------------------------------------------------
 
-    def retrieve(
-        self, sorted_intersecting: Sequence[int], backend: Optional[str] = None
-    ) -> RetrievalResult:
+    def retrieve(self, sorted_intersecting: Sequence[int]) -> RetrievalResult:
         """Reference single-pass retrieval into CSR owner columns.
 
         Streams the sorted query k-mers against the sorted k_max table and
@@ -433,17 +431,10 @@ class KssTables:
         flat taxID column per level with per-query offsets — the
         :class:`~repro.backends.retrieval.RetrievalResult` CSR layout; its
         ``Mapping`` view reproduces the historical per-query dicts.  The
-        hardware-flavoured implementation lives in :mod:`repro.megis.isp`;
-        tests require both to match :meth:`SketchDatabase.lookup` exactly.
-
-        Passing ``backend`` ("python", "numpy") delegates to that
-        :class:`~repro.backends.StepTwoBackend`'s retrieval kernel instead
-        of the reference pass below; all backends must agree exactly.
+        hardware-flavoured implementation lives in
+        :mod:`repro.backends.python_backend`; tests require both — and
+        every other backend — to match :meth:`SketchDatabase.lookup` exactly.
         """
-        if backend is not None:
-            from repro.backends import get_backend
-
-            return get_backend(backend).retrieve(self, sorted_intersecting)
         queries = [int(q) for q in sorted_intersecting]
         if any(queries[i] > queries[i + 1] for i in range(len(queries) - 1)):
             raise ValueError("intersecting k-mers must be sorted")

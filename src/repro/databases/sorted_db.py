@@ -264,21 +264,12 @@ class SortedKmerDatabase:
             shard._owner_loader = load_slice
         return shard
 
-    def intersect(
-        self, sorted_query: Sequence[int], backend: Optional[str] = None
-    ) -> List[int]:
+    def intersect(self, sorted_query: Sequence[int]) -> List[int]:
         """Streaming intersection (two-pointer merge).
 
-        With ``backend=None`` this runs the pure-Python reference merge —
-        the result every other implementation must reproduce exactly
-        (:mod:`repro.megis.isp`; tests assert the equivalence).  Passing a
-        backend name ("python", "numpy") delegates to that
-        :class:`~repro.backends.StepTwoBackend`'s intersection kernel.
+        The pure-Python reference merge — the result every Step-2 backend
+        must reproduce exactly (tests assert the equivalence).
         """
-        if backend is not None:
-            from repro.backends import get_backend
-
-            return get_backend(backend).intersect(self, sorted_query, n_channels=1)
         result: List[int] = []
         i = j = 0
         db = self._kmers

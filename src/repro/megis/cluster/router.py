@@ -38,11 +38,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import PhaseTimings, RetrievalResult
+from repro.backends import PhaseTimings
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
-from repro.megis.multissd import gather
+from repro.megis.multissd import StepTwoResult, gather
 from repro.megis.session import AnalysisSession, MegisResult
 from repro.sequences.reads import Read
 
@@ -143,9 +143,7 @@ class ClusterStepTwo:
 
     # -- scatter-gather --------------------------------------------------------
 
-    def scatter(
-        self, queries: Sequence[Sequence[int]]
-    ) -> List[Tuple[List[int], RetrievalResult]]:
+    def scatter(self, queries: Sequence[Sequence[int]]) -> List[StepTwoResult]:
         """Step 2 for a batch: scatter to all nodes, gather in node order.
 
         Returns one ``(intersecting, RetrievalResult)`` per sample —
@@ -173,30 +171,30 @@ class ClusterStepTwo:
             except OSError as exc:
                 sends.append((address, None, exc))
 
-        per_node: List[List[Tuple[List[int], RetrievalResult]]] = []
+        per_node: List[List[StepTwoResult]] = []
         for endpoint, (address, sock, send_error) in zip(self.endpoints,
                                                          sends):
-            record: Optional[Dict[str, Any]] = None
+            partials: Optional[List[StepTwoResult]] = None
             last_error: Optional[Exception] = send_error
             if sock is not None:
                 try:
-                    record = self._read_reply(sock, request_id, endpoint,
-                                              n_samples)
+                    partials = self._read_reply(sock, request_id, endpoint,
+                                                n_samples)
                 except (OSError, ValueError) as exc:
                     last_error = exc
                 finally:
                     self._close(sock)
-            if record is None:
-                record = self._retry(endpoint, address, frame, request_id,
-                                     n_samples, last_error)
+            if partials is None:
+                partials = self._retry(endpoint, address, frame, request_id,
+                                       n_samples, last_error)
             self._mark_alive(endpoint.node_id)
-            per_node.append(wire.parse_step2_result(record))
+            per_node.append(partials)
 
         return gather(per_node)
 
     def _retry(self, endpoint: NodeEndpoint, failed_address: Address,
                frame: bytes, request_id: int, n_samples: int,
-               last_error: Optional[Exception]) -> Dict[str, Any]:
+               last_error: Optional[Exception]) -> List[StepTwoResult]:
         """The single retry after a failed attempt, then :class:`NodeFailed`."""
         self._mark_down(endpoint.node_id)
         with self._lock:
@@ -297,8 +295,11 @@ class ClusterStepTwo:
         return sock
 
     def _read_reply(self, sock: socket.socket, request_id: int,
-                    endpoint: NodeEndpoint, n_samples: int) -> Dict[str, Any]:
-        """One validated step2_result frame, or ``ValueError``/``OSError``."""
+                    endpoint: NodeEndpoint,
+                    n_samples: int) -> List[StepTwoResult]:
+        """One validated *and decoded* step2_result frame — a reply that
+        does not decode fails the attempt like one that never arrived —
+        or ``ValueError``/``OSError``."""
         record = self._read_line(sock)
         schema_error = wire.check_schema(record)
         if schema_error is not None:
@@ -322,7 +323,7 @@ class ClusterStepTwo:
                 f"expected {n_samples} sample partials, got "
                 f"{len(samples) if isinstance(samples, list) else samples!r}"
             )
-        return record
+        return wire.parse_step2_result(record)
 
     def _read_line(self, sock: socket.socket,
                    timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -418,7 +419,7 @@ class ClusterAnalysisSession:
 
     def _scatter(
         self, bucket_sets: Sequence[Any], timings: PhaseTimings
-    ) -> List[Tuple[List[int], RetrievalResult]]:
+    ) -> List[StepTwoResult]:
         """The Step-2 stage: the wall time the router spends waiting on
         nodes lands in the intersect phase."""
         queries = [buckets.merged_column() for buckets in bucket_sets]

@@ -11,8 +11,8 @@ scheduler; the engines themselves ran strictly serially.  An
   the historical behaviour by construction.
 - :class:`ThreadedExecutor` — a ``concurrent.futures`` thread pool.  The
   hot kernels (NumPy sorts, ``searchsorted`` merges) and the paced flash
-  streams release the GIL, so per-shard Step-2 work and per-bucket
-  sort/intersect pipelines genuinely overlap in wall-clock time.
+  streams release the GIL, so per-shard Step-2 work genuinely overlaps
+  in wall-clock time.
 - :class:`ProcessExecutor` — a fork-server process pool for the
   Python-heavy work the GIL serializes (Step-3 read mapping / EM).
   Workers are forked *after* the engine state exists — in the serving
@@ -67,8 +67,8 @@ class Executor(abc.ABC):
     """Execution policy for independent engine tasks.
 
     Tasks submitted through one executor must be independent of each other
-    (the engines only ever hand over per-bucket / per-shard work with
-    task-local timing state), so any execution order is observably
+    (the engines only ever hand over per-shard work with task-local
+    timing state), so any execution order is observably
     equivalent — which is what lets the threaded policy reorder completions
     without changing results.
     """

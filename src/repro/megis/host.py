@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import StepTwoBackend, column_to_list, get_backend
+from repro.backends import BucketSlice, StepTwoBackend, column_to_list, get_backend
 from repro.sequences.kmers import extract_kmers
 from repro.sequences.reads import Read
 
@@ -108,6 +108,10 @@ class BucketSet:
         if any(ms is None for ms in sorts):
             return None
         return [self.lead_ms, *sorts]
+
+    def slices(self) -> List[BucketSlice]:
+        """The buckets as the Step-2 kernel's ``(lo, hi, kmers)`` slices."""
+        return [(b.lo, b.hi, b.kmers) for b in self.buckets]
 
     def merged_sorted(self) -> List[int]:
         """Global sorted k-mer list (bucket concatenation in range order)."""
@@ -190,10 +194,9 @@ class KmerBucketPartitioner:
         boundaries = []
         for i in range(1, self.n_buckets):
             boundaries.append(ordered[min(len(ordered) - 1, len(ordered) * i // self.n_buckets)])
-        # Deduplicate (merging preliminary buckets, as the paper describes),
-        # falling back to uniform splits if the sample was degenerate.
-        unique = sorted(set(boundaries))
-        return unique
+        # Deduplicate (merging preliminary buckets, as the paper describes):
+        # a degenerate sample yields fewer, wider buckets.
+        return sorted(set(boundaries))
 
     # -- main entry --------------------------------------------------------------
 

@@ -53,7 +53,12 @@ from repro.databases.serialization import (
 )
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.multissd import DatabaseShard, shard_kss, split_database
+from repro.megis.multissd import (
+    DatabaseShard,
+    shard_kss,
+    split_database,
+    whole_shard,
+)
 from repro.sequences.generator import ReferenceCollection
 
 
@@ -100,17 +105,22 @@ class MegisIndex:
     def shards(self, n_ssds: int) -> List[DatabaseShard]:
         """Per-SSD shard handles (built once per shard count, cached).
 
-        The parent ndarray column is materialized first so every shard
-        shares it as a zero-copy view; each shard also carries its
-        prefix-aligned KSS range slice (§6.1 + range-sharded KSS).
+        One SSD is the whole-range handle on the database and KSS
+        themselves — nothing sliced, nothing built.  For more, the parent
+        ndarray column is materialized first so every shard shares it as a
+        zero-copy view; each shard also carries its prefix-aligned KSS
+        range slice (§6.1 + range-sharded KSS).
         """
         if n_ssds < 1:
             raise ValueError(f"n_ssds must be >= 1, got {n_ssds}")
         shards = self._shard_cache.get(n_ssds)
         if shards is None:
-            self.database.column()
-            shards = split_database(self.database, n_ssds)
-            shard_kss(self.kss, shards)
+            if n_ssds == 1:
+                shards = [whole_shard(self.database, self.kss)]
+            else:
+                self.database.column()
+                shards = split_database(self.database, n_ssds)
+                shard_kss(self.kss, shards)
             self._shard_cache[n_ssds] = shards
         return shards
 
@@ -208,15 +218,14 @@ class MegisIndex:
             )
         index = cls(database, sketch, references, kss=kss)
         index.mapped = mmap
-        if mmap:
-            # Shard handles keep their own memmap-backed owner columns
+        if len(shard_dbs) > 1:
+            # (The one shard of a single-shard file is the database
+            # itself, which is what ``shards(1)`` wraps.)  Memmap-opened
+            # shard handles keep their own memmap-backed owner columns
             # rather than re-slicing the (lazily stitched) parent.
-            index._shard_cache[len(shard_dbs)] = _mapped_shards(
-                kss, manifest, shard_dbs
-            )
-        else:
-            index._shard_cache[len(shard_dbs)] = _rebased_shards(
-                database, kss, manifest, shard_dbs
+            index._shard_cache[len(shard_dbs)] = (
+                _mapped_shards(kss, manifest, shard_dbs) if mmap
+                else _rebased_shards(database, kss, manifest, shard_dbs)
             )
         return index
 

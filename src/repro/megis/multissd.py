@@ -12,10 +12,14 @@ buffered sample's buckets to the shard's ``[lo, hi)``, stream the shard's
 database slice once for the whole batch, retrieve each sample's taxIDs
 from the shard's own KSS range.  :func:`gather` concatenates the
 per-shard results in ascending range order, and
-:func:`step_two_over_shards` is the two together over a shard list.  Every
-sharded path — the executor fan-out here, the pinned worker task of
+:func:`step_two_over_shards` is the two together over a shard list — the
+only way anything in :mod:`repro.megis` reaches a backend kernel.  A
+single SSD is the one-shard list (:func:`whole_shard`: the parent
+database and KSS themselves under the range ``[0, 4^k)``) and a single
+sample the one-sample batch, so the session's local Step-2 stage, the
+engines here and in :mod:`repro.megis.isp`, the pinned worker task of
 :mod:`repro.megis.procpool`, and a cluster node's
-:meth:`~repro.megis.session.AnalysisSession.step_two_partial` — calls it.
+:meth:`~repro.megis.session.AnalysisSession.step_two_partial` all call it.
 Shard databases are positional column slices of the parent (sharing its
 ndarray cache as zero-copy views), so sharding adds no host-side
 per-element work.
@@ -65,6 +69,12 @@ class DatabaseShard:
     hi: int
     database: SortedKmerDatabase
     kss: Optional[KssTables] = None
+
+
+def whole_shard(database: SortedKmerDatabase, kss: KssTables) -> DatabaseShard:
+    """One SSD as the one-shard case: the parent objects themselves under
+    the whole key range — nothing is sliced, so nothing is built."""
+    return DatabaseShard(0, 0, 1 << (2 * database.k), database, kss)
 
 
 def split_database(database: SortedKmerDatabase, n_shards: int) -> List[DatabaseShard]:
@@ -231,8 +241,7 @@ class MultiSsdStepTwo:
     runs :func:`shard_step_two` and the host only gathers the
     already-sorted per-shard intersections and CSR owner columns.
     ``self.timings`` accumulates per-phase wall time and streaming
-    counters across calls, exactly like
-    :class:`~repro.megis.isp.IspStepTwo`.
+    counters across calls.
 
     Shard handles are built once at construction — either split here from
     ``(database, n_ssds)`` or passed in pre-built via ``shards`` (what
@@ -317,8 +326,7 @@ class MultiSsdStepTwo:
         """Batched multi-sample Step 2 across shards (§4.7 x §6.1).
 
         Each shard streams its database slice once for the whole batch;
-        per-sample results are identical to a single-SSD
-        :meth:`~repro.megis.isp.IspStepTwo.run_bucketed_multi`.  The
+        per-sample results are identical to the one-shard case.  The
         per-shard tasks are dispatched through the configured executor —
         one independent SSD engine per shard — and gathered in shard
         order, so the result (and the counter totals) are identical

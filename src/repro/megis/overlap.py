@@ -173,8 +173,10 @@ def measured_bucket_ms(
     """Per-bucket measured intersect durations, or ``None`` to model.
 
     Valid only when the backends logged exactly one measured slice per
-    bucket, keyed by the bucket's ``[lo, hi)`` range — a sharded or
-    batched Step 2 logs different slices and falls back to the cost
+    bucket, keyed by the bucket's ``[lo, hi)`` range — the kernel logs
+    one slice per streamed interval, so a sharded or batched Step 2
+    (whose intervals split at shard edges and at every sample's
+    boundaries) logs different slices and falls back to the cost
     model (ROADMAP "measured, not modeled").  The durations drive the
     schedule as apportionment weights over the measured phase total,
     so ``serialized_ms`` remains exactly the measured Step-1 + Step-2
@@ -183,10 +185,7 @@ def measured_bucket_ms(
     measured = timings.measured_buckets
     if len(measured) != len(bucket_set.buckets):
         return None
-    by_range = {
-        (lo, hi): ms for lo, hi, ms in measured
-        if lo is not None and hi is not None
-    }
+    by_range = {(lo, hi): ms for lo, hi, ms in measured}
     if len(by_range) != len(measured):
         return None
     try:

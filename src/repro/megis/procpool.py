@@ -44,9 +44,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
-from repro.backends import PhaseTimings, get_backend
+from repro.backends import BucketSlice, PhaseTimings, get_backend
 from repro.backends.retrieval import RetrievalResult
 from repro.megis.executors import ProcessExecutor, worker_state
 from repro.megis.multissd import (
@@ -74,7 +74,7 @@ def _task_step1(reads: Sequence[Read]) -> Tuple[Any, float]:
 
 def _task_step2(
     shard_indexes: Sequence[int],
-    sample_buckets: List[List[Tuple[Optional[int], Optional[int], Any]]],
+    sample_buckets: List[List[BucketSlice]],
 ) -> Tuple[List[StepTwoResult], PhaseTimings]:
     """Step 2 over this worker's shard group, batched across samples:
     the group's gathered per-sample partials and its merged timings."""
@@ -176,10 +176,6 @@ class ProcessAnalysisRunner:
 
     # -- serving ---------------------------------------------------------------
 
-    def analyze(self, reads: Sequence[Read],
-                with_abundance: bool = True) -> "MegisResult":
-        return self.analyze_batch([reads], with_abundance)[0]
-
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
     ) -> List["MegisResult"]:
@@ -197,10 +193,7 @@ class ProcessAnalysisRunner:
         step1 = [pool.submit(_task_step1, list(reads)) for reads in samples]
         partitioned = [future.result() for future in step1]
         bucket_sets = [buckets for buckets, _ in partitioned]
-        sample_buckets = [
-            [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
-            for buckets in bucket_sets
-        ]
+        sample_buckets = [buckets.slices() for buckets in bucket_sets]
 
         # Fan-out 2 — Step 2 per worker-group, pinned to the shard owner;
         # each worker streams its shard group once for the whole batch.

@@ -65,7 +65,7 @@ import time
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.megis.session import AnalysisSession, MegisResult
@@ -550,14 +550,7 @@ class AnalysisService:
         samples = [request.reads for request in batch]
         started = time.perf_counter()
         try:
-            if len(samples) == 1:
-                results = [
-                    self.session.analyze(samples[0], self.with_abundance)
-                ]
-            else:
-                results = self.session.analyze_batch(
-                    samples, self.with_abundance
-                )
+            results = self.session.analyze_batch(samples, self.with_abundance)
             for request, result in zip(batch, results):
                 request.future.set_result(result)
         except BaseException as exc:

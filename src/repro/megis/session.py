@@ -3,12 +3,12 @@
 The paper's system is an SSD-resident database serving a *stream* of
 samples: the databases are built (or loaded) once and every sample's
 analysis reuses them.  :class:`AnalysisSession` is that serving loop — it
-wraps a :class:`~repro.megis.index.MegisIndex`, constructs the Step-2
-engines (single-SSD ISP or the sharded multi-SSD fan-out) exactly once,
-and exposes :meth:`analyze` / :meth:`analyze_batch`.  Nothing is re-derived
-between calls: the k-mer and owner columns, the KSS CSR blocks, the shard
-handles, the bucket partitioner, and — new here — the Step-3 per-species
-indexes and merged unified indexes, which are cached so consecutive
+wraps a :class:`~repro.megis.index.MegisIndex`, runs Step 2 over its
+shard handles (one SSD is the one-shard list), and exposes
+:meth:`analyze` / :meth:`analyze_batch` (one sample is the batch of one).
+Nothing is re-derived between calls: the k-mer and owner columns, the KSS
+CSR blocks, the shard handles, the bucket partitioner, and the Step-3
+per-species indexes and merged unified indexes, which are cached so consecutive
 samples with overlapping candidate sets skip the merge input construction
 entirely (§4.4 batched across a stream, closing the batched-Step-3
 ROADMAP item).
@@ -113,7 +113,7 @@ class MegisConfig:
     #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
     #: either way — shards are disjoint lexicographic ranges.
     n_ssds: int = 1
-    #: Execution policy for Step-2 bucket/shard tasks
+    #: Execution policy for Step-2 shard tasks
     #: (:mod:`repro.megis.executors`): ``None``/"serial" runs inline,
     #: "threads" / "threads:N" dispatches on a thread pool, and
     #: "processes" / "processes:N" forks an analysis worker pool at
@@ -262,7 +262,7 @@ class AnalysisSession:
                 raise ValueError(
                     "pass executor='processes[:N]' rather than a "
                     "ProcessExecutor instance: the session must own the "
-                    "fork point, and the engines' per-bucket closures "
+                    "fork point, and the kernel's per-shard closures "
                     "cannot cross a process pipe"
                 )
         if self._process_workers is not None and ssd is not None:
@@ -298,10 +298,9 @@ class AnalysisSession:
         #: Guards lazy engine construction, the Step-3 caches, and the
         #: cache counters; everything else on the query path is read-only.
         self._lock = threading.RLock()
-        #: The Step-2 engines are built on first MegIS analysis and then
-        #: reused for the session's lifetime; a Metalign-only session
-        #: (which streams no KSS) never pays for them — or for the KSS
-        #: tables themselves, which stay un-built on a lazy index.
+        #: Step 2 under its engine names (:attr:`isp`, :attr:`multissd`),
+        #: built on first access for callers that drive Step 2 alone; the
+        #: analysis path runs the same kernel over the same shard handles.
         self._isp: Optional[IspStepTwo] = None
         self._multissd: Optional[MultiSsdStepTwo] = None
         self._partitioner = KmerBucketPartitioner(
@@ -340,7 +339,8 @@ class AnalysisSession:
 
     @property
     def isp(self) -> IspStepTwo:
-        """The single-SSD Step-2 engine (built once, on first use)."""
+        """The single-SSD Step-2 engine: the kernel over the whole-range
+        handle (built once, on first use)."""
         if self._isp is None:
             with self._lock:
                 if self._isp is None:
@@ -377,7 +377,7 @@ class AnalysisSession:
         """Pre-build every lazily-constructed engine structure.
 
         After ``warm()`` the :meth:`analyze` / :meth:`analyze_batch` path
-        is pure reads over shared state: the Step-2 engines exist, the
+        is pure reads over shared state: the shard handles exist, the
         database/KSS columns (or row tables, for the reference backend)
         and the sketch's size columns are materialized, and per-shard KSS
         slices are cut.  :class:`~repro.megis.service.AnalysisService`
@@ -390,31 +390,25 @@ class AnalysisSession:
         import numpy as np
 
         columnar = get_backend(self._backend_spec).columnar
+        if columnar:
+            # The parent key column first: shard views slice it zero-copy.
+            self.database.column()
+        warm_shards(self.cluster_shards(), columnar)
         if self.shard_range is not None:
-            # Cluster-node warm: materialize this node's shard subset only
-            # — each shard's database/KSS owner columns — plus the parent
-            # key column the zero-copy shard views slice.  No candidate
-            # scoring or Step-3 state is built: a shard-range session
-            # serves :meth:`step_two_partial` and nothing else.
-            if columnar:
-                self.database.column()
-            warm_shards(self.cluster_shards(), columnar)
+            # A cluster node serves :meth:`step_two_partial` and nothing
+            # else: its shard subset is all it needs — no whole KSS, no
+            # candidate-scoring or Step-3 state.
             return self
-
-        engine = self.multissd if self.multissd is not None else self.isp
 
         # Candidate scoring consults the sorted sketch-size columns on
         # every sample; build them once, before any thread shares them.
         self.sketch.size_column(np.empty(0, dtype=np.int64))
         if columnar:
-            self.database.column()
             self.kss.columns()
         else:
             # The reference backend walks row objects and the per-level
             # covered-owner caches; an empty retrieval touches them all.
             self.kss.retrieve([])
-        if isinstance(engine, MultiSsdStepTwo):
-            warm_shards(engine.shards, columnar)
         # Process-backed serving forks *here* — after every column /
         # memmap section above is materialized, so the workers inherit
         # the warmed engine state copy-on-write (the fork-after-mmap
@@ -458,12 +452,8 @@ class AnalysisSession:
     # -- analysis (single sample and §4.7 batch) ---------------------------------
 
     def analyze(self, reads: Sequence[Read], with_abundance: bool = True) -> MegisResult:
-        """Run the three steps for one sample against the open index."""
-        self._require_full("analyze")
-        runner = self._process_runner()
-        if runner is not None:
-            return runner.analyze(reads, with_abundance)
-        return self._analyze([reads], with_abundance, self._step_two_single)[0]
+        """Run the three steps for one sample: the batch of one."""
+        return self.analyze_batch([reads], with_abundance)[0]
 
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
@@ -487,7 +477,7 @@ class AnalysisSession:
         runner = self._process_runner()
         if runner is not None:
             return runner.analyze_batch(samples, with_abundance)
-        return self._analyze(samples, with_abundance, self._step_two_batched)
+        return self._analyze(samples, with_abundance, self._step_two_local)
 
     def _analyze(
         self,
@@ -500,8 +490,7 @@ class AnalysisSession:
         ``step_two`` is the Step-2 stage: given every sample's buffered
         bucket set and the batch's timings, it returns one
         ``(intersecting, retrieved)`` pair per sample — from the local
-        engines (:meth:`_step_two_single`, :meth:`_step_two_batched`) or
-        from a cluster scatter.
+        shards (:meth:`_step_two_local`) or from a cluster scatter.
         """
         if self._processor is not None:
             self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
@@ -542,27 +531,19 @@ class AnalysisSession:
             self._processor.finish()
         return results
 
-    def _step_two_single(
+    def _step_two_local(
         self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
     ) -> List[StepTwoResult]:
-        """One sample: bucket-by-bucket on one SSD, or its merged column
-        range-split across the shards."""
-        [buckets] = bucket_sets
-        if self.multissd is not None:
-            return [self.multissd.run(buckets.merged_column(), timings=timings)]
-        return [self.isp.run_bucket_set(buckets, timings=timings)]
-
-    def _step_two_batched(
-        self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
-    ) -> List[StepTwoResult]:
-        """A batch: every sample's buckets share one database stream."""
-        sample_buckets = [
-            [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
-            for buckets in bucket_sets
-        ]
-        if self.multissd is not None:
-            return self.multissd.run_multi(sample_buckets, timings=timings)
-        return self.isp.run_bucketed_multi(sample_buckets, timings=timings)
+        """Every sample's buckets share one database stream per shard."""
+        start = time.perf_counter()
+        results, shard_timings = step_two_over_shards(
+            get_backend(self._backend_spec), self.cluster_shards(),
+            [buckets.slices() for buckets in bucket_sets],
+            self._n_channels, self._executor_spec,
+        )
+        shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
+        timings.merge(shard_timings)
+        return results
 
     def _batch_results(
         self,
@@ -614,7 +595,8 @@ class AnalysisSession:
         with the same shard count computes identical ranges — the
         agreement the cluster placement relies on.
         """
-        shards = self.index.shards(self.config.n_ssds)
+        with self._lock:  # the index builds a shard count's handles once
+            shards = self.index.shards(self.config.n_ssds)
         if self.shard_range is None:
             return list(shards)
         start, stop = self.shard_range

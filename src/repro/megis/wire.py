@@ -227,23 +227,64 @@ def parse_retrieval(payload: Mapping[str, Any]) -> "RetrievalResult":
     Columns come back as int64 ndarrays so every downstream kernel (hit
     accumulation, containment, the statistical estimator) takes its
     vectorized path — results are bit-identical either way (the
-    cross-backend suite pins list and ndarray columns equal).
+    cross-backend suite pins list and ndarray columns equal).  Anything
+    that is not such output — unsorted queries, a level block without its
+    two integer columns, offsets that are not a CSR index over
+    ``queries`` into ``taxids`` — raises ``ValueError`` here, so a
+    malformed reply fails its scatter attempt instead of the gather.
     """
     import numpy as np
 
     from repro.backends.retrieval import LevelHits, RetrievalResult
 
-    if not isinstance(payload, dict) or "queries" not in payload:
-        raise ValueError("retrieval payload must be an object with 'queries'")
-    levels: Dict[int, "LevelHits"] = {}
-    for key, block in payload.get("levels", {}).items():
-        levels[int(key)] = LevelHits(
-            taxids=np.asarray(block["taxids"], dtype=np.int64),
-            offsets=np.asarray(block["offsets"], dtype=np.int64),
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("queries"), list
+    ):
+        raise ValueError(
+            "retrieval payload must be an object with a 'queries' list"
         )
-    return RetrievalResult(
-        queries=[int(q) for q in payload["queries"]], levels=levels
-    )
+    blocks = payload.get("levels", {})
+    if not isinstance(blocks, dict):
+        raise ValueError("retrieval 'levels' must be an object")
+    try:
+        queries = [int(q) for q in payload["queries"]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"retrieval 'queries' must be integers: {exc}") from exc
+    if any(a > b for a, b in zip(queries, queries[1:])):
+        raise ValueError("retrieval 'queries' must be sorted")
+    levels: Dict[int, "LevelHits"] = {}
+    for key, block in blocks.items():
+        if not (
+            isinstance(block, dict)
+            and isinstance(block.get("taxids"), list)
+            and isinstance(block.get("offsets"), list)
+        ):
+            raise ValueError(
+                f"retrieval level {key!r} must carry 'taxids' and "
+                f"'offsets' lists"
+            )
+        try:
+            level = int(key)
+            taxids = np.asarray(block["taxids"], dtype=np.int64)
+            offsets = np.asarray(block["offsets"], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"retrieval level {key!r}: key and columns must be "
+                f"integers: {exc}"
+            ) from exc
+        if (
+            taxids.ndim != 1
+            or offsets.shape != (len(queries) + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != len(taxids)
+            or bool(np.any(offsets[1:] < offsets[:-1]))
+        ):
+            raise ValueError(
+                f"retrieval level {key!r}: offsets must rise from 0 to "
+                f"len(taxids) over len(queries) + 1 entries"
+            )
+        levels[level] = LevelHits(taxids=taxids, offsets=offsets)
+    return RetrievalResult(queries=queries, levels=levels)
 
 
 def step2_request_record(request_id: object,

@@ -102,7 +102,9 @@ class TestIntersectEquivalence:
         edges = sorted(rng.sample(range(1, SPACE), 5))
         buckets = bucketize(query, edges)
         assert any(not kmers for _, _, kmers in buckets) or len(buckets) == 6
-        result = get_backend(backend).intersect_bucketed(database, buckets, n_channels)
+        [result] = get_backend(backend).intersect_bucketed_multi(
+            database, [buckets], n_channels
+        )
         assert result == database.intersect(query)
 
 
@@ -119,16 +121,9 @@ class TestIntersectEdgeCases:
     def test_all_buckets_empty(self, backend):
         database = random_database(random.Random(4), 50)
         buckets = [(0, 100, []), (100, SPACE, [])]
-        assert get_backend(backend).intersect_bucketed(database, buckets, 2) == []
-
-    def test_out_of_order_buckets_still_sorted(self, backend):
-        """Single-sample bucketed output is sorted regardless of bucket order."""
-        rng = random.Random(7)
-        database = random_database(rng, 200)
-        query = random_query(rng, database, 100)
-        buckets = list(reversed(bucketize(query, [SPACE // 3, 2 * SPACE // 3])))
-        result = get_backend(backend).intersect_bucketed(database, buckets, 4)
-        assert result == database.intersect(query)
+        assert get_backend(backend).intersect_bucketed_multi(
+            database, [buckets], 2
+        ) == [[]]
 
     def test_timings_recorded(self, backend):
         rng = random.Random(5)
@@ -171,7 +166,7 @@ class TestMultiSampleBatching:
         engine = get_backend(backend)
         batched = engine.intersect_bucketed_multi(database, samples, 4)
         for got, buckets in zip(batched, samples):
-            assert got == engine.intersect_bucketed(database, buckets, 4)
+            assert [got] == engine.intersect_bucketed_multi(database, [buckets], 4)
 
     def test_cross_backend_identical(self, backend, kss_tables, sorted_db, sample):
         partitioner = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8)
@@ -224,7 +219,9 @@ class TestMultiSampleBatching:
         get_backend(backend).intersect_bucketed_multi(database, samples, 2, batched)
         individual = PhaseTimings()
         for buckets in samples:
-            get_backend(backend).intersect_bucketed(database, buckets, 2, individual)
+            get_backend(backend).intersect_bucketed_multi(
+                database, [buckets], 2, individual
+            )
         assert batched.samples_batched == 3
         assert batched.db_kmers_streamed == len(database)
         assert individual.db_kmers_streamed == 3 * len(database)
@@ -304,17 +301,8 @@ class TestRetrievalEquivalence:
         with pytest.raises(ValueError):
             get_backend(backend).retrieve(kss_tables, [9, 1])
 
-    def test_kss_backend_param(self, backend, kss_tables, sorted_db):
-        queries = sorted(set(sorted_db.kmers[::6]))
-        assert kss_tables.retrieve(queries, backend=backend) == kss_tables.retrieve(queries)
-
 
 class TestDatabaseBackendParam:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_intersect_delegates(self, backend, sorted_db):
-        query = sorted(set(sorted_db.kmers[::3] + [0, SPACE - 1]))
-        assert sorted_db.intersect(query, backend=backend) == sorted_db.intersect(query)
-
     def test_column_cached_and_sorted(self, sorted_db):
         column = sorted_db.column()
         assert sorted_db.column() is column
@@ -337,7 +325,7 @@ class TestDatabaseBackendParam:
         assert database.column().dtype == object
         query = kmers[::3] + [(1 << 119) + 1]
         for backend in BACKENDS:
-            assert database.intersect(query, backend=backend) == database.intersect(query)
+            assert get_backend(backend).intersect(database, query) == database.intersect(query)
 
     def test_as_column_empty(self, sorted_db):
         assert len(as_column([], sorted_db.column().dtype)) == 0

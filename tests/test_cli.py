@@ -334,13 +334,13 @@ class TestServe:
 
         from repro.megis.session import AnalysisSession
 
-        real_analyze = AnalysisSession.analyze
+        real_analyze = AnalysisSession.analyze_batch
 
-        def slow_analyze(self, reads, *args, **kwargs):
+        def slow_analyze(self, samples, *args, **kwargs):
             time.sleep(0.15)  # hold the queue full while stdout dies
-            return real_analyze(self, reads, *args, **kwargs)
+            return real_analyze(self, samples, *args, **kwargs)
 
-        monkeypatch.setattr(AnalysisSession, "analyze", slow_analyze)
+        monkeypatch.setattr(AnalysisSession, "analyze_batch", slow_analyze)
 
         class DyingStdout(io.TextIOBase):
             """Accepts one full line, then raises like a closed pipe."""

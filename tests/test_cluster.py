@@ -529,6 +529,57 @@ class TestFailover:
         # Accounted, not dropped: the request failed loudly.
         assert gateway_stats.requests_failed == 1
 
+    @pytest.mark.parametrize("with_replica", [True, False])
+    def test_malformed_reply_costs_the_retry_not_the_batch(
+        self, golden_world, golden, requests_wire, serial_records,
+        with_replica
+    ):
+        """A node whose reply passes the frame checks but does not decode
+        (a level block without its columns) fails that *attempt*: the
+        replica serves the request bit-identically after one retry, and
+        with no replica the client gets the structured node_failed frame
+        — never the decoder's ``KeyError`` text."""
+        _, index = golden_world
+
+        async def garbage_node(reader, writer):
+            request = json.loads(await reader.readline())
+            reply = {"schema": 1, "op": "step2_result", "id": request["id"],
+                     "node": 1,
+                     "samples": [{"queries": [1], "levels": {"20": {}}}
+                                 for _ in request["queries"]]}
+            writer.write((json.dumps(reply) + "\n").encode("utf-8"))
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                server = await asyncio.start_server(garbage_node,
+                                                    "127.0.0.1", 0)
+                healthy = cluster.step_two.endpoints[1].address
+                cluster.step_two.endpoints[1] = NodeEndpoint(
+                    1, server.sockets[0].getsockname()[:2],
+                    replica=healthy if with_replica else None,
+                )
+                try:
+                    records = await client_roundtrip(cluster.router,
+                                                     requests_wire[:1])
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return records, cluster.step_two.stats
+
+        records, stats = run_scenario(scenario())
+        assert stats.node_retries == 1
+        if with_replica:
+            assert_bit_identical(records, serial_records, ["c0"])
+            assert stats.node_failures == 0
+        else:
+            [frame] = records
+            assert frame["id"] == "c0"
+            assert "node_failed: node=1 after 2 attempts" in frame["error"]
+            assert "must carry 'taxids'" in frame["error"]
+            assert stats.node_failures == 1
+
     def test_node_failed_str_is_the_wire_message(self):
         error = NodeFailed(3, attempts=2, reason="connection refused")
         assert str(error) == (

@@ -117,7 +117,7 @@ class TestExecutorDrivenStepTwo:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_concurrent_buckets_bit_identical(self, sorted_db, kss_tables,
                                               sample, backend):
-        """Per-bucket executor tasks == the serial bucketed run, exactly."""
+        """An executor-dispatched run == the serial bucketed run, exactly."""
         partitioner = KmerBucketPartitioner(k=sorted_db.k, n_buckets=8,
                                             backend=backend)
         bucket_set = partitioner.partition(sample.reads)
@@ -161,7 +161,9 @@ class TestMeasuredBucketTimings:
         buckets = [(0, mid, [q for q in query if q < mid]),
                    (mid, space, [q for q in query if q >= mid])]
         timings = PhaseTimings()
-        get_backend(backend).intersect_bucketed(sorted_db, buckets, 4, timings)
+        get_backend(backend).intersect_bucketed_multi(
+            sorted_db, [buckets], 4, timings
+        )
         assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
             (0, mid), (mid, space)
         ]

@@ -303,13 +303,13 @@ class TestHandedConnection:
         pipelined requests stop being read and admitted (they used to be
         parsed and analysed for nobody), max_queue=1 backpressure does
         not deadlock the teardown, and the caller is told."""
-        real_analyze = session.analyze
+        real_analyze = session.analyze_batch
 
-        def slow_analyze(reads, with_abundance=True):
+        def slow_analyze(samples, with_abundance=True):
             time.sleep(0.05)  # completions, not parsing, pace the reader
-            return real_analyze(reads, with_abundance)
+            return real_analyze(samples, with_abundance)
 
-        monkeypatch.setattr(session, "analyze", slow_analyze)
+        monkeypatch.setattr(session, "analyze_batch", slow_analyze)
         gateway = AnalysisGateway(session, workers=1, max_batch=1,
                                   max_queue=1)
         pipelined = requests_wire + [dict(requests_wire[0], id="c5")]
@@ -492,14 +492,14 @@ class TestAdmission:
     def _gated_session(self, session, monkeypatch):
         """Block analyze until ``gate`` is set (single worker held busy)."""
         started, gate = threading.Event(), threading.Event()
-        real_analyze = session.analyze
+        real_analyze = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze(samples, with_abundance=True):
             started.set()
             assert gate.wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze(samples, with_abundance)
 
-        monkeypatch.setattr(session, "analyze", gated_analyze)
+        monkeypatch.setattr(session, "analyze_batch", gated_analyze)
         return started, gate
 
     def test_admission_full_is_an_error_frame(self, session, requests_wire,
@@ -583,17 +583,17 @@ class TestDisconnect:
         started = [threading.Event(), threading.Event()]
         gates = [threading.Event(), threading.Event()]
         calls = []
-        real_analyze = session.analyze
+        real_analyze = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze(samples, with_abundance=True):
             i = len(calls)
             calls.append(i)
             if i < len(gates):
                 started[i].set()
                 assert gates[i].wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze(samples, with_abundance)
 
-        monkeypatch.setattr(session, "analyze", gated_analyze)
+        monkeypatch.setattr(session, "analyze_batch", gated_analyze)
         gateway = AnalysisGateway(session, workers=1, max_batch=1)
 
         async def scenario():

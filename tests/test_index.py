@@ -17,9 +17,12 @@ Pins the build-once / query-many contract:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.databases.serialization import (
     SerializationError,
     deserialize_database,
@@ -27,7 +30,7 @@ from repro.databases.serialization import (
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.session import AnalysisSession, MegisConfig
+from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.tools.mapping import SpeciesIndex
 
 BACKENDS = ("python", "numpy")
@@ -151,6 +154,28 @@ class TestServedEquivalence:
             assert got.candidates == want.candidates
             assert got.profile.fractions == want.profile.fractions
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_ssds", [1, 3])
+    def test_one_sample_is_the_batch_of_one(self, opened, sample, backend,
+                                            n_ssds):
+        """``analyze(x)`` and ``analyze_batch([x])[0]`` are one path: every
+        result field and the Step-2 stream bookkeeping agree, on one SSD
+        and sharded."""
+        session = AnalysisSession(
+            opened, MegisConfig(backend=backend, n_ssds=n_ssds)
+        )
+        single = session.analyze(sample.reads)
+        [batched] = session.analyze_batch([sample.reads])
+        for field in dataclasses.fields(MegisResult):
+            if field.name != "timings":
+                assert getattr(single, field.name) == getattr(batched, field.name)
+        for counter in ("db_kmers_streamed", "db_stream_passes",
+                        "buckets_processed", "query_kmers_streamed",
+                        "channel_matches"):
+            assert (getattr(single.timings, counter)
+                    == getattr(batched.timings, counter)), counter
+        assert single.timings.db_stream_passes == n_ssds
+
     def test_metalign_session_over_opened_index(self, opened, sorted_db,
                                                 sketch_db, sample):
         session = AnalysisSession(opened)
@@ -239,8 +264,6 @@ class TestZeroReconstruction:
         assert frozenset(distinct[0]) not in session._unified_cache
 
     def test_backend_instance_accepted(self, opened, sample):
-        from repro.backends import get_backend
-
         session = AnalysisSession(opened, backend=get_backend("numpy"))
         assert session.config.backend == "numpy"
         assert session.analyze(sample.reads, with_abundance=False).candidates
@@ -369,8 +392,9 @@ class TestKssRangeSlicing:
         for lo, hi in ((0, cut), (cut, space)):
             part = kss_tables.slice_range(lo, hi)
             expected = {q: full[q] for q in queries if lo <= q < hi}
-            got = part.retrieve([q for q in queries if lo <= q < hi],
-                                backend=backend)
+            in_range = [q for q in queries if lo <= q < hi]
+            got = (part.retrieve(in_range) if backend is None
+                   else get_backend(backend).retrieve(part, in_range))
             assert got == expected
 
     def test_boundary_prefix_stored_absorbs_foreign_coverage(self, kss_tables):

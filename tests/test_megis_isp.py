@@ -15,6 +15,7 @@ from repro.backends.python_backend import (
     stripe_database,
 )
 from repro.megis.isp import IspStepTwo
+from repro.megis.multissd import whole_range
 from tests.conftest import SKETCH_K
 
 
@@ -61,6 +62,13 @@ class TestStriping:
             stripe_database([1], 0)
 
 
+def run_flat(isp, sorted_query):
+    """A flat sorted query through the engine: the one-sample batch of the
+    one bucket spanning the key space."""
+    [result] = isp.run_bucketed_multi([whole_range(sorted_query, SKETCH_K)])
+    return result
+
+
 class TestIspStepTwo:
     def test_run_matches_reference_intersect(self, sorted_db, kss_tables, sample):
         from repro.megis.host import KmerBucketPartitioner
@@ -68,7 +76,7 @@ class TestIspStepTwo:
         buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
         query = buckets.merged_sorted()
         isp = IspStepTwo(sorted_db, kss_tables, n_channels=8)
-        intersecting, _ = isp.run(query)
+        intersecting, _ = run_flat(isp, query)
         assert intersecting == sorted_db.intersect(query)
 
     def test_bucketed_equals_flat(self, sorted_db, kss_tables, sample):
@@ -76,17 +84,15 @@ class TestIspStepTwo:
 
         buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
         isp = IspStepTwo(sorted_db, kss_tables, n_channels=4)
-        flat, flat_taxids = isp.run(buckets.merged_sorted())
-        bucketed, bucketed_taxids = isp.run_bucketed(
-            (b.lo, b.hi, b.kmers) for b in buckets.buckets
-        )
+        flat, flat_taxids = run_flat(isp, buckets.merged_sorted())
+        bucketed, bucketed_taxids = isp.run_bucket_set(buckets)
         assert bucketed == flat
         assert bucketed_taxids == flat_taxids
 
     def test_channel_count_does_not_change_result(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::5]
         results = [
-            IspStepTwo(sorted_db, kss_tables, n_channels=n).run(query)[0]
+            run_flat(IspStepTwo(sorted_db, kss_tables, n_channels=n), query)[0]
             for n in (1, 3, 8)
         ]
         assert results[0] == results[1] == results[2]

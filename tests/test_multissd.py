@@ -26,6 +26,7 @@ from repro.megis.multissd import (
     shard_kss,
     shard_step_two,
     split_database,
+    whole_shard,
 )
 
 BACKENDS = ("python", "numpy")
@@ -98,7 +99,8 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     1 up to more shards than k-mers, batches of 1-4 bucketed samples, and
     queries that repeat a boundary k-mer (matched once); and every shard
     streams its slice exactly once whatever the batch width
-    (``db_stream_passes == n_shards``).
+    (``db_stream_passes == n_shards``).  The whole-range shard is
+    :func:`whole_shard` — the database and KSS themselves, nothing sliced.
 
     This stands for what the direct ``intersect_sharded`` /
     ``intersect_sharded_multi`` tests pinned before sharding stopped being
@@ -122,9 +124,17 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     sharded = gather([partials for partials, _ in outcomes])
     assert sum(t.db_stream_passes for _, t in outcomes) == n_shards
 
-    [whole] = split_database(database, 1)
-    shard_kss(kss, [whole])
+    whole = whole_shard(database, kss)
     assert sharded == shard_step_two(engine, whole, samples, 4)[0]
+
+    # One sample on the one shard logs one measured slice per streamed
+    # interval — its buckets, in range order: what the §4.2.1 scheduler
+    # replays for a single-SSD ``session.analyze``.
+    _, alone = shard_step_two(engine, whole, samples[:1], 4)
+    ranges = [(lo, hi) for lo, hi, _ in samples[0]]
+    assert [(lo, hi) for lo, hi, _ in alone.measured_buckets] == ranges
+    assert alone.buckets_processed == len(ranges)
+    assert all(ms >= 0 for _, _, ms in alone.measured_buckets)
 
     for (intersecting, retrieved), buckets in zip(sharded, samples):
         query = sorted({kmer for _, _, kmers in buckets for kmer in kmers})

@@ -297,14 +297,14 @@ class TestBoundedAdmission:
             index, _golden_config(golden, abundance_method="statistical")
         )
         started, gate = threading.Event(), threading.Event()
-        real_analyze = session.analyze
+        real_analyze = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze(samples, with_abundance=True):
             started.set()
             assert gate.wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze(samples, with_abundance)
 
-        session.analyze = gated_analyze
+        session.analyze_batch = gated_analyze
         return session, started, gate
 
     def test_full_queue_rejects_and_counts(self, golden_world, golden):

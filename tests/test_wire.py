@@ -245,6 +245,24 @@ class TestClusterRecords:
             with pytest.raises(ValueError):
                 wire.parse_retrieval(payload)
 
+    @pytest.mark.parametrize("queries, levels", [
+        ([1], {"20": {}}),                                   # no columns
+        ([1], {"20": {"taxids": 5, "offsets": [0, 0]}}),     # not a list
+        ([1], {"20": {"taxids": ["a"], "offsets": [0, 1]}}),  # not integers
+        ([1], {"x": {"taxids": [5], "offsets": [0, 1]}}),    # level key
+        ([1, 2], {"20": {"taxids": [5], "offsets": [0, 9]}}),  # length
+        ([1], {"20": {"taxids": [5], "offsets": [1, 1]}}),   # starts at 1
+        ([1, 2], {"20": {"taxids": [5, 6], "offsets": [0, 2, 1]}}),  # descends
+        ([1], {"20": {"taxids": [5, 6], "offsets": [0, 1]}}),  # end != len
+        ([2, 1], {}),                                        # unsorted
+        ([1], []),                                           # levels type
+    ])
+    def test_parse_retrieval_rejects_malformed_columns(self, queries, levels):
+        """Schema-valid but malformed columns are a ValueError at decode —
+        never a KeyError there, nor a late failure in the gather."""
+        with pytest.raises(ValueError, match="retrieval"):
+            wire.parse_retrieval({"queries": queries, "levels": levels})
+
     def test_step2_request_roundtrip(self):
         record = decode(wire.step2_request_record(
             8, [np.asarray([3, 1], np.int64), [9]]))
