@@ -291,23 +291,6 @@ class StepTwoBackend(abc.ABC):
         """
         return [int(v) for v in values]
 
-    def split_column(
-        self, column: IntColumn, boundaries: Sequence[int], k: int
-    ) -> List[IntColumn]:
-        """Split a sorted column at ``boundaries`` into ``len + 1`` columns.
-
-        Used by Step 1 to carve the selected k-mer stream into lexicographic
-        buckets; every piece stays in the backend's native container.
-        """
-        pieces: List[IntColumn] = []
-        start = 0
-        for boundary in boundaries:
-            stop = bisect_column(column, int(boundary), lo=start)
-            pieces.append(column[start:stop])
-            start = stop
-        pieces.append(column[start:])
-        return pieces
-
     # -- intersection ---------------------------------------------------------
 
     def intersect(

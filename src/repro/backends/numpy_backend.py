@@ -111,18 +111,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
         """
         return as_column(values, column_dtype(k))
 
-    def split_column(
-        self, column: IntColumn, boundaries: Sequence[int], k: int
-    ) -> List[IntColumn]:
-        """Vectorized bucket split: one ``searchsorted`` over all edges."""
-        col = as_column(column, column_dtype(k))
-        if not len(boundaries):
-            return [col]
-        cuts = _edge_cuts(col, [int(b) for b in boundaries])
-        starts = [0, *cuts]
-        stops = [*cuts, len(col)]
-        return [col[i:j] for i, j in zip(starts, stops)]
-
     # -- intersection ---------------------------------------------------------
 
     def intersect_bucketed_multi(

@@ -94,11 +94,6 @@ class PacedStepTwoBackend(StepTwoBackend):
     def query_column(self, values: IntColumn, k: int) -> IntColumn:
         return self._inner.query_column(values, k)
 
-    def split_column(
-        self, column: IntColumn, boundaries: Sequence[int], k: int
-    ) -> List[IntColumn]:
-        return self._inner.split_column(column, boundaries, k)
-
     # -- intersection ---------------------------------------------------------
 
     def intersect_bucketed_multi(

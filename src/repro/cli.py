@@ -128,7 +128,7 @@ class _CliError(Exception):
 def _open_index(args: argparse.Namespace) -> MegisIndex:
     """The prebuilt index named by ``--index``."""
     try:
-        return MegisIndex.open(args.index, mmap=args.mmap)
+        return MegisIndex.open(args.index)
     except (OSError, SerializationError) as exc:
         raise _CliError(f"cannot open index {args.index}: {exc}") from exc
 
@@ -608,14 +608,13 @@ _WIRE_EPILOG = (
 #: Shared --help epilog paragraph: the fork-after-warm process pool.
 _PROCESS_EPILOG = (
     "process-backed serving (--executor processes[:N]):\n"
-    "  N worker processes are forked after the index is opened and "
-    "warmed\n"
-    "  (with --mmap, after the CSR sections are memory-mapped), so "
-    "the whole\n"
-    "  index is shared copy-on-write — no per-worker duplication — "
-    "and each\n"
-    "  worker owns a subset of the database shards.  A worker that "
-    "crashes or\n"
+    "  N worker processes are forked after the index is opened (its "
+    "file\n"
+    "  memory-mapped) and warmed, so the whole index is shared "
+    "copy-on-write\n"
+    "  — no per-worker duplication — and each worker owns a subset "
+    "of the\n"
+    "  database shards.  A worker that crashes or\n"
     "  is killed mid-batch is respawned automatically and its "
     "in-flight batch\n"
     "  retried once; if the retry also dies, only that batch's "
@@ -669,10 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--abundance", choices=("mapping", "statistical"),
                          default="mapping")
     add_execution_flags(analyze)
-    analyze.add_argument("--mmap", action="store_true",
-                         help="with --index: memory-map the CSR sections "
-                              "instead of loading them (for databases "
-                              "larger than RAM)")
     analyze.add_argument("--timings", action="store_true",
                          help="print the per-phase timing breakdown (megis only)")
     analyze.set_defaults(func=_cmd_analyze)

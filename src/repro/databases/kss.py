@@ -9,22 +9,20 @@ TaxID retrieval then needs a single sequential pass over the intersecting
 k-mers and the tables, with no pointer chasing.  The paper measures KSS at
 7.5x smaller than flat tables and 2.1x larger than the ternary tree.
 
-Two representations coexist:
+A :class:`KssTables` *is* its **store** (:class:`KssStore`) — flat CSR
+columns per level (sorted prefixes, the *stored* taxID CSR the paper
+persists, and the reconstructed *full*-set CSR the NumPy backend gathers
+from).  The **rows** (``entries`` / ``sub_tables``, the per-row Python
+objects the register-level reference backend streams) are a view of it.
 
-- **rows** (``entries`` / ``sub_tables``) — the per-row Python objects the
-  register-level reference backend streams;
-- the **store** (:class:`KssStore`) — flat CSR columns per level (sorted
-  prefixes, the *stored* taxID CSR the paper persists, and the
-  reconstructed *full*-set CSR the NumPy backend gathers from).
-
-A :class:`KssTables` built from a sketch materializes rows eagerly (that is
-the offline build path); one loaded from a persisted store materializes
-rows only if a reference code path asks for them — ``row_materializations``
-counts those events and ``column_builds`` counts CSR reconstructions, so
-tests can assert that serving queries from an opened index never rebuilds
-anything.  :meth:`slice_range` cuts the store at shard boundaries
-(prefix-aligned) so each SSD of a multi-SSD deployment carries only its own
-KSS range.
+Building from a sketch packs the store once (counted in ``column_builds``)
+and keeps the rows the build walked; a table over a persisted store
+(:meth:`KssTables.from_store`) is the same object minus those rows, which
+materialize only if a reference code path asks — ``row_materializations``
+counts those events, so tests can assert that serving queries from an
+opened index never rebuilds anything.  :meth:`slice_range` cuts the store
+at shard boundaries (prefix-aligned) so each SSD of a multi-SSD deployment
+carries only its own KSS range.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import bisect_column
+from repro.backends.numpy_backend import column_dtype
 from repro.backends.retrieval import LevelHits, RetrievalResult, pack_sets_csr
 from repro.databases.sketch import SketchDatabase
 from repro.sequences.encoding import kmer_prefix
@@ -117,26 +116,79 @@ class KssStore:
     levels: Dict[int, KssLevelStore]
 
 
+def _build_sub_table(
+    k: int, sketch: SketchDatabase, entries: List[Tuple[int, FrozenSet[int]]]
+) -> Tuple[List[KssSubEntry], List[FrozenSet[int]]]:
+    """Walk the sorted k_max table: per distinct k-prefix, one stored row
+    and its full set (``stored UNION covered-owners``)."""
+    rows: List[KssSubEntry] = []
+    full_sets: List[FrozenSet[int]] = []
+
+    def finish_row(prefix: int, covered: set) -> None:
+        stored = frozenset(sketch.tables[k][prefix] - covered)
+        rows.append(KssSubEntry(prefix=prefix, stored=stored))
+        full_sets.append(stored | covered)
+
+    current_prefix = None
+    covered: set = set()
+    for kmer, owners in entries:
+        prefix = kmer_prefix(kmer, sketch.k_max, k)
+        if prefix != current_prefix:
+            if current_prefix is not None:
+                finish_row(current_prefix, covered)
+            current_prefix = prefix
+            covered = set()
+        covered.update(owners)
+    if current_prefix is not None:
+        finish_row(current_prefix, covered)
+    return rows, full_sets
+
+
 class KssTables:
     """Sorted k_max table plus prefix-aligned reduced tables per smaller k."""
 
     def __init__(self, sketch: SketchDatabase):
-        self.k_max = sketch.k_max
-        self.smaller_ks: Tuple[int, ...] = sketch.smaller_ks
-        self._init_caches()
-        self._entries = sketch.sorted_kmax_entries()
-        self._sub_tables = {
-            k: self._build_sub_table(k, sketch) for k in self.smaller_ks
-        }
+        """The offline build: walk the sketch rows, pack the store once."""
+        entries = sketch.sorted_kmax_entries()
+        dtype = column_dtype(sketch.k_max)
+        sub_tables: Dict[int, List[KssSubEntry]] = {}
+        levels: Dict[int, KssLevelStore] = {}
+        for k in sketch.smaller_ks:
+            rows, full_sets = _build_sub_table(k, sketch, entries)
+            sub_tables[k] = rows
+            stored_taxids, stored_offsets = pack_sets_csr(
+                [row.stored for row in rows]
+            )
+            full_taxids, full_offsets = pack_sets_csr(full_sets)
+            levels[k] = KssLevelStore(
+                prefixes=np.array([row.prefix for row in rows], dtype=dtype),
+                stored_taxids=stored_taxids,
+                stored_offsets=stored_offsets,
+                full_taxids=full_taxids,
+                full_offsets=full_offsets,
+            )
+        taxids, offsets = pack_sets_csr([owners for _, owners in entries])
+        self._init(KssStore(
+            k_max=sketch.k_max,
+            smaller_ks=sketch.smaller_ks,
+            kmers=np.array([kmer for kmer, _ in entries], dtype=dtype),
+            taxids=taxids,
+            offsets=offsets,
+            levels=levels,
+        ))
+        self._entries, self._sub_tables = entries, sub_tables
+        self.column_builds = 1
 
-    def _init_caches(self) -> None:
+    def _init(self, store: KssStore) -> None:
+        self.k_max = store.k_max
+        self.smaller_ks: Tuple[int, ...] = tuple(store.smaller_ks)
+        self._store = store
         self._entries: Optional[List[Tuple[int, FrozenSet[int]]]] = None
         self._sub_tables: Optional[Dict[int, List[KssSubEntry]]] = None
-        self._store: Optional[KssStore] = None
         self._columns: Optional[KssColumns] = None
         self._covered_cache: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        #: Reconstruction counters (see the module docstring): CSR column
-        #: rebuilds and lazy row materializations since construction.
+        #: Construction counters (see the module docstring): store packs
+        #: from rows, and lazy row materializations from the store.
         self.column_builds = 0
         self.row_materializations = 0
 
@@ -144,36 +196,10 @@ class KssTables:
     def from_store(cls, store: KssStore) -> "KssTables":
         """Wrap persisted CSR columns; rows stay unmaterialized until asked."""
         tables = cls.__new__(cls)
-        tables.k_max = store.k_max
-        tables.smaller_ks = tuple(store.smaller_ks)
-        tables._init_caches()
-        tables._store = store
+        tables._init(store)
         return tables
 
-    def _build_sub_table(self, k: int, sketch: SketchDatabase) -> List[KssSubEntry]:
-        """Walk the sorted k_max table; emit one row per distinct k-prefix."""
-        rows: List[KssSubEntry] = []
-        current_prefix = None
-        covered: set = set()
-        for kmer, owners in self._entries:
-            prefix = kmer_prefix(kmer, self.k_max, k)
-            if prefix != current_prefix:
-                if current_prefix is not None:
-                    rows.append(self._finish_row(k, current_prefix, covered, sketch))
-                current_prefix = prefix
-                covered = set()
-            covered.update(owners)
-        if current_prefix is not None:
-            rows.append(self._finish_row(k, current_prefix, covered, sketch))
-        return rows
-
-    @staticmethod
-    def _finish_row(k: int, prefix: int, covered: set,
-                    sketch: SketchDatabase) -> KssSubEntry:
-        full = sketch.tables[k][prefix]
-        return KssSubEntry(prefix=prefix, stored=frozenset(full - covered))
-
-    # -- row views (lazy when store-backed) ------------------------------------
+    # -- row views (materialized from the store on demand) ---------------------
 
     @property
     def entries(self) -> List[Tuple[int, FrozenSet[int]]]:
@@ -214,88 +240,29 @@ class KssTables:
     # -- columnar views --------------------------------------------------------
 
     def columns(self) -> KssColumns:
-        """CSR ndarray view for the NumPy backend (built once, cached).
-
-        Store-backed tables answer with zero-copy views of the persisted
-        columns; sketch-built tables construct the columns from the rows on
-        first use (counted in ``column_builds``).
-        """
+        """CSR ndarray view for the NumPy backend: zero-copy views of the
+        store's k_max and *full*-set columns (wrapped once, cached)."""
         if self._columns is None:
-            if self._store is not None:
-                store = self._store
-                self._columns = KssColumns(
-                    k_max=store.k_max,
-                    kmers=store.kmers,
-                    taxids=store.taxids,
-                    offsets=store.offsets,
-                    levels={
-                        k: KssLevelColumns(
-                            prefixes=level.prefixes,
-                            taxids=level.full_taxids,
-                            offsets=level.full_offsets,
-                        )
-                        for k, level in store.levels.items()
-                    },
-                )
-            else:
-                self._columns = self._build_columns()
-                self.column_builds += 1
+            store = self._store
+            self._columns = KssColumns(
+                k_max=store.k_max,
+                kmers=store.kmers,
+                taxids=store.taxids,
+                offsets=store.offsets,
+                levels={
+                    k: KssLevelColumns(
+                        prefixes=level.prefixes,
+                        taxids=level.full_taxids,
+                        offsets=level.full_offsets,
+                    )
+                    for k, level in store.levels.items()
+                },
+            )
         return self._columns
 
-    def _build_columns(self) -> KssColumns:
-        from repro.backends.numpy_backend import column_dtype
-
-        dtype = column_dtype(self.k_max)
-        levels: Dict[int, KssLevelColumns] = {}
-        for k in self.smaller_ks:
-            covered = self._covered_by_prefix(k)
-            rows = self.sub_tables[k]
-            taxids, offsets = pack_sets_csr(
-                [row.stored | covered[row.prefix] for row in rows]
-            )
-            levels[k] = KssLevelColumns(
-                prefixes=np.array([row.prefix for row in rows], dtype=dtype),
-                taxids=taxids,
-                offsets=offsets,
-            )
-        taxids, offsets = pack_sets_csr([owners for _, owners in self.entries])
-        return KssColumns(
-            k_max=self.k_max,
-            kmers=np.array([kmer for kmer, _ in self.entries], dtype=dtype),
-            taxids=taxids,
-            offsets=offsets,
-            levels=levels,
-        )
-
     def store(self) -> KssStore:
-        """The persistable columnar form (built once from the rows, cached).
-
-        Store-backed tables return the store they were loaded from; slicing
-        and serialization both operate on this representation.
-        """
-        if self._store is None:
-            cols = self.columns()
-            levels: Dict[int, KssLevelStore] = {}
-            for k in self.smaller_ks:
-                stored_taxids, stored_offsets = pack_sets_csr(
-                    [row.stored for row in self.sub_tables[k]]
-                )
-                level_cols = cols.levels[k]
-                levels[k] = KssLevelStore(
-                    prefixes=level_cols.prefixes,
-                    stored_taxids=stored_taxids,
-                    stored_offsets=stored_offsets,
-                    full_taxids=level_cols.taxids,
-                    full_offsets=level_cols.offsets,
-                )
-            self._store = KssStore(
-                k_max=self.k_max,
-                smaller_ks=self.smaller_ks,
-                kmers=cols.kmers,
-                taxids=cols.taxids,
-                offsets=cols.offsets,
-                levels=levels,
-            )
+        """The persistable columnar form; slicing and serialization both
+        operate on this representation."""
         return self._store
 
     # -- range sharding (§6.1) -------------------------------------------------
@@ -472,34 +439,23 @@ class KssTables:
     def _covered_by_prefix(self, k: int) -> Dict[int, FrozenSet[int]]:
         """Per-prefix covered-owner unions for level ``k`` (built once, cached).
 
-        The reference retrieval and the columnar view both consult this on
-        every call — and the sharded path retrieves once per shard — so the
-        k_max stream is folded a single time per level.  Store-backed tables
-        derive it columnarly as ``full - stored`` per row, never touching
-        the k_max rows.
+        The reference retrieval consults this on every call — and the
+        sharded path retrieves once per shard.  Derived columnarly as
+        ``full - stored`` per row, never touching the k_max rows.
         """
         if k not in self._covered_cache:
-            if self._store is not None:
-                level = self._store.levels[k]
-                so, fo = level.stored_offsets, level.full_offsets
-                covered: Dict[int, FrozenSet[int]] = {}
-                for r, prefix in enumerate(level.prefixes.tolist()):
-                    full = level.full_taxids[int(fo[r]):int(fo[r + 1])]
-                    stored = level.stored_taxids[int(so[r]):int(so[r + 1])]
-                    covered[int(prefix)] = frozenset(
-                        np.asarray(full)[
-                            ~np.isin(full, stored, assume_unique=True)
-                        ].tolist()
-                    )
-                self._covered_cache[k] = covered
-            else:
-                covered_sets: Dict[int, set] = {}
-                for kmer, owners in self.entries:
-                    prefix = kmer_prefix(kmer, self.k_max, k)
-                    covered_sets.setdefault(prefix, set()).update(owners)
-                self._covered_cache[k] = {
-                    p: frozenset(s) for p, s in covered_sets.items()
-                }
+            level = self._store.levels[k]
+            so, fo = level.stored_offsets, level.full_offsets
+            covered: Dict[int, FrozenSet[int]] = {}
+            for r, prefix in enumerate(level.prefixes.tolist()):
+                full = level.full_taxids[int(fo[r]):int(fo[r + 1])]
+                stored = level.stored_taxids[int(so[r]):int(so[r + 1])]
+                covered[int(prefix)] = frozenset(
+                    np.asarray(full)[
+                        ~np.isin(full, stored, assume_unique=True)
+                    ].tolist()
+                )
+            self._covered_cache[k] = covered
         return self._covered_cache[k]
 
     # -- size accounting ---------------------------------------------------------
@@ -509,21 +465,12 @@ class KssTables:
 
     def size_bytes(self) -> int:
         """On-flash size: k_max rows carry the k-mer; sub rows carry IDs only."""
-        if self._store is not None:
-            store = self._store
-            total = self._kmer_bytes() * len(store.kmers) + 4 * len(store.taxids)
-            for level in store.levels.values():
-                # 1 byte per row marks the boundary/row length; IDs are 4 B.
-                total += len(level.prefixes) + 4 * len(level.stored_taxids)
-            return total
-        total = sum(self._kmer_bytes() + 4 * len(owners) for _, owners in self.entries)
-        for rows in self.sub_tables.values():
-            total += sum(1 + 4 * len(row.stored) for row in rows)
+        store = self._store
+        total = self._kmer_bytes() * len(store.kmers) + 4 * len(store.taxids)
+        for level in store.levels.values():
+            # 1 byte per row marks the boundary/row length; IDs are 4 B.
+            total += len(level.prefixes) + 4 * len(level.stored_taxids)
         return total
 
     def __len__(self) -> int:
-        if self._entries is not None:
-            return len(self._entries)
-        if self._store is not None:
-            return len(self._store.kmers)
-        return len(self.entries)
+        return len(self._store.kmers)

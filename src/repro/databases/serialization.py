@@ -13,17 +13,19 @@ Database payload format (little-endian):
 - ``count`` k-mer records of ``ceil(2k / 8)`` bytes each, big-endian packed
   (so byte-wise lexicographic order equals k-mer order, the property the
   streaming comparators rely on);
-- owners, in one of two layouts:
+- owners (flag bits 0+1; omitted when both are clear), as CSR columns:
+  ``count + 1`` u64 row offsets followed by one flat u32 taxID column —
+  exactly the :meth:`SortedKmerDatabase.owner_columns` arrays, so
+  serialization is two bulk packs and deserialization two dtype views.
 
-  - **CSR columns** (flag bits 0+1, the default): ``count + 1`` u64 row
-    offsets followed by one flat u32 taxID column — exactly the
-    :meth:`SortedKmerDatabase.owner_columns` arrays, so serialization is
-    two bulk packs and deserialization two ``np.frombuffer`` views (the
-    parsed columns *are* the loaded database's CSR cache; per-row owner
-    sets materialize lazily);
-  - **interleaved records** (flag bit 0 only, the legacy layout, still
-    readable and writable): per k-mer record, ``u8 n`` followed by ``n``
-    u32 taxIDs.
+Loading never copies a column: every int column of a payload or section
+is a dtype view (``<u8`` / ``<u4`` / ``<i8``, the on-disk dtypes) of the
+buffer it was parsed from.  Whether that buffer is a ``bytes`` object
+(:func:`unpack_sections`) or a ``np.memmap`` of the index file
+(:func:`map_sections`) is decided once, by whoever produced it; nothing
+below takes a parameter saying where the bytes live.  Only the k-mer key
+columns materialize (they are stored big-endian packed and every
+``searchsorted`` walks them).
 
 Index container format (``MEGISIDX``): a named-section archive holding the
 database payloads (one section per SSD shard), the KSS CSR columns, the
@@ -116,30 +118,39 @@ def pack_i64(values) -> bytes:
     return np.asarray(values, dtype="<i8").tobytes()
 
 
+def _as_u8(buf) -> np.ndarray:
+    """``buf`` as a ``uint8`` array over the same memory (never a copy).
+
+    An ndarray (a section cut from either container source) passes
+    through with its type — a ``np.memmap`` slice stays one; a bare
+    ``bytes`` payload becomes a read-only ``np.frombuffer`` view.
+    """
+    if isinstance(buf, np.ndarray):
+        return buf
+    return np.frombuffer(buf, dtype=np.uint8)
+
+
 def parse_i64(buf) -> np.ndarray:
-    """Parse a little-endian int64 column (length-checked, writable copy)."""
+    """A little-endian int64 column as a view of ``buf`` (length-checked)."""
     if len(buf) % 8:
         raise SerializationError("int64 column length is not a multiple of 8")
-    return np.frombuffer(buf, dtype="<i8").astype(np.int64)
+    return _as_u8(buf).view("<i8")
 
 
-def serialize_database(
-    db: SortedKmerDatabase, with_owners: bool = True, layout: str = "csr"
-) -> bytes:
+def serialize_database(db: SortedKmerDatabase, with_owners: bool = True) -> bytes:
     """Serialize to the on-flash byte format.
 
-    ``layout="csr"`` (the default) persists the owner CSR columns directly
-    — two bulk packs over :meth:`SortedKmerDatabase.owner_columns`, no
-    per-record Python loop over taxIDs and no u8 cap on owners per k-mer;
-    ``layout="interleaved"`` writes the legacy per-record owner lists.
+    The owner CSR columns are persisted directly — two bulk packs over
+    :meth:`SortedKmerDatabase.owner_columns`, no per-record Python loop
+    over taxIDs and no cap on owners per k-mer.  ``with_owners=False``
+    writes the k-mer records alone (the image the ISP units stream).
     """
-    if layout not in {"csr", "interleaved"}:
-        raise ValueError(f"layout must be 'csr' or 'interleaved', got {layout!r}")
-    csr = layout == "csr"
-    flags = (FLAG_OWNERS | (FLAG_CSR if csr else 0)) if with_owners else 0
-    out = [_HEADER.pack(MAGIC, db.k, flags, len(db))]
-    if with_owners and csr:
-        out.append(pack_kmer_column(db.kmers, db.k))
+    flags = FLAG_OWNERS | FLAG_CSR if with_owners else 0
+    out = [
+        _HEADER.pack(MAGIC, db.k, flags, len(db)),
+        pack_kmer_column(db.kmers, db.k),
+    ]
+    if with_owners:
         taxids, offsets = db.owner_columns()
         if len(taxids) and (
             int(taxids.min()) < 0 or int(taxids.max()) > 0xFFFFFFFF
@@ -147,99 +158,51 @@ def serialize_database(
             raise SerializationError("taxIDs must fit u32 to serialize")
         out.append(offsets.astype("<u8").tobytes())
         out.append(taxids.astype("<u4").tobytes())
-        return b"".join(out)
-    for kmer in db.kmers:
-        out.append(_pack_kmer(kmer, db.k))
-        if with_owners:
-            owners = sorted(db.owners_of(kmer))
-            if len(owners) > 255:
-                raise SerializationError("more than 255 owners for one k-mer")
-            out.append(struct.pack("<B", len(owners)))
-            out.append(struct.pack(f"<{len(owners)}I", *owners))
     return b"".join(out)
 
 
-def deserialize_database(payload, zero_copy: bool = False) -> SortedKmerDatabase:
+def deserialize_database(payload) -> SortedKmerDatabase:
     """Parse the on-flash byte format back into a database.
 
-    Both owner layouts parse; for the CSR layout the k-mer records parse
-    vectorized, the offsets/taxID columns are read as ``np.frombuffer``
-    views, and all three become the loaded database's column caches — a
-    round-trip never rebuilds them, and per-row owner sets materialize only
-    on demand.
-
-    With ``zero_copy=True`` and an ndarray payload (a ``np.memmap`` slice
-    of the index file), the owner CSR columns are attached as dtype views
-    of the mapped bytes in their on-disk dtypes (``<u8`` offsets, ``<u4``
-    taxIDs) — no ``astype`` copy, so the owner data stays on flash until a
-    consumer touches its pages.  The k-mer column still materializes: it
-    is the search structure every ``searchsorted``/bisect walks.
+    The k-mer records parse vectorized into the ndarray column cache; the
+    owner offsets/taxID columns attach verbatim as ``<u8`` / ``<u4`` views
+    of ``payload`` — of the mapped file when ``payload`` is a section of
+    one, so the owner data stays on flash until a consumer touches its
+    pages.  A round-trip never rebuilds a column, and per-row owner sets
+    materialize only on demand.
     """
     if len(payload) < _HEADER.size:
         raise SerializationError("payload shorter than header")
-    magic, k, flags, count = _HEADER.unpack_from(payload, 0)
+    buf = _as_u8(payload)
+    magic, k, flags, count = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise SerializationError(f"bad magic {magic!r}")
-    if flags & FLAG_CSR and not flags & FLAG_OWNERS:
-        raise SerializationError("CSR flag requires the owners flag")
+    if flags not in (0, FLAG_OWNERS | FLAG_CSR):
+        raise SerializationError(f"unsupported owner layout (flags {flags:#x})")
     offset = _HEADER.size
     width = kmer_record_bytes(k)
-    kmers: List[int] = []
-    owners: List[frozenset] = []
-    if flags & FLAG_CSR:
-        mapped = payload if zero_copy and isinstance(payload, np.ndarray) else None
-        if offset + count * width > len(payload):
-            raise SerializationError("truncated k-mer column")
-        # Zero-copy view: slicing the bytes would copy the whole remaining
-        # payload (owner columns included) once per shard section.
-        kmers, column = parse_kmer_column(memoryview(payload)[offset:], k, count)
-        offset += count * width
-        if offset + 8 * (count + 1) > len(payload):
+    if offset + count * width > len(buf):
+        raise SerializationError("truncated k-mer column")
+    kmers, column = parse_kmer_column(buf[offset:], k, count)
+    offset += count * width
+    if flags:
+        if offset + 8 * (count + 1) > len(buf):
             raise SerializationError("truncated owner offsets column")
-        if mapped is not None:
-            offsets = mapped[offset : offset + 8 * (count + 1)].view("<u8")
-        else:
-            offsets = np.frombuffer(
-                payload, dtype="<u8", count=count + 1, offset=offset
-            ).astype(np.int64)
+        offsets = buf[offset : offset + 8 * (count + 1)].view("<u8")
         offset += 8 * (count + 1)
         if np.any(offsets[1:] < offsets[:-1]) or (count and offsets[0] != 0):
             raise SerializationError("owner offsets must ascend from zero")
         total = int(offsets[-1]) if count else 0
-        if offset + 4 * total > len(payload):
+        if offset + 4 * total > len(buf):
             raise SerializationError("truncated owner taxID column")
-        if mapped is not None:
-            taxids = mapped[offset : offset + 4 * total].view("<u4")
-        else:
-            taxids = np.frombuffer(
-                payload, dtype="<u4", count=total, offset=offset
-            ).astype(np.int64)
+        taxids = buf[offset : offset + 4 * total].view("<u4")
         offset += 4 * total
-        if offset != len(payload):
-            raise SerializationError(f"{len(payload) - offset} trailing bytes")
-        return SortedKmerDatabase.from_columns(
-            k, kmers, taxids, offsets, column=column, cast=mapped is None
-        )
-    for _ in range(count):
-        if offset + width > len(payload):
-            raise SerializationError("truncated k-mer record")
-        kmers.append(_unpack_kmer(payload[offset : offset + width], k))
-        offset += width
-        if flags & FLAG_OWNERS:
-            if offset + 1 > len(payload):
-                raise SerializationError("truncated owner count")
-            (n,) = struct.unpack_from("<B", payload, offset)
-            offset += 1
-            if offset + 4 * n > len(payload):
-                raise SerializationError("truncated owner list")
-            taxids = struct.unpack_from(f"<{n}I", payload, offset)
-            offset += 4 * n
-            owners.append(frozenset(taxids))
-        else:
-            owners.append(frozenset())
-    if offset != len(payload):
-        raise SerializationError(f"{len(payload) - offset} trailing bytes")
-    return SortedKmerDatabase(k, kmers, owners)
+    else:
+        offsets = np.zeros(count + 1, dtype="<u8")
+        taxids = np.zeros(0, dtype="<u4")
+    if offset != len(buf):
+        raise SerializationError(f"{len(buf) - offset} trailing bytes")
+    return SortedKmerDatabase.from_columns(k, kmers, taxids, offsets, column=column)
 
 
 # -- index section container -------------------------------------------------
@@ -291,9 +254,9 @@ def _container_entries(toc_bytes: bytes) -> List[Tuple[str, int, int]]:
         raise SerializationError(f"corrupt index table of contents: {exc}") from exc
 
 
-def _tile_sections(entries, body, body_len: int) -> Dict[str, object]:
+def _tile_sections(entries, body: np.ndarray, body_len: int) -> Dict[str, np.ndarray]:
     """Cut the body at the TOC entries, insisting they tile it exactly."""
-    sections: Dict[str, object] = {}
+    sections: Dict[str, np.ndarray] = {}
     covered = 0
     for name, off, length in entries:
         if name in sections:
@@ -312,8 +275,8 @@ def _tile_sections(entries, body, body_len: int) -> Dict[str, object]:
     return sections
 
 
-def unpack_sections(payload: bytes) -> Dict[str, memoryview]:
-    """Parse a ``MEGISIDX`` container into named section views.
+def unpack_sections(payload: bytes) -> Dict[str, np.ndarray]:
+    """Parse an in-memory ``MEGISIDX`` container into named section views.
 
     Rejects (loudly) anything malformed: wrong magic (including a bare
     legacy ``MEGISKDB`` database payload), unknown versions, a corrupt
@@ -325,7 +288,7 @@ def unpack_sections(payload: bytes) -> Dict[str, memoryview]:
     if toc_start + toc_len > len(payload):
         raise SerializationError("truncated index table of contents")
     entries = _container_entries(bytes(payload[toc_start : toc_start + toc_len]))
-    body = memoryview(payload)[toc_start + toc_len :]
+    body = _as_u8(payload)[toc_start + toc_len :]
     return _tile_sections(entries, body, len(body))
 
 
@@ -334,10 +297,12 @@ def map_sections(path) -> Dict[str, np.ndarray]:
 
     The header and table of contents are read eagerly (they are tiny);
     every section then becomes a ``np.memmap`` slice of the file — same
-    validation as :func:`unpack_sections`, but no section's bytes are
-    loaded until its pages are actually touched.  This is what lets
+    validation and same section type (a ``uint8`` ndarray) as
+    :func:`unpack_sections`, but no section's bytes are loaded until its
+    pages are actually touched.  This is what lets
     :meth:`repro.megis.index.MegisIndex.open` serve databases larger than
-    RAM: the int64 CSR sections are attached as the live caches directly.
+    RAM.  The mapping holds the file's inode, so a file being served must
+    be replaced (``os.replace``), never truncated in place.
     """
     with open(path, "rb") as handle:
         header = handle.read(_INDEX_HEADER.size)

@@ -10,8 +10,9 @@ The owner sets live in two interchangeable representations: per-row
 ``frozenset`` objects (the reference view) and flat CSR columns
 (``owner_columns``, the layout the serialization format persists and the
 columnar backends slice).  Either side can be materialized lazily from the
-other, so an index loaded from flash never rebuilds the columns — and never
-touches per-row Python objects until a reference code path asks for them.
+other; a loaded database's columns are views of the buffer it was parsed
+from (``from_columns`` attaches them verbatim), so it never rebuilds them —
+and never touches per-row Python objects until a reference code path asks.
 ``column_builds`` / ``owner_column_builds`` count cache (re)constructions
 so tests can assert a served database is never rebuilt between queries.
 """
@@ -43,7 +44,7 @@ class SortedKmerDatabase:
     def _init_caches(self) -> None:
         self._column: Optional[np.ndarray] = None
         self._owner_columns: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Deferred owner-column source (memmap-backed multi-shard opens):
+        #: Deferred owner-column source (multi-shard index opens):
         #: invoked — and counted as a build — only if a consumer actually
         #: asks for the stitched columns.
         self._owner_loader: Optional[
@@ -80,26 +81,24 @@ class SortedKmerDatabase:
         owner_taxids: Optional[np.ndarray] = None,
         owner_offsets: Optional[np.ndarray] = None,
         column: Optional[np.ndarray] = None,
-        cast: bool = True,
         owner_loader: Optional[
             Callable[[], Tuple[np.ndarray, np.ndarray]]
         ] = None,
     ) -> "SortedKmerDatabase":
         """Construct straight from persisted CSR columns (no row objects).
 
-        The loaded CSR arrays become the ``owner_columns`` cache directly;
-        per-row owner ``frozenset``s are materialized only if a reference
-        code path asks for them.  ``column``, when given, is the parsed
-        ndarray k-mer column to attach as the cache.  Ordering is
+        The loaded CSR arrays become the ``owner_columns`` cache verbatim
+        (keeping a ``np.memmap``'s type and the on-disk dtype — nothing is
+        copied); per-row owner ``frozenset``s are materialized only if a
+        reference code path asks for them.  ``column``, when given, is the
+        parsed ndarray k-mer column to attach as the cache.  Ordering is
         validated (vectorized when the column is available) — a corrupt
         payload must fail here, not return wrong bisect results later.
 
-        ``cast=False`` attaches the owner arrays verbatim (keeping e.g. a
-        ``np.memmap``'s type and on-disk dtype) instead of copying into
-        ``int64``; ``owner_loader`` defers the columns entirely — they are
+        ``owner_loader`` defers the owner columns entirely — they are
         built (and counted in ``owner_column_builds``) only if a consumer
-        asks, which is how a memmap-backed multi-shard open avoids ever
-        materializing the stitched owner columns on the query path.
+        asks, which is how a multi-shard open avoids ever materializing
+        the stitched owner columns on the query path.
         """
         if (owner_taxids is None) != (owner_offsets is None):
             raise ValueError("owner taxids and offsets must be given together")
@@ -129,11 +128,6 @@ class SortedKmerDatabase:
         db._init_caches()
         if owner_loader is not None:
             db._owner_loader = owner_loader
-        elif cast:
-            db._owner_columns = (
-                np.asarray(owner_taxids, dtype=np.int64),
-                np.asarray(owner_offsets, dtype=np.int64),
-            )
         else:
             db._owner_columns = (owner_taxids, owner_offsets)
         if column is not None:

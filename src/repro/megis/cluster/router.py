@@ -449,10 +449,6 @@ class ClusterRouter(AnalysisGateway):
     def cluster(self) -> ClusterStepTwo:
         return self.session.step_two
 
-    @property
-    def node_health(self) -> Dict[int, NodeHealth]:
-        return self.cluster.health
-
     async def start(self) -> Tuple[str, int]:
         address = await super().start()
         if self.heartbeat_ms is not None:

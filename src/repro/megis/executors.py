@@ -16,7 +16,7 @@ scheduler; the engines themselves ran strictly serially.  An
 - :class:`ProcessExecutor` — a fork-server process pool for the
   Python-heavy work the GIL serializes (Step-3 read mapping / EM).
   Workers are forked *after* the engine state exists — in the serving
-  tier, after ``MegisIndex.open(mmap=True)`` and ``session.warm()`` —
+  tier, after ``MegisIndex.open()`` maps the file and ``session.warm()`` —
   so the memmapped CSR sections and every warmed column are shared
   copy-on-write: zero per-worker index duplication.  A crashed or
   killed worker is respawned and its in-flight task retried once before

@@ -12,9 +12,9 @@ Layout decisions that matter:
 - the sorted database is stored as **one section per SSD shard** (each a
   complete ``MEGISKDB`` CSR payload), so a multi-SSD deployment can load a
   single shard without reading the others (:meth:`MegisIndex.load_shard`);
-  a whole-index :meth:`open` stitches the shard columns back together and
-  re-derives the shard handles as zero-copy
-  :meth:`~repro.databases.sorted_db.SortedKmerDatabase.slice` views;
+  a whole-index open serves the persisted shard count from those
+  per-section databases directly and stitches their k-mer columns into
+  the parent (whose owner CSR is deferred — no query reads it);
 - the KSS is stored as its **per-level CSR blocks** (prefix rows, the
   stored taxID CSR, and the reconstructed full-set CSR), so ``open()``
   rebuilds :meth:`~repro.databases.kss.KssTables.columns` by attaching
@@ -25,6 +25,14 @@ Layout decisions that matter:
   :class:`~repro.databases.sketch.SketchDatabase` reconstructs them lazily
   from the KSS store; only the per-species sketch sizes get a section.
 
+There is one way to open an index: every int column is a dtype view of the
+container's bytes.  :meth:`MegisIndex.open` maps the file (the paper's
+deployment: the database stays in storage, only touched pages become
+resident); :meth:`MegisIndex.from_bytes` runs the same loader over an
+in-memory payload.  An opened file stays mapped for the index's lifetime,
+so :meth:`MegisIndex.save` replaces the file atomically rather than
+truncating it.
+
 :class:`IndexBuilder` is the offline construction step;
 :class:`~repro.megis.session.AnalysisSession` is the serving side.
 """
@@ -32,11 +40,15 @@ Layout decisions that matter:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.databases.kss import KssLevelStore, KssStore, KssTables
 from repro.databases.serialization import (
@@ -77,7 +89,7 @@ class MegisIndex:
         sketch: SketchDatabase,
         references: Optional[ReferenceCollection] = None,
         kss: Optional[KssTables] = None,
-    ):
+    ) -> None:
         if database.k != sketch.k_max:
             raise ValueError(
                 f"sorted database k ({database.k}) must equal sketch k_max "
@@ -88,13 +100,10 @@ class MegisIndex:
         self.references = references
         self._kss = kss
         self._shard_cache: Dict[int, List[DatabaseShard]] = {}
-        #: True when this index was opened with ``mmap=True`` — the CSR
-        #: owner/taxID sections are ``np.memmap`` views of the file.
-        self.mapped = False
 
     @property
     def k(self) -> int:
-        return self.database.k
+        return int(self.database.k)
 
     @property
     def kss(self) -> KssTables:
@@ -176,76 +185,83 @@ class MegisIndex:
             sections["references"] = references_to_fasta(self.references).encode(
                 "utf-8"
             )
-        return pack_sections(sections)
+        payload: bytes = pack_sections(sections)
+        return payload
 
     def save(self, path: Union[str, Path], n_shards: int = 1,
              include_references: bool = True) -> Path:
-        """Write the serialized index to ``path``; returns the path."""
+        """Write the serialized index to ``path``; returns the path.
+
+        The bytes go to a sibling temp file that then replaces ``path``
+        atomically: an index already opened from ``path`` (a running
+        ``repro serve``) keeps the old inode mapped and keeps serving the
+        old world, where truncating in place would change or SIGBUS it.
+        """
         path = Path(path)
-        path.write_bytes(self.to_bytes(n_shards, include_references))
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(self.to_bytes(n_shards, include_references))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "MegisIndex":
-        """Open a serialized index: attach every CSR section as a live cache.
-
-        The shard sections' columns are stitched back into one database
-        (k-mer lists concatenate, owner CSR re-bases) whose
-        :meth:`~repro.databases.sorted_db.SortedKmerDatabase.slice` then
-        re-derives the persisted shard handles as zero-copy views — so the
-        single-SSD and the multi-SSD path both serve straight from the
-        loaded arrays, with no reconstruction on first query.
-        """
-        return cls._from_sections(unpack_sections(payload), mmap=False)
+        """Open an in-memory serialized index (see :meth:`open`)."""
+        return cls._from_sections(unpack_sections(payload))
 
     @classmethod
-    def _from_sections(cls, sections, mmap: bool) -> "MegisIndex":
+    def _from_sections(cls, sections: Sections) -> "MegisIndex":
+        """Attach every section as a live cache (nothing is rebuilt).
+
+        A multi-shard file's shard handles are the per-section databases
+        themselves, each over its own section's owner columns; the
+        stitched parent (k-mer lists concatenate) defers its owner CSR to
+        a loader the query path never calls.  The one shard of a
+        single-shard file is the database itself, which is what
+        ``shards(1)`` wraps.
+        """
         manifest = _manifest(sections)
-        k = int(manifest["k"])
         shard_dbs = [
-            _shard_database(sections, manifest, i, mmap=mmap)
-            for i in range(int(manifest["n_shards"]))
+            _shard_database(sections, manifest, i)
+            for i in range(manifest.n_shards)
         ]
-        database = _concatenate_shards(k, shard_dbs, lazy_owners=mmap)
-        kss = KssTables.from_store(_kss_store(sections, manifest, mmap=mmap))
+        database = _concatenate_shards(manifest.k, shard_dbs)
+        kss = KssTables.from_store(_kss_store(sections, manifest))
         sketch = _lazy_sketch(sections, manifest, kss)
         references = None
-        if manifest.get("has_references"):
+        if manifest.has_references:
             from repro.sequences.io import references_from_fasta
 
             references = references_from_fasta(
-                bytes(sections["references"]).decode("utf-8")
+                bytes(_section(sections, "references")).decode("utf-8")
             )
         index = cls(database, sketch, references, kss=kss)
-        index.mapped = mmap
         if len(shard_dbs) > 1:
-            # (The one shard of a single-shard file is the database
-            # itself, which is what ``shards(1)`` wraps.)  Memmap-opened
-            # shard handles keep their own memmap-backed owner columns
-            # rather than re-slicing the (lazily stitched) parent.
-            index._shard_cache[len(shard_dbs)] = (
-                _mapped_shards(kss, manifest, shard_dbs) if mmap
-                else _rebased_shards(database, kss, manifest, shard_dbs)
+            index._shard_cache[len(shard_dbs)] = _section_shards(
+                kss, manifest, shard_dbs
             )
         return index
 
     @classmethod
-    def open(cls, path: Union[str, Path], mmap: bool = False) -> "MegisIndex":
-        """Open a saved index file (see :meth:`from_bytes`).
+    def open(cls, path: Union[str, Path], mmap: bool = True) -> "MegisIndex":
+        """Open a saved index file: every column is a view of the mapped file.
 
-        ``mmap=True`` attaches the file's int64 CSR sections — the KSS
-        owner/offset columns per level and each shard's database owner CSR
-        — as ``np.memmap`` views instead of loading them, so a database
-        larger than RAM serves queries with only the touched pages
-        resident.  The k-mer/prefix *key* columns (the structures every
-        ``searchsorted`` walks) still materialize; the owner payload,
-        which dominates the index size, stays on flash.  Loaded tables are
-        functionally identical either way — ``KssTables.from_store`` and
-        the shard handles work unchanged on memmap-backed columns.
+        The int CSR sections — the KSS owner/offset columns per level and
+        each shard's database owner CSR — attach as ``np.memmap`` views in
+        their on-disk dtypes, so a database larger than RAM serves queries
+        with only the touched pages resident.  The k-mer/prefix *key*
+        columns (the structures every ``searchsorted`` walks) materialize;
+        the owner payload, which dominates the index size, stays on flash.
+
+        ``mmap=False`` is :meth:`from_bytes` over the file's bytes — the
+        same loader over an in-memory buffer, for a caller that must not
+        hold the file open.
         """
         if not mmap:
             return cls.from_bytes(Path(path).read_bytes())
-        return cls._from_sections(map_sections(Path(path)), mmap=True)
+        return cls._from_sections(map_sections(Path(path)))
 
     @classmethod
     def load_shard(cls, payload: bytes, shard_index: int) -> DatabaseShard:
@@ -258,79 +274,151 @@ class MegisIndex:
         """
         sections = unpack_sections(payload)
         manifest = _manifest(sections)
-        n_shards = int(manifest["n_shards"])
-        if not 0 <= shard_index < n_shards:
+        if not 0 <= shard_index < manifest.n_shards:
             raise SerializationError(
-                f"shard {shard_index} out of range (index has {n_shards})"
+                f"shard {shard_index} out of range (index has {manifest.n_shards})"
             )
-        database = _shard_database(sections, manifest, shard_index)
-        lo, hi = (int(x) for x in manifest["shard_ranges"][shard_index])
+        lo, hi = manifest.shard_ranges[shard_index]
         kss = KssTables.from_store(_kss_store(sections, manifest))
         return DatabaseShard(
-            index=shard_index, lo=lo, hi=hi, database=database,
+            index=shard_index, lo=lo, hi=hi,
+            database=_shard_database(sections, manifest, shard_index),
             kss=kss.slice_range(lo, hi),
         )
 
 
 # -- loading helpers ----------------------------------------------------------
 
+#: What both container sources hand the loader: named ``uint8`` views.
+Sections = Mapping[str, NDArray[np.uint8]]
 
-def _manifest(sections: Dict[str, memoryview]) -> dict:
-    if "manifest" not in sections:
-        raise SerializationError("index is missing its manifest section")
+
+@dataclass(frozen=True)
+class _Manifest:
+    """The validated ``manifest`` section (``k`` is also the KSS ``k_max``)."""
+
+    k: int
+    smaller_ks: Tuple[int, ...]
+    n_shards: int
+    shard_ranges: Tuple[Tuple[int, int], ...]
+    kss_rows: int
+    kss_level_rows: Dict[int, int]
+    has_references: bool
+
+
+def _manifest(sections: Sections) -> _Manifest:
+    """Parse and validate the manifest: types, counts and range tiling.
+
+    Everything the loader later indexes or sizes an array by is checked
+    here, so a tampered manifest is one :class:`SerializationError`, never
+    a ``KeyError`` / ``TypeError`` from deep inside the column loaders.
+    """
     try:
-        manifest = json.loads(bytes(sections["manifest"]).decode("utf-8"))
+        raw = json.loads(bytes(_section(sections, "manifest")).decode("utf-8"))
     except ValueError as exc:
         raise SerializationError(f"corrupt index manifest: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SerializationError("index manifest is not a JSON object")
+
+    def bad(field: str, want: str) -> SerializationError:
+        return SerializationError(
+            f"index manifest field {field!r} must be {want}, "
+            f"got {raw[field]!r}"
+        )
+
+    def integer(value: object, field: str, want: str, minimum: int) -> int:
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < minimum):
+            raise bad(field, want)
+        return value
+
     for field in ("k", "k_max", "smaller_ks", "n_shards", "shard_ranges",
                   "kss_rows", "kss_level_rows"):
-        if field not in manifest:
+        if field not in raw:
             raise SerializationError(f"index manifest is missing {field!r}")
-    return manifest
+    k = integer(raw["k"], "k", "a positive integer", 1)
+    if raw["k_max"] != k:
+        raise bad("k_max", f"the database k ({k})")
+    if not isinstance(raw["smaller_ks"], list):
+        raise bad("smaller_ks", "a list")
+    want = f"integers descending within ({k}, 0)"
+    smaller_ks = tuple(
+        integer(level, "smaller_ks", want, 1) for level in raw["smaller_ks"]
+    )
+    if any(a <= b for a, b in zip((k,) + smaller_ks, smaller_ks)):
+        raise bad("smaller_ks", want)
+    n_shards = integer(raw["n_shards"], "n_shards", "an integer >= 1", 1)
+    ranges = raw["shard_ranges"]
+    want = f"{n_shards} abutting [lo, hi) pairs ascending from 0 to 4^k"
+    if not isinstance(ranges, list) or len(ranges) != n_shards:
+        raise bad("shard_ranges", want)
+    edge = 0
+    for pair in ranges:
+        if not isinstance(pair, list) or len(pair) != 2 or pair[0] != edge:
+            raise bad("shard_ranges", want)
+        edge = integer(pair[1], "shard_ranges", want, edge)
+    if edge != 1 << (2 * k):
+        raise bad("shard_ranges", want)
+    level_rows = raw["kss_level_rows"]
+    if not isinstance(level_rows, dict) or set(level_rows) != {
+        str(level) for level in smaller_ks
+    }:
+        raise bad("kss_level_rows", "one row count per smaller_ks level")
+    return _Manifest(
+        k=k,
+        smaller_ks=smaller_ks,
+        n_shards=n_shards,
+        shard_ranges=tuple((int(lo), int(hi)) for lo, hi in ranges),
+        kss_rows=integer(raw["kss_rows"], "kss_rows", "an integer >= 0", 0),
+        kss_level_rows={
+            level: integer(level_rows[str(level)], "kss_level_rows",
+                           "non-negative integers", 0)
+            for level in smaller_ks
+        },
+        has_references=raw.get("has_references") is True,
+    )
 
 
-def _section(sections: Dict[str, memoryview], name: str) -> memoryview:
+def _section(sections: Sections, name: str) -> NDArray[np.uint8]:
     if name not in sections:
         raise SerializationError(f"index is missing section {name!r}")
     return sections[name]
 
 
 def _shard_database(
-    sections, manifest, i: int, mmap: bool = False
+    sections: Sections, manifest: _Manifest, i: int
 ) -> SortedKmerDatabase:
-    section = _section(sections, f"db/shard/{i}")
-    if mmap:
-        database = deserialize_database(section, zero_copy=True)
-    else:
-        database = deserialize_database(bytes(section))
-    if database.k != int(manifest["k"]):
+    database = deserialize_database(_section(sections, f"db/shard/{i}"))
+    if database.k != manifest.k:
         raise SerializationError(
-            f"shard {i} has k={database.k}, manifest says k={manifest['k']}"
+            f"shard {i} has k={database.k}, manifest says k={manifest.k}"
         )
     return database
 
 
 def _stitch_owner_columns(
     shard_dbs: Sequence[SortedKmerDatabase],
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
     """Concatenate per-shard owner CSR columns (re-basing the offsets)."""
-    taxid_parts, offset_parts, base = [], [np.zeros(1, dtype=np.int64)], 0
+    taxid_parts: List[NDArray[np.int64]] = []
+    offset_parts: List[NDArray[np.int64]] = [np.zeros(1, dtype=np.int64)]
+    base = 0
     for db in shard_dbs:
         taxids, offsets = db.owner_columns()
         taxid_parts.append(np.asarray(taxids, dtype=np.int64))
-        offset_parts.append(np.asarray(offsets[1:], dtype=np.int64) + base)
+        offset_parts.append(np.asarray(offsets[1:], dtype=np.int64) + np.int64(base))
         base += int(offsets[-1])
     return np.concatenate(taxid_parts), np.concatenate(offset_parts)
 
 
 def _concatenate_shards(
-    k: int, shard_dbs: Sequence[SortedKmerDatabase], lazy_owners: bool = False
+    k: int, shard_dbs: Sequence[SortedKmerDatabase]
 ) -> SortedKmerDatabase:
     """Stitch per-shard column sections into the full database.
 
-    ``lazy_owners`` (the memmap open) defers the owner-column stitch to a
-    loader: the query path never reads the parent's owners, so the memmap
-    views stay the only copy unless a consumer explicitly asks.
+    The owner-column stitch is deferred to a loader: the query path never
+    reads the parent's owners, so the per-section views stay the only copy
+    unless a consumer explicitly asks.
     """
     if len(shard_dbs) == 1:
         return shard_dbs[0]
@@ -348,51 +436,34 @@ def _concatenate_shards(
     column = (
         np.concatenate(columns) if all(c is not None for c in columns) else None
     )
-    if lazy_owners:
-        return SortedKmerDatabase.from_columns(
-            k, kmers, column=column,
-            owner_loader=lambda: _stitch_owner_columns(shard_dbs),
-        )
-    taxids, offsets = _stitch_owner_columns(shard_dbs)
-    return SortedKmerDatabase.from_columns(k, kmers, taxids, offsets, column=column)
+    return SortedKmerDatabase.from_columns(
+        k, kmers, column=column,
+        owner_loader=lambda: _stitch_owner_columns(shard_dbs),
+    )
 
 
-def _rebased_shards(database, kss, manifest, shard_dbs) -> List[DatabaseShard]:
-    """Re-derive the persisted shard handles as slices of the stitched parent."""
-    shards: List[DatabaseShard] = []
-    start = 0
-    for i, (db, (lo, hi)) in enumerate(zip(shard_dbs, manifest["shard_ranges"])):
-        stop = start + len(db)
-        shards.append(DatabaseShard(
-            index=i, lo=int(lo), hi=int(hi),
-            database=database.slice(start, stop),
-        ))
-        start = stop
-    shard_kss(kss, shards)
-    return shards
+def _section_shards(
+    kss: KssTables, manifest: _Manifest, shard_dbs: Sequence[SortedKmerDatabase]
+) -> List[DatabaseShard]:
+    """Shard handles over the per-section databases themselves.
 
-
-def _mapped_shards(kss, manifest, shard_dbs) -> List[DatabaseShard]:
-    """Shard handles over the per-shard databases themselves (memmap open).
-
-    Each shard database already owns its section's memmap-backed owner
-    columns, so the handles serve without touching the lazily-stitched
-    parent; the KSS range slices are memmap views of the store columns.
+    Each shard database already owns its section's owner-column views, so
+    the handles serve without touching the lazily-stitched parent; the KSS
+    range slices are views of the store columns.
     """
     shards = [
-        DatabaseShard(index=i, lo=int(lo), hi=int(hi), database=db)
-        for i, (db, (lo, hi)) in enumerate(
-            zip(shard_dbs, manifest["shard_ranges"])
-        )
+        DatabaseShard(index=i, lo=lo, hi=hi, database=db)
+        for i, (db, (lo, hi)) in enumerate(zip(shard_dbs, manifest.shard_ranges))
     ]
     shard_kss(kss, shards)
     return shards
 
 
-def _load_column(sections, name: str, k: int, rows: int):
-    """One packed k-mer/prefix column as ``(ints, ndarray)``."""
+def _load_column(sections: Sections, name: str, k: int, rows: int) -> NDArray[Any]:
+    """One packed k-mer/prefix column, materialized as a sorted ndarray."""
     from repro.backends.numpy_backend import as_column, column_dtype
 
+    column: Optional[NDArray[Any]]
     values, column = parse_kmer_column(_section(sections, name), k, rows)
     if column is None:
         column = as_column(values, column_dtype(k))
@@ -401,24 +472,18 @@ def _load_column(sections, name: str, k: int, rows: int):
     return column
 
 
-def _i64_column(sections, name: str, mmap: bool) -> np.ndarray:
-    """One persisted int64 column: parsed copy, or a ``np.memmap`` view."""
-    section = _section(sections, name)
-    if mmap and isinstance(section, np.ndarray):
-        if len(section) % 8:
-            raise SerializationError(
-                "int64 column length is not a multiple of 8"
-            )
-        return section.view("<i8")
-    return parse_i64(section)
+def _i64_column(sections: Sections, name: str) -> NDArray[np.int64]:
+    """One persisted int64 column, as a view of its section."""
+    column: NDArray[np.int64] = parse_i64(_section(sections, name))
+    return column
 
 
 def _load_csr(
-    sections, prefix: str, rows: int, mmap: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
+    sections: Sections, prefix: str, rows: int
+) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
     """A ``(taxids, offsets)`` CSR pair, shape-checked against ``rows``."""
-    taxids = _i64_column(sections, f"{prefix}_taxids", mmap)
-    offsets = _i64_column(sections, f"{prefix}_offsets", mmap)
+    taxids = _i64_column(sections, f"{prefix}_taxids")
+    offsets = _i64_column(sections, f"{prefix}_offsets")
     if len(offsets) != rows + 1:
         raise SerializationError(
             f"section {prefix}_offsets has {len(offsets)} entries, "
@@ -434,21 +499,17 @@ def _load_csr(
     return taxids, offsets
 
 
-def _kss_store(sections, manifest, mmap: bool = False) -> KssStore:
-    k_max = int(manifest["k_max"])
-    smaller_ks = tuple(int(k) for k in manifest["smaller_ks"])
-    rows = int(manifest["kss_rows"])
-    kmers = _load_column(sections, "kss/kmers", k_max, rows)
-    taxids, offsets = _load_csr(sections, "kss/kmax", rows, mmap=mmap)
+def _kss_store(sections: Sections, manifest: _Manifest) -> KssStore:
+    kmers = _load_column(sections, "kss/kmers", manifest.k, manifest.kss_rows)
+    taxids, offsets = _load_csr(sections, "kss/kmax", manifest.kss_rows)
     levels: Dict[int, KssLevelStore] = {}
-    for k in smaller_ks:
-        level_rows = int(manifest["kss_level_rows"][str(k)])
+    for k, level_rows in manifest.kss_level_rows.items():
         prefixes = _load_column(sections, f"kss/{k}/prefixes", k, level_rows)
         stored_taxids, stored_offsets = _load_csr(
-            sections, f"kss/{k}/stored", level_rows, mmap=mmap
+            sections, f"kss/{k}/stored", level_rows
         )
         full_taxids, full_offsets = _load_csr(
-            sections, f"kss/{k}/full", level_rows, mmap=mmap
+            sections, f"kss/{k}/full", level_rows
         )
         levels[k] = KssLevelStore(
             prefixes=prefixes,
@@ -458,12 +519,14 @@ def _kss_store(sections, manifest, mmap: bool = False) -> KssStore:
             full_offsets=full_offsets,
         )
     return KssStore(
-        k_max=k_max, smaller_ks=smaller_ks, kmers=kmers,
+        k_max=manifest.k, smaller_ks=manifest.smaller_ks, kmers=kmers,
         taxids=taxids, offsets=offsets, levels=levels,
     )
 
 
-def _lazy_sketch(sections, manifest, kss: KssTables) -> SketchDatabase:
+def _lazy_sketch(
+    sections: Sections, manifest: _Manifest, kss: KssTables
+) -> SketchDatabase:
     """Sketch metadata now, per-level tables only if a consumer asks.
 
     The tables are the same data as the KSS columns (the k_max rows and
@@ -471,8 +534,8 @@ def _lazy_sketch(sections, manifest, kss: KssTables) -> SketchDatabase:
     they are needed only by row-level consumers like the ternary-tree
     baseline, never by the columnar query path.
     """
-    size_taxids = parse_i64(_section(sections, "sketch/taxids"))
-    sizes = parse_i64(_section(sections, "sketch/sizes"))
+    size_taxids = _i64_column(sections, "sketch/taxids")
+    sizes = _i64_column(sections, "sketch/sizes")
     if len(size_taxids) != len(sizes):
         raise SerializationError("sketch size columns disagree in length")
     sketch_sizes = {
@@ -500,10 +563,7 @@ def _lazy_sketch(sections, manifest, kss: KssTables) -> SketchDatabase:
         return tables
 
     return SketchDatabase.from_loader(
-        int(manifest["k_max"]),
-        tuple(int(k) for k in manifest["smaller_ks"]),
-        sketch_sizes,
-        load_tables,
+        manifest.k, manifest.smaller_ks, sketch_sizes, load_tables
     )
 
 

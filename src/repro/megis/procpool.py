@@ -5,8 +5,8 @@ out of threads: Step 1 (k-mer extraction) and mapping-based Step 3 are
 pure-Python loops, so thread workers serialize exactly where the paper's
 pipeline is busiest.  :class:`ProcessAnalysisRunner` moves those phases —
 and the sharded Step-2 kernels — into a :class:`ProcessExecutor` pool
-forked *after* the session is warmed (and, for ``open(mmap=True)``
-indexes, after the CSR sections are memmapped), so every worker shares
+forked *after* the index file is mapped (``MegisIndex.open``) and the
+session warmed, so every worker shares
 the parent's engine state copy-on-write: zero per-worker index
 duplication, verifiable through :meth:`probe_workers` against the
 database's column-build counters.

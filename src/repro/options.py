@@ -171,9 +171,6 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                         default="mapping")
     if execution:
         add_execution_flags(parser)
-    parser.add_argument("--mmap", action="store_true",
-                        help="memory-map the index's CSR sections (serve "
-                             "databases larger than RAM)")
 
 
 def add_gateway_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,9 +243,6 @@ def add_node_flags(parser: argparse.ArgumentParser) -> None:
                         help="reject scatter frames longer than this "
                              "(default: 32 MiB)")
     add_execution_flags(parser, executor=False, ssds=False)
-    parser.add_argument("--mmap", action="store_true",
-                        help="memory-map the index's CSR sections (serve "
-                             "databases larger than RAM)")
 
 
 def add_cluster_flags(parser: argparse.ArgumentParser) -> None:

@@ -6,7 +6,12 @@ tests treat these objects as read-only.
 
 from __future__ import annotations
 
+import os
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
 
 from repro.databases.kraken import KrakenDatabase
 from repro.databases.kss import KssTables
@@ -16,6 +21,14 @@ from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 SKETCH_K = 20
 SMALLER_KS = (12, 8)
+
+# ``tests.strategies`` must import however pytest was started (importlib
+# import mode puts no test directory on sys.path).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import tests.strategies  # noqa: E402,F401  (registers the hypothesis profiles)
+
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

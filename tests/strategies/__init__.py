@@ -1,0 +1,23 @@
+"""Hypothesis strategies shared by the property-based tests.
+
+Re-exports the commonly used names:
+    from tests.strategies import STANDARD_SETTINGS, index_worlds
+"""
+
+from tests.strategies.containers import with_manifest
+from tests.strategies.databases import (
+    IndexWorld,
+    index_worlds,
+    owner_sets,
+    sorted_kmer_databases,
+)
+from tests.strategies.settings import STANDARD_SETTINGS
+
+__all__ = [
+    "STANDARD_SETTINGS",
+    "IndexWorld",
+    "index_worlds",
+    "owner_sets",
+    "sorted_kmer_databases",
+    "with_manifest",
+]

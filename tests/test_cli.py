@@ -140,6 +140,31 @@ class TestUnopenableIndex:
         path.write_bytes(whole.read_bytes()[: whole.stat().st_size // 2])
         return path
 
+    @pytest.fixture(scope="class")
+    def tampered(self, truncated):
+        """A well-formed container whose manifest lies about its shards."""
+        from tests.strategies import with_manifest
+
+        whole = truncated.with_name("whole.megis")
+        path = truncated.with_name("tampered.megis")
+        path.write_bytes(with_manifest(
+            whole.read_bytes(), lambda m: {**m, "n_shards": "two"}))
+        return path
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_tampered_manifest(self, command, dataset, tampered, capsys):
+        assert main(self.COMMANDS[command](dataset, str(tampered))) == 2
+        err = capsys.readouterr().err
+        assert "n_shards" in err and len(err.splitlines()) == 1
+
+    def test_no_command_takes_a_mmap_flag(self, dataset, capsys):
+        """Opening is mapping: the switch is gone, not defaulted."""
+        for command in sorted(self.COMMANDS):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    self.COMMANDS[command](dataset, "x.megis") + ["--mmap"])
+            assert "unrecognized arguments: --mmap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_nonexistent_path(self, command, dataset, tmp_path, capsys):
         missing = str(tmp_path / "nowhere.megis")
@@ -190,7 +215,7 @@ class TestServe:
         )
         code, records, err = self._serve(
             monkeypatch, capsys, index_path, lines,
-            "--workers", "2", "--backend", "numpy", "--mmap",
+            "--workers", "2", "--backend", "numpy",
             "--executor", "threads:2", "--strict-order",
         )
         assert code == 0

@@ -21,17 +21,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
 from repro.databases.serialization import (
     SerializationError,
     deserialize_database,
+    pack_sections,
     serialize_database,
+    unpack_sections,
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.tools.mapping import SpeciesIndex
+from repro.workloads.cami import CamiDiversity, make_cami_sample
+from tests.strategies import STANDARD_SETTINGS, index_worlds, with_manifest
 
 BACKENDS = ("python", "numpy")
 
@@ -79,6 +84,11 @@ class TestRoundTrip:
             assert got.levels[k].taxids.tolist() == want.levels[k].taxids.tolist()
             assert got.levels[k].offsets.tolist() == want.levels[k].offsets.tolist()
 
+    def test_kss_size_equal_built(self, opened, kss_tables):
+        # One formula (over the store) for a built and a reloaded table.
+        assert opened.kss.size_bytes() == kss_tables.size_bytes()
+        assert len(opened.kss) == len(kss_tables)
+
     def test_kss_rows_lazy_and_equal(self, payload, kss_tables):
         fresh = MegisIndex.from_bytes(payload)
         assert fresh.kss.row_materializations == 0
@@ -92,11 +102,21 @@ class TestRoundTrip:
         assert fresh.sketch._tables is None  # not materialized by loading
         assert fresh.sketch.tables == sketch_db.tables
 
-    def test_saved_shards_rebased_on_parent(self, opened):
-        column = opened.database.column()
-        for shard in opened.shards(3):
-            shard_column = shard.database.column()
-            assert len(shard_column) == 0 or shard_column.base is column
+    def test_saved_shards_are_the_section_databases(self, payload):
+        """The persisted shard count is served by the per-section databases
+        themselves — their owner columns are views of their own sections,
+        so reading them never stitches the parent's."""
+        fresh = MegisIndex.from_bytes(payload)
+        start = 0
+        for shard in fresh.shards(3):
+            taxids, offsets = shard.database.owner_columns()
+            assert taxids.base is not None and offsets.base is not None
+            assert shard.database.owner_column_builds == 0
+            stop = start + len(shard.database)
+            assert shard.database.kmers == fresh.database.kmers[start:stop]
+            start = stop
+        assert start == len(fresh.database)
+        assert fresh.database.owner_column_builds == 0
 
     def test_references_roundtrip(self, opened, references):
         assert opened.references.species_taxids == references.species_taxids
@@ -126,6 +146,234 @@ class TestRoundTrip:
         fresh = AnalysisSession(index).analyze(sample.reads)
         assert served.candidates == fresh.candidates
         assert served.profile.fractions == fresh.profile.fractions
+
+
+def _store_columns(index, n_shards):
+    """Every persisted column of an index saved with ``n_shards``, by name."""
+    store = index.kss.store()
+    columns = {"kss/kmers": store.kmers, "kss/taxids": store.taxids,
+               "kss/offsets": store.offsets}
+    for k, level in store.levels.items():
+        for field in dataclasses.fields(level):
+            columns[f"kss/{k}/{field.name}"] = getattr(level, field.name)
+    for shard in index.shards(n_shards):
+        taxids, offsets = shard.database.owner_columns()
+        columns[f"db/{shard.index}/kmers"] = shard.database.column()
+        columns[f"db/{shard.index}/taxids"] = taxids
+        columns[f"db/{shard.index}/offsets"] = offsets
+    return columns
+
+
+class TestSectionSources:
+    """``from_bytes(payload)`` and ``open(path)`` are one loader over two
+    buffers: nothing but the buffer's type may differ."""
+
+    @pytest.fixture(scope="class")
+    def by_source(self, payload, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sources") / "world.megis"
+        path.write_bytes(payload)
+        return {"from_bytes": MegisIndex.from_bytes(payload),
+                "open": MegisIndex.open(path)}
+
+    def test_columns_equal_in_value_and_dtype(self, by_source):
+        got, want = (
+            _store_columns(by_source[s], 3) for s in ("open", "from_bytes")
+        )
+        assert set(got) == set(want)
+        for name, column in want.items():
+            assert got[name].dtype == column.dtype, name
+            assert np.array_equal(got[name], column), name
+        assert got["db/0/taxids"].dtype == np.dtype("<u4")
+        assert got["db/0/offsets"].dtype == np.dtype("<u8")
+        assert got["kss/taxids"].dtype == np.dtype("<i8")
+
+    @pytest.mark.parametrize("source", ["from_bytes", "open"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shard_ranges_equal_built(self, by_source, index, source, n):
+        got, want = by_source[source].shards(n), index.shards(n)
+        assert [(s.lo, s.hi) for s in got] == [(s.lo, s.hi) for s in want]
+        for mine, theirs in zip(got, want):
+            assert mine.database.kmers == theirs.database.kmers
+
+    @pytest.mark.parametrize("source", ["from_bytes", "open"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_serves_reference_results_from_the_sections(
+        self, by_source, index, sample, source, backend
+    ):
+        """Bit-identical to the ``python`` reference over the built index,
+        with the persisted shard handles serving from their own sections
+        (the stitched parent's owner CSR is never built)."""
+        halves = [sample.reads[:200], sample.reads[200:]]
+        want = AnalysisSession(
+            index, MegisConfig(backend="python", n_ssds=3)
+        ).analyze_batch(halves)
+        served = by_source[source]
+        got = AnalysisSession(
+            served, MegisConfig(backend=backend, n_ssds=3)
+        ).analyze_batch(halves)
+        for mine, theirs in zip(got, want):
+            assert mine.intersecting_kmers == theirs.intersecting_kmers
+            assert mine.sketch_hits == theirs.sketch_hits
+            assert mine.candidates == theirs.candidates
+            assert mine.profile.fractions == theirs.profile.fractions
+        assert served.database.owner_column_builds == 0
+        for shard in served.shards(3):
+            assert shard.database.owner_column_builds == 0
+
+
+def _cut(manifest):
+    """The shared edge of a two-shard manifest's ranges."""
+    return manifest["shard_ranges"][0][1]
+
+
+def _top(manifest):
+    return manifest["shard_ranges"][1][1]
+
+
+class TestManifestValidation:
+    """A manifest whose keys exist but whose values lie is one
+    ``SerializationError`` — at the parent each row was a ``KeyError`` /
+    ``TypeError`` / bare ``ValueError`` from a column loader, or (the short
+    ``shard_ranges``) no error at all.  Each row maps the two-shard
+    fixture's manifest to the one written instead."""
+
+    TAMPERINGS = {
+        "level_rows_entry_dropped": lambda m: {
+            **m, "kss_level_rows": {"8": m["kss_level_rows"]["8"]}},
+        "level_rows_negative": lambda m: {
+            **m, "kss_level_rows": {**m["kss_level_rows"], "8": -3}},
+        "n_shards_not_an_int": lambda m: {**m, "n_shards": "two"},
+        "n_shards_zero": lambda m: {**m, "n_shards": 0},
+        "k_null": lambda m: {**m, "k": None},
+        "k_disagrees_with_k_max": lambda m: {**m, "k_max": m["k"] + 1},
+        "smaller_ks_not_a_list": lambda m: {**m, "smaller_ks": 5},
+        "smaller_ks_beyond_k": lambda m: {**m, "smaller_ks": [40, 12]},
+        "smaller_ks_not_descending": lambda m: {**m, "smaller_ks": [8, 12]},
+        "kss_rows_negative": lambda m: {**m, "kss_rows": -1},
+        "shard_ranges_short": lambda m: {
+            **m, "shard_ranges": m["shard_ranges"][:1]},
+        "shard_ranges_gap": lambda m: {
+            **m, "shard_ranges": [[0, _cut(m)], [_cut(m) + 1, _top(m)]]},
+        "shard_ranges_inverted": lambda m: {
+            **m, "shard_ranges": [[0, -4], [-4, _top(m)]]},
+        "shard_ranges_stop_early": lambda m: {
+            **m, "shard_ranges": [[0, _cut(m)], [_cut(m), _cut(m)]]},
+        "shard_ranges_not_pairs": lambda m: {**m, "shard_ranges": [0, 1]},
+        "manifest_not_an_object": lambda m: [1, 2],
+    }
+
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    def test_tampered_manifest_rejected(self, index, tmp_path, tampering):
+        payload = with_manifest(index.to_bytes(n_shards=2),
+                                self.TAMPERINGS[tampering])
+        path = tmp_path / "tampered.megis"
+        path.write_bytes(payload)
+        for load in (lambda: MegisIndex.from_bytes(payload),
+                     lambda: MegisIndex.open(path),
+                     lambda: MegisIndex.load_shard(payload, 0)):
+            with pytest.raises(SerializationError, match="manifest"):
+                load()
+
+
+class TestSaveReplacesAtomically:
+    def test_open_index_survives_a_save_over_its_path(self, tmp_path, index,
+                                                      sample):
+        """``save`` over a path a live index has mapped must not disturb it
+        (an in-place truncate would SIGBUS or swap its columns): the first
+        index keeps serving its world, a fresh open serves the new one."""
+        path = index.save(tmp_path / "a.megis", n_shards=2)
+        first = MegisIndex.open(path)
+        config = MegisConfig(backend="numpy", abundance_method="statistical")
+        before = AnalysisSession(first, config).analyze(sample.reads)
+
+        other = make_cami_sample(CamiDiversity.LOW, n_reads=120, n_genera=2,
+                                 species_per_genus=2, genome_length=900, seed=23)
+        new_world = IndexBuilder(k=20).build(other.references)
+        new_world.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.megis"]
+
+        after = AnalysisSession(first, config).analyze(sample.reads)
+        assert after.intersecting_kmers == before.intersecting_kmers
+        assert after.candidates == before.candidates
+        assert after.profile.fractions == before.profile.fractions
+        assert first.database.kmers == index.database.kmers
+
+        reopened = MegisIndex.open(path)
+        assert reopened.database.kmers == new_world.database.kmers
+        served = AnalysisSession(reopened, config).analyze(other.reads)
+        fresh = AnalysisSession(new_world, config).analyze(other.reads)
+        assert served.candidates == fresh.candidates
+        assert served.profile.fractions == fresh.profile.fractions
+
+
+def _assert_same_index(got, want, n_shards, query):
+    got_columns = _store_columns(got, n_shards)
+    want_columns = _store_columns(want, n_shards)
+    assert set(got_columns) == set(want_columns)
+    for name, column in want_columns.items():
+        assert got_columns[name].tolist() == column.tolist(), name
+    assert got.database.kmers == want.database.kmers
+    assert got.sketch.sketch_sizes == want.sketch.sketch_sizes
+    hits = want.database.intersect(query)
+    assert got.database.intersect(query) == hits
+    assert got.kss.retrieve(hits) == want.kss.retrieve(hits)
+    assert (get_backend("numpy").retrieve(got.kss, hits)
+            == want.kss.retrieve(hits))
+
+
+class TestContainerProperties:
+    """Generated databases through the container (ROADMAP item 5)."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("generated")
+
+    @given(world=index_worlds(), n_shards=st.integers(min_value=1, max_value=4))
+    @STANDARD_SETTINGS
+    def test_round_trips_through_both_sources(self, scratch, world, n_shards):
+        built = world.index
+        payload = built.to_bytes(n_shards=n_shards)
+        _assert_same_index(MegisIndex.from_bytes(payload), built, n_shards,
+                           world.query)
+        # Same path every example: each save replaces a file the previous
+        # example's index may still hold mapped.
+        path = built.save(scratch / "world.megis", n_shards=n_shards)
+        assert path.read_bytes() == payload
+        _assert_same_index(MegisIndex.open(path), built, n_shards, world.query)
+
+    @given(world=index_worlds(), n_shards=st.integers(min_value=1, max_value=3),
+           data=st.data())
+    @STANDARD_SETTINGS
+    def test_corruption_is_a_serialization_error(self, scratch, world, n_shards,
+                                                 data):
+        """Every truncation fails; a flipped header / TOC / manifest byte
+        fails or (a flip JSON does not mind) still opens — and nothing
+        ever escapes as another exception type, from either source."""
+        payload = world.index.to_bytes(n_shards=n_shards)
+        # (The manifest is the first section, right behind header and TOC.)
+        manifest_end = (len(payload) - sum(
+            len(view) for name, view in unpack_sections(payload).items()
+            if name != "manifest"
+        ))
+        path = scratch / "corrupt.megis"
+
+        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        path.write_bytes(payload[:cut])
+        with pytest.raises(SerializationError):
+            MegisIndex.from_bytes(payload[:cut])
+        with pytest.raises(SerializationError):
+            MegisIndex.open(path)
+
+        at = data.draw(st.integers(min_value=0, max_value=manifest_end - 1))
+        flipped = bytearray(payload)
+        flipped[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+        path.write_bytes(flipped)
+        for load in (lambda: MegisIndex.from_bytes(bytes(flipped)),
+                     lambda: MegisIndex.open(path)):
+            try:
+                load()
+            except SerializationError:
+                pass
 
 
 class TestServedEquivalence:
@@ -271,11 +519,8 @@ class TestZeroReconstruction:
 
 class TestLegacyAndCorruption:
     def test_legacy_database_payload_still_loads(self, sorted_db):
-        for layout in ("csr", "interleaved"):
-            loaded = deserialize_database(
-                serialize_database(sorted_db, layout=layout)
-            )
-            assert loaded.kmers == sorted_db.kmers
+        loaded = deserialize_database(serialize_database(sorted_db))
+        assert loaded.kmers == sorted_db.kmers
 
     def test_bare_database_payload_rejected_with_hint(self, sorted_db):
         with pytest.raises(SerializationError, match="bare k-mer database"):
@@ -308,8 +553,6 @@ class TestLegacyAndCorruption:
             MegisIndex.from_bytes(bytes(corrupt))
 
     def test_missing_section_rejected(self, index):
-        from repro.databases.serialization import pack_sections, unpack_sections
-
         sections = {
             name: bytes(view)
             for name, view in unpack_sections(index.to_bytes()).items()
@@ -329,8 +572,6 @@ class TestLegacyAndCorruption:
             deserialize_database(bytes(payload))
 
     def test_misordered_shard_sections_rejected(self, index):
-        from repro.databases.serialization import pack_sections, unpack_sections
-
         sections = {
             name: bytes(view)
             for name, view in unpack_sections(index.to_bytes(n_shards=3)).items()
@@ -342,11 +583,7 @@ class TestLegacyAndCorruption:
             MegisIndex.from_bytes(pack_sections(sections))
 
     def test_inconsistent_csr_rejected(self, index):
-        from repro.databases.serialization import (
-            pack_i64,
-            pack_sections,
-            unpack_sections,
-        )
+        from repro.databases.serialization import pack_i64
 
         sections = {
             name: bytes(view)

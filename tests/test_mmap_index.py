@@ -1,11 +1,13 @@
-"""Memmap-backed index opening: np.memmap CSR columns, zero materialization.
+"""Opening an index file maps it: np.memmap CSR columns, zero materialization.
 
-``MegisIndex.open(mmap=True)`` must attach the persisted int64 CSR
-sections — the KSS owner/offset columns per level and each shard's
-database owner CSR — as ``np.memmap`` views of the file, serve queries
-bit-identically to a fully-loaded open, and never stitch or copy the
-owner payload unless a consumer explicitly asks for it (asserted via the
-``owner_column_builds`` counter and memmap type checks).
+``MegisIndex.open`` must attach the persisted int CSR sections — the KSS
+owner/offset columns per level and each shard's database owner CSR — as
+``np.memmap`` views of the file, serve queries bit-identically to the
+same loader over an in-memory payload (``from_bytes``), and never stitch
+or copy the owner payload unless a consumer explicitly asks for it
+(asserted via the ``owner_column_builds`` counter and memmap type checks).
+The source-independent contract (equal dtypes, ranges and results from
+either section source) lives in ``tests/test_index.py::TestSectionSources``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def index_path(tmp_path_factory, sorted_db, sketch_db, references):
 
 @pytest.fixture()
 def mapped(index_path):
-    return MegisIndex.open(index_path, mmap=True)
+    return MegisIndex.open(index_path)
 
 
 def _is_memmap_view(array) -> bool:
@@ -42,7 +44,6 @@ def _is_memmap_view(array) -> bool:
 
 class TestMemmapAttachment:
     def test_kss_csr_sections_are_memmap_views(self, mapped):
-        assert mapped.mapped is True
         store = mapped.kss.store()
         assert isinstance(store.taxids, np.memmap)
         assert isinstance(store.offsets, np.memmap)
@@ -74,10 +75,13 @@ class TestMemmapAttachment:
         queries = [kmer for kmer, _ in expected.entries][:50]
         assert sliced.retrieve(queries) == expected.retrieve(queries)
 
-    def test_default_open_is_not_mapped(self, index_path):
-        opened = MegisIndex.open(index_path)
-        assert opened.mapped is False
-        assert not isinstance(opened.kss.store().taxids, np.memmap)
+    def test_default_open_is_mapped(self, index_path):
+        """Opening *is* mapping; ``mmap=False`` is ``from_bytes`` over the
+        file's bytes — same views, of a buffer instead of the file."""
+        assert isinstance(MegisIndex.open(index_path).kss.store().taxids, np.memmap)
+        in_memory = MegisIndex.open(index_path, mmap=False).kss.store().taxids
+        assert not _is_memmap_view(in_memory)
+        assert in_memory.base is not None and not in_memory.flags.writeable
 
 
 class TestMemmapServing:
@@ -88,8 +92,9 @@ class TestMemmapServing:
                                     method, n_ssds):
         config = MegisConfig(backend=backend, abundance_method=method,
                              n_ssds=n_ssds)
-        expected = AnalysisSession(MegisIndex.open(index_path),
-                                   config).analyze(sample.reads)
+        expected = AnalysisSession(
+            MegisIndex.from_bytes(index_path.read_bytes()), config
+        ).analyze(sample.reads)
         got = AnalysisSession(mapped, config).analyze(sample.reads)
         assert got.intersecting_kmers == expected.intersecting_kmers
         assert got.sketch_hits == expected.sketch_hits
@@ -113,16 +118,18 @@ class TestMemmapServing:
         for shard in mapped.shards(3):
             assert shard.database.owner_column_builds == 0
 
-    def test_explicit_owner_access_materializes_once(self, index_path):
+    def test_explicit_owner_access_materializes_once(self, index_path,
+                                                     sorted_db):
         mapped = MegisIndex.open(index_path, mmap=True)
-        eager = MegisIndex.open(index_path)
         taxids, offsets = mapped.database.owner_columns()
         assert mapped.database.owner_column_builds == 1
-        expected_taxids, expected_offsets = eager.database.owner_columns()
+        expected_taxids, expected_offsets = sorted_db.owner_columns()
         assert np.array_equal(taxids, expected_taxids)
         assert np.array_equal(offsets, expected_offsets)
         kmer = mapped.database.kmers[len(mapped.database) // 2]
-        assert mapped.database.owners_of(kmer) == eager.database.owners_of(kmer)
+        assert mapped.database.owners_of(kmer) == sorted_db.owners_of(kmer)
+        mapped.database.owner_columns()
+        assert mapped.database.owner_column_builds == 1
 
 
 class TestMapSectionsErrors:

@@ -22,6 +22,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.megis.executors import (
@@ -260,7 +261,7 @@ class TestProcessBackedSession:
         path = tmp_path / "world.megis"
         process_world.save(path)
         index = MegisIndex.open(path, mmap=True)
-        assert index.mapped
+        assert isinstance(index.kss.store().taxids, np.memmap)
         with AnalysisSession(
             index, MegisConfig(abundance_method="statistical",
                                backend="numpy", executor="processes:2"),

@@ -1,5 +1,6 @@
 """Tests for the on-flash database format and the offline builder."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,26 +90,19 @@ class TestCsrOwnerLayout:
         _, _, flags, _ = struct.unpack_from("<8sHHI", payload, 0)
         assert flags == 3  # FLAG_OWNERS | FLAG_CSR
 
-    def test_interleaved_layout_roundtrips(self, sorted_db):
-        payload = serialize_database(sorted_db, layout="interleaved")
-        loaded = deserialize_database(payload)
-        assert loaded.kmers == sorted_db.kmers
-        for kmer in sorted_db.kmers[:50]:
-            assert loaded.owners_of(kmer) == sorted_db.owners_of(kmer)
+    def test_per_record_owner_layout_rejected(self, sorted_db):
+        # Flag bit 0 alone was the per-record owner layout; its reader is
+        # gone, so such a payload must be refused, not misparsed as CSR.
+        payload = bytearray(serialize_database(sorted_db))
+        payload[10] = 1
+        with pytest.raises(SerializationError, match="owner layout"):
+            deserialize_database(bytes(payload))
 
-    def test_layouts_agree(self, sorted_db):
-        csr = deserialize_database(serialize_database(sorted_db, layout="csr"))
-        inter = deserialize_database(
-            serialize_database(sorted_db, layout="interleaved")
-        )
-        assert csr.kmers == inter.kmers
-        assert all(
-            csr.owners_of(x) == inter.owners_of(x) for x in sorted_db.kmers[:50]
-        )
-
-    def test_unknown_layout_rejected(self, sorted_db):
-        with pytest.raises(ValueError):
-            serialize_database(sorted_db, layout="columnar")
+    def test_owner_columns_are_views_in_on_disk_dtypes(self, sorted_db):
+        loaded = deserialize_database(serialize_database(sorted_db))
+        taxids, offsets = loaded.owner_columns()
+        assert (taxids.dtype, offsets.dtype) == (np.dtype("<u4"), np.dtype("<u8"))
+        assert taxids.base is not None and offsets.base is not None
 
     def test_deserialized_csr_cache_attached(self, sorted_db):
         loaded = deserialize_database(serialize_database(sorted_db))
@@ -138,12 +132,9 @@ class TestCsrOwnerLayout:
             )
 
     def test_csr_roundtrip_beyond_255_owners(self):
-        # The legacy interleaved layout caps owners per k-mer at u8; the
-        # CSR offsets column removes the cap.
+        # The CSR offsets column puts no u8 cap on owners per k-mer.
         owners = [frozenset(range(1, 300))]
         db = SortedKmerDatabase(12, [7], owners)
-        with pytest.raises(SerializationError):
-            serialize_database(db, layout="interleaved")
         loaded = deserialize_database(serialize_database(db))
         assert loaded.owners_of(7) == owners[0]
 
