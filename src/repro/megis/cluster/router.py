@@ -375,10 +375,8 @@ class ClusterAnalysisSession:
             )
         self.session = session
         self.step_two = step_two
-        #: The service's session contract: no stateful functional SSD,
-        #: no forked worker pool.
+        #: The service's session contract: no stateful functional SSD.
         self.ssd = None
-        self._process_workers = None
 
     @property
     def config(self) -> Any:

@@ -14,7 +14,9 @@ scheduler; the engines themselves ran strictly serially.  An
   streams release the GIL, so per-shard Step-2 work genuinely overlaps
   in wall-clock time.
 - :class:`ProcessExecutor` — a fork-server process pool for the
-  Python-heavy work the GIL serializes (Step-3 read mapping / EM).
+  Python-heavy work the GIL serializes (Step-1 extraction, Step-3 read
+  mapping / EM): the serving tier runs whole analyses in it
+  (:mod:`repro.megis.procpool`), never per-shard Step-2 tasks.
   Workers are forked *after* the engine state exists — in the serving
   tier, after ``MegisIndex.open()`` maps the file and ``session.warm()`` —
   so the memmapped CSR sections and every warmed column are shared
@@ -243,7 +245,7 @@ class _PoolTask:
     args: tuple
     kwargs: dict
     future: Future
-    #: Pin to one worker index (shard ownership), or ``None`` for any.
+    #: Pin to one worker index, or ``None`` for any.
     worker: Optional[int] = None
     attempts: int = 0
 
@@ -277,7 +279,7 @@ class ProcessExecutor(Executor):
     fresh fork and retries the in-flight task once; a second death fails
     the task's future with :class:`WorkerCrashed` while every other
     queued task proceeds on the respawned worker.  :meth:`submit_to`
-    pins a task to one worker index — shard-per-process ownership.
+    pins a task to one worker index (how every worker gets probed).
     """
 
     #: One automatic retry per task after a worker crash.
@@ -371,7 +373,7 @@ class ProcessExecutor(Executor):
     def submit_to(
         self, worker: int, fn: Callable[..., R], /, *args, **kwargs
     ) -> "Future[R]":
-        """Schedule one task pinned to worker ``worker`` (shard ownership)."""
+        """Schedule one task pinned to worker ``worker``."""
         if not 0 <= worker < self._workers:
             raise ValueError(
                 f"worker index {worker} out of range [0, {self._workers})"

@@ -16,10 +16,11 @@ per-shard results in ascending range order, and
 only way anything in :mod:`repro.megis` reaches a backend kernel.  A
 single SSD is the one-shard list (:func:`whole_shard`: the parent
 database and KSS themselves under the range ``[0, 4^k)``) and a single
-sample the one-sample batch, so the session's local Step-2 stage, the
-engines here and in :mod:`repro.megis.isp`, the pinned worker task of
-:mod:`repro.megis.procpool`, and a cluster node's
-:meth:`~repro.megis.session.AnalysisSession.step_two_partial` all call it.
+sample the one-sample batch, so the session's local Step-2 stage (in the
+serving process or in a forked ``processes:N`` worker, which is that
+session), the engines here and in :mod:`repro.megis.isp`, and a cluster
+node's :meth:`~repro.megis.session.AnalysisSession.step_two_partial` all
+call it.
 Shard databases are positional column slices of the parent (sharing its
 ndarray cache as zero-copy views), so sharding adds no host-side
 per-element work.
@@ -50,7 +51,12 @@ from repro.backends import (
 from repro.backends.base import clip_buckets
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import ExecutorSpec, get_executor
+from repro.megis.executors import (
+    Executor,
+    ExecutorSpec,
+    ProcessExecutor,
+    get_executor,
+)
 
 #: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
 StepTwoResult = Tuple[List[int], RetrievalResult]
@@ -210,6 +216,24 @@ def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:
     ]
 
 
+def shard_executor(spec: ExecutorSpec) -> Executor:
+    """Resolve the executor for the per-shard Step-2 tasks.
+
+    Serial or threaded only: a shard task closes over its batch's
+    buckets, which cannot cross a process pipe, so a process pool is
+    refused here — before anything forks — for every Step-2 entry point.
+    """
+    executor: Executor = get_executor(spec)
+    if isinstance(executor, ProcessExecutor):
+        raise ValueError(
+            "Step-2 shard tasks cannot run in a process pool (their "
+            "closures cannot cross a pipe); for out-of-process analysis use "
+            "AnalysisSession(executor=\"processes[:N]\"), which forks the "
+            "warmed session"
+        )
+    return executor
+
+
 def step_two_over_shards(
     backend: StepTwoBackend,
     shards: Sequence[DatabaseShard],
@@ -227,7 +251,7 @@ def step_two_over_shards(
     def shard_task(shard: DatabaseShard) -> Tuple[List[StepTwoResult], PhaseTimings]:
         return shard_step_two(backend, shard, sample_buckets, channels)
 
-    outcomes = get_executor(executor).map_ordered(shard_task, shards)
+    outcomes = shard_executor(executor).map_ordered(shard_task, shards)
     timings = PhaseTimings(backend=backend.name)
     for _, shard_timings in outcomes:
         timings.merge(shard_timings)
@@ -264,7 +288,7 @@ class MultiSsdStepTwo:
                  shards: Optional[Sequence[DatabaseShard]] = None,
                  executor: ExecutorSpec = None) -> None:
         self._backend = get_backend(backend)
-        self._executor = get_executor(executor)
+        self._executor = shard_executor(executor)
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")
         if shards is None:

@@ -46,12 +46,14 @@ wall time) and :class:`ServiceStats` aggregates them.
 
 A *process-backed* session (``executor="processes[:N]"``) changes the
 execution substrate, not the service contract: ``session.warm()`` at
-construction forks the worker pool (after any memmapping), the service's
-threads dispatch batches into it, and every streaming knob above keeps
-its semantics.  Crash handling composes the same way — a worker that dies
-mid-batch is respawned and the batch retried once inside the pool; if the
-retry also dies, :meth:`_run_batch`'s existing failure path turns the
-resulting :class:`~repro.megis.executors.WorkerCrashed` into a structured
+construction forks the warmed session N times, each service thread's
+``analyze_batch`` runs one whole batch in one forked worker, and every
+streaming knob above keeps its semantics (give the service as many
+threads as the pool has workers to keep them all busy).  Crash handling
+composes the same way — a worker that dies mid-batch is respawned and
+the batch retried once inside the pool; if the retry also dies,
+:meth:`_run_batch`'s existing failure path turns the resulting
+:class:`~repro.megis.executors.WorkerCrashed` into a structured
 per-request error on the completion stream while every queued sample
 proceeds on the respawned worker.
 
@@ -540,11 +542,6 @@ class AnalysisService:
                 self._state.notify_all()
         if batch:
             self._run_batch(batch)
-
-    @property
-    def process_backed(self) -> bool:
-        """True when batches dispatch into the session's forked worker pool."""
-        return self.session._process_workers is not None
 
     def _run_batch(self, batch: List[_Request]) -> None:
         samples = [request.reads for request in batch]

@@ -58,7 +58,7 @@ from repro.backends import (
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
-from repro.megis.executors import ExecutorSpec, parse_spec
+from repro.megis.executors import Executor, ExecutorSpec, parse_spec
 from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
@@ -66,6 +66,7 @@ from repro.megis.multissd import (
     DatabaseShard,
     MultiSsdStepTwo,
     StepTwoResult,
+    shard_executor,
     step_two_over_shards,
     warm_shards,
     whole_range,
@@ -116,10 +117,10 @@ class MegisConfig:
     #: Execution policy for Step-2 shard tasks
     #: (:mod:`repro.megis.executors`): ``None``/"serial" runs inline,
     #: "threads" / "threads:N" dispatches on a thread pool, and
-    #: "processes" / "processes:N" forks an analysis worker pool at
-    #: :meth:`AnalysisSession.warm` time (shard-per-process Step 2 plus
-    #: out-of-GIL Steps 1/3).  Results are bit-identical across
-    #: policies; only wall-clock overlap changes.
+    #: "processes" / "processes:N" forks the warmed session N times at
+    #: :meth:`AnalysisSession.warm` time, one whole batch per worker.
+    #: Results are bit-identical across policies; only wall-clock
+    #: overlap changes.
     executor: Optional[str] = None
 
     def __post_init__(self):
@@ -237,34 +238,27 @@ class AnalysisSession:
         self.config = config
         if self._backend_spec is None:
             self._backend_spec = config.backend
-        #: Executor instance or spec handed to the engines; an Executor
-        #: object passes through, a string spec comes from the config.
-        self._executor_spec: ExecutorSpec = (
+        spec: ExecutorSpec = (
             executor if executor is not None and not isinstance(executor, str)
             else config.executor
         )
         #: Process-backed serving (the fork-after-mmap tier): a
         #: "processes[:N]" spec is consumed here rather than handed to
         #: the engines — :meth:`warm` forks a
-        #: :class:`~repro.megis.procpool.ProcessAnalysisRunner` pool and
-        #: the engines inside each forked worker run serial.
+        #: :class:`~repro.megis.procpool.ProcessAnalysisRunner` pool whose
+        #: workers are this session, running serial.
         self._process_workers: Optional[int] = None
         self._runner: Optional["ProcessAnalysisRunner"] = None
-        if isinstance(self._executor_spec, str):
-            family, workers = parse_spec(self._executor_spec)
+        if isinstance(spec, str):
+            family, workers = parse_spec(spec)
             if family == "processes":
                 self._process_workers = workers or (os.cpu_count() or 1)
-                self._executor_spec = None
-        elif self._executor_spec is not None:
-            from repro.megis.executors import ProcessExecutor
-
-            if isinstance(self._executor_spec, ProcessExecutor):
-                raise ValueError(
-                    "pass executor='processes[:N]' rather than a "
-                    "ProcessExecutor instance: the session must own the "
-                    "fork point, and the kernel's per-shard closures "
-                    "cannot cross a process pipe"
-                )
+                spec = None
+        #: The per-shard Step-2 executor, resolved once for the session's
+        #: lifetime; :meth:`close` shuts it down when it was built here
+        #: from a spec string (a caller's instance is the caller's).
+        self._executor: Executor = shard_executor(spec)
+        self._owns_executor = isinstance(spec, str)
         if self._process_workers is not None and ssd is not None:
             raise ValueError(
                 "a functional-SSD session is stateful (serial command "
@@ -347,7 +341,7 @@ class AnalysisSession:
                     self._isp = IspStepTwo(
                         self.database, self.kss, n_channels=self._n_channels,
                         backend=self._backend_spec,
-                        executor=self._executor_spec,
+                        executor=self._executor,
                     )
         return self._isp
 
@@ -363,7 +357,7 @@ class AnalysisSession:
                     self._multissd = MultiSsdStepTwo(
                         kss=self.kss, channels_per_ssd=self._n_channels,
                         backend=self._backend_spec,
-                        executor=self._executor_spec,
+                        executor=self._executor,
                         shards=self.index.shards(self.config.n_ssds),
                     )
         return self._multissd
@@ -424,15 +418,19 @@ class AnalysisSession:
         return self
 
     def close(self) -> None:
-        """Shut down the forked worker pool, if one exists.
+        """Shut down the forked worker pool and the session's own shard
+        executor, if they exist.
 
-        Safe on any session; a process-backed session re-forks on the
-        next :meth:`warm` / analysis call after closing.
+        Safe on any session, and not terminal: a process-backed session
+        re-forks on the next :meth:`warm` / analysis call after closing,
+        a threaded one restarts its pool on the next Step 2.
         """
         with self._lock:
             runner, self._runner = self._runner, None
         if runner is not None:
             runner.close()
+        if self._owns_executor:
+            self._executor.shutdown()
 
     def __enter__(self) -> "AnalysisSession":
         return self
@@ -516,51 +514,17 @@ class AnalysisSession:
         )
         with self._isp_buffers():
             step_two_results = step_two(bucket_sets, batch_timings)
-        results = self._batch_results(bucket_sets, extract_ms, batch_timings)
 
-        # Candidates, then Step 3 (mapping or lightweight statistics).
-        for result, reads, (intersecting, retrieved) in zip(
-            results, samples, step_two_results
-        ):
-            self._finish_step_two(result, intersecting, retrieved)
-            if with_abundance:
-                with result.timings.phase("abundance"):
-                    self._estimate_abundance(result, reads, retrieved)
-
-        if self._processor is not None:
-            self._processor.finish()
-        return results
-
-    def _step_two_local(
-        self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
-    ) -> List[StepTwoResult]:
-        """Every sample's buckets share one database stream per shard."""
-        start = time.perf_counter()
-        results, shard_timings = step_two_over_shards(
-            get_backend(self._backend_spec), self.cluster_shards(),
-            [buckets.slices() for buckets in bucket_sets],
-            self._n_channels, self._executor_spec,
-        )
-        shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        timings.merge(shard_timings)
-        return results
-
-    def _batch_results(
-        self,
-        bucket_sets: Sequence[BucketSet],
-        extract_ms: Sequence[float],
-        batch_timings: PhaseTimings,
-    ) -> List[MegisResult]:
-        """One result per sample carrying its Step-1 statistics, the
-        batch's Step-2 timings and its §4.2.1 overlap model.
-
-        Each sample's overlap model charges it the batch's intersect time
-        in proportion to its share of the query stream (the database
-        stream is shared across the batch).
-        """
+        # One result per sample: its Step-1 statistics, the batch's Step-2
+        # timings and its §4.2.1 overlap model (the database stream is
+        # shared, so a sample is charged the batch's intersect time in
+        # proportion to its share of the query stream); then candidates
+        # and Step 3 (mapping or lightweight statistics).
         total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
         results = []
-        for buckets, ms in zip(bucket_sets, extract_ms):
+        for buckets, ms, reads, (intersecting, retrieved) in zip(
+            bucket_sets, extract_ms, samples, step_two_results
+        ):
             result = MegisResult(
                 n_buckets=len(buckets),
                 spilled_bytes=buckets.spilled_bytes,
@@ -574,7 +538,28 @@ class AnalysisSession:
             share = buckets.total_kmers() / total_query if total_query else 0.0
             model_overlap(result.timings, buckets, self.database,
                           self.config.n_ssds, intersect_share=share)
+            self._finish_step_two(result, intersecting, retrieved)
+            if with_abundance:
+                with result.timings.phase("abundance"):
+                    self._estimate_abundance(result, reads, retrieved)
             results.append(result)
+
+        if self._processor is not None:
+            self._processor.finish()
+        return results
+
+    def _step_two_local(
+        self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
+    ) -> List[StepTwoResult]:
+        """Every sample's buckets share one database stream per shard."""
+        start = time.perf_counter()
+        results, shard_timings = step_two_over_shards(
+            get_backend(self._backend_spec), self.cluster_shards(),
+            [buckets.slices() for buckets in bucket_sets],
+            self._n_channels, self._executor,
+        )
+        shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
+        timings.merge(shard_timings)
         return results
 
     # -- partial Step 2 over a shard range (cluster-node mode) --------------------

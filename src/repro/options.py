@@ -84,7 +84,7 @@ def add_execution_flags(
             help="execution policy: "
                  f"{', '.join(available_executors())}, sized as e.g. "
                  "threads:N or processes:N (results identical; processes "
-                 "forks workers after the index is warmed/memmapped)",
+                 "forks the warmed session N times, one batch per worker)",
         )
     if ssds:
         parser.add_argument(

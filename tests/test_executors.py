@@ -10,6 +10,7 @@ import pytest
 from repro.backends import PhaseTimings, available_backends, get_backend
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis.executors import (
+    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     available_executors,
@@ -18,6 +19,11 @@ from repro.megis.executors import (
 )
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
+from repro.megis.multissd import (
+    MultiSsdStepTwo,
+    step_two_over_shards,
+    whole_shard,
+)
 from repro.megis.session import AnalysisSession, MegisConfig
 
 
@@ -150,6 +156,57 @@ class TestExecutorDrivenStepTwo:
         assert a.sketch_hits == b.sketch_hits
         assert a.candidates == b.candidates
         assert a.profile.fractions == b.profile.fractions
+
+    def test_session_resolves_its_executor_once(self, sorted_db, sketch_db,
+                                                sample, monkeypatch):
+        """A ``threads:N`` session owns one executor — one thread pool —
+        for all its analyses, and ``close()`` reaps it."""
+        from repro.megis.index import MegisIndex
+
+        built = []
+        real_init = ThreadedExecutor.__init__
+
+        def counting_init(self, workers=None):
+            built.append(self)
+            real_init(self, workers)
+
+        monkeypatch.setattr(ThreadedExecutor, "__init__", counting_init)
+        before = _exec_threads()  # other tests' pools, reaped only by GC
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db),
+            MegisConfig(backend="numpy", abundance_method="statistical",
+                        executor="threads:2", n_ssds=2),
+        )
+        for _ in range(4):
+            session.analyze(sample.reads[:40])
+        assert len(built) == 1
+        assert _exec_threads() - before, "the shards ran on the session's pool"
+        session.close()
+        assert not _exec_threads() - before
+
+    @pytest.mark.parametrize("enter", [
+        lambda db, kss, pool: MultiSsdStepTwo(db, kss, n_ssds=2,
+                                              executor="processes:2"),
+        lambda db, kss, pool: IspStepTwo(db, kss, executor=pool),
+        lambda db, kss, pool: step_two_over_shards(
+            get_backend("numpy"), [whole_shard(db, kss)], [[]], 8, pool),
+    ], ids=["multissd", "isp", "kernel"])
+    def test_step_two_refuses_a_process_pool(self, sorted_db, kss_tables,
+                                             enter):
+        """Shard tasks are closures and cannot cross a pipe: every Step-2
+        entry point says so up front — one message, nothing forked —
+        instead of dying on a pickling error after the fork."""
+        pool = ProcessExecutor(2)
+        try:
+            with pytest.raises(ValueError, match=r'executor="processes\[:N\]"'):
+                enter(sorted_db, kss_tables, pool)
+            assert not pool.started
+        finally:
+            pool.shutdown(wait=False)
+
+
+def _exec_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("megis-exec")}
 
 
 class TestMeasuredBucketTimings:
@@ -293,8 +350,6 @@ class TestPacedBackend:
 
     def test_paced_sharded_batch_matches_numpy(self, sorted_db, kss_tables,
                                                sample):
-        from repro.megis.multissd import MultiSsdStepTwo
-
         partitioner = KmerBucketPartitioner(k=sorted_db.k, n_buckets=6,
                                             backend="numpy")
         samples = [

@@ -1,4 +1,4 @@
-"""Process-pool serving tier: fork-after-mmap COW, shard ownership, respawn.
+"""Process-pool serving tier: fork-after-mmap COW, the forked session, respawn.
 
 Three layers under test (each guarded by the suite-wide pytest-timeout
 ceiling, since a hung pipe or a lost respawn would otherwise deadlock):
@@ -7,10 +7,11 @@ ceiling, since a hung pipe or a lost respawn would otherwise deadlock):
   pinned submission, crash detection via the process sentinel, respawn
   with one retry, and :class:`WorkerCrashed` after the retry dies too;
 - :class:`~repro.megis.procpool.ProcessAnalysisRunner` through
-  :class:`~repro.megis.session.AnalysisSession` — bit-identity against
-  the serial path, and the copy-on-write contract: workers forked after
-  ``MegisIndex.open(mmap=True)`` + ``warm()`` must see the parent's
-  column-build counters unchanged (a duplicated index would rebuild);
+  :class:`~repro.megis.session.AnalysisSession` — a worker is the warmed
+  session forked, so results *and* stream counters equal the serial
+  path's, and the copy-on-write contract: workers forked after
+  ``MegisIndex.open()`` + ``warm()`` must see the parent's column-build
+  counters unchanged (a duplicated index would rebuild);
 - :class:`~repro.megis.service.AnalysisService` over a process-backed
   session — a worker killed mid-batch is respawned, queued samples all
   complete, and only the poisoned request fails with a structured error.
@@ -235,7 +236,7 @@ class TestProcessBackedSession:
             process_world, MegisConfig(executor="processes:3")
         )
         assert sized._process_workers == 3
-        assert sized._executor_spec is None  # engines stay serial in-worker
+        assert sized._executor.name == "serial"  # Step 2 stays serial in-worker
 
     def test_rejects_executor_instance_and_ssd(self, process_world):
         from repro.ssd.config import ssd_c
@@ -299,18 +300,32 @@ class TestProcessBackedSession:
         assert session._runner is not runner
         session.close()
 
-    def test_shard_groups_cover_ascending_ranges(self, process_world):
+    @pytest.mark.parametrize("abundance", ["statistical", "mapping"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_ssds", [1, 3])
+    def test_equals_serial_counters_included(self, process_world, sample,
+                                             n_ssds, workers, abundance):
+        """A worker is the session forked: whatever ``workers`` is, the
+        database is streamed as the ``n_ssds`` shards the config asked
+        for, so every stream counter reads what the serial session's
+        does — not just the species table."""
+        config = MegisConfig(abundance_method=abundance, backend="numpy",
+                             n_ssds=n_ssds)
+        chunks = [sample.reads[:60], sample.reads[60:120]]
+        expected = AnalysisSession(process_world, config).analyze_batch(chunks)
         with AnalysisSession(
-            process_world,
-            MegisConfig(backend="numpy", executor="processes:2", n_ssds=3),
+            process_world, config, executor=f"processes:{workers}"
         ) as session:
-            session.warm()
-            runner = session._runner
-            assert len(runner.shards) == 3  # max(n_ssds, workers)
-            flat = [i for group in runner.groups for i in group]
-            assert flat == list(range(len(runner.shards)))
-            los = [runner.shards[i].lo for i in flat]
-            assert los == sorted(los)
+            got = session.analyze_batch(chunks)
+        assert [_signature(r) for r in got] == [_signature(r) for r in expected]
+        for ours, theirs in zip(got, expected):
+            assert ours.merge_stats == theirs.merge_stats
+            for counter in ("db_stream_passes", "db_kmers_streamed",
+                            "buckets_processed", "samples_batched"):
+                assert getattr(ours.timings, counter) == \
+                    getattr(theirs.timings, counter), counter
+            assert len(ours.timings.measured_buckets) == \
+                len(theirs.timings.measured_buckets)
 
 
 def _alive(pid: int) -> bool:
@@ -324,24 +339,24 @@ def _alive(pid: int) -> bool:
 # -- service-level crash semantics -------------------------------------------
 
 def _install_poison(monkeypatch):
-    """Replace the Step-1 task with one that kills the worker on a
+    """Replace the analysis task with one that kills the worker on a
     poison sample.  Patched *before* the session forks, so workers (and
     every respawn, which re-forks the patched parent) inherit it; the
     pickle-by-reference lookup resolves to the patched function on both
     sides of the pipe."""
     from repro.megis import procpool
 
-    real = procpool._task_step1
+    real = procpool._task_analyze
 
-    def poisoned_step1(reads):
-        if reads and reads[0].sequence == "POISON":
+    def poisoned_analyze(samples, with_abundance):
+        if any(reads and reads[0].sequence == "POISON" for reads in samples):
             os._exit(51)
-        return real(reads)
+        return real(samples, with_abundance)
 
-    poisoned_step1.__module__ = procpool._task_step1.__module__
-    poisoned_step1.__qualname__ = procpool._task_step1.__qualname__
-    poisoned_step1.__name__ = procpool._task_step1.__name__
-    monkeypatch.setattr(procpool, "_task_step1", poisoned_step1)
+    poisoned_analyze.__module__ = real.__module__
+    poisoned_analyze.__qualname__ = real.__qualname__
+    poisoned_analyze.__name__ = real.__name__
+    monkeypatch.setattr(procpool, "_task_analyze", poisoned_analyze)
 
 
 class TestServiceCrashSemantics:
@@ -366,7 +381,7 @@ class TestServiceCrashSemantics:
             # One sample per batch: the poison kill must not take
             # innocent batch-mates down with it in this test.
             with AnalysisService(session, workers=1, max_batch=1) as service:
-                assert service.process_backed
+                assert session._runner is not None
                 futures = [service.submit(good[0], tag="g0"),
                            service.submit(poison, tag="poison"),
                            service.submit(good[1], tag="g1"),
