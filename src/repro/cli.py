@@ -605,7 +605,7 @@ _WIRE_EPILOG = (
     "  error object.\n"
 )
 
-#: Shared --help epilog paragraph: the fork-after-warm process pool.
+#: Shared --help epilog paragraph: the fork-after-warm process tier.
 _PROCESS_EPILOG = (
     "process-backed serving (--executor processes[:N]):\n"
     "  The warmed session is forked N times after the index is opened "
@@ -615,14 +615,18 @@ _PROCESS_EPILOG = (
     "  duplication — and each worker analyses one whole batch at a "
     "time, exactly\n"
     "  as the serial session would (same results, same stream "
-    "counters).  A worker\n"
-    "  that crashes or is killed mid-batch is respawned automatically "
-    "and its\n"
-    "  in-flight batch retried once; if the retry also dies, only that "
-    "batch's\n"
-    "  requests fail (structured error objects) — queued samples are "
-    "never\n"
-    "  dropped and the respawned worker keeps serving the stream.\n"
+    "counters).  Each\n"
+    "  --workers thread drives one forked worker per batch, so give "
+    "--workers at\n"
+    "  least N; fewer leaves forked workers idle.  A worker that "
+    "crashes or is\n"
+    "  killed mid-batch is respawned automatically and its in-flight "
+    "batch retried\n"
+    "  once; if the retry also dies, only that batch's requests fail "
+    "(structured\n"
+    "  error objects) — queued samples are never dropped and the "
+    "respawned worker\n"
+    "  keeps serving the stream.\n"
 )
 
 

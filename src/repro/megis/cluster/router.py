@@ -172,23 +172,29 @@ class ClusterStepTwo:
                 sends.append((address, None, exc))
 
         per_node: List[List[StepTwoResult]] = []
-        for endpoint, (address, sock, send_error) in zip(self.endpoints,
-                                                         sends):
-            partials: Optional[List[StepTwoResult]] = None
-            last_error: Optional[Exception] = send_error
-            if sock is not None:
-                try:
-                    partials = self._read_reply(sock, request_id, endpoint,
-                                                n_samples)
-                except (OSError, ValueError) as exc:
-                    last_error = exc
-                finally:
+        try:
+            for endpoint, (address, sock, send_error) in zip(self.endpoints,
+                                                             sends):
+                partials: Optional[List[StepTwoResult]] = None
+                last_error: Optional[Exception] = send_error
+                if sock is not None:
+                    try:
+                        partials = self._read_reply(sock, request_id,
+                                                    endpoint, n_samples)
+                    except (OSError, ValueError) as exc:
+                        last_error = exc
+                if partials is None:
+                    partials = self._retry(endpoint, address, frame,
+                                           request_id, n_samples, last_error)
+                self._mark_alive(endpoint.node_id)
+                per_node.append(partials)
+        finally:
+            # Every first-attempt socket, read or not: when a node fails
+            # for good the NodeFailed leaves the later nodes' connections
+            # unread, and they must not be left to the garbage collector.
+            for _, sock, _ in sends:
+                if sock is not None:
                     self._close(sock)
-            if partials is None:
-                partials = self._retry(endpoint, address, frame, request_id,
-                                       n_samples, last_error)
-            self._mark_alive(endpoint.node_id)
-            per_node.append(partials)
 
         return gather(per_node)
 

@@ -38,6 +38,7 @@ schema-1 JSONL wire format (:mod:`repro.megis.wire`) over one warmed
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -136,28 +137,24 @@ class _Client:
         self.seen_ids: set = set()
         self.connected = True
         self.writer_task: Optional[asyncio.Task] = None
-        # Touched from the pump callback (loop thread) and the submit
-        # pool; the lock keeps inflight/eof consistent across both.
-        self._lock = threading.Lock()
+        # Loop-thread state, like the counters: requests begin in the
+        # reader and end in the pump callback or the reader's rejection.
         self._inflight = 0
         self._eof = False
         self.drained = asyncio.Event()
 
     def begin_request(self) -> None:
-        with self._lock:
-            self._inflight += 1
+        self._inflight += 1
 
     def end_request(self) -> bool:
         """Drop one in-flight request; True when EOF'd and now idle."""
-        with self._lock:
-            self._inflight -= 1
-            return self._eof and self._inflight == 0
+        self._inflight -= 1
+        return self._eof and self._inflight == 0
 
     def mark_eof(self) -> bool:
         """Client half-closed its send side; True when already idle."""
-        with self._lock:
-            self._eof = True
-            return self._inflight == 0
+        self._eof = True
+        return self._inflight == 0
 
 
 class AnalysisGateway:
@@ -337,8 +334,9 @@ class AnalysisGateway:
             )
         self._reader_tasks.clear()
 
-        # Every submission already handed to the pool settles (each one
-        # pushes its own outcome frame), then the service stops admitting.
+        # Every submission already handed to the pool settles (its done
+        # callback counts it and queues any rejection frame before this
+        # coroutine resumes), then the service stops admitting.
         pool = self._submit_pool
         await self._loop.run_in_executor(
             None, lambda: pool.shutdown(wait=True)
@@ -507,24 +505,30 @@ class AnalysisGateway:
             # it so this client's requests stay sequential.  A request
             # read in the instant drain shuts the submit pool down races
             # the shutdown: dispatching onto the dead pool raises
-            # RuntimeError (and a submission caught mid-close raises
-            # ServiceClosed) — answer with the same structured draining
-            # frame a pool-side rejection gets, never a bare reset.
+            # RuntimeError — answered with the same structured draining
+            # frame a service-side rejection gets, never a bare reset.
+            client.begin_request()
             try:
-                await self._loop.run_in_executor(
+                submission = self._loop.run_in_executor(
                     self._submit_pool,
-                    self._submit_sync, client, request_id, reads, line_no,
+                    self._submit_sync, client.cid, request_id, reads, line_no,
                 )
-            except (RuntimeError, ServiceClosed):
-                client.stats.rejected += 1
-                self.stats.admission_rejected += 1
-                client.outbox.put_nowait(wire.error_record(
-                    request_id, "gateway is draining", line_no
-                ))
+            except RuntimeError:
+                self._settle(client, request_id, line_no, "gateway is draining")
+                continue
+            # Settled by callback, not after the await: drain cancels this
+            # reader, and a submission already on a pool thread still
+            # lands in the service and must be counted.
+            submission.add_done_callback(functools.partial(
+                self._settle_submission, client, request_id, line_no
+            ))
+            await asyncio.shield(submission)
 
-    def _submit_sync(self, client: _Client, request_id, reads,
-                     line_no: int) -> None:
-        """Runs in the submit pool; pushes its own outcome frames."""
+    def _submit_sync(self, cid: int, request_id, reads,
+                     line_no: int) -> Optional[str]:
+        """Runs in the submit pool and touches no counter: returns
+        ``None`` when the service accepted the request, else the
+        rejection message."""
         sample = [
             Read(read_id=i, sequence=seq, true_taxid=0)
             for i, seq in enumerate(reads)
@@ -535,44 +539,40 @@ class AnalysisGateway:
             timeout_ms / 1e3 if timeout_ms is not None and timeout_ms > 0
             else None
         )
-        client.begin_request()
         try:
             self._service.submit(
                 sample,
-                tag=(request_id, line_no, len(sample), client.cid),
+                tag=(request_id, line_no, len(sample), cid),
                 deadline_ms=self.deadline_ms,
                 block=block,
                 timeout=timeout,
             )
         except AdmissionFull as exc:
-            self._submit_rejected(
-                client, request_id, line_no, f"admission_full: {exc}"
-            )
+            return f"admission_full: {exc}"
         except ServiceClosed:
-            self._submit_rejected(
-                client, request_id, line_no, "gateway is draining"
-            )
+            return "gateway is draining"
         except Exception as exc:  # pragma: no cover - defensive
-            self._submit_rejected(
-                client, request_id, line_no, f"submit failed: {exc}"
-            )
-        else:
+            return f"submit failed: {exc}"
+        return None
+
+    def _settle_submission(self, client: _Client, request_id, line_no: int,
+                           submission: "asyncio.Future[Optional[str]]") -> None:
+        self._settle(client, request_id, line_no, submission.result())
+
+    def _settle(self, client: _Client, request_id, line_no: int,
+                rejection: Optional[str]) -> None:
+        """All accounting for one submission's outcome (loop thread)."""
+        if rejection is None:
             client.stats.submitted += 1
             self.stats.requests_admitted += 1
-
-    def _submit_rejected(self, client: _Client, request_id, line_no: int,
-                         message: str) -> None:
+            return
         client.stats.rejected += 1
         self.stats.admission_rejected += 1
-        # Enqueue the rejection frame BEFORE releasing the in-flight slot:
-        # call_soon_threadsafe callbacks run FIFO, so the frame reaches the
-        # outbox ahead of any _CLOSE a drained-triggered flush appends.
-        self._loop.call_soon_threadsafe(
-            client.outbox.put_nowait,
-            wire.error_record(request_id, message, line_no),
+        client.outbox.put_nowait(
+            wire.error_record(request_id, rejection, line_no)
         )
         if client.end_request():
-            self._loop.call_soon_threadsafe(client.drained.set)
+            client.drained.set()
 
     async def _finish_client(self, client: _Client) -> bool:
         """Client EOF: finish its in-flight requests, flush, close.

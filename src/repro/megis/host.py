@@ -245,7 +245,7 @@ class KmerBucketPartitioner:
         for i, raw in enumerate(raw_buckets):
             sort_start = time.perf_counter()
             if vectorized:
-                column = self._select_vectorized([raw])
+                column = self._select_vectorized(raw)
             else:
                 column = self._select(raw)
             buckets.append(Bucket(
@@ -293,7 +293,7 @@ class KmerBucketPartitioner:
             raw_buckets[bisect_right(boundaries, kmer)][kmer] = count
         return raw_buckets
 
-    def _select_vectorized(self, arrays: Sequence[np.ndarray]) -> KmerColumn:
+    def _select_vectorized(self, raw: np.ndarray) -> KmerColumn:
         """Frequency exclusion in one ``np.unique`` pass (sorted output).
 
         Produces the identical sorted k-mer sequence as :meth:`_select`,
@@ -301,8 +301,7 @@ class KmerBucketPartitioner:
         :meth:`~repro.backends.StepTwoBackend.query_column` (a no-op for
         the ndarray it already holds).
         """
-        merged = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.uint64)
-        unique, counts = np.unique(merged, return_counts=True)
+        unique, counts = np.unique(raw, return_counts=True)
         mask = counts >= self.min_count
         if self.max_count is not None:
             mask &= counts <= self.max_count

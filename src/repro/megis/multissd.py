@@ -51,12 +51,7 @@ from repro.backends import (
 from repro.backends.base import clip_buckets
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import (
-    Executor,
-    ExecutorSpec,
-    ProcessExecutor,
-    get_executor,
-)
+from repro.megis.executors import ExecutorSpec, get_executor
 
 #: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
 StepTwoResult = Tuple[List[int], RetrievalResult]
@@ -216,24 +211,6 @@ def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:
     ]
 
 
-def shard_executor(spec: ExecutorSpec) -> Executor:
-    """Resolve the executor for the per-shard Step-2 tasks.
-
-    Serial or threaded only: a shard task closes over its batch's
-    buckets, which cannot cross a process pipe, so a process pool is
-    refused here — before anything forks — for every Step-2 entry point.
-    """
-    executor: Executor = get_executor(spec)
-    if isinstance(executor, ProcessExecutor):
-        raise ValueError(
-            "Step-2 shard tasks cannot run in a process pool (their "
-            "closures cannot cross a pipe); for out-of-process analysis use "
-            "AnalysisSession(executor=\"processes[:N]\"), which forks the "
-            "warmed session"
-        )
-    return executor
-
-
 def step_two_over_shards(
     backend: StepTwoBackend,
     shards: Sequence[DatabaseShard],
@@ -251,7 +228,7 @@ def step_two_over_shards(
     def shard_task(shard: DatabaseShard) -> Tuple[List[StepTwoResult], PhaseTimings]:
         return shard_step_two(backend, shard, sample_buckets, channels)
 
-    outcomes = shard_executor(executor).map_ordered(shard_task, shards)
+    outcomes = get_executor(executor).map_ordered(shard_task, shards)
     timings = PhaseTimings(backend=backend.name)
     for _, shard_timings in outcomes:
         timings.merge(shard_timings)
@@ -288,7 +265,7 @@ class MultiSsdStepTwo:
                  shards: Optional[Sequence[DatabaseShard]] = None,
                  executor: ExecutorSpec = None) -> None:
         self._backend = get_backend(backend)
-        self._executor = shard_executor(executor)
+        self._executor = get_executor(executor)
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")
         if shards is None:

@@ -46,14 +46,15 @@ wall time) and :class:`ServiceStats` aggregates them.
 
 A *process-backed* session (``executor="processes[:N]"``) changes the
 execution substrate, not the service contract: ``session.warm()`` at
-construction forks the warmed session N times, each service thread's
-``analyze_batch`` runs one whole batch in one forked worker, and every
-streaming knob above keeps its semantics (give the service as many
-threads as the pool has workers to keep them all busy).  Crash handling
-composes the same way — a worker that dies mid-batch is respawned and
-the batch retried once inside the pool; if the retry also dies,
-:meth:`_run_batch`'s existing failure path turns the resulting
-:class:`~repro.megis.executors.WorkerCrashed` into a structured
+construction forks the warmed session N times, and a service thread's
+``analyze_batch`` drives one forked worker over its pipe for the whole
+batch — this service's queue is the only queue, its threads the only
+threads (give it as many as there are forked workers; fewer leaves
+workers idle).  Every streaming knob above keeps its semantics.  Crash
+handling composes the same way — a worker that dies mid-batch is
+respawned and the batch retried once inside that call; if the retry
+also dies, :meth:`_run_batch`'s existing failure path turns the resulting
+:class:`~repro.megis.procpool.WorkerCrashed` into a structured
 per-request error on the completion stream while every queued sample
 proceeds on the respawned worker.
 
@@ -553,7 +554,7 @@ class AnalysisService:
         except BaseException as exc:
             # A failing sample fails its whole batch: each future carries
             # the exception (a lost future would deadlock drain()).  This
-            # is also where a process-pool WorkerCrashed (worker died and
+            # is also where a process tier WorkerCrashed (worker died and
             # its retry died too) becomes the batch's structured error —
             # queued requests outside the batch are untouched.
             for request in batch:

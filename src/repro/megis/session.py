@@ -32,7 +32,6 @@ identical to an independent analysis.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -58,7 +57,13 @@ from repro.backends import (
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
-from repro.megis.executors import Executor, ExecutorSpec, parse_spec
+from repro.megis.executors import (
+    Executor,
+    ExecutorSpec,
+    default_workers,
+    get_executor,
+    parse_spec,
+)
 from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
@@ -66,7 +71,6 @@ from repro.megis.multissd import (
     DatabaseShard,
     MultiSsdStepTwo,
     StepTwoResult,
-    shard_executor,
     step_two_over_shards,
     warm_shards,
     whole_range,
@@ -114,11 +118,13 @@ class MegisConfig:
     #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
     #: either way — shards are disjoint lexicographic ranges.
     n_ssds: int = 1
-    #: Execution policy for Step-2 shard tasks
-    #: (:mod:`repro.megis.executors`): ``None``/"serial" runs inline,
-    #: "threads" / "threads:N" dispatches on a thread pool, and
-    #: "processes" / "processes:N" forks the warmed session N times at
-    #: :meth:`AnalysisSession.warm` time, one whole batch per worker.
+    #: Execution policy: ``None``/"serial" runs the Step-2 shard tasks
+    #: inline and "threads" / "threads:N" on a thread pool
+    #: (:mod:`repro.megis.executors`); "processes" / "processes:N" forks
+    #: the warmed session N times at :meth:`AnalysisSession.warm` time
+    #: (:mod:`repro.megis.procpool`) — one whole batch per worker, driven
+    #: by the thread that called ``analyze_batch``, Step 2 serial inside.
+    #: A bare family sizes itself to the CPUs this process may run on.
     #: Results are bit-identical across policies; only wall-clock
     #: overlap changes.
     executor: Optional[str] = None
@@ -244,20 +250,20 @@ class AnalysisSession:
         )
         #: Process-backed serving (the fork-after-mmap tier): a
         #: "processes[:N]" spec is consumed here rather than handed to
-        #: the engines — :meth:`warm` forks a
-        #: :class:`~repro.megis.procpool.ProcessAnalysisRunner` pool whose
-        #: workers are this session, running serial.
+        #: the engines — :meth:`warm` builds a
+        #: :class:`~repro.megis.procpool.ProcessAnalysisRunner`, whose
+        #: N forked workers are this session, running serial.
         self._process_workers: Optional[int] = None
         self._runner: Optional["ProcessAnalysisRunner"] = None
         if isinstance(spec, str):
             family, workers = parse_spec(spec)
             if family == "processes":
-                self._process_workers = workers or (os.cpu_count() or 1)
+                self._process_workers = workers or default_workers()
                 spec = None
         #: The per-shard Step-2 executor, resolved once for the session's
         #: lifetime; :meth:`close` shuts it down when it was built here
         #: from a spec string (a caller's instance is the caller's).
-        self._executor: Executor = shard_executor(spec)
+        self._executor: Executor = get_executor(spec)
         self._owns_executor = isinstance(spec, str)
         if self._process_workers is not None and ssd is not None:
             raise ValueError(
@@ -406,7 +412,7 @@ class AnalysisSession:
         # Process-backed serving forks *here* — after every column /
         # memmap section above is materialized, so the workers inherit
         # the warmed engine state copy-on-write (the fork-after-mmap
-        # contract; its COW sharing is asserted by the pool tests).
+        # contract; its COW sharing is asserted by the process tests).
         if self._process_workers is not None and self._runner is None:
             with self._lock:
                 if self._runner is None:
@@ -418,8 +424,8 @@ class AnalysisSession:
         return self
 
     def close(self) -> None:
-        """Shut down the forked worker pool and the session's own shard
-        executor, if they exist.
+        """Reap the forked workers (after the batches in flight) and shut
+        down the session's own shard executor, if they exist.
 
         Safe on any session, and not terminal: a process-backed session
         re-forks on the next :meth:`warm` / analysis call after closing,

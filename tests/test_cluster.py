@@ -529,6 +529,36 @@ class TestFailover:
         # Accounted, not dropped: the request failed loudly.
         assert gateway_stats.requests_failed == 1
 
+    def test_failed_scatter_closes_every_socket(self, golden_world, golden,
+                                                monkeypatch):
+        """Node 0 dead for good: the NodeFailed leaves the requests
+        already sent to nodes 1 and 2 unread, and the scatter itself must
+        close their sockets — not leave them to the garbage collector
+        (a ``ResourceWarning``, and two nodes computing for nobody)."""
+        _, index = golden_world
+        opened = []
+        connect_send = ClusterStepTwo._connect_send
+
+        def recording(self, address, frame, timeout=None):
+            sock = connect_send(self, address, frame, timeout)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(ClusterStepTwo, "_connect_send", recording)
+
+        async def scenario():
+            async with Cluster(index, golden, 3) as cluster:
+                cluster.nodes[0].kill()
+                with pytest.raises(NodeFailed) as failed:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, cluster.step_two.scatter, [[1, 2, 3]]
+                    )
+                return failed.value.node_id, [s.fileno() for s in opened]
+
+        node_id, filenos = run_scenario(scenario())
+        assert node_id == 0
+        assert filenos == [-1, -1]  # nodes 1 and 2: sent to, never read
+
     @pytest.mark.parametrize("with_replica", [True, False])
     def test_malformed_reply_costs_the_retry_not_the_batch(
         self, golden_world, golden, requests_wire, serial_records,

@@ -536,6 +536,108 @@ class TestAdmission:
         assert {r["id"] for r in served} == {"c0", "c1"}
         assert gateway.stats.admission_rejected == 2
 
+    def test_counters_are_exact_under_contention(self, session, chunks):
+        """8 connections x 50 lines into a one-slot queue: every line is
+        counted exactly once — admitted, rejected, malformed or rate
+        limited — and each drain frame's counts sum to the gateway's.
+        (All of it is loop-thread accounting: the submit pool only
+        reports an outcome.)"""
+        n_clients, n_lines = 8, 50
+        gateway = AnalysisGateway(session, workers=2, max_queue=1,
+                                  admission_timeout_ms=0,
+                                  rate_limit=0.001, rate_burst=40)
+        reads = [r.sequence for r in chunks[0][:4]]
+
+        def frames(client):
+            return [
+                b"{not json\n" if i % 10 == 9 else
+                {"schema": 1, "id": f"k{client}-{i}", "reads": reads}
+                for i in range(n_lines)
+            ]
+
+        async def client(index):
+            host, port = gateway.bound_address
+            reader, writer = await asyncio.open_connection(host, port)
+            await send_frames(writer, frames(index))
+            # No EOF: one answer per line, then wait for the drain frame.
+            answers = [json.loads(await reader.readline())
+                       for _ in range(n_lines)]
+            return reader, writer, answers
+
+        async def scenario():
+            await gateway.start()
+            connections = await asyncio.gather(
+                *(client(i) for i in range(n_clients))
+            )
+            await gateway.drain()
+            tails = []
+            for reader, writer, _ in connections:
+                tails.append(await read_all(reader))
+                writer.close()
+            return [answers for _, _, answers in connections], tails
+
+        answers, tails = run_scenario(scenario())
+        stats = gateway.stats
+        # Per client: 5 junk lines, and 45 well-formed ones against a
+        # 40-token bucket that does not refill within the test.
+        assert stats.malformed == n_clients * 5
+        assert stats.rate_limited == n_clients * 5
+        assert (stats.requests_admitted + stats.admission_rejected
+                + stats.malformed + stats.rate_limited) == n_clients * n_lines
+        assert stats.requests_completed + stats.requests_failed \
+            == stats.requests_admitted
+        assert stats.results_dropped == 0
+        drains = [tail[-1] for tail in tails]
+        assert all(tail[-1].get("event") == "drain" and len(tail) == 1
+                   for tail in tails)
+        for ours, total in (
+            ("submitted", stats.requests_admitted),
+            ("rejected", stats.admission_rejected),
+            ("malformed", stats.malformed),
+            ("rate_limited", stats.rate_limited),
+            ("completed", stats.requests_completed),
+            ("failed", stats.requests_failed),
+        ):
+            assert sum(frame[ours] for frame in drains) == total, ours
+        for frame, got in zip(drains, answers):
+            assert frame["submitted"] == frame["completed"] + frame["failed"]
+            assert frame["submitted"] == sum("candidates" in r for r in got)
+            assert frame["rejected"] == sum(
+                "admission_full" in r.get("error", "") for r in got)
+        assert stats.admission_rejected > 0 and stats.requests_admitted > 0
+
+    def test_submission_caught_by_drain_is_still_counted(
+        self, session, requests_wire, monkeypatch
+    ):
+        """Drain cancels a reader whose submission is blocked on a full
+        queue in the submit pool; that submission still lands in the
+        service, so it is still counted and answered."""
+        started, gate = self._gated_session(session, monkeypatch)
+        gateway = AnalysisGateway(session, workers=1, max_batch=1,
+                                  max_queue=1)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            await send_frames(writer, [requests_wire[0]])
+            await loop.run_in_executor(None, started.wait, 10)
+            # c1 fills the queue; c2's submission blocks behind it.
+            await send_frames(writer, requests_wire[1:3])
+            await asyncio.sleep(0.3)
+            loop.call_later(0.3, gate.set)
+            await gateway.drain()
+            records = await read_all(reader)
+            writer.close()
+            return records
+
+        records = run_scenario(scenario())
+        assert {r["id"] for r in records if "candidates" in r} \
+            == {"c0", "c1", "c2"}
+        assert records[-1]["event"] == "drain"
+        assert records[-1]["submitted"] == records[-1]["completed"] == 3
+        assert gateway.stats.requests_admitted == 3
+
     def test_max_clients_refused_with_error_frame(self, session,
                                                   requests_wire):
         started_first = asyncio.Event()

@@ -1,11 +1,14 @@
-"""Process-pool serving tier: fork-after-mmap COW, the forked session, respawn.
+"""Process serving tier: fork-after-mmap COW, the forked session, respawn.
 
-Three layers under test (each guarded by the suite-wide pytest-timeout
-ceiling, since a hung pipe or a lost respawn would otherwise deadlock):
+Three layers under test (a hung pipe or a lost respawn would deadlock,
+so every wait on another thread is bounded):
 
-- :class:`~repro.megis.executors.ProcessExecutor` — fork semantics,
-  pinned submission, crash detection via the process sentinel, respawn
-  with one retry, and :class:`WorkerCrashed` after the retry dies too;
+- the worker protocol of :mod:`repro.megis.procpool`, through a
+  process-backed session with a hook patched onto
+  ``AnalysisSession._analyze`` before ``warm()`` — fork semantics, crash
+  detection via the process sentinel, respawn with one retry,
+  :class:`WorkerCrashed` after the retry dies too, and the idle queue
+  (callers beyond N wait; ``close()`` waits, reaps, releases);
 - :class:`~repro.megis.procpool.ProcessAnalysisRunner` through
   :class:`~repro.megis.session.AnalysisSession` — a worker is the warmed
   session forked, so results *and* stream counters equal the serial
@@ -19,178 +22,299 @@ ceiling, since a hung pipe or a lost respawn would otherwise deadlock):
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.megis.executors import (
-    ProcessExecutor,
-    WorkerCrashed,
-    get_executor,
-    worker_state,
-)
+from repro.megis.executors import default_workers
 from repro.megis.index import MegisIndex
+from repro.megis.procpool import WorkerCrashed
 from repro.megis.service import AnalysisService
 from repro.megis.session import AnalysisSession, MegisConfig
+from repro.sequences.reads import Read
+
+#: One non-empty batch for hooks that never reach the real analysis.
+_ANY = [[]]
+_POISON = [Read(read_id=0, sequence="POISON", true_taxid=0)]
 
 
-# -- module-level task functions (cross the worker pipe by reference) ---------
+def _install_hook(monkeypatch, hook):
+    """Run ``hook(session, samples)`` in front of the one analysis body.
 
-def _square(x):
-    return x * x
+    Patched onto ``AnalysisSession._analyze`` *before* the session forks,
+    so workers (and every respawn, which re-forks the patched parent)
+    inherit it; in a process-backed session ``_analyze`` runs only in
+    the children.  A hook returning ``None`` falls through to the real
+    analysis; anything else is the batch's answer.
+    """
+    real = AnalysisSession._analyze
 
+    def hooked(self, samples, with_abundance, step_two):
+        answer = hook(self, samples)
+        if answer is not None:
+            return answer
+        return real(self, samples, with_abundance, step_two)
 
-def _pid():
-    return os.getpid()
-
-
-def _state_echo():
-    return worker_state()
-
-
-def _die_unless_flagged(flag_path):
-    """First run: leave a flag and die.  Retry run: survive."""
-    if not os.path.exists(flag_path):
-        with open(flag_path, "w"):
-            pass
-        os._exit(43)
-    return "survived"
+    monkeypatch.setattr(AnalysisSession, "_analyze", hooked)
 
 
-def _die_always():
-    os._exit(9)
+def _poisoned(samples) -> bool:
+    return any(reads and reads[0].sequence == "POISON" for reads in samples)
 
 
-def _raise_value_error():
-    raise ValueError("relayed")
+def _worker_processes():
+    return {p.pid for p in multiprocessing.active_children()
+            if p.name.startswith("megis-procworker")}
 
 
-def _return_unpicklable():
-    return lambda: None
+def _wait_for(predicate, seconds=30.0):
+    deadline = time.time() + seconds
+    while time.time() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
 
 
-class _HookedState:
-    """Fork state whose after_fork hook leaves a visible trace."""
+class _Call(threading.Thread):
+    """A started daemon thread that keeps what its target returned or
+    raised in ``outcome``."""
 
-    def __init__(self):
-        self.forked_pid = None
+    def __init__(self, target):
+        super().__init__(daemon=True)
+        self._call, self.outcome = target, None
+        self.start()
 
-    def after_fork(self):
-        self.forked_pid = os.getpid()
+    def run(self):
+        try:
+            self.outcome = self._call()
+        except BaseException as exc:  # noqa: BLE001 - asserted by the caller
+            self.outcome = exc
 
 
-def _state_fork_pid():
-    return worker_state().forked_pid
+def _run_in_threads(targets, seconds=120.0):
+    """Run each callable on its own thread; returns ``(outcomes, hung)``
+    where an outcome is the return value or the raised exception."""
+    threads = [_Call(target) for target in targets]
+    deadline = time.time() + seconds
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.time()))
+    return ([t.outcome for t in threads],
+            [t for t in threads if t.is_alive()])
 
 
 @pytest.fixture
-def pool():
-    executor = ProcessExecutor(2)
-    yield executor
-    executor.shutdown(wait=False)
+def hooked(monkeypatch, process_world):
+    """Factory: a hook -> the warmed (forked) ``processes:N`` session
+    whose workers run it; every session is closed at teardown."""
+    sessions = []
+
+    def make(hook, workers=2):
+        _install_hook(monkeypatch, hook)
+        session = AnalysisSession(process_world, MegisConfig(
+            abundance_method="statistical", backend="numpy",
+            executor=f"processes:{workers}"))
+        sessions.append(session)
+        return session.warm()
+
+    yield make
+    for session in sessions:
+        session.close()
 
 
 class TestProcessExecutor:
-    def test_submit_and_map_ordered(self, pool):
-        assert pool.submit(_square, 7).result(timeout=60) == 49
-        assert pool.map_ordered(_square, range(5)) == [0, 1, 4, 9, 16]
-        assert pool.workers == 2
-        assert pool.name == "processes:2"
-
-    def test_get_executor_resolves_processes(self):
-        executor = get_executor("processes:2")
-        try:
-            assert isinstance(executor, ProcessExecutor)
-            assert executor.workers == 2
-        finally:
-            executor.shutdown(wait=False)
-
-    def test_tasks_run_out_of_process(self, pool):
-        pids = {pool.submit(_pid).result(timeout=60) for _ in range(8)}
+    def test_tasks_run_out_of_process(self, hooked):
+        session = hooked(lambda self, samples: [os.getpid()])
+        pids = {session.analyze_batch(_ANY)[0] for _ in range(8)}
         assert os.getpid() not in pids
 
-    def test_submit_to_pins_worker(self, pool):
-        pid_a = pool.submit_to(0, _pid).result(timeout=60)
-        pid_b = pool.submit_to(1, _pid).result(timeout=60)
-        assert pid_a != pid_b
-        assert pool.submit_to(0, _pid).result(timeout=60) == pid_a
-        with pytest.raises(ValueError):
-            pool.submit_to(2, _pid)
+    def test_state_is_fork_inherited_and_hook_runs(self, hooked):
+        state = ["before-fork"]
 
-    def test_state_is_fork_inherited_and_hook_runs(self):
-        state = _HookedState()
-        executor = ProcessExecutor(1, state=state)
-        try:
-            echoed = executor.submit(_state_echo).result(timeout=60)
-            assert isinstance(echoed, _HookedState)
-            # The child's after_fork ran (its pid, not the parent's);
-            # the parent's copy stays untouched — COW, not shared writes.
-            assert executor.submit(_state_fork_pid).result(timeout=60) \
-                != os.getpid()
-            assert state.forked_pid is None
-        finally:
-            executor.shutdown(wait=False)
+        def report(self, samples):
+            return [(os.getpid(), list(state), self._runner is None,
+                     self._process_workers)]
 
-    def test_crash_respawns_and_retries_once(self, pool, tmp_path):
+        session = hooked(report, workers=1)
+        state.append("after-fork")
+        [(pid, seen, unhooked, process_workers)] = session.analyze_batch(_ANY)
+        assert pid != os.getpid()
+        # Inherited at the fork, not shipped per batch — and the parent's
+        # later writes are its own: COW, not shared memory.
+        assert seen == ["before-fork"]
+        # The child-side repair ran there (serial path, no recursion into
+        # the parent's workers) and left the parent's session untouched.
+        assert unhooked and process_workers is None
+        assert session._runner is not None and session._process_workers == 1
+
+    def test_crash_respawns_and_retries_once(self, hooked, tmp_path):
         flag = tmp_path / "died-once"
-        future = pool.submit(_die_unless_flagged, str(flag))
-        assert future.result(timeout=60) == "survived"
-        assert pool.respawns == 1
+
+        def die_unless_flagged(self, samples):
+            """First run: leave a flag and die.  Retry run: survive."""
+            if not flag.exists():
+                flag.touch()
+                os._exit(43)
+            return ["survived"]
+
+        session = hooked(die_unless_flagged)
+        assert session.analyze_batch(_ANY) == ["survived"]
+        assert session._runner.respawns == 1
         assert flag.exists()
 
-    def test_persistent_crash_fails_structured(self, pool):
+    def test_persistent_crash_fails_structured(self, hooked):
+        session = hooked(
+            lambda self, samples: os._exit(9) if _poisoned(samples) else ["ok"]
+        )
         with pytest.raises(WorkerCrashed) as crashed:
-            pool.submit(_die_always).result(timeout=60)
+            session.analyze_batch([_POISON])
         assert crashed.value.attempts == 2  # first run + one retry
         assert crashed.value.exitcode == 9
-        assert "_die_always" in str(crashed.value)
-        # The pool keeps serving after giving up on the poisoned task.
-        assert pool.submit(_square, 3).result(timeout=60) == 9
-        assert pool.respawns >= 2
+        assert "analyze_batch" in str(crashed.value)
+        # The workers keep serving after giving up on the poisoned batch.
+        assert session.analyze_batch(_ANY) == ["ok"]
+        assert session._runner.respawns == 2
 
-    def test_sigkill_idle_worker_respawns(self, pool):
-        victim = pool.submit_to(0, _pid).result(timeout=60)
+    def test_twice_crashed_batch_leaves_the_pool_whole(self, hooked):
+        """Both deaths are replaced before the handle is checked back in
+        (the ``finally``): N live children without anyone asking."""
+        session = hooked(
+            lambda self, samples: os._exit(9) if _poisoned(samples) else ["ok"]
+        )
+        with pytest.raises(WorkerCrashed):
+            session.analyze_batch([_POISON])
+        assert len(_worker_processes()) == 2
+        pids = {probe["pid"] for probe in session._runner.probe_workers()}
+        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+        assert session.analyze_batch(_ANY) == ["ok"]
+
+    def test_sigkill_idle_worker_respawns(self, hooked):
+        session = hooked(lambda self, samples: [os.getpid()])
+        runner = session._runner
+        victim = runner.probe_workers()[0]["pid"]
         os.kill(victim, signal.SIGKILL)
-        deadline = time.time() + 30
-        while time.time() < deadline:  # let the OS reap the victim
-            try:
-                os.kill(victim, 0)
-            except OSError:
-                break
-            time.sleep(0.01)
-        replacement = pool.submit_to(0, _pid).result(timeout=60)
-        assert replacement != victim
-        assert pool.respawns >= 1
+        # A killed child stays a zombie (kill(pid, 0) succeeds) until its
+        # parent reaps it; is_alive() polls waitpid.
+        assert _wait_for(lambda: len(_worker_processes()) == 1)
+        replacements = {probe["pid"] for probe in runner.probe_workers()}
+        assert victim not in replacements and len(replacements) == 2
+        assert runner.respawns == 1
+        served = {session.analyze_batch(_ANY)[0] for _ in range(4)}
+        assert served <= replacements
 
-    def test_exceptions_cross_the_pipe(self, pool):
+    def test_exceptions_cross_the_pipe(self, hooked):
+        def raise_value_error(self, samples):
+            raise ValueError("relayed")
+
+        session = hooked(raise_value_error)
         with pytest.raises(ValueError, match="relayed"):
-            pool.submit(_raise_value_error).result(timeout=60)
+            session.analyze_batch(_ANY)
+        assert session._runner.respawns == 0
 
-    def test_unpicklable_payload_degrades_to_error(self, pool):
+    def test_unpicklable_payload_degrades_to_error(self, hooked):
+        session = hooked(lambda self, samples: [lambda: None])
         with pytest.raises(RuntimeError, match="did not survive the pipe"):
-            pool.submit(_return_unpicklable).result(timeout=60)
+            session.analyze_batch(_ANY)
+        # ...and an unpicklable *request* fails before anything is sent.
+        with pytest.raises(Exception, match="pickle"):
+            session.analyze_batch([[lambda: None]])
+        assert session._runner.respawns == 0
 
-    def test_shutdown_wait_drains_queued_tasks(self):
-        executor = ProcessExecutor(1)
-        futures = [executor.submit(_square, i) for i in range(6)]
-        executor.shutdown(wait=True)
-        assert [f.result(timeout=0) for f in futures] == [
-            i * i for i in range(6)
-        ]
-        with pytest.raises(RuntimeError):
-            executor.submit(_square, 1)
-
-    def test_rejects_bad_worker_count(self):
+    def test_rejects_bad_worker_count(self, process_world):
         with pytest.raises(ValueError):
-            ProcessExecutor(0)
+            AnalysisSession(process_world, executor="processes:0")
+        with pytest.raises(ValueError):
+            MegisConfig(executor="processes:-1")
 
-    def test_state_frozen_after_fork(self, pool):
-        pool.start()
-        with pytest.raises(RuntimeError, match="frozen"):
-            pool.bind_state(object())
+    def test_more_callers_than_workers(self, process_world, sample):
+        """One queue, one thread per busy worker: six callers share two
+        forked workers, the extra four wait on the idle queue, and every
+        answer is the serial session's."""
+        config = MegisConfig(abundance_method="statistical", backend="numpy")
+        chunks = [sample.reads[i * 40:(i + 1) * 40] for i in range(6)]
+        serial = AnalysisSession(process_world, config)
+        expected = [_signature(serial.analyze(reads)) for reads in chunks]
+        seen = []
+
+        def call(reads):
+            result = session.analyze(reads)
+            seen.append((len(_worker_processes()), [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("megis-procpool")
+            ]))
+            return _signature(result)
+
+        with AnalysisSession(
+            process_world, config, executor="processes:2"
+        ) as session:
+            session.warm()
+            got, hung = _run_in_threads(
+                [lambda reads=reads: call(reads) for reads in chunks]
+            )
+            assert not hung
+            assert got == expected
+            assert session._runner.respawns == 0
+        # Under load: exactly the N forked children, and no parent-side
+        # thread of the runner's own.
+        assert seen == [(2, [])] * 6
+
+    def test_close_waits_reaps_and_releases_waiters(self, hooked, tmp_path):
+        started, release = tmp_path / "started", tmp_path / "release"
+
+        def slow(self, samples):
+            started.touch()
+            while not release.exists():
+                time.sleep(0.01)
+            return ["finished"]
+
+        session = hooked(slow, workers=1)
+        runner = session._runner
+        [pid] = [probe["pid"] for probe in runner.probe_workers()]
+        in_flight = _Call(lambda: runner.analyze_batch(_ANY))
+        assert _wait_for(started.exists)
+        waiting = _Call(lambda: runner.analyze_batch(_ANY))
+        closing = _Call(session.close)
+        time.sleep(0.3)
+        # close() is waiting for the batch in flight, not abandoning it.
+        assert in_flight.is_alive() and closing.is_alive()
+        assert _alive(pid)
+        release.touch()
+        for thread in (in_flight, waiting, closing):
+            thread.join(60)
+            assert not thread.is_alive()
+        assert in_flight.outcome == ["finished"]
+        assert closing.outcome is None
+        assert isinstance(waiting.outcome, RuntimeError)
+        assert "closed" in str(waiting.outcome)
+        assert not _worker_processes()
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.analyze_batch(_ANY)
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.probe_workers()
+
+    def test_concurrent_probes_do_not_deadlock(self, hooked):
+        """Each probe collects *every* handle; two of them must not end
+        up holding half the pool each."""
+        session = hooked(lambda self, samples: [os.getpid()])
+        runner = session._runner
+
+        def probe_repeatedly():
+            return [
+                frozenset(probe["pid"] for probe in runner.probe_workers())
+                for _ in range(25)
+            ]
+
+        outcomes, hung = _run_in_threads(
+            [probe_repeatedly, probe_repeatedly,
+             lambda: [session.analyze_batch(_ANY) for _ in range(25)]],
+            seconds=60,
+        )
+        assert not hung
+        pids = set(outcomes[0]) | set(outcomes[1])
+        assert len(pids) == 1 and len(next(iter(pids))) == 2
 
 
 # -- session / runner ---------------------------------------------------------
@@ -231,7 +355,8 @@ class TestProcessBackedSession:
         bare = AnalysisSession(
             process_world, MegisConfig(executor="processes")
         )
-        assert bare._process_workers == (os.cpu_count() or 1)
+        assert bare._process_workers == default_workers()
+        assert default_workers() == len(os.sched_getaffinity(0))
         sized = AnalysisSession(
             process_world, MegisConfig(executor="processes:3")
         )
@@ -242,12 +367,6 @@ class TestProcessBackedSession:
         from repro.ssd.config import ssd_c
         from repro.ssd.device import SSD
 
-        executor = ProcessExecutor(1)
-        try:
-            with pytest.raises(ValueError, match="processes"):
-                AnalysisSession(process_world, executor=executor)
-        finally:
-            executor.shutdown(wait=False)
         with pytest.raises(ValueError, match="process-backed"):
             AnalysisSession(
                 process_world, MegisConfig(executor="processes:2"),
@@ -338,27 +457,6 @@ def _alive(pid: int) -> bool:
 
 # -- service-level crash semantics -------------------------------------------
 
-def _install_poison(monkeypatch):
-    """Replace the analysis task with one that kills the worker on a
-    poison sample.  Patched *before* the session forks, so workers (and
-    every respawn, which re-forks the patched parent) inherit it; the
-    pickle-by-reference lookup resolves to the patched function on both
-    sides of the pipe."""
-    from repro.megis import procpool
-
-    real = procpool._task_analyze
-
-    def poisoned_analyze(samples, with_abundance):
-        if any(reads and reads[0].sequence == "POISON" for reads in samples):
-            os._exit(51)
-        return real(samples, with_abundance)
-
-    poisoned_analyze.__module__ = real.__module__
-    poisoned_analyze.__qualname__ = real.__qualname__
-    poisoned_analyze.__name__ = real.__name__
-    monkeypatch.setattr(procpool, "_task_analyze", poisoned_analyze)
-
-
 class TestServiceCrashSemantics:
     def test_killed_worker_respawns_without_losing_queue(
         self, process_world, sample, monkeypatch
@@ -366,24 +464,23 @@ class TestServiceCrashSemantics:
         """A worker killed mid-batch fails only the poisoned request —
         with a structured error after one respawn-retry — while every
         queued sample completes on the respawned worker."""
-        from repro.sequences.reads import Read
-
-        _install_poison(monkeypatch)
+        _install_hook(
+            monkeypatch,
+            lambda self, samples: os._exit(51) if _poisoned(samples) else None,
+        )
         config = MegisConfig(abundance_method="statistical", backend="numpy",
                              executor="processes:2")
         serial = AnalysisSession(process_world, MegisConfig(
             abundance_method="statistical", backend="numpy"))
         good = [sample.reads[i * 40:(i + 1) * 40] for i in range(3)]
         expected = [_signature(serial.analyze(reads)) for reads in good]
-        poison = [Read(read_id=0, sequence="POISON", true_taxid=0)]
-
         with AnalysisSession(process_world, config) as session:
             # One sample per batch: the poison kill must not take
             # innocent batch-mates down with it in this test.
             with AnalysisService(session, workers=1, max_batch=1) as service:
                 assert session._runner is not None
                 futures = [service.submit(good[0], tag="g0"),
-                           service.submit(poison, tag="poison"),
+                           service.submit(_POISON, tag="poison"),
                            service.submit(good[1], tag="g1"),
                            service.submit(good[2], tag="g2")]
                 service.close_submissions()  # end the completion stream
@@ -400,5 +497,13 @@ class TestServiceCrashSemantics:
                     completed[tag].future.result()) == want
             # Both deaths (initial + retry) respawned a worker, and the
             # respawned worker served the queued samples.
-            assert session._runner.respawns >= 2
+            assert session._runner.respawns == 2
             assert all(future.done() for future in futures)
+            # Conservation: the crash cost the poisoned request its
+            # answer, not the service a request.
+            stats = service.stats
+            assert stats.samples_submitted == 4
+            assert stats.samples_submitted == (
+                stats.samples_completed + stats.samples_cancelled
+                + stats.samples_expired
+            )
