@@ -150,7 +150,6 @@ def _retrieval_world(n_db=80_000, n_query=40_000, seed=5):
     ]
     sketch = synthetic_sketch(kmers, owners, k_max=BENCH_K)
     kss = KssTables(sketch)
-    kss.columns()
     queries = kmers[:: max(1, n_db // n_query)]
     return sketch, kss, queries
 

@@ -94,7 +94,6 @@ def test_step2_intersect_backend(benchmark, bench_sorted_db, backend):
 def test_step2_retrieval_backend(benchmark, bench_kss, bench_sketch, backend):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
     engine = get_backend(backend)
-    bench_kss.columns()
 
     def retrieve():
         return engine.retrieve(bench_kss, queries)

@@ -20,7 +20,6 @@ from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
     StepTwoBackend,
-    column_to_list,
 )
 from repro.backends.numpy_backend import NumpyStepTwoBackend
 from repro.backends.python_backend import PythonStepTwoBackend
@@ -28,6 +27,7 @@ from repro.backends.retrieval import (
     IntColumn,
     LevelHits,
     RetrievalResult,
+    column_to_list,
     csr_gather,
 )
 

@@ -215,18 +215,6 @@ def interval_edges(samples: Sequence[Sequence[BucketSlice]]) -> List[int]:
     return sorted(edges)
 
 
-def column_to_list(column: IntColumn) -> List[int]:
-    """Plain-int copy of a k-mer column (Python list or ndarray).
-
-    ``tolist`` unboxes ndarray columns to Python ints in one pass; the
-    extra ``int()`` keeps object-dtype columns and exotic containers exact.
-    """
-    tolist = getattr(column, "tolist", None)
-    if tolist is not None:
-        return [int(x) for x in tolist()]
-    return [int(x) for x in column]
-
-
 def bisect_column(column: IntColumn, value: int, lo: int = 0) -> int:
     """``bisect_left`` that is safe for values beyond an ndarray's dtype.
 

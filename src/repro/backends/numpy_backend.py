@@ -2,7 +2,7 @@
 
 The sorted k-mer database and the KSS k_max table are held as sorted
 ``np.ndarray`` columns (:meth:`SortedKmerDatabase.column`,
-:meth:`KssTables.columns`); the Step-2 kernels then become array
+:meth:`KssTables.store`); the Step-2 kernels then become array
 operations:
 
 - bucket range selection — ``np.searchsorted`` over the database column;
@@ -219,7 +219,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
 
         Each level is one ``searchsorted`` membership test plus one
         vectorized CSR row gather (:func:`~repro.backends.retrieval.csr_gather`)
-        out of the precomputed :meth:`KssTables.columns` owner columns; no
+        out of the :meth:`KssTables.store` full-set owner columns; no
         Python code runs per query or per taxID.
         """
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
@@ -242,23 +242,23 @@ class NumpyStepTwoBackend(StepTwoBackend):
         )
         levels: Dict[int, LevelHits] = {}
         with timings.phase("retrieve"):
-            cols = kss.columns()
-            q = as_column(queries, cols.kmers.dtype)
+            store = kss.store()
+            q = as_column(queries, store.kmers.dtype)
             if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
                 raise ValueError("intersecting k-mers must be sorted")
 
             # Level k_max: vectorized membership against the sorted column,
             # then one CSR gather of the matched rows' owner slices.
             levels[kss.k_max] = self._gather_level(
-                cols.kmers, cols.taxids, cols.offsets, q
+                store.kmers, store.taxids, store.offsets, q
             )
 
             # Smaller levels: prefix-group membership per level.
             for k in kss.smaller_ks:
-                level = cols.levels[k]
+                level = store.levels[k]
                 prefixes = _rshift(q, 2 * (kss.k_max - k))
                 levels[k] = self._gather_level(
-                    level.prefixes, level.taxids, level.offsets, prefixes
+                    level.prefixes, level.full_taxids, level.full_offsets, prefixes
                 )
         return RetrievalResult(queries=queries, levels=levels)
 

@@ -30,10 +30,9 @@ from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
     StepTwoBackend,
-    column_to_list,
     interval_edges,
 )
-from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.backends.retrieval import LevelHits, RetrievalResult, column_to_list
 from repro.sequences.encoding import kmer_prefix
 
 

@@ -57,7 +57,12 @@ QueryDicts = Dict[int, Dict[int, FrozenSet[int]]]
 IntColumn = Union[Sequence[int], npt.NDArray[Any]]
 
 
-def as_int_list(column: IntColumn) -> List[int]:
+def column_to_list(column: IntColumn) -> List[int]:
+    """Plain-int copy of a k-mer column (Python list or ndarray).
+
+    ``tolist`` unboxes ndarray columns to Python ints in one pass; the
+    extra ``int()`` keeps object-dtype columns and exotic containers exact.
+    """
     tolist = getattr(column, "tolist", None)
     if tolist is not None:
         return [int(x) for x in tolist()]
@@ -204,7 +209,7 @@ class RetrievalResult:
                 offsets: List[int] = [0]
                 for b in blocks:
                     base = len(flat)
-                    flat.extend(as_int_list(b.taxids))
+                    flat.extend(column_to_list(b.taxids))
                     offsets.extend(base + int(o) for o in list(b.offsets)[1:])
                 levels[k] = LevelHits(taxids=flat, offsets=offsets)
         return cls(queries=queries, levels=levels)
@@ -226,7 +231,7 @@ class RetrievalResult:
                 for i, q in enumerate(self.queries):
                     lo, hi = int(offsets[i]), int(offsets[i + 1])
                     if hi > lo:
-                        view[int(q)][k] = frozenset(as_int_list(taxids[lo:hi]))
+                        view[int(q)][k] = frozenset(column_to_list(taxids[lo:hi]))
             self._dict_view = view
         return self._dict_view
 

@@ -12,8 +12,11 @@ k-mers and the tables, with no pointer chasing.  The paper measures KSS at
 A :class:`KssTables` *is* its **store** (:class:`KssStore`) — flat CSR
 columns per level (sorted prefixes, the *stored* taxID CSR the paper
 persists, and the reconstructed *full*-set CSR the NumPy backend gathers
-from).  The **rows** (``entries`` / ``sub_tables``, the per-row Python
-objects the register-level reference backend streams) are a view of it.
+from, reading :meth:`KssTables.store` directly).  The **rows**
+(``entries`` / ``sub_tables``, the per-row Python objects the
+register-level reference backend streams) are a view of it.
+:class:`~repro.databases.sorted_db.SortedKmerDatabase` has the same
+lifecycle, so the two resident tables have one.
 
 Building from a sketch packs the store once (counted in ``column_builds``)
 and keeps the rows the build walked; a table over a persisted store
@@ -53,48 +56,18 @@ class KssSubEntry:
 
 
 @dataclass(frozen=True)
-class KssLevelColumns:
-    """CSR view of one smaller-k table: sorted prefixes + owner columns.
-
-    ``taxids[offsets[i]:offsets[i+1]]`` is the reconstructed *full* level-k
-    taxID set for row ``i`` (``stored UNION covered-owners``, sorted
-    ascending) — precomputing the union preserves the reference retrieval's
-    semantics exactly while letting the NumPy backend answer a prefix
-    lookup with one ``searchsorted`` plus a vectorized CSR gather.
-    """
-
-    prefixes: np.ndarray
-    taxids: np.ndarray
-    offsets: np.ndarray
-
-
-@dataclass(frozen=True)
-class KssColumns:
-    """CSR columnar view of the whole KSS structure for the NumPy backend.
-
-    The k_max owner lists live in one flat ``taxids`` column addressed by
-    ``offsets`` (row ``i`` of the sorted ``kmers`` column owns
-    ``taxids[offsets[i]:offsets[i+1]]``); every smaller level carries the
-    same layout keyed by prefix rows.
-    """
-
-    k_max: int
-    kmers: np.ndarray
-    taxids: np.ndarray
-    offsets: np.ndarray
-    levels: Dict[int, KssLevelColumns]
-
-
-@dataclass(frozen=True)
 class KssLevelStore:
     """One smaller-k level's persisted columns.
 
     ``stored_*`` is the CSR of what the KSS physically keeps per row (the
     taxIDs not covered by the row's k_max-mers — the paper's space saving);
-    ``full_*`` is the CSR of the reconstructed full sets the retrieval
-    kernels answer with.  ``full - stored`` per row is exactly the
-    covered-owner union, so neither the rows nor the k_max stream need
-    re-walking after a load.
+    ``full_*`` is the CSR of the reconstructed full sets (``stored UNION
+    covered-owners``, sorted ascending) the retrieval kernels answer with
+    — precomputing the union preserves the reference retrieval's semantics
+    exactly while letting the NumPy backend answer a prefix lookup with
+    one ``searchsorted`` plus a vectorized CSR gather.  ``full - stored``
+    per row is exactly the covered-owner union, so neither the rows nor
+    the k_max stream need re-walking after a load.
     """
 
     prefixes: np.ndarray
@@ -106,7 +79,13 @@ class KssLevelStore:
 
 @dataclass(frozen=True)
 class KssStore:
-    """The complete columnar KSS: what the index format persists."""
+    """The complete columnar KSS: what the index format persists.
+
+    The k_max owner lists live in one flat ``taxids`` column addressed by
+    ``offsets`` (row ``i`` of the sorted ``kmers`` column owns
+    ``taxids[offsets[i]:offsets[i+1]]``); every smaller level carries the
+    same layout keyed by prefix rows.
+    """
 
     k_max: int
     smaller_ks: Tuple[int, ...]
@@ -185,7 +164,6 @@ class KssTables:
         self._store = store
         self._entries: Optional[List[Tuple[int, FrozenSet[int]]]] = None
         self._sub_tables: Optional[Dict[int, List[KssSubEntry]]] = None
-        self._columns: Optional[KssColumns] = None
         self._covered_cache: Dict[int, Dict[int, FrozenSet[int]]] = {}
         #: Construction counters (see the module docstring): store packs
         #: from rows, and lazy row materializations from the store.
@@ -237,32 +215,13 @@ class KssTables:
             self.row_materializations += 1
         return self._sub_tables
 
-    # -- columnar views --------------------------------------------------------
-
-    def columns(self) -> KssColumns:
-        """CSR ndarray view for the NumPy backend: zero-copy views of the
-        store's k_max and *full*-set columns (wrapped once, cached)."""
-        if self._columns is None:
-            store = self._store
-            self._columns = KssColumns(
-                k_max=store.k_max,
-                kmers=store.kmers,
-                taxids=store.taxids,
-                offsets=store.offsets,
-                levels={
-                    k: KssLevelColumns(
-                        prefixes=level.prefixes,
-                        taxids=level.full_taxids,
-                        offsets=level.full_offsets,
-                    )
-                    for k, level in store.levels.items()
-                },
-            )
-        return self._columns
+    # -- the store --------------------------------------------------------------
 
     def store(self) -> KssStore:
-        """The persistable columnar form; slicing and serialization both
-        operate on this representation."""
+        """The columns themselves: what the NumPy backend gathers from
+        (``kmers`` / ``taxids`` / ``offsets`` and each level's ``prefixes``
+        / ``full_*``), what :meth:`slice_range` cuts and what the index
+        format persists."""
         return self._store
 
     # -- range sharding (§6.1) -------------------------------------------------

@@ -25,7 +25,10 @@ buffer it was parsed from.  Whether that buffer is a ``bytes`` object
 (:func:`map_sections`) is decided once, by whoever produced it; nothing
 below takes a parameter saying where the bytes live.  Only the k-mer key
 columns materialize (they are stored big-endian packed and every
-``searchsorted`` walks them).
+``searchsorted`` walks them): :func:`parse_kmer_column` returns the sorted
+ndarray column — ``uint64``, or ``object`` dtype past 64 bits — which is
+what a loaded database or KSS level holds, and :func:`pack_kmer_column`
+is its mirror.  No Python int list exists on either path.
 
 Index container format (``MEGISIDX``): a named-section archive holding the
 database payloads (one section per SSD shard), the KSS CSR columns, the
@@ -41,11 +44,17 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
+from repro.backends.retrieval import IntColumn
 from repro.databases.sorted_db import SortedKmerDatabase
+
+#: What the parsers read from: a ``bytes`` payload or a ``uint8`` section.
+Buffer = Union[bytes, NDArray[np.uint8]]
 
 MAGIC = b"MEGISKDB"
 _HEADER = struct.Struct("<8sHHI")
@@ -72,53 +81,51 @@ def _pack_kmer(value: int, k: int) -> bytes:
     return (value << shift).to_bytes(width, "big")
 
 
-def _unpack_kmer(raw: bytes, k: int) -> int:
+def pack_kmer_column(column: IntColumn, k: int) -> bytes:
+    """Pack a sorted k-mer column into big-endian records (one bulk blob).
+
+    The mirror of :func:`parse_kmer_column`: vectorized for ``2k <= 64``,
+    one record at a time past that.
+    """
     width = kmer_record_bytes(k)
-    shift = width * 8 - 2 * k
-    return int.from_bytes(raw, "big") >> shift
+    if 2 * k > 64:
+        return b"".join(_pack_kmer(int(v), k) for v in column)
+    shifted = np.asarray(column, dtype=np.uint64) << np.uint64(width * 8 - 2 * k)
+    records = shifted.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return records[:, 8 - width:].tobytes()
 
 
-def pack_kmer_column(values: Sequence[int], k: int) -> bytes:
-    """Pack a sorted k-mer column into big-endian records (one bulk blob)."""
-    return b"".join(_pack_kmer(int(v), k) for v in values)
+def parse_kmer_column(buf: Buffer, k: int, count: int) -> NDArray[Any]:
+    """Parse ``count`` packed k-mer records into the sorted key column.
 
-
-def parse_kmer_column(
-    buf, k: int, count: int
-) -> Tuple[List[int], Optional[np.ndarray]]:
-    """Parse ``count`` packed k-mer records into ``(ints, ndarray column)``.
-
-    For ``2k <= 64`` the parse is fully vectorized (one ``frombuffer`` +
-    shift) and the returned ``uint64`` column can be attached directly as a
-    database's ndarray cache; wider k-mers fall back to the per-record loop
-    and return ``None`` for the column (``object`` dtype is built on
-    demand).
+    ``uint64`` and fully vectorized (one ``frombuffer`` + shift) for
+    ``2k <= 64``; wider k-mers fill an ``object`` column one record at a
+    time.  Either attaches as a database's key column as is.
     """
     width = kmer_record_bytes(k)
     if len(buf) < count * width:
         raise SerializationError("truncated k-mer column")
+    raw = _as_u8(buf)[: count * width]
+    shift = width * 8 - 2 * k
+    column: NDArray[Any]
     if 2 * k <= 64:
-        raw = np.frombuffer(buf, dtype=np.uint8, count=count * width).reshape(
-            count, width
-        )
         padded = np.zeros((count, 8), dtype=np.uint8)
-        padded[:, 8 - width:] = raw
-        shift = np.uint64(width * 8 - 2 * k)
-        column = (padded.reshape(-1).view(">u8").astype(np.uint64)) >> shift
-        return column.tolist(), column
-    view = bytes(buf[: count * width])
-    kmers = [
-        _unpack_kmer(view[i * width : (i + 1) * width], k) for i in range(count)
-    ]
-    return kmers, None
+        padded[:, 8 - width:] = raw.reshape(count, width)
+        column = padded.reshape(-1).view(">u8").astype(np.uint64) >> np.uint64(shift)
+    else:
+        view = raw.tobytes()
+        column = np.empty(count, dtype=object)
+        for i in range(count):
+            column[i] = int.from_bytes(view[i * width : (i + 1) * width], "big") >> shift
+    return column
 
 
-def pack_i64(values) -> bytes:
+def pack_i64(values: ArrayLike) -> bytes:
     """One int64 column as little-endian bytes."""
     return np.asarray(values, dtype="<i8").tobytes()
 
 
-def _as_u8(buf) -> np.ndarray:
+def _as_u8(buf: Buffer) -> NDArray[np.uint8]:
     """``buf`` as a ``uint8`` array over the same memory (never a copy).
 
     An ndarray (a section cut from either container source) passes
@@ -130,11 +137,12 @@ def _as_u8(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8)
 
 
-def parse_i64(buf) -> np.ndarray:
+def parse_i64(buf: Buffer) -> NDArray[np.int64]:
     """A little-endian int64 column as a view of ``buf`` (length-checked)."""
     if len(buf) % 8:
         raise SerializationError("int64 column length is not a multiple of 8")
-    return _as_u8(buf).view("<i8")
+    column: NDArray[np.int64] = _as_u8(buf).view("<i8")
+    return column
 
 
 def serialize_database(db: SortedKmerDatabase, with_owners: bool = True) -> bytes:
@@ -148,7 +156,7 @@ def serialize_database(db: SortedKmerDatabase, with_owners: bool = True) -> byte
     flags = FLAG_OWNERS | FLAG_CSR if with_owners else 0
     out = [
         _HEADER.pack(MAGIC, db.k, flags, len(db)),
-        pack_kmer_column(db.kmers, db.k),
+        pack_kmer_column(db.column(), db.k),
     ]
     if with_owners:
         taxids, offsets = db.owner_columns()
@@ -161,15 +169,15 @@ def serialize_database(db: SortedKmerDatabase, with_owners: bool = True) -> byte
     return b"".join(out)
 
 
-def deserialize_database(payload) -> SortedKmerDatabase:
+def deserialize_database(payload: Buffer) -> SortedKmerDatabase:
     """Parse the on-flash byte format back into a database.
 
-    The k-mer records parse vectorized into the ndarray column cache; the
-    owner offsets/taxID columns attach verbatim as ``<u8`` / ``<u4`` views
-    of ``payload`` — of the mapped file when ``payload`` is a section of
-    one, so the owner data stays on flash until a consumer touches its
-    pages.  A round-trip never rebuilds a column, and per-row owner sets
-    materialize only on demand.
+    The k-mer records parse into the key column; the owner offsets/taxID
+    columns attach verbatim as ``<u8`` / ``<u4`` views of ``payload`` — of
+    the mapped file when ``payload`` is a section of one, so the owner
+    data stays on flash until a consumer touches its pages.  The result is
+    exactly those columns (:meth:`SortedKmerDatabase.from_columns`): no
+    Python object per k-mer exists unless a reference path asks for one.
     """
     if len(payload) < _HEADER.size:
         raise SerializationError("payload shorter than header")
@@ -183,8 +191,10 @@ def deserialize_database(payload) -> SortedKmerDatabase:
     width = kmer_record_bytes(k)
     if offset + count * width > len(buf):
         raise SerializationError("truncated k-mer column")
-    kmers, column = parse_kmer_column(buf[offset:], k, count)
+    column = parse_kmer_column(buf[offset:], k, count)
     offset += count * width
+    offsets: NDArray[Any]
+    taxids: NDArray[Any]
     if flags:
         if offset + 8 * (count + 1) > len(buf):
             raise SerializationError("truncated owner offsets column")
@@ -202,7 +212,7 @@ def deserialize_database(payload) -> SortedKmerDatabase:
         taxids = np.zeros(0, dtype="<u4")
     if offset != len(buf):
         raise SerializationError(f"{len(buf) - offset} trailing bytes")
-    return SortedKmerDatabase.from_columns(k, kmers, taxids, offsets, column=column)
+    return SortedKmerDatabase.from_columns(k, column, taxids, offsets)
 
 
 # -- index section container -------------------------------------------------
@@ -254,9 +264,11 @@ def _container_entries(toc_bytes: bytes) -> List[Tuple[str, int, int]]:
         raise SerializationError(f"corrupt index table of contents: {exc}") from exc
 
 
-def _tile_sections(entries, body: np.ndarray, body_len: int) -> Dict[str, np.ndarray]:
+def _tile_sections(
+    entries: Sequence[Tuple[str, int, int]], body: NDArray[np.uint8], body_len: int
+) -> Dict[str, NDArray[np.uint8]]:
     """Cut the body at the TOC entries, insisting they tile it exactly."""
-    sections: Dict[str, np.ndarray] = {}
+    sections: Dict[str, NDArray[np.uint8]] = {}
     covered = 0
     for name, off, length in entries:
         if name in sections:
@@ -275,7 +287,7 @@ def _tile_sections(entries, body: np.ndarray, body_len: int) -> Dict[str, np.nda
     return sections
 
 
-def unpack_sections(payload: bytes) -> Dict[str, np.ndarray]:
+def unpack_sections(payload: bytes) -> Dict[str, NDArray[np.uint8]]:
     """Parse an in-memory ``MEGISIDX`` container into named section views.
 
     Rejects (loudly) anything malformed: wrong magic (including a bare
@@ -292,7 +304,7 @@ def unpack_sections(payload: bytes) -> Dict[str, np.ndarray]:
     return _tile_sections(entries, body, len(body))
 
 
-def map_sections(path) -> Dict[str, np.ndarray]:
+def map_sections(path: Union[str, Path]) -> Dict[str, NDArray[np.uint8]]:
     """Memory-map a ``MEGISIDX`` container file into named section views.
 
     The header and table of contents are read eagerly (they are tiny);
@@ -311,7 +323,7 @@ def map_sections(path) -> Dict[str, np.ndarray]:
     if len(toc_bytes) < toc_len:
         raise SerializationError("truncated index table of contents")
     entries = _container_entries(toc_bytes)
-    mapped = np.memmap(path, dtype=np.uint8, mode="r")
+    mapped: NDArray[np.uint8] = np.memmap(path, dtype=np.uint8, mode="r")
     body = mapped[_INDEX_HEADER.size + toc_len :]
     return _tile_sections(entries, body, len(body))
 

@@ -111,7 +111,6 @@ def run() -> ExperimentResult:
         kss = KssTables(
             synthetic_sketch(database.kmers, [database.owners_of(x) for x in database.kmers])
         )
-        kss.columns()
         # Each backend consumes its native query container, mirroring the
         # backend-aware Step-1 output.
         query_list = database.kmers[::2]

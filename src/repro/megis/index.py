@@ -17,7 +17,7 @@ Layout decisions that matter:
   the parent (whose owner CSR is deferred — no query reads it);
 - the KSS is stored as its **per-level CSR blocks** (prefix rows, the
   stored taxID CSR, and the reconstructed full-set CSR), so ``open()``
-  rebuilds :meth:`~repro.databases.kss.KssTables.columns` by attaching
+  rebuilds the :class:`~repro.databases.kss.KssStore` by attaching
   views — no Python row objects are touched until (unless) the
   register-level reference backend runs;
 - the sketch's per-level tables are **not** stored separately — they are
@@ -29,9 +29,16 @@ There is one way to open an index: every int column is a dtype view of the
 container's bytes.  :meth:`MegisIndex.open` maps the file (the paper's
 deployment: the database stays in storage, only touched pages become
 resident); :meth:`MegisIndex.from_bytes` runs the same loader over an
-in-memory payload.  An opened file stays mapped for the index's lifetime,
-so :meth:`MegisIndex.save` replaces the file atomically rather than
-truncating it.
+in-memory payload.  What ``open`` allocates is the key columns and
+nothing per row besides them: one ``uint64`` per database k-mer in its
+shard's column and one more in the stitched parent's (16 B per k-mer for
+a multi-shard file, 8 B for a single-shard one), one per KSS k_max row and
+prefix row, and the re-based offsets of the shards' KSS slices — 25 B
+per database k-mer at the ``tracemalloc`` peak of the ledger's one-shard
+``map_short`` open, 33 B for its four-shard ``cluster_long``; the owner
+CSR stays in the file.  An opened
+file stays mapped for the index's lifetime, so :meth:`MegisIndex.save`
+replaces the file atomically rather than truncating it.
 
 :class:`IndexBuilder` is the offline construction step;
 :class:`~repro.megis.session.AnalysisSession` is the serving side.
@@ -115,10 +122,9 @@ class MegisIndex:
         """Per-SSD shard handles (built once per shard count, cached).
 
         One SSD is the whole-range handle on the database and KSS
-        themselves — nothing sliced, nothing built.  For more, the parent
-        ndarray column is materialized first so every shard shares it as a
-        zero-copy view; each shard also carries its prefix-aligned KSS
-        range slice (§6.1 + range-sharded KSS).
+        themselves — nothing sliced, nothing built.  For more, every shard
+        is a zero-copy view of the database's columns and carries its
+        prefix-aligned KSS range slice (§6.1 + range-sharded KSS).
         """
         if n_ssds < 1:
             raise ValueError(f"n_ssds must be >= 1, got {n_ssds}")
@@ -127,7 +133,6 @@ class MegisIndex:
             if n_ssds == 1:
                 shards = [whole_shard(self.database, self.kss)]
             else:
-                self.database.column()
                 shards = split_database(self.database, n_ssds)
                 shard_kss(self.kss, shards)
             self._shard_cache[n_ssds] = shards
@@ -161,15 +166,11 @@ class MegisIndex:
         sections["manifest"] = json.dumps(manifest, sort_keys=True).encode("utf-8")
         for shard in shards:
             sections[f"db/shard/{shard.index}"] = serialize_database(shard.database)
-        sections["kss/kmers"] = pack_kmer_column(
-            kss_store.kmers.tolist(), kss_store.k_max
-        )
+        sections["kss/kmers"] = pack_kmer_column(kss_store.kmers, kss_store.k_max)
         sections["kss/kmax_taxids"] = pack_i64(kss_store.taxids)
         sections["kss/kmax_offsets"] = pack_i64(kss_store.offsets)
         for k, level in kss_store.levels.items():
-            sections[f"kss/{k}/prefixes"] = pack_kmer_column(
-                level.prefixes.tolist(), k
-            )
+            sections[f"kss/{k}/prefixes"] = pack_kmer_column(level.prefixes, k)
             sections[f"kss/{k}/stored_taxids"] = pack_i64(level.stored_taxids)
             sections[f"kss/{k}/stored_offsets"] = pack_i64(level.stored_offsets)
             sections[f"kss/{k}/full_taxids"] = pack_i64(level.full_taxids)
@@ -185,8 +186,7 @@ class MegisIndex:
             sections["references"] = references_to_fasta(self.references).encode(
                 "utf-8"
             )
-        payload: bytes = pack_sections(sections)
-        return payload
+        return pack_sections(sections)
 
     def save(self, path: Union[str, Path], n_shards: int = 1,
              include_references: bool = True) -> Path:
@@ -217,7 +217,7 @@ class MegisIndex:
 
         A multi-shard file's shard handles are the per-section databases
         themselves, each over its own section's owner columns; the
-        stitched parent (k-mer lists concatenate) defers its owner CSR to
+        stitched parent (key columns concatenate) defers its owner CSR to
         a loader the query path never calls.  The one shard of a
         single-shard file is the database itself, which is what
         ``shards(1)`` wraps.
@@ -227,7 +227,14 @@ class MegisIndex:
             _shard_database(sections, manifest, i)
             for i in range(manifest.n_shards)
         ]
-        database = _concatenate_shards(manifest.k, shard_dbs)
+        database = shard_dbs[0]
+        if len(shard_dbs) > 1:
+            # (Cross-shard order was settled by the range check in
+            # _shard_database; from_columns re-checks the whole column.)
+            database = SortedKmerDatabase.from_columns(
+                manifest.k, np.concatenate([db.column() for db in shard_dbs]),
+                owner_loader=lambda: _stitch_owner_columns(shard_dbs),
+            )
         kss = KssTables.from_store(_kss_store(sections, manifest))
         sketch = _lazy_sketch(sections, manifest, kss)
         references = None
@@ -239,9 +246,14 @@ class MegisIndex:
             )
         index = cls(database, sketch, references, kss=kss)
         if len(shard_dbs) > 1:
-            index._shard_cache[len(shard_dbs)] = _section_shards(
-                kss, manifest, shard_dbs
-            )
+            shards = [
+                DatabaseShard(index=i, lo=lo, hi=hi, database=db)
+                for i, (db, (lo, hi)) in enumerate(
+                    zip(shard_dbs, manifest.shard_ranges)
+                )
+            ]
+            shard_kss(kss, shards)
+            index._shard_cache[len(shards)] = shards
         return index
 
     @classmethod
@@ -252,7 +264,8 @@ class MegisIndex:
         each shard's database owner CSR — attach as ``np.memmap`` views in
         their on-disk dtypes, so a database larger than RAM serves queries
         with only the touched pages resident.  The k-mer/prefix *key*
-        columns (the structures every ``searchsorted`` walks) materialize;
+        columns (the structures every ``searchsorted`` walks) materialize
+        — one ndarray each, the database's and the KSS's whole key state;
         the owner payload, which dominates the index size, stays on flash.
 
         ``mmap=False`` is :meth:`from_bytes` over the file's bytes — the
@@ -388,10 +401,24 @@ def _section(sections: Sections, name: str) -> NDArray[np.uint8]:
 def _shard_database(
     sections: Sections, manifest: _Manifest, i: int
 ) -> SortedKmerDatabase:
+    """Shard ``i``'s section as a database, checked against the manifest.
+
+    Its keys must lie inside its ``shard_ranges`` slot — queries are
+    clipped to that range on trust, so a section that disagrees with it
+    would silently lose matches; with the slots tiling the key space in
+    ascending order this also orders the shards among themselves.
+    """
     database = deserialize_database(_section(sections, f"db/shard/{i}"))
     if database.k != manifest.k:
         raise SerializationError(
             f"shard {i} has k={database.k}, manifest says k={manifest.k}"
+        )
+    lo, hi = manifest.shard_ranges[i]
+    column = database.column()
+    if len(column) and not lo <= int(column[0]) <= int(column[-1]) < hi:
+        raise SerializationError(
+            f"shard {i} holds k-mers outside [{lo}, {hi}), its slot in the "
+            f"manifest's ascending shard_ranges"
         )
     return database
 
@@ -411,70 +438,11 @@ def _stitch_owner_columns(
     return np.concatenate(taxid_parts), np.concatenate(offset_parts)
 
 
-def _concatenate_shards(
-    k: int, shard_dbs: Sequence[SortedKmerDatabase]
-) -> SortedKmerDatabase:
-    """Stitch per-shard column sections into the full database.
-
-    The owner-column stitch is deferred to a loader: the query path never
-    reads the parent's owners, so the per-section views stay the only copy
-    unless a consumer explicitly asks.
-    """
-    if len(shard_dbs) == 1:
-        return shard_dbs[0]
-    kmers: List[int] = []
-    for db in shard_dbs:
-        # Each shard is validated internally at deserialization; the
-        # cross-shard boundary order must hold too or bisect-based
-        # queries on the stitched database would silently misresolve.
-        if kmers and db._kmers and db._kmers[0] <= kmers[-1]:
-            raise SerializationError(
-                "shard sections are not in ascending k-mer order"
-            )
-        kmers.extend(db._kmers)
-    columns = [db._column for db in shard_dbs]
-    column = (
-        np.concatenate(columns) if all(c is not None for c in columns) else None
-    )
-    return SortedKmerDatabase.from_columns(
-        k, kmers, column=column,
-        owner_loader=lambda: _stitch_owner_columns(shard_dbs),
-    )
-
-
-def _section_shards(
-    kss: KssTables, manifest: _Manifest, shard_dbs: Sequence[SortedKmerDatabase]
-) -> List[DatabaseShard]:
-    """Shard handles over the per-section databases themselves.
-
-    Each shard database already owns its section's owner-column views, so
-    the handles serve without touching the lazily-stitched parent; the KSS
-    range slices are views of the store columns.
-    """
-    shards = [
-        DatabaseShard(index=i, lo=lo, hi=hi, database=db)
-        for i, (db, (lo, hi)) in enumerate(zip(shard_dbs, manifest.shard_ranges))
-    ]
-    shard_kss(kss, shards)
-    return shards
-
-
 def _load_column(sections: Sections, name: str, k: int, rows: int) -> NDArray[Any]:
     """One packed k-mer/prefix column, materialized as a sorted ndarray."""
-    from repro.backends.numpy_backend import as_column, column_dtype
-
-    column: Optional[NDArray[Any]]
-    values, column = parse_kmer_column(_section(sections, name), k, rows)
-    if column is None:
-        column = as_column(values, column_dtype(k))
+    column = parse_kmer_column(_section(sections, name), k, rows)
     if np.any(column[1:] < column[:-1]):
         raise SerializationError(f"section {name!r} is not sorted ascending")
-    return column
-
-
-def _i64_column(sections: Sections, name: str) -> NDArray[np.int64]:
-    """One persisted int64 column, as a view of its section."""
-    column: NDArray[np.int64] = parse_i64(_section(sections, name))
     return column
 
 
@@ -482,8 +450,8 @@ def _load_csr(
     sections: Sections, prefix: str, rows: int
 ) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
     """A ``(taxids, offsets)`` CSR pair, shape-checked against ``rows``."""
-    taxids = _i64_column(sections, f"{prefix}_taxids")
-    offsets = _i64_column(sections, f"{prefix}_offsets")
+    taxids = parse_i64(_section(sections, f"{prefix}_taxids"))
+    offsets = parse_i64(_section(sections, f"{prefix}_offsets"))
     if len(offsets) != rows + 1:
         raise SerializationError(
             f"section {prefix}_offsets has {len(offsets)} entries, "
@@ -534,8 +502,8 @@ def _lazy_sketch(
     they are needed only by row-level consumers like the ternary-tree
     baseline, never by the columnar query path.
     """
-    size_taxids = _i64_column(sections, "sketch/taxids")
-    sizes = _i64_column(sections, "sketch/sizes")
+    size_taxids = parse_i64(_section(sections, "sketch/taxids"))
+    sizes = parse_i64(_section(sections, "sketch/sizes"))
     if len(size_taxids) != len(sizes):
         raise SerializationError("sketch size columns disagree in length")
     sketch_sizes = {

@@ -21,9 +21,9 @@ serving process or in a forked ``processes:N`` worker, which is that
 session), the engines here and in :mod:`repro.megis.isp`, and a cluster
 node's :meth:`~repro.megis.session.AnalysisSession.step_two_partial` all
 call it.
-Shard databases are positional column slices of the parent (sharing its
-ndarray cache as zero-copy views), so sharding adds no host-side
-per-element work.
+Shard databases are positional slices of the parent — zero-copy views of
+its key column and owner CSR — so sharding adds no host-side per-element
+work.
 
 Each shard also carries its own KSS range
 (:meth:`~repro.databases.kss.KssTables.slice_range`, prefix-aligned), so an
@@ -84,13 +84,13 @@ def split_database(database: SortedKmerDatabase, n_shards: int) -> List[Database
     Boundaries are chosen at equal k-mer counts, so shards are balanced
     regardless of how k-mers cluster in the key space.  Each shard database
     is a positional :meth:`~repro.databases.sorted_db.SortedKmerDatabase.slice`
-    — the k-mer and owner columns are sliced directly, with no per-element
-    ``owners_of`` lookups — and shards stay contiguous even when the
-    database has fewer k-mers than shards (the extras are empty ranges).
+    — views of the key and owner columns — and shards stay contiguous even
+    when the database has fewer k-mers than shards (the extras are empty
+    ranges).
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
-    kmers = database.kmers
+    kmers = database.column()
     space = 1 << (2 * database.k)
     shards: List[DatabaseShard] = []
     prev_hi = 0
@@ -100,7 +100,7 @@ def split_database(database: SortedKmerDatabase, n_shards: int) -> List[Database
         if i == n_shards - 1 or stop >= len(kmers):
             hi = space
         else:
-            hi = kmers[stop]
+            hi = int(kmers[stop])
         shards.append(
             DatabaseShard(
                 index=i, lo=prev_hi, hi=hi, database=database.slice(start, stop)
@@ -140,19 +140,19 @@ def check_shards(shards: Sequence[DatabaseShard]) -> None:
 
 
 def warm_shards(shards: Sequence[DatabaseShard], columnar: bool) -> None:
-    """Materialize every shard's database and KSS structures.
+    """Materialize what the reference backend walks, for every shard.
 
-    Serving threads (and forked workers, copy-on-write) then only read
-    them.  The reference backend walks row objects and the per-level
-    covered-owner caches; an empty retrieval touches them all.
+    Serving threads (and forked workers, copy-on-write) then only read.
+    A columnar backend reads the shards' columns, which simply exist; the
+    reference backend walks row views — the database's k-mer list and the
+    KSS rows with their per-level covered-owner caches, all of which an
+    empty stream / retrieval touches.
     """
     for shard in shards:
         if shard.kss is None:
             raise ValueError(f"shard {shard.index} carries no KSS range")
-        if columnar:
-            shard.database.column()
-            shard.kss.columns()
-        else:
+        if not columnar:
+            shard.database.stream()
             shard.kss.retrieve([])
 
 
@@ -273,10 +273,6 @@ class MultiSsdStepTwo:
                 raise ValueError(
                     "provide either pre-built shards or (database, n_ssds)"
                 )
-            if self._backend.columnar:
-                # Build the parent column first so every shard shares it as
-                # a zero-copy view instead of materializing its own.
-                database.column()
             shards = split_database(database, n_ssds)
         elif not shards:
             raise ValueError("shards must be non-empty")

@@ -100,6 +100,7 @@ def _worker_main(conn: Connection, session: "AnalysisSession") -> None:
                         "pid": os.getpid(),
                         "column_builds": database.column_builds,
                         "owner_column_builds": database.owner_column_builds,
+                        "row_materializations": database.row_materializations,
                     })
                 else:
                     reply = (True, session.analyze_batch(*message))

@@ -377,12 +377,14 @@ class AnalysisSession:
         """Pre-build every lazily-constructed engine structure.
 
         After ``warm()`` the :meth:`analyze` / :meth:`analyze_batch` path
-        is pure reads over shared state: the shard handles exist, the
-        database/KSS columns (or row tables, for the reference backend)
-        and the sketch's size columns are materialized, and per-shard KSS
-        slices are cut.  :class:`~repro.megis.service.AnalysisService`
-        calls this before starting its worker threads so no two workers
-        ever race to build the same cache.  (The ternary-tree sketch
+        is pure reads over shared state: the shard handles exist with
+        their KSS slices cut, the sketch's size columns are built and, for
+        the reference backend, the row views it walks are materialized
+        (the columnar backend reads the database's and the KSS's columns,
+        which are what those objects are).
+        :class:`~repro.megis.service.AnalysisService` calls this before
+        starting its worker threads so no two workers ever race to build
+        the same cache.  (The ternary-tree sketch
         tables stay lazy — they back :meth:`analyze_metalign`, which the
         service does not serve, and materializing them would defeat the
         lazy-sketch open.)
@@ -390,9 +392,6 @@ class AnalysisSession:
         import numpy as np
 
         columnar = get_backend(self._backend_spec).columnar
-        if columnar:
-            # The parent key column first: shard views slice it zero-copy.
-            self.database.column()
         warm_shards(self.cluster_shards(), columnar)
         if self.shard_range is not None:
             # A cluster node serves :meth:`step_two_partial` and nothing
@@ -403,9 +402,7 @@ class AnalysisSession:
         # Candidate scoring consults the sorted sketch-size columns on
         # every sample; build them once, before any thread shares them.
         self.sketch.size_column(np.empty(0, dtype=np.int64))
-        if columnar:
-            self.kss.columns()
-        else:
+        if not columnar:
             # The reference backend walks row objects and the per-level
             # covered-owner caches; an empty retrieval touches them all.
             self.kss.retrieve([])

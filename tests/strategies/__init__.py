@@ -8,6 +8,8 @@ from tests.strategies.containers import with_manifest
 from tests.strategies.databases import (
     IndexWorld,
     index_worlds,
+    key_probes,
+    kmer_rows,
     owner_sets,
     sorted_kmer_databases,
 )
@@ -17,6 +19,8 @@ __all__ = [
     "STANDARD_SETTINGS",
     "IndexWorld",
     "index_worlds",
+    "key_probes",
+    "kmer_rows",
     "owner_sets",
     "sorted_kmer_databases",
     "with_manifest",

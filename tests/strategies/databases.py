@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Tuple
 
 from hypothesis import strategies as st
 
@@ -22,8 +22,8 @@ def owner_sets(min_size: int = 1) -> st.SearchStrategy[FrozenSet[int]]:
 
 
 @st.composite
-def sorted_kmer_databases(draw, k: int, max_size: int = 40) -> SortedKmerDatabase:
-    """A strictly increasing k-mer column with one owner set per row.
+def kmer_rows(draw, k: int, max_size: int = 40) -> Tuple[List[int], List[FrozenSet[int]]]:
+    """Strictly increasing k-mers with one owner set per row, as plain lists.
 
     Sizes start at zero and k-mers are drawn from the whole ``4^k`` key
     space, so empty databases, empty shards and both range ends occur.
@@ -32,7 +32,23 @@ def sorted_kmer_databases(draw, k: int, max_size: int = 40) -> SortedKmerDatabas
         st.integers(min_value=0, max_value=(1 << (2 * k)) - 1), max_size=max_size,
     )))
     owners = draw(st.lists(owner_sets(), min_size=len(kmers), max_size=len(kmers)))
-    return SortedKmerDatabase(k, kmers, owners)
+    return kmers, owners
+
+
+@st.composite
+def sorted_kmer_databases(draw, k: int, max_size: int = 40) -> SortedKmerDatabase:
+    """The row-built database over one :func:`kmer_rows` draw."""
+    return SortedKmerDatabase(k, *draw(kmer_rows(k, max_size)))
+
+
+def key_probes(k: int, kmers: List[int]) -> st.SearchStrategy[int]:
+    """Keys to look up: the stored ones, their neighbours, and anything in
+    ``[-1, 4^k]`` — both just outside the key space included."""
+    anywhere = st.integers(min_value=-1, max_value=1 << (2 * k))
+    if not kmers:
+        return anywhere
+    stored = st.sampled_from(kmers)
+    return st.one_of(stored, stored.map(lambda x: x + 1), anywhere)
 
 
 @dataclass

@@ -3,12 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.numpy_backend import column_dtype
 from repro.databases.kraken import KrakenDatabase
+from repro.databases.serialization import (
+    deserialize_database,
+    kmer_record_bytes,
+    pack_kmer_column,
+    parse_kmer_column,
+    serialize_database,
+)
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.sequences.encoding import kmer_prefix
 from repro.sequences.kmers import extract_kmers
 from tests.conftest import SKETCH_K, SMALLER_KS
+from tests.strategies import STANDARD_SETTINGS, key_probes, kmer_rows
 
 
 class TestKrakenDatabase:
@@ -141,6 +150,61 @@ class TestSortedKmerDatabase:
             for taxid in sorted_db.owners_of(kmer):
                 manual[taxid] = manual.get(taxid, 0) + 1
         assert counts == manual
+
+
+class TestTheDatabaseIsItsColumns:
+    """The row-built database, its ``serialize -> deserialize`` round trip
+    and a positional slice of either are one table seen four ways; the
+    model they must all agree with is the drawn rows, as plain lists."""
+
+    @pytest.mark.parametrize("k", [12, 40])  # uint64 / object key columns
+    @given(data=st.data())
+    @STANDARD_SETTINGS
+    def test_built_reloaded_and_sliced_agree(self, k, data):
+        kmers, owners = data.draw(kmer_rows(k))
+        built = SortedKmerDatabase(k, kmers, owners)
+        payload = serialize_database(built)
+        reloaded = deserialize_database(payload)
+        assert serialize_database(reloaded) == payload
+        records = payload[16:16 + kmer_record_bytes(k) * len(kmers)]
+        assert pack_kmer_column(
+            parse_kmer_column(records, k, len(kmers)), k
+        ) == records
+        assert (built.column_builds, built.owner_column_builds) == (1, 1)
+        assert (reloaded.column_builds, reloaded.owner_column_builds) == (0, 0)
+
+        i = data.draw(st.integers(0, len(kmers)))
+        j = data.draw(st.integers(i, len(kmers)))
+        probes = data.draw(st.lists(key_probes(k, kmers), min_size=2, max_size=8))
+        lo, hi = sorted(probes[:2])
+        query = sorted(set(probes))
+        views = [(built, 0, len(kmers)), (reloaded, 0, len(kmers)),
+                 (built.slice(i, j), i, j), (reloaded.slice(i, j), i, j)]
+        for db, start, stop in views:
+            rows, sets = kmers[start:stop], owners[start:stop]
+            assert db.column().dtype == column_dtype(k)
+            assert db.row_materializations == 0
+            assert db.column().tolist() == rows
+            assert db.kmers == rows and list(db.stream()) == rows
+            assert db.row_materializations == 1
+            assert len(db) == len(rows)
+            for probe in probes:
+                assert (probe in db) == (probe in rows)
+                if probe in rows:
+                    assert db.owners_of(probe) == sets[rows.index(probe)]
+                else:
+                    with pytest.raises(KeyError):
+                        db.owners_of(probe)
+            in_range = [x for x in rows if lo <= x < hi]
+            assert list(db.stream_range(lo, hi)) == in_range
+            assert db.count_range(lo, hi) == len(in_range)
+            assert db.intersect(query) == [x for x in query if x in rows]
+            taxids, offsets = db.owner_columns()
+            assert taxids.tolist() == [t for row in sets for t in sorted(row)]
+            assert [int(b - a) for a, b in zip(offsets, offsets[1:])] == [
+                len(row) for row in sets
+            ]
+            assert len(offsets) == len(rows) + 1 and int(offsets[0]) == 0
 
 
 class TestSketchDatabase:

@@ -75,14 +75,15 @@ class TestRoundTrip:
         assert opened.kss.row_materializations == 0
 
     def test_kss_columns_equal_built(self, opened, kss_tables):
-        got, want = opened.kss.columns(), kss_tables.columns()
+        got, want = opened.kss.store(), kss_tables.store()
         assert got.kmers.tolist() == want.kmers.tolist()
         assert got.taxids.tolist() == want.taxids.tolist()
         assert got.offsets.tolist() == want.offsets.tolist()
         for k in kss_tables.smaller_ks:
-            assert got.levels[k].prefixes.tolist() == want.levels[k].prefixes.tolist()
-            assert got.levels[k].taxids.tolist() == want.levels[k].taxids.tolist()
-            assert got.levels[k].offsets.tolist() == want.levels[k].offsets.tolist()
+            got_level, want_level = got.levels[k], want.levels[k]
+            assert got_level.prefixes.tolist() == want_level.prefixes.tolist()
+            assert got_level.full_taxids.tolist() == want_level.full_taxids.tolist()
+            assert got_level.full_offsets.tolist() == want_level.full_offsets.tolist()
 
     def test_kss_size_equal_built(self, opened, kss_tables):
         # One formula (over the store) for a built and a reloaded table.
@@ -221,6 +222,23 @@ class TestSectionSources:
             assert shard.database.owner_column_builds == 0
 
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("method,n_ssds", [("mapping", 1),
+                                               ("statistical", 3)])
+    def test_serves_bit_identically(self, by_source, sample, backend, method,
+                                    n_ssds):
+        config = MegisConfig(backend=backend, abundance_method=method,
+                             n_ssds=n_ssds)
+        expected = AnalysisSession(
+            by_source["from_bytes"], config
+        ).analyze(sample.reads)
+        got = AnalysisSession(by_source["open"], config).analyze(sample.reads)
+        assert got.intersecting_kmers == expected.intersecting_kmers
+        assert got.sketch_hits == expected.sketch_hits
+        assert got.candidates == expected.candidates
+        assert got.profile.fractions == expected.profile.fractions
+
+
 def _cut(manifest):
     """The shared edge of a two-shard manifest's ranges."""
     return manifest["shard_ranges"][0][1]
@@ -259,6 +277,8 @@ class TestManifestValidation:
         "shard_ranges_stop_early": lambda m: {
             **m, "shard_ranges": [[0, _cut(m)], [_cut(m), _cut(m)]]},
         "shard_ranges_not_pairs": lambda m: {**m, "shard_ranges": [0, 1]},
+        "shard_boundary_below_its_keys": lambda m: {
+            **m, "shard_ranges": [[0, _cut(m) // 2], [_cut(m) // 2, _top(m)]]},
         "manifest_not_an_object": lambda m: [1, 2],
     }
 
@@ -273,6 +293,39 @@ class TestManifestValidation:
                      lambda: MegisIndex.load_shard(payload, 0)):
             with pytest.raises(SerializationError, match="manifest"):
                 load()
+
+
+    def test_shard_boundary_must_bracket_the_section_keys(self, index, sample):
+        """``shard_ranges`` tile the key space *and* agree with the shard
+        sections: queries are clipped to them, so a moved boundary used to
+        open cleanly and silently drop matches.  Moved either way it is a
+        ``SerializationError`` from the shard whose keys it cuts; left
+        alone the container is byte-identical and serves the built result."""
+        payload = index.to_bytes(n_shards=2)
+        [first_of_second] = MegisIndex.load_shard(payload, 1).database.kmers[:1]
+
+        def moved(cut):
+            return with_manifest(payload, lambda m: {
+                **m, "shard_ranges": [[0, cut], [cut, _top(m)]]})
+
+        lowered, raised = moved(first_of_second // 2), moved(first_of_second + 1)
+        for tampered, cut_shard, whole_shard in ((lowered, 0, 1), (raised, 1, 0)):
+            with pytest.raises(SerializationError, match=f"shard {cut_shard}"):
+                MegisIndex.from_bytes(tampered)
+            with pytest.raises(SerializationError, match=f"shard {cut_shard}"):
+                MegisIndex.load_shard(tampered, cut_shard)
+            assert len(MegisIndex.load_shard(tampered, whole_shard).database)
+
+        untouched = with_manifest(payload, lambda m: m)
+        assert untouched == payload
+        config = MegisConfig(backend="numpy", n_ssds=2)
+        got = AnalysisSession(
+            MegisIndex.from_bytes(untouched), config
+        ).analyze(sample.reads)
+        want = AnalysisSession(index, config).analyze(sample.reads)
+        assert got.intersecting_kmers == want.intersecting_kmers
+        assert got.candidates == want.candidates
+        assert got.profile.fractions == want.profile.fractions
 
 
 class TestSaveReplacesAtomically:
@@ -451,6 +504,61 @@ class TestZeroReconstruction:
             assert shard.database.column_builds == 0
             assert shard.kss.column_builds == 0
             assert shard.kss.row_materializations == 0
+
+    @pytest.mark.parametrize("source", ["from_bytes", "open"])
+    def test_query_path_never_materializes(self, payload, tmp_path, sample,
+                                           source):
+        """Serving on the columnar backend builds no column, never stitches
+        the parent's owner CSR and boxes no row — from either section
+        source; the reference backend walks row views, so one sample on it
+        materializes the shards' k-mer lists and KSS rows (once)."""
+        if source == "open":
+            path = tmp_path / "world.megis"
+            path.write_bytes(payload)
+            served = MegisIndex.open(path, mmap=True)
+        else:
+            served = MegisIndex.from_bytes(payload)
+        config = MegisConfig(backend="numpy", abundance_method="statistical",
+                             n_ssds=3)
+        session = AnalysisSession(served, config)
+        first = session.analyze(sample.reads)
+        second = session.analyze(sample.reads)
+        assert first.candidates and first.candidates == second.candidates
+        shards = served.shards(3)
+        for database in [served.database] + [s.database for s in shards]:
+            assert database.column_builds == 0
+            assert database.owner_column_builds == 0
+            assert database.row_materializations == 0
+        for kss in [served.kss] + [s.kss for s in shards]:
+            assert kss.column_builds == 0
+            assert kss.row_materializations == 0
+
+        reference = AnalysisSession(
+            served, dataclasses.replace(config, backend="python")
+        ).analyze(sample.reads)
+        assert reference.candidates == first.candidates
+        for shard in shards:
+            assert shard.database.row_materializations == 1
+            assert shard.kss.row_materializations > 0
+            assert shard.database.owner_column_builds == 0
+        assert served.database.owner_column_builds == 0
+
+    def test_open_holds_columns_not_python_ints(self, index, tmp_path):
+        """``open`` keeps one 8-byte key per database k-mer in each of the
+        shard and parent columns plus the KSS key columns — no Python int
+        per row (which alone cost > 32 B each, 82 B per k-mer in all)."""
+        import tracemalloc
+
+        path = index.save(tmp_path / "world.megis", n_shards=4,
+                          include_references=False)
+        MegisIndex.open(path)  # imports and caches are not open's footprint
+        tracemalloc.start()
+        try:
+            opened = MegisIndex.open(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(opened.database) < 48
 
     def test_sharded_session_never_builds_the_single_ssd_engine(
         self, opened, sample

@@ -1,13 +1,15 @@
-"""Opening an index file maps it: np.memmap CSR columns, zero materialization.
+"""What only the file source of an index can show: np.memmap columns.
 
 ``MegisIndex.open`` must attach the persisted int CSR sections — the KSS
 owner/offset columns per level and each shard's database owner CSR — as
-``np.memmap`` views of the file, serve queries bit-identically to the
-same loader over an in-memory payload (``from_bytes``), and never stitch
+``np.memmap`` views of the file, in their on-disk dtypes, and never stitch
 or copy the owner payload unless a consumer explicitly asks for it
-(asserted via the ``owner_column_builds`` counter and memmap type checks).
-The source-independent contract (equal dtypes, ranges and results from
-either section source) lives in ``tests/test_index.py::TestSectionSources``.
+(asserted via the ``owner_column_builds`` counter and memmap type checks);
+``map_sections`` must reject what ``unpack_sections`` rejects.
+Everything the two section sources share — equal columns, dtypes, shard
+ranges, bit-identical serving, nothing built or boxed on the query path —
+is tested once, source-parametrised, in ``tests/test_index.py``
+(``TestSectionSources`` / ``TestZeroReconstruction``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import pytest
 from repro.databases.kss import KssTables
 from repro.databases.serialization import SerializationError, map_sections
 from repro.megis.index import MegisIndex
-from repro.megis.session import AnalysisSession, MegisConfig
 
 
 @pytest.fixture(scope="module")
@@ -85,39 +86,6 @@ class TestMemmapAttachment:
 
 
 class TestMemmapServing:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("method,n_ssds", [("mapping", 1),
-                                               ("statistical", 3)])
-    def test_serves_bit_identically(self, index_path, mapped, sample, backend,
-                                    method, n_ssds):
-        config = MegisConfig(backend=backend, abundance_method=method,
-                             n_ssds=n_ssds)
-        expected = AnalysisSession(
-            MegisIndex.from_bytes(index_path.read_bytes()), config
-        ).analyze(sample.reads)
-        got = AnalysisSession(mapped, config).analyze(sample.reads)
-        assert got.intersecting_kmers == expected.intersecting_kmers
-        assert got.sketch_hits == expected.sketch_hits
-        assert got.candidates == expected.candidates
-        assert got.profile.fractions == expected.profile.fractions
-
-    def test_query_path_never_materializes_owner_columns(self, index_path,
-                                                         sample):
-        """The stitched parent owner CSR is never built while serving."""
-        mapped = MegisIndex.open(index_path, mmap=True)
-        session = AnalysisSession(
-            mapped, MegisConfig(backend="numpy",
-                                abundance_method="statistical", n_ssds=3)
-        )
-        first = session.analyze(sample.reads)
-        second = session.analyze(sample.reads)
-        assert first.candidates and first.candidates == second.candidates
-        assert mapped.database.owner_column_builds == 0
-        assert mapped.kss.column_builds == 0
-        assert mapped.kss.row_materializations == 0
-        for shard in mapped.shards(3):
-            assert shard.database.owner_column_builds == 0
-
     def test_explicit_owner_access_materializes_once(self, index_path,
                                                      sorted_db):
         mapped = MegisIndex.open(index_path, mmap=True)

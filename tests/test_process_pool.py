@@ -393,6 +393,8 @@ class TestProcessBackedSession:
                 assert probe["pid"] != os.getpid()
                 assert probe["column_builds"] == parent_builds
                 assert probe["owner_column_builds"] == parent_owner_builds
+                assert probe["row_materializations"] == 0
+                assert index.database.row_materializations == 0
             # The pool forked once, at warm(): no crash respawns.
             assert session._runner.respawns == 0
 

@@ -154,21 +154,23 @@ class TestCsrOwnerLayout:
 
     def test_vectorized_parse_attaches_column(self, sorted_db):
         # 2k <= 64: the k-mer records parse vectorized and the uint64
-        # column is attached as the cache (no build on first use).
+        # column is attached as is (nothing built, nothing boxed).
         loaded = deserialize_database(serialize_database(sorted_db))
-        assert loaded._column is not None
+        assert loaded.column().dtype == np.uint64
         assert loaded.column_builds == 0
+        assert loaded.row_materializations == 0
         assert loaded.column().tolist() == sorted_db.kmers
 
     def test_wide_k_roundtrip_falls_back(self):
-        # The paper's k = 60 (120-bit k-mers) takes the per-record parse;
-        # the ndarray column is then built on demand with object dtype.
+        # The paper's k = 60 (120-bit k-mers) takes the per-record parse,
+        # which fills the attached column with object dtype.
         kmers = [3, 1 << 100, (1 << 119) + 5]
         db = SortedKmerDatabase(60, kmers, [frozenset({i})for i in range(3)])
         loaded = deserialize_database(serialize_database(db))
         assert loaded.kmers == kmers
-        assert loaded._column is None
+        assert loaded.column_builds == 0
         assert loaded.column().dtype == object
+        assert loaded.column().tolist() == kmers
         for kmer in kmers:
             assert loaded.owners_of(kmer) == db.owners_of(kmer)
 
