@@ -652,8 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("--sketch-fraction", type=float, default=0.25)
     index_build.add_argument("--seed", type=int, default=0)
     index_build.add_argument("--shards", type=int, default=1,
-                             help="per-SSD database sections to persist "
-                                  "(each loadable independently, §6.1)")
+                             help="per-SSD range boundaries to record (each "
+                                  "shard's rows loadable independently, §6.1)")
     index_build.add_argument("--no-references", action="store_true",
                              help="omit the reference sequences (disables "
                                   "mapping-based Step 3 on the served index)")

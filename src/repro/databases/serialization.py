@@ -30,10 +30,18 @@ ndarray column — ``uint64``, or ``object`` dtype past 64 bits — which is
 what a loaded database or KSS level holds, and :func:`pack_kmer_column`
 is its mirror.  No Python int list exists on either path.
 
+A ``MEGISKDB`` payload is the flash image
+(:class:`repro.databases.builder.DatabaseBuilder` writes it without
+owners, which loads as an ownerless table); it is not a section of the
+index container.
+
 Index container format (``MEGISIDX``): a named-section archive holding the
-database payloads (one section per SSD shard), the KSS CSR columns, the
-sketch sizes, and the reference FASTA — what :class:`repro.megis.index.MegisIndex`
-persists.  The container itself is format-agnostic: a 16-byte header
+database's packed key column (one ``db/kmers`` section, the records a
+``MEGISKDB`` payload carries behind its header and nothing else of it),
+the KSS CSR columns, the sketch sizes, and the reference FASTA — what
+:class:`repro.megis.index.MegisIndex` persists.  Version 2; version 1
+(per-shard ``MEGISKDB`` sections with owner CSRs) is refused, not
+converted.  The container itself is format-agnostic: a 16-byte header
 (magic, ``u16 version``, ``u16 reserved``, ``u32 toc_length``), a JSON
 table of contents mapping section names to ``[offset, length]`` within the
 body, then the section bytes back to back.  Sections must tile the body
@@ -62,7 +70,7 @@ FLAG_OWNERS = 1
 FLAG_CSR = 2
 
 INDEX_MAGIC = b"MEGISIDX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 _INDEX_HEADER = struct.Struct("<8sHHI")
 
 
@@ -178,6 +186,7 @@ def deserialize_database(payload: Buffer) -> SortedKmerDatabase:
     data stays on flash until a consumer touches its pages.  The result is
     exactly those columns (:meth:`SortedKmerDatabase.from_columns`): no
     Python object per k-mer exists unless a reference path asks for one.
+    A payload written without owners loads as an ownerless table.
     """
     if len(payload) < _HEADER.size:
         raise SerializationError("payload shorter than header")
@@ -193,8 +202,7 @@ def deserialize_database(payload: Buffer) -> SortedKmerDatabase:
         raise SerializationError("truncated k-mer column")
     column = parse_kmer_column(buf[offset:], k, count)
     offset += count * width
-    offsets: NDArray[Any]
-    taxids: NDArray[Any]
+    owners = None
     if flags:
         if offset + 8 * (count + 1) > len(buf):
             raise SerializationError("truncated owner offsets column")
@@ -207,12 +215,10 @@ def deserialize_database(payload: Buffer) -> SortedKmerDatabase:
             raise SerializationError("truncated owner taxID column")
         taxids = buf[offset : offset + 4 * total].view("<u4")
         offset += 4 * total
-    else:
-        offsets = np.zeros(count + 1, dtype="<u8")
-        taxids = np.zeros(0, dtype="<u4")
+        owners = (taxids, offsets)
     if offset != len(buf):
         raise SerializationError(f"{len(buf) - offset} trailing bytes")
-    return SortedKmerDatabase.from_columns(k, column, taxids, offsets)
+    return SortedKmerDatabase.from_columns(k, column, owners)
 
 
 # -- index section container -------------------------------------------------
@@ -251,7 +257,9 @@ def _container_toc_len(header: bytes) -> int:
             )
         raise SerializationError(f"bad index magic {magic!r}")
     if version != INDEX_VERSION:
-        raise SerializationError(f"unsupported index version {version}")
+        raise SerializationError(
+            f"unsupported index version {version} (reader takes {INDEX_VERSION}): rebuild the index"
+        )
     return toc_len
 
 

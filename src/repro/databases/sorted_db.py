@@ -2,31 +2,32 @@
 
 The database is the union of all reference genomes' k-mers, kept sorted so
 that queries reduce to a streaming merge (§2.1.1, §4.3.1).  Large k-mers
-(the tools use k = 60) keep the false-positive rate low.  The database also
-records, per k-mer, which species contain it — needed for building sketches
-and for tests, though the intersection step itself only uses the k-mers.
+(the tools use k = 60) keep the false-positive rate low.  A built database
+also records, per k-mer, which species contain it — needed for building
+sketches and for tests; the intersection step only uses the k-mers, so
+that is all an index file stores of it.
 
 A :class:`SortedKmerDatabase` *is* its columns, as a
-:class:`~repro.databases.kss.KssTables` is its store: the sorted key column
-(``uint64``; ``object`` dtype past 64 bits) and the owner CSR ``(taxids,
-offsets)`` — or the loader that stitches that CSR if asked, for the parent
-of a multi-shard index open.  ``len``, ``in``, :meth:`owners_of`,
-:meth:`count_range` and :meth:`slice` bisect the column; the Python int
-list the register-level reference paths walk (:attr:`kmers`,
-:meth:`stream`, :meth:`stream_range`, :meth:`intersect`) is a view
-materialized on demand and counted in ``row_materializations``.  The row
-constructor packs the columns once (``column_builds ==
-owner_column_builds == 1``), :meth:`from_columns` attaches persisted ones
-verbatim (both 0) and a deferred owner stitch counts one
-``owner_column_builds`` — so tests can assert that a served database is
+:class:`~repro.databases.kss.KssTables` is its store: its state is ``(k,
+key column, owner CSR or none)`` — the sorted key column (``uint64``;
+``object`` dtype past 64 bits) and, for a row-built table or a
+``MEGISKDB`` payload written with owners, the owner CSR ``(taxids,
+offsets)``.  A table attached from a key column alone (an opened index,
+the flash image) is *ownerless*: :meth:`owner_columns` and
+:meth:`owners_of` raise, and so do its slices'.  ``len``, ``in``,
+:meth:`owners_of`, :meth:`count_range` and :meth:`slice` bisect the
+column; the Python int list the register-level reference paths walk
+(:attr:`kmers`, :meth:`stream`, :meth:`stream_range`, :meth:`intersect`)
+is a view materialized on demand and counted in ``row_materializations``.
+The row constructor packs the columns once (``column_builds ==
+owner_column_builds == 1``) and :meth:`from_columns` attaches persisted
+ones verbatim (both 0) — so tests can assert that a served database is
 never rebuilt, or boxed, between queries.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -68,10 +69,8 @@ class SortedKmerDatabase:
     ) -> None:
         self.k = k
         self._column = column
+        #: ``None`` for an ownerless table (attached from a key column alone).
         self._owner_columns = owner_columns
-        #: Deferred owner-column source (multi-shard index opens): invoked —
-        #: and counted as a build — only if a consumer asks for the owners.
-        self._owner_loader: Optional[Callable[[], OwnerColumns]] = None
         self._row_kmers: Optional[List[int]] = None
         #: Construction counters (see the module docstring).
         self.column_builds = 0
@@ -99,42 +98,23 @@ class SortedKmerDatabase:
 
     @classmethod
     def from_columns(
-        cls,
-        k: int,
-        column: NDArray[Any],
-        owner_taxids: Optional[NDArray[Any]] = None,
-        owner_offsets: Optional[NDArray[Any]] = None,
-        owner_loader: Optional[Callable[[], OwnerColumns]] = None,
+        cls, k: int, column: NDArray[Any], owners: Optional[OwnerColumns] = None
     ) -> "SortedKmerDatabase":
         """Attach persisted columns verbatim (nothing copied, counters 0).
 
         ``column`` is the sorted key column in the dtype
         :func:`~repro.backends.numpy_backend.column_dtype` gives ``k``; the
-        CSR arrays keep a ``np.memmap``'s type and the on-disk dtype.
-
-        ``owner_loader`` defers the owner columns entirely — they are
-        built (and counted in ``owner_column_builds``) only if a consumer
-        asks, which is how a multi-shard open avoids ever materializing
-        the stitched owner columns on the query path.
+        ``owners`` CSR arrays keep a ``np.memmap``'s type and the on-disk
+        dtype.  Without them the table is ownerless — what an index file
+        holds.
         """
-        if (owner_taxids is None) != (owner_offsets is None):
-            raise ValueError("owner taxids and offsets must be given together")
-        if owner_taxids is None and owner_loader is None:
-            raise ValueError("provide owner columns or an owner_loader")
-        if owner_taxids is not None and owner_loader is not None:
-            raise ValueError("owner columns and owner_loader are exclusive")
+        if owners is not None and len(owners[1]) != len(column) + 1:
+            raise ValueError(
+                f"owner offsets must have {len(column) + 1} entries, "
+                f"got {len(owners[1])}"
+            )
         db = cls.__new__(cls)
-        column = _increasing(column)
-        if owner_taxids is None or owner_offsets is None:
-            db._attach(k, column, None)
-            db._owner_loader = owner_loader
-        else:
-            if len(owner_offsets) != len(column) + 1:
-                raise ValueError(
-                    f"owner offsets must have {len(column) + 1} entries, "
-                    f"got {len(owner_offsets)}"
-                )
-            db._attach(k, column, (owner_taxids, owner_offsets))
+        db._attach(k, _increasing(column), owners)
         return db
 
     # -- the columns -----------------------------------------------------------
@@ -166,22 +146,19 @@ class SortedKmerDatabase:
 
         ``taxids`` is the flat concatenation of every k-mer's taxID set
         (each row sorted ascending); ``offsets`` has one entry per k-mer
-        plus a trailing total.  This is the layout the serialization
-        format persists directly and sharding slices.  Only a deferred
-        ``owner_loader`` is ever built here (once, counted).  Treat the
-        returned arrays as read-only.
+        plus a trailing total.  This is the layout the ``MEGISKDB``
+        format persists directly and sharding slices.  Treat the returned
+        arrays as read-only.
         """
         if self._owner_columns is None:
-            assert self._owner_loader is not None
-            self._owner_columns = self._owner_loader()
-            self.owner_column_builds += 1
+            raise ValueError("no owner columns: an index file stores the key column only")
         return self._owner_columns
 
     def owners_of(self, kmer: int) -> FrozenSet[int]:
+        taxids, offsets = self.owner_columns()
         i = self._find(kmer)
         if i is None:
             raise KeyError(f"k-mer {kmer} not in database")
-        taxids, offsets = self.owner_columns()
         return frozenset(taxids[int(offsets[i]) : int(offsets[i + 1])].tolist())
 
     def count_range(self, lo: int, hi: int) -> int:
@@ -190,24 +167,19 @@ class SortedKmerDatabase:
 
     def slice(self, start: int, stop: int) -> "SortedKmerDatabase":
         """Contiguous positional shard: zero-copy views of this database's
-        columns (offsets re-based to 0), no re-validation — a slice of a
-        strictly increasing column is strictly increasing."""
+        columns (offsets re-based to 0; ownerless stays ownerless), no
+        re-validation — a slice of a strictly increasing column is strictly
+        increasing."""
+        owners = self._owner_columns
+        if owners is not None:
+            taxids, offsets = owners
+            owners = (
+                taxids[int(offsets[start]) : int(offsets[stop])],
+                offsets[start : stop + 1] - offsets[start],
+            )
         shard = self.__class__.__new__(self.__class__)
-        shard._attach(self.k, self._column[start:stop], None)
-        if self._owner_columns is not None:
-            shard._owner_columns = self._owner_slice(start, stop)
-        else:
-            # Deferred parent columns stay deferred in the shard: only a
-            # consumer that actually asks for owners pays the stitch.
-            shard._owner_loader = lambda: self._owner_slice(start, stop)
+        shard._attach(self.k, self._column[start:stop], owners)
         return shard
-
-    def _owner_slice(self, start: int, stop: int) -> OwnerColumns:
-        taxids, offsets = self.owner_columns()
-        return (
-            taxids[int(offsets[start]) : int(offsets[stop])],
-            offsets[start : stop + 1] - offsets[start],
-        )
 
     # -- the row view (reference paths) ----------------------------------------
 

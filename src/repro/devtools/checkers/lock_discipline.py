@@ -42,6 +42,9 @@ class LockDisciplineChecker(Checker):
         "src/repro/megis/service.py",
         "src/repro/megis/executors.py",
         "src/repro/megis/session.py",
+        "src/repro/megis/procpool.py",
+        "src/repro/megis/multissd.py",
+        "src/repro/megis/cluster/router.py",
     )
 
     def check(self, ctx: FileContext, config: CheckConfig) -> Iterator[Finding]:

@@ -139,7 +139,10 @@ def run() -> ExperimentResult:
                  "speedup_vs_1"],
         paper_reference="§6.1 (multi-SSD scaling) x multi-node deployment",
         notes="every frame asserted bit-identical to serial analyze; the "
-              "kill+replica row rides the retry path for the whole stream",
+              "kill+replica row rides the retry path for the whole stream; "
+              "p99_ms / samples_per_s are overlapped modelled flash time "
+              "(paced sleeps, not host compute) — the ledger's un-paced "
+              "cluster_long row is the measured floor",
     )
     index, samples = build_world(N_SAMPLES, READS_PER_SAMPLE,
                                  genome_length=2400, seed=53)

@@ -53,7 +53,7 @@ def run() -> ExperimentResult:
     start = time.perf_counter()
     payload = index.to_bytes(n_shards=2)
     result.add_row(stage="save", seconds=time.perf_counter() - start,
-                   note=f"{len(payload)} bytes, 2 shard sections")
+                   note=f"{len(payload)} bytes, 2-way shard boundaries")
 
     start = time.perf_counter()
     opened = MegisIndex.from_bytes(payload)

@@ -81,7 +81,7 @@ class ClusterNode:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_line_bytes: int = 32 * 1024 * 1024,
+        max_line_bytes: int = wire.MAX_LINE_BYTES,
         step_workers: int = 4,
     ) -> None:
         expected = cluster_map.group(node_id)

@@ -336,13 +336,20 @@ class ClusterStepTwo:
         if timeout is not None:
             sock.settimeout(timeout)
         buf = bytearray()
-        while b"\n" not in buf:
+        while True:
             chunk = sock.recv(65536)
             if not chunk:
                 raise ConnectionError("node closed the connection mid-reply")
+            newline = chunk.find(b"\n")
+            if newline >= 0:
+                buf.extend(chunk[:newline])
+                break
             buf.extend(chunk)
-        line = bytes(buf[: buf.find(b"\n")])
-        record = json.loads(line.decode("utf-8"))
+            if len(buf) > wire.MAX_LINE_BYTES:
+                raise ValueError(
+                    f"reply exceeds {wire.MAX_LINE_BYTES} bytes without a newline"
+                )
+        record = json.loads(buf.decode("utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"expected an object frame, got {record!r}")
         return record

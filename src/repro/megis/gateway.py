@@ -185,7 +185,7 @@ class AnalysisGateway:
         rate_burst: float = 8.0,
         max_clients: Optional[int] = None,
         admission_timeout_ms: Optional[float] = None,
-        max_line_bytes: int = 32 * 1024 * 1024,
+        max_line_bytes: int = wire.MAX_LINE_BYTES,
         strict_order: bool = False,
     ):
         self.session = session

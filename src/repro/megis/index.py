@@ -9,12 +9,16 @@ named CSR column sections (:mod:`repro.databases.serialization`).
 
 Layout decisions that matter:
 
-- the sorted database is stored as **one section per SSD shard** (each a
-  complete ``MEGISKDB`` CSR payload), so a multi-SSD deployment can load a
-  single shard without reading the others (:meth:`MegisIndex.load_shard`);
-  a whole-index open serves the persisted shard count from those
-  per-section databases directly and stitches their k-mer columns into
-  the parent (whose owner CSR is deferred — no query reads it);
+- the sorted database is stored as **one section, its packed key
+  column** (``db/kmers``: fixed-width big-endian records, what Step 2
+  streams, §4.3.1) — no per-k-mer owner CSR, since taxIDs come from the
+  KSS (§4.3.2) and no query reads one; an opened database is therefore
+  ownerless.  The manifest records the ``n_shards``-way range boundaries
+  the file was saved with, and because the records are fixed width a
+  multi-SSD deployment parses only its own rows
+  (:meth:`MegisIndex.load_shard`); a whole-index open shards that one
+  column at the persisted count exactly as at any other — zero-copy
+  views;
 - the KSS is stored as its **per-level CSR blocks** (prefix rows, the
   stored taxID CSR, and the reconstructed full-set CSR), so ``open()``
   rebuilds the :class:`~repro.databases.kss.KssStore` by attaching
@@ -30,15 +34,13 @@ container's bytes.  :meth:`MegisIndex.open` maps the file (the paper's
 deployment: the database stays in storage, only touched pages become
 resident); :meth:`MegisIndex.from_bytes` runs the same loader over an
 in-memory payload.  What ``open`` allocates is the key columns and
-nothing per row besides them: one ``uint64`` per database k-mer in its
-shard's column and one more in the stitched parent's (16 B per k-mer for
-a multi-shard file, 8 B for a single-shard one), one per KSS k_max row and
-prefix row, and the re-based offsets of the shards' KSS slices — 25 B
-per database k-mer at the ``tracemalloc`` peak of the ledger's one-shard
-``map_short`` open, 33 B for its four-shard ``cluster_long``; the owner
-CSR stays in the file.  An opened
-file stays mapped for the index's lifetime, so :meth:`MegisIndex.save`
-replaces the file atomically rather than truncating it.
+nothing per row besides them: one ``uint64`` per database k-mer
+(whatever the persisted shard count) and one per KSS k_max row and
+prefix row — 25 B per database k-mer at the ``tracemalloc`` peak of the
+ledger's one-shard ``map_short`` open, 18 B for its four-shard
+``cluster_long`` (whose KSS is the smaller share).  An opened file stays
+mapped for the index's lifetime, so :meth:`MegisIndex.save` replaces the
+file atomically rather than truncating it.
 
 :class:`IndexBuilder` is the offline construction step;
 :class:`~repro.megis.session.AnalysisSession` is the serving side.
@@ -50,9 +52,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,14 +60,13 @@ from numpy.typing import NDArray
 from repro.databases.kss import KssLevelStore, KssStore, KssTables
 from repro.databases.serialization import (
     SerializationError,
-    deserialize_database,
+    kmer_record_bytes,
     map_sections,
     pack_i64,
     pack_kmer_column,
     pack_sections,
     parse_i64,
     parse_kmer_column,
-    serialize_database,
     unpack_sections,
 )
 from repro.databases.sketch import SketchDatabase
@@ -143,11 +142,12 @@ class MegisIndex:
     def to_bytes(self, n_shards: int = 1, include_references: bool = True) -> bytes:
         """Serialize to the ``MEGISIDX`` section container.
 
-        ``n_shards`` fixes how many per-shard database sections the file
-        carries (each loadable independently); a reader may still re-shard
-        at any other count after a full :meth:`open`.
+        ``n_shards`` fixes which N-way range boundaries the manifest
+        records (what :meth:`load_shard` attaches by); the sections are
+        the same at every count, and a reader may re-shard at any other
+        after a full :meth:`open`.
         """
-        shards = self.shards(n_shards)
+        shards = split_database(self.database, n_shards)
         kss_store = self.kss.store()
         sections: Dict[str, bytes] = {}
         manifest = {
@@ -156,6 +156,7 @@ class MegisIndex:
             "smaller_ks": list(kss_store.smaller_ks),
             "n_shards": n_shards,
             "shard_ranges": [[s.lo, s.hi] for s in shards],
+            "db_rows": len(self.database),
             "kss_rows": int(len(kss_store.kmers)),
             "kss_level_rows": {
                 str(k): int(len(level.prefixes))
@@ -164,8 +165,7 @@ class MegisIndex:
             "has_references": bool(include_references and self.references),
         }
         sections["manifest"] = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        for shard in shards:
-            sections[f"db/shard/{shard.index}"] = serialize_database(shard.database)
+        sections["db/kmers"] = pack_kmer_column(self.database.column(), self.k)
         sections["kss/kmers"] = pack_kmer_column(kss_store.kmers, kss_store.k_max)
         sections["kss/kmax_taxids"] = pack_i64(kss_store.taxids)
         sections["kss/kmax_offsets"] = pack_i64(kss_store.offsets)
@@ -215,26 +215,12 @@ class MegisIndex:
     def _from_sections(cls, sections: Sections) -> "MegisIndex":
         """Attach every section as a live cache (nothing is rebuilt).
 
-        A multi-shard file's shard handles are the per-section databases
-        themselves, each over its own section's owner columns; the
-        stitched parent (key columns concatenate) defers its owner CSR to
-        a loader the query path never calls.  The one shard of a
-        single-shard file is the database itself, which is what
-        ``shards(1)`` wraps.
+        The database is its one key column, whatever shard count the file
+        was saved with; the manifest's boundaries are only checked against
+        it, and :meth:`shards` splits it like any built database.
         """
         manifest = _manifest(sections)
-        shard_dbs = [
-            _shard_database(sections, manifest, i)
-            for i in range(manifest.n_shards)
-        ]
-        database = shard_dbs[0]
-        if len(shard_dbs) > 1:
-            # (Cross-shard order was settled by the range check in
-            # _shard_database; from_columns re-checks the whole column.)
-            database = SortedKmerDatabase.from_columns(
-                manifest.k, np.concatenate([db.column() for db in shard_dbs]),
-                owner_loader=lambda: _stitch_owner_columns(shard_dbs),
-            )
+        database = _database(sections, manifest, range(manifest.n_shards))
         kss = KssTables.from_store(_kss_store(sections, manifest))
         sketch = _lazy_sketch(sections, manifest, kss)
         references = None
@@ -244,29 +230,17 @@ class MegisIndex:
             references = references_from_fasta(
                 bytes(_section(sections, "references")).decode("utf-8")
             )
-        index = cls(database, sketch, references, kss=kss)
-        if len(shard_dbs) > 1:
-            shards = [
-                DatabaseShard(index=i, lo=lo, hi=hi, database=db)
-                for i, (db, (lo, hi)) in enumerate(
-                    zip(shard_dbs, manifest.shard_ranges)
-                )
-            ]
-            shard_kss(kss, shards)
-            index._shard_cache[len(shards)] = shards
-        return index
+        return cls(database, sketch, references, kss=kss)
 
     @classmethod
     def open(cls, path: Union[str, Path], mmap: bool = True) -> "MegisIndex":
         """Open a saved index file: every column is a view of the mapped file.
 
-        The int CSR sections — the KSS owner/offset columns per level and
-        each shard's database owner CSR — attach as ``np.memmap`` views in
-        their on-disk dtypes, so a database larger than RAM serves queries
-        with only the touched pages resident.  The k-mer/prefix *key*
-        columns (the structures every ``searchsorted`` walks) materialize
-        — one ndarray each, the database's and the KSS's whole key state;
-        the owner payload, which dominates the index size, stays on flash.
+        The int CSR sections — the KSS owner/offset columns per level —
+        attach as ``np.memmap`` views in their on-disk dtypes, so only the
+        touched pages become resident.  The k-mer/prefix *key* columns (the
+        structures every ``searchsorted`` walks) materialize — one ndarray
+        each, the database's and the KSS's whole key state.
 
         ``mmap=False`` is :meth:`from_bytes` over the file's bytes — the
         same loader over an in-memory buffer, for a caller that must not
@@ -278,12 +252,12 @@ class MegisIndex:
 
     @classmethod
     def load_shard(cls, payload: bytes, shard_index: int) -> DatabaseShard:
-        """Load one SSD's shard without parsing the other shards' sections.
+        """Load one SSD's shard without parsing the other shards' records.
 
-        Parses the manifest, the requested ``db/shard/{i}`` section, and
-        the (whole-range) KSS sections, returning the shard handle a
-        single-shard worker would serve from — the other shards' database
-        bytes are never touched.
+        Parses the manifest, the shard's own fixed-width rows of the
+        ``db/kmers`` section, and the (whole-range) KSS sections, returning
+        the shard handle a single-shard worker would serve from — the
+        other shards' database bytes are never touched.
         """
         sections = unpack_sections(payload)
         manifest = _manifest(sections)
@@ -295,7 +269,7 @@ class MegisIndex:
         kss = KssTables.from_store(_kss_store(sections, manifest))
         return DatabaseShard(
             index=shard_index, lo=lo, hi=hi,
-            database=_shard_database(sections, manifest, shard_index),
+            database=_database(sections, manifest, range(shard_index, shard_index + 1)),
             kss=kss.slice_range(lo, hi),
         )
 
@@ -314,6 +288,7 @@ class _Manifest:
     smaller_ks: Tuple[int, ...]
     n_shards: int
     shard_ranges: Tuple[Tuple[int, int], ...]
+    db_rows: int
     kss_rows: int
     kss_level_rows: Dict[int, int]
     has_references: bool
@@ -346,7 +321,7 @@ def _manifest(sections: Sections) -> _Manifest:
         return value
 
     for field in ("k", "k_max", "smaller_ks", "n_shards", "shard_ranges",
-                  "kss_rows", "kss_level_rows"):
+                  "db_rows", "kss_rows", "kss_level_rows"):
         if field not in raw:
             raise SerializationError(f"index manifest is missing {field!r}")
     k = integer(raw["k"], "k", "a positive integer", 1)
@@ -382,6 +357,7 @@ def _manifest(sections: Sections) -> _Manifest:
         smaller_ks=smaller_ks,
         n_shards=n_shards,
         shard_ranges=tuple((int(lo), int(hi)) for lo, hi in ranges),
+        db_rows=integer(raw["db_rows"], "db_rows", "an integer >= 0", 0),
         kss_rows=integer(raw["kss_rows"], "kss_rows", "an integer >= 0", 0),
         kss_level_rows={
             level: integer(level_rows[str(level)], "kss_level_rows",
@@ -398,49 +374,48 @@ def _section(sections: Sections, name: str) -> NDArray[np.uint8]:
     return sections[name]
 
 
-def _shard_database(
-    sections: Sections, manifest: _Manifest, i: int
+def _database(
+    sections: Sections, manifest: _Manifest, slots: range
 ) -> SortedKmerDatabase:
-    """Shard ``i``'s section as a database, checked against the manifest.
+    """The rows of ``db/kmers`` in the shard ``slots`` as an (ownerless)
+    database, checked against the manifest.
 
-    Its keys must lie inside its ``shard_ranges`` slot — queries are
-    clipped to that range on trust, so a section that disagrees with it
-    would silently lose matches; with the slots tiling the key space in
-    ascending order this also orders the shards among themselves.
+    Slot ``i`` of an N-way file is rows ``[rows*i//N, rows*(i+1)//N)`` —
+    :func:`~repro.megis.multissd.split_database`'s cut — and its keys must
+    lie inside ``shard_ranges[i]``: queries are clipped to that range on
+    trust, so a boundary that disagrees with the keys would silently lose
+    matches.
     """
-    database = deserialize_database(_section(sections, f"db/shard/{i}"))
-    if database.k != manifest.k:
+    n, rows = manifest.n_shards, manifest.db_rows
+    base = rows * slots.start // n
+    column = _load_column(
+        sections, "db/kmers", manifest.k, rows, base, rows * slots.stop // n
+    )
+    for i in slots:
+        lo, hi = manifest.shard_ranges[i]
+        keys = column[rows * i // n - base:rows * (i + 1) // n - base]
+        if len(keys) and not lo <= int(keys[0]) <= int(keys[-1]) < hi:
+            raise SerializationError(
+                f"shard {i} holds k-mers outside [{lo}, {hi}), its slot in the "
+                f"manifest's ascending shard_ranges"
+            )
+    return SortedKmerDatabase.from_columns(manifest.k, column)
+
+
+def _load_column(
+    sections: Sections, name: str, k: int, rows: int,
+    start: int = 0, stop: Optional[int] = None,
+) -> NDArray[Any]:
+    """Rows ``[start, stop)`` of a packed ``rows``-record k-mer/prefix
+    column (all of it by default), materialized as a sorted ndarray."""
+    section, width = _section(sections, name), kmer_record_bytes(k)
+    if len(section) != rows * width:
         raise SerializationError(
-            f"shard {i} has k={database.k}, manifest says k={manifest.k}"
+            f"section {name!r} is {len(section)} bytes, not the manifest's "
+            f"{rows} rows of {width}"
         )
-    lo, hi = manifest.shard_ranges[i]
-    column = database.column()
-    if len(column) and not lo <= int(column[0]) <= int(column[-1]) < hi:
-        raise SerializationError(
-            f"shard {i} holds k-mers outside [{lo}, {hi}), its slot in the "
-            f"manifest's ascending shard_ranges"
-        )
-    return database
-
-
-def _stitch_owner_columns(
-    shard_dbs: Sequence[SortedKmerDatabase],
-) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Concatenate per-shard owner CSR columns (re-basing the offsets)."""
-    taxid_parts: List[NDArray[np.int64]] = []
-    offset_parts: List[NDArray[np.int64]] = [np.zeros(1, dtype=np.int64)]
-    base = 0
-    for db in shard_dbs:
-        taxids, offsets = db.owner_columns()
-        taxid_parts.append(np.asarray(taxids, dtype=np.int64))
-        offset_parts.append(np.asarray(offsets[1:], dtype=np.int64) + np.int64(base))
-        base += int(offsets[-1])
-    return np.concatenate(taxid_parts), np.concatenate(offset_parts)
-
-
-def _load_column(sections: Sections, name: str, k: int, rows: int) -> NDArray[Any]:
-    """One packed k-mer/prefix column, materialized as a sorted ndarray."""
-    column = parse_kmer_column(_section(sections, name), k, rows)
+    stop = rows if stop is None else stop
+    column = parse_kmer_column(section[start * width:stop * width], k, stop - start)
     if np.any(column[1:] < column[:-1]):
         raise SerializationError(f"section {name!r} is not sorted ascending")
     return column

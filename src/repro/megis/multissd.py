@@ -22,7 +22,7 @@ session), the engines here and in :mod:`repro.megis.isp`, and a cluster
 node's :meth:`~repro.megis.session.AnalysisSession.step_two_partial` all
 call it.
 Shard databases are positional slices of the parent — zero-copy views of
-its key column and owner CSR — so sharding adds no host-side per-element
+its key column (and owner CSR, when it has one) — so sharding adds no host-side per-element
 work.
 
 Each shard also carries its own KSS range
@@ -84,7 +84,7 @@ def split_database(database: SortedKmerDatabase, n_shards: int) -> List[Database
     Boundaries are chosen at equal k-mer counts, so shards are balanced
     regardless of how k-mers cluster in the key space.  Each shard database
     is a positional :meth:`~repro.databases.sorted_db.SortedKmerDatabase.slice`
-    — views of the key and owner columns — and shards stay contiguous even
+    — views of its columns — and shards stay contiguous even
     when the database has fewer k-mers than shards (the extras are empty
     ranges).
     """

@@ -295,37 +295,40 @@ class AnalysisService:
         (``timeout`` seconds at most) and ``block=False`` raises
         :class:`AdmissionFull` immediately when full.
         """
-        future: "Future[MegisResult]" = Future()
-        with self._state:
-            self._admit(block, timeout)
-            self._enqueue(reads, future, tag, deadline_ms)
-            # notify_all: workers, results() consumers, and blocked
-            # submitters all share this condition.
-            self._state.notify_all()
+        [future] = self.submit_batch(
+            [reads], tag=tag, deadline_ms=deadline_ms, block=block,
+            timeout=timeout,
+        )
         return future
 
     def submit_batch(
-        self, samples: Sequence[Sequence[Read]], **kwargs
+        self,
+        samples: Sequence[Sequence[Read]],
+        *,
+        tag: object = None,
+        deadline_ms: Optional[float] = None,
+        block: bool = True,
+        timeout: Optional[float] = None,
     ) -> List["Future[MegisResult]"]:
         """Enqueue several samples at once (one future each, input order).
 
-        Enqueuing together maximizes the §4.7 coalescing opportunity: an
-        idle worker can pick the whole run up as one batched Step 2.
-        With a bounded queue each sample is admitted individually
-        (blocking for space), so a long run cannot overrun the bound.
+        The keywords are :meth:`submit`'s and apply to every sample.
+        Enqueuing together maximizes the §4.7 coalescing opportunity: the
+        lock is held across the run, so an idle worker picks it up whole
+        as one batched Step 2.  With a bounded queue each sample is still
+        admitted individually (waiting for space releases the lock), so a
+        long run cannot overrun the bound.
         """
-        if self.max_queue is not None:
-            return [self.submit(reads, **kwargs) for reads in samples]
         futures: List["Future[MegisResult]"] = []
         with self._state:
-            if not self._open:
-                raise ServiceClosed()
             for reads in samples:
+                self._admit(block, timeout)
                 future: "Future[MegisResult]" = Future()
-                self._enqueue(reads, future, kwargs.get("tag"),
-                              kwargs.get("deadline_ms"))
+                self._enqueue(reads, future, tag, deadline_ms)
                 futures.append(future)
-            self._state.notify_all()
+                # notify_all: workers, results() consumers, and blocked
+                # submitters all share this condition.
+                self._state.notify_all()
         return futures
 
     def results(self, strict_order: bool = False) -> Iterator[CompletedRequest]:

@@ -6,7 +6,7 @@ analysis reuses them.  :class:`AnalysisSession` is that serving loop — it
 wraps a :class:`~repro.megis.index.MegisIndex`, runs Step 2 over its
 shard handles (one SSD is the one-shard list), and exposes
 :meth:`analyze` / :meth:`analyze_batch` (one sample is the batch of one).
-Nothing is re-derived between calls: the k-mer and owner columns, the KSS
+Nothing is re-derived between calls: the database's key column, the KSS
 CSR blocks, the shard handles, the bucket partitioner, and the Step-3
 per-species indexes and merged unified indexes, which are cached so consecutive
 samples with overlapping candidate sets skip the merge input construction

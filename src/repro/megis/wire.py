@@ -368,6 +368,10 @@ class ByteSource(Protocol):
     async def read(self, n: int, /) -> bytes: ...
 
 
+#: Longest frame any endpoint buffers (gateway and node requests, the
+#: router's node replies): one line limit for the whole wire.
+MAX_LINE_BYTES = 32 * 1024 * 1024
+
 #: One framed input line: ``(line_no, line)``, where ``line`` is the
 #: payload ``bytes`` — or, for a discarded over-long line, the ``str``
 #: rejection message.

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 
 from repro.backends import available_backends
 from repro.megis.executors import available_executors, parse_spec
+from repro.megis.wire import MAX_LINE_BYTES
 
 
 def executor_spec(value: str) -> str:
@@ -164,7 +165,7 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                         help="fail requests still queued after this many "
                              "ms instead of serving them late")
     parser.add_argument("--max-line-bytes", type=positive_int,
-                        default=32 * 1024 * 1024,
+                        default=MAX_LINE_BYTES,
                         help="reject request lines longer than this "
                              "(default: 32 MiB)")
     parser.add_argument("--abundance", choices=("mapping", "statistical"),
@@ -239,7 +240,7 @@ def add_node_flags(parser: argparse.ArgumentParser) -> None:
                         help="concurrent partial-Step-2 executions "
                              "(default: 4)")
     parser.add_argument("--max-line-bytes", type=positive_int,
-                        default=32 * 1024 * 1024,
+                        default=MAX_LINE_BYTES,
                         help="reject scatter frames longer than this "
                              "(default: 32 MiB)")
     add_execution_flags(parser, executor=False, ssds=False)

@@ -4,7 +4,7 @@ Re-exports the commonly used names:
     from tests.strategies import STANDARD_SETTINGS, index_worlds
 """
 
-from tests.strategies.containers import with_manifest
+from tests.strategies.containers import lying_manifests, with_manifest
 from tests.strategies.databases import (
     IndexWorld,
     index_worlds,
@@ -20,6 +20,7 @@ __all__ = [
     "IndexWorld",
     "index_worlds",
     "key_probes",
+    "lying_manifests",
     "kmer_rows",
     "owner_sets",
     "sorted_kmer_databases",

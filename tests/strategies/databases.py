@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -60,15 +60,18 @@ class IndexWorld:
 
 
 @st.composite
-def index_worlds(draw) -> IndexWorld:
+def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
     """A database, a sketch over a subset of its k-mers, and a query.
+
+    ``ks`` are the k-mer lengths drawn from — pass ``(12,)`` / ``(40,)``
+    to pin the ``uint64`` / ``object`` key width.
 
     The sketch keeps the invariant ``SketchDatabase.build`` guarantees —
     a level's full set contains the owners of every sketched k_max-mer
     under the prefix — and adds drawn extra owners per prefix row, so the
     KSS *stored* sets are non-trivial.
     """
-    k = draw(st.sampled_from([6, 8, 10]))
+    k = draw(st.sampled_from(list(ks)))
     smaller_ks = draw(st.sampled_from([(k - 2,), (k - 2, k - 5)]))
     database = draw(sorted_kmer_databases(k))
     kmers = database.kmers

@@ -19,6 +19,7 @@ import pytest
 
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
+from repro.megis import wire
 from repro.megis.cluster import (
     ClusterAnalysisSession,
     ClusterMap,
@@ -609,6 +610,72 @@ class TestFailover:
             assert "node_failed: node=1 after 2 attempts" in frame["error"]
             assert "must carry 'taxids'" in frame["error"]
             assert stats.node_failures == 1
+
+    def test_reply_without_a_newline_is_bounded(self, golden_world, golden,
+                                                monkeypatch):
+        """Whatever listens on a node's port and streams bytes with no
+        ``\\n`` costs one bounded buffer per attempt, not a service thread
+        and memory for ever: past the wire's line limit the attempt fails
+        like any malformed reply — one retry, then ``node_failed``."""
+        _, index = golden_world
+        bound, chunk = 1 << 20, 65536  # (the real limit is 32 MiB)
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", bound)
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock, self.received = sock, 0
+
+            def recv(self, n):
+                data = self.sock.recv(n)
+                self.received += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        opened = []
+        connect_send = ClusterStepTwo._connect_send
+
+        def counting(self, address, frame, timeout=None):
+            opened.append(CountingSocket(
+                connect_send(self, address, frame, timeout)))
+            return opened[-1]
+
+        monkeypatch.setattr(ClusterStepTwo, "_connect_send", counting)
+
+        async def endless_node(reader, writer):
+            await reader.readline()
+            try:
+                while True:
+                    writer.write(b"x" * chunk)
+                    await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                writer.close()
+
+        async def scenario():
+            async with Cluster(index, golden, 1) as cluster:
+                server = await asyncio.start_server(endless_node,
+                                                    "127.0.0.1", 0)
+                cluster.step_two.endpoints[0] = NodeEndpoint(
+                    0, server.sockets[0].getsockname()[:2])
+                try:
+                    with pytest.raises(NodeFailed) as failed:
+                        await asyncio.get_running_loop().run_in_executor(
+                            None, cluster.step_two.scatter, [[1, 2, 3]]
+                        )
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return failed.value, cluster.step_two.stats
+
+        failed, stats = run_scenario(scenario())
+        assert "without a newline" in failed.reason
+        assert (stats.node_retries, stats.node_failures) == (1, 1)
+        assert len(opened) == 2
+        for sock in opened:
+            assert bound < sock.received <= bound + chunk
 
     def test_node_failed_str_is_the_wire_message(self):
         error = NodeFailed(3, attempts=2, reason="connection refused")

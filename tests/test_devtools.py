@@ -195,6 +195,22 @@ def test_repo_config_scopes_the_pass():
     assert "src/repro" in config.paths
 
 
+def test_lock_discipline_covers_every_megis_module_that_binds_a_lock():
+    """RPR002's scope — the repo's configured one and the checker's own
+    default — names every ``megis`` file that constructs a lock."""
+    scopes = (load_config(REPO_ROOT).rule_paths["RPR002"],
+              checker_for("RPR002").default_paths)
+    binders = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src/repro/megis").rglob("*.py"))
+        if any(factory in path.read_text()
+               for factory in ("threading.Lock(", "RLock(", "Condition("))
+    ]
+    assert len(binders) >= 6
+    for scope in scopes:
+        assert [rel for rel in binders if not path_matches(rel, scope)] == []
+
+
 def test_path_matches_prefix_and_glob():
     assert path_matches("src/repro/megis/wire.py", ("src/repro",))
     assert path_matches("src/repro/megis/wire.py", ("src/*/megis/*.py",))

@@ -27,16 +27,20 @@ from repro.backends import get_backend
 from repro.databases.serialization import (
     SerializationError,
     deserialize_database,
+    kmer_record_bytes,
     pack_sections,
     serialize_database,
     unpack_sections,
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
+from repro.megis.multissd import split_database
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.tools.mapping import SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
-from tests.strategies import STANDARD_SETTINGS, index_worlds, with_manifest
+from tests.strategies import (
+    STANDARD_SETTINGS, index_worlds, lying_manifests, with_manifest,
+)
 
 BACKENDS = ("python", "numpy")
 
@@ -61,14 +65,18 @@ class TestRoundTrip:
         assert opened.database.kmers == sorted_db.kmers
         assert opened.database.column_builds == 0
         assert opened.database.owner_column_builds == 0
-        taxids, offsets = opened.database.owner_columns()
-        want_taxids, want_offsets = sorted_db.owner_columns()
-        assert taxids.tolist() == want_taxids.tolist()
-        assert offsets.tolist() == want_offsets.tolist()
 
-    def test_owners_answered_from_columns(self, opened, sorted_db):
-        for kmer in sorted_db.kmers[:40]:
-            assert opened.database.owners_of(kmer) == sorted_db.owners_of(kmer)
+    def test_opened_database_is_ownerless(self, opened, sorted_db):
+        """An index file stores the key column only: the opened table (and
+        its shards) say so instead of answering; the built one answers."""
+        kmer = sorted_db.kmers[0]
+        assert sorted_db.owners_of(kmer)
+        assert len(sorted_db.owner_columns()[1]) == len(sorted_db) + 1
+        for database in (opened.database, opened.shards(3)[0].database):
+            with pytest.raises(ValueError, match="key column only"):
+                database.owner_columns()
+            with pytest.raises(ValueError, match="key column only"):
+                database.owners_of(kmer)
 
     def test_kss_store_attached(self, opened):
         assert opened.kss.column_builds == 0
@@ -103,21 +111,18 @@ class TestRoundTrip:
         assert fresh.sketch._tables is None  # not materialized by loading
         assert fresh.sketch.tables == sketch_db.tables
 
-    def test_saved_shards_are_the_section_databases(self, payload):
-        """The persisted shard count is served by the per-section databases
-        themselves — their owner columns are views of their own sections,
-        so reading them never stitches the parent's."""
+    def test_saved_shards_are_views_of_the_parent(self, payload):
+        """The persisted shard count is served like any other: zero-copy
+        views that tile the parent's one key column."""
         fresh = MegisIndex.from_bytes(payload)
+        parent = fresh.database.column()
         start = 0
         for shard in fresh.shards(3):
-            taxids, offsets = shard.database.owner_columns()
-            assert taxids.base is not None and offsets.base is not None
-            assert shard.database.owner_column_builds == 0
+            assert np.shares_memory(shard.database.column(), parent)
             stop = start + len(shard.database)
             assert shard.database.kmers == fresh.database.kmers[start:stop]
             start = stop
         assert start == len(fresh.database)
-        assert fresh.database.owner_column_builds == 0
 
     def test_references_roundtrip(self, opened, references):
         assert opened.references.species_taxids == references.species_taxids
@@ -149,19 +154,28 @@ class TestRoundTrip:
         assert served.profile.fractions == fresh.profile.fractions
 
 
-def _store_columns(index, n_shards):
-    """Every persisted column of an index saved with ``n_shards``, by name."""
-    store = index.kss.store()
+def _kss_columns(kss):
+    """Every column of a KSS (whole, or one shard's range slice), by name."""
+    store = kss.store()
     columns = {"kss/kmers": store.kmers, "kss/taxids": store.taxids,
                "kss/offsets": store.offsets}
     for k, level in store.levels.items():
         for field in dataclasses.fields(level):
             columns[f"kss/{k}/{field.name}"] = getattr(level, field.name)
+    return columns
+
+
+def _assert_same_columns(got, want):
+    assert set(got) == set(want)
+    for name, column in want.items():
+        assert got[name].tolist() == column.tolist(), name
+
+
+def _store_columns(index, n_shards):
+    """Every persisted column of an index saved with ``n_shards``, by name."""
+    columns = _kss_columns(index.kss)
     for shard in index.shards(n_shards):
-        taxids, offsets = shard.database.owner_columns()
         columns[f"db/{shard.index}/kmers"] = shard.database.column()
-        columns[f"db/{shard.index}/taxids"] = taxids
-        columns[f"db/{shard.index}/offsets"] = offsets
     return columns
 
 
@@ -184,8 +198,7 @@ class TestSectionSources:
         for name, column in want.items():
             assert got[name].dtype == column.dtype, name
             assert np.array_equal(got[name], column), name
-        assert got["db/0/taxids"].dtype == np.dtype("<u4")
-        assert got["db/0/offsets"].dtype == np.dtype("<u8")
+        assert got["db/0/kmers"].dtype == np.dtype(np.uint64)
         assert got["kss/taxids"].dtype == np.dtype("<i8")
 
     @pytest.mark.parametrize("source", ["from_bytes", "open"])
@@ -202,8 +215,7 @@ class TestSectionSources:
         self, by_source, index, sample, source, backend
     ):
         """Bit-identical to the ``python`` reference over the built index,
-        with the persisted shard handles serving from their own sections
-        (the stitched parent's owner CSR is never built)."""
+        at the persisted shard count."""
         halves = [sample.reads[:200], sample.reads[200:]]
         want = AnalysisSession(
             index, MegisConfig(backend="python", n_ssds=3)
@@ -360,11 +372,8 @@ class TestSaveReplacesAtomically:
 
 
 def _assert_same_index(got, want, n_shards, query):
-    got_columns = _store_columns(got, n_shards)
-    want_columns = _store_columns(want, n_shards)
-    assert set(got_columns) == set(want_columns)
-    for name, column in want_columns.items():
-        assert got_columns[name].tolist() == column.tolist(), name
+    _assert_same_columns(_store_columns(got, n_shards),
+                         _store_columns(want, n_shards))
     assert got.database.kmers == want.database.kmers
     assert got.sketch.sketch_sizes == want.sketch.sketch_sizes
     hits = want.database.intersect(query)
@@ -427,6 +436,74 @@ class TestContainerProperties:
                 load()
             except SerializationError:
                 pass
+
+
+def _assert_same_shard(got, want):
+    assert (got.index, got.lo, got.hi) == (want.index, want.lo, want.hi)
+    assert got.database.kmers == want.database.kmers
+    _assert_same_columns(_kss_columns(got.kss), _kss_columns(want.kss))
+
+
+@pytest.mark.parametrize("k", [12, 40])  # uint64 / object key columns
+class TestOneKeySectionProperties:
+    """The file holds the database as one key column: the shard count it
+    was saved with decides only which boundaries the manifest records."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("one-section")
+
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3, 5]),
+           m=st.integers(min_value=1, max_value=6))
+    @STANDARD_SETTINGS
+    def test_persisted_count_is_only_a_manifest_entry(self, scratch, k, data,
+                                                      n, m):
+        world = data.draw(index_worlds(ks=(k,)))
+        built = world.index
+        payload = built.to_bytes(n_shards=n)
+        names = list(unpack_sections(payload))
+        assert names == list(unpack_sections(built.to_bytes(n_shards=1)))
+        assert [name for name in names if name.startswith("db/")] == ["db/kmers"]
+        path = built.save(scratch / "world.megis", n_shards=n)
+        want = AnalysisSession(
+            built, MegisConfig(backend="python", n_ssds=m)
+        ).step_two_partial([world.query])
+        for opened in (MegisIndex.from_bytes(payload), MegisIndex.open(path)):
+            assert opened.to_bytes(n_shards=n) == payload
+            for count in (m, n):
+                got_shards = opened.shards(count)
+                want_shards = split_database(built.database, count)
+                assert ([(s.lo, s.hi) for s in got_shards]
+                        == [(s.lo, s.hi) for s in want_shards])
+                for mine, theirs in zip(got_shards, want_shards):
+                    assert mine.database.kmers == theirs.database.kmers
+            for i, shard in enumerate(opened.shards(n)):
+                _assert_same_shard(MegisIndex.load_shard(payload, i), shard)
+            for backend in BACKENDS:
+                assert AnalysisSession(
+                    opened, MegisConfig(backend=backend, n_ssds=m)
+                ).step_two_partial([world.query]) == want
+
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3, 5]))
+    @STANDARD_SETTINGS
+    def test_a_lying_manifest_is_a_serialization_error(self, scratch, k, data,
+                                                       n):
+        world = data.draw(index_worlds(ks=(k,)))
+        payload = world.index.to_bytes(n_shards=n)
+        tampered = data.draw(lying_manifests(payload, world.index.database.kmers))
+        path = scratch / "tampered.megis"
+        path.write_bytes(tampered)
+        with pytest.raises(SerializationError):
+            MegisIndex.from_bytes(tampered)
+        with pytest.raises(SerializationError):
+            MegisIndex.open(path)
+        refused = []
+        for i in range(n):
+            try:
+                MegisIndex.load_shard(tampered, i)
+            except SerializationError:
+                refused.append(i)
+        assert refused  # (a moved boundary: the shard whose keys it cuts)
 
 
 class TestServedEquivalence:
@@ -508,10 +585,10 @@ class TestZeroReconstruction:
     @pytest.mark.parametrize("source", ["from_bytes", "open"])
     def test_query_path_never_materializes(self, payload, tmp_path, sample,
                                            source):
-        """Serving on the columnar backend builds no column, never stitches
-        the parent's owner CSR and boxes no row — from either section
-        source; the reference backend walks row views, so one sample on it
-        materializes the shards' k-mer lists and KSS rows (once)."""
+        """Serving on the columnar backend builds no column and boxes no
+        row — from either section source; the reference backend walks row
+        views, so one sample on it materializes the shards' k-mer lists
+        and KSS rows (once)."""
         if source == "open":
             path = tmp_path / "world.megis"
             path.write_bytes(payload)
@@ -544,8 +621,8 @@ class TestZeroReconstruction:
         assert served.database.owner_column_builds == 0
 
     def test_open_holds_columns_not_python_ints(self, index, tmp_path):
-        """``open`` keeps one 8-byte key per database k-mer in each of the
-        shard and parent columns plus the KSS key columns — no Python int
+        """``open`` keeps one 8-byte key per database k-mer plus the KSS
+        key columns, whatever the persisted shard count — no Python int
         per row (which alone cost > 32 B each, 82 B per k-mer in all)."""
         import tracemalloc
 
@@ -679,16 +756,28 @@ class TestLegacyAndCorruption:
         with pytest.raises(ValueError, match="strictly increasing"):
             deserialize_database(bytes(payload))
 
-    def test_misordered_shard_sections_rejected(self, index):
+    def test_unsorted_database_section_rejected(self, index):
         sections = {
             name: bytes(view)
             for name, view in unpack_sections(index.to_bytes(n_shards=3)).items()
         }
-        sections["db/shard/0"], sections["db/shard/1"] = (
-            sections["db/shard/1"], sections["db/shard/0"],
+        width = kmer_record_bytes(index.k)
+        records = sections["db/kmers"]
+        sections["db/kmers"] = (
+            records[width:2 * width] + records[:width] + records[2 * width:]
         )
-        with pytest.raises(SerializationError, match="ascending"):
+        with pytest.raises(SerializationError, match="db/kmers.*ascending"):
             MegisIndex.from_bytes(pack_sections(sections))
+
+    def test_parent_format_refused_by_version(self, payload):
+        """A version-1 file (per-shard ``MEGISKDB`` sections) is refused at
+        the header, by message — not by a missing-section error."""
+        old = bytearray(payload)
+        assert old[8:10] == b"\x02\x00"
+        old[8] = 1
+        with pytest.raises(SerializationError,
+                           match=r"unsupported index version 1 \(reader takes 2\): rebuild"):
+            MegisIndex.from_bytes(bytes(old))
 
     def test_inconsistent_csr_rejected(self, index):
         from repro.databases.serialization import pack_i64

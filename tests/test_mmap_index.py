@@ -1,11 +1,10 @@
 """What only the file source of an index can show: np.memmap columns.
 
 ``MegisIndex.open`` must attach the persisted int CSR sections — the KSS
-owner/offset columns per level and each shard's database owner CSR — as
-``np.memmap`` views of the file, in their on-disk dtypes, and never stitch
-or copy the owner payload unless a consumer explicitly asks for it
-(asserted via the ``owner_column_builds`` counter and memmap type checks);
-``map_sections`` must reject what ``unpack_sections`` rejects.
+owner/offset columns per level — as ``np.memmap`` views of the file, in
+their on-disk dtypes, and the shard handles' KSS range slices must stay
+views of them; ``map_sections`` must reject what ``unpack_sections``
+rejects.
 Everything the two section sources share — equal columns, dtypes, shard
 ranges, bit-identical serving, nothing built or boxed on the query path —
 is tested once, source-parametrised, in ``tests/test_index.py``
@@ -54,15 +53,8 @@ class TestMemmapAttachment:
             assert isinstance(level.stored_offsets, np.memmap)
             assert isinstance(level.full_taxids, np.memmap)
             assert isinstance(level.full_offsets, np.memmap)
-
-    def test_shard_owner_columns_are_memmap_views(self, mapped):
+        # The shard handles' KSS range slices stay memmap-backed too.
         for shard in mapped.shards(3):
-            taxids, offsets = shard.database.owner_columns()
-            assert isinstance(taxids, np.memmap)
-            assert isinstance(offsets, np.memmap)
-            assert taxids.dtype == np.dtype("<u4")
-            assert offsets.dtype == np.dtype("<u8")
-            # The shard handle's KSS range slices stay memmap-backed too.
             assert _is_memmap_view(shard.kss.store().taxids)
 
     def test_sharded_kss_slices_work_unchanged(self, mapped, kss_tables):
@@ -83,21 +75,6 @@ class TestMemmapAttachment:
         in_memory = MegisIndex.open(index_path, mmap=False).kss.store().taxids
         assert not _is_memmap_view(in_memory)
         assert in_memory.base is not None and not in_memory.flags.writeable
-
-
-class TestMemmapServing:
-    def test_explicit_owner_access_materializes_once(self, index_path,
-                                                     sorted_db):
-        mapped = MegisIndex.open(index_path, mmap=True)
-        taxids, offsets = mapped.database.owner_columns()
-        assert mapped.database.owner_column_builds == 1
-        expected_taxids, expected_offsets = sorted_db.owner_columns()
-        assert np.array_equal(taxids, expected_taxids)
-        assert np.array_equal(offsets, expected_offsets)
-        kmer = mapped.database.kmers[len(mapped.database) // 2]
-        assert mapped.database.owners_of(kmer) == sorted_db.owners_of(kmer)
-        mapped.database.owner_columns()
-        assert mapped.database.owner_column_builds == 1
 
 
 class TestMapSectionsErrors:

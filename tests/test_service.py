@@ -403,6 +403,31 @@ class TestDeadlines:
         assert by_tag["alive"].future.result().profile is not None
         assert by_tag["alive"].metrics.batch_size == 1
 
+    @pytest.mark.parametrize("max_queue", [None, 8])
+    def test_submit_batch_takes_submits_keywords_only(self, golden_world,
+                                                      golden, max_queue):
+        """``submit_batch`` is ``submit`` per sample, bounded queue or not:
+        a misspelt keyword is a ``TypeError`` (the unbounded arm used to
+        drop it, silently disabling the deadline) and ``deadline_ms``
+        expires every queued sample of the run."""
+        sample, index = golden_world
+        session = AnalysisSession(
+            index, _golden_config(golden, abundance_method="statistical")
+        )
+        run = [sample.reads[:30], sample.reads[30:60]]
+        with AnalysisService(session, workers=1,
+                             max_queue=max_queue) as service:
+            with pytest.raises(TypeError, match="deadline"):
+                service.submit_batch(run, deadline=0)
+            futures = service.submit_batch(run, deadline_ms=0)
+            for future in futures:
+                with pytest.raises(DeadlineExceeded):
+                    future.result(timeout=30)
+            service.drain()
+        stats = service.stats
+        assert stats.samples_submitted == stats.samples_expired == 2
+        assert stats.samples_completed == stats.batches_dispatched == 0
+
 
 class TestCompletionStream:
     def test_strict_order_restores_submission_order(self, golden_world,
