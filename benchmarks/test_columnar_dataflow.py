@@ -215,13 +215,12 @@ def test_sharded_step2(benchmark, bench_sorted_db, bench_kss, backend):
 
 
 def test_index_cold_open_serves_without_rebuild(bench_sample):
-    """Open + first query must not rebuild CSR columns or touch KSS rows.
+    """Open + first query must not touch KSS rows.
 
-    The persisted sections become the live caches: the sorted database's
-    k-mer/owner columns, the KSS per-level CSR blocks, and the shard
-    handles (zero-copy slices of the stitched parent) all come straight
-    from the file, so the first — and every following — ``analyze()`` on
-    the numpy backend runs without a single cache (re)construction or
+    The persisted sections are the live tables: the sorted database's key
+    column, the KSS per-level CSR blocks, and the shard handles (zero-copy
+    slices of them) all come straight from the file, so the first — and
+    every following — ``analyze()`` on the numpy backend runs without a
     ``KssTables`` row-object materialization.
     """
     from repro.megis.index import IndexBuilder, MegisIndex
@@ -233,9 +232,6 @@ def test_index_cold_open_serves_without_rebuild(bench_sample):
     payload = index.to_bytes(n_shards=2)
 
     opened = MegisIndex.from_bytes(payload)
-    assert opened.database.column_builds == 0
-    assert opened.database.owner_column_builds == 0
-    assert opened.kss.column_builds == 0
     assert opened.kss.row_materializations == 0
 
     session = AnalysisSession(
@@ -248,16 +244,10 @@ def test_index_cold_open_serves_without_rebuild(bench_sample):
     assert first.candidates == second.candidates
     assert first.profile.fractions == second.profile.fractions
 
-    # Zero reconstruction: not at open, not at first query, not between
+    # No row boxed: not at open, not at first query, not between
     # consecutive queries — on the parent or on any shard handle.
-    assert opened.database.column_builds == 0
-    assert opened.database.owner_column_builds == 0
-    assert opened.kss.column_builds == 0
     assert opened.kss.row_materializations == 0
     for shard in opened.shards(2):
-        assert shard.database.column_builds == 0
-        assert shard.database.owner_column_builds == 0
-        assert shard.kss.column_builds == 0
         assert shard.kss.row_materializations == 0
 
 

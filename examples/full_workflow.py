@@ -1,25 +1,28 @@
 #!/usr/bin/env python
-"""Full workflow: FASTQ in, quality filtering, database bundle, report out.
+"""Full workflow: FASTQ in, quality filtering, offline index, report out.
 
 Exercises the complete downstream-user path:
 
 1. simulate a sample and serialize it to FASTA/FASTQ (what a sequencer +
    basecaller would hand you);
 2. quality-filter the reads (Phred trimming, as real preprocessing does);
-3. build the offline database bundle (sorted db + sketches + KSS + Kraken)
-   and place its serialized flash image through MegIS FTL;
+3. build the index offline (sorted db + sketches + KSS; a Kraken table
+   beside it for the size comparison) and place the database's packed key
+   column — the index file's ``db/kmers`` section — through MegIS FTL;
 4. run MegIS with both Step-3 flavors (mapping and lightweight statistics);
 5. render Kraken-style text and JSON reports.
 """
 
-from repro.databases.builder import DatabaseBuilder, place_bundle
-from repro.megis.index import MegisIndex
+from repro.databases.kraken import KrakenDatabase
+from repro.megis.ftl import MegisFtl
+from repro.megis.index import IndexBuilder
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.reporting import json_report, text_report
 from repro.sequences.io import format_fastq, parse_fastq
 from repro.sequences.quality import QualityFilter
 from repro.ssd.config import ssd_c
 from repro.taxonomy.metrics import f1_score
+from repro.taxonomy.tree import Taxonomy
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 
@@ -34,19 +37,21 @@ def main() -> None:
     reads = QualityFilter(min_length=30).apply(records)
     print(f"   {len(reads)}/{len(records)} reads survive")
 
-    print("3. building the database bundle offline...")
-    bundle = DatabaseBuilder(k=20, smaller_ks=(12, 8)).build(sample.references)
-    sizes = bundle.sizes()
-    print(f"   sorted db {sizes['sorted_db'] / 1e3:.0f} kB | "
-          f"flash image {sizes['flash_image'] / 1e3:.0f} kB | "
-          f"KSS {sizes['kss'] / 1e3:.0f} kB "
-          f"(flat sketch would be {sizes['flat_sketch'] / 1e3:.0f} kB)")
-    layout = place_bundle(bundle, ssd_c().geometry)
+    print("3. building the index offline...")
+    index = IndexBuilder(k=20, smaller_ks=(12, 8)).build(sample.references)
+    taxonomy = Taxonomy.from_reference_collection(sample.references)
+    kraken = KrakenDatabase.build(sample.references, taxonomy, k=index.k + 1)
+    db_bytes = index.database.size_bytes()
+    print(f"   db/kmers {db_bytes / 1e3:.0f} kB of a "
+          f"{len(index.to_bytes()) / 1e3:.0f} kB index file | "
+          f"KSS {index.kss.size_bytes() / 1e3:.0f} kB "
+          f"(flat sketch would be {index.sketch.flat_tables_bytes() / 1e3:.0f} kB) | "
+          f"Kraken table {kraken.size_bytes() / 1e3:.0f} kB")
+    layout = MegisFtl(ssd_c().geometry).place_database("kmer_db", db_bytes)
     print(f"   placed on flash: {layout.n_pages} pages across "
           f"{len(layout.block_sequences)} channels")
 
     print("4. running MegIS (mapping + statistical Step 3)...")
-    index = MegisIndex(bundle.sorted_db, bundle.sketch, bundle.references)
     mapping = AnalysisSession(
         index, MegisConfig(abundance_method="mapping")
     ).analyze(reads)
@@ -60,9 +65,9 @@ def main() -> None:
           f"{len(statistical.profile)} species")
 
     print("5. reports:")
-    print(text_report(mapping.profile, bundle.taxonomy, min_fraction=0.01))
+    print(text_report(mapping.profile, taxonomy, min_fraction=0.01))
     print("\nJSON (truncated):")
-    print("\n".join(json_report(mapping.profile, bundle.taxonomy).splitlines()[:12]))
+    print("\n".join(json_report(mapping.profile, taxonomy).splitlines()[:12]))
 
 
 if __name__ == "__main__":

@@ -18,14 +18,13 @@ register-level reference backend streams) are a view of it.
 :class:`~repro.databases.sorted_db.SortedKmerDatabase` has the same
 lifecycle, so the two resident tables have one.
 
-Building from a sketch packs the store once (counted in ``column_builds``)
-and keeps the rows the build walked; a table over a persisted store
-(:meth:`KssTables.from_store`) is the same object minus those rows, which
-materialize only if a reference code path asks — ``row_materializations``
-counts those events, so tests can assert that serving queries from an
-opened index never rebuilds anything.  :meth:`slice_range` cuts the store
-at shard boundaries (prefix-aligned) so each SSD of a multi-SSD deployment
-carries only its own KSS range.
+Building from a sketch packs the store once and keeps the rows the build
+walked; a table over a persisted store (:meth:`KssTables.from_store`) is
+the same object minus those rows, which materialize only if a reference
+code path asks — ``row_materializations`` counts those events, so tests
+can assert that serving queries from an opened index never boxes a row.
+:meth:`slice_range` cuts the store at shard boundaries (prefix-aligned) so
+each SSD of a multi-SSD deployment carries only its own KSS range.
 """
 
 from __future__ import annotations
@@ -156,7 +155,6 @@ class KssTables:
             levels=levels,
         ))
         self._entries, self._sub_tables = entries, sub_tables
-        self.column_builds = 1
 
     def _init(self, store: KssStore) -> None:
         self.k_max = store.k_max
@@ -165,9 +163,7 @@ class KssTables:
         self._entries: Optional[List[Tuple[int, FrozenSet[int]]]] = None
         self._sub_tables: Optional[Dict[int, List[KssSubEntry]]] = None
         self._covered_cache: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        #: Construction counters (see the module docstring): store packs
-        #: from rows, and lazy row materializations from the store.
-        self.column_builds = 0
+        #: Lazy row materializations from the store (see the module docstring).
         self.row_materializations = 0
 
     @classmethod

@@ -1,51 +1,38 @@
-"""Binary serialization: the sorted k-mer database and the index container.
+"""Binary serialization: the k-mer key-column codec and the index container.
 
 The paper's databases are encoded with two bits per character during their
 offline generation (§4.2) and stored on flash in sorted order so the ISP
-units can stream them.  This module defines that on-flash byte format and
-round-trips it, so the MegIS FTL placement and the ISP stream operate on a
-size that is *derived* from an actual encoding, not an estimate.
+units can stream them.  This module defines that on-flash byte format —
+fixed-width records of ``ceil(2k / 8)`` bytes each, big-endian packed, so
+byte-wise lexicographic order equals k-mer order (the property the
+streaming comparators rely on) — and round-trips it, so the MegIS FTL
+placement and the ISP stream operate on a size that is *derived* from an
+actual encoding, not an estimate:
+``len(pack_kmer_column(db.column(), db.k)) == db.size_bytes()``.
 
-Database payload format (little-endian):
-
-- 16-byte header: magic ``b"MEGISKDB"``, ``u16 k``, ``u16 flags``,
-  ``u32 count``;
-- ``count`` k-mer records of ``ceil(2k / 8)`` bytes each, big-endian packed
-  (so byte-wise lexicographic order equals k-mer order, the property the
-  streaming comparators rely on);
-- owners (flag bits 0+1; omitted when both are clear), as CSR columns:
-  ``count + 1`` u64 row offsets followed by one flat u32 taxID column —
-  exactly the :meth:`SortedKmerDatabase.owner_columns` arrays, so
-  serialization is two bulk packs and deserialization two dtype views.
-
-Loading never copies a column: every int column of a payload or section
-is a dtype view (``<u8`` / ``<u4`` / ``<i8``, the on-disk dtypes) of the
-buffer it was parsed from.  Whether that buffer is a ``bytes`` object
-(:func:`unpack_sections`) or a ``np.memmap`` of the index file
-(:func:`map_sections`) is decided once, by whoever produced it; nothing
-below takes a parameter saying where the bytes live.  Only the k-mer key
-columns materialize (they are stored big-endian packed and every
-``searchsorted`` walks them): :func:`parse_kmer_column` returns the sorted
-ndarray column — ``uint64``, or ``object`` dtype past 64 bits — which is
-what a loaded database or KSS level holds, and :func:`pack_kmer_column`
-is its mirror.  No Python int list exists on either path.
-
-A ``MEGISKDB`` payload is the flash image
-(:class:`repro.databases.builder.DatabaseBuilder` writes it without
-owners, which loads as an ownerless table); it is not a section of the
-index container.
+Loading never copies a column: every int column of a section is a dtype
+view (``<i8``, the on-disk dtype) of the buffer it was parsed from.
+Whether that buffer is a ``bytes`` object (:func:`unpack_sections`) or a
+``np.memmap`` of the index file (:func:`map_sections`) is decided once, by
+whoever produced it; nothing below takes a parameter saying where the
+bytes live.  Only the k-mer key columns materialize (they are stored
+big-endian packed and every ``searchsorted`` walks them):
+:func:`parse_kmer_column` returns the sorted ndarray column — ``uint64``,
+or ``object`` dtype past 64 bits — which is what a loaded database or KSS
+level holds, and :func:`pack_kmer_column` is its mirror.  No Python int
+list exists on either path.
 
 Index container format (``MEGISIDX``): a named-section archive holding the
-database's packed key column (one ``db/kmers`` section, the records a
-``MEGISKDB`` payload carries behind its header and nothing else of it),
-the KSS CSR columns, the sketch sizes, and the reference FASTA — what
-:class:`repro.megis.index.MegisIndex` persists.  Version 2; version 1
-(per-shard ``MEGISKDB`` sections with owner CSRs) is refused, not
-converted.  The container itself is format-agnostic: a 16-byte header
-(magic, ``u16 version``, ``u16 reserved``, ``u32 toc_length``), a JSON
-table of contents mapping section names to ``[offset, length]`` within the
-body, then the section bytes back to back.  Sections must tile the body
-exactly, so truncation or trailing garbage is always detected.
+database's packed key column (one ``db/kmers`` section — the flash image
+Step 2 streams), the KSS CSR columns, the sketch sizes, and the reference
+FASTA — what :class:`repro.megis.index.MegisIndex` persists, and the only
+persisted form of the sorted database.  Version 2; version 1 (per-shard
+database sections with owner CSRs) is refused, not converted.  The
+container itself is format-agnostic: a 16-byte header (magic, ``u16
+version``, ``u16 reserved``, ``u32 toc_length``), a JSON table of contents
+mapping section names to ``[offset, length]`` within the body, then the
+section bytes back to back.  Sections must tile the body exactly, so
+truncation or trailing garbage is always detected.
 """
 
 from __future__ import annotations
@@ -64,18 +51,13 @@ from repro.databases.sorted_db import SortedKmerDatabase
 #: What the parsers read from: a ``bytes`` payload or a ``uint8`` section.
 Buffer = Union[bytes, NDArray[np.uint8]]
 
-MAGIC = b"MEGISKDB"
-_HEADER = struct.Struct("<8sHHI")
-FLAG_OWNERS = 1
-FLAG_CSR = 2
-
 INDEX_MAGIC = b"MEGISIDX"
 INDEX_VERSION = 2
 _INDEX_HEADER = struct.Struct("<8sHHI")
 
 
 class SerializationError(ValueError):
-    """Raised when a payload does not parse as a k-mer database or index."""
+    """Raised when a payload does not parse as a k-mer column or index."""
 
 
 def kmer_record_bytes(k: int) -> int:
@@ -153,74 +135,6 @@ def parse_i64(buf: Buffer) -> NDArray[np.int64]:
     return column
 
 
-def serialize_database(db: SortedKmerDatabase, with_owners: bool = True) -> bytes:
-    """Serialize to the on-flash byte format.
-
-    The owner CSR columns are persisted directly — two bulk packs over
-    :meth:`SortedKmerDatabase.owner_columns`, no per-record Python loop
-    over taxIDs and no cap on owners per k-mer.  ``with_owners=False``
-    writes the k-mer records alone (the image the ISP units stream).
-    """
-    flags = FLAG_OWNERS | FLAG_CSR if with_owners else 0
-    out = [
-        _HEADER.pack(MAGIC, db.k, flags, len(db)),
-        pack_kmer_column(db.column(), db.k),
-    ]
-    if with_owners:
-        taxids, offsets = db.owner_columns()
-        if len(taxids) and (
-            int(taxids.min()) < 0 or int(taxids.max()) > 0xFFFFFFFF
-        ):
-            raise SerializationError("taxIDs must fit u32 to serialize")
-        out.append(offsets.astype("<u8").tobytes())
-        out.append(taxids.astype("<u4").tobytes())
-    return b"".join(out)
-
-
-def deserialize_database(payload: Buffer) -> SortedKmerDatabase:
-    """Parse the on-flash byte format back into a database.
-
-    The k-mer records parse into the key column; the owner offsets/taxID
-    columns attach verbatim as ``<u8`` / ``<u4`` views of ``payload`` — of
-    the mapped file when ``payload`` is a section of one, so the owner
-    data stays on flash until a consumer touches its pages.  The result is
-    exactly those columns (:meth:`SortedKmerDatabase.from_columns`): no
-    Python object per k-mer exists unless a reference path asks for one.
-    A payload written without owners loads as an ownerless table.
-    """
-    if len(payload) < _HEADER.size:
-        raise SerializationError("payload shorter than header")
-    buf = _as_u8(payload)
-    magic, k, flags, count = _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}")
-    if flags not in (0, FLAG_OWNERS | FLAG_CSR):
-        raise SerializationError(f"unsupported owner layout (flags {flags:#x})")
-    offset = _HEADER.size
-    width = kmer_record_bytes(k)
-    if offset + count * width > len(buf):
-        raise SerializationError("truncated k-mer column")
-    column = parse_kmer_column(buf[offset:], k, count)
-    offset += count * width
-    owners = None
-    if flags:
-        if offset + 8 * (count + 1) > len(buf):
-            raise SerializationError("truncated owner offsets column")
-        offsets = buf[offset : offset + 8 * (count + 1)].view("<u8")
-        offset += 8 * (count + 1)
-        if np.any(offsets[1:] < offsets[:-1]) or (count and offsets[0] != 0):
-            raise SerializationError("owner offsets must ascend from zero")
-        total = int(offsets[-1]) if count else 0
-        if offset + 4 * total > len(buf):
-            raise SerializationError("truncated owner taxID column")
-        taxids = buf[offset : offset + 4 * total].view("<u4")
-        offset += 4 * total
-        owners = (taxids, offsets)
-    if offset != len(buf):
-        raise SerializationError(f"{len(buf) - offset} trailing bytes")
-    return SortedKmerDatabase.from_columns(k, column, owners)
-
-
 # -- index section container -------------------------------------------------
 
 
@@ -250,11 +164,6 @@ def _container_toc_len(header: bytes) -> int:
         raise SerializationError("index payload shorter than header")
     magic, version, _, toc_len = _INDEX_HEADER.unpack_from(header, 0)
     if magic != INDEX_MAGIC:
-        if magic == MAGIC:
-            raise SerializationError(
-                "payload is a bare k-mer database (MEGISKDB), not an index; "
-                "load it with deserialize_database instead"
-            )
         raise SerializationError(f"bad index magic {magic!r}")
     if version != INDEX_VERSION:
         raise SerializationError(
@@ -298,10 +207,9 @@ def _tile_sections(
 def unpack_sections(payload: bytes) -> Dict[str, NDArray[np.uint8]]:
     """Parse an in-memory ``MEGISIDX`` container into named section views.
 
-    Rejects (loudly) anything malformed: wrong magic (including a bare
-    legacy ``MEGISKDB`` database payload), unknown versions, a corrupt
-    table of contents, sections pointing outside the body, and bodies the
-    sections do not tile exactly (truncation / trailing garbage).
+    Rejects (loudly) anything malformed: wrong magic, unknown versions, a
+    corrupt table of contents, sections pointing outside the body, and
+    bodies the sections do not tile exactly (truncation / trailing garbage).
     """
     toc_len = _container_toc_len(payload[: _INDEX_HEADER.size])
     toc_start = _INDEX_HEADER.size

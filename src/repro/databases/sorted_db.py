@@ -10,19 +10,16 @@ that is all an index file stores of it.
 A :class:`SortedKmerDatabase` *is* its columns, as a
 :class:`~repro.databases.kss.KssTables` is its store: its state is ``(k,
 key column, owner CSR or none)`` — the sorted key column (``uint64``;
-``object`` dtype past 64 bits) and, for a row-built table or a
-``MEGISKDB`` payload written with owners, the owner CSR ``(taxids,
-offsets)``.  A table attached from a key column alone (an opened index,
-the flash image) is *ownerless*: :meth:`owner_columns` and
-:meth:`owners_of` raise, and so do its slices'.  ``len``, ``in``,
-:meth:`owners_of`, :meth:`count_range` and :meth:`slice` bisect the
-column; the Python int list the register-level reference paths walk
-(:attr:`kmers`, :meth:`stream`, :meth:`stream_range`, :meth:`intersect`)
-is a view materialized on demand and counted in ``row_materializations``.
-The row constructor packs the columns once (``column_builds ==
-owner_column_builds == 1``) and :meth:`from_columns` attaches persisted
-ones verbatim (both 0) — so tests can assert that a served database is
-never rebuilt, or boxed, between queries.
+``object`` dtype past 64 bits) and, for a row-built table and its slices,
+the owner CSR ``(taxids, offsets)``, which lives in memory only.  A table
+attached from a key column alone (an opened index) is *ownerless*:
+:meth:`owner_columns` and :meth:`owners_of` raise, and so do its slices'.
+``len``, ``in``, :meth:`owners_of`, :meth:`count_range` and :meth:`slice`
+bisect the column; the Python int list the register-level reference paths
+walk (:attr:`kmers`, :meth:`stream`, :meth:`stream_range`,
+:meth:`intersect`) is a view materialized on demand and counted in
+``row_materializations`` — so tests can assert that a served database is
+never boxed between queries.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ class SortedKmerDatabase:
             raise ValueError("kmers and owners must have equal length")
         column = _increasing(as_column(kmers, column_dtype(k)))
         self._attach(k, column, pack_sets_csr(owners))
-        self.column_builds = self.owner_column_builds = 1
 
     def _attach(
         self, k: int, column: NDArray[Any], owner_columns: Optional[OwnerColumns]
@@ -72,9 +68,7 @@ class SortedKmerDatabase:
         #: ``None`` for an ownerless table (attached from a key column alone).
         self._owner_columns = owner_columns
         self._row_kmers: Optional[List[int]] = None
-        #: Construction counters (see the module docstring).
-        self.column_builds = 0
-        self.owner_column_builds = 0
+        #: Times the Python int list was built (see the module docstring).
         self.row_materializations = 0
 
     @classmethod
@@ -100,13 +94,12 @@ class SortedKmerDatabase:
     def from_columns(
         cls, k: int, column: NDArray[Any], owners: Optional[OwnerColumns] = None
     ) -> "SortedKmerDatabase":
-        """Attach persisted columns verbatim (nothing copied, counters 0).
+        """Attach columns verbatim (nothing copied or boxed).
 
         ``column`` is the sorted key column in the dtype
-        :func:`~repro.backends.numpy_backend.column_dtype` gives ``k``; the
-        ``owners`` CSR arrays keep a ``np.memmap``'s type and the on-disk
-        dtype.  Without them the table is ownerless — what an index file
-        holds.
+        :func:`~repro.backends.numpy_backend.column_dtype` gives ``k``;
+        ``owners`` is the CSR of the table the column came from.  Without
+        it the table is ownerless — what an index file holds.
         """
         if owners is not None and len(owners[1]) != len(column) + 1:
             raise ValueError(
@@ -146,9 +139,8 @@ class SortedKmerDatabase:
 
         ``taxids`` is the flat concatenation of every k-mer's taxID set
         (each row sorted ascending); ``offsets`` has one entry per k-mer
-        plus a trailing total.  This is the layout the ``MEGISKDB``
-        format persists directly and sharding slices.  Treat the returned
-        arrays as read-only.
+        plus a trailing total — the layout sharding slices.  Treat the
+        returned arrays as read-only.
         """
         if self._owner_columns is None:
             raise ValueError("no owner columns: an index file stores the key column only")

@@ -184,9 +184,13 @@ class ClusterStepTwo:
                     except (OSError, ValueError) as exc:
                         last_error = exc
                 if partials is None:
+                    address = self._second_address(endpoint, address)
                     partials = self._retry(endpoint, address, frame,
                                            request_id, n_samples, last_error)
-                self._mark_alive(endpoint.node_id)
+                # ``alive`` describes the primary: a replica's answer must
+                # not send the next scatter back to a dead primary first.
+                if address == endpoint.address:
+                    self._mark_alive(endpoint.node_id)
                 per_node.append(partials)
         finally:
             # Every first-attempt socket, read or not: when a node fails
@@ -198,14 +202,13 @@ class ClusterStepTwo:
 
         return gather(per_node)
 
-    def _retry(self, endpoint: NodeEndpoint, failed_address: Address,
+    def _retry(self, endpoint: NodeEndpoint, retry_address: Address,
                frame: bytes, request_id: int, n_samples: int,
                last_error: Optional[Exception]) -> List[StepTwoResult]:
         """The single retry after a failed attempt, then :class:`NodeFailed`."""
         self._mark_down(endpoint.node_id)
         with self._lock:
             self.stats.node_retries += 1
-        retry_address = self._second_address(endpoint, failed_address)
         try:
             sock = self._connect_send(retry_address, frame)
         except OSError as exc:

@@ -524,6 +524,10 @@ class IndexBuilder:
     sketch_fraction: float = 0.25
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if any(not 0 < level < self.k for level in self.resolved_smaller_ks()):
+            raise ValueError("smaller_ks must lie strictly between 0 and k_max")
+
     def resolved_smaller_ks(self) -> Tuple[int, ...]:
         if self.smaller_ks is not None:
             return tuple(self.smaller_ks)

@@ -6,8 +6,10 @@ pure-Python loops, so thread workers serialize exactly where the paper's
 pipeline is busiest.  :class:`ProcessAnalysisRunner` forks the session N
 times *after* the index file is mapped and the session warmed, so every
 worker is that session, sharing the parent's engine state copy-on-write
-(:meth:`~ProcessAnalysisRunner.probe_workers` is the witness), and does
-the session's own job: the child runs :func:`_worker_main` over the
+(:meth:`~ProcessAnalysisRunner.probe_workers` is the witness: each child
+reports where its database key column and KSS taxID column live, and an
+inherited buffer keeps the parent's address where a copy would not), and
+does the session's own job: the child runs :func:`_worker_main` over the
 inherited session — on the serial path, since the loop first unhooks the
 runner there — so a process-backed result is the serial session's,
 ``PhaseTimings`` counters included.
@@ -37,12 +39,14 @@ import threading
 from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.sequences.reads import Read
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.megis.session import AnalysisSession, MegisResult
 
-#: The worker message asking for the COW counters instead of an analysis.
+#: The worker message asking for the COW witness instead of an analysis.
 _PROBE = "probe"
 
 
@@ -70,7 +74,7 @@ class WorkerCrashed(RuntimeError):
 
 def _worker_main(conn: Connection, session: "AnalysisSession") -> None:
     """Forked worker loop: answer ``(samples, with_abundance)`` with the
-    session's ``analyze_batch`` and ``"probe"`` with the COW counters,
+    session's ``analyze_batch`` and ``"probe"`` with the COW witness,
     until the parent sends ``None`` or closes the pipe.
 
     Exits via ``os._exit`` so the forked copy never runs the parent's
@@ -93,13 +97,15 @@ def _worker_main(conn: Connection, session: "AnalysisSession") -> None:
             reply: Tuple[bool, Any]
             try:
                 if message == _PROBE:
-                    # Read *inside* the worker: a fork that duplicated the
-                    # warmed state would have rebuilt its columns.
+                    # Read *inside* the worker: a column the child copied
+                    # would sit at another address than the parent's.
                     database = session.database
+                    taxids = session.kss.store().taxids
                     reply = (True, {
                         "pid": os.getpid(),
-                        "column_builds": database.column_builds,
-                        "owner_column_builds": database.owner_column_builds,
+                        "column_address": database.column().ctypes.data,
+                        "taxids_address": taxids.ctypes.data,
+                        "taxids_mapped": isinstance(taxids, np.memmap),
                         "row_materializations": database.row_materializations,
                     })
                 else:
@@ -242,7 +248,7 @@ class ProcessAnalysisRunner:
             self._idle.put(worker)
 
     def probe_workers(self) -> List[Dict[str, int]]:
-        """Each worker's in-process view of the shared engine counters."""
+        """Each worker's in-process view of the shared engine columns."""
         held: List[_Worker] = []
         with self._lock:
             try:

@@ -484,6 +484,41 @@ class TestFailover:
         # The replica was the FIRST attempt — no retry was needed.
         assert stats.node_retries == retries_before
 
+    def test_replica_answers_do_not_mark_a_dead_primary_alive(
+        self, golden_world, golden, requests_wire, serial_records
+    ):
+        """``alive`` describes the primary address: with no heartbeat, the
+        first scatter after the kill pays the one retry and every later
+        one goes replica-first; only the primary itself (here a pong from
+        its respawn) marks the node alive again."""
+        _, index = golden_world
+
+        async def scenario():
+            async with Cluster(index, golden, 2, replicas=(0,)) as cluster:
+                step_two = cluster.step_two
+                cluster.nodes[0].kill()
+                records = []
+                for frame in requests_wire:  # one scatter each
+                    records += await client_roundtrip(cluster.router, [frame])
+                dead = (step_two.stats.node_retries, step_two.health[0].alive)
+                await cluster.respawn(0)
+                await asyncio.get_running_loop().run_in_executor(
+                    None, step_two.check_health
+                )
+                revived = step_two.health[0].alive
+                records += await client_roundtrip(cluster.router,
+                                                  requests_wire[:1])
+                return records, dead, revived, step_two.stats
+
+        records, dead, revived, stats = run_scenario(scenario())
+        assert dead == (1, False)
+        assert revived is True
+        assert stats.node_retries == 1 and stats.node_failures == 0
+        assert stats.scatters == N_CHUNKS + 1
+        assert_bit_identical(records[:N_CHUNKS], serial_records,
+                             [f"c{i}" for i in range(N_CHUNKS)])
+        assert_bit_identical(records[N_CHUNKS:], serial_records, ["c0"])
+
     def test_killed_node_respawned_on_same_port_serves_retry(
         self, golden_world, golden, requests_wire, serial_records
     ):

@@ -5,13 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends.numpy_backend import column_dtype
 from repro.databases.kraken import KrakenDatabase
-from repro.databases.serialization import (
-    deserialize_database,
-    kmer_record_bytes,
-    pack_kmer_column,
-    parse_kmer_column,
-    serialize_database,
-)
+from repro.databases.serialization import pack_kmer_column, parse_kmer_column
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.sequences.encoding import kmer_prefix
@@ -153,9 +147,10 @@ class TestSortedKmerDatabase:
 
 
 class TestTheDatabaseIsItsColumns:
-    """The row-built database, its ``serialize -> deserialize`` round trip
-    and a positional slice of either are one table seen four ways; the
-    model they must all agree with is the drawn rows, as plain lists."""
+    """The row-built database, its key column through ``pack -> parse``
+    (re-attached beside the built owner CSR) and a positional slice of
+    either are one table seen four ways; the model they must all agree
+    with is the drawn rows, as plain lists."""
 
     @pytest.mark.parametrize("k", [12, 40])  # uint64 / object key columns
     @given(data=st.data())
@@ -163,15 +158,12 @@ class TestTheDatabaseIsItsColumns:
     def test_built_reloaded_and_sliced_agree(self, k, data):
         kmers, owners = data.draw(kmer_rows(k))
         built = SortedKmerDatabase(k, kmers, owners)
-        payload = serialize_database(built)
-        reloaded = deserialize_database(payload)
-        assert serialize_database(reloaded) == payload
-        records = payload[16:16 + kmer_record_bytes(k) * len(kmers)]
-        assert pack_kmer_column(
-            parse_kmer_column(records, k, len(kmers)), k
-        ) == records
-        assert (built.column_builds, built.owner_column_builds) == (1, 1)
-        assert (reloaded.column_builds, reloaded.owner_column_builds) == (0, 0)
+        records = pack_kmer_column(built.column(), k)
+        assert len(records) == built.size_bytes()
+        reloaded = SortedKmerDatabase.from_columns(
+            k, parse_kmer_column(records, k, len(kmers)), built.owner_columns()
+        )
+        assert pack_kmer_column(reloaded.column(), k) == records
 
         i = data.draw(st.integers(0, len(kmers)))
         j = data.draw(st.integers(i, len(kmers)))

@@ -211,6 +211,13 @@ def test_lock_discipline_covers_every_megis_module_that_binds_a_lock():
         assert [rel for rel in binders if not path_matches(rel, scope)] == []
 
 
+@pytest.mark.parametrize("rule", sorted(load_config(REPO_ROOT).rule_paths))
+def test_configured_scope_is_the_checkers_default(rule):
+    """`repro check` without the pyproject table scans the tree CI scans."""
+    configured = load_config(REPO_ROOT).rule_paths[rule]
+    assert configured == checker_for(rule).default_paths
+
+
 def test_path_matches_prefix_and_glob():
     assert path_matches("src/repro/megis/wire.py", ("src/repro",))
     assert path_matches("src/repro/megis/wire.py", ("src/*/megis/*.py",))

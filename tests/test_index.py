@@ -5,12 +5,11 @@ Pins the build-once / query-many contract:
 - ``MegisIndex.open()`` + ``AnalysisSession.analyze()`` reproduce a fresh
   pipeline bit for bit, for both backends, both abundance methods, and the
   sharded path;
-- opening attaches the persisted CSR columns — zero database or KSS
-  reconstruction happens between (or during) consecutive ``analyze()``
-  calls, asserted through the cache-build counters;
-- legacy (pre-index) bare database payloads still load through
-  ``deserialize_database``, and the index reader rejects them (and any
-  corrupt or truncated section) loudly;
+- opening attaches the persisted columns — no database or KSS row is
+  boxed between (or during) consecutive ``analyze()`` calls on the
+  columnar backend, asserted through ``row_materializations``;
+- the index reader rejects a non-index payload and any corrupt or
+  truncated section loudly;
 - Step-3 unified-index construction is cached across a sample stream when
   candidate sets overlap.
 """
@@ -26,10 +25,10 @@ from hypothesis import given, strategies as st
 from repro.backends import get_backend
 from repro.databases.serialization import (
     SerializationError,
-    deserialize_database,
     kmer_record_bytes,
+    pack_kmer_column,
     pack_sections,
-    serialize_database,
+    parse_kmer_column,
     unpack_sections,
 )
 from repro.databases.sorted_db import SortedKmerDatabase
@@ -63,8 +62,6 @@ def opened(payload):
 class TestRoundTrip:
     def test_database_columns_attached(self, opened, sorted_db):
         assert opened.database.kmers == sorted_db.kmers
-        assert opened.database.column_builds == 0
-        assert opened.database.owner_column_builds == 0
 
     def test_opened_database_is_ownerless(self, opened, sorted_db):
         """An index file stores the key column only: the opened table (and
@@ -79,7 +76,6 @@ class TestRoundTrip:
                 database.owners_of(kmer)
 
     def test_kss_store_attached(self, opened):
-        assert opened.kss.column_builds == 0
         assert opened.kss.row_materializations == 0
 
     def test_kss_columns_equal_built(self, opened, kss_tables):
@@ -229,9 +225,6 @@ class TestSectionSources:
             assert mine.sketch_hits == theirs.sketch_hits
             assert mine.candidates == theirs.candidates
             assert mine.profile.fractions == theirs.profile.fractions
-        assert served.database.owner_column_builds == 0
-        for shard in served.shards(3):
-            assert shard.database.owner_column_builds == 0
 
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -484,6 +477,17 @@ class TestOneKeySectionProperties:
                     opened, MegisConfig(backend=backend, n_ssds=m)
                 ).step_two_partial([world.query]) == want
 
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+    @STANDARD_SETTINGS
+    def test_key_section_is_the_packed_column_at_its_flash_size(self, k, data, n):
+        """The file's ``db/kmers`` section, the column codec's output and
+        the size the FTL is asked to place are one thing, at any count."""
+        index = data.draw(index_worlds(ks=(k,))).index
+        database = index.database
+        section = bytes(unpack_sections(index.to_bytes(n_shards=n))["db/kmers"])
+        assert section == pack_kmer_column(database.column(), k)
+        assert len(section) == database.size_bytes()
+
     @given(data=st.data(), n=st.sampled_from([1, 2, 3, 5]))
     @STANDARD_SETTINGS
     def test_a_lying_manifest_is_a_serialization_error(self, scratch, k, data,
@@ -573,13 +577,8 @@ class TestZeroReconstruction:
         first = session.analyze(sample.reads)
         second = session.analyze(sample.reads)
         assert first.candidates == second.candidates
-        assert opened.database.column_builds == 0
-        assert opened.database.owner_column_builds == 0
-        assert opened.kss.column_builds == 0
         assert opened.kss.row_materializations == 0
         for shard in opened.shards(3):
-            assert shard.database.column_builds == 0
-            assert shard.kss.column_builds == 0
             assert shard.kss.row_materializations == 0
 
     @pytest.mark.parametrize("source", ["from_bytes", "open"])
@@ -603,11 +602,8 @@ class TestZeroReconstruction:
         assert first.candidates and first.candidates == second.candidates
         shards = served.shards(3)
         for database in [served.database] + [s.database for s in shards]:
-            assert database.column_builds == 0
-            assert database.owner_column_builds == 0
             assert database.row_materializations == 0
         for kss in [served.kss] + [s.kss for s in shards]:
-            assert kss.column_builds == 0
             assert kss.row_materializations == 0
 
         reference = AnalysisSession(
@@ -617,8 +613,6 @@ class TestZeroReconstruction:
         for shard in shards:
             assert shard.database.row_materializations == 1
             assert shard.kss.row_materializations > 0
-            assert shard.database.owner_column_builds == 0
-        assert served.database.owner_column_builds == 0
 
     def test_open_holds_columns_not_python_ints(self, index, tmp_path):
         """``open`` keeps one 8-byte key per database k-mer plus the KSS
@@ -703,14 +697,6 @@ class TestZeroReconstruction:
 
 
 class TestLegacyAndCorruption:
-    def test_legacy_database_payload_still_loads(self, sorted_db):
-        loaded = deserialize_database(serialize_database(sorted_db))
-        assert loaded.kmers == sorted_db.kmers
-
-    def test_bare_database_payload_rejected_with_hint(self, sorted_db):
-        with pytest.raises(SerializationError, match="bare k-mer database"):
-            MegisIndex.from_bytes(serialize_database(sorted_db))
-
     def test_bad_magic(self, payload):
         corrupt = bytearray(payload)
         corrupt[0] ^= 0xFF
@@ -747,14 +733,15 @@ class TestLegacyAndCorruption:
             MegisIndex.from_bytes(pack_sections(sections))
 
     def test_out_of_order_kmer_column_rejected(self):
-        # A corrupt CSR payload with unsorted k-mers must fail at load,
-        # not misresolve bisect-based queries later.
-        db = SortedKmerDatabase(12, [5, 9, 40], [frozenset({1})] * 3)
-        payload = bytearray(serialize_database(db))
-        # Swap the first two 3-byte k-mer records (header is 16 bytes).
-        payload[16:19], payload[19:22] = payload[19:22], payload[16:19]
+        # Unsorted k-mer records must fail at attach, not misresolve
+        # bisect-based queries later.
+        records = bytearray(pack_kmer_column(np.array([5, 9, 40], np.uint64), 12))
+        # Swap the first two 3-byte k-mer records.
+        records[0:3], records[3:6] = records[3:6], records[0:3]
+        column = parse_kmer_column(bytes(records), 12, 3)
+        assert column.tolist() == [9, 5, 40]
         with pytest.raises(ValueError, match="strictly increasing"):
-            deserialize_database(bytes(payload))
+            SortedKmerDatabase.from_columns(12, column)
 
     def test_unsorted_database_section_rejected(self, index):
         sections = {
@@ -770,7 +757,7 @@ class TestLegacyAndCorruption:
             MegisIndex.from_bytes(pack_sections(sections))
 
     def test_parent_format_refused_by_version(self, payload):
-        """A version-1 file (per-shard ``MEGISKDB`` sections) is refused at
+        """A version-1 file (per-shard database sections) is refused at
         the header, by message — not by a missing-section error."""
         old = bytearray(payload)
         assert old[8:10] == b"\x02\x00"

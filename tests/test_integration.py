@@ -1,16 +1,17 @@
 """Cross-substrate integration tests.
 
-These tie layers together: the serialized database placed by MegIS FTL and
-streamed through the channel simulator; the functional pipeline attached to
-a simulated SSD with §4.3.1 buffers; Fig 13's phase-bucket mapping staying
-in sync with the timing model's phase names.
+These tie layers together: the database's packed key column (the index
+file's ``db/kmers`` section) placed by MegIS FTL and streamed through the
+channel simulator; the functional pipeline attached to a simulated SSD with
+§4.3.1 buffers; Fig 13's phase-bucket mapping staying in sync with the
+timing model's phase names.
 """
 
 import pytest
 
-from repro.databases.builder import DatabaseBuilder
 from repro.experiments.fig13_breakdown import BUCKETS, bucketize
 from repro.megis.ftl import MegisFtl
+from repro.megis.index import IndexBuilder
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
 from repro.ssd.channel import ChannelSimulator, ReadRequest
@@ -19,14 +20,14 @@ from repro.workloads.datasets import cami_spec
 
 
 class TestFlashImageStreaming:
-    """Serialized db -> FTL placement -> channel-level streaming time."""
+    """Built db -> FTL placement -> channel-level streaming time."""
 
     @pytest.fixture(scope="class")
     def placed(self, references):
-        bundle = DatabaseBuilder(k=20, smaller_ks=(12, 8)).build(references)
+        index = IndexBuilder(k=20, smaller_ks=(12, 8)).build(references)
         config = ssd_c()
         ftl = MegisFtl(config.geometry)
-        layout = ftl.place_database("kmer_db", len(bundle.flash_image))
+        layout = ftl.place_database("kmer_db", index.database.size_bytes())
         return config, layout
 
     def test_read_order_matches_page_count(self, placed):

@@ -375,9 +375,10 @@ class TestProcessBackedSession:
 
     def test_mmap_fork_shares_columns_cow(self, process_world, tmp_path):
         """The ISSUE's COW assertion: fork after ``open(mmap=True)`` +
-        ``warm()`` duplicates no index state — the counters a worker
-        reads *inside the forked process* equal the parent's snapshot
-        (a per-worker copy would have to rebuild its columns)."""
+        ``warm()`` duplicates no index state — the columns a worker
+        reads *inside the forked process* sit at the parent's addresses
+        (a per-worker copy would land somewhere else) and the KSS taxID
+        column is still the mapped file there."""
         path = tmp_path / "world.megis"
         process_world.save(path)
         index = MegisIndex.open(path, mmap=True)
@@ -387,12 +388,13 @@ class TestProcessBackedSession:
                                backend="numpy", executor="processes:2"),
         ) as session:
             session.warm()  # the fork point
-            parent_builds = index.database.column_builds
-            parent_owner_builds = index.database.owner_column_builds
+            column_address = index.database.column().ctypes.data
+            taxids_address = index.kss.store().taxids.ctypes.data
             for probe in session._runner.probe_workers():
                 assert probe["pid"] != os.getpid()
-                assert probe["column_builds"] == parent_builds
-                assert probe["owner_column_builds"] == parent_owner_builds
+                assert probe["column_address"] == column_address
+                assert probe["taxids_address"] == taxids_address
+                assert probe["taxids_mapped"] is True
                 assert probe["row_materializations"] == 0
                 assert index.database.row_materializations == 0
             # The pool forked once, at warm(): no crash respawns.
