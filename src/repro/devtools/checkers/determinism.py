@@ -4,7 +4,9 @@ The reproduction's core claim — MegIS returns the same classification
 as the software baseline, across every executor/backend/cluster
 configuration — is only testable because the engine is deterministic.
 This rule statically bans the ambient-nondeterminism APIs in engine code
-(``backends/`` and ``megis/``):
+(``backends/``, ``megis/``, and the two modules outside them on the
+result path: ``tools/mapping.py`` — Step 3's indexes and vote — and
+``sequences/kmers.py`` — the k-mer extractors):
 
 - global RNG draws (``random.*``, ``np.random.*``) — randomness must be
   injected as a seeded generator (``random.Random(seed)``,
@@ -33,7 +35,12 @@ _SEEDED_FACTORIES = {"Random", "default_rng", "RandomState", "Generator", "SeedS
 class DeterminismChecker(Checker):
     rule = "RPR003"
     title = "no ambient randomness/wall-clock/set-order dependence in engine code"
-    default_paths = ("src/repro/backends", "src/repro/megis")
+    default_paths = (
+        "src/repro/backends",
+        "src/repro/megis",
+        "src/repro/tools/mapping.py",
+        "src/repro/sequences/kmers.py",
+    )
 
     def check(self, ctx: FileContext, config: CheckConfig) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

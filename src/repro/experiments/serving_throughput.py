@@ -20,8 +20,9 @@ through the service's worker threads over a serial session, and the
 ``processes:N`` rows dispatch the same stream into the session's forked
 worker pool (the warmed session forked, one batch per worker).  On a
 multi-core host the process rows pull ahead wherever the GIL serializes
-the thread rows; on one core they roughly tie.  The hard >=1.5x floor
-for the GIL-bound mapping workload lives in ``benchmarks/test_serving``.
+the thread rows; on one core they roughly tie.  The gap is reported, not
+asserted (``benchmarks/test_serving`` pins only that both substrates
+serve bit-identically).
 """
 
 from __future__ import annotations

@@ -8,18 +8,36 @@ per-species sorted indexes from flash and merges them in-storage: when a
 k-mer occurs in several genomes, the merged entry stores every location,
 adjusted by each genome's offset in the concatenation.
 
-The merge here is a k-way streaming merge structured like the hardware data
-path; it must produce exactly :meth:`repro.tools.mapping.UnifiedIndex.merge`.
+:func:`merge_species_indexes` has two arms over the two representations of
+:mod:`repro.tools.mapping`, and both must produce exactly
+:meth:`repro.tools.mapping.UnifiedIndex.merge` with the same
+:class:`IndexMergeStats`:
+
+* dict :class:`~repro.tools.mapping.SpeciesIndex` inputs take the k-way
+  heap merge structured like the hardware data path — the reference the
+  ``python``-backend session runs;
+* :class:`~repro.tools.mapping.ColumnarSpeciesIndex` inputs take the
+  column merge: the offset-adjusted species columns are concatenated in
+  ascending-taxid order, one stable sort brings every k-mer's locations
+  together (already ascending), and one ``unique`` cuts the key column
+  and its CSR offsets.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.sequences.generator import ReferenceCollection
-from repro.tools.mapping import SpeciesIndex, UnifiedIndex
+from repro.tools.mapping import (
+    ColumnarSpeciesIndex,
+    ColumnarUnifiedIndex,
+    SpeciesIndex,
+    UnifiedIndex,
+)
 
 
 @dataclass
@@ -32,14 +50,18 @@ class IndexMergeStats:
 
 
 def merge_species_indexes(
-    indexes: Sequence[SpeciesIndex],
-) -> Tuple[UnifiedIndex, IndexMergeStats]:
+    indexes: Union[Sequence[SpeciesIndex], Sequence[ColumnarSpeciesIndex]],
+) -> Tuple[Union[UnifiedIndex, ColumnarUnifiedIndex], IndexMergeStats]:
     """Streaming k-way merge of per-species sorted indexes (Fig 9).
 
     Each input index is consumed strictly in ascending k-mer order — the
     access pattern the SSD serves sequentially from flash — and the output
-    is emitted in ascending order, one entry per distinct k-mer.
+    is emitted in ascending order, one entry per distinct k-mer.  Columnar
+    inputs merge as columns (:func:`merge_species_columns`) into the
+    columnar unified index; the result and the stats are the same.
     """
+    if indexes and isinstance(indexes[0], ColumnarSpeciesIndex):
+        return merge_species_columns(indexes)
     stats = IndexMergeStats()
     if not indexes:
         return UnifiedIndex(k=0, entries={}, boundaries={}), stats
@@ -81,6 +103,54 @@ def merge_species_indexes(
         entries[kmer] = tuple(sorted(locations))
         stats.entries_written += 1
     return UnifiedIndex(k=k, entries=entries, boundaries=boundaries), stats
+
+
+def merge_species_columns(
+    indexes: Sequence[ColumnarSpeciesIndex],
+) -> Tuple[ColumnarUnifiedIndex, IndexMergeStats]:
+    """The Fig 9 merge over sorted species columns.
+
+    ``entries_read`` counts one entry per distinct k-mer per species,
+    ``entries_written`` one per distinct k-mer overall, ``shared_kmers``
+    the merged entries more than one species contributed to — a run of
+    locations spans species exactly when its first and last location
+    fall in different genomes, locations being ascending.
+    """
+    k = indexes[0].k if indexes else 0
+    if any(ix.k != k for ix in indexes):
+        raise ValueError("all indexes must share the same k")
+    ordered = sorted(indexes, key=lambda ix: ix.taxid)
+    lengths = np.array([ix.genome_length for ix in ordered], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    kmers = np.concatenate(
+        [np.empty(0, dtype=np.uint64), *(ix.kmers for ix in ordered)]
+    )
+    locations = np.concatenate(
+        [np.empty(0, dtype=np.int64),
+         *(ix.positions + start for ix, start in zip(ordered, starts.tolist()))]
+    )
+    order = np.argsort(kmers, kind="stable")
+    keys, first = np.unique(kmers[order], return_index=True)
+    locations = locations[order]
+    offsets = np.append(first, locations.size).astype(np.int64, copy=False)
+    species = np.searchsorted(
+        starts, locations[[offsets[:-1], offsets[1:] - 1]], side="right"
+    )
+    stats = IndexMergeStats(
+        entries_read=sum(ix.distinct_kmers() for ix in ordered),
+        entries_written=int(keys.size),
+        shared_kmers=int(np.count_nonzero(species[0] != species[1])),
+    )
+    unified = ColumnarUnifiedIndex(
+        k=k,
+        kmers=keys,
+        offsets=offsets,
+        locations=locations,
+        taxids=np.array([ix.taxid for ix in ordered], dtype=np.int64),
+        starts=starts,
+        total_length=int(lengths.sum()),
+    )
+    return unified, stats
 
 
 def build_unified_index(

@@ -12,7 +12,11 @@ native container — plain Python int lists for the register-level
 ``python`` reference, sorted ``np.ndarray`` columns for the ``numpy``
 columnar engine — so the partition→intersect hand-off never converts
 containers per call.  Both containers hold identical k-mer sequences; the
-cross-backend equivalence tests enforce it.
+cross-backend equivalence tests enforce it.  Extraction follows the same
+split: the reference extracts read by read into a ``Counter``; the
+columnar path (k-mers fit ``uint64``) packs the whole sample in one
+streaming pass, :func:`~repro.sequences.kmers.extract_kmers_batch` — the
+extractor the columnar Step-3 vote shares.
 
 When the extracted k-mers exceed host DRAM, MegIS pins as many buckets as
 fit and spills the rest to the SSD through dedicated sequential write
@@ -32,7 +36,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.backends import BucketSlice, StepTwoBackend, column_to_list, get_backend
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 
 #: A bucket's sorted k-mers in the backend's native container.
@@ -190,7 +194,7 @@ class KmerBucketPartitioner:
         space = 1 << (2 * self.k)
         if not sample:
             return [space * i // self.n_buckets for i in range(1, self.n_buckets)]
-        ordered = sorted(int(x) for x in sample)
+        ordered = sorted(sample)
         boundaries = []
         for i in range(1, self.n_buckets):
             boundaries.append(ordered[min(len(ordered) - 1, len(ordered) * i // self.n_buckets)])
@@ -212,31 +216,36 @@ class KmerBucketPartitioner:
         dedup + exclusion concatenates to exactly the global result the
         single-pass layout produced — bucket contents are bit-identical.
 
-        The vectorized path (columnar backend, k-mers fit uint64) groups
-        the raw extracted stream by bucket with one stable argsort over
-        the bucket ids (radix, O(n)); the Counter path folds each read
-        in immediately so peak memory stays O(distinct k-mers).
+        The vectorized path (columnar backend, k-mers fit uint64) packs
+        the whole sample's k-mers in one pass
+        (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
+        in read order, whose head is the preliminary sample) and groups
+        it by bucket with one stable argsort over the bucket ids (radix,
+        O(n)); the Counter path extracts read by read and folds each in
+        immediately so peak memory stays O(distinct k-mers).
         """
         lead_start = time.perf_counter()
         vectorized = self._backend.columnar and self.k <= 31
-        arrays: List[np.ndarray] = []
         counts: Counter = Counter()
         preliminary: List[int] = []
-        for read in reads:
-            kmers = extract_kmers(read.sequence, self.k, canonical=False)
-            if vectorized:
-                arrays.append(kmers)
-            else:
+        if vectorized:
+            merged, _ = extract_kmers_batch(
+                [read.sequence for read in reads], self.k
+            )
+            preliminary = merged[:self.preliminary_sample].tolist()
+        else:
+            for read in reads:
+                kmers = extract_kmers(read.sequence, self.k, canonical=False)
                 counts.update(kmers.tolist())
-            remaining = self.preliminary_sample - len(preliminary)
-            if remaining > 0:
-                preliminary.extend(int(x) for x in kmers[:remaining].tolist())
+                remaining = self.preliminary_sample - len(preliminary)
+                if remaining > 0:
+                    preliminary.extend(int(x) for x in kmers[:remaining].tolist())
 
         boundaries = self._boundaries(preliminary)
         space = 1 << (2 * self.k)
         edges = [0] + boundaries + [space]
         if vectorized:
-            raw_buckets = self._group_vectorized(arrays, boundaries, len(edges) - 1)
+            raw_buckets = self._group_vectorized(merged, boundaries, len(edges) - 1)
         else:
             raw_buckets = self._group_counted(counts, boundaries, len(edges) - 1)
         lead_ms = (time.perf_counter() - lead_start) * 1e3
@@ -258,8 +267,7 @@ class KmerBucketPartitioner:
         return bucket_set
 
     def _group_vectorized(
-        self, arrays: Sequence[np.ndarray], boundaries: Sequence[int],
-        n_buckets: int,
+        self, merged: np.ndarray, boundaries: Sequence[int], n_buckets: int,
     ) -> List[np.ndarray]:
         """Group the raw (unsorted, with duplicates) stream by bucket.
 
@@ -269,7 +277,6 @@ class KmerBucketPartitioner:
         Within-bucket order stays the arrival order; the per-bucket
         ``np.unique`` does the actual sorting, on the bucket's clock.
         """
-        merged = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.uint64)
         if not boundaries:
             return [merged]
         ids = np.searchsorted(

@@ -1,9 +1,12 @@
 """Process-backed analysis: the warmed session, forked N times (the process tier).
 
 The GIL caps what :class:`~repro.megis.service.AnalysisService` can get
-out of threads: Step 1 (k-mer extraction) and mapping-based Step 3 are
-pure-Python loops, so thread workers serialize exactly where the paper's
-pipeline is busiest.  :class:`ProcessAnalysisRunner` forks the session N
+out of threads wherever the pipeline runs Python bytecode: the
+``python``-backend reference throughout, a ``mapper_k > 31`` Step 3, and
+on the columnar path the glue between the NumPy kernels (Steps 1-3 are
+column kernels there, which release the GIL, so how much a fork buys
+over a thread is a measurement, not a given).
+:class:`ProcessAnalysisRunner` forks the session N
 times *after* the index file is mapped and the session warmed, so every
 worker is that session, sharing the parent's engine state copy-on-write
 (:meth:`~ProcessAnalysisRunner.probe_workers` is the witness: each child

@@ -11,7 +11,13 @@ CSR blocks, the shard handles, the bucket partitioner, and the Step-3
 per-species indexes and merged unified indexes, which are cached so consecutive
 samples with overlapping candidate sets skip the merge input construction
 entirely (§4.4 batched across a stream, closing the batched-Step-3
-ROADMAP item).
+ROADMAP item).  Those Step-3 indexes are columns — sorted key column, CSR
+offsets, location column, genome ``starts`` — and the mapper votes for a
+sample's reads a block at a time whenever the backend is columnar and
+``mapper_k <= 31``; otherwise (the ``python`` reference backend, or a
+mapper k-mer wider than ``uint64``) they are the dict reference
+structures with the per-read vote.  The two are equal by test and nothing
+else selects between them (:mod:`repro.tools.mapping`).
 
 Orchestration per sample: MegIS_Init -> Step 1 on the host
 (extract/bucket/sort/exclude) -> Step 2 in the SSD (per-channel
@@ -45,6 +51,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Type,
     Union,
 )
 
@@ -79,7 +86,13 @@ from repro.megis.overlap import model_overlap
 from repro.sequences.reads import Read
 from repro.ssd.device import SSD
 from repro.taxonomy.profiles import AbundanceProfile
-from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
+from repro.tools.mapping import (
+    ColumnarSpeciesIndex,
+    ColumnarUnifiedIndex,
+    ReadMapper,
+    SpeciesIndex,
+    UnifiedIndex,
+)
 from repro.tools.metalign import (
     MetalignResult,
     accumulate_hits,
@@ -322,10 +335,23 @@ class AnalysisSession:
             )
         #: Step-3 caches: per-species sorted indexes (reused whenever
         #: candidate sets overlap) and fully merged unified indexes (reused
-        #: when a candidate set repeats exactly).
-        self._species_indexes: Dict[int, SpeciesIndex] = {}
+        #: when a candidate set repeats exactly).  They hold columns when
+        #: the backend is columnar and a mapper k-mer fits uint64 — the
+        #: test Step 1 makes for its own vectorized path — and the dict
+        #: reference otherwise; nothing selects between the two but that.
+        self._species_index_type: Union[
+            Type[SpeciesIndex], Type[ColumnarSpeciesIndex]
+        ] = (
+            ColumnarSpeciesIndex
+            if get_backend(self._backend_spec).columnar and config.mapper_k <= 31
+            else SpeciesIndex
+        )
+        self._species_indexes: Dict[
+            int, Union[SpeciesIndex, ColumnarSpeciesIndex]
+        ] = {}
         self._unified_cache: Dict[
-            frozenset, Tuple[UnifiedIndex, IndexMergeStats]
+            frozenset,
+            Tuple[Union[UnifiedIndex, ColumnarUnifiedIndex], IndexMergeStats],
         ] = {}
         #: Step-3 cache hit/miss counters ("species" and "unified").
         self.cache_stats: Dict[str, CacheStats] = {
@@ -675,7 +701,7 @@ class AnalysisSession:
 
     def unified_index(
         self, candidates: Sequence[int]
-    ) -> Tuple[UnifiedIndex, IndexMergeStats]:
+    ) -> Tuple[Union[UnifiedIndex, ColumnarUnifiedIndex], IndexMergeStats]:
         """The merged candidate index, cached across the sample stream.
 
         Per-species sorted indexes are built at most once per session, so
@@ -684,6 +710,15 @@ class AnalysisSession:
         merge itself is :func:`~repro.megis.abundance.merge_species_indexes`
         — the in-storage streaming data path — so the result is identical
         to an uncached :func:`~repro.megis.abundance.build_unified_index`.
+
+        A columnar-backend session with ``mapper_k <= 31`` builds and
+        merges columns (:class:`~repro.tools.mapping.ColumnarUnifiedIndex`:
+        sorted key column, CSR offsets, location column, genome
+        ``starts``), over which :class:`~repro.tools.mapping.ReadMapper`
+        votes for all reads of a sample at once; any other session runs
+        the dict reference and its per-read vote.  Same entries, same
+        :class:`~repro.megis.abundance.IndexMergeStats`, same profile
+        either way.
 
         The merged-index cache is LRU-bounded: a long sample stream with
         many distinct candidate sets must not grow memory without bound
@@ -721,14 +756,16 @@ class AnalysisSession:
                 self._unified_cache.pop(next(iter(self._unified_cache)))
         return cached
 
-    def _species_index(self, taxid: int) -> SpeciesIndex:
+    def _species_index(
+        self, taxid: int
+    ) -> Union[SpeciesIndex, ColumnarSpeciesIndex]:
         with self._lock:
             index = self._species_indexes.get(taxid)
             if index is not None:
                 self.cache_stats["species"].hits += 1
                 return index
             self.cache_stats["species"].misses += 1
-        built = SpeciesIndex.build(
+        built = self._species_index_type.build(
             taxid, self.references.sequence(taxid), self.config.mapper_k
         )
         with self._lock:

@@ -20,6 +20,7 @@ from repro.sequences.generator import GenomeGenerator, mutate_sequence, random_s
 from repro.sequences.kmers import (
     KmerCounter,
     extract_kmers,
+    extract_kmers_batch,
     iter_kmers,
     kmer_spectrum,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "encode_kmer",
     "encode_sequence",
     "extract_kmers",
+    "extract_kmers_batch",
     "iter_kmers",
     "kmer_spectrum",
     "mutate_sequence",

@@ -1,7 +1,9 @@
 """K-mer extraction and counting.
 
-Provides both a readable per-k-mer iterator and a vectorized extractor used
-when building databases and processing full samples.  Extraction mirrors the
+Provides a readable per-k-mer iterator, a vectorized per-sequence extractor
+used when building databases, and a batch extractor that packs the k-mers
+of a whole sample's reads in one pass (the hot path of Step 1 and of the
+columnar Step-3 vote).  Extraction mirrors the
 behaviour of KMC (the counting tool MegIS's Step 1 improves upon, §4.2.1):
 canonical k-mers, with optional frequency-based exclusion (§4.2.3).
 """
@@ -9,7 +11,7 @@ canonical k-mers, with optional frequency-based exclusion (§4.2.3).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +64,46 @@ def extract_kmers(seq: str, k: int, canonical: bool = True) -> np.ndarray:
     for offset in range(k - 1, -1, -1):
         reverse = (reverse << np.uint64(BITS_PER_BASE)) | complement[offset : offset + n]
     return np.minimum(forward, reverse)
+
+
+def extract_kmers_batch(
+    sequences: Sequence[str], k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward k-mers of many sequences in one pass, with their origins.
+
+    Returns ``(kmers, read_ids)``: ``kmers`` equals ``np.concatenate(
+    [extract_kmers(s, k, canonical=False) for s in sequences])`` and
+    ``read_ids[i]`` is the index into ``sequences`` that ``kmers[i]`` came
+    from.  One LUT encode and one k-step rolling pack run over the
+    concatenation of the sequences (the §4.2.1 streaming extraction over
+    the sample) instead of k numpy operations per read; the windows that
+    straddle a join between two reads are dropped by a validity mask.
+    Sequences shorter than ``k`` hold no k-mer and are left out of the
+    concatenation unencoded, exactly as :func:`extract_kmers` returns
+    before encoding them.  Only ``k <= 31`` (a k-mer fits ``uint64``).
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > 31:
+        raise ValueError(f"batch extraction packs into uint64; k must be <= 31, got {k}")
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    kept = np.flatnonzero(lengths >= k)
+    if kept.size == 0:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    codes = encode_sequence(
+        "".join(seq for seq in sequences if len(seq) >= k)
+    ).astype(np.uint64)
+    n = codes.size - k + 1
+    forward = np.zeros(n, dtype=np.uint64)
+    for offset in range(k):
+        forward <<= np.uint64(BITS_PER_BASE)
+        forward |= codes[offset : offset + n]
+    # A window is a k-mer of one read unless it starts within k - 1 bases
+    # of a join: the last k - 1 starts before every read end but the last.
+    valid = np.ones(n, dtype=bool)
+    joins = np.cumsum(lengths[kept])[:-1]
+    valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
+    return forward[valid], np.repeat(kept, lengths[kept] - k + 1)
 
 
 def kmer_spectrum(seq: str, k: int, canonical: bool = True) -> Dict[int, int]:

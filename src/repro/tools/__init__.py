@@ -11,12 +11,20 @@
 
 from repro.tools.bracken import BrackenEstimator
 from repro.tools.kraken2 import Kraken2Classifier, Kraken2Result
-from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
+from repro.tools.mapping import (
+    ColumnarSpeciesIndex,
+    ColumnarUnifiedIndex,
+    ReadMapper,
+    SpeciesIndex,
+    UnifiedIndex,
+)
 from repro.tools.metalign import MetalignResult
 from repro.tools.statistical import StatisticalAbundanceEstimator
 
 __all__ = [
     "BrackenEstimator",
+    "ColumnarSpeciesIndex",
+    "ColumnarUnifiedIndex",
     "Kraken2Classifier",
     "Kraken2Result",
     "MetalignResult",

@@ -12,18 +12,44 @@ structure with genome-offset-adjusted locations so the mapper searches a
 single index instead of one per species; MegIS's Step 3 builds this merge
 in-storage (:mod:`repro.megis.abundance` models that data path and must
 produce exactly this structure).
+
+Two representations hold the same index, and :class:`ReadMapper` accepts
+either:
+
+* :class:`SpeciesIndex` / :class:`UnifiedIndex` — the register-level
+  *reference*: ``{k-mer: locations}`` dicts, a ``boundaries`` dict and one
+  vote per read (:meth:`ReadMapper.map_read`).  ``backend="python"``
+  sessions and the golden suites run it, which keeps them independent of
+  the fast path — the role ``SortedKmerDatabase.intersect`` plays for
+  Step 2.
+* :class:`ColumnarSpeciesIndex` / :class:`ColumnarUnifiedIndex` — the
+  shape every other resident table has: a sorted ``uint64`` key column, CSR
+  ``offsets`` into a ``locations`` column, and the genomes' ``starts`` in
+  ascending-taxid order.  The mapper votes for a whole block of reads at
+  once: one batch extraction, one ``searchsorted`` into the key column, a
+  CSR gather, ``searchsorted(starts, locations, "right") - 1`` to
+  attribute the hits, and one ``bincount`` over ``read * n_species +
+  species``.  Every columnar-backend session with ``mapper_k <= 31`` takes
+  this path; results equal the reference read for read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.backends.retrieval import csr_gather
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
+
+#: Reads voted for per columnar pass: peak memory of the vote is
+#: O(block x species + the block's seed hits), not O(sample).
+VOTE_BLOCK_READS = 2048
 
 
 @dataclass
@@ -94,10 +120,70 @@ class UnifiedIndex:
         return len(self.entries)
 
 
-class ReadMapper:
-    """Seed-voting mapper over a unified index."""
+@dataclass(frozen=True)
+class ColumnarSpeciesIndex:
+    """Per-species sorted index as columns: one stable argsort of the genome.
 
-    def __init__(self, index: UnifiedIndex, min_seed_hits: int = 2):
+    ``kmers`` holds the k-mer of every genome position in ascending order
+    (repeats kept) and ``positions`` the position each came from, so the
+    positions of one k-mer are contiguous and ascending.
+    """
+
+    taxid: int
+    k: int
+    genome_length: int
+    kmers: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def build(cls, taxid: int, sequence: str, k: int) -> "ColumnarSpeciesIndex":
+        kmers = extract_kmers(sequence, k, canonical=False)
+        order = np.argsort(kmers, kind="stable")
+        return cls(
+            taxid=taxid,
+            k=k,
+            genome_length=len(sequence),
+            kmers=kmers[order],
+            positions=order.astype(np.int64, copy=False),
+        )
+
+    def distinct_kmers(self) -> int:
+        """Entries of the equivalent :class:`SpeciesIndex`."""
+        if self.kmers.size == 0:
+            return 0
+        return 1 + int(np.count_nonzero(self.kmers[1:] != self.kmers[:-1]))
+
+
+@dataclass(frozen=True)
+class ColumnarUnifiedIndex:
+    """Merged candidate index as ``(key column, CSR offsets, locations)``.
+
+    ``locations[offsets[i]:offsets[i + 1]]`` are the ascending global
+    locations of ``kmers[i]``; species ``taxids[j]`` (ascending) covers
+    locations ``[starts[j], starts[j + 1])``, the last one up to
+    ``total_length``.
+    """
+
+    k: int
+    kmers: np.ndarray
+    offsets: np.ndarray
+    locations: np.ndarray
+    taxids: np.ndarray
+    starts: np.ndarray
+    total_length: int
+
+    def __len__(self) -> int:
+        return int(self.kmers.size)
+
+
+class ReadMapper:
+    """Seed-voting mapper over a unified index (either representation)."""
+
+    def __init__(
+        self,
+        index: Union[UnifiedIndex, ColumnarUnifiedIndex],
+        min_seed_hits: int = 2,
+    ):
         if min_seed_hits < 1:
             raise ValueError("min_seed_hits must be >= 1")
         self.index = index
@@ -119,6 +205,9 @@ class ReadMapper:
 
     def map_read(self, sequence: str) -> Optional[int]:
         """Best species for one read, or None if unmapped."""
+        if isinstance(self.index, ColumnarUnifiedIndex):
+            species = int(self._vote_block(self.index, [sequence])[0])
+            return int(self.index.taxids[species]) if species >= 0 else None
         if self.index.k == 0 or len(sequence) < self.index.k:
             return None
         votes: Counter = Counter()
@@ -136,9 +225,63 @@ class ReadMapper:
 
     def estimate_abundance(self, reads: Sequence[Read]) -> AbundanceProfile:
         """Map all reads; profile = relative mapped-read counts per species."""
+        if isinstance(self.index, ColumnarUnifiedIndex):
+            return self._estimate_columnar(self.index, reads)
         counts: Counter = Counter()
         for read in reads:
             taxid = self.map_read(read.sequence)
             if taxid is not None:
                 counts[taxid] += 1
         return AbundanceProfile.from_counts(counts)
+
+    # -- the columnar vote --------------------------------------------------------
+
+    def _estimate_columnar(
+        self, index: ColumnarUnifiedIndex, reads: Sequence[Read]
+    ) -> AbundanceProfile:
+        mapped = np.zeros(index.taxids.size, dtype=np.int64)
+        for start in range(0, len(reads), VOTE_BLOCK_READS):
+            species = self._vote_block(
+                index,
+                [read.sequence for read in reads[start:start + VOTE_BLOCK_READS]],
+            )
+            mapped += np.bincount(
+                species[species >= 0], minlength=index.taxids.size
+            )
+        # Python ints: the wire JSON-encodes taxids as dict keys.
+        return AbundanceProfile.from_counts({
+            int(taxid): int(count)
+            for taxid, count in zip(index.taxids.tolist(), mapped.tolist())
+            if count
+        })
+
+    def _vote_block(
+        self, index: ColumnarUnifiedIndex, sequences: Sequence[str]
+    ) -> np.ndarray:
+        """Best species (an index into ``taxids``; -1 unmapped) per read.
+
+        Equal to :meth:`map_read` over the reference index read for read:
+        most seed hits wins, ties go to the lowest taxid (``argmax``
+        returns the first maximum and species are in ascending-taxid
+        order), fewer than ``min_seed_hits`` hits — which covers reads
+        shorter than k, holding no k-mer — is unmapped.
+        """
+        n_species = int(index.taxids.size)
+        if n_species == 0 or index.kmers.size == 0:
+            return np.full(len(sequences), -1, dtype=np.int64)
+        kmers, read_ids = extract_kmers_batch(sequences, index.k)
+        slots = np.minimum(
+            np.searchsorted(index.kmers, kmers), index.kmers.size - 1
+        )
+        found = index.kmers[slots] == kmers
+        # Every location of every seed that hit, ``runs[i]`` of them for the
+        # i-th hit — repeated over its read id below to tag each location.
+        locations, runs = csr_gather(index.locations, index.offsets, slots[found])
+        species = np.searchsorted(index.starts, locations, side="right") - 1
+        votes = np.bincount(
+            np.repeat(read_ids[found], runs) * n_species + species,
+            minlength=len(sequences) * n_species,
+        ).reshape(len(sequences), n_species)
+        return np.where(
+            votes.max(axis=1) >= self.min_seed_hits, votes.argmax(axis=1), -1
+        )

@@ -13,16 +13,26 @@ from tests.strategies.databases import (
     owner_sets,
     sorted_kmer_databases,
 )
+from tests.strategies.mapping import (
+    MappingWorld,
+    mapping_worlds,
+    read_lists,
+    reference_view,
+)
 from tests.strategies.settings import STANDARD_SETTINGS
 
 __all__ = [
     "STANDARD_SETTINGS",
     "IndexWorld",
+    "MappingWorld",
     "index_worlds",
     "key_probes",
     "lying_manifests",
     "kmer_rows",
+    "mapping_worlds",
     "owner_sets",
+    "read_lists",
+    "reference_view",
     "sorted_kmer_databases",
     "with_manifest",
 ]

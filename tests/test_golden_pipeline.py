@@ -158,6 +158,53 @@ def test_golden_served_from_mmap_index(tmp_path, world, golden, backend):
         assert mapped.kss.row_materializations == 0
 
 
+def _mapping_session(world, golden, backend: str, executor=None):
+    sample, sorted_db, sketch = world
+    p = golden["params"]
+    return AnalysisSession(
+        MegisIndex(sorted_db, sketch, sample.references),
+        config=MegisConfig(
+            backend=backend, n_buckets=p["n_buckets"],
+            min_containment=p["min_containment"],
+            abundance_method="mapping", executor=executor,
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "route", ["analyze", "analyze_batch", "service", "processes:2"]
+)
+def test_columnar_mapping_equals_the_reference_on_every_route(world, golden,
+                                                              route):
+    """Mapping Step 3 on the numpy backend is the columnar index and vote;
+    through every way a sample reaches it, candidates and profile equal
+    the python backend's dict merge and per-read vote exactly."""
+    from repro.megis.service import AnalysisService
+
+    sample = world[0]
+    third = len(sample.reads) // 3
+    chunks = [sample.reads[:third], sample.reads[third:2 * third],
+              sample.reads[2 * third:], sample.reads]
+    reference = _mapping_session(world, golden, "python")
+    want = [reference.analyze(chunk) for chunk in chunks]
+    assert all(r.profile.fractions for r in want)
+    _check(want[-1], golden["expected"]["mapping"])
+
+    executor = route if route.startswith("processes") else None
+    with _mapping_session(world, golden, "numpy", executor) as session:
+        if route == "analyze":
+            got = [session.analyze(chunk) for chunk in chunks]
+        elif route == "service":
+            with AnalysisService(session, workers=2, max_batch=2) as service:
+                got = [f.result() for f in service.submit_batch(chunks)]
+        else:
+            got = session.analyze_batch(chunks)
+    for result, expected in zip(got, want):
+        assert sorted(result.candidates) == sorted(expected.candidates)
+        assert result.profile.fractions == expected.profile.fractions
+        assert result.merge_stats == expected.merge_stats
+
+
 def test_fixture_is_self_consistent(golden):
     """The committed fixture has the shape the checks above rely on."""
     for method in ("mapping", "statistical"):

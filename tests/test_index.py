@@ -35,7 +35,7 @@ from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.multissd import split_database
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
-from repro.tools.mapping import SpeciesIndex
+from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 from tests.strategies import (
     STANDARD_SETTINGS, index_worlds, lying_manifests, with_manifest,
@@ -647,26 +647,51 @@ class TestZeroReconstruction:
         assert partial.backend_name == "numpy"
         assert partial._isp is None
 
+    @staticmethod
+    def _species_builds(opened, sample, monkeypatch, backend):
+        """Taxids each species-index class built while ``backend`` served
+        overlapping candidate sets, as ``{class: [taxid, ...]}``."""
+        built = {SpeciesIndex: [], ColumnarSpeciesIndex: []}
+
+        def counting(cls):
+            original = cls.build.__func__
+
+            def build(klass, taxid, sequence, k):
+                built[cls].append(taxid)
+                return original(klass, taxid, sequence, k)
+
+            monkeypatch.setattr(cls, "build", classmethod(build))
+
+        for cls in built:
+            counting(cls)
+        session = AnalysisSession(opened, MegisConfig(backend=backend))
+        session.analyze_batch([sample.reads[:200], sample.reads[200:]])
+        session.analyze(sample.reads)
+        return built
+
     def test_species_index_cache_across_overlapping_candidates(
         self, opened, sample, monkeypatch
     ):
-        built = []
-        original = SpeciesIndex.build.__func__
-
-        def counting(cls, taxid, sequence, k):
-            built.append(taxid)
-            return original(cls, taxid, sequence, k)
-
-        monkeypatch.setattr(
-            SpeciesIndex, "build", classmethod(counting)
-        )
-        session = AnalysisSession(opened, MegisConfig(backend="numpy"))
-        session.analyze_batch([sample.reads[:200], sample.reads[200:]])
-        session.analyze(sample.reads)
-        assert built, "mapping Step 3 never ran"
-        assert len(set(built)) == len(built), (
+        """The path a columnar session runs builds columns — counting the
+        dict builder there would pass with nothing counted."""
+        built = self._species_builds(opened, sample, monkeypatch, "numpy")
+        columns = built[ColumnarSpeciesIndex]
+        assert columns, "mapping Step 3 never ran"
+        assert len(set(columns)) == len(columns), (
             "a species index was rebuilt despite overlapping candidate sets"
         )
+        assert not built[SpeciesIndex], "a columnar session ran the reference"
+
+    def test_species_index_cache_on_the_reference_backend(
+        self, opened, sample, monkeypatch
+    ):
+        built = self._species_builds(opened, sample, monkeypatch, "python")
+        rows = built[SpeciesIndex]
+        assert rows, "mapping Step 3 never ran"
+        assert len(set(rows)) == len(rows), (
+            "a species index was rebuilt despite overlapping candidate sets"
+        )
+        assert not built[ColumnarSpeciesIndex]
 
     def test_identical_candidate_sets_share_the_merge(self, opened, sample):
         session = AnalysisSession(opened, MegisConfig(backend="numpy"))

@@ -1,0 +1,256 @@
+"""Columnar Step 3 and the batch k-mer extractor against their references.
+
+The dict ``SpeciesIndex`` / ``UnifiedIndex.merge`` / per-read ``map_read``
+and the per-read ``extract_kmers`` are the references; everything the
+columnar session runs must equal them on generated inputs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.megis.abundance import merge_species_columns, merge_species_indexes
+from repro.megis.index import MegisIndex
+from repro.megis.session import AnalysisSession, MegisConfig
+from repro.sequences.encoding import EncodingError
+from repro.sequences.kmers import extract_kmers, extract_kmers_batch
+from repro.sequences.reads import Read
+from repro.tools import mapping
+from repro.tools.mapping import (
+    ColumnarSpeciesIndex,
+    ColumnarUnifiedIndex,
+    ReadMapper,
+    SpeciesIndex,
+    UnifiedIndex,
+)
+from tests.strategies import (
+    STANDARD_SETTINGS,
+    mapping_worlds,
+    read_lists,
+    reference_view,
+)
+
+
+def _reference_batch(reads, k):
+    per_read = [extract_kmers(read, k, canonical=False) for read in reads]
+    kmers = np.concatenate([np.empty(0, dtype=np.uint64), *per_read])
+    ids = np.repeat(np.arange(len(reads)), [len(x) for x in per_read])
+    return kmers, ids
+
+
+class TestBatchExtractor:
+    @STANDARD_SETTINGS
+    @given(st.data(), st.integers(min_value=1, max_value=31))
+    def test_equals_per_read_extraction(self, data, k):
+        reads = data.draw(read_lists(k))
+        want_kmers, want_ids = _reference_batch(reads, k)
+        kmers, ids = extract_kmers_batch(reads, k)
+        assert kmers.dtype == np.uint64
+        assert kmers.tolist() == want_kmers.tolist()
+        assert ids.tolist() == want_ids.tolist()
+
+    def test_boundary_cases(self):
+        for reads in ([], [""], ["AC"], ["ACG"], ["acgtt", "AC", "TTT", ""]):
+            want_kmers, want_ids = _reference_batch(reads, 3)
+            kmers, ids = extract_kmers_batch(reads, 3)
+            assert kmers.tolist() == want_kmers.tolist()
+            assert ids.tolist() == want_ids.tolist()
+
+    def test_invalid_nucleotide_raises_like_the_per_read_extractor(self):
+        reads = ["ACGT", "ACNT", "AXGT"]
+        with pytest.raises(EncodingError) as per_read:
+            _reference_batch(reads, 3)
+        with pytest.raises(EncodingError) as batch:
+            extract_kmers_batch(reads, 3)
+        assert str(batch.value) == str(per_read.value)
+        # A read too short to hold a k-mer is never encoded, by either.
+        assert extract_kmers_batch(["NN", "ACGT"], 3)[0].tolist() == (
+            _reference_batch(["NN", "ACGT"], 3)[0].tolist()
+        )
+
+    def test_k_must_fit_uint64(self):
+        with pytest.raises(ValueError):
+            extract_kmers_batch(["ACGT"], 0)
+        with pytest.raises(ValueError):
+            extract_kmers_batch(["A" * 40], 32)
+
+
+def _both_kinds(world):
+    rows = [SpeciesIndex.build(t, g, world.k) for t, g in world.genomes.items()]
+    columns = [
+        ColumnarSpeciesIndex.build(t, g, world.k)
+        for t, g in world.genomes.items()
+    ]
+    return rows, columns
+
+
+class TestColumnarMerge:
+    @STANDARD_SETTINGS
+    @given(mapping_worlds())
+    def test_equals_the_reference_merge(self, world):
+        rows, columns = _both_kinds(world)
+        merged, stats = merge_species_columns(columns)
+        assert isinstance(merged, ColumnarUnifiedIndex)
+        reference = UnifiedIndex.merge(rows)
+        assert reference_view(merged) == reference
+        assert len(merged) == len(reference)
+        # The heap merge is the reference for the counters.
+        assert stats == merge_species_indexes(rows)[1]
+
+    @STANDARD_SETTINGS
+    @given(mapping_worlds(min_species=1))
+    def test_dispatch_on_the_index_kind(self, world):
+        rows, columns = _both_kinds(world)
+        assert isinstance(merge_species_indexes(rows)[0], UnifiedIndex)
+        assert isinstance(
+            merge_species_indexes(columns)[0], ColumnarUnifiedIndex
+        )
+
+    def test_shared_and_repeated_kmers(self):
+        a = ColumnarSpeciesIndex.build(1, "AAAA", k=2)   # AA at 0, 1, 2
+        b = ColumnarSpeciesIndex.build(2, "AATT", k=2)
+        merged, stats = merge_species_columns([b, a])
+        view = reference_view(merged)
+        assert view.entries[0] == (0, 1, 2, 4)
+        assert view.boundaries == {1: (0, 4), 2: (4, 8)}
+        assert (stats.entries_read, stats.entries_written, stats.shared_kmers) == (
+            4, 3, 1
+        )
+
+    def test_empty_and_single(self):
+        merged, stats = merge_species_columns([])
+        assert reference_view(merged) == UnifiedIndex.merge([])
+        assert stats.entries_written == 0
+        only = ColumnarSpeciesIndex.build(9, "ACGTAC", k=3)
+        merged, stats = merge_species_columns([only])
+        assert reference_view(merged) == UnifiedIndex.merge(
+            [SpeciesIndex.build(9, "ACGTAC", 3)]
+        )
+        assert stats.shared_kmers == 0
+
+    def test_mixed_k_rejected(self):
+        a = ColumnarSpeciesIndex.build(1, "AAAA", k=2)
+        b = ColumnarSpeciesIndex.build(2, "AATT", k=3)
+        with pytest.raises(ValueError):
+            merge_species_indexes([a, b])
+
+
+class TestColumnarVote:
+    @STANDARD_SETTINGS
+    @given(mapping_worlds(), st.sampled_from([1, 2, 5]))
+    def test_equals_per_read_map_read(self, world, min_seed_hits):
+        rows, columns = _both_kinds(world)
+        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits)
+        columnar = ReadMapper(merge_species_columns(columns)[0], min_seed_hits)
+        want = [reference.map_read(read) for read in world.reads]
+        assert [columnar.map_read(read) for read in world.reads] == want
+        reads = [Read(i, seq, 0) for i, seq in enumerate(world.reads)]
+        profile = columnar.estimate_abundance(reads)
+        assert profile.fractions == reference.estimate_abundance(reads).fractions
+        assert all(type(taxid) is int for taxid in profile.fractions)
+
+    def test_identical_genomes_tie_to_the_lowest_taxid(self):
+        genome = "ACGTTGCATGCCGATAGCTA"
+        columns = [
+            ColumnarSpeciesIndex.build(taxid, genome, 4) for taxid in (7, 3, 5)
+        ]
+        mapper = ReadMapper(merge_species_columns(columns)[0], min_seed_hits=1)
+        assert mapper.map_read(genome[2:12]) == 3
+        assert mapper.map_read("ACG") is None  # shorter than k
+
+    def test_blocks_add_up(self, monkeypatch):
+        """The vote runs in blocks of reads; a sample spanning several
+        blocks (one of them partial) gives the one-block profile."""
+        genomes = {1: "ACGTTGCATGCCGATAGCTA", 2: "TTGACCAGTAGGCATCGATC"}
+        columns = [ColumnarSpeciesIndex.build(t, g, 4) for t, g in genomes.items()]
+        mapper = ReadMapper(merge_species_columns(columns)[0])
+        reads = [
+            Read(i, genomes[1 + i % 2][i % 9:i % 9 + 10], 0) for i in range(23)
+        ]
+        whole = mapper.estimate_abundance(reads).fractions
+        monkeypatch.setattr(mapping, "VOTE_BLOCK_READS", 5)
+        assert mapper.estimate_abundance(reads).fractions == whole
+
+
+def _answer(result):
+    return sorted(result.candidates), result.profile.fractions
+
+
+class TestSessionPaths:
+    @pytest.fixture(scope="class")
+    def index(self, sorted_db, sketch_db, sample):
+        return MegisIndex(sorted_db, sketch_db, sample.references)
+
+    def test_mapper_k_over_31_falls_to_the_reference(self, index, sample):
+        """A 32-mer does not fit uint64: the numpy session runs the dict
+        reference and matches the python session."""
+        config = MegisConfig(mapper_k=32)
+        numpy_session = AnalysisSession(index, config, backend="numpy")
+        result = numpy_session.analyze(sample.reads)
+        assert result.profile.fractions
+        unified, _ = numpy_session.unified_index(result.candidates)
+        assert isinstance(unified, UnifiedIndex)
+        want = AnalysisSession(index, config, backend="python").analyze(
+            sample.reads
+        )
+        assert _answer(result) == _answer(want)
+        assert result.merge_stats == want.merge_stats
+
+    def test_numpy_session_holds_columns_and_equal_merge_stats(
+        self, index, sample
+    ):
+        numpy_session = AnalysisSession(index, backend="numpy")
+        result = numpy_session.analyze(sample.reads)
+        unified, stats = numpy_session.unified_index(result.candidates)
+        assert isinstance(unified, ColumnarUnifiedIndex)
+        want = AnalysisSession(index, backend="python").analyze(sample.reads)
+        assert _answer(result) == _answer(want)
+        assert stats == want.merge_stats
+
+    def test_extractor_calls_do_not_grow_with_the_reads(
+        self, index, sample, monkeypatch
+    ):
+        """Structural guard, independent of host speed: a numpy analysis
+        calls the batch extractor once at the database k (Step 1) and once
+        per vote block at mapper_k (Step 3), never a per-read extractor or
+        a per-location ``taxid_of_location``."""
+        batch_ks = []
+
+        def counting_batch(sequences, k):
+            batch_ks.append(k)
+            return extract_kmers_batch(sequences, k)
+
+        def forbidden(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called on the columnar path")
+            return called
+
+        session = AnalysisSession(index, backend="numpy")
+        session.analyze(sample.reads)  # species indexes built off the count
+        import repro.megis.host as host
+
+        monkeypatch.setattr(host, "extract_kmers_batch", counting_batch)
+        monkeypatch.setattr(mapping, "extract_kmers_batch", counting_batch)
+        monkeypatch.setattr(host, "extract_kmers", forbidden("extract_kmers"))
+        monkeypatch.setattr(mapping, "extract_kmers", forbidden("extract_kmers"))
+        monkeypatch.setattr(
+            UnifiedIndex, "taxid_of_location", forbidden("taxid_of_location")
+        )
+        k, mapper_k = session.database.k, session.config.mapper_k
+        vote_blocks = math.ceil(len(sample.reads) / mapping.VOTE_BLOCK_READS)
+        assert vote_blocks == 1, "fixture outgrew one vote block"
+
+        for n_reads in (50, len(sample.reads)):
+            batch_ks.clear()
+            assert session.analyze(sample.reads[:n_reads]).profile.fractions
+            assert sorted(batch_ks) == sorted([k, mapper_k])
+
+        batch_ks.clear()
+        batch_of = [sample.reads[:100], sample.reads[100:250], sample.reads[250:]]
+        session.analyze_batch(batch_of)
+        assert sorted(batch_ks) == sorted([k, mapper_k] * len(batch_of))

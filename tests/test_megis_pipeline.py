@@ -9,8 +9,9 @@ from repro.megis.session import AnalysisSession, MegisConfig
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
 from repro.taxonomy.metrics import f1_score
-from repro.tools.mapping import SpeciesIndex, UnifiedIndex
+from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex, UnifiedIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
+from tests.strategies import reference_view
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,21 @@ class TestUnifiedIndexMerge:
         assert merged.entries == reference.entries
         assert merged.boundaries == reference.boundaries
         assert stats.entries_written == len(reference.entries)
+
+    def test_column_merge_equals_reference_on_real_genomes(self, sample):
+        """Same-genus genomes share k-mers: the column arm must place
+        every location and count every stat as the heap merge does."""
+        refs = sample.references
+        taxids = refs.species_taxids[:6]
+        rows = [SpeciesIndex.build(t, refs.sequence(t), 15) for t in taxids]
+        columns = [
+            ColumnarSpeciesIndex.build(t, refs.sequence(t), 15) for t in taxids
+        ]
+        merged, stats = merge_species_indexes(columns)
+        reference, reference_stats = merge_species_indexes(rows)
+        assert reference_view(merged) == reference == UnifiedIndex.merge(rows)
+        assert stats == reference_stats
+        assert stats.shared_kmers > 0
 
     def test_shared_kmers_counted(self, sample):
         refs = sample.references
