@@ -104,9 +104,8 @@ class PhaseTimings:
         """Measured (not modeled) wall time hidden by concurrent Step 2.
 
         Per-task busy time (``intersect_ms + retrieve_ms``) minus the
-        elapsed dispatch window: zero for a serial executor, positive when
-        an :class:`~repro.megis.executors.Executor` genuinely overlapped
-        bucket or shard work.
+        elapsed dispatch window: zero for the serial loop, positive when
+        a ``threads[:N]`` pool genuinely overlapped shard work.
         """
         if self.step2_wall_ms <= 0:
             return 0.0

@@ -16,8 +16,8 @@ economics become measurable:
 
 - batched multi-sample Step 2 streams each database interval once per
   batch, so a batch of four pays one paced stream instead of four;
-- per-shard tasks dispatched on a
-  :class:`~repro.megis.executors.ThreadedExecutor` overlap their paced
+- per-shard tasks on a ``threads[:N]`` pool
+  (:func:`~repro.megis.executors.shard_pool`) overlap their paced
   waits (``time.sleep`` releases the GIL), exactly like independent SSD
   channels;
 - :class:`~repro.megis.service.AnalysisService` throughput scales with

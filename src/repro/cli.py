@@ -417,7 +417,6 @@ def _cmd_node(args: argparse.Namespace) -> int:
             session, args.node_id, cluster_map,
             host=args.host, port=args.port,
             max_line_bytes=args.max_line_bytes,
-            step_workers=args.step_workers,
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
@@ -616,17 +615,17 @@ _PROCESS_EPILOG = (
     "time, exactly\n"
     "  as the serial session would (same results, same stream "
     "counters).  Each\n"
-    "  --workers thread drives one forked worker per batch, so give "
-    "--workers at\n"
-    "  least N; fewer leaves forked workers idle.  A worker that "
-    "crashes or is\n"
-    "  killed mid-batch is respawned automatically and its in-flight "
-    "batch retried\n"
-    "  once; if the retry also dies, only that batch's requests fail "
-    "(structured\n"
-    "  error objects) — queued samples are never dropped and the "
-    "respawned worker\n"
-    "  keeps serving the stream.\n"
+    "  serving thread drives one forked worker per batch; there are "
+    "at least N\n"
+    "  of them whatever --workers says.  A worker that crashes or is "
+    "killed\n"
+    "  mid-batch is respawned automatically and its in-flight batch "
+    "retried once;\n"
+    "  if the retry also dies, only that batch's requests fail "
+    "(structured error\n"
+    "  objects) — queued samples are never dropped and the respawned "
+    "worker keeps\n"
+    "  serving the stream.\n"
 )
 
 

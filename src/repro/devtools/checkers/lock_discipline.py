@@ -40,7 +40,6 @@ class LockDisciplineChecker(Checker):
     title = "attributes assigned under 'with self._lock' never mutated outside it"
     default_paths = (
         "src/repro/megis/service.py",
-        "src/repro/megis/executors.py",
         "src/repro/megis/session.py",
         "src/repro/megis/procpool.py",
         "src/repro/megis/multissd.py",

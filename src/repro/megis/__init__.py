@@ -19,8 +19,9 @@ An efficient pipeline between the host and the SSD (paper §4):
   query-many serving loop, including the multi-sample mode (§4.7);
 - :mod:`repro.megis.overlap` — the §4.2.1 bucket-pipeline scheduler and
   overlap model;
-- :mod:`repro.megis.executors` — the pluggable execution policies
-  (serial reference / thread pool) the Step-2 engines dispatch through;
+- :mod:`repro.megis.executors` — the executor spec string (``serial`` /
+  ``threads[:N]`` / ``processes[:N]``) and the thread pool it gives the
+  Step-2 shard tasks;
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
   futures-based serving front-end over one shared session;
 - :mod:`repro.megis.wire` — the versioned JSONL wire format and its
@@ -34,13 +35,7 @@ from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get
 from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
 from repro.megis.accelerator import AcceleratorReport, accelerator_report
 from repro.megis.commands import CommandProcessor, MegisInit, MegisStep, MegisWrite
-from repro.megis.executors import (
-    Executor,
-    SerialExecutor,
-    ThreadedExecutor,
-    available_executors,
-    get_executor,
-)
+from repro.megis.executors import available_executors
 from repro.megis.ftl import DatabaseLayout, MegisFtl
 from repro.megis.gateway import AnalysisGateway, GatewayStats, TokenBucket
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
@@ -73,7 +68,6 @@ __all__ = [
     "CommandProcessor",
     "DatabaseLayout",
     "DatabaseShard",
-    "Executor",
     "GatewayStats",
     "IndexBuilder",
     "IntersectUnit",
@@ -89,17 +83,14 @@ __all__ = [
     "MultiSsdStepTwo",
     "PhaseTimings",
     "ScheduledBucket",
-    "SerialExecutor",
     "ServiceStats",
     "StepTwoBackend",
     "TaxIdRetriever",
     "TokenBucket",
-    "ThreadedExecutor",
     "accelerator_report",
     "available_backends",
     "available_executors",
     "get_backend",
-    "get_executor",
     "shard_kss",
     "split_database",
 ]

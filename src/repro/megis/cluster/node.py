@@ -38,6 +38,10 @@ from repro.megis.cluster.placement import ClusterMap
 from repro.megis.session import AnalysisSession
 
 
+#: Concurrent partial-Step-2 executions per node.
+STEP_WORKERS = 4
+
+
 def _query_columns(queries: object, k: int) -> List[npt.NDArray[Any]]:
     """A step2 frame's ``queries`` as sorted k-mer columns, or ``ValueError``.
 
@@ -82,7 +86,6 @@ class ClusterNode:
         host: str = "127.0.0.1",
         port: int = 0,
         max_line_bytes: int = wire.MAX_LINE_BYTES,
-        step_workers: int = 4,
     ) -> None:
         expected = cluster_map.group(node_id)
         if session.shard_range != expected:
@@ -102,7 +105,6 @@ class ClusterNode:
         self.host = host
         self.port = port
         self.max_line_bytes = max_line_bytes
-        self.step_workers = step_workers
         #: step2 frames answered (reported in heartbeat pongs).
         self.served = 0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -128,7 +130,7 @@ class ClusterNode:
         self._loop = asyncio.get_running_loop()
         await self._loop.run_in_executor(None, self.session.warm)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.step_workers,
+            max_workers=STEP_WORKERS,
             thread_name_prefix=f"node{self.node_id}-step2",
         )
         self._server = await asyncio.start_server(

@@ -48,6 +48,9 @@ from repro.sequences.reads import Read
 
 Address = Tuple[str, int]
 
+#: Connect-and-pong budget of one heartbeat ping, in seconds.
+HEARTBEAT_TIMEOUT_S = 1.0
+
 
 class NodeFailed(RuntimeError):
     """A node failed its scatter attempt *and* the one retry.
@@ -117,7 +120,6 @@ class ClusterStepTwo:
         endpoints: Sequence[NodeEndpoint],
         *,
         timeout_s: float = 10.0,
-        heartbeat_timeout_s: float = 1.0,
     ) -> None:
         if len(endpoints) != cluster_map.n_nodes:
             raise ValueError(
@@ -133,7 +135,6 @@ class ClusterStepTwo:
         self.cluster_map = cluster_map
         self.endpoints = list(endpoints)
         self.timeout_s = timeout_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.stats = ClusterStats()
         self.health: Dict[int, NodeHealth] = {
             ep.node_id: NodeHealth() for ep in endpoints
@@ -258,10 +259,9 @@ class ClusterStepTwo:
             frame = wire.encode(wire.ping_record(seq))
             try:
                 sock = self._connect_send(endpoint.address, frame,
-                                          timeout=self.heartbeat_timeout_s)
+                                          timeout=HEARTBEAT_TIMEOUT_S)
                 try:
-                    reply = self._read_line(sock,
-                                            timeout=self.heartbeat_timeout_s)
+                    reply = self._read_line(sock, timeout=HEARTBEAT_TIMEOUT_S)
                 finally:
                     self._close(sock)
                 if reply.get("op") != "pong" or reply.get("id") != seq:
@@ -384,15 +384,17 @@ class ClusterAnalysisSession:
                 "the router needs a full local session (Steps 1/3 run "
                 "here); shard-range sessions belong on nodes"
             )
-        if session._process_workers is not None:
+        if session.process_workers:
             raise ValueError(
                 "the router session cannot be process-backed: scatter "
                 "sockets must not cross a fork"
             )
         self.session = session
         self.step_two = step_two
-        #: The service's session contract: no stateful functional SSD.
+        #: The service's session contract: no stateful functional SSD,
+        #: and how many forked workers its threads must keep busy.
         self.ssd = None
+        self.process_workers = 0
 
     @property
     def config(self) -> Any:

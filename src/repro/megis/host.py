@@ -42,6 +42,10 @@ from repro.sequences.reads import Read
 #: A bucket's sorted k-mers in the backend's native container.
 KmerColumn = Union[List[int], np.ndarray]
 
+#: How many k-mers off the head of the extracted stream the preliminary
+#: boundary pass looks at.
+PRELIMINARY_SAMPLE = 4096
+
 __all__ = [
     "Bucket",
     "BucketSet",
@@ -164,7 +168,6 @@ class KmerBucketPartitioner:
         min_count: int = 1,
         max_count: Optional[int] = None,
         host_dram_bytes: Optional[int] = None,
-        preliminary_sample: int = 4096,
         backend: Union[str, StepTwoBackend, None] = None,
     ):
         if n_buckets <= 0:
@@ -176,7 +179,6 @@ class KmerBucketPartitioner:
         self.min_count = min_count
         self.max_count = max_count
         self.host_dram_bytes = host_dram_bytes
-        self.preliminary_sample = preliminary_sample
         self._backend = get_backend(backend)
 
     @property
@@ -220,8 +222,8 @@ class KmerBucketPartitioner:
         the whole sample's k-mers in one pass
         (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
         in read order, whose head is the preliminary sample) and groups
-        it by bucket with one stable argsort over the bucket ids (radix,
-        O(n)); the Counter path extracts read by read and folds each in
+        it by bucket with one stable argsort over the bucket ids; the
+        Counter path extracts read by read and folds each in
         immediately so peak memory stays O(distinct k-mers).
         """
         lead_start = time.perf_counter()
@@ -232,12 +234,12 @@ class KmerBucketPartitioner:
             merged, _ = extract_kmers_batch(
                 [read.sequence for read in reads], self.k
             )
-            preliminary = merged[:self.preliminary_sample].tolist()
+            preliminary = merged[:PRELIMINARY_SAMPLE].tolist()
         else:
             for read in reads:
                 kmers = extract_kmers(read.sequence, self.k, canonical=False)
                 counts.update(kmers.tolist())
-                remaining = self.preliminary_sample - len(preliminary)
+                remaining = PRELIMINARY_SAMPLE - len(preliminary)
                 if remaining > 0:
                     preliminary.extend(int(x) for x in kmers[:remaining].tolist())
 
@@ -272,16 +274,22 @@ class KmerBucketPartitioner:
         """Group the raw (unsorted, with duplicates) stream by bucket.
 
         One ``searchsorted`` assigns ids and one stable argsort over the
-        ids (radix for integer keys) groups the stream — the scatter
-        pass of the paper's bucketing, all charged to ``lead_ms``.
-        Within-bucket order stays the arrival order; the per-bucket
-        ``np.unique`` does the actual sorting, on the bucket's clock.
+        ids groups the stream — the scatter pass of the paper's
+        bucketing, all charged to ``lead_ms``.  NumPy's stable sort is a
+        radix sort (O(n)) for keys of at most 16 bits and a merge sort for
+        the ``int64`` ids ``searchsorted`` returns, so the ids are sorted
+        in the narrowest unsigned dtype that holds ``n_buckets`` — the
+        same permutation.  Within-bucket order stays the arrival order;
+        the per-bucket ``np.unique`` does the actual sorting, on the
+        bucket's clock.
         """
         if not boundaries:
             return [merged]
         ids = np.searchsorted(
             np.asarray(boundaries, dtype=merged.dtype), merged, side="right"
         )
+        if n_buckets <= 1 << 16:
+            ids = ids.astype(np.uint8 if n_buckets <= 1 << 8 else np.uint16)
         order = np.argsort(ids, kind="stable")
         grouped = merged[order]
         counts_per = np.bincount(ids, minlength=n_buckets)

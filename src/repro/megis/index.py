@@ -83,10 +83,12 @@ from repro.sequences.generator import ReferenceCollection
 class MegisIndex:
     """The opened (or freshly built) database bundle one session serves from.
 
-    ``kss`` is built from the sketch on first use when not supplied (e.g.
-    for a Metalign-only session); :meth:`shards` caches the per-SSD shard
-    handles — database column slices plus prefix-aligned KSS range slices
-    — per shard count, so sessions never re-split on a query.
+    ``kss`` is built from the sketch on first use when not supplied (an
+    index constructed by hand, e.g. for a Metalign-only session;
+    :meth:`IndexBuilder.build` supplies it); :meth:`shards` caches the
+    per-SSD shard handles — database column slices plus prefix-aligned
+    KSS range slices — per shard count, so sessions never re-split on a
+    query.
     """
 
     def __init__(
@@ -542,7 +544,8 @@ class IndexBuilder:
             sketch_fraction=self.sketch_fraction,
             seed=self.seed,
         )
-        return MegisIndex(database, sketch, references)
+        # The KSS is part of the offline build, not of the first save.
+        return MegisIndex(database, sketch, references, kss=KssTables(sketch))
 
     def build_from_fasta(self, fasta_text: str) -> MegisIndex:
         from repro.sequences.io import references_from_fasta

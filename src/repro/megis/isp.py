@@ -28,7 +28,6 @@ from typing import Optional, Union
 from repro.backends import PhaseTimings, StepTwoBackend
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import ExecutorSpec
 from repro.megis.host import BucketSet
 from repro.megis.multissd import MultiSsdStepTwo, StepTwoResult, whole_shard
 
@@ -49,7 +48,7 @@ class IspStepTwo(MultiSsdStepTwo):
         kss: KssTables,
         n_channels: int = 8,
         backend: Union[str, StepTwoBackend, None] = None,
-        executor: ExecutorSpec = None,
+        executor: Optional[str] = None,
     ) -> None:
         super().__init__(
             kss=kss, channels_per_ssd=n_channels, backend=backend,

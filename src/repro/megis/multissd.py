@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -51,7 +52,7 @@ from repro.backends import (
 from repro.backends.base import clip_buckets
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import ExecutorSpec, get_executor
+from repro.megis.executors import shard_pool
 
 #: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
 StepTwoResult = Tuple[List[int], RetrievalResult]
@@ -216,19 +217,23 @@ def step_two_over_shards(
     shards: Sequence[DatabaseShard],
     sample_buckets: Sequence[Sequence[BucketSlice]],
     channels: int,
-    executor: ExecutorSpec = None,
+    pool: Optional[ThreadPoolExecutor] = None,
 ) -> Tuple[List[StepTwoResult], PhaseTimings]:
     """Step 2 over an ascending shard list: kernel per shard, then gather.
 
-    The per-shard tasks are dispatched through ``executor`` (serial by
-    default) and merged in shard order, so the results and the counter
-    totals are identical however the tasks interleave.
+    The per-shard tasks are a plain loop, or with a ``pool``
+    (:func:`~repro.megis.executors.shard_pool`) one ``pool.map`` — every
+    shard scheduled before the first result is awaited, the first raised
+    exception propagating after that.  Either way they are merged in shard
+    order, so the results and the counter totals are identical however
+    the tasks interleave.
     """
 
     def shard_task(shard: DatabaseShard) -> Tuple[List[StepTwoResult], PhaseTimings]:
         return shard_step_two(backend, shard, sample_buckets, channels)
 
-    outcomes = get_executor(executor).map_ordered(shard_task, shards)
+    tasks = map(shard_task, shards) if pool is None else pool.map(shard_task, shards)
+    outcomes = list(tasks)
     timings = PhaseTimings(backend=backend.name)
     for _, shard_timings in outcomes:
         timings.merge(shard_timings)
@@ -250,12 +255,13 @@ class MultiSsdStepTwo:
     in ascending disjoint range order), so serving many queries never
     re-splits anything.
 
-    ``executor`` selects the execution policy for the per-shard work
-    (:mod:`repro.megis.executors`): with a :class:`ThreadedExecutor`, the
-    shards' tasks run concurrently — each SSD is an independent engine
-    (§6.1), and every task owns its :class:`~repro.backends.PhaseTimings`,
-    so results stay bit-identical to the serial dispatch while
-    ``step2_wall_ms`` records the genuinely overlapped wall-clock window.
+    ``executor`` is the spec of the per-shard work
+    (:mod:`repro.megis.executors`), resolved once here: with
+    ``"threads[:N]"`` the shards' tasks run concurrently on the engine's
+    own thread pool — each SSD is an independent engine (§6.1), and every
+    task owns its :class:`~repro.backends.PhaseTimings`, so results stay
+    bit-identical to the serial loop while ``step2_wall_ms`` records the
+    genuinely overlapped wall-clock window.
     """
 
     def __init__(self, database: Optional[SortedKmerDatabase] = None,
@@ -263,9 +269,10 @@ class MultiSsdStepTwo:
                  n_ssds: Optional[int] = None, channels_per_ssd: int = 8,
                  backend: Union[str, StepTwoBackend, None] = None,
                  shards: Optional[Sequence[DatabaseShard]] = None,
-                 executor: ExecutorSpec = None) -> None:
+                 executor: Optional[str] = None) -> None:
         self._backend = get_backend(backend)
-        self._executor = get_executor(executor)
+        self._pool = shard_pool(executor)
+        self.executor_name = executor or "serial"
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")
         if shards is None:
@@ -291,10 +298,6 @@ class MultiSsdStepTwo:
     @property
     def backend_name(self) -> str:
         return self._backend.name
-
-    @property
-    def executor_name(self) -> str:
-        return str(self._executor.name)
 
     @property
     def n_ssds(self) -> int:
@@ -324,15 +327,14 @@ class MultiSsdStepTwo:
 
         Each shard streams its database slice once for the whole batch;
         per-sample results are identical to the one-shard case.  The
-        per-shard tasks are dispatched through the configured executor —
-        one independent SSD engine per shard — and gathered in shard
-        order, so the result (and the counter totals) are identical
-        however the tasks interleave.
+        per-shard tasks — one independent SSD engine per shard — are
+        gathered in shard order, so the result (and the counter totals)
+        are identical however the tasks interleave.
         """
         start = time.perf_counter()
         results, t = step_two_over_shards(
             self._backend, self.shards, [list(buckets) for buckets in samples],
-            self.channels_per_ssd, self._executor,
+            self.channels_per_ssd, self._pool,
         )
         t.step2_wall_ms += (time.perf_counter() - start) * 1e3
         self._record(t, timings)

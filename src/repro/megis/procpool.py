@@ -4,8 +4,16 @@ The GIL caps what :class:`~repro.megis.service.AnalysisService` can get
 out of threads wherever the pipeline runs Python bytecode: the
 ``python``-backend reference throughout, a ``mapper_k > 31`` Step 3, and
 on the columnar path the glue between the NumPy kernels (Steps 1-3 are
-column kernels there, which release the GIL, so how much a fork buys
-over a thread is a measurement, not a given).
+column kernels there, which release the GIL).  What a fork buys over a
+thread on that columnar path was measured for ISSUE 22, which is why
+this tier is kept: the ledger's ``map_short`` inputs (12 samples,
+mapping Step 3, ``numpy`` backend) through ``AnalysisService(session,
+workers=2)``, 12 rounds x 12 samples a run, 16 pairs of runs in
+alternating order on a 2-vCPU shared VM — ``processes:2`` 65.1 against
+``threads:2`` 55.0 samples/s on seed 29 and 74.2 against 57.7 on seed
+11 (medians; 16 of 16 pairs each; threads' inter-quartile range 7.2 and
+5.1), one service worker on the serial session 56.4 / 53.7.  2 vCPUs;
+behaviour on >= 4 CPUs is unmeasured.
 :class:`ProcessAnalysisRunner` forks the session N
 times *after* the index file is mapped and the session warmed, so every
 worker is that session, sharing the parent's engine state copy-on-write

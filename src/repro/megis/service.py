@@ -49,8 +49,9 @@ execution substrate, not the service contract: ``session.warm()`` at
 construction forks the warmed session N times, and a service thread's
 ``analyze_batch`` drives one forked worker over its pipe for the whole
 batch — this service's queue is the only queue, its threads the only
-threads (give it as many as there are forked workers; fewer leaves
-workers idle).  Every streaming knob above keeps its semantics.  Crash
+threads, and it starts at least one per forked worker so none sits
+idle behind too few drivers.  Every streaming knob above keeps its
+semantics.  Crash
 handling composes the same way — a worker that dies mid-batch is
 respawned and the batch retried once inside that call; if the retry
 also dies, :meth:`_run_batch`'s existing failure path turns the resulting
@@ -212,7 +213,9 @@ class AnalysisService:
     """Futures-based concurrent serving over one shared session.
 
     ``workers`` sets both the thread count and (by default) ``max_batch``,
-    the widest §4.7 batch one worker may coalesce from the queue.  With
+    the widest §4.7 batch one worker may coalesce from the queue; over a
+    process-backed session the thread count is at least the session's
+    forked workers (each thread drives one), ``max_batch`` unaffected.  With
     ``workers=1`` / ``max_batch=1`` the service degenerates to strictly
     serial, in-order analysis — the reference behaviour the determinism
     suite compares against.  ``max_queue`` bounds the admission queue
@@ -271,7 +274,7 @@ class AnalysisService:
             threading.Thread(
                 target=self._worker, name=f"megis-serve-{i}", daemon=True
             )
-            for i in range(workers)
+            for i in range(max(workers, session.process_workers))
         ]
         for thread in self._threads:
             thread.start()

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -64,13 +65,7 @@ from repro.backends import (
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
-from repro.megis.executors import (
-    Executor,
-    ExecutorSpec,
-    default_workers,
-    get_executor,
-    parse_spec,
-)
+from repro.megis.executors import default_workers, parse_spec, shard_pool
 from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
@@ -131,14 +126,14 @@ class MegisConfig:
     #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
     #: either way — shards are disjoint lexicographic ranges.
     n_ssds: int = 1
-    #: Execution policy: ``None``/"serial" runs the Step-2 shard tasks
-    #: inline and "threads" / "threads:N" on a thread pool
+    #: Executor spec: ``None``/"serial" runs the Step-2 shard tasks as a
+    #: plain loop and "threads" / "threads:N" on the session's thread pool
     #: (:mod:`repro.megis.executors`); "processes" / "processes:N" forks
     #: the warmed session N times at :meth:`AnalysisSession.warm` time
     #: (:mod:`repro.megis.procpool`) — one whole batch per worker, driven
     #: by the thread that called ``analyze_batch``, Step 2 serial inside.
     #: A bare family sizes itself to the CPUs this process may run on.
-    #: Results are bit-identical across policies; only wall-clock
+    #: Results are bit-identical across specs; only wall-clock
     #: overlap changes.
     executor: Optional[str] = None
 
@@ -230,7 +225,7 @@ class AnalysisSession:
         *,
         backend: Union[str, StepTwoBackend, None] = None,
         n_ssds: Optional[int] = None,
-        executor: ExecutorSpec = None,
+        executor: Optional[str] = None,
         ssd: Optional[SSD] = None,
         shard_range: Optional[Tuple[int, int]] = None,
     ):
@@ -249,7 +244,7 @@ class AnalysisSession:
                 overrides["backend"] = backend
         if n_ssds is not None:
             overrides["n_ssds"] = n_ssds
-        if executor is not None and isinstance(executor, str):
+        if executor is not None:
             overrides["executor"] = executor
         if overrides:
             config = replace(config, **overrides)
@@ -257,27 +252,20 @@ class AnalysisSession:
         self.config = config
         if self._backend_spec is None:
             self._backend_spec = config.backend
-        spec: ExecutorSpec = (
-            executor if executor is not None and not isinstance(executor, str)
-            else config.executor
-        )
+        family, workers = parse_spec(config.executor or "serial")
         #: Process-backed serving (the fork-after-mmap tier): a
-        #: "processes[:N]" spec is consumed here rather than handed to
-        #: the engines — :meth:`warm` builds a
+        #: "processes[:N]" spec is consumed here — :meth:`warm` builds a
         #: :class:`~repro.megis.procpool.ProcessAnalysisRunner`, whose
         #: N forked workers are this session, running serial.
-        self._process_workers: Optional[int] = None
+        self._process_workers: Optional[int] = (
+            (workers or default_workers()) if family == "processes" else None
+        )
         self._runner: Optional["ProcessAnalysisRunner"] = None
-        if isinstance(spec, str):
-            family, workers = parse_spec(spec)
-            if family == "processes":
-                self._process_workers = workers or default_workers()
-                spec = None
-        #: The per-shard Step-2 executor, resolved once for the session's
-        #: lifetime; :meth:`close` shuts it down when it was built here
-        #: from a spec string (a caller's instance is the caller's).
-        self._executor: Executor = get_executor(spec)
-        self._owns_executor = isinstance(spec, str)
+        #: A "threads[:N]" spec names the session's one per-shard Step-2
+        #: pool, built on the first Step 2 (and on the first after a
+        #: :meth:`close`); any other spec runs the shards as a plain loop.
+        self._threads_spec = config.executor if family == "threads" else None
+        self._pool: Optional[ThreadPoolExecutor] = None
         if self._process_workers is not None and ssd is not None:
             raise ValueError(
                 "a functional-SSD session is stateful (serial command "
@@ -313,7 +301,8 @@ class AnalysisSession:
         self._lock = threading.RLock()
         #: Step 2 under its engine names (:attr:`isp`, :attr:`multissd`),
         #: built on first access for callers that drive Step 2 alone; the
-        #: analysis path runs the same kernel over the same shard handles.
+        #: analysis path runs the same kernel over the same shard handles
+        #: (these views loop over them; only the session owns a pool).
         self._isp: Optional[IspStepTwo] = None
         self._multissd: Optional[MultiSsdStepTwo] = None
         self._partitioner = KmerBucketPartitioner(
@@ -373,7 +362,6 @@ class AnalysisSession:
                     self._isp = IspStepTwo(
                         self.database, self.kss, n_channels=self._n_channels,
                         backend=self._backend_spec,
-                        executor=self._executor,
                     )
         return self._isp
 
@@ -389,7 +377,6 @@ class AnalysisSession:
                     self._multissd = MultiSsdStepTwo(
                         kss=self.kss, channels_per_ssd=self._n_channels,
                         backend=self._backend_spec,
-                        executor=self._executor,
                         shards=self.index.shards(self.config.n_ssds),
                     )
         return self._multissd
@@ -398,6 +385,13 @@ class AnalysisSession:
     def backend_name(self) -> str:
         """Resolved from the backend spec — no engine is built to read it."""
         return get_backend(self._backend_spec).name
+
+    @property
+    def process_workers(self) -> int:
+        """Forked workers behind :meth:`analyze_batch` — how many batches
+        can run at once, one caller thread each; 0 when analyses run in
+        this process."""
+        return self._process_workers or 0
 
     def warm(self) -> "AnalysisSession":
         """Pre-build every lazily-constructed engine structure.
@@ -448,18 +442,19 @@ class AnalysisSession:
 
     def close(self) -> None:
         """Reap the forked workers (after the batches in flight) and shut
-        down the session's own shard executor, if they exist.
+        down the session's shard thread pool, if they exist.
 
         Safe on any session, and not terminal: a process-backed session
         re-forks on the next :meth:`warm` / analysis call after closing,
-        a threaded one restarts its pool on the next Step 2.
+        a threaded one builds a new pool on the next Step 2.
         """
         with self._lock:
             runner, self._runner = self._runner, None
+            pool, self._pool = self._pool, None
         if runner is not None:
             runner.close()
-        if self._owns_executor:
-            self._executor.shutdown()
+        if pool is not None:
+            pool.shutdown()
 
     def __enter__(self) -> "AnalysisSession":
         return self
@@ -582,10 +577,16 @@ class AnalysisSession:
     ) -> List[StepTwoResult]:
         """Every sample's buckets share one database stream per shard."""
         start = time.perf_counter()
+        pool = None
+        if self._threads_spec is not None:
+            with self._lock:  # one pool between close() calls
+                if self._pool is None:
+                    self._pool = shard_pool(self._threads_spec)
+                pool = self._pool
         results, shard_timings = step_two_over_shards(
             get_backend(self._backend_spec), self.cluster_shards(),
             [buckets.slices() for buckets in bucket_sets],
-            self._n_channels, self._executor,
+            self._n_channels, pool,
         )
         shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
         timings.merge(shard_timings)

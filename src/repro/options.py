@@ -236,9 +236,6 @@ def add_node_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (default: 0 = pick a free port; the "
                              "bound address is printed on stderr)")
-    parser.add_argument("--step-workers", type=positive_int, default=4,
-                        help="concurrent partial-Step-2 executions "
-                             "(default: 4)")
     parser.add_argument("--max-line-bytes", type=positive_int,
                         default=MAX_LINE_BYTES,
                         help="reject scatter frames longer than this "

@@ -1,7 +1,9 @@
-"""Executor layer, paced backend, and measured-overlap plumbing."""
+"""Executor specs and the shard pool, paced backend, and measured-overlap
+plumbing."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import threading
 import time
@@ -10,17 +12,13 @@ import pytest
 
 from repro.backends import PhaseTimings, available_backends, get_backend
 from repro.backends.paced import PacedStepTwoBackend
-from repro.megis.executors import (
-    SerialExecutor,
-    ThreadedExecutor,
-    available_executors,
-    get_executor,
-    parse_spec,
-)
+from repro.megis.executors import available_executors, parse_spec, shard_pool
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
     MultiSsdStepTwo,
+    shard_kss,
+    split_database,
     step_two_over_shards,
     whole_shard,
 )
@@ -60,63 +58,25 @@ class TestSpecs:
             parse_spec("processes:0")
 
     def test_get_executor_resolution(self):
-        assert get_executor(None) is get_executor("serial")
-        threaded = get_executor("threads:3")
-        assert isinstance(threaded, ThreadedExecutor)
-        assert threaded.workers == 3
-        assert get_executor(threaded) is threaded
+        """What a spec gives the shard tasks: nothing (a plain loop) for
+        no spec or ``serial``, a stdlib thread pool of N for ``threads:N``."""
+        assert shard_pool(None) is None and shard_pool("serial") is None
+        before = _exec_threads()
+        threaded = shard_pool("threads:3")
+        try:
+            assert isinstance(threaded, concurrent.futures.ThreadPoolExecutor)
+            assert threaded._max_workers == 3
+            assert _exec_threads() == before  # threads start on demand
+            assert threaded.submit(
+                lambda: threading.current_thread().name
+            ).result().startswith("megis-exec")
+        finally:
+            threaded.shutdown()
 
     def test_config_validates_executor(self):
         assert MegisConfig(executor="threads:2").executor == "threads:2"
         with pytest.raises(ValueError):
             MegisConfig(executor="fibers")
-
-
-class TestSerialExecutor:
-    def test_runs_inline_in_order(self):
-        order = []
-        executor = SerialExecutor()
-        results = executor.map_ordered(lambda i: (order.append(i), i * 2)[1],
-                                       range(5))
-        assert results == [0, 2, 4, 6, 8]
-        assert order == list(range(5))
-        assert executor.workers == 1
-
-    def test_exception_lands_in_future(self):
-        future = SerialExecutor().submit(lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            future.result()
-
-
-class TestThreadedExecutor:
-    def test_map_ordered_returns_item_order(self):
-        executor = ThreadedExecutor(4)
-        try:
-            barrier = threading.Barrier(4, timeout=10)
-
-            def task(i):
-                if i < 4:
-                    barrier.wait()  # only passable if tasks overlap
-                return i * i
-
-            assert executor.map_ordered(task, range(8)) == [
-                i * i for i in range(8)
-            ]
-        finally:
-            executor.shutdown()
-
-    def test_lazy_pool_and_shutdown(self):
-        executor = ThreadedExecutor(2)
-        assert executor._pool is None
-        assert executor.submit(lambda: 7).result() == 7
-        assert executor._pool is not None
-        executor.shutdown()
-        assert executor._pool is None
-        assert executor.name == "threads:2"
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ThreadedExecutor(0)
 
 
 class TestExecutorDrivenStepTwo:
@@ -159,37 +119,77 @@ class TestExecutorDrivenStepTwo:
 
     def test_session_resolves_its_executor_once(self, sorted_db, sketch_db,
                                                 sample, monkeypatch):
-        """A ``threads:N`` session owns one executor — one thread pool —
-        for all its analyses, and ``close()`` reaps it."""
+        """A ``threads:N`` session owns one thread pool between
+        ``close()`` calls: one for all its analyses, reaped by
+        ``close()``, and exactly one more for the analyses after it."""
+        from repro.megis import executors
         from repro.megis.index import MegisIndex
 
         built = []
-        real_init = ThreadedExecutor.__init__
 
-        def counting_init(self, workers=None):
-            built.append(self)
-            real_init(self, workers)
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(ThreadedExecutor, "__init__", counting_init)
+        monkeypatch.setattr(executors, "ThreadPoolExecutor", CountingPool)
         before = _exec_threads()  # other tests' pools, reaped only by GC
         session = AnalysisSession(
             MegisIndex(sorted_db, sketch_db),
             MegisConfig(backend="numpy", abundance_method="statistical",
                         executor="threads:2", n_ssds=2),
         )
-        for _ in range(4):
+        expected = session.analyze(sample.reads[:40]).sketch_hits
+        for _ in range(3):
             session.analyze(sample.reads[:40])
         assert len(built) == 1
         assert _exec_threads() - before, "the shards ran on the session's pool"
         session.close()
         assert not _exec_threads() - before
+        for _ in range(2):  # close() is not terminal
+            assert session.analyze(sample.reads[:40]).sketch_hits == expected
+        assert len(built) == 2
+        session.close()
+        assert not _exec_threads() - before
+
+    def test_failing_shard_propagates_after_all_were_scheduled(
+            self, sorted_db, kss_tables):
+        """``pool.map`` submits every shard task before the first result
+        is awaited: the first shard's exception reaches the caller, and
+        the other shards were running by then (the barrier is passable
+        only if all three were scheduled)."""
+        shards = split_database(sorted_db, 3)
+        shard_kss(kss_tables, shards)
+        barrier = threading.Barrier(len(shards), timeout=10)
+        inner = get_backend("numpy")
+
+        class FirstShardFails:
+            name = inner.name
+
+            @staticmethod
+            def intersect_bucketed_multi(database, *args):
+                barrier.wait()
+                if database is shards[0].database:
+                    raise RuntimeError("shard 0 failed")
+                return inner.intersect_bucketed_multi(database, *args)
+
+            retrieve = staticmethod(inner.retrieve)
+
+        pool = shard_pool("threads:3")
+        try:
+            with pytest.raises(RuntimeError, match="shard 0 failed"):
+                step_two_over_shards(FirstShardFails, shards, [[]], 8, pool)
+        finally:
+            pool.shutdown()
+        assert not barrier.broken
 
     @pytest.mark.parametrize("enter", [
         lambda db, kss, spec: MultiSsdStepTwo(db, kss, n_ssds=2,
                                               executor=spec),
         lambda db, kss, spec: IspStepTwo(db, kss, executor=spec),
         lambda db, kss, spec: step_two_over_shards(
-            get_backend("numpy"), [whole_shard(db, kss)], [[]], 8, spec),
+            get_backend("numpy"), [whole_shard(db, kss)], [[]], 8,
+            shard_pool(spec)),
     ], ids=["multissd", "isp", "kernel"])
     def test_step_two_refuses_a_process_pool(self, sorted_db, kss_tables,
                                              enter):

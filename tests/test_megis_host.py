@@ -193,6 +193,40 @@ class TestColumnarPartitioner:
             b.pinned for b in numpy_.buckets
         ]
 
+    @pytest.mark.parametrize("n_buckets", [1, 16, 300, 70_000])
+    def test_grouping_is_the_same_at_every_id_width(self, sample, n_buckets):
+        """The scatter pass sorts bucket ids in the narrowest unsigned
+        dtype that holds ``n_buckets`` (``uint8``, ``uint16``, else the
+        ``int64`` ``searchsorted`` returns): the permutation is the
+        ``int64`` stable sort's at every width, and the bucket sets equal
+        the Counter path's."""
+        k, rng = 12, np.random.default_rng(n_buckets)
+        space = 1 << (2 * k)
+        merged = rng.integers(0, space, size=20_000, dtype=np.uint64)
+        boundaries = [space * i // n_buckets for i in range(1, n_buckets)]
+        groups = KmerBucketPartitioner(
+            k=k, n_buckets=n_buckets, backend="numpy"
+        )._group_vectorized(merged, boundaries, n_buckets)
+        ids = np.searchsorted(
+            np.asarray(boundaries, dtype=np.uint64), merged, side="right"
+        )
+        assert [len(g) for g in groups] == np.bincount(
+            ids, minlength=n_buckets
+        ).tolist()
+        assert np.array_equal(
+            np.concatenate(groups), merged[np.argsort(ids, kind="stable")]
+        )
+
+        python, numpy_ = (
+            KmerBucketPartitioner(
+                k=20, n_buckets=n_buckets, backend=backend
+            ).partition(sample.reads)
+            for backend in ("python", "numpy")
+        )
+        assert [(b.lo, b.hi, b.kmers) for b in python.buckets] == [
+            (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_.buckets
+        ]
+
     def test_empty_reads_columnar(self):
         bucket_set = KmerBucketPartitioner(
             k=10, n_buckets=4, backend="numpy"

@@ -17,7 +17,9 @@ so every wait on another thread is bounded):
   counters unchanged (a duplicated index would rebuild);
 - :class:`~repro.megis.service.AnalysisService` over a process-backed
   session — a worker killed mid-batch is respawned, queued samples all
-  complete, and only the poisoned request fails with a structured error.
+  complete, and only the poisoned request fails with a structured error;
+  and the service starts a thread per forked worker whatever ``workers``
+  says, so no child idles behind too few drivers.
 """
 
 from __future__ import annotations
@@ -360,8 +362,8 @@ class TestProcessBackedSession:
         sized = AnalysisSession(
             process_world, MegisConfig(executor="processes:3")
         )
-        assert sized._process_workers == 3
-        assert sized._executor.name == "serial"  # Step 2 stays serial in-worker
+        assert sized._process_workers == 3 == sized.process_workers
+        assert sized._threads_spec is None  # Step 2 stays serial in-worker
 
     def test_rejects_executor_instance_and_ssd(self, process_world):
         from repro.ssd.config import ssd_c
@@ -511,3 +513,35 @@ class TestServiceCrashSemantics:
                 stats.samples_completed + stats.samples_cancelled
                 + stats.samples_expired
             )
+
+
+class TestServiceDrivesEveryWorker:
+    def test_bare_service_keeps_both_children_busy(
+        self, process_world, sample, monkeypatch, tmp_path
+    ):
+        """Each service thread drives one forked worker, so a service
+        over ``processes:2`` starts two even when asked for one: the
+        children rendezvous — each waits until both hold a batch — which
+        a single driving thread could never satisfy.  ``max_batch`` stays
+        what ``workers`` implied, and the answers are the serial ones."""
+        config = MegisConfig(abundance_method="statistical", backend="numpy")
+        chunks = [sample.reads[i * 40:(i + 1) * 40] for i in range(4)]
+        serial = AnalysisSession(process_world, config)
+        expected = [_signature(serial.analyze(reads)) for reads in chunks]
+
+        def rendezvous(self, samples):
+            (tmp_path / str(os.getpid())).touch()
+            if not _wait_for(lambda: len(list(tmp_path.iterdir())) == 2,
+                             seconds=20):
+                raise RuntimeError("the other forked worker sat idle")
+
+        _install_hook(monkeypatch, rendezvous)
+        with AnalysisSession(
+            process_world, config, executor="processes:2"
+        ) as session:
+            with AnalysisService(session) as service:
+                assert service.max_batch == 1
+                futures = [service.submit(reads) for reads in chunks]
+                got = [_signature(f.result(timeout=120)) for f in futures]
+        assert got == expected
+        assert len(list(tmp_path.iterdir())) == 2
