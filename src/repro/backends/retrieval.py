@@ -29,6 +29,7 @@ tests keep working unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -79,12 +80,30 @@ def pack_sets_csr(
     cache, and (through it) the serialization format all share it.
     """
     offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    for i, owners in enumerate(sets):
-        offsets[i + 1] = offsets[i] + len(owners)
-    taxids = np.empty(int(offsets[-1]), dtype=np.int64)
-    for i, owners in enumerate(sets):
-        taxids[offsets[i] : offsets[i + 1]] = sorted(owners)
+    np.cumsum(
+        np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
+        out=offsets[1:],
+    )
+    taxids = np.fromiter(
+        chain.from_iterable(map(sorted, sets)), dtype=np.int64, count=int(offsets[-1])
+    )
     return taxids, offsets
+
+
+def group_sorted(
+    keys: npt.NDArray[Any],
+) -> Tuple[npt.NDArray[Any], npt.NDArray[np.int64]]:
+    """Distinct keys of a sorted column and the CSR offsets of their runs.
+
+    Row ``i`` of the result is ``keys[offsets[i]:offsets[i+1]]`` — all equal
+    to ``distinct[i]`` — so a column sorted alongside ``keys`` *is* the CSR
+    payload: how the column build turns sorted ``(k-mer, taxid)`` pairs into
+    a key column plus owner CSR without packing a row.
+    """
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.append(starts, len(keys)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.databases.kraken import KrakenDatabase
-from repro.databases.sketch import SketchDatabase
 from repro.databases.serialization import SerializationError
-from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.gateway import AnalysisGateway
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
@@ -172,11 +170,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         references = references_from_fasta(Path(args.references).read_text())
         reads = reads_from_fastq(Path(args.reads).read_text())
         if args.tool in {"megis", "metalign"}:
-            database = SortedKmerDatabase.build(references, k=args.k)
-            sketch = SketchDatabase.build(
-                references, k_max=args.k, smaller_ks=(args.k - 8, args.k - 12)
-            )
-            index = MegisIndex(database, sketch, references)
+            index = IndexBuilder(k=args.k).build(references)
             if args.tool == "megis":
                 config = MegisConfig(abundance_method=args.abundance,
                                      **execution_config_kwargs(args))

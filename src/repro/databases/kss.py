@@ -18,11 +18,20 @@ register-level reference backend streams) are a view of it.
 :class:`~repro.databases.sorted_db.SortedKmerDatabase` has the same
 lifecycle, so the two resident tables have one.
 
-Building from a sketch packs the store once and keeps the rows the build
-walked; a table over a persisted store (:meth:`KssTables.from_store`) is
-the same object minus those rows, which materialize only if a reference
-code path asks — ``row_materializations`` counts those events, so tests
-can assert that serving queries from an opened index never boxes a row.
+The store is built as columns: :func:`build_store` takes the sketch's
+selected ``(k-mer, genome)`` pairs and, per smaller level, the selected
+``(prefix, genome)`` pairs (:meth:`~repro.databases.sketch.SketchDatabase.
+from_pairs` does the selecting) — a level's prefix rows are the k_max
+column shifted, its *full* CSR the distinct union of covered-owner pairs
+and level pairs, its *stored* CSR the set difference ``full - covered``.
+``KssTables(sketch)`` over such a sketch attaches the store it was built as;
+only a hand-built ``SketchDatabase(k_max, ks, tables, sizes)`` — and every
+``k > 31`` sketch, which builds per k-mer — has its rows walked and packed
+(the reference the column build is tested against).  Either way, and for a
+table over a persisted store (:meth:`KssTables.from_store`), rows
+materialize only if a reference code path asks — ``row_materializations``
+counts those events, so tests can assert that building, saving and serving
+an index never boxes a row.
 :meth:`slice_range` cuts the store at shard boundaries (prefix-aligned) so
 each SSD of a multi-SSD deployment carries only its own KSS range.
 """
@@ -30,15 +39,22 @@ each SSD of a multi-SSD deployment carries only its own KSS range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backends.base import bisect_column
 from repro.backends.numpy_backend import column_dtype
-from repro.backends.retrieval import LevelHits, RetrievalResult, pack_sets_csr
-from repro.databases.sketch import SketchDatabase
+from repro.backends.retrieval import (
+    LevelHits,
+    RetrievalResult,
+    group_sorted,
+    pack_sets_csr,
+)
 from repro.sequences.encoding import kmer_prefix
+
+if TYPE_CHECKING:  # sketch.py builds stores, so it imports this module
+    from repro.databases.sketch import SketchDatabase
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,88 @@ class KssStore:
     offsets: np.ndarray
     levels: Dict[int, KssLevelStore]
 
+    def tables(self) -> Dict[int, Dict[int, FrozenSet[int]]]:
+        """The sketch's per-level dict tables, boxed from the columns: the
+        k_max rows and each level's *full* sets are the same data, so a
+        sketch over a store keeps no tables of its own (only row-level
+        consumers like the ternary-tree baseline ever ask)."""
+        tables: Dict[int, Dict[int, FrozenSet[int]]] = {
+            self.k_max: _boxed_rows(self.kmers, self.taxids, self.offsets)
+        }
+        for k, level in self.levels.items():
+            tables[k] = _boxed_rows(
+                level.prefixes, level.full_taxids, level.full_offsets
+            )
+        return tables
+
+
+def _boxed_rows(
+    keys: np.ndarray, taxids: np.ndarray, offsets: np.ndarray
+) -> Dict[int, FrozenSet[int]]:
+    bounds = offsets.tolist()
+    return {
+        int(key): frozenset(taxids[bounds[i]:bounds[i + 1]].tolist())
+        for i, key in enumerate(keys.tolist())
+    }
+
+
+def build_store(
+    k_max: int,
+    smaller_ks: Sequence[int],
+    taxids: np.ndarray,
+    kmers: np.ndarray,
+    genomes: np.ndarray,
+    level_pairs: Dict[int, Tuple[np.ndarray, np.ndarray]],
+) -> KssStore:
+    """The column build: selected pairs in, the whole store out.
+
+    ``(kmers, genomes)`` are the sketch's k_max pairs, sorted by k-mer then
+    genome and distinct; ``genomes`` index the ascending ``taxids``.
+    ``level_pairs[k]`` are the level-``k`` sketch's ``(prefix, genome)``
+    pairs in any order, repeats allowed.  Only prefixes of sketched
+    k_max-mers get a row (§4.3.2: the k_max stream identifies the rows),
+    and a ``(row, genome)`` pair packs into one ``int64`` key, so each set
+    operation is one sort.
+    """
+    rows, offsets = group_sorted(kmers)
+    n_genomes = max(1, len(taxids))
+
+    def distinct(keys: np.ndarray) -> np.ndarray:
+        # Not np.unique: it hashes before it sorts, several times this sort's cost.
+        return group_sorted(np.sort(keys))[0]
+
+    def csr(keys: np.ndarray, n_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        row, genome = np.divmod(keys, n_genomes)
+        row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n_rows), out=row_offsets[1:])
+        return taxids[genome], row_offsets
+
+    levels: Dict[int, KssLevelStore] = {}
+    for k in smaller_ks:
+        prefixes, starts = group_sorted(kmers >> np.uint64(2 * (k_max - k)))
+        row_of_pair = np.repeat(np.arange(len(prefixes)), np.diff(starts))
+        covered = distinct(row_of_pair * n_genomes + genomes)
+        level_prefixes, level_genomes = level_pairs[k]
+        row = np.searchsorted(prefixes, level_prefixes)
+        reachable = row < len(prefixes)
+        reachable[reachable] = prefixes[row[reachable]] == level_prefixes[reachable]
+        full = distinct(np.concatenate(
+            (covered, row[reachable] * n_genomes + level_genomes[reachable])
+        ))
+        stored = np.ones(len(full), dtype=bool)
+        stored[np.searchsorted(full, covered)] = False
+        levels[k] = KssLevelStore(
+            prefixes, *csr(full[stored], len(prefixes)), *csr(full, len(prefixes))
+        )
+    return KssStore(
+        k_max=k_max,
+        smaller_ks=tuple(smaller_ks),
+        kmers=rows,
+        taxids=taxids[genomes],
+        offsets=offsets,
+        levels=levels,
+    )
+
 
 def _build_sub_table(
     k: int, sketch: SketchDatabase, entries: List[Tuple[int, FrozenSet[int]]]
@@ -126,7 +224,11 @@ class KssTables:
     """Sorted k_max table plus prefix-aligned reduced tables per smaller k."""
 
     def __init__(self, sketch: SketchDatabase):
-        """The offline build: walk the sketch rows, pack the store once."""
+        """Attach the store a column-built (or opened) sketch is a view of;
+        for a sketch of dict tables, walk the rows and pack the store once."""
+        if sketch.kss_store is not None:
+            self._init(sketch.kss_store)
+            return
         entries = sketch.sorted_kmax_entries()
         dtype = column_dtype(sketch.k_max)
         sub_tables: Dict[int, List[KssSubEntry]] = {}
@@ -180,12 +282,9 @@ class KssTables:
         """The sorted k_max (k-mer, owners) rows, materialized on demand."""
         if self._entries is None:
             store = self._store
-            self._entries = [
-                (int(kmer), frozenset(
-                    store.taxids[store.offsets[i]:store.offsets[i + 1]].tolist()
-                ))
-                for i, kmer in enumerate(store.kmers.tolist())
-            ]
+            self._entries = list(
+                _boxed_rows(store.kmers, store.taxids, store.offsets).items()
+            )
             self.row_materializations += 1
         return self._entries
 

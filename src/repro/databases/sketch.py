@@ -13,6 +13,18 @@ k-mers that are prefixes of stored ``k_max``-mers; a level-``k`` lookup of
 prefix ``p`` returns the species whose independent level-``k`` sketch
 contains ``p``, together with the owners of every stored ``k_max``-mer
 under ``p`` (matching a long k-mer implies matching its prefixes).
+
+Building has two arms, chosen by ``k_max`` alone (see
+:mod:`repro.databases.sorted_db`).  For ``k_max <= 31`` selection is a
+mask over the distinct ``(k-mer, genome)`` pair columns
+(:func:`_passes_column`: the hash is a wrapping ``uint64`` multiply and
+shift), a level's prefixes are those columns shifted and selected
+independently, and the selected pairs go straight into the KSS columns
+(:func:`repro.databases.kss.build_store`): a built sketch *is*
+``sketch_sizes`` plus a lazy dict view of that store — exactly what
+opening an index file gives.  Wider k-mers are sketched per k-mer in
+Python (:func:`_passes`, dicts of sets), which is also the reference the
+column arm is tested against.
 """
 
 from __future__ import annotations
@@ -20,19 +32,101 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.databases.kraken import _kmer_hash
+import numpy as np
+
+from repro.databases.kraken import _HASH_MULTIPLIER, _kmer_hash
+from repro.databases.kss import KssStore, build_store
+from repro.databases.sorted_db import COLUMN_BUILD_MAX_K, PairColumns, extract_pairs
 from repro.sequences.encoding import decode_kmer, kmer_prefix
 from repro.sequences.generator import ReferenceCollection
 from repro.sequences.kmers import extract_kmers
 
 _HASH_SPACE = 1 << 64
+_SALT_MULTIPLIER = 0x5851F42D4C957F2D
 
 
 def _passes(kmer: int, fraction: float, salt: int) -> bool:
     """Containment-min-hash selection: keep k-mers in the bottom fraction."""
-    return _kmer_hash(int(kmer) ^ (salt * 0x5851F42D4C957F2D)) < int(
+    return _kmer_hash(int(kmer) ^ (salt * _SALT_MULTIPLIER)) < int(
         fraction * _HASH_SPACE
     )
+
+
+def _passes_column(kmers: np.ndarray, fraction: float, salt: int) -> np.ndarray:
+    """:func:`_passes` for a whole ``uint64`` column, as a mask.
+
+    ``_kmer_hash`` keeps the low 64 bits of its product, which depend only
+    on the low 64 bits of the salted k-mer — so the arbitrary-precision
+    arithmetic is wrapping ``uint64`` arithmetic, negative and oversized
+    salts included.
+    """
+    bound = int(fraction * _HASH_SPACE)
+    if bound >= _HASH_SPACE:  # fraction == 1.0: no uint64 reaches the bound
+        return np.ones(len(kmers), dtype=bool)
+    value = kmers ^ np.uint64((salt * _SALT_MULTIPLIER) % _HASH_SPACE)
+    value *= np.uint64(_HASH_MULTIPLIER)
+    value ^= value >> np.uint64(29)
+    return value < np.uint64(bound)
+
+
+def _check_fraction(sketch_fraction: float) -> None:
+    if not 0 < sketch_fraction <= 1:
+        raise ValueError(f"sketch_fraction must be in (0, 1], got {sketch_fraction}")
+
+
+def _levels(k_max: int, smaller_ks: Sequence[int]) -> Tuple[int, ...]:
+    """``smaller_ks`` distinct and descending, refused outside ``(0, k_max)``."""
+    ks = tuple(sorted(set(smaller_ks), reverse=True))
+    if any(k >= k_max or k <= 0 for k in ks):
+        raise ValueError("smaller_ks must lie strictly between 0 and k_max")
+    return ks
+
+
+def _build_tables(
+    references: ReferenceCollection,
+    k_max: int,
+    smaller_ks: Sequence[int],
+    sketch_fraction: float,
+    seed: int,
+) -> Tuple[int, Tuple[int, ...], Dict[int, Dict[int, FrozenSet[int]]], Dict[int, int]]:
+    """The reference build, per k-mer in Python: the :class:`SketchDatabase`
+    constructor arguments.  What ``k_max > COLUMN_BUILD_MAX_K`` runs."""
+    _check_fraction(sketch_fraction)
+    levels = _levels(k_max, smaller_ks)
+    kmax_table: Dict[int, set] = {}
+    level_sketches: Dict[int, Dict[int, set]] = {k: {} for k in levels}
+    sketch_sizes: Dict[int, int] = {}
+    for taxid in references.species_taxids:
+        genome_kmers = sorted(set(
+            extract_kmers(references.sequence(taxid), k_max, canonical=False).tolist()
+        ))
+        sketch = [x for x in genome_kmers if _passes(x, sketch_fraction, seed)]
+        sketch_sizes[taxid] = len(sketch)
+        for kmer in sketch:
+            kmax_table.setdefault(int(kmer), set()).add(taxid)
+        # Independent selection per level over the k-prefixes: a species
+        # may sketch a short prefix even when none of its long k-mers
+        # carrying that prefix were selected (Fig 7's species 3).
+        for k in levels:
+            for kmer in genome_kmers:
+                prefix = kmer_prefix(int(kmer), k_max, k)
+                if _passes(prefix, sketch_fraction, seed + k):
+                    level_sketches[k].setdefault(prefix, set()).add(taxid)
+
+    # Restrict levels to reachable prefixes and add covered-owner sets.
+    tables: Dict[int, Dict[int, FrozenSet[int]]] = {
+        k_max: {x: frozenset(s) for x, s in kmax_table.items()}
+    }
+    for k in levels:
+        level: Dict[int, FrozenSet[int]] = {}
+        for kmer, owners in kmax_table.items():
+            prefix = kmer_prefix(kmer, k_max, k)
+            combined = set(level.get(prefix, frozenset()))
+            combined.update(owners)
+            combined.update(level_sketches[k].get(prefix, set()))
+            level[prefix] = frozenset(combined)
+        tables[k] = level
+    return k_max, levels, tables, sketch_sizes
 
 
 class SketchDatabase:
@@ -42,44 +136,38 @@ class SketchDatabase:
     smaller ``k`` holds the reachable prefixes with their *full* taxID sets
     (sketch membership at level ``k`` plus owners of covered k_max-mers).
 
-    A sketch loaded from a persisted index carries its tables *lazily*
-    (:meth:`from_loader`): candidate scoring and the statistical estimator
-    only ever touch ``k_max``/``sketch_sizes``, so the per-level dicts are
-    reconstructed from the index's KSS columns only if a table consumer
+    A sketch built as columns or loaded from a persisted index carries its
+    tables *lazily* (:meth:`from_store`): candidate scoring and the
+    statistical estimator only ever touch ``k_max``/``sketch_sizes``, so the
+    per-level dicts are boxed from the KSS columns only if a table consumer
     (e.g. the ternary-tree baseline) actually asks for them.
     """
 
     def __init__(self, k_max: int, smaller_ks: Sequence[int],
                  tables: Dict[int, Dict[int, FrozenSet[int]]],
                  sketch_sizes: Dict[int, int]):
-        ks = sorted(set(smaller_ks), reverse=True)
-        if any(k >= k_max or k <= 0 for k in ks):
-            raise ValueError("smaller_ks must lie strictly between 0 and k_max")
         self.k_max = k_max
-        self.smaller_ks: Tuple[int, ...] = tuple(ks)
+        self.smaller_ks: Tuple[int, ...] = _levels(k_max, smaller_ks)
         self._tables: Optional[Dict[int, Dict[int, FrozenSet[int]]]] = tables
-        self._table_loader = None
+        #: The KSS columns this sketch is a view of; ``None`` for dict tables.
+        self.kss_store: Optional[KssStore] = None
         self.sketch_sizes = sketch_sizes  # per-species k_max sketch size
 
     @classmethod
-    def from_loader(cls, k_max: int, smaller_ks: Sequence[int],
-                    sketch_sizes: Dict[int, int],
-                    table_loader) -> "SketchDatabase":
-        """A sketch whose per-level tables materialize on first access.
-
-        ``table_loader`` is a zero-argument callable returning the
-        ``tables`` dict; everything else behaves exactly like an eagerly
-        built sketch.
-        """
-        sketch = cls(k_max, smaller_ks, tables={}, sketch_sizes=sketch_sizes)
+    def from_store(cls, store: KssStore,
+                   sketch_sizes: Dict[int, int]) -> "SketchDatabase":
+        """A sketch over KSS columns: ``tables`` is :meth:`KssStore.tables`,
+        boxed on first access; everything else behaves exactly like a
+        sketch of dict tables."""
+        sketch = cls(store.k_max, store.smaller_ks, tables={}, sketch_sizes=sketch_sizes)
         sketch._tables = None
-        sketch._table_loader = table_loader
+        sketch.kss_store = store
         return sketch
 
     @property
     def tables(self) -> Dict[int, Dict[int, FrozenSet[int]]]:
         if self._tables is None:
-            self._tables = self._table_loader()
+            self._tables = self.kss_store.tables()
         return self._tables
 
     @classmethod
@@ -92,44 +180,43 @@ class SketchDatabase:
         seed: int = 0,
     ) -> "SketchDatabase":
         """Sketch every reference genome at every level."""
-        if not 0 < sketch_fraction <= 1:
-            raise ValueError(f"sketch_fraction must be in (0, 1], got {sketch_fraction}")
-        levels = sorted(set(smaller_ks), reverse=True)
+        if k_max > COLUMN_BUILD_MAX_K:
+            return cls(*_build_tables(
+                references, k_max, smaller_ks, sketch_fraction, seed
+            ))
+        return cls.from_pairs(
+            extract_pairs(references, k_max), smaller_ks, sketch_fraction, seed
+        )
 
-        kmax_table: Dict[int, set] = {}
-        level_sketches: Dict[int, Dict[int, set]] = {k: {} for k in levels}
-        sketch_sizes: Dict[int, int] = {}
-        for taxid in references.species_taxids:
-            genome_kmers = set(
-                extract_kmers(references.sequence(taxid), k_max, canonical=False).tolist()
-            )
-            sketch = {x for x in genome_kmers if _passes(x, sketch_fraction, seed)}
-            sketch_sizes[taxid] = len(sketch)
-            for kmer in sketch:
-                kmax_table.setdefault(int(kmer), set()).add(taxid)
-            # Independent selection per level over the k-prefixes: a species
-            # may sketch a short prefix even when none of its long k-mers
-            # carrying that prefix were selected (Fig 7's species 3).
-            for k in levels:
-                for kmer in genome_kmers:
-                    prefix = kmer_prefix(int(kmer), k_max, k)
-                    if _passes(prefix, sketch_fraction, seed + k):
-                        level_sketches[k].setdefault(prefix, set()).add(taxid)
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: PairColumns,
+        smaller_ks: Sequence[int],
+        sketch_fraction: float = 0.25,
+        seed: int = 0,
+    ) -> "SketchDatabase":
+        """The column build: select with masks, hand the KSS the pairs.
 
-        # Restrict levels to reachable prefixes and add covered-owner sets.
-        tables: Dict[int, Dict[int, FrozenSet[int]]] = {
-            k_max: {x: frozenset(s) for x, s in kmax_table.items()}
-        }
+        Each level selects independently over the k-prefixes (salt ``seed +
+        k``): a species may sketch a short prefix even when none of its long
+        k-mers carrying that prefix were selected (Fig 7's species 3).
+        """
+        _check_fraction(sketch_fraction)
+        levels = _levels(pairs.k, smaller_ks)
+        sketched = _passes_column(pairs.kmers, sketch_fraction, seed)
+        level_pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for k in levels:
-            level: Dict[int, FrozenSet[int]] = {}
-            for kmer, owners in kmax_table.items():
-                prefix = kmer_prefix(kmer, k_max, k)
-                combined = set(level.get(prefix, frozenset()))
-                combined.update(owners)
-                combined.update(level_sketches[k].get(prefix, set()))
-                level[prefix] = frozenset(combined)
-            tables[k] = level
-        return cls(k_max, levels, tables, sketch_sizes)
+            prefixes = pairs.kmers >> np.uint64(2 * (pairs.k - k))
+            chosen = _passes_column(prefixes, sketch_fraction, seed + k)
+            level_pairs[k] = (prefixes[chosen], pairs.genomes[chosen])
+        genomes = pairs.genomes[sketched]
+        store = build_store(
+            pairs.k, levels, pairs.taxids, pairs.kmers[sketched], genomes, level_pairs
+        )
+        # A genome that selects nothing (or is shorter than k) keeps its zero.
+        sizes = np.bincount(genomes, minlength=len(pairs.taxids))
+        return cls.from_store(store, dict(zip(pairs.taxids.tolist(), sizes.tolist())))
 
     # -- queries -------------------------------------------------------------
 
@@ -140,8 +227,6 @@ class SketchDatabase:
         sorted key/size columns are built once and cached, so batch
         containment scoring never touches the Python dict per taxID.
         """
-        import numpy as np
-
         cached = getattr(self, "_size_columns", None)
         if cached is None:
             keys = np.asarray(sorted(self.sketch_sizes), dtype=np.int64)

@@ -10,7 +10,7 @@ that is all an index file stores of it.
 A :class:`SortedKmerDatabase` *is* its columns, as a
 :class:`~repro.databases.kss.KssTables` is its store: its state is ``(k,
 key column, owner CSR or none)`` — the sorted key column (``uint64``;
-``object`` dtype past 64 bits) and, for a row-built table and its slices,
+``object`` dtype past 64 bits) and, for a built table and its slices,
 the owner CSR ``(taxids, offsets)``, which lives in memory only.  A table
 attached from a key column alone (an opened index) is *ownerless*:
 :meth:`owner_columns` and :meth:`owners_of` raise, and so do its slices'.
@@ -20,10 +20,24 @@ walk (:attr:`kmers`, :meth:`stream`, :meth:`stream_range`,
 :meth:`intersect`) is a view materialized on demand and counted in
 ``row_materializations`` — so tests can assert that a served database is
 never boxed between queries.
+
+The offline build (§4.2) has two arms, chosen by ``k`` alone.  For ``k <=
+31`` (:data:`COLUMN_BUILD_MAX_K`, what
+:func:`~repro.sequences.kmers.extract_kmers_batch` packs into ``uint64``)
+it is column arithmetic: :func:`extract_pairs` runs one extraction over
+all genomes and one sort, giving the distinct sorted ``(k-mer, genome)``
+:class:`PairColumns`; the key column is the pairs' distinct k-mers and the
+owner CSR is the pair taxids themselves (:meth:`SortedKmerDatabase.
+from_pairs` — no row is ever packed).  The sketch and the KSS are built
+from the same pairs (:meth:`~repro.databases.sketch.SketchDatabase.
+from_pairs`), so :class:`~repro.megis.index.IndexBuilder` extracts once.
+Wider k-mers (``object`` columns, the paper's k = 60) build per k-mer in
+Python — the reference the tests hold the column arm to, byte for byte.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -31,13 +45,49 @@ from numpy.typing import NDArray
 
 from repro.backends.base import bisect_column
 from repro.backends.numpy_backend import as_column, column_dtype
-from repro.backends.retrieval import column_to_list, pack_sets_csr
+from repro.backends.retrieval import column_to_list, group_sorted, pack_sets_csr
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 
 #: Owner CSR ``(taxids, offsets)``; row ``i`` owns
 #: ``taxids[offsets[i]:offsets[i+1]]``.
 OwnerColumns = Tuple[NDArray[Any], NDArray[Any]]
+
+#: Widest ``k`` the column build handles — what ``extract_kmers_batch``
+#: packs into ``uint64``.  (``k = 32`` has a ``uint64`` column but an
+#: ``object`` extractor, so it builds by rows with everything wider.)
+COLUMN_BUILD_MAX_K = 31
+
+
+@dataclass(frozen=True)
+class PairColumns:
+    """Every distinct ``(k-mer, genome)`` pair of a reference collection,
+    sorted by k-mer then genome — the one intermediate of the column build.
+
+    ``genomes[i]`` indexes ``taxids`` (the collection's ascending species
+    taxids), so it orders like the taxid it stands for while staying dense
+    enough to pack beside a row number into one sort key.
+    """
+
+    k: int
+    kmers: NDArray[np.uint64]
+    genomes: NDArray[np.int64]
+    taxids: NDArray[np.int64]
+
+
+def extract_pairs(references: ReferenceCollection, k: int) -> PairColumns:
+    """One extraction over all genomes, one sort (``k <= COLUMN_BUILD_MAX_K``)."""
+    taxids = references.species_taxids
+    kmers, genomes = extract_kmers_batch([references.sequence(t) for t in taxids], k)
+    # Genome ids ascend along the extraction, so a stable sort on the k-mers
+    # alone leaves each k-mer's genomes ascending: the (k-mer, genome) lexsort.
+    order = np.argsort(kmers, kind="stable")
+    kmers, genomes = kmers[order], genomes[order]
+    distinct = np.ones(len(kmers), dtype=bool)
+    distinct[1:] = (kmers[1:] != kmers[:-1]) | (genomes[1:] != genomes[:-1])
+    return PairColumns(
+        k, kmers[distinct], genomes[distinct], np.asarray(taxids, dtype=np.int64)
+    )
 
 
 def _increasing(column: NDArray[Any]) -> NDArray[Any]:
@@ -48,13 +98,28 @@ def _increasing(column: NDArray[Any]) -> NDArray[Any]:
     return column
 
 
+def _build_rows(
+    references: ReferenceCollection, k: int, canonical: bool
+) -> Tuple[List[int], List[FrozenSet[int]]]:
+    """The reference build, per k-mer in Python: sorted k-mers and their
+    owner sets.  What ``k > COLUMN_BUILD_MAX_K`` runs."""
+    membership: Dict[int, Set[int]] = {}
+    for taxid in references.species_taxids:
+        seq = references.sequence(taxid)
+        for kmer in extract_kmers(seq, k, canonical=canonical).tolist():
+            membership.setdefault(int(kmer), set()).add(taxid)
+    kmers = sorted(membership)
+    return kmers, [frozenset(membership[x]) for x in kmers]
+
+
 class SortedKmerDatabase:
     """Sorted distinct k-mers with per-k-mer species sets."""
 
     def __init__(
         self, k: int, kmers: Sequence[int], owners: Sequence[FrozenSet[int]]
     ) -> None:
-        """The offline build: pack the rows into the columns, once."""
+        """From rows (hand-built tables, the reference build): pack them
+        into the columns, once."""
         if len(kmers) != len(owners):
             raise ValueError("kmers and owners must have equal length")
         column = _increasing(as_column(kmers, column_dtype(k)))
@@ -80,15 +145,19 @@ class SortedKmerDatabase:
         Non-canonical (forward-strand) k-mers are the default because the
         sketch machinery relies on prefix structure, which canonicalization
         would destroy; Metalign/CMash handle strands by sketching both.
+        (The batch extractor packs forward k-mers only, so a canonical
+        database builds by rows at any ``k``.)
         """
-        membership: Dict[int, Set[int]] = {}
-        for taxid in references.species_taxids:
-            seq = references.sequence(taxid)
-            for kmer in set(extract_kmers(seq, k, canonical=canonical).tolist()):
-                membership.setdefault(int(kmer), set()).add(taxid)
-        kmers = sorted(membership)
-        owners = [frozenset(membership[x]) for x in kmers]
-        return cls(k, kmers, owners)
+        if canonical or k > COLUMN_BUILD_MAX_K:
+            return cls(k, *_build_rows(references, k, canonical))
+        return cls.from_pairs(extract_pairs(references, k))
+
+    @classmethod
+    def from_pairs(cls, pairs: PairColumns) -> "SortedKmerDatabase":
+        """The column build: the pairs' distinct k-mers are the key column
+        and their taxids, already grouped by k-mer, the owner CSR."""
+        column, offsets = group_sorted(pairs.kmers)
+        return cls.from_columns(pairs.k, column, (pairs.taxids[pairs.genomes], offsets))
 
     @classmethod
     def from_columns(

@@ -4,9 +4,11 @@ The reproduction's core claim — MegIS returns the same classification
 as the software baseline, across every executor/backend/cluster
 configuration — is only testable because the engine is deterministic.
 This rule statically bans the ambient-nondeterminism APIs in engine code
-(``backends/``, ``megis/``, and the two modules outside them on the
-result path: ``tools/mapping.py`` — Step 3's indexes and vote — and
-``sequences/kmers.py`` — the k-mer extractors):
+(``backends/``, ``megis/``, and the modules outside them on the result
+path: ``tools/mapping.py`` — Step 3's indexes and vote —,
+``sequences/kmers.py`` — the k-mer extractors — and the offline builders
+``databases/sorted_db.py`` / ``sketch.py`` / ``kss.py``, whose output is
+the bytes of an index file):
 
 - global RNG draws (``random.*``, ``np.random.*``) — randomness must be
   injected as a seeded generator (``random.Random(seed)``,
@@ -40,6 +42,9 @@ class DeterminismChecker(Checker):
         "src/repro/megis",
         "src/repro/tools/mapping.py",
         "src/repro/sequences/kmers.py",
+        "src/repro/databases/sorted_db.py",
+        "src/repro/databases/sketch.py",
+        "src/repro/databases/kss.py",
     )
 
     def check(self, ctx: FileContext, config: CheckConfig) -> Iterator[Finding]:

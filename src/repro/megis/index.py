@@ -52,7 +52,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,7 +70,11 @@ from repro.databases.serialization import (
     unpack_sections,
 )
 from repro.databases.sketch import SketchDatabase
-from repro.databases.sorted_db import SortedKmerDatabase
+from repro.databases.sorted_db import (
+    COLUMN_BUILD_MAX_K,
+    SortedKmerDatabase,
+    extract_pairs,
+)
 from repro.megis.multissd import (
     DatabaseShard,
     shard_kss,
@@ -472,13 +476,8 @@ def _kss_store(sections: Sections, manifest: _Manifest) -> KssStore:
 def _lazy_sketch(
     sections: Sections, manifest: _Manifest, kss: KssTables
 ) -> SketchDatabase:
-    """Sketch metadata now, per-level tables only if a consumer asks.
-
-    The tables are the same data as the KSS columns (the k_max rows and
-    each level's full sets), so the loader rebuilds them from the store —
-    they are needed only by row-level consumers like the ternary-tree
-    baseline, never by the columnar query path.
-    """
+    """Sketch metadata now, per-level tables only if a consumer asks: the
+    sketch is a view of the KSS store, as a freshly built one is."""
     size_taxids = parse_i64(_section(sections, "sketch/taxids"))
     sizes = parse_i64(_section(sections, "sketch/sizes"))
     if len(size_taxids) != len(sizes):
@@ -486,39 +485,23 @@ def _lazy_sketch(
     sketch_sizes = {
         int(t): int(s) for t, s in zip(size_taxids.tolist(), sizes.tolist())
     }
-    store = kss.store()
-
-    def load_tables() -> Dict[int, Dict[int, FrozenSet[int]]]:
-        tables: Dict[int, Dict[int, FrozenSet[int]]] = {
-            store.k_max: {
-                int(kmer): frozenset(
-                    store.taxids[store.offsets[i]:store.offsets[i + 1]].tolist()
-                )
-                for i, kmer in enumerate(store.kmers.tolist())
-            }
-        }
-        for k, level in store.levels.items():
-            fo = level.full_offsets
-            tables[k] = {
-                int(p): frozenset(
-                    level.full_taxids[int(fo[r]):int(fo[r + 1])].tolist()
-                )
-                for r, p in enumerate(level.prefixes.tolist())
-            }
-        return tables
-
-    return SketchDatabase.from_loader(
-        manifest.k, manifest.smaller_ks, sketch_sizes, load_tables
-    )
+    return SketchDatabase.from_store(kss.store(), sketch_sizes)
 
 
 @dataclass
 class IndexBuilder:
     """Offline index construction (§4.2): references in, MegisIndex out.
 
-    Defaults mirror the CLI's ad-hoc construction (``smaller_ks`` of
-    ``None`` resolves to ``(k - 8, k - 12)``), so ``repro index build`` +
-    ``repro analyze --index`` reproduce a plain ``repro analyze`` exactly.
+    The one offline build — ``repro index build`` and a plain ``repro
+    analyze REFERENCES READS`` both run it (``smaller_ks`` of ``None``
+    resolves to ``(k - 8, k - 12)``).  For ``k <= 31`` it is one pass:
+    one k-mer extraction over all genomes and one sort give the distinct
+    ``(k-mer, genome)`` pair columns
+    (:func:`~repro.databases.sorted_db.extract_pairs`), and the database,
+    the sketch and the KSS store are all column arithmetic over those
+    pairs — no per-k-mer Python, no row objects.  Wider k-mers (``object``
+    columns, the paper's k = 60) take the per-k-mer reference builders;
+    the arm is chosen by ``k`` alone and both write the same bytes.
     """
 
     k: int = 20
@@ -536,14 +519,22 @@ class IndexBuilder:
         return (self.k - 8, self.k - 12)
 
     def build(self, references: ReferenceCollection) -> MegisIndex:
-        database = SortedKmerDatabase.build(references, k=self.k)
-        sketch = SketchDatabase.build(
-            references,
-            k_max=self.k,
-            smaller_ks=self.resolved_smaller_ks(),
-            sketch_fraction=self.sketch_fraction,
-            seed=self.seed,
-        )
+        levels = self.resolved_smaller_ks()
+        if self.k > COLUMN_BUILD_MAX_K:
+            database = SortedKmerDatabase.build(references, k=self.k)
+            sketch = SketchDatabase.build(
+                references,
+                k_max=self.k,
+                smaller_ks=levels,
+                sketch_fraction=self.sketch_fraction,
+                seed=self.seed,
+            )
+        else:
+            pairs = extract_pairs(references, self.k)
+            database = SortedKmerDatabase.from_pairs(pairs)
+            sketch = SketchDatabase.from_pairs(
+                pairs, levels, self.sketch_fraction, self.seed
+            )
         # The KSS is part of the offline build, not of the first save.
         return MegisIndex(database, sketch, references, kss=KssTables(sketch))
 

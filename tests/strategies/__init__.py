@@ -7,10 +7,13 @@ Re-exports the commonly used names:
 from tests.strategies.containers import lying_manifests, with_manifest
 from tests.strategies.databases import (
     IndexWorld,
+    ReferenceWorld,
+    collection,
     index_worlds,
     key_probes,
     kmer_rows,
     owner_sets,
+    reference_worlds,
     sorted_kmer_databases,
 )
 from tests.strategies.mapping import (
@@ -25,6 +28,8 @@ __all__ = [
     "STANDARD_SETTINGS",
     "IndexWorld",
     "MappingWorld",
+    "ReferenceWorld",
+    "collection",
     "index_worlds",
     "key_probes",
     "lying_manifests",
@@ -33,6 +38,7 @@ __all__ = [
     "owner_sets",
     "read_lists",
     "reference_view",
+    "reference_worlds",
     "sorted_kmer_databases",
     "with_manifest",
 ]

@@ -7,10 +7,12 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from repro.databases.sketch import SketchDatabase
-from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.index import MegisIndex
+from repro.databases.kss import KssTables
+from repro.databases.sketch import SketchDatabase, _build_tables
+from repro.databases.sorted_db import SortedKmerDatabase, _build_rows
+from repro.megis.index import IndexBuilder, MegisIndex
 from repro.sequences.encoding import kmer_prefix
+from repro.sequences.generator import ReferenceCollection, SpeciesGenome
 
 #: Small taxID universe, so generated owner sets overlap across k-mers.
 TAXIDS = st.integers(min_value=1, max_value=6)
@@ -98,4 +100,72 @@ def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
     return IndexWorld(
         index=MegisIndex(database, SketchDatabase(k, smaller_ks, tables, sketch_sizes)),
         query=sorted(misses | set(kmers[::2])),
+    )
+
+
+@dataclass
+class ReferenceWorld:
+    """Generated reference genomes plus the parameters to index them with."""
+
+    references: ReferenceCollection
+    k: int
+    smaller_ks: Tuple[int, ...]
+    sketch_fraction: float
+    seed: int
+
+    def build(self) -> MegisIndex:
+        """The index ``IndexBuilder`` gives (the column build for k <= 31)."""
+        return IndexBuilder(
+            self.k, self.smaller_ks, self.sketch_fraction, self.seed
+        ).build(self.references)
+
+    def reference_build(self) -> MegisIndex:
+        """The same index from the per-k-mer dict builders, at any ``k``."""
+        sketch = SketchDatabase(*_build_tables(
+            self.references, self.k, self.smaller_ks, self.sketch_fraction, self.seed
+        ))
+        return MegisIndex(
+            SortedKmerDatabase(self.k, *_build_rows(self.references, self.k, False)),
+            sketch, self.references, kss=KssTables(sketch),
+        )
+
+
+def collection(genomes: Dict[int, str]) -> ReferenceCollection:
+    """Sequences by taxid as a one-genus reference collection."""
+    return ReferenceCollection({
+        taxid: SpeciesGenome(taxid, 1, f"species_{taxid}", sequence)
+        for taxid, sequence in genomes.items()
+    })
+
+
+@st.composite
+def reference_worlds(draw, ks: Sequence[int] = (6, 8, 10, 31)) -> ReferenceWorld:
+    """1-6 genomes of 0-120 bases stitched from private text and a pool of
+    shared segments (so owner sets overlap and KSS rows hold stored taxids),
+    some an exact copy of another, some shorter than ``k``; ``smaller_ks``
+    also arrives unsorted and with repeats; seeds include a negative one and
+    one whose salt product wraps past 64 bits."""
+    k = draw(st.sampled_from(list(ks)))
+    dna = st.text(alphabet="ACGT", max_size=70)
+    shared = draw(st.lists(
+        st.text(alphabet="ACGT", min_size=k, max_size=k + 20), max_size=3
+    ))
+    piece = st.one_of(dna, st.sampled_from(shared)) if shared else dna
+    taxids = draw(st.lists(
+        st.integers(min_value=2, max_value=60), unique=True, min_size=1, max_size=6
+    ))
+    genomes: Dict[int, str] = {}
+    for taxid in taxids:
+        if genomes and draw(st.integers(0, 4)) == 0:
+            genomes[taxid] = genomes[draw(st.sampled_from(sorted(genomes)))]
+        else:
+            genomes[taxid] = "".join(draw(st.lists(piece, max_size=5)))[:120]
+    return ReferenceWorld(
+        references=collection(genomes),
+        k=k,
+        smaller_ks=draw(st.sampled_from([
+            (k - 2,), (k - 2, k - 5), (k - 5, k - 2), (k - 2, k - 5, k - 2),
+        ])),
+        sketch_fraction=draw(st.sampled_from([0.25, 0.5, 1.0])),
+        seed=draw(st.sampled_from([0, 7, -3, 2**63 + 5])),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -21,6 +22,7 @@ from repro.backends import (
     set_default_backend,
 )
 from repro.backends.numpy_backend import as_column, stripe_columns
+from repro.backends.retrieval import group_sorted, pack_sets_csr
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
@@ -53,6 +55,39 @@ def bucketize(query: list, edges: list) -> list:
         (lo, hi, query[bisect_left(query, lo):bisect_left(query, hi)])
         for lo, hi in zip(bounds, bounds[1:])
     ]
+
+
+class TestOwnerCsrPacking:
+    """``pack_sets_csr`` is the per-row loop it replaced, array for array."""
+
+    @staticmethod
+    def looped(sets):
+        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+        for i, owners in enumerate(sets):
+            offsets[i + 1] = offsets[i] + len(owners)
+        taxids = np.empty(int(offsets[-1]), dtype=np.int64)
+        for i, owners in enumerate(sets):
+            taxids[offsets[i] : offsets[i + 1]] = sorted(owners)
+        return taxids, offsets
+
+    @pytest.mark.parametrize("sets", [
+        [],
+        [frozenset()],
+        [frozenset(), frozenset({7, 2}), frozenset(), frozenset({5}), frozenset()],
+        [frozenset({9, 1, 4}), frozenset({1}), frozenset({2**40, 3})],
+    ], ids=["no_rows", "one_empty_row", "empty_rows_between", "full_rows"])
+    def test_equals_the_row_loop(self, sets):
+        for got, want in zip(pack_sets_csr(sets), self.looped(sets)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+
+    def test_group_sorted_is_the_csr_of_a_sorted_column(self):
+        keys = np.array([3, 3, 5, 9, 9, 9], dtype=np.uint64)
+        distinct, offsets = group_sorted(keys)
+        assert distinct.tolist() == [3, 5, 9] and distinct.dtype == np.uint64
+        assert offsets.tolist() == [0, 2, 3, 6] and offsets.dtype == np.int64
+        distinct, offsets = group_sorted(keys[:0])
+        assert distinct.tolist() == [] and offsets.tolist() == [0]
 
 
 class TestRegistry:

@@ -84,6 +84,22 @@ class TestIndexLifecycle:
         rebuilt = capsys.readouterr().out
         assert from_index == rebuilt
 
+    @pytest.mark.parametrize("tool", ["megis", "metalign"])
+    def test_ad_hoc_analyze_runs_the_one_offline_build(self, dataset, tool,
+                                                       monkeypatch, capsys):
+        from repro.megis.index import IndexBuilder
+
+        built = []
+        build = IndexBuilder.build
+        monkeypatch.setattr(
+            IndexBuilder, "build",
+            lambda self, references: built.append(build(self, references)) or built[-1],
+        )
+        assert main(["analyze", str(dataset / "references.fasta"),
+                     str(dataset / "reads.fastq"), "--tool", tool]) == 0
+        # ... which builds the KSS offline rather than inside the first query.
+        assert len(built) == 1 and built[0]._kss is not None
+
     def test_metalign_from_index(self, dataset, index_path, capsys):
         code = main(["analyze", str(dataset / "reads.fastq"),
                      "--index", str(index_path), "--tool", "metalign"])

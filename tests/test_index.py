@@ -11,12 +11,16 @@ Pins the build-once / query-many contract:
 - the index reader rejects a non-index payload and any corrupt or
   truncated section loudly;
 - Step-3 unified-index construction is cached across a sample stream when
-  candidate sets overlap.
+  candidate sets overlap;
+- the offline build's column arm (``k <= 31``) writes the file the
+  per-k-mer reference builders write, byte for byte, without a per-k-mer
+  call or a boxed row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -35,10 +39,12 @@ from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.multissd import split_database
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
+from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 from tests.strategies import (
-    STANDARD_SETTINGS, index_worlds, lying_manifests, with_manifest,
+    STANDARD_SETTINGS, ReferenceWorld, collection, index_worlds, lying_manifests,
+    reference_worlds, with_manifest,
 )
 
 BACKENDS = ("python", "numpy")
@@ -897,3 +903,105 @@ class TestIndexBuilder:
         wrong = SketchDatabase.build(references, k_max=16, smaller_ks=(8,))
         with pytest.raises(ValueError):
             MegisIndex(sorted_db, wrong, references)
+
+
+def _build_columns(index):
+    """Every column a built index holds — the owner CSR included."""
+    taxids, offsets = index.database.owner_columns()
+    return {**_kss_columns(index.kss), "db/kmers": index.database.column(),
+            "db/owner_taxids": taxids, "db/owner_offsets": offsets}
+
+
+def _assert_same_build(world: ReferenceWorld) -> None:
+    """The column build equals the reference build: files, columns, rows."""
+    built, want = world.build(), world.reference_build()
+    for n in (1, 3):
+        assert built.to_bytes(n) == want.to_bytes(n)
+    got_columns, want_columns = _build_columns(built), _build_columns(want)
+    _assert_same_columns(got_columns, want_columns)
+    for name, column in want_columns.items():
+        assert got_columns[name].dtype == column.dtype, name
+    assert built.sketch.sketch_sizes == want.sketch.sketch_sizes
+    assert built.sketch.smaller_ks == want.sketch.smaller_ks
+    assert built.sketch.tables == want.sketch.tables
+    assert built.kss.entries == want.kss.entries
+    assert built.kss.sub_tables == want.kss.sub_tables
+    for kmer, _ in want.kss.entries:
+        assert built.sketch.lookup(kmer) == want.sketch.lookup(kmer)
+
+
+def _count_calls(monkeypatch):
+    """Count the build's per-k-mer and per-genome calls by name."""
+    from repro.databases import kraken, sketch, sorted_db
+
+    calls = {"_passes": 0, "_kmer_hash": 0,
+             "extract_kmers": 0, "extract_kmers_batch": 0}
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls[function.__name__] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in [
+        (sketch, "_passes"), (sketch, "_kmer_hash"), (kraken, "_kmer_hash"),
+        (sketch, "extract_kmers"), (sorted_db, "extract_kmers"),
+        (sorted_db, "extract_kmers_batch"),
+    ]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
+class TestColumnBuild:
+    """``k <= 31``: one extraction, column arithmetic, the reference's bytes."""
+
+    #: sha256 of this index file as the per-k-mer dict builders wrote it
+    #: (recorded at the commit before the column build existed).
+    GOLDEN = "d9cbdf2b28d33bff4120ab86fa3512a7cd322232f40e5050c614180f14042c54"
+
+    @staticmethod
+    def golden_references():
+        return GenomeGenerator(
+            n_genera=4, species_per_genus=3, genome_length=2000, seed=5
+        ).generate()
+
+    def test_golden_digest(self):
+        index = IndexBuilder(k=20).build(self.golden_references())
+        assert hashlib.sha256(index.to_bytes(4)).hexdigest() == self.GOLDEN
+
+    @STANDARD_SETTINGS
+    @given(world=reference_worlds())
+    def test_equals_reference_build(self, world):
+        _assert_same_build(world)
+
+    @pytest.mark.parametrize("genomes", [
+        {},
+        {3: "ACGT", 9: "", 12: "ACGTACG"},
+        {7: "ACGTTGCAAGCTTAGGCATCGATTACGGCATAGCTAGGATC"},
+    ], ids=["empty", "all_shorter_than_k", "one_genome"])
+    def test_degenerate_collections(self, genomes):
+        world = ReferenceWorld(collection(genomes), 8, (6, 3), 0.5, 0)
+        _assert_same_build(world)
+        assert world.build().sketch.sketch_sizes.keys() == genomes.keys()
+
+    @pytest.mark.parametrize("k", [32, 40])
+    def test_wide_k_takes_the_reference_arm(self, k, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        genome = GenomeGenerator(
+            n_genera=1, species_per_genus=2, genome_length=150, seed=3
+        ).generate()
+        world = ReferenceWorld(genome, k, (k - 8, k - 12), 0.5, 0)
+        payload = world.build().to_bytes(2)
+        assert calls["_passes"] > 0 and calls["extract_kmers_batch"] == 0
+        assert payload == world.reference_build().to_bytes(2)
+        assert MegisIndex.from_bytes(payload).to_bytes(2) == payload
+
+    def test_no_per_kmer_call_and_no_boxed_row(self, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        index = IndexBuilder(k=20).build(self.golden_references())
+        index.to_bytes(4)
+        assert calls == {"_passes": 0, "_kmer_hash": 0,
+                         "extract_kmers": 0, "extract_kmers_batch": 1}
+        assert index.kss.row_materializations == 0
+        assert index.database.row_materializations == 0
+        assert index.sketch._tables is None
