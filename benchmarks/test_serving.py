@@ -1,31 +1,30 @@
-"""Serving benchmarks: streaming emission, throughput, and the QoS trade.
+"""Serving benchmarks: streaming emission, serving identity, and throughput rows.
 
-Pins the structural wins of the streaming serving API:
+Pins what the serving tiers must do whatever the host's speed:
 
 - ``repro serve`` must emit its first result while stdin is still open —
   the incremental-emission contract that lets the daemon sit under an
   infinite stream (enforced with a gated fake stdin that refuses to EOF
   until a result line appears);
 - ``AnalysisService(workers=4)`` over the numpy kernels must serve the
-  multi-sample workload at >=2x the samples/sec of ``workers=1`` — and
-  produce bit-identical results.  Step 2 runs paced (the modeled flash
-  stream as real wall time, ``repro.backends.paced``), which is the
-  regime the paper's serving story lives in: stream-bound, not
-  compute-bound.  The speedup comes from two compounding mechanisms that
-  work even on a single CPU core: workers coalesce queued samples into
-  §4.7 batches (the stream is paid once per batch) and the paced waits of
-  independent batches overlap across threads;
-- the ``--batch-window-ms`` knob must show its monotone endpoints on the
-  paced backend: coalescing a burst raises throughput, and delaying a
-  trickle raises p99 latency (the §4.7 trade the ``qos_latency``
-  experiment sweeps);
-- a ThreadedExecutor-driven sharded Step 2 must reproduce the serial
-  multi-SSD result exactly while overlapping the shards' paced streams
+  multi-sample workload bit-identically to ``workers=1``, however the
+  workers coalesce queued samples into §4.7 batches.  Step 2 runs paced
+  (the modeled flash stream as real wall time, ``repro.backends.paced``),
+  the stream-bound regime the paper's serving story lives in;
+- ``threads:4`` and ``processes:4`` must serve the mapping stream exactly
+  as the serial one-worker service does;
+- a ``threads:4`` sharded Step 2 must reproduce the serial multi-SSD
+  result exactly while overlapping the shards' paced streams
   (``measured_overlap_saved_ms > 0``);
 - ``repro gateway`` must serve four concurrent TCP clients bit-identically
   to serial analyze, and a per-client token bucket must shed a flooding
-  client into structured rejections while its victims come out whole —
-  both land as rows in the ``BENCH_serving.json`` CI artifact.
+  client into structured rejections while its victims come out whole.
+
+The ``benchmark``-fixture rows report wall time and land in the uploaded
+``BENCH_serving.json``; nothing reads it back or gates on it.  Whether
+the stack got faster or slower is ``benchmarks/ledger`` (``run.py`` on
+parent and change, then ``compare.py``), so no test here asserts a
+wall-clock ratio.
 """
 
 import asyncio
@@ -36,7 +35,6 @@ import time
 
 import pytest
 
-from benchmarks.conftest import emit
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis import wire
 from repro.megis.index import MegisIndex
@@ -79,46 +77,31 @@ def _paced_session(bench_sorted_db, bench_sketch) -> AnalysisSession:
 
 def _serve(session, samples, workers):
     with AnalysisService(session, workers=workers) as service:
-        start = time.perf_counter()
         futures = service.submit_batch(samples)
-        results = [future.result() for future in futures]
-        elapsed = time.perf_counter() - start
-    return results, elapsed
+        return [future.result() for future in futures]
 
 
 def test_service_workers_speedup_floor(bench_sorted_db, bench_sketch,
                                        bench_sample):
-    """workers=4 must be >=2x samples/sec over workers=1, bit-identically.
+    """workers=4 must serve exactly what workers=1 serves.
 
-    Acceptance floor of the concurrent serving API (typical margin: ~3x
-    even on one core; more with real thread parallelism).  Best-of-N on
-    both sides so a noisy-neighbor pause cannot flip the verdict.
+    The identity half of what was a >=2x samples/sec floor; throughput
+    under coalescing is the ledger's ``burst_paced`` row
+    (``samples_per_s``, ``service.batch_size_mean``).  Three concurrent
+    rounds, because each one coalesces the queue differently.
     """
     samples = _sample_stream(bench_sample)
-    expected, _ = _serve(
+    expected = _serve(
         _paced_session(bench_sorted_db, bench_sketch), samples, workers=1
     )
     expected_signature = [_result_signature(r) for r in expected]
     assert any(sig[1] for sig in expected_signature), "stream must hit the index"
 
-    serial_s = min(
-        _serve(_paced_session(bench_sorted_db, bench_sketch), samples, 1)[1]
-        for _ in range(2)
-    )
-    concurrent_s = float("inf")
     for _ in range(3):
-        results, elapsed = _serve(
+        results = _serve(
             _paced_session(bench_sorted_db, bench_sketch), samples, 4
         )
         assert [_result_signature(r) for r in results] == expected_signature
-        concurrent_s = min(concurrent_s, elapsed)
-
-    speedup = serial_s / concurrent_s
-    assert speedup >= 2.0, (
-        f"AnalysisService(workers=4) only {speedup:.2f}x over workers=1 "
-        f"({N_SAMPLES / serial_s:.1f} -> {N_SAMPLES / concurrent_s:.1f} "
-        f"samples/s)"
-    )
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -202,7 +185,7 @@ def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
     not asserted: which substrate wins is decided by measurement.
     """
     samples = _sample_stream(bench_sample)
-    expected, _ = _serve_closing(
+    expected = _serve_closing(
         _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
         samples, workers=1,
     )
@@ -216,7 +199,7 @@ def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
             bench_sorted_db, bench_sketch, bench_sample, executor=executor
         )
         with session:
-            results, _ = _serve(session, samples, workers=4)
+            results = _serve(session, samples, workers=4)
             runner = session._runner
             captured["respawns"] = runner.respawns if runner else 0
         assert [_result_signature(r) for r in results] == expected_signature
@@ -240,7 +223,7 @@ def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
     a column kernel now; the substrate rows above report the gap.
     """
     samples = _sample_stream(bench_sample)
-    expected, _ = _serve_closing(
+    expected = _serve_closing(
         _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
         samples, workers=1,
     )
@@ -248,44 +231,12 @@ def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
     assert any(sig[1] for sig in expected_signature), "stream must hit the index"
 
     for executor in (None, "processes:4"):
-        results, _ = _serve_closing(
+        results = _serve_closing(
             _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
                              executor=executor),
             samples, workers=4,
         )
         assert [_result_signature(r) for r in results] == expected_signature
-
-
-def test_batch_window_trade_monotone_endpoints(benchmark):
-    """The qos_latency sweep's report artifact must show the §4.7 trade:
-    under a burst, widening the window raises throughput (one coalesced
-    stream instead of two); under a trickle, it raises p99 latency (pure
-    admission delay).  Endpoints only — the middle of the curve is
-    reported, not asserted, so pacing noise cannot flake CI."""
-    from repro.experiments.qos_latency import run as run_qos
-
-    result = benchmark.pedantic(run_qos, rounds=1, iterations=1)
-    emit(result)
-    burst = {r["window_ms"]: r for r in result.rows if r["regime"] == "burst"}
-    trickle = {r["window_ms"]: r for r in result.rows
-               if r["regime"] == "trickle"}
-    windows = sorted(burst)
-    lo, hi = windows[0], windows[-1]
-    assert burst[hi]["samples_per_s"] > burst[lo]["samples_per_s"], (
-        "burst coalescing must raise throughput: "
-        f"{burst[lo]['samples_per_s']:.1f} -> {burst[hi]['samples_per_s']:.1f}"
-    )
-    assert burst[hi]["batches"] < burst[lo]["batches"]
-    assert trickle[hi]["p99_ms"] > trickle[lo]["p99_ms"], (
-        "trickle admission delay must raise p99: "
-        f"{trickle[lo]['p99_ms']:.1f} -> {trickle[hi]['p99_ms']:.1f} ms"
-    )
-    benchmark.extra_info["burst_samples_per_s"] = {
-        str(w): round(burst[w]["samples_per_s"], 2) for w in windows
-    }
-    benchmark.extra_info["trickle_p99_ms"] = {
-        str(w): round(trickle[w]["p99_ms"], 2) for w in windows
-    }
 
 
 class _GatedStdin:
@@ -455,8 +406,7 @@ def test_gateway_multiclient_throughput(benchmark, bench_sorted_db,
     clients (CI artifact row in ``BENCH_serving.json``).
 
     Every frame is asserted bit-identical to serial ``session.analyze``
-    and every client must come out of each round whole — the same
-    completion-parity fairness the gateway_qos experiment sweeps."""
+    and every client must come out of each round whole."""
     samples = _sample_stream(bench_sample)
     session = _paced_session(bench_sorted_db, bench_sketch)
     expected, requests = _gateway_expectations(session, samples)
@@ -491,11 +441,7 @@ def test_gateway_multiclient_throughput(benchmark, bench_sorted_db,
 def test_gateway_rate_limit_fairness(benchmark, bench_sorted_db,
                                      bench_sketch, bench_sample):
     """Flooding client under a token bucket: victims untouched, flooder
-    sheds into structured ``rate_limited`` frames, nothing is lost.
-
-    The latency comparison across scenarios lives in the gateway_qos
-    experiment; this row pins the fairness accounting into the CI
-    artifact."""
+    sheds into structured ``rate_limited`` frames, nothing is lost."""
     samples = _sample_stream(bench_sample)
     session = _paced_session(bench_sorted_db, bench_sketch)
     expected, requests = _gateway_expectations(session, samples)
@@ -543,40 +489,6 @@ def test_gateway_rate_limit_fairness(benchmark, bench_sorted_db,
     benchmark.extra_info["samples_per_s"] = round(
         (len(served) + per * len(victims)) / captured["elapsed"], 2
     )
-
-
-def test_cluster_scaling_floor(benchmark):
-    """The cluster tier's acceptance floor: a 2-node scatter-gather
-    cluster must serve the paced stream >=1.5x faster than 1-node, and
-    the kill+replica failure-injection row must complete every request
-    through the retry path — all bit-identical (asserted inside the
-    experiment, per cell).  The 1/2/4-node sweep plus the failure row
-    land in ``BENCH_serving.json``, so cluster scaling is tracked run
-    over run like every other serving row."""
-    from repro.experiments.cluster_scaling import run as run_cluster
-
-    result = benchmark.pedantic(run_cluster, rounds=1, iterations=1)
-    emit(result)
-    by_scenario = {r["scenario"]: r for r in result.rows}
-    one, two = by_scenario["1-node"], by_scenario["2-node"]
-    speedup = two["samples_per_s"] / one["samples_per_s"]
-    assert speedup >= 1.5, (
-        f"2-node cluster only {speedup:.2f}x over 1-node on the paced "
-        f"workload ({one['samples_per_s']:.1f} -> "
-        f"{two['samples_per_s']:.1f} samples/s)"
-    )
-    killed = by_scenario["2-node kill+replica"]
-    assert killed["completed"] == one["completed"], (
-        "the replica must absorb every request after the kill"
-    )
-    assert killed["node_retries"] >= 1 and killed["node_failures"] == 0
-    for row in result.rows:
-        benchmark.extra_info[row["scenario"]] = {
-            "samples_per_s": round(row["samples_per_s"], 2),
-            "p99_ms": round(row["p99_ms"], 2),
-            "node_retries": row["node_retries"],
-        }
-    benchmark.extra_info["speedup_2_over_1"] = round(speedup, 3)
 
 
 def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):

@@ -44,9 +44,6 @@ class WireSchemaChecker(Checker):
         "src/repro/megis/gateway.py",
         "src/repro/megis/cluster",
         "src/repro/cli.py",
-        "src/repro/experiments/_serving.py",
-        "src/repro/experiments/gateway_qos.py",
-        "src/repro/experiments/cluster_scaling.py",
     )
 
     def __init__(self) -> None:

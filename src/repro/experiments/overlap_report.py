@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from repro.backends.paced import PacedStepTwoBackend
 from repro.databases.serialization import kmer_record_bytes
-from repro.experiments._serving import build_world
 from repro.experiments.runner import ExperimentResult
+from repro.megis.index import IndexBuilder
 from repro.megis.multissd import MultiSsdStepTwo
+from repro.sequences.generator import GenomeGenerator
 
-N_READS = 160
 #: Slow enough that each shard's paced stream dwarfs kernel time, so the
 #: measured overlap reflects stream concurrency, not Python scheduling.
 MB_PER_S = 0.8
@@ -57,7 +57,11 @@ def run() -> ExperimentResult:
         notes="measured = overlap_saved / busy over the paced streams "
               "(best of trials); model = 1 - max_shard/total byte volume",
     )
-    index, _ = build_world(1, N_READS)
+    # A 3-genus x 2-species world; only its index is streamed here.
+    index = IndexBuilder(k=20, smaller_ks=(12, 8), sketch_fraction=0.3).build(
+        GenomeGenerator(n_genera=3, species_per_genus=2, genome_length=900,
+                        seed=47).generate()
+    )
     # Every third database k-mer: a dense sorted query column, the shape
     # Step 2 consumes after extraction.
     query = index.database.kmers[::3]

@@ -80,16 +80,10 @@ REGISTRY: Dict[str, str] = {
     "accuracy": "repro.experiments.accuracy",
     "kss_size": "repro.experiments.kss_size",
     "ftl_metadata": "repro.experiments.ftl_metadata",
-    "index_lifecycle": "repro.experiments.index_lifecycle",
-    "serving_throughput": "repro.experiments.serving_throughput",
     "ablation_buckets": "repro.experiments.ablation_buckets",
     "ablation_sketch": "repro.experiments.ablation_sketch",
-    "backend_scaling": "repro.experiments.backend_scaling",
     "isp_management": "repro.experiments.isp_management",
     "overprovisioning": "repro.experiments.overprovisioning",
-    "qos_latency": "repro.experiments.qos_latency",
-    "gateway_qos": "repro.experiments.gateway_qos",
-    "cluster_scaling": "repro.experiments.cluster_scaling",
     "overlap_report": "repro.experiments.overlap_report",
     "random_read_latency": "repro.experiments.random_read_latency",
 }

@@ -33,9 +33,9 @@ whole batch.  ``batch_window_ms`` makes that coalescing an explicit knob
 instead of an accident of drain timing: an idle worker holds admission of
 a forming batch for up to the window (measured from the head request's
 enqueue) so trickling arrivals amortize one database stream, trading tail
-latency for throughput — the §4.7 batching trade the ``qos_latency``
-experiment sweeps.  Per-request ``deadline_ms`` bounds queue wait: a
-sample still queued past its deadline fails with
+latency for throughput — the §4.7 batching trade the window tests of
+``tests/test_service.py`` pin.  Per-request ``deadline_ms`` bounds queue
+wait: a sample still queued past its deadline fails with
 :class:`DeadlineExceeded` instead of occupying a batch slot.
 
 Results are bit-identical to serial ``session.analyze`` calls no matter

@@ -18,9 +18,8 @@ def render_json(payload: object, *, indent: int = 2) -> str:
     """Canonical JSON for every ``--format json`` CLI surface.
 
     One emitter — sorted keys, fixed indent, no trailing newline — shared
-    by :func:`json_report`, ``repro check``, and
-    ``benchmarks/bench_compare.py`` so machine consumers parse one
-    dialect no matter which tool produced the artifact.
+    by :func:`json_report` and ``repro check`` so machine consumers parse
+    one dialect no matter which tool produced the artifact.
     """
     return json.dumps(payload, indent=indent, sort_keys=True)
 

@@ -15,6 +15,7 @@ from tests.strategies.databases import (
     owner_sets,
     reference_worlds,
     sorted_kmer_databases,
+    synthetic_sketch,
 )
 from tests.strategies.mapping import (
     MappingWorld,
@@ -40,5 +41,6 @@ __all__ = [
     "reference_view",
     "reference_worlds",
     "sorted_kmer_databases",
+    "synthetic_sketch",
     "with_manifest",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -101,6 +102,32 @@ def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
         index=MegisIndex(database, SketchDatabase(k, smaller_ks, tables, sketch_sizes)),
         query=sorted(misses | set(kmers[::2])),
     )
+
+
+def synthetic_sketch(
+    kmers: List[int], owners: List[FrozenSet[int]],
+    k_max: int, smaller_ks: Tuple[int, ...] = (12, 8),
+) -> SketchDatabase:
+    """A SketchDatabase straight from (k-mer, owners) pairs.
+
+    Treats every database k-mer as sketched, with smaller-k tables as the
+    per-prefix owner unions — the shape :meth:`SketchDatabase.build`
+    produces, without needing reference genomes.  Shared by the retrieval
+    property tests and the retrieval benchmarks, whose worlds are too
+    large to draw.
+    """
+    tables: Dict[int, Dict[int, FrozenSet[int]]] = {
+        k_max: dict(zip(kmers, owners))
+    }
+    for k in smaller_ks:
+        level: Dict[int, set] = {}
+        for kmer, own in zip(kmers, owners):
+            level.setdefault(kmer_prefix(kmer, k_max, k), set()).update(own)
+        tables[k] = {p: frozenset(s) for p, s in level.items()}
+    sizes: Counter = Counter()
+    for own in owners:
+        sizes.update(own)
+    return SketchDatabase(k_max, smaller_ks, tables, dict(sizes))
 
 
 @dataclass

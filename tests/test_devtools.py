@@ -224,34 +224,3 @@ def test_path_matches_prefix_and_glob():
     assert not path_matches("tests/test_wire.py", ("src/repro",))
     # A no-wildcard pattern is a prefix, not a substring.
     assert not path_matches("src/repro_extras/x.py", ("src/repro",))
-
-
-# ---------------------------------------------------------------------------
-# Satellite: bench_compare shares the reporting emitter.
-
-def test_bench_compare_json_format(tmp_path, capsys):
-    import importlib.util
-
-    from repro.reporting import render_json
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", REPO_ROOT / "benchmarks" / "bench_compare.py"
-    )
-    bench_compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_compare)
-
-    def artifact(name: str, mean: float) -> str:
-        path = tmp_path / name
-        path.write_text(json.dumps({"benchmarks": [
-            {"name": "bench_a", "stats": {"mean": mean, "stddev": 0.0}},
-        ]}))
-        return str(path)
-
-    old = artifact("old.json", 1.0)
-    new = artifact("new.json", 3.0)
-    assert bench_compare.main([old, new, "--format", "json"]) == 1
-    out = capsys.readouterr().out
-    payload = json.loads(out)
-    assert payload["rows"][0]["ratio"] == 3.0
-    assert payload["regressions"] == ["bench_a"]
-    assert out.rstrip("\n") == render_json(payload)

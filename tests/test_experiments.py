@@ -10,11 +10,9 @@ class TestRunnerInfrastructure:
         expected = {
             "fig03", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
             "fig18", "fig19", "fig20", "fig21", "table2", "energy",
-            "accuracy", "kss_size", "ftl_metadata", "index_lifecycle",
-            "serving_throughput", "ablation_buckets", "ablation_sketch",
-            "backend_scaling", "isp_management", "overprovisioning",
-            "qos_latency", "gateway_qos", "cluster_scaling", "overlap_report",
-            "random_read_latency",
+            "accuracy", "kss_size", "ftl_metadata", "ablation_buckets",
+            "ablation_sketch", "isp_management", "overprovisioning",
+            "overlap_report", "random_read_latency",
         }
         assert set(REGISTRY) == expected
 
@@ -73,15 +71,6 @@ class TestPaperShapes:
         for ssd in ("SSD-C", "SSD-P"):
             assert rows[(ssd, "MS")]["total"] < rows[(ssd, "MS-NOL")]["total"]
             assert rows[(ssd, "A-Opt+KSS")]["taxid"] < rows[(ssd, "A-Opt")]["taxid"]
-
-    def test_backend_scaling_numpy_wins_at_scale(self, results):
-        rows = results["backend_scaling"].rows
-        assert [r["db_kmers"] for r in rows] == sorted(r["db_kmers"] for r in rows)
-        # Shape only: in the interpreter-overhead regime (largest database)
-        # the columnar backend wins.  The hard >=2x ratio floor lives in the
-        # benchmark job (benchmarks/test_columnar_dataflow.py), not tier-1,
-        # so a noisy shared runner cannot flake the unit suite.
-        assert rows[-1]["numpy_ms"] < rows[-1]["python_ms"]
 
     def test_fig14_speedup_grows_with_db(self, results):
         for ssd in ("SSD-C", "SSD-P"):
@@ -183,52 +172,6 @@ class TestPaperShapes:
                     if r["ssd"] == ssd]
             p99 = [r["p99_us"] for r in rows]
             assert p99 == sorted(p99)
-
-    def test_qos_latency_reports_both_regimes(self, results):
-        """The serving-QoS sweep reports the full window curve per regime;
-        the hard monotone-endpoint floors live in benchmarks/test_serving.py
-        where the paced wall-clock is allowed to matter."""
-        rows = results["qos_latency"].rows
-        by_regime = {}
-        for row in rows:
-            by_regime.setdefault(row["regime"], []).append(row)
-        assert set(by_regime) == {"burst", "trickle"}
-        for regime_rows in by_regime.values():
-            assert [r["window_ms"] for r in regime_rows] == [0.0, 25.0, 90.0]
-        # Burst coalescing: any window past the arrival tail serves the
-        # whole burst as fewer, wider batches than window=0.
-        burst = {r["window_ms"]: r for r in by_regime["burst"]}
-        assert burst[90.0]["batches"] < burst[0.0]["batches"]
-        assert burst[90.0]["widest"] > burst[0.0]["widest"]
-        # Trickle: arrivals never fill a batch, so dispatches stay solo
-        # and every request pays the window as pure admission delay.
-        trickle = {r["window_ms"]: r for r in by_regime["trickle"]}
-        assert all(r["widest"] == 1 for r in trickle.values())
-        for row in rows:
-            assert row["p99_ms"] >= row["p50_ms"]
-            assert 0.0 <= row["slo_attainment"] <= 1.0
-
-    def test_gateway_qos_rate_limit_sheds_flood(self, results):
-        """Latency floors live in benchmarks/test_serving.py; tier-1 checks
-        the accounting: only the rate-limited period rejects, and every
-        request is either served bit-identical (asserted inside the
-        experiment) or rejected with a structured frame."""
-        rows = {r["scenario"]: r for r in results["gateway_qos"].rows}
-        assert set(rows) == {"fair", "flood", "flood+limit"}
-        assert [rows[s]["period"] for s in ("fair", "flood", "flood+limit")] \
-            == [0, 1, 2]
-        assert rows["fair"]["rate_limited"] == 0
-        assert rows["flood"]["rate_limited"] == 0
-        assert rows["flood+limit"]["rate_limited"] > 0
-        # The flood scenarios carry the same offered load; the limiter
-        # converts part of it into rejections, never into lost requests.
-        offered = rows["flood"]["completed"]
-        assert rows["flood+limit"]["completed"] \
-            + rows["flood+limit"]["rate_limited"] == offered
-        for row in rows.values():
-            assert row["clients"] == 4
-            assert row["completed"] > 0
-            assert row["samples_per_s"] > 0
 
     def test_overlap_report_tracks_byte_volume_model(self, results):
         rows = {r["n_ssds"]: r for r in results["overlap_report"].rows}

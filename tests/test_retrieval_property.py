@@ -23,9 +23,9 @@ import pytest
 from repro.backends import get_backend
 from repro.backends.retrieval import RetrievalResult
 from repro.databases.kss import KssTables
-from repro.experiments.backend_scaling import synthetic_sketch
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
+from tests.strategies import synthetic_sketch
 
 K = 14
 SPACE = 1 << (2 * K)
