@@ -1,8 +1,9 @@
-"""Benchmark fixtures: shared sample and databases, printed tables.
+"""Shared fixtures for ``benchmarks/``: one sample, its databases, printed tables.
 
-Each ``test_figXX.py`` benchmark regenerates one paper figure/table via the
-experiment harness; running with ``--benchmark-only -s`` also prints the
-reproduced rows so the harness doubles as the artifact generator.
+Each ``test_figXX.py`` regenerates one paper figure/table via the
+experiment harness and asserts its shape; running with ``-s`` also prints
+the reproduced rows, so the suite doubles as the artifact generator.
+Nothing here is timed: how fast the stack runs is ``benchmarks/ledger``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""Benchmark: the functional accuracy comparison (F1 / L1, §5-§6.1).
+"""The functional accuracy comparison (F1 / L1, §5-§6.1).
 
-This is the one benchmark that exercises the *functional* pipelines
-(Kraken2, Metalign, MegIS) end to end rather than the analytic model, so
-it runs a single round.
+The one paper table here that exercises the *functional* pipelines
+(Kraken2, Metalign, MegIS) end to end rather than the analytic model.
 """
 
 from benchmarks.conftest import emit
 from repro.experiments.accuracy import run
 
 
-def test_accuracy(benchmark):
-    result = benchmark.pedantic(lambda: run(n_reads=300), rounds=1, iterations=1)
+def test_accuracy():
+    result = run(n_reads=300)
     emit(result)
     rows = {(r["sample"], r["tool"]): r for r in result.rows}
     for sample in ("CAMI-L", "CAMI-M", "CAMI-H"):

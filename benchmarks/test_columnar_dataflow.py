@@ -1,4 +1,4 @@
-"""Columnar-dataflow benchmarks: native bucket columns and sharded Step 2.
+"""Columnar-dataflow identity checks: native bucket columns, CSR retrieval, cold open.
 
 Pins the structural wins of the columnar refactor:
 
@@ -6,10 +6,6 @@ Pins the structural wins of the columnar refactor:
   streams them with zero per-call conversion — and answers exactly as it
   does over the list-bucket hand-off it previously received (which
   re-converted every bucket on every call);
-- sharded (multi-SSD) Step 2 runs the shard kernel
-  (``repro.megis.multissd.shard_step_two``) per shard, benchmarked for
-  both backends against the single-SSD result it must reproduce bit for
-  bit;
 - KSS retrieval emits CSR owner columns and hit accumulation + containment
   run as ``np.unique``/array expressions — bit-identical to the
   register-level reference on the same inputs;
@@ -17,9 +13,11 @@ Pins the structural wins of the columnar refactor:
   persisted CSR sections — zero column rebuilds and zero ``KssTables``
   row-object materializations, asserted via the cache-build counters.
 
-Nothing here asserts a wall-clock ratio: the ``*_floor`` tests keep the
-identity half of the floors they were named for, and how fast the host
-runs them is a ``benchmarks/ledger`` row against the parent commit.
+Sharded (multi-SSD) Step 2 against the single-SSD result it must
+reproduce bit for bit is ``tests/test_multissd.py``.  Nothing here
+asserts a wall-clock ratio: the ``*_floor`` tests keep the identity half
+of the floors they were named for, and how fast the host runs them is a
+``benchmarks/ledger`` row against the parent commit.
 """
 
 import random
@@ -33,8 +31,6 @@ from repro.backends.numpy_backend import as_column
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo
 from repro.tools.metalign import accumulate_hits, select_candidates
 from benchmarks.conftest import BENCH_K
 from tests.strategies import synthetic_sketch
@@ -96,20 +92,14 @@ def test_partitioner_emits_native_columns(bench_sample):
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_columnar_partition_intersect(benchmark, bench_sorted_db, bench_sample,
-                                      backend):
+def test_columnar_partition_intersect(bench_sorted_db, bench_sample, backend):
     """End-to-end Step 1 -> Step 2 in each backend's native containers."""
     engine = get_backend("numpy")
-    bench_sorted_db.column()
     partitioner = KmerBucketPartitioner(k=BENCH_K, n_buckets=16, backend=backend)
-
-    def partition_then_intersect():
-        buckets = partitioner.partition(bench_sample.reads)
-        return engine.intersect_bucketed_multi(
-            bench_sorted_db, [buckets.slices()], 8
-        )[0]
-
-    result = benchmark(partition_then_intersect)
+    buckets = partitioner.partition(bench_sample.reads)
+    result = engine.intersect_bucketed_multi(
+        bench_sorted_db, [buckets.slices()], 8
+    )[0]
     assert result
 
 
@@ -152,30 +142,6 @@ def test_retrieval_accumulate_speedup_floor():
     expected = _retrieve_accumulate("python", sketch, kss, queries)
     assert _retrieve_accumulate("numpy", sketch, kss, queries) == expected
     assert expected[1], "candidate set empty - the world is degenerate"
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_retrieval_accumulate_scaling(benchmark, backend):
-    """Retrieval+accumulate wall time per backend on the synthetic world."""
-    sketch, kss, queries = _retrieval_world(n_db=30_000, n_query=15_000)
-    sketch_hits, candidates = benchmark(
-        lambda: _retrieve_accumulate(backend, sketch, kss, queries)
-    )
-    assert sketch_hits and candidates
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_sharded_step2(benchmark, bench_sorted_db, bench_kss, backend):
-    """Multi-SSD Step 2: the shard kernel over four shards, gathered."""
-    query = bench_sorted_db.kmers[::3]
-    single = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8,
-                        backend=backend).run(query)
-    engine = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             channels_per_ssd=8, backend=backend)
-
-    result = benchmark(lambda: engine.run(query))
-    assert result[0] == single[0]
-    assert result[1] == single[1]
 
 
 def test_index_cold_open_serves_without_rebuild(bench_sample):
@@ -231,21 +197,3 @@ def test_index_cold_open_beats_rebuild(bench_sample):
     )
     payload = built.to_bytes(n_shards=2)
     assert MegisIndex.from_bytes(payload).to_bytes(n_shards=2) == payload
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_sharded_multi_sample_batched(benchmark, bench_sorted_db, bench_kss,
-                                      bench_sample, backend):
-    """Batched multi-sample Step 2 across shards (§4.7 x §6.1)."""
-    partitioner = KmerBucketPartitioner(k=BENCH_K, n_buckets=8, backend=backend)
-    samples = [
-        [(b.lo, b.hi, b.kmers) for b in partitioner.partition(reads).buckets]
-        for reads in (bench_sample.reads[:300], bench_sample.reads[300:])
-    ]
-    single = IspStepTwo(bench_sorted_db, bench_kss,
-                        backend=backend).run_bucketed_multi(samples)
-    engine = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             backend=backend)
-
-    results = benchmark(lambda: engine.run_multi(samples))
-    assert results == single

@@ -1,10 +1,10 @@
-"""Microbenchmarks of the core in-storage primitives.
+"""Identity checks of the core in-storage primitives.
 
-These time the functional building blocks themselves (not the analytic
-model): the per-channel Intersect merge, KSS streaming retrieval vs
-pointer-chasing tree lookups, the Step-2 backends (python reference vs
-numpy columnar), Step-1 bucket partitioning, and the channel-level NAND
-timing simulation.
+Each runs one functional building block on the shared benchmark world
+(not the analytic model) and asserts what it must return: the per-channel
+Intersect merge, KSS streaming retrieval vs pointer-chasing tree lookups,
+the Step-2 backends (python reference vs numpy columnar), Step-1 bucket
+partitioning, and the channel-level NAND timing simulation.
 """
 
 import pytest
@@ -21,87 +21,58 @@ from repro.ssd.config import ssd_c
 from benchmarks.conftest import BENCH_K
 
 
-def test_intersect_unit_merge(benchmark, bench_sorted_db):
+def test_intersect_unit_merge(bench_sorted_db):
     db = bench_sorted_db.kmers
     query = db[::3]
-
-    def merge():
-        return IntersectUnit(channel=0).intersect(db, query)
-
-    result = benchmark(merge)
+    result = IntersectUnit(channel=0).intersect(db, query)
     assert result == query
 
 
-def test_kss_streaming_retrieval(benchmark, bench_kss, bench_sketch):
+def test_kss_streaming_retrieval(bench_kss, bench_sketch):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
-
-    def retrieve():
-        return TaxIdRetriever(bench_kss).retrieve(queries)
-
-    result = benchmark(retrieve)
+    result = TaxIdRetriever(bench_kss).retrieve(queries)
     assert len(result) == len(queries)
 
 
-def test_ternary_tree_lookups(benchmark, bench_sketch):
+def test_ternary_tree_lookups(bench_sketch):
     tree = TernarySearchTree(bench_sketch)
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
-
-    def lookup_all():
-        return [tree.lookup(q) for q in queries]
-
-    results = benchmark(lookup_all)
+    results = [tree.lookup(q) for q in queries]
     assert len(results) == len(queries)
 
 
-def test_bucket_partitioning(benchmark, bench_sample):
+def test_bucket_partitioning(bench_sample):
     partitioner = KmerBucketPartitioner(k=BENCH_K, n_buckets=16)
-
-    def partition():
-        return partitioner.partition(bench_sample.reads)
-
-    bucket_set = benchmark(partition)
+    bucket_set = partitioner.partition(bench_sample.reads)
     assert bucket_set.total_kmers() > 0
 
 
-def test_kmer_extraction(benchmark, bench_sample):
+def test_kmer_extraction(bench_sample):
     genome = bench_sample.references.sequence(
         bench_sample.references.species_taxids[0]
     )
-
-    def extract():
-        return extract_kmers(genome, BENCH_K)
-
-    kmers = benchmark(extract)
+    kmers = extract_kmers(genome, BENCH_K)
     assert kmers.size == len(genome) - BENCH_K + 1
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_step2_intersect_backend(benchmark, bench_sorted_db, backend):
+def test_step2_intersect_backend(bench_sorted_db, backend):
     query = bench_sorted_db.kmers[::3]
     engine = get_backend(backend)
-    bench_sorted_db.column()  # columnar cache built outside the timed region
-
-    def intersect():
-        return engine.intersect(bench_sorted_db, query, n_channels=8)
-
-    result = benchmark(intersect)
+    result = engine.intersect(bench_sorted_db, query, n_channels=8)
     assert result == query
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_step2_retrieval_backend(benchmark, bench_kss, bench_sketch, backend):
+def test_step2_retrieval_backend(bench_kss, bench_sketch, backend):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
     engine = get_backend(backend)
-
-    def retrieve():
-        return engine.retrieve(bench_kss, queries)
-
-    result = benchmark(retrieve)
+    result = engine.retrieve(bench_kss, queries)
     assert len(result) == len(queries)
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_step2_multi_sample_batched(benchmark, bench_sorted_db, bench_kss,
+def test_step2_multi_sample_batched(bench_sorted_db, bench_kss,
                                     bench_sample, backend):
     partitioner = KmerBucketPartitioner(k=BENCH_K, n_buckets=8)
     samples = [
@@ -112,11 +83,7 @@ def test_step2_multi_sample_batched(benchmark, bench_sorted_db, bench_kss,
         for reads in (bench_sample.reads[:300], bench_sample.reads[300:])
     ]
     isp = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8, backend=backend)
-
-    def batched():
-        return isp.run_bucketed_multi(samples)
-
-    results = benchmark(batched)
+    results = isp.run_bucketed_multi(samples)
     assert len(results) == 2 and all(r[0] for r in results)
 
 
@@ -138,12 +105,8 @@ def test_numpy_backend_speedup_floor():
     assert expected == python.intersect(database, query, n_channels=8)
 
 
-def test_channel_simulation_sequential(benchmark):
+def test_channel_simulation_sequential():
     config = ssd_c()
     sim = ChannelSimulator(config.geometry, config.t_read_us, config.channel_bw)
-
-    def simulate():
-        return sim.measure_bandwidth(AccessPattern.SEQUENTIAL, n_requests=1024)
-
-    bandwidth = benchmark(simulate)
+    bandwidth = sim.measure_bandwidth(AccessPattern.SEQUENTIAL, n_requests=1024)
     assert bandwidth > 0.8 * config.internal_read_bw

@@ -1,11 +1,11 @@
-"""Benchmark: regenerate the §6.5 energy and data-movement analysis."""
+"""Regenerate the §6.5 energy and data-movement analysis."""
 
 from benchmarks.conftest import emit
 from repro.experiments.energy import run
 
 
-def test_energy(benchmark):
-    result = benchmark(run)
+def test_energy():
+    result = run()
     emit(result)
     for row in result.rows:
         assert row["reduction_vs_P"] > 2.5

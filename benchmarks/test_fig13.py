@@ -1,11 +1,11 @@
-"""Benchmark: regenerate Fig 13 (time breakdown, CAMI-L)."""
+"""Regenerate Fig 13 (time breakdown, CAMI-L)."""
 
 from benchmarks.conftest import emit
 from repro.experiments.fig13_breakdown import run
 
 
-def test_fig13_breakdown(benchmark):
-    result = benchmark(run)
+def test_fig13_breakdown():
+    result = run()
     emit(result)
     rows = {(r["ssd"], r["config"]): r for r in result.rows}
     for ssd in ("SSD-C", "SSD-P"):

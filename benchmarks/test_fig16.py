@@ -1,11 +1,11 @@
-"""Benchmark: regenerate Fig 16 (host-DRAM-capacity sweep)."""
+"""Regenerate Fig 16 (host-DRAM-capacity sweep)."""
 
 from benchmarks.conftest import emit
 from repro.experiments.fig16_dram import run
 
 
-def test_fig16_dram(benchmark):
-    result = benchmark(run)
+def test_fig16_dram():
+    result = run()
     emit(result)
     for ssd in ("SSD-C", "SSD-P"):
         series = [r["MS"] for r in result.rows if r["ssd"] == ssd]

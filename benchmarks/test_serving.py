@@ -1,4 +1,4 @@
-"""Serving benchmarks: streaming emission, serving identity, and throughput rows.
+"""Serving identity checks: streaming emission and bit-identical serving tiers.
 
 Pins what the serving tiers must do whatever the host's speed:
 
@@ -15,26 +15,20 @@ Pins what the serving tiers must do whatever the host's speed:
   as the serial one-worker service does;
 - a ``threads:4`` sharded Step 2 must reproduce the serial multi-SSD
   result exactly while overlapping the shards' paced streams
-  (``measured_overlap_saved_ms > 0``);
-- ``repro gateway`` must serve four concurrent TCP clients bit-identically
-  to serial analyze, and a per-client token bucket must shed a flooding
-  client into structured rejections while its victims come out whole.
+  (``measured_overlap_saved_ms > 0``).
 
-The ``benchmark``-fixture rows report wall time and land in the uploaded
-``BENCH_serving.json``; nothing reads it back or gates on it.  Whether
-the stack got faster or slower is ``benchmarks/ledger`` (``run.py`` on
-parent and change, then ``compare.py``), so no test here asserts a
-wall-clock ratio.
+The gateway's concurrent-client identity and its token-bucket fairness
+are ``tests/test_gateway.py``.  Whether the stack got faster or slower
+is ``benchmarks/ledger`` (``run.py`` on parent and change, then
+``compare.py``), so nothing here times a run or asserts a wall-clock
+ratio.
 """
 
-import asyncio
 import json
-import os
 import threading
 import time
 
-import pytest
-
+from repro.backends import PhaseTimings
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis import wire
 from repro.megis.index import MegisIndex
@@ -48,7 +42,7 @@ N_SAMPLES = 12
 MB_PER_S = 4.0
 #: Bandwidth for the mapping workload: light pacing, so Steps 1 and 3 —
 #: CPU work, not stream waits — dominate and the executor substrate is
-#: what's measured.
+#: what's exercised.
 MAPPING_MB_PER_S = 32.0
 
 
@@ -104,59 +98,14 @@ def test_service_workers_speedup_floor(bench_sorted_db, bench_sketch,
         assert [_result_signature(r) for r in results] == expected_signature
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_service_throughput(benchmark, bench_sorted_db, bench_sketch,
-                            bench_sample, workers):
-    """Samples/sec through the service at each worker count (CI artifact).
-
-    The uploaded ``BENCH_serving.json`` carries the serving-quality
-    fields alongside the wall time: queue-wait aggregates, batch-width
-    shape, and per-request latency percentiles.
-    """
-    samples = _sample_stream(bench_sample)
-    session = _paced_session(bench_sorted_db, bench_sketch)
-    captured = {}
-
-    def serve_stream():
-        with AnalysisService(session, workers=workers) as service:
-            service.submit_batch(samples)
-            service.close_submissions()
-            completed = list(service.results())
-        captured["stats"] = service.stats
-        captured["latencies"] = sorted(
-            entry.metrics.latency_ms for entry in completed
-        )
-        captured["batch_sizes"] = [
-            entry.metrics.batch_size for entry in completed
-        ]
-        return [entry.future.result() for entry in completed]
-
-    results = benchmark.pedantic(serve_stream, rounds=3, iterations=1)
-    assert all(r.candidates is not None for r in results)
-    stats, latencies = captured["stats"], captured["latencies"]
-    benchmark.extra_info["mean_queue_wait_ms"] = round(
-        stats.mean_queue_wait_ms, 3
-    )
-    benchmark.extra_info["max_queue_wait_ms"] = round(
-        stats.queue_wait_max_ms, 3
-    )
-    benchmark.extra_info["peak_queued"] = stats.peak_queued
-    benchmark.extra_info["mean_batch"] = round(stats.mean_batch, 3)
-    benchmark.extra_info["widest_batch"] = stats.widest_batch
-    benchmark.extra_info["p50_latency_ms"] = round(
-        latencies[len(latencies) // 2], 3
-    )
-    benchmark.extra_info["p99_latency_ms"] = round(latencies[-1], 3)
-
-
 def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
                      executor=None) -> AnalysisSession:
     """Mapping-Step-3 serving under light pacing: the compute-heavy stream.
 
     Steps 1 and 3 run as NumPy column kernels here (batch extraction, the
     columnar vote), so what remains under the GIL is the glue between
-    them; whether forked workers beat threads on it is a measurement
-    (the two substrate rows below), not a floor."""
+    them; whether forked workers beat threads on it is a measurement,
+    not a floor."""
     index = MegisIndex(bench_sorted_db, bench_sketch, bench_sample.references)
     backend = PacedStepTwoBackend("numpy", mb_per_s=MAPPING_MB_PER_S)
     return AnalysisSession(
@@ -171,47 +120,6 @@ def _serve_closing(session, samples, workers):
         return _serve(session, samples, workers)
 
 
-@pytest.mark.parametrize("substrate", ["threads:4", "processes:4"])
-def test_service_executor_substrate_throughput(benchmark, bench_sorted_db,
-                                               bench_sketch, bench_sample,
-                                               substrate):
-    """Samples/sec per serving substrate on the mapping Step-3 workload.
-
-    The threads row runs four service worker threads over a serial
-    session; the processes row runs the same four service threads
-    dispatching into a ``processes:4`` fork-after-warm pool.  Both rows
-    land in ``BENCH_serving.json`` (the CI artifact), so the
-    threads-vs-processes gap is tracked run over run — it is reported,
-    not asserted: which substrate wins is decided by measurement.
-    """
-    samples = _sample_stream(bench_sample)
-    expected = _serve_closing(
-        _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
-        samples, workers=1,
-    )
-    expected_signature = [_result_signature(r) for r in expected]
-    assert any(sig[1] for sig in expected_signature), "stream must hit the index"
-    executor = None if substrate == "threads:4" else substrate
-    captured = {}
-
-    def serve_stream():
-        session = _mapping_session(
-            bench_sorted_db, bench_sketch, bench_sample, executor=executor
-        )
-        with session:
-            results = _serve(session, samples, workers=4)
-            runner = session._runner
-            captured["respawns"] = runner.respawns if runner else 0
-        assert [_result_signature(r) for r in results] == expected_signature
-        return results
-
-    benchmark.pedantic(serve_stream, rounds=3, iterations=1)
-    benchmark.extra_info["executor"] = substrate
-    benchmark.extra_info["cpus"] = len(os.sched_getaffinity(0))
-    benchmark.extra_info["n_samples"] = N_SAMPLES
-    benchmark.extra_info["respawns"] = captured["respawns"]
-
-
 def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
                                                      bench_sketch,
                                                      bench_sample):
@@ -220,7 +128,7 @@ def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
 
     Their relative wall clock is not asserted: Step 3 was pure-Python read
     mapping when a >=1.5x processes-over-threads floor stood here, and is
-    a column kernel now; the substrate rows above report the gap.
+    a column kernel now.
     """
     samples = _sample_stream(bench_sample)
     expected = _serve_closing(
@@ -326,173 +234,8 @@ def test_serve_streams_first_result_before_eof(tmp_path, monkeypatch,
     )
 
 
-async def _gateway_client(host, port, requests, gap_s=0.0):
-    """One TCP client: JSONL frames in, every record (results, errors,
-    drain summaries) collected until the gateway closes the stream."""
-    reader, writer = await asyncio.open_connection(host, port)
-    records = []
-
-    async def _read():
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            records.append(json.loads(line))
-
-    read_task = asyncio.ensure_future(_read())
-    for i, request in enumerate(requests):
-        if i and gap_s:
-            await asyncio.sleep(gap_s)
-        writer.write((json.dumps(request) + "\n").encode("utf-8"))
-        await writer.drain()
-    writer.write_eof()
-    await read_task
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, OSError):
-        pass
-    return records
-
-
-def _gateway_round(session, by_client, gaps=None, rate_limit=None,
-                   rate_burst=8.0):
-    """One start -> serve -> drain cycle over real localhost TCP."""
-    from repro.megis.gateway import AnalysisGateway
-
-    gaps = gaps or [0.0] * len(by_client)
-
-    async def go():
-        gateway = AnalysisGateway(session, workers=4, max_batch=4,
-                                  rate_limit=rate_limit,
-                                  rate_burst=rate_burst)
-        host, port = await gateway.start()
-        start = time.perf_counter()
-        per_client = await asyncio.gather(*(
-            _gateway_client(host, port, requests, gap_s=gap)
-            for requests, gap in zip(by_client, gaps)
-        ))
-        elapsed = time.perf_counter() - start
-        await gateway.drain()
-        return per_client, elapsed, gateway.stats
-
-    return asyncio.run(go())
-
-
-def _gateway_expectations(session, samples):
-    """Serial reference frames (gateway must reproduce them exactly)."""
-    from repro.sequences.reads import Read
-
-    expected = {}
-    for i, sample in enumerate(samples):
-        result = session.analyze([
-            Read(read_id=j, sequence=read.sequence, true_taxid=0)
-            for j, read in enumerate(sample)
-        ])
-        expected[f"s{i}"] = (
-            sorted(int(t) for t in result.candidates),
-            {str(t): f for t, f in sorted(result.profile.fractions.items())},
-        )
-    requests = [
-        wire.request_record(f"s{i}", [read.sequence for read in sample])
-        for i, sample in enumerate(samples)
-    ]
-    return expected, requests
-
-
-def test_gateway_multiclient_throughput(benchmark, bench_sorted_db,
-                                        bench_sketch, bench_sample):
-    """Samples/sec through `repro gateway` with four concurrent TCP
-    clients (CI artifact row in ``BENCH_serving.json``).
-
-    Every frame is asserted bit-identical to serial ``session.analyze``
-    and every client must come out of each round whole."""
-    samples = _sample_stream(bench_sample)
-    session = _paced_session(bench_sorted_db, bench_sketch)
-    expected, requests = _gateway_expectations(session, samples)
-    n_clients = 4
-    per = N_SAMPLES // n_clients
-    by_client = [requests[c * per:(c + 1) * per] for c in range(n_clients)]
-    captured = {}
-
-    def serve_round():
-        per_client, elapsed, stats = _gateway_round(session, by_client)
-        captured["elapsed"] = elapsed
-        captured["stats"] = stats
-        return per_client
-
-    per_client = benchmark.pedantic(serve_round, rounds=3, iterations=1)
-    for client_records in per_client:
-        results = [r for r in client_records
-                   if "error" not in r and not r.get("event")]
-        assert len(results) == per, "every client must come out whole"
-        for record in results:
-            assert (record["candidates"], record["profile"]) \
-                == expected[record["id"]]
-    stats = captured["stats"]
-    assert stats.requests_admitted == stats.requests_completed == N_SAMPLES
-    benchmark.extra_info["clients"] = n_clients
-    benchmark.extra_info["n_samples"] = N_SAMPLES
-    benchmark.extra_info["samples_per_s"] = round(
-        N_SAMPLES / captured["elapsed"], 2
-    )
-
-
-def test_gateway_rate_limit_fairness(benchmark, bench_sorted_db,
-                                     bench_sketch, bench_sample):
-    """Flooding client under a token bucket: victims untouched, flooder
-    sheds into structured ``rate_limited`` frames, nothing is lost."""
-    samples = _sample_stream(bench_sample)
-    session = _paced_session(bench_sorted_db, bench_sketch)
-    expected, requests = _gateway_expectations(session, samples)
-    per = N_SAMPLES // 4
-    flooder_load = [dict(r, id=f"{r['id']}/flood") for r in requests]
-    for request in flooder_load:
-        expected[request["id"]] = expected[request["id"].split("/")[0]]
-    victims = [requests[c * per:(c + 1) * per] for c in range(1, 4)]
-    by_client = [flooder_load] + victims
-    gaps = [0.0] + [0.05] * len(victims)
-    captured = {}
-
-    def serve_round():
-        per_client, elapsed, stats = _gateway_round(
-            session, by_client, gaps=gaps,
-            rate_limit=1.0, rate_burst=float(per + 1),
-        )
-        captured["elapsed"] = elapsed
-        captured["stats"] = stats
-        return per_client
-
-    per_client = benchmark.pedantic(serve_round, rounds=2, iterations=1)
-    flooder, *victim_records = per_client
-    rejected = [r for r in flooder if "error" in r]
-    served = [r for r in flooder if "error" not in r and not r.get("event")]
-    assert rejected, "the flooder must burn through its burst"
-    assert all("rate_limited" in r["error"] for r in rejected)
-    assert len(served) + len(rejected) == len(flooder_load)
-    for client_records in victim_records:
-        results = [r for r in client_records
-                   if "error" not in r and not r.get("event")]
-        assert len(results) == per, "victims must be untouched by the flood"
-        for record in results:
-            assert (record["candidates"], record["profile"]) \
-                == expected[record["id"]]
-    for record in served:
-        assert (record["candidates"], record["profile"]) \
-            == expected[record["id"]]
-    stats = captured["stats"]
-    assert stats.rate_limited == len(rejected)
-    assert stats.requests_admitted == stats.requests_completed
-    benchmark.extra_info["flooder_rejected"] = len(rejected)
-    benchmark.extra_info["flooder_served"] = len(served)
-    benchmark.extra_info["victim_samples"] = per * len(victims)
-    benchmark.extra_info["samples_per_s"] = round(
-        (len(served) + per * len(victims)) / captured["elapsed"], 2
-    )
-
-
 def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):
-    """ThreadedExecutor shards: identical results, measured overlap > 0.
+    """``threads:4`` shards: identical results, measured overlap > 0.
 
     Four shards' paced streams run on four threads; the per-shard busy
     time sums to the serial cost while the dispatch window shrinks —
@@ -505,13 +248,14 @@ def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):
                              backend=backend)
     threaded = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
                                backend=backend, executor="threads:4")
-    expected = serial.run(query)
+    serial_timings = PhaseTimings()
+    expected = serial.run(query, timings=serial_timings)
     best_saved = 0.0
     for _ in range(3):
-        result = threaded.run(query)
+        t = PhaseTimings()
+        result = threaded.run(query, timings=t)
         assert result[0] == expected[0]
         assert result[1] == expected[1]
-        t = threaded.timings
         best_saved = max(best_saved, t.measured_overlap_saved_ms)
-    assert serial.timings.measured_overlap_saved_ms < 1e-6
+    assert serial_timings.measured_overlap_saved_ms < 1e-6
     assert best_saved > 0.0, "threaded shards hid no paced stream time"

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Table 2 (accelerator area and power)."""
+"""Regenerate Table 2 (accelerator area and power)."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from benchmarks.conftest import emit
 from repro.experiments.table2_area import run
 
 
-def test_table2_area(benchmark):
-    result = benchmark(run)
+def test_table2_area():
+    result = run()
     emit(result)
     total = next(r for r in result.rows if r["unit"] == "TOTAL")
     assert total["power_mw"] == pytest.approx(7.658, abs=0.01)

@@ -7,13 +7,12 @@ Two backends ship with the repository:
 
 Both produce bit-identical results; select one per call site
 (``MegisConfig(backend="numpy")``, ``IspStepTwo(..., backend="numpy")``,
-``repro analyze --backend numpy``) or process-wide via the
-``REPRO_BACKEND`` environment variable / :func:`set_default_backend`.
+``repro analyze --backend numpy``) or process-wide via
+:func:`set_default_backend` (``python`` until something sets it).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Tuple, Union
 
 from repro.backends.base import (
@@ -50,7 +49,7 @@ _BACKEND_CLASSES: Dict[str, Callable[[], StepTwoBackend]] = {
 #: so one shared instance per name suffices.
 _INSTANCES: Dict[str, StepTwoBackend] = {}
 
-_default_backend: str = os.environ.get("REPRO_BACKEND", "python")
+_default_backend: str = "python"
 
 
 def available_backends() -> Tuple[str, ...]:

@@ -42,7 +42,6 @@ class LockDisciplineChecker(Checker):
         "src/repro/megis/service.py",
         "src/repro/megis/session.py",
         "src/repro/megis/procpool.py",
-        "src/repro/megis/multissd.py",
         "src/repro/megis/cluster/router.py",
     )
 

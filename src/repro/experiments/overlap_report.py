@@ -23,6 +23,7 @@ Results are asserted bit-identical across shard counts, as everywhere.
 
 from __future__ import annotations
 
+from repro.backends import PhaseTimings
 from repro.backends.paced import PacedStepTwoBackend
 from repro.databases.serialization import kmer_record_bytes
 from repro.experiments.runner import ExperimentResult
@@ -77,8 +78,9 @@ def run() -> ExperimentResult:
         total = sum(volumes)
         model_ratio = 1.0 - max(volumes) / total if n_ssds > 1 else 0.0
 
+        timings = PhaseTimings()
         for _ in range(TRIALS):
-            intersecting, retrieved = engine.run(query)
+            intersecting, retrieved = engine.run(query, timings=timings)
             if reference is None:
                 reference = (list(intersecting), retrieved)
             else:
@@ -86,7 +88,6 @@ def run() -> ExperimentResult:
                     "sharded Step 2 must stay bit-identical"
                 assert retrieved == reference[1], \
                     "sharded retrieval must stay bit-identical"
-        timings = engine.timings
         busy = timings.intersect_ms + timings.retrieve_ms
         measured_ratio = (
             timings.measured_overlap_saved_ms / busy if busy > 0 else 0.0

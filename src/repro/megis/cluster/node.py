@@ -25,7 +25,6 @@ flash waits sleep); the engine structures are read-only after
 from __future__ import annotations
 
 import asyncio
-import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -232,7 +231,7 @@ class ClusterNode:
     async def _dispatch(self, payload: bytes, line_no: int) -> wire.Record:
         """One frame -> one reply record."""
         try:
-            request = json.loads(payload.decode("utf-8"))
+            request = wire.decode(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             return wire.error_record(None, f"bad JSON ({exc})", line_no)
         if not isinstance(request, dict):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import socket
 import threading
 import time
@@ -352,7 +351,7 @@ class ClusterStepTwo:
                 raise ValueError(
                     f"reply exceeds {wire.MAX_LINE_BYTES} bytes without a newline"
                 )
-        record = json.loads(buf.decode("utf-8"))
+        record = wire.decode(buf.decode("utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"expected an object frame, got {record!r}")
         return record

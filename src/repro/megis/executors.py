@@ -88,15 +88,10 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int]]:
     return family, workers
 
 
-def shard_pool(spec: Optional[str]) -> Optional[ThreadPoolExecutor]:
-    """The thread pool a spec gives the Step-2 shard tasks, or ``None``
-    (no spec, or ``serial``: the tasks run as a plain loop).
-
-    Each call builds a fresh pool, which its caller owns: a session shuts
-    its one down in ``close()``, a standalone engine's lives as long as
-    the engine.  ``processes[:N]`` is refused here — before anything forks — for every
-    Step-2 entry point.
-    """
+def shard_workers(spec: Optional[str]) -> Optional[int]:
+    """How many threads a spec gives the Step-2 shard tasks: ``None`` for
+    no spec or ``serial`` (a plain loop); ``processes[:N]`` is refused
+    here, before anything forks, for every Step-2 entry point."""
     family, workers = parse_spec(spec or "serial")
     if family == "processes":
         raise ValueError(
@@ -107,10 +102,17 @@ def shard_pool(spec: Optional[str]) -> Optional[ThreadPoolExecutor]:
         )
     if family == "serial":
         return None
-    return ThreadPoolExecutor(
-        max_workers=workers or default_workers(),
-        thread_name_prefix="megis-exec",
-    )
+    return workers or default_workers()
 
 
-__all__ = ["available_executors", "default_workers", "parse_spec", "shard_pool"]
+def shard_pool(spec: Optional[str]) -> Optional[ThreadPoolExecutor]:
+    """A fresh pool of :func:`shard_workers` threads, or ``None``.  Its
+    caller owns it: a session shuts its one down in ``close()``, an engine
+    opens one per call and shuts it down before returning."""
+    workers = shard_workers(spec)
+    if workers is None:
+        return None
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="megis-exec")
+
+
+__all__ = ["available_executors", "default_workers", "parse_spec", "shard_pool", "shard_workers"]

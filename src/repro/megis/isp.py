@@ -38,8 +38,8 @@ class IspStepTwo(MultiSsdStepTwo):
     ``backend`` selects the execution engine ("python" register-level
     reference or "numpy" columnar kernels; ``None`` uses the process
     default); ``n_channels`` is the SSD's channel count, which stripes the
-    database *within* each streamed interval (§4.5).  ``self.timings``
-    accumulates per-phase wall time and streaming counters across calls.
+    database *within* each streamed interval (§4.5).  A call's per-phase
+    wall time and streaming counters go into the ``timings`` it is passed.
     """
 
     def __init__(

@@ -35,9 +35,9 @@ Shard handles are built once — by :func:`split_database` /
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,7 +52,7 @@ from repro.backends import (
 from repro.backends.base import clip_buckets
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import shard_pool
+from repro.megis.executors import shard_pool, shard_workers
 
 #: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
 StepTwoResult = Tuple[List[int], RetrievalResult]
@@ -245,9 +245,8 @@ class MultiSsdStepTwo:
 
     :func:`step_two_over_shards` with this engine's executor: each shard
     runs :func:`shard_step_two` and the host only gathers the
-    already-sorted per-shard intersections and CSR owner columns.
-    ``self.timings`` accumulates per-phase wall time and streaming
-    counters across calls.
+    already-sorted per-shard intersections and CSR owner columns.  A
+    call's counters go into the ``timings`` it is passed; none are kept.
 
     Shard handles are built once at construction — either split here from
     ``(database, n_ssds)`` or passed in pre-built via ``shards`` (what
@@ -256,12 +255,12 @@ class MultiSsdStepTwo:
     re-splits anything.
 
     ``executor`` is the spec of the per-shard work
-    (:mod:`repro.megis.executors`), resolved once here: with
-    ``"threads[:N]"`` the shards' tasks run concurrently on the engine's
-    own thread pool — each SSD is an independent engine (§6.1), and every
-    task owns its :class:`~repro.backends.PhaseTimings`, so results stay
-    bit-identical to the serial loop while ``step2_wall_ms`` records the
-    genuinely overlapped wall-clock window.
+    (:mod:`repro.megis.executors`): with ``"threads[:N]"`` the shards'
+    tasks run concurrently on a pool opened and shut down by each call —
+    each SSD is an independent engine (§6.1), and every task owns its
+    :class:`~repro.backends.PhaseTimings`, so results stay bit-identical
+    to the serial loop while ``step2_wall_ms`` records the genuinely
+    overlapped wall-clock window.
     """
 
     def __init__(self, database: Optional[SortedKmerDatabase] = None,
@@ -271,7 +270,7 @@ class MultiSsdStepTwo:
                  shards: Optional[Sequence[DatabaseShard]] = None,
                  executor: Optional[str] = None) -> None:
         self._backend = get_backend(backend)
-        self._pool = shard_pool(executor)
+        shard_workers(executor)  # refuse a bad or process spec up front
         self.executor_name = executor or "serial"
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")
@@ -286,14 +285,7 @@ class MultiSsdStepTwo:
         check_shards(shards)
         self.shards = list(shards)
         shard_kss(kss, self.shards)
-        self.kss = kss
-        self.backend = backend
         self.channels_per_ssd = channels_per_ssd
-        self.timings = PhaseTimings(backend=self._backend.name)
-        #: Engines are shared read-only by serving threads; only the
-        #: accumulated lifetime timings are mutable state, so they get
-        #: their own lock.
-        self._timings_lock = threading.Lock()
 
     @property
     def backend_name(self) -> str:
@@ -332,16 +324,12 @@ class MultiSsdStepTwo:
         are identical however the tasks interleave.
         """
         start = time.perf_counter()
-        results, t = step_two_over_shards(
-            self._backend, self.shards, [list(buckets) for buckets in samples],
-            self.channels_per_ssd, self._pool,
-        )
-        t.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        self._record(t, timings)
-        return results
-
-    def _record(self, t: PhaseTimings, timings: Optional[PhaseTimings]) -> None:
-        with self._timings_lock:
-            self.timings.merge(t)
+        with shard_pool(self.executor_name) or nullcontext() as pool:
+            results, t = step_two_over_shards(
+                self._backend, self.shards, [list(b) for b in samples],
+                self.channels_per_ssd, pool,
+            )
+            t.step2_wall_ms += (time.perf_counter() - start) * 1e3
         if timings is not None:
             timings.merge(t)
+        return results

@@ -72,6 +72,17 @@ Record = Dict[str, object]
 ParsedRequest = Tuple[object, Optional[List[str]], Optional[str]]
 
 
+def _refuse_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def decode(text: str) -> Any:
+    """``json.loads`` for every ingest path, refusing ``NaN`` /
+    ``Infinity`` / ``-Infinity``: echoed back (as an id, say), they would
+    make a frame strict JSON parsers reject."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def parse_request_line(line: Union[bytes, str], line_no: int,
                        seen_ids: Optional[MutableSet[object]] = None,
                        max_bytes: Optional[int] = None) -> ParsedRequest:
@@ -97,7 +108,7 @@ def parse_request_line(line: Union[bytes, str], line_no: int,
         except UnicodeDecodeError as exc:
             return line_no, None, f"not valid UTF-8 ({exc})"
     try:
-        request = json.loads(line)
+        request = decode(line)
     except ValueError as exc:
         return line_no, None, f"bad JSON ({exc})"
     if not isinstance(request, dict):
@@ -450,6 +461,7 @@ __all__ = [
     "FrameReader",
     "Record",
     "check_schema",
+    "decode",
     "drain_record",
     "encode",
     "error_record",

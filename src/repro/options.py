@@ -76,8 +76,7 @@ def add_execution_flags(
     """Register the shared ``--backend`` / ``--executor`` / ``--ssds`` flags."""
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
-        help="Step-2 execution backend "
-             "(default: REPRO_BACKEND env var or 'python')",
+        help="Step-2 execution backend (default: 'python')",
     )
     if executor:
         parser.add_argument(

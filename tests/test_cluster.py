@@ -120,6 +120,10 @@ def run_scenario(coro):
     return asyncio.run(bounded())
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"reply frame holds {name}, which is not JSON")
+
+
 def make_node_session(index, golden, cluster_map, node_id):
     return AnalysisSession(
         index,
@@ -734,7 +738,7 @@ class TestNodeProtocol:
             line = await reader.readline()
             if not line:
                 break
-            records.append(json.loads(line))
+            records.append(json.loads(line, parse_constant=_refuse_constant))
         writer.close()
         return records
 
@@ -757,10 +761,12 @@ class TestNodeProtocol:
                     {"schema": 1, "op": "step2", "id": 4,
                      "queries": "nope"},
                     {"schema": 1, "op": "ping", "id": 5},
+                    b'{"schema": 1, "op": "ping", "id": NaN}\n',
+                    b'{"schema": 1, "op": "ping", "id": -Infinity}\n',
                 ])
 
         records = run_scenario(scenario())
-        assert len(records) == 6
+        assert len(records) == 8
         assert "bad JSON" in records[0]["error"]
         assert "missing 'schema'" in records[1]["error"]
         assert "unsupported schema 9" in records[2]["error"]
@@ -770,6 +776,10 @@ class TestNodeProtocol:
         assert pong["op"] == "pong"
         assert pong["node"] == 0
         assert pong["shards"] == [0, 2]
+        # Non-finite constants are refused at decode, not echoed as an id.
+        for record in records[6:]:
+            assert record["id"] is None
+            assert record["error"].startswith("bad JSON (")
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_malformed_query_columns_refused(self, golden_world, golden,

@@ -206,7 +206,7 @@ def test_lock_discipline_covers_every_megis_module_that_binds_a_lock():
         if any(factory in path.read_text()
                for factory in ("threading.Lock(", "RLock(", "Condition("))
     ]
-    assert len(binders) >= 5
+    assert len(binders) >= 4
     for scope in scopes:
         assert [rel for rel in binders if not path_matches(rel, scope)] == []
 

@@ -20,6 +20,7 @@ from repro.megis.multissd import (
     shard_kss,
     split_database,
     step_two_over_shards,
+    whole_range,
     whole_shard,
 )
 from repro.megis.session import AnalysisSession, MegisConfig
@@ -91,13 +92,27 @@ class TestExecutorDrivenStepTwo:
         threaded = IspStepTwo(sorted_db, kss_tables, backend=backend,
                               executor="threads:4")
         expected = serial.run_bucket_set(bucket_set)
-        got = threaded.run_bucket_set(bucket_set)
+        timings = PhaseTimings()
+        got = threaded.run_bucket_set(bucket_set, timings)
         assert got[0] == expected[0]
         assert got[1] == expected[1]
         assert threaded.executor_name == "threads:4"
         # One logical pass over the database either way.
-        assert threaded.timings.db_stream_passes == 1
-        assert threaded.timings.step2_wall_ms > 0
+        assert timings.db_stream_passes == 1
+        assert timings.step2_wall_ms > 0
+
+    def test_standalone_engine_leaves_no_threads(self, sorted_db,
+                                                 kss_tables):
+        """A standalone ``threads:N`` engine opens its pool for the call
+        and shuts it down before returning: no thread outlives a call."""
+        engine = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=4,
+                                 backend="numpy", executor="threads:4")
+        query = sorted_db.kmers[::3]
+        before = _exec_threads()
+        assert engine.run(query)
+        assert _exec_threads() == before
+        assert engine.run_multi([whole_range(query, sorted_db.k)])
+        assert _exec_threads() == before
 
     def test_session_executor_config_is_bit_identical(self, sorted_db,
                                                       sketch_db, references,

@@ -128,14 +128,18 @@ async def send_frames(writer, frames):
         await writer.drain()
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"reply frame holds {name}, which is not JSON")
+
+
 async def read_all(reader):
-    """Every record until EOF."""
+    """Every record until EOF, each parsed as strict JSON."""
     records = []
     while True:
         line = await reader.readline()
         if not line:
             return records
-        records.append(json.loads(line))
+        records.append(json.loads(line, parse_constant=_refuse_constant))
 
 
 async def client_roundtrip(host, port, frames):
@@ -393,6 +397,29 @@ class TestMalformedFrames:
         for record in results:
             assert_result_matches(record, serial_records)
         assert gateway.stats.malformed == 6
+
+    def test_non_finite_ids_are_bad_json(self, session, requests_wire,
+                                         serial_records):
+        """An id of NaN / Infinity / -Infinity is a ``bad JSON`` rejection,
+        never echoed into a reply frame strict parsers reject."""
+        gateway = AnalysisGateway(session, workers=1)
+        frames = [
+            f'{{"schema": 1, "id": {constant}, "reads": ["ACGT"]}}\n'.encode()
+            for constant in ("NaN", "Infinity", "-Infinity")
+        ] + [requests_wire[0]]
+
+        async def scenario():
+            async with gateway:
+                host, port = gateway.bound_address
+                return await client_roundtrip(host, port, frames)
+
+        records = run_scenario(scenario())
+        errors = [r for r in records if "error" in r]
+        assert [r["id"] for r in errors] == [1, 2, 3]
+        assert all(r["error"].startswith("bad JSON (") for r in errors)
+        [result] = [r for r in records if "candidates" in r]
+        assert_result_matches(result, serial_records)
+        assert gateway.stats.malformed == 3
 
     def test_one_bad_client_does_not_affect_another(self, session,
                                                     requests_wire,

@@ -72,6 +72,20 @@ class TestParseRequestLine:
         assert (request_id, reads) == (9, None)
         assert "bad JSON" in error
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_bad_json(self, constant):
+        """``json.loads`` accepts these; an id holding one would be echoed
+        into a frame strict JSON parsers reject, so ingest refuses them."""
+        for line in (
+            f'{{"schema":1,"id":{constant},"reads":["ACGT"]}}',
+            f'{{"schema":1,"id":"x","reads":["ACGT"],"extra":{constant}}}',
+        ):
+            request_id, reads, error = parse(line.encode(), line_no=6)
+            assert (request_id, reads) == (6, None)
+            assert error.startswith("bad JSON (") and constant in error
+        with pytest.raises(ValueError):
+            wire.decode(f"[{constant}]")
+
     def test_non_utf8_bytes(self):
         request_id, reads, error = parse(b'{"id": "\xff\xfe"}', line_no=4)
         assert (request_id, reads) == (4, None)
