@@ -464,6 +464,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             cluster_map,
             [NodeEndpoint(node_id, endpoint, replica=replicas.get(node_id))
              for node_id, endpoint in enumerate(endpoints_given)],
+            k=local.database.k,
             timeout_s=args.node_timeout_ms / 1e3,
         )
         router = ClusterRouter(
@@ -773,18 +774,28 @@ def build_parser() -> argparse.ArgumentParser:
             "bring-up.\n"
             "\n"
             "wire format (schema 1):\n"
-            "  The router speaks op-keyed frames on the shared schema-1 "
-            "JSONL wire:\n"
-            '  {"schema": 1, "op": "step2", "id": ..., "queries": [[...], '
-            "...]} gets\n"
-            "  the node's partial Step-2 owner columns back; "
+            "  The router speaks op-keyed frames; clients never see them.  "
+            "A step2\n"
+            "  frame is one JSON header line, "
+            '{"schema": 1, "op": "step2", "id": ...,\n'
+            '  "k": ..., "counts": [...], "bytes": N}, then an N-byte '
+            "MEGISIDX container\n"
+            "  (the index file's format) holding each sample's sorted "
+            "query k-mers as\n"
+            "  packed records.  The node answers with a step2_result "
+            "frame of the same\n"
+            "  shape carrying its partial Step-2 owner columns.  "
             '{"schema": 1, "op":\n'
-            '  "ping", "id": ...} gets a pong with the node id, shard '
-            "group, and a\n"
-            "  served counter.  Malformed frames (bad JSON, missing or "
-            "unknown\n"
-            "  'schema', unknown op) produce one structured error object "
-            "and the\n"
+            '  "ping", "id": ...} gets a one-line pong with the node id, '
+            "shard group,\n"
+            "  and a served counter.  A declared N above --max-line-bytes "
+            "is refused\n"
+            "  before any body byte is read.  Malformed frames (bad JSON, "
+            "missing or\n"
+            "  unknown 'schema', unknown op, a k other than the index's, "
+            "a body that\n"
+            "  is not such a container) produce one structured error "
+            "object and the\n"
             "  connection stays up.\n"
         ),
     )

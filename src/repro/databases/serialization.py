@@ -177,7 +177,8 @@ def _container_entries(toc_bytes: bytes) -> List[Tuple[str, int, int]]:
     try:
         toc = json.loads(toc_bytes.decode("utf-8"))
         return [(str(name), int(off), int(length)) for name, off, length in toc]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        # OverflowError: an infinite offset; RecursionError: nesting too deep.
         raise SerializationError(f"corrupt index table of contents: {exc}") from exc
 
 

@@ -2,19 +2,25 @@
 
 A node opens the shared index on *its shard subset only* — an
 :class:`~repro.megis.session.AnalysisSession` constructed with
-``shard_range`` — and answers the router's scatter frames on the
-schema-1 JSONL wire format:
+``shard_range`` — and answers the router's frames on the schema-1 wire:
 
-- ``{"schema": 1, "op": "step2", "id": ..., "queries": [[...], ...]}``
-  runs :meth:`AnalysisSession.step_two_partial` over the node's
-  contiguous shard group and replies with the serialized partial owner
-  columns (:func:`~repro.megis.wire.step2_result_record`);
+- a ``step2`` frame is a JSON header line (``{"schema": 1, "op":
+  "step2", "id": ..., "k": ..., "counts": [...], "bytes": N}``) and an
+  N-byte ``MEGISIDX`` body holding one k-mer record section per sample
+  (:func:`~repro.megis.wire.step2_frame`).  The node reads the body
+  (refusing an N above its line limit before reading any of it), runs
+  :meth:`AnalysisSession.step_two_partial` over its contiguous shard
+  group and replies with a ``step2_result`` frame of the same shape
+  carrying the partial owner columns
+  (:func:`~repro.megis.wire.step2_result_frame`);
 - ``{"schema": 1, "op": "ping", "id": ...}`` is the heartbeat; the pong
   carries the node id, its shard range, and a served counter;
 - anything else — bad JSON, a missing/unknown ``schema``, an unknown
-  ``op``, malformed queries (not int lists, bools, unsorted, k-mers
-  outside ``[0, 4^k)``) — yields a structured error frame and the
-  connection stays up (same resilience contract as serve/gateway).
+  ``op``, a header whose ``k`` is not the index's, a body that is not
+  such a container (bad section table, sections that disagree with
+  ``counts``, unsorted k-mers, records with padding bits set) — yields a
+  structured error frame and the connection stays up (same resilience
+  contract as serve/gateway).
 
 Step-2 work runs in a thread pool so concurrent router scatters overlap
 (the kernels release the GIL on the numpy path, and the paced backend's
@@ -26,12 +32,10 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
 import numpy.typing as npt
 
-from repro.backends.numpy_backend import as_column, column_dtype
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.session import AnalysisSession
@@ -39,32 +43,6 @@ from repro.megis.session import AnalysisSession
 
 #: Concurrent partial-Step-2 executions per node.
 STEP_WORKERS = 4
-
-
-def _query_columns(queries: object, k: int) -> List[npt.NDArray[Any]]:
-    """A step2 frame's ``queries`` as sorted k-mer columns, or ``ValueError``.
-
-    The kernel bisects each column at shard edges, so an unsorted column
-    would yield a silently wrong partial and an out-of-range k-mer
-    overflows the column dtype: both are refused here, once per request.
-    JSON ``true``/``false`` are not k-mers although ``bool`` is an ``int``.
-    """
-    if not isinstance(queries, list):
-        raise ValueError("'queries' must be a list of k-mer int lists")
-    space = 1 << (2 * k)
-    columns = []
-    for query in queries:
-        if not isinstance(query, list) or not all(
-            type(kmer) is int for kmer in query
-        ):
-            raise ValueError("'queries' must be a list of k-mer int lists")
-        if query and not (0 <= min(query) and max(query) < space):
-            raise ValueError(f"query k-mers must lie in [0, 4^{k})")
-        column = as_column(query, column_dtype(k))
-        if np.any(np.asarray(column[1:] < column[:-1], dtype=bool)):
-            raise ValueError("each query column must be sorted ascending")
-        columns.append(column)
-    return columns
 
 
 class ClusterNode:
@@ -223,64 +201,73 @@ class ClusterNode:
                 return
             line_no, line = frame
             if isinstance(line, bytes):
-                record = await self._dispatch(line, line_no)
+                reply = await self._dispatch(line, line_no, frames)
             else:
-                record = wire.error_record(None, line, line_no)
-            await self._reply(writer, record)
+                reply = wire.encode(wire.error_record(None, line, line_no))
+            writer.write(reply)
+            await writer.drain()
 
-    async def _dispatch(self, payload: bytes, line_no: int) -> wire.Record:
-        """One frame -> one reply record."""
+    async def _dispatch(self, payload: bytes, line_no: int,
+                        frames: wire.FrameReader) -> bytes:
+        """One header line (and the body it declares) -> one reply frame."""
         try:
             request = wire.decode(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            return wire.error_record(None, f"bad JSON ({exc})", line_no)
+        except ValueError as exc:
+            return self._error(None, f"bad JSON ({exc})", line_no)
         if not isinstance(request, dict):
-            return wire.error_record(
+            return self._error(
                 None, "expected an object with 'schema' and 'op'", line_no
             )
         request_id = request.get("id")
         schema_error = wire.check_schema(request)
         if schema_error is not None:
-            return wire.error_record(request_id, schema_error, line_no)
+            return self._error(request_id, schema_error, line_no)
         op = request.get("op")
         if op == "ping":
-            return wire.pong_record(
+            return wire.encode(wire.pong_record(
                 request_id, self.node_id, self.session.shard_range,
                 self.served,
-            )
+            ))
         if op == "step2":
-            return await self._step2(request_id, request, line_no)
-        return wire.error_record(
+            return await self._step2(request_id, request, line_no, frames)
+        return self._error(
             request_id, f"unknown op {op!r} (node speaks step2/ping)",
             line_no,
         )
 
-    async def _step2(
-        self, request_id: object, request: Dict[str, Any], line_no: int
-    ) -> wire.Record:
+    async def _step2(self, request_id: object, request: Dict[str, Any],
+                     line_no: int, frames: wire.FrameReader) -> bytes:
         try:
-            queries = _query_columns(
-                request.get("queries"), self.session.database.k
-            )
+            length = wire.body_length(request, self.max_line_bytes)
         except ValueError as exc:
-            return wire.error_record(request_id, str(exc), line_no)
+            return self._error(request_id, str(exc), line_no)
+        body = await frames.read_exact(length)
         try:
-            partials = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.session.step_two_partial, queries
+            queries = wire.parse_step2_frame(request, body,
+                                             self.session.database.k)
+        except ValueError as exc:
+            return self._error(request_id, str(exc), line_no)
+        try:
+            reply = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._answer, request_id, queries
             )
         except Exception as exc:
-            return wire.error_record(
-                request_id, f"step2 failed: {exc}", line_no
-            )
+            return self._error(request_id, f"step2 failed: {exc}", line_no)
         self.served += 1
-        return wire.step2_result_record(request_id, self.node_id, partials)
+        return reply
+
+    def _answer(self, request_id: object,
+                queries: List[npt.NDArray[Any]]) -> bytes:
+        """Partial Step 2 and its encoded reply (on a pool thread)."""
+        return wire.step2_result_frame(
+            request_id, self.node_id, self.session.database.k,
+            self.session.step_two_partial(queries),
+        )
 
     @staticmethod
-    async def _reply(
-        writer: asyncio.StreamWriter, record: Mapping[str, object]
-    ) -> None:
-        writer.write(wire.encode(record))
-        await writer.drain()
+    def _error(request_id: object, message: str,
+               line_no: Optional[int]) -> bytes:
+        return wire.encode(wire.error_record(request_id, message, line_no))
 
 
 __all__ = ["ClusterNode"]

@@ -13,7 +13,10 @@ from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
   only), then concatenates the partial CSR owner columns in node order —
   nodes own ascending shard groups, so the gather is exactly the
   single-host :meth:`RetrievalResult.concatenate` merge and the final
-  result is bit-identical to single-node serving.
+  result is bit-identical to single-node serving.  Columns cross the
+  wire as binary container frames (a JSON header line plus a
+  ``MEGISIDX`` body, :func:`~repro.megis.wire.step2_frame`), never as
+  JSON int lists.
 - **Step 3 local.**  Hit accumulation, candidate selection, and
   abundance estimation run on the gathered columns.
 
@@ -111,6 +114,9 @@ class ClusterStepTwo:
     nodes compute their partials concurrently while the router reads.
     One connection per (scatter, node) keeps failover trivial: a retry
     is simply a fresh connection, which a respawned node answers.
+
+    ``k`` is the served index's k-mer length (the query records' width);
+    it defaults to the one ``cluster_map``'s index fingerprint pins.
     """
 
     def __init__(
@@ -118,6 +124,7 @@ class ClusterStepTwo:
         cluster_map: ClusterMap,
         endpoints: Sequence[NodeEndpoint],
         *,
+        k: Optional[int] = None,
         timeout_s: float = 10.0,
     ) -> None:
         if len(endpoints) != cluster_map.n_nodes:
@@ -131,6 +138,13 @@ class ClusterStepTwo:
                 f"endpoints must be node ids 0..{cluster_map.n_nodes - 1} "
                 f"in order, got {ids}"
             )
+        pinned = (cluster_map.fingerprint or {}).get("k") if k is None else k
+        if not isinstance(pinned, int):
+            raise ValueError(
+                "the router needs the index's k: pass k= or a cluster map "
+                "pinned to the index (ClusterMap.for_index)"
+            )
+        self.k = pinned
         self.cluster_map = cluster_map
         self.endpoints = list(endpoints)
         self.timeout_s = timeout_s
@@ -156,7 +170,7 @@ class ClusterStepTwo:
             request_id = next(self._seq)
             self.stats.scatters += 1
             self.stats.samples += len(queries)
-        frame = wire.encode(wire.step2_request_record(request_id, queries))
+        frame = wire.step2_frame(request_id, self.k, queries)
         n_samples = len(queries)
 
         # Send to every node up front so their partials compute
@@ -260,7 +274,8 @@ class ClusterStepTwo:
                 sock = self._connect_send(endpoint.address, frame,
                                           timeout=HEARTBEAT_TIMEOUT_S)
                 try:
-                    reply = self._read_line(sock, timeout=HEARTBEAT_TIMEOUT_S)
+                    reply, _ = self._read_frame(sock,
+                                                timeout=HEARTBEAT_TIMEOUT_S)
                 finally:
                     self._close(sock)
                 if reply.get("op") != "pong" or reply.get("id") != seq:
@@ -308,7 +323,7 @@ class ClusterStepTwo:
         """One validated *and decoded* step2_result frame — a reply that
         does not decode fails the attempt like one that never arrived —
         or ``ValueError``/``OSError``."""
-        record = self._read_line(sock)
+        record, body = self._read_frame(sock)
         schema_error = wire.check_schema(record)
         if schema_error is not None:
             raise ValueError(schema_error)
@@ -325,16 +340,19 @@ class ClusterStepTwo:
                 f"node {record.get('node')!r} answered for "
                 f"node {endpoint.node_id}"
             )
-        samples = record.get("samples")
-        if not isinstance(samples, list) or len(samples) != n_samples:
+        partials = wire.parse_step2_result_frame(record, body, self.k)
+        if len(partials) != n_samples:
             raise ValueError(
-                f"expected {n_samples} sample partials, got "
-                f"{len(samples) if isinstance(samples, list) else samples!r}"
+                f"expected {n_samples} sample partials, got {len(partials)}"
             )
-        return wire.parse_step2_result(record)
+        return partials
 
-    def _read_line(self, sock: socket.socket,
-                   timeout: Optional[float] = None) -> Dict[str, Any]:
+    def _read_frame(self, sock: socket.socket,
+                    timeout: Optional[float] = None
+                    ) -> Tuple[Dict[str, Any], bytes]:
+        """One reply: its header line and the body the header declares
+        (none for pongs and error frames), each bounded by the wire's
+        line limit."""
         if timeout is not None:
             sock.settimeout(timeout)
         buf = bytearray()
@@ -345,6 +363,7 @@ class ClusterStepTwo:
             newline = chunk.find(b"\n")
             if newline >= 0:
                 buf.extend(chunk[:newline])
+                rest = chunk[newline + 1:]
                 break
             buf.extend(chunk)
             if len(buf) > wire.MAX_LINE_BYTES:
@@ -354,7 +373,16 @@ class ClusterStepTwo:
         record = wire.decode(buf.decode("utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"expected an object frame, got {record!r}")
-        return record
+        length = wire.body_length(record, wire.MAX_LINE_BYTES)
+        parts = [rest[:length]]
+        received = len(parts[0])
+        while received < length:
+            chunk = sock.recv(min(length - received, 1 << 20))
+            if not chunk:
+                raise ConnectionError("node closed the connection mid-body")
+            parts.append(chunk)
+            received += len(chunk)
+        return record, b"".join(parts)
 
     @staticmethod
     def _close(sock: socket.socket) -> None:

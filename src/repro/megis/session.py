@@ -626,7 +626,7 @@ class AnalysisSession:
 
         ``queries`` are sorted query columns (one per sample — what
         :meth:`~repro.megis.host.BucketSet.merged_column` produces, or
-        plain int lists off the wire).
+        the k-mer columns a node decodes off the wire).
         :func:`~repro.megis.multissd.step_two_over_shards` runs each shard
         once for the whole request — one database stream however many
         samples it carries — and gathers the per-shard partials in

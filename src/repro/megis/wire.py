@@ -22,16 +22,29 @@ source of truth so the surfaces can never drift:
 - the gateway additionally emits **event** frames (``{"schema",
   "event": "drain", ...}``) at drain time — same schema version, an
   ``event`` key instead of ``id`` (:func:`drain_record`);
-- the cluster tier's router↔node leg rides the same framing with an
-  ``op`` key: :func:`step2_request_record` scatters each sample's sorted
-  query column, :func:`step2_result_record` returns the node's partial
-  Step-2 owner columns (CSR ``RetrievalResult`` serialized per level via
-  :func:`retrieval_columns` / :func:`parse_retrieval`), and
-  :func:`ping_record` / :func:`pong_record` are the heartbeat pair.
+- the cluster tier's router↔node leg (internal; no client sees it) keys
+  its frames by ``op``.  A Step-2 frame is a schema-1 JSON **header
+  line** followed by a binary **body** of exactly ``bytes`` bytes: one
+  ``MEGISIDX`` container (:func:`~repro.databases.serialization.pack_sections`,
+  the index file's own format).  :func:`step2_frame` scatters each
+  sample's sorted query column as k-mer records (section ``q<i>``);
+  :func:`step2_result_frame` returns the node's partial Step-2 owner
+  columns — the sample's intersecting k-mers (``q<i>``) and, per sketch
+  level, the CSR ``taxids`` / ``offsets`` int64 columns (``t<i>/<level>``,
+  ``o<i>/<level>``).  :func:`parse_step2_frame` /
+  :func:`parse_step2_result_frame` take the columns back as dtype views
+  and refuse, with ``ValueError``, anything that is not such a frame.
+  :func:`ping_record` / :func:`pong_record` are the header-only
+  heartbeat pair;
+- the JSON step-2 codec (:func:`step2_request_record`,
+  :func:`step2_result_record`, :func:`parse_step2_result`) is no longer
+  spoken by any process: the perf ledger's probe still times it.
 
 Framing is here too: :class:`FrameReader` cuts a byte stream into numbered
 lines for every ingest loop (gateway connections, ``repro serve``'s stdin,
-the node's scatter socket).
+the node's scatter socket), and reads a Step-2 frame's body after its
+header (:meth:`FrameReader.read_exact`).  :data:`MAX_LINE_BYTES` bounds a
+header line and a declared body alike.
 
 Every emitted line carries ``"schema": `` :data:`SCHEMA` so clients can
 version-gate their parsers.  These constructors are also the registry
@@ -43,7 +56,6 @@ from __future__ import annotations
 
 import json
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -57,8 +69,19 @@ from typing import (
     Union,
 )
 
-if TYPE_CHECKING:
-    from repro.backends.retrieval import RetrievalResult
+import numpy as np
+import numpy.typing as npt
+
+from repro.backends.retrieval import IntColumn, LevelHits, RetrievalResult
+from repro.databases.serialization import (
+    kmer_record_bytes,
+    pack_i64,
+    pack_kmer_column,
+    pack_sections,
+    parse_i64,
+    parse_kmer_column,
+    unpack_sections,
+)
 
 #: Wire-format version stamped on every output line.
 SCHEMA = 1
@@ -79,8 +102,12 @@ def _refuse_constant(name: str) -> object:
 def decode(text: str) -> Any:
     """``json.loads`` for every ingest path, refusing ``NaN`` /
     ``Infinity`` / ``-Infinity``: echoed back (as an id, say), they would
-    make a frame strict JSON parsers reject."""
-    return json.loads(text, parse_constant=_refuse_constant)
+    make a frame strict JSON parsers reject.  Nesting too deep for the
+    parser is a ``ValueError`` too, not a ``RecursionError``."""
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def parse_request_line(line: Union[bytes, str], line_no: int,
@@ -208,11 +235,12 @@ def drain_record(client: int, stats: Any) -> Record:
     }
 
 
-# -- cluster router <-> node frames -------------------------------------------
+# -- the JSON step-2 codec (ledger probe only) ---------------------------------
 
 
-def retrieval_columns(retrieved: "RetrievalResult") -> Record:
-    """Serialize a ``RetrievalResult``'s CSR columns as plain JSON lists.
+def retrieval_columns(retrieved: RetrievalResult) -> Record:
+    """Serialize a ``RetrievalResult``'s CSR columns as plain JSON lists
+    (ledger probe only: the cluster leg ships :func:`step2_result_frame`).
 
     The layout mirrors the in-memory columns exactly — ``queries`` plus,
     per sketch level, the flat ``taxids`` owner column and its
@@ -232,8 +260,9 @@ def retrieval_columns(retrieved: "RetrievalResult") -> Record:
     }
 
 
-def parse_retrieval(payload: Mapping[str, Any]) -> "RetrievalResult":
-    """Rebuild a ``RetrievalResult`` from :func:`retrieval_columns` output.
+def parse_retrieval(payload: Mapping[str, Any]) -> RetrievalResult:
+    """Rebuild a ``RetrievalResult`` from :func:`retrieval_columns` output
+    (ledger probe only).
 
     Columns come back as int64 ndarrays so every downstream kernel (hit
     accumulation, containment, the statistical estimator) takes its
@@ -244,10 +273,6 @@ def parse_retrieval(payload: Mapping[str, Any]) -> "RetrievalResult":
     ``queries`` into ``taxids`` — raises ``ValueError`` here, so a
     malformed reply fails its scatter attempt instead of the gather.
     """
-    import numpy as np
-
-    from repro.backends.retrieval import LevelHits, RetrievalResult
-
     if not isinstance(payload, dict) or not isinstance(
         payload.get("queries"), list
     ):
@@ -263,7 +288,7 @@ def parse_retrieval(payload: Mapping[str, Any]) -> "RetrievalResult":
         raise ValueError(f"retrieval 'queries' must be integers: {exc}") from exc
     if any(a > b for a, b in zip(queries, queries[1:])):
         raise ValueError("retrieval 'queries' must be sorted")
-    levels: Dict[int, "LevelHits"] = {}
+    levels: Dict[int, LevelHits] = {}
     for key, block in blocks.items():
         if not (
             isinstance(block, dict)
@@ -300,13 +325,8 @@ def parse_retrieval(payload: Mapping[str, Any]) -> "RetrievalResult":
 
 def step2_request_record(request_id: object,
                          queries: Sequence[Sequence[int]]) -> Record:
-    """The router's scatter frame: one sorted query column per sample.
-
-    The node intersects each column against *its* shard subset only (the
-    backend's range split discards everything outside a shard's
-    ``[lo, hi)``), so the router sends the full column and placement
-    stays entirely node-side.
-    """
+    """The JSON scatter frame: one sorted query column per sample (ledger
+    probe only: the router sends :func:`step2_frame`)."""
     return {
         "schema": SCHEMA,
         "op": "step2",
@@ -317,15 +337,10 @@ def step2_request_record(request_id: object,
 
 def step2_result_record(
     request_id: object, node: int,
-    partials: Iterable[Tuple[Sequence[int], "RetrievalResult"]],
+    partials: Iterable[Tuple[Sequence[int], RetrievalResult]],
 ) -> Record:
-    """A node's gather frame: per-sample partial owner columns.
-
-    ``partials`` is what :meth:`AnalysisSession.step_two_partial`
-    returns — one ``(intersecting, RetrievalResult)`` per sample, over
-    the node's contiguous shard group.  The intersecting k-mers *are*
-    the retrieval result's ``queries`` column, so only the columns ship.
-    """
+    """The JSON gather frame: per-sample partial owner columns (ledger
+    probe only: a node answers with :func:`step2_result_frame`)."""
     return {
         "schema": SCHEMA,
         "op": "step2_result",
@@ -337,16 +352,216 @@ def step2_result_record(
 
 def parse_step2_result(
     record: Mapping[str, object],
-) -> List[Tuple[List[int], "RetrievalResult"]]:
-    """Decode a gather frame back into per-sample partial results."""
+) -> List[Tuple[List[int], RetrievalResult]]:
+    """Decode a JSON gather frame back into per-sample partial results
+    (ledger probe only)."""
     samples = record.get("samples")
     if not isinstance(samples, list):
         raise ValueError("step2_result frame must carry a 'samples' list")
-    partials: List[Tuple[List[int], "RetrievalResult"]] = []
+    partials: List[Tuple[List[int], RetrievalResult]] = []
     for payload in samples:
         retrieved = parse_retrieval(payload)
         partials.append((list(retrieved.queries), retrieved))
     return partials
+
+
+# -- cluster router <-> node frames: header line + MEGISIDX body ---------------
+
+def step2_header_record(request_id: object, k: int, counts: Sequence[int],
+                        body_bytes: int) -> Record:
+    """The header line of a :func:`step2_frame`: ``counts[i]`` k-mers in
+    sample ``i``'s query section, ``body_bytes`` bytes of body after it."""
+    return {"schema": SCHEMA, "op": "step2", "id": request_id, "k": k,
+            "counts": list(counts), "bytes": body_bytes}
+
+
+def step2_result_header_record(request_id: object, node: int, k: int,
+                               counts: Sequence[int], levels: Sequence[int],
+                               body_bytes: int) -> Record:
+    """The header line of a :func:`step2_result_frame`: per-sample
+    intersecting k-mer counts and the sketch levels every sample carries."""
+    return {"schema": SCHEMA, "op": "step2_result", "id": request_id,
+            "node": node, "k": k, "counts": list(counts),
+            "levels": list(levels), "bytes": body_bytes}
+
+
+def step2_frame(request_id: object, k: int,
+                queries: Sequence[IntColumn]) -> bytes:
+    """The router's scatter frame: one sorted query column per sample.
+
+    The node intersects each column against *its* shard subset only, so
+    the router sends the full column and placement stays node-side.
+    """
+    body = pack_sections({
+        f"q{i}": pack_kmer_column(query, k) for i, query in enumerate(queries)
+    })
+    header = step2_header_record(request_id, k,
+                                 [len(query) for query in queries], len(body))
+    return encode(header) + body
+
+
+def step2_result_frame(request_id: object, node: int, k: int,
+                       partials: Sequence[Tuple[Any, RetrievalResult]]) -> bytes:
+    """A node's gather frame: per-sample partial owner columns.
+
+    ``partials`` is what :meth:`AnalysisSession.step_two_partial`
+    returns — one ``(intersecting, RetrievalResult)`` per sample, over the
+    node's contiguous shard group.  The intersecting k-mers *are* the
+    retrieval result's ``queries`` column, so only the columns ship.
+    """
+    results = [retrieved for _, retrieved in partials]
+    levels = [int(level) for level in results[0].levels] if results else []
+    sections: Dict[str, bytes] = {}
+    for i, retrieved in enumerate(results):
+        if retrieved.levels.keys() != set(levels):
+            raise ValueError(
+                "every sample of a step2_result frame must carry the same levels"
+            )
+        sections[f"q{i}"] = pack_kmer_column(retrieved.queries, k)
+        for level in levels:
+            hits = retrieved.levels[level]
+            sections[f"t{i}/{level}"] = pack_i64(hits.taxids)
+            sections[f"o{i}/{level}"] = pack_i64(hits.offsets)
+    body = pack_sections(sections)
+    header = step2_result_header_record(
+        request_id, node, k, [len(r.queries) for r in results], levels,
+        len(body),
+    )
+    return encode(header) + body
+
+
+def body_length(header: Mapping[str, object], limit: int) -> int:
+    """The body length a header line declares (0 when it declares none).
+
+    Refused above ``limit`` — the wire's line limit — so a reader checks
+    it before it reads a single body byte.
+    """
+    length = header.get("bytes", 0)
+    if type(length) is not int or length < 0:
+        raise ValueError(f"'bytes' must be a non-negative integer, got {length!r}")
+    if length > limit:
+        raise ValueError(
+            f"declared body of {length} bytes exceeds --max-line-bytes {limit}"
+        )
+    return length
+
+
+def parse_step2_frame(header: Mapping[str, object], body: bytes,
+                      k: int) -> List[npt.NDArray[Any]]:
+    """A :func:`step2_frame` back as sorted k-mer columns, or ``ValueError``.
+
+    The columns are ``uint64`` (``object`` past 32-base k-mers), the
+    dtype a k-``k`` database's key column has.  The kernel bisects each
+    column at shard edges, so an unsorted one would yield a silently
+    wrong partial: it is refused here, once per request.
+    """
+    counts = _frame_counts(header, body, "step2", k)
+    sections = _frame_sections(body, [f"q{i}" for i in range(len(counts))])
+    return [
+        _kmer_section(sections, f"q{i}", k, count)
+        for i, count in enumerate(counts)
+    ]
+
+
+def parse_step2_result_frame(header: Mapping[str, object], body: bytes,
+                             k: int) -> List[Tuple[List[int], RetrievalResult]]:
+    """A :func:`step2_result_frame` back as per-sample partials, or
+    ``ValueError``.
+
+    Each sample's intersecting k-mers come back as an int list (its
+    ``RetrievalResult.queries``), its owner columns as int64 views of
+    ``body``; offsets must be a CSR index over the queries into the
+    taxids, so a malformed reply fails its scatter attempt instead of the
+    gather.
+    """
+    counts = _frame_counts(header, body, "step2_result", k)
+    levels = header.get("levels")
+    if not isinstance(levels, list) or not all(
+        type(level) is int for level in levels
+    ):
+        raise ValueError("step2_result 'levels' must be a list of integers")
+    names: List[str] = []
+    for i in range(len(counts)):
+        names.append(f"q{i}")
+        for level in levels:
+            names += [f"t{i}/{level}", f"o{i}/{level}"]
+    sections = _frame_sections(body, names)
+    partials: List[Tuple[List[int], RetrievalResult]] = []
+    for i, count in enumerate(counts):
+        queries: List[int] = _kmer_section(sections, f"q{i}", k, count).tolist()
+        blocks: Dict[int, LevelHits] = {}
+        for level in levels:
+            taxids = parse_i64(sections[f"t{i}/{level}"])
+            offsets = parse_i64(sections[f"o{i}/{level}"])
+            if (
+                len(offsets) != count + 1
+                or offsets[0] != 0
+                or offsets[-1] != len(taxids)
+                or bool(np.any(offsets[1:] < offsets[:-1]))
+            ):
+                raise ValueError(
+                    f"sample {i} level {level}: offsets must rise from 0 to "
+                    f"len(taxids) over len(queries) + 1 entries"
+                )
+            blocks[level] = LevelHits(taxids=taxids, offsets=offsets)
+        partials.append((queries, RetrievalResult(queries=queries, levels=blocks)))
+    return partials
+
+
+def _frame_counts(header: Mapping[str, object], body: bytes, op: str,
+                  k: int) -> List[int]:
+    """Check a Step-2 header against its body; its per-sample counts."""
+    if header.get("op") != op:
+        raise ValueError(f"expected a {op} frame, got op {header.get('op')!r}")
+    if type(header.get("k")) is not int or header.get("k") != k:
+        raise ValueError(
+            f"frame k-mers have k={header.get('k')!r}; this index has k={k}"
+        )
+    if header.get("bytes") != len(body):
+        raise ValueError(
+            f"frame declares {header.get('bytes')!r} body bytes, got {len(body)}"
+        )
+    counts = header.get("counts")
+    if not isinstance(counts, list) or not all(
+        type(count) is int and count >= 0 for count in counts
+    ):
+        raise ValueError(f"{op} 'counts' must be a list of non-negative integers")
+    return counts
+
+
+def _frame_sections(body: bytes,
+                    names: List[str]) -> Dict[str, npt.NDArray[np.uint8]]:
+    """The body's sections, which must be exactly ``names`` in order."""
+    sections = unpack_sections(body)
+    if list(sections) != names:
+        raise ValueError(
+            f"frame section table {list(sections)[:6]} does not match its "
+            f"header (expected {names[:6]})"
+        )
+    return sections
+
+
+def _kmer_section(sections: Mapping[str, npt.NDArray[np.uint8]], name: str,
+                  k: int, count: int) -> npt.NDArray[Any]:
+    """One section of ``count`` sorted k-mer records, parsed.
+
+    A record's width already bounds its k-mer to ``[0, 4^k)`` unless the
+    padding bits below the ``2k`` key bits are set: those are refused.
+    """
+    raw = sections[name]
+    width = kmer_record_bytes(k)
+    if len(raw) != count * width:
+        raise ValueError(
+            f"section {name!r} holds {len(raw)} bytes, not {count} k-mer "
+            f"records of {width} bytes"
+        )
+    padding = width * 8 - 2 * k
+    if padding and bool(np.any(raw[width - 1::width] & ((1 << padding) - 1))):
+        raise ValueError(f"section {name!r}: k-mer records have padding bits set")
+    column = parse_kmer_column(raw, k, count)
+    if bool(np.any(np.asarray(column[1:] < column[:-1], dtype=bool))):
+        raise ValueError(f"section {name!r}: k-mers must be sorted ascending")
+    return column
 
 
 def ping_record(seq: int) -> Record:
@@ -380,7 +595,8 @@ class ByteSource(Protocol):
 
 
 #: Longest frame any endpoint buffers (gateway and node requests, the
-#: router's node replies): one line limit for the whole wire.
+#: router's node replies): one limit for the whole wire, on a header line
+#: and on the body a Step-2 header declares.
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: One framed input line: ``(line_no, line)``, where ``line`` is the
@@ -438,6 +654,20 @@ class FrameReader:
             if line.strip():
                 return self._line_no, line
 
+    async def read_exact(self, n: int) -> bytes:
+        """The next ``n`` raw bytes after the last frame — a Step-2
+        frame's body — or fewer only at end of stream.  Bytes past them
+        stay buffered for :meth:`next_frame`."""
+        while len(self._buf) < n and not self._eof:
+            chunk = await self._reader.read(max(65536, n - len(self._buf)))
+            if chunk:
+                self._buf.extend(chunk)
+            else:
+                self._eof = True
+        body = bytes(self._buf[:n])
+        del self._buf[:n]
+        return body
+
     async def _discard_to_newline(self) -> int:
         dropped = len(self._buf)
         self._buf.clear()
@@ -460,6 +690,7 @@ __all__ = [
     "Frame",
     "FrameReader",
     "Record",
+    "body_length",
     "check_schema",
     "decode",
     "drain_record",
@@ -467,12 +698,18 @@ __all__ = [
     "error_record",
     "parse_request_line",
     "parse_retrieval",
+    "parse_step2_frame",
     "parse_step2_result",
+    "parse_step2_result_frame",
     "ping_record",
     "pong_record",
     "request_record",
     "result_record",
     "retrieval_columns",
+    "step2_frame",
+    "step2_header_record",
     "step2_request_record",
+    "step2_result_frame",
+    "step2_result_header_record",
     "step2_result_record",
 ]

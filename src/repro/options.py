@@ -237,7 +237,8 @@ def add_node_flags(parser: argparse.ArgumentParser) -> None:
                              "bound address is printed on stderr)")
     parser.add_argument("--max-line-bytes", type=positive_int,
                         default=MAX_LINE_BYTES,
-                        help="reject scatter frames longer than this "
+                        help="reject scatter frame header lines, and the "
+                             "bodies they declare, longer than this "
                              "(default: 32 MiB)")
     add_execution_flags(parser, executor=False, ssds=False)
 

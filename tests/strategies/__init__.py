@@ -24,14 +24,18 @@ from tests.strategies.mapping import (
     reference_view,
 )
 from tests.strategies.settings import STANDARD_SETTINGS
+from tests.strategies.wire import FRAME_KS, damaged, json_values, retrieval_partials
 
 __all__ = [
+    "FRAME_KS",
     "STANDARD_SETTINGS",
     "IndexWorld",
     "MappingWorld",
     "ReferenceWorld",
     "collection",
+    "damaged",
     "index_worlds",
+    "json_values",
     "key_probes",
     "lying_manifests",
     "kmer_rows",
@@ -40,6 +44,7 @@ __all__ = [
     "read_lists",
     "reference_view",
     "reference_worlds",
+    "retrieval_partials",
     "sorted_kmer_databases",
     "synthetic_sketch",
     "with_manifest",

@@ -17,6 +17,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.databases.serialization import (
+    kmer_record_bytes,
+    pack_i64,
+    pack_kmer_column,
+    pack_sections,
+    unpack_sections,
+)
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis import wire
@@ -399,6 +407,40 @@ class TestBitIdentity:
                              [f"c{i}" for i in range(N_CHUNKS)])
         assert scatters >= 1
 
+    def test_k40_index_routed_through_two_nodes_equals_serial(
+        self, golden_world, golden, chunks, requests_wire
+    ):
+        """Past 32 bases a k-mer outgrows ``uint64``: queries and
+        intersecting k-mers ride ``object`` columns, packed record by
+        record, and the routed result must still equal serial analyze."""
+        sample, _ = golden_world
+        references = sample.references
+        index = MegisIndex(
+            SortedKmerDatabase.build(references, k=40),
+            SketchDatabase.build(
+                references, k_max=40, smaller_ks=(36, 29),
+                sketch_fraction=golden["params"]["sketch_fraction"],
+            ),
+            references,
+        )
+        serial = AnalysisSession(index, _config(golden)).warm()
+        expected = {}
+        for i, chunk in enumerate(chunks):
+            result = serial.analyze(chunk)
+            expected[f"c{i}"] = (
+                sorted(int(t) for t in result.candidates),
+                {str(t): f
+                 for t, f in sorted(result.profile.fractions.items())},
+            )
+        assert all(candidates for candidates, _ in expected.values())
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                return await client_roundtrip(cluster.router, requests_wire)
+
+        assert_bit_identical(run_scenario(scenario()), expected,
+                             [f"c{i}" for i in range(N_CHUNKS)])
+
     def test_cluster_result_carries_the_overlap_model(self, golden_world,
                                                       golden, chunks):
         """The router runs the local session's one analysis sequence, so
@@ -613,11 +655,14 @@ class TestFailover:
 
         async def garbage_node(reader, writer):
             request = json.loads(await reader.readline())
+            await reader.readexactly(request["bytes"])
+            body = pack_sections({f"q{i}": b""
+                                  for i in range(len(request["counts"]))})
             reply = {"schema": 1, "op": "step2_result", "id": request["id"],
-                     "node": 1,
-                     "samples": [{"queries": [1], "levels": {"20": {}}}
-                                 for _ in request["queries"]]}
-            writer.write((json.dumps(reply) + "\n").encode("utf-8"))
+                     "node": 1, "k": request["k"],
+                     "counts": [0] * len(request["counts"]), "levels": [20],
+                     "bytes": len(body)}
+            writer.write((json.dumps(reply) + "\n").encode("utf-8") + body)
             await writer.drain()
             writer.close()
 
@@ -647,7 +692,7 @@ class TestFailover:
             [frame] = records
             assert frame["id"] == "c0"
             assert "node_failed: node=1 after 2 attempts" in frame["error"]
-            assert "must carry 'taxids'" in frame["error"]
+            assert "does not match its header" in frame["error"]
             assert stats.node_failures == 1
 
     def test_reply_without_a_newline_is_bounded(self, golden_world, golden,
@@ -716,11 +761,169 @@ class TestFailover:
         for sock in opened:
             assert bound < sock.received <= bound + chunk
 
+    def test_declared_body_over_the_limit_is_refused_unread(
+        self, golden_world, golden, monkeypatch
+    ):
+        """A reply header declaring a body past the wire's limit fails the
+        attempt before the router reads a body byte: one bounded buffer
+        per attempt, one retry, then ``node_failed``."""
+        bound = 1 << 16
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", bound)
+        received = []
+
+        async def boasting_node(reader, writer):
+            request = json.loads(await reader.readline())
+            header = {"schema": 1, "op": "step2_result", "id": request["id"],
+                      "node": 0, "k": request["k"], "counts": [0],
+                      "levels": [], "bytes": 1 << 40}
+            writer.write((json.dumps(header) + "\n").encode("utf-8"))
+            try:
+                while True:
+                    writer.write(b"x" * 65536)
+                    await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                writer.close()
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock = sock
+
+            def recv(self, n):
+                data = self.sock.recv(n)
+                received.append(len(data))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        connect_send = ClusterStepTwo._connect_send
+        monkeypatch.setattr(
+            ClusterStepTwo, "_connect_send",
+            lambda self, address, frame, timeout=None: CountingSocket(
+                connect_send(self, address, frame, timeout)),
+        )
+
+        async def scenario():
+            server = await asyncio.start_server(boasting_node,
+                                                "127.0.0.1", 0)
+            step_two = ClusterStepTwo(
+                ClusterMap(n_nodes=1, n_shards=1),
+                [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=18,
+            )
+            try:
+                with pytest.raises(NodeFailed) as failed:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, step_two.scatter, [[1, 2, 3]]
+                    )
+            finally:
+                server.close()
+                await server.wait_closed()
+            return failed.value, step_two.stats
+
+        failed, stats = run_scenario(scenario())
+        assert f"exceeds --max-line-bytes {bound}" in failed.reason
+        assert (stats.node_retries, stats.node_failures) == (1, 1)
+        # Header reads only: one recv per attempt, never the body.
+        assert len(received) == 2 and all(n <= 65536 for n in received)
+
+    @pytest.mark.parametrize("defect, message", [
+        pytest.param(lambda h, s: (h, s, -5), "mid-body", id="truncated"),
+        pytest.param(lambda h, s: (h, s, "toc"), "table of contents",
+                     id="bad-section-table"),
+        pytest.param(lambda h, s: ({**h, "counts": [4]}, s, None),
+                     "not 4 k-mer records", id="counts-disagree"),
+        pytest.param(lambda h, s: (h, {**s, "q0": pack_kmer_column(
+            [12, 9, 5], 18)}, None), "sorted ascending", id="unsorted"),
+        pytest.param(lambda h, s: (h, {**s, "o0/18": pack_i64(
+            [0, 2, 1, 3])}, None), "offsets must rise", id="non-csr-offsets"),
+        pytest.param(lambda h, s: (h, {**s, "q0": s["q0"][:-1] + b"\x01"},
+                                   None), "padding bits", id="padding-bits"),
+        pytest.param(lambda h, s: ({**h, "k": 19}, s, None), "k=19",
+                     id="wrong-k"),
+    ])
+    def test_undecodable_reply_costs_the_retry_then_node_failed(
+        self, defect, message
+    ):
+        """Every defect a reply frame can carry is one failed attempt:
+        the retry meets the same defect, and the scatter raises
+        ``NodeFailed`` naming it — never a decoder's own exception."""
+        k = 18
+        partial = RetrievalResult(queries=[5, 9, 12], levels={
+            18: LevelHits(taxids=[562, 562, 1280], offsets=[0, 2, 2, 3]),
+            11: LevelHits(taxids=[99], offsets=[0, 0, 1, 1]),
+        })
+
+        def damaged_reply(request_id):
+            frame = wire.step2_result_frame(request_id, 0, k,
+                                            [(partial.queries, partial)])
+            newline = frame.index(b"\n")
+            header = json.loads(frame[:newline])
+            sections = {name: bytes(view) for name, view in
+                        unpack_sections(frame[newline + 1:]).items()}
+            assert wire.parse_step2_result_frame(
+                header, frame[newline + 1:], k)[0][1] == partial
+            header, sections, cut = defect(header, sections)
+            body = pack_sections(sections)
+            if cut == "toc":
+                body = body[:16] + b"{" + body[17:]
+            header = {**header, "bytes": len(body)}
+            if isinstance(cut, int):
+                body = body[:cut]
+            return (json.dumps(header) + "\n").encode("utf-8") + body
+
+        async def bad_node(reader, writer):
+            request = json.loads(await reader.readline())
+            await reader.readexactly(request["bytes"])
+            writer.write(damaged_reply(request["id"]))
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(bad_node, "127.0.0.1", 0)
+            step_two = ClusterStepTwo(
+                ClusterMap(n_nodes=1, n_shards=1),
+                [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=k,
+            )
+            try:
+                with pytest.raises(NodeFailed) as failed:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, step_two.scatter, [[1, 2, 3]]
+                    )
+            finally:
+                server.close()
+                await server.wait_closed()
+            return failed.value, step_two.stats
+
+        failed, stats = run_scenario(scenario())
+        assert message in failed.reason
+        assert (stats.node_retries, stats.node_failures) == (1, 1)
+
+    def test_router_needs_the_index_k(self):
+        endpoints = [NodeEndpoint(0, ("127.0.0.1", 1))]
+        with pytest.raises(ValueError, match="needs the index's k"):
+            ClusterStepTwo(ClusterMap(n_nodes=1, n_shards=1), endpoints)
+        pinned = ClusterMap(n_nodes=1, n_shards=1, fingerprint={"k": 18})
+        assert ClusterStepTwo(pinned, endpoints).k == 18
+        assert ClusterStepTwo(pinned, endpoints, k=20).k == 20
+
     def test_node_failed_str_is_the_wire_message(self):
         error = NodeFailed(3, attempts=2, reason="connection refused")
         assert str(error) == (
             "node_failed: node=3 after 2 attempts: connection refused"
         )
+
+
+def step2_request(request_id, k, sections, **header):
+    """A step2 frame built by hand around ``sections`` (defects and all);
+    ``header`` overrides the fields a well-formed one would carry."""
+    body = pack_sections(sections)
+    fields = {"schema": 1, "op": "step2", "id": request_id, "k": k,
+              "counts": [len(sections["q0"]) // kmer_record_bytes(k)]
+              if "q0" in sections else [],
+              "bytes": len(body), **header}
+    return (json.dumps(fields) + "\n").encode("utf-8") + body
 
 
 class TestNodeProtocol:
@@ -738,7 +941,10 @@ class TestNodeProtocol:
             line = await reader.readline()
             if not line:
                 break
-            records.append(json.loads(line, parse_constant=_refuse_constant))
+            record = json.loads(line, parse_constant=_refuse_constant)
+            if "bytes" in record:
+                record["body"] = await reader.readexactly(record["bytes"])
+            records.append(record)
         writer.close()
         return records
 
@@ -746,6 +952,7 @@ class TestNodeProtocol:
                                                         golden):
         _, index = golden_world
         cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
+        header = {"op": "step2", "k": index.k, "counts": [0], "bytes": 0}
 
         async def scenario():
             node = ClusterNode(
@@ -755,11 +962,10 @@ class TestNodeProtocol:
             async with node:
                 return await self._ask(node, [
                     b"not json\n",
-                    {"op": "step2", "id": 1, "queries": [[]]},
-                    {"schema": 9, "op": "step2", "id": 2, "queries": [[]]},
+                    {**header, "id": 1},
+                    {"schema": 9, **header, "id": 2},
                     {"schema": 1, "op": "warp", "id": 3},
-                    {"schema": 1, "op": "step2", "id": 4,
-                     "queries": "nope"},
+                    {"schema": 1, **header, "id": 4, "counts": "nope"},
                     {"schema": 1, "op": "ping", "id": 5},
                     b'{"schema": 1, "op": "ping", "id": NaN}\n',
                     b'{"schema": 1, "op": "ping", "id": -Infinity}\n',
@@ -771,7 +977,7 @@ class TestNodeProtocol:
         assert "missing 'schema'" in records[1]["error"]
         assert "unsupported schema 9" in records[2]["error"]
         assert "unknown op" in records[3]["error"]
-        assert "k-mer int lists" in records[4]["error"]
+        assert "'counts' must be a list" in records[4]["error"]
         pong = records[5]
         assert pong["op"] == "pong"
         assert pong["node"] == 0
@@ -785,9 +991,12 @@ class TestNodeProtocol:
     def test_malformed_query_columns_refused(self, golden_world, golden,
                                              chunks, backend):
         """A query column is validated once per request, before the
-        kernel bisects it: unsorted, out-of-range and bool entries get a
-        structured error frame and the connection keeps serving."""
+        kernel bisects it: unsorted records, records with padding bits
+        set, sections that disagree with ``counts``, a foreign ``k`` and a
+        bad section table get a structured error frame and the
+        connection keeps serving."""
         _, index = golden_world
+        k = index.k
         cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
         config = _config(golden, backend=backend, n_ssds=N_SHARDS)
         full = AnalysisSession(index, _config(golden, backend=backend))
@@ -796,11 +1005,8 @@ class TestNodeProtocol:
             full._partitioner.partition(chunks[0]).merged_column()
         ]
         half = len(column) // 2
-        space = 1 << (2 * index.k)
-
-        def step2(request_id, query):
-            return {"schema": 1, "op": "step2", "id": request_id,
-                    "queries": [query]}
+        records = bytearray(pack_kmer_column(column, k))
+        records[kmer_record_bytes(k) - 1] |= 1  # k=18 leaves 4 padding bits
 
         async def scenario():
             node = ClusterNode(
@@ -810,27 +1016,66 @@ class TestNodeProtocol:
             )
             async with node:
                 return await self._ask(node, [
-                    step2(1, column[half:] + column[:half]),
-                    step2(2, [-1] + column),
-                    step2(3, column + [space]),
-                    step2(4, [True] + column),
-                    step2(5, [1.5]),
-                    step2(6, column),
+                    wire.step2_frame(1, k, [column[half:] + column[:half]]),
+                    step2_request(2, k, {"q0": bytes(records)}),
+                    step2_request(3, k, {"q0": pack_kmer_column(column, k)},
+                                  counts=[len(column) + 1]),
+                    wire.step2_frame(4, k + 1, [column]),
+                    step2_request(5, k, {"q1": pack_kmer_column(column, k)},
+                                  counts=[len(column)]),
+                    wire.step2_frame(6, k, [column]),
                     {"schema": 1, "op": "ping", "id": 7},
                 ])
 
         records = run_scenario(scenario())
         assert len(records) == 7
         assert "sorted ascending" in records[0]["error"]
-        assert "must lie in [0, 4^" in records[1]["error"]
-        assert "must lie in [0, 4^" in records[2]["error"]
-        assert "k-mer int lists" in records[3]["error"]
-        assert "k-mer int lists" in records[4]["error"]
+        assert "padding bits" in records[1]["error"]
+        assert f"not {len(column) + 1} k-mer records" in records[2]["error"]
+        assert f"k={k + 1}; this index has k={k}" in records[3]["error"]
+        assert "does not match its header" in records[4]["error"]
         served = records[5]
         assert served["op"] == "step2_result" and served["id"] == 6
+        [(intersecting, _)] = wire.parse_step2_result_frame(
+            served, served["body"], k)
         lo, hi = (index.shards(N_SHARDS)[0].lo, index.shards(N_SHARDS)[1].hi)
-        assert served["samples"][0]["queries"] == [
+        assert intersecting == [
             kmer for kmer in index.database.intersect(column) if lo <= kmer < hi
         ]
         assert records[6]["op"] == "pong"
         assert records[6]["served"] == 1
+
+    def test_declared_body_is_bounded_and_truncation_refused(
+        self, golden_world, golden, chunks
+    ):
+        """A declared body past the node's line limit is refused before
+        any of it is read, and the connection keeps serving; a body cut
+        short by the end of the stream is refused, not computed on."""
+        _, index = golden_world
+        k = index.k
+        cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
+        full = AnalysisSession(index, _config(golden))
+        column = full._partitioner.partition(chunks[0]).merged_column()
+        frame = wire.step2_frame(3, k, [column])
+
+        async def scenario():
+            node = ClusterNode(
+                make_node_session(index, golden, cluster_map, 0),
+                0, cluster_map, max_line_bytes=len(frame),
+            )
+            async with node:
+                return await self._ask(node, [
+                    {"schema": 1, "op": "step2", "id": 1, "k": k,
+                     "counts": [1], "bytes": len(frame) + 1},
+                    {"schema": 1, "op": "ping", "id": 2},
+                    frame,
+                    frame[:-3],
+                ])
+
+        records = run_scenario(scenario())
+        assert len(records) == 4
+        assert (f"declared body of {len(frame) + 1} bytes exceeds "
+                f"--max-line-bytes {len(frame)}") in records[0]["error"]
+        assert records[1]["op"] == "pong"
+        assert records[2]["op"] == "step2_result" and records[2]["id"] == 3
+        assert records[3]["id"] == 3 and "body bytes, got" in records[3]["error"]

@@ -1,6 +1,7 @@
 """The wire format in isolation: every constructor round-trips, every
-malformed input is a message (never an exception), schema versioning is
-enforced on ingest.
+malformed request line is a message (never an exception), every malformed
+Step-2 frame is a ``ValueError`` (never another exception), schema
+versioning is enforced on ingest.
 
 The serving surfaces (serve/gateway/cluster) all import
 :mod:`repro.megis.wire`, so this suite is the contract they share —
@@ -13,9 +14,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.databases.serialization import (
+    kmer_record_bytes,
+    pack_i64,
+    pack_kmer_column,
+    pack_sections,
+    unpack_sections,
+)
 from repro.megis import wire
+from tests.strategies import FRAME_KS, damaged, json_values, retrieval_partials
 
 
 def parse(line, line_no=1, **kwargs):
@@ -355,3 +366,300 @@ class TestFrameReader:
             return out
 
         assert asyncio.run(frames()) == expected
+
+    @pytest.mark.parametrize("chunks, body, after", [
+        pytest.param([b"h\nBOD", b"Y", b"next\n"], b"BODY", [(2, b"next")],
+                     id="a body split across reads, then the next line"),
+        pytest.param([b"h\nBODYnext\n"], b"BODY", [(2, b"next")],
+                     id="a body and the next line in one read"),
+        pytest.param([b"h\nBO"], b"BO", [],
+                     id="a truncated body comes back short at EOF"),
+        pytest.param([b"h\n"], b"", [], id="no body at all"),
+    ])
+    def test_read_exact_takes_the_body_after_its_header(self, chunks, body,
+                                                        after):
+        async def frames():
+            reader = wire.FrameReader(_Chunks(chunks), max_line_bytes=8)
+            header = await reader.next_frame()
+            got = await reader.read_exact(4)
+            rest = []
+            while (frame := await reader.next_frame()) is not None:
+                rest.append(frame)
+            return header, got, rest
+
+        assert asyncio.run(frames()) == ((1, b"h"), body, after)
+
+
+def split(frame):
+    """A Step-2 frame -> (header dict, body bytes); the header says how
+    many body bytes follow its newline, and that is all that follows."""
+    newline = frame.index(b"\n")
+    header, body = json.loads(frame[:newline]), frame[newline + 1:]
+    assert header["bytes"] == len(body)
+    return header, body
+
+
+def column_at(k, n=40, seed=0):
+    """A sorted query column at ``k`` with both key-space ends and a
+    duplicate, in the dtype a k-``k`` index keys with."""
+    top = (1 << (2 * k)) - 1
+    rng = np.random.default_rng(seed)
+    middle = [int(x) for x in rng.integers(0, min(top, 2**62), n)]
+    if 2 * k > 64:
+        middle = [x << (2 * k - 62) for x in middle]
+    values = sorted([0, top, middle[0], *middle])
+    return np.asarray(values, dtype=np.uint64 if 2 * k <= 64 else object)
+
+
+def partials_at(k):
+    """One node's partials: a sample with hits at some levels and none
+    at another (list columns, as the python backend emits), then an empty
+    sample (ndarray columns)."""
+    queries = [int(q) for q in column_at(k, n=3)][:4]
+    levels = (k, k - 3, k - 7)
+    hit = RetrievalResult(queries=queries, levels={
+        k: LevelHits(taxids=[562, 562, 1280], offsets=[0, 2, 2, 2, 3]),
+        k - 3: LevelHits(taxids=[], offsets=[0, 0, 0, 0, 0]),
+        k - 7: LevelHits(taxids=[7, 8, 9, 10], offsets=[0, 1, 2, 3, 4]),
+    })
+    empty = RetrievalResult(queries=[], levels={
+        level: LevelHits(np.empty(0, np.int64), np.zeros(1, np.int64))
+        for level in levels
+    })
+    return [(queries, hit), ([], empty)]
+
+
+def assert_partials_identical(decoded, original):
+    assert len(decoded) == len(original)
+    for (intersecting, got), (_, want) in zip(decoded, original):
+        assert intersecting == got.queries == [int(q) for q in want.queries]
+        assert all(type(q) is int for q in got.queries)
+        assert list(got.levels) == list(want.levels)
+        for level, hits in want.levels.items():
+            assert got.levels[level].taxids.dtype == np.int64
+            assert got.levels[level].taxids.tolist() == list(hits.taxids)
+            assert got.levels[level].offsets.tolist() == list(hits.offsets)
+
+
+def refit(header, sections):
+    """A frame body re-packed from ``sections`` under ``header``, with
+    ``bytes`` made to agree (so only the intended defect remains)."""
+    body = pack_sections(sections)
+    return {**header, "bytes": len(body)}, body
+
+
+class TestStep2Frames:
+    @pytest.mark.parametrize("k", FRAME_KS)
+    def test_request_frame_roundtrip_bit_identical(self, k):
+        column = column_at(k)
+        header, body = split(wire.step2_frame(8, k, [column, [], column[:1]]))
+        assert (header["schema"], header["op"], header["id"]) == (1, "step2", 8)
+        assert (header["k"], header["counts"]) == (k, [len(column), 0, 1])
+        columns = wire.parse_step2_frame(header, body, k)
+        expected = np.uint64 if 2 * k <= 64 else object
+        assert [c.dtype for c in columns] == [np.dtype(expected)] * 3
+        assert [c.tolist() for c in columns] == [
+            [int(x) for x in column], [], [int(column[0])]
+        ]
+        # Records are the index file's own: ceil(2k / 8) bytes each.
+        assert [len(view) for view in unpack_sections(body).values()] == [
+            len(column) * kmer_record_bytes(k), 0, kmer_record_bytes(k)]
+
+    @pytest.mark.parametrize("k", FRAME_KS)
+    def test_result_frame_roundtrip_bit_identical(self, k):
+        original = partials_at(k)
+        header, body = split(wire.step2_result_frame(8, 1, k, original))
+        assert (header["op"], header["id"], header["node"]) == ("step2_result", 8, 1)
+        assert (header["counts"], header["levels"]) == ([4, 0], [k, k - 3, k - 7])
+        decoded = wire.parse_step2_result_frame(header, body, k)
+        assert_partials_identical(decoded, original)
+        assert [r for _, r in decoded] == [r for _, r in original]
+
+    def test_result_frame_requires_one_level_set(self):
+        [(queries, hit), (empty_queries, empty)] = partials_at(20)
+        del empty.levels[13]
+        with pytest.raises(ValueError, match="same levels"):
+            wire.step2_result_frame(1, 0, 20, [(queries, hit), (empty_queries, empty)])
+
+    @staticmethod
+    def _request(k=18):
+        return split(wire.step2_frame(1, k, [column_at(k, n=5)]))
+
+    @staticmethod
+    def _result(k=18):
+        return split(wire.step2_result_frame(1, 0, k, partials_at(k)))
+
+    @staticmethod
+    def _sections(body):
+        return {name: bytearray(view) for name, view in unpack_sections(body).items()}
+
+    def _padded(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["q0"][kmer_record_bytes(18) - 1] |= 1  # a padding bit at k=18
+        return refit(header, sections)
+
+    def _unsorted(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        column = column_at(18, n=5) if header["op"] == "step2" else [
+            int(q) for q in partials_at(18)[0][0]]
+        sections["q0"] = pack_kmer_column(list(reversed(column)), 18)
+        return refit(header, sections)
+
+    def _recounted(self, frame):
+        header, body = frame
+        return {**header, "counts": [header["counts"][0] + 1, *header["counts"][1:]]}, body
+
+    def _retabled(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["x0"] = sections.pop("q0")
+        return refit(header, sections)
+
+    @staticmethod
+    def _bad_toc(frame):
+        header, body = frame
+        return header, body[:16] + b"{" + body[17:]
+
+    @staticmethod
+    def _infinite_offset(frame):
+        header, body = frame
+        toc = json.dumps([["q0", 1e400, 0]]).encode()
+        body = b"MEGISIDX\x02\x00\x00\x00" + len(toc).to_bytes(4, "little") + toc
+        return {**header, "counts": [0], "bytes": len(body)}, body
+
+    @staticmethod
+    def _truncated(frame):
+        header, body = frame
+        return header, body[:-1]
+
+    @staticmethod
+    def _wrong_k(frame):
+        header, body = frame
+        return {**header, "k": 19}, body
+
+    @staticmethod
+    def _wrong_op(frame):
+        header, body = frame
+        return {**header, "op": "ping"}, body
+
+    @staticmethod
+    def _counts_not_a_list(frame):
+        header, body = frame
+        return {**header, "counts": "nope"}, body
+
+    DEFECTS = [
+        pytest.param(defect, message, id=defect[1:])
+        for defect, message in [
+            ("_truncated", "declares"),
+            ("_bad_toc", "table of contents"),
+            ("_infinite_offset", "table of contents"),
+            ("_retabled", "does not match its header"),
+            ("_recounted", r"holds \d+ bytes, not \d+ k-mer records"),
+            ("_unsorted", "sorted ascending"),
+            ("_padded", "padding bits"),
+            ("_wrong_k", "k=19"),
+            ("_wrong_op", "expected a step2"),
+            ("_counts_not_a_list", "'counts' must be a list"),
+        ]
+    ]
+
+    @pytest.mark.parametrize("defect, message", DEFECTS)
+    def test_request_frame_defects_are_value_errors(self, defect, message):
+        header, body = getattr(self, defect)(self._request())
+        with pytest.raises(ValueError, match=message):
+            wire.parse_step2_frame(header, body, 18)
+
+    @pytest.mark.parametrize("defect, message", DEFECTS + [
+        pytest.param(defect, message, id=defect[1:])
+        for defect, message in [
+            ("_levels_not_a_list", "'levels' must be a list"),
+            ("_non_csr_offsets", "offsets must rise"),
+            ("_short_offsets", "offsets must rise"),
+            ("_ragged_taxids", "multiple of 8"),
+        ]
+    ])
+    def test_result_frame_defects_are_value_errors(self, defect, message):
+        header, body = getattr(self, defect)(self._result())
+        with pytest.raises(ValueError, match=message):
+            wire.parse_step2_result_frame(header, body, 18)
+
+    @staticmethod
+    def _levels_not_a_list(frame):
+        header, body = frame
+        return {**header, "levels": {"18": 1}}, body
+
+    def _non_csr_offsets(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["o0/18"] = pack_i64([0, 2, 1, 2, 3])
+        return refit(header, sections)
+
+    def _short_offsets(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["o0/18"] = pack_i64([0, 2, 2, 3])
+        return refit(header, sections)
+
+    def _ragged_taxids(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["t0/18"] += b"\x00"
+        return refit(header, sections)
+
+    @pytest.mark.parametrize("header, expected", [
+        ({}, 0),
+        ({"bytes": 0}, 0),
+        ({"bytes": 64}, 64),
+        ({"bytes": 65}, "exceeds --max-line-bytes 64"),
+        ({"bytes": -1}, "non-negative integer"),
+        ({"bytes": True}, "non-negative integer"),
+        ({"bytes": 1.0}, "non-negative integer"),
+        ({"bytes": "8"}, "non-negative integer"),
+    ])
+    def test_body_length_is_bounded_before_reading(self, header, expected):
+        if isinstance(expected, int):
+            assert wire.body_length(header, 64) == expected
+        else:
+            with pytest.raises(ValueError, match=expected):
+                wire.body_length(header, 64)
+
+
+class TestWireProperties:
+    @given(st.binary(max_size=256) | json_values.map(
+        lambda value: json.dumps(value).encode()))
+    def test_parse_request_line_never_raises(self, line):
+        request_id, reads, error = wire.parse_request_line(line, 3)
+        assert (reads is None) != (error is None)
+
+    def test_parse_request_line_refuses_deep_nesting(self):
+        _, reads, error = wire.parse_request_line(b"[" * 100_000, 1)
+        assert reads is None and error.startswith("bad JSON (")
+
+    @given(st.sampled_from(FRAME_KS).flatmap(
+        lambda k: retrieval_partials(k).map(lambda partials: (k, partials))))
+    def test_generated_partials_roundtrip_unchanged(self, drawn):
+        k, partials = drawn
+        header, body = split(wire.step2_result_frame(5, 2, k, partials))
+        assert_partials_identical(
+            wire.parse_step2_result_frame(header, body, k), partials)
+
+    @given(st.data())
+    def test_frame_parsers_raise_only_value_errors(self, data):
+        k = data.draw(st.sampled_from(FRAME_KS))
+        if data.draw(st.booleans()):
+            frame = wire.step2_result_frame(
+                1, 0, k, data.draw(retrieval_partials(k)))
+            parse = wire.parse_step2_result_frame
+        else:
+            queries = data.draw(st.lists(
+                st.lists(st.integers(0, (1 << (2 * k)) - 1), max_size=8).map(sorted),
+                max_size=3))
+            frame = wire.step2_frame(1, k, queries)
+            parse = wire.parse_step2_frame
+        header, body = data.draw(damaged(frame))
+        try:
+            parse(header, body, k)
+        except ValueError:
+            pass
