@@ -20,7 +20,8 @@ The commands cover the library's main entry points:
   "samples_batched", "queue_wait_ms", "latency_ms"}``) or a structured
   error object (``{"schema", "id", "error", "line"}``).  ``--max-queue``
   bounds admission (reading blocks when full), ``--batch-window-ms``
-  holds forming §4.7 batches to coalesce trickling arrivals,
+  holds forming §4.7 batches to coalesce trickling arrivals (1 ms by
+  default; 0 dispatches at once),
   ``--deadline-ms`` bounds per-request queue wait; per client there is
   token-bucket rate limiting (``--rate-limit``/``--rate-burst``), a
   connection cap (``--max-clients``) and per-request admission rejection

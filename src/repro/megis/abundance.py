@@ -19,8 +19,9 @@ adjusted by each genome's offset in the concatenation.
 * :class:`~repro.tools.mapping.ColumnarSpeciesIndex` inputs take the
   column merge: the offset-adjusted species columns are concatenated in
   ascending-taxid order, one stable sort brings every k-mer's locations
-  together (already ascending), and one ``unique`` cuts the key column
-  and its CSR offsets.
+  together (already ascending), one ``unique`` cuts the key column
+  and its CSR offsets, and one ``searchsorted`` fixes each location's
+  species.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ def merge_species_columns(
 
     ``entries_read`` counts one entry per distinct k-mer per species,
     ``entries_written`` one per distinct k-mer overall, ``shared_kmers``
-    the merged entries more than one species contributed to — a run of
-    locations spans species exactly when its first and last location
-    fall in different genomes, locations being ascending.
+    the merged entries more than one species contributed to.  One
+    ``searchsorted`` against ``starts`` gives every location its species
+    (the ``location_species`` column the vote reads), and a run of
+    locations spans species exactly when its first and last location's
+    species differ, locations being ascending.
     """
     k = indexes[0].k if indexes else 0
     if any(ix.k != k for ix in indexes):
@@ -133,19 +136,20 @@ def merge_species_columns(
     keys, first = np.unique(kmers[order], return_index=True)
     locations = locations[order]
     offsets = np.append(first, locations.size).astype(np.int64, copy=False)
-    species = np.searchsorted(
-        starts, locations[[offsets[:-1], offsets[1:] - 1]], side="right"
-    )
+    location_species = np.searchsorted(starts, locations, side="right") - 1
     stats = IndexMergeStats(
         entries_read=sum(ix.distinct_kmers() for ix in ordered),
         entries_written=int(keys.size),
-        shared_kmers=int(np.count_nonzero(species[0] != species[1])),
+        shared_kmers=int(np.count_nonzero(
+            location_species[offsets[:-1]] != location_species[offsets[1:] - 1]
+        )),
     )
     unified = ColumnarUnifiedIndex(
         k=k,
         kmers=keys,
         offsets=offsets,
         locations=locations,
+        location_species=location_species,
         taxids=np.array([ix.taxid for ix in ordered], dtype=np.int64),
         starts=starts,
         total_length=int(lengths.sum()),

@@ -50,6 +50,14 @@ from repro.megis.service import AdmissionFull, AnalysisService, ServiceClosed
 from repro.megis.session import AnalysisSession
 from repro.sequences.reads import Read
 
+#: Default ``batch_window_ms``.  Each client's request reaches the service
+#: through the loop and the submit pool, so requests two clients send at
+#: once are queued a fraction of a millisecond apart; without a window
+#: the worker woken by the first runs it alone or with its peer as
+#: thread scheduling falls.  Only a gateway whose ``max_batch`` exceeds 1
+#: ever waits.
+DEFAULT_BATCH_WINDOW_MS = 1.0
+
 
 class TokenBucket:
     """Classic token bucket: ``rate`` tokens/s refill, ``burst`` capacity.
@@ -179,7 +187,7 @@ class AnalysisGateway:
         max_batch: Optional[int] = None,
         with_abundance: bool = True,
         max_queue: Optional[int] = None,
-        batch_window_ms: float = 0.0,
+        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
         deadline_ms: Optional[float] = None,
         rate_limit: Optional[float] = None,
         rate_burst: float = 8.0,

@@ -191,18 +191,24 @@ class KmerBucketPartitioner:
 
     # -- boundary selection ----------------------------------------------------
 
-    def _boundaries(self, sample: Sequence[int]) -> List[int]:
-        """Equal-frequency boundaries from a preliminary k-mer subset."""
+    def _boundaries(self, sample: KmerColumn) -> List[int]:
+        """Equal-frequency boundaries from a preliminary k-mer subset.
+
+        An ndarray head is sorted and indexed in numpy; either container
+        gives the same ascending Python ints.
+        """
         space = 1 << (2 * self.k)
-        if not sample:
+        n = len(sample)
+        if not n:
             return [space * i // self.n_buckets for i in range(1, self.n_buckets)]
-        ordered = sorted(sample)
-        boundaries = []
-        for i in range(1, self.n_buckets):
-            boundaries.append(ordered[min(len(ordered) - 1, len(ordered) * i // self.n_buckets)])
+        picks = [min(n - 1, n * i // self.n_buckets) for i in range(1, self.n_buckets)]
         # Deduplicate (merging preliminary buckets, as the paper describes):
         # a degenerate sample yields fewer, wider buckets.
-        return sorted(set(boundaries))
+        if isinstance(sample, np.ndarray):
+            picked = np.sort(sample)[np.asarray(picks, dtype=np.intp)]
+            return list(np.unique(picked).tolist())
+        ordered = sorted(sample)
+        return sorted({ordered[i] for i in picks})
 
     # -- main entry --------------------------------------------------------------
 
@@ -221,27 +227,30 @@ class KmerBucketPartitioner:
         The vectorized path (columnar backend, k-mers fit uint64) packs
         the whole sample's k-mers in one pass
         (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
-        in read order, whose head is the preliminary sample) and groups
-        it by bucket with one stable argsort over the bucket ids; the
-        Counter path extracts read by read and folds each in
-        immediately so peak memory stays O(distinct k-mers).
+        in read order, whose ndarray head is the preliminary sample the
+        boundary pass sorts in numpy) and groups it by bucket with one
+        stable argsort over the bucket ids; the Counter path extracts
+        read by read and folds each in immediately so peak memory stays
+        O(distinct k-mers).
         """
         lead_start = time.perf_counter()
         vectorized = self._backend.columnar and self.k <= 31
         counts: Counter = Counter()
-        preliminary: List[int] = []
+        preliminary: KmerColumn
         if vectorized:
             merged, _ = extract_kmers_batch(
                 [read.sequence for read in reads], self.k
             )
-            preliminary = merged[:PRELIMINARY_SAMPLE].tolist()
+            preliminary = merged[:PRELIMINARY_SAMPLE]
         else:
+            head: List[int] = []
             for read in reads:
                 kmers = extract_kmers(read.sequence, self.k, canonical=False)
                 counts.update(kmers.tolist())
-                remaining = PRELIMINARY_SAMPLE - len(preliminary)
+                remaining = PRELIMINARY_SAMPLE - len(head)
                 if remaining > 0:
-                    preliminary.extend(int(x) for x in kmers[:remaining].tolist())
+                    head.extend(int(x) for x in kmers[:remaining].tolist())
+            preliminary = head
 
         boundaries = self._boundaries(preliminary)
         space = 1 << (2 * self.k)

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 
 from repro.backends import available_backends
 from repro.megis.executors import available_executors, parse_spec
+from repro.megis.gateway import DEFAULT_BATCH_WINDOW_MS
 from repro.megis.wire import MAX_LINE_BYTES
 
 
@@ -155,11 +156,14 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                         help="bound the admission queue: submission "
                              "blocks while N samples are queued "
                              "(backpressure; default: unbounded)")
-    parser.add_argument("--batch-window-ms", type=float, default=0.0,
+    parser.add_argument("--batch-window-ms", type=float,
+                        default=DEFAULT_BATCH_WINDOW_MS,
                         help="hold a forming batch up to this long after "
                              "its first sample arrived so trickling "
                              "arrivals coalesce into one §4.7 batch "
-                             "(throughput up, tail latency up)")
+                             "(throughput up, tail latency up; default: "
+                             f"{DEFAULT_BATCH_WINDOW_MS:g}, 0 dispatches "
+                             "at once)")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="fail requests still queued after this many "
                              "ms instead of serving them late")

@@ -24,13 +24,15 @@ either:
   Step 2.
 * :class:`ColumnarSpeciesIndex` / :class:`ColumnarUnifiedIndex` — the
   shape every other resident table has: a sorted ``uint64`` key column, CSR
-  ``offsets`` into a ``locations`` column, and the genomes' ``starts`` in
-  ascending-taxid order.  The mapper votes for a whole block of reads at
-  once: one batch extraction, one ``searchsorted`` into the key column, a
-  CSR gather, ``searchsorted(starts, locations, "right") - 1`` to
-  attribute the hits, and one ``bincount`` over ``read * n_species +
-  species``.  Every columnar-backend session with ``mapper_k <= 31`` takes
-  this path; results equal the reference read for read.
+  ``offsets`` into a ``locations`` column with its ``location_species``
+  column beside it, and the genomes' ``starts`` in ascending-taxid order.
+  The mapper votes for a whole block of reads at once: one batch
+  extraction, one ``unique`` so each distinct seed probes the key column
+  once and in key order, one ``searchsorted``, a CSR gather of the hits'
+  species straight from ``location_species``, and one ``bincount`` over
+  ``read * n_species + species``.  Every columnar-backend session with
+  ``mapper_k <= 31`` takes this path; results equal the reference read
+  for read.
 """
 
 from __future__ import annotations
@@ -161,13 +163,15 @@ class ColumnarUnifiedIndex:
     ``locations[offsets[i]:offsets[i + 1]]`` are the ascending global
     locations of ``kmers[i]``; species ``taxids[j]`` (ascending) covers
     locations ``[starts[j], starts[j + 1])``, the last one up to
-    ``total_length``.
+    ``total_length``.  ``location_species[i]`` is the species (an index
+    into ``taxids``) that ``locations[i]`` falls in, fixed by the merge.
     """
 
     k: int
     kmers: np.ndarray
     offsets: np.ndarray
     locations: np.ndarray
+    location_species: np.ndarray
     taxids: np.ndarray
     starts: np.ndarray
     total_length: int
@@ -270,14 +274,19 @@ class ReadMapper:
         if n_species == 0 or index.kmers.size == 0:
             return np.full(len(sequences), -1, dtype=np.int64)
         kmers, read_ids = extract_kmers_batch(sequences, index.k)
+        # Probe each distinct seed once, in key order: consecutive binary
+        # searches then walk the same path through the key column, and
+        # ``seed_key`` maps every seed (in read order) back to its probe.
+        keys, seed_key = np.unique(kmers, return_inverse=True)
         slots = np.minimum(
-            np.searchsorted(index.kmers, kmers), index.kmers.size - 1
+            np.searchsorted(index.kmers, keys), index.kmers.size - 1
         )
-        found = index.kmers[slots] == kmers
-        # Every location of every seed that hit, ``runs[i]`` of them for the
-        # i-th hit — repeated over its read id below to tag each location.
-        locations, runs = csr_gather(index.locations, index.offsets, slots[found])
-        species = np.searchsorted(index.starts, locations, side="right") - 1
+        found = (index.kmers[slots] == keys)[seed_key]
+        # The species of every location of every seed that hit, ``runs[i]``
+        # of them for the i-th hit — repeated over its read id below.
+        species, runs = csr_gather(
+            index.location_species, index.offsets, slots[seed_key[found]]
+        )
         votes = np.bincount(
             np.repeat(read_ids[found], runs) * n_species + species,
             minlength=len(sequences) * n_species,

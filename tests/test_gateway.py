@@ -11,6 +11,7 @@ The async scenarios run under ``asyncio.run`` with a hard timeout so a
 regression hangs a test, not the suite.
 """
 
+import argparse
 import asyncio
 import json
 import socket
@@ -23,9 +24,14 @@ import pytest
 
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.gateway import AnalysisGateway, TokenBucket
+from repro.megis.gateway import (
+    DEFAULT_BATCH_WINDOW_MS,
+    AnalysisGateway,
+    TokenBucket,
+)
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
+from repro.options import add_serving_flags
 from repro.sequences.reads import Read
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 
@@ -265,6 +271,24 @@ class TestRoundtrip:
                 assert_result_matches(record, serial_records)
         assert gateway.stats.clients_connected == 4
         assert gateway.stats.requests_completed == 4 * N_CHUNKS
+
+    def test_default_batch_window_reaches_the_service(self, session):
+        """The constructor and ``--batch-window-ms`` share one positive
+        default, and every serving period's service holds batches for it."""
+        gateway = AnalysisGateway(session, workers=2)
+
+        async def scenario():
+            await gateway.open()
+            try:
+                return gateway._service.batch_window_ms
+            finally:
+                await gateway.drain()
+
+        assert run_scenario(scenario()) == DEFAULT_BATCH_WINDOW_MS > 0
+        parser = argparse.ArgumentParser()
+        add_serving_flags(parser)
+        flags = parser.parse_args(["--index", "world.megis"])
+        assert flags.batch_window_ms == DEFAULT_BATCH_WINDOW_MS
 
 
 class TestHandedConnection:

@@ -111,6 +111,22 @@ class TestColumnarMerge:
             merge_species_indexes(columns)[0], ColumnarUnifiedIndex
         )
 
+    @STANDARD_SETTINGS
+    @given(mapping_worlds())
+    def test_location_species_is_the_reference_attribution(self, world):
+        """Each location's species column entry is the index in ``taxids``
+        of ``UnifiedIndex.taxid_of_location`` — empty genomes (two equal
+        ``starts``) included."""
+        rows, columns = _both_kinds(world)
+        merged, _ = merge_species_columns(columns)
+        reference = UnifiedIndex.merge(rows)
+        taxids = merged.taxids.tolist()
+        assert merged.location_species.shape == merged.locations.shape
+        assert merged.location_species.tolist() == [
+            taxids.index(reference.taxid_of_location(location))
+            for location in merged.locations.tolist()
+        ]
+
     def test_shared_and_repeated_kmers(self):
         a = ColumnarSpeciesIndex.build(1, "AAAA", k=2)   # AA at 0, 1, 2
         b = ColumnarSpeciesIndex.build(2, "AATT", k=2)
@@ -153,6 +169,43 @@ class TestColumnarVote:
         profile = columnar.estimate_abundance(reads)
         assert profile.fractions == reference.estimate_abundance(reads).fractions
         assert all(type(taxid) is int for taxid in profile.fractions)
+
+    @STANDARD_SETTINGS
+    @given(mapping_worlds(), st.randoms(use_true_random=False))
+    def test_read_order_and_duplicates_change_nothing(self, world, rng):
+        """The vote probes a block's distinct seeds in key order: shuffled
+        reads (un-permuted) and a block holding every read twice give the
+        same per-read species, and the same profile, as the reference."""
+        rows, columns = _both_kinds(world)
+        unified = merge_species_columns(columns)[0]
+        mapper = ReadMapper(unified, min_seed_hits=1)
+        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        want = mapper._vote_block(unified, world.reads).tolist()
+        taxids = unified.taxids.tolist()
+        assert [taxids[s] if s >= 0 else None for s in want] == [
+            reference.map_read(read) for read in world.reads
+        ]
+
+        perm = list(range(len(world.reads)))
+        rng.shuffle(perm)
+        shuffled = [world.reads[i] for i in perm]
+        unpermuted = [0] * len(perm)
+        for got, i in zip(mapper._vote_block(unified, shuffled).tolist(), perm):
+            unpermuted[i] = got
+        assert unpermuted == want
+        doubled = [read for read in world.reads for _ in range(2)]
+        assert mapper._vote_block(unified, doubled).tolist() == [
+            s for s in want for _ in range(2)
+        ]
+
+        profile = reference.estimate_abundance(
+            [Read(i, seq, 0) for i, seq in enumerate(world.reads)]
+        ).fractions
+        for reads in (shuffled, doubled):
+            got = mapper.estimate_abundance(
+                [Read(i, seq, 0) for i, seq in enumerate(reads)]
+            )
+            assert got.fractions == profile
 
     def test_identical_genomes_tie_to_the_lowest_taxid(self):
         genome = "ACGTTGCATGCCGATAGCTA"
@@ -254,3 +307,31 @@ class TestSessionPaths:
         batch_of = [sample.reads[:100], sample.reads[100:250], sample.reads[250:]]
         session.analyze_batch(batch_of)
         assert sorted(batch_ks) == sorted([k, mapper_k] * len(batch_of))
+
+    def test_vote_probes_in_key_order_and_never_searches_starts(
+        self, index, sample, monkeypatch
+    ):
+        """Structural guard, independent of host speed: during a numpy
+        analysis every ``searchsorted`` into the unified key column gets a
+        non-decreasing needle, and nothing searches the genome ``starts``
+        — the vote reads each hit's species from ``location_species``."""
+        session = AnalysisSession(index, backend="numpy")
+        samples = [sample.reads[:50], sample.reads[::-1]]
+        for reads in samples:  # merge off the clock: the unified cache hits
+            session.analyze(reads)
+        probes = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            probes.append((a, np.asarray(v)))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", recording)
+        for reads in samples:
+            probes.clear()
+            result = session.analyze(reads)
+            unified, _ = session.unified_index(result.candidates)
+            needles = [v for a, v in probes if a is unified.kmers]
+            assert needles, "the vote never probed the unified key column"
+            assert all(bool(np.all(v[:-1] <= v[1:])) for v in needles)
+            assert not any(a is unified.starts for a, _ in probes)

@@ -14,6 +14,19 @@ def make_reads(seqs):
     return [Read(i, s, 0) for i, s in enumerate(seqs)]
 
 
+def assert_partitions_alike(seqs, k, n_buckets):
+    """The python and numpy partitioners give the same edges and contents."""
+    python, numpy_ = (
+        KmerBucketPartitioner(
+            k=k, n_buckets=n_buckets, backend=backend
+        ).partition(make_reads(seqs))
+        for backend in ("python", "numpy")
+    )
+    assert [(b.lo, b.hi, b.kmers) for b in python.buckets] == [
+        (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_.buckets
+    ]
+
+
 @pytest.fixture(scope="module")
 def bucket_set(sample):
     partitioner = KmerBucketPartitioner(k=20, n_buckets=8)
@@ -226,6 +239,59 @@ class TestColumnarPartitioner:
         assert [(b.lo, b.hi, b.kmers) for b in python.buckets] == [
             (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_.buckets
         ]
+
+    @given(
+        st.integers(min_value=1, max_value=31),
+        st.integers(min_value=1, max_value=40),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_boundaries_same_for_ndarray_and_list(self, k, n_buckets, data):
+        """The numpy boundary pass picks the same quantiles as the sorted
+        list: generated k-mer streams, repeats and all."""
+        space = 1 << (2 * k)
+        head = data.draw(st.lists(
+            st.integers(min_value=0, max_value=space - 1), max_size=200
+        ))
+        partitioner = KmerBucketPartitioner(k=k, n_buckets=n_buckets)
+        want = partitioner._boundaries(head)
+        got = partitioner._boundaries(np.asarray(head, dtype=np.uint64))
+        assert got == want
+        assert all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("head", [
+        [],                                   # empty
+        [5] * 300,                            # one distinct k-mer
+        [9, 3],                               # fewer k-mers than n_buckets
+        list(range(1000, 0, -3)),             # shorter than PRELIMINARY_SAMPLE
+        [7] * 4096,                           # a full, degenerate head
+    ])
+    @pytest.mark.parametrize("n_buckets", [1, 8, 512])
+    def test_boundaries_degenerate_heads(self, head, n_buckets):
+        partitioner = KmerBucketPartitioner(k=10, n_buckets=n_buckets)
+        column = np.asarray(head, dtype=np.uint64)
+        assert partitioner._boundaries(column) == partitioner._boundaries(head)
+
+    @pytest.mark.parametrize("seqs", [
+        [],
+        ["A" * 40] * 3,                       # one distinct k-mer
+        ["ACGTACGTACGTA"],                    # fewer k-mers than buckets
+        ["ACGTTGCAAGGCTTAGCATCCGATG" * 4] * 5,
+    ])
+    @pytest.mark.parametrize("n_buckets", [1, 6, 64])
+    def test_degenerate_samples_partition_alike(self, seqs, n_buckets):
+        """A numpy and a python partitioner on the same reads give the same
+        bucket edges and contents, however few distinct k-mers the head
+        holds."""
+        assert_partitions_alike(seqs, 12, n_buckets)
+
+    @given(
+        st.lists(st.text(alphabet="ACGT", min_size=0, max_size=40), max_size=10),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_generated_samples_partition_alike(self, seqs, n_buckets):
+        assert_partitions_alike(seqs, 8, n_buckets)
 
     def test_empty_reads_columnar(self):
         bucket_set = KmerBucketPartitioner(
