@@ -6,11 +6,13 @@ The sorted k-mer database and the KSS k_max table are held as sorted
 operations:
 
 - bucket range selection — ``np.searchsorted`` over the database column;
-- sorted-stream intersection — a vectorized ``searchsorted`` membership
-  test per bucket slice (both sides are already sorted, so no re-sort);
+- sorted-stream intersection — per interval and sample, one clamped
+  ``searchsorted`` membership test with the duplicate-query mask folded
+  in (both sides are already sorted, so no re-sort); the loop is per
+  interval so each logs its measured ``(lo, hi, ms)`` slice (§4.2.1);
 - channel striping — position-in-slice modulo ``n_channels`` (equivalent
   to the round-robin stripes the per-channel Intersect units consume,
-  §4.5), computed for the matches only;
+  §4.5), one ``bincount`` over the call's matches;
 - KSS retrieval — ``searchsorted`` membership against the k_max column
   and, per smaller k, against the precomputed prefix-group columns.
 
@@ -128,7 +130,8 @@ class NumpyStepTwoBackend(StepTwoBackend):
         merged = [
             self._merged_query(buckets, column.dtype) for buckets in samples
         ]
-        parts: List[List[npt.NDArray[Any]]] = [[] for _ in samples]
+        matches: List[List[npt.NDArray[Any]]] = [[] for _ in samples]
+        positions: List[npt.NDArray[Any]] = []
         edges = interval_edges(samples)
         with timings.phase("intersect"):
             # Every interval boundary located once, in the columns' own
@@ -136,6 +139,14 @@ class NumpyStepTwoBackend(StepTwoBackend):
             # float64 on every lookup).
             db_cuts = _edge_cuts(column, edges)
             query_cuts = [_edge_cuts(query, edges) for query in merged]
+            # Duplicate queries match a database k-mer once, as the
+            # register-level merge does; equal k-mers are adjacent and never
+            # straddle an interval edge, so one first-occurrence mask per
+            # sample serves every slice.
+            firsts = [
+                np.concatenate(([True], np.asarray(q[1:] != q[:-1], dtype=bool)))
+                for q in merged
+            ]
             for n, (lo, hi) in enumerate(zip(edges, edges[1:])):
                 interval_start = time.perf_counter()
                 db_slice = column[db_cuts[n]:db_cuts[n + 1]]
@@ -144,20 +155,31 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 timings.buckets_processed += 1
                 for s, query in enumerate(merged):
                     i, j = query_cuts[s][n], query_cuts[s][n + 1]
-                    if i == j:
-                        continue
                     timings.query_kmers_streamed += j - i
-                    matches = self._intersect_slice(
-                        db_slice, query[i:j], n_channels, timings
-                    )
-                    if len(matches):
-                        parts[s].append(matches)
+                    if i == j or not len(db_slice):
+                        continue
+                    # Both sides are sorted and the database is duplicate-
+                    # free: a clamped searchsorted is the membership test.
+                    q = query[i:j]
+                    pos = np.minimum(_searchsorted(db_slice, q), len(db_slice) - 1)
+                    hit = firsts[s][i:j] & np.asarray(db_slice[pos] == q, dtype=bool)
+                    matches[s].append(q[hit])
+                    positions.append(pos[hit])
                 timings.record_bucket(
                     lo, hi, (time.perf_counter() - interval_start) * 1e3
                 )
             timings.db_stream_passes += 1
+            if positions:
+                # Striping attribution (§4.5): slice position i belongs to
+                # channel i % n_channels, the stripe stripe_database deals
+                # it to.
+                per_channel = np.bincount(
+                    np.concatenate(positions) % n_channels, minlength=n_channels
+                )
+                for channel, count in enumerate(per_channel.tolist()):
+                    timings.add_channel_matches(channel, count)
         return [
-            list(np.concatenate(p).tolist()) if p else [] for p in parts
+            np.concatenate(m).tolist() if m else [] for m in matches
         ]
 
     @staticmethod
@@ -168,44 +190,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
         if not columns:
             return np.empty(0, dtype=dtype)
         return np.concatenate(columns)
-
-    def _intersect_slice(
-        self,
-        db_slice: npt.NDArray[Any],
-        query: npt.NDArray[Any],
-        n_channels: int,
-        timings: PhaseTimings,
-    ) -> npt.NDArray[Any]:
-        # Both sides are sorted and the database is duplicate-free, so a
-        # searchsorted membership test beats np.intersect1d (which would
-        # re-sort both arrays).
-        if not len(db_slice) or not len(query):
-            return db_slice[:0]
-        pos = _searchsorted(db_slice, query)
-        hit = np.zeros(len(query), dtype=bool)
-        in_range = pos < len(db_slice)
-        hit[in_range] = np.asarray(
-            db_slice[pos[in_range]] == query[in_range], dtype=bool
-        )
-        matches = query[hit]
-        positions = pos[hit]
-        if len(matches) > 1:
-            # Duplicate queries match a database k-mer only once, exactly as
-            # the register-level merge behaves; adjacent dedup suffices on a
-            # sorted stream.
-            keep = np.concatenate(
-                ([True], np.asarray(matches[1:] != matches[:-1], dtype=bool))
-            )
-            matches = matches[keep]
-            positions = positions[keep]
-        if len(matches):
-            # Striping attribution (§4.5): the element at slice position i
-            # belongs to channel i % n_channels — the same assignment the
-            # per-channel Intersect units receive from stripe_database.
-            channels, counts = np.unique(positions % n_channels, return_counts=True)
-            for channel, count in zip(channels.tolist(), counts.tolist()):
-                timings.add_channel_matches(int(channel), int(count))
-        return matches
 
     # -- retrieval ------------------------------------------------------------
 

@@ -6,7 +6,10 @@ configuration — is only testable because the engine is deterministic.
 This rule statically bans the ambient-nondeterminism APIs in engine code
 (``backends/``, ``megis/``, and the modules outside them on the result
 path: ``tools/mapping.py`` — Step 3's indexes and vote —,
-``sequences/kmers.py`` — the k-mer extractors — and the offline builders
+``tools/metalign.py`` — hit accumulation and candidate selection —,
+``tools/statistical.py`` — the EM, whose float sequence follows its
+hit-group order —, ``sequences/kmers.py`` — the k-mer extractors — and
+the offline builders
 ``databases/sorted_db.py`` / ``sketch.py`` / ``kss.py``, whose output is
 the bytes of an index file):
 
@@ -41,6 +44,8 @@ class DeterminismChecker(Checker):
         "src/repro/backends",
         "src/repro/megis",
         "src/repro/tools/mapping.py",
+        "src/repro/tools/metalign.py",
+        "src/repro/tools/statistical.py",
         "src/repro/sequences/kmers.py",
         "src/repro/databases/sorted_db.py",
         "src/repro/databases/sketch.py",

@@ -93,6 +93,7 @@ from repro.tools.metalign import (
     accumulate_hits,
     select_candidates,
 )
+from repro.tools.statistical import StatisticalAbundanceEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index -> session)
     from repro.databases.kss import KssTables
@@ -823,8 +824,6 @@ class AnalysisSession:
             result.merge_stats = merge_stats
             result.profile = ReadMapper(unified).estimate_abundance(reads)
         else:
-            from repro.tools.statistical import StatisticalAbundanceEstimator
-
             estimator = StatisticalAbundanceEstimator(self.sketch)
             result.profile, _ = estimator.estimate_from_retrieval(
                 retrieved, result.candidates

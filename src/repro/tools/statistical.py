@@ -11,6 +11,11 @@ species; a species' expected hit mass is proportional to (abundance x
 sketch size).  Shared k-mers make hits ambiguous, so hits attributed to a
 taxID set are fractionally assigned in the E-step and abundances re-fit in
 the M-step.
+
+The EM runs over a few dozen ambiguity groups folded from thousands of
+intersecting k-mers.  On CSR retrieval columns the fold is array passes
+over per-query candidate bitmasks; the dict fold over per-query mappings
+stays the reference, with the same keys, counts and order.
 """
 
 from __future__ import annotations
@@ -100,73 +105,61 @@ class StatisticalAbundanceEstimator:
     ) -> Dict[GroupKey, int]:
         """Vectorized grouping over the CSR owner columns.
 
-        Per level (most specific first): gather the owner slices of the
-        queries whose first non-empty level this is, drop non-candidate
-        owners with one membership test, lay the surviving rows into a
-        padded matrix, and let ``np.unique(axis=0)`` find identical rows —
-        one interned tuple per *group*, with its count and its first query
-        index (used to reproduce the reference insertion order).
+        Each query gets a bitmask over the sorted candidate column
+        (``ceil(c / 64)`` ``uint64`` words, so any candidate count fits).
+        Per level, one ``np.bitwise_or.at`` sets the candidate owners of the
+        queries whose most specific non-empty level it is; owner lists are
+        duplicate-free, so OR loses nothing.  A group is a distinct non-zero
+        mask row: one ``lexsort`` and an adjacent difference find the runs,
+        whose lengths are the counts and whose smallest query index restores
+        the reference insertion order.  Only the keys of the groups
+        themselves are decoded into Python tuples.
         """
         n = len(retrieved.queries)
-        groups: Dict[GroupKey, int] = {}
         if n == 0 or not allowed:
-            return groups
-        first_idx: Dict[GroupKey, int] = {}
-        blocks = sorted(retrieved.levels.items(), reverse=True)
-        offsets = [np.asarray(b.offsets, dtype=np.int64) for _, b in blocks]
-        taxids = [np.asarray(b.taxids, dtype=np.int64) for _, b in blocks]
+            return {}
+        candidates = np.fromiter(sorted(allowed), dtype=np.int64, count=len(allowed))
+        masks = np.zeros((n, -(-len(candidates) // 64)), dtype=np.uint64)
+        blocks = [block for _, block in sorted(retrieved.levels.items(), reverse=True)]
+        offsets = [np.asarray(b.offsets, dtype=np.int64) for b in blocks]
         # Each query's level: the first (largest-k) block with any owners.
         chosen = np.full(n, -1, dtype=np.int64)
         for bi, offs in enumerate(offsets):
-            counts = offs[1:] - offs[:-1]
-            chosen = np.where((chosen < 0) & (counts > 0), bi, chosen)
-        allowed_column = np.fromiter(
-            sorted(allowed), dtype=np.int64, count=len(allowed)
-        )
-        for bi in range(len(blocks)):
-            rows = np.nonzero(chosen == bi)[0]
+            chosen[(chosen < 0) & (np.diff(offs) > 0)] = bi
+        for bi, block in enumerate(blocks):
+            rows = np.flatnonzero(chosen == bi)
             if not len(rows):
                 continue
-            flat, lengths = csr_gather(taxids[bi], offsets[bi], rows)
-            keep = np.isin(flat, allowed_column)
-            row_ids = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
-            kept_counts = np.bincount(row_ids[keep], minlength=len(rows))
-            survivors = np.nonzero(kept_counts > 0)[0]
-            if not len(survivors):
-                continue
-            kept_owners = flat[keep]
-            compact = np.searchsorted(survivors, row_ids[keep])
-            widths = kept_counts[survivors]
-            sentinel = min(-1, int(kept_owners.min()) - 1)
-            padded = np.full(
-                (len(survivors), int(widths.max())), sentinel, dtype=np.int64
+            taxids = np.asarray(block.taxids, dtype=np.int64)
+            flat, lengths = csr_gather(taxids, offsets[bi], rows)
+            slot = np.minimum(np.searchsorted(candidates, flat), len(candidates) - 1)
+            keep = candidates[slot] == flat
+            slot = slot[keep].astype(np.uint64)
+            np.bitwise_or.at(
+                masks,
+                (np.repeat(rows, lengths)[keep], slot >> np.uint64(6)),
+                np.uint64(1) << (slot & np.uint64(63)),
             )
-            starts = np.zeros(len(survivors) + 1, dtype=np.int64)
-            np.cumsum(widths, out=starts[1:])
-            positions = np.arange(len(kept_owners), dtype=np.int64) - np.repeat(
-                starts[:-1], widths
-            )
-            padded[compact, positions] = kept_owners
-            unique_rows, inverse, group_counts = np.unique(
-                padded, axis=0, return_inverse=True, return_counts=True
-            )
-            inverse = np.asarray(inverse).reshape(-1)
-            group_first = np.full(len(unique_rows), n, dtype=np.int64)
-            np.minimum.at(group_first, inverse, rows[survivors])
-            for g in range(len(unique_rows)):
-                key = tuple(
-                    int(x) for x in unique_rows[g] if int(x) != sentinel
-                )
-                groups[key] = groups.get(key, 0) + int(group_counts[g])
-                first_idx[key] = min(
-                    first_idx.get(key, n), int(group_first[g])
-                )
+        hit = np.flatnonzero(masks.any(axis=1))
+        if not len(hit):
+            return {}
+        order = hit[np.lexsort(masks[hit].T)]
+        ordered = masks[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+        )
+        counts = np.diff(np.append(starts, len(order))).tolist()
+        first = np.minimum.reduceat(order, starts)
+        # Little-endian words unpack least-significant bit first: bit b of
+        # word w is candidate 64 * w + b.
+        bits = np.unpackbits(
+            ordered[starts].astype("<u8").view(np.uint8), axis=1, bitorder="little"
+        )
         # The reference walk inserts each group when its first query is
-        # seen; restore that order so downstream float accumulation is
-        # bit-identical.
+        # seen; that order keeps downstream float accumulation bit-identical.
         return {
-            key: groups[key]
-            for key in sorted(groups, key=lambda key: first_idx[key])
+            tuple(candidates[np.flatnonzero(bits[g])].tolist()): counts[g]
+            for g in np.argsort(first).tolist()
         }
 
     # -- EM -----------------------------------------------------------------
@@ -214,7 +207,7 @@ class StatisticalAbundanceEstimator:
 
     def estimate_from_retrieval(
         self,
-        retrieved: Mapping[int, Mapping[int, FrozenSet[int]]],
+        retrieved: "RetrievalResult | Mapping[int, Mapping[int, FrozenSet[int]]]",
         candidates: Iterable[int],
     ) -> Tuple[AbundanceProfile, EmDiagnostics]:
         """Convenience wrapper straight from Step-2 output."""

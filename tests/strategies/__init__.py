@@ -23,6 +23,7 @@ from tests.strategies.mapping import (
     read_lists,
     reference_view,
 )
+from tests.strategies.retrieval import candidate_sets, retrieval_results
 from tests.strategies.settings import STANDARD_SETTINGS
 from tests.strategies.wire import FRAME_KS, damaged, json_values, retrieval_partials
 
@@ -32,6 +33,7 @@ __all__ = [
     "IndexWorld",
     "MappingWorld",
     "ReferenceWorld",
+    "candidate_sets",
     "collection",
     "damaged",
     "index_worlds",
@@ -45,6 +47,7 @@ __all__ = [
     "reference_view",
     "reference_worlds",
     "retrieval_partials",
+    "retrieval_results",
     "sorted_kmer_databases",
     "synthetic_sketch",
     "with_manifest",

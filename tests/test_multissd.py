@@ -69,18 +69,27 @@ def worlds(draw):
 
 @st.composite
 def batches(draw, database, shards):
-    """1-4 bucketed samples: database hits, misses, and (twice each) the
-    k-mers sitting exactly on shard boundaries."""
+    """1-4 bucketed samples: database hits (some repeated), misses, (twice
+    each) the k-mers sitting exactly on shard boundaries, and buckets over
+    a gap between database k-mers, so some streamed intervals hold no
+    database k-mer."""
     edges = [shard.lo for shard in shards[1:]]
+    kmers = database.kmers
+    gaps = [(a + 1, b) for a, b in zip([-1, *kmers], [*kmers, SPACE]) if b > a + 1]
     samples = []
     for _ in range(draw(st.integers(1, 4))):
-        query = draw(st.lists(st.sampled_from(database.kmers), max_size=20))
+        query = draw(st.lists(st.sampled_from(kmers), max_size=20))
+        query += 2 * draw(st.lists(st.sampled_from(kmers), max_size=3))
         query += draw(st.lists(st.integers(0, SPACE - 1), max_size=10))
         if edges:
             query += 2 * draw(st.lists(st.sampled_from(edges), max_size=3))
+        cuts = draw(st.sets(st.integers(1, SPACE - 1), max_size=4))
+        if gaps and draw(st.booleans()):
+            gap_lo, gap_hi = draw(st.sampled_from(gaps))
+            cuts |= {gap_lo, gap_hi} - {0, SPACE}
+            query.append(draw(st.integers(gap_lo, gap_hi - 1)))
         query.sort()
-        cuts = sorted(draw(st.sets(st.integers(1, SPACE - 1), max_size=4)))
-        bounds = [0, *cuts, SPACE]
+        bounds = [0, *sorted(cuts), SPACE]
         samples.append([
             (lo, hi, query[bisect_left(query, lo):bisect_left(query, hi)])
             for lo, hi in zip(bounds, bounds[1:])
@@ -101,6 +110,9 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     streams its slice exactly once whatever the batch width
     (``db_stream_passes == n_shards``).  The whole-range shard is
     :func:`whole_shard` — the database and KSS themselves, nothing sliced.
+    On it the whole batch must match the ``python`` reference counter for
+    counter: streamed k-mers, buckets, passes, per-channel matches and the
+    measured interval ranges.
 
     This stands for what the direct ``intersect_sharded`` /
     ``intersect_sharded_multi`` tests pinned before sharding stopped being
@@ -125,7 +137,20 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     assert sum(t.db_stream_passes for _, t in outcomes) == n_shards
 
     whole = whole_shard(database, kss)
-    assert sharded == shard_step_two(engine, whole, samples, 4)[0]
+    batched, timings = shard_step_two(engine, whole, samples, 4)
+    assert sharded == batched
+
+    # The whole batch on the one shard: ``python`` and ``numpy`` give the
+    # same results and the same counters, channel attribution and
+    # measured intervals included.
+    expected, reference = shard_step_two(get_backend("python"), whole, samples, 4)
+    assert batched == expected
+    for counter in ("db_kmers_streamed", "query_kmers_streamed",
+                    "buckets_processed", "db_stream_passes", "channel_matches"):
+        assert getattr(timings, counter) == getattr(reference, counter), counter
+    assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
+        (lo, hi) for lo, hi, _ in reference.measured_buckets
+    ]
 
     # One sample on the one shard logs one measured slice per streamed
     # interval — its buckets, in range order: what the §4.2.1 scheduler

@@ -1,11 +1,13 @@
 """Tests for the EM-based statistical abundance estimator (§4.4 option i)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.taxonomy.metrics import l1_norm_error
 from repro.tools.statistical import StatisticalAbundanceEstimator
+from tests.strategies import candidate_sets, retrieval_results
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,27 @@ class TestHitGroups:
         assert columnar == {(1,): 1, (2, 3): 2}
         assert columnar == reference
         assert list(columnar) == list(reference)  # first-occurrence order
+
+    @given(retrieved=retrieval_results(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_equals_reference_fold_on_generated_results(
+        self, estimator, retrieved, data
+    ):
+        """Bitmask grouping = the dict-view fold on generated CSR results:
+        list and ndarray columns, empty, disjoint, sparse and >64-wide
+        candidate sets.  Same keys, counts and first-occurrence order, so
+        the EM's float sequence — and the profile — is the same."""
+        candidates = data.draw(candidate_sets(retrieved))
+        columnar = StatisticalAbundanceEstimator.hit_groups(retrieved, candidates)
+        reference = StatisticalAbundanceEstimator.hit_groups(
+            retrieved.to_query_dicts(), candidates
+        )
+        assert list(columnar.items()) == list(reference.items())
+        assert all(type(c) is int for c in columnar.values())
+        profile, diagnostics = estimator.estimate(columnar)
+        expected, expected_diagnostics = estimator.estimate(reference)
+        assert list(profile.fractions.items()) == list(expected.fractions.items())
+        assert diagnostics == expected_diagnostics
 
     def test_group_keys_are_interned_tuples(self, estimator):
         from repro.backends.retrieval import RetrievalResult
