@@ -33,6 +33,7 @@ from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.tools.metalign import accumulate_hits, select_candidates
 from benchmarks.conftest import BENCH_K
+from tests.columns import as_ints
 from tests.strategies import synthetic_sketch
 
 N_BUCKETS = 16
@@ -70,9 +71,8 @@ def test_columnar_buckets_speedup_floor():
     database, list_buckets, column_buckets = _partitioned_query()
     engine = get_backend("numpy")
     [expected] = engine.intersect_bucketed_multi(database, [column_buckets], 8)
-    assert [expected] == engine.intersect_bucketed_multi(
-        database, [list_buckets], 8
-    )
+    [got] = engine.intersect_bucketed_multi(database, [list_buckets], 8)
+    assert as_ints(got) == as_ints(expected)
 
 
 def test_partitioner_emits_native_columns(bench_sample):
@@ -100,7 +100,7 @@ def test_columnar_partition_intersect(bench_sorted_db, bench_sample, backend):
     result = engine.intersect_bucketed_multi(
         bench_sorted_db, [buckets.slices()], 8
     )[0]
-    assert result
+    assert len(result)
 
 
 def _retrieval_world(n_db=80_000, n_query=40_000, seed=5):

@@ -19,6 +19,7 @@ from repro.sequences.kmers import extract_kmers
 from repro.ssd.channel import AccessPattern, ChannelSimulator
 from repro.ssd.config import ssd_c
 from benchmarks.conftest import BENCH_K
+from tests.columns import as_ints
 
 
 def test_intersect_unit_merge(bench_sorted_db):
@@ -60,7 +61,7 @@ def test_step2_intersect_backend(bench_sorted_db, backend):
     query = bench_sorted_db.kmers[::3]
     engine = get_backend(backend)
     result = engine.intersect(bench_sorted_db, query, n_channels=8)
-    assert result == query
+    assert as_ints(result) == query
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -84,7 +85,7 @@ def test_step2_multi_sample_batched(bench_sorted_db, bench_kss,
     ]
     isp = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8, backend=backend)
     results = isp.run_bucketed_multi(samples)
-    assert len(results) == 2 and all(r[0] for r in results)
+    assert len(results) == 2 and all(len(r[0]) for r in results)
 
 
 def test_numpy_backend_speedup_floor():
@@ -102,7 +103,7 @@ def test_numpy_backend_speedup_floor():
 
     python, numpy = get_backend("python"), get_backend("numpy")
     expected = numpy.intersect(database, query, n_channels=8)
-    assert expected == python.intersect(database, query, n_channels=8)
+    assert as_ints(expected) == python.intersect(database, query, n_channels=8)
 
 
 def test_channel_simulation_sequential():

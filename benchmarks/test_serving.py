@@ -35,6 +35,7 @@ from repro.megis.index import MegisIndex
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.service import AnalysisService
 from repro.megis.session import AnalysisSession, MegisConfig
+from tests.columns import as_ints
 
 N_SAMPLES = 12
 #: Scaled-down stream bandwidth matched to the benchmark database, so the
@@ -254,7 +255,7 @@ def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):
     for _ in range(3):
         t = PhaseTimings()
         result = threaded.run(query, timings=t)
-        assert result[0] == expected[0]
+        assert as_ints(result[0]) == as_ints(expected[0])
         assert result[1] == expected[1]
         best_saved = max(best_saved, t.measured_overlap_saved_ms)
     assert serial_timings.measured_overlap_saved_ms < 1e-6

@@ -286,7 +286,7 @@ class StepTwoBackend(abc.ABC):
         sorted_query: IntColumn,
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
-    ) -> List[int]:
+    ) -> IntColumn:
         """Intersect one sorted query stream against the whole database:
         the one-sample batch of the one bucket spanning the key space."""
         [result] = self.intersect_bucketed_multi(
@@ -302,7 +302,7 @@ class StepTwoBackend(abc.ABC):
         samples: Sequence[Sequence[BucketSlice]],
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
+    ) -> Sequence[IntColumn]:
         """The intersect kernel: bucketed (§4.2.1), batched (§4.7).
 
         Each sample is its ascending ``(lo, hi, sorted k-mers)`` buckets;
@@ -311,8 +311,9 @@ class StepTwoBackend(abc.ABC):
         it against all buffered samples' query slices before advancing, and
         logs one measured ``(lo, hi, ms)`` slice per interval
         (:meth:`PhaseTimings.record_bucket`).  Returns one sorted
-        intersection list per sample, each identical to what that sample
-        alone would produce.
+        intersection per sample, in the backend's native container (an
+        int list, or an ndarray column), each identical to what that
+        sample alone would produce.
         """
 
     # -- retrieval ------------------------------------------------------------
@@ -321,7 +322,7 @@ class StepTwoBackend(abc.ABC):
     def retrieve(
         self,
         kss: Any,
-        sorted_intersecting: Sequence[int],
+        sorted_intersecting: IntColumn,
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
         """KSS taxID retrieval over the sorted intersecting k-mers (§4.3.2)."""

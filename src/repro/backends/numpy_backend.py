@@ -19,8 +19,10 @@ operations:
 For ``2 * k <= 64`` the columns are ``uint64`` and everything runs at
 native speed; for larger k (the paper's k = 60 needs 120 bits) the columns
 fall back to ``object`` dtype, which keeps the exact same code path correct
-at reduced throughput.  Results are converted back to plain Python ints so
-they are bit-identical to the reference backend's output.
+at reduced throughput.  Results stay columns: each sample's intersecting
+k-mers are one column in the database column's dtype, which retrieval
+takes as is and which becomes ``RetrievalResult.queries`` — equal, as
+ints, to the reference backend's lists.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def column_dtype(k: int) -> "np.dtype[Any]":
 
 
 def as_column(values: IntColumn, dtype: "np.dtype[Any]") -> npt.NDArray[Any]:
-    """Build a sorted query column matching the database column's dtype."""
+    """Build a sorted query column matching the database column's dtype
+    (the identity on an ndarray that already has it)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        return values
     if dtype == np.dtype(object):
         arr = np.empty(len(values), dtype=object)
         for i, v in enumerate(values):
@@ -121,7 +126,10 @@ class NumpyStepTwoBackend(StepTwoBackend):
         samples: Sequence[Sequence[BucketSlice]],
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
+    ) -> List[npt.NDArray[Any]]:
+        """The intersect kernel (:meth:`StepTwoBackend.intersect_bucketed_multi`):
+        each sample's matches come back as one column in the database
+        column's dtype (``column[:0]`` when none matched)."""
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         timings.samples_batched = max(timings.samples_batched, len(samples))
         column = database.column()
@@ -178,9 +186,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 )
                 for channel, count in enumerate(per_channel.tolist()):
                     timings.add_channel_matches(channel, count)
-        return [
-            np.concatenate(m).tolist() if m else [] for m in matches
-        ]
+        return [np.concatenate(m) if m else column[:0] for m in matches]
 
     @staticmethod
     def _merged_query(
@@ -196,38 +202,33 @@ class NumpyStepTwoBackend(StepTwoBackend):
     def retrieve(
         self,
         kss: Any,
-        sorted_intersecting: Sequence[int],
+        sorted_intersecting: IntColumn,
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
         """KSS retrieval into CSR owner columns with zero per-hit loops.
 
-        Each level is one ``searchsorted`` membership test plus one
-        vectorized CSR row gather (:func:`~repro.backends.retrieval.csr_gather`)
-        out of the :meth:`KssTables.store` full-set owner columns; no
-        Python code runs per query or per taxID.
+        The intersect kernel's column is taken as is (:func:`as_column` is
+        the identity on it) and becomes the result's ``queries``.  Each
+        level is one ``searchsorted`` membership test plus one vectorized
+        CSR row gather (:func:`~repro.backends.retrieval.csr_gather`) out
+        of the :meth:`KssTables.store` full-set owner columns; no Python
+        code runs per query or per taxID.
         """
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         level_keys = (kss.k_max, *kss.smaller_ks)
         if not len(sorted_intersecting):
             zero = np.zeros(1, dtype=np.int64)
             return RetrievalResult(
-                queries=[],
+                queries=as_column(sorted_intersecting, column_dtype(kss.k_max)),
                 levels={
                     k: LevelHits(np.empty(0, dtype=np.int64), zero)
                     for k in level_keys
                 },
             )
-        # Plain int lists (what the intersect kernels emit) pass through
-        # without a per-element copy; the sortedness check is vectorized.
-        queries = (
-            sorted_intersecting
-            if isinstance(sorted_intersecting, list)
-            else [int(x) for x in sorted_intersecting]
-        )
         levels: Dict[int, LevelHits] = {}
         with timings.phase("retrieve"):
             store = kss.store()
-            q = as_column(queries, store.kmers.dtype)
+            q = as_column(sorted_intersecting, store.kmers.dtype)
             if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
                 raise ValueError("intersecting k-mers must be sorted")
 
@@ -244,7 +245,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 levels[k] = self._gather_level(
                     level.prefixes, level.full_taxids, level.full_offsets, prefixes
                 )
-        return RetrievalResult(queries=queries, levels=levels)
+        return RetrievalResult(queries=q, levels=levels)
 
     @staticmethod
     def _gather_level(

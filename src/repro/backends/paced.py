@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.backends.base import (
     BucketSlice,
@@ -102,7 +102,7 @@ class PacedStepTwoBackend(StepTwoBackend):
         samples: Sequence[Sequence[BucketSlice]],
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
+    ) -> Sequence[IntColumn]:
         from repro.databases.serialization import kmer_record_bytes
 
         scratch = PhaseTimings(backend=self.name)
@@ -133,7 +133,7 @@ class PacedStepTwoBackend(StepTwoBackend):
     def retrieve(
         self,
         kss: Any,
-        sorted_intersecting: Sequence[int],
+        sorted_intersecting: IntColumn,
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
         # Retrieval streams the KSS range — §4.3.2's second flash stream.

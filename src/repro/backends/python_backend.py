@@ -32,7 +32,7 @@ from repro.backends.base import (
     StepTwoBackend,
     interval_edges,
 )
-from repro.backends.retrieval import LevelHits, RetrievalResult, column_to_list
+from repro.backends.retrieval import IntColumn, LevelHits, RetrievalResult, column_to_list
 from repro.sequences.encoding import kmer_prefix
 
 
@@ -114,7 +114,7 @@ class TaxIdRetriever:
     index_generator_advances: int = 0
     comparisons: int = 0
 
-    def retrieve(self, sorted_intersecting: Sequence[int]) -> RetrievalResult:
+    def retrieve(self, sorted_intersecting: IntColumn) -> RetrievalResult:
         queries = [int(q) for q in sorted_intersecting]
         if any(queries[i] > queries[i + 1] for i in range(len(queries) - 1)):
             raise ValueError("intersecting k-mers must be sorted")
@@ -244,7 +244,7 @@ class PythonStepTwoBackend(StepTwoBackend):
     def retrieve(
         self,
         kss: Any,
-        sorted_intersecting: Sequence[int],
+        sorted_intersecting: IntColumn,
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
         timings = timings if timings is not None else PhaseTimings(backend=self.name)

@@ -151,7 +151,9 @@ class RetrievalResult:
     against hand-written dicts regardless of container type.
     """
 
-    queries: List[int]
+    #: The sorted intersecting k-mers: a plain int list on the ``python``
+    #: backend, the intersect kernel's own column on the ``numpy`` one.
+    queries: IntColumn
     levels: Dict[int, LevelHits] = field(default_factory=dict)
     _dict_view: Optional[QueryDicts] = field(
         default=None, repr=False, compare=False
@@ -193,21 +195,31 @@ class RetrievalResult:
         ``parts`` must cover ascending disjoint query ranges (what sharded
         Step 2 produces: one result per SSD, shards in range order), so the
         concatenated ``queries`` stay sorted and each level's owner column
-        is the flat concatenation with shifted offsets.  ndarray columns
-        concatenate natively; list columns extend.
+        is the flat concatenation with shifted offsets.  A part whose first
+        query is not above the previous part's last is refused: intersecting
+        k-mers are distinct, and a repeated one would count its hits twice.
+        ndarray columns concatenate natively; list columns extend.
         """
         parts = [p for p in parts if p is not None]
         if not parts:
             return cls(queries=[], levels={})
         if len(parts) == 1:
             return parts[0]
-        queries: List[int] = []
+        last: Optional[int] = None
         for part in parts:
-            if queries and part.queries and part.queries[0] < queries[-1]:
+            if not len(part.queries):
+                continue
+            if last is not None and int(part.queries[0]) <= last:
                 raise ValueError(
-                    "retrieval results must cover ascending query ranges"
+                    "retrieval results must cover ascending, disjoint query ranges"
                 )
-            queries.extend(part.queries)
+            last = int(part.queries[-1])
+        columns = [part.queries for part in parts]
+        queries: IntColumn
+        if all(isinstance(c, np.ndarray) for c in columns):
+            queries = np.concatenate(columns)
+        else:
+            queries = list(chain.from_iterable(columns))
         level_keys = sorted({k for part in parts for k in part.levels}, reverse=True)
         levels: Dict[int, LevelHits] = {}
         for k in level_keys:
@@ -243,14 +255,15 @@ class RetrievalResult:
         the single source of truth.
         """
         if self._dict_view is None:
-            view: QueryDicts = {int(q): {} for q in self.queries}
+            queries = column_to_list(self.queries)
+            view: QueryDicts = {q: {} for q in queries}
             for k, block in sorted(self.levels.items(), reverse=True):
                 offsets = block.offsets
                 taxids = block.taxids
-                for i, q in enumerate(self.queries):
+                for i, q in enumerate(queries):
                     lo, hi = int(offsets[i]), int(offsets[i + 1])
                     if hi > lo:
-                        view[int(q)][k] = frozenset(column_to_list(taxids[lo:hi]))
+                        view[q][k] = frozenset(column_to_list(taxids[lo:hi]))
             self._dict_view = view
         return self._dict_view
 
@@ -269,7 +282,7 @@ class RetrievalResult:
         return len(self.queries)
 
     def __bool__(self) -> bool:
-        return bool(self.queries)
+        return len(self.queries) > 0
 
     def get(
         self, query: int, default: Optional[Dict[int, FrozenSet[int]]] = None

@@ -23,7 +23,7 @@ Results are asserted bit-identical across shard counts, as everywhere.
 
 from __future__ import annotations
 
-from repro.backends import PhaseTimings
+from repro.backends import PhaseTimings, column_to_list
 from repro.backends.paced import PacedStepTwoBackend
 from repro.databases.serialization import kmer_record_bytes
 from repro.experiments.runner import ExperimentResult
@@ -82,9 +82,9 @@ def run() -> ExperimentResult:
         for _ in range(TRIALS):
             intersecting, retrieved = engine.run(query, timings=timings)
             if reference is None:
-                reference = (list(intersecting), retrieved)
+                reference = (column_to_list(intersecting), retrieved)
             else:
-                assert list(intersecting) == reference[0], \
+                assert column_to_list(intersecting) == reference[0], \
                     "sharded Step 2 must stay bit-identical"
                 assert retrieved == reference[1], \
                     "sharded retrieval must stay bit-identical"

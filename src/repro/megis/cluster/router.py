@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import PhaseTimings
+from repro.backends import IntColumn, PhaseTimings
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
@@ -157,7 +157,7 @@ class ClusterStepTwo:
 
     # -- scatter-gather --------------------------------------------------------
 
-    def scatter(self, queries: Sequence[Sequence[int]]) -> List[StepTwoResult]:
+    def scatter(self, queries: Sequence[IntColumn]) -> List[StepTwoResult]:
         """Step 2 for a batch: scatter to all nodes, gather in node order.
 
         Returns one ``(intersecting, RetrievalResult)`` per sample —

@@ -46,6 +46,11 @@ KmerColumn = Union[List[int], np.ndarray]
 #: boundary pass looks at.
 PRELIMINARY_SAMPLE = 4096
 
+#: Width of the k-mer prefix that decides its bucket: edges are aligned
+#: to it, so bucket ids are one lookup in a table of at most ``1 << 16``
+#: entries.
+PREFIX_BITS = 16
+
 __all__ = [
     "Bucket",
     "BucketSet",
@@ -157,8 +162,8 @@ class KmerBucketPartitioner:
     ``backend`` selects the Step-2 engine whose native container the bucket
     columns use ("python" lists, "numpy" ndarray columns; ``None`` resolves
     the process default).  The numpy path also vectorizes the frequency
-    exclusion itself (one ``np.unique`` over the extracted stream instead of
-    a Python ``Counter``), producing bit-identical bucket contents.
+    exclusion itself (a sort and a run flag per bucket instead of a Python
+    ``Counter``), producing bit-identical bucket contents.
     """
 
     def __init__(
@@ -191,24 +196,42 @@ class KmerBucketPartitioner:
 
     # -- boundary selection ----------------------------------------------------
 
-    def _boundaries(self, sample: KmerColumn) -> List[int]:
-        """Equal-frequency boundaries from a preliminary k-mer subset.
+    @property
+    def prefix_shift(self) -> int:
+        """Bits below a k-mer's 16-bit prefix (0 once ``2k <= 16``).
 
-        An ndarray head is sorted and indexed in numpy; either container
-        gives the same ascending Python ints.
+        Every bucket edge is a multiple of ``1 << prefix_shift``, so a
+        k-mer's bucket is a function of ``kmer >> prefix_shift`` alone.
         """
-        space = 1 << (2 * self.k)
+        return max(0, 2 * self.k - PREFIX_BITS)
+
+    def _boundaries(self, sample: KmerColumn) -> List[int]:
+        """Equal-frequency, prefix-aligned boundaries from a preliminary
+        k-mer subset.
+
+        Each preliminary pick — a quantile of the sorted head, or an
+        equal-width cut of the key space when the head is empty — is
+        rounded down to a multiple of ``1 << prefix_shift``.  The head's
+        picks are then deduplicated, merging preliminary buckets as the
+        paper describes, so a degenerate sample yields fewer, wider
+        buckets.  For ``k <= 8`` the shift is 0 and the edges are the
+        quantiles themselves.  An ndarray head is sorted and indexed in
+        numpy; either container gives the same ascending Python ints, so
+        both backends cut the same buckets.
+        """
+        shift = self.prefix_shift
         n = len(sample)
+        cuts = range(1, self.n_buckets)
         if not n:
-            return [space * i // self.n_buckets for i in range(1, self.n_buckets)]
-        picks = [min(n - 1, n * i // self.n_buckets) for i in range(1, self.n_buckets)]
-        # Deduplicate (merging preliminary buckets, as the paper describes):
-        # a degenerate sample yields fewer, wider buckets.
+            space = 1 << (2 * self.k)
+            return [space * i // self.n_buckets >> shift << shift for i in cuts]
+        picks = [min(n - 1, n * i // self.n_buckets) for i in cuts]
         if isinstance(sample, np.ndarray):
             picked = np.sort(sample)[np.asarray(picks, dtype=np.intp)]
-            return list(np.unique(picked).tolist())
+            aligned = picked >> np.uint64(shift) << np.uint64(shift)
+            return list(np.unique(aligned).tolist())
         ordered = sorted(sample)
-        return sorted({ordered[i] for i in picks})
+        return sorted({ordered[i] >> shift << shift for i in picks})
 
     # -- main entry --------------------------------------------------------------
 
@@ -229,7 +252,8 @@ class KmerBucketPartitioner:
         (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
         in read order, whose ndarray head is the preliminary sample the
         boundary pass sorts in numpy) and groups it by bucket with one
-        stable argsort over the bucket ids; the Counter path extracts
+        prefix-table lookup and one stable argsort over the bucket ids
+        (:meth:`_group_vectorized`); the Counter path extracts
         read by read and folds each in immediately so peak memory stays
         O(distinct k-mers).
         """
@@ -256,7 +280,7 @@ class KmerBucketPartitioner:
         space = 1 << (2 * self.k)
         edges = [0] + boundaries + [space]
         if vectorized:
-            raw_buckets = self._group_vectorized(merged, boundaries, len(edges) - 1)
+            raw_buckets = self._group_vectorized(merged, edges)
         else:
             raw_buckets = self._group_counted(counts, boundaries, len(edges) - 1)
         lead_ms = (time.perf_counter() - lead_start) * 1e3
@@ -278,31 +302,36 @@ class KmerBucketPartitioner:
         return bucket_set
 
     def _group_vectorized(
-        self, merged: np.ndarray, boundaries: Sequence[int], n_buckets: int,
+        self, merged: np.ndarray, edges: Sequence[int],
     ) -> List[np.ndarray]:
         """Group the raw (unsorted, with duplicates) stream by bucket.
 
-        One ``searchsorted`` assigns ids and one stable argsort over the
-        ids groups the stream — the scatter pass of the paper's
-        bucketing, all charged to ``lead_ms``.  NumPy's stable sort is a
-        radix sort (O(n)) for keys of at most 16 bits and a merge sort for
-        the ``int64`` ids ``searchsorted`` returns, so the ids are sorted
-        in the narrowest unsigned dtype that holds ``n_buckets`` — the
-        same permutation.  Within-bucket order stays the arrival order;
-        the per-bucket ``np.unique`` does the actual sorting, on the
-        bucket's clock.
+        ``edges`` are ``[0, *boundaries, 4^k]``, every one prefix-aligned
+        (:meth:`_boundaries`), so a k-mer's bucket id is one lookup on its
+        prefix, ``lut[kmer >> prefix_shift]``.  The table is one
+        ``np.repeat`` of each bucket id over its prefix width, in the
+        narrowest unsigned dtype that holds the ids.  One stable argsort
+        over the ids then groups the stream — NumPy sorts keys of at most
+        16 bits by radix, in O(n) — the scatter pass of the paper's
+        bucketing, all charged to ``lead_ms``.  Within-bucket order stays
+        the arrival order; :meth:`_select_vectorized` does the actual
+        sorting, on the bucket's clock.
         """
-        if not boundaries:
+        n_buckets = len(edges) - 1
+        if n_buckets == 1:
             return [merged]
-        ids = np.searchsorted(
-            np.asarray(boundaries, dtype=merged.dtype), merged, side="right"
+        shift = self.prefix_shift
+        if any(edge & ((1 << shift) - 1) for edge in edges):
+            raise ValueError(f"bucket edges must be multiples of 1 << {shift}")
+        widths = np.diff(np.asarray(edges, dtype=np.int64)) >> shift
+        lut = np.repeat(
+            np.arange(n_buckets, dtype=np.min_scalar_type(n_buckets - 1)), widths
         )
-        if n_buckets <= 1 << 16:
-            ids = ids.astype(np.uint8 if n_buckets <= 1 << 8 else np.uint16)
-        order = np.argsort(ids, kind="stable")
-        grouped = merged[order]
-        counts_per = np.bincount(ids, minlength=n_buckets)
-        offsets = np.concatenate([[0], np.cumsum(counts_per)])
+        # Prefixes are below 1 << 16: the int64 view indexes without a cast.
+        ids = lut[(merged >> np.uint64(shift)).view(np.int64)]
+        grouped = merged[np.argsort(ids, kind="stable")]
+        offsets = np.zeros(n_buckets + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=n_buckets), out=offsets[1:])
         return [
             grouped[offsets[i]:offsets[i + 1]] for i in range(n_buckets)
         ]
@@ -318,18 +347,26 @@ class KmerBucketPartitioner:
         return raw_buckets
 
     def _select_vectorized(self, raw: np.ndarray) -> KmerColumn:
-        """Frequency exclusion in one ``np.unique`` pass (sorted output).
+        """Sort, deduplicate and frequency-exclude one bucket.
 
-        Produces the identical sorted k-mer sequence as :meth:`_select`,
-        wrapped by the backend's
-        :meth:`~repro.backends.StepTwoBackend.query_column` (a no-op for
-        the ndarray it already holds).
+        One ``np.sort`` and an adjacent-difference flag on the first of
+        each run of equal k-mers; run lengths (the counts) are taken only
+        when ``min_count > 1`` or ``max_count`` is set.  Produces the
+        identical sorted k-mer sequence as :meth:`_select`, wrapped by the
+        backend's :meth:`~repro.backends.StepTwoBackend.query_column` (a
+        no-op for the ndarray it already holds).
         """
-        unique, counts = np.unique(raw, return_counts=True)
-        mask = counts >= self.min_count
+        ordered = np.sort(raw)
+        first = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        if self.min_count == 1 and self.max_count is None:
+            return self._backend.query_column(ordered[first], self.k)
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(ordered))
+        keep = counts >= self.min_count
         if self.max_count is not None:
-            mask &= counts <= self.max_count
-        return self._backend.query_column(unique[mask], self.k)
+            keep &= counts <= self.max_count
+        return self._backend.query_column(ordered[starts[keep]], self.k)
 
     def _select(self, counts: Counter) -> KmerColumn:
         """Frequency exclusion over accumulated counts, sorted, columnar."""

@@ -55,7 +55,9 @@ from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import shard_pool, shard_workers
 
 #: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
-StepTwoResult = Tuple[List[int], RetrievalResult]
+#: The k-mers are the owner columns' ``queries``: an int list on the
+#: ``python`` backend, a column in the database's dtype on ``numpy``.
+StepTwoResult = Tuple[IntColumn, RetrievalResult]
 
 
 @dataclass
@@ -201,15 +203,14 @@ def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:
     ranges are disjoint and ascending, the concatenated intersections are
     already sorted and the CSR owner columns concatenate
     (:meth:`RetrievalResult.concatenate`) into exactly the single-SSD
-    result; no per-element host work.
+    result; the gathered intersecting k-mers are its ``queries`` column.
+    No per-element host work.
     """
-    return [
-        (
-            [kmer for partial, _ in sample for kmer in partial],
-            RetrievalResult.concatenate([retrieved for _, retrieved in sample]),
-        )
+    gathered = [
+        RetrievalResult.concatenate([retrieved for _, retrieved in sample])
         for sample in zip(*parts)
     ]
+    return [(retrieved.queries, retrieved) for retrieved in gathered]
 
 
 def step_two_over_shards(

@@ -57,6 +57,7 @@ from typing import (
 )
 
 from repro.backends import (
+    IntColumn,
     PhaseTimings,
     StepTwoBackend,
     available_backends,
@@ -620,7 +621,7 @@ class AnalysisSession:
 
     def step_two_partial(
         self,
-        queries: Sequence[Sequence[int]],
+        queries: Sequence[IntColumn],
         timings: Optional[PhaseTimings] = None,
     ) -> List[StepTwoResult]:
         """Step 2 over this session's shard subset, one result per sample.
@@ -807,9 +808,13 @@ class AnalysisSession:
         is one ``np.unique`` pass per level over the flat taxID column and
         containment is the vectorized batch score — no per-taxID Python
         loops on the numpy backend, identical results on the reference
-        backend (the cross-backend tests enforce bit-equality).
+        backend (the cross-backend tests enforce bit-equality).  A numpy
+        backend's intersecting column becomes the public int list in one
+        ``tolist``.
         """
-        result.intersecting_kmers = intersecting
+        result.intersecting_kmers = (
+            intersecting if isinstance(intersecting, list) else intersecting.tolist()
+        )
         hits = accumulate_hits(retrieved)
         result.sketch_hits = hits.as_dict()
         result.candidates = select_candidates(

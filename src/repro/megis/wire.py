@@ -463,16 +463,19 @@ def parse_step2_frame(header: Mapping[str, object], body: bytes,
     ]
 
 
-def parse_step2_result_frame(header: Mapping[str, object], body: bytes,
-                             k: int) -> List[Tuple[List[int], RetrievalResult]]:
+def parse_step2_result_frame(
+    header: Mapping[str, object], body: bytes, k: int,
+) -> List[Tuple[npt.NDArray[Any], RetrievalResult]]:
     """A :func:`step2_result_frame` back as per-sample partials, or
     ``ValueError``.
 
-    Each sample's intersecting k-mers come back as an int list (its
-    ``RetrievalResult.queries``), its owner columns as int64 views of
-    ``body``; offsets must be a CSR index over the queries into the
-    taxids, so a malformed reply fails its scatter attempt instead of the
-    gather.
+    Each sample's intersecting k-mers come back as the parsed k-mer
+    column (``uint64``; ``object`` past 32-base k-mers), which is also
+    its ``RetrievalResult.queries``; its owner columns as int64 views of
+    ``body``.  The k-mers must be strictly ascending — intersecting
+    k-mers are distinct, and a repeated one would count its hits twice —
+    and offsets must be a CSR index over the queries into the taxids, so
+    a malformed reply fails its scatter attempt instead of the gather.
     """
     counts = _frame_counts(header, body, "step2_result", k)
     levels = header.get("levels")
@@ -486,9 +489,9 @@ def parse_step2_result_frame(header: Mapping[str, object], body: bytes,
         for level in levels:
             names += [f"t{i}/{level}", f"o{i}/{level}"]
     sections = _frame_sections(body, names)
-    partials: List[Tuple[List[int], RetrievalResult]] = []
+    partials: List[Tuple[npt.NDArray[Any], RetrievalResult]] = []
     for i, count in enumerate(counts):
-        queries: List[int] = _kmer_section(sections, f"q{i}", k, count).tolist()
+        queries = _kmer_section(sections, f"q{i}", k, count, strict=True)
         blocks: Dict[int, LevelHits] = {}
         for level in levels:
             taxids = parse_i64(sections[f"t{i}/{level}"])
@@ -542,11 +545,12 @@ def _frame_sections(body: bytes,
 
 
 def _kmer_section(sections: Mapping[str, npt.NDArray[np.uint8]], name: str,
-                  k: int, count: int) -> npt.NDArray[Any]:
+                  k: int, count: int, strict: bool = False) -> npt.NDArray[Any]:
     """One section of ``count`` sorted k-mer records, parsed.
 
     A record's width already bounds its k-mer to ``[0, 4^k)`` unless the
     padding bits below the ``2k`` key bits are set: those are refused.
+    ``strict`` refuses equal neighbours too (distinct k-mers).
     """
     raw = sections[name]
     width = kmer_record_bytes(k)
@@ -559,8 +563,10 @@ def _kmer_section(sections: Mapping[str, npt.NDArray[np.uint8]], name: str,
     if padding and bool(np.any(raw[width - 1::width] & ((1 << padding) - 1))):
         raise ValueError(f"section {name!r}: k-mer records have padding bits set")
     column = parse_kmer_column(raw, k, count)
-    if bool(np.any(np.asarray(column[1:] < column[:-1], dtype=bool))):
-        raise ValueError(f"section {name!r}: k-mers must be sorted ascending")
+    out_of_order = column[1:] <= column[:-1] if strict else column[1:] < column[:-1]
+    if bool(np.any(np.asarray(out_of_order, dtype=bool))):
+        order = "sorted ascending and distinct" if strict else "sorted ascending"
+        raise ValueError(f"section {name!r}: k-mers must be {order}")
     return column
 
 

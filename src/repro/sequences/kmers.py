@@ -74,10 +74,18 @@ def extract_kmers_batch(
     Returns ``(kmers, read_ids)``: ``kmers`` equals ``np.concatenate(
     [extract_kmers(s, k, canonical=False) for s in sequences])`` and
     ``read_ids[i]`` is the index into ``sequences`` that ``kmers[i]`` came
-    from.  One LUT encode and one k-step rolling pack run over the
-    concatenation of the sequences (the §4.2.1 streaming extraction over
-    the sample) instead of k numpy operations per read; the windows that
-    straddle a join between two reads are dropped by a validity mask.
+    from.  One LUT encode and one rolling pack run over the concatenation
+    of the sequences (the §4.2.1 streaming extraction over the sample)
+    instead of k numpy operations per read; the windows that straddle a
+    join between two reads are dropped by a validity mask.
+
+    The pack is half-width: ``a = ceil(k / 2)``-base windows roll in
+    ``uint32`` (``a`` passes), and k-mer ``i`` is window ``i`` shifted
+    left by the ``b = k - a`` bases of window ``i + a``'s head — one
+    ``uint64`` shift/or instead of ``k``.  For odd k, ``a - b`` zero
+    codes are appended so the last k-mer's head window exists; they
+    never reach a k-mer's bits.
+
     Sequences shorter than ``k`` hold no k-mer and are left out of the
     concatenation unencoded, exactly as :func:`extract_kmers` returns
     before encoding them.  Only ``k <= 31`` (a k-mer fits ``uint64``).
@@ -90,14 +98,19 @@ def extract_kmers_batch(
     kept = np.flatnonzero(lengths >= k)
     if kept.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    codes = encode_sequence(
-        "".join(seq for seq in sequences if len(seq) >= k)
-    ).astype(np.uint64)
-    n = codes.size - k + 1
-    forward = np.zeros(n, dtype=np.uint64)
-    for offset in range(k):
-        forward <<= np.uint64(BITS_PER_BASE)
-        forward |= codes[offset : offset + n]
+    a = (k + 1) // 2
+    b = k - a
+    joined = [seq for seq in sequences if len(seq) >= k]
+    joined.append("A" * (a - b))  # code 0: the odd-k head padding
+    codes = encode_sequence("".join(joined)).astype(np.uint32)
+    n = codes.size - (a - b) - k + 1
+    windows = np.zeros(codes.size - a + 1, dtype=np.uint32)
+    for offset in range(a):
+        windows <<= np.uint32(BITS_PER_BASE)
+        windows |= codes[offset : offset + windows.size]
+    forward = windows[:n].astype(np.uint64)
+    forward <<= np.uint64(BITS_PER_BASE * b)
+    forward |= windows[a : a + n] >> np.uint32(BITS_PER_BASE * (a - b))
     # A window is a k-mer of one read unless it starts within k - 1 bases
     # of a join: the last k - 1 starts before every read end but the last.
     valid = np.ones(n, dtype=bool)

@@ -28,6 +28,7 @@ from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.session import AnalysisSession, MegisConfig
+from tests.columns import as_ints, native_column, pairs_as_ints
 from tests.conftest import SKETCH_K
 
 BACKENDS = ("python", "numpy")
@@ -128,7 +129,7 @@ class TestIntersectEquivalence:
         database = random_database(rng, 400)
         query = random_query(rng, database, 150)
         result = get_backend(backend).intersect(database, query, n_channels)
-        assert result == database.intersect(query)
+        assert as_ints(result) == database.intersect(query)
 
     def test_bucketed_matches_flat(self, backend, seed, n_channels):
         rng = random.Random(seed + 100)
@@ -140,25 +141,26 @@ class TestIntersectEquivalence:
         [result] = get_backend(backend).intersect_bucketed_multi(
             database, [buckets], n_channels
         )
-        assert result == database.intersect(query)
+        assert as_ints(result) == database.intersect(query)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestIntersectEdgeCases:
     def test_empty_query(self, backend):
         database = random_database(random.Random(3), 50)
-        assert get_backend(backend).intersect(database, [], 4) == []
+        assert as_ints(get_backend(backend).intersect(database, [], 4)) == []
 
     def test_empty_database(self, backend):
         database = SortedKmerDatabase(SKETCH_K, [], [])
-        assert get_backend(backend).intersect(database, [1, 2, 3], 4) == []
+        assert as_ints(get_backend(backend).intersect(database, [1, 2, 3], 4)) == []
 
     def test_all_buckets_empty(self, backend):
         database = random_database(random.Random(4), 50)
         buckets = [(0, 100, []), (100, SPACE, [])]
-        assert get_backend(backend).intersect_bucketed_multi(
+        [result] = get_backend(backend).intersect_bucketed_multi(
             database, [buckets], 2
-        ) == [[]]
+        )
+        assert as_ints(result) == []
 
     def test_timings_recorded(self, backend):
         rng = random.Random(5)
@@ -201,7 +203,8 @@ class TestMultiSampleBatching:
         engine = get_backend(backend)
         batched = engine.intersect_bucketed_multi(database, samples, 4)
         for got, buckets in zip(batched, samples):
-            assert [got] == engine.intersect_bucketed_multi(database, [buckets], 4)
+            [alone] = engine.intersect_bucketed_multi(database, [buckets], 4)
+            assert as_ints(got) == as_ints(alone)
 
     def test_cross_backend_identical(self, backend, kss_tables, sorted_db, sample):
         partitioner = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8)
@@ -211,7 +214,7 @@ class TestMultiSampleBatching:
         ]
         mine = get_backend(backend).intersect_bucketed_multi(sorted_db, samples, 4)
         reference = get_backend("python").intersect_bucketed_multi(sorted_db, samples, 4)
-        assert mine == reference
+        assert [as_ints(column) for column in mine] == reference
 
     def test_empty_sample_in_batch(self, backend):
         rng = random.Random(12)
@@ -220,8 +223,8 @@ class TestMultiSampleBatching:
         samples = [bucketize(query, [SPACE // 2]), bucketize([], [SPACE // 2])]
         engine = get_backend(backend)
         batched = engine.intersect_bucketed_multi(database, samples, 2)
-        assert batched[0] == database.intersect(query)
-        assert batched[1] == []
+        assert as_ints(batched[0]) == database.intersect(query)
+        assert as_ints(batched[1]) == []
 
     def test_no_samples(self, backend):
         database = random_database(random.Random(13), 30)
@@ -283,7 +286,7 @@ class TestShardedKernels:
         timings = PhaseTimings()
         intersecting, retrieved = engine.run(query, timings=timings)
         assert timings.db_stream_passes == engine.n_ssds
-        assert intersecting == database.intersect(query)
+        assert as_ints(intersecting) == database.intersect(query)
         assert retrieved == kss_tables.retrieve(intersecting)
 
     @pytest.mark.parametrize("seed", [40, 41])
@@ -296,10 +299,11 @@ class TestShardedKernels:
             edges = sorted(rng.sample(range(1, SPACE), rng.randrange(2, 6)))
             samples.append(bucketize(query, edges))
         engine = MultiSsdStepTwo(database, kss_tables, n_ssds=3, backend=backend)
-        sharded = [intersecting for intersecting, _ in engine.run_multi(samples)]
-        assert sharded == get_backend(backend).intersect_bucketed_multi(
-            database, samples, 4
-        )
+        sharded = [as_ints(intersecting) for intersecting, _ in engine.run_multi(samples)]
+        assert sharded == [
+            as_ints(column) for column in
+            get_backend(backend).intersect_bucketed_multi(database, samples, 4)
+        ]
 
     def test_sharded_cross_backend(self, backend, kss_tables):
         rng = random.Random(50)
@@ -309,7 +313,7 @@ class TestShardedKernels:
                                backend=backend).run(query)
         reference = MultiSsdStepTwo(database, kss_tables, n_ssds=4,
                                     backend="python").run(query)
-        assert mine == reference
+        assert pairs_as_ints([mine]) == pairs_as_ints([reference])
 
     def test_no_shards(self, backend, kss_tables):
         """An empty shard list has no answer to give; it is refused where
@@ -360,7 +364,26 @@ class TestDatabaseBackendParam:
         assert database.column().dtype == object
         query = kmers[::3] + [(1 << 119) + 1]
         for backend in BACKENDS:
-            assert get_backend(backend).intersect(database, query) == database.intersect(query)
+            got = get_backend(backend).intersect(database, query)
+            assert as_ints(got) == database.intersect(query)
+        assert native_column(got, database) == database.intersect(query)
+
+    @pytest.mark.parametrize("k", [SKETCH_K, 32, 40])
+    def test_numpy_intersect_returns_database_dtype_columns(self, k):
+        """The numpy kernel hands back one column per sample in the
+        database column's dtype (``uint64``, ``object`` past 32 bases),
+        an empty sample included; python hands back int lists.  As ints
+        they are equal."""
+        rng = random.Random(k)
+        kmers = sorted({rng.getrandbits(2 * k) for _ in range(120)})
+        database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
+        query = sorted(set(kmers[::3]) | {rng.getrandbits(2 * k) for _ in range(20)})
+        samples = [[(0, 1 << (2 * k), query)], [(0, 1 << (2 * k), [])]]
+        mine = get_backend("numpy").intersect_bucketed_multi(database, samples, 4)
+        reference = get_backend("python").intersect_bucketed_multi(database, samples, 4)
+        assert all(isinstance(column, list) for column in reference)
+        assert [native_column(column, database) for column in mine] == reference
+        assert len(reference[0]) and not len(reference[1])
 
     def test_as_column_empty(self, sorted_db):
         assert len(as_column([], sorted_db.column().dtype)) == 0
@@ -381,6 +404,10 @@ class TestPipelineEquivalence:
     def test_identical_outputs(self, per_backend_results):
         python, numpy = (per_backend_results[b] for b in BACKENDS)
         assert python.intersecting_kmers == numpy.intersecting_kmers
+        # The public result stays a list of Python ints on every backend.
+        for result in (python, numpy):
+            assert type(result.intersecting_kmers) is list
+            assert all(type(kmer) is int for kmer in result.intersecting_kmers)
         assert python.sketch_hits == numpy.sketch_hits
         assert python.candidates == numpy.candidates
         assert python.profile.fractions == numpy.profile.fractions

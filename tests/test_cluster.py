@@ -41,6 +41,7 @@ from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.sequences.reads import Read
 from repro.workloads.cami import CamiDiversity, make_cami_sample
+from tests.columns import as_ints, native_column, pairs_as_ints
 
 GOLDEN = Path(__file__).parent / "data" / "golden_pipeline.json"
 
@@ -132,10 +133,10 @@ def _refuse_constant(name):
     raise AssertionError(f"reply frame holds {name}, which is not JSON")
 
 
-def make_node_session(index, golden, cluster_map, node_id):
+def make_node_session(index, golden, cluster_map, node_id, backend=None):
     return AnalysisSession(
         index,
-        _config(golden, n_ssds=cluster_map.n_shards),
+        _config(golden, n_ssds=cluster_map.n_shards, backend=backend),
         shard_range=cluster_map.group(node_id),
     )
 
@@ -146,9 +147,10 @@ class Cluster:
 
     def __init__(self, index, golden, n_nodes, *, n_shards=N_SHARDS,
                  replicas=(), heartbeat_ms=None, timeout_s=10.0,
-                 workers=2):
+                 workers=2, backend=None):
         self.index = index
         self.golden = golden
+        self.backend = backend
         self.map = ClusterMap.for_index(index, n_nodes, n_shards)
         self.replica_ids = tuple(replicas)
         self.heartbeat_ms = heartbeat_ms
@@ -164,7 +166,7 @@ class Cluster:
         for node_id in range(self.map.n_nodes):
             node = ClusterNode(
                 make_node_session(self.index, self.golden, self.map,
-                                  node_id),
+                                  node_id, self.backend),
                 node_id, self.map,
             )
             address = await node.start()
@@ -173,7 +175,7 @@ class Cluster:
             if node_id in self.replica_ids:
                 replica = ClusterNode(
                     make_node_session(self.index, self.golden, self.map,
-                                      node_id),
+                                      node_id, self.backend),
                     node_id, self.map,
                 )
                 replica_address = await replica.start()
@@ -200,7 +202,8 @@ class Cluster:
         """A fresh node process on the SAME port (the respawn story)."""
         host, port = self.step_two.endpoints[node_id].address
         node = ClusterNode(
-            make_node_session(self.index, self.golden, self.map, node_id),
+            make_node_session(self.index, self.golden, self.map, node_id,
+                              self.backend),
             node_id, self.map, host=host, port=port,
         )
         await node.start()
@@ -386,10 +389,65 @@ class TestShardRangeSession:
         both = session.step_two_partial(queries, timings=two)
         assert two.db_stream_passes == len(session.cluster_shards()) == 2
         assert two.db_kmers_streamed == one.db_kmers_streamed
-        assert both == single + session.step_two_partial(queries[1:])
+        assert pairs_as_ints(both) == pairs_as_ints(
+            single + session.step_two_partial(queries[1:])
+        )
+
+    def test_numpy_partial_is_database_dtype_columns(self, golden_world,
+                                                     golden, chunks):
+        """On numpy a node's partial intersecting k-mers are columns in the
+        database column's dtype, each its retrieval result's ``queries``;
+        as ints they equal the python node's lists."""
+        _, index = golden_world
+        cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
+        full = AnalysisSession(index, _config(golden, backend="python"))
+        queries = [
+            full._partitioner.partition(chunk).merged_column()
+            for chunk in chunks[:2]
+        ]
+        python, numpy_ = (
+            make_node_session(index, golden, cluster_map, 1, backend)
+            .warm().step_two_partial(queries)
+            for backend in ("python", "numpy")
+        )
+        assert any(kmers for kmers, _ in python)
+        for (got, retrieved), (want, reference) in zip(numpy_, python):
+            assert native_column(got, index.database) == want
+            assert retrieved.queries is got
+            assert retrieved == reference
 
 
 class TestBitIdentity:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_two_node_scatter_gathers_database_dtype_columns(
+        self, golden_world, golden, chunks, backend
+    ):
+        """A real scatter over two nodes: every sample's gathered
+        intersecting k-mers are one column in the database column's dtype
+        — its retrieval result's ``queries`` — on either node backend, and
+        equal as ints (owner columns too) to one python session's Step 2."""
+        _, index = golden_world
+        full = AnalysisSession(index, _config(golden, backend="python")).warm()
+        queries = [
+            full._partitioner.partition(chunk).merged_column()
+            for chunk in chunks[:2]
+        ]
+
+        async def scenario():
+            async with Cluster(index, golden, 2, backend=backend) as cluster:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, cluster.step_two.scatter, queries
+                )
+
+        gathered = run_scenario(scenario())
+        expected = full.step_two_partial(queries)
+        assert all(isinstance(kmers, list) for kmers, _ in expected)
+        assert any(kmers for kmers, _ in expected)
+        for (intersecting, retrieved), (want, reference) in zip(gathered, expected):
+            assert native_column(intersecting, index.database) == want
+            assert retrieved.queries is intersecting
+            assert retrieved == reference
+
     @pytest.mark.parametrize("n_nodes", [2, 4])
     def test_routed_results_equal_serial(self, golden_world, golden,
                                          requests_wire, serial_records,
@@ -1039,7 +1097,7 @@ class TestNodeProtocol:
         [(intersecting, _)] = wire.parse_step2_result_frame(
             served, served["body"], k)
         lo, hi = (index.shards(N_SHARDS)[0].lo, index.shards(N_SHARDS)[1].hi)
-        assert intersecting == [
+        assert as_ints(intersecting) == [
             kmer for kmer in index.database.intersect(column) if lo <= kmer < hi
         ]
         assert records[6]["op"] == "pong"

@@ -9,6 +9,7 @@ with a trailing ``# violation`` comment, so the assertions pin the exact
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,26 @@ def test_configured_scope_is_the_checkers_default(rule):
     """`repro check` without the pyproject table scans the tree CI scans."""
     configured = load_config(REPO_ROOT).rule_paths[rule]
     assert configured == checker_for(rule).default_paths
+
+
+def test_ci_strict_typing_flags_are_the_pyproject_list():
+    """The ``mypy --strict`` scope is written once, as
+    ``[tool.repro.typing] strict``; CI's ``-p`` flags are that list, in
+    order."""
+    tomllib = pytest.importorskip("tomllib")
+    yaml = pytest.importorskip("yaml")
+    with (REPO_ROOT / "pyproject.toml").open("rb") as handle:
+        strict = tomllib.load(handle)["tool"]["repro"]["typing"]["strict"]
+    workflow = yaml.safe_load((REPO_ROOT / ".github/workflows/ci.yml").read_text())
+    runs = [
+        step["run"]
+        for job in workflow["jobs"].values()
+        for step in job["steps"]
+        if "mypy --strict" in step.get("run", "")
+    ]
+    assert len(runs) == 1
+    assert re.findall(r"-p\s+(\S+)", runs[0]) == strict
+    assert len(set(strict)) == len(strict) >= 1
 
 
 def test_path_matches_prefix_and_glob():

@@ -54,6 +54,23 @@ class TestBatchExtractor:
         assert kmers.tolist() == want_kmers.tolist()
         assert ids.tolist() == want_ids.tolist()
 
+    @pytest.mark.parametrize("k", range(1, 32))
+    def test_tail_read_of_exactly_k_bases(self, k):
+        """The last k-mer's head window reaches the very end of the
+        concatenation — for odd k into the padding codes.  A batch whose
+        last read is exactly k bases long, and a lone such read, extract
+        what the per-read extractor does, as ``uint64``."""
+        rng = np.random.default_rng(k)
+        bases = np.array(list("ACGT"))
+        exact = "".join(rng.choice(bases, size=k))
+        longer = "".join(rng.choice(bases, size=2 * k + 3))
+        for reads in ([longer, "A" * (k - 1), exact], [exact], ["T" * k]):
+            want_kmers, want_ids = _reference_batch(reads, k)
+            kmers, ids = extract_kmers_batch(reads, k)
+            assert kmers.dtype == np.uint64
+            assert kmers.tolist() == want_kmers.tolist()
+            assert ids.tolist() == want_ids.tolist()
+
     def test_boundary_cases(self):
         for reads in ([], [""], ["AC"], ["ACG"], ["acgtt", "AC", "TTT", ""]):
             want_kmers, want_ids = _reference_batch(reads, 3)

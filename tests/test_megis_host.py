@@ -5,13 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends.numpy_backend import as_column
-from repro.megis.host import Bucket, KmerBucketPartitioner, column_to_list
-from repro.sequences.kmers import KmerCounter
+from repro.megis.host import (
+    PRELIMINARY_SAMPLE,
+    Bucket,
+    KmerBucketPartitioner,
+    column_to_list,
+)
+from repro.sequences.kmers import KmerCounter, extract_kmers
 from repro.sequences.reads import Read
 
 
 def make_reads(seqs):
     return [Read(i, s, 0) for i, s in enumerate(seqs)]
+
+
+def quantile_edges(head, k, n_buckets):
+    """The boundary pass as it was before edges were prefix-aligned:
+    equal-frequency picks of the sorted head, deduplicated, or the
+    equal-width cuts of the key space for an empty head."""
+    n = len(head)
+    if not n:
+        return [(1 << (2 * k)) * i // n_buckets for i in range(1, n_buckets)]
+    ordered = sorted(head)
+    return sorted({ordered[min(n - 1, n * i // n_buckets)] for i in range(1, n_buckets)})
 
 
 def assert_partitions_alike(seqs, k, n_buckets):
@@ -208,23 +224,26 @@ class TestColumnarPartitioner:
 
     @pytest.mark.parametrize("n_buckets", [1, 16, 300, 70_000])
     def test_grouping_is_the_same_at_every_id_width(self, sample, n_buckets):
-        """The scatter pass sorts bucket ids in the narrowest unsigned
-        dtype that holds ``n_buckets`` (``uint8``, ``uint16``, else the
-        ``int64`` ``searchsorted`` returns): the permutation is the
-        ``int64`` stable sort's at every width, and the bucket sets equal
-        the Counter path's."""
+        """The scatter pass looks bucket ids up in a prefix table of the
+        narrowest unsigned dtype that holds them (``uint8``, ``uint16``,
+        ``uint32`` once there are more than 65,536 buckets): on aligned
+        edges — the empty bucket ``[0, 0)`` among them at 70,000 — the
+        grouping is the stable sort of the ``searchsorted`` ids at every
+        width, and the bucket sets equal the Counter path's."""
         k, rng = 12, np.random.default_rng(n_buckets)
         space = 1 << (2 * k)
+        partitioner = KmerBucketPartitioner(k=k, n_buckets=n_buckets, backend="numpy")
+        shift = partitioner.prefix_shift
         merged = rng.integers(0, space, size=20_000, dtype=np.uint64)
-        boundaries = [space * i // n_buckets for i in range(1, n_buckets)]
-        groups = KmerBucketPartitioner(
-            k=k, n_buckets=n_buckets, backend="numpy"
-        )._group_vectorized(merged, boundaries, n_buckets)
+        boundaries = sorted(
+            {space * i // n_buckets >> shift << shift for i in range(1, n_buckets)}
+        )
+        groups = partitioner._group_vectorized(merged, [0, *boundaries, space])
         ids = np.searchsorted(
             np.asarray(boundaries, dtype=np.uint64), merged, side="right"
         )
         assert [len(g) for g in groups] == np.bincount(
-            ids, minlength=n_buckets
+            ids, minlength=len(boundaries) + 1
         ).tolist()
         assert np.array_equal(
             np.concatenate(groups), merged[np.argsort(ids, kind="stable")]
@@ -239,6 +258,47 @@ class TestColumnarPartitioner:
         assert [(b.lo, b.hi, b.kmers) for b in python.buckets] == [
             (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_.buckets
         ]
+
+    def test_unaligned_edges_refused(self):
+        """A bucket id is a function of the 16-bit prefix only when every
+        edge is prefix-aligned; an edge that is not is refused, not
+        silently mis-grouped."""
+        partitioner = KmerBucketPartitioner(k=12, n_buckets=2, backend="numpy")
+        merged = np.arange(1000, dtype=np.uint64)
+        with pytest.raises(ValueError, match="multiples of 1 << 8"):
+            partitioner._group_vectorized(merged, [0, 300, 1 << 24])
+
+    @given(
+        st.integers(min_value=1, max_value=31),
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.text(alphabet="ACGT", min_size=0, max_size=40), max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_aligned_buckets_property(self, k, n_buckets, seqs):
+        """Every edge is a multiple of ``1 << max(0, 2k - 16)``; the
+        buckets tile ``[0, 4^k)``; both backends cut the same buckets
+        with the same contents; and at ``k <= 8``, where the shift is 0,
+        the edges are the head's quantiles exactly (the equal-width cuts
+        for an empty head), as before edges were aligned."""
+        buckets = [
+            KmerBucketPartitioner(k=k, n_buckets=n_buckets, backend=backend)
+            .partition(make_reads(seqs)).buckets
+            for backend in ("python", "numpy")
+        ]
+        python, numpy_ = buckets
+        step = 1 << max(0, 2 * k - 16)
+        assert all(bucket.lo % step == 0 for bucket in numpy_)
+        assert numpy_[0].lo == 0 and numpy_[-1].hi == 1 << (2 * k)
+        assert all(a.hi == b.lo for a, b in zip(numpy_, numpy_[1:]))
+        assert [(b.lo, b.hi, b.kmers) for b in python] == [
+            (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_
+        ]
+        if k <= 8:
+            head = [
+                kmer for seq in seqs
+                for kmer in extract_kmers(seq, k, canonical=False).tolist()
+            ][:PRELIMINARY_SAMPLE]
+            assert [b.lo for b in numpy_[1:]] == quantile_edges(head, k, n_buckets)
 
     @given(
         st.integers(min_value=1, max_value=31),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
@@ -25,6 +26,7 @@ from repro.backends.retrieval import RetrievalResult
 from repro.databases.kss import KssTables
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
+from tests.columns import as_ints
 from tests.strategies import synthetic_sketch
 
 K = 14
@@ -131,6 +133,27 @@ def test_columnar_concatenate_roundtrip(seed):
             get_backend(backend).retrieve(kss, queries[cut:]),
         ]
         assert RetrievalResult.concatenate(parts) == whole
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_concatenate_refuses_a_repeated_kmer(backend):
+    """Intersecting k-mers are distinct: two parts sharing a boundary
+    k-mer would count its hits twice, so concatenation refuses them.
+    Disjoint parts still join, a numpy query column staying a column."""
+    _, kss, queries = make_world(3)
+    assert len(queries) >= 2
+    retrieve = get_backend(backend).retrieve
+    cut = len(queries) // 2
+    with pytest.raises(ValueError, match="disjoint"):
+        RetrievalResult.concatenate(
+            [retrieve(kss, queries[:cut + 1]), retrieve(kss, queries[cut:])]
+        )
+    joined = RetrievalResult.concatenate(
+        [retrieve(kss, queries[:cut]), retrieve(kss, []), retrieve(kss, queries[cut:])]
+    )
+    assert as_ints(joined.queries) == queries
+    assert isinstance(joined.queries, np.ndarray) == (backend == "numpy")
+    assert joined == retrieve(kss, queries)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 35])

@@ -26,6 +26,7 @@ from repro.databases.serialization import (
     unpack_sections,
 )
 from repro.megis import wire
+from tests.columns import as_ints
 from tests.strategies import FRAME_KS, damaged, json_values, retrieval_partials
 
 
@@ -429,11 +430,15 @@ def partials_at(k):
     return [(queries, hit), ([], empty)]
 
 
-def assert_partials_identical(decoded, original):
+def assert_partials_identical(decoded, original, k):
+    """Each decoded sample's intersecting k-mers are one parsed column —
+    ``uint64``, ``object`` past 32 bases — that is also its retrieval
+    result's ``queries``, equal as ints to what was sent."""
     assert len(decoded) == len(original)
     for (intersecting, got), (_, want) in zip(decoded, original):
-        assert intersecting == got.queries == [int(q) for q in want.queries]
-        assert all(type(q) is int for q in got.queries)
+        assert intersecting is got.queries
+        assert got.queries.dtype == np.dtype(np.uint64 if 2 * k <= 64 else object)
+        assert as_ints(got.queries) == as_ints(want.queries)
         assert list(got.levels) == list(want.levels)
         for level, hits in want.levels.items():
             assert got.levels[level].taxids.dtype == np.int64
@@ -472,7 +477,7 @@ class TestStep2Frames:
         assert (header["op"], header["id"], header["node"]) == ("step2_result", 8, 1)
         assert (header["counts"], header["levels"]) == ([4, 0], [k, k - 3, k - 7])
         decoded = wire.parse_step2_result_frame(header, body, k)
-        assert_partials_identical(decoded, original)
+        assert_partials_identical(decoded, original, k)
         assert [r for _, r in decoded] == [r for _, r in original]
 
     def test_result_frame_requires_one_level_set(self):
@@ -506,6 +511,22 @@ class TestStep2Frames:
             int(q) for q in partials_at(18)[0][0]]
         sections["q0"] = pack_kmer_column(list(reversed(column)), 18)
         return refit(header, sections)
+
+    def _repeated(self, frame):
+        """Sorted, but one k-mer twice (the record count unchanged)."""
+        header, body = frame
+        sections = self._sections(body)
+        column = column_at(18, n=5) if header["op"] == "step2" else [
+            int(q) for q in partials_at(18)[0][0]]
+        sections["q0"] = pack_kmer_column([column[0], *column[:-1]], 18)
+        return refit(header, sections)
+
+    def test_request_frame_keeps_repeated_kmers(self):
+        """A scattered query column may repeat a k-mer (the kernel matches
+        it once); only a reply's intersecting k-mers must be distinct."""
+        header, body = self._repeated(self._request())
+        [column] = wire.parse_step2_frame(header, body, 18)
+        assert column[0] == column[1]
 
     def _recounted(self, frame):
         header, body = frame
@@ -578,6 +599,9 @@ class TestStep2Frames:
             ("_non_csr_offsets", "offsets must rise"),
             ("_short_offsets", "offsets must rise"),
             ("_ragged_taxids", "multiple of 8"),
+            # Intersecting k-mers are distinct: a repeat would count its
+            # hits twice at the gather.
+            ("_repeated", "sorted ascending and distinct"),
         ]
     ])
     def test_result_frame_defects_are_value_errors(self, defect, message):
@@ -643,7 +667,7 @@ class TestWireProperties:
         k, partials = drawn
         header, body = split(wire.step2_result_frame(5, 2, k, partials))
         assert_partials_identical(
-            wire.parse_step2_result_frame(header, body, k), partials)
+            wire.parse_step2_result_frame(header, body, k), partials, k)
 
     @given(st.data())
     def test_frame_parsers_raise_only_value_errors(self, data):
