@@ -11,7 +11,8 @@ An efficient pipeline between the host and the SSD (paper §4):
 - Step 3 (:mod:`repro.megis.abundance`): the SSD merges per-species
   reference indexes into a unified index for read mapping;
 - :mod:`repro.megis.ftl` — the specialized block-level FTL and data layout;
-- :mod:`repro.megis.commands` — the three NVMe command extensions;
+- :mod:`repro.megis.commands` — the three NVMe command extensions and
+  the scope a caller wraps around one analysis to issue them;
 - :mod:`repro.megis.accelerator` — Table 2 area/power accounting;
 - :mod:`repro.megis.index` — the persistable build-once index
   (:class:`MegisIndex` / :class:`IndexBuilder`);

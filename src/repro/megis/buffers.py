@@ -76,9 +76,17 @@ class IspBufferPlan:
         return sum(self.allocations().values())
 
     def apply(self, dram: InternalDram) -> None:
-        """Reserve every buffer in the DRAM ledger (raises if it cannot fit)."""
-        for name, nbytes in self.allocations().items():
-            dram.allocate(name, nbytes)
+        """Reserve every buffer in the DRAM ledger, or none: a buffer that
+        cannot fit frees the ones reserved before it, then raises."""
+        reserved = []
+        try:
+            for name, nbytes in self.allocations().items():
+                dram.allocate(name, nbytes)
+                reserved.append(name)
+        except BaseException:
+            for name in reserved:
+                dram.free(name)
+            raise
 
     def release(self, dram: InternalDram) -> None:
         for name in self.allocations():

@@ -397,7 +397,7 @@ class ClusterAnalysisSession:
 
     Implements the session surface
     :class:`~repro.megis.service.AnalysisService` drives (``warm`` /
-    ``analyze`` / ``analyze_batch`` / ``close``, ``ssd is None``), so
+    ``analyze`` / ``analyze_batch`` / ``close``, ``process_workers``), so
     the whole gateway stack — workers, §4.7 batch coalescing, bounded
     admission, completion streaming — serves the cluster unchanged.
     ``session`` is a *full* local session over the same index (its
@@ -418,9 +418,8 @@ class ClusterAnalysisSession:
             )
         self.session = session
         self.step_two = step_two
-        #: The service's session contract: no stateful functional SSD,
-        #: and how many forked workers its threads must keep busy.
-        self.ssd = None
+        #: The service's session contract: how many forked workers its
+        #: threads must keep busy.
         self.process_workers = 0
 
     @property

@@ -13,15 +13,27 @@ Three commands drive the host/SSD coordination:
 protocol and swaps FTL metadata between modes (§4.5): entering ISP after
 k-mer extraction flushes the regular page-level L2P from internal DRAM and
 loads MegIS's block-level metadata.
+
+The functional pipeline never drives a simulated SSD itself.  A caller
+that wants the device side of an analysis wraps the analysis in
+:meth:`CommandProcessor.analysis`, which issues the whole command
+sequence around it::
+
+    processor = CommandProcessor(SSD(ssd_c()))
+    with processor.analysis(index):
+        result = session.analyze(reads)
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Iterator, Optional, Set
 
+from repro.megis.buffers import plan_buffers
 from repro.megis.ftl import MegisFtl
+from repro.megis.index import MegisIndex
 from repro.ssd.device import SSD
 
 
@@ -129,6 +141,51 @@ class CommandProcessor:
             raise ProtocolError(f"steps still active: {sorted(s.value for s in self.active_steps)}")
         self._restore_baseline_metadata()
         self.mode = SsdMode.BASELINE
+
+    # -- one analysis --------------------------------------------------------
+
+    @contextmanager
+    def analysis(self, index: MegisIndex) -> Iterator[CommandProcessor]:
+        """Bracket one analysis (or one §4.7 batch) with the §4.6 commands.
+
+        On entry MegIS FTL places the two databases Step 2 streams, sized
+        from ``index``'s sections (the ``db/kmers`` key column and the KSS
+        tables; placed by the first scope, checked by later ones), then
+        ``MegIS_Init`` enters acceleration mode and ``MegIS_Step`` opens
+        k-mer extraction.  The body is that step, so ``MegIS_Write`` (a
+        spilled bucket) is legal inside it.  On exit the step closes (the
+        FTL metadata swap), the §4.3.1 Step-2 buffers are reserved beside
+        MegIS's metadata and released, and ``finish`` restores baseline
+        metadata.  When the body raises, its open steps are dropped and the
+        SSD still returns to baseline mode, so the next scope starts clean;
+        a nested scope is refused by ``MegIS_Init``.
+        """
+        for name, section_bytes in (
+            ("kmer_db", index.database.size_bytes()),
+            ("kss_db", index.kss.size_bytes()),
+        ):
+            section_bytes = max(1, section_bytes)
+            layout = self.megis_ftl.layouts.get(name)
+            if layout is None:
+                self.megis_ftl.place_database(name, section_bytes)
+            elif layout.size_bytes != section_bytes:
+                raise ValueError(
+                    f"{name} is placed at {layout.size_bytes} bytes; this "
+                    f"index streams {section_bytes}"
+                )
+        self.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
+        try:
+            self.megis_step(MegisStep(HostStep.KMER_EXTRACTION))
+            yield self
+            self.megis_step(MegisStep(HostStep.KMER_EXTRACTION))
+            buffers = plan_buffers(self.ssd.config)
+            buffers.apply(self.ssd.dram)
+            buffers.release(self.ssd.dram)
+            self.finish()
+        except BaseException:
+            self.active_steps.clear()
+            self.finish()
+            raise
 
     # -- metadata swapping --------------------------------------------------------
 

@@ -217,7 +217,7 @@ def step_two_over_shards(
     backend: StepTwoBackend,
     shards: Sequence[DatabaseShard],
     sample_buckets: Sequence[Sequence[BucketSlice]],
-    channels: int,
+    channels: int = 8,
     pool: Optional[ThreadPoolExecutor] = None,
 ) -> Tuple[List[StepTwoResult], PhaseTimings]:
     """Step 2 over an ascending shard list: kernel per shard, then gather.

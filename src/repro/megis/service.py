@@ -244,11 +244,6 @@ class AnalysisService:
             raise ValueError(
                 f"batch_window_ms must be >= 0, got {batch_window_ms}"
             )
-        if session.ssd is not None:
-            raise ValueError(
-                "AnalysisService needs a stateless session; the functional "
-                "SSD command processor is inherently serial"
-            )
         self.session = session
         self.workers = workers
         self.max_batch = max_batch if max_batch is not None else workers

@@ -19,10 +19,14 @@ mapper k-mer wider than ``uint64``) they are the dict reference
 structures with the per-read vote.  The two are equal by test and nothing
 else selects between them (:mod:`repro.tools.mapping`).
 
-Orchestration per sample: MegIS_Init -> Step 1 on the host
-(extract/bucket/sort/exclude) -> Step 2 in the SSD (per-channel
-intersection + KSS taxID retrieval) -> Step 3 (unified-index generation +
-read mapping, or the lightweight statistical estimator).  Functionally the
+Orchestration per sample: Step 1 on the host (extract/bucket/sort/exclude)
+-> Step 2 in the SSD (per-channel intersection + KSS taxID retrieval) ->
+Step 3 (unified-index generation + read mapping, or the lightweight
+statistical estimator).  The session drives no simulated SSD: the §4.6
+command sequence around an analysis is
+:meth:`~repro.megis.commands.CommandProcessor.analysis`, a scope the caller
+wraps around :meth:`AnalysisSession.analyze` when it wants the device side
+(FTL placement, metadata swap, §4.3.1 buffers).  Functionally the
 session computes exactly what the accuracy-optimized software pipeline
 (Metalign) computes — same intersecting k-mers, same sketch semantics,
 same mapper — and :meth:`analyze_metalign` runs that baseline over the
@@ -41,7 +45,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -65,9 +68,7 @@ from repro.backends import (
 )
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
-from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
 from repro.megis.executors import default_workers, parse_spec, shard_pool
-from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
@@ -80,7 +81,6 @@ from repro.megis.multissd import (
 )
 from repro.megis.overlap import model_overlap
 from repro.sequences.reads import Read
-from repro.ssd.device import SSD
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.mapping import (
     ColumnarSpeciesIndex,
@@ -196,8 +196,8 @@ class AnalysisSession:
     """Open a :class:`~repro.megis.index.MegisIndex` once, serve many samples.
 
     All engine state — Step-2 backends, shard handles (with their KSS range
-    slices), the Step-1 partitioner, the SSD command processor, and the
-    Step-3 index caches — is constructed in ``__init__`` and reused by
+    slices), the Step-1 partitioner, and the Step-3 index caches — is
+    constructed in ``__init__`` and reused by
     every :meth:`analyze` / :meth:`analyze_batch` call.  ``backend``,
     ``n_ssds``, and ``executor`` are conveniences overriding the
     corresponding :class:`MegisConfig` fields.
@@ -210,9 +210,7 @@ class AnalysisSession:
     unified-index caches, and their hit/miss counters
     (``cache_stats``) — are guarded by a session lock; index merging
     itself runs outside the lock so distinct candidate sets do not
-    serialize.  A session driving a stateful functional ``ssd`` is the
-    exception: command processing is inherently serial, and
-    ``AnalysisService`` refuses such sessions.
+    serialize.
     """
 
     #: Most-recently-used merged unified indexes kept alive; the
@@ -228,7 +226,6 @@ class AnalysisSession:
         backend: Union[str, StepTwoBackend, None] = None,
         n_ssds: Optional[int] = None,
         executor: Optional[str] = None,
-        ssd: Optional[SSD] = None,
         shard_range: Optional[Tuple[int, int]] = None,
     ):
         config = config or MegisConfig()
@@ -268,17 +265,11 @@ class AnalysisSession:
         #: :meth:`close`); any other spec runs the shards as a plain loop.
         self._threads_spec = config.executor if family == "threads" else None
         self._pool: Optional[ThreadPoolExecutor] = None
-        if self._process_workers is not None and ssd is not None:
-            raise ValueError(
-                "a functional-SSD session is stateful (serial command "
-                "processing) and cannot be process-backed; drop "
-                "executor='processes' or the ssd"
-            )
         #: Cluster-node mode: serve partial Step 2 over a contiguous
         #: subset ``[start, stop)`` of the index's ``n_ssds`` shards only
         #: (:meth:`step_two_partial`).  Such a session cannot run a full
         #: analysis — it holds no complete owner view — and cannot be
-        #: process-backed or drive a functional SSD.
+        #: process-backed.
         self.shard_range: Optional[Tuple[int, int]] = None
         if shard_range is not None:
             start, stop = int(shard_range[0]), int(shard_range[1])
@@ -287,17 +278,15 @@ class AnalysisSession:
                     f"shard_range {shard_range!r} must satisfy "
                     f"0 <= start < stop <= n_ssds ({config.n_ssds})"
                 )
-            if self._process_workers is not None or ssd is not None:
+            if self._process_workers is not None:
                 raise ValueError(
                     "a shard-range session serves partial Step 2 only; it "
-                    "cannot be process-backed or drive a functional SSD"
+                    "cannot be process-backed"
                 )
             self.shard_range = (start, stop)
         self.database = index.database
         self.sketch = index.sketch
         self.references = index.references
-        self.ssd = ssd
-        self._n_channels = ssd.config.geometry.channels if ssd else 8
         #: Guards lazy engine construction, the Step-3 caches, and the
         #: cache counters; everything else on the query path is read-only.
         self._lock = threading.RLock()
@@ -315,15 +304,6 @@ class AnalysisSession:
             host_dram_bytes=config.host_dram_bytes,
             backend=self._backend_spec,
         )
-        self._processor: Optional[CommandProcessor] = None
-        if ssd is not None:
-            self._processor = CommandProcessor(ssd, MegisFtl(ssd.config.geometry))
-            self._processor.megis_ftl.place_database(
-                "kmer_db", self.database.size_bytes() or 1
-            )
-            self._processor.megis_ftl.place_database(
-                "kss_db", max(1, self.kss.size_bytes())
-            )
         #: Step-3 caches: per-species sorted indexes (reused whenever
         #: candidate sets overlap) and fully merged unified indexes (reused
         #: when a candidate set repeats exactly).  They hold columns when
@@ -362,8 +342,7 @@ class AnalysisSession:
             with self._lock:
                 if self._isp is None:
                     self._isp = IspStepTwo(
-                        self.database, self.kss, n_channels=self._n_channels,
-                        backend=self._backend_spec,
+                        self.database, self.kss, backend=self._backend_spec,
                     )
         return self._isp
 
@@ -377,8 +356,7 @@ class AnalysisSession:
             with self._lock:
                 if self._multissd is None:
                     self._multissd = MultiSsdStepTwo(
-                        kss=self.kss, channels_per_ssd=self._n_channels,
-                        backend=self._backend_spec,
+                        kss=self.kss, backend=self._backend_spec,
                         shards=self.index.shards(self.config.n_ssds),
                     )
         return self._multissd
@@ -516,30 +494,21 @@ class AnalysisSession:
         ``(intersecting, retrieved)`` pair per sample — from the local
         shards (:meth:`_step_two_local`) or from a cluster scatter.
         """
-        if self._processor is not None:
-            self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
-
         # Step 1 (host) per sample: extract, bucket, sort, exclude.  All
         # samples' buckets are buffered before the database stream starts.
-        self._step_marker(HostStep.KMER_EXTRACTION)
         bucket_sets: List[BucketSet] = []
         extract_ms: List[float] = []
         for reads in samples:
             start = time.perf_counter()
             bucket_sets.append(self._partitioner.partition(reads))
             extract_ms.append((time.perf_counter() - start) * 1e3)
-        self._step_marker(HostStep.KMER_EXTRACTION)
 
         # Step 2 (ISP): intersection + KSS retrieval, one database stream
-        # for the whole batch.  With a real SSD attached, reserve the
-        # §4.3.1 buffers in internal DRAM for the duration of the step.
-        self._step_marker(HostStep.SORTING)
-        self._step_marker(HostStep.SORTING)
+        # for the whole batch.
         batch_timings = PhaseTimings(
             backend=self.backend_name, samples_batched=len(samples)
         )
-        with self._isp_buffers():
-            step_two_results = step_two(bucket_sets, batch_timings)
+        step_two_results = step_two(bucket_sets, batch_timings)
 
         # One result per sample: its Step-1 statistics, the batch's Step-2
         # timings and its §4.2.1 overlap model (the database stream is
@@ -569,9 +538,6 @@ class AnalysisSession:
                 with result.timings.phase("abundance"):
                     self._estimate_abundance(result, reads, retrieved)
             results.append(result)
-
-        if self._processor is not None:
-            self._processor.finish()
         return results
 
     def _step_two_local(
@@ -587,8 +553,7 @@ class AnalysisSession:
                 pool = self._pool
         results, shard_timings = step_two_over_shards(
             get_backend(self._backend_spec), self.cluster_shards(),
-            [buckets.slices() for buckets in bucket_sets],
-            self._n_channels, pool,
+            [buckets.slices() for buckets in bucket_sets], pool=pool,
         )
         shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
         timings.merge(shard_timings)
@@ -644,7 +609,6 @@ class AnalysisSession:
         results, partial_timings = step_two_over_shards(
             get_backend(self._backend_spec), self.cluster_shards(),
             [whole_range(query, self.database.k) for query in queries],
-            self._n_channels,
         )
         if timings is not None:
             timings.merge(partial_timings)
@@ -785,21 +749,6 @@ class AnalysisSession:
 
     # -- helpers ------------------------------------------------------------------
 
-    @contextmanager
-    def _isp_buffers(self):
-        """Reserve the §4.3.1 internal-DRAM buffers for the Step-2 scope."""
-        buffer_plan = None
-        if self.ssd is not None:
-            from repro.megis.buffers import plan_buffers
-
-            buffer_plan = plan_buffers(self.ssd.config)
-            buffer_plan.apply(self.ssd.dram)
-        try:
-            yield
-        finally:
-            if buffer_plan is not None:
-                buffer_plan.release(self.ssd.dram)
-
     def _finish_step_two(self, result: MegisResult, intersecting, retrieved) -> None:
         """Fold retrieval columns into hit counts and call candidates.
 
@@ -833,10 +782,6 @@ class AnalysisSession:
             result.profile, _ = estimator.estimate_from_retrieval(
                 retrieved, result.candidates
             )
-
-    def _step_marker(self, step: HostStep) -> None:
-        if self._processor is not None:
-            self._processor.megis_step(MegisStep(step))
 
     def _count_batches(self, buckets, kmer_bytes: int) -> int:
         total = 0

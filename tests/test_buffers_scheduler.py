@@ -10,7 +10,7 @@ from repro.megis.buffers import (
     stream_register_bytes,
 )
 from repro.ssd.config import NandGeometry, ssd_c, ssd_p
-from repro.ssd.dram import InternalDram
+from repro.ssd.dram import DramCapacityError, InternalDram
 from repro.ssd.scheduler import (
     LatencyStats,
     OpType,
@@ -44,6 +44,16 @@ class TestBufferSizing:
             assert dram.used_bytes == plan.total_bytes()
             plan.release(dram)
             assert dram.used_bytes == 0
+
+    def test_plan_that_cannot_fit_reserves_nothing(self):
+        """``apply`` is all or nothing: the intersection buffer overflowing
+        a small DRAM frees the query batches reserved before it."""
+        config = ssd_c()
+        dram = InternalDram(200 << 20, config.dram_bw)
+        dram.allocate("resident", 1 << 20)
+        with pytest.raises(DramCapacityError, match="intersection"):
+            plan_buffers(config).apply(dram)
+        assert dram.allocations() == {"resident": 1 << 20}
 
     def test_double_buffering(self):
         plan = plan_buffers(ssd_c())

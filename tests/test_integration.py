@@ -2,20 +2,23 @@
 
 These tie layers together: the database's packed key column (the index
 file's ``db/kmers`` section) placed by MegIS FTL and streamed through the
-channel simulator; the functional pipeline attached to a simulated SSD with
-§4.3.1 buffers; Fig 13's phase-bucket mapping staying in sync with the
+channel simulator; an analysis wrapped in a simulated SSD's §4.6 command
+scope with §4.3.1 buffers; Fig 13's phase-bucket mapping staying in sync with the
 timing model's phase names.
 """
 
 import pytest
 
 from repro.experiments.fig13_breakdown import BUCKETS, bucketize
+from repro.megis.commands import CommandProcessor
 from repro.megis.ftl import MegisFtl
-from repro.megis.index import IndexBuilder
+from repro.megis.index import IndexBuilder, MegisIndex
+from repro.megis.session import AnalysisSession
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
 from repro.ssd.channel import ChannelSimulator, ReadRequest
 from repro.ssd.config import ssd_c, ssd_p
+from repro.ssd.device import SSD
 from repro.workloads.datasets import cami_spec
 
 
@@ -60,29 +63,22 @@ class TestFlashImageStreaming:
 
 class TestPipelineOnSimulatedSsd:
     def test_buffers_released_after_analysis(self, sorted_db, sketch_db, sample):
-        from repro.megis.index import MegisIndex
-        from repro.megis.session import AnalysisSession
-        from repro.ssd.device import SSD
-
+        index = MegisIndex(sorted_db, sketch_db, sample.references)
+        session = AnalysisSession(index)
         ssd = SSD(ssd_c())
-        session = AnalysisSession(
-            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
-        )
-        session.analyze(sample.reads, with_abundance=False)
+        with CommandProcessor(ssd).analysis(index):
+            session.analyze(sample.reads, with_abundance=False)
         # Only the restored baseline L2P remains allocated.
         assert set(ssd.dram.allocations()) == {"baseline_l2p"}
 
     def test_two_analyses_back_to_back(self, sorted_db, sketch_db, sample):
-        from repro.megis.index import MegisIndex
-        from repro.megis.session import AnalysisSession
-        from repro.ssd.device import SSD
-
-        ssd = SSD(ssd_c())
-        session = AnalysisSession(
-            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
-        )
-        first = session.analyze(sample.reads, with_abundance=False)
-        second = session.analyze(sample.reads, with_abundance=False)
+        index = MegisIndex(sorted_db, sketch_db, sample.references)
+        session = AnalysisSession(index)
+        processor = CommandProcessor(SSD(ssd_c()))
+        with processor.analysis(index):
+            first = session.analyze(sample.reads, with_abundance=False)
+        with processor.analysis(index):
+            second = session.analyze(sample.reads, with_abundance=False)
         assert first.candidates == second.candidates
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.megis.abundance import build_unified_index, merge_species_indexes
 from repro.megis.accelerator import accelerator_report, scale_area
+from repro.megis.commands import CommandProcessor
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.ssd.config import ssd_c
@@ -90,11 +91,10 @@ class TestPipelineBehaviour:
             AnalysisSession(MegisIndex(sorted_db, wrong, sample.references))
 
     def test_with_ssd_attached(self, sorted_db, sketch_db, sample):
+        index = MegisIndex(sorted_db, sketch_db, sample.references)
         ssd = SSD(ssd_c())
-        session = AnalysisSession(
-            MegisIndex(sorted_db, sketch_db, sample.references), ssd=ssd
-        )
-        result = session.analyze(sample.reads)
+        with CommandProcessor(ssd).analysis(index):
+            result = AnalysisSession(index).analyze(sample.reads)
         assert result.candidates
         # Mode restored and baseline metadata resident again.
         assert "baseline_l2p" in ssd.dram.allocations()

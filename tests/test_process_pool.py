@@ -365,15 +365,27 @@ class TestProcessBackedSession:
         assert sized._process_workers == 3 == sized.process_workers
         assert sized._threads_spec is None  # Step 2 stays serial in-worker
 
-    def test_rejects_executor_instance_and_ssd(self, process_world):
+    def test_scope_wraps_a_process_backed_analysis(self, process_world,
+                                                   sample):
+        """The §4.6 command scope lives with the caller, so a
+        process-backed session can run inside one: the forked worker's
+        answer is the serial one and the SSD ends in baseline mode."""
+        from repro.megis.commands import CommandProcessor, SsdMode
         from repro.ssd.config import ssd_c
         from repro.ssd.device import SSD
 
-        with pytest.raises(ValueError, match="process-backed"):
-            AnalysisSession(
-                process_world, MegisConfig(executor="processes:2"),
-                ssd=SSD(ssd_c()),
-            )
+        config = MegisConfig(abundance_method="statistical", backend="numpy")
+        expected = _signature(
+            AnalysisSession(process_world, config).analyze(sample.reads)
+        )
+        processor = CommandProcessor(SSD(ssd_c()))
+        with AnalysisSession(
+            process_world, config, executor="processes:2"
+        ) as session:
+            with processor.analysis(process_world):
+                assert _signature(session.analyze(sample.reads)) == expected
+        assert processor.mode is SsdMode.BASELINE
+        assert set(processor.ssd.dram.allocations()) == {"baseline_l2p"}
 
     def test_mmap_fork_shares_columns_cow(self, process_world, tmp_path):
         """The ISSUE's COW assertion: fork after ``open(mmap=True)`` +

@@ -13,9 +13,10 @@ from repro.databases.serialization import (
     unpack_sections,
 )
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.ftl import MegisFtl
+from repro.megis.commands import CommandProcessor
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.ssd.config import ssd_c
+from repro.ssd.device import SSD
 
 
 def reattached(db):
@@ -152,9 +153,8 @@ class TestDatabaseBuilder:
             IndexBuilder(k=10, smaller_ks=(12,))
 
     def test_placement_uses_real_size(self, index):
-        # The call AnalysisSession.__init__ makes for a functional SSD.
-        layout = MegisFtl(ssd_c().geometry).place_database(
-            "kmer_db", index.database.size_bytes()
-        )
+        # The placement an analysis scope makes on a simulated SSD.
+        with CommandProcessor(SSD(ssd_c())).analysis(index) as processor:
+            layout = processor.megis_ftl.layouts["kmer_db"]
         assert layout.size_bytes == len(self.db_section(index))
         assert layout.n_pages >= 1

@@ -216,17 +216,28 @@ class TestServiceLifecycle:
                 future.result()
         assert service.stats.samples_completed == 1
 
-    def test_requires_stateless_session(self, golden_world, golden):
+    def test_scope_wraps_a_service_batch(self, golden_world, golden):
+        """A session carries no SSD, so the service serves any session;
+        a caller who wants the device side wraps the served batch in one
+        §4.6 command scope, which changes no result."""
+        from repro.megis.commands import CommandProcessor, SsdMode
         from repro.ssd.config import ssd_c
         from repro.ssd.device import SSD
 
         sample, index = golden_world
-        session = AnalysisSession(
-            index, _golden_config(golden, abundance_method="statistical"),
-            ssd=SSD(ssd_c()),
-        )
-        with pytest.raises(ValueError, match="stateless"):
-            AnalysisService(session)
+        config = _golden_config(golden, abundance_method="statistical")
+        chunks = _chunks(sample.reads)
+        expected = [
+            _signature(r)
+            for r in AnalysisSession(index, config).analyze_batch(chunks)
+        ]
+        processor = CommandProcessor(SSD(ssd_c()))
+        with AnalysisService(AnalysisSession(index, config), workers=2) as svc:
+            with processor.analysis(index):
+                futures = svc.submit_batch(chunks)
+                svc.drain()
+        assert [_signature(f.result()) for f in futures] == expected
+        assert processor.mode is SsdMode.BASELINE
 
     def test_cancelled_future_does_not_poison_its_batch(self, golden_world,
                                                         golden):
