@@ -21,7 +21,11 @@ adjusted by each genome's offset in the concatenation.
   ascending-taxid order, one stable sort brings every k-mer's locations
   together (already ascending), one ``unique`` cuts the key column
   and its CSR offsets, and one ``searchsorted`` fixes each location's
-  species.
+  species.  The merge also precomputes what the vote reads instead of
+  the locations: each key's vector of per-species location counts,
+  deduplicated into a small ``signatures`` matrix (one ``bincount`` and
+  one ``lexsort``) with a row id per key.  It is cached with the merge,
+  so it is paid once per candidate set.
 """
 
 from __future__ import annotations
@@ -115,9 +119,10 @@ def merge_species_columns(
     ``entries_written`` one per distinct k-mer overall, ``shared_kmers``
     the merged entries more than one species contributed to.  One
     ``searchsorted`` against ``starts`` gives every location its species
-    (the ``location_species`` column the vote reads), and a run of
-    locations spans species exactly when its first and last location's
-    species differ, locations being ascending.
+    (the ``location_species`` column), and a run of locations spans
+    species exactly when its first and last location's species differ,
+    locations being ascending.  The key signatures the vote reads come
+    from :func:`key_signatures`.
     """
     k = indexes[0].k if indexes else 0
     if any(ix.k != k for ix in indexes):
@@ -144,6 +149,9 @@ def merge_species_columns(
             location_species[offsets[:-1]] != location_species[offsets[1:] - 1]
         )),
     )
+    signatures, key_signature = key_signatures(
+        offsets, location_species, len(ordered)
+    )
     unified = ColumnarUnifiedIndex(
         k=k,
         kmers=keys,
@@ -153,8 +161,41 @@ def merge_species_columns(
         taxids=np.array([ix.taxid for ix in ordered], dtype=np.int64),
         starts=starts,
         total_length=int(lengths.sum()),
+        signatures=signatures,
+        key_signature=key_signature,
     )
     return unified, stats
+
+
+def key_signatures(
+    offsets: np.ndarray, location_species: np.ndarray, n_species: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct per-key species-count rows and each key's row id.
+
+    Row ``key_signature[i]`` of ``signatures`` counts, per species, the
+    locations of key ``i`` — ``bincount(location_species[offsets[i]:
+    offsets[i + 1]], minlength=n_species)``.  The rows are pairwise
+    distinct, and one all-zero row is appended last: the id ``n_sig`` a
+    seed that hits no key votes with.  One ``bincount`` builds the
+    ``(keys, species)`` count matrix, and one ``lexsort`` over its
+    columns brings equal rows together, so an adjacent-row difference
+    cuts the distinct ones.
+    """
+    n_keys = offsets.size - 1
+    key = np.repeat(np.arange(n_keys, dtype=np.int64), np.diff(offsets))
+    counts = np.bincount(
+        key * n_species + location_species, minlength=n_keys * n_species
+    ).reshape(n_keys, n_species)
+    order = np.lexsort(counts.T) if n_keys else np.empty(0, dtype=np.int64)
+    rows = counts[order]
+    distinct = np.ones(n_keys, dtype=bool)
+    distinct[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    key_signature = np.empty(n_keys, dtype=np.int64)
+    key_signature[order] = np.cumsum(distinct) - 1
+    signatures = np.concatenate(
+        [rows[distinct], np.zeros((1, n_species), dtype=np.int64)]
+    )
+    return signatures, key_signature
 
 
 def build_unified_index(

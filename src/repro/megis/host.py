@@ -179,6 +179,10 @@ class KmerBucketPartitioner:
             raise ValueError(f"n_buckets must be positive, got {n_buckets}")
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
+        if max_count is not None and max_count < min_count:
+            raise ValueError(
+                f"max_count ({max_count}) must be >= min_count ({min_count})"
+            )
         self.k = k
         self.n_buckets = n_buckets
         self.min_count = min_count

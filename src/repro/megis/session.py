@@ -152,6 +152,8 @@ class MegisConfig:
             )
         if self.n_ssds < 1:
             raise ValueError(f"n_ssds must be >= 1, got {self.n_ssds}")
+        if self.mapper_k < 1:
+            raise ValueError(f"mapper_k must be >= 1, got {self.mapper_k}")
         if self.executor is not None:
             parse_spec(self.executor)  # raises ValueError on junk
 

@@ -25,14 +25,17 @@ either:
 * :class:`ColumnarSpeciesIndex` / :class:`ColumnarUnifiedIndex` — the
   shape every other resident table has: a sorted ``uint64`` key column, CSR
   ``offsets`` into a ``locations`` column with its ``location_species``
-  column beside it, and the genomes' ``starts`` in ascending-taxid order.
+  column beside it, the genomes' ``starts`` in ascending-taxid order, and
+  the merge's key *signatures* — the few distinct per-key vectors of
+  per-species location counts, one row id per key.
   The mapper votes for a whole block of reads at once: one batch
-  extraction, one ``unique`` so each distinct seed probes the key column
-  once and in key order, one ``searchsorted``, a CSR gather of the hits'
-  species straight from ``location_species``, and one ``bincount`` over
-  ``read * n_species + species``.  Every columnar-backend session with
-  ``mapper_k <= 31`` takes this path; results equal the reference read
-  for read.
+  extraction, one value sort of ``seed << read_bits | read`` words (so
+  the seeds probe the key column in key order, each still tagged with
+  its read), one ``searchsorted``, one ``bincount`` over ``read * (n_sig
+  + 1) + signature``, and one product of those per-read signature counts
+  with ``signatures`` for the per-species votes.  Every columnar-backend session
+  with ``mapper_k <= 31`` takes this path; results equal the reference
+  read for read.
 """
 
 from __future__ import annotations
@@ -43,14 +46,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends.retrieval import csr_gather
 from repro.sequences.generator import ReferenceCollection
 from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 
-#: Reads voted for per columnar pass: peak memory of the vote is
-#: O(block x species + the block's seed hits), not O(sample).
+#: Reads voted for per columnar pass, at most: peak memory of the vote is
+#: O(block x species + the block's seeds), not O(sample).
+#: :func:`vote_block_reads` narrows it for an index with more signatures
+#: than species, and for a k whose seed leaves few bits for the read id.
 VOTE_BLOCK_READS = 2048
 
 
@@ -165,6 +169,13 @@ class ColumnarUnifiedIndex:
     locations ``[starts[j], starts[j + 1])``, the last one up to
     ``total_length``.  ``location_species[i]`` is the species (an index
     into ``taxids``) that ``locations[i]`` falls in, fixed by the merge.
+
+    ``signatures`` is an ``(n_sig + 1, n_species)`` ``int64`` matrix of
+    pairwise distinct rows: row ``key_signature[i]`` counts, per species,
+    the locations of ``kmers[i]``, and the last row, all zeros, is what
+    a seed that hits no key votes with.  A merge of a few species has few
+    distinct rows whatever its key count, so the vote counts hits per
+    signature and multiplies by this matrix once per block.
     """
 
     k: int
@@ -175,9 +186,28 @@ class ColumnarUnifiedIndex:
     taxids: np.ndarray
     starts: np.ndarray
     total_length: int
+    signatures: np.ndarray
+    key_signature: np.ndarray
 
     def __len__(self) -> int:
         return int(self.kmers.size)
+
+
+def vote_block_reads(index: ColumnarUnifiedIndex) -> int:
+    """Reads per columnar vote block over ``index``.
+
+    At most :data:`VOTE_BLOCK_READS`; at most ``1 << (64 - 2k)``, so a
+    block-local read id always fits beside a 2k-bit seed in one
+    ``uint64`` word; and scaled by ``n_species / n_sig``, so the block's
+    ``(reads, n_sig + 1)`` count matrix stays O(block x species) however
+    many signatures the merge holds.
+    """
+    n_sig = index.signatures.shape[0] - 1
+    return min(
+        VOTE_BLOCK_READS,
+        1 << (64 - 2 * index.k),
+        max(1, VOTE_BLOCK_READS * index.taxids.size // max(1, n_sig)),
+    )
 
 
 class ReadMapper:
@@ -244,10 +274,10 @@ class ReadMapper:
         self, index: ColumnarUnifiedIndex, reads: Sequence[Read]
     ) -> AbundanceProfile:
         mapped = np.zeros(index.taxids.size, dtype=np.int64)
-        for start in range(0, len(reads), VOTE_BLOCK_READS):
+        block = vote_block_reads(index)
+        for start in range(0, len(reads), block):
             species = self._vote_block(
-                index,
-                [read.sequence for read in reads[start:start + VOTE_BLOCK_READS]],
+                index, [read.sequence for read in reads[start:start + block]]
             )
             mapped += np.bincount(
                 species[species >= 0], minlength=index.taxids.size
@@ -268,29 +298,38 @@ class ReadMapper:
         most seed hits wins, ties go to the lowest taxid (``argmax``
         returns the first maximum and species are in ascending-taxid
         order), fewer than ``min_seed_hits`` hits — which covers reads
-        shorter than k, holding no k-mer — is unmapped.
+        shorter than k, holding no k-mer — is unmapped.  At most
+        :func:`vote_block_reads` sequences.
         """
-        n_species = int(index.taxids.size)
-        if n_species == 0 or index.kmers.size == 0:
-            return np.full(len(sequences), -1, dtype=np.int64)
-        kmers, read_ids = extract_kmers_batch(sequences, index.k)
-        # Probe each distinct seed once, in key order: consecutive binary
-        # searches then walk the same path through the key column, and
-        # ``seed_key`` maps every seed (in read order) back to its probe.
-        keys, seed_key = np.unique(kmers, return_inverse=True)
+        n_reads = len(sequences)
+        if index.taxids.size == 0 or index.kmers.size == 0:
+            return np.full(n_reads, -1, dtype=np.int64)
+        read_bits = max(0, n_reads - 1).bit_length()
+        if 2 * index.k + read_bits > 64:
+            raise ValueError(
+                f"{n_reads} reads do not fit one vote block at k={index.k}"
+            )
+        # One value sort of ``seed << read_bits | read`` words puts the
+        # seeds in key order — consecutive binary searches then walk the
+        # same path through the key column — each still tagged with its
+        # read, so no index sort and no inverse is needed.
+        words, read_ids = extract_kmers_batch(sequences, index.k)
+        words <<= np.uint64(read_bits)
+        words |= read_ids.view(np.uint64)
+        words.sort()
+        seeds = words >> np.uint64(read_bits)
+        reads = (words & np.uint64((1 << read_bits) - 1)).view(np.int64)
         slots = np.minimum(
-            np.searchsorted(index.kmers, keys), index.kmers.size - 1
+            np.searchsorted(index.kmers, seeds), index.kmers.size - 1
         )
-        found = (index.kmers[slots] == keys)[seed_key]
-        # The species of every location of every seed that hit, ``runs[i]``
-        # of them for the i-th hit — repeated over its read id below.
-        species, runs = csr_gather(
-            index.location_species, index.offsets, slots[seed_key[found]]
+        # A seed votes with its key's signature; a miss with the zero row.
+        n_rows = index.signatures.shape[0]
+        signature = np.where(
+            index.kmers[slots] == seeds, index.key_signature[slots], n_rows - 1
         )
         votes = np.bincount(
-            np.repeat(read_ids[found], runs) * n_species + species,
-            minlength=len(sequences) * n_species,
-        ).reshape(len(sequences), n_species)
+            reads * n_rows + signature, minlength=n_reads * n_rows
+        ).reshape(n_reads, n_rows) @ index.signatures
         return np.where(
             votes.max(axis=1) >= self.min_seed_hits, votes.argmax(axis=1), -1
         )

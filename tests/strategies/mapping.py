@@ -60,19 +60,27 @@ class MappingWorld:
 def mapping_worlds(draw, min_species: int = 0) -> MappingWorld:
     """Short genomes over a short k, so k-mers repeat within a genome and
     are shared across species; some genomes are copies of another (exact
-    vote ties) or shorter than k (no entries); reads are genome windows,
-    noise, and reads shorter than k."""
-    k = draw(st.integers(min_value=2, max_value=6))
+    vote ties), a tail of another (k-mers shared at any k) or shorter
+    than k (no entries); reads are genome windows, noise, and reads
+    shorter than k.  k is also drawn from {26, 27, 31}, where a vote
+    block's read id has 12, 10 and 2 bits beside the seed."""
+    k = draw(st.one_of(
+        st.integers(min_value=2, max_value=6), st.sampled_from([26, 27, 31])
+    ))
     taxids = draw(st.lists(
         st.integers(min_value=1, max_value=40), unique=True,
         min_size=min_species, max_size=5,
     ))
     genomes: Dict[int, str] = {}
     for taxid in taxids:
-        if genomes and draw(st.integers(0, 3)) == 0:
-            genomes[taxid] = genomes[draw(st.sampled_from(sorted(genomes)))]
+        kind = draw(st.integers(0, 3)) if genomes else 3
+        if kind < 2:
+            source = genomes[draw(st.sampled_from(sorted(genomes)))]
+            genomes[taxid] = source if kind == 0 else (
+                source[draw(st.integers(0, len(source))):] + draw(dna(max_size=20))
+            )
         else:
-            genomes[taxid] = draw(dna(max_size=60))
+            genomes[taxid] = draw(dna(max_size=max(60, k + 40)))
     windows = [
         g[i:i + k + 8] for g in genomes.values() for i in range(0, len(g), 7)
     ]

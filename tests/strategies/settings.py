@@ -4,12 +4,25 @@
 module also registers the ``thorough`` profile; ``tests/conftest.py`` loads
 the profile named by ``HYPOTHESIS_PROFILE`` (unset = hypothesis's own
 default), which governs the property tests that carry no explicit settings.
+Under ``thorough``, the ``STANDARD_SETTINGS`` tests take its example count
+too (an explicit ``max_examples`` would otherwise override the profile).
 """
+
+import os
 
 from hypothesis import settings
 
+THOROUGH_EXAMPLES = 400
+
+settings.register_profile("thorough", max_examples=THOROUGH_EXAMPLES, deadline=None)
+
 #: Examples build and persist a small index each, so the per-example
 #: deadline is off: a cold page cache must not read as a flaky failure.
-STANDARD_SETTINGS = settings(max_examples=40, deadline=None)
-
-settings.register_profile("thorough", max_examples=400, deadline=None)
+STANDARD_SETTINGS = settings(
+    max_examples=(
+        THOROUGH_EXAMPLES
+        if os.environ.get("HYPOTHESIS_PROFILE") == "thorough"
+        else 40
+    ),
+    deadline=None,
+)

@@ -97,6 +97,38 @@ class TestBatchExtractor:
             extract_kmers_batch(["A" * 40], 32)
 
 
+def _vote(mapper, index, reads):
+    """Per-read species of ``reads``, one ``_vote_block`` per vote block."""
+    block = mapping.vote_block_reads(index)
+    return [
+        species
+        for start in range(0, len(reads), block)
+        for species in mapper._vote_block(index, reads[start:start + block]).tolist()
+    ]
+
+
+def _species_counts(index):
+    """Per-key species location counts, recomputed from the CSR columns."""
+    offsets = index.offsets.tolist()
+    species = index.location_species.tolist()
+    return [
+        [species[lo:hi].count(s) for s in range(index.taxids.size)]
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
+def _assert_signatures_hold(index):
+    signatures = index.signatures
+    n_species = index.taxids.size
+    assert signatures.dtype == np.int64 and index.key_signature.dtype == np.int64
+    assert signatures.shape == (signatures.shape[0], n_species)
+    assert index.key_signature.shape == index.kmers.shape
+    assert signatures[index.key_signature].tolist() == _species_counts(index)
+    rows = [tuple(row) for row in signatures.tolist()]
+    assert len(set(rows)) == len(rows), "signature rows must be distinct"
+    assert rows[-1] == (0,) * n_species
+
+
 def _both_kinds(world):
     rows = [SpeciesIndex.build(t, g, world.k) for t, g in world.genomes.items()]
     columns = [
@@ -143,6 +175,30 @@ class TestColumnarMerge:
             taxids.index(reference.taxid_of_location(location))
             for location in merged.locations.tolist()
         ]
+
+    @STANDARD_SETTINGS
+    @given(mapping_worlds())
+    def test_key_signatures_are_the_per_key_species_counts(self, world):
+        """``signatures[key_signature]`` is every key's per-species count of
+        locations; the rows are distinct and end with the zero row; and
+        the merge's counters are still the heap merge's."""
+        rows, columns = _both_kinds(world)
+        merged, stats = merge_species_columns(columns)
+        _assert_signatures_hold(merged)
+        assert stats == merge_species_indexes(rows)[1]
+
+    def test_key_signatures_of_the_empty_and_single_merges(self):
+        empty, _ = merge_species_columns([])
+        _assert_signatures_hold(empty)
+        assert empty.signatures.shape == (1, 0)
+        short, _ = merge_species_columns([ColumnarSpeciesIndex.build(4, "AC", 3)])
+        _assert_signatures_hold(short)
+        assert short.signatures.tolist() == [[0]]
+        only, _ = merge_species_columns([ColumnarSpeciesIndex.build(9, "AAAAC", 2)])
+        _assert_signatures_hold(only)
+        # AA at 0, 1, 2 and AC at 3: two distinct rows and the zero row.
+        assert only.signatures.tolist() == [[1], [3], [0]]
+        assert only.key_signature.tolist() == [1, 0]
 
     def test_shared_and_repeated_kmers(self):
         a = ColumnarSpeciesIndex.build(1, "AAAA", k=2)   # AA at 0, 1, 2
@@ -197,7 +253,7 @@ class TestColumnarVote:
         unified = merge_species_columns(columns)[0]
         mapper = ReadMapper(unified, min_seed_hits=1)
         reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
-        want = mapper._vote_block(unified, world.reads).tolist()
+        want = _vote(mapper, unified, world.reads)
         taxids = unified.taxids.tolist()
         assert [taxids[s] if s >= 0 else None for s in want] == [
             reference.map_read(read) for read in world.reads
@@ -207,11 +263,11 @@ class TestColumnarVote:
         rng.shuffle(perm)
         shuffled = [world.reads[i] for i in perm]
         unpermuted = [0] * len(perm)
-        for got, i in zip(mapper._vote_block(unified, shuffled).tolist(), perm):
+        for got, i in zip(_vote(mapper, unified, shuffled), perm):
             unpermuted[i] = got
         assert unpermuted == want
         doubled = [read for read in world.reads for _ in range(2)]
-        assert mapper._vote_block(unified, doubled).tolist() == [
+        assert _vote(mapper, unified, doubled) == [
             s for s in want for _ in range(2)
         ]
 
@@ -247,6 +303,75 @@ class TestColumnarVote:
         assert mapper.estimate_abundance(reads).fractions == whole
 
 
+    def test_31_mers_vote_in_blocks_of_four(self):
+        """At k = 31 a seed takes 62 bits of the packed word, so a block
+        holds 4 reads; a sample spanning several blocks votes as
+        ``map_read`` does read for read, and an oversized block is
+        refused rather than packed into overlapping bits."""
+        genomes = {
+            3: "ACGTTGCATGCCGATAGCTAGGATCCATTGACCAGTAGGCATCGATCAAGT",
+            8: "TTGACCAGTAGGCATCGATCAAGTCCGATTAGCATGCAAGGTACCTTAGCA",
+        }
+        columns = [ColumnarSpeciesIndex.build(t, g, 31) for t, g in genomes.items()]
+        unified = merge_species_columns(columns)[0]
+        assert mapping.vote_block_reads(unified) == 4
+        rows = [SpeciesIndex.build(t, g, 31) for t, g in genomes.items()]
+        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        columnar = ReadMapper(unified, min_seed_hits=1)
+        reads = [
+            Read(i, genomes[(3, 8)[i % 2]][i % 13:i % 13 + 33 + i % 5], 0)
+            for i in range(11)
+        ] + [Read(11, "ACGT" * 9, 0), Read(12, "ACG", 0)]
+        taxids = unified.taxids.tolist()
+        assert [
+            taxids[s] if s >= 0 else None
+            for s in _vote(columnar, unified, [r.sequence for r in reads])
+        ] == [reference.map_read(r.sequence) for r in reads]
+        assert columnar.estimate_abundance(reads).fractions == (
+            reference.estimate_abundance(reads).fractions
+        )
+        with pytest.raises(ValueError, match="do not fit one vote block"):
+            columnar._vote_block(unified, [r.sequence for r in reads[:5]])
+
+    def test_more_signatures_than_species_narrow_the_block(self, monkeypatch):
+        """Repeats give keys many distinct species-count rows: the block
+        shrinks by ``n_species / n_sig`` and the vote still equals the
+        reference across every block."""
+        genomes = {1: "AAAAAAACACACAGT", 2: "AAAACACGTGTGTGA"}
+        columns = [ColumnarSpeciesIndex.build(t, g, 2) for t, g in genomes.items()]
+        unified = merge_species_columns(columns)[0]
+        n_sig = unified.signatures.shape[0] - 1
+        assert n_sig > unified.taxids.size
+        assert mapping.vote_block_reads(unified) == (
+            mapping.VOTE_BLOCK_READS * 2 // n_sig
+        )
+        rows = [SpeciesIndex.build(t, g, 2) for t, g in genomes.items()]
+        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        columnar = ReadMapper(unified, min_seed_hits=1)
+        reads = [
+            Read(i, genomes[1 + i % 2][i % 7:i % 7 + 3 + i % 6], 0)
+            for i in range(30)
+        ]
+        want = reference.estimate_abundance(reads).fractions
+        monkeypatch.setattr(mapping, "VOTE_BLOCK_READS", 8)
+        assert mapping.vote_block_reads(unified) == max(1, 16 // n_sig) < 8
+        assert columnar.estimate_abundance(reads).fractions == want
+
+    def test_vote_needs_no_unique_and_no_csr_gather(self, monkeypatch):
+        """Structural guard: the vote answers with ``np.unique`` patched to
+        raise, and the mapping module no longer imports ``csr_gather``."""
+        genomes = {1: "ACGTTGCATGCCGATAGCTA", 2: "TTGACCAGTAGGCATCGATC"}
+        columns = [ColumnarSpeciesIndex.build(t, g, 4) for t, g in genomes.items()]
+        mapper = ReadMapper(merge_species_columns(columns)[0])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called by the vote")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        assert mapper.map_read(genomes[2][3:15]) == 2
+        assert not hasattr(mapping, "csr_gather")
+
+
 def _answer(result):
     return sorted(result.candidates), result.profile.fractions
 
@@ -270,6 +395,11 @@ class TestSessionPaths:
         )
         assert _answer(result) == _answer(want)
         assert result.merge_stats == want.merge_stats
+
+    @pytest.mark.parametrize("mapper_k", [0, -3])
+    def test_config_refuses_a_mapper_k_below_one(self, mapper_k):
+        with pytest.raises(ValueError, match="mapper_k"):
+            MegisConfig(mapper_k=mapper_k)
 
     def test_numpy_session_holds_columns_and_equal_merge_stats(
         self, index, sample
@@ -331,7 +461,8 @@ class TestSessionPaths:
         """Structural guard, independent of host speed: during a numpy
         analysis every ``searchsorted`` into the unified key column gets a
         non-decreasing needle, and nothing searches the genome ``starts``
-        — the vote reads each hit's species from ``location_species``."""
+        — the vote reads each hit's species counts from its key's
+        signature."""
         session = AnalysisSession(index, backend="numpy")
         samples = [sample.reads[:50], sample.reads[::-1]]
         for reads in samples:  # merge off the clock: the unified cache hits

@@ -143,6 +143,18 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             KmerBucketPartitioner(k=10, min_count=0)
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_max_count_below_min_count_is_refused(self, backend):
+        """Such a window keeps no k-mer: every query would be silently
+        empty, so the partitioner refuses it; an equal pair is a window."""
+        with pytest.raises(ValueError, match="max_count"):
+            KmerBucketPartitioner(k=10, min_count=3, max_count=1, backend=backend)
+        reads = make_reads(["ACGTTGCATGCC" * 2])
+        kept = KmerBucketPartitioner(
+            k=10, n_buckets=4, min_count=2, max_count=2, backend=backend
+        ).partition(reads)
+        assert kept.total_kmers() == 3  # the three 10-mers seen twice
+
     @given(st.lists(st.text(alphabet="ACGT", min_size=12, max_size=40), max_size=10))
     @settings(max_examples=20, deadline=None)
     def test_partition_completeness_property(self, seqs):
