@@ -26,7 +26,7 @@ import abc
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
@@ -72,32 +72,16 @@ class PhaseTimings:
     buckets_processed: int = 0
     db_stream_passes: int = 0
     samples_batched: int = 1
-    #: Bucket-pipeline model (§4.2.1): Step-1 sorting + Step-2 streaming
-    #: time as a serial chain vs. with bucket *i*'s intersection overlapping
-    #: bucket *i+1*'s sort.  Zero until a pipeline models the overlap.
-    serialized_ms: float = 0.0
-    overlapped_ms: float = 0.0
     #: Elapsed wall-clock time of the Step-2 dispatch (submission of the
     #: first bucket/shard task to completion of the last).  With a serial
     #: executor this tracks ``intersect_ms + retrieve_ms``; with a
-    #: concurrent executor it is smaller — the gap is *measured* overlap,
-    #: as opposed to the scheduler-modeled ``serialized/overlapped`` pair.
+    #: concurrent executor it is smaller — the gap is *measured* overlap.
     step2_wall_ms: float = 0.0
-    #: Measured intersect wall times as ``(lo, hi, ms)`` slices, one per
-    #: database interval streamed, appended by the Step-2 backends.  When
-    #: these cover a sample's buckets exactly, the §4.2.1 scheduler replays
-    #: the measured durations instead of cost-model apportionment.
-    measured_buckets: List[Tuple[int, int, float]] = field(default_factory=list)
     channel_matches: Dict[int, int] = field(default_factory=dict)
 
     @property
     def total_ms(self) -> float:
         return self.extract_ms + self.intersect_ms + self.retrieve_ms + self.abundance_ms
-
-    @property
-    def overlap_saved_ms(self) -> float:
-        """Wall time hidden by the §4.2.1 sort/intersect bucket overlap."""
-        return max(0.0, self.serialized_ms - self.overlapped_ms)
 
     @property
     def measured_overlap_saved_ms(self) -> float:
@@ -110,10 +94,6 @@ class PhaseTimings:
         if self.step2_wall_ms <= 0:
             return 0.0
         return max(0.0, self.intersect_ms + self.retrieve_ms - self.step2_wall_ms)
-
-    def record_bucket(self, lo: int, hi: int, elapsed_ms: float) -> None:
-        """Log one streamed interval's measured intersect wall time."""
-        self.measured_buckets.append((lo, hi, elapsed_ms))
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -145,19 +125,9 @@ class PhaseTimings:
         self.kss_bytes_streamed += other.kss_bytes_streamed
         self.buckets_processed += other.buckets_processed
         self.db_stream_passes += other.db_stream_passes
-        self.serialized_ms += other.serialized_ms
-        self.overlapped_ms += other.overlapped_ms
         self.step2_wall_ms += other.step2_wall_ms
-        self.measured_buckets.extend(other.measured_buckets)
         for channel, count in other.channel_matches.items():
             self.add_channel_matches(channel, count)
-
-    def copy(self) -> "PhaseTimings":
-        return replace(
-            self,
-            measured_buckets=list(self.measured_buckets),
-            channel_matches=dict(self.channel_matches),
-        )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -173,9 +143,6 @@ class PhaseTimings:
             "buckets_processed": self.buckets_processed,
             "db_stream_passes": self.db_stream_passes,
             "samples_batched": self.samples_batched,
-            "serialized_ms": self.serialized_ms,
-            "overlapped_ms": self.overlapped_ms,
-            "overlap_saved_ms": self.overlap_saved_ms,
             "step2_wall_ms": self.step2_wall_ms,
             "measured_overlap_saved_ms": self.measured_overlap_saved_ms,
         }
@@ -308,9 +275,8 @@ class StepTwoBackend(abc.ABC):
         Each sample is its ascending ``(lo, hi, sorted k-mers)`` buckets;
         only the database range ``[lo, hi)`` can match a bucket.  Streams
         every database interval (:func:`interval_edges`) once, intersecting
-        it against all buffered samples' query slices before advancing, and
-        logs one measured ``(lo, hi, ms)`` slice per interval
-        (:meth:`PhaseTimings.record_bucket`).  Returns one sorted
+        it against all buffered samples' query slices before advancing.
+        Returns one sorted
         intersection per sample, in the backend's native container (an
         int list, or an ndarray column), each identical to what that
         sample alone would produce.

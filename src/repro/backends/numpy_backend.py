@@ -8,8 +8,7 @@ operations:
 - bucket range selection — ``np.searchsorted`` over the database column;
 - sorted-stream intersection — per interval and sample, one clamped
   ``searchsorted`` membership test with the duplicate-query mask folded
-  in (both sides are already sorted, so no re-sort); the loop is per
-  interval so each logs its measured ``(lo, hi, ms)`` slice (§4.2.1);
+  in (both sides are already sorted, so no re-sort);
 - channel striping — position-in-slice modulo ``n_channels`` (equivalent
   to the round-robin stripes the per-channel Intersect units consume,
   §4.5), one ``bincount`` over the call's matches;
@@ -27,7 +26,6 @@ ints, to the reference backend's lists.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -155,8 +153,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 np.concatenate(([True], np.asarray(q[1:] != q[:-1], dtype=bool)))
                 for q in merged
             ]
-            for n, (lo, hi) in enumerate(zip(edges, edges[1:])):
-                interval_start = time.perf_counter()
+            for n in range(len(edges) - 1):
                 db_slice = column[db_cuts[n]:db_cuts[n + 1]]
                 # Charged once: the flash stream is shared by all samples.
                 timings.db_kmers_streamed += len(db_slice)
@@ -173,9 +170,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
                     hit = firsts[s][i:j] & np.asarray(db_slice[pos] == q, dtype=bool)
                     matches[s].append(q[hit])
                     positions.append(pos[hit])
-                timings.record_bucket(
-                    lo, hi, (time.perf_counter() - interval_start) * 1e3
-                )
             timings.db_stream_passes += 1
             if positions:
                 # Striping attribution (§4.5): slice position i belongs to

@@ -113,17 +113,9 @@ class PacedStepTwoBackend(StepTwoBackend):
         # charged each interval once — each database k-mer record read
         # once, at the size the serialization format derives — so the
         # paced wait is paid once for the whole batch, not per sample.
-        slept_ms = self._stream(
+        scratch.intersect_ms += self._stream(
             scratch.db_kmers_streamed * kmer_record_bytes(database.k)
         )
-        scratch.intersect_ms += slept_ms
-        if slept_ms and scratch.measured_buckets:
-            # The pacing is per call, so the wait is spread over the
-            # measured interval slices in equal shares.
-            share = slept_ms / len(scratch.measured_buckets)
-            scratch.measured_buckets = [
-                (lo, hi, ms + share) for lo, hi, ms in scratch.measured_buckets
-            ]
         if timings is not None:
             timings.merge(scratch)
         return result

@@ -10,7 +10,6 @@ results bit for bit.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
@@ -217,7 +216,6 @@ class PythonStepTwoBackend(StepTwoBackend):
         edges = interval_edges(samples)
         with timings.phase("intersect"):
             for lo, hi in zip(edges, edges[1:]):
-                interval_start = time.perf_counter()
                 db_slice = list(database.stream_range(lo, hi))
                 # Charged once: the flash stream is shared by all samples.
                 timings.db_kmers_streamed += len(db_slice)
@@ -233,9 +231,6 @@ class PythonStepTwoBackend(StepTwoBackend):
                         matches = unit.intersect(stripe, query[i:j])
                         timings.add_channel_matches(unit.channel, len(matches))
                         results[s].extend(matches)
-                timings.record_bucket(
-                    lo, hi, (time.perf_counter() - interval_start) * 1e3
-                )
             timings.db_stream_passes += 1
             for partial in results:
                 partial.sort()

@@ -204,10 +204,6 @@ def _print_timings(timings) -> None:
     print(f"  db k-mers streamed: {timings.db_kmers_streamed}   "
           f"query k-mers: {timings.query_kmers_streamed}   "
           f"buckets: {timings.buckets_processed}")
-    if timings.serialized_ms:
-        print(f"  bucket pipeline (S4.2.1): {timings.overlapped_ms:.2f} ms "
-              f"overlapped vs {timings.serialized_ms:.2f} ms serialized "
-              f"({timings.overlap_saved_ms:.2f} ms hidden)")
 
 
 class _StdinReader:

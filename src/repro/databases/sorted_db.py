@@ -14,8 +14,8 @@ key column, owner CSR or none)`` — the sorted key column (``uint64``;
 the owner CSR ``(taxids, offsets)``, which lives in memory only.  A table
 attached from a key column alone (an opened index) is *ownerless*:
 :meth:`owner_columns` and :meth:`owners_of` raise, and so do its slices'.
-``len``, ``in``, :meth:`owners_of`, :meth:`count_range` and :meth:`slice`
-bisect the column; the Python int list the register-level reference paths
+``len``, ``in``, :meth:`owners_of` and :meth:`slice` bisect the column;
+the Python int list the register-level reference paths
 walk (:attr:`kmers`, :meth:`stream`, :meth:`stream_range`,
 :meth:`intersect`) is a view materialized on demand and counted in
 ``row_materializations`` — so tests can assert that a served database is
@@ -221,10 +221,6 @@ class SortedKmerDatabase:
         if i is None:
             raise KeyError(f"k-mer {kmer} not in database")
         return frozenset(taxids[int(offsets[i]) : int(offsets[i + 1])].tolist())
-
-    def count_range(self, lo: int, hi: int) -> int:
-        """Number of database k-mers in ``[lo, hi)``, without materializing."""
-        return bisect_column(self._column, hi) - bisect_column(self._column, lo)
 
     def slice(self, start: int, stop: int) -> "SortedKmerDatabase":
         """Contiguous positional shard: zero-copy views of this database's

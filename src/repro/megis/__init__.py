@@ -14,22 +14,28 @@ An efficient pipeline between the host and the SSD (paper §4):
 - :mod:`repro.megis.commands` — the three NVMe command extensions and
   the scope a caller wraps around one analysis to issue them;
 - :mod:`repro.megis.accelerator` — Table 2 area/power accounting;
+- :mod:`repro.megis.buffers` — §4.3.1 ISP buffer sizing and internal-DRAM
+  bandwidth;
+- :mod:`repro.megis.multissd` — the database sharded over several SSDs
+  (§6.1);
 - :mod:`repro.megis.index` — the persistable build-once index
   (:class:`MegisIndex` / :class:`IndexBuilder`);
 - :mod:`repro.megis.session` — :class:`AnalysisSession`, the open-once /
   query-many serving loop, including the multi-sample mode (§4.7);
-- :mod:`repro.megis.overlap` — the §4.2.1 bucket-pipeline scheduler and
-  overlap model;
 - :mod:`repro.megis.executors` — the executor spec string (``serial`` /
   ``threads[:N]`` / ``processes[:N]``) and the thread pool it gives the
   Step-2 shard tasks;
+- :mod:`repro.megis.procpool` — the warmed session forked N times (the
+  process tier);
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
   futures-based serving front-end over one shared session;
 - :mod:`repro.megis.wire` — the versioned JSONL wire format and its
   newline framing, shared by every serving command;
 - :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the one asyncio
   serving front end (TCP clients, or ``repro serve``'s stdin/stdout)
-  with per-client rate limiting and graceful drain.
+  with per-client rate limiting and graceful drain;
+- :mod:`repro.megis.cluster` — one index served from N nodes behind a
+  scatter-gather router.
 """
 
 from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get_backend
@@ -43,11 +49,6 @@ from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import DatabaseShard, MultiSsdStepTwo, shard_kss, split_database
-from repro.megis.overlap import (
-    BucketPipelineScheduler,
-    BucketSchedule,
-    ScheduledBucket,
-)
 from repro.megis.service import AnalysisService, ServiceStats
 from repro.megis.session import (
     AnalysisSession,
@@ -62,8 +63,6 @@ __all__ = [
     "AnalysisService",
     "AnalysisSession",
     "Bucket",
-    "BucketPipelineScheduler",
-    "BucketSchedule",
     "BucketSet",
     "CacheStats",
     "CommandProcessor",
@@ -83,7 +82,6 @@ __all__ = [
     "MegisWrite",
     "MultiSsdStepTwo",
     "PhaseTimings",
-    "ScheduledBucket",
     "ServiceStats",
     "StepTwoBackend",
     "TaxIdRetriever",

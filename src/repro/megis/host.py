@@ -27,7 +27,6 @@ charge for it.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -74,9 +73,6 @@ class Bucket:
     hi: int
     kmers: KmerColumn = field(default_factory=list)
     pinned: bool = True  # False -> spilled to the SSD during extraction
-    #: Measured wall time of this bucket's sort/dedup/exclusion pass
-    #: (ms), recorded by the partitioner; ``None`` when unmeasured.
-    sort_ms: Optional[float] = None
 
     def byte_size(self, kmer_bytes: int) -> int:
         return len(self.kmers) * kmer_bytes
@@ -103,24 +99,6 @@ class BucketSet:
     k: int
     buckets: List[Bucket]
     spilled_bytes: int = 0
-    #: Measured wall time of the serial Step-1 head (extraction, the
-    #: preliminary boundary pass, and bucket assignment) that precedes
-    #: every bucket sort; ``None`` when unmeasured.
-    lead_ms: Optional[float] = None
-
-    def measured_step_one_ms(self) -> Optional[List[float]]:
-        """``[lead, sort_0, ..., sort_n]`` wall times when all measured.
-
-        The §4.2.1 scheduler consumes these in place of the ``n log n``
-        cost-model apportionment (ROADMAP "measured, not modeled");
-        ``None`` if the partitioner did not record a complete set.
-        """
-        if self.lead_ms is None:
-            return None
-        sorts = [bucket.sort_ms for bucket in self.buckets]
-        if any(ms is None for ms in sorts):
-            return None
-        return [self.lead_ms, *sorts]
 
     def slices(self) -> List[BucketSlice]:
         """The buckets as the Step-2 kernel's ``(lo, hi, kmers)`` slices."""
@@ -183,6 +161,8 @@ class KmerBucketPartitioner:
             raise ValueError(
                 f"max_count ({max_count}) must be >= min_count ({min_count})"
             )
+        if host_dram_bytes is not None and host_dram_bytes < 0:
+            raise ValueError(f"host_dram_bytes must be >= 0, got {host_dram_bytes}")
         self.k = k
         self.n_buckets = n_buckets
         self.min_count = min_count
@@ -243,13 +223,11 @@ class KmerBucketPartitioner:
         """Run Step 1 over a sample's reads.
 
         The serial head — extraction, the preliminary boundary pass, and
-        bucket *assignment* — runs first and is timed as the set's
-        ``lead_ms``; each bucket's sort/dedup/frequency-exclusion then
-        runs (and is timed) per bucket, so the §4.2.1 scheduler can
-        replay measured Step-1 durations instead of the ``n log n`` cost
-        model.  Because the buckets partition the key space, per-bucket
-        dedup + exclusion concatenates to exactly the global result the
-        single-pass layout produced — bucket contents are bit-identical.
+        bucket *assignment* — runs first; each bucket's
+        sort/dedup/frequency-exclusion then runs per bucket.  Because the
+        buckets partition the key space, per-bucket dedup + exclusion
+        concatenates to exactly the global result the single-pass layout
+        produced — bucket contents are bit-identical.
 
         The vectorized path (columnar backend, k-mers fit uint64) packs
         the whole sample's k-mers in one pass
@@ -261,7 +239,6 @@ class KmerBucketPartitioner:
         read by read and folds each in immediately so peak memory stays
         O(distinct k-mers).
         """
-        lead_start = time.perf_counter()
         vectorized = self._backend.columnar and self.k <= 31
         counts: Counter = Counter()
         preliminary: KmerColumn
@@ -287,21 +264,15 @@ class KmerBucketPartitioner:
             raw_buckets = self._group_vectorized(merged, edges)
         else:
             raw_buckets = self._group_counted(counts, boundaries, len(edges) - 1)
-        lead_ms = (time.perf_counter() - lead_start) * 1e3
 
-        buckets = []
-        for i, raw in enumerate(raw_buckets):
-            sort_start = time.perf_counter()
-            if vectorized:
-                column = self._select_vectorized(raw)
-            else:
-                column = self._select(raw)
-            buckets.append(Bucket(
-                index=i, lo=edges[i], hi=edges[i + 1], kmers=column,
-                sort_ms=(time.perf_counter() - sort_start) * 1e3,
-            ))
-
-        bucket_set = BucketSet(k=self.k, buckets=buckets, lead_ms=lead_ms)
+        buckets = [
+            Bucket(
+                index=i, lo=edges[i], hi=edges[i + 1],
+                kmers=self._select_vectorized(raw) if vectorized else self._select(raw),
+            )
+            for i, raw in enumerate(raw_buckets)
+        ]
+        bucket_set = BucketSet(k=self.k, buckets=buckets)
         self._assign_pinning(bucket_set)
         return bucket_set
 
@@ -317,9 +288,8 @@ class KmerBucketPartitioner:
         narrowest unsigned dtype that holds the ids.  One stable argsort
         over the ids then groups the stream — NumPy sorts keys of at most
         16 bits by radix, in O(n) — the scatter pass of the paper's
-        bucketing, all charged to ``lead_ms``.  Within-bucket order stays
-        the arrival order; :meth:`_select_vectorized` does the actual
-        sorting, on the bucket's clock.
+        bucketing.  Within-bucket order stays the arrival order;
+        :meth:`_select_vectorized` does the actual sorting, per bucket.
         """
         n_buckets = len(edges) - 1
         if n_buckets == 1:

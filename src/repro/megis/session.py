@@ -42,6 +42,7 @@ identical to an independent analysis.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,7 +80,6 @@ from repro.megis.multissd import (
     warm_shards,
     whole_range,
 )
-from repro.megis.overlap import model_overlap
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.mapping import (
@@ -154,6 +154,17 @@ class MegisConfig:
             raise ValueError(f"n_ssds must be >= 1, got {self.n_ssds}")
         if self.mapper_k < 1:
             raise ValueError(f"mapper_k must be >= 1, got {self.mapper_k}")
+        if self.batch_bytes < 1:
+            raise ValueError(f"batch_bytes must be >= 1, got {self.batch_bytes}")
+        # Not capped at 1: candidate scores add weighted levels.
+        if not math.isfinite(self.min_containment):
+            raise ValueError(
+                f"min_containment must be finite, got {self.min_containment}"
+            )
+        if self.host_dram_bytes is not None and self.host_dram_bytes < 0:
+            raise ValueError(
+                f"host_dram_bytes must be >= 0, got {self.host_dram_bytes}"
+            )
         if self.executor is not None:
             parse_spec(self.executor)  # raises ValueError on junk
 
@@ -512,12 +523,9 @@ class AnalysisSession:
         )
         step_two_results = step_two(bucket_sets, batch_timings)
 
-        # One result per sample: its Step-1 statistics, the batch's Step-2
-        # timings and its §4.2.1 overlap model (the database stream is
-        # shared, so a sample is charged the batch's intersect time in
-        # proportion to its share of the query stream); then candidates
-        # and Step 3 (mapping or lightweight statistics).
-        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
+        # One result per sample: its Step-1 statistics and the batch's
+        # Step-2 timings; then candidates and Step 3 (mapping or
+        # lightweight statistics).
         results = []
         for buckets, ms, reads, (intersecting, retrieved) in zip(
             bucket_sets, extract_ms, samples, step_two_results
@@ -532,9 +540,6 @@ class AnalysisSession:
                 timings=PhaseTimings(backend=batch_timings.backend, extract_ms=ms),
             )
             result.timings.merge(batch_timings)
-            share = buckets.total_kmers() / total_query if total_query else 0.0
-            model_overlap(result.timings, buckets, self.database,
-                          self.config.n_ssds, intersect_share=share)
             self._finish_step_two(result, intersecting, retrieved)
             if with_abundance:
                 with result.timings.phase("abundance"):

@@ -49,6 +49,22 @@ class TestAnalyze:
         assert code == 0
         assert "species called" in capsys.readouterr().out
 
+    def test_timings_print_the_phases_and_stream_counters(self, dataset, capsys):
+        code = main([
+            "analyze", str(dataset / "references.fasta"),
+            str(dataset / "reads.fastq"), "--backend", "numpy", "--timings",
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        lines = [line.split() for line in output.splitlines()]
+        assert ["step-2", "backend:", "numpy"] in lines
+        for label in ("extract", "intersect", "retrieve", "abundance", "total"):
+            [row] = [words for words in lines if words[:1] == [label]]
+            assert row[2] == "ms" and float(row[1]) >= 0
+        [counters] = [words for words in lines if words[:3] == ["db", "k-mers", "streamed:"]]
+        assert int(counters[3]) > 0 and "buckets:" in counters
+        assert "bucket pipeline" not in output
+
     def test_megis_matches_metalign_output(self, dataset, capsys):
         main(["analyze", str(dataset / "references.fasta"),
               str(dataset / "reads.fastq"), "--tool", "megis"])

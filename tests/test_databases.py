@@ -189,7 +189,6 @@ class TestTheDatabaseIsItsColumns:
                         db.owners_of(probe)
             in_range = [x for x in rows if lo <= x < hi]
             assert list(db.stream_range(lo, hi)) == in_range
-            assert db.count_range(lo, hi) == len(in_range)
             assert db.intersect(query) == [x for x in query if x in rows]
             taxids, offsets = db.owner_columns()
             assert taxids.tolist() == [t for row in sets for t in sorted(row)]

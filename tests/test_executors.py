@@ -13,7 +13,7 @@ import pytest
 from repro.backends import PhaseTimings, available_backends, get_backend
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis.executors import available_executors, parse_spec, shard_pool
-from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
+from repro.megis.host import KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
     MultiSsdStepTwo,
@@ -223,99 +223,19 @@ def _exec_threads():
     return {t for t in threading.enumerate() if t.name.startswith("megis-exec")}
 
 
-class TestMeasuredBucketTimings:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_backends_record_per_bucket_wall_times(self, sorted_db, backend):
-        query = sorted_db.kmers[::2]
-        mid = query[len(query) // 2]
-        space = 1 << (2 * sorted_db.k)
-        buckets = [(0, mid, [q for q in query if q < mid]),
-                   (mid, space, [q for q in query if q >= mid])]
-        timings = PhaseTimings()
-        get_backend(backend).intersect_bucketed_multi(
-            sorted_db, [buckets], 4, timings
-        )
-        assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
-            (0, mid), (mid, space)
-        ]
-        assert all(ms >= 0 for _, _, ms in timings.measured_buckets)
-
-    def test_scheduler_replays_measured_durations(self):
-        """Measured slices matching the sample's buckets replace the model."""
-        from repro.megis.overlap import measured_bucket_ms
-
-        buckets = BucketSet(k=10, buckets=[
-            Bucket(index=0, lo=0, hi=100, kmers=[1, 2]),
-            Bucket(index=1, lo=100, hi=200, kmers=[150]),
-        ])
-        timings = PhaseTimings(intersect_ms=30.0)
-        timings.record_bucket(0, 100, 20.0)
-        timings.record_bucket(100, 200, 10.0)
-        assert measured_bucket_ms(timings, buckets) == [20.0, 10.0]
-        # A sharded/batched run logs different slices -> fall back to model.
-        mismatched = PhaseTimings(intersect_ms=30.0)
-        mismatched.record_bucket(0, 50, 20.0)
-        mismatched.record_bucket(50, 200, 10.0)
-        assert measured_bucket_ms(mismatched, buckets) is None
-        short = PhaseTimings(intersect_ms=30.0)
-        short.record_bucket(0, 100, 20.0)
-        assert measured_bucket_ms(short, buckets) is None
-
-    def test_analyze_models_overlap_from_measured_buckets(self, sorted_db,
-                                                          sketch_db, sample):
-        from repro.megis.index import MegisIndex
-
-        index = MegisIndex(sorted_db, sketch_db)
-        session = AnalysisSession(index, MegisConfig(
-            backend="numpy", abundance_method="statistical", n_buckets=6))
-        result = session.analyze(sample.reads)
-        measured = result.timings.measured_buckets
-        assert len(measured) == result.n_buckets
-        assert result.timings.serialized_ms >= result.timings.overlapped_ms > 0
-
-    def test_merge_and_copy_carry_measured_state(self):
+class TestMeasuredStepTwoWall:
+    def test_merge_adds_step2_wall_ms(self):
         a = PhaseTimings(intersect_ms=5.0, step2_wall_ms=4.0)
-        a.record_bucket(0, 10, 2.5)
-        b = a.copy()
-        b.record_bucket(10, 20, 1.5)
-        assert len(a.measured_buckets) == 1 and len(b.measured_buckets) == 2
-        a.merge(b)
-        assert len(a.measured_buckets) == 3
+        a.merge(PhaseTimings(intersect_ms=1.0, step2_wall_ms=4.0))
         assert a.step2_wall_ms == 8.0
         assert "step2_wall_ms" in a.as_dict()
 
 
 class TestMeasuredStepOne:
-    def test_measured_step_one_requires_complete_set(self):
-        buckets = [
-            Bucket(index=0, lo=0, hi=10, kmers=[1], sort_ms=2.0),
-            Bucket(index=1, lo=10, hi=20, kmers=[12], sort_ms=3.0),
-        ]
-        measured = BucketSet(k=5, buckets=buckets, lead_ms=1.0)
-        assert measured.measured_step_one_ms() == [1.0, 2.0, 3.0]
-        # No lead (or any unmeasured sort) -> fall back to the cost model.
-        assert BucketSet(k=5, buckets=buckets).measured_step_one_ms() is None
-        buckets[1].sort_ms = None
-        assert measured.measured_step_one_ms() is None
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_partitioner_records_step_one_wall_times(self, sorted_db, sample,
-                                                     backend):
-        partitioner = KmerBucketPartitioner(k=sorted_db.k, n_buckets=6,
-                                            backend=backend)
-        bucket_set = partitioner.partition(sample.reads)
-        assert bucket_set.lead_ms is not None and bucket_set.lead_ms > 0
-        assert all(b.sort_ms is not None and b.sort_ms >= 0
-                   for b in bucket_set.buckets)
-        measured = bucket_set.measured_step_one_ms()
-        assert measured is not None
-        assert len(measured) == len(bucket_set.buckets) + 1
-
     def test_grouped_partition_is_bit_identical_across_backends(self, sorted_db,
                                                                 sample):
-        """The grouped (lead/sort split) restructure changes timing
-        attribution only: bucket contents stay identical between the
-        vectorized and Counter paths."""
+        """Bucket contents stay identical between the vectorized (grouped
+        by prefix, then sorted per bucket) and Counter paths."""
         columnar = KmerBucketPartitioner(k=sorted_db.k, n_buckets=8,
                                          backend="numpy")
         counted = KmerBucketPartitioner(k=sorted_db.k, n_buckets=8,

@@ -396,6 +396,18 @@ class TestPinning:
         )
         assert spilled == bucket_set.spilled_bytes
 
+    def test_negative_dram_is_refused(self):
+        with pytest.raises(ValueError, match="host_dram_bytes"):
+            KmerBucketPartitioner(k=20, host_dram_bytes=-1)
+
+    def test_zero_dram_spills_everything(self, sample):
+        partitioner = KmerBucketPartitioner(k=20, n_buckets=4, host_dram_bytes=0)
+        bucket_set = partitioner.partition(sample.reads)
+        assert not any(b.pinned for b in bucket_set.buckets if len(b.kmers))
+        assert bucket_set.spilled_bytes == (
+            bucket_set.total_kmers() * partitioner.kmer_bytes
+        )
+
     def test_pinned_fit_in_dram(self, sample):
         dram = 50_000
         partitioner = KmerBucketPartitioner(k=20, n_buckets=8, host_dram_bytes=dram)

@@ -108,6 +108,43 @@ class TestPipelineBehaviour:
         assert result.spilled_bytes > 0
 
 
+class TestConfigValidation:
+    """Values that would break or silently empty an analysis are refused
+    when the config is built, naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_bytes", 0),
+        ("batch_bytes", -5),
+        ("min_containment", float("nan")),
+        ("min_containment", float("inf")),
+        ("min_containment", float("-inf")),
+        ("host_dram_bytes", -1),
+    ])
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MegisConfig(**{field: value})
+
+    @pytest.mark.parametrize("min_containment", [0.0, 1.5])
+    def test_finite_thresholds_call_species(self, sorted_db, sketch_db,
+                                            sample, min_containment):
+        """Not capped at 1: candidate scores add weighted levels, so a
+        threshold above 1 still calls species."""
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references),
+            config=MegisConfig(min_containment=min_containment),
+        )
+        assert session.analyze(sample.reads, with_abundance=False).candidates
+
+    def test_one_byte_batches_run(self, sorted_db, sketch_db, sample):
+        config = MegisConfig(batch_bytes=1)
+        session = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), config=config
+        )
+        result = session.analyze(sample.reads, with_abundance=False)
+        kmer_bytes = (2 * sorted_db.k + 7) // 8
+        assert result.transfer_batches == result.query_kmers * kmer_bytes
+
+
 class TestUnifiedIndexMerge:
     def test_streaming_merge_equals_reference(self, sample):
         refs = sample.references

@@ -142,25 +142,16 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     assert pairs_as_ints(sharded) == pairs_as_ints(batched)
 
     # The whole batch on the one shard: ``python`` and ``numpy`` give the
-    # same results and the same counters, channel attribution and
-    # measured intervals included.
+    # same results and the same counters, channel attribution included.
     expected, reference = shard_step_two(get_backend("python"), whole, samples, 4)
     assert pairs_as_ints(batched) == pairs_as_ints(expected)
     for counter in ("db_kmers_streamed", "query_kmers_streamed",
                     "buckets_processed", "db_stream_passes", "channel_matches"):
         assert getattr(timings, counter) == getattr(reference, counter), counter
-    assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
-        (lo, hi) for lo, hi, _ in reference.measured_buckets
-    ]
 
-    # One sample on the one shard logs one measured slice per streamed
-    # interval — its buckets, in range order: what the §4.2.1 scheduler
-    # replays for a single-SSD ``session.analyze``.
+    # One sample on the one shard streams one interval per bucket.
     _, alone = shard_step_two(engine, whole, samples[:1], 4)
-    ranges = [(lo, hi) for lo, hi, _ in samples[0]]
-    assert [(lo, hi) for lo, hi, _ in alone.measured_buckets] == ranges
-    assert alone.buckets_processed == len(ranges)
-    assert all(ms >= 0 for _, _, ms in alone.measured_buckets)
+    assert alone.buckets_processed == len(samples[0])
 
     for (intersecting, retrieved), buckets in zip(sharded, samples):
         query = sorted({kmer for _, _, kmers in buckets for kmer in as_ints(kmers)})

@@ -1,11 +1,12 @@
 """Tests for the energy model, data movement, PIM, sorter, and cost models."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.perf.calibration import DEFAULT_CALIBRATION
 from repro.perf.cost import cost_efficiency_comparison, speedups_over
 from repro.perf.energy import EnergyModel, external_data_movement_bytes
-from repro.perf.pim import SieveModel, from_calibration as sieve_from_calibration
-from repro.perf.sortaccel import SortingAccelerator
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
 from repro.ssd.config import ssd_c, ssd_p
@@ -85,35 +86,34 @@ class TestDataMovement:
             external_data_movement_bytes("bogus", cami_spec("CAMI-M"))
 
 
+def _sieve_compute(breakdown):
+    return (breakdown.phase_seconds("pim_kmer_match")
+            + breakdown.phase_seconds("classify"))
+
+
 class TestSieveModel:
-    def test_accelerated_less_than_base(self):
-        model = SieveModel()
-        assert model.accelerated_compute_seconds(100.0) < 100.0
+    """Sieve (PIM k-mer matching) as ``TimingModel.sieve()`` models it."""
+
+    def test_accelerated_less_than_base(self, setup_c):
+        _, model, _ = setup_c
+        assert _sieve_compute(model.sieve()) < model._kraken_compute_seconds()
 
     def test_amdahl_limit(self):
-        model = SieveModel(match_fraction=0.9, match_speedup=1e9)
-        assert model.compute_speedup() == pytest.approx(10.0, rel=0.01)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SieveModel().accelerated_compute_seconds(-1.0)
-
-    def test_from_calibration(self):
-        assert sieve_from_calibration().match_speedup > 1
+        cal = replace(DEFAULT_CALIBRATION, sieve_match_speedup=1e12)
+        model = TimingModel(baseline_system(ssd_c()), cami_spec("CAMI-M"), cal)
+        breakdown = model.sieve()
+        base = model._kraken_compute_seconds()
+        f, s = cal.sieve_match_fraction, cal.sieve_match_speedup
+        assert breakdown.phase_seconds("pim_kmer_match") == pytest.approx(
+            0.0, abs=base * 1e-9
+        )
+        assert _sieve_compute(breakdown) == pytest.approx(base * (f / s + 1 - f))
 
 
 class TestSortingAccelerator:
-    def test_faster_than_host(self):
-        accel = SortingAccelerator()
-        assert accel.speedup_over_host(60e9) > 3
-
-    def test_transfer_bound(self):
-        accel = SortingAccelerator(throughput=1e12, link_bw=1e9)
-        assert accel.sort_seconds(1e9) == pytest.approx(1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SortingAccelerator().sort_seconds(-5)
+    def test_faster_than_host(self, setup_c):
+        _, model, _ = setup_c
+        assert model._sort_seconds(accelerated=True) * 3 < model._sort_seconds()
 
 
 class TestCostModel:
