@@ -6,12 +6,15 @@ The sorted k-mer database and the KSS k_max table are held as sorted
 operations:
 
 - bucket range selection — ``np.searchsorted`` over the database column;
-- sorted-stream intersection — per interval and sample, one clamped
-  ``searchsorted`` membership test with the duplicate-query mask folded
-  in (both sides are already sorted, so no re-sort);
-- channel striping — position-in-slice modulo ``n_channels`` (equivalent
-  to the round-robin stripes the per-channel Intersect units consume,
-  §4.5), one ``bincount`` over the call's matches;
+- sorted-stream intersection — per sample, one clamped ``searchsorted``
+  membership test over the database range all the batch's intervals
+  cover, with the duplicate-query mask folded in (both sides are already
+  sorted, so no re-sort and no per-interval loop);
+- channel striping — each hit's interval from one ``searchsorted`` of its
+  position into the interval cuts, then position-in-slice modulo
+  ``n_channels`` (equivalent to the round-robin stripes the per-channel
+  Intersect units consume, §4.5), one ``bincount`` over the call's
+  matches;
 - KSS retrieval — ``searchsorted`` membership against the k_max column
   and, per smaller k, against the precomputed prefix-group columns.
 
@@ -127,7 +130,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
     ) -> List[npt.NDArray[Any]]:
         """The intersect kernel (:meth:`StepTwoBackend.intersect_bucketed_multi`):
         each sample's matches come back as one column in the database
-        column's dtype (``column[:0]`` when none matched)."""
+        column's dtype (empty when none matched)."""
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         timings.samples_batched = max(timings.samples_batched, len(samples))
         column = database.column()
@@ -136,51 +139,49 @@ class NumpyStepTwoBackend(StepTwoBackend):
         merged = [
             self._merged_query(buckets, column.dtype) for buckets in samples
         ]
-        matches: List[List[npt.NDArray[Any]]] = [[] for _ in samples]
+        matches: List[npt.NDArray[Any]] = []
         positions: List[npt.NDArray[Any]] = []
         edges = interval_edges(samples)
         with timings.phase("intersect"):
-            # Every interval boundary located once, in the columns' own
-            # dtype (a bare Python int would promote a uint64 column to
-            # float64 on every lookup).
-            db_cuts = _edge_cuts(column, edges)
-            query_cuts = [_edge_cuts(query, edges) for query in merged]
-            # Duplicate queries match a database k-mer once, as the
-            # register-level merge does; equal k-mers are adjacent and never
-            # straddle an interval edge, so one first-occurrence mask per
-            # sample serves every slice.
-            firsts = [
-                np.concatenate(([True], np.asarray(q[1:] != q[:-1], dtype=bool)))
-                for q in merged
-            ]
-            for n in range(len(edges) - 1):
-                db_slice = column[db_cuts[n]:db_cuts[n + 1]]
-                # Charged once: the flash stream is shared by all samples.
-                timings.db_kmers_streamed += len(db_slice)
-                timings.buckets_processed += 1
-                for s, query in enumerate(merged):
-                    i, j = query_cuts[s][n], query_cuts[s][n + 1]
-                    timings.query_kmers_streamed += j - i
-                    if i == j or not len(db_slice):
-                        continue
-                    # Both sides are sorted and the database is duplicate-
-                    # free: a clamped searchsorted is the membership test.
-                    q = query[i:j]
-                    pos = np.minimum(_searchsorted(db_slice, q), len(db_slice) - 1)
-                    hit = firsts[s][i:j] & np.asarray(db_slice[pos] == q, dtype=bool)
-                    matches[s].append(q[hit])
-                    positions.append(pos[hit])
+            # The database range every interval covers, located once in the
+            # column's own dtype (a bare Python int would promote a uint64
+            # column to float64 on every lookup).  Every query k-mer lies
+            # inside it (interval_edges checks each bucket's range).
+            db_cuts = _edge_cuts(column, edges) or [0]
+            start = db_cuts[0]
+            db_range = column[start:db_cuts[-1]]
+            # Charged per interval as if streamed one by one; the flash
+            # stream is shared by all samples, so each is charged once.
+            timings.db_kmers_streamed += len(db_range)
+            timings.buckets_processed += max(0, len(edges) - 1)
+            for query in merged:
+                timings.query_kmers_streamed += len(query)
+                if not len(query) or not len(db_range):
+                    matches.append(column[:0])
+                    continue
+                # Both sides are sorted and the database is duplicate-free:
+                # one clamped searchsorted is the membership test for every
+                # interval at once.  Duplicate queries match a database
+                # k-mer once, as the register-level merge does.
+                pos = np.minimum(_searchsorted(db_range, query), len(db_range) - 1)
+                hit = np.asarray(db_range[pos] == query, dtype=bool)
+                hit[1:] &= np.asarray(query[1:] != query[:-1], dtype=bool)
+                matches.append(query[hit])
+                positions.append(pos[hit])
             timings.db_stream_passes += 1
             if positions:
-                # Striping attribution (§4.5): slice position i belongs to
-                # channel i % n_channels, the stripe stripe_database deals
-                # it to.
+                # Striping attribution (§4.5): a hit at position p of its
+                # interval's slice belongs to channel p % n_channels, the
+                # stripe stripe_database deals it to.
+                found = np.concatenate(positions) + start
+                cuts = np.asarray(db_cuts, dtype=np.int64)
+                interval = np.searchsorted(cuts, found, side="right") - 1
                 per_channel = np.bincount(
-                    np.concatenate(positions) % n_channels, minlength=n_channels
+                    (found - cuts[interval]) % n_channels, minlength=n_channels
                 )
                 for channel, count in enumerate(per_channel.tolist()):
                     timings.add_channel_matches(channel, count)
-        return [np.concatenate(m) if m else column[:0] for m in matches]
+        return matches
 
     @staticmethod
     def _merged_query(

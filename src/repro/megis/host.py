@@ -16,7 +16,9 @@ cross-backend equivalence tests enforce it.  Extraction follows the same
 split: the reference extracts read by read into a ``Counter``; the
 columnar path (k-mers fit ``uint64``) packs the whole sample in one
 streaming pass, :func:`~repro.sequences.kmers.extract_kmers_batch` — the
-extractor the columnar Step-3 vote shares.
+extractor the columnar Step-3 vote shares — then sorts, deduplicates and
+frequency-excludes that whole stream at once and cuts the buckets out of
+the result as views.
 
 When the extracted k-mers exceed host DRAM, MegIS pins as many buckets as
 fit and spills the rest to the SSD through dedicated sequential write
@@ -45,9 +47,9 @@ KmerColumn = Union[List[int], np.ndarray]
 #: boundary pass looks at.
 PRELIMINARY_SAMPLE = 4096
 
-#: Width of the k-mer prefix that decides its bucket: edges are aligned
-#: to it, so bucket ids are one lookup in a table of at most ``1 << 16``
-#: entries.
+#: Width of the k-mer prefix that decides its bucket: every bucket edge
+#: is a multiple of ``1 << (2k - 16)`` (for ``2k > 16``), so a k-mer's
+#: bucket is a function of its 16-bit prefix alone.
 PREFIX_BITS = 16
 
 __all__ = [
@@ -140,8 +142,8 @@ class KmerBucketPartitioner:
     ``backend`` selects the Step-2 engine whose native container the bucket
     columns use ("python" lists, "numpy" ndarray columns; ``None`` resolves
     the process default).  The numpy path also vectorizes the frequency
-    exclusion itself (a sort and a run flag per bucket instead of a Python
-    ``Counter``), producing bit-identical bucket contents.
+    exclusion itself (one sort and a run flag over the whole sample instead
+    of a Python ``Counter``), producing bit-identical bucket contents.
     """
 
     def __init__(
@@ -222,22 +224,22 @@ class KmerBucketPartitioner:
     def partition(self, reads: Sequence[Read]) -> BucketSet:
         """Run Step 1 over a sample's reads.
 
-        The serial head — extraction, the preliminary boundary pass, and
-        bucket *assignment* — runs first; each bucket's
-        sort/dedup/frequency-exclusion then runs per bucket.  Because the
-        buckets partition the key space, per-bucket dedup + exclusion
-        concatenates to exactly the global result the single-pass layout
-        produced — bucket contents are bit-identical.
+        Extraction and the preliminary boundary pass run first.  Because
+        the buckets tile the key space in ascending order, the sample's
+        globally sorted, deduplicated, frequency-excluded k-mers split at
+        the edges into exactly the per-bucket results — bucket contents are
+        bit-identical on either path.
 
         The vectorized path (columnar backend, k-mers fit uint64) packs
         the whole sample's k-mers in one pass
         (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
         in read order, whose ndarray head is the preliminary sample the
-        boundary pass sorts in numpy) and groups it by bucket with one
-        prefix-table lookup and one stable argsort over the bucket ids
-        (:meth:`_group_vectorized`); the Counter path extracts
-        read by read and folds each in immediately so peak memory stays
-        O(distinct k-mers).
+        boundary pass sorts in numpy), selects over the whole stream with
+        one sort (:meth:`_select_vectorized`) and cuts each bucket as a
+        view at ``np.searchsorted(selected, boundaries)``.  The Counter
+        path extracts read by read and folds each in immediately so peak
+        memory stays O(distinct k-mers), then scatters the counts into
+        buckets and selects per bucket.
         """
         vectorized = self._backend.columnar and self.k <= 31
         counts: Counter = Counter()
@@ -258,57 +260,28 @@ class KmerBucketPartitioner:
             preliminary = head
 
         boundaries = self._boundaries(preliminary)
-        space = 1 << (2 * self.k)
-        edges = [0] + boundaries + [space]
+        edges = [0, *boundaries, 1 << (2 * self.k)]
+        columns: List[KmerColumn]
         if vectorized:
-            raw_buckets = self._group_vectorized(merged, edges)
+            selected = self._select_vectorized(merged)
+            # Edges are below 4^k <= 2^62: uint64 keys, no float promotion.
+            cuts = np.searchsorted(
+                selected, np.asarray(boundaries, dtype=np.uint64)
+            ).tolist()
+            bounds = [0, *cuts, len(selected)]
+            columns = [selected[a:b] for a, b in zip(bounds, bounds[1:])]
         else:
-            raw_buckets = self._group_counted(counts, boundaries, len(edges) - 1)
-
+            columns = [
+                self._select(raw)
+                for raw in self._group_counted(counts, boundaries, len(edges) - 1)
+            ]
         buckets = [
-            Bucket(
-                index=i, lo=edges[i], hi=edges[i + 1],
-                kmers=self._select_vectorized(raw) if vectorized else self._select(raw),
-            )
-            for i, raw in enumerate(raw_buckets)
+            Bucket(index=i, lo=edges[i], hi=edges[i + 1], kmers=kmers)
+            for i, kmers in enumerate(columns)
         ]
         bucket_set = BucketSet(k=self.k, buckets=buckets)
         self._assign_pinning(bucket_set)
         return bucket_set
-
-    def _group_vectorized(
-        self, merged: np.ndarray, edges: Sequence[int],
-    ) -> List[np.ndarray]:
-        """Group the raw (unsorted, with duplicates) stream by bucket.
-
-        ``edges`` are ``[0, *boundaries, 4^k]``, every one prefix-aligned
-        (:meth:`_boundaries`), so a k-mer's bucket id is one lookup on its
-        prefix, ``lut[kmer >> prefix_shift]``.  The table is one
-        ``np.repeat`` of each bucket id over its prefix width, in the
-        narrowest unsigned dtype that holds the ids.  One stable argsort
-        over the ids then groups the stream — NumPy sorts keys of at most
-        16 bits by radix, in O(n) — the scatter pass of the paper's
-        bucketing.  Within-bucket order stays the arrival order;
-        :meth:`_select_vectorized` does the actual sorting, per bucket.
-        """
-        n_buckets = len(edges) - 1
-        if n_buckets == 1:
-            return [merged]
-        shift = self.prefix_shift
-        if any(edge & ((1 << shift) - 1) for edge in edges):
-            raise ValueError(f"bucket edges must be multiples of 1 << {shift}")
-        widths = np.diff(np.asarray(edges, dtype=np.int64)) >> shift
-        lut = np.repeat(
-            np.arange(n_buckets, dtype=np.min_scalar_type(n_buckets - 1)), widths
-        )
-        # Prefixes are below 1 << 16: the int64 view indexes without a cast.
-        ids = lut[(merged >> np.uint64(shift)).view(np.int64)]
-        grouped = merged[np.argsort(ids, kind="stable")]
-        offsets = np.zeros(n_buckets + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ids, minlength=n_buckets), out=offsets[1:])
-        return [
-            grouped[offsets[i]:offsets[i + 1]] for i in range(n_buckets)
-        ]
 
     @staticmethod
     def _group_counted(
@@ -321,7 +294,7 @@ class KmerBucketPartitioner:
         return raw_buckets
 
     def _select_vectorized(self, raw: np.ndarray) -> KmerColumn:
-        """Sort, deduplicate and frequency-exclude one bucket.
+        """Sort, deduplicate and frequency-exclude a raw k-mer stream.
 
         One ``np.sort`` and an adjacent-difference flag on the first of
         each run of equal k-mers; run lengths (the counts) are taken only

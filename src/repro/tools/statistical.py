@@ -15,11 +15,15 @@ the M-step.
 The EM runs over a few dozen ambiguity groups folded from thousands of
 intersecting k-mers.  On CSR retrieval columns the fold is array passes
 over per-query candidate bitmasks; the dict fold over per-query mappings
-stays the reference, with the same keys, counts and order.
+stays the reference, with the same keys, counts and order.  The EM itself
+is array passes over flat ``(group, owner)`` columns whose reductions all
+add strictly left to right — never ``np.sum`` or ``sum()``, whose orders
+vary (see :meth:`StatisticalAbundanceEstimator.estimate`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
@@ -56,8 +60,8 @@ class StatisticalAbundanceEstimator:
     ):
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not math.isfinite(tolerance) or tolerance <= 0:
+            raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         self.sketch = sketch
         self.max_iterations = max_iterations
         self.tolerance = tolerance
@@ -169,40 +173,65 @@ class StatisticalAbundanceEstimator:
     ) -> Tuple[AbundanceProfile, EmDiagnostics]:
         """Run EM on ambiguity groups; returns (profile, diagnostics).
 
-        Group keys are any iterable of taxIDs — the interned sorted
-        tuples :meth:`hit_groups` emits, or legacy ``frozenset`` keys.
+        Group keys are any iterable of distinct taxIDs — the interned
+        sorted tuples :meth:`hit_groups` emits, or legacy ``frozenset``
+        keys; every count must be at least 1 (a group no hit supports is
+        refused, not turned into a uniform profile).
+
+        The EM runs on flat ``(group, owner)`` columns in group order, then
+        key order.  An iteration is two weighted ``np.bincount``s — each
+        group's total mass, then each species' expected hits — and one
+        ``np.add.accumulate`` for the M-step norm.  All three add strictly
+        left to right, so the float sequence is the one a per-group walk
+        with sequential sums gives, on every Python and NumPy version.
+        ``np.sum`` is excluded because it adds pairwise in unrolled blocks
+        (past 8 terms its order differs), and ``sum()`` because Python
+        3.12 compensates float sums.
         """
+        for owners, count in groups.items():
+            if count < 1:
+                raise ValueError(
+                    f"group {owners!r} has count {count}; counts must be >= 1"
+                )
         species = sorted({t for owners in groups for t in owners})
         if not species:
             return AbundanceProfile(), EmDiagnostics(0, 0.0, True)
-        weights = {
-            t: max(1.0, float(self.sketch.sketch_sizes.get(t, 1))) for t in species
-        }
-        theta = {t: 1.0 / len(species) for t in species}
+        slot = {t: i for i, t in enumerate(species)}
+        owner = np.fromiter(
+            (slot[t] for owners in groups for t in owners), dtype=np.intp
+        )
+        sizes = [len(owners) for owners in groups]
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        count = np.repeat(np.fromiter(groups.values(), dtype=np.float64), sizes)
+        weights = np.fromiter(
+            (max(1.0, float(self.sketch.sketch_sizes.get(t, 1))) for t in species),
+            dtype=np.float64,
+        )
+        owner_weight = weights[owner]
+        theta = np.full(len(species), 1.0 / len(species))
         delta = float("inf")
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):  # noqa: B007
-            # E-step: fractional assignment of each group's hits.
-            expected = {t: 0.0 for t in species}
-            for owners, count in groups.items():
-                mass = {t: theta[t] * weights[t] for t in owners}
-                total = sum(mass.values())
-                if total <= 0:
-                    continue
-                for t in owners:
-                    expected[t] += count * mass[t] / total
+            # E-step: fractional assignment of each group's hits; a group
+            # whose total mass is zero contributes nothing.
+            mass = theta[owner] * owner_weight
+            total = np.bincount(group, weights=mass, minlength=len(sizes))[group]
+            share = np.divide(
+                count * mass, total, out=np.zeros_like(mass), where=total > 0
+            )
+            expected = np.bincount(owner, weights=share, minlength=len(species))
             # M-step: refit abundances, normalizing by sketch size so big
             # genomes don't look more abundant than they are.
-            raw = {t: expected[t] / weights[t] for t in species}
-            norm = sum(raw.values())
+            raw = expected / weights
+            norm = float(np.add.accumulate(raw)[-1])
             if norm <= 0:
                 break
-            new_theta = {t: v / norm for t, v in raw.items()}
-            delta = max(abs(new_theta[t] - theta[t]) for t in species)
+            new_theta = raw / norm
+            delta = float(np.max(np.abs(new_theta - theta)))
             theta = new_theta
             if delta < self.tolerance:
                 break
-        profile = AbundanceProfile.from_counts(theta)
+        profile = AbundanceProfile.from_counts(dict(zip(species, theta.tolist())))
         return profile, EmDiagnostics(iteration, delta, delta < self.tolerance)
 
     def estimate_from_retrieval(

@@ -24,7 +24,7 @@ from tests.strategies.mapping import (
     reference_view,
 )
 from tests.strategies.retrieval import candidate_sets, retrieval_results
-from tests.strategies.settings import STANDARD_SETTINGS
+from tests.strategies.settings import STANDARD_SETTINGS, property_settings
 from tests.strategies.wire import FRAME_KS, damaged, json_values, retrieval_partials
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "kmer_rows",
     "mapping_worlds",
     "owner_sets",
+    "property_settings",
     "read_lists",
     "reference_view",
     "reference_worlds",

@@ -236,65 +236,48 @@ class TestColumnarPartitioner:
 
     @pytest.mark.parametrize("n_buckets", [1, 16, 300, 70_000])
     def test_grouping_is_the_same_at_every_id_width(self, sample, n_buckets):
-        """The scatter pass looks bucket ids up in a prefix table of the
-        narrowest unsigned dtype that holds them (``uint8``, ``uint16``,
-        ``uint32`` once there are more than 65,536 buckets): on aligned
-        edges — the empty bucket ``[0, 0)`` among them at 70,000 — the
-        grouping is the stable sort of the ``searchsorted`` ids at every
-        width, and the bucket sets equal the Counter path's."""
-        k, rng = 12, np.random.default_rng(n_buckets)
-        space = 1 << (2 * k)
-        partitioner = KmerBucketPartitioner(k=k, n_buckets=n_buckets, backend="numpy")
-        shift = partitioner.prefix_shift
-        merged = rng.integers(0, space, size=20_000, dtype=np.uint64)
-        boundaries = sorted(
-            {space * i // n_buckets >> shift << shift for i in range(1, n_buckets)}
-        )
-        groups = partitioner._group_vectorized(merged, [0, *boundaries, space])
-        ids = np.searchsorted(
-            np.asarray(boundaries, dtype=np.uint64), merged, side="right"
-        )
-        assert [len(g) for g in groups] == np.bincount(
-            ids, minlength=len(boundaries) + 1
-        ).tolist()
-        assert np.array_equal(
-            np.concatenate(groups), merged[np.argsort(ids, kind="stable")]
-        )
-
+        """The numpy path cuts its buckets out of one sorted, selected
+        column; at every bucket count — more than 65,536 among them — the
+        bucket sets equal the Counter path's.  A poly-A read puts k-mer 0
+        at the head's low quantiles, so from 300 buckets on the first edge
+        is 0 and the first bucket is the empty ``[0, 0)``."""
+        reads = make_reads(["A" * 40]) + list(sample.reads)
         python, numpy_ = (
             KmerBucketPartitioner(
                 k=20, n_buckets=n_buckets, backend=backend
-            ).partition(sample.reads)
+            ).partition(reads)
             for backend in ("python", "numpy")
         )
         assert [(b.lo, b.hi, b.kmers) for b in python.buckets] == [
             (b.lo, b.hi, column_to_list(b.kmers)) for b in numpy_.buckets
         ]
-
-    def test_unaligned_edges_refused(self):
-        """A bucket id is a function of the 16-bit prefix only when every
-        edge is prefix-aligned; an edge that is not is refused, not
-        silently mis-grouped."""
-        partitioner = KmerBucketPartitioner(k=12, n_buckets=2, backend="numpy")
-        merged = np.arange(1000, dtype=np.uint64)
-        with pytest.raises(ValueError, match="multiples of 1 << 8"):
-            partitioner._group_vectorized(merged, [0, 300, 1 << 24])
+        if n_buckets >= 300:
+            assert (numpy_.buckets[0].lo, numpy_.buckets[0].hi) == (0, 0)
+            assert not len(numpy_.buckets[0].kmers)
 
     @given(
         st.integers(min_value=1, max_value=31),
         st.integers(min_value=1, max_value=40),
         st.lists(st.text(alphabet="ACGT", min_size=0, max_size=40), max_size=8),
+        st.integers(min_value=1, max_value=3),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     )
     @settings(max_examples=80, deadline=None)
-    def test_prefix_aligned_buckets_property(self, k, n_buckets, seqs):
+    def test_prefix_aligned_buckets_property(
+        self, k, n_buckets, seqs, min_count, extra
+    ):
         """Every edge is a multiple of ``1 << max(0, 2k - 16)``; the
         buckets tile ``[0, 4^k)``; both backends cut the same buckets
-        with the same contents; and at ``k <= 8``, where the shift is 0,
+        with the same contents — frequency exclusion over the numpy path's
+        one global sort included; and at ``k <= 8``, where the shift is 0,
         the edges are the head's quantiles exactly (the equal-width cuts
         for an empty head), as before edges were aligned."""
+        max_count = None if extra is None else min_count + extra
         buckets = [
-            KmerBucketPartitioner(k=k, n_buckets=n_buckets, backend=backend)
-            .partition(make_reads(seqs)).buckets
+            KmerBucketPartitioner(
+                k=k, n_buckets=n_buckets, min_count=min_count,
+                max_count=max_count, backend=backend,
+            ).partition(make_reads(seqs)).buckets
             for backend in ("python", "numpy")
         ]
         python, numpy_ = buckets

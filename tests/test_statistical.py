@@ -1,13 +1,16 @@
 """Tests for the EM-based statistical abundance estimator (§4.4 option i)."""
 
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.taxonomy.metrics import l1_norm_error
+from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.statistical import StatisticalAbundanceEstimator
-from tests.strategies import candidate_sets, retrieval_results
+from tests.strategies import candidate_sets, property_settings, retrieval_results
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +56,7 @@ class TestHitGroups:
         assert list(columnar) == list(reference)  # first-occurrence order
 
     @given(retrieved=retrieval_results(), data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @property_settings(150)
     def test_columnar_equals_reference_fold_on_generated_results(
         self, estimator, retrieved, data
     ):
@@ -128,6 +131,105 @@ class TestEm:
             StatisticalAbundanceEstimator(sketch_db, max_iterations=0)
         with pytest.raises(ValueError):
             StatisticalAbundanceEstimator(sketch_db, tolerance=0)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_refused(self, sketch_db, tolerance):
+        """NaN would run every iteration and report no convergence; inf
+        would stop after one and report convergence."""
+        with pytest.raises(ValueError, match="tolerance"):
+            StatisticalAbundanceEstimator(sketch_db, tolerance=tolerance)
+
+    @pytest.mark.parametrize("groups", [
+        {(1,): 0, (2,): 0}, {(1,): 3, (1, 2): -1}, {frozenset({4}): 0},
+    ])
+    def test_groups_without_hits_refused(self, estimator, groups):
+        """A group count below 1 is no evidence: the EM would report its
+        uniform starting point as a profile."""
+        with pytest.raises(ValueError, match=r"group .* has count"):
+            estimator.estimate(groups)
+
+
+def sequential_em(sketch_sizes, groups, max_iterations, tolerance):
+    """The per-group dict EM, every sum a left-to-right loop: the float
+    sequence the array EM must reproduce (Python 3.12's ``sum()`` is
+    compensated, so it cannot serve as the oracle)."""
+    species = sorted({t for owners in groups for t in owners})
+    weights = {t: max(1.0, float(sketch_sizes.get(t, 1))) for t in species}
+    theta = {t: 1.0 / len(species) for t in species}
+    delta = float("inf")
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        expected = {t: 0.0 for t in species}
+        for owners, count in groups.items():
+            mass = {t: theta[t] * weights[t] for t in owners}
+            total = 0.0
+            for value in mass.values():
+                total += value
+            if total <= 0:
+                continue
+            for t in owners:
+                expected[t] += count * mass[t] / total
+        raw = {t: expected[t] / weights[t] for t in species}
+        norm = 0.0
+        for value in raw.values():
+            norm += value
+        if norm <= 0:
+            break
+        new_theta = {t: v / norm for t, v in raw.items()}
+        delta = max(abs(new_theta[t] - theta[t]) for t in species)
+        theta = new_theta
+        if delta < tolerance:
+            break
+    return AbundanceProfile.from_counts(theta), iteration, delta, delta < tolerance
+
+
+@st.composite
+def em_inputs(draw):
+    """Up to 20 species, groups of up to 12 distinct owners (past 8 terms
+    ``np.sum``'s unrolled order would differ), sketch sizes that leave
+    some taxIDs out (weight 1.0), tuple or frozenset keys."""
+    species = draw(st.lists(
+        st.integers(min_value=1, max_value=10_000), min_size=1, max_size=20,
+        unique=True,
+    ))
+    key = tuple if draw(st.booleans()) else frozenset
+    owner_sets = st.lists(
+        st.sampled_from(species), min_size=1, max_size=12, unique=True
+    ).map(lambda owners: key(sorted(owners)))
+    groups = draw(st.dictionaries(
+        owner_sets, st.integers(min_value=1, max_value=10**6),
+        min_size=1, max_size=30,
+    ))
+    sizes = draw(st.dictionaries(
+        st.sampled_from(species), st.integers(min_value=0, max_value=50_000)
+    ))
+    return groups, sizes
+
+
+class TestArrayEm:
+    @given(
+        em_inputs(),
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from([1e-12, 1e-9, 1e-4]),
+    )
+    @property_settings(100)
+    def test_equals_sequential_oracle_bit_for_bit(
+        self, inputs, max_iterations, tolerance
+    ):
+        groups, sizes = inputs
+        estimator = StatisticalAbundanceEstimator(
+            SimpleNamespace(sketch_sizes=sizes),
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
+        profile, diagnostics = estimator.estimate(groups)
+        expected, iterations, delta, converged = sequential_em(
+            sizes, groups, max_iterations, tolerance
+        )
+        assert list(profile.fractions.items()) == list(expected.fractions.items())
+        assert diagnostics.iterations == iterations
+        assert diagnostics.final_delta == delta
+        assert diagnostics.converged == converged
 
 
 class TestPipelineIntegration:
