@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +47,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.megis import wire
-from repro.megis.service import AdmissionFull, AnalysisService, ServiceClosed
+from repro.megis.service import (
+    AdmissionFull,
+    AnalysisService,
+    ServiceClosed,
+    check_ms,
+)
 from repro.megis.session import AnalysisSession
 from repro.sequences.reads import Read
 
@@ -196,6 +202,21 @@ class AnalysisGateway:
         max_line_bytes: int = wire.MAX_LINE_BYTES,
         strict_order: bool = False,
     ):
+        # Refused here, not per connection or at the first submit.
+        for name, value in (("batch_window_ms", batch_window_ms),
+                            ("deadline_ms", deadline_ms),
+                            ("admission_timeout_ms", admission_timeout_ms)):
+            check_ms(name, value)
+        if rate_limit is not None and not (
+            math.isfinite(rate_limit) and rate_limit > 0
+        ):
+            raise ValueError(
+                f"rate_limit must be a finite number > 0, got {rate_limit!r}"
+            )
+        if not (math.isfinite(rate_burst) and rate_burst >= 1):
+            raise ValueError(
+                f"rate_burst must be a finite number >= 1, got {rate_burst!r}"
+            )
         self.session = session
         self.host = host
         self.port = port

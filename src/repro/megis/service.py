@@ -65,6 +65,7 @@ protocol that emits each result as it completes.
 
 from __future__ import annotations
 
+import math
 import time
 import threading
 from collections import deque
@@ -74,6 +75,13 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.megis.session import AnalysisSession, MegisResult
 from repro.sequences.reads import Read
+
+
+def check_ms(name: str, value: Optional[float]) -> None:
+    """Refuse a negative or non-finite millisecond knob named ``name``;
+    ``None`` (the knob is off) passes."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 class AdmissionFull(RuntimeError):
@@ -240,10 +248,7 @@ class AnalysisService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
+        check_ms("batch_window_ms", batch_window_ms)
         self.session = session
         self.workers = workers
         self.max_batch = max_batch if max_batch is not None else workers
@@ -289,8 +294,9 @@ class AnalysisService:
 
         ``tag`` labels the request in the completion stream (defaults to
         its admission sequence number).  ``deadline_ms`` bounds queue
-        wait.  With a bounded queue, ``block=True`` waits for space
-        (``timeout`` seconds at most) and ``block=False`` raises
+        wait (finite and >= 0; anything else is a ``ValueError``).  With a
+        bounded queue, ``block=True`` waits for space (``timeout`` seconds
+        at most) and ``block=False`` raises
         :class:`AdmissionFull` immediately when full.
         """
         [future] = self.submit_batch(
@@ -317,6 +323,7 @@ class AnalysisService:
         admitted individually (waiting for space releases the lock), so a
         long run cannot overrun the bound.
         """
+        check_ms("deadline_ms", deadline_ms)
         futures: List["Future[MegisResult]"] = []
         with self._state:
             for reads in samples:
@@ -590,4 +597,5 @@ __all__ = [
     "RequestMetrics",
     "ServiceClosed",
     "ServiceStats",
+    "check_ms",
 ]

@@ -17,6 +17,7 @@ accepted forms instead of surfacing later as a ``ValueError`` mid-run.
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Dict, Tuple
 
 from repro.backends import available_backends
@@ -50,21 +51,33 @@ def positive_int(value: str) -> int:
 
 
 def nonnegative_float(value: str) -> float:
-    """argparse ``type=`` validator for durations/rates that must be >= 0."""
+    """argparse ``type=`` validator for durations/rates that must be
+    finite and >= 0."""
     try:
         parsed = float(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from exc
+    if not math.isfinite(parsed):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
     if parsed < 0:
         raise argparse.ArgumentTypeError(f"expected a value >= 0, got {parsed}")
     return parsed
 
 
 def positive_float(value: str) -> float:
-    """argparse ``type=`` validator for rates that must be > 0."""
+    """argparse ``type=`` validator for rates that must be finite and > 0."""
     parsed = nonnegative_float(value)
     if parsed <= 0:
         raise argparse.ArgumentTypeError(f"expected a value > 0, got {parsed}")
+    return parsed
+
+
+def burst_float(value: str) -> float:
+    """argparse ``type=`` validator for token-bucket capacities (finite,
+    >= 1)."""
+    parsed = nonnegative_float(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"expected a value >= 1, got {parsed}")
     return parsed
 
 
@@ -156,7 +169,7 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                         help="bound the admission queue: submission "
                              "blocks while N samples are queued "
                              "(backpressure; default: unbounded)")
-    parser.add_argument("--batch-window-ms", type=float,
+    parser.add_argument("--batch-window-ms", type=nonnegative_float,
                         default=DEFAULT_BATCH_WINDOW_MS,
                         help="hold a forming batch up to this long after "
                              "its first sample arrived so trickling "
@@ -164,7 +177,7 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                              "(throughput up, tail latency up; default: "
                              f"{DEFAULT_BATCH_WINDOW_MS:g}, 0 dispatches "
                              "at once)")
-    parser.add_argument("--deadline-ms", type=float, default=None,
+    parser.add_argument("--deadline-ms", type=nonnegative_float, default=None,
                         help="fail requests still queued after this many "
                              "ms instead of serving them late")
     parser.add_argument("--max-line-bytes", type=positive_int,
@@ -189,7 +202,7 @@ def add_gateway_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-client token-bucket rate limit; requests "
                              "over it get a structured rate_limited error "
                              "frame (default: unlimited)")
-    parser.add_argument("--rate-burst", type=positive_float, default=8.0,
+    parser.add_argument("--rate-burst", type=burst_float, default=8.0,
                         help="token-bucket capacity: how many requests a "
                              "client may burst before --rate-limit pacing "
                              "applies (default: 8)")
@@ -303,6 +316,7 @@ __all__ = [
     "add_node_flags",
     "add_serving_flags",
     "address",
+    "burst_float",
     "execution_config_kwargs",
     "executor_spec",
     "gateway_kwargs",

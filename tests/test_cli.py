@@ -493,6 +493,48 @@ class TestServe:
         assert "candidates" in by_id["ok"]
 
 
+class TestServingKnobFlags:
+    """Serving time and rate flags refuse values that would stall, kill
+    or silently disable serving: a usage error (exit 2) naming the flag,
+    before any index is opened."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(command, flag, value)
+          for command in ("serve", "gateway")
+          for flag, values in (("--batch-window-ms", ("nan", "inf", "-1")),
+                               ("--deadline-ms", ("-5", "nan", "inf")))
+          for value in values],
+        ("gateway", "--rate-limit", "nan"),
+        ("gateway", "--rate-limit", "inf"),
+        ("gateway", "--rate-limit", "0"),
+        ("gateway", "--rate-burst", "0.5"),
+        ("gateway", "--rate-burst", "nan"),
+        ("gateway", "--rate-burst", "inf"),
+        ("gateway", "--admission-timeout-ms", "nan"),
+        ("gateway", "--admission-timeout-ms", "inf"),
+        ("gateway", "--admission-timeout-ms", "-1"),
+    ])
+    def test_bad_value_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--index", "unused.megis", f"{flag}={value}"])
+        assert usage.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_zero_finite_and_unset_values_parse(self):
+        parser = build_parser()
+        flags = parser.parse_args([
+            "gateway", "--index", "unused.megis", "--batch-window-ms", "0",
+            "--deadline-ms", "0", "--rate-limit", "2.5", "--rate-burst", "1",
+            "--admission-timeout-ms", "0",
+        ])
+        assert (flags.batch_window_ms, flags.deadline_ms, flags.rate_limit,
+                flags.rate_burst, flags.admission_timeout_ms) == (
+            0.0, 0.0, 2.5, 1.0, 0.0)
+        unset = parser.parse_args(["serve", "--index", "unused.megis",
+                                   "--batch-window-ms", "2.5"])
+        assert unset.batch_window_ms == 2.5 and unset.deadline_ms is None
+
+
 class TestValidate:
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0

@@ -235,6 +235,47 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestKnobValidation:
+    """A serving knob that would stall, kill or silently disable serving
+    fails at construction, naming its field — not per connection (a
+    burst below 1 used to kill every connection in its callback) or at
+    the first submit."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("rate_limit", 0.0), ("rate_limit", -1.0), ("rate_limit", NAN),
+        ("rate_limit", INF),
+        ("rate_burst", 0.5), ("rate_burst", NAN), ("rate_burst", INF),
+        ("admission_timeout_ms", -1.0), ("admission_timeout_ms", NAN),
+        ("admission_timeout_ms", INF),
+        ("batch_window_ms", -1.0), ("batch_window_ms", NAN),
+        ("batch_window_ms", INF),
+        ("deadline_ms", -5.0), ("deadline_ms", NAN), ("deadline_ms", INF),
+    ])
+    def test_bad_value_fails_at_construction(self, session, field, value):
+        knobs = {"rate_limit": 10.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            AnalysisGateway(session, **knobs)
+
+    def test_boundary_values_serve(self, session, requests_wire,
+                                   serial_records):
+        """Zero window and admission timeout, a burst of exactly 1 and no
+        deadline are all legal, and the gateway serves with them."""
+        gateway = AnalysisGateway(session, rate_limit=1000.0, rate_burst=1,
+                                  admission_timeout_ms=0, batch_window_ms=0,
+                                  deadline_ms=None)
+
+        async def scenario():
+            async with gateway:
+                host, port = gateway.bound_address
+                return await client_roundtrip(host, port, requests_wire[:1])
+
+        [record] = run_scenario(scenario())
+        assert_result_matches(record, serial_records)
+
+
 class TestRoundtrip:
     def test_single_client_bit_identical(self, session, requests_wire,
                                          serial_records):

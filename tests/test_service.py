@@ -82,6 +82,33 @@ def _signature(result):
     )
 
 
+#: The marked sample: a batch holding it raises in :class:`_StubSession`.
+_POISON = ["poison"]
+
+
+class _StubSession:
+    """The session surface the service drives, and nothing else: each
+    sample's result is ``("ok", sample)``, a batch holding
+    :data:`_POISON` raises :attr:`error` once :attr:`gate` is set."""
+
+    #: Analyses run in this process: the service starts ``workers`` threads.
+    process_workers = 0
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.gate.set()
+        self.error = RuntimeError("poisoned batch")
+
+    def warm(self):
+        return self
+
+    def analyze_batch(self, samples, with_abundance=True):
+        if any(reads is _POISON for reads in samples):
+            assert self.gate.wait(timeout=30)
+            raise self.error
+        return [("ok", reads) for reads in samples]
+
+
 class TestConcurrentDeterminism:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("method", ["mapping", "statistical"])
@@ -215,6 +242,37 @@ class TestServiceLifecycle:
             with pytest.raises(ValueError, match="no reference sequences"):
                 future.result()
         assert service.stats.samples_completed == 1
+
+    def test_failed_batch_fails_only_its_futures(self):
+        """When a batch raises, exactly that batch's futures carry the
+        exception on the completion stream; samples queued behind it
+        still complete, and drain() returns."""
+        session = _StubSession()
+        session.gate.clear()
+        with AnalysisService(session, workers=1, max_batch=2) as service:
+            # One locked run: the idle worker claims both as one batch.
+            failed = service.submit_batch([["a"], _POISON])
+            # The one worker is held inside that batch: b and c queue
+            # behind it.
+            queued = [service.submit(["b"]), service.submit(["c"])]
+            session.gate.set()
+            drained = threading.Event()
+            threading.Thread(
+                target=lambda: (service.drain(), drained.set()), daemon=True
+            ).start()
+            assert drained.wait(timeout=30)
+            service.close_submissions()
+            emitted = list(service.results())
+        assert len(emitted) == 4
+        for future in failed:
+            with pytest.raises(RuntimeError) as raised:
+                future.result()
+            assert raised.value is session.error
+        assert [f.result() for f in queued] == [("ok", ["b"]), ("ok", ["c"])]
+        by_future = {id(entry.future): entry for entry in emitted}
+        assert [by_future[id(f)].metrics.batch_size for f in failed] == [2, 2]
+        stats = service.stats
+        assert stats.samples_submitted == stats.samples_completed == 4
 
     def test_scope_wraps_a_service_batch(self, golden_world, golden):
         """A session carries no SSD, so the service serves any session;
@@ -438,6 +496,39 @@ class TestDeadlines:
         stats = service.stats
         assert stats.samples_submitted == stats.samples_expired == 2
         assert stats.samples_completed == stats.batches_dispatched == 0
+
+
+class TestKnobValidation:
+    """A window or deadline that would stall, kill or silently disable
+    serving is refused where it is passed, naming the knob."""
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -1.0])
+    def test_bad_batch_window_is_refused(self, window):
+        with pytest.raises(ValueError, match="batch_window_ms"):
+            AnalysisService(_StubSession(), max_batch=2,
+                            batch_window_ms=window)
+
+    @pytest.mark.parametrize(
+        "deadline", [-5.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_deadline_is_refused(self, deadline):
+        with AnalysisService(_StubSession()) as service:
+            with pytest.raises(ValueError, match="deadline_ms"):
+                service.submit(["a"], deadline_ms=deadline)
+            with pytest.raises(ValueError, match="deadline_ms"):
+                service.submit_batch([["a"], ["b"]], deadline_ms=deadline)
+        assert service.stats.samples_submitted == 0
+
+    @pytest.mark.parametrize("window", [0, 0.5])
+    @pytest.mark.parametrize("deadline", [None, 60_000.0])
+    def test_zero_finite_and_none_still_serve(self, window, deadline):
+        with AnalysisService(_StubSession(), max_batch=2,
+                             batch_window_ms=window) as service:
+            futures = service.submit_batch([["a"], ["b"]],
+                                           deadline_ms=deadline)
+            assert [f.result(timeout=30) for f in futures] == [
+                ("ok", ["a"]), ("ok", ["b"])
+            ]
 
 
 class TestCompletionStream:
