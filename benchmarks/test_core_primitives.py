@@ -32,7 +32,7 @@ def test_intersect_unit_merge(bench_sorted_db):
 def test_kss_streaming_retrieval(bench_kss, bench_sketch):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
     result = TaxIdRetriever(bench_kss).retrieve(queries)
-    assert len(result) == len(queries)
+    assert len(result.queries) == len(queries)
 
 
 def test_ternary_tree_lookups(bench_sketch):
@@ -69,7 +69,7 @@ def test_step2_retrieval_backend(bench_kss, bench_sketch, backend):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
     engine = get_backend(backend)
     result = engine.retrieve(bench_kss, queries)
-    assert len(result) == len(queries)
+    assert len(result.queries) == len(queries)
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])

@@ -22,13 +22,8 @@ from repro.backends.base import (
 )
 from repro.backends.numpy_backend import NumpyStepTwoBackend
 from repro.backends.python_backend import PythonStepTwoBackend
-from repro.backends.retrieval import (
-    IntColumn,
-    LevelHits,
-    RetrievalResult,
-    column_to_list,
-    csr_gather,
-)
+from repro.backends.retrieval import IntColumn, RetrievalResult, column_to_list
+from repro.backends.signatures import SignatureTable
 
 
 def _paced_factory() -> StepTwoBackend:
@@ -94,15 +89,14 @@ def get_backend(backend: Union[str, StepTwoBackend, None] = None) -> StepTwoBack
 __all__ = [
     "BucketSlice",
     "IntColumn",
-    "LevelHits",
     "NumpyStepTwoBackend",
     "PhaseTimings",
     "PythonStepTwoBackend",
     "RetrievalResult",
+    "SignatureTable",
     "StepTwoBackend",
     "available_backends",
     "column_to_list",
-    "csr_gather",
     "default_backend",
     "get_backend",
     "set_default_backend",

@@ -40,7 +40,6 @@ from typing import (
 
 from repro.backends.retrieval import (  # noqa: F401
     IntColumn,
-    LevelHits,
     RetrievalResult,
 )
 

@@ -15,8 +15,10 @@ operations:
   ``n_channels`` (equivalent to the round-robin stripes the per-channel
   Intersect units consume, §4.5), one ``bincount`` over the call's
   matches;
-- KSS retrieval — ``searchsorted`` membership against the k_max column
-  and, per smaller k, against the precomputed prefix-group columns.
+- KSS retrieval — per level (the k_max column, then each smaller k's
+  prefix column) one clamped ``searchsorted``, one exact compare and one
+  take of the matched row's owner-set signature: a query answers with an
+  ``int32`` id, ``0`` on a miss, and no owner set is copied.
 
 For ``2 * k <= 64`` the columns are ``uint64`` and everything runs at
 native speed; for larger k (the paper's k = 60 needs 120 bits) the columns
@@ -29,7 +31,7 @@ ints, to the reference backend's lists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -41,7 +43,8 @@ from repro.backends.base import (
     StepTwoBackend,
     interval_edges,
 )
-from repro.backends.retrieval import LevelHits, RetrievalResult, csr_gather
+from repro.backends.retrieval import RetrievalResult
+from repro.backends.signatures import SignatureColumn
 
 
 def column_dtype(k: int) -> "np.dtype[Any]":
@@ -200,65 +203,38 @@ class NumpyStepTwoBackend(StepTwoBackend):
         sorted_intersecting: IntColumn,
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
-        """KSS retrieval into CSR owner columns with zero per-hit loops.
+        """KSS retrieval into signature columns with zero per-hit loops.
 
         The intersect kernel's column is taken as is (:func:`as_column` is
         the identity on it) and becomes the result's ``queries``.  Each
-        level is one ``searchsorted`` membership test plus one vectorized
-        CSR row gather (:func:`~repro.backends.retrieval.csr_gather`) out
-        of the :meth:`KssTables.store` full-set owner columns; no Python
-        code runs per query or per taxID.
+        level is one lookup (:func:`_signatures_of`) in the
+        :meth:`KssTables.store` columns; the result refers to the store's
+        signature table, so no taxID is touched here.
         """
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        level_keys = (kss.k_max, *kss.smaller_ks)
-        if not len(sorted_intersecting):
-            zero = np.zeros(1, dtype=np.int64)
-            return RetrievalResult(
-                queries=as_column(sorted_intersecting, column_dtype(kss.k_max)),
-                levels={
-                    k: LevelHits(np.empty(0, dtype=np.int64), zero)
-                    for k in level_keys
-                },
-            )
-        levels: Dict[int, LevelHits] = {}
+        store = kss.store()
         with timings.phase("retrieve"):
-            store = kss.store()
             q = as_column(sorted_intersecting, store.kmers.dtype)
             if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
                 raise ValueError("intersecting k-mers must be sorted")
-
-            # Level k_max: vectorized membership against the sorted column,
-            # then one CSR gather of the matched rows' owner slices.
-            levels[kss.k_max] = self._gather_level(
-                store.kmers, store.taxids, store.offsets, q
-            )
-
-            # Smaller levels: prefix-group membership per level.
+            levels = {kss.k_max: _signatures_of(store.kmers, store.signatures, q)}
             for k in kss.smaller_ks:
                 level = store.levels[k]
-                prefixes = _rshift(q, 2 * (kss.k_max - k))
-                levels[k] = self._gather_level(
-                    level.prefixes, level.full_taxids, level.full_offsets, prefixes
+                levels[k] = _signatures_of(
+                    level.prefixes, level.signatures, _rshift(q, 2 * (kss.k_max - k))
                 )
-        return RetrievalResult(queries=q, levels=levels)
+        return RetrievalResult(queries=q, levels=levels, signatures=store.table)
 
-    @staticmethod
-    def _gather_level(
-        keys: npt.NDArray[Any],
-        taxids: npt.NDArray[Any],
-        offsets: npt.NDArray[Any],
-        q: npt.NDArray[Any],
-    ) -> LevelHits:
-        """One level's CSR block: membership test + vectorized row gather."""
-        pos = _searchsorted(keys, q)
-        hit_idx = np.nonzero(pos < len(keys))[0]
-        if len(hit_idx):
-            exact = np.asarray(keys[pos[hit_idx]] == q[hit_idx], dtype=bool)
-            hit_idx = hit_idx[exact]
-        rows = pos[hit_idx].astype(np.int64)
-        flat, lengths = csr_gather(taxids, offsets, rows)
-        counts = np.zeros(len(q), dtype=np.int64)
-        counts[hit_idx] = lengths
-        out_offsets = np.zeros(len(q) + 1, dtype=np.int64)
-        np.cumsum(counts, out=out_offsets[1:])
-        return LevelHits(taxids=flat, offsets=out_offsets)
+
+def _signatures_of(
+    keys: npt.NDArray[Any], signatures: npt.NDArray[Any], q: npt.NDArray[Any]
+) -> SignatureColumn:
+    """Each sorted query's row signature in one sorted key column, ``0``
+    where the key is absent: a clamped ``searchsorted``, an exact compare,
+    one take."""
+    if not len(keys) or not len(q):
+        return np.zeros(len(q), dtype=np.int32)
+    pos = np.minimum(_searchsorted(keys, q), len(keys) - 1)
+    found: SignatureColumn = np.take(signatures, pos)
+    found[np.asarray(keys[pos] != q, dtype=bool)] = 0
+    return found

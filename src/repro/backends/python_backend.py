@@ -25,13 +25,16 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
     StepTwoBackend,
     interval_edges,
 )
-from repro.backends.retrieval import IntColumn, LevelHits, RetrievalResult, column_to_list
+from repro.backends.retrieval import IntColumn, RetrievalResult, column_to_list
+from repro.backends.signatures import SignatureColumn
 from repro.sequences.encoding import kmer_prefix
 
 
@@ -103,10 +106,10 @@ class TaxIdRetriever:
     events: it compares the k-prefixes of consecutive k_max entries and,
     when they differ, advances to the next row of the smaller-k table.
 
-    Each merge appends matched owners to one flat taxID column per level
-    with per-query offsets — the CSR
-    :class:`~repro.backends.retrieval.RetrievalResult` layout — while the
-    register-level stream semantics stay exactly as before.
+    Each merge builds the matched owner sets exactly as the streams give
+    them and, at the end, maps each to its id in the KSS's signature table
+    (``0`` for a miss) — the :class:`~repro.backends.retrieval.RetrievalResult`
+    layout — while the register-level stream semantics stay as before.
     """
 
     kss: Any  # a KssTables; duck-typed so the backend never imports the engine
@@ -117,27 +120,30 @@ class TaxIdRetriever:
         queries = [int(q) for q in sorted_intersecting]
         if any(queries[i] > queries[i + 1] for i in range(len(queries) - 1)):
             raise ValueError("intersecting k-mers must be sorted")
-        levels: Dict[int, LevelHits] = {self.kss.k_max: self._merge_kmax(queries)}
+        table = self.kss.signatures
+        levels: Dict[int, SignatureColumn] = {
+            self.kss.k_max: _signature_ids(table.ids, self._merge_kmax(queries))
+        }
         for k in self.kss.smaller_ks:
-            levels[k] = self._merge_level(k, queries)
-        return RetrievalResult(queries=queries, levels=levels)
+            levels[k] = _signature_ids(table.ids, self._merge_level(k, queries))
+        return RetrievalResult(queries=queries, levels=levels, signatures=table)
 
-    def _merge_kmax(self, queries: List[int]) -> LevelHits:
+    def _merge_kmax(self, queries: List[int]) -> List[Optional[FrozenSet[int]]]:
         """Sorted merge of queries against the k_max (k-mer, taxIDs) table."""
         entries = self.kss.entries
-        taxids: List[int] = []
-        offsets: List[int] = [0]
+        found: List[Optional[FrozenSet[int]]] = []
         i = 0
         for q in queries:
             while i < len(entries) and entries[i][0] < q:
                 self.comparisons += 1
                 i += 1
+            owners: Optional[FrozenSet[int]] = None
             if i < len(entries):
                 self.comparisons += 1
                 if entries[i][0] == q:
-                    taxids.extend(sorted(entries[i][1]))
-            offsets.append(len(taxids))
-        return LevelHits(taxids=taxids, offsets=offsets)
+                    owners = entries[i][1]
+            found.append(owners)
+        return found
 
     def _prefix_groups(self, k: int) -> Iterator[Tuple[int, FrozenSet[int], FrozenSet[int]]]:
         """Yield (prefix, stored_row, covered_owners) in ascending order.
@@ -163,30 +169,36 @@ class TaxIdRetriever:
                 e += 1
             yield row.prefix, row.stored, frozenset(covered)
 
-    def _merge_level(self, k: int, queries: List[int]) -> LevelHits:
+    def _merge_level(self, k: int, queries: List[int]) -> List[Optional[FrozenSet[int]]]:
         """Merge query prefixes against the level-k prefix groups."""
-        taxids: List[int] = []
-        offsets: List[int] = [0]
+        found: List[Optional[FrozenSet[int]]] = []
         q = 0
         for prefix, stored, covered in self._prefix_groups(k):
-            full = sorted(stored | covered)
+            full = stored | covered
             while q < len(queries) and kmer_prefix(queries[q], self.kss.k_max, k) < prefix:
                 self.comparisons += 1
-                offsets.append(len(taxids))
+                found.append(None)
                 q += 1
             start = q
             while q < len(queries) and kmer_prefix(queries[q], self.kss.k_max, k) == prefix:
                 self.comparisons += 1
-                taxids.extend(full)
-                offsets.append(len(taxids))
+                found.append(full)
                 q += 1
             if q == start and q >= len(queries):
                 break
         # Queries past the last prefix group (or beyond the early exit)
-        # miss this level: empty rows.
-        while len(offsets) < len(queries) + 1:
-            offsets.append(len(taxids))
-        return LevelHits(taxids=taxids, offsets=offsets)
+        # miss this level.
+        found += [None] * (len(queries) - len(found))
+        return found
+
+
+def _signature_ids(
+    ids: Dict[FrozenSet[int], int], found: List[Optional[FrozenSet[int]]],
+) -> SignatureColumn:
+    """Each merged owner set's signature id (``0`` for a miss)."""
+    return np.array(
+        [0 if owners is None else ids[owners] for owners in found], dtype=np.int32
+    )
 
 
 class PythonStepTwoBackend(StepTwoBackend):

@@ -781,13 +781,17 @@ def build_parser() -> argparse.ArgumentParser:
             "query k-mers as\n"
             "  packed records.  The node answers with a step2_result "
             "frame of the same\n"
-            "  shape carrying its partial Step-2 owner columns.  "
-            '{"schema": 1, "op":\n'
-            '  "ping", "id": ...} gets a one-line pong with the node id, '
-            "shard group,\n"
-            "  and a served counter.  A declared N above --max-line-bytes "
-            "is refused\n"
-            "  before any body byte is read.  Malformed frames (bad JSON, "
+            "  shape carrying its partial Step-2 owner-set signature "
+            "ids and the digest\n"
+            "  of the signature table they name, which the router "
+            "checks against its\n"
+            '  own index.  {"schema": 1, "op": "ping", "id": ...} gets a '
+            "one-line pong\n"
+            "  with the node id, shard group, and a served counter.  A "
+            "declared N\n"
+            "  above --max-line-bytes is refused before any body byte is "
+            "read.\n"
+            "  Malformed frames (bad JSON, "
             "missing or\n"
             "  unknown 'schema', unknown op, a k other than the index's, "
             "a body that\n"
@@ -822,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
             "placement\n"
             "  map), which intersects it against its contiguous shard "
             "group only.\n"
-            "  The partial owner columns gather in node order — ascending "
+            "  The partial signature columns gather in node order — ascending "
             "disjoint\n"
             "  shard ranges concatenate exactly — and Step 3 finishes "
             "locally.\n"

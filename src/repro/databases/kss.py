@@ -9,12 +9,17 @@ TaxID retrieval then needs a single sequential pass over the intersecting
 k-mers and the tables, with no pointer chasing.  The paper measures KSS at
 7.5x smaller than flat tables and 2.1x larger than the ternary tree.
 
-A :class:`KssTables` *is* its **store** (:class:`KssStore`) — flat CSR
-columns per level (sorted prefixes, the *stored* taxID CSR the paper
-persists, and the reconstructed *full*-set CSR the NumPy backend gathers
-from, reading :meth:`KssTables.store` directly).  The **rows**
-(``entries`` / ``sub_tables``, the per-row Python objects the
-register-level reference backend streams) are a view of it.
+A :class:`KssTables` *is* its **store** (:class:`KssStore`) — flat columns
+per level: the sorted keys (k-mers, or prefixes), one ``int32``
+**signature** per row naming the row's full owner set, and for the smaller
+levels the *stored* taxID CSR the paper persists.  The full sets
+themselves live once, in the store's
+:class:`~repro.backends.signatures.SignatureTable` — a KSS holds far fewer
+distinct owner sets than rows — so a full row *is* ``table[signature[row]]``
+and the NumPy backend answers a lookup with the row's id alone, reading
+:meth:`KssTables.store` directly.  The **rows** (``entries`` /
+``sub_tables``, the per-row Python objects the register-level reference
+backend streams) are a view of it.
 :class:`~repro.databases.sorted_db.SortedKmerDatabase` has the same
 lifecycle, so the two resident tables have one.
 
@@ -22,18 +27,21 @@ The store is built as columns: :func:`build_store` takes the sketch's
 selected ``(k-mer, genome)`` pairs and, per smaller level, the selected
 ``(prefix, genome)`` pairs (:meth:`~repro.databases.sketch.SketchDatabase.
 from_pairs` does the selecting) — a level's prefix rows are the k_max
-column shifted, its *full* CSR the distinct union of covered-owner pairs
-and level pairs, its *stored* CSR the set difference ``full - covered``.
+column shifted, its full sets the distinct union of covered-owner pairs
+and level pairs, its *stored* CSR the set difference ``full - covered``;
+every row's full set is then interned into the table
+(:func:`~repro.backends.signatures.intern_rows`).
 ``KssTables(sketch)`` over such a sketch attaches the store it was built as;
 only a hand-built ``SketchDatabase(k_max, ks, tables, sizes)`` — and every
-``k > 31`` sketch, which builds per k-mer — has its rows walked and packed
-(the reference the column build is tested against).  Either way, and for a
-table over a persisted store (:meth:`KssTables.from_store`), rows
-materialize only if a reference code path asks — ``row_materializations``
-counts those events, so tests can assert that building, saving and serving
-an index never boxes a row.
+``k > 31`` sketch, which builds per k-mer — has its rows walked, packed and
+its frozensets interned to the same ids (the reference the column build is
+tested against).  Either way, and for a table over a persisted store
+(:meth:`KssTables.from_store`), rows materialize only if a reference code
+path asks — ``row_materializations`` counts those events, so tests can
+assert that building, saving and serving an index never boxes a row.
 :meth:`slice_range` cuts the store at shard boundaries (prefix-aligned) so
-each SSD of a multi-SSD deployment carries only its own KSS range.
+each SSD of a multi-SSD deployment carries only its own KSS range; every
+slice shares the one table.
 """
 
 from __future__ import annotations
@@ -45,11 +53,12 @@ import numpy as np
 
 from repro.backends.base import bisect_column
 from repro.backends.numpy_backend import column_dtype
-from repro.backends.retrieval import (
-    LevelHits,
-    RetrievalResult,
-    group_sorted,
+from repro.backends.retrieval import RetrievalResult, group_sorted
+from repro.backends.signatures import (
+    SignatureTable,
+    intern_rows,
     pack_sets_csr,
+    stack_csr,
 )
 from repro.sequences.encoding import kmer_prefix
 
@@ -76,38 +85,34 @@ class KssLevelStore:
 
     ``stored_*`` is the CSR of what the KSS physically keeps per row (the
     taxIDs not covered by the row's k_max-mers — the paper's space saving);
-    ``full_*`` is the CSR of the reconstructed full sets (``stored UNION
-    covered-owners``, sorted ascending) the retrieval kernels answer with
-    — precomputing the union preserves the reference retrieval's semantics
-    exactly while letting the NumPy backend answer a prefix lookup with
-    one ``searchsorted`` plus a vectorized CSR gather.  ``full - stored``
-    per row is exactly the covered-owner union, so neither the rows nor
-    the k_max stream need re-walking after a load.
+    ``signatures`` names each row's full set (``stored UNION
+    covered-owners``) in the store's table — what the retrieval kernels
+    answer with.  ``full - stored`` per row is exactly the covered-owner
+    union, so neither the rows nor the k_max stream need re-walking after
+    a load.
     """
 
     prefixes: np.ndarray
     stored_taxids: np.ndarray
     stored_offsets: np.ndarray
-    full_taxids: np.ndarray
-    full_offsets: np.ndarray
+    signatures: np.ndarray
 
 
 @dataclass(frozen=True)
 class KssStore:
     """The complete columnar KSS: what the index format persists.
 
-    The k_max owner lists live in one flat ``taxids`` column addressed by
-    ``offsets`` (row ``i`` of the sorted ``kmers`` column owns
-    ``taxids[offsets[i]:offsets[i+1]]``); every smaller level carries the
-    same layout keyed by prefix rows.
+    Row ``i`` of the sorted ``kmers`` column owns the set
+    ``signatures[i]`` of ``table``; every smaller level carries its
+    prefix rows' ids in the same table.
     """
 
     k_max: int
     smaller_ks: Tuple[int, ...]
     kmers: np.ndarray
-    taxids: np.ndarray
-    offsets: np.ndarray
+    signatures: np.ndarray
     levels: Dict[int, KssLevelStore]
+    table: SignatureTable
 
     def tables(self) -> Dict[int, Dict[int, FrozenSet[int]]]:
         """The sketch's per-level dict tables, boxed from the columns: the
@@ -115,22 +120,20 @@ class KssStore:
         sketch over a store keeps no tables of its own (only row-level
         consumers like the ternary-tree baseline ever ask)."""
         tables: Dict[int, Dict[int, FrozenSet[int]]] = {
-            self.k_max: _boxed_rows(self.kmers, self.taxids, self.offsets)
+            self.k_max: _boxed_rows(self.kmers, self.signatures, self.table)
         }
         for k, level in self.levels.items():
-            tables[k] = _boxed_rows(
-                level.prefixes, level.full_taxids, level.full_offsets
-            )
+            tables[k] = _boxed_rows(level.prefixes, level.signatures, self.table)
         return tables
 
 
 def _boxed_rows(
-    keys: np.ndarray, taxids: np.ndarray, offsets: np.ndarray
+    keys: np.ndarray, signatures: np.ndarray, table: SignatureTable
 ) -> Dict[int, FrozenSet[int]]:
-    bounds = offsets.tolist()
+    sets = table.sets
     return {
-        int(key): frozenset(taxids[bounds[i]:bounds[i + 1]].tolist())
-        for i, key in enumerate(keys.tolist())
+        int(key): sets[sig]
+        for key, sig in zip(keys.tolist(), signatures.tolist())
     }
 
 
@@ -150,7 +153,8 @@ def build_store(
     pairs in any order, repeats allowed.  Only prefixes of sketched
     k_max-mers get a row (§4.3.2: the k_max stream identifies the rows),
     and a ``(row, genome)`` pair packs into one ``int64`` key, so each set
-    operation is one sort.
+    operation is one sort.  Every row's genomes come out ascending, which
+    is what :func:`~repro.backends.signatures.intern_rows` takes.
     """
     rows, offsets = group_sorted(kmers)
     n_genomes = max(1, len(taxids))
@@ -163,32 +167,44 @@ def build_store(
         row, genome = np.divmod(keys, n_genomes)
         row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n_rows), out=row_offsets[1:])
-        return taxids[genome], row_offsets
+        return genome, row_offsets
 
-    levels: Dict[int, KssLevelStore] = {}
+    # Every row's full set as (genomes, offsets): k_max rows, then each level.
+    full_rows = [(genomes, offsets)]
+    stored: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    level_prefixes: Dict[int, np.ndarray] = {}
     for k in smaller_ks:
         prefixes, starts = group_sorted(kmers >> np.uint64(2 * (k_max - k)))
         row_of_pair = np.repeat(np.arange(len(prefixes)), np.diff(starts))
         covered = distinct(row_of_pair * n_genomes + genomes)
-        level_prefixes, level_genomes = level_pairs[k]
-        row = np.searchsorted(prefixes, level_prefixes)
+        pair_prefixes, pair_genomes = level_pairs[k]
+        row = np.searchsorted(prefixes, pair_prefixes)
         reachable = row < len(prefixes)
-        reachable[reachable] = prefixes[row[reachable]] == level_prefixes[reachable]
+        reachable[reachable] = prefixes[row[reachable]] == pair_prefixes[reachable]
         full = distinct(np.concatenate(
-            (covered, row[reachable] * n_genomes + level_genomes[reachable])
+            (covered, row[reachable] * n_genomes + pair_genomes[reachable])
         ))
-        stored = np.ones(len(full), dtype=bool)
-        stored[np.searchsorted(full, covered)] = False
-        levels[k] = KssLevelStore(
-            prefixes, *csr(full[stored], len(prefixes)), *csr(full, len(prefixes))
+        kept = np.ones(len(full), dtype=bool)
+        kept[np.searchsorted(full, covered)] = False
+        stored_genomes, stored_offsets = csr(full[kept], len(prefixes))
+        stored[k] = (taxids[stored_genomes], stored_offsets)
+        level_prefixes[k] = prefixes
+        full_rows.append(csr(full, len(prefixes)))
+    table, ids = intern_rows(*stack_csr(full_rows), taxids)
+    bounds = np.cumsum([0] + [len(row_offsets) - 1 for _, row_offsets in full_rows])
+    levels = {
+        k: KssLevelStore(
+            level_prefixes[k], *stored[k], ids[bounds[i + 1]:bounds[i + 2]]
         )
+        for i, k in enumerate(smaller_ks)
+    }
     return KssStore(
         k_max=k_max,
         smaller_ks=tuple(smaller_ks),
         kmers=rows,
-        taxids=taxids[genomes],
-        offsets=offsets,
+        signatures=ids[:bounds[1]],
         levels=levels,
+        table=table,
     )
 
 
@@ -225,36 +241,40 @@ class KssTables:
 
     def __init__(self, sketch: SketchDatabase):
         """Attach the store a column-built (or opened) sketch is a view of;
-        for a sketch of dict tables, walk the rows and pack the store once."""
+        for a sketch of dict tables, walk the rows, pack the store and
+        intern every row's full set once."""
         if sketch.kss_store is not None:
             self._init(sketch.kss_store)
             return
         entries = sketch.sorted_kmax_entries()
         dtype = column_dtype(sketch.k_max)
         sub_tables: Dict[int, List[KssSubEntry]] = {}
-        levels: Dict[int, KssLevelStore] = {}
+        full_sets: List[FrozenSet[int]] = [owners for _, owners in entries]
         for k in sketch.smaller_ks:
-            rows, full_sets = _build_sub_table(k, sketch, entries)
+            rows, level_sets = _build_sub_table(k, sketch, entries)
             sub_tables[k] = rows
+            full_sets += level_sets
+        table, ids = SignatureTable.from_sets(full_sets)
+        levels: Dict[int, KssLevelStore] = {}
+        start = len(entries)
+        for k, rows in sub_tables.items():
             stored_taxids, stored_offsets = pack_sets_csr(
                 [row.stored for row in rows]
             )
-            full_taxids, full_offsets = pack_sets_csr(full_sets)
             levels[k] = KssLevelStore(
                 prefixes=np.array([row.prefix for row in rows], dtype=dtype),
                 stored_taxids=stored_taxids,
                 stored_offsets=stored_offsets,
-                full_taxids=full_taxids,
-                full_offsets=full_offsets,
+                signatures=ids[start:start + len(rows)],
             )
-        taxids, offsets = pack_sets_csr([owners for _, owners in entries])
+            start += len(rows)
         self._init(KssStore(
             k_max=sketch.k_max,
             smaller_ks=sketch.smaller_ks,
             kmers=np.array([kmer for kmer, _ in entries], dtype=dtype),
-            taxids=taxids,
-            offsets=offsets,
+            signatures=ids[:len(entries)],
             levels=levels,
+            table=table,
         ))
         self._entries, self._sub_tables = entries, sub_tables
 
@@ -265,12 +285,13 @@ class KssTables:
         self._entries: Optional[List[Tuple[int, FrozenSet[int]]]] = None
         self._sub_tables: Optional[Dict[int, List[KssSubEntry]]] = None
         self._covered_cache: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        self._size_bytes: Optional[int] = None
         #: Lazy row materializations from the store (see the module docstring).
         self.row_materializations = 0
 
     @classmethod
     def from_store(cls, store: KssStore) -> "KssTables":
-        """Wrap persisted CSR columns; rows stay unmaterialized until asked."""
+        """Wrap persisted columns; rows stay unmaterialized until asked."""
         tables = cls.__new__(cls)
         tables._init(store)
         return tables
@@ -283,7 +304,7 @@ class KssTables:
         if self._entries is None:
             store = self._store
             self._entries = list(
-                _boxed_rows(store.kmers, store.taxids, store.offsets).items()
+                _boxed_rows(store.kmers, store.signatures, store.table).items()
             )
             self.row_materializations += 1
         return self._entries
@@ -313,11 +334,17 @@ class KssTables:
     # -- the store --------------------------------------------------------------
 
     def store(self) -> KssStore:
-        """The columns themselves: what the NumPy backend gathers from
-        (``kmers`` / ``taxids`` / ``offsets`` and each level's ``prefixes``
-        / ``full_*``), what :meth:`slice_range` cuts and what the index
+        """The columns themselves: what the NumPy backend looks up in
+        (``kmers`` / ``signatures`` and each level's ``prefixes`` /
+        ``signatures``), what :meth:`slice_range` cuts and what the index
         format persists."""
         return self._store
+
+    @property
+    def signatures(self) -> SignatureTable:
+        """The owner-set table every retrieval id refers to (shared by all
+        of this KSS's range slices)."""
+        return self._store.table
 
     # -- range sharding (§6.1) -------------------------------------------------
 
@@ -327,12 +354,13 @@ class KssTables:
         k_max rows are the plain column slice; each smaller level keeps the
         prefix rows any query in the range can reach (``[lo >> s,
         (hi-1) >> s]`` inclusive — prefix-aligned, so boundary prefixes are
-        carried by both adjacent shards).  Full per-row sets are preserved
-        exactly, which is what makes sharded retrieval bit-identical to the
-        single-SSD pass; the *stored* sets of boundary rows are recomputed
-        against the slice's own k_max range (owners covered only by another
-        shard's k-mers must be stored locally), exactly as a per-shard KSS
-        build would emit them.  All unaffected columns are zero-copy views.
+        carried by both adjacent shards).  Full per-row sets — the rows'
+        signatures — are preserved exactly, which is what makes sharded
+        retrieval bit-identical to the single-SSD pass; the *stored* sets
+        of boundary rows are recomputed against the slice's own k_max range
+        (owners covered only by another shard's k-mers must be stored
+        locally), exactly as a per-shard KSS build would emit them.  All
+        unaffected columns are zero-copy views, and the table is shared.
         """
         if hi < lo:
             raise ValueError(f"inverted KSS range [{lo}, {hi})")
@@ -346,9 +374,9 @@ class KssTables:
             k_max=self.k_max,
             smaller_ks=self.smaller_ks,
             kmers=store.kmers[i:j],
-            taxids=store.taxids[int(store.offsets[i]):int(store.offsets[j])],
-            offsets=store.offsets[i:j + 1] - store.offsets[i],
+            signatures=store.signatures[i:j],
             levels=levels,
+            table=store.table,
         ))
 
     def _slice_level(self, store: KssStore, k: int, lo: int, hi: int,
@@ -357,19 +385,14 @@ class KssTables:
         shift = 2 * (self.k_max - k)
         a = bisect_column(level.prefixes, lo >> shift)
         b = bisect_column(level.prefixes, ((hi - 1) >> shift) + 1, lo=a)
-        so, fo = level.stored_offsets, level.full_offsets
-        prefixes = level.prefixes[a:b]
-        full_taxids = level.full_taxids[int(fo[a]):int(fo[b])]
-        full_offsets = fo[a:b + 1] - fo[a]
         stored_taxids, stored_offsets = self._slice_stored(
             level, store, shift, a, b, i, j
         )
         return KssLevelStore(
-            prefixes=prefixes,
+            prefixes=level.prefixes[a:b],
             stored_taxids=stored_taxids,
             stored_offsets=stored_offsets,
-            full_taxids=full_taxids,
-            full_offsets=full_offsets,
+            signatures=level.signatures[a:b],
         )
 
     def _slice_stored(self, level: KssLevelStore, store: KssStore, shift: int,
@@ -428,30 +451,25 @@ class KssTables:
         g1 = bisect_column(store.kmers, (prefix + 1) << shift, lo=g0)
         if g0 >= i and g1 <= j:
             return None
-        fo = level.full_offsets
-        full_row = np.asarray(
-            level.full_taxids[int(fo[r]):int(fo[r + 1])], dtype=np.int64
-        )
+        table = store.table
+        full_row, _ = table.expand(level.signatures[r:r + 1])
         row_lo, row_hi = max(g0, i), min(g1, j)
         if row_hi <= row_lo:
             return full_row
-        covered = np.unique(
-            store.taxids[int(store.offsets[row_lo]):int(store.offsets[row_hi])]
-        )
+        covered = np.unique(table.expand(store.signatures[row_lo:row_hi])[0])
         return full_row[~np.isin(full_row, covered, assume_unique=True)]
 
     # -- retrieval -------------------------------------------------------------
 
     def retrieve(self, sorted_intersecting: Sequence[int]) -> RetrievalResult:
-        """Reference single-pass retrieval into CSR owner columns.
+        """Reference single-pass retrieval into signature columns.
 
         Streams the sorted query k-mers against the sorted k_max table and
         the prefix-aligned sub-tables simultaneously, reconstructing the
         full level sets as ``stored UNION covered-owners`` while the covered
-        owners accumulate naturally during the pass.  Owners append to one
-        flat taxID column per level with per-query offsets — the
-        :class:`~repro.backends.retrieval.RetrievalResult` CSR layout; its
-        ``Mapping`` view reproduces the historical per-query dicts.  The
+        owners accumulate naturally during the pass, and answers each hit
+        with its set's id in the store's table (``0`` for a miss) — the
+        :class:`~repro.backends.retrieval.RetrievalResult` layout.  The
         hardware-flavoured implementation lives in
         :mod:`repro.backends.python_backend`; tests require both — and
         every other backend — to match :meth:`SketchDatabase.lookup` exactly.
@@ -459,57 +477,57 @@ class KssTables:
         queries = [int(q) for q in sorted_intersecting]
         if any(queries[i] > queries[i + 1] for i in range(len(queries) - 1)):
             raise ValueError("intersecting k-mers must be sorted")
-        levels: Dict[int, LevelHits] = {}
+        ids = self.signatures.ids
+        levels: Dict[int, np.ndarray] = {}
 
-        # Level k_max: plain sorted merge appending to the flat owner column.
+        # Level k_max: plain sorted merge.
         entries = self.entries
-        taxids: List[int] = []
-        offsets: List[int] = [0]
+        found: List[int] = []
         i = 0
         for q in queries:
             while i < len(entries) and entries[i][0] < q:
                 i += 1
-            if i < len(entries) and entries[i][0] == q:
-                taxids.extend(sorted(entries[i][1]))
-            offsets.append(len(taxids))
-        levels[self.k_max] = LevelHits(taxids=taxids, offsets=offsets)
+            hit = i < len(entries) and entries[i][0] == q
+            found.append(ids[entries[i][1]] if hit else 0)
+        levels[self.k_max] = np.array(found, dtype=np.int32)
 
         # Smaller levels: one pass per level over (query prefixes, sub rows).
         for k in self.smaller_ks:
             rows = self.sub_tables[k]
             covered = self._covered_by_prefix(k)
-            taxids, offsets = [], [0]
+            found = []
             row_index = 0
             for q in queries:
                 prefix = kmer_prefix(q, self.k_max, k)
                 while row_index < len(rows) and rows[row_index].prefix < prefix:
                     row_index += 1
-                if row_index < len(rows) and rows[row_index].prefix == prefix:
-                    taxids.extend(sorted(rows[row_index].stored | covered[prefix]))
-                offsets.append(len(taxids))
-            levels[k] = LevelHits(taxids=taxids, offsets=offsets)
-        return RetrievalResult(queries=queries, levels=levels)
+                hit = row_index < len(rows) and rows[row_index].prefix == prefix
+                found.append(
+                    ids[rows[row_index].stored | covered[prefix]] if hit else 0
+                )
+            levels[k] = np.array(found, dtype=np.int32)
+        return RetrievalResult(
+            queries=queries, levels=levels, signatures=self.signatures
+        )
 
     def _covered_by_prefix(self, k: int) -> Dict[int, FrozenSet[int]]:
         """Per-prefix covered-owner unions for level ``k`` (built once, cached).
 
         The reference retrieval consults this on every call — and the
-        sharded path retrieves once per shard.  Derived columnarly as
-        ``full - stored`` per row, never touching the k_max rows.
+        sharded path retrieves once per shard.  Derived as ``full -
+        stored`` per row, never touching the k_max rows.
         """
         if k not in self._covered_cache:
             level = self._store.levels[k]
-            so, fo = level.stored_offsets, level.full_offsets
-            covered: Dict[int, FrozenSet[int]] = {}
-            for r, prefix in enumerate(level.prefixes.tolist()):
-                full = level.full_taxids[int(fo[r]):int(fo[r + 1])]
-                stored = level.stored_taxids[int(so[r]):int(so[r + 1])]
-                covered[int(prefix)] = frozenset(
-                    np.asarray(full)[
-                        ~np.isin(full, stored, assume_unique=True)
-                    ].tolist()
+            sets = self.signatures.sets
+            so = level.stored_offsets.tolist()
+            stored = level.stored_taxids.tolist()
+            self._covered_cache[k] = {
+                prefix: sets[sig] - frozenset(stored[so[r]:so[r + 1]])
+                for r, (prefix, sig) in enumerate(
+                    zip(level.prefixes.tolist(), level.signatures.tolist())
                 )
-            self._covered_cache[k] = covered
+            }
         return self._covered_cache[k]
 
     # -- size accounting ---------------------------------------------------------
@@ -518,13 +536,17 @@ class KssTables:
         return (2 * self.k_max + 7) // 8
 
     def size_bytes(self) -> int:
-        """On-flash size: k_max rows carry the k-mer; sub rows carry IDs only."""
-        store = self._store
-        total = self._kmer_bytes() * len(store.kmers) + 4 * len(store.taxids)
-        for level in store.levels.values():
-            # 1 byte per row marks the boundary/row length; IDs are 4 B.
-            total += len(level.prefixes) + 4 * len(level.stored_taxids)
-        return total
+        """On-flash size: k_max rows carry the k-mer and their taxIDs; sub
+        rows carry stored IDs only.  Computed once (the store is immutable)."""
+        if self._size_bytes is None:
+            store = self._store
+            owners = int(store.table.lengths[store.signatures].sum())
+            total = self._kmer_bytes() * len(store.kmers) + 4 * owners
+            for level in store.levels.values():
+                # 1 byte per row marks the boundary/row length; IDs are 4 B.
+                total += len(level.prefixes) + 4 * len(level.stored_taxids)
+            self._size_bytes = total
+        return self._size_bytes
 
     def __len__(self) -> int:
         return len(self._store.kmers)

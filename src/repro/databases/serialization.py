@@ -11,7 +11,7 @@ actual encoding, not an estimate:
 ``len(pack_kmer_column(db.column(), db.k)) == db.size_bytes()``.
 
 Loading never copies a column: every int column of a section is a dtype
-view (``<i8``, the on-disk dtype) of the buffer it was parsed from.
+view (``<i8`` or ``<i4``, the on-disk dtypes) of the buffer it was parsed from.
 Whether that buffer is a ``bytes`` object (:func:`unpack_sections`) or a
 ``np.memmap`` of the index file (:func:`map_sections`) is decided once, by
 whoever produced it; nothing below takes a parameter saying where the
@@ -24,10 +24,12 @@ list exists on either path.
 
 Index container format (``MEGISIDX``): a named-section archive holding the
 database's packed key column (one ``db/kmers`` section — the flash image
-Step 2 streams), the KSS CSR columns, the sketch sizes, and the reference
-FASTA — what :class:`repro.megis.index.MegisIndex` persists, and the only
-persisted form of the sorted database.  Version 2; version 1 (per-shard
-database sections with owner CSRs) is refused, not converted.  The
+Step 2 streams), the KSS columns (keys, ``int32`` row signatures, the
+stored CSRs and the one signature table), the sketch sizes, and the
+reference FASTA — what :class:`repro.megis.index.MegisIndex` persists, and
+the only persisted form of the sorted database.  Version 3; older versions
+(version 2's per-row full-set owner CSRs, version 1's per-shard database
+sections) are refused, not converted.  The
 container itself is format-agnostic: a 16-byte header (magic, ``u16
 version``, ``u16 reserved``, ``u32 toc_length``), a JSON table of contents
 mapping section names to ``[offset, length]`` within the body, then the
@@ -52,7 +54,7 @@ from repro.databases.sorted_db import SortedKmerDatabase
 Buffer = Union[bytes, NDArray[np.uint8]]
 
 INDEX_MAGIC = b"MEGISIDX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 _INDEX_HEADER = struct.Struct("<8sHHI")
 
 
@@ -115,6 +117,11 @@ def pack_i64(values: ArrayLike) -> bytes:
     return np.asarray(values, dtype="<i8").tobytes()
 
 
+def pack_i32(values: ArrayLike) -> bytes:
+    """One int32 column (signature ids) as little-endian bytes."""
+    return np.asarray(values, dtype="<i4").tobytes()
+
+
 def _as_u8(buf: Buffer) -> NDArray[np.uint8]:
     """``buf`` as a ``uint8`` array over the same memory (never a copy).
 
@@ -135,16 +142,24 @@ def parse_i64(buf: Buffer) -> NDArray[np.int64]:
     return column
 
 
+def parse_i32(buf: Buffer) -> NDArray[np.int32]:
+    """A little-endian int32 column as a view of ``buf`` (length-checked)."""
+    if len(buf) % 4:
+        raise SerializationError("int32 column length is not a multiple of 4")
+    column: NDArray[np.int32] = _as_u8(buf).view("<i4")
+    return column
+
+
 # -- index section container -------------------------------------------------
 
 
 def pack_sections(sections: Dict[str, bytes]) -> bytes:
     """Pack named byte sections into one ``MEGISIDX`` container payload.
 
-    Sections are laid out back to back in the given order; the table of
-    contents (JSON) records each section's offset and length within the
-    body so a reader can load any single section — e.g. one SSD shard —
-    without touching the rest.
+    Sections are laid out back to back in the given order, from an
+    8-byte aligned body start; the table of contents (JSON) records each
+    section's offset and length within the body so a reader can load any
+    single section — e.g. one SSD shard — without touching the rest.
     """
     toc: List[List[object]] = []
     body_parts: List[bytes] = []
@@ -154,6 +169,9 @@ def pack_sections(sections: Dict[str, bytes]) -> bytes:
         body_parts.append(blob)
         offset += len(blob)
     toc_bytes = json.dumps(toc, separators=(",", ":")).encode("utf-8")
+    # Trailing JSON whitespace starts the body 8-byte aligned, so sections
+    # placed at multiples of 8 view as int64 / int32 columns aligned.
+    toc_bytes += b" " * (-(_INDEX_HEADER.size + len(toc_bytes)) % 8)
     header = _INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, 0, len(toc_bytes))
     return header + toc_bytes + b"".join(body_parts)
 

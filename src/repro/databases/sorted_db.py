@@ -45,7 +45,8 @@ from numpy.typing import NDArray
 
 from repro.backends.base import bisect_column
 from repro.backends.numpy_backend import as_column, column_dtype
-from repro.backends.retrieval import column_to_list, group_sorted, pack_sets_csr
+from repro.backends.retrieval import column_to_list, group_sorted
+from repro.backends.signatures import pack_sets_csr
 from repro.sequences.generator import ReferenceCollection
 from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 
@@ -79,10 +80,19 @@ def extract_pairs(references: ReferenceCollection, k: int) -> PairColumns:
     """One extraction over all genomes, one sort (``k <= COLUMN_BUILD_MAX_K``)."""
     taxids = references.species_taxids
     kmers, genomes = extract_kmers_batch([references.sequence(t) for t in taxids], k)
-    # Genome ids ascend along the extraction, so a stable sort on the k-mers
-    # alone leaves each k-mer's genomes ascending: the (k-mer, genome) lexsort.
-    order = np.argsort(kmers, kind="stable")
-    kmers, genomes = kmers[order], genomes[order]
+    genome_bits = max(1, (len(taxids) - 1).bit_length())
+    if 2 * k + genome_bits <= 64:
+        # A (k-mer, genome) pair fits one uint64 key: one value sort is the
+        # (k-mer, genome) lexsort, several times cheaper than an argsort.
+        shift = np.uint64(genome_bits)
+        keys = np.sort((kmers << shift) | genomes.astype(np.uint64))
+        kmers = keys >> shift
+        genomes = (keys & np.uint64((1 << genome_bits) - 1)).astype(np.int64)
+    else:
+        # Genome ids ascend along the extraction, so a stable sort on the
+        # k-mers alone leaves each k-mer's genomes ascending.
+        order = np.argsort(kmers, kind="stable")
+        kmers, genomes = kmers[order], genomes[order]
     distinct = np.ones(len(kmers), dtype=bool)
     distinct[1:] = (kmers[1:] != kmers[:-1]) | (genomes[1:] != genomes[:-1])
     return PairColumns(

@@ -15,7 +15,7 @@ stretched over TCP:
 - :mod:`~repro.megis.cluster.router` — :class:`ClusterRouter`, the
   client-facing front door (the gateway's machinery, verbatim) whose
   session scatters Step 2 to the nodes, gathers and concatenates the
-  partial owner columns, and runs Steps 1/3 locally — bit-identical to
+  partial signature columns, and runs Steps 1/3 locally — bit-identical to
   single-node serving, with heartbeat health tracking and
   retry-once-then-``node_failed`` failure semantics.
 """

@@ -11,8 +11,8 @@ A node opens the shared index on *its shard subset only* — an
   (refusing an N above its line limit before reading any of it), runs
   :meth:`AnalysisSession.step_two_partial` over its contiguous shard
   group and replies with a ``step2_result`` frame of the same shape
-  carrying the partial owner columns
-  (:func:`~repro.megis.wire.step2_result_frame`);
+  carrying the partial signature columns and its index's signature-table
+  digest (:func:`~repro.megis.wire.step2_result_frame`);
 - ``{"schema": 1, "op": "ping", "id": ...}`` is the heartbeat; the pong
   carries the node id, its shard range, and a served counter;
 - anything else — bad JSON, a missing/unknown ``schema``, an unknown
@@ -261,7 +261,7 @@ class ClusterNode:
         """Partial Step 2 and its encoded reply (on a pool thread)."""
         return wire.step2_result_frame(
             request_id, self.node_id, self.session.database.k,
-            self.session.step_two_partial(queries),
+            self.session.kss.signatures, self.session.step_two_partial(queries),
         )
 
     @staticmethod

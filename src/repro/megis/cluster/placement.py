@@ -104,11 +104,15 @@ class ClusterMap:
 
     @staticmethod
     def index_fingerprint(index: Any) -> Dict[str, object]:
-        """Cheap content identity: k, database size, KSS row count."""
+        """Cheap content identity: k, database size, KSS row count, and
+        the digest of the KSS signature table (recorded in the index
+        manifest at build) — two builds of the same sizes with different
+        owners differ in it."""
         return {
             "k": int(index.database.k),
             "db_kmers": len(index.database),
             "kss_rows": len(index.kss),
+            "signatures": index.kss.signatures.digest,
         }
 
     def verify(self, index: Any) -> None:

@@ -10,13 +10,15 @@ from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
   sorted query column on its own host (it holds the same index file).
 - **Step 2 scattered.**  :class:`ClusterStepTwo` sends the column to
   every node (each intersects/retrieves over its contiguous shard group
-  only), then concatenates the partial CSR owner columns in node order —
+  only), then concatenates the partial signature columns in node order —
   nodes own ascending shard groups, so the gather is exactly the
   single-host :meth:`RetrievalResult.concatenate` merge and the final
   result is bit-identical to single-node serving.  Columns cross the
   wire as binary container frames (a JSON header line plus a
   ``MEGISIDX`` body, :func:`~repro.megis.wire.step2_frame`), never as
-  JSON int lists.
+  JSON int lists; the ids decode against the router's own index's
+  signature table (:meth:`ClusterStepTwo.bind`), and a reply naming
+  another table fails its attempt.
 - **Step 3 local.**  Hit accumulation, candidate selection, and
   abundance estimation run on the gathered columns.
 
@@ -40,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import IntColumn, PhaseTimings
+from repro.backends import IntColumn, PhaseTimings, SignatureTable
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
@@ -116,7 +118,10 @@ class ClusterStepTwo:
     is simply a fresh connection, which a respawned node answers.
 
     ``k`` is the served index's k-mer length (the query records' width);
-    it defaults to the one ``cluster_map``'s index fingerprint pins.
+    it defaults to the one ``cluster_map``'s index fingerprint pins.  The
+    signature table replies decode against is bound before the first
+    scatter (:meth:`bind`; :class:`ClusterAnalysisSession` binds its
+    local index's).
     """
 
     def __init__(
@@ -154,6 +159,18 @@ class ClusterStepTwo:
         }
         self._lock = threading.Lock()
         self._seq = itertools.count()
+        self.signatures: Optional[SignatureTable] = None
+
+    def bind(self, signatures: SignatureTable) -> None:
+        """Decode node replies against ``signatures``: the router's own
+        index's table, which must be the one the map's fingerprint pins."""
+        pinned = (self.cluster_map.fingerprint or {}).get("signatures")
+        if pinned is not None and pinned != signatures.digest:
+            raise ValueError(
+                f"cluster map was computed for a different index build: map "
+                f"signature table {pinned!r}, index {signatures.digest!r}"
+            )
+        self.signatures = signatures
 
     # -- scatter-gather --------------------------------------------------------
 
@@ -166,6 +183,8 @@ class ClusterStepTwo:
         Raises :class:`NodeFailed` when a node fails both its attempt
         and the single retry.
         """
+        if self.signatures is None:
+            raise ValueError("bind the index's signature table before scattering")
         with self._lock:
             request_id = next(self._seq)
             self.stats.scatters += 1
@@ -340,7 +359,9 @@ class ClusterStepTwo:
                 f"node {record.get('node')!r} answered for "
                 f"node {endpoint.node_id}"
             )
-        partials = wire.parse_step2_result_frame(record, body, self.k)
+        assert self.signatures is not None  # scatter checks it
+        partials = wire.parse_step2_result_frame(record, body, self.k,
+                                                 self.signatures)
         if len(partials) != n_samples:
             raise ValueError(
                 f"expected {n_samples} sample partials, got {len(partials)}"
@@ -416,6 +437,7 @@ class ClusterAnalysisSession:
                 "the router session cannot be process-backed: scatter "
                 "sockets must not cross a fork"
             )
+        step_two.bind(session.kss.signatures)
         self.session = session
         self.step_two = step_two
         #: The service's session contract: how many forked workers its

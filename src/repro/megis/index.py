@@ -19,11 +19,16 @@ Layout decisions that matter:
   (:meth:`MegisIndex.load_shard`); a whole-index open shards that one
   column at the persisted count exactly as at any other — zero-copy
   views;
-- the KSS is stored as its **per-level CSR blocks** (prefix rows, the
-  stored taxID CSR, and the reconstructed full-set CSR), so ``open()``
+- the KSS is stored as its **per-level columns** (key rows, one
+  ``int32`` signature per row, and the smaller levels' stored taxID CSR)
+  plus **one signature table** — the CSR of the distinct full owner sets
+  every row id names, built with the index, never at open.  ``open()``
   rebuilds the :class:`~repro.databases.kss.KssStore` by attaching
   views — no Python row objects are touched until (unless) the
-  register-level reference backend runs;
+  register-level reference backend runs.  The manifest records the
+  table's digest (:attr:`~repro.backends.signatures.SignatureTable.digest`):
+  the loader checks the table against it, and a cluster's fingerprint
+  carries it;
 - the sketch's per-level tables are **not** stored separately — they are
   the same data as the KSS columns, so the loaded
   :class:`~repro.databases.sketch.SketchDatabase` reconstructs them lazily
@@ -57,14 +62,17 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.backends.signatures import SignatureTable
 from repro.databases.kss import KssLevelStore, KssStore, KssTables
 from repro.databases.serialization import (
     SerializationError,
     kmer_record_bytes,
     map_sections,
+    pack_i32,
     pack_i64,
     pack_kmer_column,
     pack_sections,
+    parse_i32,
     parse_i64,
     parse_kmer_column,
     unpack_sections,
@@ -168,24 +176,31 @@ class MegisIndex:
                 str(k): int(len(level.prefixes))
                 for k, level in kss_store.levels.items()
             },
+            "signatures": len(kss_store.table),
+            "signature_digest": kss_store.table.digest,
             "has_references": bool(include_references and self.references),
         }
-        sections["manifest"] = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        sections["db/kmers"] = pack_kmer_column(self.database.column(), self.k)
-        sections["kss/kmers"] = pack_kmer_column(kss_store.kmers, kss_store.k_max)
-        sections["kss/kmax_taxids"] = pack_i64(kss_store.taxids)
-        sections["kss/kmax_offsets"] = pack_i64(kss_store.offsets)
-        for k, level in kss_store.levels.items():
-            sections[f"kss/{k}/prefixes"] = pack_kmer_column(level.prefixes, k)
-            sections[f"kss/{k}/stored_taxids"] = pack_i64(level.stored_taxids)
-            sections[f"kss/{k}/stored_offsets"] = pack_i64(level.stored_offsets)
-            sections[f"kss/{k}/full_taxids"] = pack_i64(level.full_taxids)
-            sections[f"kss/{k}/full_offsets"] = pack_i64(level.full_offsets)
+        # The int columns go first: every int64 section is a multiple of 8
+        # bytes long, so from the aligned body start each int64 and then
+        # each int32 column attaches as an aligned view.
         taxids = sorted(self.sketch.sketch_sizes)
         sections["sketch/taxids"] = pack_i64(taxids)
         sections["sketch/sizes"] = pack_i64(
             [int(self.sketch.sketch_sizes[t]) for t in taxids]
         )
+        sections["kss/signature_taxids"] = pack_i64(kss_store.table.taxids)
+        sections["kss/signature_offsets"] = pack_i64(kss_store.table.offsets)
+        for k, level in kss_store.levels.items():
+            sections[f"kss/{k}/stored_taxids"] = pack_i64(level.stored_taxids)
+            sections[f"kss/{k}/stored_offsets"] = pack_i64(level.stored_offsets)
+        sections["kss/kmax_signatures"] = pack_i32(kss_store.signatures)
+        for k, level in kss_store.levels.items():
+            sections[f"kss/{k}/signatures"] = pack_i32(level.signatures)
+        sections["manifest"] = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        sections["db/kmers"] = pack_kmer_column(self.database.column(), self.k)
+        sections["kss/kmers"] = pack_kmer_column(kss_store.kmers, kss_store.k_max)
+        for k, level in kss_store.levels.items():
+            sections[f"kss/{k}/prefixes"] = pack_kmer_column(level.prefixes, k)
         if manifest["has_references"]:
             from repro.sequences.io import references_to_fasta
 
@@ -242,8 +257,8 @@ class MegisIndex:
     def open(cls, path: Union[str, Path], mmap: bool = True) -> "MegisIndex":
         """Open a saved index file: every column is a view of the mapped file.
 
-        The int CSR sections — the KSS owner/offset columns per level —
-        attach as ``np.memmap`` views in their on-disk dtypes, so only the
+        The int sections — the KSS signature columns, stored CSRs and
+        signature table — attach as ``np.memmap`` views in their on-disk dtypes, so only the
         touched pages become resident.  The k-mer/prefix *key* columns (the
         structures every ``searchsorted`` walks) materialize — one ndarray
         each, the database's and the KSS's whole key state.
@@ -297,6 +312,8 @@ class _Manifest:
     db_rows: int
     kss_rows: int
     kss_level_rows: Dict[int, int]
+    signatures: int
+    signature_digest: str
     has_references: bool
 
 
@@ -327,7 +344,8 @@ def _manifest(sections: Sections) -> _Manifest:
         return value
 
     for field in ("k", "k_max", "smaller_ks", "n_shards", "shard_ranges",
-                  "db_rows", "kss_rows", "kss_level_rows"):
+                  "db_rows", "kss_rows", "kss_level_rows", "signatures",
+                  "signature_digest"):
         if field not in raw:
             raise SerializationError(f"index manifest is missing {field!r}")
     k = integer(raw["k"], "k", "a positive integer", 1)
@@ -358,6 +376,8 @@ def _manifest(sections: Sections) -> _Manifest:
         str(level) for level in smaller_ks
     }:
         raise bad("kss_level_rows", "one row count per smaller_ks level")
+    if not isinstance(raw["signature_digest"], str):
+        raise bad("signature_digest", "a string")
     return _Manifest(
         k=k,
         smaller_ks=smaller_ks,
@@ -370,6 +390,8 @@ def _manifest(sections: Sections) -> _Manifest:
                            "non-negative integers", 0)
             for level in smaller_ks
         },
+        signatures=integer(raw["signatures"], "signatures", "an integer >= 1", 1),
+        signature_digest=raw["signature_digest"],
         has_references=raw.get("has_references") is True,
     )
 
@@ -448,28 +470,51 @@ def _load_csr(
     return taxids, offsets
 
 
+def _load_signatures(
+    sections: Sections, name: str, rows: int, limit: int
+) -> NDArray[np.int32]:
+    """An ``int32`` row -> signature column: ``rows`` ids in ``[0, limit)``."""
+    ids = parse_i32(_section(sections, name))
+    if len(ids) != rows:
+        raise SerializationError(
+            f"section {name!r} has {len(ids)} signatures, expected {rows}"
+        )
+    if bool(np.any(ids.view(np.uint32) >= limit)):
+        raise SerializationError(
+            f"section {name!r} names a signature outside [0, {limit})"
+        )
+    return ids
+
+
 def _kss_store(sections: Sections, manifest: _Manifest) -> KssStore:
+    taxids, offsets = _load_csr(sections, "kss/signature", manifest.signatures)
+    table = SignatureTable(taxids, offsets)
+    if offsets[1] != 0 or table.digest != manifest.signature_digest:
+        raise SerializationError(
+            "the signature table does not match the manifest's digest "
+            "(or its signature 0 is not the empty set)"
+        )
     kmers = _load_column(sections, "kss/kmers", manifest.k, manifest.kss_rows)
-    taxids, offsets = _load_csr(sections, "kss/kmax", manifest.kss_rows)
+    signatures = _load_signatures(
+        sections, "kss/kmax_signatures", manifest.kss_rows, len(table)
+    )
     levels: Dict[int, KssLevelStore] = {}
     for k, level_rows in manifest.kss_level_rows.items():
         prefixes = _load_column(sections, f"kss/{k}/prefixes", k, level_rows)
         stored_taxids, stored_offsets = _load_csr(
             sections, f"kss/{k}/stored", level_rows
         )
-        full_taxids, full_offsets = _load_csr(
-            sections, f"kss/{k}/full", level_rows
-        )
         levels[k] = KssLevelStore(
             prefixes=prefixes,
             stored_taxids=stored_taxids,
             stored_offsets=stored_offsets,
-            full_taxids=full_taxids,
-            full_offsets=full_offsets,
+            signatures=_load_signatures(
+                sections, f"kss/{k}/signatures", level_rows, len(table)
+            ),
         )
     return KssStore(
         k_max=manifest.k, smaller_ks=manifest.smaller_ks, kmers=kmers,
-        taxids=taxids, offsets=offsets, levels=levels,
+        signatures=signatures, levels=levels, table=table,
     )
 
 

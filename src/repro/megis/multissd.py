@@ -54,8 +54,8 @@ from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import shard_pool, shard_workers
 
-#: One sample's Step-2 output: (sorted intersecting k-mers, owner columns).
-#: The k-mers are the owner columns' ``queries``: an int list on the
+#: One sample's Step-2 output: (sorted intersecting k-mers, signature columns).
+#: The k-mers are the result's ``queries``: an int list on the
 #: ``python`` backend, a column in the database's dtype on ``numpy``.
 StepTwoResult = Tuple[IntColumn, RetrievalResult]
 
@@ -201,9 +201,10 @@ def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:
     ``parts`` holds one per-sample result list per shard (or per shard
     group, or per cluster node), in ascending range order.  Because the
     ranges are disjoint and ascending, the concatenated intersections are
-    already sorted and the CSR owner columns concatenate
-    (:meth:`RetrievalResult.concatenate`) into exactly the single-SSD
-    result; the gathered intersecting k-mers are its ``queries`` column.
+    already sorted and the signature columns (every shard answers from the
+    one table) concatenate (:meth:`RetrievalResult.concatenate`) into
+    exactly the single-SSD result; the gathered intersecting k-mers are its
+    ``queries`` column.
     No per-element host work.
     """
     gathered = [
@@ -246,7 +247,7 @@ class MultiSsdStepTwo:
 
     :func:`step_two_over_shards` with this engine's executor: each shard
     runs :func:`shard_step_two` and the host only gathers the
-    already-sorted per-shard intersections and CSR owner columns.  A
+    already-sorted per-shard intersections and signature columns.  A
     call's counters go into the ``timings`` it is passed; none are kept.
 
     Shard handles are built once at construction — either split here from

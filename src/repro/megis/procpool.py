@@ -111,12 +111,12 @@ def _worker_main(conn: Connection, session: "AnalysisSession") -> None:
                     # Read *inside* the worker: a column the child copied
                     # would sit at another address than the parent's.
                     database = session.database
-                    taxids = session.kss.store().taxids
+                    signatures = session.kss.store().signatures
                     reply = (True, {
                         "pid": os.getpid(),
                         "column_address": database.column().ctypes.data,
-                        "taxids_address": taxids.ctypes.data,
-                        "taxids_mapped": isinstance(taxids, np.memmap),
+                        "signatures_address": signatures.ctypes.data,
+                        "signatures_mapped": isinstance(signatures, np.memmap),
                         "row_materializations": database.row_materializations,
                     })
                 else:

@@ -636,7 +636,7 @@ class AnalysisSession:
         """Metalign Step 2: intersection + ternary-tree sketch lookups.
 
         The per-k-mer ternary-tree lookups (the pointer-chasing structure
-        MegIS's KSS replaces) are packed into the same CSR
+        MegIS's KSS replaces) are interned into the same signature
         :class:`~repro.backends.retrieval.RetrievalResult` layout the
         Step-2 backends emit, so hit accumulation and containment scoring
         share the exact columnar kernels with :meth:`analyze` — the two
@@ -647,10 +647,11 @@ class AnalysisSession:
         result = MetalignResult()
         result.intersecting_kmers = self.database.intersect(sorted_query)
         tree = self.ternary_tree
-        retrieved = RetrievalResult.from_query_dicts(
-            {kmer: tree.lookup(kmer) for kmer in result.intersecting_kmers},
-            level_keys=(self.sketch.k_max, *self.sketch.smaller_ks),
-        )
+        found = [tree.lookup(kmer) for kmer in result.intersecting_kmers]
+        retrieved = RetrievalResult.from_sets(result.intersecting_kmers, {
+            k: [levels.get(k, ()) for levels in found]
+            for k in (self.sketch.k_max, *self.sketch.smaller_ks)
+        })
         hits = accumulate_hits(retrieved)
         result.sketch_hits = hits.as_dict()
         result.candidates = select_candidates(
@@ -759,10 +760,10 @@ class AnalysisSession:
     def _finish_step_two(self, result: MegisResult, intersecting, retrieved) -> None:
         """Fold retrieval columns into hit counts and call candidates.
 
-        ``retrieved`` carries the CSR owner columns
+        ``retrieved`` carries the signature columns
         (:class:`~repro.backends.retrieval.RetrievalResult`); accumulation
-        is one ``np.unique`` pass per level over the flat taxID column and
-        containment is the vectorized batch score — no per-taxID Python
+        counts hits per owner-set signature and containment is the
+        vectorized batch score — no per-taxID Python
         loops on the numpy backend, identical results on the reference
         backend (the cross-backend tests enforce bit-equality).  A numpy
         backend's intersecting column becomes the public int list in one

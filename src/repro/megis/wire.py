@@ -28,17 +28,20 @@ source of truth so the surfaces can never drift:
   ``MEGISIDX`` container (:func:`~repro.databases.serialization.pack_sections`,
   the index file's own format).  :func:`step2_frame` scatters each
   sample's sorted query column as k-mer records (section ``q<i>``);
-  :func:`step2_result_frame` returns the node's partial Step-2 owner
-  columns — the sample's intersecting k-mers (``q<i>``) and, per sketch
-  level, the CSR ``taxids`` / ``offsets`` int64 columns (``t<i>/<level>``,
-  ``o<i>/<level>``).  :func:`parse_step2_frame` /
-  :func:`parse_step2_result_frame` take the columns back as dtype views
-  and refuse, with ``ValueError``, anything that is not such a frame.
+  :func:`step2_result_frame` returns the node's partial Step-2 columns —
+  the sample's intersecting k-mers (``q<i>``) and, per sketch level, the
+  ``int32`` owner-set signature ids (``s<i>/<level>``), with the digest
+  of the signature table they refer to in the header.
+  :func:`parse_step2_frame` / :func:`parse_step2_result_frame` take the
+  columns back as dtype views and refuse, with ``ValueError``, anything
+  that is not such a frame — a signature table other than the reader's
+  included.
   :func:`ping_record` / :func:`pong_record` are the header-only
   heartbeat pair;
 - the JSON step-2 codec (:func:`step2_request_record`,
   :func:`step2_result_record`, :func:`parse_step2_result`) is no longer
-  spoken by any process: the perf ledger's probe still times it.
+  spoken by any process: the perf ledger's probe still times it.  It
+  expands for the probe — per-query taxID lists, as it always carried.
 
 Framing is here too: :class:`FrameReader` cuts a byte stream into numbered
 lines for every ingest loop (gateway connections, ``repro serve``'s stdin,
@@ -72,13 +75,14 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from repro.backends.retrieval import IntColumn, LevelHits, RetrievalResult
+from repro.backends.retrieval import IntColumn, RetrievalResult
+from repro.backends.signatures import SignatureTable
 from repro.databases.serialization import (
     kmer_record_bytes,
-    pack_i64,
+    pack_i32,
     pack_kmer_column,
     pack_sections,
-    parse_i64,
+    parse_i32,
     parse_kmer_column,
     unpack_sections,
 )
@@ -239,39 +243,34 @@ def drain_record(client: int, stats: Any) -> Record:
 
 
 def retrieval_columns(retrieved: RetrievalResult) -> Record:
-    """Serialize a ``RetrievalResult``'s CSR columns as plain JSON lists
-    (ledger probe only: the cluster leg ships :func:`step2_result_frame`).
+    """Serialize a ``RetrievalResult`` as plain JSON lists (ledger probe
+    only: the cluster leg ships :func:`step2_result_frame`).
 
-    The layout mirrors the in-memory columns exactly — ``queries`` plus,
-    per sketch level, the flat ``taxids`` owner column and its
-    ``offsets`` — so a round trip through :func:`parse_retrieval`
-    reconstructs a bit-identical result (ndarray columns come back as
-    int64 ndarrays, the numpy backend's native container).
+    The result expands for the probe (:meth:`RetrievalResult.expand`):
+    ``queries`` plus, per sketch level, the flat ``taxids`` owner column
+    and its ``offsets``, so a round trip through :func:`parse_retrieval`
+    gives back the same owner sets.
     """
     return {
         "queries": [int(q) for q in retrieved.queries],
         "levels": {
             str(k): {
-                "taxids": [int(t) for t in hits.taxids],
-                "offsets": [int(o) for o in hits.offsets],
+                "taxids": taxids.tolist(),
+                "offsets": offsets.tolist(),
             }
-            for k, hits in retrieved.levels.items()
+            for k, (taxids, offsets) in retrieved.expand().items()
         },
     }
 
 
 def parse_retrieval(payload: Mapping[str, Any]) -> RetrievalResult:
     """Rebuild a ``RetrievalResult`` from :func:`retrieval_columns` output
-    (ledger probe only).
+    (ledger probe only), its owner sets interned into a fresh signature
+    table.
 
-    Columns come back as int64 ndarrays so every downstream kernel (hit
-    accumulation, containment, the statistical estimator) takes its
-    vectorized path — results are bit-identical either way (the
-    cross-backend suite pins list and ndarray columns equal).  Anything
-    that is not such output — unsorted queries, a level block without its
-    two integer columns, offsets that are not a CSR index over
-    ``queries`` into ``taxids`` — raises ``ValueError`` here, so a
-    malformed reply fails its scatter attempt instead of the gather.
+    Anything that is not such output — unsorted queries, a level block
+    without its two integer columns, offsets that are not a CSR index over
+    ``queries`` into ``taxids`` — raises ``ValueError`` here.
     """
     if not isinstance(payload, dict) or not isinstance(
         payload.get("queries"), list
@@ -288,7 +287,7 @@ def parse_retrieval(payload: Mapping[str, Any]) -> RetrievalResult:
         raise ValueError(f"retrieval 'queries' must be integers: {exc}") from exc
     if any(a > b for a, b in zip(queries, queries[1:])):
         raise ValueError("retrieval 'queries' must be sorted")
-    levels: Dict[int, LevelHits] = {}
+    levels: Dict[int, Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]] = {}
     for key, block in blocks.items():
         if not (
             isinstance(block, dict)
@@ -319,8 +318,8 @@ def parse_retrieval(payload: Mapping[str, Any]) -> RetrievalResult:
                 f"retrieval level {key!r}: offsets must rise from 0 to "
                 f"len(taxids) over len(queries) + 1 entries"
             )
-        levels[level] = LevelHits(taxids=taxids, offsets=offsets)
-    return RetrievalResult(queries=queries, levels=levels)
+        levels[level] = (taxids, offsets)
+    return RetrievalResult.from_csr(queries, levels)
 
 
 def step2_request_record(request_id: object,
@@ -339,8 +338,9 @@ def step2_result_record(
     request_id: object, node: int,
     partials: Iterable[Tuple[Sequence[int], RetrievalResult]],
 ) -> Record:
-    """The JSON gather frame: per-sample partial owner columns (ledger
-    probe only: a node answers with :func:`step2_result_frame`)."""
+    """The JSON gather frame: per-sample partial owner columns, expanded
+    for the probe (ledger probe only: a node answers with
+    :func:`step2_result_frame`)."""
     return {
         "schema": SCHEMA,
         "op": "step2_result",
@@ -377,12 +377,14 @@ def step2_header_record(request_id: object, k: int, counts: Sequence[int],
 
 def step2_result_header_record(request_id: object, node: int, k: int,
                                counts: Sequence[int], levels: Sequence[int],
-                               body_bytes: int) -> Record:
+                               signatures: str, body_bytes: int) -> Record:
     """The header line of a :func:`step2_result_frame`: per-sample
-    intersecting k-mer counts and the sketch levels every sample carries."""
+    intersecting k-mer counts, the sketch levels every sample carries and
+    the digest of the signature table their ids refer to."""
     return {"schema": SCHEMA, "op": "step2_result", "id": request_id,
             "node": node, "k": k, "counts": list(counts),
-            "levels": list(levels), "bytes": body_bytes}
+            "levels": list(levels), "signatures": signatures,
+            "bytes": body_bytes}
 
 
 def step2_frame(request_id: object, k: int,
@@ -401,13 +403,16 @@ def step2_frame(request_id: object, k: int,
 
 
 def step2_result_frame(request_id: object, node: int, k: int,
+                       signatures: SignatureTable,
                        partials: Sequence[Tuple[Any, RetrievalResult]]) -> bytes:
-    """A node's gather frame: per-sample partial owner columns.
+    """A node's gather frame: per-sample partial signature columns.
 
     ``partials`` is what :meth:`AnalysisSession.step_two_partial`
     returns — one ``(intersecting, RetrievalResult)`` per sample, over the
-    node's contiguous shard group.  The intersecting k-mers *are* the
-    retrieval result's ``queries`` column, so only the columns ship.
+    node's contiguous shard group, every one answering from
+    ``signatures`` (the node's index's table).  The intersecting k-mers
+    *are* the retrieval result's ``queries`` column, so only the columns
+    ship: the k-mers and one ``int32`` id per query and level.
     """
     results = [retrieved for _, retrieved in partials]
     levels = [int(level) for level in results[0].levels] if results else []
@@ -417,15 +422,18 @@ def step2_result_frame(request_id: object, node: int, k: int,
             raise ValueError(
                 "every sample of a step2_result frame must carry the same levels"
             )
+        if retrieved.signatures is not signatures:
+            raise ValueError(
+                "every sample of a step2_result frame must answer from its "
+                "node's signature table"
+            )
         sections[f"q{i}"] = pack_kmer_column(retrieved.queries, k)
         for level in levels:
-            hits = retrieved.levels[level]
-            sections[f"t{i}/{level}"] = pack_i64(hits.taxids)
-            sections[f"o{i}/{level}"] = pack_i64(hits.offsets)
+            sections[f"s{i}/{level}"] = pack_i32(retrieved.levels[level])
     body = pack_sections(sections)
     header = step2_result_header_record(
         request_id, node, k, [len(r.queries) for r in results], levels,
-        len(body),
+        signatures.digest, len(body),
     )
     return encode(header) + body
 
@@ -465,19 +473,27 @@ def parse_step2_frame(header: Mapping[str, object], body: bytes,
 
 def parse_step2_result_frame(
     header: Mapping[str, object], body: bytes, k: int,
+    signatures: SignatureTable,
 ) -> List[Tuple[npt.NDArray[Any], RetrievalResult]]:
-    """A :func:`step2_result_frame` back as per-sample partials, or
-    ``ValueError``.
+    """A :func:`step2_result_frame` back as per-sample partials over the
+    reader's ``signatures``, or ``ValueError``.
 
-    Each sample's intersecting k-mers come back as the parsed k-mer
-    column (``uint64``; ``object`` past 32-base k-mers), which is also
-    its ``RetrievalResult.queries``; its owner columns as int64 views of
-    ``body``.  The k-mers must be strictly ascending — intersecting
-    k-mers are distinct, and a repeated one would count its hits twice —
-    and offsets must be a CSR index over the queries into the taxids, so
-    a malformed reply fails its scatter attempt instead of the gather.
+    The frame must name ``signatures`` by its digest: ids from another
+    index build would decode into the wrong owner sets.  Each sample's
+    intersecting k-mers come back as the parsed k-mer column (``uint64``;
+    ``object`` past 32-base k-mers), which is also its
+    ``RetrievalResult.queries``; its signature columns as ``int32`` views
+    of ``body``, one id per query and each in ``[0, len(signatures))``.
+    The k-mers must be strictly ascending — intersecting k-mers are
+    distinct, and a repeated one would count its hits twice — so a
+    malformed reply fails its scatter attempt instead of the gather.
     """
     counts = _frame_counts(header, body, "step2_result", k)
+    if header.get("signatures") != signatures.digest:
+        raise ValueError(
+            f"frame answers from signature table {header.get('signatures')!r}; "
+            f"this index's is {signatures.digest!r} (a different index build)"
+        )
     levels = header.get("levels")
     if not isinstance(levels, list) or not all(
         type(level) is int for level in levels
@@ -486,28 +502,29 @@ def parse_step2_result_frame(
     names: List[str] = []
     for i in range(len(counts)):
         names.append(f"q{i}")
-        for level in levels:
-            names += [f"t{i}/{level}", f"o{i}/{level}"]
+        names += [f"s{i}/{level}" for level in levels]
     sections = _frame_sections(body, names)
     partials: List[Tuple[npt.NDArray[Any], RetrievalResult]] = []
     for i, count in enumerate(counts):
         queries = _kmer_section(sections, f"q{i}", k, count, strict=True)
-        blocks: Dict[int, LevelHits] = {}
+        columns: Dict[int, npt.NDArray[np.int32]] = {}
         for level in levels:
-            taxids = parse_i64(sections[f"t{i}/{level}"])
-            offsets = parse_i64(sections[f"o{i}/{level}"])
-            if (
-                len(offsets) != count + 1
-                or offsets[0] != 0
-                or offsets[-1] != len(taxids)
-                or bool(np.any(offsets[1:] < offsets[:-1]))
-            ):
+            name = f"s{i}/{level}"
+            ids = parse_i32(sections[name])
+            if len(ids) != count:
                 raise ValueError(
-                    f"sample {i} level {level}: offsets must rise from 0 to "
-                    f"len(taxids) over len(queries) + 1 entries"
+                    f"section {name!r} holds {len(ids)} signatures for "
+                    f"{count} queries"
                 )
-            blocks[level] = LevelHits(taxids=taxids, offsets=offsets)
-        partials.append((queries, RetrievalResult(queries=queries, levels=blocks)))
+            if bool(np.any(ids.view(np.uint32) >= len(signatures))):
+                raise ValueError(
+                    f"section {name!r} names a signature outside "
+                    f"[0, {len(signatures)})"
+                )
+            columns[level] = ids
+        partials.append((queries, RetrievalResult(
+            queries=queries, levels=columns, signatures=signatures
+        )))
     return partials
 
 

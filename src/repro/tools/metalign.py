@@ -15,9 +15,8 @@ Abundance estimation maps the reads against the candidate species' genomes
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -48,8 +47,8 @@ class HitAccumulation:
 
     The columnar counterpart of the historical ``sketch_hits`` nested dict
     (``taxid -> level -> count``): one ``(taxids, counts)`` column pair per
-    level, produced by a single ``np.unique`` pass over that level's flat
-    owner column.  :meth:`as_dict` reconstructs the nested-dict view for
+    level, counted by :func:`accumulate_hits` per owner-set signature.
+    :meth:`as_dict` reconstructs the nested-dict view for
     result objects and reporting; :func:`select_candidates` scores straight
     off the columns.
     """
@@ -81,41 +80,33 @@ class HitAccumulation:
         return aligned
 
 
-def accumulate_hits(
-    retrieved: "RetrievalResult | Mapping[int, Mapping[int, frozenset]]",
-) -> HitAccumulation:
+def accumulate_hits(retrieved: RetrievalResult) -> HitAccumulation:
     """Fold Step-2 retrieval output into per-level (taxid, count) columns.
 
-    On the CSR :class:`~repro.backends.retrieval.RetrievalResult` layout
-    each level is one ``np.unique(..., return_counts=True)`` pass over the
-    flat owner column — every query's owner list is duplicate-free, so an
-    occurrence count *is* the per-query hit count the historical
-    triple-nested fold computed.  The per-query dict view falls back to
-    that reference fold.
+    Per level, one ``bincount`` over the signature ids counts the queries
+    answering with each owner set; only the *hit* signatures are then
+    expanded through the table, each owner weighted by its set's count,
+    and a second ``bincount`` over the table's taxID universe sums them —
+    so the expansion follows the hit signatures, never the queries' owner
+    lists.  A query's owner set is duplicate-free, so the sum is exactly
+    the per-query hit count of the historical per-query fold.
     """
+    table = retrieved.signatures
     levels: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if isinstance(retrieved, RetrievalResult):
-        for k, block in retrieved.levels.items():
-            column = (
-                block.taxids
-                if isinstance(block.taxids, np.ndarray)
-                else np.asarray(block.taxids, dtype=np.int64)
-            )
-            if len(column) == 0:
-                continue
-            taxids, counts = np.unique(column, return_counts=True)
-            levels[k] = (taxids.astype(np.int64), counts.astype(np.int64))
-        return HitAccumulation(levels=levels)
-    counters: Dict[int, Counter] = {}
-    for query_levels in retrieved.values():
-        for k, taxids in query_levels.items():
-            counters.setdefault(k, Counter()).update(taxids)
-    for k, counter in counters.items():
-        ordered = sorted(counter)
-        levels[k] = (
-            np.asarray(ordered, dtype=np.int64),
-            np.asarray([counter[t] for t in ordered], dtype=np.int64),
+    for k, ids in retrieved.levels.items():
+        per_set = np.bincount(ids, minlength=len(table))
+        per_set[0] = 0  # signature 0: no owners
+        hit = np.flatnonzero(per_set)
+        if not len(hit):
+            continue
+        entries, offsets = table.entries(hit)
+        totals = np.bincount(
+            table.codes[entries],
+            weights=np.repeat(per_set[hit], np.diff(offsets)),
+            minlength=len(table.universe),
         )
+        owners = np.flatnonzero(totals)
+        levels[k] = (table.universe[owners], totals[owners].astype(np.int64))
     return HitAccumulation(levels=levels)
 
 

@@ -13,9 +13,9 @@ taxID set are fractionally assigned in the E-step and abundances re-fit in
 the M-step.
 
 The EM runs over a few dozen ambiguity groups folded from thousands of
-intersecting k-mers.  On CSR retrieval columns the fold is array passes
-over per-query candidate bitmasks; the dict fold over per-query mappings
-stays the reference, with the same keys, counts and order.  The EM itself
+intersecting k-mers.  The fold is array passes over the retrieval's
+signature columns and candidate bitmasks of the hit owner sets, with the
+keys, counts and order of the historical per-query walk.  The EM itself
 is array passes over flat ``(group, owner)`` columns whose reductions all
 add strictly left to right — never ``np.sum`` or ``sum()``, whose orders
 vary (see :meth:`StatisticalAbundanceEstimator.estimate`).
@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from repro.backends.retrieval import RetrievalResult, csr_gather
+from repro.backends.retrieval import RetrievalResult
 from repro.databases.sketch import SketchDatabase
 from repro.taxonomy.profiles import AbundanceProfile
 
@@ -70,90 +70,64 @@ class StatisticalAbundanceEstimator:
 
     @staticmethod
     def hit_groups(
-        retrieved: "RetrievalResult | Mapping[int, Mapping[int, FrozenSet[int]]]",
-        candidates: Iterable[int],
+        retrieved: RetrievalResult, candidates: Iterable[int]
     ) -> Dict[GroupKey, int]:
         """Collapse Step-2 output into (interned group id -> hit count).
 
-        ``retrieved`` is the taxID-retrieval result; only the most specific
-        level (largest k) with any owners is used per query, restricted to
-        the candidate set.  Group ids are sorted-owner tuples interned per
-        *distinct group*: the CSR
-        :class:`~repro.backends.retrieval.RetrievalResult` layout is
-        grouped entirely in NumPy (level choice, candidate filtering, and
-        identical-row detection are array passes), so no per-query Python
-        object is ever built on the EM input path (ROADMAP "columnar
-        statistical estimator").  Plain mappings take the reference fold;
-        groups are returned in first-occurrence query order either way, so
-        the EM accumulation order — and therefore the exact float sequence
-        — matches the historical per-query walk.
+        Only the most specific level (largest k) with any owners is used
+        per query — its first non-zero signature, levels taken by
+        descending k — restricted to the candidate set; a query whose
+        restriction is empty drops out.  The fold runs over signatures,
+        not queries: one ``bincount`` counts each chosen signature and one
+        ``np.minimum.at`` finds its first query.  Each *hit* signature's
+        owners then become a bitmask over the sorted candidate column
+        (``ceil(c / 64)`` ``uint64`` words, so any candidate count fits) —
+        the work follows the hit signatures' entries, never signatures x
+        taxa.  Signatures with the same non-zero mask are one group: one
+        ``lexsort`` finds the runs, whose summed counts are the group's
+        and whose smallest first query restores the per-query walk's
+        insertion order, so the EM accumulation order — and the exact
+        float sequence — is the historical one.  Only the groups' keys
+        are decoded into Python tuples.
         """
-        allowed = frozenset(int(t) for t in candidates)
-        if isinstance(retrieved, RetrievalResult):
-            return StatisticalAbundanceEstimator._hit_groups_columnar(
-                retrieved, allowed
-            )
-        groups: Dict[GroupKey, int] = {}
-        for levels in retrieved.values():
-            if not levels:
-                continue
-            best_level = max(levels)
-            owners = tuple(sorted(set(levels[best_level]) & allowed))
-            if owners:
-                groups[owners] = groups.get(owners, 0) + 1
-        return groups
-
-    @staticmethod
-    def _hit_groups_columnar(
-        retrieved: RetrievalResult, allowed: FrozenSet[int]
-    ) -> Dict[GroupKey, int]:
-        """Vectorized grouping over the CSR owner columns.
-
-        Each query gets a bitmask over the sorted candidate column
-        (``ceil(c / 64)`` ``uint64`` words, so any candidate count fits).
-        Per level, one ``np.bitwise_or.at`` sets the candidate owners of the
-        queries whose most specific non-empty level it is; owner lists are
-        duplicate-free, so OR loses nothing.  A group is a distinct non-zero
-        mask row: one ``lexsort`` and an adjacent difference find the runs,
-        whose lengths are the counts and whose smallest query index restores
-        the reference insertion order.  Only the keys of the groups
-        themselves are decoded into Python tuples.
-        """
+        allowed = np.fromiter(sorted({int(t) for t in candidates}), dtype=np.int64)
         n = len(retrieved.queries)
-        if n == 0 or not allowed:
+        if n == 0 or not len(allowed) or not retrieved.levels:
             return {}
-        candidates = np.fromiter(sorted(allowed), dtype=np.int64, count=len(allowed))
-        masks = np.zeros((n, -(-len(candidates) // 64)), dtype=np.uint64)
-        blocks = [block for _, block in sorted(retrieved.levels.items(), reverse=True)]
-        offsets = [np.asarray(b.offsets, dtype=np.int64) for b in blocks]
-        # Each query's level: the first (largest-k) block with any owners.
-        chosen = np.full(n, -1, dtype=np.int64)
-        for bi, offs in enumerate(offsets):
-            chosen[(chosen < 0) & (np.diff(offs) > 0)] = bi
-        for bi, block in enumerate(blocks):
-            rows = np.flatnonzero(chosen == bi)
-            if not len(rows):
-                continue
-            taxids = np.asarray(block.taxids, dtype=np.int64)
-            flat, lengths = csr_gather(taxids, offsets[bi], rows)
-            slot = np.minimum(np.searchsorted(candidates, flat), len(candidates) - 1)
-            keep = candidates[slot] == flat
-            slot = slot[keep].astype(np.uint64)
-            np.bitwise_or.at(
-                masks,
-                (np.repeat(rows, lengths)[keep], slot >> np.uint64(6)),
-                np.uint64(1) << (slot & np.uint64(63)),
-            )
-        hit = np.flatnonzero(masks.any(axis=1))
+        table = retrieved.signatures
+        columns = [ids for _, ids in sorted(retrieved.levels.items(), reverse=True)]
+        chosen = columns[0].copy()
+        for ids in columns[1:]:
+            np.copyto(chosen, ids, where=chosen == 0)
+        per_set = np.bincount(chosen, minlength=len(table))
+        per_set[0] = 0
+        hit = np.flatnonzero(per_set)
         if not len(hit):
             return {}
-        order = hit[np.lexsort(masks[hit].T)]
+        first = np.full(len(table), n, dtype=np.int64)
+        np.minimum.at(first, chosen, np.arange(n, dtype=np.int64))
+        entries, offsets = table.entries(hit)
+        owners = table.taxids[entries]
+        slot = np.minimum(np.searchsorted(allowed, owners), len(allowed) - 1)
+        keep = allowed[slot] == owners
+        slot = slot[keep].astype(np.uint64)
+        masks = np.zeros((len(hit), -(-len(allowed) // 64)), dtype=np.uint64)
+        np.bitwise_or.at(
+            masks,
+            (np.repeat(np.arange(len(hit)), np.diff(offsets))[keep],
+             slot >> np.uint64(6)),
+            np.uint64(1) << (slot & np.uint64(63)),
+        )
+        rows = np.flatnonzero(masks.any(axis=1))
+        if not len(rows):
+            return {}
+        order = rows[np.lexsort(masks[rows].T)]
         ordered = masks[order]
         starts = np.flatnonzero(
             np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
         )
-        counts = np.diff(np.append(starts, len(order))).tolist()
-        first = np.minimum.reduceat(order, starts)
+        counts = np.add.reduceat(per_set[hit[order]], starts).tolist()
+        group_first = np.minimum.reduceat(first[hit[order]], starts)
         # Little-endian words unpack least-significant bit first: bit b of
         # word w is candidate 64 * w + b.
         bits = np.unpackbits(
@@ -162,8 +136,8 @@ class StatisticalAbundanceEstimator:
         # The reference walk inserts each group when its first query is
         # seen; that order keeps downstream float accumulation bit-identical.
         return {
-            tuple(candidates[np.flatnonzero(bits[g])].tolist()): counts[g]
-            for g in np.argsort(first).tolist()
+            tuple(allowed[np.flatnonzero(bits[g])].tolist()): counts[g]
+            for g in np.argsort(group_first).tolist()
         }
 
     # -- EM -----------------------------------------------------------------
@@ -236,7 +210,7 @@ class StatisticalAbundanceEstimator:
 
     def estimate_from_retrieval(
         self,
-        retrieved: "RetrievalResult | Mapping[int, Mapping[int, FrozenSet[int]]]",
+        retrieved: RetrievalResult,
         candidates: Iterable[int],
     ) -> Tuple[AbundanceProfile, EmDiagnostics]:
         """Convenience wrapper straight from Step-2 output."""

@@ -10,7 +10,8 @@ container with :func:`native_column`.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +25,11 @@ def as_ints(column: Any) -> List[int]:
 
 def pairs_as_ints(results: Sequence[Tuple[Any, Any]]) -> List[Tuple[List[int], Any]]:
     """Step-2 ``(intersecting, retrieved)`` pairs with their k-mers as
-    ints; the retrieval results compare by value already."""
-    return [(as_ints(intersecting), retrieved) for intersecting, retrieved in results]
+    ints and each retrieval result as its :func:`query_dicts` view."""
+    return [
+        (as_ints(intersecting), query_dicts(retrieved))
+        for intersecting, retrieved in results
+    ]
 
 
 def native_column(column: Any, database: Any) -> List[int]:
@@ -34,3 +38,37 @@ def native_column(column: Any, database: Any) -> List[int]:
     assert isinstance(column, np.ndarray), type(column)
     assert column.dtype == database.column().dtype, (column.dtype, database.column().dtype)
     return as_ints(column)
+
+
+#: The historical per-query view of a retrieval result.
+QueryDicts = Dict[int, Dict[int, FrozenSet[int]]]
+
+
+def query_dicts(retrieved: Any) -> QueryDicts:
+    """A retrieval result as query -> level -> owner set, levels without
+    owners omitted: its :meth:`~repro.backends.retrieval.RetrievalResult.expand`
+    columns read one query at a time.  Results over different signature
+    tables (another build, another backend's interning) compare equal
+    through it exactly when they answer with the same owner sets."""
+    queries = as_ints(retrieved.queries)
+    view: QueryDicts = {q: {} for q in queries}
+    for k, (taxids, offsets) in sorted(retrieved.expand().items(), reverse=True):
+        bounds = offsets.tolist()
+        for i, q in enumerate(queries):
+            if bounds[i + 1] > bounds[i]:
+                view[q][k] = frozenset(taxids[bounds[i]:bounds[i + 1]].tolist())
+    return view
+
+
+def accumulate_oracle(view: QueryDicts) -> Dict[int, Dict[int, int]]:
+    """The per-query dict fold :func:`repro.tools.metalign.accumulate_hits`
+    replaces: ``taxid -> {level: hit count}``, what its ``as_dict`` gives."""
+    counters: Dict[int, Counter] = {}
+    for levels in view.values():
+        for k, owners in levels.items():
+            counters.setdefault(k, Counter()).update(owners)
+    hits: Dict[int, Dict[int, int]] = {}
+    for k in sorted(counters, reverse=True):
+        for taxid in sorted(counters[k]):
+            hits.setdefault(taxid, {})[k] = counters[k][taxid]
+    return hits

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List
 
-import numpy as np
 from hypothesis import strategies as st
 
-from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.backends.retrieval import RetrievalResult
 
 #: Owner taxIDs are drawn from ``1..MAX_TAXID``: wide enough that a
 #: candidate set can span three 64-bit mask words.
@@ -16,10 +15,10 @@ MAX_TAXID = 160
 
 @st.composite
 def retrieval_results(draw, max_queries: int = 30) -> RetrievalResult:
-    """A CSR retrieval result over sorted distinct queries: 1-3 levels, each
+    """A retrieval result over sorted distinct queries: 1-3 levels, each
     query's per-level owners sorted and duplicate-free (empty rows common),
-    owner rows reused across queries so groups repeat, and list or ndarray
-    columns."""
+    owner rows reused across queries so signatures and groups repeat, all
+    interned into one fresh signature table."""
     queries = sorted(draw(st.sets(
         st.integers(0, 1 << 20), min_size=1, max_size=max_queries
     )))
@@ -31,20 +30,11 @@ def retrieval_results(draw, max_queries: int = 30) -> RetrievalResult:
     row = st.sampled_from(templates) | st.just([]) | st.lists(
         taxid, max_size=5, unique=True
     ).map(sorted)
-    as_lists = draw(st.booleans())
-    levels: Dict[int, LevelHits] = {}
-    for k in draw(st.lists(st.integers(3, 31), min_size=1, max_size=3, unique=True)):
-        rows: List[List[int]] = draw(
-            st.lists(row, min_size=len(queries), max_size=len(queries))
-        )
-        taxids = [t for owners in rows for t in owners]
-        offsets = np.cumsum([0] + [len(owners) for owners in rows]).tolist()
-        levels[k] = (
-            LevelHits(taxids=taxids, offsets=offsets) if as_lists
-            else LevelHits(taxids=np.asarray(taxids, dtype=np.int64),
-                           offsets=np.asarray(offsets, dtype=np.int64))
-        )
-    return RetrievalResult(queries=queries, levels=levels)
+    levels: Dict[int, List[List[int]]] = {
+        k: draw(st.lists(row, min_size=len(queries), max_size=len(queries)))
+        for k in draw(st.lists(st.integers(3, 31), min_size=1, max_size=3, unique=True))
+    }
+    return RetrievalResult.from_sets(queries, levels)
 
 
 @st.composite
@@ -53,7 +43,7 @@ def candidate_sets(draw, retrieved: RetrievalResult) -> FrozenSet[int]:
     owner, a few of its owners (so a query's most specific level often
     holds only non-candidates), or more than 64 taxIDs (multi-word masks)."""
     owners = sorted({
-        int(t) for block in retrieved.levels.values() for t in block.taxids
+        int(t) for taxids, _ in retrieved.expand().values() for t in taxids
     })
     taxid = st.integers(1, MAX_TAXID)
     if owners:

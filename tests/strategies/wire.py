@@ -8,7 +8,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.backends.retrieval import RetrievalResult
+from repro.backends.signatures import SignatureTable
 
 #: The k-mer lengths the frame codec is checked at: every record width
 #: from 3 to 10 bytes, with and without padding bits, both column dtypes.
@@ -25,32 +26,34 @@ json_values = st.recursive(
 
 
 @st.composite
-def retrieval_partials(draw, k: int) -> List[Tuple[List[int], RetrievalResult]]:
-    """0-3 samples of one node's partial Step 2 at ``k``: sorted distinct
-    queries anywhere in ``[0, 4^k)`` (both ends included), and one CSR
-    owner block per shared sketch level — levels with no hits, empty
-    samples, and ``python``-backend list columns among them."""
+def retrieval_partials(
+    draw, k: int,
+) -> Tuple[SignatureTable, List[Tuple[List[int], RetrievalResult]]]:
+    """A node's signature table and 0-3 samples of its partial Step 2 at
+    ``k``: sorted distinct queries anywhere in ``[0, 4^k)`` (both ends
+    included), and one signature column per shared sketch level with ids
+    anywhere in the table — misses (``0``), levels with no hits, empty
+    samples and ``python``-backend list queries among them."""
+    table, _ = SignatureTable.from_sets(draw(st.lists(
+        st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+        max_size=6,
+    )))
     levels = draw(st.lists(st.integers(1, k), min_size=1, max_size=3, unique=True))
     kmer = st.integers(0, (1 << (2 * k)) - 1) | st.sampled_from([0, (1 << (2 * k)) - 1])
+    ids = st.integers(0, len(table) - 1)
     partials = []
     for _ in range(draw(st.integers(0, 3))):
         queries = sorted(draw(st.sets(kmer, max_size=12)))
-        as_lists = draw(st.booleans())
-        blocks: Dict[int, LevelHits] = {}
-        for level in levels:
-            rows = draw(st.lists(
-                st.lists(st.integers(1, 9), max_size=3, unique=True).map(sorted),
-                min_size=len(queries), max_size=len(queries),
-            ))
-            taxids = [taxid for row in rows for taxid in row]
-            offsets = np.cumsum([0] + [len(row) for row in rows]).tolist()
-            if as_lists:
-                blocks[level] = LevelHits(taxids=taxids, offsets=offsets)
-            else:
-                blocks[level] = LevelHits(taxids=np.asarray(taxids, np.int64),
-                                          offsets=np.asarray(offsets, np.int64))
-        partials.append((queries, RetrievalResult(queries=queries, levels=blocks)))
-    return partials
+        columns: Dict[int, np.ndarray] = {
+            level: np.asarray(draw(st.lists(
+                ids, min_size=len(queries), max_size=len(queries)
+            )), dtype=np.int32)
+            for level in levels
+        }
+        partials.append((queries, RetrievalResult(
+            queries=queries, levels=columns, signatures=table
+        )))
+    return table, partials
 
 
 @st.composite

@@ -22,13 +22,14 @@ from repro.backends import (
     set_default_backend,
 )
 from repro.backends.numpy_backend import as_column, stripe_columns
-from repro.backends.retrieval import group_sorted, pack_sets_csr
+from repro.backends.retrieval import group_sorted
+from repro.backends.signatures import pack_sets_csr
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.session import AnalysisSession, MegisConfig
-from tests.columns import as_ints, native_column, pairs_as_ints
+from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
 from tests.conftest import SKETCH_K
 
 BACKENDS = ("python", "numpy")
@@ -287,7 +288,7 @@ class TestShardedKernels:
         intersecting, retrieved = engine.run(query, timings=timings)
         assert timings.db_stream_passes == engine.n_ssds
         assert as_ints(intersecting) == database.intersect(query)
-        assert retrieved == kss_tables.retrieve(intersecting)
+        assert query_dicts(retrieved) == query_dicts(kss_tables.retrieve(intersecting))
 
     @pytest.mark.parametrize("seed", [40, 41])
     def test_sharded_multi_matches_whole_db_batch(self, backend, seed, kss_tables):
@@ -326,15 +327,25 @@ class TestShardedKernels:
 class TestRetrievalEquivalence:
     def test_matches_reference(self, backend, kss_tables, sorted_db):
         queries = sorted(set(sorted_db.kmers[::4]))
-        assert get_backend(backend).retrieve(kss_tables, queries) == kss_tables.retrieve(queries)
+        got = get_backend(backend).retrieve(kss_tables, queries)
+        want = kss_tables.retrieve(queries)
+        for k, ids in want.levels.items():
+            assert got.levels[k].tolist() == ids.tolist()
+        assert query_dicts(got) == query_dicts(want)
 
     def test_random_queries_match_reference(self, backend, kss_tables):
         rng = random.Random(20)
         queries = sorted({rng.randrange(SPACE) for _ in range(200)})
-        assert get_backend(backend).retrieve(kss_tables, queries) == kss_tables.retrieve(queries)
+        got = get_backend(backend).retrieve(kss_tables, queries)
+        want = kss_tables.retrieve(queries)
+        for k, ids in want.levels.items():
+            assert got.levels[k].tolist() == ids.tolist()
+        assert query_dicts(got) == query_dicts(want)
 
     def test_empty(self, backend, kss_tables):
-        assert get_backend(backend).retrieve(kss_tables, []) == {}
+        empty = get_backend(backend).retrieve(kss_tables, [])
+        assert query_dicts(empty) == {}
+        assert set(empty.levels) == {kss_tables.k_max, *kss_tables.smaller_ks}
 
     def test_unsorted_rejected(self, backend, kss_tables):
         with pytest.raises(ValueError):

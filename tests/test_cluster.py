@@ -13,14 +13,15 @@ drop.
 
 import asyncio
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.backends.retrieval import RetrievalResult
 from repro.databases.serialization import (
     kmer_record_bytes,
-    pack_i64,
+    pack_i32,
     pack_kmer_column,
     pack_sections,
     unpack_sections,
@@ -39,9 +40,10 @@ from repro.megis.cluster import (
 )
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
+from repro.sequences.generator import ReferenceCollection
 from repro.sequences.reads import Read
 from repro.workloads.cami import CamiDiversity, make_cami_sample
-from tests.columns import as_ints, native_column, pairs_as_ints
+from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
 
 GOLDEN = Path(__file__).parent / "data" / "golden_pipeline.json"
 
@@ -66,14 +68,30 @@ def golden_world(golden):
         genome_length=p["genome_length"],
         seed=p["seed"],
     )
-    sorted_db = SortedKmerDatabase.build(sample.references, k=p["k"])
+    return sample, golden_index(sample.references, golden)
+
+
+def golden_index(references, golden):
+    """The golden parameters' index over ``references``."""
+    p = golden["params"]
+    sorted_db = SortedKmerDatabase.build(references, k=p["k"])
     sketch = SketchDatabase.build(
-        sample.references,
+        references,
         k_max=p["k"],
         smaller_ks=tuple(p["smaller_ks"]),
         sketch_fraction=p["sketch_fraction"],
     )
-    return sample, MegisIndex(sorted_db, sketch, sample.references)
+    return MegisIndex(sorted_db, sketch, references)
+
+
+def swapped_taxids(references):
+    """The same genomes, each under its neighbour's taxID (rotated)."""
+    taxids = references.species_taxids
+    genomes = [references.genomes[t] for t in taxids]
+    return ReferenceCollection({
+        taxid: replace(genome, taxid=taxid)
+        for taxid, genome in zip(taxids, genomes[1:] + genomes[:1])
+    })
 
 
 def _config(golden, **overrides):
@@ -311,6 +329,49 @@ class TestClusterMap:
         with pytest.raises(ValueError, match="different index build"):
             cluster_map.verify(index)
 
+    def test_same_sizes_different_owners_refused(self, golden_world, golden,
+                                                 chunks):
+        """Two builds of the same sizes whose owners differ — the same
+        genomes under swapped taxIDs — agree on k, database and KSS row
+        counts, but not on the signature-table digest: the map refuses
+        the other build, a router over it refuses to bind, and a node
+        serving it fails every scatter attempt."""
+        sample, index = golden_world
+        other = golden_index(swapped_taxids(sample.references), golden)
+        assert len(other.database) == len(index.database)
+        assert len(other.kss) == len(index.kss)
+        assert other.kss.signatures.digest != index.kss.signatures.digest
+        cluster_map = ClusterMap.for_index(index, 1, 1)
+        with pytest.raises(ValueError, match="different index build"):
+            cluster_map.verify(other)
+        with pytest.raises(ValueError, match="different index build"):
+            ClusterStepTwo(cluster_map, [NodeEndpoint(0, ("127.0.0.1", 1))]
+                           ).bind(other.kss.signatures)
+        query = AnalysisSession(index, _config(golden))._partitioner.partition(
+            chunks[0]).merged_column()
+
+        async def scenario():
+            node = ClusterNode(
+                AnalysisSession(other, _config(golden, n_ssds=1),
+                                shard_range=(0, 1)).warm(),
+                0, ClusterMap.for_index(other, 1, 1),
+            )
+            address = await node.start()
+            step_two = ClusterStepTwo(cluster_map, [NodeEndpoint(0, address)])
+            step_two.bind(index.kss.signatures)
+            try:
+                with pytest.raises(NodeFailed) as failed:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, step_two.scatter, [query]
+                    )
+            finally:
+                await node.stop()
+            return failed.value, step_two.stats
+
+        failed, stats = run_scenario(scenario())
+        assert "different index build" in failed.reason
+        assert (stats.node_retries, stats.node_failures) == (1, 1)
+
 
 class TestShardRangeSession:
     def test_full_pipeline_refused_on_partial_session(self, golden_world,
@@ -414,7 +475,7 @@ class TestShardRangeSession:
         for (got, retrieved), (want, reference) in zip(numpy_, python):
             assert native_column(got, index.database) == want
             assert retrieved.queries is got
-            assert retrieved == reference
+            assert query_dicts(retrieved) == query_dicts(reference)
 
 
 class TestBitIdentity:
@@ -446,7 +507,8 @@ class TestBitIdentity:
         for (intersecting, retrieved), (want, reference) in zip(gathered, expected):
             assert native_column(intersecting, index.database) == want
             assert retrieved.queries is intersecting
-            assert retrieved == reference
+            assert retrieved.signatures is index.kss.signatures
+            assert query_dicts(retrieved) == query_dicts(reference)
 
     @pytest.mark.parametrize("n_nodes", [2, 4])
     def test_routed_results_equal_serial(self, golden_world, golden,
@@ -716,6 +778,7 @@ class TestFailover:
             reply = {"schema": 1, "op": "step2_result", "id": request["id"],
                      "node": 1, "k": request["k"],
                      "counts": [0] * len(request["counts"]), "levels": [20],
+                     "signatures": index.kss.signatures.digest,
                      "bytes": len(body)}
             writer.write((json.dumps(reply) + "\n").encode("utf-8") + body)
             await writer.drain()
@@ -867,6 +930,7 @@ class TestFailover:
                 ClusterMap(n_nodes=1, n_shards=1),
                 [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=18,
             )
+            step_two.bind(RetrievalResult.from_sets([], {}).signatures)
             try:
                 with pytest.raises(NodeFailed) as failed:
                     await asyncio.get_running_loop().run_in_executor(
@@ -891,8 +955,10 @@ class TestFailover:
                      "not 4 k-mer records", id="counts-disagree"),
         pytest.param(lambda h, s: (h, {**s, "q0": pack_kmer_column(
             [12, 9, 5], 18)}, None), "sorted ascending", id="unsorted"),
-        pytest.param(lambda h, s: (h, {**s, "o0/18": pack_i64(
-            [0, 2, 1, 3])}, None), "offsets must rise", id="non-csr-offsets"),
+        pytest.param(lambda h, s: (h, {**s, "s0/18": pack_i32(
+            [0, 2, 9])}, None), "outside [0, 4)", id="signature-out-of-range"),
+        pytest.param(lambda h, s: ({**h, "signatures": "0" * 32}, s, None),
+                     "different index build", id="foreign-signature-table"),
         pytest.param(lambda h, s: (h, {**s, "q0": s["q0"][:-1] + b"\x01"},
                                    None), "padding bits", id="padding-bits"),
         pytest.param(lambda h, s: ({**h, "k": 19}, s, None), "k=19",
@@ -905,20 +971,21 @@ class TestFailover:
         the retry meets the same defect, and the scatter raises
         ``NodeFailed`` naming it — never a decoder's own exception."""
         k = 18
-        partial = RetrievalResult(queries=[5, 9, 12], levels={
-            18: LevelHits(taxids=[562, 562, 1280], offsets=[0, 2, 2, 3]),
-            11: LevelHits(taxids=[99], offsets=[0, 0, 1, 1]),
+        partial = RetrievalResult.from_sets([5, 9, 12], {
+            18: [[562, 1280], [], [1280]],
+            11: [[], [99], []],
         })
 
         def damaged_reply(request_id):
-            frame = wire.step2_result_frame(request_id, 0, k,
+            frame = wire.step2_result_frame(request_id, 0, k, partial.signatures,
                                             [(partial.queries, partial)])
             newline = frame.index(b"\n")
             header = json.loads(frame[:newline])
             sections = {name: bytes(view) for name, view in
                         unpack_sections(frame[newline + 1:]).items()}
-            assert wire.parse_step2_result_frame(
-                header, frame[newline + 1:], k)[0][1] == partial
+            [(_, intact)] = wire.parse_step2_result_frame(
+                header, frame[newline + 1:], k, partial.signatures)
+            assert query_dicts(intact) == query_dicts(partial)
             header, sections, cut = defect(header, sections)
             body = pack_sections(sections)
             if cut == "toc":
@@ -941,6 +1008,7 @@ class TestFailover:
                 ClusterMap(n_nodes=1, n_shards=1),
                 [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=k,
             )
+            step_two.bind(partial.signatures)
             try:
                 with pytest.raises(NodeFailed) as failed:
                     await asyncio.get_running_loop().run_in_executor(
@@ -1092,7 +1160,7 @@ class TestNodeProtocol:
         served = records[5]
         assert served["op"] == "step2_result" and served["id"] == 6
         [(intersecting, _)] = wire.parse_step2_result_frame(
-            served, served["body"], k)
+            served, served["body"], k, index.kss.signatures)
         lo, hi = (index.shards(N_SHARDS)[0].lo, index.shards(N_SHARDS)[1].hi)
         assert as_ints(intersecting) == [
             kmer for kmer in index.database.intersect(column) if lo <= kmer < hi

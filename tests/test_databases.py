@@ -10,6 +10,7 @@ from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.sequences.encoding import kmer_prefix
 from repro.sequences.kmers import extract_kmers
+from tests.columns import query_dicts
 from tests.conftest import SKETCH_K, SMALLER_KS
 from tests.strategies import STANDARD_SETTINGS, key_probes, kmer_rows
 
@@ -286,13 +287,13 @@ class TestKssTables:
 
     def test_retrieve_matches_sketch_lookup(self, kss_tables, sketch_db):
         queries = sorted(sketch_db.tables[SKETCH_K])[:300]
-        results = kss_tables.retrieve(queries)
+        results = query_dicts(kss_tables.retrieve(queries))
         for q in queries:
             assert results[q] == sketch_db.lookup(q)
 
     def test_retrieve_misses(self, kss_tables, sketch_db):
         absent = [0, (1 << (2 * SKETCH_K)) - 1]
-        results = kss_tables.retrieve(sorted(absent))
+        results = query_dicts(kss_tables.retrieve(sorted(absent)))
         for q in absent:
             assert results[q] == sketch_db.lookup(q)
 
@@ -318,6 +319,6 @@ class TestKssTables:
             )
         )
         queries = sorted(set(subset) | set(extra))
-        results = kss_tables.retrieve(queries)
+        results = query_dicts(kss_tables.retrieve(queries))
         for q in queries:
             assert results[q] == sketch_db.lookup(q)

@@ -128,7 +128,7 @@ def test_golden_served_from_opened_index(opened_index, world, golden, backend,
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_golden_served_from_mmap_index(tmp_path, world, golden, backend):
     """A memmap-opened index serves the golden numbers bit for bit, with
-    the CSR owner sections staying np.memmap views (never materialized)."""
+    the signature sections staying np.memmap views (never materialized)."""
     import numpy as np
 
     from repro.megis.index import MegisIndex
@@ -139,7 +139,8 @@ def test_golden_served_from_mmap_index(tmp_path, world, golden, backend):
     MegisIndex(sorted_db, sketch, sample.references).save(path, n_shards=3)
     mapped = MegisIndex.open(path, mmap=True)
     store = mapped.kss.store()
-    assert isinstance(store.taxids, np.memmap)
+    assert isinstance(store.signatures, np.memmap)
+    assert isinstance(store.table.taxids, np.memmap)
 
     p = golden["params"]
     session = AnalysisSession(

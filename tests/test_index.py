@@ -42,7 +42,7 @@ from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
-from tests.columns import pairs_as_ints
+from tests.columns import pairs_as_ints, query_dicts
 from tests.strategies import (
     STANDARD_SETTINGS, ReferenceWorld, collection, index_worlds, lying_manifests,
     reference_worlds, with_manifest,
@@ -88,13 +88,14 @@ class TestRoundTrip:
     def test_kss_columns_equal_built(self, opened, kss_tables):
         got, want = opened.kss.store(), kss_tables.store()
         assert got.kmers.tolist() == want.kmers.tolist()
-        assert got.taxids.tolist() == want.taxids.tolist()
-        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.signatures.tolist() == want.signatures.tolist()
+        assert got.table.taxids.tolist() == want.table.taxids.tolist()
+        assert got.table.offsets.tolist() == want.table.offsets.tolist()
+        assert got.table.digest == want.table.digest
         for k in kss_tables.smaller_ks:
             got_level, want_level = got.levels[k], want.levels[k]
             assert got_level.prefixes.tolist() == want_level.prefixes.tolist()
-            assert got_level.full_taxids.tolist() == want_level.full_taxids.tolist()
-            assert got_level.full_offsets.tolist() == want_level.full_offsets.tolist()
+            assert got_level.signatures.tolist() == want_level.signatures.tolist()
 
     def test_kss_size_equal_built(self, opened, kss_tables):
         # One formula (over the store) for a built and a reloaded table.
@@ -160,8 +161,9 @@ class TestRoundTrip:
 def _kss_columns(kss):
     """Every column of a KSS (whole, or one shard's range slice), by name."""
     store = kss.store()
-    columns = {"kss/kmers": store.kmers, "kss/taxids": store.taxids,
-               "kss/offsets": store.offsets}
+    columns = {"kss/kmers": store.kmers, "kss/signatures": store.signatures,
+               "kss/signature_taxids": store.table.taxids,
+               "kss/signature_offsets": store.table.offsets}
     for k, level in store.levels.items():
         for field in dataclasses.fields(level):
             columns[f"kss/{k}/{field.name}"] = getattr(level, field.name)
@@ -202,7 +204,8 @@ class TestSectionSources:
             assert got[name].dtype == column.dtype, name
             assert np.array_equal(got[name], column), name
         assert got["db/0/kmers"].dtype == np.dtype(np.uint64)
-        assert got["kss/taxids"].dtype == np.dtype("<i8")
+        assert got["kss/signatures"].dtype == np.dtype("<i4")
+        assert got["kss/signature_taxids"].dtype == np.dtype("<i8")
 
     @pytest.mark.parametrize("source", ["from_bytes", "open"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -378,9 +381,9 @@ def _assert_same_index(got, want, n_shards, query):
     assert got.sketch.sketch_sizes == want.sketch.sketch_sizes
     hits = want.database.intersect(query)
     assert got.database.intersect(query) == hits
-    assert got.kss.retrieve(hits) == want.kss.retrieve(hits)
-    assert (get_backend("numpy").retrieve(got.kss, hits)
-            == want.kss.retrieve(hits))
+    expected = query_dicts(want.kss.retrieve(hits))
+    assert query_dicts(got.kss.retrieve(hits)) == expected
+    assert query_dicts(get_backend("numpy").retrieve(got.kss, hits)) == expected
 
 
 class TestContainerProperties:
@@ -789,14 +792,38 @@ class TestLegacyAndCorruption:
             MegisIndex.from_bytes(pack_sections(sections))
 
     def test_parent_format_refused_by_version(self, payload):
-        """A version-1 file (per-shard database sections) is refused at
-        the header, by message — not by a missing-section error."""
-        old = bytearray(payload)
-        assert old[8:10] == b"\x02\x00"
-        old[8] = 1
-        with pytest.raises(SerializationError,
-                           match=r"unsupported index version 1 \(reader takes 2\): rebuild"):
-            MegisIndex.from_bytes(bytes(old))
+        """A version-2 file (per-row full-set owner CSRs) or a version-1
+        file (per-shard database sections) is refused at the header, by
+        message — not by a missing-section error."""
+        assert payload[8:10] == b"\x03\x00"
+        for version in (2, 1):
+            old = bytearray(payload)
+            old[8] = version
+            with pytest.raises(SerializationError, match=(
+                rf"unsupported index version {version} \(reader takes 3\): "
+                r"rebuild the index"
+            )):
+                MegisIndex.from_bytes(bytes(old))
+
+    @pytest.mark.parametrize("section, damage, message", [
+        ("kss/signature_taxids", lambda raw: raw[:-8] + (raw[-8] ^ 1).to_bytes(
+            1, "little") + raw[-7:], "digest"),
+        ("kss/kmax_signatures", lambda raw: (10**6).to_bytes(4, "little")
+         + raw[4:], r"outside \[0, "),
+        ("kss/8/signatures", lambda raw: (-1).to_bytes(4, "little", signed=True)
+         + raw[4:], r"outside \[0, "),
+    ], ids=["table-not-the-manifests", "kmax-id-past-the-table", "negative-level-id"])
+    def test_signature_sections_checked_at_open(self, index, section, damage,
+                                                message):
+        """The signature table must be the one whose digest the manifest
+        records, and every row id must name one of its sets."""
+        sections = {
+            name: bytes(view)
+            for name, view in unpack_sections(index.to_bytes()).items()
+        }
+        sections[section] = damage(sections[section])
+        with pytest.raises(SerializationError, match=message):
+            MegisIndex.from_bytes(pack_sections(sections))
 
     def test_inconsistent_csr_rejected(self, index):
         from repro.databases.serialization import pack_i64
@@ -805,8 +832,8 @@ class TestLegacyAndCorruption:
             name: bytes(view)
             for name, view in unpack_sections(index.to_bytes()).items()
         }
-        sections["kss/kmax_offsets"] = pack_i64([0, 1])  # wrong row count
-        with pytest.raises(SerializationError, match="kss/kmax_offsets"):
+        sections["kss/signature_offsets"] = pack_i64([0, 1])  # wrong row count
+        with pytest.raises(SerializationError, match="kss/signature_offsets"):
             MegisIndex.from_bytes(pack_sections(sections))
 
 
@@ -840,7 +867,7 @@ class TestKssRangeSlicing:
     def test_sliced_retrieval_matches_full(self, kss_tables, sketch_db, backend):
         queries = sorted(sketch_db.tables[sketch_db.k_max])
         cut = queries[len(queries) // 2]
-        full = kss_tables.retrieve(queries)
+        full = query_dicts(kss_tables.retrieve(queries))
         space = 1 << (2 * kss_tables.k_max)
         for lo, hi in ((0, cut), (cut, space)):
             part = kss_tables.slice_range(lo, hi)
@@ -848,7 +875,8 @@ class TestKssRangeSlicing:
             in_range = [q for q in queries if lo <= q < hi]
             got = (part.retrieve(in_range) if backend is None
                    else get_backend(backend).retrieve(part, in_range))
-            assert got == expected
+            assert got.signatures is kss_tables.signatures
+            assert query_dicts(got) == expected
 
     def test_boundary_prefix_stored_absorbs_foreign_coverage(self, kss_tables):
         # Cut inside a prefix group: the boundary row's stored set must
@@ -956,9 +984,11 @@ def _count_calls(monkeypatch):
 class TestColumnBuild:
     """``k <= 31``: one extraction, column arithmetic, the reference's bytes."""
 
-    #: sha256 of this index file as the per-k-mer dict builders wrote it
-    #: (recorded at the commit before the column build existed).
-    GOLDEN = "d9cbdf2b28d33bff4120ab86fa3512a7cd322232f40e5050c614180f14042c54"
+    #: sha256 of this index file as the per-k-mer dict builders write it
+    #: (format version 3, recorded when the KSS rows became owner-set
+    #: signatures; every row's owner set, stored set and the KSS size equal
+    #: the version-2 file's, recorded before the column build existed).
+    GOLDEN = "84a588c2bf27a18f51bf15f862444d702c25054ddb799bc1ca2f621b6ab14ade"
 
     @staticmethod
     def golden_references():

@@ -18,6 +18,7 @@ from repro.backends.python_backend import TaxIdRetriever
 from repro.megis.isp import IspStepTwo
 from repro.sequences.generator import GenomeGenerator
 from repro.sequences.reads import ReadSimulator
+from tests.columns import query_dicts
 
 world_strategy = st.fixed_dictionaries(
     {
@@ -62,6 +63,7 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
     intersecting, retrieved = isp.run(query)
     assert intersecting == database.intersect(query)
     tree = TernarySearchTree(sketch)
+    retrieved = query_dicts(retrieved)
     for kmer in intersecting:
         assert retrieved[kmer] == tree.lookup(kmer) == sketch.lookup(kmer)
 
@@ -74,7 +76,7 @@ def test_kss_equals_tree_on_random_worlds(params):
     kss = KssTables(sketch)
     tree = TernarySearchTree(sketch)
     queries = sorted(sketch.tables[K])[:60]
-    retrieved = TaxIdRetriever(kss).retrieve(queries)
+    retrieved = query_dicts(TaxIdRetriever(kss).retrieve(queries))
     for q in queries:
         assert retrieved[q] == tree.lookup(q)
 

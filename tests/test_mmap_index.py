@@ -1,7 +1,8 @@
 """What only the file source of an index can show: np.memmap columns.
 
-``MegisIndex.open`` must attach the persisted int CSR sections — the KSS
-owner/offset columns per level — as ``np.memmap`` views of the file, in
+``MegisIndex.open`` must attach the persisted int sections — the KSS
+signature columns per level, the stored CSRs and the signature table — as
+``np.memmap`` views of the file, in
 their on-disk dtypes, and the shard handles' KSS range slices must stay
 views of them; ``map_sections`` must reject what ``unpack_sections``
 rejects.
@@ -19,6 +20,7 @@ import pytest
 from repro.databases.kss import KssTables
 from repro.databases.serialization import SerializationError, map_sections
 from repro.megis.index import MegisIndex
+from tests.columns import query_dicts
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +47,20 @@ def _is_memmap_view(array) -> bool:
 class TestMemmapAttachment:
     def test_kss_csr_sections_are_memmap_views(self, mapped):
         store = mapped.kss.store()
-        assert isinstance(store.taxids, np.memmap)
-        assert isinstance(store.offsets, np.memmap)
-        assert store.taxids.dtype == np.dtype("<i8")
+        assert isinstance(store.signatures, np.memmap)
+        assert isinstance(store.table.taxids, np.memmap)
+        assert isinstance(store.table.offsets, np.memmap)
+        assert store.signatures.dtype == np.dtype("<i4")
+        assert store.table.taxids.dtype == np.dtype("<i8")
         for level in store.levels.values():
             assert isinstance(level.stored_taxids, np.memmap)
             assert isinstance(level.stored_offsets, np.memmap)
-            assert isinstance(level.full_taxids, np.memmap)
-            assert isinstance(level.full_offsets, np.memmap)
-        # The shard handles' KSS range slices stay memmap-backed too.
+            assert isinstance(level.signatures, np.memmap)
+        # The shard handles' KSS range slices stay memmap-backed too, and
+        # share the one table.
         for shard in mapped.shards(3):
-            assert _is_memmap_view(shard.kss.store().taxids)
+            assert _is_memmap_view(shard.kss.store().signatures)
+            assert shard.kss.signatures is store.table
 
     def test_sharded_kss_slices_work_unchanged(self, mapped, kss_tables):
         """KssTables.from_store + slice_range on memmap columns == in-RAM."""
@@ -66,13 +71,15 @@ class TestMemmapAttachment:
         expected = kss_tables.slice_range(0, space // 2)
         assert len(sliced) == len(expected)
         queries = [kmer for kmer, _ in expected.entries][:50]
-        assert sliced.retrieve(queries) == expected.retrieve(queries)
+        assert (query_dicts(sliced.retrieve(queries))
+                == query_dicts(expected.retrieve(queries)))
 
     def test_default_open_is_mapped(self, index_path):
         """Opening *is* mapping; ``mmap=False`` is ``from_bytes`` over the
         file's bytes — same views, of a buffer instead of the file."""
-        assert isinstance(MegisIndex.open(index_path).kss.store().taxids, np.memmap)
-        in_memory = MegisIndex.open(index_path, mmap=False).kss.store().taxids
+        assert isinstance(MegisIndex.open(index_path).kss.store().signatures,
+                          np.memmap)
+        in_memory = MegisIndex.open(index_path, mmap=False).kss.store().signatures
         assert not _is_memmap_view(in_memory)
         assert in_memory.base is not None and not in_memory.flags.writeable
 

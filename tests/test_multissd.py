@@ -28,7 +28,7 @@ from repro.megis.multissd import (
     split_database,
     whole_shard,
 )
-from tests.columns import as_ints, native_column, pairs_as_ints
+from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
 
 BACKENDS = ("python", "numpy")
 
@@ -156,7 +156,7 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     for (intersecting, retrieved), buckets in zip(sharded, samples):
         query = sorted({kmer for _, _, kmers in buckets for kmer in as_ints(kmers)})
         assert as_ints(intersecting) == database.intersect(query)
-        assert retrieved == kss.retrieve(intersecting)
+        assert query_dicts(retrieved) == query_dicts(kss.retrieve(intersecting))
 
 
 class TestSplitDatabase:
@@ -230,7 +230,7 @@ class TestMultiSsdStepTwo:
         multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=n_ssds,
                                 backend=backend).run(query)
         assert as_ints(multi[0]) == as_ints(single[0])
-        assert multi[1] == single[1]
+        assert query_dicts(multi[1]) == query_dicts(single[1])
 
     def test_cross_backend_identical(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::5]
@@ -275,7 +275,7 @@ class TestMultiSsdStepTwo:
         multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=2)
         intersecting, retrieved = multi.run([])
         assert as_ints(intersecting) == []
-        assert retrieved == {}
+        assert query_dicts(retrieved) == {}
 
     def test_n_ssds_property(self, sorted_db, kss_tables):
         assert MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=4).n_ssds == 4
@@ -341,7 +341,7 @@ class TestMultiSsdBatchedMultiSample:
                                                       results["python"]):
             assert native_column(got, sorted_db) == want
             assert retrieved.queries is got
-            assert retrieved == reference
+            assert query_dicts(retrieved) == query_dicts(reference)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_streams_each_shard_once(self, sorted_db, kss_tables,
@@ -367,7 +367,7 @@ class TestMultiSsdBatchedMultiSample:
         multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend=backend)
         results = multi.run_multi(samples)
         assert as_ints(results[-1][0]) == []
-        assert results[-1][1] == {}
+        assert query_dicts(results[-1][1]) == {}
 
 
 class TestUint64BoundaryOverflow:

@@ -391,24 +391,24 @@ class TestProcessBackedSession:
         """The ISSUE's COW assertion: fork after ``open(mmap=True)`` +
         ``warm()`` duplicates no index state — the columns a worker
         reads *inside the forked process* sit at the parent's addresses
-        (a per-worker copy would land somewhere else) and the KSS taxID
+        (a per-worker copy would land somewhere else) and the KSS signature
         column is still the mapped file there."""
         path = tmp_path / "world.megis"
         process_world.save(path)
         index = MegisIndex.open(path, mmap=True)
-        assert isinstance(index.kss.store().taxids, np.memmap)
+        assert isinstance(index.kss.store().signatures, np.memmap)
         with AnalysisSession(
             index, MegisConfig(abundance_method="statistical",
                                backend="numpy", executor="processes:2"),
         ) as session:
             session.warm()  # the fork point
             column_address = index.database.column().ctypes.data
-            taxids_address = index.kss.store().taxids.ctypes.data
+            signatures_address = index.kss.store().signatures.ctypes.data
             for probe in session._runner.probe_workers():
                 assert probe["pid"] != os.getpid()
                 assert probe["column_address"] == column_address
-                assert probe["taxids_address"] == taxids_address
-                assert probe["taxids_mapped"] is True
+                assert probe["signatures_address"] == signatures_address
+                assert probe["signatures_mapped"] is True
                 assert probe["row_materializations"] == 0
                 assert index.database.row_materializations == 0
             # The pool forked once, at warm(): no crash respawns.

@@ -1,7 +1,7 @@
 """Randomized cross-backend property tests for the columnar owner path.
 
-The CSR retrieval layout, the ``np.unique`` hit accumulation, and the
-batch containment scoring must be *bit-identical* across backends — the
+The signature retrieval layout, the per-signature hit accumulation, and
+the batch containment scoring must be *bit-identical* across backends — the
 paper's accuracy-identity claim rests on it.  Each seed builds a random
 synthetic world (database + KSS) and drives the full owner path on both
 backends: KSS retrieval -> sketch_hits -> candidates -> statistical
@@ -20,14 +20,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.backends import get_backend
 from repro.backends.retrieval import RetrievalResult
 from repro.databases.kss import KssTables
+from repro.megis.index import MegisIndex
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
-from tests.columns import as_ints
-from tests.strategies import synthetic_sketch
+from tests.columns import accumulate_oracle, as_ints, query_dicts
+from tests.strategies import STANDARD_SETTINGS, reference_worlds, synthetic_sketch
 
 K = 14
 SPACE = 1 << (2 * K)
@@ -90,9 +92,12 @@ def test_backends_bit_identical(seed):
     py = owner_path("python", sketch, kss, queries)
     np_ = owner_path("numpy", sketch, kss, queries)
 
-    # Retrieval results agree with each other and the software reference.
+    # Retrieval results agree with each other and the software reference:
+    # the same signature ids in the same table, so the same owner sets.
     reference = kss.retrieve(queries)
-    assert py[0] == np_[0] == reference
+    for k, ids in reference.levels.items():
+        assert py[0].levels[k].tolist() == np_[0].levels[k].tolist() == ids.tolist()
+    assert py[0].signatures is np_[0].signatures is reference.signatures
     # sketch_hits, candidates, and abundance fractions are bit-identical.
     assert py[1] == np_[1]
     assert py[2] == np_[2]
@@ -101,21 +106,24 @@ def test_backends_bit_identical(seed):
 
 @pytest.mark.parametrize("seed", [1, 4, 9, 20])
 def test_csr_blocks_internally_consistent(seed):
-    """Offsets are monotone with one row per query, and the CSR slices
-    reproduce exactly the dict-adapter view."""
-    _, kss, queries = make_world(seed)
+    """One int32 id per query and level, each naming a table row; the
+    expanded CSR columns have monotone offsets, one row per query, each
+    row ascending and exactly the sketch's owner set for that query."""
+    sketch, kss, queries = make_world(seed)
     for backend in ("python", "numpy"):
         retrieved = get_backend(backend).retrieve(kss, queries)
-        view = retrieved.to_query_dicts()
-        for k, block in retrieved.levels.items():
-            assert len(block.offsets) == len(retrieved.queries) + 1
-            counts = list(block.counts())
-            assert all(c >= 0 for c in counts)
-            assert sum(counts) == block.total() == len(block.taxids)
-            for i, q in enumerate(retrieved.queries):
-                row = [int(t) for t in block.slice_of(i)]
+        expanded = retrieved.expand()
+        for k, ids in retrieved.levels.items():
+            assert ids.dtype == np.int32 and len(ids) == len(retrieved.queries)
+            assert ((ids >= 0) & (ids < len(retrieved.signatures))).all()
+            taxids, offsets = expanded[k]
+            assert len(offsets) == len(retrieved.queries) + 1
+            assert offsets[0] == 0 and offsets[-1] == len(taxids)
+            assert (np.diff(offsets) >= 0).all()
+            for i, q in enumerate(as_ints(retrieved.queries)):
+                row = taxids[offsets[i]:offsets[i + 1]].tolist()
                 assert row == sorted(row)
-                assert frozenset(row) == view[q].get(k, frozenset())
+                assert frozenset(row) == sketch.lookup(q).get(k, frozenset())
 
 
 @pytest.mark.parametrize("seed", [3, 8, 11])
@@ -132,7 +140,10 @@ def test_columnar_concatenate_roundtrip(seed):
             get_backend(backend).retrieve(kss, queries[:cut]),
             get_backend(backend).retrieve(kss, queries[cut:]),
         ]
-        assert RetrievalResult.concatenate(parts) == whole
+        joined = RetrievalResult.concatenate(parts)
+        assert as_ints(joined.queries) == as_ints(whole.queries)
+        for k, ids in whole.levels.items():
+            assert joined.levels[k].tolist() == ids.tolist()
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -153,7 +164,7 @@ def test_concatenate_refuses_a_repeated_kmer(backend):
     )
     assert as_ints(joined.queries) == queries
     assert isinstance(joined.queries, np.ndarray) == (backend == "numpy")
-    assert joined == retrieve(kss, queries)
+    assert query_dicts(joined) == query_dicts(retrieve(kss, queries))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 35])
@@ -167,13 +178,98 @@ def test_single_level_kss_has_only_kmax(seed):
 
 
 def test_query_dict_adapter_matches_mapping_fold():
-    """to_query_dicts preserves the historical view: the mapping-based
-    accumulate fold over it must equal the columnar fold."""
+    """The per-signature accumulate fold equals the historical per-query
+    dict fold over the expanded owner sets, and so do the candidates."""
     sketch, kss, queries = make_world(2)
     for backend in ("python", "numpy"):
         retrieved = get_backend(backend).retrieve(kss, queries)
         columnar = accumulate_hits(retrieved)
-        mapping = accumulate_hits(retrieved.to_query_dicts())
-        assert columnar.as_dict() == mapping.as_dict()
-        assert select_candidates(sketch, columnar, MIN_CONTAINMENT) == \
-            select_candidates(sketch, mapping, MIN_CONTAINMENT)
+        assert columnar.as_dict() == accumulate_oracle(query_dicts(retrieved))
+        for taxids, counts in columnar.levels.values():
+            assert taxids.dtype == counts.dtype == np.int64
+
+
+# -- signature properties over generated builds ---------------------------------
+
+
+def _expected_size_bytes(kss) -> int:
+    """The on-flash size as the owner-CSR store counted it: k-mer plus
+    4 B per k_max owner, and per smaller-level row 1 B plus 4 B per
+    stored taxID — from the row views, not the signature table."""
+    total = (2 * kss.k_max + 7) // 8 * len(kss.entries)
+    total += 4 * sum(len(owners) for _, owners in kss.entries)
+    for rows in kss.sub_tables.values():
+        total += len(rows) + 4 * sum(len(row.stored) for row in rows)
+    return total
+
+
+def _probe_queries(index) -> list:
+    """Every database k-mer plus a neighbour of every third, sorted."""
+    kmers = index.database.kmers
+    top = 1 << (2 * index.k)
+    return sorted(set(kmers) | {x + 1 for x in kmers[::3] if x + 1 < top})
+
+
+@STANDARD_SETTINGS
+@given(world=reference_worlds(ks=(20, 40)))
+def test_signatures_expand_to_the_full_owner_sets(world):
+    """Every level's signatures expand to the full owner sets the
+    per-k-mer dict build's sketch answers, on both backends, over the
+    whole KSS and its ``slice_range`` shards at 1, 3 and 4 SSDs; every
+    shard shares the one table, and ``size_bytes`` is the owner-CSR
+    store's count at every cut."""
+    index = world.build()
+    oracle = world.reference_build().sketch
+    queries = _probe_queries(index)
+    expected = {q: oracle.lookup(q) for q in queries}
+    for n_shards in (1, 3, 4):
+        shards = index.shards(n_shards)
+        for backend in ("python", "numpy"):
+            parts = []
+            for shard in shards:
+                assert shard.kss.signatures is index.kss.signatures
+                in_range = [q for q in queries if shard.lo <= q < shard.hi]
+                parts.append(get_backend(backend).retrieve(shard.kss, in_range))
+            assert query_dicts(RetrievalResult.concatenate(parts)) == expected
+        for shard in shards:
+            assert shard.kss.size_bytes() == _expected_size_bytes(shard.kss)
+    assert index.kss.size_bytes() == _expected_size_bytes(index.kss)
+
+
+@STANDARD_SETTINGS
+@given(world=reference_worlds(ks=(20, 40)))
+def test_signature_tables_are_canonical(world):
+    """The table is a function of the distinct owner sets: two builds,
+    the row-walk build of the dict sketch and a reopened file all write
+    the same bytes; signature 0 is the empty set and no set repeats."""
+    index = world.build()
+
+    def saved(built):
+        return built.to_bytes(3, include_references=False)
+
+    payload = saved(index)
+    assert saved(world.build()) == payload
+    assert saved(world.reference_build()) == payload
+    assert saved(MegisIndex.from_bytes(payload)) == payload
+    table = index.kss.signatures
+    assert table.sets[0] == frozenset()
+    assert len(set(table.sets)) == len(table)
+    taxids, offsets = table.expand(np.arange(len(table)))
+    assert taxids.tolist() == table.taxids.tolist()
+    assert offsets.tolist() == table.offsets.tolist()
+
+
+def test_a_hash_collision_is_refused(monkeypatch):
+    """Rows group by hash, but a group is only ever one set: under a
+    degenerate word per taxID (every set of two hashes alike), equal sets
+    still share an id and two different sets are refused, never merged."""
+    from repro.backends import signatures
+
+    monkeypatch.setattr(
+        signatures, "_mix64", lambda values: np.ones(len(values), dtype=np.uint64)
+    )
+    table, ids = signatures.SignatureTable.from_sets([[1, 2], [], [1, 2], [5]])
+    assert ids.tolist() == [ids[0], 0, ids[0], ids[3]] and ids[0] != ids[3]
+    assert table.sets[ids[0]] == frozenset({1, 2})
+    with pytest.raises(ValueError, match="collision"):
+        signatures.SignatureTable.from_sets([[1, 2], [3, 4]])

@@ -5,11 +5,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.backends.retrieval import RetrievalResult
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.taxonomy.metrics import l1_norm_error
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.statistical import StatisticalAbundanceEstimator
+from tests.columns import query_dicts
 from tests.strategies import candidate_sets, property_settings, retrieval_results
 
 
@@ -18,40 +20,61 @@ def estimator(sketch_db):
     return StatisticalAbundanceEstimator(sketch_db)
 
 
+def retrieval(view, levels=(20, 12)):
+    """A retrieval result over a fresh table from a per-query dict view."""
+    queries = sorted(view)
+    return RetrievalResult.from_sets(queries, {
+        k: [view[q].get(k, ()) for q in queries] for k in levels
+    })
+
+
+def hit_groups_oracle(view, candidates):
+    """The per-query dict fold ``hit_groups`` replaces: each query's most
+    specific level with owners, restricted to the candidates."""
+    allowed = frozenset(candidates)
+    groups = {}
+    for levels in view.values():
+        if not levels:
+            continue
+        owners = tuple(sorted(set(levels[max(levels)]) & allowed))
+        if owners:
+            groups[owners] = groups.get(owners, 0) + 1
+    return groups
+
+
 class TestHitGroups:
     def test_most_specific_level_wins(self, estimator):
-        retrieved = {
+        retrieved = retrieval({
             5: {20: frozenset({1}), 12: frozenset({1, 2})},
             9: {12: frozenset({2, 3})},
-        }
+        })
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1, 2, 3})
         assert groups == {(1,): 1, (2, 3): 1}
 
     def test_restricted_to_candidates(self, estimator):
-        retrieved = {5: {20: frozenset({1, 99})}}
+        retrieved = retrieval({5: {20: frozenset({1, 99})}})
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1})
         assert groups == {(1,): 1}
 
     def test_empty_levels_skipped(self, estimator):
-        assert StatisticalAbundanceEstimator.hit_groups({5: {}}, {1}) == {}
+        assert StatisticalAbundanceEstimator.hit_groups(retrieval({5: {}}), {1}) == {}
 
     def test_columnar_matches_reference_fold(self, estimator):
-        """The vectorized CSR grouping = the dict-view fold, keys and order."""
-        from repro.backends.retrieval import RetrievalResult
-
-        retrieved = RetrievalResult.from_query_dicts({
+        """The signature grouping = the dict-view fold, keys and order."""
+        view = {
             5: {20: frozenset({1}), 12: frozenset({1, 2})},
             9: {12: frozenset({2, 3})},
             11: {20: frozenset({99}), 12: frozenset({2, 3})},
             13: {12: frozenset({2, 3})},
-        })
-        columnar = StatisticalAbundanceEstimator.hit_groups(retrieved, {1, 2, 3})
-        reference = StatisticalAbundanceEstimator.hit_groups(
-            retrieved.to_query_dicts(), {1, 2, 3}
-        )
+            17: {20: frozenset({2, 3, 99})},
+        }
+        columnar = StatisticalAbundanceEstimator.hit_groups(retrieval(view), {1, 2, 3})
+        reference = hit_groups_oracle(view, {1, 2, 3})
         # Query 11's most specific level (20) has owners, but none are
         # candidates: it must contribute nothing (the level still "wins").
-        assert columnar == {(1,): 1, (2, 3): 2}
+        # Query 17's set differs from 9's and 13's but restricts to the
+        # same group, which its count joins.
+        assert columnar == {(1,): 1, (2, 3): 3}
         assert columnar == reference
         assert list(columnar) == list(reference)  # first-occurrence order
 
@@ -60,15 +83,14 @@ class TestHitGroups:
     def test_columnar_equals_reference_fold_on_generated_results(
         self, estimator, retrieved, data
     ):
-        """Bitmask grouping = the dict-view fold on generated CSR results:
-        list and ndarray columns, empty, disjoint, sparse and >64-wide
-        candidate sets.  Same keys, counts and first-occurrence order, so
-        the EM's float sequence — and the profile — is the same."""
+        """Signature grouping = the dict-view fold on generated results:
+        empty, disjoint, sparse and >64-wide candidate sets, distinct
+        owner sets that restrict to one group.  Same keys, counts and
+        first-occurrence order, so the EM's float sequence — and the
+        profile — is the same."""
         candidates = data.draw(candidate_sets(retrieved))
         columnar = StatisticalAbundanceEstimator.hit_groups(retrieved, candidates)
-        reference = StatisticalAbundanceEstimator.hit_groups(
-            retrieved.to_query_dicts(), candidates
-        )
+        reference = hit_groups_oracle(query_dicts(retrieved), candidates)
         assert list(columnar.items()) == list(reference.items())
         assert all(type(c) is int for c in columnar.values())
         profile, diagnostics = estimator.estimate(columnar)
@@ -77,11 +99,7 @@ class TestHitGroups:
         assert diagnostics == expected_diagnostics
 
     def test_group_keys_are_interned_tuples(self, estimator):
-        from repro.backends.retrieval import RetrievalResult
-
-        retrieved = RetrievalResult.from_query_dicts(
-            {q: {20: frozenset({3, 1})} for q in range(10)}
-        )
+        retrieved = retrieval({q: {20: frozenset({3, 1})} for q in range(10)})
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1, 3})
         assert groups == {(1, 3): 10}
         (key,) = groups

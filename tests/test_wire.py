@@ -17,16 +17,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backends.retrieval import LevelHits, RetrievalResult
+from repro.backends.retrieval import RetrievalResult
+from repro.backends.signatures import SignatureTable
 from repro.databases.serialization import (
+    INDEX_VERSION,
     kmer_record_bytes,
-    pack_i64,
+    pack_i32,
     pack_kmer_column,
     pack_sections,
     unpack_sections,
 )
 from repro.megis import wire
-from tests.columns import as_ints
+from tests.columns import as_ints, query_dicts
 from tests.strategies import FRAME_KS, damaged, json_values, retrieval_partials
 
 
@@ -221,7 +223,7 @@ class TestRecordConstructors:
         assert record["rate_limited"] == 3
 
     def test_every_record_is_stamped_with_the_schema(self):
-        retrieved = RetrievalResult(queries=[], levels={})
+        retrieved = RetrievalResult.from_sets([], {})
         records = [
             wire.result_record(1, 0, _FakeResult(), _FakeMetrics()),
             wire.error_record(1, "e", 1),
@@ -238,30 +240,30 @@ class TestRecordConstructors:
 
 class TestClusterRecords:
     def _retrieved(self):
-        return RetrievalResult(
-            queries=[5, 9, 12],
-            levels={
-                31: LevelHits(taxids=np.asarray([562, 562, 1280], np.int64),
-                              offsets=np.asarray([0, 2, 2, 3], np.int64)),
-                21: LevelHits(taxids=np.asarray([99], np.int64),
-                              offsets=np.asarray([0, 0, 1, 1], np.int64)),
-            },
-        )
+        return RetrievalResult.from_sets([5, 9, 12], {
+            31: [[562, 1280], [], [1280]],
+            21: [[], [99], []],
+        })
 
     def test_retrieval_columns_roundtrip_bit_identical(self):
+        """The JSON codec expands for the probe: owner lists per query,
+        parsed back into a result over a fresh table with the same sets."""
         original = self._retrieved()
+        columns = wire.retrieval_columns(original)
+        assert columns["levels"]["31"] == {
+            "taxids": [562, 1280, 1280], "offsets": [0, 2, 2, 3]}
         rebuilt = wire.parse_retrieval(decode(
-            {"schema": wire.SCHEMA, **wire.retrieval_columns(original)}))
+            {"schema": wire.SCHEMA, **columns}))
         assert list(rebuilt.queries) == list(original.queries)
-        assert set(rebuilt.levels) == set(original.levels)
-        for k, hits in original.levels.items():
-            assert rebuilt.levels[k].taxids.tolist() == list(hits.taxids)
-            assert rebuilt.levels[k].offsets.tolist() == list(hits.offsets)
+        assert list(rebuilt.levels) == list(original.levels)
+        for k, (taxids, offsets) in original.expand().items():
+            got_taxids, got_offsets = rebuilt.expand()[k]
+            assert got_taxids.tolist() == taxids.tolist()
+            assert got_offsets.tolist() == offsets.tolist()
 
     def test_retrieval_columns_accepts_list_columns(self):
-        """The python backend's plain-list columns serialize identically."""
-        listy = RetrievalResult(
-            queries=[5], levels={31: LevelHits(taxids=[562], offsets=[0, 1])})
+        """The python backend's plain-list queries serialize identically."""
+        listy = RetrievalResult.from_sets([5], {31: [[562]]})
         assert (wire.retrieval_columns(listy)
                 == {"queries": [5],
                     "levels": {"31": {"taxids": [562], "offsets": [0, 1]}}})
@@ -307,7 +309,7 @@ class TestClusterRecords:
         assert (record["id"], record["node"]) == (8, 1)
         [(intersecting, rebuilt)] = wire.parse_step2_result(record)
         assert intersecting == [5, 9, 12]
-        assert rebuilt.levels[31].taxids.tolist() == [562, 562, 1280]
+        assert query_dicts(rebuilt) == query_dicts(original)
 
     def test_parse_step2_result_requires_samples(self):
         with pytest.raises(ValueError):
@@ -413,37 +415,40 @@ def column_at(k, n=40, seed=0):
 
 
 def partials_at(k):
-    """One node's partials: a sample with hits at some levels and none
-    at another (list columns, as the python backend emits), then an empty
-    sample (ndarray columns)."""
+    """One node's table and partials: a sample with hits at some levels
+    and none at another (a list query column, as the python backend
+    emits), then an empty sample (an ndarray query column)."""
     queries = [int(q) for q in column_at(k, n=3)][:4]
     levels = (k, k - 3, k - 7)
-    hit = RetrievalResult(queries=queries, levels={
-        k: LevelHits(taxids=[562, 562, 1280], offsets=[0, 2, 2, 2, 3]),
-        k - 3: LevelHits(taxids=[], offsets=[0, 0, 0, 0, 0]),
-        k - 7: LevelHits(taxids=[7, 8, 9, 10], offsets=[0, 1, 2, 3, 4]),
+    hit = RetrievalResult.from_sets(queries, {
+        k: [[562, 1280], [], [], [1280]],
+        k - 3: [[], [], [], []],
+        k - 7: [[7], [8], [9], [10]],
     })
-    empty = RetrievalResult(queries=[], levels={
-        level: LevelHits(np.empty(0, np.int64), np.zeros(1, np.int64))
-        for level in levels
-    })
-    return [(queries, hit), ([], empty)]
+    empty = RetrievalResult(
+        queries=np.zeros(0, np.uint64),
+        levels={level: np.zeros(0, np.int32) for level in levels},
+        signatures=hit.signatures,
+    )
+    return hit.signatures, [(queries, hit), ([], empty)]
 
 
-def assert_partials_identical(decoded, original, k):
+def assert_partials_identical(decoded, original, k, table):
     """Each decoded sample's intersecting k-mers are one parsed column —
     ``uint64``, ``object`` past 32 bases — that is also its retrieval
-    result's ``queries``, equal as ints to what was sent."""
+    result's ``queries``, equal as ints to what was sent; its signature
+    columns are ``int32``, equal to the sent ones, over the reader's
+    table."""
     assert len(decoded) == len(original)
     for (intersecting, got), (_, want) in zip(decoded, original):
         assert intersecting is got.queries
         assert got.queries.dtype == np.dtype(np.uint64 if 2 * k <= 64 else object)
         assert as_ints(got.queries) == as_ints(want.queries)
+        assert got.signatures is table
         assert list(got.levels) == list(want.levels)
-        for level, hits in want.levels.items():
-            assert got.levels[level].taxids.dtype == np.int64
-            assert got.levels[level].taxids.tolist() == list(hits.taxids)
-            assert got.levels[level].offsets.tolist() == list(hits.offsets)
+        for level, ids in want.levels.items():
+            assert got.levels[level].dtype == np.int32
+            assert got.levels[level].tolist() == ids.tolist()
 
 
 def refit(header, sections):
@@ -472,19 +477,28 @@ class TestStep2Frames:
 
     @pytest.mark.parametrize("k", FRAME_KS)
     def test_result_frame_roundtrip_bit_identical(self, k):
-        original = partials_at(k)
-        header, body = split(wire.step2_result_frame(8, 1, k, original))
+        table, original = partials_at(k)
+        header, body = split(wire.step2_result_frame(8, 1, k, table, original))
         assert (header["op"], header["id"], header["node"]) == ("step2_result", 8, 1)
         assert (header["counts"], header["levels"]) == ([4, 0], [k, k - 3, k - 7])
-        decoded = wire.parse_step2_result_frame(header, body, k)
-        assert_partials_identical(decoded, original, k)
-        assert [r for _, r in decoded] == [r for _, r in original]
+        assert header["signatures"] == table.digest
+        decoded = wire.parse_step2_result_frame(header, body, k, table)
+        assert_partials_identical(decoded, original, k, table)
+        assert [query_dicts(r) for _, r in decoded] == [
+            query_dicts(r) for _, r in original]
 
     def test_result_frame_requires_one_level_set(self):
-        [(queries, hit), (empty_queries, empty)] = partials_at(20)
+        table, [(queries, hit), (empty_queries, empty)] = partials_at(20)
         del empty.levels[13]
         with pytest.raises(ValueError, match="same levels"):
-            wire.step2_result_frame(1, 0, 20, [(queries, hit), (empty_queries, empty)])
+            wire.step2_result_frame(
+                1, 0, 20, table, [(queries, hit), (empty_queries, empty)])
+
+    def test_result_frame_requires_the_nodes_table(self):
+        _, partials = partials_at(20)
+        other, _ = SignatureTable.from_sets([[562]])
+        with pytest.raises(ValueError, match="node's signature table"):
+            wire.step2_result_frame(1, 0, 20, other, partials)
 
     @staticmethod
     def _request(k=18):
@@ -492,7 +506,7 @@ class TestStep2Frames:
 
     @staticmethod
     def _result(k=18):
-        return split(wire.step2_result_frame(1, 0, k, partials_at(k)))
+        return split(wire.step2_result_frame(1, 0, k, *partials_at(k)))
 
     @staticmethod
     def _sections(body):
@@ -508,7 +522,7 @@ class TestStep2Frames:
         header, body = frame
         sections = self._sections(body)
         column = column_at(18, n=5) if header["op"] == "step2" else [
-            int(q) for q in partials_at(18)[0][0]]
+            int(q) for q in partials_at(18)[1][0][0]]
         sections["q0"] = pack_kmer_column(list(reversed(column)), 18)
         return refit(header, sections)
 
@@ -517,7 +531,7 @@ class TestStep2Frames:
         header, body = frame
         sections = self._sections(body)
         column = column_at(18, n=5) if header["op"] == "step2" else [
-            int(q) for q in partials_at(18)[0][0]]
+            int(q) for q in partials_at(18)[1][0][0]]
         sections["q0"] = pack_kmer_column([column[0], *column[:-1]], 18)
         return refit(header, sections)
 
@@ -547,7 +561,8 @@ class TestStep2Frames:
     def _infinite_offset(frame):
         header, body = frame
         toc = json.dumps([["q0", 1e400, 0]]).encode()
-        body = b"MEGISIDX\x02\x00\x00\x00" + len(toc).to_bytes(4, "little") + toc
+        body = (b"MEGISIDX" + INDEX_VERSION.to_bytes(2, "little") + b"\x00\x00"
+                + len(toc).to_bytes(4, "little") + toc)
         return {**header, "counts": [0], "bytes": len(body)}, body
 
     @staticmethod
@@ -596,9 +611,12 @@ class TestStep2Frames:
         pytest.param(defect, message, id=defect[1:])
         for defect, message in [
             ("_levels_not_a_list", "'levels' must be a list"),
-            ("_non_csr_offsets", "offsets must rise"),
-            ("_short_offsets", "offsets must rise"),
-            ("_ragged_taxids", "multiple of 8"),
+            ("_signature_out_of_range", r"outside \[0, 7\)"),
+            ("_negative_signature", r"outside \[0, 7\)"),
+            ("_short_signatures", "holds 3 signatures for 4 queries"),
+            ("_ragged_signatures", "multiple of 4"),
+            ("_missing_level", "does not match its header"),
+            ("_foreign_table", "a different index build"),
             # Intersecting k-mers are distinct: a repeat would count its
             # hits twice at the gather.
             ("_repeated", "sorted ascending and distinct"),
@@ -607,30 +625,51 @@ class TestStep2Frames:
     def test_result_frame_defects_are_value_errors(self, defect, message):
         header, body = getattr(self, defect)(self._result())
         with pytest.raises(ValueError, match=message):
-            wire.parse_step2_result_frame(header, body, 18)
+            wire.parse_step2_result_frame(header, body, 18, partials_at(18)[0])
 
     @staticmethod
     def _levels_not_a_list(frame):
         header, body = frame
         return {**header, "levels": {"18": 1}}, body
 
-    def _non_csr_offsets(self, frame):
+    def _signature_out_of_range(self, frame):
+        """An id one past the table's last signature."""
         header, body = frame
         sections = self._sections(body)
-        sections["o0/18"] = pack_i64([0, 2, 1, 2, 3])
+        sections["s0/18"] = pack_i32([1, 0, 0, 7])
         return refit(header, sections)
 
-    def _short_offsets(self, frame):
+    def _negative_signature(self, frame):
         header, body = frame
         sections = self._sections(body)
-        sections["o0/18"] = pack_i64([0, 2, 2, 3])
+        sections["s0/18"] = pack_i32([1, 0, -1, 2])
         return refit(header, sections)
 
-    def _ragged_taxids(self, frame):
+    def _short_signatures(self, frame):
+        """Three ids for the sample's four queries."""
         header, body = frame
         sections = self._sections(body)
-        sections["t0/18"] += b"\x00"
+        sections["s0/18"] = pack_i32([1, 0, 0])
         return refit(header, sections)
+
+    def _ragged_signatures(self, frame):
+        header, body = frame
+        sections = self._sections(body)
+        sections["s0/18"] += b"\x00"
+        return refit(header, sections)
+
+    def _missing_level(self, frame):
+        """The header's levels, one section short."""
+        header, body = frame
+        sections = self._sections(body)
+        del sections["s0/11"]
+        return refit(header, sections)
+
+    @staticmethod
+    def _foreign_table(frame):
+        """A reply naming another build's signature table."""
+        header, body = frame
+        return {**header, "signatures": "0" * 32}, body
 
     @pytest.mark.parametrize("header, expected", [
         ({}, 0),
@@ -662,20 +701,23 @@ class TestWireProperties:
         assert reads is None and error.startswith("bad JSON (")
 
     @given(st.sampled_from(FRAME_KS).flatmap(
-        lambda k: retrieval_partials(k).map(lambda partials: (k, partials))))
+        lambda k: retrieval_partials(k).map(lambda drawn: (k, *drawn))))
     def test_generated_partials_roundtrip_unchanged(self, drawn):
-        k, partials = drawn
-        header, body = split(wire.step2_result_frame(5, 2, k, partials))
+        k, table, partials = drawn
+        header, body = split(wire.step2_result_frame(5, 2, k, table, partials))
         assert_partials_identical(
-            wire.parse_step2_result_frame(header, body, k), partials, k)
+            wire.parse_step2_result_frame(header, body, k, table), partials, k,
+            table)
 
     @given(st.data())
     def test_frame_parsers_raise_only_value_errors(self, data):
         k = data.draw(st.sampled_from(FRAME_KS))
         if data.draw(st.booleans()):
-            frame = wire.step2_result_frame(
-                1, 0, k, data.draw(retrieval_partials(k)))
-            parse = wire.parse_step2_result_frame
+            table, partials = data.draw(retrieval_partials(k))
+            frame = wire.step2_result_frame(1, 0, k, table, partials)
+
+            def parse(header, body, k):
+                return wire.parse_step2_result_frame(header, body, k, table)
         else:
             queries = data.draw(st.lists(
                 st.lists(st.integers(0, (1 << (2 * k)) - 1), max_size=8).map(sorted),
