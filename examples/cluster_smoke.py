@@ -8,8 +8,10 @@ replica, and the ``repro cluster`` router — as *separate OS processes*
 over localhost TCP, and walks one client connection through the full
 failure story without ever reconnecting:
 
-1. **healthy** — a request scatters to both nodes and the result is
-   bit-identical to serial ``session.analyze`` on the same index file;
+1. **healthy** — a request scatters to both nodes (on the default
+   ``numpy`` engine) and the result is bit-identical to a serial
+   ``session.analyze`` on the same index file over the ``python``
+   register-level reference;
 2. **kill mid-stream** — node 1's primary is SIGKILLed; the next request
    rides the retry path onto the replica and must still come back
    bit-identical;
@@ -98,7 +100,7 @@ def main():
     chunks = [sample.reads[i * 30:(i + 1) * 30] for i in range(3)]
     session = AnalysisSession(
         MegisIndex.open(index_path),
-        MegisConfig(abundance_method="statistical"),
+        MegisConfig(abundance_method="statistical", backend="python"),
     )
     expected = []
     for chunk in chunks:

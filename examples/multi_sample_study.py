@@ -13,7 +13,7 @@ reproduce the Fig 21 scaling at paper scale.
 """
 
 from repro.megis.index import IndexBuilder
-from repro.megis.session import AnalysisSession, MegisConfig
+from repro.megis.session import AnalysisSession
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
 from repro.ssd.config import GB, ssd_c, ssd_p
@@ -30,7 +30,7 @@ def main() -> None:
     # references with different abundance draws.
     references = base.references
     index = IndexBuilder(k=20).build(references)
-    session = AnalysisSession(index, MegisConfig(backend="numpy"))
+    session = AnalysisSession(index)  # the numpy engine
 
     read_sets = [base.reads]
     truths = [base.present_species()]

@@ -5,15 +5,16 @@ Two backends ship with the repository:
 - ``python`` — the register-level reference loops (fidelity backend);
 - ``numpy`` — columnar vectorized kernels over ``np.ndarray`` columns.
 
-Both produce bit-identical results; select one per call site
-(``MegisConfig(backend="numpy")``, ``IspStepTwo(..., backend="numpy")``,
-``repro analyze --backend numpy``) or process-wide via
-:func:`set_default_backend` (``python`` until something sets it).
+Both produce bit-identical results.  Every surface runs
+:data:`DEFAULT_BACKEND` (``numpy``) unless a call site names another
+(``MegisConfig(backend="python")``, ``IspStepTwo(..., backend="python")``,
+``repro analyze --backend python``): the reference is the §4.3 / Fig 8
+fidelity model and the bit-identity oracle, chosen by name only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Final, Tuple, Union
 
 from repro.backends.base import (
     BucketSlice,
@@ -44,7 +45,8 @@ _BACKEND_CLASSES: Dict[str, Callable[[], StepTwoBackend]] = {
 #: so one shared instance per name suffices.
 _INSTANCES: Dict[str, StepTwoBackend] = {}
 
-_default_backend: str = "python"
+#: The engine of every surface that is not handed one by name.
+DEFAULT_BACKEND: Final = "numpy"
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -52,41 +54,21 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKEND_CLASSES))
 
 
-def default_backend() -> str:
-    """The process-wide default backend name."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default; returns the previous default."""
-    global _default_backend
-    if name not in _BACKEND_CLASSES:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        )
-    previous = _default_backend
-    _default_backend = name
-    return previous
-
-
-def get_backend(backend: Union[str, StepTwoBackend, None] = None) -> StepTwoBackend:
-    """Resolve a backend name (or pass an instance through).
-
-    ``None`` resolves to :func:`default_backend`.
-    """
+def get_backend(backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND) -> StepTwoBackend:
+    """Resolve a backend name (or pass an instance through)."""
     if isinstance(backend, StepTwoBackend):
         return backend
-    name = backend or _default_backend
-    if name not in _BACKEND_CLASSES:
+    if backend not in _BACKEND_CLASSES:
         raise ValueError(
-            f"unknown backend {name!r}; available: {available_backends()}"
+            f"unknown backend {backend!r}; available: {available_backends()}"
         )
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _BACKEND_CLASSES[name]()
-    return _INSTANCES[name]
+    if backend not in _INSTANCES:
+        _INSTANCES[backend] = _BACKEND_CLASSES[backend]()
+    return _INSTANCES[backend]
 
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "BucketSlice",
     "IntColumn",
     "NumpyStepTwoBackend",
@@ -97,7 +79,5 @@ __all__ = [
     "StepTwoBackend",
     "available_backends",
     "column_to_list",
-    "default_backend",
     "get_backend",
-    "set_default_backend",
 ]

@@ -57,7 +57,8 @@ class PhaseTimings:
     for all buffered samples rather than once per sample.
     """
 
-    backend: str = "python"
+    #: Registry name of the engine that ran; empty until one is named.
+    backend: str = ""
     extract_ms: float = 0.0
     intersect_ms: float = 0.0
     retrieve_ms: float = 0.0

@@ -59,12 +59,12 @@ class PacedStepTwoBackend(StepTwoBackend):
 
     def __init__(
         self,
-        inner: "StepTwoBackend | str | None" = None,
+        inner: "StepTwoBackend | str" = "numpy",
         mb_per_s: Optional[float] = None,
     ) -> None:
         from repro.backends import get_backend
 
-        self._inner = get_backend(inner if inner is not None else "numpy")
+        self._inner = get_backend(inner)
         if mb_per_s is None:
             mb_per_s = float(os.environ.get("REPRO_PACED_MBPS", DEFAULT_MBPS))
         if mb_per_s <= 0:

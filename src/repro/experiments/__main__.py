@@ -1,4 +1,4 @@
-"""CLI entry point: ``python -m repro.experiments [--backend NAME] <name>|all``."""
+"""CLI entry point: ``python -m repro.experiments <name>|all``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from repro.experiments.runner import REGISTRY, run_all
-from repro.options import add_execution_flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,9 +19,6 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="+", metavar="NAME",
         help="experiment names from the registry, or 'all'",
     )
-    # The runner sets the process-wide backend default; the executor and
-    # SSD-shard knobs are per-experiment concerns, so only --backend here.
-    add_execution_flags(parser, ssds=False, executor=False)
     return parser
 
 
@@ -34,7 +30,7 @@ def main(argv) -> int:
         print(f"error: unknown experiments {unknown}; "
               f"known: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
         return 2
-    for result in run_all(names, backend=args.backend):
+    for result in run_all(names):
         print(result.format_table())
         print()
     return 0

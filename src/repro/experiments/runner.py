@@ -97,21 +97,7 @@ def get_experiment(name: str) -> Callable[[], ExperimentResult]:
     return module.run
 
 
-def run_all(
-    names: Optional[Sequence[str]] = None, backend: Optional[str] = None
-) -> List[ExperimentResult]:
-    """Run all (or the named) experiments, returning their results.
-
-    ``backend`` selects the Step-2 execution backend ("python", "numpy")
-    for every functional pipeline the experiments construct, by setting the
-    process-wide default for the duration of the run.
-    """
-    from repro.backends import set_default_backend
-
+def run_all(names: Optional[Sequence[str]] = None) -> List[ExperimentResult]:
+    """Run all (or the named) experiments, returning their results."""
     selected = list(names) if names else sorted(REGISTRY)
-    previous = set_default_backend(backend) if backend is not None else None
-    try:
-        return [get_experiment(name)() for name in selected]
-    finally:
-        if previous is not None:
-            set_default_backend(previous)
+    return [get_experiment(name)() for name in selected]

@@ -8,15 +8,16 @@ intersected (the database is sorted too, so the matching range is known)
 while bucket *i+1* is still being sorted.
 
 Step 1 is *backend-aware*: buckets are emitted in the Step-2 backend's
-native container — plain Python int lists for the register-level
-``python`` reference, sorted ``np.ndarray`` columns for the ``numpy``
-columnar engine — so the partition→intersect hand-off never converts
-containers per call.  Both containers hold identical k-mer sequences; the
-cross-backend equivalence tests enforce it.  Extraction follows the same
-split: the reference extracts read by read into a ``Counter``; the
-columnar path (k-mers fit ``uint64``) packs the whole sample in one
-streaming pass, :func:`~repro.sequences.kmers.extract_kmers_batch` — the
-extractor the columnar Step-3 vote shares — then sorts, deduplicates and
+native container — sorted ``np.ndarray`` columns for the default
+``numpy`` columnar engine, plain Python int lists for the register-level
+``python`` reference named as the oracle — so the partition→intersect
+hand-off never converts containers per call.  Both containers hold
+identical k-mer sequences; the cross-backend equivalence tests enforce
+it.  Extraction follows the same split: the reference extracts read by
+read into a ``Counter``; the columnar path (k-mers fit ``uint64``) packs
+the whole sample in one streaming pass,
+:func:`~repro.sequences.kmers.extract_kmers_batch` — the extractor the
+columnar Step-3 vote shares — then sorts, deduplicates and
 frequency-excludes that whole stream at once and cuts the buckets out of
 the result as views.
 
@@ -36,7 +37,13 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import BucketSlice, StepTwoBackend, column_to_list, get_backend
+from repro.backends import (
+    DEFAULT_BACKEND,
+    BucketSlice,
+    StepTwoBackend,
+    column_to_list,
+    get_backend,
+)
 from repro.sequences.kmers import extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 
@@ -139,11 +146,12 @@ class KmerBucketPartitioner:
     over a sample of the k-mers so bucket sizes stay balanced, mirroring the
     paper's preliminary-bucket-then-merge scheme.
 
-    ``backend`` selects the Step-2 engine whose native container the bucket
-    columns use ("python" lists, "numpy" ndarray columns; ``None`` resolves
-    the process default).  The numpy path also vectorizes the frequency
-    exclusion itself (one sort and a run flag over the whole sample instead
-    of a Python ``Counter``), producing bit-identical bucket contents.
+    ``backend`` is the Step-2 engine whose native container the bucket
+    columns use ("numpy" ndarray columns, the default; "python" lists) —
+    an :class:`AnalysisSession` hands over its own instance.  The numpy
+    path also vectorizes the frequency exclusion itself (one sort and a
+    run flag over the whole sample instead of a Python ``Counter``),
+    producing bit-identical bucket contents.
     """
 
     def __init__(
@@ -153,7 +161,7 @@ class KmerBucketPartitioner:
         min_count: int = 1,
         max_count: Optional[int] = None,
         host_dram_bytes: Optional[int] = None,
-        backend: Union[str, StepTwoBackend, None] = None,
+        backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
     ):
         if n_buckets <= 0:
             raise ValueError(f"n_buckets must be positive, got {n_buckets}")

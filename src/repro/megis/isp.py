@@ -1,7 +1,9 @@
 """MegIS Step 2: finding candidate species inside the SSD (paper §4.3).
 
 The in-storage data path is modelled at the register level by the
-``python`` reference backend (:mod:`repro.backends.python_backend`):
+``python`` reference backend (:mod:`repro.backends.python_backend`), the
+fidelity model a caller names (``backend="python"``); the default engine
+is the columnar ``numpy`` backend, which must agree with it exactly:
 
 - :class:`IntersectUnit` — one per channel.  Holds two k-mer registers
   (current + next) fed directly from the flash stream, so the unit computes
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.backends import PhaseTimings, StepTwoBackend
+from repro.backends import DEFAULT_BACKEND, PhaseTimings, StepTwoBackend
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import BucketSet
@@ -35,9 +37,9 @@ from repro.megis.multissd import MultiSsdStepTwo, StepTwoResult, whole_shard
 class IspStepTwo(MultiSsdStepTwo):
     """Step 2 on a single SSD: :class:`MultiSsdStepTwo` over one shard.
 
-    ``backend`` selects the execution engine ("python" register-level
-    reference or "numpy" columnar kernels; ``None`` uses the process
-    default); ``n_channels`` is the SSD's channel count, which stripes the
+    ``backend`` selects the execution engine ("numpy" columnar kernels,
+    the default, or the "python" register-level reference);
+    ``n_channels`` is the SSD's channel count, which stripes the
     database *within* each streamed interval (§4.5).  A call's per-phase
     wall time and streaming counters go into the ``timings`` it is passed.
     """
@@ -47,7 +49,7 @@ class IspStepTwo(MultiSsdStepTwo):
         database: SortedKmerDatabase,
         kss: KssTables,
         n_channels: int = 8,
-        backend: Union[str, StepTwoBackend, None] = None,
+        backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
         executor: Optional[str] = None,
     ) -> None:
         super().__init__(

@@ -20,7 +20,9 @@ sample the one-sample batch, so the session's local Step-2 stage (in the
 serving process or in a forked ``processes:N`` worker, which is that
 session), the engines here and in :mod:`repro.megis.isp`, and a cluster
 node's :meth:`~repro.megis.session.AnalysisSession.step_two_partial` all
-call it.
+call it, each with one backend instance: ``numpy`` unless the caller
+names the ``python`` reference, and for a session the instance it
+resolved at construction.
 Shard databases are positional slices of the parent — zero-copy views of
 its key column (and owner CSR, when it has one) — so sharding adds no host-side per-element
 work.
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.backends import (
+    DEFAULT_BACKEND,
     BucketSlice,
     IntColumn,
     PhaseTimings,
@@ -268,7 +271,7 @@ class MultiSsdStepTwo:
     def __init__(self, database: Optional[SortedKmerDatabase] = None,
                  kss: Optional[KssTables] = None,
                  n_ssds: Optional[int] = None, channels_per_ssd: int = 8,
-                 backend: Union[str, StepTwoBackend, None] = None,
+                 backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
                  shards: Optional[Sequence[DatabaseShard]] = None,
                  executor: Optional[str] = None) -> None:
         self._backend = get_backend(backend)

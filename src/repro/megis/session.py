@@ -13,9 +13,10 @@ samples with overlapping candidate sets skip the merge input construction
 entirely (§4.4 batched across a stream, closing the batched-Step-3
 ROADMAP item).  Those Step-3 indexes are columns — sorted key column, CSR
 offsets, location column, genome ``starts`` — and the mapper votes for a
-sample's reads a block at a time whenever the backend is columnar and
-``mapper_k <= 31``; otherwise (the ``python`` reference backend, or a
-mapper k-mer wider than ``uint64``) they are the dict reference
+sample's reads a block at a time whenever the backend is columnar (the
+default ``numpy``) and ``mapper_k <= 31``; otherwise (the ``python``
+reference backend named as the oracle, or a mapper k-mer wider than
+``uint64``) they are the dict reference
 structures with the per-read vote.  The two are equal by test and nothing
 else selects between them (:mod:`repro.tools.mapping`).
 
@@ -61,6 +62,7 @@ from typing import (
 )
 
 from repro.backends import (
+    DEFAULT_BACKEND,
     IntColumn,
     PhaseTimings,
     StepTwoBackend,
@@ -121,9 +123,9 @@ class MegisConfig:
     #: Step-3 flavor (§4.4): "mapping" (read mapping over the unified
     #: index, accurate) or "statistical" (EM over Step-2 hits, lightweight).
     abundance_method: str = "mapping"
-    #: Step-2 execution backend ("python" register-level reference or
-    #: "numpy" columnar kernels); ``None`` uses the process default.
-    backend: Optional[str] = None
+    #: Step-2 execution backend: "numpy" columnar kernels, or a name such
+    #: as "python", the register-level reference and bit-identity oracle.
+    backend: str = DEFAULT_BACKEND
     #: Shard the sorted database across this many SSDs for Step 2 (§6.1);
     #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
     #: either way — shards are disjoint lexicographic ranges.
@@ -145,7 +147,7 @@ class MegisConfig:
                 f"abundance_method must be 'mapping' or 'statistical', "
                 f"got {self.abundance_method!r}"
             )
-        if self.backend is not None and self.backend not in available_backends():
+        if self.backend not in available_backends():
             raise ValueError(
                 f"backend must be one of {available_backends()}, "
                 f"got {self.backend!r}"
@@ -208,12 +210,16 @@ class CacheStats:
 class AnalysisSession:
     """Open a :class:`~repro.megis.index.MegisIndex` once, serve many samples.
 
-    All engine state — Step-2 backends, shard handles (with their KSS range
-    slices), the Step-1 partitioner, and the Step-3 index caches — is
+    All engine state — the Step-2 backend, shard handles (with their KSS
+    range slices), the Step-1 partitioner, and the Step-3 index caches — is
     constructed in ``__init__`` and reused by
     every :meth:`analyze` / :meth:`analyze_batch` call.  ``backend``,
     ``n_ssds``, and ``executor`` are conveniences overriding the
-    corresponding :class:`MegisConfig` fields.
+    corresponding :class:`MegisConfig` fields; ``backend`` may also be a
+    :class:`~repro.backends.StepTwoBackend` instance (e.g. a paced wrapper
+    at its own bandwidth).  The backend is resolved once, here, and that
+    one instance drives Step 1's partitioner, every Step 2 and the Step-3
+    index type for the session's lifetime.
 
     Concurrency: the query path treats every engine structure as
     read-only, so multiple threads may call :meth:`analyze` /
@@ -243,17 +249,10 @@ class AnalysisSession:
     ):
         config = config or MegisConfig()
         overrides = {}
-        #: Backend handed to the engines: a registered name from the
-        #: config, or a StepTwoBackend instance passed straight through
-        #: (which may be unregistered, e.g. a custom-paced wrapper).
-        self._backend_spec: Union[str, StepTwoBackend, None] = None
-        if backend is not None:
-            if isinstance(backend, StepTwoBackend):
-                self._backend_spec = backend
-                if backend.name in available_backends():
-                    overrides["backend"] = backend.name
-            else:
-                overrides["backend"] = backend
+        if isinstance(backend, str):
+            overrides["backend"] = backend
+        elif backend is not None and backend.name in available_backends():
+            overrides["backend"] = backend.name
         if n_ssds is not None:
             overrides["n_ssds"] = n_ssds
         if executor is not None:
@@ -262,8 +261,12 @@ class AnalysisSession:
             config = replace(config, **overrides)
         self.index = index
         self.config = config
-        if self._backend_spec is None:
-            self._backend_spec = config.backend
+        #: The one Step-2 engine of this session: an instance passed in
+        #: (which may be unregistered), else the config's name resolved.
+        self._backend = (
+            backend if isinstance(backend, StepTwoBackend)
+            else get_backend(config.backend)
+        )
         family, workers = parse_spec(config.executor or "serial")
         #: Process-backed serving (the fork-after-mmap tier): a
         #: "processes[:N]" spec is consumed here — :meth:`warm` builds a
@@ -315,7 +318,7 @@ class AnalysisSession:
             min_count=config.min_count,
             max_count=config.max_count,
             host_dram_bytes=config.host_dram_bytes,
-            backend=self._backend_spec,
+            backend=self._backend,
         )
         #: Step-3 caches: per-species sorted indexes (reused whenever
         #: candidate sets overlap) and fully merged unified indexes (reused
@@ -327,7 +330,7 @@ class AnalysisSession:
             Type[SpeciesIndex], Type[ColumnarSpeciesIndex]
         ] = (
             ColumnarSpeciesIndex
-            if get_backend(self._backend_spec).columnar and config.mapper_k <= 31
+            if self._backend.columnar and config.mapper_k <= 31
             else SpeciesIndex
         )
         self._species_indexes: Dict[
@@ -355,7 +358,7 @@ class AnalysisSession:
             with self._lock:
                 if self._isp is None:
                     self._isp = IspStepTwo(
-                        self.database, self.kss, backend=self._backend_spec,
+                        self.database, self.kss, backend=self._backend,
                     )
         return self._isp
 
@@ -369,15 +372,15 @@ class AnalysisSession:
             with self._lock:
                 if self._multissd is None:
                     self._multissd = MultiSsdStepTwo(
-                        kss=self.kss, backend=self._backend_spec,
+                        kss=self.kss, backend=self._backend,
                         shards=self.index.shards(self.config.n_ssds),
                     )
         return self._multissd
 
     @property
     def backend_name(self) -> str:
-        """Resolved from the backend spec — no engine is built to read it."""
-        return get_backend(self._backend_spec).name
+        """The registry name of the session's one Step-2 engine."""
+        return self._backend.name
 
     @property
     def process_workers(self) -> int:
@@ -404,7 +407,7 @@ class AnalysisSession:
         """
         import numpy as np
 
-        columnar = get_backend(self._backend_spec).columnar
+        columnar = self._backend.columnar
         warm_shards(self.cluster_shards(), columnar)
         if self.shard_range is not None:
             # A cluster node serves :meth:`step_two_partial` and nothing
@@ -559,7 +562,7 @@ class AnalysisSession:
                     self._pool = shard_pool(self._threads_spec)
                 pool = self._pool
         results, shard_timings = step_two_over_shards(
-            get_backend(self._backend_spec), self.cluster_shards(),
+            self._backend, self.cluster_shards(),
             [buckets.slices() for buckets in bucket_sets], pool=pool,
         )
         shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
@@ -614,7 +617,7 @@ class AnalysisSession:
         column restricted to this shard subset.
         """
         results, partial_timings = step_two_over_shards(
-            get_backend(self._backend_spec), self.cluster_shards(),
+            self._backend, self.cluster_shards(),
             [whole_range(query, self.database.k) for query in queries],
         )
         if timings is not None:

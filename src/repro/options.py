@@ -1,13 +1,14 @@
 """Shared execution-policy flags for every CLI surface.
 
-``repro analyze``, ``repro serve``, and ``python -m repro.experiments``
-all expose the same three knobs — the Step-2 ``--backend``, the
-``--executor`` policy (``serial`` / ``threads[:N]`` / ``processes[:N]``),
-and the ``--ssds`` shard count — and used to each carry their own copy of the
-registration and validation logic.  This module is the single source:
-:func:`add_execution_flags` registers the flags on an argparse parser and
-:func:`execution_config_kwargs` turns the parsed namespace into the
-matching :class:`~repro.megis.session.MegisConfig` keyword arguments.
+``repro analyze``, ``serve``, ``gateway``, ``node`` and ``cluster`` expose
+the same three knobs (or the subset that applies) — the Step-2
+``--backend``, the ``--executor`` policy (``serial`` / ``threads[:N]`` /
+``processes[:N]``), and the ``--ssds`` shard count — and used to each
+carry their own copy of the registration and validation logic.  This
+module is the single source: :func:`add_execution_flags` registers the
+flags on an argparse parser and :func:`execution_config_kwargs` turns the
+parsed namespace into the matching
+:class:`~repro.megis.session.MegisConfig` keyword arguments.
 
 Executor specs are validated *at parse time* (argparse ``type=``), so a
 typo like ``--executor thread:4`` fails with a usage error naming the
@@ -20,7 +21,7 @@ import argparse
 import math
 from typing import Dict, Tuple
 
-from repro.backends import available_backends
+from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.megis.executors import available_executors, parse_spec
 from repro.megis.gateway import DEFAULT_BATCH_WINDOW_MS
 from repro.megis.wire import MAX_LINE_BYTES
@@ -89,8 +90,9 @@ def add_execution_flags(
 ) -> None:
     """Register the shared ``--backend`` / ``--executor`` / ``--ssds`` flags."""
     parser.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="Step-2 execution backend (default: 'python')",
+        "--backend", choices=available_backends(), default=DEFAULT_BACKEND,
+        help=f"Step-2 execution backend (default: {DEFAULT_BACKEND!r}; "
+             "'python' is the register-level reference, same results)",
     )
     if executor:
         parser.add_argument(

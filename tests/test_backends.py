@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from repro.backends import (
+    DEFAULT_BACKEND,
     PhaseTimings,
     available_backends,
-    default_backend,
     get_backend,
-    set_default_backend,
 )
 from repro.backends.numpy_backend import as_column, stripe_columns
 from repro.backends.retrieval import group_sorted
@@ -29,6 +28,7 @@ from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.session import AnalysisSession, MegisConfig
+from repro.tools.mapping import ColumnarUnifiedIndex
 from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
 from tests.conftest import SKETCH_K
 
@@ -99,26 +99,17 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_backend("fortran")
-        with pytest.raises(ValueError):
-            set_default_backend("fortran")
 
     def test_instance_passthrough(self):
         backend = get_backend("numpy")
         assert get_backend(backend) is backend
 
-    def test_default_roundtrip(self):
-        before = default_backend()
-        previous = set_default_backend("numpy")
-        try:
-            assert previous == before
-            assert default_backend() == "numpy"
-            assert get_backend(None).name == "numpy"
-        finally:
-            set_default_backend(before)
-
     def test_config_rejects_unknown(self):
         with pytest.raises(ValueError):
             MegisConfig(backend="fortran")
+        # None is no longer "whatever the process says".
+        with pytest.raises(ValueError):
+            MegisConfig(backend=None)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -402,6 +393,11 @@ class TestDatabaseBackendParam:
 
 class TestPipelineEquivalence:
     @pytest.fixture(scope="class")
+    def default_session(self, sorted_db, sketch_db, sample):
+        """A session that names no backend: the one default engine."""
+        return AnalysisSession(MegisIndex(sorted_db, sketch_db, sample.references))
+
+    @pytest.fixture(scope="class")
     def per_backend_results(self, sorted_db, sketch_db, sample):
         results = {}
         for backend in BACKENDS:
@@ -412,8 +408,9 @@ class TestPipelineEquivalence:
             results[backend] = session.analyze(sample.reads)
         return results
 
-    def test_identical_outputs(self, per_backend_results):
+    def test_identical_outputs(self, per_backend_results, default_session, sample):
         python, numpy = (per_backend_results[b] for b in BACKENDS)
+        default = default_session.analyze(sample.reads)
         assert python.intersecting_kmers == numpy.intersecting_kmers
         # The public result stays a list of Python ints on every backend.
         for result in (python, numpy):
@@ -422,8 +419,28 @@ class TestPipelineEquivalence:
         assert python.sketch_hits == numpy.sketch_hits
         assert python.candidates == numpy.candidates
         assert python.profile.fractions == numpy.profile.fractions
+        assert default.intersecting_kmers == python.intersecting_kmers
+        assert default.candidates == python.candidates
+        assert default.profile.fractions == python.profile.fractions
+
+    def test_default_session_runs_numpy_end_to_end(self, default_session, sample):
+        """Step 1, every Step 2 and the Step-3 index type all run the one
+        engine the session resolved at construction."""
+        assert DEFAULT_BACKEND == "numpy"
+        assert get_backend() is get_backend("numpy")
+        assert default_session.config.backend == "numpy"
+        assert default_session.backend_name == "numpy"
+        assert default_session._partitioner.backend_name == "numpy"
+        assert default_session.isp.backend_name == "numpy"
+        results = default_session.analyze_batch([sample.reads[:200], sample.reads[200:]])
+        assert [r.timings.backend for r in results] == ["numpy", "numpy"]
+        assert default_session.config.mapper_k <= 31
+        unified, _ = default_session.unified_index(results[0].candidates)
+        assert isinstance(unified, ColumnarUnifiedIndex)
 
     def test_timings_populated(self, per_backend_results):
+        # A bare breakdown names no engine: none has run.
+        assert PhaseTimings().backend == ""
         for backend, result in per_backend_results.items():
             assert result.timings.backend == backend
             assert result.timings.db_kmers_streamed > 0

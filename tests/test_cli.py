@@ -50,9 +50,10 @@ class TestAnalyze:
         assert "species called" in capsys.readouterr().out
 
     def test_timings_print_the_phases_and_stream_counters(self, dataset, capsys):
+        # No --backend: the default engine is numpy.
         code = main([
             "analyze", str(dataset / "references.fasta"),
-            str(dataset / "reads.fastq"), "--backend", "numpy", "--timings",
+            str(dataset / "reads.fastq"), "--timings",
         ])
         assert code == 0
         output = capsys.readouterr().out
@@ -68,11 +69,17 @@ class TestAnalyze:
     def test_megis_matches_metalign_output(self, dataset, capsys):
         main(["analyze", str(dataset / "references.fasta"),
               str(dataset / "reads.fastq"), "--tool", "megis"])
-        megis_out = capsys.readouterr().out.splitlines()[1:]
+        default_out = capsys.readouterr().out
+        megis_out = default_out.splitlines()[1:]
         main(["analyze", str(dataset / "references.fasta"),
               str(dataset / "reads.fastq"), "--tool", "metalign"])
         metalign_out = capsys.readouterr().out.splitlines()[1:]
         assert megis_out == metalign_out
+        # The default (numpy) engine prints the python reference's bytes.
+        main(["analyze", str(dataset / "references.fasta"),
+              str(dataset / "reads.fastq"), "--tool", "megis",
+              "--backend", "python"])
+        assert capsys.readouterr().out == default_out
 
 
 class TestIndexLifecycle:

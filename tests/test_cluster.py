@@ -151,7 +151,7 @@ def _refuse_constant(name):
     raise AssertionError(f"reply frame holds {name}, which is not JSON")
 
 
-def make_node_session(index, golden, cluster_map, node_id, backend=None):
+def make_node_session(index, golden, cluster_map, node_id, backend="numpy"):
     return AnalysisSession(
         index,
         _config(golden, n_ssds=cluster_map.n_shards, backend=backend),
@@ -165,7 +165,7 @@ class Cluster:
 
     def __init__(self, index, golden, n_nodes, *, n_shards=N_SHARDS,
                  replicas=(), heartbeat_ms=None, timeout_s=10.0,
-                 workers=2, backend=None):
+                 workers=2, backend="numpy"):
         self.index = index
         self.golden = golden
         self.backend = backend

@@ -59,7 +59,7 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
     kss = KssTables(sketch)
     # Query: a slice of database k-mers plus guaranteed misses.
     query = sorted(set(database.kmers[::3] + [0, (1 << (2 * K)) - 1]))
-    isp = IspStepTwo(database, kss, n_channels=n_channels)
+    isp = IspStepTwo(database, kss, n_channels=n_channels, backend="python")
     intersecting, retrieved = isp.run(query)
     assert intersecting == database.intersect(query)
     tree = TernarySearchTree(sketch)

@@ -16,8 +16,10 @@ from repro.backends.python_backend import (
 )
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import whole_range
-from tests.columns import query_dicts
+from tests.columns import as_ints, query_dicts
 from tests.conftest import SKETCH_K
+
+BACKENDS = ("python", "numpy")
 
 
 class TestIntersectUnit:
@@ -74,29 +76,38 @@ class TestIspStepTwo:
     def test_run_matches_reference_intersect(self, sorted_db, kss_tables, sample):
         from repro.megis.host import KmerBucketPartitioner
 
-        buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
+        buckets = KmerBucketPartitioner(
+            k=SKETCH_K, n_buckets=8, backend="python"
+        ).partition(sample.reads)
         query = buckets.merged_sorted()
-        isp = IspStepTwo(sorted_db, kss_tables, n_channels=8)
+        isp = IspStepTwo(sorted_db, kss_tables, n_channels=8, backend="python")
         intersecting, _ = run_flat(isp, query)
         assert intersecting == sorted_db.intersect(query)
 
     def test_bucketed_equals_flat(self, sorted_db, kss_tables, sample):
         from repro.megis.host import KmerBucketPartitioner
 
-        buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
-        isp = IspStepTwo(sorted_db, kss_tables, n_channels=4)
-        flat, flat_taxids = run_flat(isp, buckets.merged_sorted())
-        bucketed, bucketed_taxids = isp.run_bucket_set(buckets)
-        assert bucketed == flat
-        assert query_dicts(bucketed_taxids) == query_dicts(flat_taxids)
+        for backend in BACKENDS:
+            buckets = KmerBucketPartitioner(
+                k=SKETCH_K, n_buckets=8, backend=backend
+            ).partition(sample.reads)
+            isp = IspStepTwo(sorted_db, kss_tables, n_channels=4, backend=backend)
+            flat, flat_taxids = run_flat(isp, buckets.merged_column())
+            bucketed, bucketed_taxids = isp.run_bucket_set(buckets)
+            assert as_ints(bucketed) == as_ints(flat)
+            assert query_dicts(bucketed_taxids) == query_dicts(flat_taxids)
 
     def test_channel_count_does_not_change_result(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::5]
         results = [
-            run_flat(IspStepTwo(sorted_db, kss_tables, n_channels=n), query)[0]
+            as_ints(run_flat(
+                IspStepTwo(sorted_db, kss_tables, n_channels=n, backend=backend),
+                query,
+            )[0])
+            for backend in BACKENDS
             for n in (1, 3, 8)
         ]
-        assert results[0] == results[1] == results[2]
+        assert all(result == results[0] for result in results)
 
 
 class TestTaxIdRetriever:
