@@ -32,6 +32,7 @@ _BYTE_TO_CODE = np.full(256, 255, dtype=np.uint8)
 for _c, _i in _CHAR_TO_CODE.items():
     _BYTE_TO_CODE[ord(_c)] = _i
     _BYTE_TO_CODE[ord(_c.lower())] = _i
+_BYTE_TO_CODE_TABLE = _BYTE_TO_CODE.tobytes()  # the same table for bytearray.translate
 
 
 class EncodingError(ValueError):
@@ -44,9 +45,16 @@ def encode_sequence(seq: str) -> np.ndarray:
     The per-base array form is the working representation for genome and
     read payloads; :func:`encode_kmer` packs fixed-length windows of it into
     integers for sorting and intersection.
+
+    One ``bytearray.translate`` through ``_BYTE_TO_CODE`` maps the bytes.
+    A character outside ASCII encodes as one ``?`` byte (code 255), so
+    byte ``i`` is still character ``i`` and every character outside
+    ``ACGTacgt`` raises :class:`EncodingError` naming itself.
     """
-    raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-    codes = _BYTE_TO_CODE[raw]
+    codes = np.frombuffer(
+        bytearray(seq, "ascii", "replace").translate(_BYTE_TO_CODE_TABLE),
+        dtype=np.uint8,
+    )
     if codes.max(initial=0) == 255:
         bad = seq[int(np.argmax(codes == 255))]
         raise EncodingError(f"invalid nucleotide {bad!r} in sequence")

@@ -66,6 +66,11 @@ def extract_kmers(seq: str, k: int, canonical: bool = True) -> np.ndarray:
     return np.minimum(forward, reverse)
 
 
+#: Word of the doubling pack's window of ``2**j`` bases, by ``j``: the
+#: narrowest unsigned integer holding its ``2 * 2**j`` bits.
+_WINDOW_DTYPES = (np.uint8, np.uint8, np.uint8, np.uint16, np.uint32)
+
+
 def extract_kmers_batch(
     sequences: Sequence[str], k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,17 +79,22 @@ def extract_kmers_batch(
     Returns ``(kmers, read_ids)``: ``kmers`` equals ``np.concatenate(
     [extract_kmers(s, k, canonical=False) for s in sequences])`` and
     ``read_ids[i]`` is the index into ``sequences`` that ``kmers[i]`` came
-    from.  One LUT encode and one rolling pack run over the concatenation
-    of the sequences (the §4.2.1 streaming extraction over the sample)
-    instead of k numpy operations per read; the windows that straddle a
-    join between two reads are dropped by a validity mask.
+    from.  One encode and one pack run over the concatenation of the
+    sequences (the §4.2.1 streaming extraction over the sample) instead of
+    k numpy operations per read; the windows that straddle a join between
+    two reads are dropped by a validity mask.
 
-    The pack is half-width: ``a = ceil(k / 2)``-base windows roll in
-    ``uint32`` (``a`` passes), and k-mer ``i`` is window ``i`` shifted
-    left by the ``b = k - a`` bases of window ``i + a``'s head — one
-    ``uint64`` shift/or instead of ``k``.  For odd k, ``a - b`` zero
-    codes are appended so the last k-mer's head window exists; they
-    never reach a k-mer's bits.
+    The pack doubles: the window of ``2**j`` bases starting at ``i`` is
+    the window of ``2**(j - 1)`` bases at ``i`` times ``4**(2**(j - 1))``,
+    or-ed with the one at ``i + 2**(j - 1)``, for windows of 1, 2, 4, 8
+    and 16 bases held in ``uint8``, ``uint8``, ``uint8``, ``uint16`` and
+    ``uint32``.  K-mer ``i`` then joins one window per binary digit of
+    ``k``, largest first, each starting where the last ended — in
+    ``uint32`` while its ``2k`` bits fit (``k <= 16``), else in
+    ``uint64`` — so a k-mer costs ``floor(log2(k))`` doubling passes and
+    ``popcount(k) - 1`` joins instead of ``k`` rolling ones.  The
+    doubling steps multiply rather than shift: numpy's ``uint8`` shift is
+    a scalar loop, several times slower than a ``uint8`` multiply.
 
     Sequences shorter than ``k`` hold no k-mer and are left out of the
     concatenation unencoded, exactly as :func:`extract_kmers` returns
@@ -98,25 +108,31 @@ def extract_kmers_batch(
     kept = np.flatnonzero(lengths >= k)
     if kept.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    a = (k + 1) // 2
-    b = k - a
-    joined = [seq for seq in sequences if len(seq) >= k]
-    joined.append("A" * (a - b))  # code 0: the odd-k head padding
-    codes = encode_sequence("".join(joined)).astype(np.uint32)
-    n = codes.size - (a - b) - k + 1
-    windows = np.zeros(codes.size - a + 1, dtype=np.uint32)
-    for offset in range(a):
-        windows <<= np.uint32(BITS_PER_BASE)
-        windows |= codes[offset : offset + windows.size]
-    forward = windows[:n].astype(np.uint64)
-    forward <<= np.uint64(BITS_PER_BASE * b)
-    forward |= windows[a : a + n] >> np.uint32(BITS_PER_BASE * (a - b))
+    codes = encode_sequence("".join([seq for seq in sequences if len(seq) >= k]))
+    n = codes.size - k + 1
+    windows = [codes]  # windows[j][i]: the 2**j bases from i
+    while 1 << len(windows) <= k:
+        half, dtype = 1 << (len(windows) - 1), _WINDOW_DTYPES[len(windows)]
+        window = windows[-1][:-half].astype(dtype)
+        window *= dtype(1 << (BITS_PER_BASE * half))
+        window |= windows[-1][half:]
+        windows.append(window)
+    top = len(windows) - 1
+    word = np.uint32 if BITS_PER_BASE * k <= 32 else np.uint64
+    forward = windows[top][:n].astype(word)
+    offset = 1 << top
+    for j in range(top - 1, -1, -1):
+        if k >> j & 1:
+            forward <<= word(BITS_PER_BASE << j)
+            forward |= windows[j][offset : offset + n]
+            offset += 1 << j
     # A window is a k-mer of one read unless it starts within k - 1 bases
     # of a join: the last k - 1 starts before every read end but the last.
     valid = np.ones(n, dtype=bool)
     joins = np.cumsum(lengths[kept])[:-1]
     valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
-    return forward[valid], np.repeat(kept, lengths[kept] - k + 1)
+    kmers = forward[valid].astype(np.uint64, copy=False)
+    return kmers, np.repeat(kept, lengths[kept] - k + 1)
 
 
 def kmer_spectrum(seq: str, k: int, canonical: bool = True) -> Dict[int, int]:

@@ -30,10 +30,12 @@ either:
   per-species location counts, one row id per key.
   The mapper votes for a whole block of reads at once: one batch
   extraction, one value sort of ``seed << read_bits | read`` words (so
-  the seeds probe the key column in key order, each still tagged with
-  its read), one ``searchsorted``, one ``bincount`` over ``read * (n_sig
-  + 1) + signature``, and one product of those per-read signature counts
-  with ``signatures`` for the per-species votes.  Every columnar-backend session
+  the seeds come in key order, each still tagged with its read), one
+  ``searchsorted`` of the block's *distinct* seeds — the first of each
+  run of equal seeds — with each signature copied back to its run, one
+  ``bincount`` over ``read * (n_sig + 1) + signature``, and one product
+  of those per-read signature counts with ``signatures`` for the
+  per-species votes.  Every columnar-backend session
   with ``mapper_k <= 31`` takes this path; results equal the reference
   read for read.
 """
@@ -319,14 +321,23 @@ class ReadMapper:
         words.sort()
         seeds = words >> np.uint64(read_bits)
         reads = (words & np.uint64((1 << read_bits) - 1)).view(np.int64)
+        # Reads cover their genomes several times over, so equal seeds
+        # come in runs: only the first seed of each run is searched, and
+        # its signature (a miss votes with the zero row) is copied back to
+        # the run by run number, ``cumsum(first) - 1``.  The distinct seeds
+        # are a take at ``flatnonzero(first)``: a boolean mask this sparse
+        # and irregular is several times slower.
+        first = np.empty(seeds.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(seeds[1:], seeds[:-1], out=first[1:])
+        distinct = seeds[np.flatnonzero(first)]
         slots = np.minimum(
-            np.searchsorted(index.kmers, seeds), index.kmers.size - 1
+            np.searchsorted(index.kmers, distinct), index.kmers.size - 1
         )
-        # A seed votes with its key's signature; a miss with the zero row.
         n_rows = index.signatures.shape[0]
         signature = np.where(
-            index.kmers[slots] == seeds, index.key_signature[slots], n_rows - 1
-        )
+            index.kmers[slots] == distinct, index.key_signature[slots], n_rows - 1
+        )[np.cumsum(first) - 1]
         votes = np.bincount(
             reads * n_rows + signature, minlength=n_reads * n_rows
         ).reshape(n_reads, n_rows) @ index.signatures

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sequences.encoding import (
+    _BYTE_TO_CODE,
     ALPHABET,
     EncodingError,
     canonical_kmer,
@@ -34,12 +35,55 @@ class TestSequenceEncoding:
         with pytest.raises(EncodingError):
             encode_sequence("ACGN")
 
+    def test_non_ascii_character_is_an_invalid_nucleotide(self):
+        with pytest.raises(EncodingError, match="invalid nucleotide 'é'"):
+            encode_sequence("ACGé")
+        with pytest.raises(EncodingError, match="invalid nucleotide '😀'"):
+            encode_sequence("😀ACG")
+
     def test_empty_sequence(self):
         assert decode_sequence(encode_sequence("")) == ""
 
     @given(dna)
     def test_roundtrip_property(self, seq):
         assert decode_sequence(encode_sequence(seq)) == seq
+
+
+def _table_codes(text):
+    """``text`` through ``_BYTE_TO_CODE`` one character at a time: the
+    codes, or the message for the first character the table marks
+    invalid (every character past one byte is invalid)."""
+    codes = []
+    for char in text:
+        code = int(_BYTE_TO_CODE[ord(char)]) if ord(char) < 256 else 255
+        if code == 255:
+            return f"invalid nucleotide {char!r} in sequence"
+        codes.append(code)
+    return codes
+
+
+class TestEncoderMatchesTable:
+    """The encoder's translation and the ``_BYTE_TO_CODE`` table cannot
+    drift: every byte value, in either case, alone and inside a read."""
+
+    @pytest.mark.parametrize("byte", range(256))
+    def test_every_byte_value(self, byte):
+        char = chr(byte)
+        for variant in {char, char.upper(), char.lower()}:
+            for text in (variant, f"AC{variant}gt"):
+                want = _table_codes(text)
+                if isinstance(want, str):
+                    with pytest.raises(EncodingError) as error:
+                        encode_sequence(text)
+                    assert str(error.value) == want
+                else:
+                    codes = encode_sequence(text)
+                    assert codes.dtype == _BYTE_TO_CODE.dtype
+                    assert codes.tolist() == want
+
+    def test_table_accepts_exactly_acgt_in_either_case(self):
+        valid = {chr(b) for b in range(256) if _BYTE_TO_CODE[b] != 255}
+        assert valid == set("ACGTacgt")
 
 
 class TestKmerPacking:

@@ -1,10 +1,17 @@
 """Tests for k-mer extraction and counting (KMC stand-in)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sequences.encoding import canonical_kmer, encode_kmer
-from repro.sequences.kmers import KmerCounter, extract_kmers, iter_kmers, kmer_spectrum
+from repro.sequences.encoding import EncodingError, canonical_kmer, encode_kmer
+from repro.sequences.kmers import (
+    KmerCounter,
+    extract_kmers,
+    extract_kmers_batch,
+    iter_kmers,
+    kmer_spectrum,
+)
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 
@@ -55,6 +62,49 @@ class TestExtraction:
     @given(dna, st.integers(min_value=1, max_value=12))
     def test_count_is_positions(self, seq, k):
         assert extract_kmers(seq, k).size == max(0, len(seq) - k + 1)
+
+
+    def test_non_ascii_base_is_an_invalid_nucleotide(self):
+        with pytest.raises(EncodingError, match="invalid nucleotide 'é' in sequence"):
+            extract_kmers("ACGé", 2)
+
+
+class TestBatchExtractorSweep:
+    """Every binary digit pattern of k through the doubling pack, against
+    the per-read extractor (whose rolling pack shares no code with it)."""
+
+    @staticmethod
+    def _reads(k):
+        rng = np.random.default_rng(k)
+        bases = np.array(list("ACGTacgt"))
+        return [
+            "".join(rng.choice(bases, size=length))
+            for length in (k - 1, k, k + 1, 2 * k + 1, 100)
+        ]
+
+    @pytest.mark.parametrize("k", range(1, 32))
+    def test_equals_per_read_extraction(self, k):
+        reads = self._reads(k)
+        for batch in [[read] for read in reads] + [reads, reads[::-1]]:
+            per_read = [extract_kmers(read, k, canonical=False) for read in batch]
+            kmers, ids = extract_kmers_batch(batch, k)
+            assert kmers.dtype == np.uint64 and ids.dtype == np.int64
+            assert kmers.tolist() == np.concatenate(
+                [np.empty(0, dtype=np.uint64), *per_read]
+            ).tolist()
+            assert ids.tolist() == [
+                i for i, x in enumerate(per_read) for _ in range(x.size)
+            ]
+
+    def test_non_ascii_base_is_an_invalid_nucleotide(self):
+        reads = ["ACGTACGT", "ACGéACGT"]
+        with pytest.raises(EncodingError) as per_read:
+            for read in reads:
+                extract_kmers(read, 3, canonical=False)
+        with pytest.raises(EncodingError) as batch:
+            extract_kmers_batch(reads, 3)
+        assert str(batch.value) == str(per_read.value)
+        assert "'é'" in str(batch.value)
 
 
 class TestSpectrum:

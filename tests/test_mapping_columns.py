@@ -396,6 +396,14 @@ class TestSessionPaths:
         assert _answer(result) == _answer(want)
         assert result.merge_stats == want.merge_stats
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_non_ascii_base_is_an_invalid_nucleotide(self, index, sample, backend):
+        reads = list(sample.reads[:20])
+        reads[7] = Read(reads[7].read_id, reads[7].sequence[:40] + "é", 0)
+        session = AnalysisSession(index, backend=backend)
+        with pytest.raises(EncodingError, match="invalid nucleotide 'é'"):
+            session.analyze(reads)
+
     @pytest.mark.parametrize("mapper_k", [0, -3])
     def test_config_refuses_a_mapper_k_below_one(self, mapper_k):
         with pytest.raises(ValueError, match="mapper_k"):
@@ -483,3 +491,33 @@ class TestSessionPaths:
             assert needles, "the vote never probed the unified key column"
             assert all(bool(np.all(v[:-1] <= v[1:])) for v in needles)
             assert not any(a is unified.starts for a, _ in probes)
+
+    def test_vote_searches_each_distinct_seed_once(
+        self, index, sample, monkeypatch
+    ):
+        """Structural guard, independent of host speed: during a numpy
+        analysis the vote's needle into the unified key column is strictly
+        increasing and holds each distinct ``mapper_k``-mer of the block's
+        reads once — fewer needles than seeds on a covering sample."""
+        session = AnalysisSession(index, backend="numpy")
+        reads = sample.reads
+        assert len(reads) <= mapping.vote_block_reads(
+            session.unified_index(session.analyze(reads).candidates)[0]
+        ), "fixture outgrew one vote block"
+        probes = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            probes.append((a, np.asarray(v)))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", recording)
+        result = session.analyze(reads)
+        unified, _ = session.unified_index(result.candidates)
+        needles = [v for a, v in probes if a is unified.kmers]
+        assert len(needles) == 1, "one search per vote block"
+        seeds = extract_kmers_batch([read.sequence for read in reads], unified.k)[0]
+        distinct = set(seeds.tolist())
+        assert bool(np.all(needles[0][:-1] < needles[0][1:]))
+        assert needles[0].tolist() == sorted(distinct)
+        assert len(distinct) < seeds.size
