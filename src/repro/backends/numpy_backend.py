@@ -15,10 +15,14 @@ operations:
   ``n_channels`` (equivalent to the round-robin stripes the per-channel
   Intersect units consume, §4.5), one ``bincount`` over the call's
   matches;
-- KSS retrieval — per level (the k_max column, then each smaller k's
-  prefix column) one clamped ``searchsorted``, one exact compare and one
-  take of the matched row's owner-set signature: a query answers with an
-  ``int32`` id, ``0`` on a miss, and no owner set is copied.
+- KSS retrieval — one clamped ``searchsorted`` into the k_max column per
+  shard and sample (§4.3.2: prefixes of the k_max stream identify the
+  rows of every smaller k).  The k_max level is an exact compare and a
+  take; each smaller level takes the matched neighbour's entry of the
+  level's ``kmax_row_signatures`` column when that neighbour shares the
+  query's prefix (a range slice's orphan boundary rows answer their
+  prefix's run of queries directly).  A query answers with an ``int32``
+  owner-set id, ``0`` on a miss, and no owner set is copied.
 
 For ``2 * k <= 64`` the columns are ``uint64`` and everything runs at
 native speed; for larger k (the paper's k = 60 needs 120 bits) the columns
@@ -31,7 +35,7 @@ ints, to the reference backend's lists.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -41,6 +45,7 @@ from repro.backends.base import (
     IntColumn,
     PhaseTimings,
     StepTwoBackend,
+    bisect_column,
     interval_edges,
 )
 from repro.backends.retrieval import RetrievalResult
@@ -76,7 +81,8 @@ def stripe_columns(column: npt.NDArray[Any], n_channels: int) -> List[npt.NDArra
     return [column[c::n_channels] for c in range(n_channels)]
 
 
-def _rshift(arr: npt.NDArray[Any], shift: int) -> npt.NDArray[Any]:
+def rshift(arr: npt.NDArray[Any], shift: int) -> npt.NDArray[Any]:
+    """``arr >> shift`` in the column's own dtype (``uint64`` or ``object``)."""
     if arr.dtype == np.dtype(object):
         return arr >> shift
     return arr >> np.uint64(shift)
@@ -206,10 +212,10 @@ class NumpyStepTwoBackend(StepTwoBackend):
         """KSS retrieval into signature columns with zero per-hit loops.
 
         The intersect kernel's column is taken as is (:func:`as_column` is
-        the identity on it) and becomes the result's ``queries``.  Each
-        level is one lookup (:func:`_signatures_of`) in the
-        :meth:`KssTables.store` columns; the result refers to the store's
-        signature table, so no taxID is touched here.
+        the identity on it) and becomes the result's ``queries``.  Every
+        level answers from one search of the :meth:`KssTables.store`'s
+        k_max keys (:func:`_retrieve_levels`); the result refers to the
+        store's signature table, so no taxID is touched here.
         """
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         store = kss.store()
@@ -217,24 +223,79 @@ class NumpyStepTwoBackend(StepTwoBackend):
             q = as_column(sorted_intersecting, store.kmers.dtype)
             if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
                 raise ValueError("intersecting k-mers must be sorted")
-            levels = {kss.k_max: _signatures_of(store.kmers, store.signatures, q)}
-            for k in kss.smaller_ks:
-                level = store.levels[k]
-                levels[k] = _signatures_of(
-                    level.prefixes, level.signatures, _rshift(q, 2 * (kss.k_max - k))
-                )
+            levels = _retrieve_levels(store, q)
         return RetrievalResult(queries=q, levels=levels, signatures=store.table)
 
 
-def _signatures_of(
-    keys: npt.NDArray[Any], signatures: npt.NDArray[Any], q: npt.NDArray[Any]
-) -> SignatureColumn:
-    """Each sorted query's row signature in one sorted key column, ``0``
-    where the key is absent: a clamped ``searchsorted``, an exact compare,
-    one take."""
-    if not len(keys) or not len(q):
-        return np.zeros(len(q), dtype=np.int32)
-    pos = np.minimum(_searchsorted(keys, q), len(keys) - 1)
-    found: SignatureColumn = np.take(signatures, pos)
-    found[np.asarray(keys[pos] != q, dtype=bool)] = 0
-    return found
+def _retrieve_levels(store: Any, q: npt.NDArray[Any]) -> Dict[int, SignatureColumn]:
+    """Every level's signature column for the sorted queries ``q``, from
+    one clamped ``searchsorted`` into the store's k_max keys.
+
+    A query's insertion point ``p`` has k_max neighbours at ``p`` and
+    ``p - 1`` (clamped to the column); XOR with each says how many
+    leading bits the query shares with it.  The k_max level answers with
+    the row at ``p`` when it equals the query.  A smaller level answers
+    with a neighbour's ``kmax_row_signatures`` entry when that neighbour
+    shares the query's prefix — every k_max-mer under one prefix names
+    the same level row, and a prefix with k_max-mers in the column has
+    one of them next to the query — else ``0``.  The only rows no
+    neighbour can name are a range slice's first and last level rows
+    when every k_max-mer under them lies in another shard
+    (:func:`_orphan_rows`); the queries on such a prefix (one run of the
+    sorted column, found by bisection) answer with that row directly.
+    Every column is a plain ``np.ndarray``, whatever the store's columns
+    are views of.
+    """
+    kmers = store.kmers
+    pos = _searchsorted(kmers, q)
+    if not len(kmers) or not len(q):
+        levels = {
+            k: np.zeros(len(q), dtype=np.int32)
+            for k in (store.k_max, *store.smaller_ks)
+        }
+    else:
+        right = np.minimum(pos, len(kmers) - 1)
+        left = np.maximum(pos, 1) - 1
+        right_diff = kmers[right] ^ q
+        left_diff = kmers[left] ^ q
+        found: SignatureColumn = np.take(np.asarray(store.signatures), right)
+        found *= np.asarray(right_diff == 0, dtype=bool)
+        levels = {store.k_max: found}
+        for k in store.smaller_ks:
+            bound = kmers.dtype.type(1 << (2 * (store.k_max - k)))
+            shared = np.asarray(right_diff < bound, dtype=bool)
+            found = np.take(
+                store.levels[k].kmax_row_signatures, np.where(shared, right, left)
+            )
+            shared |= np.asarray(left_diff < bound, dtype=bool)
+            found *= shared
+            levels[k] = found
+    for k in store.smaller_ks:
+        level = store.levels[k]
+        shift = 2 * (store.k_max - k)
+        for row in _orphan_rows(kmers, level.prefixes, shift):
+            prefix = int(level.prefixes[row])
+            start = bisect_column(q, prefix << shift)
+            stop = bisect_column(q, (prefix + 1) << shift, lo=start)
+            levels[k][start:stop] = level.signatures[row]
+    return levels
+
+
+def _orphan_rows(
+    kmers: npt.NDArray[Any], prefixes: npt.NDArray[Any], shift: int
+) -> List[int]:
+    """The first and last level rows no k_max-mer of ``kmers`` carries.
+
+    Interior rows of a slice always have k_max-mers inside it, and a
+    whole store has no orphan at all; only a range slice's boundary rows
+    can have theirs in a neighbouring shard.
+    """
+    orphans: List[int] = []
+    if not len(prefixes):
+        return orphans
+    if not len(kmers) or int(kmers[0]) >> shift != int(prefixes[0]):
+        orphans.append(0)
+    last = len(prefixes) - 1
+    if last and (not len(kmers) or int(kmers[-1]) >> shift != int(prefixes[last])):
+        orphans.append(last)
+    return orphans

@@ -12,7 +12,13 @@ k-mers and the tables, with no pointer chasing.  The paper measures KSS at
 A :class:`KssTables` *is* its **store** (:class:`KssStore`) — flat columns
 per level: the sorted keys (k-mers, or prefixes), one ``int32``
 **signature** per row naming the row's full owner set, and for the smaller
-levels the *stored* taxID CSR the paper persists.  The full sets
+levels the *stored* taxID CSR the paper persists.  Each smaller level
+also carries one derived column, never persisted:
+``kmax_row_signatures``, the level signature of every k_max row's prefix
+row (:func:`level_store` builds it, and checks that the level's rows are
+exactly the k_max rows' distinct prefixes, whenever a store is built or
+opened), so the NumPy backend answers every level from one search of the
+k_max keys.  The full sets
 themselves live once, in the store's
 :class:`~repro.backends.signatures.SignatureTable` — a KSS holds far fewer
 distinct owner sets than rows — so a full row *is* ``table[signature[row]]``
@@ -41,7 +47,9 @@ path asks — ``row_materializations`` counts those events, so tests can
 assert that building, saving and serving an index never boxes a row.
 :meth:`slice_range` cuts the store at shard boundaries (prefix-aligned) so
 each SSD of a multi-SSD deployment carries only its own KSS range; every
-slice shares the one table.
+slice shares the one table.  A slice's first or last level row can be an
+*orphan* — every k_max-mer under it lies in the neighbouring shard — and
+retrieval answers such a row's queries directly.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tup
 import numpy as np
 
 from repro.backends.base import bisect_column
-from repro.backends.numpy_backend import column_dtype
+from repro.backends.numpy_backend import column_dtype, rshift
 from repro.backends.retrieval import RetrievalResult, group_sorted
 from repro.backends.signatures import (
     SignatureTable,
@@ -81,7 +89,7 @@ class KssSubEntry:
 
 @dataclass(frozen=True)
 class KssLevelStore:
-    """One smaller-k level's persisted columns.
+    """One smaller-k level's persisted columns, plus one derived column.
 
     ``stored_*`` is the CSR of what the KSS physically keeps per row (the
     taxIDs not covered by the row's k_max-mers — the paper's space saving);
@@ -90,12 +98,51 @@ class KssLevelStore:
     answer with.  ``full - stored`` per row is exactly the covered-owner
     union, so neither the rows nor the k_max stream need re-walking after
     a load.
+
+    ``kmax_row_signatures`` is not persisted: one id per row of the
+    store's k_max ``kmers`` column, the signature of that k-mer's
+    prefix row at this level (:func:`level_store` derives it whenever a
+    store is built or opened).  It lets retrieval answer every level
+    from the one k_max search (§4.3.2: prefixes of the k_max stream
+    identify the rows).
     """
 
     prefixes: np.ndarray
     stored_taxids: np.ndarray
     stored_offsets: np.ndarray
     signatures: np.ndarray
+    kmax_row_signatures: np.ndarray
+
+
+def level_store(
+    kmers: np.ndarray,
+    shift: int,
+    prefixes: np.ndarray,
+    stored_taxids: np.ndarray,
+    stored_offsets: np.ndarray,
+    signatures: np.ndarray,
+) -> KssLevelStore:
+    """A whole store's level over its sorted k_max ``kmers``, with the
+    derived per-k_max-row signature column.
+
+    The level's rows must be exactly the distinct ``shift``-bit prefixes
+    of ``kmers`` — what every build emits — else ``ValueError``: a row no
+    k_max-mer carries, or a k_max-mer without its row, would make the one
+    search answer differently from the per-level merge.
+    """
+    distinct, starts = group_sorted(rshift(kmers, shift))
+    if not np.array_equal(distinct, prefixes):
+        raise ValueError(
+            "a KSS level's rows must be exactly the distinct prefixes of "
+            "the k_max rows"
+        )
+    return KssLevelStore(
+        prefixes=prefixes,
+        stored_taxids=stored_taxids,
+        stored_offsets=stored_offsets,
+        signatures=signatures,
+        kmax_row_signatures=np.repeat(np.asarray(signatures), np.diff(starts)),
+    )
 
 
 @dataclass(frozen=True)
@@ -193,8 +240,9 @@ def build_store(
     table, ids = intern_rows(*stack_csr(full_rows), taxids)
     bounds = np.cumsum([0] + [len(row_offsets) - 1 for _, row_offsets in full_rows])
     levels = {
-        k: KssLevelStore(
-            level_prefixes[k], *stored[k], ids[bounds[i + 1]:bounds[i + 2]]
+        k: level_store(
+            rows, 2 * (k_max - k), level_prefixes[k], *stored[k],
+            ids[bounds[i + 1]:bounds[i + 2]],
         )
         for i, k in enumerate(smaller_ks)
     }
@@ -255,23 +303,21 @@ class KssTables:
             sub_tables[k] = rows
             full_sets += level_sets
         table, ids = SignatureTable.from_sets(full_sets)
+        kmers = np.array([kmer for kmer, _ in entries], dtype=dtype)
         levels: Dict[int, KssLevelStore] = {}
         start = len(entries)
         for k, rows in sub_tables.items():
-            stored_taxids, stored_offsets = pack_sets_csr(
-                [row.stored for row in rows]
-            )
-            levels[k] = KssLevelStore(
-                prefixes=np.array([row.prefix for row in rows], dtype=dtype),
-                stored_taxids=stored_taxids,
-                stored_offsets=stored_offsets,
-                signatures=ids[start:start + len(rows)],
+            levels[k] = level_store(
+                kmers, 2 * (sketch.k_max - k),
+                np.array([row.prefix for row in rows], dtype=dtype),
+                *pack_sets_csr([row.stored for row in rows]),
+                ids[start:start + len(rows)],
             )
             start += len(rows)
         self._init(KssStore(
             k_max=sketch.k_max,
             smaller_ks=sketch.smaller_ks,
-            kmers=np.array([kmer for kmer, _ in entries], dtype=dtype),
+            kmers=kmers,
             signatures=ids[:len(entries)],
             levels=levels,
             table=table,
@@ -360,7 +406,9 @@ class KssTables:
         of boundary rows are recomputed against the slice's own k_max range
         (owners covered only by another shard's k-mers must be stored
         locally), exactly as a per-shard KSS build would emit them.  All
-        unaffected columns are zero-copy views, and the table is shared.
+        unaffected columns — each level's ``kmax_row_signatures`` cut to
+        the slice's k_max rows among them — are zero-copy views, and the
+        table is shared.
         """
         if hi < lo:
             raise ValueError(f"inverted KSS range [{lo}, {hi})")
@@ -393,6 +441,7 @@ class KssTables:
             stored_taxids=stored_taxids,
             stored_offsets=stored_offsets,
             signatures=level.signatures[a:b],
+            kmax_row_signatures=level.kmax_row_signatures[i:j],
         )
 
     def _slice_stored(self, level: KssLevelStore, store: KssStore, shift: int,

@@ -76,35 +76,46 @@ def _pack_kmer(value: int, k: int) -> bytes:
 def pack_kmer_column(column: IntColumn, k: int) -> bytes:
     """Pack a sorted k-mer column into big-endian records (one bulk blob).
 
-    The mirror of :func:`parse_kmer_column`: vectorized for ``2k <= 64``,
-    one record at a time past that.
+    The mirror of :func:`parse_kmer_column`.  For ``2k <= 64`` each
+    left-aligned key is written one record byte at a time: byte ``b`` of
+    every record is one shifted column stored at the record stride.
+    Wider k-mers are packed one record at a time.
     """
     width = kmer_record_bytes(k)
     if 2 * k > 64:
         return b"".join(_pack_kmer(int(v), k) for v in column)
     shifted = np.asarray(column, dtype=np.uint64) << np.uint64(width * 8 - 2 * k)
-    records = shifted.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return records[:, 8 - width:].tobytes()
+    records = np.empty((len(shifted), width), dtype=np.uint8)
+    for byte in range(width):
+        records[:, byte] = shifted >> np.uint64(8 * (width - 1 - byte))
+    return records.tobytes()
 
 
 def parse_kmer_column(buf: Buffer, k: int, count: int) -> NDArray[Any]:
     """Parse ``count`` packed k-mer records into the sorted key column.
 
-    ``uint64`` and fully vectorized (one ``frombuffer`` + shift) for
-    ``2k <= 64``; wider k-mers fill an ``object`` column one record at a
-    time.  Either attaches as a database's key column as is.
+    ``uint64`` and vectorized for ``2k <= 64``: the records are copied
+    once into a buffer with ``8 - width`` zero bytes after them, and the
+    big-endian ``uint64`` word starting at each record (the record, then
+    the next record's first bytes) is read at the record stride and
+    shifted down to its ``2k`` key bits.  Wider k-mers fill an
+    ``object`` column one record at a time.  Either attaches as a
+    database's key column as is.
     """
     width = kmer_record_bytes(k)
     if len(buf) < count * width:
         raise SerializationError("truncated k-mer column")
     raw = _as_u8(buf)[: count * width]
-    shift = width * 8 - 2 * k
     column: NDArray[Any]
     if 2 * k <= 64:
-        padded = np.zeros((count, 8), dtype=np.uint8)
-        padded[:, 8 - width:] = raw.reshape(count, width)
-        column = padded.reshape(-1).view(">u8").astype(np.uint64) >> np.uint64(shift)
+        padded = np.empty(count * width + 8 - width, dtype=np.uint8)
+        padded[: count * width] = raw
+        padded[count * width :] = 0
+        words = np.ndarray((count,), dtype=">u8", buffer=padded, strides=(width,))
+        column = words.astype(np.uint64)
+        column >>= np.uint64(64 - 2 * k)
     else:
+        shift = width * 8 - 2 * k
         view = raw.tobytes()
         column = np.empty(count, dtype=object)
         for i in range(count):

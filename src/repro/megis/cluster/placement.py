@@ -72,6 +72,13 @@ class ClusterMap:
             self.n_shards * (node + 1) // self.n_nodes,
         )
 
+    def key_ranges(self, index: Any) -> List[Tuple[int, int]]:
+        """Every node's k-mer key range ``[lo, hi)`` in node order: the
+        span of its shard group under ``index.shards(n_shards)``, the
+        boundaries every participant computes from the same index."""
+        shards = index.shards(self.n_shards)
+        return [(shards[start].lo, shards[stop - 1].hi) for start, stop in self.groups]
+
     def node_of(self, shard: int) -> int:
         """The node owning shard ``shard``."""
         if not (0 <= shard < self.n_shards):

@@ -8,10 +8,12 @@ from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
 
 - **Step 1 local.**  The router partitions each sample's reads into the
   sorted query column on its own host (it holds the same index file).
-- **Step 2 scattered.**  :class:`ClusterStepTwo` sends the column to
-  every node (each intersects/retrieves over its contiguous shard group
-  only), then concatenates the partial signature columns in node order —
-  nodes own ascending shard groups, so the gather is exactly the
+- **Step 2 scattered.**  :class:`ClusterStepTwo` sends every node the
+  part of each column inside that node's key range (its contiguous shard
+  group's span under the router's own ``index.shards``, clipped with
+  :func:`~repro.backends.base.clip_buckets`) over a connection it keeps
+  between scatters, then concatenates the partial signature columns in
+  node order — nodes own ascending shard groups, so the gather is exactly the
   single-host :meth:`RetrievalResult.concatenate` merge and the final
   result is bit-identical to single-node serving.  Columns cross the
   wire as binary container frames (a JSON header line plus a
@@ -22,20 +24,24 @@ from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
 - **Step 3 local.**  Hit accumulation, candidate selection, and
   abundance estimation run on the gathered columns.
 
-**Failure semantics** mirror the PR 7/8 crash contract: a dead or
+**Failure semantics** mirror the serving tiers' crash contract: a dead or
 timed-out node fails one scatter *attempt*; the router retries exactly
 once — against the same address (a respawned node picks up there) or the
 node's configured replica — and only if the retry also fails does the
-request fail, with a structured ``node_failed`` error frame.  Accepted
-requests never silently drop.  Node liveness is tracked by heartbeat
-ping/pong frames on a background task; a node marked dead is routed
-around (replica first) without waiting for its timeout.
+request fail, with a structured ``node_failed`` error frame.  A kept
+connection that the node closed before replying (it restarted since the
+last scatter) is reopened once inside the attempt and costs no retry.
+Accepted requests never silently drop.  Node liveness is tracked by
+heartbeat ping/pong frames on a background task, each on a connection
+of its own; a node marked dead is routed around (replica first) without
+waiting for its timeout.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import socket
 import threading
 import time
@@ -43,10 +49,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import IntColumn, PhaseTimings, SignatureTable
+from repro.backends.base import clip_buckets
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
-from repro.megis.multissd import StepTwoResult, gather
+from repro.megis.multissd import StepTwoResult, gather, whole_range
 from repro.megis.session import AnalysisSession, MegisResult
 from repro.sequences.reads import Read
 
@@ -54,7 +61,6 @@ Address = Tuple[str, int]
 
 #: Connect-and-pong budget of one heartbeat ping, in seconds.
 HEARTBEAT_TIMEOUT_S = 1.0
-
 
 class NodeFailed(RuntimeError):
     """A node failed its scatter attempt *and* the one retry.
@@ -107,21 +113,86 @@ class ClusterStats:
     pongs: int = 0
 
 
+class _NoReply(ConnectionError):
+    """The node closed or reset the connection before the reply's first
+    byte: on a kept connection, the node may simply have restarted."""
+
+
+class _ConnectionPool:
+    """Idle scatter connections per node address, under one lock.
+
+    A connection is checked out by one request at a time and returns
+    only after its reply was read whole, so no reply is pending on a
+    pooled socket.  Idle connections per address never outnumber the
+    scatters that ran at once, which the service's worker threads bound.
+    :meth:`close` closes every idle connection; the pool stays usable and
+    the next request opens afresh.
+    """
+
+    def __init__(self) -> None:
+        self._idle: Dict[Address, List[socket.socket]] = {}
+        self._lock = threading.Lock()
+
+    def take(self, address: Address) -> Optional[socket.socket]:
+        with self._lock:
+            idle = self._idle.get(address)
+            return idle.pop() if idle else None
+
+    def put(self, address: Address, sock: socket.socket) -> None:
+        with self._lock:
+            self._idle.setdefault(address, []).append(sock)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for socks in idle.values():
+            for sock in socks:
+                sock.close()
+
+
+@dataclass
+class _Attempt:
+    """One request to one address: the frame, the socket it went out on
+    (``None`` once closed or pooled), whether that socket was a kept
+    one, and the error that failed the attempt."""
+
+    address: Address
+    frame: bytes
+    sock: Optional[socket.socket] = None
+    reused: bool = False
+    error: Optional[Exception] = None
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            ClusterStepTwo._close(sock)
+
+
 class ClusterStepTwo:
     """Blocking scatter-gather client over the cluster's node endpoints.
 
     Lives on the service worker threads (submissions already run off the
-    event loop), so it uses plain sockets: per scatter it connects and
-    sends to *every* node first, then reads replies in node order — the
-    nodes compute their partials concurrently while the router reads.
-    One connection per (scatter, node) keeps failover trivial: a retry
-    is simply a fresh connection, which a respawned node answers.
+    event loop), so it uses plain sockets: per scatter it sends to
+    *every* node first, then reads replies in node order — the nodes
+    compute their partials concurrently while the router reads.  Each
+    node is sent only the query k-mers inside its key range (the ranges
+    :meth:`bind` takes).  Connections are kept: a request goes out on an
+    idle connection to its address from the :class:`_ConnectionPool` when
+    there is one, and a connection returns there once its reply was read
+    whole — a connection left unread, or one whose reply failed, is
+    closed, never pooled.  A kept connection that fails before its
+    reply's first byte (the node restarted since) is replaced by a fresh
+    one once, inside the same attempt; any other failure fails the
+    attempt, and the one retry goes to the other address (or the same
+    one, where a respawned node answers).  :meth:`close` closes the idle
+    connections.
 
     ``k`` is the served index's k-mer length (the query records' width);
-    it defaults to the one ``cluster_map``'s index fingerprint pins.  The
-    signature table replies decode against is bound before the first
-    scatter (:meth:`bind`; :class:`ClusterAnalysisSession` binds its
-    local index's).
+    it defaults to the one ``cluster_map``'s index fingerprint pins.
+    ``timeout_s`` bounds each connect, send and reply read, and must be a
+    finite number > 0.  The signature table replies decode against is
+    bound before the first scatter (:meth:`bind`;
+    :class:`ClusterAnalysisSession` binds its local index's).
     """
 
     def __init__(
@@ -132,6 +203,10 @@ class ClusterStepTwo:
         k: Optional[int] = None,
         timeout_s: float = 10.0,
     ) -> None:
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ValueError(
+                f"timeout_s must be a finite number > 0, got {timeout_s!r}"
+            )
         if len(endpoints) != cluster_map.n_nodes:
             raise ValueError(
                 f"cluster map expects {cluster_map.n_nodes} nodes, got "
@@ -159,18 +234,36 @@ class ClusterStepTwo:
         }
         self._lock = threading.Lock()
         self._seq = itertools.count()
+        self._pool = _ConnectionPool()
         self.signatures: Optional[SignatureTable] = None
+        self.ranges: List[Tuple[int, int]] = []
 
-    def bind(self, signatures: SignatureTable) -> None:
+    def bind(self, signatures: SignatureTable,
+             ranges: Sequence[Tuple[int, int]]) -> None:
         """Decode node replies against ``signatures``: the router's own
-        index's table, which must be the one the map's fingerprint pins."""
+        index's table, which must be the one the map's fingerprint pins.
+
+        ``ranges`` are the nodes' key ranges ``[lo, hi)`` in node order
+        (:meth:`ClusterMap.key_ranges` of the same index); each scatter
+        sends a node only its range's query k-mers.
+        """
         pinned = (self.cluster_map.fingerprint or {}).get("signatures")
         if pinned is not None and pinned != signatures.digest:
             raise ValueError(
                 f"cluster map was computed for a different index build: map "
                 f"signature table {pinned!r}, index {signatures.digest!r}"
             )
+        if len(ranges) != len(self.endpoints):
+            raise ValueError(
+                f"expected one key range per node ({len(self.endpoints)}), "
+                f"got {len(ranges)}"
+            )
         self.signatures = signatures
+        self.ranges = [(int(lo), int(hi)) for lo, hi in ranges]
+
+    def close(self) -> None:
+        """Close the idle kept connections (the next scatter reconnects)."""
+        self._pool.close()
 
     # -- scatter-gather --------------------------------------------------------
 
@@ -189,51 +282,94 @@ class ClusterStepTwo:
             request_id = next(self._seq)
             self.stats.scatters += 1
             self.stats.samples += len(queries)
-        frame = wire.step2_frame(request_id, self.k, queries)
         n_samples = len(queries)
 
         # Send to every node up front so their partials compute
         # concurrently; replies are then read in node order.
-        sends: List[Tuple[Address, Optional[socket.socket],
-                          Optional[Exception]]] = []
-        for endpoint in self.endpoints:
-            address = self._first_address(endpoint)
-            try:
-                sends.append((address, self._connect_send(address, frame),
-                              None))
-            except OSError as exc:
-                sends.append((address, None, exc))
-
+        attempts = [
+            self._send(self._first_address(endpoint),
+                       wire.step2_frame(request_id, self.k,
+                                        self._node_queries(queries, node)))
+            for node, endpoint in enumerate(self.endpoints)
+        ]
         per_node: List[List[StepTwoResult]] = []
         try:
-            for endpoint, (address, sock, send_error) in zip(self.endpoints,
-                                                             sends):
-                partials: Optional[List[StepTwoResult]] = None
-                last_error: Optional[Exception] = send_error
-                if sock is not None:
-                    try:
-                        partials = self._read_reply(sock, request_id,
-                                                    endpoint, n_samples)
-                    except (OSError, ValueError) as exc:
-                        last_error = exc
+            for endpoint, attempt in zip(self.endpoints, attempts):
+                partials = self._receive(attempt, request_id, endpoint,
+                                         n_samples)
+                address = attempt.address
                 if partials is None:
                     address = self._second_address(endpoint, address)
-                    partials = self._retry(endpoint, address, frame,
-                                           request_id, n_samples, last_error)
+                    partials = self._retry(endpoint, address, attempt.frame,
+                                           request_id, n_samples,
+                                           attempt.error)
                 # ``alive`` describes the primary: a replica's answer must
                 # not send the next scatter back to a dead primary first.
                 if address == endpoint.address:
                     self._mark_alive(endpoint.node_id)
                 per_node.append(partials)
         finally:
-            # Every first-attempt socket, read or not: when a node fails
-            # for good the NodeFailed leaves the later nodes' connections
+            # Every socket not read and pooled: when a node fails for
+            # good the NodeFailed leaves the later nodes' connections
             # unread, and they must not be left to the garbage collector.
-            for _, sock, _ in sends:
-                if sock is not None:
-                    self._close(sock)
+            for attempt in attempts:
+                attempt.close()
 
         return gather(per_node)
+
+    def _node_queries(self, queries: Sequence[IntColumn],
+                      node: int) -> List[IntColumn]:
+        """Each sample's query k-mers inside ``node``'s key range."""
+        lo, hi = self.ranges[node]
+        clipped: List[IntColumn] = []
+        for query in queries:
+            inside = clip_buckets(whole_range(query, self.k), lo, hi)
+            clipped.append(inside[0][2] if inside else query[:0])
+        return clipped
+
+    def _send(self, address: Address, frame: bytes) -> _Attempt:
+        """``frame`` sent to ``address`` on an idle kept connection, else
+        on a new one; a send error is kept on the attempt."""
+        sock = self._pool.take(address)
+        if sock is not None:
+            try:
+                sock.sendall(frame)
+                return _Attempt(address, frame, sock, reused=True)
+            except OSError:
+                # The kept connection's one reopen.
+                self._close(sock)
+        try:
+            return _Attempt(address, frame, self._connect_send(address, frame))
+        except OSError as exc:
+            return _Attempt(address, frame, error=exc)
+
+    def _receive(self, attempt: _Attempt, request_id: int,
+                 endpoint: NodeEndpoint,
+                 n_samples: int) -> Optional[List[StepTwoResult]]:
+        """The attempt's decoded reply, its connection pooled; ``None``
+        (the reason on ``attempt.error``) when the attempt failed."""
+        sock = attempt.sock
+        if sock is None:
+            return None
+        try:
+            partials = self._read_reply(sock, request_id, endpoint, n_samples)
+        except (OSError, ValueError) as exc:
+            attempt.close()
+            attempt.error = exc
+            if not (attempt.reused and isinstance(exc, _NoReply)):
+                return None
+            # The node closed a kept connection (it restarted since): the
+            # attempt's one reopen.
+            attempt.reused = False
+            try:
+                attempt.sock = self._connect_send(attempt.address, attempt.frame)
+            except OSError as reopen_error:
+                attempt.error = reopen_error
+                return None
+            return self._receive(attempt, request_id, endpoint, n_samples)
+        attempt.sock = None
+        self._pool.put(attempt.address, sock)
+        return partials
 
     def _retry(self, endpoint: NodeEndpoint, retry_address: Address,
                frame: bytes, request_id: int, n_samples: int,
@@ -242,16 +378,19 @@ class ClusterStepTwo:
         self._mark_down(endpoint.node_id)
         with self._lock:
             self.stats.node_retries += 1
+        attempt = self._send(retry_address, frame)
+        if attempt.sock is None:
+            assert attempt.error is not None
+            raise self._fail(endpoint, attempt.error) from attempt.error
         try:
-            sock = self._connect_send(retry_address, frame)
-        except OSError as exc:
-            raise self._fail(endpoint, exc) from exc
-        try:
-            return self._read_reply(sock, request_id, endpoint, n_samples)
-        except (OSError, ValueError) as exc:
-            raise self._fail(endpoint, exc, first=last_error) from exc
+            partials = self._receive(attempt, request_id, endpoint, n_samples)
         finally:
-            self._close(sock)
+            attempt.close()
+        if partials is None:
+            assert attempt.error is not None
+            raise self._fail(endpoint, attempt.error,
+                             first=last_error) from attempt.error
+        return partials
 
     def _fail(self, endpoint: NodeEndpoint, error: Exception,
               first: Optional[Exception] = None) -> NodeFailed:
@@ -373,24 +512,28 @@ class ClusterStepTwo:
                     ) -> Tuple[Dict[str, Any], bytes]:
         """One reply: its header line and the body the header declares
         (none for pongs and error frames), each bounded by the wire's
-        line limit."""
+        line limit.  A connection closed or reset before the first byte
+        raises :class:`_NoReply`."""
         if timeout is not None:
             sock.settimeout(timeout)
-        buf = bytearray()
-        while True:
+        try:
             chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("node closed the connection mid-reply")
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                buf.extend(chunk[:newline])
-                rest = chunk[newline + 1:]
-                break
+        except ConnectionError as exc:
+            raise _NoReply(f"node reset the connection before replying ({exc})") from exc
+        if not chunk:
+            raise _NoReply("node closed the connection before replying")
+        buf = bytearray()
+        while (newline := chunk.find(b"\n")) < 0:
             buf.extend(chunk)
             if len(buf) > wire.MAX_LINE_BYTES:
                 raise ValueError(
                     f"reply exceeds {wire.MAX_LINE_BYTES} bytes without a newline"
                 )
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("node closed the connection mid-reply")
+        buf.extend(chunk[:newline])
+        rest = chunk[newline + 1:]
         record = wire.decode(buf.decode("utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"expected an object frame, got {record!r}")
@@ -437,7 +580,8 @@ class ClusterAnalysisSession:
                 "the router session cannot be process-backed: scatter "
                 "sockets must not cross a fork"
             )
-        step_two.bind(session.kss.signatures)
+        step_two.bind(session.kss.signatures,
+                      step_two.cluster_map.key_ranges(session.index))
         self.session = session
         self.step_two = step_two
         #: The service's session contract: how many forked workers its
@@ -462,7 +606,9 @@ class ClusterAnalysisSession:
         return self
 
     def close(self) -> None:
+        """Close the local session and the scatter's kept connections."""
         self.session.close()
+        self.step_two.close()
 
     def analyze(self, reads: Sequence[Read],
                 with_abundance: bool = True) -> MegisResult:
@@ -505,6 +651,13 @@ class ClusterRouter(AnalysisGateway):
     def __init__(self, session: ClusterAnalysisSession, *,
                  heartbeat_ms: Optional[float] = 1000.0,
                  **gateway_kwargs: Any) -> None:
+        # ``None`` turns the heartbeat off; a ping period must be > 0.
+        if heartbeat_ms is not None and not (
+            math.isfinite(heartbeat_ms) and heartbeat_ms > 0
+        ):
+            raise ValueError(
+                f"heartbeat_ms must be a finite number > 0, got {heartbeat_ms!r}"
+            )
         super().__init__(session, **gateway_kwargs)
         self.heartbeat_ms = heartbeat_ms
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
@@ -522,6 +675,8 @@ class ClusterRouter(AnalysisGateway):
         return address
 
     async def drain(self) -> None:
+        """The gateway's drain, then the scatter's idle connections close
+        (a resumed router reconnects on its first scatter)."""
         task, self._heartbeat_task = self._heartbeat_task, None
         if task is not None:
             task.cancel()
@@ -530,6 +685,7 @@ class ClusterRouter(AnalysisGateway):
             except asyncio.CancelledError:
                 pass
         await super().drain()
+        self.cluster.close()
 
     async def _heartbeat_loop(self) -> None:
         loop = asyncio.get_running_loop()

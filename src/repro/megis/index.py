@@ -63,7 +63,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.backends.signatures import SignatureTable
-from repro.databases.kss import KssLevelStore, KssStore, KssTables
+from repro.databases.kss import KssLevelStore, KssStore, KssTables, level_store
 from repro.databases.serialization import (
     SerializationError,
     kmer_record_bytes,
@@ -504,14 +504,16 @@ def _kss_store(sections: Sections, manifest: _Manifest) -> KssStore:
         stored_taxids, stored_offsets = _load_csr(
             sections, f"kss/{k}/stored", level_rows
         )
-        levels[k] = KssLevelStore(
-            prefixes=prefixes,
-            stored_taxids=stored_taxids,
-            stored_offsets=stored_offsets,
-            signatures=_load_signatures(
-                sections, f"kss/{k}/signatures", level_rows, len(table)
-            ),
+        level_signatures = _load_signatures(
+            sections, f"kss/{k}/signatures", level_rows, len(table)
         )
+        try:
+            levels[k] = level_store(
+                kmers, 2 * (manifest.k - k), prefixes, stored_taxids,
+                stored_offsets, level_signatures,
+            )
+        except ValueError as exc:
+            raise SerializationError(f"section 'kss/{k}/prefixes': {exc}") from exc
     return KssStore(
         k_max=manifest.k, smaller_ks=manifest.smaller_ks, kmers=kmers,
         signatures=signatures, levels=levels, table=table,

@@ -391,8 +391,10 @@ def step2_frame(request_id: object, k: int,
                 queries: Sequence[IntColumn]) -> bytes:
     """The router's scatter frame: one sorted query column per sample.
 
-    The node intersects each column against *its* shard subset only, so
-    the router sends the full column and placement stays node-side.
+    The router sends each node only the k-mers inside that node's key
+    range (:meth:`~repro.megis.cluster.router.ClusterStepTwo.bind`), so
+    ``counts`` are per-node; the node still clips each column to each of
+    its shards, so a column that reaches past its range only costs bytes.
     """
     body = pack_sections({
         f"q{i}": pack_kmer_column(query, k) for i, query in enumerate(queries)

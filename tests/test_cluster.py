@@ -346,7 +346,8 @@ class TestClusterMap:
             cluster_map.verify(other)
         with pytest.raises(ValueError, match="different index build"):
             ClusterStepTwo(cluster_map, [NodeEndpoint(0, ("127.0.0.1", 1))]
-                           ).bind(other.kss.signatures)
+                           ).bind(other.kss.signatures,
+                                  cluster_map.key_ranges(other))
         query = AnalysisSession(index, _config(golden))._partitioner.partition(
             chunks[0]).merged_column()
 
@@ -358,7 +359,8 @@ class TestClusterMap:
             )
             address = await node.start()
             step_two = ClusterStepTwo(cluster_map, [NodeEndpoint(0, address)])
-            step_two.bind(index.kss.signatures)
+            step_two.bind(index.kss.signatures,
+                          cluster_map.key_ranges(index))
             try:
                 with pytest.raises(NodeFailed) as failed:
                     await asyncio.get_running_loop().run_in_executor(
@@ -930,7 +932,8 @@ class TestFailover:
                 ClusterMap(n_nodes=1, n_shards=1),
                 [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=18,
             )
-            step_two.bind(RetrievalResult.from_sets([], {}).signatures)
+            step_two.bind(RetrievalResult.from_sets([], {}).signatures,
+                          [(0, 1 << (2 * 18))])
             try:
                 with pytest.raises(NodeFailed) as failed:
                     await asyncio.get_running_loop().run_in_executor(
@@ -1008,7 +1011,7 @@ class TestFailover:
                 ClusterMap(n_nodes=1, n_shards=1),
                 [NodeEndpoint(0, server.sockets[0].getsockname()[:2])], k=k,
             )
-            step_two.bind(partial.signatures)
+            step_two.bind(partial.signatures, [(0, 1 << (2 * k))])
             try:
                 with pytest.raises(NodeFailed) as failed:
                     await asyncio.get_running_loop().run_in_executor(
@@ -1202,3 +1205,157 @@ class TestNodeProtocol:
         assert records[1]["op"] == "pong"
         assert records[2]["op"] == "step2_result" and records[2]["id"] == 3
         assert records[3]["id"] == 3 and "body bytes, got" in records[3]["error"]
+
+
+class TestTimingKnobs:
+    """The router's timing knobs are refused at construction, as the CLI
+    refuses them: a NaN or negative ``timeout_s`` used to raise a raw
+    ``ValueError`` out of the first scatter, an infinite one an
+    ``OverflowError``, and 0 turned every connect non-blocking; a
+    heartbeat of 0 or less pinged back to back, a NaN one never woke."""
+
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_step_two_refuses_a_bad_timeout(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be a finite number > 0"):
+            ClusterStepTwo(ClusterMap(n_nodes=1, n_shards=1),
+                           [NodeEndpoint(0, ("127.0.0.1", 1))], k=18,
+                           timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("heartbeat_ms",
+                             [float("nan"), float("inf"), 0.0, -5.0])
+    def test_router_refuses_a_bad_heartbeat(self, golden_world, golden,
+                                            heartbeat_ms):
+        _, index = golden_world
+        session = ClusterAnalysisSession(
+            AnalysisSession(index, _config(golden)),
+            ClusterStepTwo(ClusterMap.for_index(index, 1, 1),
+                           [NodeEndpoint(0, ("127.0.0.1", 1))]),
+        )
+        with pytest.raises(ValueError, match="heartbeat_ms must be a finite number > 0"):
+            ClusterRouter(session, heartbeat_ms=heartbeat_ms)
+        assert ClusterRouter(session, heartbeat_ms=None).heartbeat_ms is None
+        assert ClusterRouter(session, heartbeat_ms=0.5).heartbeat_ms == 0.5
+
+
+def _run_in_thread(fn, *args):
+    return asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
+
+class TestKeptConnections:
+    """Each node is sent only its key range's k-mers, over a connection
+    the router keeps between scatters."""
+
+    def test_each_node_is_sent_only_its_key_range(self, golden_world, golden,
+                                                  chunks, monkeypatch):
+        _, index = golden_world
+        full = AnalysisSession(index, _config(golden))
+        queries = [full._partitioner.partition(chunk).merged_column()
+                   for chunk in chunks[:2]]
+        headers = []
+        step2 = ClusterNode._step2
+
+        async def recording(self, request_id, request, line_no, frames):
+            headers.append((self.node_id, request["counts"]))
+            return await step2(self, request_id, request, line_no, frames)
+
+        monkeypatch.setattr(ClusterNode, "_step2", recording)
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                gathered = await _run_in_thread(cluster.step_two.scatter,
+                                                queries)
+                return gathered, cluster.map.key_ranges(index)
+
+        gathered, ranges = run_scenario(scenario())
+        assert ranges[0][0] == 0 and ranges[0][1] == ranges[1][0]
+        assert ranges[1][1] == 1 << (2 * index.k)
+        assert sorted(headers) == [
+            (node, [sum(1 for kmer in as_ints(query) if lo <= kmer < hi)
+                    for query in queries])
+            for node, (lo, hi) in enumerate(ranges)
+        ]
+        reference = full.step_two_partial(queries)
+        for (kmers, retrieved), (expected, whole) in zip(gathered, reference):
+            assert as_ints(kmers) == as_ints(expected)
+            assert query_dicts(retrieved) == query_dicts(whole)
+
+    def test_scatters_reuse_one_connection_per_node(self, golden_world, golden,
+                                                    chunks, monkeypatch):
+        """M scatters open one connection per node, not one per node and
+        scatter; ``close`` drops the idle ones and the next scatter
+        reconnects."""
+        _, index = golden_world
+        query = AnalysisSession(index, _config(golden))._partitioner.partition(
+            chunks[0]).merged_column()
+        accepted = []
+        handle = ClusterNode._handle
+
+        async def counting(self, reader, writer):
+            accepted.append(self.node_id)
+            await handle(self, reader, writer)
+
+        monkeypatch.setattr(ClusterNode, "_handle", counting)
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                results = [await _run_in_thread(cluster.step_two.scatter, [query])
+                           for _ in range(5)]
+                kept = sorted(accepted)
+                cluster.step_two.close()
+                results.append(
+                    await _run_in_thread(cluster.step_two.scatter, [query]))
+                return results, kept, sorted(accepted), cluster.step_two.stats
+
+        results, kept, reopened, stats = run_scenario(scenario())
+        assert kept == [0, 1]
+        assert reopened == [0, 0, 1, 1]
+        assert stats.scatters == 6 and stats.node_retries == 0
+        first = query_dicts(results[0][0][1])
+        assert all(query_dicts(result[0][1]) == first for result in results)
+
+    @pytest.mark.parametrize("how", ["stop", "kill"])
+    def test_node_restarted_between_scatters_costs_no_retry(
+        self, golden_world, golden, chunks, how
+    ):
+        """The kept connection to a node that restarted on its port fails
+        before the reply's first byte: the attempt reopens it once and the
+        respawned node answers — no retry, no ``NodeFailed``."""
+        _, index = golden_world
+        query = AnalysisSession(index, _config(golden))._partitioner.partition(
+            chunks[0]).merged_column()
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                before = await _run_in_thread(cluster.step_two.scatter, [query])
+                if how == "stop":
+                    await cluster.nodes[0].stop()
+                else:
+                    cluster.nodes[0].kill()
+                await cluster.respawn(0)
+                after = await _run_in_thread(cluster.step_two.scatter, [query])
+                return before, after, cluster.step_two.stats
+
+        before, after, stats = run_scenario(scenario())
+        assert (stats.node_retries, stats.node_failures) == (0, 0)
+        assert query_dicts(after[0][1]) == query_dicts(before[0][1])
+
+    def test_gathered_columns_are_plain_arrays(self, golden_world, golden,
+                                               chunks, tmp_path):
+        """Over a mapped index, the gathered k-mers and signature columns
+        are plain ``np.ndarray`` (no ``np.memmap`` subclass downstream)."""
+        import numpy as np
+
+        _, built = golden_world
+        path = tmp_path / "world.megis"
+        built.save(path, n_shards=N_SHARDS)
+        index = MegisIndex.open(path)
+        query = AnalysisSession(index, _config(golden))._partitioner.partition(
+            chunks[0]).merged_column()
+
+        async def scenario():
+            async with Cluster(index, golden, 2) as cluster:
+                return await _run_in_thread(cluster.step_two.scatter, [query])
+
+        [(kmers, retrieved)] = run_scenario(scenario())
+        assert type(kmers) is np.ndarray and type(retrieved.queries) is np.ndarray
+        assert all(type(ids) is np.ndarray for ids in retrieved.levels.values())

@@ -825,6 +825,24 @@ class TestLegacyAndCorruption:
         with pytest.raises(SerializationError, match=message):
             MegisIndex.from_bytes(pack_sections(sections))
 
+    def test_level_rows_must_be_the_kmax_prefixes(self, index):
+        """A level's rows are exactly the distinct prefixes of the k_max
+        rows (retrieval names a row through its k_max-mers), so a file
+        whose prefix column names a prefix no k_max-mer carries is
+        refused at open."""
+        sections = {
+            name: bytes(view)
+            for name, view in unpack_sections(index.to_bytes()).items()
+        }
+        prefixes = parse_kmer_column(
+            sections["kss/8/prefixes"], 8, len(index.kss.store().levels[8].prefixes)
+        )
+        assert int(prefixes[-1]) + 1 < 1 << 16
+        prefixes[-1] += np.uint64(1)
+        sections["kss/8/prefixes"] = pack_kmer_column(prefixes, 8)
+        with pytest.raises(SerializationError, match="distinct prefixes"):
+            MegisIndex.from_bytes(pack_sections(sections))
+
     def test_inconsistent_csr_rejected(self, index):
         from repro.databases.serialization import pack_i64
 

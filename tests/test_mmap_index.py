@@ -112,3 +112,22 @@ class TestMapSectionsErrors:
         for name, view in by_map.items():
             assert isinstance(view, np.memmap)
             assert bytes(view) == bytes(by_bytes[name])
+
+
+class TestStepTwoColumnsArePlain:
+    """``np.take`` on a mapped signature column hands back ``np.memmap``
+    copies, whose every downstream op pays ``memmap.__array_finalize__``:
+    Step-2 results over a mapped index must be plain ``np.ndarray``."""
+
+    @pytest.mark.parametrize("n_ssds", [1, 3])
+    def test_whole_and_sharded_results(self, mapped, sample, n_ssds):
+        from repro.megis.session import AnalysisSession, MegisConfig
+
+        session = AnalysisSession(mapped, MegisConfig(n_ssds=n_ssds)).warm()
+        query = session._partitioner.partition(sample.reads).merged_column()
+        [(kmers, retrieved)] = session.step_two_partial([query])
+        assert len(kmers)
+        assert type(kmers) is np.ndarray and type(retrieved.queries) is np.ndarray
+        for ids in retrieved.levels.values():
+            assert type(ids) is np.ndarray
+            assert ids.any()

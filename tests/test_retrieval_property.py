@@ -21,6 +21,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.backends.retrieval import RetrievalResult
@@ -29,7 +30,12 @@ from repro.megis.index import MegisIndex
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
 from tests.columns import accumulate_oracle, as_ints, query_dicts
-from tests.strategies import STANDARD_SETTINGS, reference_worlds, synthetic_sketch
+from tests.strategies import (
+    STANDARD_SETTINGS,
+    kmer_rows,
+    reference_worlds,
+    synthetic_sketch,
+)
 
 K = 14
 SPACE = 1 << (2 * K)
@@ -273,3 +279,96 @@ def test_a_hash_collision_is_refused(monkeypatch):
     assert table.sets[ids[0]] == frozenset({1, 2})
     with pytest.raises(ValueError, match="collision"):
         signatures.SignatureTable.from_sets([[1, 2], [3, 4]])
+
+
+# -- one search per shard: the neighbour rule and orphan boundary rows ----------
+
+ORPHAN_K, ORPHAN_LEVEL = 6, 4  # level rows are the k-mers' top 8 bits (>> 4)
+#: Prefix 5 holds 81 and 82, prefix 6 holds 99, prefix 7 holds 124 and 125.
+ORPHAN_ROWS = {81: {1}, 82: {2}, 99: {3}, 124: {4}, 125: {5}}
+
+
+def _orphan_world():
+    kmers = sorted(ORPHAN_ROWS)
+    owners = [frozenset(ORPHAN_ROWS[x]) for x in kmers]
+    sketch = synthetic_sketch(kmers, owners, k_max=ORPHAN_K, smaller_ks=(ORPHAN_LEVEL,))
+    return sketch, KssTables(sketch)
+
+
+@pytest.mark.parametrize("lo, hi, queries", [
+    # Rows 5 and 7 are in the slice, but their k-mers are all outside it.
+    (88, 120, [88, 90, 95, 99, 100, 111, 112, 115, 119]),
+    # No k_max row at all: the one level row is both first and last.
+    (84, 96, [84, 90, 95]),
+    # Only the last row is an orphan; row 5's k-mers are inside.
+    (80, 120, [80, 81, 83, 99, 116, 119]),
+])
+def test_orphan_boundary_rows_answer_like_python(lo, hi, queries):
+    """A slice's first or last level row whose k_max-mers all lie in a
+    neighbouring shard has no neighbour to name it: its queries still
+    answer with that row, as the python merge and the sketch say."""
+    sketch, kss = _orphan_world()
+    sliced = kss.slice_range(lo, hi)
+    expected = {q: sketch.lookup(q) for q in queries}
+    by_numpy = get_backend("numpy").retrieve(sliced, queries)
+    by_python = get_backend("python").retrieve(sliced, queries)
+    assert query_dicts(by_numpy) == query_dicts(by_python) == expected
+    for k, ids in by_python.levels.items():
+        assert by_numpy.levels[k].tolist() == ids.tolist()
+    assert any(ORPHAN_LEVEL in levels for levels in expected.values())
+
+
+def test_numpy_retrieve_searches_once(monkeypatch):
+    """One ``np.searchsorted`` per call, however many levels the KSS has:
+    every smaller level answers from the k_max search's neighbours."""
+    _, kss, queries = make_world(2)
+    assert len(kss.smaller_ks) == 2 and len(queries) > 2
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    for store in (kss, kss.slice_range(queries[0] + 1, queries[-1])):
+        calls.clear()
+        get_backend("numpy").retrieve(store, [q for q in queries
+                                              if queries[0] < q < queries[-1]])
+        assert len(calls) == 1
+
+
+SPLIT_K = 6
+
+
+@STANDARD_SETTINGS
+@given(rows=kmer_rows(SPLIT_K, max_size=60),
+       cuts=st.lists(st.integers(min_value=0, max_value=1 << (2 * SPLIT_K)),
+                     max_size=4),
+       probes=st.lists(st.integers(min_value=0, max_value=(1 << (2 * SPLIT_K)) - 1),
+                       max_size=30))
+def test_any_shard_split_retrieves_like_python(rows, cuts, probes):
+    """Cut the KSS anywhere: each slice answers its range's queries with
+    the python merge's ids (the sketch's owner sets), orphan boundary
+    rows included, and the slices concatenate to the whole retrieval."""
+    kmers, owners = rows
+    sketch = synthetic_sketch(kmers, owners, k_max=SPLIT_K, smaller_ks=(4, 2))
+    kss = KssTables(sketch)
+    top = 1 << (2 * SPLIT_K)
+    queries = sorted({q for x in kmers for q in (x - 1, x, x + 1) if 0 <= q < top}
+                     | set(probes))
+    edges = sorted({0, top, *cuts})
+    numpy_parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        sliced = kss.slice_range(lo, hi)
+        in_range = [q for q in queries if lo <= q < hi]
+        by_numpy = get_backend("numpy").retrieve(sliced, in_range)
+        by_python = get_backend("python").retrieve(sliced, in_range)
+        for k, ids in by_python.levels.items():
+            assert by_numpy.levels[k].tolist() == ids.tolist()
+        numpy_parts.append(by_numpy)
+    joined = RetrievalResult.concatenate(numpy_parts)
+    whole = get_backend("numpy").retrieve(kss, queries)
+    for k, ids in whole.levels.items():
+        assert joined.levels[k].tolist() == ids.tolist()
+    assert query_dicts(whole) == {q: sketch.lookup(q) for q in queries}

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.databases.serialization import (
+    SerializationError,
     byte_order_matches_kmer_order,
     kmer_record_bytes,
     pack_kmer_column,
+    pack_sections,
     parse_kmer_column,
     payload_pages,
     unpack_sections,
@@ -17,6 +19,7 @@ from repro.megis.commands import CommandProcessor
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
+from tests.strategies import property_settings
 
 
 def reattached(db):
@@ -54,6 +57,84 @@ class TestSerialization:
         kmers = sorted(raw)
         db = SortedKmerDatabase(12, kmers, [frozenset({1})] * len(kmers))
         assert reattached(db).kmers == kmers
+
+
+def _row_copy_pack(column, k):
+    """The record packer before the per-byte columns: a big-endian view
+    of each left-aligned key, its low ``width`` bytes copied out."""
+    width = kmer_record_bytes(k)
+    shifted = np.asarray(column, dtype=np.uint64) << np.uint64(width * 8 - 2 * k)
+    records = shifted.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return records[:, 8 - width:].tobytes()
+
+
+def _row_copy_parse(buf, k, count):
+    """The record parser before the strided words: every record copied
+    into its own zero-padded 8-byte row."""
+    width = kmer_record_bytes(k)
+    raw = np.frombuffer(buf, dtype=np.uint8)[: count * width]
+    padded = np.zeros((count, 8), dtype=np.uint8)
+    padded[:, 8 - width:] = raw.reshape(count, width)
+    shift = np.uint64(width * 8 - 2 * k)
+    return padded.reshape(-1).view(">u8").astype(np.uint64) >> shift
+
+
+def _sorted_keys(k, n, seed):
+    top = 1 << (2 * k)
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=False)
+    if n:
+        keys[0], keys[-1] = 0, top - 1  # both ends of the key space
+    return np.sort(keys)
+
+
+class TestKmerRecordCodec:
+    """``pack_kmer_column`` / ``parse_kmer_column`` write and read the
+    same bytes the row-copy codec did, at every uint64 width."""
+
+    @pytest.mark.parametrize("k", range(1, 32))
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
+    def test_bytes_match_the_row_copy_codec(self, k, n):
+        column = _sorted_keys(k, n, seed=k * 101 + n)
+        packed = pack_kmer_column(column, k)
+        assert packed == _row_copy_pack(column, k)
+        assert len(packed) == n * kmer_record_bytes(k)
+        parsed = parse_kmer_column(packed, k, n)
+        assert parsed.dtype == np.uint64
+        assert parsed.tolist() == _row_copy_parse(packed, k, n).tolist()
+        assert parsed.tolist() == column.tolist()
+
+    @given(k=st.integers(min_value=1, max_value=32), data=st.data())
+    @property_settings(40)
+    def test_roundtrip_matches_row_copy_property(self, k, data):
+        keys = data.draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << (2 * k)) - 1), max_size=50,
+        ))
+        column = np.array(sorted(keys), dtype=np.uint64)
+        packed = pack_kmer_column(column, k)
+        assert packed == _row_copy_pack(column, k)
+        # Parsing a prefix of a longer buffer reads only its records.
+        tail = data.draw(st.binary(max_size=8))
+        parsed = parse_kmer_column(packed + tail, k, len(column))
+        assert parsed.tolist() == column.tolist()
+
+    def test_truncated_records_are_refused(self):
+        packed = pack_kmer_column(np.arange(4, dtype=np.uint64), 20)
+        with pytest.raises(SerializationError, match="truncated"):
+            parse_kmer_column(packed[:-1], 20, 4)
+
+    def test_padding_bits_are_refused(self):
+        """A record whose bits below the 2k key bits are set would decode
+        to a key, so a frame carrying one is refused before parsing."""
+        from repro.megis import wire
+
+        records = bytearray(pack_kmer_column(np.array([5, 9, 40], np.uint64), 18))
+        records[-1] |= 0x01  # k = 18: 36 key bits in 5 bytes, 4 padding
+        body = pack_sections({"q0": bytes(records)})
+        header = {"schema": 1, "op": "step2", "id": 1, "k": 18, "counts": [3],
+                  "bytes": len(body)}
+        with pytest.raises(ValueError, match="padding bits"):
+            wire.parse_step2_frame(header, body, 18)
 
 
 class TestCsrOwnerLayout:
