@@ -16,10 +16,15 @@ identical k-mer sequences; the cross-backend equivalence tests enforce
 it.  Extraction follows the same split: the reference extracts read by
 read into a ``Counter``; the columnar path (k-mers fit ``uint64``) packs
 the whole sample in one streaming pass,
-:func:`~repro.sequences.kmers.extract_kmers_batch` — the extractor the
-columnar Step-3 vote shares — then sorts, deduplicates and
-frequency-excludes that whole stream at once and cuts the buckets out of
-the result as views.
+:func:`~repro.sequences.kmers.extract_kmers_batch`, then sorts,
+deduplicates and frequency-excludes that whole stream at once and cuts
+the buckets out of the result as views.  When the session will map the
+sample's reads in Step 3, that one sort is of read-tagged words
+(:class:`~repro.sequences.kmers.KmerStream`, ``kmer << read_bits |
+read``) and deduplicates on the k-mer above the read bits, so the buckets
+are the same and the sorted ``(k-mer, read)`` stream rides on the
+:class:`BucketSet` to the vote, which then extracts and sorts nothing of
+its own for the reads at least ``k`` long.
 
 When the extracted k-mers exceed host DRAM, MegIS pins as many buckets as
 fit and spills the rest to the SSD through dedicated sequential write
@@ -44,7 +49,7 @@ from repro.backends import (
     column_to_list,
     get_backend,
 )
-from repro.sequences.kmers import extract_kmers, extract_kmers_batch
+from repro.sequences.kmers import KmerStream, extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 
 #: A bucket's sorted k-mers in the backend's native container.
@@ -103,11 +108,17 @@ class Bucket:
 
 @dataclass
 class BucketSet:
-    """All buckets of a sample, in ascending range order."""
+    """All buckets of a sample, in ascending range order.
+
+    ``stream`` is the sample's sorted, read-tagged k-mer stream when
+    :meth:`KmerBucketPartitioner.partition` was asked to keep it and it
+    fits ``uint64`` words; ``None`` otherwise.
+    """
 
     k: int
     buckets: List[Bucket]
     spilled_bytes: int = 0
+    stream: Optional[KmerStream] = None
 
     def slices(self) -> List[BucketSlice]:
         """The buckets as the Step-2 kernel's ``(lo, hi, kmers)`` slices."""
@@ -163,6 +174,8 @@ class KmerBucketPartitioner:
         host_dram_bytes: Optional[int] = None,
         backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
     ):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         if n_buckets <= 0:
             raise ValueError(f"n_buckets must be positive, got {n_buckets}")
         if min_count < 1:
@@ -229,7 +242,9 @@ class KmerBucketPartitioner:
 
     # -- main entry --------------------------------------------------------------
 
-    def partition(self, reads: Sequence[Read]) -> BucketSet:
+    def partition(
+        self, reads: Sequence[Read], keep_stream: bool = False
+    ) -> BucketSet:
         """Run Step 1 over a sample's reads.
 
         Extraction and the preliminary boundary pass run first.  Because
@@ -243,35 +258,30 @@ class KmerBucketPartitioner:
         (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
         in read order, whose ndarray head is the preliminary sample the
         boundary pass sorts in numpy), selects over the whole stream with
-        one sort (:meth:`_select_vectorized`) and cuts each bucket as a
-        view at ``np.searchsorted(selected, boundaries)``.  The Counter
-        path extracts read by read and folds each in immediately so peak
-        memory stays O(distinct k-mers), then scatters the counts into
-        buckets and selects per bucket.
+        one sort (:meth:`_select_sorted`) and cuts each bucket as a view
+        at ``np.searchsorted(selected, boundaries)``.  With
+        ``keep_stream`` that sort is of read-tagged words
+        (:meth:`KmerStream.build <repro.sequences.kmers.KmerStream.build>`),
+        selection reads the k-mers above the read bits, and the stream is
+        kept as :attr:`BucketSet.stream` — unless a k-mer and a read id do
+        not fit one word, when the bare k-mers are sorted and no stream is
+        kept.  The Counter path extracts read by read and folds each in
+        immediately so peak memory stays O(distinct k-mers), then scatters
+        the counts into buckets and selects per bucket; it keeps no
+        stream.
         """
         vectorized = self._backend.columnar and self.k <= 31
-        counts: Counter = Counter()
-        preliminary: KmerColumn
-        if vectorized:
-            merged, _ = extract_kmers_batch(
-                [read.sequence for read in reads], self.k
-            )
-            preliminary = merged[:PRELIMINARY_SAMPLE]
-        else:
-            head: List[int] = []
-            for read in reads:
-                kmers = extract_kmers(read.sequence, self.k, canonical=False)
-                counts.update(kmers.tolist())
-                remaining = PRELIMINARY_SAMPLE - len(head)
-                if remaining > 0:
-                    head.extend(int(x) for x in kmers[:remaining].tolist())
-            preliminary = head
-
-        boundaries = self._boundaries(preliminary)
-        edges = [0, *boundaries, 1 << (2 * self.k)]
+        stream: Optional[KmerStream] = None
         columns: List[KmerColumn]
         if vectorized:
-            selected = self._select_vectorized(merged)
+            sequences = [read.sequence for read in reads]
+            merged, read_ids = extract_kmers_batch(sequences, self.k)
+            boundaries = self._boundaries(merged[:PRELIMINARY_SAMPLE])
+            if keep_stream:  # tags and sorts ``merged`` in place
+                stream = KmerStream.build(sequences, self.k, (merged, read_ids))
+            selected = self._select_sorted(
+                np.sort(merged) if stream is None else stream.kmers()
+            )
             # Edges are below 4^k <= 2^62: uint64 keys, no float promotion.
             cuts = np.searchsorted(
                 selected, np.asarray(boundaries, dtype=np.uint64)
@@ -279,15 +289,25 @@ class KmerBucketPartitioner:
             bounds = [0, *cuts, len(selected)]
             columns = [selected[a:b] for a, b in zip(bounds, bounds[1:])]
         else:
+            counts: Counter = Counter()
+            head: List[int] = []
+            for read in reads:
+                kmers = extract_kmers(read.sequence, self.k, canonical=False)
+                counts.update(kmers.tolist())
+                remaining = PRELIMINARY_SAMPLE - len(head)
+                if remaining > 0:
+                    head.extend(int(x) for x in kmers[:remaining].tolist())
+            boundaries = self._boundaries(head)
             columns = [
                 self._select(raw)
-                for raw in self._group_counted(counts, boundaries, len(edges) - 1)
+                for raw in self._group_counted(counts, boundaries, len(boundaries) + 1)
             ]
+        edges = [0, *boundaries, 1 << (2 * self.k)]
         buckets = [
             Bucket(index=i, lo=edges[i], hi=edges[i + 1], kmers=kmers)
             for i, kmers in enumerate(columns)
         ]
-        bucket_set = BucketSet(k=self.k, buckets=buckets)
+        bucket_set = BucketSet(k=self.k, buckets=buckets, stream=stream)
         self._assign_pinning(bucket_set)
         return bucket_set
 
@@ -301,17 +321,16 @@ class KmerBucketPartitioner:
             raw_buckets[bisect_right(boundaries, kmer)][kmer] = count
         return raw_buckets
 
-    def _select_vectorized(self, raw: np.ndarray) -> KmerColumn:
-        """Sort, deduplicate and frequency-exclude a raw k-mer stream.
+    def _select_sorted(self, ordered: np.ndarray) -> KmerColumn:
+        """Deduplicate and frequency-exclude an ascending k-mer stream.
 
-        One ``np.sort`` and an adjacent-difference flag on the first of
-        each run of equal k-mers; run lengths (the counts) are taken only
-        when ``min_count > 1`` or ``max_count`` is set.  Produces the
-        identical sorted k-mer sequence as :meth:`_select`, wrapped by the
-        backend's :meth:`~repro.backends.StepTwoBackend.query_column` (a
-        no-op for the ndarray it already holds).
+        An adjacent-difference flag on the first of each run of equal
+        k-mers; run lengths (the counts) are taken only when
+        ``min_count > 1`` or ``max_count`` is set.  Produces the identical
+        sorted k-mer sequence as :meth:`_select`, wrapped by the backend's
+        :meth:`~repro.backends.StepTwoBackend.query_column` (a no-op for
+        the ndarray it already holds).
         """
-        ordered = np.sort(raw)
         first = np.ones(len(ordered), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         if self.min_count == 1 and self.max_count is None:

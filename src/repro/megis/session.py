@@ -18,7 +18,12 @@ default ``numpy``) and ``mapper_k <= 31``; otherwise (the ``python``
 reference backend named as the oracle, or a mapper k-mer wider than
 ``uint64``) they are the dict reference
 structures with the per-read vote.  The two are equal by test and nothing
-else selects between them (:mod:`repro.tools.mapping`).
+else selects between them (:mod:`repro.tools.mapping`).  A columnar
+mapping analysis with ``mapper_k`` no wider than the database k keeps
+Step 1's sorted ``(k-mer, read)`` stream
+(:attr:`~repro.megis.host.BucketSet.stream`) and hands it to the vote,
+which takes its seeds from it instead of extracting and sorting the reads
+a second time; a statistical or presence-only analysis keeps none.
 
 Orchestration per sample: Step 1 on the host (extract/bucket/sort/exclude)
 -> Step 2 in the SSD (per-channel intersection + KSS taxID retrieval) ->
@@ -82,6 +87,7 @@ from repro.megis.multissd import (
     warm_shards,
     whole_range,
 )
+from repro.sequences.kmers import KmerStream
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.mapping import (
@@ -512,11 +518,19 @@ class AnalysisSession:
         """
         # Step 1 (host) per sample: extract, bucket, sort, exclude.  All
         # samples' buckets are buffered before the database stream starts.
+        # A mapping Step 3 whose k-mers are prefixes of Step 1's keeps the
+        # sorted (k-mer, read) stream to take its seeds from.
+        keep_stream = (
+            with_abundance
+            and self.config.abundance_method == "mapping"
+            and self._species_index_type is ColumnarSpeciesIndex
+            and self.config.mapper_k <= self.database.k
+        )
         bucket_sets: List[BucketSet] = []
         extract_ms: List[float] = []
         for reads in samples:
             start = time.perf_counter()
-            bucket_sets.append(self._partitioner.partition(reads))
+            bucket_sets.append(self._partitioner.partition(reads, keep_stream))
             extract_ms.append((time.perf_counter() - start) * 1e3)
 
         # Step 2 (ISP): intersection + KSS retrieval, one database stream
@@ -546,7 +560,9 @@ class AnalysisSession:
             self._finish_step_two(result, intersecting, retrieved)
             if with_abundance:
                 with result.timings.phase("abundance"):
-                    self._estimate_abundance(result, reads, retrieved)
+                    self._estimate_abundance(
+                        result, reads, retrieved, buckets.stream
+                    )
             results.append(result)
         return results
 
@@ -781,13 +797,15 @@ class AnalysisSession:
             self.sketch, hits, self.config.min_containment
         )
 
-    def _estimate_abundance(self, result: MegisResult, reads, retrieved) -> None:
+    def _estimate_abundance(
+        self, result: MegisResult, reads, retrieved, stream: Optional[KmerStream]
+    ) -> None:
         if not result.candidates:
             return
         if self.config.abundance_method == "mapping":
             unified, merge_stats = self.unified_index(result.candidates)
             result.merge_stats = merge_stats
-            result.profile = ReadMapper(unified).estimate_abundance(reads)
+            result.profile = ReadMapper(unified).estimate_abundance(reads, stream)
         else:
             estimator = StatisticalAbundanceEstimator(self.sketch)
             result.profile, _ = estimator.estimate_from_retrieval(

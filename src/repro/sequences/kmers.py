@@ -1,17 +1,21 @@
 """K-mer extraction and counting.
 
 Provides a readable per-k-mer iterator, a vectorized per-sequence extractor
-used when building databases, and a batch extractor that packs the k-mers
-of a whole sample's reads in one pass (the hot path of Step 1 and of the
-columnar Step-3 vote).  Extraction mirrors the
-behaviour of KMC (the counting tool MegIS's Step 1 improves upon, §4.2.1):
-canonical k-mers, with optional frequency-based exclusion (§4.2.3).
+used when building databases, a batch extractor that packs the k-mers of a
+whole sample's reads in one pass, and :class:`KmerStream` — those k-mers
+sorted with their reads, which Step 1 builds once per sample and the
+columnar Step-3 vote reads its seeds from (the paper extracts and sorts a
+sample once, §4.2.1, and maps the same reads in Step 3, §4.4).
+Extraction mirrors the behaviour of KMC (the counting tool MegIS's Step 1
+improves upon, §4.2.1): canonical k-mers, with optional frequency-based
+exclusion (§4.2.3).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +103,12 @@ def extract_kmers_batch(
     Sequences shorter than ``k`` hold no k-mer and are left out of the
     concatenation unencoded, exactly as :func:`extract_kmers` returns
     before encoding them.  Only ``k <= 31`` (a k-mer fits ``uint64``).
+
+    Step 1 calls this once per sample at the database k; for a mapping
+    analysis it keeps both columns, sorted, as a :class:`KmerStream`, from
+    which the Step-3 vote derives its shorter seeds.  The vote extracts at
+    its own k only for reads shorter than the database k, or when it
+    holds no stream.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -133,6 +143,71 @@ def extract_kmers_batch(
     valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
     kmers = forward[valid].astype(np.uint64, copy=False)
     return kmers, np.repeat(kept, lengths[kept] - k + 1)
+
+
+def read_id_bits(n_reads: int) -> int:
+    """Bits a read id ``0 .. n_reads - 1`` takes below a k-mer in one word."""
+    return max(0, n_reads - 1).bit_length()
+
+
+@dataclass(frozen=True)
+class KmerStream:
+    """The k-mers of a sample's reads in key order, each tagged with its read.
+
+    ``words`` holds ``kmer << read_bits | read`` for every k-mer of every
+    read (repeats kept), ascending — so the k-mers come in key order, ties
+    by read.  ``lengths[r]`` is read ``r``'s length and, for a read at
+    least ``k`` bases long, ``last_kmers[r]`` is its last k-mer (0 for a
+    shorter read): the stream's k-mers' ``j``-prefixes are the ``j``-mers
+    of every read but those of its last ``k - 1`` bases, which are
+    substrings of that last k-mer.
+    """
+
+    k: int
+    read_bits: int
+    words: np.ndarray
+    lengths: np.ndarray
+    last_kmers: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        sequences: Sequence[str],
+        k: int,
+        extracted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Optional["KmerStream"]:
+        """Sort the k-mers of ``sequences`` with their reads, or ``None``
+        when a k-mer and a read id do not fit one ``uint64`` word
+        (``2k + read_id_bits(len(sequences)) > 64``).
+
+        ``extracted`` is what :func:`extract_kmers_batch` returned for
+        ``(sequences, k)``, if the caller has it; its k-mer column becomes
+        the stream's words (tagged and sorted in place).
+        """
+        read_bits = read_id_bits(len(sequences))
+        if BITS_PER_BASE * k + read_bits > 64:
+            return None
+        kmers, read_ids = (
+            extract_kmers_batch(sequences, k) if extracted is None else extracted
+        )
+        lengths = np.fromiter(
+            map(len, sequences), dtype=np.int64, count=len(sequences)
+        )
+        last_kmers = np.zeros(len(sequences), dtype=np.uint64)
+        held = lengths >= k
+        last_kmers[held] = kmers[np.cumsum(lengths[held] - (k - 1)) - 1]
+        kmers <<= np.uint64(read_bits)
+        kmers |= read_ids.view(np.uint64)
+        kmers.sort()
+        return cls(k, read_bits, kmers, lengths, last_kmers)
+
+    def kmers(self) -> np.ndarray:
+        """The k-mers, ascending (repeats kept)."""
+        return self.words >> np.uint64(self.read_bits)
+
+    def reads(self) -> np.ndarray:
+        """The read of each k-mer, as ``int64``."""
+        return (self.words & np.uint64((1 << self.read_bits) - 1)).view(np.int64)
 
 
 def kmer_spectrum(seq: str, k: int, canonical: bool = True) -> Dict[int, int]:

@@ -28,16 +28,24 @@ either:
   column beside it, the genomes' ``starts`` in ascending-taxid order, and
   the merge's key *signatures* — the few distinct per-key vectors of
   per-species location counts, one row id per key.
-  The mapper votes for a whole block of reads at once: one batch
-  extraction, one value sort of ``seed << read_bits | read`` words (so
-  the seeds come in key order, each still tagged with its read), one
+  The mapper votes for a whole block of reads at once from the block's
+  *seeds* — its reads' k-mers in key order, each tagged with its read,
+  in at most two ascending runs.  A session hands over Step 1's sorted
+  ``(K-mer, read)`` stream (:class:`~repro.sequences.kmers.KmerStream`,
+  at the database ``K`` >= the mapper ``k``): the main run is the
+  ``k``-prefixes of its ``K``-mers, already in key order, and a small
+  sorted second run holds the k-mers of each read's last ``K - 1``
+  bases, cut out of its last ``K``-mer (plus all the k-mers of a read
+  shorter than ``K``, extracted).  Any other caller extracts and sorts
+  its block at the mapper k (one batch extraction, one value sort of
+  ``seed << read_bits | read`` words) and has one run.  Either way the vote is one
   ``searchsorted`` of the block's *distinct* seeds — the first of each
-  run of equal seeds — with each signature copied back to its run, one
-  ``bincount`` over ``read * (n_sig + 1) + signature``, and one product
-  of those per-read signature counts with ``signatures`` for the
-  per-species votes.  Every columnar-backend session
-  with ``mapper_k <= 31`` takes this path; results equal the reference
-  read for read.
+  run of equal seeds, the two runs' merged — with each signature copied
+  back to its run of equal seeds, one ``bincount`` over ``read * (n_sig
+  + 1) + signature``, and one product of those per-read signature counts
+  with ``signatures`` for the per-species votes.  Every columnar-backend
+  session with ``mapper_k <= 31`` takes this path; results equal the
+  reference read for read.
 """
 
 from __future__ import annotations
@@ -49,7 +57,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers, extract_kmers_batch
+from repro.sequences.kmers import (
+    KmerStream,
+    extract_kmers,
+    extract_kmers_batch,
+    read_id_bits,
+)
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 
@@ -259,10 +272,19 @@ class ReadMapper:
             return None
         return taxid
 
-    def estimate_abundance(self, reads: Sequence[Read]) -> AbundanceProfile:
-        """Map all reads; profile = relative mapped-read counts per species."""
+    def estimate_abundance(
+        self, reads: Sequence[Read], stream: Optional[KmerStream] = None
+    ) -> AbundanceProfile:
+        """Map all reads; profile = relative mapped-read counts per species.
+
+        ``stream`` is Step 1's sorted k-mer stream of exactly these reads
+        (:attr:`~repro.megis.host.BucketSet.stream`); over a columnar
+        index of a k no wider than the stream's, the vote takes its seeds
+        from it instead of extracting them.  The profile is the same
+        either way.
+        """
         if isinstance(self.index, ColumnarUnifiedIndex):
-            return self._estimate_columnar(self.index, reads)
+            return self._estimate_columnar(self.index, reads, stream)
         counts: Counter = Counter()
         for read in reads:
             taxid = self.map_read(read.sequence)
@@ -273,14 +295,29 @@ class ReadMapper:
     # -- the columnar vote --------------------------------------------------------
 
     def _estimate_columnar(
-        self, index: ColumnarUnifiedIndex, reads: Sequence[Read]
+        self,
+        index: ColumnarUnifiedIndex,
+        reads: Sequence[Read],
+        stream: Optional[KmerStream],
     ) -> AbundanceProfile:
-        mapped = np.zeros(index.taxids.size, dtype=np.int64)
-        block = vote_block_reads(index)
-        for start in range(0, len(reads), block):
-            species = self._vote_block(
-                index, [read.sequence for read in reads[start:start + block]]
+        sequences = [read.sequence for read in reads]
+        if stream is not None and stream.lengths.size != len(sequences):
+            raise ValueError(
+                f"a stream of {stream.lengths.size} reads cannot seed "
+                f"a vote over {len(sequences)}"
             )
+        seeded = stream is not None and stream.k >= index.k and _votes(index)
+        block = vote_block_reads(index)
+        block_words = iter(_block_words(stream, block) if seeded else ())
+        mapped = np.zeros(index.taxids.size, dtype=np.int64)
+        for lo in range(0, len(sequences), block):
+            hi = min(lo + block, len(sequences))
+            if seeded:
+                species = self._vote(index, hi - lo, *_stream_seeds(
+                    stream, index.k, sequences, lo, hi, next(block_words)
+                ))
+            else:
+                species = self._vote_block(index, sequences[lo:hi])
             mapped += np.bincount(
                 species[species >= 0], minlength=index.taxids.size
             )
@@ -301,46 +338,179 @@ class ReadMapper:
         returns the first maximum and species are in ascending-taxid
         order), fewer than ``min_seed_hits`` hits — which covers reads
         shorter than k, holding no k-mer — is unmapped.  At most
-        :func:`vote_block_reads` sequences.
+        :func:`vote_block_reads` sequences: the block's own extraction
+        at ``index.k``, sorted as one :class:`KmerStream`.
         """
         n_reads = len(sequences)
-        if index.taxids.size == 0 or index.kmers.size == 0:
+        if not _votes(index):
             return np.full(n_reads, -1, dtype=np.int64)
-        read_bits = max(0, n_reads - 1).bit_length()
-        if 2 * index.k + read_bits > 64:
+        stream = KmerStream.build(sequences, index.k)
+        if stream is None:
             raise ValueError(
                 f"{n_reads} reads do not fit one vote block at k={index.k}"
             )
-        # One value sort of ``seed << read_bits | read`` words puts the
-        # seeds in key order — consecutive binary searches then walk the
-        # same path through the key column — each still tagged with its
-        # read, so no index sort and no inverse is needed.
-        words, read_ids = extract_kmers_batch(sequences, index.k)
-        words <<= np.uint64(read_bits)
-        words |= read_ids.view(np.uint64)
-        words.sort()
-        seeds = words >> np.uint64(read_bits)
-        reads = (words & np.uint64((1 << read_bits) - 1)).view(np.int64)
-        # Reads cover their genomes several times over, so equal seeds
-        # come in runs: only the first seed of each run is searched, and
-        # its signature (a miss votes with the zero row) is copied back to
-        # the run by run number, ``cumsum(first) - 1``.  The distinct seeds
-        # are a take at ``flatnonzero(first)``: a boolean mask this sparse
-        # and irregular is several times slower.
-        first = np.empty(seeds.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(seeds[1:], seeds[:-1], out=first[1:])
-        distinct = seeds[np.flatnonzero(first)]
-        slots = np.minimum(
-            np.searchsorted(index.kmers, distinct), index.kmers.size - 1
+        return self._vote(
+            index,
+            n_reads,
+            *_stream_seeds(stream, index.k, sequences, 0, n_reads, stream.words),
         )
+
+    def _vote(
+        self,
+        index: ColumnarUnifiedIndex,
+        n_reads: int,
+        seeds: np.ndarray,
+        reads: np.ndarray,
+        tail_seeds: np.ndarray,
+        tail_reads: np.ndarray,
+    ) -> np.ndarray:
+        """The vote of one block from its seeds in two ascending runs.
+
+        ``seeds[i]`` is a k-mer of block read ``reads[i]``, and so is
+        ``tail_seeds[i]`` of ``tail_reads[i]``; each run is ascending.
+        Reads cover their genomes several times over, so equal seeds come
+        in runs: only the first seed of each run is searched — the two
+        runs' distinct seeds merged into one strictly increasing needle,
+        so consecutive binary searches walk the same path through the key
+        column — and its signature (a miss votes with the zero row) is
+        copied back to the run with ``np.repeat``.
+        """
+        main_starts, main_distinct = _distinct(seeds)
+        tail_starts, tail_distinct = _distinct(tail_seeds)
+        needle, main_at, tail_at = _merge_distinct(main_distinct, tail_distinct)
+        slots = np.minimum(np.searchsorted(index.kmers, needle), index.kmers.size - 1)
         n_rows = index.signatures.shape[0]
         signature = np.where(
-            index.kmers[slots] == distinct, index.key_signature[slots], n_rows - 1
-        )[np.cumsum(first) - 1]
-        votes = np.bincount(
-            reads * n_rows + signature, minlength=n_reads * n_rows
-        ).reshape(n_reads, n_rows) @ index.signatures
+            index.kmers[slots] == needle, index.key_signature[slots], n_rows - 1
+        )
+
+        def cells(run_reads, starts, run_signature):
+            return run_reads * n_rows + np.repeat(
+                run_signature, np.diff(starts, append=run_reads.size)
+            )
+
+        counted = cells(
+            reads, main_starts, signature if main_at is None else signature[main_at]
+        )
+        if tail_reads.size:
+            counted = np.concatenate(
+                (counted, cells(tail_reads, tail_starts, signature[tail_at]))
+            )
+        votes = np.bincount(counted, minlength=n_reads * n_rows).reshape(
+            n_reads, n_rows
+        ) @ index.signatures
         return np.where(
             votes.max(axis=1) >= self.min_seed_hits, votes.argmax(axis=1), -1
         )
+
+
+def _votes(index: ColumnarUnifiedIndex) -> bool:
+    """Whether any read can map: the index holds a species and a key."""
+    return bool(index.taxids.size and index.kmers.size)
+
+
+def _block_words(stream: KmerStream, block: int) -> List[np.ndarray]:
+    """The stream's words of each block of ``block`` reads, in order.
+
+    A stable sort on the block number keeps each block's words in key
+    order; one block needs none.
+    """
+    n_blocks = -(-stream.lengths.size // block)
+    if n_blocks <= 1:
+        return [stream.words]
+    number = stream.reads() // block
+    order = np.argsort(number, kind="stable")
+    bounds = np.cumsum(np.bincount(number, minlength=n_blocks))[:-1]
+    return np.split(stream.words[order], bounds)
+
+
+def _stream_seeds(
+    stream: KmerStream,
+    k: int,
+    sequences: Sequence[str],
+    lo: int,
+    hi: int,
+    words: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The k-mers of reads ``lo .. hi`` as the vote's two ascending runs.
+
+    ``words`` are the stream's words of those reads, in key order.  Their
+    ``k``-prefixes are every read's k-mers but those starting in its last
+    ``stream.k - k`` positions, in key order: the main run.  The tail run
+    cuts those out of each long read's last ``stream.k``-mer (``stream.k
+    - k`` shifts and masks), extracts every k-mer of a read shorter than
+    ``stream.k`` (a read shorter than ``k`` has none), and sorts the
+    lot.  Read ids are block-local.
+    """
+    span = stream.k - k
+    seeds = words >> np.uint64(stream.read_bits + 2 * span)
+    reads = (words & np.uint64((1 << stream.read_bits) - 1)).view(np.int64)
+    if lo:
+        reads = reads - lo
+    lengths = stream.lengths[lo:hi]
+    tails: List[np.ndarray] = []
+    tail_reads: List[np.ndarray] = []
+    if span:
+        held = np.flatnonzero(lengths >= stream.k)
+        shifts = np.arange(2 * (span - 1), -1, -2, dtype=np.uint64)
+        window = np.uint64((1 << (2 * k)) - 1)
+        tails.append(
+            ((stream.last_kmers[lo:hi][held] >> shifts[:, None]) & window).ravel()
+        )
+        tail_reads.append(np.tile(held, span))
+        short = np.flatnonzero((lengths >= k) & (lengths < stream.k))
+        if short.size:
+            kmers, ids = extract_kmers_batch(
+                [sequences[lo + i] for i in short.tolist()], k
+            )
+            tails.append(kmers)
+            tail_reads.append(short[ids])
+    if not tails:
+        empty = np.empty(0, dtype=np.uint64)
+        return seeds, reads, empty, empty.view(np.int64)
+    read_bits = read_id_bits(hi - lo)
+    tagged = np.concatenate(tails) << np.uint64(read_bits)
+    tagged |= np.concatenate(tail_reads).view(np.uint64)
+    tagged.sort()
+    return (
+        seeds,
+        reads,
+        tagged >> np.uint64(read_bits),
+        (tagged & np.uint64((1 << read_bits) - 1)).view(np.int64),
+    )
+
+
+def _distinct(seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal seeds starts, and its seed.
+
+    The distinct seeds are a take at ``flatnonzero(first)``: a boolean
+    mask this sparse and irregular is several times slower.
+    """
+    first = np.empty(seeds.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(seeds[1:], seeds[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, seeds[starts]
+
+
+def _merge_distinct(
+    a: np.ndarray, b: np.ndarray
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Sorted union of two strictly increasing columns, and where in it
+    each of ``a`` (``None``: ``a`` is the union) and of ``b`` lands.
+
+    A stable sort of the two runs side by side is one merge pass; the
+    union is its first of each run of equal values, and a value's place
+    is its run's number.
+    """
+    if not b.size:
+        return a, None, np.empty(0, dtype=np.intp)
+    both = np.concatenate((a, b))
+    order = np.argsort(both, kind="stable")
+    first = np.empty(both.size, dtype=bool)
+    first[:1] = True
+    merged = both[order]
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    at = np.empty(both.size, dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
+    return merged[first], at[:a.size], at[a.size:]

@@ -19,9 +19,11 @@ from tests.strategies.databases import (
 )
 from tests.strategies.mapping import (
     MappingWorld,
+    StreamSample,
     mapping_worlds,
     read_lists,
     reference_view,
+    stream_samples,
 )
 from tests.strategies.retrieval import candidate_sets, retrieval_results
 from tests.strategies.settings import STANDARD_SETTINGS, property_settings
@@ -33,6 +35,7 @@ __all__ = [
     "IndexWorld",
     "MappingWorld",
     "ReferenceWorld",
+    "StreamSample",
     "candidate_sets",
     "collection",
     "damaged",
@@ -50,6 +53,7 @@ __all__ = [
     "retrieval_partials",
     "retrieval_results",
     "sorted_kmer_databases",
+    "stream_samples",
     "synthetic_sketch",
     "with_manifest",
 ]

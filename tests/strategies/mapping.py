@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from hypothesis import strategies as st
 
@@ -88,3 +88,62 @@ def mapping_worlds(draw, min_species: int = 0) -> MappingWorld:
     if windows:
         read = st.one_of(st.sampled_from(windows), read)
     return MappingWorld(k, genomes, draw(st.lists(read, max_size=12)))
+
+
+@dataclass
+class StreamSample:
+    """Genomes indexed at ``k``, a sample over them and the Step-1/3 knobs
+    the session's stream-seeded vote depends on."""
+
+    genomes: Dict[int, str]
+    k: int
+    mapper_k: int
+    reads: List[str]
+    min_count: int
+    max_count: Optional[int]
+    #: ``VOTE_BLOCK_READS`` for the run: the sample spans several blocks.
+    block: int
+
+
+@st.composite
+def stream_samples(draw) -> StreamSample:
+    """A database k of 3-12 or 31 and a mapper k of 1..k; reads are
+    genome windows and noise shorter than the mapper k, between the two
+    and at least k long, some repeated.  At k = 31 the sample has more
+    than 4 reads, so Step 1's read-tagged word does not fit and the vote
+    falls back to its own extraction."""
+    k = draw(st.one_of(st.integers(min_value=3, max_value=12), st.just(31)))
+    mapper_k = draw(st.integers(min_value=1, max_value=k))
+    genomes: Dict[int, str] = {}
+    for taxid in draw(st.lists(
+        st.integers(min_value=1, max_value=30), unique=True, min_size=1, max_size=4
+    )):
+        if genomes and draw(st.integers(0, 4)) == 0:
+            genomes[taxid] = genomes[draw(st.sampled_from(sorted(genomes)))]
+        else:
+            genomes[taxid] = draw(dna(min_size=k, max_size=k + 80))
+    texts = sorted(genomes.values())
+    lengths = st.one_of(
+        st.integers(min_value=0, max_value=mapper_k - 1),
+        st.integers(min_value=mapper_k, max_value=k - 1) if mapper_k < k
+        else st.just(k),
+        st.integers(min_value=k, max_value=k + 25),
+    )
+
+    @st.composite
+    def read(draw_read) -> str:
+        length = draw_read(lengths)
+        if draw_read(st.integers(0, 4)) == 0:
+            return draw_read(dna(min_size=length, max_size=length))
+        text = draw_read(st.sampled_from(texts))
+        start = draw_read(st.integers(0, max(0, len(text) - length)))
+        return text[start:start + length]
+
+    reads = draw(st.lists(read(), min_size=5 if k == 31 else 0, max_size=14))
+    if reads:
+        reads += draw(st.lists(st.sampled_from(reads), max_size=4))
+    window = draw(st.sampled_from([(1, None), (2, None), (1, 2)]))
+    return StreamSample(
+        genomes, k, mapper_k, reads, *window,
+        block=draw(st.sampled_from([1, 3, 2048])),
+    )

@@ -15,10 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.megis.abundance import merge_species_columns, merge_species_indexes
-from repro.megis.index import MegisIndex
+from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.sequences.encoding import EncodingError
-from repro.sequences.kmers import extract_kmers, extract_kmers_batch
+from repro.sequences.kmers import KmerStream, extract_kmers, extract_kmers_batch
 from repro.sequences.reads import Read
 from repro.tools import mapping
 from repro.tools.mapping import (
@@ -30,9 +30,11 @@ from repro.tools.mapping import (
 )
 from tests.strategies import (
     STANDARD_SETTINGS,
+    collection,
     mapping_worlds,
     read_lists,
     reference_view,
+    stream_samples,
 )
 
 
@@ -424,9 +426,10 @@ class TestSessionPaths:
         self, index, sample, monkeypatch
     ):
         """Structural guard, independent of host speed: a numpy analysis
-        calls the batch extractor once at the database k (Step 1) and once
-        per vote block at mapper_k (Step 3), never a per-read extractor or
-        a per-location ``taxid_of_location``."""
+        of reads at least the database k long calls the batch extractor
+        once per sample, at the database k (Step 1) — the vote takes its
+        seeds from Step 1's stream — and never a per-read extractor or a
+        per-location ``taxid_of_location``."""
         batch_ks = []
 
         def counting_batch(sequences, k):
@@ -449,19 +452,19 @@ class TestSessionPaths:
         monkeypatch.setattr(
             UnifiedIndex, "taxid_of_location", forbidden("taxid_of_location")
         )
-        k, mapper_k = session.database.k, session.config.mapper_k
+        k = session.database.k
         vote_blocks = math.ceil(len(sample.reads) / mapping.VOTE_BLOCK_READS)
         assert vote_blocks == 1, "fixture outgrew one vote block"
 
         for n_reads in (50, len(sample.reads)):
             batch_ks.clear()
             assert session.analyze(sample.reads[:n_reads]).profile.fractions
-            assert sorted(batch_ks) == sorted([k, mapper_k])
+            assert batch_ks == [k]
 
         batch_ks.clear()
         batch_of = [sample.reads[:100], sample.reads[100:250], sample.reads[250:]]
         session.analyze_batch(batch_of)
-        assert sorted(batch_ks) == sorted([k, mapper_k] * len(batch_of))
+        assert batch_ks == [k] * len(batch_of)
 
     def test_vote_probes_in_key_order_and_never_searches_starts(
         self, index, sample, monkeypatch
@@ -521,3 +524,187 @@ class TestSessionPaths:
         assert bool(np.all(needles[0][:-1] < needles[0][1:]))
         assert needles[0].tolist() == sorted(distinct)
         assert len(distinct) < seeds.size
+
+
+class TestStreamSeededVote:
+    """A numpy session's vote takes its seeds from Step 1's sorted
+    ``(k-mer, read)`` stream; it must answer as the standalone mapper's
+    own extraction and as the ``python`` session do."""
+
+    @STANDARD_SETTINGS
+    @given(stream_samples())
+    def test_session_standalone_and_python_agree(self, world):
+        index = IndexBuilder(
+            world.k, (max(1, world.k // 2),), sketch_fraction=1.0
+        ).build(collection(world.genomes))
+        config = MegisConfig(
+            mapper_k=world.mapper_k, min_count=world.min_count,
+            max_count=world.max_count, min_containment=0.0, n_buckets=4,
+        )
+        reads = [Read(i, seq, 0) for i, seq in enumerate(world.reads)]
+        session = AnalysisSession(index, config, backend="numpy")
+        want = AnalysisSession(index, config, backend="python").analyze(reads)
+        needles = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            needles.append((a, np.asarray(v)))
+            return searchsorted(a, v, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mapping, "VOTE_BLOCK_READS", world.block)
+            if want.candidates:  # merge off the record: the cache hits
+                session.unified_index(want.candidates)
+            patch.setattr(np, "searchsorted", recording)
+            result = session.analyze(reads)
+            patch.setattr(np, "searchsorted", searchsorted)
+            assert _answer(result) == _answer(want)
+            if result.candidates:
+                unified, _ = session.unified_index(result.candidates)
+                probes = [v for a, v in needles if a is unified.kmers]
+                # One strictly increasing probe per vote block that can map.
+                if len(unified) and unified.taxids.size:
+                    assert len(probes) == math.ceil(
+                        len(reads) / mapping.vote_block_reads(unified)
+                    )
+                assert all(bool(np.all(v[:-1] < v[1:])) for v in probes)
+                standalone = ReadMapper(unified).estimate_abundance(reads)
+                assert standalone.fractions == result.profile.fractions
+
+    @STANDARD_SETTINGS
+    @given(stream_samples(), st.integers(min_value=0, max_value=6))
+    def test_stream_seeds_are_the_extracted_seeds(self, world, wider):
+        """The two runs a stream at k' >= k yields are each ascending and
+        together hold exactly the (k-mer, read) pairs the block's own
+        extraction at k gives — for every block of reads."""
+        k = world.mapper_k
+        stream_k = min(31, world.k + wider)
+        reads = world.reads
+        stream = KmerStream.build(reads, stream_k)
+        if stream is None:
+            return  # the word does not fit; covered by the fallback
+        block = world.block
+        for lo, words in zip(
+            range(0, len(reads), block), mapping._block_words(stream, block)
+        ):
+            hi = min(lo + block, len(reads))
+            seeds, ids, tail_seeds, tail_ids = mapping._stream_seeds(
+                stream, k, reads, lo, hi, words
+            )
+            for run in (seeds, tail_seeds):
+                assert bool(np.all(run[:-1] <= run[1:]))
+            kmers, own_ids = extract_kmers_batch(reads[lo:hi], k)
+            assert sorted(zip(
+                np.concatenate((seeds, tail_seeds)).tolist(),
+                np.concatenate((ids, tail_ids)).tolist(),
+            )) == sorted(zip(kmers.tolist(), own_ids.tolist()))
+
+    @STANDARD_SETTINGS
+    @given(
+        st.sets(st.integers(min_value=0, max_value=60)),
+        st.sets(st.integers(min_value=0, max_value=60)),
+    )
+    def test_merged_needle_places_both_runs(self, a, b):
+        a = np.array(sorted(a), dtype=np.uint64)
+        b = np.array(sorted(b), dtype=np.uint64)
+        union, a_at, b_at = mapping._merge_distinct(a, b)
+        assert union.tolist() == sorted(set(a.tolist()) | set(b.tolist()))
+        assert union[np.arange(a.size) if a_at is None else a_at].tolist() == a.tolist()
+        assert union[b_at].tolist() == b.tolist()
+
+    def test_a_stream_of_other_reads_is_refused(self):
+        columns = [ColumnarSpeciesIndex.build(1, "ACGTTGCATGCCGATAGCTA", 4)]
+        reads = [Read(i, "ACGTTGCATG", 0) for i in range(3)]
+        stream = KmerStream.build(["ACGTTGCATG"] * 2, 6)
+        with pytest.raises(ValueError, match="cannot seed"):
+            ReadMapper(merge_species_columns(columns)[0]).estimate_abundance(
+                reads, stream
+            )
+
+
+class TestStreamSeededSession:
+    @pytest.fixture(scope="class")
+    def index(self, sorted_db, sketch_db, sample):
+        return MegisIndex(sorted_db, sketch_db, sample.references)
+
+    def test_reads_shorter_than_k_are_extracted_at_mapper_k_only(
+        self, index, sample, monkeypatch
+    ):
+        """Structural guard: reads at least the database k long are seeded
+        from Step 1's stream, so the batch extractor runs once per sample
+        at k; a read between ``mapper_k`` and k adds one extraction at
+        ``mapper_k`` — of the short reads alone."""
+        import repro.megis.host as host
+        import repro.sequences.kmers as kmers
+
+        session = AnalysisSession(index, backend="numpy")
+        session.analyze(sample.reads)  # species indexes built off the count
+        k, mapper_k = session.database.k, session.config.mapper_k
+        calls = []
+
+        def counting_batch(sequences, at_k):
+            calls.append((at_k, len(sequences)))
+            return extract_kmers_batch(sequences, at_k)
+
+        for module in (host, mapping, kmers):
+            monkeypatch.setattr(module, "extract_kmers_batch", counting_batch)
+        reads = list(sample.reads)
+        assert session.analyze(reads).profile.fractions
+        assert calls == [(k, len(reads))]
+        calls.clear()
+        reads[3] = Read(3, reads[3].sequence[:mapper_k + 2], 0)
+        assert session.analyze(reads).profile.fractions
+        assert calls == [(k, len(reads)), (mapper_k, 1)]
+
+    def test_statistical_presence_only_and_wider_mapper_keep_no_stream(
+        self, index, sample
+    ):
+        seen = []
+        session = AnalysisSession(index, MegisConfig(abundance_method="statistical"))
+        partition = session._partitioner.partition
+
+        def recording(reads, keep_stream=False):
+            bucket_set = partition(reads, keep_stream)
+            seen.append(bucket_set.stream)
+            return bucket_set
+
+        session._partitioner.partition = recording
+        session.analyze(sample.reads[:50])
+        mapping_session = AnalysisSession(index)
+        mapping_session._partitioner.partition = recording
+        mapping_session.analyze(sample.reads[:50], with_abundance=False)
+        wider = AnalysisSession(index, MegisConfig(mapper_k=index.database.k + 1))
+        wider._partitioner.partition = recording
+        assert wider.analyze(sample.reads[:50]).profile.fractions
+        assert seen == [None, None, None]
+        mapping_session.analyze(sample.reads[:50])
+        assert isinstance(seen[-1], KmerStream)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_bad_base_between_mapper_k_and_k_raises_in_step_three(
+        self, index, sample, backend
+    ):
+        """Step 1 never encodes a read shorter than the database k, so an
+        invalid base in one at least ``mapper_k`` long surfaces where the
+        vote extracts it: Step 3 of a sample with candidates."""
+        session = AnalysisSession(index, backend=backend)
+        mapper_k = session.config.mapper_k
+        bad = Read(9, "ACGTTGCATGCCGAN"[: mapper_k] + "ACG", 0)
+        assert mapper_k <= len(bad.sequence) < session.database.k
+        reads = [*sample.reads[:20], bad]
+        assert session.analyze(reads, with_abundance=False).candidates
+        with pytest.raises(EncodingError, match="invalid nucleotide 'N'"):
+            session.analyze(reads)
+        alone = session.analyze([bad])
+        assert not alone.candidates and not alone.profile.fractions
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_bad_base_shorter_than_mapper_k_never_raises(
+        self, index, sample, backend
+    ):
+        session = AnalysisSession(index, backend=backend)
+        short = "ACGTNACGT"
+        assert len(short) < session.config.mapper_k
+        clean = session.analyze([*sample.reads[:20], Read(9, "ACGTAACGT", 0)])
+        result = session.analyze([*sample.reads[:20], Read(9, short, 0)])
+        assert _answer(result) == _answer(clean)

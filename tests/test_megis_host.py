@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.backends.numpy_backend import as_column
 from repro.megis.host import (
@@ -11,8 +11,9 @@ from repro.megis.host import (
     KmerBucketPartitioner,
     column_to_list,
 )
-from repro.sequences.kmers import KmerCounter, extract_kmers
+from repro.sequences.kmers import KmerCounter, KmerStream, extract_kmers
 from repro.sequences.reads import Read
+from tests.strategies import property_settings
 
 
 def make_reads(seqs):
@@ -152,6 +153,12 @@ class TestPartitioning:
             KmerBucketPartitioner(k=10, min_count=0)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_refused_at_construction(self, backend, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            KmerBucketPartitioner(k=k, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_max_count_below_min_count_is_refused(self, backend):
         """Such a window keeps no k-mer: every query would be silently
         empty, so the partitioner refuses it; an equal pair is a window."""
@@ -164,7 +171,7 @@ class TestPartitioning:
         assert kept.total_kmers() == 3  # the three 10-mers seen twice
 
     @given(st.lists(st.text(alphabet="ACGT", min_size=12, max_size=40), max_size=10))
-    @settings(max_examples=20, deadline=None)
+    @property_settings(20)
     def test_partition_completeness_property(self, seqs):
         partitioner = KmerBucketPartitioner(k=12, n_buckets=5)
         bucket_set = partitioner.partition(make_reads(seqs))
@@ -270,7 +277,7 @@ class TestColumnarPartitioner:
         st.integers(min_value=1, max_value=3),
         st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     )
-    @settings(max_examples=80, deadline=None)
+    @property_settings(80)
     def test_prefix_aligned_buckets_property(
         self, k, n_buckets, seqs, min_count, extra
     ):
@@ -308,7 +315,7 @@ class TestColumnarPartitioner:
         st.integers(min_value=1, max_value=40),
         st.data(),
     )
-    @settings(max_examples=60, deadline=None)
+    @property_settings(60)
     def test_boundaries_same_for_ndarray_and_list(self, k, n_buckets, data):
         """The numpy boundary pass picks the same quantiles as the sorted
         list: generated k-mer streams, repeats and all."""
@@ -352,7 +359,7 @@ class TestColumnarPartitioner:
         st.lists(st.text(alphabet="ACGT", min_size=0, max_size=40), max_size=10),
         st.integers(min_value=1, max_value=20),
     )
-    @settings(max_examples=30, deadline=None)
+    @property_settings(30)
     def test_generated_samples_partition_alike(self, seqs, n_buckets):
         assert_partitions_alike(seqs, 8, n_buckets)
 
@@ -407,3 +414,61 @@ class TestPinning:
             b.byte_size(partitioner.kmer_bytes) for b in bucket_set.buckets if b.pinned
         )
         assert pinned <= dram
+
+
+class TestKeptStream:
+    """``partition(reads, keep_stream=True)``: the one sort is of
+    read-tagged words, the buckets are the ones a bare sort cuts, and the
+    stream holds every (k-mer, read) pair of the sample in key order."""
+
+    @given(
+        st.lists(st.text(alphabet="ACGT", max_size=30), max_size=12),
+        st.sampled_from([3, 8, 12]),
+        st.sampled_from([(1, None), (2, None), (1, 2)]),
+    )
+    @property_settings(40)
+    def test_buckets_unchanged_and_stream_complete(self, seqs, k, window):
+        min_count, max_count = window
+        partitioner = KmerBucketPartitioner(
+            k=k, n_buckets=5, min_count=min_count, max_count=max_count
+        )
+        bare = partitioner.partition(make_reads(seqs))
+        kept = partitioner.partition(make_reads(seqs), keep_stream=True)
+        assert bare.stream is None
+        assert [(b.lo, b.hi, b.kmers.tolist()) for b in kept.buckets] == [
+            (b.lo, b.hi, b.kmers.tolist()) for b in bare.buckets
+        ]
+        stream = kept.stream
+        assert stream.k == k
+        assert bool(np.all(stream.words[:-1] <= stream.words[1:]))
+        pairs = sorted(
+            (kmer, read)
+            for read, seq in enumerate(seqs)
+            for kmer in extract_kmers(seq, k, canonical=False).tolist()
+        )
+        assert list(zip(stream.kmers().tolist(), stream.reads().tolist())) == pairs
+        assert stream.lengths.tolist() == [len(seq) for seq in seqs]
+        assert stream.last_kmers.tolist() == [
+            int(extract_kmers(seq, k, canonical=False)[-1]) if len(seq) >= k else 0
+            for seq in seqs
+        ]
+
+    def test_a_word_that_does_not_fit_keeps_no_stream(self):
+        """At k = 31 a read id has 2 bits beside the k-mer: 4 reads keep a
+        stream, 5 sort the bare k-mers into the same buckets."""
+        seqs = [("ACGTTGCATGCCGATAGCTAGGATCCATTGACCAG" * 2)[i:i + 40] for i in range(5)]
+        partitioner = KmerBucketPartitioner(k=31, n_buckets=4)
+        assert partitioner.partition(make_reads(seqs[:4]), keep_stream=True).stream
+        kept = partitioner.partition(make_reads(seqs), keep_stream=True)
+        assert kept.stream is None
+        assert [b.kmers.tolist() for b in kept.buckets] == [
+            b.kmers.tolist() for b in partitioner.partition(make_reads(seqs)).buckets
+        ]
+
+    def test_the_reference_path_keeps_no_stream(self, sample):
+        partitioner = KmerBucketPartitioner(k=20, n_buckets=4, backend="python")
+        assert partitioner.partition(sample.reads[:20], keep_stream=True).stream is None
+
+    def test_build_refuses_a_word_that_does_not_fit(self):
+        assert KmerStream.build(["ACGT"] * 4, 31) is not None
+        assert KmerStream.build(["ACGT"] * 5, 31) is None
