@@ -24,9 +24,9 @@ operations:
   prefix's run of queries directly).  A query answers with an ``int32``
   owner-set id, ``0`` on a miss, and no owner set is copied.
 
-For ``2 * k <= 64`` the columns are ``uint64`` and everything runs at
-native speed; for larger k (the paper's k = 60 needs 120 bits) the columns
-fall back to ``object`` dtype, which keeps the exact same code path correct
+The columns are key columns (:mod:`repro.sequences.keys`): ``uint64``
+and native speed while a k-mer fits one word, ``object`` past it (the
+paper's k = 60 needs 120 bits), where the same code path stays correct
 at reduced throughput.  Results stay columns: each sample's intersecting
 k-mers are one column in the database column's dtype, which retrieval
 takes as is and which becomes ``RetrievalResult.queries`` — equal, as
@@ -50,24 +50,7 @@ from repro.backends.base import (
 )
 from repro.backends.retrieval import RetrievalResult
 from repro.backends.signatures import SignatureColumn
-
-
-def column_dtype(k: int) -> "np.dtype[Any]":
-    """Column dtype for packed k-mers: uint64 when they fit, object otherwise."""
-    return np.dtype(np.uint64) if 2 * k <= 64 else np.dtype(object)
-
-
-def as_column(values: IntColumn, dtype: "np.dtype[Any]") -> npt.NDArray[Any]:
-    """Build a sorted query column matching the database column's dtype
-    (the identity on an ndarray that already has it)."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype:
-        return values
-    if dtype == np.dtype(object):
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = int(v)
-        return arr
-    return np.asarray(values, dtype=dtype)
+from repro.sequences.keys import as_column, column_dtype, edge_cuts, searchsorted_clamped
 
 
 def stripe_columns(column: npt.NDArray[Any], n_channels: int) -> List[npt.NDArray[Any]]:
@@ -79,37 +62,6 @@ def stripe_columns(column: npt.NDArray[Any], n_channels: int) -> List[npt.NDArra
     if n_channels <= 0:
         raise ValueError(f"n_channels must be positive, got {n_channels}")
     return [column[c::n_channels] for c in range(n_channels)]
-
-
-def rshift(arr: npt.NDArray[Any], shift: int) -> npt.NDArray[Any]:
-    """``arr >> shift`` in the column's own dtype (``uint64`` or ``object``)."""
-    if arr.dtype == np.dtype(object):
-        return arr >> shift
-    return arr >> np.uint64(shift)
-
-
-def _searchsorted(column: npt.NDArray[Any], values: Any) -> Any:
-    return np.searchsorted(column, values, side="left")
-
-
-def _edge_cuts(column: npt.NDArray[Any], edges: Sequence[int]) -> List[int]:
-    """Vectorized ``searchsorted`` of range edges into a sorted column.
-
-    Edges beyond the column dtype's range (e.g. the key-space bound
-    ``1 << 2k`` of the last shard) would overflow the cast, so they resolve
-    to ``len(column)`` directly — every representable value lies below them.
-    """
-    if column.dtype == np.dtype(object):
-        arr = np.empty(len(edges), dtype=object)
-        for i, e in enumerate(edges):
-            arr[i] = int(e)
-        return [int(c) for c in _searchsorted(column, arr)]
-    limit = int(np.iinfo(column.dtype).max)
-    clamped = np.asarray([min(int(e), limit) for e in edges], dtype=column.dtype)
-    cuts = _searchsorted(column, clamped)
-    return [
-        len(column) if int(e) > limit else int(c) for e, c in zip(edges, cuts)
-    ]
 
 
 class NumpyStepTwoBackend(StepTwoBackend):
@@ -156,7 +108,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
             # column's own dtype (a bare Python int would promote a uint64
             # column to float64 on every lookup).  Every query k-mer lies
             # inside it (interval_edges checks each bucket's range).
-            db_cuts = _edge_cuts(column, edges) or [0]
+            db_cuts = edge_cuts(column, edges) or [0]
             start = db_cuts[0]
             db_range = column[start:db_cuts[-1]]
             # Charged per interval as if streamed one by one; the flash
@@ -172,7 +124,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 # one clamped searchsorted is the membership test for every
                 # interval at once.  Duplicate queries match a database
                 # k-mer once, as the register-level merge does.
-                pos = np.minimum(_searchsorted(db_range, query), len(db_range) - 1)
+                pos = searchsorted_clamped(db_range, query)
                 hit = np.asarray(db_range[pos] == query, dtype=bool)
                 hit[1:] &= np.asarray(query[1:] != query[:-1], dtype=bool)
                 matches.append(query[hit])
@@ -247,7 +199,7 @@ def _retrieve_levels(store: Any, q: npt.NDArray[Any]) -> Dict[int, SignatureColu
     are views of.
     """
     kmers = store.kmers
-    pos = _searchsorted(kmers, q)
+    pos = np.searchsorted(kmers, q, side="left")
     if not len(kmers) or not len(q):
         levels = {
             k: np.zeros(len(q), dtype=np.int32)

@@ -42,6 +42,7 @@ from repro.backends.base import (
     StepTwoBackend,
 )
 from repro.backends.retrieval import RetrievalResult
+from repro.sequences.keys import kmer_record_bytes
 
 #: Default modeled sequential-read bandwidth (MB/s) when neither the
 #: constructor nor ``REPRO_PACED_MBPS`` specifies one.
@@ -103,8 +104,6 @@ class PacedStepTwoBackend(StepTwoBackend):
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
     ) -> Sequence[IntColumn]:
-        from repro.databases.serialization import kmer_record_bytes
-
         scratch = PhaseTimings(backend=self.name)
         result = self._inner.intersect_bucketed_multi(
             database, samples, n_channels, scratch

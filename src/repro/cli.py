@@ -447,7 +447,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"--node HOST:PORT once per node in node-id order "
                 f"(got {len(endpoints_given)})"
             )
-        replicas = dict(args.replica or [])
+        replicas = {}
+        for node_id, endpoint in args.replica or []:
+            if node_id in replicas:
+                raise ValueError(f"--replica names node {node_id} twice")
+            replicas[node_id] = endpoint
         unknown = sorted(r for r in replicas if r >= cluster_map.n_nodes)
         if unknown:
             raise ValueError(

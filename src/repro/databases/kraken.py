@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.keys import extract_kmers
 from repro.taxonomy.tree import Taxonomy
 
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15

@@ -38,8 +38,8 @@ and level pairs, its *stored* CSR the set difference ``full - covered``;
 every row's full set is then interned into the table
 (:func:`~repro.backends.signatures.intern_rows`).
 ``KssTables(sketch)`` over such a sketch attaches the store it was built as;
-only a hand-built ``SketchDatabase(k_max, ks, tables, sizes)`` — and every
-``k > 31`` sketch, which builds per k-mer — has its rows walked, packed and
+only a hand-built ``SketchDatabase(k_max, ks, tables, sizes)`` — the
+per-k-mer reference sketch among them — has its rows walked, packed and
 its frozensets interned to the same ids (the reference the column build is
 tested against).  Either way, and for a table over a persisted store
 (:meth:`KssTables.from_store`), rows materialize only if a reference code
@@ -60,7 +60,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tup
 import numpy as np
 
 from repro.backends.base import bisect_column
-from repro.backends.numpy_backend import column_dtype, rshift
 from repro.backends.retrieval import RetrievalResult, group_sorted
 from repro.backends.signatures import (
     SignatureTable,
@@ -69,6 +68,7 @@ from repro.backends.signatures import (
     stack_csr,
 )
 from repro.sequences.encoding import kmer_prefix
+from repro.sequences.keys import column_dtype, kmer_record_bytes, rshift
 
 if TYPE_CHECKING:  # sketch.py builds stores, so it imports this module
     from repro.databases.sketch import SketchDatabase
@@ -221,7 +221,7 @@ def build_store(
     stored: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     level_prefixes: Dict[int, np.ndarray] = {}
     for k in smaller_ks:
-        prefixes, starts = group_sorted(kmers >> np.uint64(2 * (k_max - k)))
+        prefixes, starts = group_sorted(rshift(kmers, 2 * (k_max - k)))
         row_of_pair = np.repeat(np.arange(len(prefixes)), np.diff(starts))
         covered = distinct(row_of_pair * n_genomes + genomes)
         pair_prefixes, pair_genomes = level_pairs[k]
@@ -581,16 +581,13 @@ class KssTables:
 
     # -- size accounting ---------------------------------------------------------
 
-    def _kmer_bytes(self) -> int:
-        return (2 * self.k_max + 7) // 8
-
     def size_bytes(self) -> int:
         """On-flash size: k_max rows carry the k-mer and their taxIDs; sub
         rows carry stored IDs only.  Computed once (the store is immutable)."""
         if self._size_bytes is None:
             store = self._store
             owners = int(store.table.lengths[store.signatures].sum())
-            total = self._kmer_bytes() * len(store.kmers) + 4 * owners
+            total = kmer_record_bytes(self.k_max) * len(store.kmers) + 4 * owners
             for level in store.levels.values():
                 # 1 byte per row marks the boundary/row length; IDs are 4 B.
                 total += len(level.prefixes) + 4 * len(level.stored_taxids)

@@ -2,12 +2,12 @@
 
 The paper's databases are encoded with two bits per character during their
 offline generation (§4.2) and stored on flash in sorted order so the ISP
-units can stream them.  This module defines that on-flash byte format —
-fixed-width records of ``ceil(2k / 8)`` bytes each, big-endian packed, so
-byte-wise lexicographic order equals k-mer order (the property the
-streaming comparators rely on) — and round-trips it, so the MegIS FTL
-placement and the ISP stream operate on a size that is *derived* from an
-actual encoding, not an estimate:
+units can stream them.  The on-flash record is the key column's
+(:mod:`repro.sequences.keys`): fixed-width records of ``ceil(2k / 8)``
+bytes each, big-endian packed, so byte-wise lexicographic order equals
+k-mer order (the property the streaming comparators rely on).  It
+round-trips, so the MegIS FTL placement and the ISP stream operate on a
+size that is *derived* from an actual encoding, not an estimate:
 ``len(pack_kmer_column(db.column(), db.k)) == db.size_bytes()``.
 
 Loading never copies a column: every int column of a section is a dtype
@@ -17,10 +17,10 @@ Whether that buffer is a ``bytes`` object (:func:`unpack_sections`) or a
 whoever produced it; nothing below takes a parameter saying where the
 bytes live.  Only the k-mer key columns materialize (they are stored
 big-endian packed and every ``searchsorted`` walks them):
-:func:`parse_kmer_column` returns the sorted ndarray column — ``uint64``,
-or ``object`` dtype past 64 bits — which is what a loaded database or KSS
-level holds, and :func:`pack_kmer_column` is its mirror.  No Python int
-list exists on either path.
+:func:`parse_kmer_column` returns the sorted key column, in the dtype
+:func:`~repro.sequences.keys.column_dtype` gives, which is what a loaded
+database or KSS level holds, and
+:func:`~repro.sequences.keys.pack_kmer_column` is its mirror.
 
 Index container format (``MEGISIDX``): a named-section archive holding the
 database's packed key column (one ``db/kmers`` section — the flash image
@@ -47,8 +47,8 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.backends.retrieval import IntColumn
 from repro.databases.sorted_db import SortedKmerDatabase
+from repro.sequences.keys import kmer_record_bytes, pack_kmer, parse_kmer_records
 
 #: What the parsers read from: a ``bytes`` payload or a ``uint8`` section.
 Buffer = Union[bytes, NDArray[np.uint8]]
@@ -62,65 +62,15 @@ class SerializationError(ValueError):
     """Raised when a payload does not parse as a k-mer column or index."""
 
 
-def kmer_record_bytes(k: int) -> int:
-    return (2 * k + 7) // 8
-
-
-def _pack_kmer(value: int, k: int) -> bytes:
-    width = kmer_record_bytes(k)
-    # Left-align the 2k bits in the record so byte order matches k-mer order.
-    shift = width * 8 - 2 * k
-    return (value << shift).to_bytes(width, "big")
-
-
-def pack_kmer_column(column: IntColumn, k: int) -> bytes:
-    """Pack a sorted k-mer column into big-endian records (one bulk blob).
-
-    The mirror of :func:`parse_kmer_column`.  For ``2k <= 64`` each
-    left-aligned key is written one record byte at a time: byte ``b`` of
-    every record is one shifted column stored at the record stride.
-    Wider k-mers are packed one record at a time.
-    """
-    width = kmer_record_bytes(k)
-    if 2 * k > 64:
-        return b"".join(_pack_kmer(int(v), k) for v in column)
-    shifted = np.asarray(column, dtype=np.uint64) << np.uint64(width * 8 - 2 * k)
-    records = np.empty((len(shifted), width), dtype=np.uint8)
-    for byte in range(width):
-        records[:, byte] = shifted >> np.uint64(8 * (width - 1 - byte))
-    return records.tobytes()
-
-
 def parse_kmer_column(buf: Buffer, k: int, count: int) -> NDArray[Any]:
-    """Parse ``count`` packed k-mer records into the sorted key column.
-
-    ``uint64`` and vectorized for ``2k <= 64``: the records are copied
-    once into a buffer with ``8 - width`` zero bytes after them, and the
-    big-endian ``uint64`` word starting at each record (the record, then
-    the next record's first bytes) is read at the record stride and
-    shifted down to its ``2k`` key bits.  Wider k-mers fill an
-    ``object`` column one record at a time.  Either attaches as a
-    database's key column as is.
-    """
+    """Parse ``count`` packed k-mer records into the sorted key column
+    (:func:`~repro.sequences.keys.parse_kmer_records`), refusing a
+    buffer too short to hold them.  The column attaches as a database's
+    key column as is."""
     width = kmer_record_bytes(k)
     if len(buf) < count * width:
         raise SerializationError("truncated k-mer column")
-    raw = _as_u8(buf)[: count * width]
-    column: NDArray[Any]
-    if 2 * k <= 64:
-        padded = np.empty(count * width + 8 - width, dtype=np.uint8)
-        padded[: count * width] = raw
-        padded[count * width :] = 0
-        words = np.ndarray((count,), dtype=">u8", buffer=padded, strides=(width,))
-        column = words.astype(np.uint64)
-        column >>= np.uint64(64 - 2 * k)
-    else:
-        shift = width * 8 - 2 * k
-        view = raw.tobytes()
-        column = np.empty(count, dtype=object)
-        for i in range(count):
-            column[i] = int.from_bytes(view[i * width : (i + 1) * width], "big") >> shift
-    return column
+    return parse_kmer_records(_as_u8(buf)[: count * width], k, count)
 
 
 def pack_i64(values: ArrayLike) -> bytes:
@@ -276,7 +226,7 @@ def map_sections(path: Union[str, Path]) -> Dict[str, NDArray[np.uint8]]:
 
 def byte_order_matches_kmer_order(db: SortedKmerDatabase) -> bool:
     """The streaming property: packed records sort like their k-mers."""
-    packed = [_pack_kmer(x, db.k) for x in db.kmers]
+    packed = [pack_kmer(x, db.k) for x in db.kmers]
     return packed == sorted(packed)
 
 

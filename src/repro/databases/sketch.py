@@ -14,17 +14,14 @@ prefix ``p`` returns the species whose independent level-``k`` sketch
 contains ``p``, together with the owners of every stored ``k_max``-mer
 under ``p`` (matching a long k-mer implies matching its prefixes).
 
-Building has two arms, chosen by ``k_max`` alone (see
-:mod:`repro.databases.sorted_db`).  For ``k_max <= 31`` selection is a
-mask over the distinct ``(k-mer, genome)`` pair columns
-(:func:`_passes_column`: the hash is a wrapping ``uint64`` multiply and
-shift), a level's prefixes are those columns shifted and selected
-independently, and the selected pairs go straight into the KSS columns
+Building is column arithmetic at every ``k_max``: selection is a mask
+over the distinct ``(k-mer, genome)`` pair columns (:func:`_passes_column`),
+a level's prefixes are those columns shifted and selected independently,
+and the selected pairs go straight into the KSS columns
 (:func:`repro.databases.kss.build_store`): a built sketch *is*
 ``sketch_sizes`` plus a lazy dict view of that store — exactly what
-opening an index file gives.  Wider k-mers are sketched per k-mer in
-Python (:func:`_passes`, dicts of sets), which is also the reference the
-column arm is tested against.
+opening an index file gives.  The per-k-mer sketch (:func:`_build_tables`)
+is the reference the column build is tested against.
 """
 
 from __future__ import annotations
@@ -36,10 +33,10 @@ import numpy as np
 
 from repro.databases.kraken import _HASH_MULTIPLIER, _kmer_hash
 from repro.databases.kss import KssStore, build_store
-from repro.databases.sorted_db import COLUMN_BUILD_MAX_K, PairColumns, extract_pairs
+from repro.databases.sorted_db import PairColumns, extract_pairs
 from repro.sequences.encoding import decode_kmer, kmer_prefix
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.keys import extract_kmers, kmer_record_bytes, low_word, rshift
 
 _HASH_SPACE = 1 << 64
 _SALT_MULTIPLIER = 0x5851F42D4C957F2D
@@ -53,17 +50,17 @@ def _passes(kmer: int, fraction: float, salt: int) -> bool:
 
 
 def _passes_column(kmers: np.ndarray, fraction: float, salt: int) -> np.ndarray:
-    """:func:`_passes` for a whole ``uint64`` column, as a mask.
+    """:func:`_passes` for a whole key column, as a mask.
 
     ``_kmer_hash`` keeps the low 64 bits of its product, which depend only
-    on the low 64 bits of the salted k-mer — so the arbitrary-precision
-    arithmetic is wrapping ``uint64`` arithmetic, negative and oversized
-    salts included.
+    on the low 64 bits of the salted k-mer — so over each key's
+    :func:`~repro.sequences.keys.low_word` the arithmetic is wrapping
+    ``uint64`` arithmetic, at any k and for any salt.
     """
     bound = int(fraction * _HASH_SPACE)
     if bound >= _HASH_SPACE:  # fraction == 1.0: no uint64 reaches the bound
         return np.ones(len(kmers), dtype=bool)
-    value = kmers ^ np.uint64((salt * _SALT_MULTIPLIER) % _HASH_SPACE)
+    value = low_word(kmers) ^ np.uint64((salt * _SALT_MULTIPLIER) % _HASH_SPACE)
     value *= np.uint64(_HASH_MULTIPLIER)
     value ^= value >> np.uint64(29)
     return value < np.uint64(bound)
@@ -90,7 +87,7 @@ def _build_tables(
     seed: int,
 ) -> Tuple[int, Tuple[int, ...], Dict[int, Dict[int, FrozenSet[int]]], Dict[int, int]]:
     """The reference build, per k-mer in Python: the :class:`SketchDatabase`
-    constructor arguments.  What ``k_max > COLUMN_BUILD_MAX_K`` runs."""
+    constructor arguments."""
     _check_fraction(sketch_fraction)
     levels = _levels(k_max, smaller_ks)
     kmax_table: Dict[int, set] = {}
@@ -180,10 +177,6 @@ class SketchDatabase:
         seed: int = 0,
     ) -> "SketchDatabase":
         """Sketch every reference genome at every level."""
-        if k_max > COLUMN_BUILD_MAX_K:
-            return cls(*_build_tables(
-                references, k_max, smaller_ks, sketch_fraction, seed
-            ))
         return cls.from_pairs(
             extract_pairs(references, k_max), smaller_ks, sketch_fraction, seed
         )
@@ -207,7 +200,7 @@ class SketchDatabase:
         sketched = _passes_column(pairs.kmers, sketch_fraction, seed)
         level_pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for k in levels:
-            prefixes = pairs.kmers >> np.uint64(2 * (pairs.k - k))
+            prefixes = rshift(pairs.kmers, 2 * (pairs.k - k))
             chosen = _passes_column(prefixes, sketch_fraction, seed + k)
             level_pairs[k] = (prefixes[chosen], pairs.genomes[chosen])
         genomes = pairs.genomes[sketched]
@@ -271,15 +264,12 @@ class SketchDatabase:
 
     # -- size accounting -------------------------------------------------------
 
-    def _kmer_bytes(self, k: int) -> int:
-        return (2 * k + 7) // 8
-
     def flat_tables_bytes(self) -> int:
         """Size of the naive per-level tables (Fig 7a): k-mer + taxIDs each."""
         total = 0
         for k, table in self.tables.items():
             for _, owners in table.items():
-                total += self._kmer_bytes(k) + 4 * len(owners)
+                total += kmer_record_bytes(k) + 4 * len(owners)
         return total
 
 

@@ -9,8 +9,8 @@ that is all an index file stores of it.
 
 A :class:`SortedKmerDatabase` *is* its columns, as a
 :class:`~repro.databases.kss.KssTables` is its store: its state is ``(k,
-key column, owner CSR or none)`` — the sorted key column (``uint64``;
-``object`` dtype past 64 bits) and, for a built table and its slices,
+key column, owner CSR or none)`` — the sorted key column
+(:mod:`repro.sequences.keys`) and, for a built table and its slices,
 the owner CSR ``(taxids, offsets)``, which lives in memory only.  A table
 attached from a key column alone (an opened index) is *ownerless*:
 :meth:`owner_columns` and :meth:`owners_of` raise, and so do its slices'.
@@ -21,18 +21,13 @@ walk (:attr:`kmers`, :meth:`stream`, :meth:`stream_range`,
 ``row_materializations`` — so tests can assert that a served database is
 never boxed between queries.
 
-The offline build (§4.2) has two arms, chosen by ``k`` alone.  For ``k <=
-31`` (:data:`COLUMN_BUILD_MAX_K`, what
-:func:`~repro.sequences.kmers.extract_kmers_batch` packs into ``uint64``)
-it is column arithmetic: :func:`extract_pairs` runs one extraction over
-all genomes and one sort, giving the distinct sorted ``(k-mer, genome)``
-:class:`PairColumns`; the key column is the pairs' distinct k-mers and the
-owner CSR is the pair taxids themselves (:meth:`SortedKmerDatabase.
-from_pairs` — no row is ever packed).  The sketch and the KSS are built
-from the same pairs (:meth:`~repro.databases.sketch.SketchDatabase.
-from_pairs`), so :class:`~repro.megis.index.IndexBuilder` extracts once.
-Wider k-mers (``object`` columns, the paper's k = 60) build per k-mer in
-Python — the reference the tests hold the column arm to, byte for byte.
+The offline build (§4.2) is column arithmetic at every k:
+:func:`extract_pairs` runs one extraction over all genomes and one sort,
+giving the distinct sorted ``(k-mer, genome)`` :class:`PairColumns`, whose
+distinct k-mers are the key column and whose taxids are the owner CSR.
+The sketch and the KSS are built from the same pairs, so
+:class:`~repro.megis.index.IndexBuilder` extracts once.  The per-k-mer
+build (:func:`_build_rows`) is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -44,20 +39,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.backends.base import bisect_column
-from repro.backends.numpy_backend import as_column, column_dtype
 from repro.backends.retrieval import column_to_list, group_sorted
 from repro.backends.signatures import pack_sets_csr
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import extract_kmers, extract_kmers_batch
+from repro.sequences.keys import as_column, column_dtype, kmer_record_bytes, spare_bits
+from repro.sequences.keys import extract_kmers, extract_kmers_batch
 
 #: Owner CSR ``(taxids, offsets)``; row ``i`` owns
 #: ``taxids[offsets[i]:offsets[i+1]]``.
 OwnerColumns = Tuple[NDArray[Any], NDArray[Any]]
-
-#: Widest ``k`` the column build handles — what ``extract_kmers_batch``
-#: packs into ``uint64``.  (``k = 32`` has a ``uint64`` column but an
-#: ``object`` extractor, so it builds by rows with everything wider.)
-COLUMN_BUILD_MAX_K = 31
 
 
 @dataclass(frozen=True)
@@ -71,17 +61,17 @@ class PairColumns:
     """
 
     k: int
-    kmers: NDArray[np.uint64]
+    kmers: NDArray[Any]
     genomes: NDArray[np.int64]
     taxids: NDArray[np.int64]
 
 
 def extract_pairs(references: ReferenceCollection, k: int) -> PairColumns:
-    """One extraction over all genomes, one sort (``k <= COLUMN_BUILD_MAX_K``)."""
+    """One extraction over all genomes, one sort."""
     taxids = references.species_taxids
     kmers, genomes = extract_kmers_batch([references.sequence(t) for t in taxids], k)
     genome_bits = max(1, (len(taxids) - 1).bit_length())
-    if 2 * k + genome_bits <= 64:
+    if genome_bits <= spare_bits(k):
         # A (k-mer, genome) pair fits one uint64 key: one value sort is the
         # (k-mer, genome) lexsort, several times cheaper than an argsort.
         shift = np.uint64(genome_bits)
@@ -112,7 +102,7 @@ def _build_rows(
     references: ReferenceCollection, k: int, canonical: bool
 ) -> Tuple[List[int], List[FrozenSet[int]]]:
     """The reference build, per k-mer in Python: sorted k-mers and their
-    owner sets.  What ``k > COLUMN_BUILD_MAX_K`` runs."""
+    owner sets."""
     membership: Dict[int, Set[int]] = {}
     for taxid in references.species_taxids:
         seq = references.sequence(taxid)
@@ -156,9 +146,9 @@ class SortedKmerDatabase:
         sketch machinery relies on prefix structure, which canonicalization
         would destroy; Metalign/CMash handle strands by sketching both.
         (The batch extractor packs forward k-mers only, so a canonical
-        database builds by rows at any ``k``.)
+        database builds by rows.)
         """
-        if canonical or k > COLUMN_BUILD_MAX_K:
+        if canonical:
             return cls(k, *_build_rows(references, k, canonical))
         return cls.from_pairs(extract_pairs(references, k))
 
@@ -176,7 +166,7 @@ class SortedKmerDatabase:
         """Attach columns verbatim (nothing copied or boxed).
 
         ``column`` is the sorted key column in the dtype
-        :func:`~repro.backends.numpy_backend.column_dtype` gives ``k``;
+        :func:`~repro.sequences.keys.column_dtype` gives ``k``;
         ``owners`` is the CSR of the table the column came from.  Without
         it the table is ownerless — what an index file holds.
         """
@@ -205,12 +195,7 @@ class SortedKmerDatabase:
         return self._find(kmer) is not None
 
     def column(self) -> NDArray[Any]:
-        """The sorted key column.
-
-        ``uint64`` when ``2 * k <= 64`` (vectorized fast path); ``object``
-        dtype otherwise so the same kernels stay correct for the paper's
-        k = 60 (120-bit k-mers).  Treat the returned array as read-only.
-        """
+        """The sorted key column (:mod:`repro.sequences.keys`); read-only."""
         return self._column
 
     def owner_columns(self) -> OwnerColumns:
@@ -297,8 +282,7 @@ class SortedKmerDatabase:
 
     def size_bytes(self) -> int:
         """On-flash size: 2 bits per base, padded to whole bytes per k-mer."""
-        kmer_bytes = (2 * self.k + 7) // 8
-        return kmer_bytes * len(self)
+        return kmer_record_bytes(self.k) * len(self)
 
     def species_containment(self, intersecting: Sequence[int]) -> Dict[int, int]:
         """Per-species count of intersecting k-mers (ground-truth helper)."""

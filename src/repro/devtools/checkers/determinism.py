@@ -46,6 +46,7 @@ class DeterminismChecker(Checker):
         "src/repro/tools/mapping.py",
         "src/repro/tools/metalign.py",
         "src/repro/tools/statistical.py",
+        "src/repro/sequences/keys.py",
         "src/repro/sequences/kmers.py",
         "src/repro/databases/sorted_db.py",
         "src/repro/databases/sketch.py",

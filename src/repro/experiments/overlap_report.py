@@ -27,11 +27,11 @@ import numpy as np
 
 from repro.backends import PhaseTimings, column_to_list
 from repro.backends.paced import PacedStepTwoBackend
-from repro.databases.serialization import kmer_record_bytes
 from repro.experiments.runner import ExperimentResult
 from repro.megis.index import IndexBuilder
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.sequences.generator import GenomeGenerator
+from repro.sequences.keys import kmer_record_bytes
 
 #: Slow enough that each shard's paced stream dwarfs kernel time, so the
 #: measured overlap reflects stream concurrency, not Python scheduling.

@@ -14,9 +14,9 @@ native container — sorted ``np.ndarray`` columns for the default
 hand-off never converts containers per call.  Both containers hold
 identical k-mer sequences; the cross-backend equivalence tests enforce
 it.  Extraction follows the same split: the reference extracts read by
-read into a ``Counter``; the columnar path (k-mers fit ``uint64``) packs
-the whole sample in one streaming pass,
-:func:`~repro.sequences.kmers.extract_kmers_batch`, then sorts,
+read into a ``Counter``; the columnar path packs the whole sample into
+one key column (:mod:`repro.sequences.keys`) in one streaming pass,
+:func:`~repro.sequences.keys.extract_kmers_batch`, then sorts,
 deduplicates and frequency-excludes that whole stream at once and cuts
 the buckets out of the result as views.  When the session will map the
 sample's reads in Step 3, that one sort is of read-tagged words
@@ -49,7 +49,8 @@ from repro.backends import (
     column_to_list,
     get_backend,
 )
-from repro.sequences.kmers import KmerStream, extract_kmers, extract_kmers_batch
+from repro.sequences.keys import edge_cuts, extract_kmers, extract_kmers_batch, kmer_record_bytes
+from repro.sequences.kmers import KmerStream
 from repro.sequences.reads import Read
 
 #: A bucket's sorted k-mers in the backend's native container.
@@ -195,7 +196,7 @@ class KmerBucketPartitioner:
 
     @property
     def kmer_bytes(self) -> int:
-        return (2 * self.k + 7) // 8
+        return kmer_record_bytes(self.k)
 
     @property
     def backend_name(self) -> str:
@@ -222,9 +223,9 @@ class KmerBucketPartitioner:
         picks are then deduplicated, merging preliminary buckets as the
         paper describes, so a degenerate sample yields fewer, wider
         buckets.  For ``k <= 8`` the shift is 0 and the edges are the
-        quantiles themselves.  An ndarray head is sorted and indexed in
-        numpy; either container gives the same ascending Python ints, so
-        both backends cut the same buckets.
+        quantiles themselves.  An ndarray head is sorted in numpy; either
+        container gives the same ascending picks, so both backends cut
+        the same buckets.
         """
         shift = self.prefix_shift
         n = len(sample)
@@ -232,13 +233,9 @@ class KmerBucketPartitioner:
         if not n:
             space = 1 << (2 * self.k)
             return [space * i // self.n_buckets >> shift << shift for i in cuts]
-        picks = [min(n - 1, n * i // self.n_buckets) for i in cuts]
-        if isinstance(sample, np.ndarray):
-            picked = np.sort(sample)[np.asarray(picks, dtype=np.intp)]
-            aligned = picked >> np.uint64(shift) << np.uint64(shift)
-            return list(np.unique(aligned).tolist())
-        ordered = sorted(sample)
-        return sorted({ordered[i] >> shift << shift for i in picks})
+        ordered = np.sort(sample) if isinstance(sample, np.ndarray) else sorted(sample)
+        picks = [int(ordered[min(n - 1, n * i // self.n_buckets)]) for i in cuts]
+        return sorted({pick >> shift << shift for pick in picks})
 
     # -- main entry --------------------------------------------------------------
 
@@ -253,9 +250,9 @@ class KmerBucketPartitioner:
         the edges into exactly the per-bucket results — bucket contents are
         bit-identical on either path.
 
-        The vectorized path (columnar backend, k-mers fit uint64) packs
-        the whole sample's k-mers in one pass
-        (:func:`~repro.sequences.kmers.extract_kmers_batch` — the stream
+        The vectorized path (every columnar backend) packs the whole
+        sample's k-mers into one key column in one pass
+        (:func:`~repro.sequences.keys.extract_kmers_batch` — the stream
         in read order, whose ndarray head is the preliminary sample the
         boundary pass sorts in numpy), selects over the whole stream with
         one sort (:meth:`_select_sorted`) and cuts each bucket as a view
@@ -265,15 +262,14 @@ class KmerBucketPartitioner:
         selection reads the k-mers above the read bits, and the stream is
         kept as :attr:`BucketSet.stream` — unless a k-mer and a read id do
         not fit one word, when the bare k-mers are sorted and no stream is
-        kept.  The Counter path extracts read by read and folds each in
-        immediately so peak memory stays O(distinct k-mers), then scatters
-        the counts into buckets and selects per bucket; it keeps no
-        stream.
+        kept.  The Counter path — the ``python`` reference's — extracts
+        read by read and folds each in immediately so peak memory stays
+        O(distinct k-mers), then scatters the counts into buckets and
+        selects per bucket; it keeps no stream.
         """
-        vectorized = self._backend.columnar and self.k <= 31
         stream: Optional[KmerStream] = None
         columns: List[KmerColumn]
-        if vectorized:
+        if self._backend.columnar:
             sequences = [read.sequence for read in reads]
             merged, read_ids = extract_kmers_batch(sequences, self.k)
             boundaries = self._boundaries(merged[:PRELIMINARY_SAMPLE])
@@ -282,11 +278,7 @@ class KmerBucketPartitioner:
             selected = self._select_sorted(
                 np.sort(merged) if stream is None else stream.kmers()
             )
-            # Edges are below 4^k <= 2^62: uint64 keys, no float promotion.
-            cuts = np.searchsorted(
-                selected, np.asarray(boundaries, dtype=np.uint64)
-            ).tolist()
-            bounds = [0, *cuts, len(selected)]
+            bounds = [0, *edge_cuts(selected, boundaries), len(selected)]
             columns = [selected[a:b] for a, b in zip(bounds, bounds[1:])]
         else:
             counts: Counter = Counter()

@@ -66,11 +66,9 @@ from repro.backends.signatures import SignatureTable
 from repro.databases.kss import KssLevelStore, KssStore, KssTables, level_store
 from repro.databases.serialization import (
     SerializationError,
-    kmer_record_bytes,
     map_sections,
     pack_i32,
     pack_i64,
-    pack_kmer_column,
     pack_sections,
     parse_i32,
     parse_i64,
@@ -78,11 +76,7 @@ from repro.databases.serialization import (
     unpack_sections,
 )
 from repro.databases.sketch import SketchDatabase
-from repro.databases.sorted_db import (
-    COLUMN_BUILD_MAX_K,
-    SortedKmerDatabase,
-    extract_pairs,
-)
+from repro.databases.sorted_db import SortedKmerDatabase, extract_pairs
 from repro.megis.multissd import (
     DatabaseShard,
     shard_kss,
@@ -90,6 +84,7 @@ from repro.megis.multissd import (
     whole_shard,
 )
 from repro.sequences.generator import ReferenceCollection
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 
 
 class MegisIndex:
@@ -369,7 +364,9 @@ def _manifest(sections: Sections) -> _Manifest:
         if not isinstance(pair, list) or len(pair) != 2 or pair[0] != edge:
             raise bad("shard_ranges", want)
         edge = integer(pair[1], "shard_ranges", want, edge)
-    if edge != 1 << (2 * k):
+    # 4^k is the one power of two with 2k + 1 bits; the power itself is
+    # never built, so a huge manifest k cannot exhaust memory.
+    if edge.bit_length() != 2 * k + 1 or edge & (edge - 1):
         raise bad("shard_ranges", want)
     level_rows = raw["kss_level_rows"]
     if not isinstance(level_rows, dict) or set(level_rows) != {
@@ -541,14 +538,15 @@ class IndexBuilder:
 
     The one offline build — ``repro index build`` and a plain ``repro
     analyze REFERENCES READS`` both run it (``smaller_ks`` of ``None``
-    resolves to ``(k - 8, k - 12)``).  For ``k <= 31`` it is one pass:
-    one k-mer extraction over all genomes and one sort give the distinct
+    resolves to ``(k - 8, k - 12)``).  It is one pass at every k: one
+    k-mer extraction over all genomes and one sort give the distinct
     ``(k-mer, genome)`` pair columns
     (:func:`~repro.databases.sorted_db.extract_pairs`), and the database,
     the sketch and the KSS store are all column arithmetic over those
-    pairs — no per-k-mer Python, no row objects.  Wider k-mers (``object``
-    columns, the paper's k = 60) take the per-k-mer reference builders;
-    the arm is chosen by ``k`` alone and both write the same bytes.
+    pairs — no row objects.  Past 32 bases the key columns are ``object``
+    (:mod:`repro.sequences.keys`), so the same arithmetic runs per key;
+    the per-k-mer dict builders remain only as the reference the tests
+    hold these bytes to.
     """
 
     k: int = 20
@@ -566,22 +564,11 @@ class IndexBuilder:
         return (self.k - 8, self.k - 12)
 
     def build(self, references: ReferenceCollection) -> MegisIndex:
-        levels = self.resolved_smaller_ks()
-        if self.k > COLUMN_BUILD_MAX_K:
-            database = SortedKmerDatabase.build(references, k=self.k)
-            sketch = SketchDatabase.build(
-                references,
-                k_max=self.k,
-                smaller_ks=levels,
-                sketch_fraction=self.sketch_fraction,
-                seed=self.seed,
-            )
-        else:
-            pairs = extract_pairs(references, self.k)
-            database = SortedKmerDatabase.from_pairs(pairs)
-            sketch = SketchDatabase.from_pairs(
-                pairs, levels, self.sketch_fraction, self.seed
-            )
+        pairs = extract_pairs(references, self.k)
+        database = SortedKmerDatabase.from_pairs(pairs)
+        sketch = SketchDatabase.from_pairs(
+            pairs, self.resolved_smaller_ks(), self.sketch_fraction, self.seed
+        )
         # The KSS is part of the offline build, not of the first save.
         return MegisIndex(database, sketch, references, kss=KssTables(sketch))
 

@@ -2,7 +2,8 @@
 
 The GIL caps what :class:`~repro.megis.service.AnalysisService` can get
 out of threads wherever the pipeline runs Python bytecode: the
-``python``-backend reference throughout, a ``mapper_k > 31`` Step 3, and
+``python``-backend reference throughout, a Step 3 whose mapper k-mer
+does not fit one key word (:mod:`repro.sequences.keys`), and
 on the columnar path the glue between the NumPy kernels (Steps 1-3 are
 column kernels there, which release the GIL).  What a fork buys over a
 thread on that columnar path was measured for ISSUE 22, which is why

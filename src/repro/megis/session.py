@@ -14,11 +14,12 @@ entirely (§4.4 batched across a stream, closing the batched-Step-3
 ROADMAP item).  Those Step-3 indexes are columns — sorted key column, CSR
 offsets, location column, genome ``starts`` — and the mapper votes for a
 sample's reads a block at a time whenever the backend is columnar (the
-default ``numpy``) and ``mapper_k <= 31``; otherwise (the ``python``
-reference backend named as the oracle, or a mapper k-mer wider than
-``uint64``) they are the dict reference
-structures with the per-read vote.  The two are equal by test and nothing
-else selects between them (:mod:`repro.tools.mapping`).  A columnar
+default ``numpy``) and a mapper k-mer fits one key word
+(:func:`~repro.sequences.keys.fits_word`); otherwise (the ``python``
+reference backend named as the oracle, or a wider mapper k-mer) they are
+the dict reference structures with the per-read vote.  The two are
+equal by test and nothing else selects between them
+(:mod:`repro.tools.mapping`).  A columnar
 mapping analysis with ``mapper_k`` no wider than the database k keeps
 Step 1's sorted ``(k-mer, read)`` stream
 (:attr:`~repro.megis.host.BucketSet.stream`) and hands it to the vote,
@@ -87,6 +88,7 @@ from repro.megis.multissd import (
     warm_shards,
     whole_range,
 )
+from repro.sequences.keys import fits_word
 from repro.sequences.kmers import KmerStream
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
@@ -329,14 +331,14 @@ class AnalysisSession:
         #: Step-3 caches: per-species sorted indexes (reused whenever
         #: candidate sets overlap) and fully merged unified indexes (reused
         #: when a candidate set repeats exactly).  They hold columns when
-        #: the backend is columnar and a mapper k-mer fits uint64 — the
-        #: test Step 1 makes for its own vectorized path — and the dict
+        #: the backend is columnar and a mapper k-mer fits one key word
+        #: (the vote packs a seed and its read into one), and the dict
         #: reference otherwise; nothing selects between the two but that.
         self._species_index_type: Union[
             Type[SpeciesIndex], Type[ColumnarSpeciesIndex]
         ] = (
             ColumnarSpeciesIndex
-            if self._backend.columnar and config.mapper_k <= 31
+            if self._backend.columnar and fits_word(config.mapper_k)
             else SpeciesIndex
         )
         self._species_indexes: Dict[
@@ -705,11 +707,12 @@ class AnalysisSession:
         — the in-storage streaming data path — so the result is identical
         to an uncached :func:`~repro.megis.abundance.build_unified_index`.
 
-        A columnar-backend session with ``mapper_k <= 31`` builds and
-        merges columns (:class:`~repro.tools.mapping.ColumnarUnifiedIndex`:
-        sorted key column, CSR offsets, location column, genome
-        ``starts``), over which :class:`~repro.tools.mapping.ReadMapper`
-        votes for all reads of a sample at once; any other session runs
+        A columnar-backend session whose mapper k-mer fits one key word
+        builds and merges columns
+        (:class:`~repro.tools.mapping.ColumnarUnifiedIndex`: sorted key
+        column, CSR offsets, location column, genome ``starts``), over
+        which :class:`~repro.tools.mapping.ReadMapper` votes for all reads
+        of a sample at once; any other session runs
         the dict reference and its per-read vote.  Same entries, same
         :class:`~repro.megis.abundance.IndexMergeStats`, same profile
         either way.

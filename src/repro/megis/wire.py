@@ -78,14 +78,13 @@ import numpy.typing as npt
 from repro.backends.retrieval import IntColumn, RetrievalResult
 from repro.backends.signatures import SignatureTable
 from repro.databases.serialization import (
-    kmer_record_bytes,
     pack_i32,
-    pack_kmer_column,
     pack_sections,
     parse_i32,
     parse_kmer_column,
     unpack_sections,
 )
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 
 #: Wire-format version stamped on every output line.
 SCHEMA = 1

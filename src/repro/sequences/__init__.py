@@ -17,13 +17,8 @@ from repro.sequences.encoding import (
     reverse_complement_code,
 )
 from repro.sequences.generator import GenomeGenerator, mutate_sequence, random_sequence
-from repro.sequences.kmers import (
-    KmerCounter,
-    extract_kmers,
-    extract_kmers_batch,
-    iter_kmers,
-    kmer_spectrum,
-)
+from repro.sequences.keys import extract_kmers, extract_kmers_batch, iter_kmers
+from repro.sequences.kmers import KmerCounter, kmer_spectrum
 from repro.sequences.reads import Read, ReadSimulator
 
 __all__ = [

@@ -8,11 +8,11 @@ form — the property MegIS's sorted databases and streaming intersection rely
 on.
 
 A k-mer of length ``k`` is packed into a single Python integer (two bits per
-base, most-significant bits hold the first base).  For ``k <= 31`` the packed
-value fits in an unsigned 64-bit word, matching what the in-storage Intersect
-units operate on; larger ``k`` (Metalign and MegIS use ``k = 60``) still works
-because Python integers are arbitrary precision, and the 120-bit width quoted
-for the Intersect registers in Table 2 corresponds to ``k = 60``.
+base, most-significant bits hold the first base), so any ``k`` works here:
+the 120-bit width quoted for the Intersect registers in Table 2 is the
+``k = 60`` that Metalign and MegIS use.  How a column of packed k-mers is
+held — one ``uint64`` word per key, or Python ints past the word — is
+:mod:`repro.sequences.keys`.
 """
 
 from __future__ import annotations

@@ -1,148 +1,26 @@
-"""K-mer extraction and counting.
+"""K-mer streams and counting.
 
-Provides a readable per-k-mer iterator, a vectorized per-sequence extractor
-used when building databases, a batch extractor that packs the k-mers of a
-whole sample's reads in one pass, and :class:`KmerStream` — those k-mers
-sorted with their reads, which Step 1 builds once per sample and the
-columnar Step-3 vote reads its seeds from (the paper extracts and sorts a
-sample once, §4.2.1, and maps the same reads in Step 3, §4.4).
-Extraction mirrors the behaviour of KMC (the counting tool MegIS's Step 1
-improves upon, §4.2.1): canonical k-mers, with optional frequency-based
-exclusion (§4.2.3).
+Extraction itself — per k-mer, per sequence and over a whole sample's
+reads in one pass — lives in :mod:`repro.sequences.keys`, which decides
+how a k-mer is held.  This module holds what is built on it:
+:class:`KmerStream` — a sample's k-mers sorted with their reads, which
+Step 1 builds once per sample and the columnar Step-3 vote reads its
+seeds from (the paper extracts and sorts a sample once, §4.2.1, and maps
+the same reads in Step 3, §4.4) — and :class:`KmerCounter`, which
+mirrors KMC (the counting tool MegIS's Step 1 improves upon, §4.2.1):
+canonical k-mers, with optional frequency-based exclusion (§4.2.3).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sequences.encoding import (
-    BITS_PER_BASE,
-    canonical_kmer,
-    encode_sequence,
-)
-
-
-def iter_kmers(seq: str, k: int, canonical: bool = True) -> Iterator[int]:
-    """Yield packed k-mers of a DNA string in order of appearance."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if len(seq) < k:
-        return
-    codes = encode_sequence(seq)
-    mask = (1 << (BITS_PER_BASE * k)) - 1
-    value = 0
-    for i, code in enumerate(codes):
-        value = ((value << BITS_PER_BASE) | int(code)) & mask
-        if i >= k - 1:
-            yield canonical_kmer(value, k) if canonical else value
-
-
-def extract_kmers(seq: str, k: int, canonical: bool = True) -> np.ndarray:
-    """Extract all packed k-mers of a sequence as a numpy array.
-
-    Vectorized for ``k <= 31`` (fits in uint64); falls back to the iterator
-    for longer k-mers, returning an object array of Python integers so that
-    the 120-bit k-mers used by Metalign/MegIS (k = 60) are supported.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    n = len(seq) - k + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.uint64 if k <= 31 else object)
-    if k > 31:
-        return np.array(list(iter_kmers(seq, k, canonical=canonical)), dtype=object)
-    codes = encode_sequence(seq).astype(np.uint64)
-    # Rolling pack: forward[i] = packed k-mer starting at i.
-    forward = np.zeros(n, dtype=np.uint64)
-    for offset in range(k):
-        forward = (forward << np.uint64(BITS_PER_BASE)) | codes[offset : offset + n]
-    if not canonical:
-        return forward
-    reverse = np.zeros(n, dtype=np.uint64)
-    complement = np.uint64(3) - codes
-    # Reverse complement of window [i, i+k): complement codes in reverse order.
-    for offset in range(k - 1, -1, -1):
-        reverse = (reverse << np.uint64(BITS_PER_BASE)) | complement[offset : offset + n]
-    return np.minimum(forward, reverse)
-
-
-#: Word of the doubling pack's window of ``2**j`` bases, by ``j``: the
-#: narrowest unsigned integer holding its ``2 * 2**j`` bits.
-_WINDOW_DTYPES = (np.uint8, np.uint8, np.uint8, np.uint16, np.uint32)
-
-
-def extract_kmers_batch(
-    sequences: Sequence[str], k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward k-mers of many sequences in one pass, with their origins.
-
-    Returns ``(kmers, read_ids)``: ``kmers`` equals ``np.concatenate(
-    [extract_kmers(s, k, canonical=False) for s in sequences])`` and
-    ``read_ids[i]`` is the index into ``sequences`` that ``kmers[i]`` came
-    from.  One encode and one pack run over the concatenation of the
-    sequences (the §4.2.1 streaming extraction over the sample) instead of
-    k numpy operations per read; the windows that straddle a join between
-    two reads are dropped by a validity mask.
-
-    The pack doubles: the window of ``2**j`` bases starting at ``i`` is
-    the window of ``2**(j - 1)`` bases at ``i`` times ``4**(2**(j - 1))``,
-    or-ed with the one at ``i + 2**(j - 1)``, for windows of 1, 2, 4, 8
-    and 16 bases held in ``uint8``, ``uint8``, ``uint8``, ``uint16`` and
-    ``uint32``.  K-mer ``i`` then joins one window per binary digit of
-    ``k``, largest first, each starting where the last ended — in
-    ``uint32`` while its ``2k`` bits fit (``k <= 16``), else in
-    ``uint64`` — so a k-mer costs ``floor(log2(k))`` doubling passes and
-    ``popcount(k) - 1`` joins instead of ``k`` rolling ones.  The
-    doubling steps multiply rather than shift: numpy's ``uint8`` shift is
-    a scalar loop, several times slower than a ``uint8`` multiply.
-
-    Sequences shorter than ``k`` hold no k-mer and are left out of the
-    concatenation unencoded, exactly as :func:`extract_kmers` returns
-    before encoding them.  Only ``k <= 31`` (a k-mer fits ``uint64``).
-
-    Step 1 calls this once per sample at the database k; for a mapping
-    analysis it keeps both columns, sorted, as a :class:`KmerStream`, from
-    which the Step-3 vote derives its shorter seeds.  The vote extracts at
-    its own k only for reads shorter than the database k, or when it
-    holds no stream.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > 31:
-        raise ValueError(f"batch extraction packs into uint64; k must be <= 31, got {k}")
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    kept = np.flatnonzero(lengths >= k)
-    if kept.size == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    codes = encode_sequence("".join([seq for seq in sequences if len(seq) >= k]))
-    n = codes.size - k + 1
-    windows = [codes]  # windows[j][i]: the 2**j bases from i
-    while 1 << len(windows) <= k:
-        half, dtype = 1 << (len(windows) - 1), _WINDOW_DTYPES[len(windows)]
-        window = windows[-1][:-half].astype(dtype)
-        window *= dtype(1 << (BITS_PER_BASE * half))
-        window |= windows[-1][half:]
-        windows.append(window)
-    top = len(windows) - 1
-    word = np.uint32 if BITS_PER_BASE * k <= 32 else np.uint64
-    forward = windows[top][:n].astype(word)
-    offset = 1 << top
-    for j in range(top - 1, -1, -1):
-        if k >> j & 1:
-            forward <<= word(BITS_PER_BASE << j)
-            forward |= windows[j][offset : offset + n]
-            offset += 1 << j
-    # A window is a k-mer of one read unless it starts within k - 1 bases
-    # of a join: the last k - 1 starts before every read end but the last.
-    valid = np.ones(n, dtype=bool)
-    joins = np.cumsum(lengths[kept])[:-1]
-    valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
-    kmers = forward[valid].astype(np.uint64, copy=False)
-    return kmers, np.repeat(kept, lengths[kept] - k + 1)
+from repro.sequences.keys import as_column, column_dtype, extract_kmers, extract_kmers_batch
+from repro.sequences.keys import spare_bits
 
 
 def read_id_bits(n_reads: int) -> int:
@@ -177,15 +55,15 @@ class KmerStream:
         extracted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Optional["KmerStream"]:
         """Sort the k-mers of ``sequences`` with their reads, or ``None``
-        when a k-mer and a read id do not fit one ``uint64`` word
-        (``2k + read_id_bits(len(sequences)) > 64``).
+        when a read id does not fit the bits a k-mer leaves free in its
+        word (:func:`~repro.sequences.keys.spare_bits`).
 
         ``extracted`` is what :func:`extract_kmers_batch` returned for
         ``(sequences, k)``, if the caller has it; its k-mer column becomes
         the stream's words (tagged and sorted in place).
         """
         read_bits = read_id_bits(len(sequences))
-        if BITS_PER_BASE * k + read_bits > 64:
+        if read_bits > spare_bits(k):
             return None
         kmers, read_ids = (
             extract_kmers_batch(sequences, k) if extracted is None else extracted
@@ -265,6 +143,4 @@ class KmerCounter:
             if count >= min_count and (max_count is None or count <= max_count)
         ]
         kept.sort()
-        if self.k <= 31:
-            return np.array(kept, dtype=np.uint64)
-        return np.array(kept, dtype=object)
+        return as_column(kept, column_dtype(self.k))

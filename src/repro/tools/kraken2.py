@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set
 
 from repro.databases.kraken import KrakenDatabase
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.keys import extract_kmers
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.taxonomy.tree import Rank

@@ -44,8 +44,9 @@ either:
   back to its run of equal seeds, one ``bincount`` over ``read * (n_sig
   + 1) + signature``, and one product of those per-read signature counts
   with ``signatures`` for the per-species votes.  Every columnar-backend
-  session with ``mapper_k <= 31`` takes this path; results equal the
-  reference read for read.
+  session whose mapper k-mer fits one key word
+  (:func:`~repro.sequences.keys.fits_word`) takes this path; results
+  equal the reference read for read.
 """
 
 from __future__ import annotations
@@ -57,12 +58,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.kmers import (
-    KmerStream,
-    extract_kmers,
-    extract_kmers_batch,
-    read_id_bits,
-)
+from repro.sequences.keys import extract_kmers, extract_kmers_batch
+from repro.sequences.keys import searchsorted_clamped, spare_bits
+from repro.sequences.kmers import KmerStream, read_id_bits
 from repro.sequences.reads import Read
 from repro.taxonomy.profiles import AbundanceProfile
 
@@ -211,16 +209,17 @@ class ColumnarUnifiedIndex:
 def vote_block_reads(index: ColumnarUnifiedIndex) -> int:
     """Reads per columnar vote block over ``index``.
 
-    At most :data:`VOTE_BLOCK_READS`; at most ``1 << (64 - 2k)``, so a
-    block-local read id always fits beside a 2k-bit seed in one
-    ``uint64`` word; and scaled by ``n_species / n_sig``, so the block's
-    ``(reads, n_sig + 1)`` count matrix stays O(block x species) however
-    many signatures the merge holds.
+    At most :data:`VOTE_BLOCK_READS`; at most ``1 << spare_bits(k)``
+    (:func:`~repro.sequences.keys.spare_bits`), so a block-local read id
+    always fits beside a seed in its key word; and scaled by
+    ``n_species / n_sig``, so the block's ``(reads, n_sig + 1)`` count
+    matrix stays O(block x species) however many signatures the merge
+    holds.
     """
     n_sig = index.signatures.shape[0] - 1
     return min(
         VOTE_BLOCK_READS,
-        1 << (64 - 2 * index.k),
+        1 << spare_bits(index.k),
         max(1, VOTE_BLOCK_READS * index.taxids.size // max(1, n_sig)),
     )
 
@@ -378,7 +377,7 @@ class ReadMapper:
         main_starts, main_distinct = _distinct(seeds)
         tail_starts, tail_distinct = _distinct(tail_seeds)
         needle, main_at, tail_at = _merge_distinct(main_distinct, tail_distinct)
-        slots = np.minimum(np.searchsorted(index.kmers, needle), index.kmers.size - 1)
+        slots = searchsorted_clamped(index.kmers, needle)
         n_rows = index.signatures.shape[0]
         signature = np.where(
             index.kmers[slots] == needle, index.key_signature[slots], n_rows - 1

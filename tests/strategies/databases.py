@@ -67,7 +67,8 @@ def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
     """A database, a sketch over a subset of its k-mers, and a query.
 
     ``ks`` are the k-mer lengths drawn from — pass ``(12,)`` / ``(40,)``
-    to pin the ``uint64`` / ``object`` key width.
+    to pin the ``uint64`` / ``object`` key column
+    (:mod:`repro.sequences.keys`).
 
     The sketch keeps the invariant ``SketchDatabase.build`` guarantees —
     a level's full set contains the owners of every sketched k_max-mer
@@ -141,7 +142,7 @@ class ReferenceWorld:
     seed: int
 
     def build(self) -> MegisIndex:
-        """The index ``IndexBuilder`` gives (the column build for k <= 31)."""
+        """The index ``IndexBuilder`` gives (the column build, at any ``k``)."""
         return IndexBuilder(
             self.k, self.smaller_ks, self.sketch_fraction, self.seed
         ).build(self.references)

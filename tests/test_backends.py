@@ -20,7 +20,7 @@ from repro.backends import (
     available_backends,
     get_backend,
 )
-from repro.backends.numpy_backend import as_column, stripe_columns
+from repro.backends.numpy_backend import stripe_columns
 from repro.backends.retrieval import group_sorted
 from repro.backends.signatures import pack_sets_csr
 from repro.databases.sorted_db import SortedKmerDatabase
@@ -28,6 +28,7 @@ from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
 from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.session import AnalysisSession, MegisConfig
+from repro.sequences.keys import as_column, fits_word
 from repro.tools.mapping import ColumnarUnifiedIndex
 from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
 from tests.conftest import SKETCH_K
@@ -434,7 +435,7 @@ class TestPipelineEquivalence:
         assert default_session.isp.backend_name == "numpy"
         results = default_session.analyze_batch([sample.reads[:200], sample.reads[200:]])
         assert [r.timings.backend for r in results] == ["numpy", "numpy"]
-        assert default_session.config.mapper_k <= 31
+        assert fits_word(default_session.config.mapper_k)
         unified, _ = default_session.unified_index(results[0].candidates)
         assert isinstance(unified, ColumnarUnifiedIndex)
 

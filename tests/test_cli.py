@@ -218,6 +218,58 @@ class TestUnopenableIndex:
         assert str(truncated) in err and len(err.splitlines()) == 1
 
 
+class TestReplicaFlag:
+    """``--replica NODE=HOST:PORT``: parsed by ``options.replica_spec``,
+    then refused by ``repro cluster`` unless each names a placed node once
+    — all before any connection is made."""
+
+    @pytest.mark.parametrize("value, want", [
+        ("0=127.0.0.1:7001", (0, ("127.0.0.1", 7001))),
+        ("12=node-b.local:65535", (12, ("node-b.local", 65535))),
+        ("1=::1:80", (1, ("::1", 80))),
+    ])
+    def test_spec_parses(self, value, want):
+        from repro.options import replica_spec
+
+        assert replica_spec(value) == want
+
+    @pytest.mark.parametrize("value, message", [
+        ("127.0.0.1:7001", "NODE=HOST:PORT"),
+        ("one=127.0.0.1:7001", "integer node id"),
+        ("-1=127.0.0.1:7001", "node id must be >= 0"),
+        ("0=127.0.0.1:http", "numeric port"),
+        ("0=127.0.0.1:0", "port must be in"),
+        ("0=127.0.0.1", "HOST:PORT"),
+    ])
+    def test_spec_refuses(self, value, message):
+        import argparse
+
+        from repro.options import replica_spec
+
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            replica_spec(value)
+
+    @pytest.fixture(scope="class")
+    def index_path(self, dataset, tmp_path_factory):
+        path = tmp_path_factory.mktemp("replica") / "world.megis"
+        assert main(["index", "build", str(dataset / "references.fasta"),
+                     str(path), "--shards", "2"]) == 0
+        return path
+
+    @pytest.mark.parametrize("replicas, message", [
+        (["2=127.0.0.1:7003"], "--replica names nodes [2] outside [0, 2)"),
+        (["0=127.0.0.1:7003", "0=127.0.0.1:7004"], "--replica names node 0 twice"),
+    ])
+    def test_cluster_refuses(self, index_path, replicas, message, capsys):
+        argv = ["cluster", "--index", str(index_path), "--nodes", "2",
+                "--node", "127.0.0.1:7001", "--node", "127.0.0.1:7002"]
+        for replica in replicas:
+            argv += ["--replica", replica]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
+
 class TestServe:
     @pytest.fixture(scope="class")
     def index_path(self, dataset, tmp_path_factory):

@@ -19,13 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.backends.retrieval import RetrievalResult
-from repro.databases.serialization import (
-    kmer_record_bytes,
-    pack_i32,
-    pack_kmer_column,
-    pack_sections,
-    unpack_sections,
-)
+from repro.databases.serialization import pack_i32, pack_sections, unpack_sections
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis import wire
@@ -41,6 +35,7 @@ from repro.megis.cluster import (
 from repro.megis.index import MegisIndex
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.sequences.generator import ReferenceCollection
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from repro.sequences.reads import Read
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts

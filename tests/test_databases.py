@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends.numpy_backend import column_dtype
 from repro.databases.kraken import KrakenDatabase
-from repro.databases.serialization import pack_kmer_column, parse_kmer_column
+from repro.databases.serialization import parse_kmer_column
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.sequences.encoding import kmer_prefix
-from repro.sequences.kmers import extract_kmers
+from repro.sequences.keys import column_dtype, extract_kmers, pack_kmer_column
 from tests.columns import query_dicts
 from tests.conftest import SKETCH_K, SMALLER_KS
 from tests.strategies import STANDARD_SETTINGS, key_probes, kmer_rows

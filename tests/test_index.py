@@ -12,9 +12,9 @@ Pins the build-once / query-many contract:
   truncated section loudly;
 - Step-3 unified-index construction is cached across a sample stream when
   candidate sets overlap;
-- the offline build's column arm (``k <= 31``) writes the file the
-  per-k-mer reference builders write, byte for byte, without a per-k-mer
-  call or a boxed row.
+- the offline build, columnar at every k (``uint64`` keys up to k = 32,
+  ``object`` past it), writes the file the per-k-mer reference builders
+  write, byte for byte, without a per-k-mer call or a boxed row.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from hypothesis import given, strategies as st
 from repro.backends import get_backend
 from repro.databases.serialization import (
     SerializationError,
-    kmer_record_bytes,
-    pack_kmer_column,
     pack_sections,
     parse_kmer_column,
     unpack_sections,
@@ -38,6 +36,7 @@ from repro.databases.serialization import (
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.multissd import split_database
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
@@ -279,6 +278,10 @@ class TestManifestValidation:
         "n_shards_zero": lambda m: {**m, "n_shards": 0},
         "k_null": lambda m: {**m, "k": None},
         "k_disagrees_with_k_max": lambda m: {**m, "k_max": m["k"] + 1},
+        # The key-space bound 4^k is checked without being built: at the
+        # parent these raised MemoryError under a 2 GB address-space limit.
+        "k_huge": lambda m: {**m, "k": 2**40, "k_max": 2**40},
+        "k_past_int64": lambda m: {**m, "k": 2**62, "k_max": 2**62},
         "smaller_ks_not_a_list": lambda m: {**m, "smaller_ks": 5},
         "smaller_ks_beyond_k": lambda m: {**m, "smaller_ks": [40, 12]},
         "smaller_ks_not_descending": lambda m: {**m, "smaller_ks": [8, 12]},
@@ -1000,7 +1003,7 @@ def _count_calls(monkeypatch):
 
 
 class TestColumnBuild:
-    """``k <= 31``: one extraction, column arithmetic, the reference's bytes."""
+    """Every k: one extraction, column arithmetic, the reference's bytes."""
 
     #: sha256 of this index file as the per-k-mer dict builders write it
     #: (format version 3, recorded when the KSS rows became owner-set
@@ -1019,8 +1022,15 @@ class TestColumnBuild:
         assert hashlib.sha256(index.to_bytes(4)).hexdigest() == self.GOLDEN
 
     @STANDARD_SETTINGS
-    @given(world=reference_worlds())
+    @given(world=reference_worlds(ks=(6, 8, 10, 31, 32, 33, 60)))
     def test_equals_reference_build(self, world):
+        _assert_same_build(world)
+
+    @pytest.mark.parametrize("k", [20, 31, 32, 60])
+    def test_golden_world_equals_reference_build(self, k):
+        """Both sides of the key word's edge (k = 32 is the last k-mer in
+        one ``uint64``; k = 60 is the paper's, in ``object`` columns)."""
+        world = ReferenceWorld(self.golden_references(), k, (k - 8, k - 12), 0.25, 0)
         _assert_same_build(world)
 
     @pytest.mark.parametrize("genomes", [
@@ -1034,14 +1044,18 @@ class TestColumnBuild:
         assert world.build().sketch.sketch_sizes.keys() == genomes.keys()
 
     @pytest.mark.parametrize("k", [32, 40])
-    def test_wide_k_takes_the_reference_arm(self, k, monkeypatch):
+    def test_wide_k_takes_the_column_arm(self, k, monkeypatch):
+        """No k falls back to the per-k-mer builders: a 32-mer is one
+        word, a 40-mer an ``object`` key, and either builds from one
+        batch extraction."""
         calls = _count_calls(monkeypatch)
         genome = GenomeGenerator(
             n_genera=1, species_per_genus=2, genome_length=150, seed=3
         ).generate()
         world = ReferenceWorld(genome, k, (k - 8, k - 12), 0.5, 0)
         payload = world.build().to_bytes(2)
-        assert calls["_passes"] > 0 and calls["extract_kmers_batch"] == 0
+        assert calls == {"_passes": 0, "_kmer_hash": 0,
+                         "extract_kmers": 0, "extract_kmers_batch": 1}
         assert payload == world.reference_build().to_bytes(2)
         assert MegisIndex.from_bytes(payload).to_bytes(2) == payload
 

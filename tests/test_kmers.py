@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sequences.encoding import EncodingError, canonical_kmer, encode_kmer
-from repro.sequences.kmers import (
-    KmerCounter,
-    extract_kmers,
-    extract_kmers_batch,
-    iter_kmers,
-    kmer_spectrum,
-)
+from repro.sequences.keys import extract_kmers, extract_kmers_batch, iter_kmers
+from repro.sequences.kmers import KmerCounter, kmer_spectrum
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 

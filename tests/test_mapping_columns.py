@@ -93,10 +93,16 @@ class TestBatchExtractor:
         )
 
     def test_k_must_fit_uint64(self):
+        """A ``uint64`` column holds k-mers up to k = 32; from k = 33 the
+        same k-mers come back as Python ints in an ``object`` column."""
         with pytest.raises(ValueError):
             extract_kmers_batch(["ACGT"], 0)
-        with pytest.raises(ValueError):
-            extract_kmers_batch(["A" * 40], 32)
+        seq = "ACGTTGCATGCCGATAGCTAGGATCCATTGACCAGTAGGC"
+        for k, dtype in ((32, np.uint64), (33, object)):
+            kmers, reads = extract_kmers_batch([seq, "A" * 5, seq], k)
+            assert kmers.dtype == dtype
+            assert kmers.tolist() == 2 * extract_kmers(seq, k, canonical=False).tolist()
+            assert reads.tolist() == [0] * (len(seq) - k + 1) + [2] * (len(seq) - k + 1)
 
 
 def _vote(mapper, index, reads):
@@ -383,10 +389,26 @@ class TestSessionPaths:
     def index(self, sorted_db, sketch_db, sample):
         return MegisIndex(sorted_db, sketch_db, sample.references)
 
-    def test_mapper_k_over_31_falls_to_the_reference(self, index, sample):
-        """A 32-mer does not fit uint64: the numpy session runs the dict
-        reference and matches the python session."""
+    def test_mapper_k_32_votes_in_one_read_blocks(self, index, sample):
+        """A 32-mer fills its word, leaving no bit for a read id: the
+        numpy session votes over columns one read per block and matches
+        the python session."""
         config = MegisConfig(mapper_k=32)
+        numpy_session = AnalysisSession(index, config, backend="numpy")
+        result = numpy_session.analyze(sample.reads[:60])
+        unified, _ = numpy_session.unified_index(result.candidates)
+        assert isinstance(unified, ColumnarUnifiedIndex)
+        assert mapping.vote_block_reads(unified) == 1
+        want = AnalysisSession(index, config, backend="python").analyze(
+            sample.reads[:60]
+        )
+        assert _answer(result) == _answer(want)
+        assert result.merge_stats == want.merge_stats
+
+    def test_mapper_k_over_32_falls_to_the_reference(self, index, sample):
+        """A 33-mer does not fit uint64: the numpy session runs the dict
+        reference and matches the python session."""
+        config = MegisConfig(mapper_k=33)
         numpy_session = AnalysisSession(index, config, backend="numpy")
         result = numpy_session.analyze(sample.reads)
         assert result.profile.fractions

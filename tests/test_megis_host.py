@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.backends.numpy_backend import as_column
 from repro.megis.host import (
     PRELIMINARY_SAMPLE,
     Bucket,
     KmerBucketPartitioner,
     column_to_list,
 )
+from repro.sequences.keys import as_column
 from repro.sequences.kmers import KmerCounter, KmerStream, extract_kmers
 from repro.sequences.reads import Read
 from tests.strategies import property_settings

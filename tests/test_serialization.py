@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.databases.serialization import (
     SerializationError,
     byte_order_matches_kmer_order,
-    kmer_record_bytes,
-    pack_kmer_column,
     pack_sections,
     parse_kmer_column,
     payload_pages,
@@ -17,6 +15,7 @@ from repro.databases.serialization import (
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.commands import CommandProcessor
 from repro.megis.index import IndexBuilder, MegisIndex
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
 from tests.strategies import property_settings

@@ -21,13 +21,12 @@ from repro.backends.retrieval import RetrievalResult
 from repro.backends.signatures import SignatureTable
 from repro.databases.serialization import (
     INDEX_VERSION,
-    kmer_record_bytes,
     pack_i32,
-    pack_kmer_column,
     pack_sections,
     unpack_sections,
 )
 from repro.megis import wire
+from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from tests.columns import as_ints, query_dicts
 from tests.strategies import FRAME_KS, damaged, json_values, retrieval_partials
 
