@@ -208,18 +208,21 @@ def clip_buckets(
 ) -> List[BucketSlice]:
     """Restrict a sample's ascending buckets to the shard range ``[lo, hi)``.
 
-    Buckets crossing a shard boundary are split at it (range and k-mers
-    both), so each shard sees buckets that satisfy the
-    :func:`interval_edges` invariants; buckets with no overlap are dropped.
+    A bucket wholly inside the range passes through as it is (its k-mers
+    already lie in its own range); only a bucket crossing a shard
+    boundary is split at it (range and k-mers both, two bisections), so
+    each shard sees buckets that satisfy the :func:`interval_edges`
+    invariants; buckets with no overlap are dropped.
     """
     clipped: List[BucketSlice] = []
     for blo, bhi, kmers in buckets:
         new_lo, new_hi = max(int(blo), int(lo)), min(int(bhi), int(hi))
         if new_hi <= new_lo:
             continue
-        i = bisect_column(kmers, new_lo)
-        j = bisect_column(kmers, new_hi, lo=i)
-        clipped.append((new_lo, new_hi, kmers[i:j]))
+        if (new_lo, new_hi) != (blo, bhi):  # crosses a shard edge: cut it
+            i = bisect_column(kmers, new_lo)
+            kmers = kmers[i:bisect_column(kmers, new_hi, lo=i)]
+        clipped.append((new_lo, new_hi, kmers))
     return clipped
 
 

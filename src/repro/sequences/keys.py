@@ -72,6 +72,12 @@ def rshift(column: NDArray[Any], shift: int) -> NDArray[Any]:
     return column >> np.uint64(shift)
 
 
+def prefix_column(column: NDArray[Any], k: int, j: int) -> NDArray[Any]:
+    """The j-prefixes of a k-mer key column, held as a j-mer column
+    (:func:`column_dtype` of ``j``, whatever the k-mers' dtype)."""
+    return as_column(rshift(column, 2 * (k - j)), column_dtype(j))
+
+
 def low_word(column: NDArray[Any]) -> NDArray[np.uint64]:
     """The low 64 bits of every key, as ``uint64`` — all a hash whose
     product wraps at 64 bits reads of a key (the sketch selection)."""
@@ -181,6 +187,9 @@ def extract_kmers_batch(
     valid = np.ones(n, dtype=bool)
     joins = np.cumsum(lengths[kept])[:-1]
     valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
+    # A mask, not a take: this mask is dense and regular (81-96% kept on
+    # 100-500 bp reads), where numpy 2.4's mask gather of 60k keys runs
+    # ~50-60 us against ~115 us for a take at its flatnonzero.
     kmers: NDArray[np.uint64] = forward[valid].astype(np.uint64, copy=False)
     return kmers, read_ids
 

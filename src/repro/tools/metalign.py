@@ -16,6 +16,7 @@ Abundance estimation maps the reads against the candidate species' genomes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -43,71 +44,73 @@ def containment_score(
 
 @dataclass(frozen=True)
 class HitAccumulation:
-    """Per-level hit columns: distinct taxIDs (ascending) + hit counts.
-
-    The columnar counterpart of the historical ``sketch_hits`` nested dict
-    (``taxid -> level -> count``): one ``(taxids, counts)`` column pair per
-    level, counted by :func:`accumulate_hits` per owner-set signature.
-    :meth:`as_dict` reconstructs the nested-dict view for
-    result objects and reporting; :func:`select_candidates` scores straight
-    off the columns.
+    """Hit counts per KSS level and taxID, one ``(levels x universe)``
+    integer matrix: row ``i`` counts the level-``ks[i]`` hits (``ks``
+    descending) of each taxID of the table's ascending ``universe``.
+    :meth:`as_dict` (the historical ``sketch_hits``), :attr:`levels` and
+    :func:`batch_containment` all read it.
     """
 
-    levels: Dict[int, Tuple[np.ndarray, np.ndarray]]
+    ks: Tuple[int, ...]
+    universe: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def levels(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Per level with any hit: its hit taxIDs (ascending) and counts."""
+        levels: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for k, row in zip(self.ks, self.counts):
+            owners = np.flatnonzero(row)
+            if len(owners):
+                levels[k] = (self.universe[owners], row[owners])
+        return levels
 
     def as_dict(self) -> Dict[int, Dict[int, int]]:
         """The historical ``taxid -> {level: count}`` view (zero rows omitted)."""
+        rows, owners = np.nonzero(self.counts)
         hits: Dict[int, Dict[int, int]] = {}
-        for k in sorted(self.levels, reverse=True):
-            taxids, counts = self.levels[k]
-            for taxid, count in zip(taxids.tolist(), counts.tolist()):
-                hits.setdefault(int(taxid), {})[k] = int(count)
+        for k, taxid, count in zip(
+            np.asarray(self.ks, dtype=np.int64)[rows].tolist(),
+            self.universe[owners].tolist(),
+            self.counts[rows, owners].tolist(),
+        ):
+            hits.setdefault(taxid, {})[k] = count
         return hits
-
-    def all_taxids(self) -> np.ndarray:
-        """Ascending distinct taxIDs hit at any level."""
-        columns = [taxids for taxids, _ in self.levels.values()]
-        if not columns:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(columns))
-
-    def aligned_counts(self, k: int, taxids: np.ndarray) -> np.ndarray:
-        """Level-``k`` hit counts aligned to an ascending ``taxids`` column."""
-        aligned = np.zeros(len(taxids), dtype=np.int64)
-        level_taxids, counts = self.levels.get(k, (None, None))
-        if level_taxids is not None and len(level_taxids):
-            aligned[np.searchsorted(taxids, level_taxids)] = counts
-        return aligned
 
 
 def accumulate_hits(retrieved: RetrievalResult) -> HitAccumulation:
-    """Fold Step-2 retrieval output into per-level (taxid, count) columns.
+    """Fold Step-2 retrieval output into one hit-count matrix, all KSS
+    levels at once.
 
-    Per level, one ``bincount`` over the signature ids counts the queries
-    answering with each owner set; only the *hit* signatures are then
-    expanded through the table, each owner weighted by its set's count,
-    and a second ``bincount`` over the table's taxID universe sums them —
-    so the expansion follows the hit signatures, never the queries' owner
-    lists.  A query's owner set is duplicate-free, so the sum is exactly
-    the per-query hit count of the historical per-query fold.
+    Level ``i``'s signature ids are offset by ``i * len(table)`` and the
+    levels stacked, so one ``bincount`` counts the queries answering with
+    each ``(level, owner set)``.  Only the *hit* pairs are then expanded
+    through the table (one ``row_entries``), each owner weighted by its
+    set's count, and one weighted ``bincount`` over ``level * universe +
+    taxID`` fills the matrix — the expansion follows the hit signatures,
+    never the queries' owner lists.  A query's owner set is
+    duplicate-free, so each cell is exactly the per-query hit count of
+    the historical per-query fold.
     """
     table = retrieved.signatures
-    levels: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for k, ids in retrieved.levels.items():
-        per_set = np.bincount(ids, minlength=len(table))
-        per_set[0] = 0  # signature 0: no owners
-        hit = np.flatnonzero(per_set)
-        if not len(hit):
-            continue
-        entries, offsets = table.entries(hit)
-        totals = np.bincount(
-            table.codes[entries],
-            weights=np.repeat(per_set[hit], np.diff(offsets)),
-            minlength=len(table.universe),
-        )
-        owners = np.flatnonzero(totals)
-        levels[k] = (table.universe[owners], totals[owners].astype(np.int64))
-    return HitAccumulation(levels=levels)
+    ks = tuple(sorted(retrieved.levels, reverse=True))
+    n, width = len(table), len(table.universe)
+    columns = [retrieved.levels[k] for k in ks]
+    stacked = np.array(columns, dtype=np.int64).reshape(len(ks), len(retrieved.queries))
+    stacked += np.arange(0, len(ks) * n, n)[:, None]
+    per_set = np.bincount(stacked.ravel(), minlength=len(ks) * n)
+    per_set[::n] = 0  # signature 0 of every level: no owners
+    hit = np.flatnonzero(per_set != 0)
+    level, signature = np.divmod(hit, n)
+    entries, offsets = table.entries(signature)
+    lengths = np.diff(offsets)
+    totals = np.bincount(
+        np.repeat(level * width, lengths) + table.codes[entries],
+        weights=np.repeat(per_set[hit], lengths),
+        minlength=len(ks) * width,
+    )
+    counts = totals.astype(np.int64).reshape(len(ks), width)
+    return HitAccumulation(ks, table.universe, counts)
 
 
 def batch_containment(
@@ -115,23 +118,22 @@ def batch_containment(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized containment over every hit taxID: (taxids, scores).
 
-    Bit-identical to mapping :func:`containment_score` over
-    ``hits.as_dict()`` — the arithmetic is the same IEEE-754 sequence
-    (integer hit counts are exact in float64 and the 0.25 weight is a power
-    of two) — but runs as array expressions with zero per-taxID Python
-    loops.
+    The hit taxIDs are the matrix's non-zero columns; the k_max row and
+    the sum of every other level's row are read at them.  Bit-identical
+    to mapping :func:`containment_score` over ``hits.as_dict()`` — the
+    arithmetic is the same IEEE-754 sequence (integer hit counts are
+    exact in float64 and the 0.25 weight is a power of two) — with zero
+    per-taxID Python loops.
     """
-    taxids = hits.all_taxids()
+    owners = np.flatnonzero(hits.counts.any(axis=0))
+    taxids = hits.universe[owners]
     if not len(taxids):
         return taxids, np.empty(0, dtype=np.float64)
-    kmax_counts = hits.aligned_counts(sketch.k_max, taxids)
-    others = np.zeros(len(taxids), dtype=np.int64)
-    for k in hits.levels:
-        if k != sketch.k_max:
-            others += hits.aligned_counts(k, taxids)
-    sizes = sketch.size_column(taxids)
-    scores = (kmax_counts + 0.25 * others) / sizes
-    return taxids, scores
+    at_hits = hits.counts[:, owners]
+    is_kmax = np.asarray(hits.ks) == sketch.k_max
+    kmax_counts = at_hits[is_kmax].sum(axis=0)
+    others = at_hits[~is_kmax].sum(axis=0)
+    return taxids, (kmax_counts + 0.25 * others) / sketch.size_column(taxids)
 
 
 def select_candidates(

@@ -5,7 +5,11 @@ lists; the ``numpy`` backend returns them as ndarray columns in the
 database column's dtype.  Tests compare the two as Python ints through
 :func:`as_ints` (``==`` on an ndarray is elementwise, so a bare
 comparison would not even be a truth value), and check the numpy side's
-container with :func:`native_column`.
+container with :func:`native_column`.  The candidate call's references
+live here too: the per-query dict fold (:func:`accumulate_oracle`) and
+the per-level fold with its ``np.unique``-aligned containment scoring
+(:func:`accumulate_levels_oracle`, :func:`containment_oracle`) that the
+one-matrix :func:`~repro.tools.metalign.accumulate_hits` replaced.
 """
 
 from __future__ import annotations
@@ -72,3 +76,53 @@ def accumulate_oracle(view: QueryDicts) -> Dict[int, Dict[int, int]]:
         for taxid in sorted(counters[k]):
             hits.setdefault(taxid, {})[k] = counters[k][taxid]
     return hits
+
+
+def accumulate_levels_oracle(retrieved: Any) -> Dict[int, Tuple[Any, Any]]:
+    """The per-level fold :func:`repro.tools.metalign.accumulate_hits`
+    replaces: per level with any hit, one ``bincount`` of the signature
+    ids, the hit signatures expanded through the table and a weighted
+    ``bincount`` over the taxID universe — ``{k: (taxids, counts)}``."""
+    table = retrieved.signatures
+    levels: Dict[int, Tuple[Any, Any]] = {}
+    for k, ids in retrieved.levels.items():
+        per_set = np.bincount(ids, minlength=len(table))
+        per_set[0] = 0  # signature 0: no owners
+        hit = np.flatnonzero(per_set)
+        if not len(hit):
+            continue
+        entries, offsets = table.entries(hit)
+        totals = np.bincount(
+            table.codes[entries],
+            weights=np.repeat(per_set[hit], np.diff(offsets)),
+            minlength=len(table.universe),
+        )
+        owners = np.flatnonzero(totals)
+        levels[k] = (table.universe[owners], totals[owners].astype(np.int64))
+    return levels
+
+
+def containment_oracle(sketch: Any, retrieved: Any) -> Tuple[Any, Any]:
+    """``(taxids, scores)`` over :func:`accumulate_levels_oracle`'s columns
+    as ``batch_containment`` scored them before the one-matrix fold: the
+    levels re-aligned on their taxID union by ``np.unique`` and one
+    ``searchsorted`` per level."""
+    levels = accumulate_levels_oracle(retrieved)
+    columns = [taxids for taxids, _ in levels.values()]
+    if not columns:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    taxids = np.unique(np.concatenate(columns))
+
+    def aligned(k: int) -> Any:
+        counts = np.zeros(len(taxids), dtype=np.int64)
+        if k in levels:
+            level_taxids, level_counts = levels[k]
+            counts[np.searchsorted(taxids, level_taxids)] = level_counts
+        return counts
+
+    kmax_counts = aligned(sketch.k_max)
+    others = np.zeros(len(taxids), dtype=np.int64)
+    for k in levels:
+        if k != sketch.k_max:
+            others += aligned(k)
+    return taxids, (kmax_counts + 0.25 * others) / sketch.size_column(taxids)

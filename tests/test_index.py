@@ -36,7 +36,7 @@ from repro.databases.serialization import (
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.megis.multissd import split_database
-from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
+from repro.sequences.keys import column_dtype, kmer_record_bytes, pack_kmer_column
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
@@ -1032,6 +1032,26 @@ class TestColumnBuild:
         one ``uint64``; k = 60 is the paper's, in ``object`` columns)."""
         world = ReferenceWorld(self.golden_references(), k, (k - 8, k - 12), 0.25, 0)
         _assert_same_build(world)
+
+    @pytest.mark.parametrize("k", [20, 40, 60])
+    def test_every_level_is_held_in_its_own_dtype(self, k):
+        """A level's prefixes are a column of the level's k-mers — a
+        ``uint64`` word at 32 bases or fewer, whatever k_max is — alike
+        in the column build, the dict-table walk and the opened file."""
+        world = ReferenceWorld(
+            self.golden_references(), k, (k - 8, min(k - 12, 32)), 0.25, 0
+        )
+        built = world.build()
+        payload = built.to_bytes(2)
+        opened = MegisIndex.from_bytes(payload)
+        walked = world.reference_build()
+        for level in built.kss.smaller_ks:
+            dtypes = {
+                index.kss.store().levels[level].prefixes.dtype
+                for index in (built, opened, walked)
+            }
+            assert dtypes == {column_dtype(level)}, (level, dtypes)
+        assert opened.to_bytes(2) == payload == walked.to_bytes(2)
 
     @pytest.mark.parametrize("genomes", [
         {},
