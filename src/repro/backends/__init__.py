@@ -20,6 +20,7 @@ from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
     StepTwoBackend,
+    StepTwoResult,
 )
 from repro.backends.numpy_backend import NumpyStepTwoBackend
 from repro.backends.python_backend import PythonStepTwoBackend
@@ -77,6 +78,7 @@ __all__ = [
     "RetrievalResult",
     "SignatureTable",
     "StepTwoBackend",
+    "StepTwoResult",
     "available_backends",
     "column_to_list",
     "get_backend",

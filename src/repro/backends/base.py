@@ -4,9 +4,11 @@ A :class:`StepTwoBackend` supplies the two data-path kernels Step 2 is
 made of: :meth:`~StepTwoBackend.intersect_bucketed_multi`, which streams
 every database interval from flash once and intersects it against all
 buffered samples' sorted buckets before advancing (§4.7), and
-:meth:`~StepTwoBackend.retrieve`, the KSS taxID retrieval (§4.3.2).  One
-sample is the batch of one; an un-bucketed query is the one bucket
-spanning the key space (:meth:`~StepTwoBackend.intersect`).
+:meth:`~StepTwoBackend.retrieve`, the KSS taxID retrieval (§4.3.2).
+:meth:`~StepTwoBackend.step_two` is the two over one shard for a batch —
+what every Step-2 engine calls.  One sample is the batch of one; an
+un-bucketed query is the one bucket spanning the key space
+(:meth:`~StepTwoBackend.intersect`).
 
 Backends must be *functionally identical*: the paper's accuracy-identity
 claim rests on MegIS computing exactly what the software pipeline computes,
@@ -45,6 +47,11 @@ from repro.backends.retrieval import (  # noqa: F401
 
 #: One query bucket: (lo, hi, sorted k-mers), covering ``[lo, hi)``.
 BucketSlice = Tuple[int, int, IntColumn]
+
+#: One sample's Step-2 output: (sorted intersecting k-mers, signature columns).
+#: The k-mers are the result's ``queries``: an int list on the
+#: ``python`` backend, a column in the database's dtype on ``numpy``.
+StepTwoResult = Tuple[IntColumn, RetrievalResult]
 
 
 @dataclass
@@ -295,3 +302,25 @@ class StepTwoBackend(abc.ABC):
         timings: Optional[PhaseTimings] = None,
     ) -> RetrievalResult:
         """KSS taxID retrieval over the sorted intersecting k-mers (§4.3.2)."""
+
+    # -- one shard's batch ----------------------------------------------------
+
+    def step_two(
+        self,
+        shard: Any,
+        samples: Sequence[Sequence[BucketSlice]],
+        n_channels: int = 8,
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoResult]:
+        """Step 2 of one shard for a batch of samples already clipped to
+        its range: the intersect kernel over ``shard.database``, then each
+        sample's :meth:`retrieve` from ``shard.kss``.  Returns one
+        ``(intersecting, retrieved)`` pair per sample."""
+        timings = timings if timings is not None else PhaseTimings(backend=self.name)
+        partials = self.intersect_bucketed_multi(
+            shard.database, samples, n_channels, timings
+        )
+        return [
+            (partial, self.retrieve(shard.kss, partial, timings))
+            for partial in partials
+        ]

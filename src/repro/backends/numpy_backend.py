@@ -15,14 +15,22 @@ operations:
   ``n_channels`` (equivalent to the round-robin stripes the per-channel
   Intersect units consume, §4.5), one ``bincount`` over the call's
   matches;
-- KSS retrieval — one clamped ``searchsorted`` into the k_max column per
-  shard and sample (§4.3.2: prefixes of the k_max stream identify the
-  rows of every smaller k).  The k_max level is an exact compare and a
-  take; each smaller level takes the matched neighbour's entry of the
-  level's ``kmax_row_signatures`` column when that neighbour shares the
-  query's prefix (a range slice's orphan boundary rows answer their
-  prefix's run of queries directly).  A query answers with an ``int32``
-  owner-set id, ``0`` on a miss, and no owner set is copied.
+- KSS retrieval — a take at the database rows the intersect found
+  (:meth:`NumpyStepTwoBackend.step_two`).  Every intersecting k-mer is a
+  database row, so each shard handle holds one ``int32`` column per KSS
+  level aligned with its database column
+  (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`, 4 B per level
+  per row, built on the shard's first Step 2), and a sample's level ids
+  are that column taken at its hit rows.  :func:`retrieve_levels` is what
+  the columns hold and what the standalone :meth:`~NumpyStepTwoBackend.retrieve`
+  answers: one clamped ``searchsorted`` into the k_max keys (§4.3.2:
+  prefixes of the k_max stream identify the rows of every smaller k),
+  an exact compare for the k_max level and, per smaller level, the
+  matched neighbour's entry of the level's ``kmax_row_signatures``
+  column when that neighbour shares the query's prefix (a range slice's
+  orphan boundary rows answer their prefix's run of queries directly).
+  A query answers with an ``int32`` owner-set id, ``0`` on a miss, and
+  no owner set is copied.
 
 The columns are key columns (:mod:`repro.sequences.keys`): ``uint64``
 and native speed while a k-mer fits one word, ``object`` past it (the
@@ -35,7 +43,7 @@ ints, to the reference backend's lists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -45,6 +53,7 @@ from repro.backends.base import (
     IntColumn,
     PhaseTimings,
     StepTwoBackend,
+    StepTwoResult,
     bisect_column,
     interval_edges,
 )
@@ -93,6 +102,43 @@ class NumpyStepTwoBackend(StepTwoBackend):
         each sample's matches come back as one column in the database
         column's dtype (empty when none matched)."""
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
+        return self._intersect(database, samples, n_channels, timings)[0]
+
+    def step_two(
+        self,
+        shard: Any,
+        samples: Sequence[Sequence[BucketSlice]],
+        n_channels: int = 8,
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoResult]:
+        """One shard's batch Step 2 with retrieval as takes: each level of a
+        sample's result is the shard's row column for that level
+        (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`) taken at
+        the database rows its intersect found — no second search.  Equal
+        to intersect plus :meth:`retrieve` per sample, because
+        :func:`retrieve_levels` answers each query on its own."""
+        timings = timings if timings is not None else PhaseTimings(backend=self.name)
+        matches, rows = self._intersect(shard.database, samples, n_channels, timings)
+        with timings.phase("retrieve"):
+            row_levels = shard.row_levels()  # built on the shard's first call
+            table = shard.kss.store().table
+            return [
+                (query, RetrievalResult(
+                    queries=query,
+                    levels={k: column.take(hit_rows) for k, column in row_levels.items()},
+                    signatures=table,
+                ))
+                for query, hit_rows in zip(matches, rows)
+            ]
+
+    def _intersect(
+        self,
+        database: Any,
+        samples: Sequence[Sequence[BucketSlice]],
+        n_channels: int,
+        timings: PhaseTimings,
+    ) -> Tuple[List[npt.NDArray[Any]], List[npt.NDArray[Any]]]:
+        """Each sample's matches and the database rows they sit at."""
         timings.samples_batched = max(timings.samples_batched, len(samples))
         column = database.column()
         # Bucket concatenation in range order is globally sorted; native
@@ -101,7 +147,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
             self._merged_query(buckets, column.dtype) for buckets in samples
         ]
         matches: List[npt.NDArray[Any]] = []
-        positions: List[npt.NDArray[Any]] = []
+        rows: List[npt.NDArray[Any]] = []
         edges = interval_edges(samples)
         with timings.phase("intersect"):
             # The database range every interval covers, located once in the
@@ -119,6 +165,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 timings.query_kmers_streamed += len(query)
                 if not len(query) or not len(db_range):
                     matches.append(column[:0])
+                    rows.append(np.empty(0, dtype=np.intp))
                     continue
                 # Both sides are sorted and the database is duplicate-free:
                 # one clamped searchsorted is the membership test for every
@@ -131,13 +178,13 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 # 45-100 us against 200-310 us for two mask gathers.
                 found = np.flatnonzero(hit)
                 matches.append(query[found])
-                positions.append(pos[found])
+                rows.append(pos[found] + start)
             timings.db_stream_passes += 1
-            if positions:
+            if rows:
                 # Striping attribution (§4.5): a hit at position p of its
                 # interval's slice belongs to channel p % n_channels, the
                 # stripe stripe_database deals it to.
-                found = np.concatenate(positions) + start
+                found = np.concatenate(rows)
                 cuts = np.asarray(db_cuts, dtype=np.int64)
                 interval = np.searchsorted(cuts, found, side="right") - 1
                 per_channel = np.bincount(
@@ -145,7 +192,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 )
                 for channel, count in enumerate(per_channel.tolist()):
                     timings.add_channel_matches(channel, count)
-        return matches
+        return matches, rows
 
     @staticmethod
     def _merged_query(
@@ -169,7 +216,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
         The intersect kernel's column is taken as is (:func:`as_column` is
         the identity on it) and becomes the result's ``queries``.  Every
         level answers from one search of the :meth:`KssTables.store`'s
-        k_max keys (:func:`_retrieve_levels`); the result refers to the
+        k_max keys (:func:`retrieve_levels`); the result refers to the
         store's signature table, so no taxID is touched here.
         """
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
@@ -178,13 +225,18 @@ class NumpyStepTwoBackend(StepTwoBackend):
             q = as_column(sorted_intersecting, store.kmers.dtype)
             if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
                 raise ValueError("intersecting k-mers must be sorted")
-            levels = _retrieve_levels(store, q)
+            levels = retrieve_levels(store, q)
         return RetrievalResult(queries=q, levels=levels, signatures=store.table)
 
 
-def _retrieve_levels(store: Any, q: npt.NDArray[Any]) -> Dict[int, SignatureColumn]:
+def retrieve_levels(store: Any, q: npt.NDArray[Any]) -> Dict[int, SignatureColumn]:
     """Every level's signature column for the sorted queries ``q``, from
-    one clamped ``searchsorted`` into the store's k_max keys.
+    one clamped ``searchsorted`` into the store's k_max keys — the one
+    definition of what a k-mer retrieves on the columnar path.  Each
+    query's answer depends on that query alone, so the column built over
+    a shard's whole database column
+    (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`) taken at a
+    row equals a search for that row's k-mer.
 
     A query's insertion point ``p`` has k_max neighbours at ``p`` and
     ``p - 1`` (clamped to the column); XOR with each says how many

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.backends.base import (
     BucketSlice,
     IntColumn,
     PhaseTimings,
     StepTwoBackend,
+    StepTwoResult,
 )
 from repro.backends.retrieval import RetrievalResult
 from repro.sequences.keys import kmer_record_bytes
@@ -108,16 +109,19 @@ class PacedStepTwoBackend(StepTwoBackend):
         result = self._inner.intersect_bucketed_multi(
             database, samples, n_channels, scratch
         )
+        self._pace_database(scratch, database.k)
+        if timings is not None:
+            timings.merge(scratch)
+        return result
+
+    def _pace_database(self, scratch: PhaseTimings, k: int) -> None:
         # The batch shares one database stream (§4.7): the inner kernel
         # charged each interval once — each database k-mer record read
         # once, at the size the serialization format derives — so the
         # paced wait is paid once for the whole batch, not per sample.
         scratch.intersect_ms += self._stream(
-            scratch.db_kmers_streamed * kmer_record_bytes(database.k)
+            scratch.db_kmers_streamed * kmer_record_bytes(k)
         )
-        if timings is not None:
-            timings.merge(scratch)
-        return result
 
     # -- retrieval ------------------------------------------------------------
 
@@ -134,9 +138,34 @@ class PacedStepTwoBackend(StepTwoBackend):
         # intersect/retrieve overlap ratio matches the model.
         scratch = PhaseTimings(backend=self.name)
         result = self._inner.retrieve(kss, sorted_intersecting, scratch)
-        streamed = int(kss.size_bytes())
-        scratch.kss_bytes_streamed += streamed
-        scratch.retrieve_ms += self._stream(streamed)
+        self._pace_kss(scratch, kss)
         if timings is not None:
             timings.merge(scratch)
         return result
+
+    def _pace_kss(self, scratch: PhaseTimings, kss: Any) -> None:
+        streamed = int(kss.size_bytes())
+        scratch.kss_bytes_streamed += streamed
+        scratch.retrieve_ms += self._stream(streamed)
+
+    # -- one shard's batch ----------------------------------------------------
+
+    def step_two(
+        self,
+        shard: Any,
+        samples: Sequence[Sequence[BucketSlice]],
+        n_channels: int = 8,
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoResult]:
+        """The inner engine's shard batch, paced by the same two streams
+        as :meth:`intersect_bucketed_multi` then :meth:`retrieve` per
+        sample: each database interval once per batch, the shard's KSS
+        range once per sample."""
+        scratch = PhaseTimings(backend=self.name)
+        results = self._inner.step_two(shard, samples, n_channels, scratch)
+        self._pace_database(scratch, shard.database.k)
+        for _ in results:
+            self._pace_kss(scratch, shard.kss)
+        if timings is not None:
+            timings.merge(scratch)
+        return results

@@ -48,12 +48,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import IntColumn, PhaseTimings, SignatureTable
+from repro.backends import IntColumn, PhaseTimings, SignatureTable, StepTwoResult
 from repro.backends.base import clip_buckets
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
-from repro.megis.multissd import StepTwoResult, gather, whole_range
+from repro.megis.multissd import gather, whole_range
 from repro.megis.session import AnalysisSession, MegisResult
 from repro.sequences.reads import Read
 

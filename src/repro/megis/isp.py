@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.backends import DEFAULT_BACKEND, PhaseTimings, StepTwoBackend
+from repro.backends import DEFAULT_BACKEND, PhaseTimings, StepTwoBackend, StepTwoResult
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import BucketSet
-from repro.megis.multissd import MultiSsdStepTwo, StepTwoResult, whole_shard
+from repro.megis.multissd import MultiSsdStepTwo, whole_shard
 
 
 class IspStepTwo(MultiSsdStepTwo):

@@ -8,9 +8,12 @@ Fig 15 scaling experiment has a correctness counterpart: the sharded
 pipeline must produce exactly the single-SSD result.
 
 Step 2 over one shard is one function, :func:`shard_step_two`: clip every
-buffered sample's buckets to the shard's ``[lo, hi)``, stream the shard's
-database slice once for the whole batch, retrieve each sample's taxIDs
-from the shard's own KSS range.  :func:`gather` concatenates the
+buffered sample's buckets to the shard's ``[lo, hi)`` and hand the batch
+to the backend's :meth:`~repro.backends.StepTwoBackend.step_two`, which
+streams the shard's database slice once for the whole batch and
+retrieves each sample's taxIDs from the shard's own KSS range (on
+``numpy`` as takes at the intersect's database rows from the handle's
+:meth:`DatabaseShard.row_levels`).  :func:`gather` concatenates the
 per-shard results in ascending range order, and
 :func:`step_two_over_shards` is the two together over a shard list — the
 only way anything in :mod:`repro.megis` reaches a backend kernel.  A
@@ -33,6 +36,10 @@ SSD's retrieval stream is bounded to its shard rather than a full KSS copy.
 Shard handles are built once — by :func:`split_database` /
 :func:`shard_kss` here, or ahead of time by
 :class:`~repro.megis.index.MegisIndex` — and reused across every query.
+A handle's row columns (one ``int32`` per KSS level per database row, in
+RAM only, never persisted) are built on its first ``numpy`` Step 2, not
+by :func:`warm_shards`: a handle no Step 2 runs on — a cluster router's
+— never holds them.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends import (
     DEFAULT_BACKEND,
@@ -50,17 +57,15 @@ from repro.backends import (
     PhaseTimings,
     RetrievalResult,
     StepTwoBackend,
+    StepTwoResult,
     get_backend,
 )
 from repro.backends.base import clip_buckets
+from repro.backends.numpy_backend import retrieve_levels
+from repro.backends.signatures import SignatureColumn
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import shard_pool, shard_workers
-
-#: One sample's Step-2 output: (sorted intersecting k-mers, signature columns).
-#: The k-mers are the result's ``queries``: an int list on the
-#: ``python`` backend, a column in the database's dtype on ``numpy``.
-StepTwoResult = Tuple[IntColumn, RetrievalResult]
 
 
 @dataclass
@@ -76,6 +81,29 @@ class DatabaseShard:
     hi: int
     database: SortedKmerDatabase
     kss: Optional[KssTables] = None
+    #: :meth:`row_levels`' one entry, once built.
+    _rows: Dict[str, Dict[int, SignatureColumn]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def row_levels(self) -> Dict[int, SignatureColumn]:
+        """Per KSS level, every database row's signature id, aligned with
+        ``database.column()`` — what a search of this shard's KSS range
+        answers for that row's k-mer (:func:`retrieve_levels`), so a
+        sample's retrieval is these columns taken at its intersect's rows.
+
+        Built on the first call (4 B per level per row) and kept.  No lock:
+        ``dict.setdefault`` is atomic, so a racing duplicate build is
+        dropped and every caller reads the first one stored.
+        """
+        levels = self._rows.get("levels")
+        if levels is None:
+            if self.kss is None:
+                raise ValueError(f"shard {self.index} carries no KSS range")
+            levels = self._rows.setdefault(
+                "levels", retrieve_levels(self.kss.store(), self.database.column())
+            )
+        return levels
 
 
 def whole_shard(database: SortedKmerDatabase, kss: KssTables) -> DatabaseShard:
@@ -177,25 +205,21 @@ def shard_step_two(
 
     Each sample's ascending buckets are clipped to the shard's
     ``[lo, hi)`` — the shard only ever sees the query slices that can
-    match its range — and the shard's database slice is streamed once for
-    the whole batch; retrieval then runs per sample against the shard's
-    own KSS range.  Returns one ``(intersecting, retrieved)`` pair per
-    sample, restricted to this shard, and the shard's timings.
+    match its range — and the batch goes to the backend's
+    :meth:`~repro.backends.StepTwoBackend.step_two`: the shard's database
+    slice streamed once for the whole batch, each sample's taxIDs from
+    the shard's own KSS range (on ``numpy``, takes of
+    :meth:`DatabaseShard.row_levels` at the intersect's rows).  Returns
+    one ``(intersecting, retrieved)`` pair per sample, restricted to this
+    shard, and the shard's timings.
     """
-    kss = shard.kss
-    if kss is None:
+    if shard.kss is None:
         raise ValueError(f"shard {shard.index} carries no KSS range")
     timings = PhaseTimings(backend=backend.name)
     clipped = [
         clip_buckets(buckets, shard.lo, shard.hi) for buckets in sample_buckets
     ]
-    partials = backend.intersect_bucketed_multi(
-        shard.database, clipped, channels, timings
-    )
-    return [
-        (partial, backend.retrieve(kss, partial, timings))
-        for partial in partials
-    ], timings
+    return backend.step_two(shard, clipped, channels, timings), timings
 
 
 def gather(parts: Sequence[Sequence[StepTwoResult]]) -> List[StepTwoResult]:

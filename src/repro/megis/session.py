@@ -73,6 +73,7 @@ from repro.backends import (
     IntColumn,
     PhaseTimings,
     StepTwoBackend,
+    StepTwoResult,
     available_backends,
     get_backend,
 )
@@ -84,7 +85,6 @@ from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
     DatabaseShard,
     MultiSsdStepTwo,
-    StepTwoResult,
     step_two_over_shards,
     warm_shards,
     whole_range,
@@ -434,7 +434,11 @@ class AnalysisSession:
         the same cache.  (The ternary-tree sketch
         tables stay lazy — they back :meth:`analyze_metalign`, which the
         service does not serve, and materializing them would defeat the
-        lazy-sketch open.)
+        lazy-sketch open.  So do the shard handles' per-row KSS columns
+        (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`): the
+        first Step 2 on a handle builds them, lock-free, so a router
+        that only scatters never holds them and a forked worker builds
+        its own.)
         """
         import numpy as np
 

@@ -160,8 +160,9 @@ class Cluster:
 
     def __init__(self, index, golden, n_nodes, *, n_shards=N_SHARDS,
                  replicas=(), heartbeat_ms=None, timeout_s=10.0,
-                 workers=2, backend="numpy"):
+                 workers=2, backend="numpy", router_index=None):
         self.index = index
+        self.router_index = router_index or index
         self.golden = golden
         self.backend = backend
         self.map = ClusterMap.for_index(index, n_nodes, n_shards)
@@ -197,7 +198,7 @@ class Cluster:
                                           replica=replica_address))
         self.step_two = ClusterStepTwo(self.map, endpoints,
                                        timeout_s=self.timeout_s)
-        local = AnalysisSession(self.index, _config(self.golden))
+        local = AnalysisSession(self.router_index, _config(self.golden))
         self.router = ClusterRouter(
             ClusterAnalysisSession(local, self.step_two),
             heartbeat_ms=self.heartbeat_ms,
@@ -1234,6 +1235,58 @@ class TestTimingKnobs:
 
 def _run_in_thread(fn, *args):
     return asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
+
+class TestRowColumnConfinement:
+    """A shard handle's per-row KSS columns are built by the first Step 2
+    that runs on it: a router, which only scatters, never builds them,
+    and a node builds them for its own shard group only."""
+
+    def test_router_holds_no_row_columns_after_a_scatter(
+        self, golden_world, golden, requests_wire, serial_records
+    ):
+        _, index = golden_world
+        payload = index.to_bytes()
+        nodes_index = MegisIndex.from_bytes(payload)
+        router_index = MegisIndex.from_bytes(payload)
+
+        async def scenario():
+            async with Cluster(nodes_index, golden, 2,
+                               router_index=router_index) as cluster:
+                return await client_roundtrip(cluster.router, requests_wire)
+
+        records = run_scenario(scenario())
+        assert_bit_identical(records, serial_records,
+                             [f"c{i}" for i in range(N_CHUNKS)])
+        router_shards = [shard for shards in router_index._shard_cache.values()
+                         for shard in shards]
+        assert router_shards, "warm() cut the router's shard handles"
+        assert not any(shard._rows for shard in router_shards)
+        assert all(shard._rows for shard in nodes_index.shards(N_SHARDS))
+
+    def test_node_builds_row_columns_for_its_own_shards_only(
+        self, golden_world, golden, chunks
+    ):
+        _, index = golden_world
+        fresh = MegisIndex.from_bytes(index.to_bytes())
+        cluster_map = ClusterMap.for_index(fresh, 2, N_SHARDS)
+        node = make_node_session(fresh, golden, cluster_map, 0).warm()
+        full = AnalysisSession(index, _config(golden))
+        queries = [full._partitioner.partition(chunk).merged_column()
+                   for chunk in chunks[:2]]
+        assert not any(shard._rows for shard in fresh.shards(N_SHARDS))
+        expected = full.step_two_partial(queries)
+        gathered = node.step_two_partial(queries)
+        start, stop = cluster_map.group(0)
+        assert [bool(shard._rows) for shard in fresh.shards(N_SHARDS)] == [
+            start <= i < stop for i in range(N_SHARDS)
+        ]
+        hi = fresh.shards(N_SHARDS)[stop - 1].hi
+        for (kmers, retrieved), (want, whole) in zip(gathered, expected):
+            assert as_ints(kmers) == [x for x in as_ints(want) if x < hi]
+            assert query_dicts(retrieved) == {
+                q: levels for q, levels in query_dicts(whole).items() if q < hi
+            }
 
 
 class TestKeptConnections:

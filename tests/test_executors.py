@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.backends import PhaseTimings, available_backends, get_backend
+from repro.backends.base import clip_buckets
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis.executors import available_executors, parse_spec, shard_pool
 from repro.megis.host import KmerBucketPartitioner
@@ -183,13 +184,11 @@ class TestExecutorDrivenStepTwo:
             name = inner.name
 
             @staticmethod
-            def intersect_bucketed_multi(database, *args):
+            def step_two(shard, *args):
                 barrier.wait()
-                if database is shards[0].database:
+                if shard is shards[0]:
                     raise RuntimeError("shard 0 failed")
-                return inner.intersect_bucketed_multi(database, *args)
-
-            retrieve = staticmethod(inner.retrieve)
+                return inner.step_two(shard, *args)
 
         pool = shard_pool("threads:3")
         try:
@@ -328,6 +327,33 @@ class TestPacedBackend:
         assert timings.retrieve_ms >= 0.8 * expected_ms
         assert timings.kss_bytes_streamed == streamed
         assert "kss_bytes_streamed" in timings.as_dict()
+
+    def test_step_two_paces_both_streams(self, sorted_db, kss_tables):
+        """A shard batch's Step 2 charges what intersect-then-retrieve did:
+        each database interval once per batch, the shard's KSS range once
+        per sample — and waits out the KSS stream in ``retrieve_ms``."""
+        shards = split_database(sorted_db, 3)
+        shard_kss(kss_tables, shards)
+        k = sorted_db.k
+        batch = [whole_range(sorted_db.column()[i::3], k) for i in range(2)]
+        streamed = sum(len(batch) * shard.kss.size_bytes() for shard in shards)
+        mb_per_s = streamed / 1e6 / 0.15  # ~150 ms modeled KSS stream
+        paced = PacedStepTwoBackend("numpy", mb_per_s=mb_per_s)
+        numpy_ = get_backend("numpy")
+        timings, intersected = PhaseTimings(), PhaseTimings()
+        for shard in shards:
+            clipped = [clip_buckets(b, shard.lo, shard.hi) for b in batch]
+            got = paced.step_two(shard, clipped, 8, timings)
+            partials = numpy_.intersect_bucketed_multi(
+                shard.database, clipped, 8, intersected
+            )
+            expected = [
+                (partial, numpy_.retrieve(shard.kss, partial)) for partial in partials
+            ]
+            assert pairs_as_ints(got) == pairs_as_ints(expected)
+        assert timings.kss_bytes_streamed == streamed
+        assert timings.db_kmers_streamed == intersected.db_kmers_streamed > 0
+        assert timings.retrieve_ms >= 0.8 * streamed / (mb_per_s * 1e6) * 1e3
 
     def test_kss_bytes_streamed_merges(self):
         a = PhaseTimings(kss_bytes_streamed=100)
