@@ -31,9 +31,10 @@ from repro.backends.numpy_backend import as_column
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
+from repro.megis.multissd import whole_range, whole_shard
 from repro.tools.metalign import accumulate_hits, select_candidates
 from benchmarks.conftest import BENCH_K
-from tests.columns import as_ints
+from tests.columns import as_ints, own_shard
 from tests.strategies import synthetic_sketch
 
 N_BUCKETS = 16
@@ -69,10 +70,12 @@ def test_columnar_buckets_speedup_floor():
     conversion without changing one intersecting k-mer.
     """
     database, list_buckets, column_buckets = _partitioned_query()
-    engine = get_backend("numpy")
-    [expected] = engine.intersect_bucketed_multi(database, [column_buckets], 8)
-    [got] = engine.intersect_bucketed_multi(database, [list_buckets], 8)
+    engine, shard = get_backend("numpy"), own_shard(database)
+    [(expected, want)] = engine.step_two(shard, [column_buckets], 8)
+    [(got, retrieved)] = engine.step_two(shard, [list_buckets], 8)
     assert as_ints(got) == as_ints(expected)
+    for k, ids in want.levels.items():
+        assert retrieved.levels[k].tolist() == ids.tolist()
 
 
 def test_partitioner_emits_native_columns(bench_sample):
@@ -92,19 +95,20 @@ def test_partitioner_emits_native_columns(bench_sample):
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_columnar_partition_intersect(bench_sorted_db, bench_sample, backend):
+def test_columnar_partition_intersect(bench_sorted_db, bench_kss, bench_sample, backend):
     """End-to-end Step 1 -> Step 2 in each backend's native containers."""
     engine = get_backend("numpy")
     partitioner = KmerBucketPartitioner(k=BENCH_K, n_buckets=16, backend=backend)
     buckets = partitioner.partition(bench_sample.reads)
-    result = engine.intersect_bucketed_multi(
-        bench_sorted_db, [buckets.slices()], 8
-    )[0]
+    [(result, _)] = engine.step_two(
+        whole_shard(bench_sorted_db, bench_kss), [buckets.slices()], 8
+    )
     assert len(result)
 
 
 def _retrieval_world(n_db=80_000, n_query=40_000, seed=5):
-    """A synthetic KSS + sketch + sorted query hitting every database k-mer.
+    """A synthetic sketch + whole-range shard (the database and its KSS)
+    + sorted query, every query a database k-mer.
 
     Owners are realistic multi-taxID sets (1-4 of 64 species) over k-mers
     spread across the whole key space, so prefix groups stay small and
@@ -118,14 +122,17 @@ def _retrieval_world(n_db=80_000, n_query=40_000, seed=5):
         for _ in kmers
     ]
     sketch = synthetic_sketch(kmers, owners, k_max=BENCH_K)
-    kss = KssTables(sketch)
+    shard = whole_shard(SortedKmerDatabase(BENCH_K, kmers, owners), KssTables(sketch))
     queries = kmers[:: max(1, n_db // n_query)]
-    return sketch, kss, queries
+    return sketch, shard, queries
 
 
-def _retrieve_accumulate(backend, sketch, kss, queries):
-    """The full owner path: KSS retrieval -> hit accumulation -> candidates."""
-    retrieved = get_backend(backend).retrieve(kss, queries)
+def _retrieve_accumulate(backend, sketch, shard, queries):
+    """The full owner path: Step 2 (intersect, KSS retrieval) -> hit
+    accumulation -> candidates."""
+    [(_, retrieved)] = get_backend(backend).step_two(
+        shard, [whole_range(queries, BENCH_K)]
+    )
     hits = accumulate_hits(retrieved)
     return hits.as_dict(), select_candidates(sketch, hits, 0.15)
 
@@ -138,9 +145,9 @@ def test_retrieval_accumulate_speedup_floor():
     level, where the register-level reference walks every (query, taxID)
     pair in the interpreter.  Results must stay bit-identical.
     """
-    sketch, kss, queries = _retrieval_world()
-    expected = _retrieve_accumulate("python", sketch, kss, queries)
-    assert _retrieve_accumulate("numpy", sketch, kss, queries) == expected
+    sketch, shard, queries = _retrieval_world()
+    expected = _retrieve_accumulate("python", sketch, shard, queries)
+    assert _retrieve_accumulate("numpy", sketch, shard, queries) == expected
     assert expected[1], "candidate set empty - the world is degenerate"
 
 

@@ -15,11 +15,12 @@ from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
 from repro.megis.isp import IspStepTwo
+from repro.megis.multissd import whole_range, whole_shard
 from repro.sequences.kmers import extract_kmers
 from repro.ssd.channel import AccessPattern, ChannelSimulator
 from repro.ssd.config import ssd_c
 from benchmarks.conftest import BENCH_K
-from tests.columns import as_ints
+from tests.columns import as_ints, own_shard, pairs_as_ints
 
 
 def test_intersect_unit_merge(bench_sorted_db):
@@ -57,19 +58,23 @@ def test_kmer_extraction(bench_sample):
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_step2_intersect_backend(bench_sorted_db, backend):
+def test_step2_intersect_backend(bench_sorted_db, bench_kss, backend):
     query = bench_sorted_db.kmers[::3]
     engine = get_backend(backend)
-    result = engine.intersect(bench_sorted_db, query, n_channels=8)
+    [(result, _)] = engine.step_two(
+        whole_shard(bench_sorted_db, bench_kss), [whole_range(query, BENCH_K)], 8
+    )
     assert as_ints(result) == query
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_step2_retrieval_backend(bench_kss, bench_sketch, backend):
+def test_step2_retrieval_backend(bench_sorted_db, bench_kss, bench_sketch, backend):
     queries = sorted(bench_sketch.tables[BENCH_K])[::2]
     engine = get_backend(backend)
-    result = engine.retrieve(bench_kss, queries)
-    assert len(result.queries) == len(queries)
+    [(_, result)] = engine.step_two(
+        whole_shard(bench_sorted_db, bench_kss), [whole_range(queries, BENCH_K)], 8
+    )
+    assert as_ints(result.queries) == queries
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -101,9 +106,11 @@ def test_numpy_backend_speedup_floor():
     database = SortedKmerDatabase(BENCH_K, kmers, [frozenset({1})] * len(kmers))
     query = kmers[::2]
 
-    python, numpy = get_backend("python"), get_backend("numpy")
-    expected = numpy.intersect(database, query, n_channels=8)
-    assert as_ints(expected) == python.intersect(database, query, n_channels=8)
+    shard, batch = own_shard(database), [whole_range(query, BENCH_K)]
+    expected = get_backend("numpy").step_two(shard, batch, 8)
+    assert pairs_as_ints(expected) == pairs_as_ints(
+        get_backend("python").step_two(shard, batch, 8)
+    )
 
 
 def test_channel_simulation_sequential():

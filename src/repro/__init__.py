@@ -32,7 +32,8 @@ from repro.taxonomy import AbundanceProfile, Taxonomy, f1_score, l1_norm_error
 from repro.tools import Kraken2Classifier
 from repro.workloads import CamiDiversity, make_cami_sample
 
-__version__ = "1.0.0"
+#: The package version; ``pyproject.toml`` reads it from here.
+__version__ = "0.2.0"
 
 __all__ = [
     "AbundanceProfile",

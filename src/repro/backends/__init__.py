@@ -1,11 +1,17 @@
 """Pluggable execution backends for MegIS Step 2.
 
-Two backends ship with the repository:
+A backend is one method, :meth:`StepTwoBackend.step_two`: one shard's
+in-storage pass for a batch of samples — the database stream through
+the Intersect units, then each sample's taxID retrieval from the shard's
+KSS range.  Three backends are registered:
 
 - ``python`` — the register-level reference loops (fidelity backend);
-- ``numpy`` — columnar vectorized kernels over ``np.ndarray`` columns.
+- ``numpy`` — columnar vectorized kernels over ``np.ndarray`` columns,
+  retrieval as takes at the intersect's database rows;
+- ``paced`` — an inner backend (``numpy``) whose Step 2 also waits out
+  its modeled flash streams (:mod:`repro.backends.paced`).
 
-Both produce bit-identical results.  Every surface runs
+All produce bit-identical results.  Every surface runs
 :data:`DEFAULT_BACKEND` (``numpy``) unless a call site names another
 (``MegisConfig(backend="python")``, ``IspStepTwo(..., backend="python")``,
 ``repro analyze --backend python``): the reference is the §4.3 / Fig 8

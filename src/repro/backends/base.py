@@ -1,14 +1,13 @@
 """Backend abstraction for MegIS Step 2 (paper §4.3).
 
-A :class:`StepTwoBackend` supplies the two data-path kernels Step 2 is
-made of: :meth:`~StepTwoBackend.intersect_bucketed_multi`, which streams
-every database interval from flash once and intersects it against all
-buffered samples' sorted buckets before advancing (§4.7), and
-:meth:`~StepTwoBackend.retrieve`, the KSS taxID retrieval (§4.3.2).
-:meth:`~StepTwoBackend.step_two` is the two over one shard for a batch —
-what every Step-2 engine calls.  One sample is the batch of one; an
-un-bucketed query is the one bucket spanning the key space
-(:meth:`~StepTwoBackend.intersect`).
+A :class:`StepTwoBackend` is one method, :meth:`~StepTwoBackend.step_two`:
+one SSD's in-storage pass over a shard for a batch of buffered samples.
+The shard's database stream feeds the Intersect units — every database
+interval read from flash once and intersected against all the samples'
+sorted buckets before advancing (§4.2.1, §4.7) — and each sample's
+intersecting k-mers feed taxID retrieval from the shard's KSS range
+(§4.3.2).  One sample is the batch of one; one SSD is the whole-range
+shard.
 
 Backends must be *functionally identical*: the paper's accuracy-identity
 claim rests on MegIS computing exactly what the software pipeline computes,
@@ -234,7 +233,7 @@ def clip_buckets(
 
 
 class StepTwoBackend(abc.ABC):
-    """Execution engine for intersection and KSS retrieval kernels."""
+    """Execution engine of one shard's batch Step 2."""
 
     #: Registry name ("python", "numpy", ...).
     name: str = "abstract"
@@ -243,8 +242,6 @@ class StepTwoBackend(abc.ABC):
     #: Step 1 (:class:`~repro.megis.host.KmerBucketPartitioner`) uses this
     #: to emit bucket columns the backend can stream with zero conversion.
     columnar: bool = False
-
-    # -- query columns (Step-1 output containers) -----------------------------
 
     def query_column(self, values: IntColumn, k: int) -> IntColumn:
         """Materialize sorted k-mers in this backend's native bucket container.
@@ -255,56 +252,7 @@ class StepTwoBackend(abc.ABC):
         """
         return [int(v) for v in values]
 
-    # -- intersection ---------------------------------------------------------
-
-    def intersect(
-        self,
-        database: Any,
-        sorted_query: IntColumn,
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> IntColumn:
-        """Intersect one sorted query stream against the whole database:
-        the one-sample batch of the one bucket spanning the key space."""
-        [result] = self.intersect_bucketed_multi(
-            database, [[(0, 1 << (2 * database.k), sorted_query)]],
-            n_channels, timings,
-        )
-        return result
-
     @abc.abstractmethod
-    def intersect_bucketed_multi(
-        self,
-        database: Any,
-        samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> Sequence[IntColumn]:
-        """The intersect kernel: bucketed (§4.2.1), batched (§4.7).
-
-        Each sample is its ascending ``(lo, hi, sorted k-mers)`` buckets;
-        only the database range ``[lo, hi)`` can match a bucket.  Streams
-        every database interval (:func:`interval_edges`) once, intersecting
-        it against all buffered samples' query slices before advancing.
-        Returns one sorted
-        intersection per sample, in the backend's native container (an
-        int list, or an ndarray column), each identical to what that
-        sample alone would produce.
-        """
-
-    # -- retrieval ------------------------------------------------------------
-
-    @abc.abstractmethod
-    def retrieve(
-        self,
-        kss: Any,
-        sorted_intersecting: IntColumn,
-        timings: Optional[PhaseTimings] = None,
-    ) -> RetrievalResult:
-        """KSS taxID retrieval over the sorted intersecting k-mers (§4.3.2)."""
-
-    # -- one shard's batch ----------------------------------------------------
-
     def step_two(
         self,
         shard: Any,
@@ -313,14 +261,15 @@ class StepTwoBackend(abc.ABC):
         timings: Optional[PhaseTimings] = None,
     ) -> List[StepTwoResult]:
         """Step 2 of one shard for a batch of samples already clipped to
-        its range: the intersect kernel over ``shard.database``, then each
-        sample's :meth:`retrieve` from ``shard.kss``.  Returns one
-        ``(intersecting, retrieved)`` pair per sample."""
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        partials = self.intersect_bucketed_multi(
-            shard.database, samples, n_channels, timings
-        )
-        return [
-            (partial, self.retrieve(shard.kss, partial, timings))
-            for partial in partials
-        ]
+        its range (:func:`clip_buckets`).
+
+        Each sample is its ascending ``(lo, hi, sorted k-mers)`` buckets;
+        only the database range ``[lo, hi)`` can match a bucket.  Streams
+        every interval of ``shard.database`` (:func:`interval_edges`) once,
+        intersecting it against all samples' query slices before
+        advancing, then retrieves each sample's taxIDs from ``shard.kss``.
+        Returns one ``(intersecting, retrieved)`` pair per sample, the
+        k-mers sorted and in the backend's native container (an int list,
+        or an ndarray column), each identical to what that sample alone
+        would produce.
+        """

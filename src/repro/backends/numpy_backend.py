@@ -22,8 +22,8 @@ operations:
   (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`, 4 B per level
   per row, built on the shard's first Step 2), and a sample's level ids
   are that column taken at its hit rows.  :func:`retrieve_levels` is what
-  the columns hold and what the standalone :meth:`~NumpyStepTwoBackend.retrieve`
-  answers: one clamped ``searchsorted`` into the k_max keys (§4.3.2:
+  the columns hold, built over the shard's whole database column: one
+  clamped ``searchsorted`` into the k_max keys (§4.3.2:
   prefixes of the k_max stream identify the rows of every smaller k),
   an exact compare for the k_max level and, per smaller level, the
   matched neighbour's entry of the level's ``kmax_row_signatures``
@@ -36,9 +36,9 @@ The columns are key columns (:mod:`repro.sequences.keys`): ``uint64``
 and native speed while a k-mer fits one word, ``object`` past it (the
 paper's k = 60 needs 120 bits), where the same code path stays correct
 at reduced throughput.  Results stay columns: each sample's intersecting
-k-mers are one column in the database column's dtype, which retrieval
-takes as is and which becomes ``RetrievalResult.queries`` — equal, as
-ints, to the reference backend's lists.
+k-mers are one column in the database column's dtype, which becomes
+``RetrievalResult.queries`` — equal, as ints, to the reference backend's
+lists.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ from repro.backends.signatures import SignatureColumn
 from repro.sequences.keys import as_column, column_dtype, edge_cuts, searchsorted_clamped
 
 
-def stripe_columns(column: npt.NDArray[Any], n_channels: int) -> List[npt.NDArray[Any]]:
-    """Vectorized round-robin striping: channel c gets ``column[c::n]``.
-
-    Mirrors :func:`repro.backends.python_backend.stripe_database`; each
-    stripe stays sorted, and their union is the original column.
-    """
-    if n_channels <= 0:
-        raise ValueError(f"n_channels must be positive, got {n_channels}")
-    return [column[c::n_channels] for c in range(n_channels)]
-
-
 class NumpyStepTwoBackend(StepTwoBackend):
     """Columnar vectorized backend; bit-identical to the python reference."""
 
@@ -89,20 +78,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
         """
         return as_column(values, column_dtype(k))
 
-    # -- intersection ---------------------------------------------------------
-
-    def intersect_bucketed_multi(
-        self,
-        database: Any,
-        samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[npt.NDArray[Any]]:
-        """The intersect kernel (:meth:`StepTwoBackend.intersect_bucketed_multi`):
-        each sample's matches come back as one column in the database
-        column's dtype (empty when none matched)."""
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        return self._intersect(database, samples, n_channels, timings)[0]
+    # -- one shard's batch ----------------------------------------------------
 
     def step_two(
         self,
@@ -115,7 +91,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
         sample's result is the shard's row column for that level
         (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`) taken at
         the database rows its intersect found — no second search.  Equal
-        to intersect plus :meth:`retrieve` per sample, because
+        to a search of the shard's KSS range per sample, because
         :func:`retrieve_levels` answers each query on its own."""
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
         matches, rows = self._intersect(shard.database, samples, n_channels, timings)
@@ -202,31 +178,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
         if not columns:
             return np.empty(0, dtype=dtype)
         return np.concatenate(columns)
-
-    # -- retrieval ------------------------------------------------------------
-
-    def retrieve(
-        self,
-        kss: Any,
-        sorted_intersecting: IntColumn,
-        timings: Optional[PhaseTimings] = None,
-    ) -> RetrievalResult:
-        """KSS retrieval into signature columns with zero per-hit loops.
-
-        The intersect kernel's column is taken as is (:func:`as_column` is
-        the identity on it) and becomes the result's ``queries``.  Every
-        level answers from one search of the :meth:`KssTables.store`'s
-        k_max keys (:func:`retrieve_levels`); the result refers to the
-        store's signature table, so no taxID is touched here.
-        """
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        store = kss.store()
-        with timings.phase("retrieve"):
-            q = as_column(sorted_intersecting, store.kmers.dtype)
-            if np.any(np.asarray(q[1:] < q[:-1], dtype=bool)):
-                raise ValueError("intersecting k-mers must be sorted")
-            levels = retrieve_levels(store, q)
-        return RetrievalResult(queries=q, levels=levels, signatures=store.table)
 
 
 def retrieve_levels(store: Any, q: npt.NDArray[Any]) -> Dict[int, SignatureColumn]:

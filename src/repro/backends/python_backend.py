@@ -4,8 +4,11 @@ This is the fidelity backend.  :class:`IntersectUnit` and
 :class:`TaxIdRetriever` model the in-storage hardware at the register level
 (paper §4.3, Fig 8): two k-mer registers per channel fed straight from the
 flash stream, and an Index Generator that detects prefix transitions while
-streaming the KSS tables.  Every faster backend must reproduce these
-results bit for bit.
+streaming the KSS tables.  :meth:`PythonStepTwoBackend.step_two` is the
+two in sequence over one shard: the register-level intersect of the
+batch, then one :class:`TaxIdRetriever` merge of the shard's KSS range
+per sample.  Every faster backend must reproduce these results bit for
+bit.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.backends.base import (
     BucketSlice,
     PhaseTimings,
     StepTwoBackend,
+    StepTwoResult,
     interval_edges,
 )
 from repro.backends.retrieval import IntColumn, RetrievalResult, column_to_list
@@ -206,14 +210,30 @@ class PythonStepTwoBackend(StepTwoBackend):
 
     name = "python"
 
-    def intersect_bucketed_multi(
+    def step_two(
         self,
-        database: Any,
+        shard: Any,
         samples: Sequence[Sequence[BucketSlice]],
         n_channels: int = 8,
         timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
+    ) -> List[StepTwoResult]:
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
+        partials = self._intersect(shard.database, samples, n_channels, timings)
+        with timings.phase("retrieve"):
+            return [
+                (partial, TaxIdRetriever(shard.kss).retrieve(partial))
+                for partial in partials
+            ]
+
+    def _intersect(
+        self,
+        database: Any,
+        samples: Sequence[Sequence[BucketSlice]],
+        n_channels: int,
+        timings: PhaseTimings,
+    ) -> List[List[int]]:
+        """The register-level intersect of the batch: each sample's sorted
+        matches as an int list."""
         timings.samples_batched = max(timings.samples_batched, len(samples))
         # Bucket concatenation in range order is globally sorted, so each
         # sample's query slice for an interval is a contiguous run.
@@ -247,13 +267,3 @@ class PythonStepTwoBackend(StepTwoBackend):
             for partial in results:
                 partial.sort()
         return results
-
-    def retrieve(
-        self,
-        kss: Any,
-        sorted_intersecting: IntColumn,
-        timings: Optional[PhaseTimings] = None,
-    ) -> RetrievalResult:
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        with timings.phase("retrieve"):
-            return TaxIdRetriever(kss).retrieve(sorted_intersecting)

@@ -1,9 +1,12 @@
 """MegIS Step 2: finding candidate species inside the SSD (paper §4.3).
 
-The in-storage data path is modelled at the register level by the
-``python`` reference backend (:mod:`repro.backends.python_backend`), the
-fidelity model a caller names (``backend="python"``); the default engine
-is the columnar ``numpy`` backend, which must agree with it exactly:
+A backend is one method, :meth:`~repro.backends.StepTwoBackend.step_two`:
+one SSD's pass over its shard for a batch of samples.  The in-storage
+data path is modelled at the register level by the ``python`` reference
+backend (:mod:`repro.backends.python_backend`), the fidelity model a
+caller names (``backend="python"``), whose ``step_two`` runs the two
+units below in sequence; the default engine is the columnar ``numpy``
+backend, which must agree with it exactly:
 
 - :class:`IntersectUnit` — one per channel.  Holds two k-mer registers
   (current + next) fed directly from the flash stream, so the unit computes

@@ -9,14 +9,14 @@ pipeline must produce exactly the single-SSD result.
 
 Step 2 over one shard is one function, :func:`shard_step_two`: clip every
 buffered sample's buckets to the shard's ``[lo, hi)`` and hand the batch
-to the backend's :meth:`~repro.backends.StepTwoBackend.step_two`, which
-streams the shard's database slice once for the whole batch and
+to the backend's one method, :meth:`~repro.backends.StepTwoBackend.step_two`,
+which streams the shard's database slice once for the whole batch and
 retrieves each sample's taxIDs from the shard's own KSS range (on
 ``numpy`` as takes at the intersect's database rows from the handle's
 :meth:`DatabaseShard.row_levels`).  :func:`gather` concatenates the
 per-shard results in ascending range order, and
 :func:`step_two_over_shards` is the two together over a shard list — the
-only way anything in :mod:`repro.megis` reaches a backend kernel.  A
+only way anything in :mod:`repro.megis` reaches a backend.  A
 single SSD is the one-shard list (:func:`whole_shard`: the parent
 database and KSS themselves under the range ``[0, 4^k)``) and a single
 sample the one-sample batch, so the session's local Step-2 stage (in the

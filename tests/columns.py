@@ -10,6 +10,11 @@ live here too: the per-query dict fold (:func:`accumulate_oracle`) and
 the per-level fold with its ``np.unique``-aligned containment scoring
 (:func:`accumulate_levels_oracle`, :func:`containment_oracle`) that the
 one-matrix :func:`~repro.tools.metalign.accumulate_hits` replaced.
+A test holding only a database runs a backend's
+:meth:`~repro.backends.StepTwoBackend.step_two` over :func:`own_shard`,
+the database with a KSS built from its own rows (:func:`database_kss`);
+retrieval of arbitrary queries — misses, any shard's range — is
+:func:`retrieve_with`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,15 @@ from collections import Counter
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.backends.numpy_backend import retrieve_levels
+from repro.backends.python_backend import TaxIdRetriever
+from repro.backends.retrieval import RetrievalResult
+from repro.databases.kss import KssTables
+from repro.databases.sketch import SketchDatabase
+from repro.databases.sorted_db import PairColumns, SortedKmerDatabase
+from repro.megis.multissd import DatabaseShard, whole_shard
+from repro.sequences.keys import as_column
 
 
 def as_ints(column: Any) -> List[int]:
@@ -34,6 +48,40 @@ def pairs_as_ints(results: Sequence[Tuple[Any, Any]]) -> List[Tuple[List[int], A
         (as_ints(intersecting), query_dicts(retrieved))
         for intersecting, retrieved in results
     ]
+
+
+def database_kss(
+    database: SortedKmerDatabase, smaller_ks: Sequence[int] = (12, 8)
+) -> KssTables:
+    """A KSS over ``database``'s own rows: every row sketched at k_max with
+    its owners, every prefix at each smaller level (those below k)."""
+    taxids, offsets = database.owner_columns()
+    universe, genomes = np.unique(taxids, return_inverse=True)
+    pairs = PairColumns(
+        database.k,
+        np.repeat(database.column(), np.diff(offsets)),
+        genomes.astype(np.int64),
+        universe.astype(np.int64),
+    )
+    levels = [k for k in smaller_ks if k < database.k]
+    return KssTables(SketchDatabase.from_pairs(pairs, levels, sketch_fraction=1.0))
+
+
+def own_shard(database: SortedKmerDatabase) -> DatabaseShard:
+    """``database`` as one SSD's whole-range shard over its own KSS."""
+    return whole_shard(database, database_kss(database))
+
+
+def retrieve_with(backend: str, kss: KssTables, queries: Any) -> RetrievalResult:
+    """Retrieval of any sorted queries, not only database rows: the
+    ``python`` reference's :class:`TaxIdRetriever` merge, or on ``numpy``
+    :func:`retrieve_levels` — what a shard's row columns hold."""
+    if backend == "python":
+        return TaxIdRetriever(kss).retrieve(queries)
+    store = kss.store()
+    q = as_column(queries, store.kmers.dtype)
+    return RetrievalResult(queries=q, levels=retrieve_levels(store, q),
+                           signatures=store.table)
 
 
 def native_column(column: Any, database: Any) -> List[int]:

@@ -5,6 +5,9 @@ produce exactly the reference results — same intersecting k-mers, same KSS
 retrievals, same abundance profiles.  These tests pit the backends against
 each other and against the software references on randomized inputs,
 including empty buckets, empty samples, and single-channel configurations.
+Every backend is entered where it is served, through ``step_two`` over a
+shard (a random database runs over its own KSS, :func:`own_shard`);
+retrieval of arbitrary queries goes through :func:`retrieve_with`.
 """
 
 from __future__ import annotations
@@ -17,20 +20,27 @@ import pytest
 from repro.backends import (
     DEFAULT_BACKEND,
     PhaseTimings,
+    StepTwoBackend,
     available_backends,
     get_backend,
 )
-from repro.backends.numpy_backend import stripe_columns
 from repro.backends.retrieval import group_sorted
 from repro.backends.signatures import pack_sets_csr
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.index import MegisIndex
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.multissd import MultiSsdStepTwo, whole_range, whole_shard
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.sequences.keys import as_column, fits_word
 from repro.tools.mapping import ColumnarUnifiedIndex
-from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
+from tests.columns import (
+    as_ints,
+    native_column,
+    own_shard,
+    pairs_as_ints,
+    query_dicts,
+    retrieve_with,
+)
 from tests.conftest import SKETCH_K
 
 BACKENDS = ("python", "numpy")
@@ -47,6 +57,22 @@ def random_query(rng: random.Random, database: SortedKmerDatabase, n: int) -> li
     hits = rng.sample(database.kmers, min(n // 2, len(database)))
     misses = [rng.randrange(SPACE) for _ in range(n - len(hits))]
     return sorted(set(hits + misses))
+
+
+def step_two(backend, shard, samples, n_channels=8, timings=None) -> list:
+    """Each sample's intersecting k-mers from ``backend``'s Step 2."""
+    return [
+        intersecting for intersecting, _ in
+        get_backend(backend).step_two(shard, samples, n_channels, timings)
+    ]
+
+
+def intersect(backend, database, query, n_channels=8, timings=None):
+    """One sorted query over the whole database: the one-sample batch of
+    the one bucket spanning the key space, on the database's own KSS."""
+    [result] = step_two(backend, own_shard(database),
+                        [whole_range(query, database.k)], n_channels, timings)
+    return result
 
 
 def bucketize(query: list, edges: list) -> list:
@@ -113,6 +139,36 @@ class TestRegistry:
             MegisConfig(backend=None)
 
 
+class TestOneMethodContract:
+    """A backend is ``name``, ``columnar``, ``query_column`` and one
+    abstract method, ``step_two``: nothing else is asked of it."""
+
+    def test_step_two_is_the_only_abstract_method(self):
+        assert StepTwoBackend.__abstractmethods__ == {"step_two"}
+
+    def test_a_step_two_only_backend_serves_a_session(self, sorted_db, sketch_db, sample):
+        numpy_ = get_backend("numpy")
+
+        class StepTwoOnly(StepTwoBackend):
+            name = "step-two-only"
+            columnar = True
+
+            def query_column(self, values, k):
+                return numpy_.query_column(values, k)
+
+            def step_two(self, shard, samples, n_channels=8, timings=None):
+                return numpy_.step_two(shard, samples, n_channels, timings)
+
+        index = MegisIndex(sorted_db, sketch_db, sample.references)
+        chunks = [sample.reads[:150], sample.reads[150:300], sample.reads[300:]]
+        want = AnalysisSession(index, backend="numpy").analyze_batch(chunks)
+        got = AnalysisSession(index, backend=StepTwoOnly()).analyze_batch(chunks)
+        assert all(result.candidates for result in want)
+        for mine, reference in zip(got, want):
+            assert mine.candidates == reference.candidates
+            assert mine.profile.fractions == reference.profile.fractions
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n_channels", [1, 5])
@@ -121,8 +177,12 @@ class TestIntersectEquivalence:
         rng = random.Random(seed)
         database = random_database(rng, 400)
         query = random_query(rng, database, 150)
-        result = get_backend(backend).intersect(database, query, n_channels)
+        shard = own_shard(database)
+        [(result, retrieved)] = get_backend(backend).step_two(
+            shard, [whole_range(query, SKETCH_K)], n_channels
+        )
         assert as_ints(result) == database.intersect(query)
+        assert query_dicts(retrieved) == query_dicts(shard.kss.retrieve(result))
 
     def test_bucketed_matches_flat(self, backend, seed, n_channels):
         rng = random.Random(seed + 100)
@@ -131,9 +191,7 @@ class TestIntersectEquivalence:
         edges = sorted(rng.sample(range(1, SPACE), 5))
         buckets = bucketize(query, edges)
         assert any(not kmers for _, _, kmers in buckets) or len(buckets) == 6
-        [result] = get_backend(backend).intersect_bucketed_multi(
-            database, [buckets], n_channels
-        )
+        [result] = step_two(backend, own_shard(database), [buckets], n_channels)
         assert as_ints(result) == database.intersect(query)
 
 
@@ -141,18 +199,16 @@ class TestIntersectEquivalence:
 class TestIntersectEdgeCases:
     def test_empty_query(self, backend):
         database = random_database(random.Random(3), 50)
-        assert as_ints(get_backend(backend).intersect(database, [], 4)) == []
+        assert as_ints(intersect(backend, database, [], 4)) == []
 
     def test_empty_database(self, backend):
         database = SortedKmerDatabase(SKETCH_K, [], [])
-        assert as_ints(get_backend(backend).intersect(database, [1, 2, 3], 4)) == []
+        assert as_ints(intersect(backend, database, [1, 2, 3], 4)) == []
 
     def test_all_buckets_empty(self, backend):
         database = random_database(random.Random(4), 50)
         buckets = [(0, 100, []), (100, SPACE, [])]
-        [result] = get_backend(backend).intersect_bucketed_multi(
-            database, [buckets], 2
-        )
+        [result] = step_two(backend, own_shard(database), [buckets], 2)
         assert as_ints(result) == []
 
     def test_timings_recorded(self, backend):
@@ -160,7 +216,7 @@ class TestIntersectEdgeCases:
         database = random_database(rng, 200)
         query = random_query(rng, database, 80)
         timings = PhaseTimings(backend=backend)
-        result = get_backend(backend).intersect(database, query, 4, timings)
+        result = intersect(backend, database, query, 4, timings)
         assert timings.db_kmers_streamed == len(database)
         assert timings.query_kmers_streamed == len(query)
         assert timings.db_stream_passes == 1
@@ -173,8 +229,8 @@ class TestIntersectEdgeCases:
         query = random_query(rng, database, 150)
         mine = PhaseTimings()
         reference = PhaseTimings()
-        get_backend(backend).intersect(database, query, 3, mine)
-        get_backend("python").intersect(database, query, 3, reference)
+        intersect(backend, database, query, 3, mine)
+        intersect("python", database, query, 3, reference)
         assert mine.channel_matches == reference.channel_matches
 
 
@@ -193,11 +249,12 @@ class TestMultiSampleBatching:
         rng = random.Random(seed)
         database = random_database(rng, 350)
         samples = self._samples(rng, database, 3)
+        shard = own_shard(database)
         engine = get_backend(backend)
-        batched = engine.intersect_bucketed_multi(database, samples, 4)
+        batched = engine.step_two(shard, samples, 4)
         for got, buckets in zip(batched, samples):
-            [alone] = engine.intersect_bucketed_multi(database, [buckets], 4)
-            assert as_ints(got) == as_ints(alone)
+            alone = engine.step_two(shard, [buckets], 4)
+            assert pairs_as_ints([got]) == pairs_as_ints(alone)
 
     def test_cross_backend_identical(self, backend, kss_tables, sorted_db, sample):
         partitioner = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8)
@@ -205,23 +262,23 @@ class TestMultiSampleBatching:
             [(b.lo, b.hi, b.kmers) for b in partitioner.partition(reads).buckets]
             for reads in (sample.reads[:150], sample.reads[150:300])
         ]
-        mine = get_backend(backend).intersect_bucketed_multi(sorted_db, samples, 4)
-        reference = get_backend("python").intersect_bucketed_multi(sorted_db, samples, 4)
-        assert [as_ints(column) for column in mine] == reference
+        shard = whole_shard(sorted_db, kss_tables)
+        mine = get_backend(backend).step_two(shard, samples, 4)
+        reference = get_backend("python").step_two(shard, samples, 4)
+        assert pairs_as_ints(mine) == pairs_as_ints(reference)
 
     def test_empty_sample_in_batch(self, backend):
         rng = random.Random(12)
         database = random_database(rng, 100)
         query = random_query(rng, database, 40)
         samples = [bucketize(query, [SPACE // 2]), bucketize([], [SPACE // 2])]
-        engine = get_backend(backend)
-        batched = engine.intersect_bucketed_multi(database, samples, 2)
+        batched = step_two(backend, own_shard(database), samples, 2)
         assert as_ints(batched[0]) == database.intersect(query)
         assert as_ints(batched[1]) == []
 
     def test_no_samples(self, backend):
         database = random_database(random.Random(13), 30)
-        assert get_backend(backend).intersect_bucketed_multi(database, [], 2) == []
+        assert get_backend(backend).step_two(own_shard(database), [], 2) == []
 
     def test_out_of_order_buckets_rejected(self, backend):
         """Mis-ordered buckets would silently mis-slice; they must raise."""
@@ -230,15 +287,15 @@ class TestMultiSampleBatching:
         query = random_query(rng, database, 30)
         ordered = bucketize(query, [SPACE // 2])
         with pytest.raises(ValueError):
-            get_backend(backend).intersect_bucketed_multi(
-                database, [list(reversed(ordered))], 2
+            get_backend(backend).step_two(
+                own_shard(database), [list(reversed(ordered))], 2
             )
 
     def test_out_of_range_kmers_rejected(self, backend):
         database = random_database(random.Random(16), 60)
         samples = [[(0, 10, [3, 7]), (10, 20, [5, 12])]]  # 5 < lo of its bucket
         with pytest.raises(ValueError):
-            get_backend(backend).intersect_bucketed_multi(database, samples, 2)
+            get_backend(backend).step_two(own_shard(database), samples, 2)
 
     def test_database_streamed_once_per_batch(self, backend):
         """The batch streams each database interval once, not once per sample."""
@@ -246,13 +303,12 @@ class TestMultiSampleBatching:
         database = random_database(rng, 200)
         queries = [random_query(rng, database, 60) for _ in range(3)]
         samples = [bucketize(q, [SPACE // 2]) for q in queries]
+        shard = own_shard(database)
         batched = PhaseTimings()
-        get_backend(backend).intersect_bucketed_multi(database, samples, 2, batched)
+        get_backend(backend).step_two(shard, samples, 2, batched)
         individual = PhaseTimings()
         for buckets in samples:
-            get_backend(backend).intersect_bucketed_multi(
-                database, [buckets], 2, individual
-            )
+            get_backend(backend).step_two(shard, [buckets], 2, individual)
         assert batched.samples_batched == 3
         assert batched.db_kmers_streamed == len(database)
         assert individual.db_kmers_streamed == 3 * len(database)
@@ -263,7 +319,7 @@ class TestShardedKernels:
     """Sharded Step 2 (§6.1) on randomized databases.
 
     Sharding is not a backend entry point: a shard clips the buckets to
-    its range and runs the batched kernel
+    its range and runs the backend's ``step_two``
     (:func:`repro.megis.multissd.shard_step_two`).  These seeds drive it
     through :class:`MultiSsdStepTwo`; the generated-input form is the
     kernel property in ``tests/test_multissd.py``.
@@ -292,11 +348,9 @@ class TestShardedKernels:
             edges = sorted(rng.sample(range(1, SPACE), rng.randrange(2, 6)))
             samples.append(bucketize(query, edges))
         engine = MultiSsdStepTwo(database, kss_tables, n_ssds=3, backend=backend)
-        sharded = [as_ints(intersecting) for intersecting, _ in engine.run_multi(samples)]
-        assert sharded == [
-            as_ints(column) for column in
-            get_backend(backend).intersect_bucketed_multi(database, samples, 4)
-        ]
+        sharded = engine.run_multi(samples)
+        whole = get_backend(backend).step_two(whole_shard(database, kss_tables), samples, 4)
+        assert pairs_as_ints(sharded) == pairs_as_ints(whole)
 
     def test_sharded_cross_backend(self, backend, kss_tables):
         rng = random.Random(50)
@@ -318,8 +372,13 @@ class TestShardedKernels:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestRetrievalEquivalence:
     def test_matches_reference(self, backend, kss_tables, sorted_db):
+        """Database rows through the served Step 2: what a search of the
+        KSS answers for the intersecting k-mers."""
         queries = sorted(set(sorted_db.kmers[::4]))
-        got = get_backend(backend).retrieve(kss_tables, queries)
+        [(hits, got)] = get_backend(backend).step_two(
+            whole_shard(sorted_db, kss_tables), [whole_range(queries, SKETCH_K)]
+        )
+        assert as_ints(hits) == queries
         want = kss_tables.retrieve(queries)
         for k, ids in want.levels.items():
             assert got.levels[k].tolist() == ids.tolist()
@@ -328,20 +387,18 @@ class TestRetrievalEquivalence:
     def test_random_queries_match_reference(self, backend, kss_tables):
         rng = random.Random(20)
         queries = sorted({rng.randrange(SPACE) for _ in range(200)})
-        got = get_backend(backend).retrieve(kss_tables, queries)
+        got = retrieve_with(backend, kss_tables, queries)
         want = kss_tables.retrieve(queries)
         for k, ids in want.levels.items():
             assert got.levels[k].tolist() == ids.tolist()
         assert query_dicts(got) == query_dicts(want)
 
-    def test_empty(self, backend, kss_tables):
-        empty = get_backend(backend).retrieve(kss_tables, [])
+    def test_empty(self, backend, kss_tables, sorted_db):
+        [(_, empty)] = get_backend(backend).step_two(
+            whole_shard(sorted_db, kss_tables), [whole_range([], SKETCH_K)]
+        )
         assert query_dicts(empty) == {}
         assert set(empty.levels) == {kss_tables.k_max, *kss_tables.smaller_ks}
-
-    def test_unsorted_rejected(self, backend, kss_tables):
-        with pytest.raises(ValueError):
-            get_backend(backend).retrieve(kss_tables, [9, 1])
 
 
 class TestDatabaseBackendParam:
@@ -350,13 +407,6 @@ class TestDatabaseBackendParam:
         assert sorted_db.column() is column
         assert len(column) == len(sorted_db)
         assert [int(x) for x in column] == sorted_db.kmers
-
-    def test_stripe_columns_partition(self, sorted_db):
-        column = sorted_db.column()
-        stripes = stripe_columns(column, 4)
-        assert sum(len(s) for s in stripes) == len(column)
-        merged = sorted(int(x) for s in stripes for x in s)
-        assert merged == sorted_db.kmers
 
     def test_big_k_uses_object_dtype(self):
         # k = 60 (the paper's choice) needs 120-bit k-mers; the columnar
@@ -367,7 +417,7 @@ class TestDatabaseBackendParam:
         assert database.column().dtype == object
         query = kmers[::3] + [(1 << 119) + 1]
         for backend in BACKENDS:
-            got = get_backend(backend).intersect(database, query)
+            got = intersect(backend, database, query)
             assert as_ints(got) == database.intersect(query)
         assert native_column(got, database) == database.intersect(query)
 
@@ -381,9 +431,10 @@ class TestDatabaseBackendParam:
         kmers = sorted({rng.getrandbits(2 * k) for _ in range(120)})
         database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
         query = sorted(set(kmers[::3]) | {rng.getrandbits(2 * k) for _ in range(20)})
-        samples = [[(0, 1 << (2 * k), query)], [(0, 1 << (2 * k), [])]]
-        mine = get_backend("numpy").intersect_bucketed_multi(database, samples, 4)
-        reference = get_backend("python").intersect_bucketed_multi(database, samples, 4)
+        samples = [whole_range(query, k), whole_range([], k)]
+        shard = own_shard(database)
+        mine = step_two("numpy", shard, samples, 4)
+        reference = step_two("python", shard, samples, 4)
         assert all(isinstance(column, list) for column in reference)
         assert [native_column(column, database) for column in mine] == reference
         assert len(reference[0]) and not len(reference[1])

@@ -268,19 +268,22 @@ class TestPacedBackend:
         assert as_ints(got[0]) == as_ints(expected[0])
         assert query_dicts(got[1]) == query_dicts(expected[1])
 
-    def test_pacing_adds_modeled_stream_wall_time(self, sorted_db):
-        query = sorted_db.kmers[::2]
-        slow = PacedStepTwoBackend("numpy", mb_per_s=0.05)
+    def test_pacing_adds_modeled_stream_wall_time(self, sorted_db, kss_tables):
+        shard = whole_shard(sorted_db, kss_tables)
+        batch = [whole_range(sorted_db.column()[::2], sorted_db.k)]
+        streamed_mb = len(sorted_db) * 5 / 1e6  # k=20 -> 5-byte records
+        mb_per_s = streamed_mb / 0.15  # ~150 ms modeled database stream
+        slow = PacedStepTwoBackend("numpy", mb_per_s=mb_per_s)
         timings = PhaseTimings()
         start = time.perf_counter()
-        result = slow.intersect(sorted_db, query, 4, timings)
+        result = slow.step_two(shard, batch, 4, timings)
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        streamed_mb = len(sorted_db) * 5 / 1e6  # k=20 -> 5-byte records
-        expected_ms = streamed_mb / 0.05 * 1e3
-        assert as_ints(result) == as_ints(
-            get_backend("numpy").intersect(sorted_db, query, 4)
+        expected_ms = streamed_mb / mb_per_s * 1e3
+        kss_ms = kss_tables.size_bytes() / (mb_per_s * 1e6) * 1e3
+        assert pairs_as_ints(result) == pairs_as_ints(
+            get_backend("numpy").step_two(shard, batch, 4)
         )
-        assert elapsed_ms >= 0.8 * expected_ms
+        assert elapsed_ms >= 0.8 * (expected_ms + kss_ms)
         assert timings.intersect_ms >= 0.8 * expected_ms
 
     def test_paced_sharded_batch_matches_numpy(self, sorted_db, kss_tables,
@@ -304,21 +307,35 @@ class TestPacedBackend:
         with pytest.raises(ValueError):
             PacedStepTwoBackend("numpy", mb_per_s=0)
 
+    @pytest.mark.parametrize("given", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["argument", "environment"])
+    def test_bandwidth_must_be_finite_and_positive(self, given, source, monkeypatch):
+        """A NaN bandwidth would fail every paced Step 2 in ``time.sleep``
+        and an infinite one would pace nothing: only a finite number > 0
+        is a bandwidth."""
+        with pytest.raises(ValueError, match="finite number > 0"):
+            if source == "argument":
+                PacedStepTwoBackend("numpy", mb_per_s=float(given))
+            else:
+                monkeypatch.setenv("REPRO_PACED_MBPS", given)
+                PacedStepTwoBackend("numpy")
+
     def test_env_default_bandwidth(self, monkeypatch):
         monkeypatch.setenv("REPRO_PACED_MBPS", "123.5")
         assert PacedStepTwoBackend("numpy").mb_per_s == 123.5
 
     def test_retrieve_paces_by_kss_stream_volume(self, sorted_db, kss_tables):
         """KSS retrieval (§4.3.2's second flash stream) is paced too."""
-        query = [int(x) for x in sorted_db.kmers[::3]]
-        reference = get_backend("numpy").retrieve(kss_tables, query)
+        shard = whole_shard(sorted_db, kss_tables)
+        batch = [whole_range(sorted_db.column()[::3], sorted_db.k)]
+        [(_, reference)] = get_backend("numpy").step_two(shard, batch)
         streamed = kss_tables.size_bytes()
         assert streamed > 0
         mb_per_s = streamed / 1e6 / 0.15  # ~150 ms modeled stream
         paced = PacedStepTwoBackend("numpy", mb_per_s=mb_per_s)
         timings = PhaseTimings()
         start = time.perf_counter()
-        result = paced.retrieve(kss_tables, query, timings)
+        [(_, result)] = paced.step_two(shard, batch, 8, timings)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         expected_ms = streamed / (mb_per_s * 1e6) * 1e3
         # Pacing adds wall time, never work.
@@ -329,9 +346,9 @@ class TestPacedBackend:
         assert "kss_bytes_streamed" in timings.as_dict()
 
     def test_step_two_paces_both_streams(self, sorted_db, kss_tables):
-        """A shard batch's Step 2 charges what intersect-then-retrieve did:
-        each database interval once per batch, the shard's KSS range once
-        per sample — and waits out the KSS stream in ``retrieve_ms``."""
+        """A shard batch's Step 2 charges each database interval once per
+        batch and the shard's KSS range once per sample — and waits out
+        the KSS stream in ``retrieve_ms``; its results are numpy's."""
         shards = split_database(sorted_db, 3)
         shard_kss(kss_tables, shards)
         k = sorted_db.k
@@ -344,12 +361,7 @@ class TestPacedBackend:
         for shard in shards:
             clipped = [clip_buckets(b, shard.lo, shard.hi) for b in batch]
             got = paced.step_two(shard, clipped, 8, timings)
-            partials = numpy_.intersect_bucketed_multi(
-                shard.database, clipped, 8, intersected
-            )
-            expected = [
-                (partial, numpy_.retrieve(shard.kss, partial)) for partial in partials
-            ]
+            expected = numpy_.step_two(shard, clipped, 8, intersected)
             assert pairs_as_ints(got) == pairs_as_ints(expected)
         assert timings.kss_bytes_streamed == streamed
         assert timings.db_kmers_streamed == intersected.db_kmers_streamed > 0

@@ -35,13 +35,13 @@ from repro.databases.serialization import (
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.multissd import split_database
+from repro.megis.multissd import split_database, whole_range, whole_shard
 from repro.sequences.keys import column_dtype, kmer_record_bytes, pack_kmer_column
 from repro.megis.session import AnalysisSession, MegisConfig, MegisResult
 from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
-from tests.columns import pairs_as_ints, query_dicts
+from tests.columns import as_ints, pairs_as_ints, query_dicts, retrieve_with
 from tests.strategies import (
     STANDARD_SETTINGS, ReferenceWorld, collection, index_worlds, lying_manifests,
     reference_worlds, with_manifest,
@@ -386,7 +386,11 @@ def _assert_same_index(got, want, n_shards, query):
     assert got.database.intersect(query) == hits
     expected = query_dicts(want.kss.retrieve(hits))
     assert query_dicts(got.kss.retrieve(hits)) == expected
-    assert query_dicts(get_backend("numpy").retrieve(got.kss, hits)) == expected
+    [(kmers, retrieved)] = get_backend("numpy").step_two(
+        whole_shard(got.database, got.kss), [whole_range(query, got.k)]
+    )
+    assert as_ints(kmers) == hits
+    assert query_dicts(retrieved) == expected
 
 
 class TestContainerProperties:
@@ -895,7 +899,7 @@ class TestKssRangeSlicing:
             expected = {q: full[q] for q in queries if lo <= q < hi}
             in_range = [q for q in queries if lo <= q < hi]
             got = (part.retrieve(in_range) if backend is None
-                   else get_backend(backend).retrieve(part, in_range))
+                   else retrieve_with(backend, part, in_range))
             assert got.signatures is kss_tables.signatures
             assert query_dicts(got) == expected
 

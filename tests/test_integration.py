@@ -4,10 +4,15 @@ These tie layers together: the database's packed key column (the index
 file's ``db/kmers`` section) placed by MegIS FTL and streamed through the
 channel simulator; an analysis wrapped in a simulated SSD's §4.6 command
 scope with §4.3.1 buffers; Fig 13's phase-bucket mapping staying in sync with the
-timing model's phase names.
+timing model's phase names; and the package surface itself — the
+docstring's ``quick_analysis`` quickstart and the one version.
 """
 
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.experiments.fig13_breakdown import BUCKETS, bucketize
 from repro.megis.commands import CommandProcessor
@@ -104,3 +109,31 @@ class TestPhaseBucketMapping:
         assert sum(bucketize(breakdown).values()) == pytest.approx(
             breakdown.total_seconds
         )
+
+
+class TestPackage:
+    def test_quick_analysis_finds_the_present_species(self):
+        """The package docstring's quickstart: one CAMI-M sample through a
+        fresh index and session, reported with a perfect F1."""
+        lines = repro.quick_analysis(n_reads=400, seed=7).splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "sample", "candidates found", "F1", "L1 error",
+        ]
+        assert "400 reads" in lines[0]
+        assert lines[2] == "F1: 1.000"
+        assert 0 <= float(lines[3].split(": ")[1]) < 1
+
+    def test_version_is_kept_in_one_place(self):
+        """The distribution metadata reads ``repro.__version__``."""
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: tomli rides in with pytest
+            tomllib = pytest.importorskip("tomli")
+        root = Path(__file__).resolve().parent.parent
+        with (root / "pyproject.toml").open("rb") as handle:
+            project = tomllib.load(handle)
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        assert attr == "repro.__version__"
+        assert repro.__version__ == "0.2.0"

@@ -3,8 +3,9 @@
 Rather than reusing the shared fixture, these tests regenerate small
 reference collections with random shapes (genera counts, genome lengths,
 divergences, sketch fractions) and assert the load-bearing equivalences on
-each: in-storage intersection == software intersection, streaming KSS
-retrieval == tree lookups, and MegIS == Metalign end to end.  This guards
+each: in-storage intersection == software intersection on both Step-2
+backends (each through its ``step_two``), streaming KSS retrieval == tree
+lookups, and MegIS == Metalign end to end.  This guards
 the invariants against structural edge cases (single species, tiny genomes,
 dense/sparse sketches) that a fixed fixture would never hit.
 """
@@ -14,11 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.databases.kss import KssTables
 from repro.databases.sketch import SketchDatabase, TernarySearchTree
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.backends.python_backend import TaxIdRetriever
 from repro.megis.isp import IspStepTwo
 from repro.sequences.generator import GenomeGenerator
 from repro.sequences.reads import ReadSimulator
-from tests.columns import query_dicts
+from tests.columns import pairs_as_ints, query_dicts, retrieve_with
+from tests.strategies import property_settings
 
 world_strategy = st.fixed_dictionaries(
     {
@@ -52,8 +53,7 @@ def build_world(params):
 
 
 @given(world_strategy, st.integers(1, 7))
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(property_settings(12), suppress_health_check=[HealthCheck.too_slow])
 def test_isp_matches_reference_on_random_worlds(params, n_channels):
     references, database, sketch = build_world(params)
     kss = KssTables(sketch)
@@ -62,6 +62,8 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
     isp = IspStepTwo(database, kss, n_channels=n_channels, backend="python")
     intersecting, retrieved = isp.run(query)
     assert intersecting == database.intersect(query)
+    columnar = IspStepTwo(database, kss, n_channels=n_channels, backend="numpy")
+    assert pairs_as_ints([columnar.run(query)]) == pairs_as_ints([(intersecting, retrieved)])
     tree = TernarySearchTree(sketch)
     retrieved = query_dicts(retrieved)
     for kmer in intersecting:
@@ -69,21 +71,20 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
 
 
 @given(world_strategy)
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(property_settings(8), suppress_health_check=[HealthCheck.too_slow])
 def test_kss_equals_tree_on_random_worlds(params):
     _, database, sketch = build_world(params)
     kss = KssTables(sketch)
     tree = TernarySearchTree(sketch)
     queries = sorted(sketch.tables[K])[:60]
-    retrieved = query_dicts(TaxIdRetriever(kss).retrieve(queries))
+    retrieved = query_dicts(retrieve_with("python", kss, queries))
+    assert query_dicts(retrieve_with("numpy", kss, queries)) == retrieved
     for q in queries:
         assert retrieved[q] == tree.lookup(q)
 
 
 @given(world_strategy, st.integers(20, 80))
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(property_settings(6), suppress_health_check=[HealthCheck.too_slow])
 def test_megis_equals_metalign_on_random_worlds(params, n_reads):
     from repro.megis.index import MegisIndex
     from repro.megis.session import AnalysisSession

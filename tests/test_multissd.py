@@ -1,7 +1,8 @@
 """Tests for functional multi-SSD database partitioning (Fig 15's premise).
 
-Step 2 of one shard is one kernel (``shard_step_two``: clip, one batched
-stream, retrieve) and the shards' results are gathered in range order;
+Step 2 of one shard is one backend call (``shard_step_two``: clip, then
+the backend's ``step_two`` — one batched stream, retrieve) and the shards'
+results are gathered in range order;
 these tests pin the §6.1 claim — sharded Step 2 is bit-identical to
 single-SSD Step 2 — across both backends, batched multi-sample mode, and
 the boundary edge cases (empty shards, duplicated boundary k-mers,
@@ -29,6 +30,7 @@ from repro.megis.multissd import (
     whole_shard,
 )
 from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
+from tests.strategies import property_settings
 
 BACKENDS = ("python", "numpy")
 
@@ -100,7 +102,7 @@ def batches(draw, database, shards):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@property_settings(60)
 def test_kernel_gather_equals_whole_range_and_references(backend, data):
     """The shard kernel + gather, on generated worlds, both backends.
 
@@ -119,8 +121,8 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     ``intersect_sharded_multi`` tests pinned before sharding stopped being
     a backend entry point: per-shard intersections concatenate to
     ``database.intersect`` for any shard count; the batched sharded result
-    equals the whole-database ``intersect_bucketed_multi``; ``numpy``
-    agrees with ``python`` (both equal the same references here).  The
+    equals the whole-range shard's ``step_two``; ``numpy`` agrees with
+    ``python`` (both equal the same references here).  The
     two input checks moved to where shard lists enter — an empty or
     misordered shard list is refused by ``MultiSsdStepTwo`` at construction
     (``TestShardedKernels.test_no_shards``,

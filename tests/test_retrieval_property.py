@@ -5,7 +5,12 @@ the batch containment scoring must be *bit-identical* across backends — the
 paper's accuracy-identity claim rests on it.  Each seed builds a random
 synthetic world (database + KSS) and drives the full owner path on both
 backends: KSS retrieval -> sketch_hits -> candidates -> statistical
-abundance profile.  Seeds deliberately cover the awkward shapes:
+abundance profile.  The queries are arbitrary k-mers, not only database
+rows, so the numpy side is :func:`~repro.backends.numpy_backend.retrieve_levels`
+(what a shard's row columns hold) and the python side the
+:class:`~repro.backends.python_backend.TaxIdRetriever` merge, both through
+:func:`tests.columns.retrieve_with`.  Seeds deliberately cover the
+awkward shapes:
 
 - empty retrievals (every query misses) and empty query lists;
 - single-level KSS (no smaller-k tables at all);
@@ -23,13 +28,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends.numpy_backend import retrieve_levels
 from repro.backends.retrieval import RetrievalResult
 from repro.databases.kss import KssTables
 from repro.megis.index import MegisIndex
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
-from tests.columns import accumulate_oracle, as_ints, query_dicts
+from repro.sequences.keys import as_column
+from tests.columns import accumulate_oracle, as_ints, query_dicts, retrieve_with
 from tests.strategies import (
     STANDARD_SETTINGS,
     kmer_rows,
@@ -82,7 +88,7 @@ def make_world(seed: int):
 
 def owner_path(backend: str, sketch, kss, queries):
     """retrieval -> sketch_hits -> candidates -> statistical profile."""
-    retrieved = get_backend(backend).retrieve(kss, queries)
+    retrieved = retrieve_with(backend, kss, queries)
     hits = accumulate_hits(retrieved)
     sketch_hits = hits.as_dict()
     candidates = select_candidates(sketch, hits, MIN_CONTAINMENT)
@@ -117,7 +123,7 @@ def test_csr_blocks_internally_consistent(seed):
     row ascending and exactly the sketch's owner set for that query."""
     sketch, kss, queries = make_world(seed)
     for backend in ("python", "numpy"):
-        retrieved = get_backend(backend).retrieve(kss, queries)
+        retrieved = retrieve_with(backend, kss, queries)
         expanded = retrieved.expand()
         for k, ids in retrieved.levels.items():
             assert ids.dtype == np.int32 and len(ids) == len(retrieved.queries)
@@ -141,10 +147,10 @@ def test_columnar_concatenate_roundtrip(seed):
     rng = random.Random(seed + 1000)
     cut = rng.randrange(1, len(queries))
     for backend in ("python", "numpy"):
-        whole = get_backend(backend).retrieve(kss, queries)
+        whole = retrieve_with(backend, kss, queries)
         parts = [
-            get_backend(backend).retrieve(kss, queries[:cut]),
-            get_backend(backend).retrieve(kss, queries[cut:]),
+            retrieve_with(backend, kss, queries[:cut]),
+            retrieve_with(backend, kss, queries[cut:]),
         ]
         joined = RetrievalResult.concatenate(parts)
         assert as_ints(joined.queries) == as_ints(whole.queries)
@@ -159,7 +165,9 @@ def test_concatenate_refuses_a_repeated_kmer(backend):
     Disjoint parts still join, a numpy query column staying a column."""
     _, kss, queries = make_world(3)
     assert len(queries) >= 2
-    retrieve = get_backend(backend).retrieve
+    def retrieve(kss, queries):
+        return retrieve_with(backend, kss, queries)
+
     cut = len(queries) // 2
     with pytest.raises(ValueError, match="disjoint"):
         RetrievalResult.concatenate(
@@ -179,7 +187,7 @@ def test_single_level_kss_has_only_kmax(seed):
     sketch, kss, queries = make_world(seed)
     assert kss.smaller_ks == ()
     for backend in ("python", "numpy"):
-        retrieved = get_backend(backend).retrieve(kss, queries)
+        retrieved = retrieve_with(backend, kss, queries)
         assert set(retrieved.levels) == {K}
 
 
@@ -188,7 +196,7 @@ def test_query_dict_adapter_matches_mapping_fold():
     dict fold over the expanded owner sets, and so do the candidates."""
     sketch, kss, queries = make_world(2)
     for backend in ("python", "numpy"):
-        retrieved = get_backend(backend).retrieve(kss, queries)
+        retrieved = retrieve_with(backend, kss, queries)
         columnar = accumulate_hits(retrieved)
         assert columnar.as_dict() == accumulate_oracle(query_dicts(retrieved))
         for taxids, counts in columnar.levels.values():
@@ -235,7 +243,7 @@ def test_signatures_expand_to_the_full_owner_sets(world):
             for shard in shards:
                 assert shard.kss.signatures is index.kss.signatures
                 in_range = [q for q in queries if shard.lo <= q < shard.hi]
-                parts.append(get_backend(backend).retrieve(shard.kss, in_range))
+                parts.append(retrieve_with(backend, shard.kss, in_range))
             assert query_dicts(RetrievalResult.concatenate(parts)) == expected
         for shard in shards:
             assert shard.kss.size_bytes() == _expected_size_bytes(shard.kss)
@@ -310,8 +318,8 @@ def test_orphan_boundary_rows_answer_like_python(lo, hi, queries):
     sketch, kss = _orphan_world()
     sliced = kss.slice_range(lo, hi)
     expected = {q: sketch.lookup(q) for q in queries}
-    by_numpy = get_backend("numpy").retrieve(sliced, queries)
-    by_python = get_backend("python").retrieve(sliced, queries)
+    by_numpy = retrieve_with("numpy", sliced, queries)
+    by_python = retrieve_with("python", sliced, queries)
     assert query_dicts(by_numpy) == query_dicts(by_python) == expected
     for k, ids in by_python.levels.items():
         assert by_numpy.levels[k].tolist() == ids.tolist()
@@ -319,8 +327,9 @@ def test_orphan_boundary_rows_answer_like_python(lo, hi, queries):
 
 
 def test_numpy_retrieve_searches_once(monkeypatch):
-    """One ``np.searchsorted`` per call, however many levels the KSS has:
-    every smaller level answers from the k_max search's neighbours."""
+    """``retrieve_levels`` makes one ``np.searchsorted`` per call, however
+    many levels the KSS has: every smaller level answers from the k_max
+    search's neighbours."""
     _, kss, queries = make_world(2)
     assert len(kss.smaller_ks) == 2 and len(queries) > 2
     calls = []
@@ -331,10 +340,12 @@ def test_numpy_retrieve_searches_once(monkeypatch):
         return searchsorted(*args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
-    for store in (kss, kss.slice_range(queries[0] + 1, queries[-1])):
+    inner = [q for q in queries if queries[0] < q < queries[-1]]
+    for tables in (kss, kss.slice_range(queries[0] + 1, queries[-1])):
+        store = tables.store()
+        column = as_column(inner, store.kmers.dtype)
         calls.clear()
-        get_backend("numpy").retrieve(store, [q for q in queries
-                                              if queries[0] < q < queries[-1]])
+        retrieve_levels(store, column)
         assert len(calls) == 1
 
 
@@ -362,13 +373,13 @@ def test_any_shard_split_retrieves_like_python(rows, cuts, probes):
     for lo, hi in zip(edges, edges[1:]):
         sliced = kss.slice_range(lo, hi)
         in_range = [q for q in queries if lo <= q < hi]
-        by_numpy = get_backend("numpy").retrieve(sliced, in_range)
-        by_python = get_backend("python").retrieve(sliced, in_range)
+        by_numpy = retrieve_with("numpy", sliced, in_range)
+        by_python = retrieve_with("python", sliced, in_range)
         for k, ids in by_python.levels.items():
             assert by_numpy.levels[k].tolist() == ids.tolist()
         numpy_parts.append(by_numpy)
     joined = RetrievalResult.concatenate(numpy_parts)
-    whole = get_backend("numpy").retrieve(kss, queries)
+    whole = retrieve_with("numpy", kss, queries)
     for k, ids in whole.levels.items():
         assert joined.levels[k].tolist() == ids.tolist()
     assert query_dicts(whole) == {q: sketch.lookup(q) for q in queries}

@@ -4,10 +4,10 @@ Every intersecting k-mer is a database row, so on ``numpy`` a shard's
 batch Step 2 (:meth:`~repro.backends.StepTwoBackend.step_two`) answers
 each KSS level by taking the shard handle's row column
 (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`) at the rows its
-intersect found.  These properties hold it to what it replaced — per
-sample, the intersect kernel and then the standalone ``retrieve`` — and
-to the ``python`` reference's Step 2: the same ``queries``, the same id
-at every level, the same table object.  They cover key columns in both
+intersect found.  These properties hold it to the ``python`` reference's
+Step 2 — the intersect merge, then one :class:`TaxIdRetriever` merge of
+the shard's KSS range per sample: the same ``queries``, the same id at
+every level, the same table object.  They cover key columns in both
 dtypes (``uint64`` at k = 20 and 32, ``object`` at k = 40), shard counts
 past the row count, batches with duplicate queries, a batch whose first
 edge lies above the shard's first row (so the kernel's row offset is not
@@ -54,13 +54,6 @@ NUMPY = get_backend("numpy")
 PYTHON = get_backend("python")
 
 
-def intersect_then_retrieve(shard, clipped):
-    """What the takes replace: the intersect kernel, then one standalone
-    search of the shard's KSS range per sample."""
-    partials = NUMPY.intersect_bucketed_multi(shard.database, clipped)
-    return [(partial, NUMPY.retrieve(shard.kss, partial)) for partial in partials]
-
-
 def assert_same_results(got, expected):
     """``got`` (a numpy ``step_two``) answers like ``expected``: queries
     as ints, every level's ids, the table object itself."""
@@ -104,9 +97,9 @@ def batches(draw, kmers, k):
 @STANDARD_SETTINGS
 @given(world=reference_worlds(ks=(20, 32, 40)), n_shards=st.integers(1, 5),
        data=st.data())
-def test_row_takes_equal_intersect_then_retrieve(world, n_shards, data):
-    """Each shard's numpy Step 2 equals intersect plus standalone retrieve
-    per sample, and the python reference's Step 2, at 1-5 shards."""
+def test_row_takes_equal_the_python_step_two(world, n_shards, data):
+    """Each shard's numpy Step 2 equals the python reference's Step 2 at
+    1-5 shards, and its row columns span the shard's database."""
     index = world.build()
     batch = data.draw(batches(as_ints(index.database.column()), index.k))
     for shard in index.shards(n_shards):
@@ -114,7 +107,6 @@ def test_row_takes_equal_intersect_then_retrieve(world, n_shards, data):
         got = NUMPY.step_two(shard, clipped)
         for column in shard.row_levels().values():
             assert len(column) == len(shard.database)
-        assert_same_results(got, intersect_then_retrieve(shard, clipped))
         assert_same_results(got, PYTHON.step_two(shard, clipped))
 
 
@@ -181,29 +173,27 @@ def test_a_batch_above_the_first_row(sorted_db, kss_tables):
         assert bisect_left(as_ints(rows), lo) == 5
         got = NUMPY.step_two(shard, batch)
         assert all(len(kmers) for kmers, _ in got)
-        assert_same_results(got, intersect_then_retrieve(shard, batch))
         assert_same_results(got, PYTHON.step_two(shard, batch))
 
 
 def test_retrieval_adds_no_search(sorted_db, kss_tables, monkeypatch):
-    """Once a handle holds its row columns, a batch's Step 2 makes the
-    intersect kernel's ``searchsorted`` calls and no more."""
+    """Once a handle holds its row columns, a batch's Step 2 searches only
+    the database: no ``searchsorted`` reaches the KSS's k_max keys."""
     shard = whole_shard(sorted_db, kss_tables)
     batch = [whole_range(sorted_db.column()[i::2], sorted_db.k) for i in range(3)]
-    NUMPY.step_two(shard, batch)
+    shard.row_levels()
+    kss_keys = kss_tables.store().kmers
     calls = []
     searchsorted = np.searchsorted
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[0])
         return searchsorted(*args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
-    NUMPY.intersect_bucketed_multi(shard.database, batch)
-    intersect_calls = len(calls)
-    calls.clear()
     NUMPY.step_two(shard, batch)
-    assert intersect_calls and len(calls) == intersect_calls
+    assert calls
+    assert not any(np.shares_memory(haystack, kss_keys) for haystack in calls)
 
 
 # -- where the row columns are built -----------------------------------------
