@@ -80,6 +80,7 @@ from repro.backends import (
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.executors import default_workers, parse_spec, shard_pool
+from repro.megis.heap import keep_working_set
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
@@ -252,6 +253,10 @@ class AnalysisSession:
     one instance drives Step 1's partitioner, every Step 2 and the Step-3
     index type for the session's lifetime.
 
+    ``__init__`` first calls :func:`~repro.megis.heap.keep_working_set`, so
+    every tier built on a session (forked workers too) runs under one glibc
+    heap policy that keeps a sample's working set mapped between samples.
+
     Concurrency: the query path treats every engine structure as
     read-only, so multiple threads may call :meth:`analyze` /
     :meth:`analyze_batch` on one session simultaneously (that is what
@@ -278,6 +283,7 @@ class AnalysisSession:
         executor: Optional[str] = None,
         shard_range: Optional[Tuple[int, int]] = None,
     ):
+        keep_working_set()
         config = config or MegisConfig()
         overrides = {}
         if isinstance(backend, str):

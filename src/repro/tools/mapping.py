@@ -368,33 +368,27 @@ class ReadMapper:
         ``seeds[i]`` is a k-mer of block read ``reads[i]``, and so is
         ``tail_seeds[i]`` of ``tail_reads[i]``; each run is ascending.
         Reads cover their genomes several times over, so equal seeds come
-        in runs: only the first seed of each run is searched — the two
-        runs' distinct seeds merged into one strictly increasing needle,
-        so consecutive binary searches walk the same path through the key
+        in groups: only the first seed of each group is searched — each
+        run's distinct seeds are one strictly increasing needle, so
+        consecutive binary searches walk the same path through the key
         column — and its signature (a miss votes with the zero row) is
-        copied back to the run with ``np.repeat``.
+        copied back to the group with ``np.repeat``.
         """
-        main_starts, main_distinct = _distinct(seeds)
-        tail_starts, tail_distinct = _distinct(tail_seeds)
-        needle, main_at, tail_at = _merge_distinct(main_distinct, tail_distinct)
-        slots = searchsorted_clamped(index.kmers, needle)
         n_rows = index.signatures.shape[0]
-        signature = np.where(
-            index.kmers[slots] == needle, index.key_signature[slots], n_rows - 1
-        )
 
-        def cells(run_reads, starts, run_signature):
+        def cells(run_seeds, run_reads):
+            starts, needle = _distinct(run_seeds)
+            slots = searchsorted_clamped(index.kmers, needle)
+            signature = np.where(
+                index.kmers[slots] == needle, index.key_signature[slots], n_rows - 1
+            )
             return run_reads * n_rows + np.repeat(
-                run_signature, np.diff(starts, append=run_reads.size)
+                signature, np.diff(starts, append=run_reads.size)
             )
 
-        counted = cells(
-            reads, main_starts, signature if main_at is None else signature[main_at]
-        )
+        counted = cells(seeds, reads)
         if tail_reads.size:
-            counted = np.concatenate(
-                (counted, cells(tail_reads, tail_starts, signature[tail_at]))
-            )
+            counted = np.concatenate((counted, cells(tail_seeds, tail_reads)))
         votes = np.bincount(counted, minlength=n_reads * n_rows).reshape(
             n_reads, n_rows
         ) @ index.signatures
@@ -490,26 +484,3 @@ def _distinct(seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.not_equal(seeds[1:], seeds[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     return starts, seeds[starts]
-
-
-def _merge_distinct(
-    a: np.ndarray, b: np.ndarray
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Sorted union of two strictly increasing columns, and where in it
-    each of ``a`` (``None``: ``a`` is the union) and of ``b`` lands.
-
-    A stable sort of the two runs side by side is one merge pass; the
-    union is its first of each run of equal values, and a value's place
-    is its run's number.
-    """
-    if not b.size:
-        return a, None, np.empty(0, dtype=np.intp)
-    both = np.concatenate((a, b))
-    order = np.argsort(both, kind="stable")
-    first = np.empty(both.size, dtype=bool)
-    first[:1] = True
-    merged = both[order]
-    np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    at = np.empty(both.size, dtype=np.intp)
-    at[order] = np.cumsum(first) - 1
-    return merged[first], at[:a.size], at[a.size:]

@@ -521,9 +521,10 @@ class TestSessionPaths:
         self, index, sample, monkeypatch
     ):
         """Structural guard, independent of host speed: during a numpy
-        analysis the vote's needle into the unified key column is strictly
-        increasing and holds each distinct ``mapper_k``-mer of the block's
-        reads once — fewer needles than seeds on a covering sample."""
+        analysis the vote searches the unified key column once per seed
+        run, each needle strictly increasing; together they hold every
+        distinct ``mapper_k``-mer of the block's reads — fewer needles
+        than seeds on a covering sample."""
         session = AnalysisSession(index, backend="numpy")
         reads = sample.reads
         assert len(reads) <= mapping.vote_block_reads(
@@ -540,12 +541,12 @@ class TestSessionPaths:
         result = session.analyze(reads)
         unified, _ = session.unified_index(result.candidates)
         needles = [v for a, v in probes if a is unified.kmers]
-        assert len(needles) == 1, "one search per vote block"
+        assert 1 <= len(needles) <= 2, "one search per seed run of the block"
         seeds = extract_kmers_batch([read.sequence for read in reads], unified.k)[0]
         distinct = set(seeds.tolist())
-        assert bool(np.all(needles[0][:-1] < needles[0][1:]))
-        assert needles[0].tolist() == sorted(distinct)
-        assert len(distinct) < seeds.size
+        assert all(bool(np.all(v[:-1] < v[1:])) for v in needles)
+        assert set(np.concatenate(needles).tolist()) == distinct
+        assert sum(v.size for v in needles) < seeds.size
 
 
 class TestStreamSeededVote:
@@ -584,11 +585,11 @@ class TestStreamSeededVote:
             if result.candidates:
                 unified, _ = session.unified_index(result.candidates)
                 probes = [v for a, v in needles if a is unified.kmers]
-                # One strictly increasing probe per vote block that can map.
+                # One or two strictly increasing probes (the main and the
+                # tail seed run) per vote block that can map.
                 if len(unified) and unified.taxids.size:
-                    assert len(probes) == math.ceil(
-                        len(reads) / mapping.vote_block_reads(unified)
-                    )
+                    blocks = math.ceil(len(reads) / mapping.vote_block_reads(unified))
+                    assert blocks <= len(probes) <= 2 * blocks
                 assert all(bool(np.all(v[:-1] < v[1:])) for v in probes)
                 standalone = ReadMapper(unified).estimate_abundance(reads)
                 assert standalone.fractions == result.profile.fractions
@@ -620,19 +621,6 @@ class TestStreamSeededVote:
                 np.concatenate((seeds, tail_seeds)).tolist(),
                 np.concatenate((ids, tail_ids)).tolist(),
             )) == sorted(zip(kmers.tolist(), own_ids.tolist()))
-
-    @STANDARD_SETTINGS
-    @given(
-        st.sets(st.integers(min_value=0, max_value=60)),
-        st.sets(st.integers(min_value=0, max_value=60)),
-    )
-    def test_merged_needle_places_both_runs(self, a, b):
-        a = np.array(sorted(a), dtype=np.uint64)
-        b = np.array(sorted(b), dtype=np.uint64)
-        union, a_at, b_at = mapping._merge_distinct(a, b)
-        assert union.tolist() == sorted(set(a.tolist()) | set(b.tolist()))
-        assert union[np.arange(a.size) if a_at is None else a_at].tolist() == a.tolist()
-        assert union[b_at].tolist() == b.tolist()
 
     def test_a_stream_of_other_reads_is_refused(self):
         columns = [ColumnarSpeciesIndex.build(1, "ACGTTGCATGCCGATAGCTA", 4)]
