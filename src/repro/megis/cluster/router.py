@@ -171,10 +171,11 @@ class _Attempt:
 class ClusterStepTwo:
     """Blocking scatter-gather client over the cluster's node endpoints.
 
-    Lives on the service worker threads (submissions already run off the
-    event loop), so it uses plain sockets: per scatter it sends to
-    *every* node first, then reads replies in node order — the nodes
-    compute their partials concurrently while the router reads.  Each
+    Lives on the service worker threads (only the service's workers run
+    Step 2; the event loop never does), so it uses plain sockets: per
+    scatter it sends to *every* node first, then reads replies in node
+    order — the nodes compute their partials concurrently while the
+    router reads.  Each
     node is sent only the query k-mers inside its key range (the ranges
     :meth:`bind` takes).  Connections are kept: a request goes out on an
     idle connection to its address from the :class:`_ConnectionPool` when

@@ -25,8 +25,11 @@ schema-1 JSONL wire format (:mod:`repro.megis.wire`) over one warmed
   pipelined requests are not parsed or analysed for nobody.
 - **Event-loop bridge.** The threaded service's completion stream is
   pumped from a dedicated thread into the loop via
-  ``loop.call_soon_threadsafe``; submissions run in a thread pool via
-  ``run_in_executor`` so blocking backpressure never blocks the loop.
+  ``loop.call_soon_threadsafe``.  A request is submitted as its parsed
+  sequences (a :class:`~repro.sequences.reads.BareReads`, no per-read
+  object), on the loop thread when the submit cannot block; a gateway
+  whose bounded queue may wait for space submits on a thread pool via
+  ``run_in_executor`` instead, so backpressure never blocks the loop.
 - **Graceful drain + resume.** :meth:`AnalysisGateway.drain` stops
   admitting, finishes every accepted request, emits a drain summary
   frame on each open connection, and leaves the session warm —
@@ -54,14 +57,13 @@ from repro.megis.service import (
     check_ms,
 )
 from repro.megis.session import AnalysisSession
-from repro.sequences.reads import Read
+from repro.sequences.reads import BareReads
 
 #: Default ``batch_window_ms``.  Each client's request reaches the service
-#: through the loop and the submit pool, so requests two clients send at
-#: once are queued a fraction of a millisecond apart; without a window
-#: the worker woken by the first runs it alone or with its peer as
-#: thread scheduling falls.  Only a gateway whose ``max_batch`` exceeds 1
-#: ever waits.
+#: through the loop, so requests two clients send at once are queued a
+#: fraction of a millisecond apart; without a window the worker woken by
+#: the first runs it alone or with its peer as thread scheduling falls.
+#: Only a gateway whose ``max_batch`` exceeds 1 ever waits.
 DEFAULT_BATCH_WINDOW_MS = 1.0
 
 
@@ -529,58 +531,76 @@ class AnalysisGateway:
                     line_no,
                 ))
                 continue
-            # Submission may block on admission backpressure — run it in
-            # the pool so the loop (and other clients) keep moving; await
-            # it so this client's requests stay sequential.  A request
-            # read in the instant drain shuts the submit pool down races
-            # the shutdown: dispatching onto the dead pool raises
-            # RuntimeError — answered with the same structured draining
-            # frame a service-side rejection gets, never a bare reset.
+            # Submitted here, so the loop (and other clients) keep moving;
+            # a request that may wait for queue space is awaited on the
+            # submit pool so this client's requests stay sequential.
             client.begin_request()
-            try:
-                submission = self._loop.run_in_executor(
-                    self._submit_pool,
-                    self._submit_sync, client.cid, request_id, reads, line_no,
-                )
-            except RuntimeError:
-                self._settle(client, request_id, line_no, "gateway is draining")
+            sample = BareReads(reads)
+            tag = (request_id, line_no, len(reads), client.cid)
+            if self._admission_waits:
+                await self._submit_waiting(client, request_id, line_no,
+                                           sample, tag)
                 continue
-            # Settled by callback, not after the await: drain cancels this
-            # reader, and a submission already on a pool thread still
-            # lands in the service and must be counted.
-            submission.add_done_callback(functools.partial(
-                self._settle_submission, client, request_id, line_no
-            ))
-            await asyncio.shield(submission)
+            self._settle(client, request_id, line_no,
+                         self._submit(sample, tag))
+            # A pipelined burst arrives without suspending the reader:
+            # yield, so other clients' requests queue between this one's,
+            # not behind all of them.
+            await asyncio.sleep(0)
 
-    def _submit_sync(self, cid: int, request_id, reads,
-                     line_no: int) -> Optional[str]:
-        """Runs in the submit pool and touches no counter: returns
-        ``None`` when the service accepted the request, else the
-        rejection message."""
-        sample = [
-            Read(read_id=i, sequence=seq, true_taxid=0)
-            for i, seq in enumerate(reads)
-        ]
+    @property
+    def _admission_waits(self) -> bool:
+        """Whether a submit may block: a bounded queue whose
+        ``admission_timeout_ms`` is unset or above 0.  Any other submit
+        returns at once and runs on the loop thread."""
         timeout_ms = self.admission_timeout_ms
-        block = timeout_ms is None or timeout_ms > 0
-        timeout = (
-            timeout_ms / 1e3 if timeout_ms is not None and timeout_ms > 0
-            else None
+        return self.max_queue is not None and (
+            timeout_ms is None or timeout_ms > 0
         )
+
+    async def _submit_waiting(self, client: _Client, request_id,
+                              line_no: int, sample: BareReads,
+                              tag: tuple) -> None:
+        """Wait for queue space on a submit-pool thread.
+
+        A request read in the instant drain shuts the submit pool down
+        races the shutdown: dispatching onto the dead pool raises
+        RuntimeError — answered with the same structured draining frame a
+        service-side rejection gets, never a bare reset.
+        """
+        try:
+            submission = self._loop.run_in_executor(
+                self._submit_pool, self._submit, sample, tag
+            )
+        except RuntimeError:
+            self._settle(client, request_id, line_no, "gateway is draining")
+            return
+        # Settled by callback, not after the await: drain cancels this
+        # reader, and a submission already on a pool thread still lands
+        # in the service and must be counted.
+        submission.add_done_callback(functools.partial(
+            self._settle_submission, client, request_id, line_no
+        ))
+        await asyncio.shield(submission)
+
+    def _submit(self, sample: BareReads, tag: tuple) -> Optional[str]:
+        """Hand one request to the service; touches no counter (a waiting
+        submit runs on a pool thread).  Returns ``None`` when the service
+        accepted it, else the rejection message."""
+        timeout_ms = self.admission_timeout_ms
         try:
             self._service.submit(
                 sample,
-                tag=(request_id, line_no, len(sample), cid),
+                tag=tag,
                 deadline_ms=self.deadline_ms,
-                block=block,
-                timeout=timeout,
+                block=self._admission_waits,
+                timeout=timeout_ms / 1e3 if timeout_ms else None,
             )
         except AdmissionFull as exc:
             return f"admission_full: {exc}"
         except ServiceClosed:
             return "gateway is draining"
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             return f"submit failed: {exc}"
         return None
 

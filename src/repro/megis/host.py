@@ -51,7 +51,7 @@ from repro.backends import (
 )
 from repro.sequences.keys import edge_cuts, extract_kmers, extract_kmers_batch, kmer_record_bytes
 from repro.sequences.kmers import KmerStream
-from repro.sequences.reads import Read
+from repro.sequences.reads import Read, read_sequences
 
 #: A bucket's sorted k-mers in the backend's native container.
 KmerColumn = Union[List[int], np.ndarray]
@@ -269,8 +269,8 @@ class KmerBucketPartitioner:
         """
         stream: Optional[KmerStream] = None
         columns: List[KmerColumn]
+        sequences = read_sequences(reads)
         if self._backend.columnar:
-            sequences = [read.sequence for read in reads]
             merged, read_ids = extract_kmers_batch(sequences, self.k)
             boundaries = self._boundaries(merged[:PRELIMINARY_SAMPLE])
             if keep_stream:  # tags and sorts ``merged`` in place
@@ -283,8 +283,8 @@ class KmerBucketPartitioner:
         else:
             counts: Counter = Counter()
             head: List[int] = []
-            for read in reads:
-                kmers = extract_kmers(read.sequence, self.k, canonical=False)
+            for sequence in sequences:
+                kmers = extract_kmers(sequence, self.k, canonical=False)
                 counts.update(kmers.tolist())
                 remaining = PRELIMINARY_SAMPLE - len(head)
                 if remaining > 0:

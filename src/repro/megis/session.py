@@ -92,7 +92,7 @@ from repro.megis.multissd import (
 )
 from repro.sequences.keys import fits_word
 from repro.sequences.kmers import KmerStream
-from repro.sequences.reads import Read
+from repro.sequences.reads import Read, read_sequences
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.mapping import (
     ColumnarSpeciesIndex,
@@ -718,7 +718,7 @@ class AnalysisSession:
         from repro.sequences.kmers import KmerCounter
 
         counter = KmerCounter(self.database.k, canonical=False)
-        counter.add_sequences(read.sequence for read in reads)
+        counter.add_sequences(read_sequences(reads))
         sorted_query = counter.selected(
             min_count=self.config.min_count, max_count=self.config.max_count
         )

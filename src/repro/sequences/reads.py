@@ -9,8 +9,9 @@ substitution errors, recording the true source taxID so accuracy metrics
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -94,6 +95,45 @@ class ReadSimulator:
         return taxids, weights / weights.sum()
 
 
-def reads_to_sequences(reads: Sequence[Read]) -> List[str]:
-    """Strip provenance, leaving only what a real pipeline would see."""
+class BareReads(Sequence[Read]):
+    """A sample that holds only its reads' sequences, as a request carries it.
+
+    Item ``i`` is ``Read(i, sequences[i], 0)``, built only when indexed (by
+    int: no caller slices a sample) or iterated; :func:`read_sequences`
+    hands the held list back with no per-read object, which is all Step 1
+    and the columnar vote read.  It pickles as that list, so a
+    process-backed session's pipe carries strings too.
+    """
+
+    __slots__ = ("sequences",)
+
+    def __init__(self, sequences: List[str]):
+        self.sequences = sequences
+
+    def __len__(self) -> int:
+        return len(self.sequences)
+
+    def __getitem__(self, index: int) -> Read:  # type: ignore[override]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self.sequences)
+        if not 0 <= i < len(self.sequences):
+            raise IndexError("read index out of range")
+        return Read(i, self.sequences[i], 0)
+
+    def __iter__(self) -> Iterator[Read]:
+        return (Read(i, seq, 0) for i, seq in enumerate(self.sequences))
+
+    def __reduce__(self):
+        return BareReads, (self.sequences,)
+
+
+def read_sequences(reads: Sequence[Read]) -> List[str]:
+    """The sample's sequences in read order, provenance stripped.
+
+    For :class:`BareReads` this is the held list itself, not a copy:
+    callers read it and never mutate it.
+    """
+    if isinstance(reads, BareReads):
+        return reads.sequences
     return [read.sequence for read in reads]

@@ -61,7 +61,7 @@ from repro.sequences.generator import ReferenceCollection
 from repro.sequences.keys import extract_kmers, extract_kmers_batch
 from repro.sequences.keys import searchsorted_clamped, spare_bits
 from repro.sequences.kmers import KmerStream, read_id_bits
-from repro.sequences.reads import Read
+from repro.sequences.reads import Read, read_sequences
 from repro.taxonomy.profiles import AbundanceProfile
 
 #: Reads voted for per columnar pass, at most: peak memory of the vote is
@@ -285,8 +285,8 @@ class ReadMapper:
         if isinstance(self.index, ColumnarUnifiedIndex):
             return self._estimate_columnar(self.index, reads, stream)
         counts: Counter = Counter()
-        for read in reads:
-            taxid = self.map_read(read.sequence)
+        for sequence in read_sequences(reads):
+            taxid = self.map_read(sequence)
             if taxid is not None:
                 counts[taxid] += 1
         return AbundanceProfile.from_counts(counts)
@@ -299,7 +299,7 @@ class ReadMapper:
         reads: Sequence[Read],
         stream: Optional[KmerStream],
     ) -> AbundanceProfile:
-        sequences = [read.sequence for read in reads]
+        sequences = read_sequences(reads)
         if stream is not None and stream.lengths.size != len(sequences):
             raise ValueError(
                 f"a stream of {stream.lengths.size} reads cannot seed "

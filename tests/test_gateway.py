@@ -67,18 +67,19 @@ def golden_world(golden):
     return sample, MegisIndex(sorted_db, sketch, sample.references)
 
 
+def golden_config(golden, **extra):
+    p = golden["params"]
+    return MegisConfig(n_buckets=p["n_buckets"],
+                       min_containment=p["min_containment"],
+                       abundance_method="statistical", **extra)
+
+
 @pytest.fixture(scope="module")
 def session(golden_world, golden):
     """One warmed session shared by every gateway in the module — each
     gateway start() builds its own AnalysisService on top."""
-    p = golden["params"]
     _, index = golden_world
-    session = AnalysisSession(
-        index,
-        MegisConfig(n_buckets=p["n_buckets"],
-                    min_containment=p["min_containment"],
-                    abundance_method="statistical"),
-    )
+    session = AnalysisSession(index, golden_config(golden))
     session.warm()
     return session
 
@@ -200,6 +201,20 @@ class ListWriter:
         pass
 
 
+def gated_session(session, monkeypatch):
+    """Block analyze until ``gate`` is set (single worker held busy)."""
+    started, gate = threading.Event(), threading.Event()
+    real_analyze = session.analyze_batch
+
+    def gated_analyze(samples, with_abundance=True):
+        started.set()
+        assert gate.wait(timeout=30)
+        return real_analyze(samples, with_abundance)
+
+    monkeypatch.setattr(session, "analyze_batch", gated_analyze)
+    return started, gate
+
+
 def assert_result_matches(record, serial_records):
     assert record["schema"] == 1
     expected = serial_records[record["id"]]
@@ -312,6 +327,58 @@ class TestRoundtrip:
                 assert_result_matches(record, serial_records)
         assert gateway.stats.clients_connected == 4
         assert gateway.stats.requests_completed == 4 * N_CHUNKS
+
+    @pytest.mark.parametrize("executor", [None, "processes:1"],
+                             ids=["in-process", "processes:1"])
+    def test_requests_reach_the_service_as_sequences(
+        self, golden_world, golden, session, executor, requests_wire,
+        serial_records, monkeypatch
+    ):
+        """With unbounded admission, requests over two connections are
+        submitted on the loop as their sequences: nothing reaches the
+        submit pool, no ``Read`` is built, and the results equal serial
+        ``analyze`` over ``Read`` lists — behind a process-backed
+        session too."""
+        _, index = golden_world
+        served = session if executor is None else AnalysisSession(
+            index, golden_config(golden, executor=executor)
+        )
+        gateway = AnalysisGateway(served, workers=2)
+        built, dispatched = [], []
+        real_init = Read.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        async def scenario():
+            async with gateway:
+                pool = gateway._submit_pool
+                real_submit = pool.submit
+
+                def counting_submit(*args, **kwargs):
+                    dispatched.append(args)
+                    return real_submit(*args, **kwargs)
+
+                monkeypatch.setattr(pool, "submit", counting_submit)
+                monkeypatch.setattr(Read, "__init__", counting_init)
+                host, port = gateway.bound_address
+                return await asyncio.gather(
+                    client_roundtrip(host, port, requests_wire[:3]),
+                    client_roundtrip(host, port, requests_wire[3:]),
+                )
+
+        try:
+            per_client = run_scenario(scenario())
+        finally:
+            if served is not session:
+                served.close()
+        assert dispatched == [], "no submission may wait on the submit pool"
+        assert built == [], "a served request carries no Read objects"
+        records = [r for records in per_client for r in records]
+        assert sorted(r["id"] for r in records) == sorted(serial_records)
+        for record in records:
+            assert_result_matches(record, serial_records)
 
     def test_default_batch_window_reaches_the_service(self, session):
         """The constructor and ``--batch-window-ms`` share one positive
@@ -579,26 +646,44 @@ class TestFairness:
             for record in served:
                 assert_result_matches(record, serial_records)
 
+    def test_pipelined_bursts_take_turns(self, session, requests_wire,
+                                         monkeypatch):
+        """Two connections whose requests are all buffered (a read never
+        suspends): each submission yields the loop, so the service
+        admits the two bursts in turn, not one behind the other."""
+        gateway = AnalysisGateway(session, workers=1)
+        admitted = []
+        writers = [ListWriter(), ListWriter()]
+
+        async def scenario():
+            await gateway.open()
+            real_submit = gateway._service.submit
+
+            def recording(sample, *, tag, **kwargs):
+                admitted.append(tag[3])
+                return real_submit(sample, tag=tag, **kwargs)
+
+            monkeypatch.setattr(gateway._service, "submit", recording)
+            try:
+                await asyncio.gather(*(
+                    gateway.handle_connection(ListReader(requests_wire[:3]),
+                                              writer)
+                    for writer in writers
+                ))
+            finally:
+                await gateway.drain()
+
+        run_scenario(scenario())
+        assert admitted == [0, 1, 0, 1, 0, 1]
+        assert [len(writer.records) for writer in writers] == [3, 3]
+
 
 class TestAdmission:
-    def _gated_session(self, session, monkeypatch):
-        """Block analyze until ``gate`` is set (single worker held busy)."""
-        started, gate = threading.Event(), threading.Event()
-        real_analyze = session.analyze_batch
-
-        def gated_analyze(samples, with_abundance=True):
-            started.set()
-            assert gate.wait(timeout=30)
-            return real_analyze(samples, with_abundance)
-
-        monkeypatch.setattr(session, "analyze_batch", gated_analyze)
-        return started, gate
-
     def test_admission_full_is_an_error_frame(self, session, requests_wire,
                                               monkeypatch):
         """A full --max-queue yields admission_full frames, and the
         connection keeps streaming the accepted results."""
-        started, gate = self._gated_session(session, monkeypatch)
+        started, gate = gated_session(session, monkeypatch)
         gateway = AnalysisGateway(session, workers=1, max_queue=1,
                                   admission_timeout_ms=0)
 
@@ -627,6 +712,42 @@ class TestAdmission:
         assert all("admission_full" in r["error"] for r in rejected)
         assert {r["id"] for r in served} == {"c0", "c1"}
         assert gateway.stats.admission_rejected == 2
+
+    def test_waiting_request_is_admitted_not_rejected(self, session,
+                                                      requests_wire,
+                                                      serial_records,
+                                                      monkeypatch):
+        """A full queue that may wait: the request behind it waits for
+        space and is admitted, and neither the gateway nor the service
+        counts it as rejected."""
+        started, gate = gated_session(session, monkeypatch)
+        gateway = AnalysisGateway(session, workers=1, max_batch=1,
+                                  max_queue=1)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with gateway:
+                host, port = gateway.bound_address
+                reader, writer = await asyncio.open_connection(host, port)
+                await send_frames(writer, requests_wire[:1])
+                await loop.run_in_executor(None, started.wait, 10)
+                # c1 fills the queue behind the held c0; c2 must wait.
+                await send_frames(writer, requests_wire[1:3])
+                await asyncio.sleep(0.2)
+                assert gateway.stats.requests_admitted == 2
+                gate.set()
+                writer.write_eof()
+                records = await read_all(reader)
+                writer.close()
+                return records
+
+        records = run_scenario(scenario())
+        assert sorted(r["id"] for r in records) == ["c0", "c1", "c2"]
+        for record in records:
+            assert_result_matches(record, serial_records)
+        assert gateway.stats.admission_rejected == 0
+        assert gateway.last_service_stats.samples_submitted == 3
+        assert gateway.last_service_stats.samples_rejected == 0
 
     def test_counters_are_exact_under_contention(self, session, chunks):
         """8 connections x 50 lines into a one-slot queue: every line is
@@ -698,13 +819,45 @@ class TestAdmission:
                 "admission_full" in r.get("error", "") for r in got)
         assert stats.admission_rejected > 0 and stats.requests_admitted > 0
 
+    def test_submit_failure_is_an_error_frame(self, session, requests_wire,
+                                              serial_records, monkeypatch):
+        """An unexpected exception from the service's submit on the loop
+        answers its request with a ``submit failed`` frame and settles it
+        (the half-closed connection still finishes), and the connection
+        serves the next request."""
+        gateway = AnalysisGateway(session, workers=1)
+
+        async def scenario():
+            async with gateway:
+                real_submit = gateway._service.submit
+                calls = []
+
+                def failing_once(*args, **kwargs):
+                    calls.append(args)
+                    if len(calls) == 1:
+                        raise ValueError("injected")
+                    return real_submit(*args, **kwargs)
+
+                monkeypatch.setattr(gateway._service, "submit", failing_once)
+                host, port = gateway.bound_address
+                return await client_roundtrip(host, port, requests_wire[:2])
+
+        records = run_scenario(scenario())
+        assert [r["id"] for r in records] == ["c0", "c1"]
+        assert records[0]["error"] == "submit failed: injected"
+        assert records[0]["line"] == 1
+        assert_result_matches(records[1], serial_records)
+        assert gateway.stats.admission_rejected == 1
+        assert gateway.stats.requests_admitted == 1
+        assert gateway.stats.requests_completed == 1
+
     def test_submission_caught_by_drain_is_still_counted(
         self, session, requests_wire, monkeypatch
     ):
         """Drain cancels a reader whose submission is blocked on a full
         queue in the submit pool; that submission still lands in the
         service, so it is still counted and answered."""
-        started, gate = self._gated_session(session, monkeypatch)
+        started, gate = gated_session(session, monkeypatch)
         gateway = AnalysisGateway(session, workers=1, max_batch=1,
                                   max_queue=1)
 
@@ -884,35 +1037,65 @@ class TestDrainResume:
                 assert_result_matches(record, serial_records)
 
     def test_request_racing_drain_gets_structured_frame(self, session,
-                                                        requests_wire):
-        """A request read in the instant drain tears down the submit pool
-        must come back as a structured draining frame, not a bare reset
-        (dispatching onto the shut-down pool raises RuntimeError, which
-        used to kill the reader task silently)."""
-        gateway = AnalysisGateway(session, workers=1)
+                                                        requests_wire,
+                                                        serial_records,
+                                                        monkeypatch):
+        """Both races a request can run against drain come back as a
+        structured draining frame, not a bare reset: one that must wait
+        for queue space, dispatched onto the submit pool drain already
+        shut down (which raises RuntimeError, and used to kill the reader
+        task silently), and one submitted on the loop after the service
+        stopped admitting."""
+        started, gate = gated_session(session, monkeypatch)
+        waiting = AnalysisGateway(session, workers=1, max_batch=1,
+                                  max_queue=1)
+        closed = AnalysisGateway(session, workers=1)
 
-        async def scenario():
-            async with gateway:
-                host, port = gateway.bound_address
+        async def pool_race():
+            loop = asyncio.get_running_loop()
+            async with waiting:
+                host, port = waiting.bound_address
                 reader, writer = await asyncio.open_connection(host, port)
-                # Freeze the exact race: the pool is already shut down
-                # (as drain does first) while the reader is still alive.
-                pool = gateway._submit_pool
-                await asyncio.get_running_loop().run_in_executor(
+                await send_frames(writer, requests_wire[:1])
+                await loop.run_in_executor(None, started.wait, 10)
+                # c1 fills the queue behind the held c0.
+                await send_frames(writer, requests_wire[1:2])
+                while waiting.stats.requests_admitted < 2:
+                    await asyncio.sleep(0.01)
+                # Freeze the race: the pool is already shut down (as
+                # drain does first) while the reader is still alive, and
+                # c2 finds the queue full.
+                pool = waiting._submit_pool
+                await loop.run_in_executor(
                     None, lambda: pool.shutdown(wait=True)
                 )
-                await send_frames(writer, requests_wire[:1])
+                await send_frames(writer, requests_wire[2:3])
+                first = json.loads(await reader.readline())
+                gate.set()
                 writer.write_eof()
-                records = await read_all(reader)
+                records = [first, *await read_all(reader)]
                 writer.close()
                 return records
 
-        records = run_scenario(scenario())
-        assert len(records) == 1
-        assert records[0]["schema"] == 1
-        assert records[0]["id"] == "c0"
-        assert "gateway is draining" in records[0]["error"]
-        assert gateway.stats.admission_rejected == 1
+        async def loop_race():
+            async with closed:
+                closed._service.close_submissions()
+                host, port = closed.bound_address
+                return await client_roundtrip(host, port, requests_wire[:1])
+
+        pooled = run_scenario(pool_race())
+        looped = run_scenario(loop_race())
+        for gateway, records, refused in ((waiting, pooled, "c2"),
+                                          (closed, looped, "c0")):
+            assert records[0]["schema"] == 1
+            assert records[0]["id"] == refused
+            assert "gateway is draining" in records[0]["error"]
+            assert gateway.stats.admission_rejected == 1
+        # The waiting gateway still serves what it admitted before.
+        assert [r["id"] for r in pooled[1:]] == ["c0", "c1"]
+        for record in pooled[1:]:
+            assert_result_matches(record, serial_records)
+        assert len(looped) == 1
 
     def test_drain_is_idempotent_and_start_after_drain(self, session):
         gateway = AnalysisGateway(session, workers=1)

@@ -1,9 +1,11 @@
-"""Tests for the read simulator."""
+"""Tests for the read simulator and the sequence-only sample."""
+
+import pickle
 
 import pytest
 
 from repro.sequences.generator import GenomeGenerator
-from repro.sequences.reads import ReadSimulator, reads_to_sequences
+from repro.sequences.reads import BareReads, Read, ReadSimulator, read_sequences
 
 
 @pytest.fixture(scope="module")
@@ -93,4 +95,61 @@ class TestReadSimulator:
     def test_reads_to_sequences(self, refs):
         taxid = refs.species_taxids[0]
         reads = ReadSimulator(seed=11).simulate(refs, {taxid: 1.0}, 5)
-        assert reads_to_sequences(reads) == [r.sequence for r in reads]
+        assert read_sequences(reads) == [r.sequence for r in reads]
+
+
+SEQUENCES = ["ACGT", "GGCCA", "T", "", "ACGTACGT"]
+
+
+class TestBareReads:
+    """A request's sequences standing in for the ``Read`` list the
+    gateway used to build from them."""
+
+    def built(self):
+        return [Read(read_id=i, sequence=seq, true_taxid=0)
+                for i, seq in enumerate(SEQUENCES)]
+
+    def test_len_and_indexes(self):
+        reads = BareReads(list(SEQUENCES))
+        assert len(reads) == len(SEQUENCES)
+        assert reads[0] == Read(0, "ACGT", 0)
+        assert reads[4] == Read(4, "ACGTACGT", 0)
+        # A negative index names the same read, id and all.
+        assert reads[-1] == reads[4] == self.built()[-1]
+        assert reads[-5] == reads[0]
+        for index in (5, -6, 100):
+            with pytest.raises(IndexError):
+                reads[index]
+        with pytest.raises(TypeError):
+            reads["0"]
+
+    def test_slices_are_refused(self):
+        # Only int indexes: no caller slices a sample.
+        reads = BareReads(list(SEQUENCES))
+        for cut in (slice(1, 3), slice(None)):
+            with pytest.raises(TypeError):
+                reads[cut]
+
+    def test_iteration_equals_the_built_list(self):
+        reads = BareReads(list(SEQUENCES))
+        assert list(reads) == self.built()
+        assert list(reversed(reads)) == self.built()[::-1]
+        assert Read(2, "T", 0) in reads
+
+    def test_pickle_round_trip(self):
+        reads = BareReads(list(SEQUENCES))
+        copy = pickle.loads(pickle.dumps(reads))
+        assert type(copy) is BareReads
+        assert copy.sequences == SEQUENCES
+        assert list(copy) == self.built()
+
+    def test_read_sequences_hands_back_the_held_list(self):
+        held = list(SEQUENCES)
+        assert read_sequences(BareReads(held)) is held
+        assert read_sequences(BareReads([])) == []
+
+    def test_read_sequences_of_read_lists_and_tuples(self):
+        built = self.built()
+        assert read_sequences(built) == SEQUENCES
+        assert read_sequences(tuple(built)) == SEQUENCES
+        assert read_sequences(()) == []
