@@ -17,8 +17,9 @@ per-level taxID sets as the reference implementations
 test suite enforces this with randomized cross-backend equivalence tests.
 
 :class:`PhaseTimings` records per-phase wall time and streaming counters so
-experiments can attribute cost to extraction, intersection, retrieval, and
-abundance estimation without re-instrumenting each backend.
+experiments can attribute cost to extraction, intersection, retrieval, the
+candidate call and abundance estimation without re-instrumenting each
+backend.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import abc
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     Dict,
@@ -57,10 +58,13 @@ StepTwoResult = Tuple[IntColumn, RetrievalResult]
 class PhaseTimings:
     """Per-phase timing breakdown and streaming counters for one analysis.
 
-    Wall times are in milliseconds; the counters record modeled data-path
-    work (how many database / query k-mers were streamed) so the batched
-    multi-sample mode can demonstrate that the database is streamed once
-    for all buffered samples rather than once per sample.
+    Wall times are in milliseconds — Step 1's extraction, Step 2's
+    intersect and retrieval, the candidate call and Step 3's abundance
+    estimate, which add up to :attr:`total_ms`; the counters record
+    modeled data-path work (how many database / query k-mers were
+    streamed) so the batched multi-sample mode can demonstrate that the
+    database is streamed once for all buffered samples rather than once
+    per sample.
     """
 
     #: Registry name of the engine that ran; empty until one is named.
@@ -68,6 +72,8 @@ class PhaseTimings:
     extract_ms: float = 0.0
     intersect_ms: float = 0.0
     retrieve_ms: float = 0.0
+    #: Hit accumulation and candidate call (``_finish_step_two``).
+    candidates_ms: float = 0.0
     abundance_ms: float = 0.0
     db_kmers_streamed: int = 0
     query_kmers_streamed: int = 0
@@ -83,11 +89,11 @@ class PhaseTimings:
     #: executor this tracks ``intersect_ms + retrieve_ms``; with a
     #: concurrent executor it is smaller — the gap is *measured* overlap.
     step2_wall_ms: float = 0.0
-    channel_matches: Dict[int, int] = field(default_factory=dict)
 
     @property
     def total_ms(self) -> float:
-        return self.extract_ms + self.intersect_ms + self.retrieve_ms + self.abundance_ms
+        return (self.extract_ms + self.intersect_ms + self.retrieve_ms
+                + self.candidates_ms + self.abundance_ms)
 
     @property
     def measured_overlap_saved_ms(self) -> float:
@@ -111,45 +117,23 @@ class PhaseTimings:
             elapsed_ms = (time.perf_counter() - start) * 1e3
             setattr(self, f"{name}_ms", getattr(self, f"{name}_ms") + elapsed_ms)
 
-    def add_channel_matches(self, channel: int, count: int) -> None:
-        if count:
-            self.channel_matches[channel] = self.channel_matches.get(channel, 0) + count
-
     def merge(self, other: "PhaseTimings") -> None:
         """Accumulate another breakdown into this one.
 
-        Counters add; ``samples_batched`` takes the max (it records the
-        widest batch that shared a database stream, not a running total).
+        Times and counters add; ``samples_batched`` takes the max (it
+        records the widest batch that shared a database stream, not a
+        running total) and ``backend`` is kept.
         """
-        self.samples_batched = max(self.samples_batched, other.samples_batched)
-        self.extract_ms += other.extract_ms
-        self.intersect_ms += other.intersect_ms
-        self.retrieve_ms += other.retrieve_ms
-        self.abundance_ms += other.abundance_ms
-        self.db_kmers_streamed += other.db_kmers_streamed
-        self.query_kmers_streamed += other.query_kmers_streamed
-        self.kss_bytes_streamed += other.kss_bytes_streamed
-        self.buckets_processed += other.buckets_processed
-        self.db_stream_passes += other.db_stream_passes
-        self.step2_wall_ms += other.step2_wall_ms
-        for channel, count in other.channel_matches.items():
-            self.add_channel_matches(channel, count)
+        for name in (f.name for f in fields(self)):
+            if name == "samples_batched":
+                self.samples_batched = max(self.samples_batched, other.samples_batched)
+            elif name != "backend":
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
-            "extract_ms": self.extract_ms,
-            "intersect_ms": self.intersect_ms,
-            "retrieve_ms": self.retrieve_ms,
-            "abundance_ms": self.abundance_ms,
+            **asdict(self),
             "total_ms": self.total_ms,
-            "db_kmers_streamed": self.db_kmers_streamed,
-            "query_kmers_streamed": self.query_kmers_streamed,
-            "kss_bytes_streamed": self.kss_bytes_streamed,
-            "buckets_processed": self.buckets_processed,
-            "db_stream_passes": self.db_stream_passes,
-            "samples_batched": self.samples_batched,
-            "step2_wall_ms": self.step2_wall_ms,
             "measured_overlap_saved_ms": self.measured_overlap_saved_ms,
         }
 

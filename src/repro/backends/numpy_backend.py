@@ -10,11 +10,6 @@ operations:
   membership test over the database range all the batch's intervals
   cover, with the duplicate-query mask folded in (both sides are already
   sorted, so no re-sort and no per-interval loop);
-- channel striping — each hit's interval from one ``searchsorted`` of its
-  position into the interval cuts, then position-in-slice modulo
-  ``n_channels`` (equivalent to the round-robin stripes the per-channel
-  Intersect units consume, §4.5), one ``bincount`` over the call's
-  matches;
 - KSS retrieval — a take at the database rows the intersect found
   (:meth:`NumpyStepTwoBackend.step_two`).  Every intersecting k-mer is a
   database row, so each shard handle holds one ``int32`` column per KSS
@@ -94,7 +89,7 @@ class NumpyStepTwoBackend(StepTwoBackend):
         to a search of the shard's KSS range per sample, because
         :func:`retrieve_levels` answers each query on its own."""
         timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        matches, rows = self._intersect(shard.database, samples, n_channels, timings)
+        matches, rows = self._intersect(shard.database, samples, timings)
         with timings.phase("retrieve"):
             row_levels = shard.row_levels()  # built on the shard's first call
             table = shard.kss.store().table
@@ -111,7 +106,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
         self,
         database: Any,
         samples: Sequence[Sequence[BucketSlice]],
-        n_channels: int,
         timings: PhaseTimings,
     ) -> Tuple[List[npt.NDArray[Any]], List[npt.NDArray[Any]]]:
         """Each sample's matches and the database rows they sit at."""
@@ -126,13 +120,12 @@ class NumpyStepTwoBackend(StepTwoBackend):
         rows: List[npt.NDArray[Any]] = []
         edges = interval_edges(samples)
         with timings.phase("intersect"):
-            # The database range every interval covers, located once in the
-            # column's own dtype (a bare Python int would promote a uint64
-            # column to float64 on every lookup).  Every query k-mer lies
-            # inside it (interval_edges checks each bucket's range).
-            db_cuts = edge_cuts(column, edges) or [0]
-            start = db_cuts[0]
-            db_range = column[start:db_cuts[-1]]
+            # The database range every interval covers, its two ends located
+            # in the column's own dtype (a bare Python int would promote a
+            # uint64 column to float64 on every lookup).  Every query k-mer
+            # lies inside it (interval_edges checks each bucket's range).
+            start, stop = edge_cuts(column, edges[:1] + edges[-1:]) or [0, 0]
+            db_range = column[start:stop]
             # Charged per interval as if streamed one by one; the flash
             # stream is shared by all samples, so each is charged once.
             timings.db_kmers_streamed += len(db_range)
@@ -156,18 +149,6 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 matches.append(query[found])
                 rows.append(pos[found] + start)
             timings.db_stream_passes += 1
-            if rows:
-                # Striping attribution (§4.5): a hit at position p of its
-                # interval's slice belongs to channel p % n_channels, the
-                # stripe stripe_database deals it to.
-                found = np.concatenate(rows)
-                cuts = np.asarray(db_cuts, dtype=np.int64)
-                interval = np.searchsorted(cuts, found, side="right") - 1
-                per_channel = np.bincount(
-                    (found - cuts[interval]) % n_channels, minlength=n_channels
-                )
-                for channel, count in enumerate(per_channel.tolist()):
-                    timings.add_channel_matches(channel, count)
         return matches, rows
 
     @staticmethod

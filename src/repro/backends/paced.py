@@ -69,11 +69,15 @@ class PacedStepTwoBackend(StepTwoBackend):
         from repro.backends import get_backend
 
         self._inner = get_backend(inner)
-        if mb_per_s is None:
-            mb_per_s = float(os.environ.get("REPRO_PACED_MBPS", DEFAULT_MBPS))
-        if not (math.isfinite(mb_per_s) and mb_per_s > 0):
-            raise ValueError(f"mb_per_s must be a finite number > 0, got {mb_per_s!r}")
-        self.mb_per_s = mb_per_s
+        source, given = "REPRO_PACED_MBPS", os.environ.get("REPRO_PACED_MBPS", DEFAULT_MBPS)
+        if mb_per_s is not None:
+            source, given = "mb_per_s", mb_per_s
+        try:
+            self.mb_per_s = float(given)
+        except ValueError:
+            self.mb_per_s = math.nan
+        if not (math.isfinite(self.mb_per_s) and self.mb_per_s > 0):
+            raise ValueError(f"{source} must be a finite number > 0, got {given!r}")
         self.columnar = self._inner.columnar
 
     def _stream(self, streamed_bytes: int) -> float:

@@ -260,9 +260,7 @@ class PythonStepTwoBackend(StepTwoBackend):
                         continue
                     timings.query_kmers_streamed += j - i
                     for unit, stripe in zip(units, stripes):
-                        matches = unit.intersect(stripe, query[i:j])
-                        timings.add_channel_matches(unit.channel, len(matches))
-                        results[s].extend(matches)
+                        results[s].extend(unit.intersect(stripe, query[i:j]))
             timings.db_stream_passes += 1
             for partial in results:
                 partial.sort()

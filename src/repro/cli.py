@@ -198,7 +198,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _print_timings(timings) -> None:
     print(f"step-2 backend: {timings.backend}")
-    for phase in ("extract", "intersect", "retrieve", "abundance"):
+    for phase in ("extract", "intersect", "retrieve", "candidates", "abundance"):
         print(f"  {phase:10s} {getattr(timings, f'{phase}_ms'):9.2f} ms")
     print(f"  {'total':10s} {timings.total_ms:9.2f} ms")
     print(f"  db k-mers streamed: {timings.db_kmers_streamed}   "

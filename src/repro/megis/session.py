@@ -181,10 +181,16 @@ class MegisConfig:
             parse_spec(self.executor)  # raises ValueError on junk
 
 
-class _IntListOnRead:
-    """A result field assigned a Step-2 k-mer column and read as a
-    ``List[int]``: the list is built on the first read and kept, and an
-    int list passes through.  Its dataclass default is the empty column."""
+class _BuiltOnRead:
+    """A result field assigned a columnar value and read as a plain
+    ``kind``: the value's ``convert`` method (``kind(value)`` where it
+    has none) builds it on the first read and it is kept; a value
+    already of ``kind`` passes through.  Its dataclass default is ``()``,
+    read as an empty ``kind``."""
+
+    def __init__(self, kind: type, convert: str) -> None:
+        self._kind = kind
+        self._convert = convert
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._slot = "_" + name
@@ -192,23 +198,25 @@ class _IntListOnRead:
     def __get__(self, result: object, owner: object = None) -> Any:
         if result is None:
             return ()
-        column = result.__dict__[self._slot]
-        if type(column) is not list:
-            column = column.tolist() if hasattr(column, "tolist") else list(column)
-            result.__dict__[self._slot] = column
-        return column
+        value = result.__dict__[self._slot]
+        if type(value) is not self._kind:
+            convert = getattr(value, self._convert, None)
+            value = convert() if convert is not None else self._kind(value)
+            result.__dict__[self._slot] = value
+        return value
 
-    def __set__(self, result: object, column: IntColumn) -> None:
-        result.__dict__[self._slot] = column
+    def __set__(self, result: object, value: Any) -> None:
+        result.__dict__[self._slot] = value
 
 
 @dataclass
 class MegisResult:
     """Output and execution statistics of one analysis (``intersecting_kmers``
-    keeps Step 2's column and becomes its int list on the first read)."""
+    keeps Step 2's column and becomes its int list on the first read;
+    ``sketch_hits`` keeps the hit matrix and becomes its dict the same way)."""
 
-    intersecting_kmers: List[int] = _IntListOnRead()  # type: ignore[assignment]
-    sketch_hits: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    intersecting_kmers: List[int] = _BuiltOnRead(list, "tolist")  # type: ignore[assignment]
+    sketch_hits: Dict[int, Dict[int, int]] = _BuiltOnRead(dict, "as_dict")  # type: ignore[assignment]
     candidates: Set[int] = field(default_factory=set)
     profile: AbundanceProfile = field(default_factory=AbundanceProfile)
     n_buckets: int = 0
@@ -592,7 +600,8 @@ class AnalysisSession:
                 timings=PhaseTimings(backend=batch_timings.backend, extract_ms=ms),
             )
             result.timings.merge(batch_timings)
-            self._finish_step_two(result, intersecting, retrieved)
+            with result.timings.phase("candidates"):
+                self._finish_step_two(result, intersecting, retrieved)
             if with_abundance:
                 with result.timings.phase("abundance"):
                     self._estimate_abundance(
@@ -822,11 +831,12 @@ class AnalysisSession:
         loops on the numpy backend, identical results on the reference
         backend (the cross-backend tests enforce bit-equality).  A numpy
         backend's intersecting column is kept as it is; the public int
-        list is built only if something reads it.
+        list is built only if something reads it, and so is the
+        ``sketch_hits`` dict of the kept hit matrix.
         """
         result.intersecting_kmers = intersecting
         hits = accumulate_hits(retrieved)
-        result.sketch_hits = hits.as_dict()
+        result.sketch_hits = hits
         result.candidates = select_candidates(
             self.sketch, hits, self.config.min_containment
         )

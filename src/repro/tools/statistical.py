@@ -14,18 +14,19 @@ the M-step.
 
 The EM runs over a few dozen ambiguity groups folded from thousands of
 intersecting k-mers.  The fold is array passes over the retrieval's
-signature columns and candidate bitmasks of the hit owner sets, with the
-keys, counts and order of the historical per-query walk.  The EM itself
-is array passes over flat ``(group, owner)`` columns whose reductions all
-add strictly left to right — never ``np.sum`` or ``sum()``, whose orders
-vary (see :meth:`StatisticalAbundanceEstimator.estimate`).
+signature columns and candidate bitmasks of the hit owner sets; it ends
+in :class:`HitGroups` columns with the groups, owners, counts and order
+of the historical per-query walk, which the EM reads as they are.  The
+EM itself is array passes over those flat ``(group, owner)`` columns
+whose reductions all add strictly left to right — never ``np.sum`` or
+``sum()``, whose orders vary (see :meth:`StatisticalAbundanceEstimator._em`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -33,11 +34,16 @@ from repro.backends.retrieval import RetrievalResult
 from repro.databases.sketch import SketchDatabase
 from repro.taxonomy.profiles import AbundanceProfile
 
-#: An ambiguity group's identity: the sorted tuple of candidate taxIDs a
-#: hit was attributed to.  Tuples (not per-query ``frozenset``s) are the
-#: interned group ids — one Python object per *distinct group*, not per
-#: query, so the EM input construction stays columnar.
-GroupKey = Tuple[int, ...]
+
+class HitGroups(NamedTuple):
+    """Ambiguity groups as columns (none by default).  ``group`` and
+    ``owner`` hold one entry per ``(group, owner)`` pair — groups
+    numbered in first-query order, owner taxIDs ascending within each
+    group; ``count[g]`` is group ``g``'s hit count."""
+
+    group: np.ndarray = np.empty(0, dtype=np.intp)
+    owner: np.ndarray = np.empty(0, dtype=np.int64)
+    count: np.ndarray = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -69,10 +75,8 @@ class StatisticalAbundanceEstimator:
     # -- input shaping -----------------------------------------------------
 
     @staticmethod
-    def hit_groups(
-        retrieved: RetrievalResult, candidates: Iterable[int]
-    ) -> Dict[GroupKey, int]:
-        """Collapse Step-2 output into (interned group id -> hit count).
+    def hit_groups(retrieved: RetrievalResult, candidates: Iterable[int]) -> HitGroups:
+        """Collapse Step-2 output into ambiguity-group columns.
 
         Only the most specific level (largest k) with any owners is used
         per query — its first non-zero signature, levels taken by
@@ -85,25 +89,25 @@ class StatisticalAbundanceEstimator:
         the work follows the hit signatures' entries, never signatures x
         taxa.  Signatures with the same non-zero mask are one group: one
         ``lexsort`` finds the runs, whose summed counts are the group's
-        and whose smallest first query restores the per-query walk's
-        insertion order, so the EM accumulation order — and the exact
-        float sequence — is the historical one.  Only the groups' keys
-        are decoded into Python tuples.
+        and whose smallest first query orders the groups as the per-query
+        walk inserted them, so the EM accumulation order — and the exact
+        float sequence — is the historical one.  The groups' owners are
+        read off ``np.nonzero`` of their unpacked masks in that order.
         """
         allowed = np.fromiter(sorted({int(t) for t in candidates}), dtype=np.int64)
         n = len(retrieved.queries)
         if n == 0 or not len(allowed) or not retrieved.levels:
-            return {}
+            return HitGroups()
         table = retrieved.signatures
         columns = [ids for _, ids in sorted(retrieved.levels.items(), reverse=True)]
-        chosen = columns[0].copy()
-        for ids in columns[1:]:
-            np.copyto(chosen, ids, where=chosen == 0)
+        chosen = columns[-1]
+        for ids in reversed(columns[:-1]):
+            chosen = np.where(ids != 0, ids, chosen)
         per_set = np.bincount(chosen, minlength=len(table))
         per_set[0] = 0
         hit = np.flatnonzero(per_set)
         if not len(hit):
-            return {}
+            return HitGroups()
         first = np.full(len(table), n, dtype=np.int64)
         np.minimum.at(first, chosen, np.arange(n, dtype=np.int64))
         entries, offsets = table.entries(hit)
@@ -120,41 +124,56 @@ class StatisticalAbundanceEstimator:
         )
         rows = np.flatnonzero(masks.any(axis=1))
         if not len(rows):
-            return {}
+            return HitGroups()
         order = rows[np.lexsort(masks[rows].T)]
         ordered = masks[order]
         starts = np.flatnonzero(
             np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
         )
-        counts = np.add.reduceat(per_set[hit[order]], starts).tolist()
-        group_first = np.minimum.reduceat(first[hit[order]], starts)
+        counts = np.add.reduceat(per_set[hit[order]], starts)
+        # The reference walk inserts each group when its first query is
+        # seen; that order keeps downstream float accumulation bit-identical.
+        by_first = np.argsort(np.minimum.reduceat(first[hit[order]], starts))
         # Little-endian words unpack least-significant bit first: bit b of
         # word w is candidate 64 * w + b.
         bits = np.unpackbits(
-            ordered[starts].astype("<u8").view(np.uint8), axis=1, bitorder="little"
+            ordered[starts[by_first]].astype("<u8").view(np.uint8),
+            axis=1, bitorder="little",
         )
-        # The reference walk inserts each group when its first query is
-        # seen; that order keeps downstream float accumulation bit-identical.
-        return {
-            tuple(allowed[np.flatnonzero(bits[g])].tolist()): counts[g]
-            for g in np.argsort(group_first).tolist()
-        }
+        group, owner = np.nonzero(bits)
+        return HitGroups(group, allowed[owner], counts[by_first])
 
     # -- EM -----------------------------------------------------------------
 
     def estimate(
-        self, groups: "Mapping[GroupKey, int] | Mapping[FrozenSet[int], int]"
+        self, groups: "Mapping[Tuple[int, ...], int] | Mapping[FrozenSet[int], int]"
     ) -> Tuple[AbundanceProfile, EmDiagnostics]:
         """Run EM on ambiguity groups; returns (profile, diagnostics).
 
-        Group keys are any iterable of distinct taxIDs — the interned
-        sorted tuples :meth:`hit_groups` emits, or legacy ``frozenset``
-        keys; every count must be at least 1 (a group no hit supports is
-        refused, not turned into a uniform profile).
+        Group keys are any iterable of distinct taxIDs — sorted tuples or
+        legacy ``frozenset`` keys; every count must be at least 1 (a group
+        no hit supports is refused, not turned into a uniform profile).
+        The mapping becomes :class:`HitGroups` columns in group order,
+        then key order, for the one EM core :meth:`estimate_from_retrieval`
+        runs too.
+        """
+        for owners, count in groups.items():
+            if count < 1:
+                raise ValueError(
+                    f"group {owners!r} has count {count}; counts must be >= 1"
+                )
+        sizes = [len(owners) for owners in groups]
+        return self._em(HitGroups(
+            np.repeat(np.arange(len(sizes)), sizes),
+            np.fromiter((t for owners in groups for t in owners), dtype=np.int64),
+            np.fromiter(groups.values(), dtype=np.float64, count=len(sizes)),
+        ))
 
-        The EM runs on flat ``(group, owner)`` columns in group order, then
-        key order.  An iteration is two weighted ``np.bincount``s — each
-        group's total mass, then each species' expected hits — and one
+    def _em(self, groups: HitGroups) -> Tuple[AbundanceProfile, EmDiagnostics]:
+        """The EM over group columns.
+
+        An iteration is two weighted ``np.bincount``s — each group's total
+        mass, then each species' expected hits — and one
         ``np.add.accumulate`` for the M-step norm.  All three add strictly
         left to right, so the float sequence is the one a per-group walk
         with sequential sums gives, on every Python and NumPy version.
@@ -162,37 +181,27 @@ class StatisticalAbundanceEstimator:
         (past 8 terms its order differs), and ``sum()`` because Python
         3.12 compensates float sums.
         """
-        for owners, count in groups.items():
-            if count < 1:
-                raise ValueError(
-                    f"group {owners!r} has count {count}; counts must be >= 1"
-                )
-        species = sorted({t for owners in groups for t in owners})
-        if not species:
+        if not len(groups.owner):
             return AbundanceProfile(), EmDiagnostics(0, 0.0, True)
-        slot = {t: i for i, t in enumerate(species)}
-        owner = np.fromiter(
-            (slot[t] for owners in groups for t in owners), dtype=np.intp
+        group, n_groups = groups.group, len(groups.count)
+        species, owner = np.unique(groups.owner, return_inverse=True)
+        species = species.tolist()
+        count = groups.count.astype(np.float64).take(group)
+        sizes = self.sketch.sketch_sizes
+        weights = np.array(
+            [max(1.0, float(sizes.get(t, 1))) for t in species], dtype=np.float64
         )
-        sizes = [len(owners) for owners in groups]
-        group = np.repeat(np.arange(len(sizes)), sizes)
-        count = np.repeat(np.fromiter(groups.values(), dtype=np.float64), sizes)
-        weights = np.fromiter(
-            (max(1.0, float(self.sketch.sketch_sizes.get(t, 1))) for t in species),
-            dtype=np.float64,
-        )
-        owner_weight = weights[owner]
         theta = np.full(len(species), 1.0 / len(species))
         delta = float("inf")
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):  # noqa: B007
-            # E-step: fractional assignment of each group's hits; a group
-            # whose total mass is zero contributes nothing.
-            mass = theta[owner] * owner_weight
-            total = np.bincount(group, weights=mass, minlength=len(sizes))[group]
-            share = np.divide(
-                count * mass, total, out=np.zeros_like(mass), where=total > 0
-            )
+            # E-step: fractional assignment of each group's hits.  A group
+            # whose total mass is zero has every mass 0, so its share
+            # ``count * mass`` is already 0 and needs no division.
+            mass = (theta * weights).take(owner)
+            total = np.bincount(group, weights=mass, minlength=n_groups).take(group)
+            share = count * mass
+            np.divide(share, total, out=share, where=total > 0)
             expected = np.bincount(owner, weights=share, minlength=len(species))
             # M-step: refit abundances, normalizing by sketch size so big
             # genomes don't look more abundant than they are.
@@ -201,7 +210,7 @@ class StatisticalAbundanceEstimator:
             if norm <= 0:
                 break
             new_theta = raw / norm
-            delta = float(np.max(np.abs(new_theta - theta)))
+            delta = float(abs(new_theta - theta).max())
             theta = new_theta
             if delta < self.tolerance:
                 break
@@ -213,5 +222,6 @@ class StatisticalAbundanceEstimator:
         retrieved: RetrievalResult,
         candidates: Iterable[int],
     ) -> Tuple[AbundanceProfile, EmDiagnostics]:
-        """Convenience wrapper straight from Step-2 output."""
-        return self.estimate(self.hit_groups(retrieved, candidates))
+        """Straight from Step-2 output: :meth:`hit_groups`' columns feed
+        the EM as they are."""
+        return self._em(self.hit_groups(retrieved, candidates))

@@ -307,13 +307,18 @@ class TestPacedBackend:
         with pytest.raises(ValueError):
             PacedStepTwoBackend("numpy", mb_per_s=0)
 
-    @pytest.mark.parametrize("given", ["nan", "inf", "-inf", "0", "-1"])
-    @pytest.mark.parametrize("source", ["argument", "environment"])
+    @pytest.mark.parametrize("source, given", [
+        *[(source, given) for source in ("argument", "environment")
+          for given in ("nan", "inf", "-inf", "0", "-1")],
+        ("environment", "fast"), ("environment", ""),
+    ])
     def test_bandwidth_must_be_finite_and_positive(self, given, source, monkeypatch):
         """A NaN bandwidth would fail every paced Step 2 in ``time.sleep``
         and an infinite one would pace nothing: only a finite number > 0
-        is a bandwidth."""
-        with pytest.raises(ValueError, match="finite number > 0"):
+        is a bandwidth.  The error names where the value came from, also
+        when the environment's value is no number at all."""
+        name = {"argument": "mb_per_s", "environment": "REPRO_PACED_MBPS"}[source]
+        with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
             if source == "argument":
                 PacedStepTwoBackend("numpy", mb_per_s=float(given))
             else:

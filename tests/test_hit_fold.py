@@ -12,8 +12,9 @@
   generated ascending bucket sets and ranges, up to the k = 32 key-space
   edge (``1 << 64``, past the ``uint64`` dtype);
 - ``MegisResult.intersecting_kmers`` keeps Step 2's column and builds
-  its int list on the first read — equal to the ``python`` backend's
-  list, after ``analyze``, ``analyze_batch`` and a process-pool pipe.
+  its int list on the first read, and ``sketch_hits`` keeps the hit
+  matrix and builds its dict the same way — each equal to the ``python``
+  backend's, after ``analyze``, ``analyze_batch`` and a process-pool pipe.
 """
 
 from __future__ import annotations
@@ -176,12 +177,16 @@ def test_a_bucket_crossing_the_k32_top_edge_is_cut():
     assert (lo, hi) == (2**63, 1 << 64) and whole is tail
 
 
-# -- the public k-mer list, built on first read ---------------------------------
+# -- the public k-mer list and hit dict, built on first read --------------------
+
+#: The result fields built on first read, and the type each is read as.
+BUILT_ON_READ = (("intersecting_kmers", list), ("sketch_hits", dict))
 
 
-def _unbuilt(result) -> bool:
-    """Whether the result still holds Step 2's column, not its list."""
-    return isinstance(vars(result)["_intersecting_kmers"], np.ndarray)
+def _unbuilt(result, name: str) -> bool:
+    """Whether the result still holds what Step 2 handed over, not the
+    plain value it is read as."""
+    return type(vars(result)["_" + name]) is not dict(BUILT_ON_READ)[name]
 
 
 @pytest.fixture(scope="module")
@@ -190,18 +195,21 @@ def world(sorted_db, sketch_db, references):
 
 
 @pytest.fixture(scope="module")
-def python_kmers(world, sample) -> List[List[int]]:
+def python_kmers(world, sample) -> List[Tuple[list, dict]]:
     session = AnalysisSession(world, MegisConfig(backend="python"))
     chunks = [sample.reads[:150], sample.reads[150:]]
-    return [r.intersecting_kmers for r in session.analyze_batch(chunks)]
+    return [
+        (r.intersecting_kmers, r.sketch_hits) for r in session.analyze_batch(chunks)
+    ]
 
 
-def _check_read(result, expected: List[int]) -> None:
-    assert _unbuilt(result)
-    kmers = result.intersecting_kmers
-    assert type(kmers) is list and all(type(x) is int for x in kmers)
-    assert kmers == expected
-    assert not _unbuilt(result) and result.intersecting_kmers is kmers
+def _check_read(result, expected: Tuple[list, dict]) -> None:
+    for (name, kind), want in zip(BUILT_ON_READ, expected):
+        assert _unbuilt(result, name)
+        got = getattr(result, name)
+        assert type(got) is kind and got == want
+        assert not _unbuilt(result, name) and getattr(result, name) is got
+    assert all(type(x) is int for x in result.intersecting_kmers)
 
 
 def test_analyze_builds_the_list_only_when_read(world, sample, python_kmers):

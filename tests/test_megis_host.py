@@ -10,7 +10,7 @@ from repro.megis.host import (
     KmerBucketPartitioner,
     column_to_list,
 )
-from repro.sequences.keys import as_column
+from repro.sequences.keys import as_column, column_dtype
 from repro.sequences.kmers import KmerCounter, KmerStream, extract_kmers
 from repro.sequences.reads import Read
 from tests.strategies import property_settings
@@ -311,21 +311,22 @@ class TestColumnarPartitioner:
             assert [b.lo for b in numpy_[1:]] == quantile_edges(head, k, n_buckets)
 
     @given(
-        st.integers(min_value=1, max_value=31),
+        st.integers(min_value=1, max_value=64),
         st.integers(min_value=1, max_value=40),
         st.data(),
     )
     @property_settings(60)
     def test_boundaries_same_for_ndarray_and_list(self, k, n_buckets, data):
         """The numpy boundary pass picks the same quantiles as the sorted
-        list: generated k-mer streams, repeats and all."""
+        list: generated k-mer streams, repeats and all, in ``uint64``
+        heads and, past k = 32, ``object`` ones."""
         space = 1 << (2 * k)
         head = data.draw(st.lists(
             st.integers(min_value=0, max_value=space - 1), max_size=200
         ))
         partitioner = KmerBucketPartitioner(k=k, n_buckets=n_buckets)
         want = partitioner._boundaries(head)
-        got = partitioner._boundaries(np.asarray(head, dtype=np.uint64))
+        got = partitioner._boundaries(as_column(head, column_dtype(k)))
         assert got == want
         assert all(type(x) is int for x in got)
 

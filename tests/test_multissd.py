@@ -144,11 +144,11 @@ def test_kernel_gather_equals_whole_range_and_references(backend, data):
     assert pairs_as_ints(sharded) == pairs_as_ints(batched)
 
     # The whole batch on the one shard: ``python`` and ``numpy`` give the
-    # same results and the same counters, channel attribution included.
+    # same results and the same counters.
     expected, reference = shard_step_two(get_backend("python"), whole, samples, 4)
     assert pairs_as_ints(batched) == pairs_as_ints(expected)
     for counter in ("db_kmers_streamed", "query_kmers_streamed",
-                    "buckets_processed", "db_stream_passes", "channel_matches"):
+                    "buckets_processed", "db_stream_passes"):
         assert getattr(timings, counter) == getattr(reference, counter), counter
 
     # One sample on the one shard streams one interval per bucket.
@@ -287,13 +287,12 @@ class TestMultiSsdStepTwo:
         query = sorted_db.kmers[::4]
         multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend=backend)
         timings = PhaseTimings(backend=backend)
-        intersecting, _ = multi.run(query, timings=timings)
+        multi.run(query, timings=timings)
         assert timings.backend == backend
         assert timings.db_kmers_streamed > 0
         assert timings.query_kmers_streamed > 0
         assert timings.intersect_ms > 0
         assert timings.retrieve_ms > 0
-        assert sum(timings.channel_matches.values()) == len(intersecting)
         # Counters accumulate in the caller's timings across calls; the
         # engine keeps none of its own.
         once = timings.db_kmers_streamed

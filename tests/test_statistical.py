@@ -42,6 +42,14 @@ def hit_groups_oracle(view, candidates):
     return groups
 
 
+def as_dict(columns):
+    """:class:`HitGroups` columns as the oracle's ``{owners: count}``."""
+    owners = [[] for _ in columns.count]
+    for group, taxid in zip(columns.group.tolist(), columns.owner.tolist()):
+        owners[group].append(taxid)
+    return dict(zip(map(tuple, owners), columns.count.tolist()))
+
+
 class TestHitGroups:
     def test_most_specific_level_wins(self, estimator):
         retrieved = retrieval({
@@ -49,15 +57,16 @@ class TestHitGroups:
             9: {12: frozenset({2, 3})},
         })
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1, 2, 3})
-        assert groups == {(1,): 1, (2, 3): 1}
+        assert as_dict(groups) == {(1,): 1, (2, 3): 1}
 
     def test_restricted_to_candidates(self, estimator):
         retrieved = retrieval({5: {20: frozenset({1, 99})}})
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1})
-        assert groups == {(1,): 1}
+        assert as_dict(groups) == {(1,): 1}
 
     def test_empty_levels_skipped(self, estimator):
-        assert StatisticalAbundanceEstimator.hit_groups(retrieval({5: {}}), {1}) == {}
+        groups = StatisticalAbundanceEstimator.hit_groups(retrieval({5: {}}), {1})
+        assert as_dict(groups) == {}
 
     def test_columnar_matches_reference_fold(self, estimator):
         """The signature grouping = the dict-view fold, keys and order."""
@@ -68,7 +77,9 @@ class TestHitGroups:
             13: {12: frozenset({2, 3})},
             17: {20: frozenset({2, 3, 99})},
         }
-        columnar = StatisticalAbundanceEstimator.hit_groups(retrieval(view), {1, 2, 3})
+        columnar = as_dict(
+            StatisticalAbundanceEstimator.hit_groups(retrieval(view), {1, 2, 3})
+        )
         reference = hit_groups_oracle(view, {1, 2, 3})
         # Query 11's most specific level (20) has owners, but none are
         # candidates: it must contribute nothing (the level still "wins").
@@ -85,25 +96,29 @@ class TestHitGroups:
     ):
         """Signature grouping = the dict-view fold on generated results:
         empty, disjoint, sparse and >64-wide candidate sets, distinct
-        owner sets that restrict to one group.  Same keys, counts and
-        first-occurrence order, so the EM's float sequence — and the
-        profile — is the same."""
+        owner sets that restrict to one group.  The columns hold the
+        oracle's groups pair for pair, in first-occurrence order, with its
+        counts, so the EM on them gives the profile — float for float —
+        that :meth:`estimate` gives on the oracle's dict."""
         candidates = data.draw(candidate_sets(retrieved))
         columnar = StatisticalAbundanceEstimator.hit_groups(retrieved, candidates)
         reference = hit_groups_oracle(query_dicts(retrieved), candidates)
-        assert list(columnar.items()) == list(reference.items())
-        assert all(type(c) is int for c in columnar.values())
-        profile, diagnostics = estimator.estimate(columnar)
+        assert list(zip(columnar.group.tolist(), columnar.owner.tolist())) == [
+            (group, taxid)
+            for group, owners in enumerate(reference) for taxid in owners
+        ]
+        assert columnar.count.tolist() == list(reference.values())
+        profile, diagnostics = estimator.estimate_from_retrieval(retrieved, candidates)
         expected, expected_diagnostics = estimator.estimate(reference)
         assert list(profile.fractions.items()) == list(expected.fractions.items())
         assert diagnostics == expected_diagnostics
 
-    def test_group_keys_are_interned_tuples(self, estimator):
+    def test_owners_ascend_within_a_group(self, estimator):
         retrieved = retrieval({q: {20: frozenset({3, 1})} for q in range(10)})
         groups = StatisticalAbundanceEstimator.hit_groups(retrieved, {1, 3})
-        assert groups == {(1, 3): 10}
-        (key,) = groups
-        assert isinstance(key, tuple) and key == tuple(sorted(key))
+        assert groups.group.tolist() == [0, 0]
+        assert groups.owner.tolist() == [1, 3]
+        assert groups.count.tolist() == [10]
 
 
 class TestEm:
