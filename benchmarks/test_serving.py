@@ -11,8 +11,9 @@ Pins what the serving tiers must do whatever the host's speed:
   workers coalesce queued samples into §4.7 batches.  Step 2 runs paced
   (the modeled flash stream as real wall time, ``repro.backends.paced``),
   the stream-bound regime the paper's serving story lives in;
-- ``threads:4`` and ``processes:4`` must serve the mapping stream exactly
-  as the serial one-worker service does;
+- four service threads, over a serial and over a ``threads:4`` session,
+  must serve the mapping stream exactly as the serial one-worker service
+  does;
 - a ``threads:4`` sharded Step 2 must reproduce the serial multi-SSD
   result exactly while overlapping the shards' paced streams
   (``measured_overlap_saved_ms > 0``).
@@ -105,8 +106,7 @@ def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
 
     Steps 1 and 3 run as NumPy column kernels here (batch extraction, the
     columnar vote), so what remains under the GIL is the glue between
-    them; whether forked workers beat threads on it is a measurement,
-    not a floor."""
+    them."""
     index = MegisIndex(bench_sorted_db, bench_sketch, bench_sample.references)
     backend = PacedStepTwoBackend("numpy", mb_per_s=MAPPING_MB_PER_S)
     return AnalysisSession(
@@ -116,21 +116,17 @@ def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
 
 
 def _serve_closing(session, samples, workers):
-    """`_serve`, but also reaping any forked worker pool afterwards."""
+    """`_serve`, but also shutting the session's shard pool down."""
     with session:
         return _serve(session, samples, workers)
 
 
-def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
-                                                     bench_sketch,
-                                                     bench_sample):
-    """threads:4 and processes:4 must serve the mapping stream exactly as
-    the serial one-worker service does (the process tier's identity floor).
-
-    Their relative wall clock is not asserted: Step 3 was pure-Python read
-    mapping when a >=1.5x processes-over-threads floor stood here, and is
-    a column kernel now.
-    """
+def test_threads_serve_the_mapping_stream_bit_identically(bench_sorted_db,
+                                                          bench_sketch,
+                                                          bench_sample):
+    """Four service threads, over a serial session and over a
+    ``threads:4`` one, must serve the mapping stream exactly as the serial
+    one-worker service does.  Their wall clock is not asserted."""
     samples = _sample_stream(bench_sample)
     expected = _serve_closing(
         _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
@@ -139,7 +135,7 @@ def test_processes_and_threads_serve_bit_identically(bench_sorted_db,
     expected_signature = [_result_signature(r) for r in expected]
     assert any(sig[1] for sig in expected_signature), "stream must hit the index"
 
-    for executor in (None, "processes:4"):
+    for executor in (None, "threads:4"):
         results = _serve_closing(
             _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
                              executor=executor),

@@ -155,7 +155,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reads_path = args.reads if args.reads is not None else args.references
         reads = reads_from_fastq(Path(reads_path).read_text())
         session = _open_session(args, metalign=args.tool == "metalign")
-        with session:  # close() reaps any forked process-pool workers
+        with session:
             if args.tool == "megis":
                 result = session.analyze(reads)
                 if args.timings:
@@ -279,8 +279,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await gateway.drain()
 
-    # ``session`` closes after the drain: its close() reaps the forked
-    # process-pool workers of an ``--executor processes[:N]`` session.
     with session:
         delivered = asyncio.run(run())
     stats = gateway.last_service_stats
@@ -332,7 +330,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     """
     session = _open_session(args)
     gateway = AnalysisGateway(session, **gateway_kwargs(args))
-    with session:  # close() reaps any forked process-pool workers
+    with session:
         _serve_until_signalled(gateway.start, gateway.drain,
                                "gateway listening on {host}:{port}",
                                "gateway draining...")
@@ -600,31 +598,6 @@ _WIRE_EPILOG = (
     "  error object.\n"
 )
 
-#: Shared --help epilog paragraph: the fork-after-warm process tier.
-_PROCESS_EPILOG = (
-    "process-backed serving (--executor processes[:N]):\n"
-    "  The warmed session is forked N times after the index is opened "
-    "(its file\n"
-    "  memory-mapped), so the whole index is shared copy-on-write — no "
-    "per-worker\n"
-    "  duplication — and each worker analyses one whole batch at a "
-    "time, exactly\n"
-    "  as the serial session would (same results, same stream "
-    "counters).  Each\n"
-    "  serving thread drives one forked worker per batch; there are "
-    "at least N\n"
-    "  of them whatever --workers says.  A worker that crashes or is "
-    "killed\n"
-    "  mid-batch is respawned automatically and its in-flight batch "
-    "retried once;\n"
-    "  if the retry also dies, only that batch's requests fail "
-    "(structured error\n"
-    "  objects) — queued samples are never dropped and the respawned "
-    "worker keeps\n"
-    "  serving the stream.\n"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -685,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
             "  --deadline-ms fail with the error shape instead of "
             "occupying a batch\n"
             "  slot.\n"
-            "\n"
-            + _PROCESS_EPILOG
         ),
     )
     add_serving_flags(serve)
@@ -739,8 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
             "without\n"
             "  re-reading the index.\n"
             "\n"
-            + _PROCESS_EPILOG
-            + "\n"
             "serve vs gateway:\n"
             "  `serve` is this gateway with stdin/stdout as its one "
             "connection:\n"

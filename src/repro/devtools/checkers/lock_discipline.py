@@ -41,7 +41,6 @@ class LockDisciplineChecker(Checker):
     default_paths = (
         "src/repro/megis/service.py",
         "src/repro/megis/session.py",
-        "src/repro/megis/procpool.py",
         "src/repro/megis/cluster/router.py",
     )
 

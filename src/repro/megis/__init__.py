@@ -23,10 +23,7 @@ An efficient pipeline between the host and the SSD (paper §4):
 - :mod:`repro.megis.session` — :class:`AnalysisSession`, the open-once /
   query-many serving loop, including the multi-sample mode (§4.7);
 - :mod:`repro.megis.executors` — the executor spec string (``serial`` /
-  ``threads[:N]`` / ``processes[:N]``) and the thread pool it gives the
-  Step-2 shard tasks;
-- :mod:`repro.megis.procpool` — the warmed session forked N times (the
-  process tier);
+  ``threads[:N]``) and the thread pool it gives the Step-2 shard tasks;
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
   futures-based serving front-end over one shared session;
 - :mod:`repro.megis.wire` — the versioned JSONL wire format and its

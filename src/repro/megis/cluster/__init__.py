@@ -1,9 +1,9 @@
 """Cluster serving tier: one logical index served from N nodes.
 
-The single-host reproduction already scales Step 2 across shards
-(threads, processes, the asyncio gateway); this package is the final
-stage of the distributed serving tier — the same sharded data path
-stretched over TCP:
+The single-host reproduction already scales Step 2 across shards (a
+per-shard thread pool, service threads, the asyncio gateway); this
+package is the final stage of the distributed serving tier — the same
+sharded data path stretched over TCP:
 
 - :mod:`~repro.megis.cluster.placement` — a deterministic
   :class:`ClusterMap` assigns contiguous, ascending shard groups to

@@ -8,8 +8,7 @@ the index's database shards.  Placement must satisfy two constraints:
    parts cover ascending query ranges
    (:meth:`~repro.backends.retrieval.RetrievalResult.concatenate`).
    Giving node *w* the contiguous group
-   ``[n_shards * w // n_nodes, n_shards * (w + 1) // n_nodes)`` — the
-   same formula the process pool uses for shard-per-worker pinning —
+   ``[n_shards * w // n_nodes, n_shards * (w + 1) // n_nodes)``
    means the router can gather node results in node order and
    concatenate directly, with no re-sort.
 2. **Agreement without coordination.**  Every node and the router must

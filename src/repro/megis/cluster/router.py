@@ -24,13 +24,13 @@ from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
 - **Step 3 local.**  Hit accumulation, candidate selection, and
   abundance estimation run on the gathered columns.
 
-**Failure semantics** mirror the serving tiers' crash contract: a dead or
-timed-out node fails one scatter *attempt*; the router retries exactly
-once — against the same address (a respawned node picks up there) or the
-node's configured replica — and only if the retry also fails does the
-request fail, with a structured ``node_failed`` error frame.  A kept
-connection that the node closed before replying (it restarted since the
-last scatter) is reopened once inside the attempt and costs no retry.
+**Failure semantics**: a dead or timed-out node fails one scatter
+*attempt*; the router retries exactly once — against the same address
+(a respawned node picks up there) or the node's configured replica —
+and only if the retry also fails does the request fail, with a
+structured ``node_failed`` error frame.  A kept connection that the node
+closed before replying (it restarted since the last scatter) is
+reopened once inside the attempt and costs no retry.
 Accepted requests never silently drop.  Node liveness is tracked by
 heartbeat ping/pong frames on a background task, each on a connection
 of its own; a node marked dead is routed around (replica first) without
@@ -67,8 +67,8 @@ class NodeFailed(RuntimeError):
 
     ``str()`` is the structured wire message — the gateway's completion
     router puts it verbatim into the ``{"schema", "id", "error", "line"}``
-    frame, following the ``rate_limited:`` / ``admission_full:`` /
-    ``WorkerCrashed`` precedent.
+    frame, following the ``rate_limited:`` / ``admission_full:``
+    precedent.
     """
 
     def __init__(self, node_id: int, attempts: int, reason: str) -> None:
@@ -562,7 +562,7 @@ class ClusterAnalysisSession:
 
     Implements the session surface
     :class:`~repro.megis.service.AnalysisService` drives (``warm`` /
-    ``analyze`` / ``analyze_batch`` / ``close``, ``process_workers``), so
+    ``analyze`` / ``analyze_batch`` / ``close``), so
     the whole gateway stack — workers, §4.7 batch coalescing, bounded
     admission, completion streaming — serves the cluster unchanged.
     ``session`` is a *full* local session over the same index (its
@@ -576,18 +576,10 @@ class ClusterAnalysisSession:
                 "the router needs a full local session (Steps 1/3 run "
                 "here); shard-range sessions belong on nodes"
             )
-        if session.process_workers:
-            raise ValueError(
-                "the router session cannot be process-backed: scatter "
-                "sockets must not cross a fork"
-            )
         step_two.bind(session.kss.signatures,
                       step_two.cluster_map.key_ranges(session.index))
         self.session = session
         self.step_two = step_two
-        #: The service's session contract: how many forked workers its
-        #: threads must keep busy.
-        self.process_workers = 0
 
     @property
     def config(self) -> Any:

@@ -3,9 +3,9 @@
 The paper's intra-batch parallelism is §6.1's "every SSD streams its own
 range concurrently"; here that is the per-shard Step-2 tasks of
 :func:`repro.megis.multissd.step_two_over_shards`.  A spec names how they
-(and, for ``processes``, whole batches) run, and travels through
-configuration as a string (``MegisConfig(executor=...)``, ``--executor``),
-validated once by :func:`parse_spec`:
+run, and travels through configuration as a string
+(``MegisConfig(executor=...)``, ``--executor``), validated once by
+:func:`parse_spec`:
 
 - ``"serial"`` (or no spec) resolves to *nothing*: the shard tasks are a
   plain loop on the calling thread — the reference every other spec is
@@ -17,16 +17,12 @@ validated once by :func:`parse_spec`:
   demand.  The NumPy kernels and the paced flash streams release the GIL,
   so the shards genuinely overlap in wall-clock time; every task owns its
   :class:`~repro.backends.PhaseTimings`, so results and counters equal
-  the serial loop's.
-- ``"processes"`` / ``"processes:N"`` is *not* a shard pool, and
-  :func:`shard_pool` refuses it before anything forks: a shard task
-  closes over its batch's buckets and cannot cross a pipe.  The spec
-  belongs to :class:`~repro.megis.session.AnalysisSession`, which forks
-  the warmed session N times (:mod:`repro.megis.procpool`), hands each
-  worker whole batches, and keeps Step 2 a serial loop inside it.
+  the serial loop's.  A bare ``threads`` sizes itself with
+  :func:`default_workers`.
 
-A bare ``threads`` / ``processes`` sizes itself with
-:func:`default_workers`.
+Concurrent samples are the serving tier's business, not the executor's:
+:class:`~repro.megis.service.AnalysisService` runs ``workers`` threads
+over one shared session.
 """
 
 from __future__ import annotations
@@ -37,15 +33,15 @@ from typing import Optional, Tuple
 
 #: Spec families, and the ones that take a ``:N`` worker count
 #: (``serial:2`` is a usage error).
-_FAMILIES: Tuple[str, ...] = ("serial", "threads", "processes")
-_SIZED_FAMILIES: Tuple[str, ...] = ("threads", "processes")
+_FAMILIES: Tuple[str, ...] = ("serial", "threads")
+_SIZED_FAMILIES: Tuple[str, ...] = ("threads",)
 
 
 def default_workers() -> int:
-    """Worker count of a bare ``threads`` / ``processes`` spec: the CPUs
-    this process may run on (its affinity mask, where the platform has
-    one — a pinned or cgroup-limited host must not over-fork), else the
-    machine's CPU count."""
+    """Worker count of a bare ``threads`` spec: the CPUs this process may
+    run on (its affinity mask, where the platform has one — a pinned or
+    cgroup-limited host must not oversubscribe), else the machine's CPU
+    count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -60,11 +56,14 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Split an executor spec into ``(family, workers)``; raises on junk.
 
     ``"serial"`` -> ("serial", None); ``"threads"`` -> ("threads", None);
-    ``"threads:4"`` -> ("threads", 4); ``"processes:4"`` ->
-    ("processes", 4).  Error messages enumerate the families, so adding
-    one extends every CLI surface.
+    ``"threads:4"`` -> ("threads", 4).  A colon must be followed by a
+    count written in plain ASCII digits with no leading zero, so
+    ``"threads:"``, ``"threads: 2"``, ``"threads:+2"`` and ``"threads:02"``
+    are refused rather than read by ``int()``.  Error messages name the
+    spec and enumerate the families, so adding one extends every CLI
+    surface.
     """
-    family, _, arg = str(spec).partition(":")
+    family, colon, arg = str(spec).partition(":")
     if family not in _FAMILIES:
         sized = "/".join(f"'{name}:N'" for name in _SIZED_FAMILIES)
         raise ValueError(
@@ -72,14 +71,15 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int]]:
             f"{', '.join(_FAMILIES)} "
             f"(worker counts: {sized})"
         )
-    if not arg:
+    if not colon:
         return family, None
     if family not in _SIZED_FAMILIES:
-        raise ValueError(f"executor {family!r} takes no ':N' argument")
-    try:
-        workers = int(arg)
-    except ValueError as exc:
-        raise ValueError(f"bad worker count in executor spec {spec!r}") from exc
+        raise ValueError(
+            f"executor {family!r} takes no ':N' argument (spec {spec!r})"
+        )
+    if not (arg.isascii() and arg.isdigit() and str(int(arg)) == arg):
+        raise ValueError(f"bad worker count in executor spec {spec!r}")
+    workers = int(arg)
     if workers < 1:
         raise ValueError(
             f"executor workers must be >= 1, got {workers} "
@@ -90,16 +90,8 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int]]:
 
 def shard_workers(spec: Optional[str]) -> Optional[int]:
     """How many threads a spec gives the Step-2 shard tasks: ``None`` for
-    no spec or ``serial`` (a plain loop); ``processes[:N]`` is refused
-    here, before anything forks, for every Step-2 entry point."""
+    no spec or ``serial`` (a plain loop)."""
     family, workers = parse_spec(spec or "serial")
-    if family == "processes":
-        raise ValueError(
-            "Step-2 shard tasks cannot cross a pipe (they are closures); "
-            "for out-of-process analysis use "
-            "AnalysisSession(executor=\"processes[:N]\"), which forks the "
-            "warmed session"
-        )
     if family == "serial":
         return None
     return workers or default_workers()

@@ -54,7 +54,7 @@ def _mallopt() -> Optional[Callable[[int, int], int]]:
 def keep_working_set() -> bool:
     """Apply the heap policy to this process; whether glibc took all of it.
 
-    Cached: a later call, and a forked child, returns the first answer.
+    Cached: a later call returns the first answer.
     """
     mallopt = _mallopt()
     if mallopt is None:

@@ -19,9 +19,8 @@ per-shard results in ascending range order, and
 only way anything in :mod:`repro.megis` reaches a backend.  A
 single SSD is the one-shard list (:func:`whole_shard`: the parent
 database and KSS themselves under the range ``[0, 4^k)``) and a single
-sample the one-sample batch, so the session's local Step-2 stage (in the
-serving process or in a forked ``processes:N`` worker, which is that
-session), the engines here and in :mod:`repro.megis.isp`, and a cluster
+sample the one-sample batch, so the session's local Step-2 stage, the
+engines here and in :mod:`repro.megis.isp`, and a cluster
 node's :meth:`~repro.megis.session.AnalysisSession.step_two_partial` all
 call it, each with one backend instance: ``numpy`` unless the caller
 names the ``python`` reference, and for a session the instance it
@@ -176,7 +175,7 @@ def check_shards(shards: Sequence[DatabaseShard]) -> None:
 def warm_shards(shards: Sequence[DatabaseShard], columnar: bool) -> None:
     """Materialize what the reference backend walks, for every shard.
 
-    Serving threads (and forked workers, copy-on-write) then only read.
+    Serving threads then only read.
     A columnar backend reads the shards' columns, which simply exist; the
     reference backend walks row views — the database's k-mer list and the
     KSS rows with their per-level covered-owner caches, all of which an
@@ -299,7 +298,7 @@ class MultiSsdStepTwo:
                  shards: Optional[Sequence[DatabaseShard]] = None,
                  executor: Optional[str] = None) -> None:
         self._backend = get_backend(backend)
-        shard_workers(executor)  # refuse a bad or process spec up front
+        shard_workers(executor)  # refuse a bad spec up front
         self.executor_name = executor or "serial"
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")

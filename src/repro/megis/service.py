@@ -44,21 +44,6 @@ how submissions interleave, because batching itself is result-preserving
 :class:`RequestMetrics` (queue wait, batch width, service and end-to-end
 wall time) and :class:`ServiceStats` aggregates them.
 
-A *process-backed* session (``executor="processes[:N]"``) changes the
-execution substrate, not the service contract: ``session.warm()`` at
-construction forks the warmed session N times, and a service thread's
-``analyze_batch`` drives one forked worker over its pipe for the whole
-batch — this service's queue is the only queue, its threads the only
-threads, and it starts at least one per forked worker so none sits
-idle behind too few drivers.  Every streaming knob above keeps its
-semantics.  Crash
-handling composes the same way — a worker that dies mid-batch is
-respawned and the batch retried once inside that call; if the retry
-also dies, :meth:`_run_batch`'s existing failure path turns the resulting
-:class:`~repro.megis.procpool.WorkerCrashed` into a structured
-per-request error on the completion stream while every queued sample
-proceeds on the respawned worker.
-
 ``repro serve`` (:mod:`repro.cli`) exposes this as a JSONL stdin/stdout
 protocol that emits each result as it completes.
 """
@@ -221,9 +206,7 @@ class AnalysisService:
     """Futures-based concurrent serving over one shared session.
 
     ``workers`` sets both the thread count and (by default) ``max_batch``,
-    the widest §4.7 batch one worker may coalesce from the queue; over a
-    process-backed session the thread count is at least the session's
-    forked workers (each thread drives one), ``max_batch`` unaffected.  With
+    the widest §4.7 batch one worker may coalesce from the queue.  With
     ``workers=1`` / ``max_batch=1`` the service degenerates to strictly
     serial, in-order analysis — the reference behaviour the determinism
     suite compares against.  ``max_queue`` bounds the admission queue
@@ -274,7 +257,7 @@ class AnalysisService:
             threading.Thread(
                 target=self._worker, name=f"megis-serve-{i}", daemon=True
             )
-            for i in range(max(workers, session.process_workers))
+            for i in range(workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -561,10 +544,8 @@ class AnalysisService:
                 request.future.set_result(result)
         except BaseException as exc:
             # A failing sample fails its whole batch: each future carries
-            # the exception (a lost future would deadlock drain()).  This
-            # is also where a process tier WorkerCrashed (worker died and
-            # its retry died too) becomes the batch's structured error —
-            # queued requests outside the batch are untouched.
+            # the exception (a lost future would deadlock drain()); queued
+            # requests outside the batch are untouched.
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)

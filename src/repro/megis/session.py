@@ -79,7 +79,7 @@ from repro.backends import (
 )
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
-from repro.megis.executors import default_workers, parse_spec, shard_pool
+from repro.megis.executors import parse_spec, shard_pool
 from repro.megis.heap import keep_working_set
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
@@ -111,7 +111,6 @@ from repro.tools.statistical import StatisticalAbundanceEstimator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (index -> session)
     from repro.databases.kss import KssTables
     from repro.megis.index import MegisIndex
-    from repro.megis.procpool import ProcessAnalysisRunner
 
 
 #: The Step-2 stage of :meth:`AnalysisSession._analyze`: the batch's
@@ -142,11 +141,8 @@ class MegisConfig:
     n_ssds: int = 1
     #: Executor spec: ``None``/"serial" runs the Step-2 shard tasks as a
     #: plain loop and "threads" / "threads:N" on the session's thread pool
-    #: (:mod:`repro.megis.executors`); "processes" / "processes:N" forks
-    #: the warmed session N times at :meth:`AnalysisSession.warm` time
-    #: (:mod:`repro.megis.procpool`) — one whole batch per worker, driven
-    #: by the thread that called ``analyze_batch``, Step 2 serial inside.
-    #: A bare family sizes itself to the CPUs this process may run on.
+    #: (:mod:`repro.megis.executors`).  A bare "threads" sizes itself to
+    #: the CPUs this process may run on.
     #: Results are bit-identical across specs; only wall-clock
     #: overlap changes.
     executor: Optional[str] = None
@@ -262,8 +258,8 @@ class AnalysisSession:
     index type for the session's lifetime.
 
     ``__init__`` first calls :func:`~repro.megis.heap.keep_working_set`, so
-    every tier built on a session (forked workers too) runs under one glibc
-    heap policy that keeps a sample's working set mapped between samples.
+    every tier built on a session runs under one glibc heap policy that
+    keeps a sample's working set mapped between samples.
 
     Concurrency: the query path treats every engine structure as
     read-only, so multiple threads may call :meth:`analyze` /
@@ -312,15 +308,7 @@ class AnalysisSession:
             backend if isinstance(backend, StepTwoBackend)
             else get_backend(config.backend)
         )
-        family, workers = parse_spec(config.executor or "serial")
-        #: Process-backed serving (the fork-after-mmap tier): a
-        #: "processes[:N]" spec is consumed here — :meth:`warm` builds a
-        #: :class:`~repro.megis.procpool.ProcessAnalysisRunner`, whose
-        #: N forked workers are this session, running serial.
-        self._process_workers: Optional[int] = (
-            (workers or default_workers()) if family == "processes" else None
-        )
-        self._runner: Optional["ProcessAnalysisRunner"] = None
+        family, _ = parse_spec(config.executor or "serial")
         #: A "threads[:N]" spec names the session's one per-shard Step-2
         #: pool, built on the first Step 2 (and on the first after a
         #: :meth:`close`); any other spec runs the shards as a plain loop.
@@ -329,8 +317,7 @@ class AnalysisSession:
         #: Cluster-node mode: serve partial Step 2 over a contiguous
         #: subset ``[start, stop)`` of the index's ``n_ssds`` shards only
         #: (:meth:`step_two_partial`).  Such a session cannot run a full
-        #: analysis — it holds no complete owner view — and cannot be
-        #: process-backed.
+        #: analysis — it holds no complete owner view.
         self.shard_range: Optional[Tuple[int, int]] = None
         if shard_range is not None:
             start, stop = int(shard_range[0]), int(shard_range[1])
@@ -338,11 +325,6 @@ class AnalysisSession:
                 raise ValueError(
                     f"shard_range {shard_range!r} must satisfy "
                     f"0 <= start < stop <= n_ssds ({config.n_ssds})"
-                )
-            if self._process_workers is not None:
-                raise ValueError(
-                    "a shard-range session serves partial Step 2 only; it "
-                    "cannot be process-backed"
                 )
             self.shard_range = (start, stop)
         self.database = index.database
@@ -427,13 +409,6 @@ class AnalysisSession:
         """The registry name of the session's one Step-2 engine."""
         return self._backend.name
 
-    @property
-    def process_workers(self) -> int:
-        """Forked workers behind :meth:`analyze_batch` — how many batches
-        can run at once, one caller thread each; 0 when analyses run in
-        this process."""
-        return self._process_workers or 0
-
     def warm(self) -> "AnalysisSession":
         """Pre-build every lazily-constructed engine structure.
 
@@ -442,17 +417,16 @@ class AnalysisSession:
         their KSS slices cut, the sketch's size columns are built and, for
         the reference backend, the row views it walks are materialized
         (the columnar backend reads the database's and the KSS's columns,
-        which are what those objects are).
+        which are what those objects are).  That is its one reason:
         :class:`~repro.megis.service.AnalysisService` calls this before
-        starting its worker threads so no two workers ever race to build
-        the same cache.  (The ternary-tree sketch
+        starting its worker threads so no two service threads ever race
+        to build the same cache.  (The ternary-tree sketch
         tables stay lazy — they back :meth:`analyze_metalign`, which the
         service does not serve, and materializing them would defeat the
         lazy-sketch open.  So do the shard handles' per-row KSS columns
         (:meth:`~repro.megis.multissd.DatabaseShard.row_levels`): the
         first Step 2 on a handle builds them, lock-free, so a router
-        that only scatters never holds them and a forked worker builds
-        its own.)
+        that only scatters never holds them.)
         """
         import numpy as np
 
@@ -471,33 +445,16 @@ class AnalysisSession:
             # The reference backend walks row objects and the per-level
             # covered-owner caches; an empty retrieval touches them all.
             self.kss.retrieve([])
-        # Process-backed serving forks *here* — after every column /
-        # memmap section above is materialized, so the workers inherit
-        # the warmed engine state copy-on-write (the fork-after-mmap
-        # contract; its COW sharing is asserted by the process tests).
-        if self._process_workers is not None and self._runner is None:
-            with self._lock:
-                if self._runner is None:
-                    from repro.megis.procpool import ProcessAnalysisRunner
-
-                    self._runner = ProcessAnalysisRunner(
-                        self, self._process_workers
-                    )
         return self
 
     def close(self) -> None:
-        """Reap the forked workers (after the batches in flight) and shut
-        down the session's shard thread pool, if they exist.
+        """Shut down the session's shard thread pool, if it exists.
 
-        Safe on any session, and not terminal: a process-backed session
-        re-forks on the next :meth:`warm` / analysis call after closing,
-        a threaded one builds a new pool on the next Step 2.
+        Safe on any session, and not terminal: a threaded session builds a
+        new pool on the next Step 2.
         """
         with self._lock:
-            runner, self._runner = self._runner, None
             pool, self._pool = self._pool, None
-        if runner is not None:
-            runner.close()
         if pool is not None:
             pool.shutdown()
 
@@ -506,15 +463,6 @@ class AnalysisSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _process_runner(self) -> Optional["ProcessAnalysisRunner"]:
-        """The forked runner for process-backed sessions (forking on
-        first use via :meth:`warm`), else ``None``."""
-        if self._process_workers is None:
-            return None
-        if self._runner is None:
-            self.warm()
-        return self._runner
 
     # -- analysis (single sample and §4.7 batch) ---------------------------------
 
@@ -541,9 +489,6 @@ class AnalysisSession:
         self._require_full("analyze_batch")
         if not samples:
             return []
-        runner = self._process_runner()
-        if runner is not None:
-            return runner.analyze_batch(samples, with_abundance)
         return self._analyze(samples, with_abundance, self._step_two_local)
 
     def _analyze(

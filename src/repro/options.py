@@ -2,8 +2,8 @@
 
 ``repro analyze``, ``serve``, ``gateway``, ``node`` and ``cluster`` expose
 the same three knobs (or the subset that applies) — the Step-2
-``--backend``, the ``--executor`` policy (``serial`` / ``threads[:N]`` /
-``processes[:N]``), and the ``--ssds`` shard count — and used to each
+``--backend``, the ``--executor`` policy (``serial`` / ``threads[:N]``),
+and the ``--ssds`` shard count — and used to each
 carry their own copy of the registration and validation logic.  This
 module is the single source: :func:`add_execution_flags` registers the
 flags on an argparse parser and :func:`execution_config_kwargs` turns the
@@ -99,8 +99,7 @@ def add_execution_flags(
             "--executor", type=executor_spec, default=None, metavar="SPEC",
             help="execution policy: "
                  f"{', '.join(available_executors())}, sized as e.g. "
-                 "threads:N or processes:N (results identical; processes "
-                 "forks the warmed session N times, one batch per worker)",
+                 "threads:N (results identical)",
         )
     if ssds:
         parser.add_argument(

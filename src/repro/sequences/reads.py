@@ -101,8 +101,7 @@ class BareReads(Sequence[Read]):
     Item ``i`` is ``Read(i, sequences[i], 0)``, built only when indexed (by
     int: no caller slices a sample) or iterated; :func:`read_sequences`
     hands the held list back with no per-read object, which is all Step 1
-    and the columnar vote read.  It pickles as that list, so a
-    process-backed session's pipe carries strings too.
+    and the columnar vote read.
     """
 
     __slots__ = ("sequences",)
@@ -123,9 +122,6 @@ class BareReads(Sequence[Read]):
 
     def __iter__(self) -> Iterator[Read]:
         return (Read(i, seq, 0) for i, seq in enumerate(self.sequences))
-
-    def __reduce__(self):
-        return BareReads, (self.sequences,)
 
 
 def read_sequences(reads: Sequence[Read]) -> List[str]:

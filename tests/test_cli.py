@@ -218,6 +218,18 @@ class TestUnopenableIndex:
         assert str(truncated) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "serve", "gateway"])
+def test_retired_process_executor_is_a_usage_error(command, dataset, capsys):
+    """``--executor processes:2`` names no executor: argparse refuses it
+    (exit 2) before anything opens, and points at ``threads:N``."""
+    argv = TestUnopenableIndex.COMMANDS[command](dataset, "unused.megis")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--executor", "processes:2"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'processes:2'" in err and "'threads:N'" in err
+
+
 class TestReplicaFlag:
     """``--replica NODE=HOST:PORT``: parsed by ``options.replica_spec``,
     then refused by ``repro cluster`` unless each names a placed node once

@@ -4,11 +4,12 @@ plumbing."""
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.backends import PhaseTimings, available_backends, get_backend
 from repro.backends.base import clip_buckets
@@ -26,18 +27,31 @@ from repro.megis.multissd import (
 )
 from repro.megis.session import AnalysisSession, MegisConfig
 from tests.columns import as_ints, pairs_as_ints, query_dicts
+from tests.strategies.settings import property_settings
+
+#: Spec text: arbitrary, or a family name (live or retired) followed by
+#: arbitrary text or by a colon and count-like characters.
+_SPEC_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda family, rest: family + rest,
+        st.sampled_from(("serial", "threads", "processes")),
+        st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789 +-_", max_size=4).map(":{}".format),
+        ),
+    ),
+)
 
 
 class TestSpecs:
     def test_families(self):
-        assert available_executors() == ("serial", "threads", "processes")
+        assert available_executors() == ("serial", "threads")
 
     @pytest.mark.parametrize("spec,expected", [
         ("serial", ("serial", None)),
         ("threads", ("threads", None)),
         ("threads:4", ("threads", 4)),
-        ("processes", ("processes", None)),
-        ("processes:4", ("processes", 4)),
     ])
     def test_parse(self, spec, expected):
         assert parse_spec(spec) == expected
@@ -50,15 +64,46 @@ class TestSpecs:
         with pytest.raises(ValueError):
             parse_spec(spec)
 
+    @property_settings(200)
+    @given(_SPEC_TEXT)
+    @example("serial:")
+    @example("threads:")
+    @example("threads: 2")
+    @example("threads:+2")
+    @example("threads:1_0")
+    @example("threads:02")
+    @example("threads:\uff12")
+    @example("processes:2")
+    def test_parse_accepts_only_canonical_specs(self, spec):
+        """Any text either raises ``ValueError`` naming the spec, or parses
+        to a live family and is exactly ``family`` or ``family:N``, N >= 1."""
+        try:
+            family, workers = parse_spec(spec)
+        except ValueError as exc:
+            assert repr(spec) in str(exc)
+            return
+        assert family in available_executors()
+        if workers is None:
+            assert spec == family
+        else:
+            assert workers >= 1 and spec == f"{family}:{workers}"
+
+    def test_retired_process_spec_is_refused(self):
+        """``processes[:N]`` is an unknown family: the config refuses it,
+        and the error points at the threads count instead."""
+        for spec in ("processes", "processes:2"):
+            with pytest.raises(ValueError, match="'threads:N'"):
+                MegisConfig(executor=spec)
+
     def test_errors_enumerate_registered_families(self):
         """Usage errors list the live registry, not a hard-coded string."""
         with pytest.raises(ValueError) as unknown:
             parse_spec("fibers")
         for family in available_executors():
             assert family in str(unknown.value)
-        assert "'processes:N'" in str(unknown.value)
-        with pytest.raises(ValueError, match="spec 'processes:0'"):
-            parse_spec("processes:0")
+        assert "'threads:N'" in str(unknown.value)
+        with pytest.raises(ValueError, match="spec 'threads:0'"):
+            parse_spec("threads:0")
 
     def test_get_executor_resolution(self):
         """What a spec gives the shard tasks: nothing (a plain loop) for
@@ -208,14 +253,11 @@ class TestExecutorDrivenStepTwo:
     ], ids=["multissd", "isp", "kernel"])
     def test_step_two_refuses_a_process_pool(self, sorted_db, kss_tables,
                                              enter):
-        """Shard tasks are closures and cannot cross a pipe: every Step-2
-        entry point says so up front — one message, nothing forked —
-        instead of dying on a pickling error after the fork."""
-        before = set(multiprocessing.active_children())
+        """The retired process tier is an unknown executor to every Step-2
+        entry point, refused up front with the families that remain."""
         for spec in ("processes", "processes:2"):
-            with pytest.raises(ValueError, match=r'executor="processes\[:N\]"'):
+            with pytest.raises(ValueError, match="available: serial, threads"):
                 enter(sorted_db, kss_tables, spec)
-        assert set(multiprocessing.active_children()) <= before
 
 
 def _exec_threads():

@@ -67,11 +67,11 @@ def golden_world(golden):
     return sample, MegisIndex(sorted_db, sketch, sample.references)
 
 
-def golden_config(golden, **extra):
+def golden_config(golden):
     p = golden["params"]
     return MegisConfig(n_buckets=p["n_buckets"],
                        min_containment=p["min_containment"],
-                       abundance_method="statistical", **extra)
+                       abundance_method="statistical")
 
 
 @pytest.fixture(scope="module")
@@ -328,22 +328,14 @@ class TestRoundtrip:
         assert gateway.stats.clients_connected == 4
         assert gateway.stats.requests_completed == 4 * N_CHUNKS
 
-    @pytest.mark.parametrize("executor", [None, "processes:1"],
-                             ids=["in-process", "processes:1"])
     def test_requests_reach_the_service_as_sequences(
-        self, golden_world, golden, session, executor, requests_wire,
-        serial_records, monkeypatch
+        self, session, requests_wire, serial_records, monkeypatch
     ):
         """With unbounded admission, requests over two connections are
         submitted on the loop as their sequences: nothing reaches the
         submit pool, no ``Read`` is built, and the results equal serial
-        ``analyze`` over ``Read`` lists — behind a process-backed
-        session too."""
-        _, index = golden_world
-        served = session if executor is None else AnalysisSession(
-            index, golden_config(golden, executor=executor)
-        )
-        gateway = AnalysisGateway(served, workers=2)
+        ``analyze`` over ``Read`` lists."""
+        gateway = AnalysisGateway(session, workers=2)
         built, dispatched = [], []
         real_init = Read.__init__
 
@@ -368,11 +360,7 @@ class TestRoundtrip:
                     client_roundtrip(host, port, requests_wire[3:]),
                 )
 
-        try:
-            per_client = run_scenario(scenario())
-        finally:
-            if served is not session:
-                served.close()
+        per_client = run_scenario(scenario())
         assert dispatched == [], "no submission may wait on the submit pool"
         assert built == [], "a served request carries no Read objects"
         records = [r for records in per_client for r in records]

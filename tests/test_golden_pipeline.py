@@ -159,7 +159,7 @@ def test_golden_served_from_mmap_index(tmp_path, world, golden, backend):
         assert mapped.kss.row_materializations == 0
 
 
-def _mapping_session(world, golden, backend: str, executor=None):
+def _mapping_session(world, golden, backend: str):
     sample, sorted_db, sketch = world
     p = golden["params"]
     return AnalysisSession(
@@ -167,13 +167,13 @@ def _mapping_session(world, golden, backend: str, executor=None):
         config=MegisConfig(
             backend=backend, n_buckets=p["n_buckets"],
             min_containment=p["min_containment"],
-            abundance_method="mapping", executor=executor,
+            abundance_method="mapping",
         ),
     )
 
 
 @pytest.mark.parametrize(
-    "route", ["analyze", "analyze_batch", "service", "processes:2"]
+    "route", ["analyze", "analyze_batch", "service"]
 )
 def test_columnar_mapping_equals_the_reference_on_every_route(world, golden,
                                                               route):
@@ -191,8 +191,7 @@ def test_columnar_mapping_equals_the_reference_on_every_route(world, golden,
     assert all(r.profile.fractions for r in want)
     _check(want[-1], golden["expected"]["mapping"])
 
-    executor = route if route.startswith("processes") else None
-    with _mapping_session(world, golden, "numpy", executor) as session:
+    with _mapping_session(world, golden, "numpy") as session:
         if route == "analyze":
             got = [session.analyze(chunk) for chunk in chunks]
         elif route == "service":

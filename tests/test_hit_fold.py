@@ -220,12 +220,3 @@ def test_analyze_builds_the_list_only_when_read(world, sample, python_kmers):
         session.analyze_batch([sample.reads[:150], sample.reads[150:]]), python_kmers
     ):
         _check_read(result, expected)
-
-
-def test_the_column_crosses_a_process_pool_unbuilt(world, sample, python_kmers):
-    with AnalysisSession(
-        world, MegisConfig(backend="numpy", executor="processes:1")
-    ) as session:
-        results = session.analyze_batch([sample.reads[:150], sample.reads[150:]])
-    for result, expected in zip(results, python_kmers):
-        _check_read(result, expected)

@@ -1,7 +1,5 @@
 """Tests for the read simulator and the sequence-only sample."""
 
-import pickle
-
 import pytest
 
 from repro.sequences.generator import GenomeGenerator
@@ -135,13 +133,6 @@ class TestBareReads:
         assert list(reads) == self.built()
         assert list(reversed(reads)) == self.built()[::-1]
         assert Read(2, "T", 0) in reads
-
-    def test_pickle_round_trip(self):
-        reads = BareReads(list(SEQUENCES))
-        copy = pickle.loads(pickle.dumps(reads))
-        assert type(copy) is BareReads
-        assert copy.sequences == SEQUENCES
-        assert list(copy) == self.built()
 
     def test_read_sequences_hands_back_the_held_list(self):
         held = list(SEQUENCES)

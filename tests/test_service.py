@@ -91,9 +91,6 @@ class _StubSession:
     sample's result is ``("ok", sample)``, a batch holding
     :data:`_POISON` raises :attr:`error` once :attr:`gate` is set."""
 
-    #: Analyses run in this process: the service starts ``workers`` threads.
-    process_workers = 0
-
     def __init__(self):
         self.gate = threading.Event()
         self.gate.set()
