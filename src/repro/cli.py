@@ -5,8 +5,7 @@ The commands cover the library's main entry points:
 - ``simulate`` — generate a synthetic CAMI-like dataset and write the
   references (FASTA), the reads (FASTQ), and the ground-truth profile;
 - ``index build`` — build a persistable MegIS index (sorted database, KSS
-  CSR columns, sketch sizes, references) from a reference FASTA, optionally
-  pre-sharded for a multi-SSD deployment;
+  CSR columns, sketch sizes, references) from a reference FASTA;
 - ``analyze`` — run a pipeline (megis / metalign / kraken2) over a
   FASTA+FASTQ pair, or serve the sample from a prebuilt index
   (``--index PATH``) without rebuilding any database;
@@ -32,9 +31,10 @@ The commands cover the library's main entry points:
   or client-cap flags; ``--strict-order`` emits results in input order;
 - ``node`` / ``cluster`` — the distributed flavour of ``gateway``: each
   ``node`` serves partial Step 2 over its contiguous shard group of a
-  shared index, and ``cluster`` is the client-facing router that runs
-  Steps 1/3 locally, scatters Step 2 to every node, and gathers the
-  partial columns — bit-identical to single-node serving, with heartbeat
+  shared index (every participant computes the same placement from
+  ``--nodes``/``--shards``), and ``cluster`` is the client-facing router
+  that runs Steps 1/3 locally, scatters Step 2 to every node, and gathers
+  the partial columns — bit-identical to single-node serving, with heartbeat
   health tracking and retry-once node failover;
 - ``model`` — query the paper-scale performance model (per-configuration
   seconds and speedups for a chosen SSD and sample).
@@ -63,6 +63,8 @@ from repro.options import (
     add_serving_flags,
     execution_config_kwargs,
     gateway_kwargs,
+    positive_float,
+    positive_int,
 )
 from repro.perf.specs import baseline_system
 from repro.perf.timing import TimingModel
@@ -82,10 +84,17 @@ from repro.workloads.datasets import cami_spec
 _DIVERSITIES = {d.value: d for d in CamiDiversity}
 
 
+class _CliError(Exception):
+    """A bad invocation: ``main`` prints the message, exit status 2."""
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    sample = make_cami_sample(
-        _DIVERSITIES[args.diversity], n_reads=args.reads, seed=args.seed
-    )
+    try:
+        sample = make_cami_sample(
+            _DIVERSITIES[args.diversity], n_reads=args.reads, seed=args.seed
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "references.fasta").write_text(references_to_fasta(sample.references))
@@ -99,29 +108,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _index_builder(k: int, **kwargs: object) -> IndexBuilder:
+    """An ``IndexBuilder``; parameters it refuses are a usage error."""
+    try:
+        return IndexBuilder(k=k, **kwargs)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+
+
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    builder = IndexBuilder(
-        k=args.k,
-        smaller_ks=None,
-        sketch_fraction=args.sketch_fraction,
-        seed=args.seed,
+    builder = _index_builder(
+        args.k, sketch_fraction=args.sketch_fraction, seed=args.seed
     )
     index = builder.build_from_fasta(Path(args.references).read_text())
-    path = index.save(
-        args.output, n_shards=args.shards,
-        include_references=not args.no_references,
-    )
-    size = path.stat().st_size
-    print(f"wrote {path} ({size} bytes, {args.shards} shard"
-          f"{'s' if args.shards != 1 else ''})")
+    path = index.save(args.output, include_references=not args.no_references)
+    print(f"wrote {path} ({path.stat().st_size} bytes)")
     print(f"  k={index.k}  db k-mers={len(index.database)}  "
           f"kss rows={len(index.kss)}  "
           f"references={'yes' if not args.no_references else 'no'}")
     return 0
-
-
-class _CliError(Exception):
-    """A bad invocation: ``main`` prints the message, exit status 2."""
 
 
 def _open_index(args: argparse.Namespace) -> MegisIndex:
@@ -171,7 +176,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         references = references_from_fasta(Path(args.references).read_text())
         reads = reads_from_fastq(Path(args.reads).read_text())
         if args.tool in {"megis", "metalign"}:
-            index = IndexBuilder(k=args.k).build(references)
+            index = _index_builder(args.k).build(references)
             if args.tool == "megis":
                 config = MegisConfig(abundance_method=args.abundance,
                                      **execution_config_kwargs(args))
@@ -353,33 +358,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cluster_map(args: argparse.Namespace, index: MegisIndex):
-    """The placement every cluster participant must agree on.
-
-    Resolution order: an explicit ``--cluster-map`` file, then
-    ``--nodes``/``--shards`` (deterministic computation), then the
-    index's sibling ``<index>.cluster.json``.  The map's fingerprint is
-    verified against the opened index either way, so a node serving a
-    stale or different build fails at bring-up.
-    """
-    from repro.megis.cluster import ClusterMap
-
-    if args.cluster_map is not None:
-        cluster_map = ClusterMap.load(args.cluster_map)
-    elif args.nodes is not None:
-        cluster_map = ClusterMap.for_index(index, args.nodes, args.shards)
-    else:
-        sibling = ClusterMap.sibling_path(args.index)
-        if not sibling.exists():
-            raise ValueError(
-                f"no placement given: pass --nodes N, --cluster-map PATH, "
-                f"or persist one at {sibling} (repro cluster --write-map)"
-            )
-        cluster_map = ClusterMap.load(sibling)
-    cluster_map.verify(index)
-    return cluster_map
-
-
 def _cmd_node(args: argparse.Namespace) -> int:
     """One cluster node: partial Step 2 over its shard group, via TCP.
 
@@ -387,11 +365,11 @@ def _cmd_node(args: argparse.Namespace) -> int:
     placement map fixes the contiguous group), binds the scatter-frame
     server, and serves until SIGTERM/SIGINT.
     """
-    from repro.megis.cluster import ClusterNode
+    from repro.megis.cluster import ClusterMap, ClusterNode
 
     index = _open_index(args)
     try:
-        cluster_map = _resolve_cluster_map(args, index)
+        cluster_map = ClusterMap.for_index(index, args.nodes, args.shards)
         if not (0 <= args.node_id < cluster_map.n_nodes):
             raise ValueError(
                 f"--node-id must be in [0, {cluster_map.n_nodes}), "
@@ -437,7 +415,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     local = _open_session(args)
     try:
-        cluster_map = _resolve_cluster_map(args, local.index)
+        cluster_map = ClusterMap.for_index(local.index, args.nodes, args.shards)
         endpoints_given = args.node or []
         if len(endpoints_given) != cluster_map.n_nodes:
             raise ValueError(
@@ -456,9 +434,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"--replica names nodes {unknown} outside "
                 f"[0, {cluster_map.n_nodes})"
             )
-        if args.write_map:
-            saved = cluster_map.save(ClusterMap.sibling_path(args.index))
-            print(f"wrote placement map to {saved}", file=sys.stderr)
         step_two = ClusterStepTwo(
             cluster_map,
             [NodeEndpoint(node_id, endpoint, replica=replicas.get(node_id))
@@ -616,12 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument("references", help="reference FASTA (from `simulate`)")
     index_build.add_argument("output", help="where to write the .megis index")
-    index_build.add_argument("--k", type=int, default=20)
-    index_build.add_argument("--sketch-fraction", type=float, default=0.25)
+    index_build.add_argument("--k", type=positive_int, default=20)
+    index_build.add_argument("--sketch-fraction", type=positive_float, default=0.25)
     index_build.add_argument("--seed", type=int, default=0)
-    index_build.add_argument("--shards", type=int, default=1,
-                             help="per-SSD range boundaries to record (each "
-                                  "shard's rows loadable independently, §6.1)")
     index_build.add_argument("--no-references", action="store_true",
                              help="omit the reference sequences (disables "
                                   "mapping-based Step 3 on the served index)")
@@ -637,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--index", default=None, metavar="PATH",
                          help="serve from a prebuilt index (`repro index "
                               "build`) instead of rebuilding databases")
-    analyze.add_argument("--k", type=int, default=20)
+    analyze.add_argument("--k", type=positive_int, default=20)
     analyze.add_argument("--abundance", choices=("mapping", "statistical"),
                          default="mapping")
     add_execution_flags(analyze)
@@ -728,20 +700,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "placement:\n"
-            "  Every participant opens the SAME index file and resolves "
+            "  Every participant opens the SAME index file and computes "
             "the SAME\n"
-            "  placement: --cluster-map PATH, or --nodes N [--shards M] "
-            "(computed\n"
-            "  deterministically), or the index's sibling "
-            "<index>.cluster.json.\n"
-            "  Node w owns the contiguous shard group "
-            "[M*w//N, M*(w+1)//N) — the\n"
-            "  session opens those shards only, so a node holds ~1/N of "
-            "the index's\n"
-            "  working set.  The map's fingerprint is checked against the "
-            "opened\n"
-            "  index, so a node serving a different build fails at "
-            "bring-up.\n"
+            "  placement from --nodes N [--shards M].  Node w owns the "
+            "contiguous\n"
+            "  shard group [M*w//N, M*(w+1)//N) — the session opens those "
+            "shards\n"
+            "  only, so a node holds ~1/N of the index's working set.  "
+            "Every reply\n"
+            "  carries the digest of the node's signature table, so the "
+            "router\n"
+            "  refuses a node serving a different build.\n"
             "\n"
             "wire format (schema 1):\n"
             "  The router speaks op-keyed frames; clients never see them.  "

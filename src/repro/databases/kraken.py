@@ -40,10 +40,6 @@ class KrakenLookupStats:
     lookups: int = 0
     hits: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class KrakenDatabase:
     """Hash table from canonical k-mer to LCA taxID."""
@@ -106,9 +102,6 @@ class KrakenDatabase:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, kmer: int) -> bool:
-        return int(kmer) in self._table
 
     def size_bytes(self) -> int:
         """Approximate on-disk size: Kraken2 uses ~16 B per entry."""

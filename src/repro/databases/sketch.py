@@ -251,14 +251,6 @@ class SketchDatabase:
                 result[k] = hit
         return result
 
-    def covered_owners(self, k: int, prefix: int) -> FrozenSet[int]:
-        """Union of owners of stored k_max-mers under ``prefix`` at level k."""
-        owners: set = set()
-        for kmer, taxids in self.tables[self.k_max].items():
-            if kmer_prefix(kmer, self.k_max, k) == prefix:
-                owners.update(taxids)
-        return frozenset(owners)
-
     def sorted_kmax_entries(self) -> List[Tuple[int, FrozenSet[int]]]:
         return sorted(self.tables[self.k_max].items())
 

@@ -24,9 +24,6 @@ class ExperimentResult:
             raise ValueError(f"row missing columns: {sorted(missing)}")
         self.rows.append(values)
 
-    def column(self, name: str) -> List[object]:
-        return [row[name] for row in self.rows]
-
     def format_table(self) -> str:
         """Render as a fixed-width text table."""
         header = [str(c) for c in self.columns]

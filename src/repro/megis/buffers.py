@@ -33,7 +33,7 @@ BUFFERED_DESIGN_OUT_BYTES = 64 * 1024
 KMER_REGISTER_BYTES = 15
 
 
-def query_batch_bytes(geometry: NandGeometry) -> int:
+def query_batch_size(geometry: NandGeometry) -> int:
     """One query batch: one multi-plane page per die across all channels."""
     return (
         geometry.channels
@@ -57,14 +57,14 @@ def buffered_design_bytes(geometry: NandGeometry) -> int:
 class IspBufferPlan:
     """Named internal-DRAM allocations for Step 2."""
 
-    batch_bytes: int
+    query_batch: int
     intersection_bytes: int
     metadata_bytes: int
 
     def allocations(self) -> Dict[str, int]:
         return {
-            "query_batch_0": self.batch_bytes,
-            "query_batch_1": self.batch_bytes,
+            "query_batch_0": self.query_batch,
+            "query_batch_1": self.query_batch,
             "intersection": self.intersection_bytes,
             # Named distinctly from the CommandProcessor's "megis_l2p" so a
             # pipeline that swaps FTL metadata separately can apply this
@@ -104,7 +104,7 @@ def plan_buffers(
     whatever DRAM remains; the default reserves a conservative 256 MiB.
     """
     return IspBufferPlan(
-        batch_bytes=query_batch_bytes(config.geometry),
+        query_batch=query_batch_size(config.geometry),
         intersection_bytes=intersection_bytes,
         metadata_bytes=metadata_bytes,
     )

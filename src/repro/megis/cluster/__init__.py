@@ -7,8 +7,8 @@ sharded data path stretched over TCP:
 
 - :mod:`~repro.megis.cluster.placement` — a deterministic
   :class:`ClusterMap` assigns contiguous, ascending shard groups to
-  nodes and persists alongside the index, so every participant computes
-  identical placement with no coordination service;
+  nodes as a pure function of ``(nodes, shards)``, so every participant
+  computes identical placement with no coordination service;
 - :mod:`~repro.megis.cluster.node` — :class:`ClusterNode`, an asyncio
   server over an :class:`~repro.megis.session.AnalysisSession` opened on
   its shard subset only, answering partial Step-2 scatter frames;

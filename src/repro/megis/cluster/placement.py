@@ -15,21 +15,19 @@ the index's database shards.  Placement must satisfy two constraints:
    compute identical placement.  The map is a pure function of
    ``(n_nodes, n_shards)``, and shard *boundaries* are a pure function
    of the index contents (:meth:`MegisIndex.shards` splits at equal
-   k-mer counts), so sharing the index file plus this map is enough —
-   there is no membership protocol.  :meth:`ClusterMap.save` persists
-   the map as JSON alongside the index with a content fingerprint;
-   :meth:`ClusterMap.verify` rejects a node serving a different index
-   build before it can return wrong columns.
+   k-mer counts), so sharing the index file plus ``--nodes``/``--shards``
+   is enough — there is no membership protocol and no map file.  The
+   map's fingerprint pins the router's index build:
+   :meth:`~repro.megis.cluster.router.ClusterStepTwo.bind` refuses a
+   local index whose signature-table digest differs, and every node reply
+   carries its own digest, so a node serving a different build is refused
+   before it can return wrong columns.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
-
-from repro.megis.wire import SCHEMA
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -78,18 +76,6 @@ class ClusterMap:
         shards = index.shards(self.n_shards)
         return [(shards[start].lo, shards[stop - 1].hi) for start, stop in self.groups]
 
-    def node_of(self, shard: int) -> int:
-        """The node owning shard ``shard``."""
-        if not (0 <= shard < self.n_shards):
-            raise ValueError(
-                f"shard must be in [0, {self.n_shards}), got {shard}"
-            )
-        for node in range(self.n_nodes):
-            start, stop = self.group(node)
-            if start <= shard < stop:
-                return node
-        raise AssertionError("contiguous groups cover every shard")
-
     # -- index binding ---------------------------------------------------------
 
     @classmethod
@@ -98,9 +84,8 @@ class ClusterMap:
         """The map for ``index`` served by ``n_nodes`` nodes.
 
         ``n_shards`` defaults to one shard per node; pass more for finer
-        groups (e.g. to match an index persisted pre-sharded).  The
-        fingerprint captures the index contents so :meth:`verify` can
-        reject a mismatched build.
+        groups.  The fingerprint captures the index contents, so a
+        router bound to a mismatched build refuses it.
         """
         return cls(
             n_nodes=n_nodes,
@@ -120,64 +105,6 @@ class ClusterMap:
             "kss_rows": len(index.kss),
             "signatures": index.kss.signatures.digest,
         }
-
-    def verify(self, index: Any) -> None:
-        """Raise ``ValueError`` when ``index`` is not the build this map
-        was computed for (no-op on an unpinned map)."""
-        if self.fingerprint is None:
-            return
-        actual = self.index_fingerprint(index)
-        if actual != self.fingerprint:
-            raise ValueError(
-                f"cluster map was computed for a different index build: "
-                f"map fingerprint {self.fingerprint}, index {actual}"
-            )
-
-    # -- persistence (alongside the index) --------------------------------------
-
-    @staticmethod
-    def sibling_path(index_path: Union[str, Path]) -> Path:
-        """The conventional on-disk location: ``<index>.cluster.json``."""
-        return Path(str(index_path) + ".cluster.json")
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist as JSON; every participant loads the same placement."""
-        path = Path(path)
-        payload = {  # repro: noqa[RPR004] cluster-map file payload (placement.SCHEMA), not a socket frame
-            "schema": SCHEMA,
-            "kind": "cluster_map",
-            "n_nodes": self.n_nodes,
-            "n_shards": self.n_shards,
-            "groups": [[start, stop] for start, stop in self.groups],
-            "fingerprint": self.fingerprint,
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ClusterMap":
-        """Load a persisted map, validating its internal consistency."""
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict) or payload.get("kind") != "cluster_map":
-            raise ValueError(f"{path} is not a cluster map")
-        if payload.get("schema") != SCHEMA:
-            raise ValueError(
-                f"{path} has schema {payload.get('schema')!r}; this build "
-                f"speaks schema {SCHEMA}"
-            )
-        cluster_map = cls(
-            n_nodes=int(payload["n_nodes"]),
-            n_shards=int(payload["n_shards"]),
-            fingerprint=payload.get("fingerprint"),
-        )
-        persisted = [tuple(group) for group in payload.get("groups", [])]
-        if persisted and persisted != cluster_map.groups:
-            raise ValueError(
-                f"{path} carries groups {persisted} but deterministic "
-                f"placement for {cluster_map.n_nodes} nodes over "
-                f"{cluster_map.n_shards} shards is {cluster_map.groups}"
-            )
-        return cluster_map
 
 
 __all__ = ["ClusterMap"]

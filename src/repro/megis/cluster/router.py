@@ -561,8 +561,8 @@ class ClusterAnalysisSession:
     """The router's session: Steps 1/3 local, Step 2 scattered.
 
     Implements the session surface
-    :class:`~repro.megis.service.AnalysisService` drives (``warm`` /
-    ``analyze`` / ``analyze_batch`` / ``close``), so
+    :class:`~repro.megis.service.AnalysisService` drives (``warm`` and
+    ``analyze_batch``), so
     the whole gateway stack — workers, §4.7 batch coalescing, bounded
     admission, completion streaming — serves the cluster unchanged.
     ``session`` is a *full* local session over the same index (its
@@ -581,31 +581,9 @@ class ClusterAnalysisSession:
         self.session = session
         self.step_two = step_two
 
-    @property
-    def config(self) -> Any:
-        return self.session.config
-
-    @property
-    def references(self) -> Any:
-        return self.session.references
-
-    @property
-    def backend_name(self) -> str:
-        name: str = self.session.backend_name
-        return name
-
     def warm(self) -> "ClusterAnalysisSession":
         self.session.warm()
         return self
-
-    def close(self) -> None:
-        """Close the local session and the scatter's kept connections."""
-        self.session.close()
-        self.step_two.close()
-
-    def analyze(self, reads: Sequence[Read],
-                with_abundance: bool = True) -> MegisResult:
-        return self.analyze_batch([reads], with_abundance)[0]
 
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True

@@ -198,10 +198,6 @@ class KmerBucketPartitioner:
     def kmer_bytes(self) -> int:
         return kmer_record_bytes(self.k)
 
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
     # -- boundary selection ----------------------------------------------------
 
     @property

@@ -14,11 +14,9 @@ Layout decisions that matter:
   streams, §4.3.1) — no per-k-mer owner CSR, since taxIDs come from the
   KSS (§4.3.2) and no query reads one; an opened database is therefore
   ownerless.  The manifest records the ``n_shards``-way range boundaries
-  the file was saved with, and because the records are fixed width a
-  multi-SSD deployment parses only its own rows
-  (:meth:`MegisIndex.load_shard`); a whole-index open shards that one
-  column at the persisted count exactly as at any other — zero-copy
-  views;
+  the file was saved with, and the loader checks every key against its
+  slot's range; an open index shards that one column at the persisted
+  count exactly as at any other — zero-copy views;
 - the KSS is stored as its **per-level columns** (key rows, one
   ``int32`` signature per row, and the smaller levels' stored taxID CSR)
   plus **one signature table** — the CSR of the distinct full owner sets
@@ -75,7 +73,7 @@ from repro.databases.serialization import (
     parse_kmer_column,
     unpack_sections,
 )
-from repro.databases.sketch import SketchDatabase
+from repro.databases.sketch import SketchDatabase, _check_fraction
 from repro.databases.sorted_db import SortedKmerDatabase, extract_pairs
 from repro.megis.multissd import (
     DatabaseShard,
@@ -152,9 +150,9 @@ class MegisIndex:
         """Serialize to the ``MEGISIDX`` section container.
 
         ``n_shards`` fixes which N-way range boundaries the manifest
-        records (what :meth:`load_shard` attaches by); the sections are
-        the same at every count, and a reader may re-shard at any other
-        after a full :meth:`open`.
+        records (the loader checks the keys against them); the sections
+        are the same at every count, and a reader shards at any count
+        after :meth:`open`.
         """
         shards = split_database(self.database, n_shards)
         kss_store = self.kss.store()
@@ -236,7 +234,7 @@ class MegisIndex:
         it, and :meth:`shards` splits it like any built database.
         """
         manifest = _manifest(sections)
-        database = _database(sections, manifest, range(manifest.n_shards))
+        database = _database(sections, manifest)
         kss = KssTables.from_store(_kss_store(sections, manifest))
         sketch = _lazy_sketch(sections, manifest, kss)
         references = None
@@ -265,29 +263,6 @@ class MegisIndex:
         if not mmap:
             return cls.from_bytes(Path(path).read_bytes())
         return cls._from_sections(map_sections(Path(path)))
-
-    @classmethod
-    def load_shard(cls, payload: bytes, shard_index: int) -> DatabaseShard:
-        """Load one SSD's shard without parsing the other shards' records.
-
-        Parses the manifest, the shard's own fixed-width rows of the
-        ``db/kmers`` section, and the (whole-range) KSS sections, returning
-        the shard handle a single-shard worker would serve from — the
-        other shards' database bytes are never touched.
-        """
-        sections = unpack_sections(payload)
-        manifest = _manifest(sections)
-        if not 0 <= shard_index < manifest.n_shards:
-            raise SerializationError(
-                f"shard {shard_index} out of range (index has {manifest.n_shards})"
-            )
-        lo, hi = manifest.shard_ranges[shard_index]
-        kss = KssTables.from_store(_kss_store(sections, manifest))
-        return DatabaseShard(
-            index=shard_index, lo=lo, hi=hi,
-            database=_database(sections, manifest, range(shard_index, shard_index + 1)),
-            kss=kss.slice_range(lo, hi),
-        )
 
 
 # -- loading helpers ----------------------------------------------------------
@@ -399,11 +374,9 @@ def _section(sections: Sections, name: str) -> NDArray[np.uint8]:
     return sections[name]
 
 
-def _database(
-    sections: Sections, manifest: _Manifest, slots: range
-) -> SortedKmerDatabase:
-    """The rows of ``db/kmers`` in the shard ``slots`` as an (ownerless)
-    database, checked against the manifest.
+def _database(sections: Sections, manifest: _Manifest) -> SortedKmerDatabase:
+    """``db/kmers`` as an (ownerless) database, checked against the
+    manifest.
 
     Slot ``i`` of an N-way file is rows ``[rows*i//N, rows*(i+1)//N)`` —
     :func:`~repro.megis.multissd.split_database`'s cut — and its keys must
@@ -412,13 +385,9 @@ def _database(
     matches.
     """
     n, rows = manifest.n_shards, manifest.db_rows
-    base = rows * slots.start // n
-    column = _load_column(
-        sections, "db/kmers", manifest.k, rows, base, rows * slots.stop // n
-    )
-    for i in slots:
-        lo, hi = manifest.shard_ranges[i]
-        keys = column[rows * i // n - base:rows * (i + 1) // n - base]
+    column = _load_column(sections, "db/kmers", manifest.k, rows)
+    for i, (lo, hi) in enumerate(manifest.shard_ranges):
+        keys = column[rows * i // n:rows * (i + 1) // n]
         if len(keys) and not lo <= int(keys[0]) <= int(keys[-1]) < hi:
             raise SerializationError(
                 f"shard {i} holds k-mers outside [{lo}, {hi}), its slot in the "
@@ -428,19 +397,17 @@ def _database(
 
 
 def _load_column(
-    sections: Sections, name: str, k: int, rows: int,
-    start: int = 0, stop: Optional[int] = None,
+    sections: Sections, name: str, k: int, rows: int
 ) -> NDArray[Any]:
-    """Rows ``[start, stop)`` of a packed ``rows``-record k-mer/prefix
-    column (all of it by default), materialized as a sorted ndarray."""
+    """A packed ``rows``-record k-mer/prefix column, materialized as a
+    sorted ndarray."""
     section, width = _section(sections, name), kmer_record_bytes(k)
     if len(section) != rows * width:
         raise SerializationError(
             f"section {name!r} is {len(section)} bytes, not the manifest's "
             f"{rows} rows of {width}"
         )
-    stop = rows if stop is None else stop
-    column = parse_kmer_column(section[start * width:stop * width], k, stop - start)
+    column = parse_kmer_column(section, k, rows)
     if np.any(column[1:] < column[:-1]):
         raise SerializationError(f"section {name!r} is not sorted ascending")
     return column
@@ -557,6 +524,7 @@ class IndexBuilder:
     def __post_init__(self) -> None:
         if any(not 0 < level < self.k for level in self.resolved_smaller_ks()):
             raise ValueError("smaller_ks must lie strictly between 0 and k_max")
+        _check_fraction(self.sketch_fraction)
 
     def resolved_smaller_ks(self) -> Tuple[int, ...]:
         if self.smaller_ks is not None:

@@ -315,14 +315,6 @@ class MultiSsdStepTwo:
         shard_kss(kss, self.shards)
         self.channels_per_ssd = channels_per_ssd
 
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
-    def n_ssds(self) -> int:
-        return len(self.shards)
-
     def run(
         self,
         sorted_query: IntColumn,

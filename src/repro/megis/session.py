@@ -128,7 +128,6 @@ class MegisConfig:
     min_containment: float = 0.15
     mapper_k: int = 15
     host_dram_bytes: Optional[int] = None
-    batch_bytes: int = 1 << 20  # query transfer batch size (two in flight)
     #: Step-3 flavor (§4.4): "mapping" (read mapping over the unified
     #: index, accurate) or "statistical" (EM over Step-2 hits, lightweight).
     abundance_method: str = "mapping"
@@ -162,8 +161,6 @@ class MegisConfig:
             raise ValueError(f"n_ssds must be >= 1, got {self.n_ssds}")
         if self.mapper_k < 1:
             raise ValueError(f"mapper_k must be >= 1, got {self.mapper_k}")
-        if self.batch_bytes < 1:
-            raise ValueError(f"batch_bytes must be >= 1, got {self.batch_bytes}")
         # Not capped at 1: candidate scores add weighted levels.
         if not math.isfinite(self.min_containment):
             raise ValueError(
@@ -218,7 +215,6 @@ class MegisResult:
     n_buckets: int = 0
     spilled_bytes: int = 0
     query_kmers: int = 0
-    transfer_batches: int = 0
     merge_stats: Optional[IndexMergeStats] = None
     #: Per-phase wall time and streaming counters.  In multi-sample mode the
     #: intersect/retrieve phases reflect the whole batch (the database is
@@ -539,9 +535,6 @@ class AnalysisSession:
                 n_buckets=len(buckets),
                 spilled_bytes=buckets.spilled_bytes,
                 query_kmers=buckets.total_kmers(),
-                transfer_batches=self._count_batches(
-                    buckets, self._partitioner.kmer_bytes
-                ),
                 timings=PhaseTimings(backend=batch_timings.backend, extract_ms=ms),
             )
             result.timings.merge(batch_timings)
@@ -800,11 +793,3 @@ class AnalysisSession:
             result.profile, _ = estimator.estimate_from_retrieval(
                 retrieved, result.candidates
             )
-
-    def _count_batches(self, buckets, kmer_bytes: int) -> int:
-        total = 0
-        for bucket in buckets.buckets:
-            size = bucket.byte_size(kmer_bytes)
-            if len(bucket.kmers):
-                total += max(1, -(-size // self.config.batch_bytes))
-        return total

@@ -220,20 +220,11 @@ def add_gateway_flags(parser: argparse.ArgumentParser) -> None:
 
 def add_cluster_map_flags(parser: argparse.ArgumentParser) -> None:
     """Register the shard-placement flags shared by ``repro node`` and
-    ``repro cluster``.
-
-    Placement resolves the same way on every participant: an explicit
-    ``--cluster-map`` file wins, then ``--nodes``/``--shards`` compute
-    the deterministic map, then the index's sibling
-    ``<index>.cluster.json`` is loaded.
-    """
-    parser.add_argument("--cluster-map", default=None, metavar="PATH",
-                        help="load a persisted placement map (default: "
-                             "<index>.cluster.json when neither this nor "
-                             "--nodes is given)")
-    parser.add_argument("--nodes", type=positive_int, default=None,
-                        help="compute the deterministic placement for N "
-                             "nodes instead of loading a map file")
+    ``repro cluster``: every participant computes the same deterministic
+    map from ``--nodes``/``--shards``."""
+    parser.add_argument("--nodes", type=positive_int, required=True,
+                        help="node count the deterministic placement is "
+                             "computed for (required)")
     parser.add_argument("--shards", type=positive_int, default=None,
                         help="total shard count behind --nodes (default: "
                              "one shard per node)")
@@ -282,9 +273,6 @@ def add_cluster_flags(parser: argparse.ArgumentParser) -> None:
                         help="node health ping interval; 'off' is not an "
                              "option — lower it to detect dead nodes "
                              "sooner (default: 1000)")
-    parser.add_argument("--write-map", action="store_true",
-                        help="persist the resolved placement to "
-                             "<index>.cluster.json so nodes can load it")
 
 
 def execution_config_kwargs(args: argparse.Namespace) -> Dict[str, object]:

@@ -44,10 +44,6 @@ class EnergyReport:
     joules: float
     component_joules: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def kilojoules(self) -> float:
-        return self.joules / 1e3
-
 
 class EnergyModel:
     """Charges component powers against a :class:`TimeBreakdown`."""

@@ -64,11 +64,6 @@ class SystemSpec:
     def price_usd(self) -> float:
         return self.host.dram_price_usd + self.ssd_price_usd * self.n_ssds
 
-    def with_ssds(self, n: int) -> "SystemSpec":
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return replace(self, n_ssds=n)
-
     def with_channels(self, channels: int) -> "SystemSpec":
         return replace(self, ssd=self.ssd.with_channels(channels))
 

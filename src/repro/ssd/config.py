@@ -56,10 +56,6 @@ class NandGeometry:
         return self.blocks * self.pages_per_block
 
     @property
-    def block_bytes(self) -> int:
-        return self.pages_per_block * self.page_bytes
-
-    @property
     def capacity_bytes(self) -> int:
         return self.pages * self.page_bytes
 

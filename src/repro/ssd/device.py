@@ -107,13 +107,3 @@ class SSD:
                 AccessPattern.RANDOM
             )
         return self._random_bw_cache[key]
-
-    # -- convenience ---------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.config.capacity_bytes

@@ -109,9 +109,6 @@ class PageLevelFTL:
     def translate(self, lpa: int) -> Optional[PageAddress]:
         return self._l2p.get(lpa)
 
-    def mapped_lpas(self) -> list:
-        return sorted(self._l2p)
-
     # -- allocation --------------------------------------------------------------
 
     def _program_next(self, data: object) -> PageAddress:
@@ -210,12 +207,3 @@ class PageLevelFTL:
     def metadata_bytes(self) -> int:
         """Full-device L2P table size: 4 bytes per 4-KiB mapping unit."""
         return self.geometry.capacity_bytes // L2P_UNIT_BYTES * L2P_ENTRY_BYTES
-
-    # Backwards-compatible counters.
-    @property
-    def host_writes(self) -> int:
-        return self.stats.host_writes
-
-    @property
-    def host_reads(self) -> int:
-        return self.stats.host_reads

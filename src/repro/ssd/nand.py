@@ -11,7 +11,7 @@ die's planes concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ssd.config import NandGeometry
 
@@ -127,11 +127,5 @@ class NandFlash:
 
     # -- introspection -----------------------------------------------------
 
-    def is_programmed(self, addr: PageAddress) -> bool:
-        return addr in self._page_data
-
     def erase_count(self, channel: int, die: int, plane: int, block: int) -> int:
         return self._erase_counts.get((channel, die, plane, block), 0)
-
-    def programmed_pages(self) -> Iterable[PageAddress]:
-        return sorted(self._page_data)

@@ -29,9 +29,6 @@ class AbundanceProfile:
             return cls({})
         return cls({t: v / total for t, v in counts.items() if v > 0})
 
-    def normalized(self) -> "AbundanceProfile":
-        return AbundanceProfile.from_counts(self.fractions)
-
     def present(self, threshold: float = 0.0) -> Set[int]:
         """Taxids called present (abundance strictly above ``threshold``)."""
         return {t for t, v in self.fractions.items() if v > threshold}

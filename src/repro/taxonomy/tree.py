@@ -68,9 +68,6 @@ class Taxonomy:
     def __contains__(self, taxid: int) -> bool:
         return taxid in self._nodes
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def node(self, taxid: int) -> TaxonomyNode:
         return self._nodes[taxid]
 

@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence, Set
 from repro.databases.kraken import KrakenDatabase
 from repro.sequences.keys import extract_kmers
 from repro.sequences.reads import Read
-from repro.taxonomy.profiles import AbundanceProfile
 from repro.taxonomy.tree import Rank
 
 
@@ -104,7 +103,3 @@ class Kraken2Classifier:
             for taxid, count in result.species_counts(self.taxonomy).items()
             if count >= min_reads
         }
-
-    def profile(self, result: Kraken2Result) -> AbundanceProfile:
-        """Naive species-level profile from direct assignments (pre-Bracken)."""
-        return AbundanceProfile.from_counts(result.species_counts(self.taxonomy))

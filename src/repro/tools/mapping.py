@@ -53,11 +53,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sequences.generator import ReferenceCollection
 from repro.sequences.keys import extract_kmers, extract_kmers_batch
 from repro.sequences.keys import searchsorted_clamped, spare_bits
 from repro.sequences.kmers import KmerStream, read_id_bits
@@ -236,20 +235,6 @@ class ReadMapper:
             raise ValueError("min_seed_hits must be >= 1")
         self.index = index
         self.min_seed_hits = min_seed_hits
-
-    @classmethod
-    def for_candidates(
-        cls,
-        references: ReferenceCollection,
-        candidate_taxids: Iterable[int],
-        k: int = 15,
-        min_seed_hits: int = 2,
-    ) -> "ReadMapper":
-        indexes = [
-            SpeciesIndex.build(t, references.sequence(t), k)
-            for t in sorted(set(candidate_taxids))
-        ]
-        return cls(UnifiedIndex.merge(indexes), min_seed_hits=min_seed_hits)
 
     def map_read(self, sequence: str) -> Optional[int]:
         """Best species for one read, or None if unmapped."""

@@ -322,7 +322,7 @@ class TestShardedKernels:
                                  backend=backend)
         timings = PhaseTimings()
         intersecting, retrieved = engine.run(query, timings=timings)
-        assert timings.db_stream_passes == engine.n_ssds
+        assert timings.db_stream_passes == len(engine.shards)
         assert as_ints(intersecting) == database.intersect(query)
         assert query_dicts(retrieved) == query_dicts(kss_tables.retrieve(intersecting))
 
@@ -470,8 +470,8 @@ class TestPipelineEquivalence:
         assert get_backend() is get_backend("numpy")
         assert default_session.config.backend == "numpy"
         assert default_session.backend_name == "numpy"
-        assert default_session._partitioner.backend_name == "numpy"
-        assert default_session.isp.backend_name == "numpy"
+        assert default_session._partitioner._backend is get_backend("numpy")
+        assert default_session.isp._backend is get_backend("numpy")
         results = default_session.analyze_batch([sample.reads[:200], sample.reads[200:]])
         assert [r.timings.backend for r in results] == ["numpy", "numpy"]
         assert fits_word(default_session.config.mapper_k)

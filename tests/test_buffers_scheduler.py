@@ -6,7 +6,7 @@ from repro.megis.buffers import (
     buffered_design_bytes,
     dram_bandwidth_demand,
     plan_buffers,
-    query_batch_bytes,
+    query_batch_size,
     stream_register_bytes,
 )
 from repro.ssd.config import NandGeometry, ssd_c, ssd_p
@@ -28,7 +28,7 @@ class TestBufferSizing:
             channels=8, dies_per_channel=4, planes_per_die=2,
             blocks_per_plane=2048, pages_per_block=588, page_bytes=16 * 1024,
         )
-        assert query_batch_bytes(geometry) == 1 << 20
+        assert query_batch_size(geometry) == 1 << 20
 
     def test_registers_cheaper_than_staging_buffers(self):
         for config in (ssd_c(), ssd_p()):

@@ -87,7 +87,7 @@ class TestIndexLifecycle:
     def index_path(self, dataset, tmp_path_factory):
         path = tmp_path_factory.mktemp("idx") / "world.megis"
         assert main(["index", "build", str(dataset / "references.fasta"),
-                     str(path), "--shards", "2"]) == 0
+                     str(path)]) == 0
         return path
 
     def test_build_reports_stats(self, dataset, tmp_path, capsys):
@@ -230,6 +230,34 @@ def test_retired_process_executor_is_a_usage_error(command, dataset, capsys):
     assert "'processes:2'" in err and "'threads:N'" in err
 
 
+class TestBadNumbers:
+    """A number the command cannot use is one stderr message and exit
+    status 2 — argparse's usage error, or the builder's or the
+    simulator's refusal — never a ValueError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{tmp}/ds", "--reads", "-5"],
+        ["index", "build", "{refs}", "{tmp}/x.megis", "--k", "0"],
+        ["index", "build", "{refs}", "{tmp}/x.megis", "--k", "1"],
+        ["index", "build", "{refs}", "{tmp}/x.megis", "--sketch-fraction", "0"],
+        ["index", "build", "{refs}", "{tmp}/x.megis", "--sketch-fraction", "nan"],
+        ["index", "build", "{refs}", "{tmp}/x.megis", "--sketch-fraction", "2"],
+        ["analyze", "{refs}", "{reads}", "--k", "0"],
+        ["analyze", "{refs}", "{reads}", "--k", "1"],
+    ], ids=lambda argv: " ".join(arg for arg in argv if "{" not in arg))
+    def test_exit_2_without_traceback(self, argv, dataset, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path, refs=dataset / "references.fasta",
+                           reads=dataset / "reads.fastq") for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as usage:
+            code = usage.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
+        assert not (tmp_path / "x.megis").exists()
+
+
 class TestReplicaFlag:
     """``--replica NODE=HOST:PORT``: parsed by ``options.replica_spec``,
     then refused by ``repro cluster`` unless each names a placed node once
@@ -265,7 +293,7 @@ class TestReplicaFlag:
     def index_path(self, dataset, tmp_path_factory):
         path = tmp_path_factory.mktemp("replica") / "world.megis"
         assert main(["index", "build", str(dataset / "references.fasta"),
-                     str(path), "--shards", "2"]) == 0
+                     str(path)]) == 0
         return path
 
     @pytest.mark.parametrize("replicas, message", [
@@ -287,7 +315,7 @@ class TestServe:
     def index_path(self, dataset, tmp_path_factory):
         path = tmp_path_factory.mktemp("serve") / "world.megis"
         assert main(["index", "build", str(dataset / "references.fasta"),
-                     str(path), "--shards", "2"]) == 0
+                     str(path)]) == 0
         return path
 
     @pytest.fixture(scope="class")

@@ -265,9 +265,6 @@ class TestClusterMap:
         # Contiguity: every shard owned exactly once, in order.
         covered = [s for start, stop in groups for s in range(start, stop)]
         assert covered == list(range(8))
-        for shard in range(8):
-            start, stop = cluster_map.group(cluster_map.node_of(shard))
-            assert start <= shard < stop
 
     def test_one_shard_per_node_default(self, golden_world):
         _, index = golden_world
@@ -282,64 +279,20 @@ class TestClusterMap:
             ClusterMap(n_nodes=4, n_shards=2)
         with pytest.raises(ValueError):
             ClusterMap(n_nodes=2, n_shards=4).group(2)
-        with pytest.raises(ValueError):
-            ClusterMap(n_nodes=2, n_shards=4).node_of(4)
-
-    def test_save_load_roundtrip(self, golden_world, tmp_path):
-        _, index = golden_world
-        cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
-        path = cluster_map.save(ClusterMap.sibling_path(
-            tmp_path / "world.megis"))
-        assert path.name == "world.megis.cluster.json"
-        loaded = ClusterMap.load(path)
-        assert loaded == cluster_map
-        assert loaded.fingerprint == cluster_map.fingerprint
-        loaded.verify(index)  # same build: accepted
-
-    def test_load_rejects_tampered_groups(self, tmp_path):
-        path = tmp_path / "map.json"
-        ClusterMap(n_nodes=2, n_shards=4).save(path)
-        payload = json.loads(path.read_text())
-        payload["groups"] = [[0, 1], [1, 4]]  # not the deterministic split
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="deterministic placement"):
-            ClusterMap.load(path)
-
-    def test_load_rejects_wrong_kind_and_schema(self, tmp_path):
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps({"kind": "something_else"}))
-        with pytest.raises(ValueError, match="not a cluster map"):
-            ClusterMap.load(path)
-        path.write_text(json.dumps(
-            {"kind": "cluster_map", "schema": 99, "n_nodes": 1,
-             "n_shards": 1}))
-        with pytest.raises(ValueError, match="schema"):
-            ClusterMap.load(path)
-
-    def test_verify_rejects_different_index_build(self, golden_world):
-        _, index = golden_world
-        cluster_map = ClusterMap(
-            n_nodes=2, n_shards=4,
-            fingerprint={"k": 11, "db_kmers": 1, "kss_rows": 1},
-        )
-        with pytest.raises(ValueError, match="different index build"):
-            cluster_map.verify(index)
 
     def test_same_sizes_different_owners_refused(self, golden_world, golden,
                                                  chunks):
         """Two builds of the same sizes whose owners differ — the same
         genomes under swapped taxIDs — agree on k, database and KSS row
-        counts, but not on the signature-table digest: the map refuses
-        the other build, a router over it refuses to bind, and a node
-        serving it fails every scatter attempt."""
+        counts, but not on the signature-table digest: a router over it
+        refuses to bind, and a node serving it fails every scatter
+        attempt."""
         sample, index = golden_world
         other = golden_index(swapped_taxids(sample.references), golden)
         assert len(other.database) == len(index.database)
         assert len(other.kss) == len(index.kss)
         assert other.kss.signatures.digest != index.kss.signatures.digest
         cluster_map = ClusterMap.for_index(index, 1, 1)
-        with pytest.raises(ValueError, match="different index build"):
-            cluster_map.verify(other)
         with pytest.raises(ValueError, match="different index build"):
             ClusterStepTwo(cluster_map, [NodeEndpoint(0, ("127.0.0.1", 1))]
                            ).bind(other.kss.signatures,

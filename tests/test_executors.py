@@ -4,6 +4,7 @@ plumbing."""
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import threading
 import time
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from repro.backends import PhaseTimings, available_backends, get_backend
 from repro.backends.base import clip_buckets
 from repro.backends.paced import PacedStepTwoBackend
-from repro.megis.executors import available_executors, parse_spec, shard_pool
+from repro.megis.executors import available_executors, parse_spec, shard_pool, shard_workers
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
@@ -87,6 +88,13 @@ class TestSpecs:
             assert spec == family
         else:
             assert workers >= 1 and spec == f"{family}:{workers}"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the platform has no affinity mask")
+    def test_bare_threads_sizes_to_the_affinity_mask(self):
+        """``--executor threads`` / ``MegisConfig(executor="threads")``: one
+        thread per CPU this process may run on, not per CPU installed."""
+        assert shard_workers("threads") == len(os.sched_getaffinity(0))
 
     def test_retired_process_spec_is_refused(self):
         """``processes[:N]`` is an unknown family: the config refuses it,
@@ -304,7 +312,7 @@ class TestPacedBackend:
         assert paced.columnar is True
         reference = IspStepTwo(sorted_db, kss_tables, backend="numpy")
         timed = IspStepTwo(sorted_db, kss_tables, backend=paced)
-        assert timed.backend_name == "paced"
+        assert timed._backend.name == "paced"
         expected = reference.run_bucket_set(bucket_set)
         got = timed.run_bucket_set(bucket_set)
         assert as_ints(got[0]) == as_ints(expected[0])

@@ -51,18 +51,19 @@ def world(golden):
     return sample, sorted_db, sketch
 
 
-def _run(world, golden, backend: str, method: str, n_ssds: int = 1):
+def _run(world, golden, backend: str, method: str, n_ssds: int = 1,
+         executor=None):
     sample, sorted_db, sketch = world
     p = golden["params"]
-    session = AnalysisSession(
+    with AnalysisSession(
         MegisIndex(sorted_db, sketch, sample.references),
         config=MegisConfig(
             backend=backend, n_buckets=p["n_buckets"],
             min_containment=p["min_containment"],
-            abundance_method=method, n_ssds=n_ssds,
+            abundance_method=method, n_ssds=n_ssds, executor=executor,
         ),
-    )
-    return session.analyze(sample.reads)
+    ) as session:
+        return session.analyze(sample.reads)
 
 
 def _check(result, expected):
@@ -92,6 +93,15 @@ def test_golden_single_ssd(world, golden, backend, method):
 def test_golden_sharded(world, golden, backend):
     """n_ssds > 1 must reproduce the same golden numbers bit for bit."""
     result = _run(world, golden, backend, "statistical", n_ssds=3)
+    _check(result, golden["expected"]["statistical"])
+
+
+def test_golden_sharded_on_a_bare_threads_pool(world, golden):
+    """A bare ``threads`` spec (``--executor threads``) runs the shard
+    tasks on one pool thread per CPU this process may run on, and serves
+    the serial loop's golden numbers."""
+    result = _run(world, golden, "numpy", "statistical", n_ssds=3,
+                  executor="threads")
     _check(result, golden["expected"]["statistical"])
 
 

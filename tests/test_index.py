@@ -307,8 +307,7 @@ class TestManifestValidation:
         path = tmp_path / "tampered.megis"
         path.write_bytes(payload)
         for load in (lambda: MegisIndex.from_bytes(payload),
-                     lambda: MegisIndex.open(path),
-                     lambda: MegisIndex.load_shard(payload, 0)):
+                     lambda: MegisIndex.open(path)):
             with pytest.raises(SerializationError, match="manifest"):
                 load()
 
@@ -320,19 +319,16 @@ class TestManifestValidation:
         ``SerializationError`` from the shard whose keys it cuts; left
         alone the container is byte-identical and serves the built result."""
         payload = index.to_bytes(n_shards=2)
-        [first_of_second] = MegisIndex.load_shard(payload, 1).database.kmers[:1]
+        [first_of_second] = MegisIndex.from_bytes(payload).shards(2)[1].database.kmers[:1]
 
         def moved(cut):
             return with_manifest(payload, lambda m: {
                 **m, "shard_ranges": [[0, cut], [cut, _top(m)]]})
 
         lowered, raised = moved(first_of_second // 2), moved(first_of_second + 1)
-        for tampered, cut_shard, whole_shard in ((lowered, 0, 1), (raised, 1, 0)):
+        for tampered, cut_shard in ((lowered, 0), (raised, 1)):
             with pytest.raises(SerializationError, match=f"shard {cut_shard}"):
                 MegisIndex.from_bytes(tampered)
-            with pytest.raises(SerializationError, match=f"shard {cut_shard}"):
-                MegisIndex.load_shard(tampered, cut_shard)
-            assert len(MegisIndex.load_shard(tampered, whole_shard).database)
 
         untouched = with_manifest(payload, lambda m: m)
         assert untouched == payload
@@ -448,12 +444,6 @@ class TestContainerProperties:
                 pass
 
 
-def _assert_same_shard(got, want):
-    assert (got.index, got.lo, got.hi) == (want.index, want.lo, want.hi)
-    assert got.database.kmers == want.database.kmers
-    _assert_same_columns(_kss_columns(got.kss), _kss_columns(want.kss))
-
-
 @pytest.mark.parametrize("k", [12, 40])  # uint64 / object key columns
 class TestOneKeySectionProperties:
     """The file holds the database as one key column: the shard count it
@@ -487,8 +477,6 @@ class TestOneKeySectionProperties:
                         == [(s.lo, s.hi) for s in want_shards])
                 for mine, theirs in zip(got_shards, want_shards):
                     assert mine.database.kmers == theirs.database.kmers
-            for i, shard in enumerate(opened.shards(n)):
-                _assert_same_shard(MegisIndex.load_shard(payload, i), shard)
             for backend in BACKENDS:
                 assert pairs_as_ints(AnalysisSession(
                     opened, MegisConfig(backend=backend, n_ssds=m)
@@ -518,13 +506,6 @@ class TestOneKeySectionProperties:
             MegisIndex.from_bytes(tampered)
         with pytest.raises(SerializationError):
             MegisIndex.open(path)
-        refused = []
-        for i in range(n):
-            try:
-                MegisIndex.load_shard(tampered, i)
-            except SerializationError:
-                refused.append(i)
-        assert refused  # (a moved boundary: the shard whose keys it cuts)
 
 
 class TestServedEquivalence:
@@ -862,17 +843,6 @@ class TestLegacyAndCorruption:
 
 
 class TestShardSections:
-    def test_load_single_shard_independently(self, payload, opened):
-        for i, want in enumerate(opened.shards(3)):
-            shard = MegisIndex.load_shard(payload, i)
-            assert (shard.lo, shard.hi) == (want.lo, want.hi)
-            assert shard.database.kmers == want.database.kmers
-            assert shard.kss is not None
-
-    def test_shard_index_out_of_range(self, payload):
-        with pytest.raises(SerializationError, match="out of range"):
-            MegisIndex.load_shard(payload, 5)
-
     def test_shard_kss_range_bounded(self, opened, kss_tables):
         # Range-sharded KSS: every shard's KSS only carries its own range
         # (prefix-aligned), and together they stay smaller than n copies.

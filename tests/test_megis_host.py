@@ -372,8 +372,8 @@ class TestColumnarPartitioner:
         assert all(isinstance(b.kmers, np.ndarray) for b in bucket_set.buckets)
 
     def test_backend_name(self):
-        assert KmerBucketPartitioner(k=10, backend="numpy").backend_name == "numpy"
-        assert KmerBucketPartitioner(k=10).backend_name == "numpy"
+        assert KmerBucketPartitioner(k=10, backend="numpy")._backend.name == "numpy"
+        assert KmerBucketPartitioner(k=10)._backend.name == "numpy"
 
 
 class TestPinning:

@@ -71,7 +71,6 @@ class TestPipelineBehaviour:
         result = session.analyze(sample.reads)
         assert result.n_buckets == session.config.n_buckets
         assert result.query_kmers > 0
-        assert result.transfer_batches > 0
         assert result.merge_stats is not None
         assert result.merge_stats.entries_written > 0
 
@@ -113,8 +112,6 @@ class TestConfigValidation:
     when the config is built, naming the field."""
 
     @pytest.mark.parametrize("field, value", [
-        ("batch_bytes", 0),
-        ("batch_bytes", -5),
         ("min_containment", float("nan")),
         ("min_containment", float("inf")),
         ("min_containment", float("-inf")),
@@ -134,15 +131,6 @@ class TestConfigValidation:
             config=MegisConfig(min_containment=min_containment),
         )
         assert session.analyze(sample.reads, with_abundance=False).candidates
-
-    def test_one_byte_batches_run(self, sorted_db, sketch_db, sample):
-        config = MegisConfig(batch_bytes=1)
-        session = AnalysisSession(
-            MegisIndex(sorted_db, sketch_db, sample.references), config=config
-        )
-        result = session.analyze(sample.reads, with_abundance=False)
-        kmer_bytes = (2 * sorted_db.k + 7) // 8
-        assert result.transfer_batches == result.query_kmers * kmer_bytes
 
 
 class TestUnifiedIndexMerge:

@@ -280,7 +280,7 @@ class TestMultiSsdStepTwo:
         assert query_dicts(retrieved) == {}
 
     def test_n_ssds_property(self, sorted_db, kss_tables):
-        assert MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=4).n_ssds == 4
+        assert len(MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=4).shards) == 4
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_timings_threaded(self, sorted_db, kss_tables, backend):

@@ -19,6 +19,13 @@ def _session(sorted_db, sketch_db, references):
     return AnalysisSession(MegisIndex(sorted_db, sketch_db, references))
 
 
+def _dict_mapper(references, taxids, k=15):
+    """The reference (dict) read mapper over ``taxids``' genomes."""
+    return ReadMapper(UnifiedIndex.merge(
+        [SpeciesIndex.build(t, references.sequence(t), k) for t in sorted(taxids)]
+    ))
+
+
 @pytest.fixture(scope="module")
 def clean_reads(sample):
     """Error-free reads with known provenance (easier ground truth)."""
@@ -145,7 +152,7 @@ class TestMapping:
 
     def test_clean_reads_map_to_source(self, sample, clean_reads):
         candidates = sample.present_species()
-        mapper = ReadMapper.for_candidates(sample.references, candidates, k=15)
+        mapper = _dict_mapper(sample.references, candidates)
         correct = total = 0
         for read in clean_reads[:80]:
             mapped = mapper.map_read(read.sequence)
@@ -157,17 +164,13 @@ class TestMapping:
         assert correct / total > 0.8
 
     def test_unmappable_read(self, sample):
-        mapper = ReadMapper.for_candidates(
-            sample.references, sample.present_species(), k=15
-        )
+        mapper = _dict_mapper(sample.references, sample.present_species())
         assert mapper.map_read("A" * 100) is None or isinstance(
             mapper.map_read("A" * 100), int
         )
 
     def test_abundance_profile_normalized(self, sample, clean_reads):
-        mapper = ReadMapper.for_candidates(
-            sample.references, sample.present_species(), k=15
-        )
+        mapper = _dict_mapper(sample.references, sample.present_species())
         profile = mapper.estimate_abundance(clean_reads)
         assert profile.total() == pytest.approx(1.0)
 
