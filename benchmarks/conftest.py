@@ -40,7 +40,7 @@ def bench_sketch(bench_sample):
 
 @pytest.fixture(scope="session")
 def bench_kss(bench_sketch):
-    return KssTables(bench_sketch)
+    return KssTables(bench_sketch.kss_store)
 
 
 def emit(result) -> None:

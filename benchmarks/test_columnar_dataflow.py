@@ -28,13 +28,12 @@ import pytest
 
 from repro.backends import get_backend
 from repro.backends.numpy_backend import as_column
-from repro.databases.kss import KssTables
-from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.multissd import whole_range, whole_shard
 from repro.tools.metalign import accumulate_hits, select_candidates
 from benchmarks.conftest import BENCH_K
 from tests.columns import as_ints, own_shard
+from tests.oracles import database_from_rows, reference_kss
 from tests.strategies import synthetic_sketch
 
 N_BUCKETS = 16
@@ -45,7 +44,7 @@ def _partitioned_query(n_db=100_000, n_query=1_000_000):
     once as Python lists (the PR 1 hand-off) and once as native ndarray
     columns (the columnar hand-off).  ~10% of queries hit the database."""
     db_kmers = list(range(0, 10 * n_db, 10))
-    database = SortedKmerDatabase(BENCH_K, db_kmers, [frozenset({1})] * n_db)
+    database = database_from_rows(BENCH_K, db_kmers, [frozenset({1})] * n_db)
     database.column()
     query = [x * 10 + (0 if x % 10 == 0 else 3) for x in range(n_query)]
     edges = (
@@ -122,7 +121,7 @@ def _retrieval_world(n_db=80_000, n_query=40_000, seed=5):
         for _ in kmers
     ]
     sketch = synthetic_sketch(kmers, owners, k_max=BENCH_K)
-    shard = whole_shard(SortedKmerDatabase(BENCH_K, kmers, owners), KssTables(sketch))
+    shard = whole_shard(database_from_rows(BENCH_K, kmers, owners), reference_kss(sketch))
     queries = kmers[:: max(1, n_db // n_query)]
     return sketch, shard, queries
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.backends import get_backend
 from repro.databases.sketch import TernarySearchTree
-from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
 from repro.megis.isp import IspStepTwo
@@ -21,6 +20,7 @@ from repro.ssd.channel import AccessPattern, ChannelSimulator
 from repro.ssd.config import ssd_c
 from benchmarks.conftest import BENCH_K
 from tests.columns import as_ints, own_shard, pairs_as_ints
+from tests.oracles import database_from_rows
 
 
 def test_intersect_unit_merge(bench_sorted_db):
@@ -103,7 +103,7 @@ def test_numpy_backend_speedup_floor():
     """
     n = 200_000
     kmers = list(range(1, 3 * n, 3))
-    database = SortedKmerDatabase(BENCH_K, kmers, [frozenset({1})] * len(kmers))
+    database = database_from_rows(BENCH_K, kmers, [frozenset({1})] * len(kmers))
     query = kmers[::2]
 
     shard, batch = own_shard(database), [whole_range(query, BENCH_K)]

@@ -11,13 +11,8 @@ analysis.  This package reproduces it as:
   regenerate every figure and table of the paper's evaluation
   (:mod:`repro.experiments`).
 
-Quickstart::
-
-    from repro import quick_analysis
-    report = quick_analysis()
-    print(report)
-
-or see ``examples/quickstart.py``.
+Quickstart: ``examples/quickstart.py`` builds a sample and an index,
+serves MegIS over it and scores the result against the truth.
 """
 
 from repro.databases import KrakenDatabase, KssTables, SketchDatabase, SortedKmerDatabase
@@ -52,22 +47,4 @@ __all__ = [
     "f1_score",
     "l1_norm_error",
     "make_cami_sample",
-    "quick_analysis",
 ]
-
-
-def quick_analysis(n_reads: int = 400, seed: int = 7) -> str:
-    """One-call demo: build a sample, build an index, serve MegIS, report."""
-    sample = make_cami_sample(CamiDiversity.MEDIUM, n_reads=n_reads, seed=seed)
-    index = IndexBuilder(k=20, smaller_ks=(12, 8)).build(sample.references)
-    session = AnalysisSession(index)
-    result = session.analyze(sample.reads)
-    truth = sample.present_species()
-    lines = [
-        f"sample: {sample.name} ({sample.n_reads} reads, "
-        f"{len(truth)} species present)",
-        f"candidates found: {sorted(result.candidates)}",
-        f"F1: {f1_score(result.present(), truth):.3f}",
-        f"L1 error: {l1_norm_error(result.profile.fractions, sample.truth.fractions):.3f}",
-    ]
-    return "\n".join(lines)

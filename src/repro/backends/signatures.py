@@ -143,13 +143,6 @@ class SignatureTable:
         return self.taxids[index], offsets
 
     @classmethod
-    def from_sets(
-        cls, sets: Sequence[Iterable[int]],
-    ) -> Tuple["SignatureTable", SignatureColumn]:
-        """Intern arbitrary owner sets: the table and each set's id."""
-        return cls.from_csr(*pack_sets_csr(sets))
-
-    @classmethod
     def from_csr(
         cls, taxids: npt.NDArray[np.int64], offsets: npt.NDArray[np.int64],
     ) -> Tuple["SignatureTable", SignatureColumn]:

@@ -37,14 +37,11 @@ column shifted, its full sets the distinct union of covered-owner pairs
 and level pairs, its *stored* CSR the set difference ``full - covered``;
 every row's full set is then interned into the table
 (:func:`~repro.backends.signatures.intern_rows`).
-``KssTables(sketch)`` over such a sketch attaches the store it was built as;
-only a hand-built ``SketchDatabase(k_max, ks, tables, sizes)`` — the
-per-k-mer reference sketch among them — has its rows walked, packed and
-its frozensets interned to the same ids (the reference the column build is
-tested against).  Either way, and for a table over a persisted store
-(:meth:`KssTables.from_store`), rows materialize only if a reference code
-path asks — ``row_materializations`` counts those events, so tests can
-assert that building, saving and serving an index never boxes a row.
+A :class:`KssTables` is built one way, ``KssTables(store)``: over the
+store a column-built sketch carries (``sketch.kss_store``) or over one an
+index file holds.  Its rows materialize only if a reference code path
+asks — ``row_materializations`` counts those events, so tests can assert
+that building, saving and serving an index never boxes a row.
 :meth:`slice_range` cuts the store at shard boundaries (prefix-aligned) so
 each SSD of a multi-SSD deployment carries only its own KSS range; every
 slice shares the one table.  A slice's first or last level row can be an
@@ -55,23 +52,15 @@ retrieval answers such a row's queries directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backends.base import bisect_column
 from repro.backends.retrieval import RetrievalResult, group_sorted
-from repro.backends.signatures import (
-    SignatureTable,
-    intern_rows,
-    pack_sets_csr,
-    stack_csr,
-)
+from repro.backends.signatures import SignatureTable, intern_rows, stack_csr
 from repro.sequences.encoding import kmer_prefix
-from repro.sequences.keys import column_dtype, kmer_record_bytes, prefix_column, rshift
-
-if TYPE_CHECKING:  # sketch.py builds stores, so it imports this module
-    from repro.databases.sketch import SketchDatabase
+from repro.sequences.keys import kmer_record_bytes, prefix_column, rshift
 
 
 @dataclass(frozen=True)
@@ -256,74 +245,11 @@ def build_store(
     )
 
 
-def _build_sub_table(
-    k: int, sketch: SketchDatabase, entries: List[Tuple[int, FrozenSet[int]]]
-) -> Tuple[List[KssSubEntry], List[FrozenSet[int]]]:
-    """Walk the sorted k_max table: per distinct k-prefix, one stored row
-    and its full set (``stored UNION covered-owners``)."""
-    rows: List[KssSubEntry] = []
-    full_sets: List[FrozenSet[int]] = []
-
-    def finish_row(prefix: int, covered: set) -> None:
-        stored = frozenset(sketch.tables[k][prefix] - covered)
-        rows.append(KssSubEntry(prefix=prefix, stored=stored))
-        full_sets.append(stored | covered)
-
-    current_prefix = None
-    covered: set = set()
-    for kmer, owners in entries:
-        prefix = kmer_prefix(kmer, sketch.k_max, k)
-        if prefix != current_prefix:
-            if current_prefix is not None:
-                finish_row(current_prefix, covered)
-            current_prefix = prefix
-            covered = set()
-        covered.update(owners)
-    if current_prefix is not None:
-        finish_row(current_prefix, covered)
-    return rows, full_sets
-
-
 class KssTables:
     """Sorted k_max table plus prefix-aligned reduced tables per smaller k."""
 
-    def __init__(self, sketch: SketchDatabase):
-        """Attach the store a column-built (or opened) sketch is a view of;
-        for a sketch of dict tables, walk the rows, pack the store and
-        intern every row's full set once."""
-        if sketch.kss_store is not None:
-            self._init(sketch.kss_store)
-            return
-        entries = sketch.sorted_kmax_entries()
-        sub_tables: Dict[int, List[KssSubEntry]] = {}
-        full_sets: List[FrozenSet[int]] = [owners for _, owners in entries]
-        for k in sketch.smaller_ks:
-            rows, level_sets = _build_sub_table(k, sketch, entries)
-            sub_tables[k] = rows
-            full_sets += level_sets
-        table, ids = SignatureTable.from_sets(full_sets)
-        kmers = np.array([kmer for kmer, _ in entries], dtype=column_dtype(sketch.k_max))
-        levels: Dict[int, KssLevelStore] = {}
-        start = len(entries)
-        for k, rows in sub_tables.items():
-            levels[k] = level_store(
-                kmers, 2 * (sketch.k_max - k),
-                np.array([row.prefix for row in rows], dtype=column_dtype(k)),
-                *pack_sets_csr([row.stored for row in rows]),
-                ids[start:start + len(rows)],
-            )
-            start += len(rows)
-        self._init(KssStore(
-            k_max=sketch.k_max,
-            smaller_ks=sketch.smaller_ks,
-            kmers=kmers,
-            signatures=ids[:len(entries)],
-            levels=levels,
-            table=table,
-        ))
-        self._entries, self._sub_tables = entries, sub_tables
-
-    def _init(self, store: KssStore) -> None:
+    def __init__(self, store: KssStore) -> None:
+        """Wrap a store's columns; rows stay unmaterialized until asked."""
         self.k_max = store.k_max
         self.smaller_ks: Tuple[int, ...] = tuple(store.smaller_ks)
         self._store = store
@@ -333,13 +259,6 @@ class KssTables:
         self._size_bytes: Optional[int] = None
         #: Lazy row materializations from the store (see the module docstring).
         self.row_materializations = 0
-
-    @classmethod
-    def from_store(cls, store: KssStore) -> "KssTables":
-        """Wrap persisted columns; rows stay unmaterialized until asked."""
-        tables = cls.__new__(cls)
-        tables._init(store)
-        return tables
 
     # -- row views (materialized from the store on demand) ---------------------
 
@@ -417,7 +336,7 @@ class KssTables:
         levels: Dict[int, KssLevelStore] = {}
         for k in self.smaller_ks:
             levels[k] = self._slice_level(store, k, int(lo), int(hi), i, j)
-        return self.from_store(KssStore(
+        return KssTables(KssStore(
             k_max=self.k_max,
             smaller_ks=self.smaller_ks,
             kmers=store.kmers[i:j],
@@ -519,8 +438,10 @@ class KssTables:
         with its set's id in the store's table (``0`` for a miss) — the
         :class:`~repro.backends.retrieval.RetrievalResult` layout.  The
         hardware-flavoured implementation lives in
-        :mod:`repro.backends.python_backend`; tests require both — and
-        every other backend — to match :meth:`SketchDatabase.lookup` exactly.
+        :mod:`repro.backends.python_backend`.  The python backend's warm-up
+        (``AnalysisSession.warm``, ``multissd.warm_shards``) calls it with
+        no queries to build the per-level covered-owner caches before
+        serving threads share them.
         """
         queries = [int(q) for q in sorted_intersecting]
         if any(queries[i] > queries[i + 1] for i in range(len(queries) - 1)):

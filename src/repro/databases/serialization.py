@@ -47,8 +47,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.databases.sorted_db import SortedKmerDatabase
-from repro.sequences.keys import kmer_record_bytes, pack_kmer, parse_kmer_records
+from repro.sequences.keys import kmer_record_bytes, parse_kmer_records
 
 #: What the parsers read from: a ``bytes`` payload or a ``uint8`` section.
 Buffer = Union[bytes, NDArray[np.uint8]]
@@ -222,12 +221,6 @@ def map_sections(path: Union[str, Path]) -> Dict[str, NDArray[np.uint8]]:
     mapped: NDArray[np.uint8] = np.memmap(path, dtype=np.uint8, mode="r")
     body = mapped[_INDEX_HEADER.size + toc_len :]
     return _tile_sections(entries, body, len(body))
-
-
-def byte_order_matches_kmer_order(db: SortedKmerDatabase) -> bool:
-    """The streaming property: packed records sort like their k-mers."""
-    packed = [pack_kmer(x, db.k) for x in db.kmers]
-    return packed == sorted(packed)
 
 
 def payload_pages(payload: bytes, page_bytes: int) -> Tuple[int, int]:

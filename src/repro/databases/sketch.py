@@ -20,37 +20,31 @@ a level's prefixes are those columns shifted and selected independently,
 and the selected pairs go straight into the KSS columns
 (:func:`repro.databases.kss.build_store`): a built sketch *is*
 ``sketch_sizes`` plus a lazy dict view of that store — exactly what
-opening an index file gives.  The per-k-mer sketch (:func:`_build_tables`)
-is the reference the column build is tested against.
+opening an index file gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.databases.kraken import _HASH_MULTIPLIER, _kmer_hash
+from repro.databases.kraken import _HASH_MULTIPLIER
 from repro.databases.kss import KssStore, build_store
 from repro.databases.sorted_db import PairColumns, extract_pairs
-from repro.sequences.encoding import decode_kmer, kmer_prefix
+from repro.sequences.encoding import decode_kmer
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.keys import extract_kmers, kmer_record_bytes, low_word, prefix_column
+from repro.sequences.keys import kmer_record_bytes, low_word, prefix_column
 
 _HASH_SPACE = 1 << 64
 _SALT_MULTIPLIER = 0x5851F42D4C957F2D
 
 
-def _passes(kmer: int, fraction: float, salt: int) -> bool:
-    """Containment-min-hash selection: keep k-mers in the bottom fraction."""
-    return _kmer_hash(int(kmer) ^ (salt * _SALT_MULTIPLIER)) < int(
-        fraction * _HASH_SPACE
-    )
-
-
 def _passes_column(kmers: np.ndarray, fraction: float, salt: int) -> np.ndarray:
-    """:func:`_passes` for a whole key column, as a mask.
+    """Containment-min-hash selection over a whole key column, as a mask:
+    keep the k-mers whose salted :func:`~repro.databases.kraken._kmer_hash`
+    falls in the bottom ``fraction`` of the hash space.
 
     ``_kmer_hash`` keeps the low 64 bits of its product, which depend only
     on the low 64 bits of the salted k-mer — so over each key's
@@ -77,53 +71,6 @@ def _levels(k_max: int, smaller_ks: Sequence[int]) -> Tuple[int, ...]:
     if any(k >= k_max or k <= 0 for k in ks):
         raise ValueError("smaller_ks must lie strictly between 0 and k_max")
     return ks
-
-
-def _build_tables(
-    references: ReferenceCollection,
-    k_max: int,
-    smaller_ks: Sequence[int],
-    sketch_fraction: float,
-    seed: int,
-) -> Tuple[int, Tuple[int, ...], Dict[int, Dict[int, FrozenSet[int]]], Dict[int, int]]:
-    """The reference build, per k-mer in Python: the :class:`SketchDatabase`
-    constructor arguments."""
-    _check_fraction(sketch_fraction)
-    levels = _levels(k_max, smaller_ks)
-    kmax_table: Dict[int, set] = {}
-    level_sketches: Dict[int, Dict[int, set]] = {k: {} for k in levels}
-    sketch_sizes: Dict[int, int] = {}
-    for taxid in references.species_taxids:
-        genome_kmers = sorted(set(
-            extract_kmers(references.sequence(taxid), k_max, canonical=False).tolist()
-        ))
-        sketch = [x for x in genome_kmers if _passes(x, sketch_fraction, seed)]
-        sketch_sizes[taxid] = len(sketch)
-        for kmer in sketch:
-            kmax_table.setdefault(int(kmer), set()).add(taxid)
-        # Independent selection per level over the k-prefixes: a species
-        # may sketch a short prefix even when none of its long k-mers
-        # carrying that prefix were selected (Fig 7's species 3).
-        for k in levels:
-            for kmer in genome_kmers:
-                prefix = kmer_prefix(int(kmer), k_max, k)
-                if _passes(prefix, sketch_fraction, seed + k):
-                    level_sketches[k].setdefault(prefix, set()).add(taxid)
-
-    # Restrict levels to reachable prefixes and add covered-owner sets.
-    tables: Dict[int, Dict[int, FrozenSet[int]]] = {
-        k_max: {x: frozenset(s) for x, s in kmax_table.items()}
-    }
-    for k in levels:
-        level: Dict[int, FrozenSet[int]] = {}
-        for kmer, owners in kmax_table.items():
-            prefix = kmer_prefix(kmer, k_max, k)
-            combined = set(level.get(prefix, frozenset()))
-            combined.update(owners)
-            combined.update(level_sketches[k].get(prefix, set()))
-            level[prefix] = frozenset(combined)
-        tables[k] = level
-    return k_max, levels, tables, sketch_sizes
 
 
 class SketchDatabase:
@@ -237,22 +184,6 @@ class SketchDatabase:
             found = keys[idx_clipped] == np.asarray(taxids, dtype=np.int64)
             out[found] = sizes[idx_clipped[found]]
         return out
-
-    def lookup(self, kmer: int) -> Dict[int, FrozenSet[int]]:
-        """TaxIDs per level for a ``k_max``-mer query and its prefixes."""
-        result: Dict[int, FrozenSet[int]] = {}
-        exact = self.tables[self.k_max].get(int(kmer))
-        if exact:
-            result[self.k_max] = exact
-        for k in self.smaller_ks:
-            prefix = kmer_prefix(int(kmer), self.k_max, k)
-            hit = self.tables[k].get(prefix)
-            if hit:
-                result[k] = hit
-        return result
-
-    def sorted_kmax_entries(self) -> List[Tuple[int, FrozenSet[int]]]:
-        return sorted(self.tables[self.k_max].items())
 
     # -- size accounting -------------------------------------------------------
 

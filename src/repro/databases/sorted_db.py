@@ -13,8 +13,10 @@ key column, owner CSR or none)`` — the sorted key column
 (:mod:`repro.sequences.keys`) and, for a built table and its slices,
 the owner CSR ``(taxids, offsets)``, which lives in memory only.  A table
 attached from a key column alone (an opened index) is *ownerless*:
-:meth:`owner_columns` and :meth:`owners_of` raise, and so do its slices'.
-``len``, ``in``, :meth:`owners_of` and :meth:`slice` bisect the column;
+:meth:`owner_columns` raises, and so do its slices'.  A table is built one
+way, from columns: :meth:`~SortedKmerDatabase.from_columns` (which
+:meth:`~SortedKmerDatabase.from_pairs` calls), or :meth:`slice` over a
+built table's columns; ``len`` and :meth:`slice` read the column;
 the Python int list the register-level reference paths
 walk (:attr:`kmers`, :meth:`stream`, :meth:`stream_range`,
 :meth:`intersect`) is a view materialized on demand and counted in
@@ -26,24 +28,21 @@ The offline build (§4.2) is column arithmetic at every k:
 giving the distinct sorted ``(k-mer, genome)`` :class:`PairColumns`, whose
 distinct k-mers are the key column and whose taxids are the owner CSR.
 The sketch and the KSS are built from the same pairs, so
-:class:`~repro.megis.index.IndexBuilder` extracts once.  The per-k-mer
-build (:func:`_build_rows`) is the reference the tests hold it to.
+:class:`~repro.megis.index.IndexBuilder` extracts once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.backends.base import bisect_column
 from repro.backends.retrieval import column_to_list, group_sorted
-from repro.backends.signatures import pack_sets_csr
 from repro.sequences.generator import ReferenceCollection
-from repro.sequences.keys import as_column, column_dtype, kmer_record_bytes, spare_bits
-from repro.sequences.keys import extract_kmers, extract_kmers_batch
+from repro.sequences.keys import extract_kmers_batch, kmer_record_bytes, spare_bits
 
 #: Owner CSR ``(taxids, offsets)``; row ``i`` owns
 #: ``taxids[offsets[i]:offsets[i+1]]``.
@@ -98,36 +97,14 @@ def _increasing(column: NDArray[Any]) -> NDArray[Any]:
     return column
 
 
-def _build_rows(
-    references: ReferenceCollection, k: int, canonical: bool
-) -> Tuple[List[int], List[FrozenSet[int]]]:
-    """The reference build, per k-mer in Python: sorted k-mers and their
-    owner sets."""
-    membership: Dict[int, Set[int]] = {}
-    for taxid in references.species_taxids:
-        seq = references.sequence(taxid)
-        for kmer in extract_kmers(seq, k, canonical=canonical).tolist():
-            membership.setdefault(int(kmer), set()).add(taxid)
-    kmers = sorted(membership)
-    return kmers, [frozenset(membership[x]) for x in kmers]
-
-
 class SortedKmerDatabase:
     """Sorted distinct k-mers with per-k-mer species sets."""
 
     def __init__(
-        self, k: int, kmers: Sequence[int], owners: Sequence[FrozenSet[int]]
-    ) -> None:
-        """From rows (hand-built tables, the reference build): pack them
-        into the columns, once."""
-        if len(kmers) != len(owners):
-            raise ValueError("kmers and owners must have equal length")
-        column = _increasing(as_column(kmers, column_dtype(k)))
-        self._attach(k, column, pack_sets_csr(owners))
-
-    def _attach(
         self, k: int, column: NDArray[Any], owner_columns: Optional[OwnerColumns]
     ) -> None:
+        """Hold the columns as given, unchecked: :meth:`from_columns` is
+        the validating entry point."""
         self.k = k
         self._column = column
         #: ``None`` for an ownerless table (attached from a key column alone).
@@ -137,19 +114,13 @@ class SortedKmerDatabase:
         self.row_materializations = 0
 
     @classmethod
-    def build(
-        cls, references: ReferenceCollection, k: int = 60, canonical: bool = False
-    ) -> "SortedKmerDatabase":
-        """Index all reference genomes.
+    def build(cls, references: ReferenceCollection, k: int = 60) -> "SortedKmerDatabase":
+        """Index all reference genomes' forward-strand k-mers.
 
-        Non-canonical (forward-strand) k-mers are the default because the
-        sketch machinery relies on prefix structure, which canonicalization
-        would destroy; Metalign/CMash handle strands by sketching both.
-        (The batch extractor packs forward k-mers only, so a canonical
-        database builds by rows.)
+        Not canonical: the sketch machinery relies on prefix structure,
+        which canonicalization would destroy; Metalign/CMash handle strands
+        by sketching both.
         """
-        if canonical:
-            return cls(k, *_build_rows(references, k, canonical))
         return cls.from_pairs(extract_pairs(references, k))
 
     @classmethod
@@ -175,24 +146,12 @@ class SortedKmerDatabase:
                 f"owner offsets must have {len(column) + 1} entries, "
                 f"got {len(owners[1])}"
             )
-        db = cls.__new__(cls)
-        db._attach(k, _increasing(column), owners)
-        return db
+        return cls(k, _increasing(column), owners)
 
     # -- the columns -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._column)
-
-    def _find(self, kmer: int) -> Optional[int]:
-        """Row of ``kmer`` in the key column, ``None`` when absent."""
-        i = bisect_column(self._column, kmer)
-        if i < len(self._column) and int(self._column[i]) == int(kmer):
-            return i
-        return None
-
-    def __contains__(self, kmer: int) -> bool:
-        return self._find(kmer) is not None
 
     def column(self) -> NDArray[Any]:
         """The sorted key column (:mod:`repro.sequences.keys`); read-only."""
@@ -210,13 +169,6 @@ class SortedKmerDatabase:
             raise ValueError("no owner columns: an index file stores the key column only")
         return self._owner_columns
 
-    def owners_of(self, kmer: int) -> FrozenSet[int]:
-        taxids, offsets = self.owner_columns()
-        i = self._find(kmer)
-        if i is None:
-            raise KeyError(f"k-mer {kmer} not in database")
-        return frozenset(taxids[int(offsets[i]) : int(offsets[i + 1])].tolist())
-
     def slice(self, start: int, stop: int) -> "SortedKmerDatabase":
         """Contiguous positional shard: zero-copy views of this database's
         columns (offsets re-based to 0; ownerless stays ownerless), no
@@ -229,9 +181,7 @@ class SortedKmerDatabase:
                 taxids[int(offsets[start]) : int(offsets[stop])],
                 offsets[start : stop + 1] - offsets[start],
             )
-        shard = self.__class__.__new__(self.__class__)
-        shard._attach(self.k, self._column[start:stop], owners)
-        return shard
+        return self.__class__(self.k, self._column[start:stop], owners)
 
     # -- the row view (reference paths) ----------------------------------------
 
@@ -283,11 +233,3 @@ class SortedKmerDatabase:
     def size_bytes(self) -> int:
         """On-flash size: 2 bits per base, padded to whole bytes per k-mer."""
         return kmer_record_bytes(self.k) * len(self)
-
-    def species_containment(self, intersecting: Sequence[int]) -> Dict[int, int]:
-        """Per-species count of intersecting k-mers (ground-truth helper)."""
-        counts: Dict[int, int] = {}
-        for kmer in intersecting:
-            for taxid in self.owners_of(kmer):
-                counts[taxid] = counts.get(taxid, 0) + 1
-        return counts

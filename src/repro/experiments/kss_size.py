@@ -25,7 +25,7 @@ def run() -> ExperimentResult:
     sketch = SketchDatabase.build(
         sample.references, k_max=20, smaller_ks=(12, 8), sketch_fraction=0.3
     )
-    kss = KssTables(sketch)
+    kss = KssTables(sketch.kss_store)
     tree = TernarySearchTree(sketch)
 
     flat = sketch.flat_tables_bytes()

@@ -92,20 +92,6 @@ class Bucket:
     def byte_size(self, kmer_bytes: int) -> int:
         return len(self.kmers) * kmer_bytes
 
-    def is_sorted(self) -> bool:
-        if isinstance(self.kmers, np.ndarray):
-            return len(self.kmers) < 2 or bool(
-                np.all(np.asarray(self.kmers[:-1] <= self.kmers[1:], dtype=bool))
-            )
-        # Pairwise scan with early exit — no repeated indexing, O(1) space.
-        iterator = iter(self.kmers)
-        previous = next(iterator, None)
-        for current in iterator:
-            if current < previous:
-                return False
-            previous = current
-        return True
-
 
 @dataclass
 class BucketSet:

@@ -88,9 +88,10 @@ from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 class MegisIndex:
     """The opened (or freshly built) database bundle one session serves from.
 
-    ``kss`` is built from the sketch on first use when not supplied (an
-    index constructed by hand, e.g. for a Metalign-only session;
-    :meth:`IndexBuilder.build` supplies it); :meth:`shards` caches the
+    ``kss`` wraps the sketch's own store on first use when not supplied
+    (an index constructed by hand, e.g. for a Metalign-only session;
+    :meth:`IndexBuilder.build` supplies it); a sketch of dict tables
+    carries no store, so its index needs ``kss``.  :meth:`shards` caches the
     per-SSD shard handles — database column slices plus prefix-aligned
     KSS range slices — per shard count, so sessions never re-split on a
     query.
@@ -121,7 +122,9 @@ class MegisIndex:
     @property
     def kss(self) -> KssTables:
         if self._kss is None:
-            self._kss = KssTables(self.sketch)
+            if self.sketch.kss_store is None:
+                raise ValueError("a sketch of dict tables carries no KSS store: pass kss=")
+            self._kss = KssTables(self.sketch.kss_store)
         return self._kss
 
     def shards(self, n_ssds: int) -> List[DatabaseShard]:
@@ -235,7 +238,7 @@ class MegisIndex:
         """
         manifest = _manifest(sections)
         database = _database(sections, manifest)
-        kss = KssTables.from_store(_kss_store(sections, manifest))
+        kss = KssTables(_kss_store(sections, manifest))
         sketch = _lazy_sketch(sections, manifest, kss)
         references = None
         if manifest.has_references:
@@ -512,8 +515,8 @@ class IndexBuilder:
     the sketch and the KSS store are all column arithmetic over those
     pairs — no row objects.  Past 32 bases the key columns are ``object``
     (:mod:`repro.sequences.keys`), so the same arithmetic runs per key;
-    the per-k-mer dict builders remain only as the reference the tests
-    hold these bytes to.
+    the per-k-mer dict builders the tests hold these bytes to live in
+    ``tests/oracles``.
     """
 
     k: int = 20
@@ -538,7 +541,7 @@ class IndexBuilder:
             pairs, self.resolved_smaller_ks(), self.sketch_fraction, self.seed
         )
         # The KSS is part of the offline build, not of the first save.
-        return MegisIndex(database, sketch, references, kss=KssTables(sketch))
+        return MegisIndex(database, sketch, references, kss=KssTables(sketch.kss_store))
 
     def build_from_fasta(self, fasta_text: str) -> MegisIndex:
         from repro.sequences.io import references_from_fasta

@@ -685,7 +685,7 @@ class AnalysisSession:
         an exactly repeated candidate set returns the finished merge.  The
         merge itself is :func:`~repro.megis.abundance.merge_species_indexes`
         — the in-storage streaming data path — so the result is identical
-        to an uncached :func:`~repro.megis.abundance.build_unified_index`.
+        to an uncached merge of the same species indexes.
 
         A columnar-backend session whose mapper k-mer fits one key word
         builds and merges columns

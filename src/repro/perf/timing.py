@@ -237,7 +237,7 @@ class TimingModel:
         if not no_io:
             phases.append(Phase("load_candidate_indexes", idx / self.ext_bw, HOST_IO))
         phases.append(
-            Phase("build_unified_index", idx / self.cal.minimap_index_bw, HOST_COMPUTE)
+            Phase("unified_index_build", idx / self.cal.minimap_index_bw, HOST_COMPUTE)
         )
         phases.append(self._mapping_phase())
         return phases

@@ -76,18 +76,3 @@ def json_report(profile: AbundanceProfile, taxonomy: Taxonomy) -> str:
     return render_json(
         {"species": species, "genera": genera, "total": profile.total()}
     )
-
-
-def compare_report(ours: AbundanceProfile, reference: AbundanceProfile,
-                   taxonomy: Taxonomy) -> str:
-    """Side-by-side comparison of two profiles (tool vs truth)."""
-    taxids = sorted(set(ours.fractions) | set(reference.fractions))
-    lines = [f"{'taxid':>8}  {'name':<24}  {'ours':>8}  {'reference':>9}  {'delta':>8}"]
-    for taxid in taxids:
-        a = ours.abundance(taxid)
-        b = reference.abundance(taxid)
-        name = taxonomy.node(taxid).name if taxid in taxonomy else "?"
-        lines.append(
-            f"{taxid:>8}  {name:<24}  {a:8.4f}  {b:9.4f}  {a - b:+8.4f}"
-        )
-    return "\n".join(lines)

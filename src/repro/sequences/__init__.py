@@ -18,7 +18,7 @@ from repro.sequences.encoding import (
 )
 from repro.sequences.generator import GenomeGenerator, mutate_sequence, random_sequence
 from repro.sequences.keys import extract_kmers, extract_kmers_batch, iter_kmers
-from repro.sequences.kmers import KmerCounter, kmer_spectrum
+from repro.sequences.kmers import KmerCounter
 from repro.sequences.reads import Read, ReadSimulator
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "extract_kmers",
     "extract_kmers_batch",
     "iter_kmers",
-    "kmer_spectrum",
     "mutate_sequence",
     "random_sequence",
     "reverse_complement",

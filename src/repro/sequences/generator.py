@@ -78,9 +78,6 @@ class ReferenceCollection:
     def sequence(self, taxid: int) -> str:
         return self.genomes[taxid].sequence
 
-    def total_bases(self) -> int:
-        return sum(len(g) for g in self.genomes.values())
-
 
 class GenomeGenerator:
     """Generates a clade-structured reference collection.
@@ -142,20 +139,12 @@ class GenomeGenerator:
         return int(self._rng.integers(low, high + 1))
 
 
-def gc_content(seq: str) -> float:
-    """Fraction of G/C bases — a quick sanity statistic for generated data."""
-    if not seq:
-        return 0.0
-    return sum(1 for c in seq if c in "GC") / len(seq)
-
-
 # Re-export the alphabet for convenience of downstream doctest-style users.
 __all__ = [
     "ALPHABET",
     "GenomeGenerator",
     "ReferenceCollection",
     "SpeciesGenome",
-    "gc_content",
     "mutate_sequence",
     "random_sequence",
 ]

@@ -88,11 +88,6 @@ class KmerStream:
         return (self.words & np.uint64((1 << self.read_bits) - 1)).view(np.int64)
 
 
-def kmer_spectrum(seq: str, k: int, canonical: bool = True) -> Dict[int, int]:
-    """Return the multiset of k-mers of a sequence as ``{kmer: count}``."""
-    return dict(Counter(extract_kmers(seq, k, canonical=canonical).tolist()))
-
-
 class KmerCounter:
     """Accumulates k-mer counts across many sequences (KMC stand-in).
 

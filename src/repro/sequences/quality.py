@@ -3,8 +3,8 @@
 Basecallers emit per-base Phred quality scores; standard metagenomic
 preprocessing trims low-quality tails and drops hopeless reads before
 k-mer extraction, which interacts with the §4.2.3 exclusion step (errors
-produce singleton k-mers).  This module provides Phred encoding/decoding,
-tail trimming, and read filtering so pipelines can consume realistic FASTQ.
+produce singleton k-mers).  This module provides Phred decoding, tail
+trimming, and read filtering so pipelines can consume realistic FASTQ.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ PHRED_OFFSET = 33
 MAX_PHRED = 93
 
 
-def phred_to_char(score: int) -> str:
-    """Encode one Phred score as its FASTQ character."""
-    if not 0 <= score <= MAX_PHRED:
-        raise ValueError(f"Phred score must be in [0, {MAX_PHRED}], got {score}")
-    return chr(score + PHRED_OFFSET)
-
-
 def char_to_phred(char: str) -> int:
     """Decode one FASTQ quality character to a Phred score."""
     score = ord(char) - PHRED_OFFSET
@@ -35,17 +28,6 @@ def char_to_phred(char: str) -> int:
 
 def decode_quality(quality: str) -> List[int]:
     return [char_to_phred(c) for c in quality]
-
-
-def encode_quality(scores: Sequence[int]) -> str:
-    return "".join(phred_to_char(s) for s in scores)
-
-
-def error_probability(score: int) -> float:
-    """Phred definition: P(error) = 10^(-Q/10)."""
-    if score < 0:
-        raise ValueError("score must be non-negative")
-    return 10.0 ** (-score / 10.0)
 
 
 def trim_tail(sequence: str, quality: str, threshold: int = 20) -> Tuple[str, str]:
@@ -94,8 +76,3 @@ class QualityFilter:
                 continue
             kept.append(Read(read_id=len(kept), sequence=sequence, true_taxid=0))
         return kept
-
-    def survival_rate(self, records: Sequence[Tuple[str, str, str]]) -> float:
-        if not records:
-            return 0.0
-        return len(self.apply(records)) / len(records)

@@ -8,7 +8,7 @@ task 2).  Profiles are the common currency between the functional pipelines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Set
+from typing import Dict, Mapping, Set
 
 
 @dataclass
@@ -35,13 +35,6 @@ class AbundanceProfile:
 
     def abundance(self, taxid: int) -> float:
         return self.fractions.get(taxid, 0.0)
-
-    def restrict(self, taxids: Iterable[int]) -> "AbundanceProfile":
-        """Profile restricted to ``taxids`` and renormalized."""
-        allowed = set(taxids)
-        return AbundanceProfile.from_counts(
-            {t: v for t, v in self.fractions.items() if t in allowed}
-        )
 
     def __len__(self) -> int:
         return len(self.fractions)

@@ -80,9 +80,6 @@ class Taxonomy:
     def children(self, taxid: int) -> List[int]:
         return sorted(n.taxid for n in self._nodes.values() if n.parent == taxid)
 
-    def taxids(self) -> List[int]:
-        return sorted(self._nodes)
-
     def species(self) -> List[int]:
         return sorted(t for t, n in self._nodes.items() if n.rank == Rank.SPECIES)
 

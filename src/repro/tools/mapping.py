@@ -108,26 +108,6 @@ class UnifiedIndex:
     entries: Dict[int, Tuple[int, ...]]
     boundaries: Dict[int, Tuple[int, int]]
 
-    @classmethod
-    def merge(cls, indexes: Sequence[SpeciesIndex]) -> "UnifiedIndex":
-        """Reference merge of per-species indexes (Fig 9 semantics)."""
-        if not indexes:
-            return cls(k=0, entries={}, boundaries={})
-        k = indexes[0].k
-        if any(ix.k != k for ix in indexes):
-            raise ValueError("all indexes must share the same k")
-        ordered = sorted(indexes, key=lambda ix: ix.taxid)
-        boundaries: Dict[int, Tuple[int, int]] = {}
-        offset = 0
-        merged: Dict[int, List[int]] = {}
-        for index in ordered:
-            boundaries[index.taxid] = (offset, offset + index.genome_length)
-            for kmer, positions in index.entries.items():
-                merged.setdefault(kmer, []).extend(p + offset for p in positions)
-            offset += index.genome_length
-        entries = {x: tuple(sorted(p)) for x, p in sorted(merged.items())}
-        return cls(k=k, entries=entries, boundaries=boundaries)
-
     def taxid_of_location(self, location: int) -> Optional[int]:
         for taxid, (start, end) in self.boundaries.items():
             if start <= location < end:

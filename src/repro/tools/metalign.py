@@ -16,7 +16,6 @@ Abundance estimation maps the reads against the candidate species' genomes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -26,44 +25,18 @@ from repro.databases.sketch import SketchDatabase
 from repro.taxonomy.profiles import AbundanceProfile
 
 
-def containment_score(
-    sketch: SketchDatabase, taxid: int, level_hits: Dict[int, int]
-) -> float:
-    """Estimated containment index: k_max sketch hits / sketch size.
-
-    Smaller-k hits contribute at reduced weight — they expand matches
-    (raising the true-positive rate) but are less specific.  Shared between
-    Metalign and MegIS so the two pipelines call species identically (the
-    paper's MegIS matches A-Opt's accuracy exactly).
-    """
-    size = max(1, sketch.sketch_sizes.get(taxid, 1))
-    score = level_hits.get(sketch.k_max, 0)
-    score += 0.25 * sum(v for k, v in level_hits.items() if k != sketch.k_max)
-    return score / size
-
-
 @dataclass(frozen=True)
 class HitAccumulation:
     """Hit counts per KSS level and taxID, one ``(levels x universe)``
     integer matrix: row ``i`` counts the level-``ks[i]`` hits (``ks``
     descending) of each taxID of the table's ascending ``universe``.
-    :meth:`as_dict` (the historical ``sketch_hits``), :attr:`levels` and
-    :func:`batch_containment` all read it.
+    :meth:`as_dict` (the historical ``sketch_hits``) and
+    :func:`batch_containment` read it.
     """
 
     ks: Tuple[int, ...]
     universe: np.ndarray
     counts: np.ndarray
-
-    @cached_property
-    def levels(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Per level with any hit: its hit taxIDs (ascending) and counts."""
-        levels: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for k, row in zip(self.ks, self.counts):
-            owners = np.flatnonzero(row)
-            if len(owners):
-                levels[k] = (self.universe[owners], row[owners])
-        return levels
 
     def as_dict(self) -> Dict[int, Dict[int, int]]:
         """The historical ``taxid -> {level: count}`` view (zero rows omitted)."""
@@ -119,11 +92,12 @@ def batch_containment(
     """Vectorized containment over every hit taxID: (taxids, scores).
 
     The hit taxIDs are the matrix's non-zero columns; the k_max row and
-    the sum of every other level's row are read at them.  Bit-identical
-    to mapping :func:`containment_score` over ``hits.as_dict()`` — the
-    arithmetic is the same IEEE-754 sequence (integer hit counts are
-    exact in float64 and the 0.25 weight is a power of two) — with zero
-    per-taxID Python loops.
+    the sum of every other level's row are read at them: a taxID's score
+    is ``(k_max hits + 0.25 * other hits) / max(1, sketch size)``, the
+    same IEEE-754 sequence as the per-taxID score (integer hit counts are
+    exact in float64 and the 0.25 weight is a power of two), with zero
+    per-taxID Python loops.  Smaller-k hits weigh less: they expand
+    matches (raising the true-positive rate) but are less specific.
     """
     owners = np.flatnonzero(hits.counts.any(axis=0))
     taxids = hits.universe[owners]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -96,11 +96,3 @@ def make_cami_sample(
     simulator = ReadSimulator(read_length=read_length, error_rate=error_rate, seed=seed + 1)
     reads = simulator.simulate(references, truth.fractions, n_reads)
     return CamiSample(diversity, references, taxonomy, truth, reads)
-
-
-def realized_profile(reads: List[Read]) -> AbundanceProfile:
-    """The empirical profile actually realized by the sampled reads."""
-    counts: Dict[int, int] = {}
-    for read in reads:
-        counts[read.true_taxid] = counts.get(read.true_taxid, 0) + 1
-    return AbundanceProfile.from_counts(counts)

@@ -64,7 +64,7 @@ def database_kss(
         universe.astype(np.int64),
     )
     levels = [k for k in smaller_ks if k < database.k]
-    return KssTables(SketchDatabase.from_pairs(pairs, levels, sketch_fraction=1.0))
+    return KssTables(SketchDatabase.from_pairs(pairs, levels, sketch_fraction=1.0).kss_store)
 
 
 def own_shard(database: SortedKmerDatabase) -> DatabaseShard:

@@ -67,7 +67,7 @@ def sketch_db(references):
 
 @pytest.fixture(scope="session")
 def kss_tables(sketch_db):
-    return KssTables(sketch_db)
+    return KssTables(sketch_db.kss_store)
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,18 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from repro.databases.kss import KssTables
-from repro.databases.sketch import SketchDatabase, _build_tables
-from repro.databases.sorted_db import SortedKmerDatabase, _build_rows
+from repro.databases.sketch import SketchDatabase
+from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
 from repro.sequences.encoding import kmer_prefix
 from repro.sequences.generator import ReferenceCollection, SpeciesGenome
+from tests.oracles import (
+    build_rows,
+    build_tables,
+    database_from_rows,
+    owners_of,
+    reference_kss,
+)
 
 #: Small taxID universe, so generated owner sets overlap across k-mers.
 TAXIDS = st.integers(min_value=1, max_value=6)
@@ -41,7 +47,7 @@ def kmer_rows(draw, k: int, max_size: int = 40) -> Tuple[List[int], List[FrozenS
 @st.composite
 def sorted_kmer_databases(draw, k: int, max_size: int = 40) -> SortedKmerDatabase:
     """The row-built database over one :func:`kmer_rows` draw."""
-    return SortedKmerDatabase(k, *draw(kmer_rows(k, max_size)))
+    return database_from_rows(k, *draw(kmer_rows(k, max_size)))
 
 
 def key_probes(k: int, kmers: List[int]) -> st.SearchStrategy[int]:
@@ -81,13 +87,13 @@ def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
     kmers = database.kmers
     sketched = [x for x in kmers if draw(st.booleans())]
     tables: Dict[int, Dict[int, FrozenSet[int]]] = {
-        k: {x: database.owners_of(x) for x in sketched}
+        k: {x: owners_of(database, x) for x in sketched}
     }
     for level in smaller_ks:
         rows: Dict[int, FrozenSet[int]] = {}
         for x in sketched:
             prefix = kmer_prefix(x, k, level)
-            rows[prefix] = rows.get(prefix, frozenset()) | database.owners_of(x)
+            rows[prefix] = rows.get(prefix, frozenset()) | owners_of(database, x)
         tables[level] = {
             prefix: covered | draw(owner_sets(min_size=0))
             for prefix, covered in rows.items()
@@ -99,8 +105,9 @@ def index_worlds(draw, ks: Sequence[int] = (6, 8, 10)) -> IndexWorld:
     misses = draw(st.sets(
         st.integers(min_value=0, max_value=(1 << (2 * k)) - 1), max_size=10,
     ))
+    sketch = SketchDatabase(k, smaller_ks, tables, sketch_sizes)
     return IndexWorld(
-        index=MegisIndex(database, SketchDatabase(k, smaller_ks, tables, sketch_sizes)),
+        index=MegisIndex(database, sketch, kss=reference_kss(sketch)),
         query=sorted(misses | set(kmers[::2])),
     )
 
@@ -149,12 +156,12 @@ class ReferenceWorld:
 
     def reference_build(self) -> MegisIndex:
         """The same index from the per-k-mer dict builders, at any ``k``."""
-        sketch = SketchDatabase(*_build_tables(
+        sketch = SketchDatabase(*build_tables(
             self.references, self.k, self.smaller_ks, self.sketch_fraction, self.seed
         ))
         return MegisIndex(
-            SortedKmerDatabase(self.k, *_build_rows(self.references, self.k, False)),
-            sketch, self.references, kss=KssTables(sketch),
+            database_from_rows(self.k, *build_rows(self.references, self.k, False)),
+            sketch, self.references, kss=reference_kss(sketch),
         )
 
 

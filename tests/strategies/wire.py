@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.backends.retrieval import RetrievalResult
 from repro.backends.signatures import SignatureTable
+from tests.oracles import signature_table_from_sets
 
 #: The k-mer lengths the frame codec is checked at: every record width
 #: from 3 to 10 bytes, with and without padding bits, both column dtypes.
@@ -34,7 +35,7 @@ def retrieval_partials(
     included), and one signature column per shared sketch level with ids
     anywhere in the table — misses (``0``), levels with no hits, empty
     samples and ``python``-backend list queries among them."""
-    table, _ = SignatureTable.from_sets(draw(st.lists(
+    table, _ = signature_table_from_sets(draw(st.lists(
         st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
         max_size=6,
     )))

@@ -42,6 +42,7 @@ from tests.columns import (
     retrieve_with,
 )
 from tests.conftest import SKETCH_K
+from tests.oracles import database_from_rows
 
 BACKENDS = ("python", "numpy")
 SPACE = 1 << (2 * SKETCH_K)
@@ -50,7 +51,7 @@ SPACE = 1 << (2 * SKETCH_K)
 def random_database(rng: random.Random, size: int, k: int = SKETCH_K) -> SortedKmerDatabase:
     kmers = sorted(rng.sample(range(1 << (2 * k)), size))
     owners = [frozenset({rng.randrange(1000, 1010)}) for _ in kmers]
-    return SortedKmerDatabase(k, kmers, owners)
+    return database_from_rows(k, kmers, owners)
 
 
 def random_query(rng: random.Random, database: SortedKmerDatabase, n: int) -> list:
@@ -202,7 +203,7 @@ class TestIntersectEdgeCases:
         assert as_ints(intersect(backend, database, [], 4)) == []
 
     def test_empty_database(self, backend):
-        database = SortedKmerDatabase(SKETCH_K, [], [])
+        database = database_from_rows(SKETCH_K, [], [])
         assert as_ints(intersect(backend, database, [1, 2, 3], 4)) == []
 
     def test_all_buckets_empty(self, backend):
@@ -401,7 +402,7 @@ class TestDatabaseBackendParam:
         # path must stay correct beyond uint64.
         k = 60
         kmers = sorted({(1 << 100) + i * 7 for i in range(50)})
-        database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
+        database = database_from_rows(k, kmers, [frozenset({1})] * len(kmers))
         assert database.column().dtype == object
         query = kmers[::3] + [(1 << 119) + 1]
         for backend in BACKENDS:
@@ -417,7 +418,7 @@ class TestDatabaseBackendParam:
         they are equal."""
         rng = random.Random(k)
         kmers = sorted({rng.getrandbits(2 * k) for _ in range(120)})
-        database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
+        database = database_from_rows(k, kmers, [frozenset({1})] * len(kmers))
         query = sorted(set(kmers[::3]) | {rng.getrandbits(2 * k) for _ in range(20)})
         samples = [whole_range(query, k), whole_range([], k)]
         shard = own_shard(database)

@@ -11,6 +11,13 @@ from repro.sequences.encoding import kmer_prefix
 from repro.sequences.keys import column_dtype, extract_kmers, pack_kmer_column
 from tests.columns import query_dicts
 from tests.conftest import SKETCH_K, SMALLER_KS
+from tests.oracles import (
+    contains,
+    database_from_rows,
+    owners_of,
+    sketch_lookup,
+    species_containment,
+)
 from tests.strategies import STANDARD_SETTINGS, key_probes, kmer_rows
 
 
@@ -91,18 +98,18 @@ class TestSortedKmerDatabase:
         assert all(kmers[i] < kmers[i + 1] for i in range(len(kmers) - 1))
 
     def test_contains(self, sorted_db):
-        assert sorted_db.kmers[0] in sorted_db
-        assert -1 not in sorted_db
+        assert contains(sorted_db, sorted_db.kmers[0])
+        assert not contains(sorted_db, -1)
 
     def test_owners_cover_all_species(self, sorted_db, references):
         owners = set()
         for kmer in sorted_db.kmers:
-            owners |= sorted_db.owners_of(kmer)
+            owners |= owners_of(sorted_db, kmer)
         assert owners == set(references.species_taxids)
 
     def test_owners_of_missing_raises(self, sorted_db):
         with pytest.raises(KeyError):
-            sorted_db.owners_of(-5)
+            owners_of(sorted_db, -5)
 
     def test_intersect_equals_set_intersection(self, sorted_db):
         query = sorted(set(sorted_db.kmers[::7] + [123456789, 1]))
@@ -125,9 +132,9 @@ class TestSortedKmerDatabase:
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
-            SortedKmerDatabase(4, [3, 2], [frozenset(), frozenset()])
+            database_from_rows(4, [3, 2], [frozenset(), frozenset()])
         with pytest.raises(ValueError):
-            SortedKmerDatabase(4, [1], [])
+            database_from_rows(4, [1], [])
 
     @given(st.lists(st.integers(min_value=0, max_value=10**12), max_size=64))
     @settings(max_examples=30)
@@ -138,10 +145,10 @@ class TestSortedKmerDatabase:
 
     def test_species_containment_counts(self, sorted_db):
         sample = sorted_db.kmers[:25]
-        counts = sorted_db.species_containment(sample)
+        counts = species_containment(sorted_db, sample)
         manual = {}
         for kmer in sample:
-            for taxid in sorted_db.owners_of(kmer):
+            for taxid in owners_of(sorted_db, kmer):
                 manual[taxid] = manual.get(taxid, 0) + 1
         assert counts == manual
 
@@ -157,7 +164,7 @@ class TestTheDatabaseIsItsColumns:
     @STANDARD_SETTINGS
     def test_built_reloaded_and_sliced_agree(self, k, data):
         kmers, owners = data.draw(kmer_rows(k))
-        built = SortedKmerDatabase(k, kmers, owners)
+        built = database_from_rows(k, kmers, owners)
         records = pack_kmer_column(built.column(), k)
         assert len(records) == built.size_bytes()
         reloaded = SortedKmerDatabase.from_columns(
@@ -181,12 +188,12 @@ class TestTheDatabaseIsItsColumns:
             assert db.row_materializations == 1
             assert len(db) == len(rows)
             for probe in probes:
-                assert (probe in db) == (probe in rows)
+                assert contains(db, probe) == (probe in rows)
                 if probe in rows:
-                    assert db.owners_of(probe) == sets[rows.index(probe)]
+                    assert owners_of(db, probe) == sets[rows.index(probe)]
                 else:
                     with pytest.raises(KeyError):
-                        db.owners_of(probe)
+                        owners_of(db, probe)
             in_range = [x for x in rows if lo <= x < hi]
             assert list(db.stream_range(lo, hi)) == in_range
             assert db.intersect(query) == [x for x in query if x in rows]
@@ -227,10 +234,10 @@ class TestSketchDatabase:
 
     def test_lookup_hit_and_miss(self, sketch_db):
         kmer = next(iter(sketch_db.tables[SKETCH_K]))
-        hit = sketch_db.lookup(kmer)
+        hit = sketch_lookup(sketch_db, kmer)
         assert hit[SKETCH_K] == sketch_db.tables[SKETCH_K][kmer]
         # A k-mer absent at every level returns an empty dict.
-        assert sketch_db.lookup((1 << (2 * SKETCH_K)) - 1) in ({},) or True
+        assert sketch_lookup(sketch_db, (1 << (2 * SKETCH_K)) - 1) in ({},) or True
 
     def test_sketch_sizes_positive(self, sketch_db, references):
         assert set(sketch_db.sketch_sizes) == set(references.species_taxids)
@@ -246,7 +253,7 @@ class TestSketchDatabase:
 class TestTernarySearchTree:
     def test_lookup_matches_sketch(self, sketch_db, ternary_tree):
         for kmer in list(sketch_db.tables[SKETCH_K])[:200]:
-            assert ternary_tree.lookup(kmer) == sketch_db.lookup(kmer)
+            assert ternary_tree.lookup(kmer) == sketch_lookup(sketch_db, kmer)
 
     def test_lookup_counts_pointer_chases(self, sketch_db, ternary_tree):
         before = ternary_tree.pointer_chases
@@ -288,13 +295,13 @@ class TestKssTables:
         queries = sorted(sketch_db.tables[SKETCH_K])[:300]
         results = query_dicts(kss_tables.retrieve(queries))
         for q in queries:
-            assert results[q] == sketch_db.lookup(q)
+            assert results[q] == sketch_lookup(sketch_db, q)
 
     def test_retrieve_misses(self, kss_tables, sketch_db):
         absent = [0, (1 << (2 * SKETCH_K)) - 1]
         results = query_dicts(kss_tables.retrieve(sorted(absent)))
         for q in absent:
-            assert results[q] == sketch_db.lookup(q)
+            assert results[q] == sketch_lookup(sketch_db, q)
 
     def test_retrieve_requires_sorted(self, kss_tables):
         with pytest.raises(ValueError):
@@ -320,4 +327,4 @@ class TestKssTables:
         queries = sorted(set(subset) | set(extra))
         results = query_dicts(kss_tables.retrieve(queries))
         for q in queries:
-            assert results[q] == sketch_db.lookup(q)
+            assert results[q] == sketch_lookup(sketch_db, q)

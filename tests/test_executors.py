@@ -28,6 +28,7 @@ from repro.megis.multissd import (
 )
 from repro.megis.session import AnalysisSession, MegisConfig
 from tests.columns import as_ints, pairs_as_ints, query_dicts
+from tests.oracles import is_sorted
 from tests.strategies.settings import property_settings
 
 #: Spec text: arbitrary, or a family name (live or retired) followed by
@@ -296,7 +297,7 @@ class TestMeasuredStepOne:
         ]
         for bucket_a, bucket_b in zip(a.buckets, b.buckets):
             assert [int(v) for v in bucket_a.kmers] == list(bucket_b.kmers)
-            assert bucket_a.is_sorted()
+            assert is_sorted(bucket_a)
 
 
 class TestPacedBackend:

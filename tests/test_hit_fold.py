@@ -41,6 +41,7 @@ from tests.columns import (
     containment_oracle,
     query_dicts,
 )
+from tests.oracles import hit_levels
 from tests.strategies import property_settings, retrieval_results
 from tests.strategies.retrieval import MAX_TAXID
 
@@ -93,8 +94,8 @@ def test_fold_equals_the_per_query_and_per_level_oracles(
 
     assert hits.as_dict() == accumulate_oracle(query_dicts(retrieved))
     oracle = accumulate_levels_oracle(retrieved)
-    assert sorted(hits.levels) == sorted(oracle)
-    for k, (taxids, counts) in hits.levels.items():
+    assert sorted(hit_levels(hits)) == sorted(oracle)
+    for k, (taxids, counts) in hit_levels(hits).items():
         assert taxids.dtype == counts.dtype == np.int64
         assert taxids.tolist() == oracle[k][0].tolist()
         assert counts.tolist() == oracle[k][1].tolist()
@@ -106,7 +107,7 @@ def test_fold_equals_the_per_query_and_per_level_oracles(
         expected_taxids[expected_scores >= threshold].tolist()
     )
     if shape == "no_hits":
-        assert hits.as_dict() == {} and not hits.levels
+        assert hits.as_dict() == {} and not hit_levels(hits)
         assert select_candidates(sketch, hits, 0.0) == set()
 
 

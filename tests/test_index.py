@@ -42,6 +42,7 @@ from repro.sequences.generator import GenomeGenerator
 from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 from tests.columns import as_ints, pairs_as_ints, query_dicts, retrieve_with
+from tests.oracles import owners_of, sketch_lookup
 from tests.strategies import (
     STANDARD_SETTINGS, ReferenceWorld, collection, index_worlds, lying_manifests,
     reference_worlds, with_manifest,
@@ -73,13 +74,13 @@ class TestRoundTrip:
         """An index file stores the key column only: the opened table (and
         its shards) say so instead of answering; the built one answers."""
         kmer = sorted_db.kmers[0]
-        assert sorted_db.owners_of(kmer)
+        assert owners_of(sorted_db, kmer)
         assert len(sorted_db.owner_columns()[1]) == len(sorted_db) + 1
         for database in (opened.database, opened.shards(3)[0].database):
             with pytest.raises(ValueError, match="key column only"):
                 database.owner_columns()
             with pytest.raises(ValueError, match="key column only"):
-                database.owners_of(kmer)
+                owners_of(database, kmer)
 
     def test_kss_store_attached(self, opened):
         assert opened.kss.row_materializations == 0
@@ -950,14 +951,17 @@ def _assert_same_build(world: ReferenceWorld) -> None:
     assert built.kss.entries == want.kss.entries
     assert built.kss.sub_tables == want.kss.sub_tables
     for kmer, _ in want.kss.entries:
-        assert built.sketch.lookup(kmer) == want.sketch.lookup(kmer)
+        assert sketch_lookup(built.sketch, kmer) == sketch_lookup(want.sketch, kmer)
 
 
 def _count_calls(monkeypatch):
-    """Count the build's per-k-mer and per-genome calls by name."""
-    from repro.databases import kraken, sketch, sorted_db
+    """Count the per-k-mer and per-genome calls by name: the reference
+    builders' (in ``tests.oracles``) and the column build's one batch
+    extraction."""
+    from repro.databases import kraken, sorted_db
+    from tests.oracles import databases as oracles
 
-    calls = {"_passes": 0, "_kmer_hash": 0,
+    calls = {"passes": 0, "_kmer_hash": 0,
              "extract_kmers": 0, "extract_kmers_batch": 0}
 
     def counted(function):
@@ -967,9 +971,8 @@ def _count_calls(monkeypatch):
         return wrapper
 
     for module, name in [
-        (sketch, "_passes"), (sketch, "_kmer_hash"), (kraken, "_kmer_hash"),
-        (sketch, "extract_kmers"), (sorted_db, "extract_kmers"),
-        (sorted_db, "extract_kmers_batch"),
+        (oracles, "passes"), (oracles, "_kmer_hash"), (kraken, "_kmer_hash"),
+        (oracles, "extract_kmers"), (sorted_db, "extract_kmers_batch"),
     ]:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return calls
@@ -1047,7 +1050,7 @@ class TestColumnBuild:
         ).generate()
         world = ReferenceWorld(genome, k, (k - 8, k - 12), 0.5, 0)
         payload = world.build().to_bytes(2)
-        assert calls == {"_passes": 0, "_kmer_hash": 0,
+        assert calls == {"passes": 0, "_kmer_hash": 0,
                          "extract_kmers": 0, "extract_kmers_batch": 1}
         assert payload == world.reference_build().to_bytes(2)
         assert MegisIndex.from_bytes(payload).to_bytes(2) == payload
@@ -1056,7 +1059,7 @@ class TestColumnBuild:
         calls = _count_calls(monkeypatch)
         index = IndexBuilder(k=20).build(self.golden_references())
         index.to_bytes(4)
-        assert calls == {"_passes": 0, "_kmer_hash": 0,
+        assert calls == {"passes": 0, "_kmer_hash": 0,
                          "extract_kmers": 0, "extract_kmers_batch": 1}
         assert index.kss.row_materializations == 0
         assert index.database.row_materializations == 0

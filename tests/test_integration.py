@@ -4,8 +4,7 @@ These tie layers together: the database's packed key column (the index
 file's ``db/kmers`` section) placed by MegIS FTL and streamed through the
 channel simulator; an analysis wrapped in a simulated SSD's §4.6 command
 scope with §4.3.1 buffers; Fig 13's phase-bucket mapping staying in sync with the
-timing model's phase names; and the package surface itself — the
-docstring's ``quick_analysis`` quickstart and the one version.
+timing model's phase names; and the package's one version.
 """
 
 from pathlib import Path
@@ -112,17 +111,6 @@ class TestPhaseBucketMapping:
 
 
 class TestPackage:
-    def test_quick_analysis_finds_the_present_species(self):
-        """The package docstring's quickstart: one CAMI-M sample through a
-        fresh index and session, reported with a perfect F1."""
-        lines = repro.quick_analysis(n_reads=400, seed=7).splitlines()
-        assert [line.split(":")[0] for line in lines] == [
-            "sample", "candidates found", "F1", "L1 error",
-        ]
-        assert "400 reads" in lines[0]
-        assert lines[2] == "F1: 1.000"
-        assert 0 <= float(lines[3].split(": ")[1]) < 1
-
     def test_version_is_kept_in_one_place(self):
         """The distribution metadata reads ``repro.__version__``."""
         try:

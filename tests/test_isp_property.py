@@ -19,6 +19,7 @@ from repro.megis.isp import IspStepTwo
 from repro.sequences.generator import GenomeGenerator
 from repro.sequences.reads import ReadSimulator
 from tests.columns import pairs_as_ints, query_dicts, retrieve_with
+from tests.oracles import sketch_lookup
 from tests.strategies import property_settings
 
 world_strategy = st.fixed_dictionaries(
@@ -56,7 +57,7 @@ def build_world(params):
 @settings(property_settings(12), suppress_health_check=[HealthCheck.too_slow])
 def test_isp_matches_reference_on_random_worlds(params, n_channels):
     references, database, sketch = build_world(params)
-    kss = KssTables(sketch)
+    kss = KssTables(sketch.kss_store)
     # Query: a slice of database k-mers plus guaranteed misses.
     query = sorted(set(database.kmers[::3] + [0, (1 << (2 * K)) - 1]))
     isp = IspStepTwo(database, kss, n_channels=n_channels, backend="python")
@@ -67,14 +68,14 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
     tree = TernarySearchTree(sketch)
     retrieved = query_dicts(retrieved)
     for kmer in intersecting:
-        assert retrieved[kmer] == tree.lookup(kmer) == sketch.lookup(kmer)
+        assert retrieved[kmer] == tree.lookup(kmer) == sketch_lookup(sketch, kmer)
 
 
 @given(world_strategy)
 @settings(property_settings(8), suppress_health_check=[HealthCheck.too_slow])
 def test_kss_equals_tree_on_random_worlds(params):
     _, database, sketch = build_world(params)
-    kss = KssTables(sketch)
+    kss = KssTables(sketch.kss_store)
     tree = TernarySearchTree(sketch)
     queries = sorted(sketch.tables[K])[:60]
     retrieved = query_dicts(retrieve_with("python", kss, queries))

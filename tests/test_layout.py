@@ -1,18 +1,21 @@
-"""Source-layout guard: no orphan modules under ``src/repro``.
+"""Source-layout guards: no orphan modules under ``src/repro``, and no
+module there importing the tests.
 
 Every module other than a ``__main__`` needs a user — another module under
 ``src/repro`` or a script under ``examples/`` (tier-1 runs them) — that
 imports it or names it in a string constant (as
 ``repro.experiments.runner.REGISTRY`` names the experiments).  A module
-that only its own tests import is dead code.  Read with ``ast`` alone:
-nothing is imported.
+that only its own tests import is dead code.  The reference
+implementations the tests hold the product to live in ``tests/oracles``;
+a source module importing ``tests`` would let one flow back into the
+product.  Read with ``ast`` alone: nothing is imported.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -92,3 +95,38 @@ def test_the_guard_sees_imports_and_registry_strings():
     session = named_modules(SRC / "repro" / "megis" / "session.py")
     assert {"repro.megis.host", "repro.megis", "repro"} <= session
     assert "repro.sequences.quality" in named_modules(EXAMPLES / "full_workflow.py")
+
+
+def imports_of_tests(source: str) -> List[str]:
+    """The ``tests`` modules ``source`` imports (absolute imports only: a
+    relative one stays inside its own package)."""
+    found: List[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "tests"]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").split(".")[0] == "tests"):
+            found.append(node.module)
+    return found
+
+
+def test_no_source_module_imports_the_tests():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if (names := imports_of_tests(path.read_text(encoding="utf-8")))
+    }
+    assert not found, f"source modules importing tests/: {found}"
+
+
+def test_the_guard_sees_every_form_of_a_tests_import():
+    source = (
+        "import tests\n"
+        "import tests.oracles as oracles\n"
+        "from tests.oracles import kss_store\n"
+        "from tests import oracles\n"
+        "from . import tests\n"
+        "import testsuite\n"
+    )
+    assert imports_of_tests(source) == ["tests", "tests.oracles", "tests.oracles", "tests"]

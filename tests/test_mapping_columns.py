@@ -28,6 +28,7 @@ from repro.tools.mapping import (
     SpeciesIndex,
     UnifiedIndex,
 )
+from tests.oracles import merge_unified_index
 from tests.strategies import (
     STANDARD_SETTINGS,
     collection,
@@ -153,7 +154,7 @@ class TestColumnarMerge:
         rows, columns = _both_kinds(world)
         merged, stats = merge_species_columns(columns)
         assert isinstance(merged, ColumnarUnifiedIndex)
-        reference = UnifiedIndex.merge(rows)
+        reference = merge_unified_index(rows)
         assert reference_view(merged) == reference
         assert len(merged) == len(reference)
         # The heap merge is the reference for the counters.
@@ -176,7 +177,7 @@ class TestColumnarMerge:
         ``starts``) included."""
         rows, columns = _both_kinds(world)
         merged, _ = merge_species_columns(columns)
-        reference = UnifiedIndex.merge(rows)
+        reference = merge_unified_index(rows)
         taxids = merged.taxids.tolist()
         assert merged.location_species.shape == merged.locations.shape
         assert merged.location_species.tolist() == [
@@ -221,11 +222,11 @@ class TestColumnarMerge:
 
     def test_empty_and_single(self):
         merged, stats = merge_species_columns([])
-        assert reference_view(merged) == UnifiedIndex.merge([])
+        assert reference_view(merged) == merge_unified_index([])
         assert stats.entries_written == 0
         only = ColumnarSpeciesIndex.build(9, "ACGTAC", k=3)
         merged, stats = merge_species_columns([only])
-        assert reference_view(merged) == UnifiedIndex.merge(
+        assert reference_view(merged) == merge_unified_index(
             [SpeciesIndex.build(9, "ACGTAC", 3)]
         )
         assert stats.shared_kmers == 0
@@ -242,7 +243,7 @@ class TestColumnarVote:
     @given(mapping_worlds(), st.sampled_from([1, 2, 5]))
     def test_equals_per_read_map_read(self, world, min_seed_hits):
         rows, columns = _both_kinds(world)
-        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits)
+        reference = ReadMapper(merge_unified_index(rows), min_seed_hits)
         columnar = ReadMapper(merge_species_columns(columns)[0], min_seed_hits)
         want = [reference.map_read(read) for read in world.reads]
         assert [columnar.map_read(read) for read in world.reads] == want
@@ -260,7 +261,7 @@ class TestColumnarVote:
         rows, columns = _both_kinds(world)
         unified = merge_species_columns(columns)[0]
         mapper = ReadMapper(unified, min_seed_hits=1)
-        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        reference = ReadMapper(merge_unified_index(rows), min_seed_hits=1)
         want = _vote(mapper, unified, world.reads)
         taxids = unified.taxids.tolist()
         assert [taxids[s] if s >= 0 else None for s in want] == [
@@ -324,7 +325,7 @@ class TestColumnarVote:
         unified = merge_species_columns(columns)[0]
         assert mapping.vote_block_reads(unified) == 4
         rows = [SpeciesIndex.build(t, g, 31) for t, g in genomes.items()]
-        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        reference = ReadMapper(merge_unified_index(rows), min_seed_hits=1)
         columnar = ReadMapper(unified, min_seed_hits=1)
         reads = [
             Read(i, genomes[(3, 8)[i % 2]][i % 13:i % 13 + 33 + i % 5], 0)
@@ -354,7 +355,7 @@ class TestColumnarVote:
             mapping.VOTE_BLOCK_READS * 2 // n_sig
         )
         rows = [SpeciesIndex.build(t, g, 2) for t, g in genomes.items()]
-        reference = ReadMapper(UnifiedIndex.merge(rows), min_seed_hits=1)
+        reference = ReadMapper(merge_unified_index(rows), min_seed_hits=1)
         columnar = ReadMapper(unified, min_seed_hits=1)
         reads = [
             Read(i, genomes[1 + i % 2][i % 7:i % 7 + 3 + i % 6], 0)

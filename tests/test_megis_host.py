@@ -13,6 +13,7 @@ from repro.megis.host import (
 from repro.sequences.keys import as_column, column_dtype
 from repro.sequences.kmers import KmerCounter, KmerStream, extract_kmers
 from repro.sequences.reads import Read
+from tests.oracles import is_sorted
 from tests.strategies import property_settings
 
 
@@ -68,7 +69,7 @@ class TestBucketIsSorted:
         ([9, 1], False),
     ])
     def test_list_path(self, kmers, expected):
-        assert Bucket(index=0, lo=0, hi=100, kmers=kmers).is_sorted() is expected
+        assert is_sorted(Bucket(index=0, lo=0, hi=100, kmers=kmers)) is expected
 
     @pytest.mark.parametrize("kmers,expected", [
         ([], True),
@@ -77,7 +78,7 @@ class TestBucketIsSorted:
     ])
     def test_ndarray_path_agrees(self, kmers, expected):
         column = np.asarray(kmers, dtype=np.uint64)
-        assert Bucket(index=0, lo=0, hi=100, kmers=column).is_sorted() is expected
+        assert is_sorted(Bucket(index=0, lo=0, hi=100, kmers=column)) is expected
 
     def test_early_exit_stops_at_first_inversion(self):
         class Tripwire(int):
@@ -94,7 +95,7 @@ class TestBucketIsSorted:
                 return gen()
 
         kmers = Recording([1, 5, 3, Tripwire(4), Tripwire(2)])
-        assert Bucket(index=0, lo=0, hi=100, kmers=kmers).is_sorted() is False
+        assert is_sorted(Bucket(index=0, lo=0, hi=100, kmers=kmers)) is False
         # The scan stopped at the inversion; the tripwire tail was never read.
         assert not any(isinstance(x, Tripwire) for x in seen)
 
@@ -109,7 +110,7 @@ class TestPartitioning:
 
     def test_each_bucket_sorted_and_in_range(self, bucket_set):
         for bucket in bucket_set.buckets:
-            assert bucket.is_sorted()
+            assert is_sorted(bucket)
             assert all(bucket.lo <= x < bucket.hi for x in bucket.kmers)
 
     def test_concatenation_globally_sorted(self, bucket_set):
@@ -209,7 +210,7 @@ class TestColumnarPartitioner:
 
     def test_columns_sorted_and_in_range(self, per_backend):
         for bucket in per_backend["numpy"].buckets:
-            assert bucket.is_sorted()
+            assert is_sorted(bucket)
             assert all(bucket.lo <= int(x) < bucket.hi for x in bucket.kmers)
 
     def test_zero_copy_handoff(self, per_backend):

@@ -18,6 +18,7 @@ from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import whole_range
 from tests.columns import as_ints, query_dicts
 from tests.conftest import SKETCH_K
+from tests.oracles import sketch_lookup
 
 BACKENDS = ("python", "numpy")
 
@@ -123,7 +124,7 @@ class TestTaxIdRetriever:
         queries = sorted(sketch_db.tables[SKETCH_K])[:250]
         results = query_dicts(TaxIdRetriever(kss_tables).retrieve(queries))
         for q in queries:
-            assert results[q] == sketch_db.lookup(q)
+            assert results[q] == sketch_lookup(sketch_db, q)
 
     def test_empty_query(self, kss_tables):
         assert query_dicts(TaxIdRetriever(kss_tables).retrieve([])) == {}
@@ -155,4 +156,4 @@ class TestTaxIdRetriever:
         )
         results = query_dicts(TaxIdRetriever(kss_tables).retrieve(queries))
         for q in queries:
-            assert results[q] == sketch_db.lookup(q)
+            assert results[q] == sketch_lookup(sketch_db, q)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.megis.abundance import build_unified_index, merge_species_indexes
+from repro.megis.abundance import merge_species_indexes
 from repro.megis.accelerator import accelerator_report, scale_area
 from repro.megis.commands import CommandProcessor
 from repro.megis.index import MegisIndex
@@ -10,8 +10,9 @@ from repro.megis.session import AnalysisSession, MegisConfig
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
 from repro.taxonomy.metrics import f1_score
-from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex, UnifiedIndex
+from repro.tools.mapping import ColumnarSpeciesIndex, SpeciesIndex
 from repro.workloads.cami import CamiDiversity, make_cami_sample
+from tests.oracles import build_unified_index, merge_unified_index
 from tests.strategies import reference_view
 
 
@@ -139,7 +140,7 @@ class TestUnifiedIndexMerge:
         taxids = refs.species_taxids[:4]
         indexes = [SpeciesIndex.build(t, refs.sequence(t), 15) for t in taxids]
         merged, stats = merge_species_indexes(indexes)
-        reference = UnifiedIndex.merge(indexes)
+        reference = merge_unified_index(indexes)
         assert merged.entries == reference.entries
         assert merged.boundaries == reference.boundaries
         assert stats.entries_written == len(reference.entries)
@@ -155,7 +156,7 @@ class TestUnifiedIndexMerge:
         ]
         merged, stats = merge_species_indexes(columns)
         reference, reference_stats = merge_species_indexes(rows)
-        assert reference_view(merged) == reference == UnifiedIndex.merge(rows)
+        assert reference_view(merged) == reference == merge_unified_index(rows)
         assert stats == reference_stats
         assert stats.shared_kmers > 0
 

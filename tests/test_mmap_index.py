@@ -63,9 +63,9 @@ class TestMemmapAttachment:
             assert shard.kss.signatures is store.table
 
     def test_sharded_kss_slices_work_unchanged(self, mapped, kss_tables):
-        """KssTables.from_store + slice_range on memmap columns == in-RAM."""
+        """KssTables over memmap columns + slice_range == in-RAM."""
         store = mapped.kss.store()
-        reloaded = KssTables.from_store(store)
+        reloaded = KssTables(store)
         space = 1 << (2 * mapped.k)
         sliced = reloaded.slice_range(0, space // 2)
         expected = kss_tables.slice_range(0, space // 2)

@@ -16,9 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import PhaseTimings, get_backend
-from repro.databases.kss import KssTables
 from repro.databases.sketch import SketchDatabase
-from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
 from repro.megis.multissd import (
@@ -30,6 +28,7 @@ from repro.megis.multissd import (
     whole_shard,
 )
 from tests.columns import as_ints, native_column, pairs_as_ints, query_dicts
+from tests.oracles import database_from_rows, owners_of, reference_kss
 from tests.strategies import property_settings
 
 BACKENDS = ("python", "numpy")
@@ -67,7 +66,7 @@ def worlds(draw):
         for taxid in own:
             sizes[taxid] = sizes.get(taxid, 0) + 1
     sketch = SketchDatabase(K, SMALLER_KS, tables, sizes)
-    return SortedKmerDatabase(K, kmers, owners), KssTables(sketch)
+    return database_from_rows(K, kmers, owners), reference_kss(sketch)
 
 
 @st.composite
@@ -195,10 +194,10 @@ class TestSplitDatabase:
     def test_owners_preserved(self, sorted_db):
         for shard in split_database(sorted_db, 3):
             for kmer in shard.database.kmers[:10]:
-                assert shard.database.owners_of(kmer) == sorted_db.owners_of(kmer)
+                assert owners_of(shard.database, kmer) == owners_of(sorted_db, kmer)
 
     def test_more_shards_than_kmers(self):
-        database = SortedKmerDatabase(10, [5, 9], [frozenset({1}), frozenset({2})])
+        database = database_from_rows(10, [5, 9], [frozenset({1}), frozenset({2})])
         shards = split_database(database, 5)
         assert [x for s in shards for x in s.database.kmers] == [5, 9]
         assert shards[0].lo == 0 and shards[-1].hi == 1 << 20
@@ -206,7 +205,7 @@ class TestSplitDatabase:
             assert a.hi == b.lo
 
     def test_empty_database(self):
-        shards = split_database(SortedKmerDatabase(10, [], []), 3)
+        shards = split_database(database_from_rows(10, [], []), 3)
         assert all(len(s.database) == 0 for s in shards)
         assert shards[0].lo == 0 and shards[-1].hi == 1 << 20
         for a, b in zip(shards, shards[1:]):
@@ -264,9 +263,9 @@ class TestMultiSsdStepTwo:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_more_ssds_than_kmers(self, kss_tables, sorted_db, backend):
-        small = SortedKmerDatabase(
+        small = database_from_rows(
             20, sorted_db.kmers[:3],
-            [sorted_db.owners_of(x) for x in sorted_db.kmers[:3]],
+            [owners_of(sorted_db, x) for x in sorted_db.kmers[:3]],
         )
         query = sorted_db.kmers[:50:2]
         expected = small.intersect(query)
@@ -398,7 +397,7 @@ class TestUint64BoundaryOverflow:
     def test_sharded_k32_keeps_top_kmer(self, kss_tables, backend):
         k = 32
         kmers = [7, 2**40, 2**63, 2**64 - 1]
-        database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
+        database = database_from_rows(k, kmers, [frozenset({1})] * len(kmers))
         assert database.column().dtype == np.uint64
         query = kmers[:]
         multi = MultiSsdStepTwo(database, kss_tables, n_ssds=3, backend=backend)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.reporting import compare_report, json_report, text_report
+from repro.reporting import json_report, text_report
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.taxonomy.tree import ROOT_TAXID, Rank, Taxonomy
 
@@ -67,19 +67,3 @@ class TestJsonReport:
         data = json.loads(json_report(AbundanceProfile(), taxonomy))
         assert data["species"] == {}
         assert data["total"] == 0.0
-
-
-class TestCompareReport:
-    def test_deltas(self, world):
-        taxonomy, profile = world
-        reference = AbundanceProfile({10: 0.4, 12: 0.6})
-        report = compare_report(profile, reference, taxonomy)
-        assert "+0.1000" in report  # taxid 10: 0.5 vs 0.4
-        assert "-0.3500" in report  # taxid 12: 0.25 vs 0.6
-
-    def test_union_of_taxids(self, world):
-        taxonomy, profile = world
-        reference = AbundanceProfile({99: 1.0})
-        # Unknown taxid renders with a placeholder name, not an exception.
-        report = compare_report(profile, reference, taxonomy)
-        assert "99" in report and "?" in report

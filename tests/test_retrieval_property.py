@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 
 from repro.backends.numpy_backend import retrieve_levels
 from repro.backends.retrieval import RetrievalResult
-from repro.databases.kss import KssTables
 from repro.megis.index import MegisIndex
 from repro.tools.metalign import accumulate_hits, select_candidates
 from repro.tools.statistical import StatisticalAbundanceEstimator
 from repro.sequences.keys import as_column
 from tests.columns import accumulate_oracle, as_ints, query_dicts, retrieve_with
+from tests.oracles import hit_levels, reference_kss, signature_table_from_sets, sketch_lookup
 from tests.strategies import (
     STANDARD_SETTINGS,
     kmer_rows,
@@ -69,7 +69,7 @@ def make_world(seed: int):
     ]
     smaller_ks = () if seed % 5 == 0 else SMALLER
     sketch = synthetic_sketch(kmers, owners, k_max=K, smaller_ks=smaller_ks)
-    kss = KssTables(sketch)
+    kss = reference_kss(sketch)
 
     if seed % 7 == 0:
         queries = []  # empty query list
@@ -135,7 +135,7 @@ def test_csr_blocks_internally_consistent(seed):
             for i, q in enumerate(as_ints(retrieved.queries)):
                 row = taxids[offsets[i]:offsets[i + 1]].tolist()
                 assert row == sorted(row)
-                assert frozenset(row) == sketch.lookup(q).get(k, frozenset())
+                assert frozenset(row) == sketch_lookup(sketch, q).get(k, frozenset())
 
 
 @pytest.mark.parametrize("seed", [3, 8, 11])
@@ -199,7 +199,7 @@ def test_query_dict_adapter_matches_mapping_fold():
         retrieved = retrieve_with(backend, kss, queries)
         columnar = accumulate_hits(retrieved)
         assert columnar.as_dict() == accumulate_oracle(query_dicts(retrieved))
-        for taxids, counts in columnar.levels.values():
+        for taxids, counts in hit_levels(columnar).values():
             assert taxids.dtype == counts.dtype == np.int64
 
 
@@ -235,7 +235,7 @@ def test_signatures_expand_to_the_full_owner_sets(world):
     index = world.build()
     oracle = world.reference_build().sketch
     queries = _probe_queries(index)
-    expected = {q: oracle.lookup(q) for q in queries}
+    expected = {q: sketch_lookup(oracle, q) for q in queries}
     for n_shards in (1, 3, 4):
         shards = index.shards(n_shards)
         for backend in ("python", "numpy"):
@@ -282,11 +282,11 @@ def test_a_hash_collision_is_refused(monkeypatch):
     monkeypatch.setattr(
         signatures, "_mix64", lambda values: np.ones(len(values), dtype=np.uint64)
     )
-    table, ids = signatures.SignatureTable.from_sets([[1, 2], [], [1, 2], [5]])
+    table, ids = signature_table_from_sets([[1, 2], [], [1, 2], [5]])
     assert ids.tolist() == [ids[0], 0, ids[0], ids[3]] and ids[0] != ids[3]
     assert table.sets[ids[0]] == frozenset({1, 2})
     with pytest.raises(ValueError, match="collision"):
-        signatures.SignatureTable.from_sets([[1, 2], [3, 4]])
+        signature_table_from_sets([[1, 2], [3, 4]])
 
 
 # -- one search per shard: the neighbour rule and orphan boundary rows ----------
@@ -300,7 +300,7 @@ def _orphan_world():
     kmers = sorted(ORPHAN_ROWS)
     owners = [frozenset(ORPHAN_ROWS[x]) for x in kmers]
     sketch = synthetic_sketch(kmers, owners, k_max=ORPHAN_K, smaller_ks=(ORPHAN_LEVEL,))
-    return sketch, KssTables(sketch)
+    return sketch, reference_kss(sketch)
 
 
 @pytest.mark.parametrize("lo, hi, queries", [
@@ -317,7 +317,7 @@ def test_orphan_boundary_rows_answer_like_python(lo, hi, queries):
     answer with that row, as the python merge and the sketch say."""
     sketch, kss = _orphan_world()
     sliced = kss.slice_range(lo, hi)
-    expected = {q: sketch.lookup(q) for q in queries}
+    expected = {q: sketch_lookup(sketch, q) for q in queries}
     by_numpy = retrieve_with("numpy", sliced, queries)
     by_python = retrieve_with("python", sliced, queries)
     assert query_dicts(by_numpy) == query_dicts(by_python) == expected
@@ -364,7 +364,7 @@ def test_any_shard_split_retrieves_like_python(rows, cuts, probes):
     rows included, and the slices concatenate to the whole retrieval."""
     kmers, owners = rows
     sketch = synthetic_sketch(kmers, owners, k_max=SPLIT_K, smaller_ks=(4, 2))
-    kss = KssTables(sketch)
+    kss = reference_kss(sketch)
     top = 1 << (2 * SPLIT_K)
     queries = sorted({q for x in kmers for q in (x - 1, x, x + 1) if 0 <= q < top}
                      | set(probes))
@@ -382,4 +382,4 @@ def test_any_shard_split_retrieves_like_python(rows, cuts, probes):
     whole = retrieve_with("numpy", kss, queries)
     for k, ids in whole.levels.items():
         assert joined.levels[k].tolist() == ids.tolist()
-    assert query_dicts(whole) == {q: sketch.lookup(q) for q in queries}
+    assert query_dicts(whole) == {q: sketch_lookup(sketch, q) for q in queries}

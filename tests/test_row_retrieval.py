@@ -29,8 +29,6 @@ from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.backends.base import clip_buckets
-from repro.databases.kss import KssTables
-from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis import multissd
 from repro.megis.index import MegisIndex
 from repro.megis.multissd import (
@@ -43,6 +41,7 @@ from repro.megis.multissd import (
 from repro.megis.service import AnalysisService
 from repro.megis.session import AnalysisSession, MegisConfig
 from tests.columns import as_ints, query_dicts
+from tests.oracles import database_from_rows, reference_kss, sketch_lookup
 from tests.strategies import (
     STANDARD_SETTINGS,
     kmer_rows,
@@ -123,9 +122,9 @@ def test_any_cut_takes_like_python(rows, unsketched, cuts):
     level row whose k_max-mers all lie in a neighbouring shard (an
     orphan), still answers that row's owners."""
     kmers, owners = rows
-    kss = KssTables(synthetic_sketch(kmers, owners, k_max=SPLIT_K, smaller_ks=(4, 2)))
+    kss = reference_kss(synthetic_sketch(kmers, owners, k_max=SPLIT_K, smaller_ks=(4, 2)))
     column = sorted(set(kmers) | unsketched)
-    database = SortedKmerDatabase(SPLIT_K, column, [frozenset({1})] * len(column))
+    database = database_from_rows(SPLIT_K, column, [frozenset({1})] * len(column))
     edges = sorted({0, SPLIT_TOP, *cuts})
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         start, stop = bisect_left(column, lo), bisect_left(column, hi)
@@ -144,14 +143,14 @@ def test_orphan_rows_answer_from_their_level_row():
                               [frozenset({t}) for t in (1, 2, 3, 4, 5)],
                               k_max=SPLIT_K, smaller_ks=(4,))
     column = list(range(80, 128))
-    database = SortedKmerDatabase(SPLIT_K, column, [frozenset({1})] * len(column))
+    database = database_from_rows(SPLIT_K, column, [frozenset({1})] * len(column))
     shard = DatabaseShard(0, 88, 120, database.slice(8, 40),
-                          KssTables(sketch).slice_range(88, 120))
+                          reference_kss(sketch).slice_range(88, 120))
     batch = [whole_range(column[8:40], SPLIT_K)]
     [(kmers, retrieved)] = NUMPY.step_two(shard, batch)
     assert_same_results([(kmers, retrieved)], PYTHON.step_two(shard, batch))
     answers = query_dicts(retrieved)
-    assert answers == {q: sketch.lookup(q) for q in range(88, 120)}
+    assert answers == {q: sketch_lookup(sketch, q) for q in range(88, 120)}
     assert answers[88] == {4: frozenset({1, 2})}
     assert answers[119] == {4: frozenset({4, 5})}
 

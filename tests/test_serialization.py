@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.databases.serialization import (
     SerializationError,
-    byte_order_matches_kmer_order,
     pack_sections,
     parse_kmer_column,
     payload_pages,
@@ -18,6 +17,7 @@ from repro.megis.index import IndexBuilder, MegisIndex
 from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from repro.ssd.config import ssd_c
 from repro.ssd.device import SSD
+from tests.oracles import byte_order_matches_kmer_order, database_from_rows, owners_of
 from tests.strategies import property_settings
 
 
@@ -54,7 +54,7 @@ class TestSerialization:
     @settings(max_examples=25)
     def test_roundtrip_property(self, raw):
         kmers = sorted(raw)
-        db = SortedKmerDatabase(12, kmers, [frozenset({1})] * len(kmers))
+        db = database_from_rows(12, kmers, [frozenset({1})] * len(kmers))
         assert reattached(db).kmers == kmers
 
 
@@ -145,8 +145,8 @@ class TestCsrOwnerLayout:
         assert len(offsets) == len(sorted_db) + 1
         for i, kmer in enumerate(sorted_db.kmers[:80]):
             row = taxids[offsets[i] : offsets[i + 1]].tolist()
-            assert row == sorted(sorted_db.owners_of(kmer))
-            assert frozenset(row) == sorted_db.owners_of(kmer)
+            assert row == sorted(owners_of(sorted_db, kmer))
+            assert frozenset(row) == owners_of(sorted_db, kmer)
 
     def test_slice_shares_owner_columns(self, sorted_db):
         parent_taxids, parent_offsets = sorted_db.owner_columns()
@@ -156,14 +156,14 @@ class TestCsrOwnerLayout:
         assert taxids.base is not None  # zero-copy view of the parent column
         for i, kmer in enumerate(shard.kmers):
             assert taxids[offsets[i] : offsets[i + 1]].tolist() == sorted(
-                sorted_db.owners_of(kmer)
+                owners_of(sorted_db, kmer)
             )
 
     def test_csr_roundtrip_beyond_255_owners(self):
         # The CSR offsets column puts no u8 cap on owners per k-mer.
         owners = [frozenset(range(1, 300))]
-        db = SortedKmerDatabase(12, [7], owners)
-        assert db.owners_of(7) == owners[0]
+        db = database_from_rows(12, [7], owners)
+        assert owners_of(db, 7) == owners[0]
 
     def test_vectorized_parse_attaches_column(self, sorted_db):
         # 2k <= 64: the k-mer records parse vectorized and the uint64
@@ -177,7 +177,7 @@ class TestCsrOwnerLayout:
         # The paper's k = 60 (120-bit k-mers) takes the per-record parse,
         # which fills the attached column with object dtype.
         kmers = [3, 1 << 100, (1 << 119) + 5]
-        db = SortedKmerDatabase(60, kmers, [frozenset({i})for i in range(3)])
+        db = database_from_rows(60, kmers, [frozenset({i})for i in range(3)])
         loaded = reattached(db)
         assert loaded.column().dtype == object
         assert loaded.column().tolist() == kmers

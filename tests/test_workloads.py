@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.workloads.cami import CamiDiversity, make_cami_sample, realized_profile
+from repro.workloads.cami import CamiDiversity, make_cami_sample
+from tests.oracles import realized_profile
 from repro.workloads.datasets import (
     DIVERSITY_LOOKUP_FACTOR,
     cami_spec,
