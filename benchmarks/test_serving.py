@@ -11,12 +11,12 @@ Pins what the serving tiers must do whatever the host's speed:
   workers coalesce queued samples into §4.7 batches.  Step 2 runs paced
   (the modeled flash stream as real wall time, ``repro.backends.paced``),
   the stream-bound regime the paper's serving story lives in;
-- four service threads, over a serial and over a ``threads:4`` session,
-  must serve the mapping stream exactly as the serial one-worker service
-  does;
-- a ``threads:4`` sharded Step 2 must reproduce the serial multi-SSD
-  result exactly while overlapping the shards' paced streams
-  (``measured_overlap_saved_ms > 0``).
+- four service threads must serve the mapping stream exactly as the
+  one-worker service does.
+
+The shards' paced-stream overlap (§6.1 x §4.3.2) is the
+``overlap_report`` experiment's, asserted in
+``tests/test_experiments.py``.
 
 The gateway's concurrent-client identity and its token-bucket fairness
 are ``tests/test_gateway.py``.  Whether the stack got faster or slower
@@ -29,21 +29,18 @@ import json
 import threading
 import time
 
-from repro.backends import PhaseTimings
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis import wire
 from repro.megis.index import MegisIndex
-from repro.megis.multissd import MultiSsdStepTwo
 from repro.megis.service import AnalysisService
 from repro.megis.session import AnalysisSession, MegisConfig
-from tests.columns import as_ints, query_dicts
 
 N_SAMPLES = 12
 #: Scaled-down stream bandwidth matched to the benchmark database, so the
 #: paced stream dominates the way flash streaming dominates at paper scale.
 MB_PER_S = 4.0
 #: Bandwidth for the mapping workload: light pacing, so Steps 1 and 3 —
-#: CPU work, not stream waits — dominate and the executor substrate is
+#: CPU work, not stream waits — dominate and the service threads are
 #: what's exercised.
 MAPPING_MB_PER_S = 32.0
 
@@ -100,8 +97,8 @@ def test_service_workers_speedup_floor(bench_sorted_db, bench_sketch,
         assert [_result_signature(r) for r in results] == expected_signature
 
 
-def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
-                     executor=None) -> AnalysisSession:
+def _mapping_session(bench_sorted_db, bench_sketch,
+                     bench_sample) -> AnalysisSession:
     """Mapping-Step-3 serving under light pacing: the compute-heavy stream.
 
     Steps 1 and 3 run as NumPy column kernels here (batch extraction, the
@@ -110,38 +107,28 @@ def _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
     index = MegisIndex(bench_sorted_db, bench_sketch, bench_sample.references)
     backend = PacedStepTwoBackend("numpy", mb_per_s=MAPPING_MB_PER_S)
     return AnalysisSession(
-        index, MegisConfig(abundance_method="mapping", executor=executor),
-        backend=backend,
+        index, MegisConfig(abundance_method="mapping"), backend=backend,
     )
-
-
-def _serve_closing(session, samples, workers):
-    """`_serve`, but also shutting the session's shard pool down."""
-    with session:
-        return _serve(session, samples, workers)
 
 
 def test_threads_serve_the_mapping_stream_bit_identically(bench_sorted_db,
                                                           bench_sketch,
                                                           bench_sample):
-    """Four service threads, over a serial session and over a
-    ``threads:4`` one, must serve the mapping stream exactly as the serial
+    """Four service threads must serve the mapping stream exactly as the
     one-worker service does.  Their wall clock is not asserted."""
     samples = _sample_stream(bench_sample)
-    expected = _serve_closing(
+    expected = _serve(
         _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
         samples, workers=1,
     )
     expected_signature = [_result_signature(r) for r in expected]
     assert any(sig[1] for sig in expected_signature), "stream must hit the index"
 
-    for executor in (None, "threads:4"):
-        results = _serve_closing(
-            _mapping_session(bench_sorted_db, bench_sketch, bench_sample,
-                             executor=executor),
-            samples, workers=4,
-        )
-        assert [_result_signature(r) for r in results] == expected_signature
+    results = _serve(
+        _mapping_session(bench_sorted_db, bench_sketch, bench_sample),
+        samples, workers=4,
+    )
+    assert [_result_signature(r) for r in results] == expected_signature
 
 
 class _GatedStdin:
@@ -229,30 +216,3 @@ def test_serve_streams_first_result_before_eof(tmp_path, monkeypatch,
     assert stdout.first_at < stdin.eof_at, (
         "first result must stream out before stdin EOF"
     )
-
-
-def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):
-    """``threads:4`` shards: identical results, measured overlap > 0.
-
-    Four shards' paced streams run on four threads; the per-shard busy
-    time sums to the serial cost while the dispatch window shrinks —
-    ``measured_overlap_saved_ms`` is that gap, the wall-clock realization
-    of the §6.1 multi-SSD fan-out.
-    """
-    query = bench_sorted_db.kmers[::3]
-    backend = PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S)
-    serial = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             backend=backend)
-    threaded = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                               backend=backend, executor="threads:4")
-    serial_timings = PhaseTimings()
-    expected = serial.run(query, timings=serial_timings)
-    best_saved = 0.0
-    for _ in range(3):
-        t = PhaseTimings()
-        result = threaded.run(query, timings=t)
-        assert as_ints(result[0]) == as_ints(expected[0])
-        assert query_dicts(result[1]) == query_dicts(expected[1])
-        best_saved = max(best_saved, t.measured_overlap_saved_ms)
-    assert serial_timings.measured_overlap_saved_ms < 1e-6
-    assert best_saved > 0.0, "threaded shards hid no paced stream time"

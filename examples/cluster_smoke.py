@@ -113,7 +113,6 @@ def main():
             {str(t): f
              for t, f in sorted(reference.profile.fractions.items())},
         ))
-    session.close()
 
     placement = ["--nodes", "2", "--shards", "4"]
     procs = {}

@@ -84,28 +84,11 @@ class PhaseTimings:
     buckets_processed: int = 0
     db_stream_passes: int = 0
     samples_batched: int = 1
-    #: Elapsed wall-clock time of the Step-2 dispatch (submission of the
-    #: first bucket/shard task to completion of the last).  With a serial
-    #: executor this tracks ``intersect_ms + retrieve_ms``; with a
-    #: concurrent executor it is smaller — the gap is *measured* overlap.
-    step2_wall_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
         return (self.extract_ms + self.intersect_ms + self.retrieve_ms
                 + self.candidates_ms + self.abundance_ms)
-
-    @property
-    def measured_overlap_saved_ms(self) -> float:
-        """Measured (not modeled) wall time hidden by concurrent Step 2.
-
-        Per-task busy time (``intersect_ms + retrieve_ms``) minus the
-        elapsed dispatch window: zero for the serial loop, positive when
-        a ``threads[:N]`` pool genuinely overlapped shard work.
-        """
-        if self.step2_wall_ms <= 0:
-            return 0.0
-        return max(0.0, self.intersect_ms + self.retrieve_ms - self.step2_wall_ms)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -131,11 +114,7 @@ class PhaseTimings:
                 setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            **asdict(self),
-            "total_ms": self.total_ms,
-            "measured_overlap_saved_ms": self.measured_overlap_saved_ms,
-        }
+        return {**asdict(self), "total_ms": self.total_ms}
 
 
 def interval_edges(samples: Sequence[Sequence[BucketSlice]]) -> List[int]:

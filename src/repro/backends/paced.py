@@ -4,7 +4,7 @@ The repository is a *functional* reproduction — the Step-2 kernels compute
 on in-memory columns and only count the flash traffic they model
 (``db_kmers_streamed``).  That makes the paper's central overlap claims
 (§4.2.1 bucket pipeline, §4.7 multi-sample batching, §6.1 multi-SSD
-fan-out) invisible to a wall clock: a concurrent executor has nothing to
+fan-out) invisible to a wall clock: concurrent shards have nothing to
 hide when streams take zero time.
 
 :class:`PacedStepTwoBackend` closes that gap.  It wraps another backend
@@ -17,10 +17,10 @@ work — but the serving economics become measurable:
 
 - batched multi-sample Step 2 streams each database interval once per
   batch, so a batch of four pays one paced stream instead of four;
-- per-shard tasks on a ``threads[:N]`` pool
-  (:func:`~repro.megis.executors.shard_pool`) overlap their paced
-  waits (``time.sleep`` releases the GIL), exactly like independent SSD
-  channels;
+- per-shard tasks on a thread pool (the one
+  :mod:`repro.experiments.overlap_report` hands
+  :func:`~repro.megis.multissd.step_two_over_shards`) overlap their paced
+  waits (``time.sleep`` releases the GIL), exactly like independent SSDs;
 - :class:`~repro.megis.service.AnalysisService` throughput scales with
   workers/batching even on a single CPU core, because serving an
   SSD-resident database is stream-bound, not compute-bound.

@@ -25,7 +25,9 @@ The commands cover the library's main entry points:
   token-bucket rate limiting (``--rate-limit``/``--rate-burst``), a
   connection cap (``--max-clients``) and per-request admission rejection
   (``--admission-timeout-ms``); SIGTERM drains gracefully (finish every
-  accepted request, emit a drain summary frame per connection);
+  accepted request, emit a drain summary frame per connection).  Its
+  ``--workers`` service threads are the one concurrency knob: each
+  sample's Step 2 is a plain loop over the session's one shard;
 - ``serve`` — the same gateway with stdin/stdout as its one connection:
   same parsing, admission, deadlines and drain, no socket, no rate-limit
   or client-cap flags; ``--strict-order`` emits results in input order;
@@ -61,7 +63,6 @@ from repro.options import (
     add_gateway_flags,
     add_node_flags,
     add_serving_flags,
-    execution_config_kwargs,
     gateway_kwargs,
     positive_float,
     positive_int,
@@ -141,8 +142,7 @@ def _open_session(args: argparse.Namespace,
                   metalign: bool = False) -> AnalysisSession:
     """An AnalysisSession over ``--index``, able to run the Step 3 asked
     for (read mapping needs the index's references)."""
-    config = MegisConfig(abundance_method=args.abundance,
-                         **execution_config_kwargs(args))
+    config = MegisConfig(abundance_method=args.abundance, backend=args.backend)
     session = AnalysisSession(_open_index(args), config)
     if (metalign or args.abundance == "mapping") and session.references is None:
         raise _CliError("index was built with --no-references; mapping-based "
@@ -160,13 +160,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reads_path = args.reads if args.reads is not None else args.references
         reads = reads_from_fastq(Path(reads_path).read_text())
         session = _open_session(args, metalign=args.tool == "metalign")
-        with session:
-            if args.tool == "megis":
-                result = session.analyze(reads)
-                if args.timings:
-                    _print_timings(result.timings)
-            else:
-                result = session.analyze_metalign(reads)
+        if args.tool == "megis":
+            result = session.analyze(reads)
+            if args.timings:
+                _print_timings(result.timings)
+        else:
+            result = session.analyze_metalign(reads)
         profile = result.profile
     else:
         if args.reads is None:
@@ -179,9 +178,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             index = _index_builder(args.k).build(references)
             if args.tool == "megis":
                 config = MegisConfig(abundance_method=args.abundance,
-                                     **execution_config_kwargs(args))
-                with AnalysisSession(index, config) as session:
-                    result = session.analyze(reads)
+                                     backend=args.backend)
+                result = AnalysisSession(index, config).analyze(reads)
                 if args.timings:
                     _print_timings(result.timings)
             else:
@@ -284,8 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await gateway.drain()
 
-    with session:
-        delivered = asyncio.run(run())
+    delivered = asyncio.run(run())
     stats = gateway.last_service_stats
     summary = (f"served {stats.samples_completed} samples in "
                f"{stats.batches_dispatched} batches "
@@ -335,10 +332,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     """
     session = _open_session(args)
     gateway = AnalysisGateway(session, **gateway_kwargs(args))
-    with session:
-        _serve_until_signalled(gateway.start, gateway.drain,
-                               "gateway listening on {host}:{port}",
-                               "gateway draining...")
+    _serve_until_signalled(gateway.start, gateway.drain,
+                           "gateway listening on {host}:{port}",
+                           "gateway draining...")
     gw = gateway.stats
     stats = gateway.last_service_stats
     summary = (f"served {gw.requests_completed} requests from "
@@ -448,13 +444,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    with local:
-        _serve_until_signalled(
-            router.start, router.drain,
-            f"cluster router listening on {{host}}:{{port}} "
-            f"({cluster_map.n_nodes} nodes, {cluster_map.n_shards} shards)",
-            "cluster router draining...",
-        )
+    _serve_until_signalled(
+        router.start, router.drain,
+        f"cluster router listening on {{host}}:{{port}} "
+        f"({cluster_map.n_nodes} nodes, {cluster_map.n_shards} shards)",
+        "cluster router draining...",
+    )
     gw = router.stats
     cluster = step_two.stats
     summary = (f"served {gw.requests_completed} requests from "
@@ -790,8 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  again.\n"
         ),
     )
-    add_serving_flags(cluster, execution=False)
-    add_execution_flags(cluster, executor=False, ssds=False)
+    add_serving_flags(cluster)
     add_gateway_flags(cluster)
     add_cluster_flags(cluster)
     cluster.set_defaults(func=_cmd_cluster)

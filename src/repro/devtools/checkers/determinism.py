@@ -1,7 +1,7 @@
 """RPR003: engine code must be bit-identical run to run.
 
 The reproduction's core claim — MegIS returns the same classification
-as the software baseline, across every executor/backend/cluster
+as the software baseline, across every backend, shard count and cluster
 configuration — is only testable because the engine is deterministic.
 This rule statically bans the ambient-nondeterminism APIs in engine code
 (``backends/``, ``megis/``, and the modules outside them on the result

@@ -22,10 +22,10 @@ An efficient pipeline between the host and the SSD (paper §4):
   (:class:`MegisIndex` / :class:`IndexBuilder`);
 - :mod:`repro.megis.session` — :class:`AnalysisSession`, the open-once /
   query-many serving loop, including the multi-sample mode (§4.7);
-- :mod:`repro.megis.executors` — the executor spec string (``serial`` /
-  ``threads[:N]``) and the thread pool it gives the Step-2 shard tasks;
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
-  futures-based serving front-end over one shared session;
+  futures-based serving front-end over one shared session (its worker
+  threads are the one concurrency axis on a host; Step 2's shards run one
+  after another);
 - :mod:`repro.megis.wire` — the versioned JSONL wire format and its
   newline framing, shared by every serving command;
 - :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the one asyncio
@@ -39,7 +39,6 @@ from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get
 from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
 from repro.megis.accelerator import AcceleratorReport, accelerator_report
 from repro.megis.commands import CommandProcessor, MegisInit, MegisStep, MegisWrite
-from repro.megis.executors import available_executors
 from repro.megis.ftl import DatabaseLayout, MegisFtl
 from repro.megis.gateway import AnalysisGateway, GatewayStats, TokenBucket
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
@@ -85,7 +84,6 @@ __all__ = [
     "TokenBucket",
     "accelerator_report",
     "available_backends",
-    "available_executors",
     "get_backend",
     "shard_kss",
     "split_database",

@@ -53,11 +53,10 @@ class IspStepTwo(MultiSsdStepTwo):
         kss: KssTables,
         n_channels: int = 8,
         backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
-        executor: Optional[str] = None,
     ) -> None:
         super().__init__(
             kss=kss, channels_per_ssd=n_channels, backend=backend,
-            executor=executor, shards=[whole_shard(database, kss)],
+            shards=[whole_shard(database, kss)],
         )
 
     def run_bucket_set(

@@ -43,9 +43,7 @@ by :func:`warm_shards`: a handle no Step 2 runs on — a cluster router's
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,7 +62,6 @@ from repro.backends.numpy_backend import retrieve_levels
 from repro.backends.signatures import SignatureColumn
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.executors import shard_pool, shard_workers
 
 
 @dataclass
@@ -249,12 +246,13 @@ def step_two_over_shards(
 ) -> Tuple[List[StepTwoResult], PhaseTimings]:
     """Step 2 over an ascending shard list: kernel per shard, then gather.
 
-    The per-shard tasks are a plain loop, or with a ``pool``
-    (:func:`~repro.megis.executors.shard_pool`) one ``pool.map`` — every
-    shard scheduled before the first result is awaited, the first raised
-    exception propagating after that.  Either way they are merged in shard
-    order, so the results and the counter totals are identical however
-    the tasks interleave.
+    The per-shard tasks are a plain loop on the calling thread.  The one
+    caller that wants them concurrent,
+    :mod:`repro.experiments.overlap_report` (§4.3.2's paced streams),
+    passes its own ``pool`` and gets one ``pool.map``: every shard
+    scheduled before the first result is awaited.  Either way the partials are
+    merged in shard order, so the results and the counter totals are
+    identical however the tasks interleave.
     """
 
     def shard_task(shard: DatabaseShard) -> Tuple[List[StepTwoResult], PhaseTimings]:
@@ -271,7 +269,7 @@ def step_two_over_shards(
 class MultiSsdStepTwo:
     """Step 2 fanned out over database shards, one SSD per shard.
 
-    :func:`step_two_over_shards` with this engine's executor: each shard
+    :func:`step_two_over_shards` over this engine's shards: each shard
     runs :func:`shard_step_two` and the host only gathers the
     already-sorted per-shard intersections and signature columns.  A
     call's counters go into the ``timings`` it is passed; none are kept.
@@ -281,25 +279,14 @@ class MultiSsdStepTwo:
     :class:`~repro.megis.index.MegisIndex.shards` supplies, checked to be
     in ascending disjoint range order), so serving many queries never
     re-splits anything.
-
-    ``executor`` is the spec of the per-shard work
-    (:mod:`repro.megis.executors`): with ``"threads[:N]"`` the shards'
-    tasks run concurrently on a pool opened and shut down by each call —
-    each SSD is an independent engine (§6.1), and every task owns its
-    :class:`~repro.backends.PhaseTimings`, so results stay bit-identical
-    to the serial loop while ``step2_wall_ms`` records the genuinely
-    overlapped wall-clock window.
     """
 
     def __init__(self, database: Optional[SortedKmerDatabase] = None,
                  kss: Optional[KssTables] = None,
                  n_ssds: Optional[int] = None, channels_per_ssd: int = 8,
                  backend: Union[str, StepTwoBackend] = DEFAULT_BACKEND,
-                 shards: Optional[Sequence[DatabaseShard]] = None,
-                 executor: Optional[str] = None) -> None:
+                 shards: Optional[Sequence[DatabaseShard]] = None) -> None:
         self._backend = get_backend(backend)
-        shard_workers(executor)  # refuse a bad spec up front
-        self.executor_name = executor or "serial"
         if kss is None:
             raise ValueError("MultiSsdStepTwo requires the KSS tables")
         if shards is None:
@@ -338,18 +325,12 @@ class MultiSsdStepTwo:
         """Batched multi-sample Step 2 across shards (§4.7 x §6.1).
 
         Each shard streams its database slice once for the whole batch;
-        per-sample results are identical to the one-shard case.  The
-        per-shard tasks — one independent SSD engine per shard — are
-        gathered in shard order, so the result (and the counter totals)
-        are identical however the tasks interleave.
+        per-sample results are identical to the one-shard case.
         """
-        start = time.perf_counter()
-        with shard_pool(self.executor_name) or nullcontext() as pool:
-            results, t = step_two_over_shards(
-                self._backend, self.shards, [list(b) for b in samples],
-                self.channels_per_ssd, pool,
-            )
-            t.step2_wall_ms += (time.perf_counter() - start) * 1e3
+        results, t = step_two_over_shards(
+            self._backend, self.shards, [list(b) for b in samples],
+            self.channels_per_ssd,
+        )
         if timings is not None:
             timings.merge(t)
         return results

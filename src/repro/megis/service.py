@@ -15,7 +15,7 @@ ever buffering the world:
   reject with a structured :class:`AdmissionFull` error, so queue memory
   stays at the configured bound no matter how fast clients push;
 - :meth:`submit_batch` enqueues several samples at once;
-- :meth:`results` / :meth:`as_completed` iterate *completed* requests the
+- :meth:`results` iterates *completed* requests the
   moment they finish (tagged by request id, optionally in strict
   submission order), ending once the service is closed to submissions and
   everything accepted has been emitted;
@@ -347,10 +347,6 @@ class AnalysisService:
                 self._unemitted -= 1
                 self._state.notify_all()
             yield entry
-
-    def as_completed(self) -> Iterator[CompletedRequest]:
-        """Alias of :meth:`results` in completion order."""
-        return self.results(strict_order=False)
 
     def drain(self) -> None:
         """Block until every sample submitted so far has completed."""

@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -79,7 +78,6 @@ from repro.backends import (
 )
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
-from repro.megis.executors import parse_spec, shard_pool
 from repro.megis.heap import keep_working_set
 from repro.megis.host import BucketSet, KmerBucketPartitioner
 from repro.megis.isp import IspStepTwo
@@ -136,15 +134,10 @@ class MegisConfig:
     backend: str = DEFAULT_BACKEND
     #: Shard the sorted database across this many SSDs for Step 2 (§6.1);
     #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
-    #: either way — shards are disjoint lexicographic ranges.
+    #: either way — shards are disjoint lexicographic ranges, run one
+    #: after another.  Cluster nodes set it: each serves a contiguous
+    #: group of the shards (``shard_range``).
     n_ssds: int = 1
-    #: Executor spec: ``None``/"serial" runs the Step-2 shard tasks as a
-    #: plain loop and "threads" / "threads:N" on the session's thread pool
-    #: (:mod:`repro.megis.executors`).  A bare "threads" sizes itself to
-    #: the CPUs this process may run on.
-    #: Results are bit-identical across specs; only wall-clock
-    #: overlap changes.
-    executor: Optional[str] = None
 
     def __post_init__(self):
         if self.abundance_method not in {"mapping", "statistical"}:
@@ -170,8 +163,6 @@ class MegisConfig:
             raise ValueError(
                 f"host_dram_bytes must be >= 0, got {self.host_dram_bytes}"
             )
-        if self.executor is not None:
-            parse_spec(self.executor)  # raises ValueError on junk
 
 
 class _BuiltOnRead:
@@ -245,9 +236,9 @@ class AnalysisSession:
     All engine state — the Step-2 backend, shard handles (with their KSS
     range slices), the Step-1 partitioner, and the Step-3 index caches — is
     constructed in ``__init__`` and reused by
-    every :meth:`analyze` / :meth:`analyze_batch` call.  ``backend``,
-    ``n_ssds``, and ``executor`` are conveniences overriding the
-    corresponding :class:`MegisConfig` fields; ``backend`` may also be a
+    every :meth:`analyze` / :meth:`analyze_batch` call.  ``backend`` and
+    ``n_ssds`` are conveniences overriding the corresponding
+    :class:`MegisConfig` fields; ``backend`` may also be a
     :class:`~repro.backends.StepTwoBackend` instance (e.g. a paced wrapper
     at its own bandwidth).  The backend is resolved once, here, and that
     one instance drives Step 1's partitioner, every Step 2 and the Step-3
@@ -280,7 +271,6 @@ class AnalysisSession:
         *,
         backend: Union[str, StepTwoBackend, None] = None,
         n_ssds: Optional[int] = None,
-        executor: Optional[str] = None,
         shard_range: Optional[Tuple[int, int]] = None,
     ):
         keep_working_set()
@@ -292,8 +282,6 @@ class AnalysisSession:
             overrides["backend"] = backend.name
         if n_ssds is not None:
             overrides["n_ssds"] = n_ssds
-        if executor is not None:
-            overrides["executor"] = executor
         if overrides:
             config = replace(config, **overrides)
         self.index = index
@@ -304,12 +292,6 @@ class AnalysisSession:
             backend if isinstance(backend, StepTwoBackend)
             else get_backend(config.backend)
         )
-        family, _ = parse_spec(config.executor or "serial")
-        #: A "threads[:N]" spec names the session's one per-shard Step-2
-        #: pool, built on the first Step 2 (and on the first after a
-        #: :meth:`close`); any other spec runs the shards as a plain loop.
-        self._threads_spec = config.executor if family == "threads" else None
-        self._pool: Optional[ThreadPoolExecutor] = None
         #: Cluster-node mode: serve partial Step 2 over a contiguous
         #: subset ``[start, stop)`` of the index's ``n_ssds`` shards only
         #: (:meth:`step_two_partial`).  Such a session cannot run a full
@@ -331,8 +313,7 @@ class AnalysisSession:
         self._lock = threading.RLock()
         #: Step 2 under its engine names (:attr:`isp`, :attr:`multissd`),
         #: built on first access for callers that drive Step 2 alone; the
-        #: analysis path runs the same kernel over the same shard handles
-        #: (these views loop over them; only the session owns a pool).
+        #: analysis path runs the same kernel over the same shard handles.
         self._isp: Optional[IspStepTwo] = None
         self._multissd: Optional[MultiSsdStepTwo] = None
         self._partitioner = KmerBucketPartitioner(
@@ -444,21 +425,9 @@ class AnalysisSession:
         return self
 
     def close(self) -> None:
-        """Shut down the session's shard thread pool, if it exists.
-
-        Safe on any session, and not terminal: a threaded session builds a
-        new pool on the next Step 2.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "AnalysisSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Does nothing: a session holds no thread, socket or file handle
+        of its own.  It stays because the benchmark ledger's teardown
+        calls it on every session it opened."""
 
     # -- analysis (single sample and §4.7 batch) ---------------------------------
 
@@ -551,19 +520,12 @@ class AnalysisSession:
     def _step_two_local(
         self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
     ) -> List[StepTwoResult]:
-        """Every sample's buckets share one database stream per shard."""
-        start = time.perf_counter()
-        pool = None
-        if self._threads_spec is not None:
-            with self._lock:  # one pool between close() calls
-                if self._pool is None:
-                    self._pool = shard_pool(self._threads_spec)
-                pool = self._pool
+        """Every sample's buckets share one database stream per shard,
+        the shards one after another on the calling thread."""
         results, shard_timings = step_two_over_shards(
             self._backend, self.cluster_shards(),
-            [buckets.slices() for buckets in bucket_sets], pool=pool,
+            [buckets.slices() for buckets in bucket_sets],
         )
-        shard_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
         timings.merge(shard_timings)
         return results
 

@@ -1,18 +1,13 @@
-"""Shared execution-policy flags for every CLI surface.
+"""Shared flags for every CLI surface.
 
-``repro analyze``, ``serve``, ``gateway``, ``node`` and ``cluster`` expose
-the same three knobs (or the subset that applies) — the Step-2
-``--backend``, the ``--executor`` policy (``serial`` / ``threads[:N]``),
-and the ``--ssds`` shard count — and used to each
-carry their own copy of the registration and validation logic.  This
-module is the single source: :func:`add_execution_flags` registers the
-flags on an argparse parser and :func:`execution_config_kwargs` turns the
-parsed namespace into the matching
-:class:`~repro.megis.session.MegisConfig` keyword arguments.
-
-Executor specs are validated *at parse time* (argparse ``type=``), so a
-typo like ``--executor thread:4`` fails with a usage error naming the
-accepted forms instead of surfacing later as a ``ValueError`` mid-run.
+``repro analyze``, ``serve``, ``gateway``, ``node`` and ``cluster`` share
+their flags — the Step-2 ``--backend`` on all five, the serving knobs on
+the three servers, the shard placement on a node and its router — and
+used to each carry their own copy of the registration and validation
+logic.  This module is the single source: each ``add_*_flags`` registers
+one group on an argparse parser, and numbers are validated *at parse
+time* (argparse ``type=``), so a bad value is a usage error naming it
+instead of a ``ValueError`` mid-run.
 """
 
 from __future__ import annotations
@@ -22,22 +17,8 @@ import math
 from typing import Dict, Tuple
 
 from repro.backends import DEFAULT_BACKEND, available_backends
-from repro.megis.executors import available_executors, parse_spec
 from repro.megis.gateway import DEFAULT_BATCH_WINDOW_MS
 from repro.megis.wire import MAX_LINE_BYTES
-
-
-def executor_spec(value: str) -> str:
-    """argparse ``type=`` validator for ``--executor`` specs.
-
-    Returns the spec unchanged when :func:`repro.megis.executors.parse_spec`
-    accepts it; raises ``ArgumentTypeError`` (a usage error) otherwise.
-    """
-    try:
-        parse_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
 
 
 def positive_int(value: str) -> int:
@@ -82,31 +63,13 @@ def burst_float(value: str) -> float:
     return parsed
 
 
-def add_execution_flags(
-    parser: argparse.ArgumentParser,
-    *,
-    ssds: bool = True,
-    executor: bool = True,
-) -> None:
-    """Register the shared ``--backend`` / ``--executor`` / ``--ssds`` flags."""
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """Register the shared ``--backend`` flag."""
     parser.add_argument(
         "--backend", choices=available_backends(), default=DEFAULT_BACKEND,
         help=f"Step-2 execution backend (default: {DEFAULT_BACKEND!r}; "
              "'python' is the register-level reference, same results)",
     )
-    if executor:
-        parser.add_argument(
-            "--executor", type=executor_spec, default=None, metavar="SPEC",
-            help="execution policy: "
-                 f"{', '.join(available_executors())}, sized as e.g. "
-                 "threads:N (results identical)",
-        )
-    if ssds:
-        parser.add_argument(
-            "--ssds", type=positive_int, default=1,
-            help="shard the sorted database across N SSDs for Step 2 "
-                 "(§6.1; results identical)",
-        )
 
 
 def address(value: str) -> Tuple[str, int]:
@@ -149,8 +112,7 @@ def replica_spec(value: str) -> Tuple[int, Tuple[str, int]]:
     return node_id, address(endpoint)
 
 
-def add_serving_flags(parser: argparse.ArgumentParser, *,
-                      execution: bool = True) -> None:
+def add_serving_flags(parser: argparse.ArgumentParser) -> None:
     """Register the flags shared by ``repro serve`` and ``repro gateway``.
 
     Both are one :class:`~repro.megis.gateway.AnalysisGateway` (index,
@@ -187,8 +149,7 @@ def add_serving_flags(parser: argparse.ArgumentParser, *,
                              "(default: 32 MiB)")
     parser.add_argument("--abundance", choices=("mapping", "statistical"),
                         default="mapping")
-    if execution:
-        add_execution_flags(parser)
+    add_execution_flags(parser)
 
 
 def add_gateway_flags(parser: argparse.ArgumentParser) -> None:
@@ -249,7 +210,7 @@ def add_node_flags(parser: argparse.ArgumentParser) -> None:
                         help="reject scatter frame header lines, and the "
                              "bodies they declare, longer than this "
                              "(default: 32 MiB)")
-    add_execution_flags(parser, executor=False, ssds=False)
+    add_execution_flags(parser)
 
 
 def add_cluster_flags(parser: argparse.ArgumentParser) -> None:
@@ -275,15 +236,6 @@ def add_cluster_flags(parser: argparse.ArgumentParser) -> None:
                              "sooner (default: 1000)")
 
 
-def execution_config_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    """The ``MegisConfig`` kwargs carried by the shared execution flags."""
-    return {
-        "backend": args.backend,
-        "executor": getattr(args, "executor", None),
-        "n_ssds": getattr(args, "ssds", 1),
-    }
-
-
 def gateway_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     """The ``AnalysisGateway`` kwargs carried by :func:`add_serving_flags`
     and, where the parser has them (``repro serve`` does not),
@@ -306,8 +258,6 @@ __all__ = [
     "add_serving_flags",
     "address",
     "burst_float",
-    "execution_config_kwargs",
-    "executor_spec",
     "gateway_kwargs",
     "nonnegative_float",
     "positive_float",

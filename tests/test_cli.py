@@ -100,7 +100,7 @@ class TestIndexLifecycle:
 
     def test_analyze_from_index_matches_rebuild(self, dataset, index_path, capsys):
         main(["analyze", str(dataset / "reads.fastq"),
-              "--index", str(index_path), "--ssds", "2"])
+              "--index", str(index_path)])
         from_index = capsys.readouterr().out
         main(["analyze", str(dataset / "references.fasta"),
               str(dataset / "reads.fastq")])
@@ -216,18 +216,6 @@ class TestUnopenableIndex:
         assert main(self.COMMANDS[command](dataset, str(truncated))) == 2
         err = capsys.readouterr().err
         assert str(truncated) in err and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("command", ["analyze", "serve", "gateway"])
-def test_retired_process_executor_is_a_usage_error(command, dataset, capsys):
-    """``--executor processes:2`` names no executor: argparse refuses it
-    (exit 2) before anything opens, and points at ``threads:N``."""
-    argv = TestUnopenableIndex.COMMANDS[command](dataset, "unused.megis")
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv + ["--executor", "processes:2"])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "'processes:2'" in err and "'threads:N'" in err
 
 
 class TestBadNumbers:
@@ -346,8 +334,7 @@ class TestServe:
         )
         code, records, err = self._serve(
             monkeypatch, capsys, index_path, lines,
-            "--workers", "2", "--backend", "numpy",
-            "--executor", "threads:2", "--strict-order",
+            "--workers", "2", "--backend", "numpy", "--strict-order",
         )
         assert code == 0
         assert [r["id"] for r in records] == ["s0", "s1", "s2"]

@@ -177,6 +177,8 @@ class TestPaperShapes:
         rows = {r["n_ssds"]: r for r in results["overlap_report"].rows}
         assert set(rows) == {1, 2, 4}
         assert rows[1]["model_ratio"] == 0.0
+        # One shard on one thread has nothing to overlap with.
+        assert rows[1]["measured_ratio"] == 0.0
         # More shards -> more of the busy time is hideable, in the model
         # and in the paced measurement.
         assert rows[2]["model_ratio"] < rows[4]["model_ratio"]

@@ -51,19 +51,17 @@ def world(golden):
     return sample, sorted_db, sketch
 
 
-def _run(world, golden, backend: str, method: str, n_ssds: int = 1,
-         executor=None):
+def _run(world, golden, backend: str, method: str, n_ssds: int = 1):
     sample, sorted_db, sketch = world
     p = golden["params"]
-    with AnalysisSession(
+    return AnalysisSession(
         MegisIndex(sorted_db, sketch, sample.references),
         config=MegisConfig(
             backend=backend, n_buckets=p["n_buckets"],
             min_containment=p["min_containment"],
-            abundance_method=method, n_ssds=n_ssds, executor=executor,
+            abundance_method=method, n_ssds=n_ssds,
         ),
-    ) as session:
-        return session.analyze(sample.reads)
+    ).analyze(sample.reads)
 
 
 def _check(result, expected):
@@ -97,11 +95,35 @@ def test_golden_sharded(world, golden, backend):
 
 
 def test_golden_sharded_on_a_bare_threads_pool(world, golden):
-    """A bare ``threads`` spec (``--executor threads``) runs the shard
-    tasks on one pool thread per CPU this process may run on, and serves
-    the serial loop's golden numbers."""
-    result = _run(world, golden, "numpy", "statistical", n_ssds=3,
-                  executor="threads")
+    """The concurrent shard dispatch ``overlap_report`` uses —
+    ``step_two_over_shards(..., pool=)`` on a bare ``ThreadPoolExecutor``
+    — put in place of the session's serial Step 2 serves the serial
+    loop's golden numbers."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.megis.multissd import step_two_over_shards
+
+    sample, sorted_db, sketch = world
+    p = golden["params"]
+    session = AnalysisSession(
+        MegisIndex(sorted_db, sketch, sample.references),
+        MegisConfig(
+            backend="numpy", n_buckets=p["n_buckets"],
+            min_containment=p["min_containment"],
+            abundance_method="statistical", n_ssds=3,
+        ),
+    )
+
+    with ThreadPoolExecutor() as pool:
+        def pooled_step_two(bucket_sets, timings):
+            results, shard_timings = step_two_over_shards(
+                session._backend, session.cluster_shards(),
+                [buckets.slices() for buckets in bucket_sets], pool=pool,
+            )
+            timings.merge(shard_timings)
+            return results
+
+        [result] = session._analyze([sample.reads], True, pooled_step_two)
     _check(result, golden["expected"]["statistical"])
 
 
@@ -201,14 +223,14 @@ def test_columnar_mapping_equals_the_reference_on_every_route(world, golden,
     assert all(r.profile.fractions for r in want)
     _check(want[-1], golden["expected"]["mapping"])
 
-    with _mapping_session(world, golden, "numpy") as session:
-        if route == "analyze":
-            got = [session.analyze(chunk) for chunk in chunks]
-        elif route == "service":
-            with AnalysisService(session, workers=2, max_batch=2) as service:
-                got = [f.result() for f in service.submit_batch(chunks)]
-        else:
-            got = session.analyze_batch(chunks)
+    session = _mapping_session(world, golden, "numpy")
+    if route == "analyze":
+        got = [session.analyze(chunk) for chunk in chunks]
+    elif route == "service":
+        with AnalysisService(session, workers=2, max_batch=2) as service:
+            got = [f.result() for f in service.submit_batch(chunks)]
+    else:
+        got = session.analyze_batch(chunks)
     for result, expected in zip(got, want):
         assert sorted(result.candidates) == sorted(expected.candidates)
         assert result.profile.fractions == expected.profile.fractions

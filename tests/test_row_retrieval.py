@@ -220,7 +220,7 @@ def test_warm_builds_no_row_columns(sorted_db, sketch_db, references, sample):
 
 def test_racing_first_step_twos_equal_a_serial_run(sorted_db, sketch_db, references,
                                                    sample, monkeypatch):
-    """Four threads make a fresh ``threads:2`` session's first Step 2 at
+    """Four threads make a fresh 2-shard session's first Step 2 at
     once (each build slowed so they overlap, thread switches forced
     often): every result equals a serial session's, and each shard keeps
     one of the columns built for it."""
@@ -239,7 +239,7 @@ def test_racing_first_step_twos_equal_a_serial_run(sorted_db, sketch_db, referen
 
     monkeypatch.setattr(multissd, "retrieve_levels", slow_build)
     session = AnalysisSession(MegisIndex(sorted_db, sketch_db, references),
-                              _config(n_ssds=2, executor="threads:2")).warm()
+                              _config(n_ssds=2)).warm()
     barrier = threading.Barrier(len(chunks), timeout=10)
     got = [None] * len(chunks)
 
@@ -257,7 +257,6 @@ def test_racing_first_step_twos_equal_a_serial_run(sorted_db, sketch_db, referen
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        session.close()
     assert not any(thread.is_alive() for thread in threads)
     assert got == expected
     shards = session.cluster_shards()

@@ -1,11 +1,11 @@
 """Concurrency determinism suite for the serving API (tentpole lock).
 
-``AnalysisService`` workers share one session; the executor layer runs
-Step-2 bucket/shard tasks on threads.  None of that may change a single
-bit of output: every test here compares concurrent serving against the
-strictly serial path on the golden-fixture world — both backends, both
-abundance methods — and checks that the lock-protected Step-3 cache
-counters stay accurate under concurrent submits.
+``AnalysisService`` workers share one session, whose Step 2 may run
+over several shards.  None of that may change a single bit of output:
+every test here compares concurrent serving against the strictly serial
+path on the golden-fixture world — both backends, both abundance
+methods — and checks that the lock-protected Step-3 cache counters stay
+accurate under concurrent submits.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class TestConcurrentDeterminism:
     @pytest.mark.parametrize("method", ["mapping", "statistical"])
     def test_service_bit_identical_to_serial(self, golden_world, golden,
                                              backend, method):
-        """4 workers + ThreadedExecutor sharded Step 2 == the serial path."""
+        """4 workers over a 3-shard session == the serial one-shard path."""
         sample, index = golden_world
         chunks = _chunks(sample.reads)
         serial_session = AnalysisSession(
@@ -123,8 +123,7 @@ class TestConcurrentDeterminism:
 
         concurrent_session = AnalysisSession(
             index, _golden_config(golden, backend=backend,
-                                  abundance_method=method, n_ssds=3,
-                                  executor="threads:4"),
+                                  abundance_method=method, n_ssds=3),
         )
         with AnalysisService(concurrent_session, workers=4) as service:
             futures = service.submit_batch(chunks)
@@ -138,8 +137,7 @@ class TestConcurrentDeterminism:
         sample, index = golden_world
         session = AnalysisSession(
             index, _golden_config(golden, backend="numpy",
-                                  abundance_method=method, n_ssds=3,
-                                  executor="threads:4"),
+                                  abundance_method=method, n_ssds=3),
         )
         with AnalysisService(session, workers=4) as service:
             result = service.submit(sample.reads).result()
@@ -557,7 +555,7 @@ class TestCompletionStream:
             assert metrics.service_ms > 0
             assert metrics.latency_ms >= metrics.queue_wait_ms >= 0
 
-    def test_as_completed_emits_everything_once(self, golden_world, golden):
+    def test_results_emits_everything_once(self, golden_world, golden):
         sample, index = golden_world
         chunks = _chunks(sample.reads)
         session = AnalysisSession(
@@ -566,7 +564,7 @@ class TestCompletionStream:
         with AnalysisService(session, workers=2) as service:
             service.submit_batch(chunks, tag=None)
             service.close_submissions()
-            emitted = list(service.as_completed())
+            emitted = list(service.results())
         # Untagged requests are labelled by admission sequence.
         assert sorted(entry.tag for entry in emitted) == list(range(N_CHUNKS))
         stats = service.stats
