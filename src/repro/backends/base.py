@@ -81,6 +81,10 @@ class PhaseTimings:
     #: second flash stream).  Counted by the paced backend so the
     #: intersect/retrieve overlap ratio is reproducible in serving runs.
     kss_bytes_streamed: int = 0
+    #: Database intervals Step 2 streamed, summed over shards: one per
+    #: shard for a session's analysis, which hands each shard its whole
+    #: sorted column; one per bucket edge for a caller passing Step 1's
+    #: buckets (``run_bucket_set``, ``run_multi``).
     buckets_processed: int = 0
     db_stream_passes: int = 0
     samples_batched: int = 1
@@ -107,14 +111,19 @@ class PhaseTimings:
         records the widest batch that shared a database stream, not a
         running total) and ``backend`` is kept.
         """
-        for name in (f.name for f in fields(self)):
-            if name == "samples_batched":
-                self.samples_batched = max(self.samples_batched, other.samples_batched)
-            elif name != "backend":
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.samples_batched = max(self.samples_batched, other.samples_batched)
 
     def as_dict(self) -> Dict[str, object]:
         return {**asdict(self), "total_ms": self.total_ms}
+
+
+#: The :class:`PhaseTimings` fields :meth:`~PhaseTimings.merge` adds.
+_SUMMED = tuple(
+    f.name for f in fields(PhaseTimings)
+    if f.name not in ("backend", "samples_batched")
+)
 
 
 def interval_edges(samples: Sequence[Sequence[BucketSlice]]) -> List[int]:

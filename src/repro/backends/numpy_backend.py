@@ -123,8 +123,12 @@ class NumpyStepTwoBackend(StepTwoBackend):
             # The database range every interval covers, its two ends located
             # in the column's own dtype (a bare Python int would promote a
             # uint64 column to float64 on every lookup).  Every query k-mer
-            # lies inside it (interval_edges checks each bucket's range).
-            start, stop = edge_cuts(column, edges[:1] + edges[-1:]) or [0, 0]
+            # lies inside it (interval_edges checks each bucket's range);
+            # a session's whole-range column covers all of it.
+            if edges == [0, 1 << (2 * database.k)]:
+                start, stop = 0, len(column)
+            else:
+                start, stop = edge_cuts(column, edges[:1] + edges[-1:]) or [0, 0]
             db_range = column[start:stop]
             # Charged per interval as if streamed one by one; the flash
             # stream is shared by all samples, so each is charged once.
@@ -143,9 +147,9 @@ class NumpyStepTwoBackend(StepTwoBackend):
                 pos = searchsorted_clamped(db_range, query)
                 hit = np.asarray(db_range[pos] == query, dtype=bool)
                 hit[1:] &= np.asarray(query[1:] != query[:-1], dtype=bool)
-                # Two takes at one flatnonzero: on 11-23k queries, 60-80% hit,
+                # Two takes at one nonzero: on 11-23k queries, 60-80% hit,
                 # 45-100 us against 200-310 us for two mask gathers.
-                found = np.flatnonzero(hit)
+                found = hit.nonzero()[0]
                 matches.append(query[found])
                 rows.append(pos[found] + start)
             timings.db_stream_passes += 1
@@ -155,7 +159,11 @@ class NumpyStepTwoBackend(StepTwoBackend):
     def _merged_query(
         buckets: Sequence[BucketSlice], dtype: "np.dtype[Any]"
     ) -> npt.NDArray[Any]:
+        """A sample's slices as one column: a lone slice (a session's
+        whole-range column) as it is, several joined."""
         columns = [as_column(kmers, dtype) for _, _, kmers in buckets]
+        if len(columns) == 1:
+            return columns[0]
         if not columns:
             return np.empty(0, dtype=dtype)
         return np.concatenate(columns)

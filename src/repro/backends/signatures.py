@@ -48,12 +48,15 @@ def row_entries(
 ) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
     """Where CSR ``rows`` live: the entry index of each of their entries,
     row after row, and the offsets of each row's run in that list."""
+    # A plain view of a mapped column: its takes then skip np.memmap's
+    # Python-level __getitem__.
+    offsets = np.asarray(offsets)
     starts = offsets[rows]
+    lengths = offsets[np.asarray(rows) + 1] - starts
     out = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(offsets[np.asarray(rows) + 1] - starts, out=out[1:])
-    lengths = np.diff(out)
-    index = np.arange(int(out[-1]), dtype=np.int64) + np.repeat(
-        starts - out[:-1], lengths
+    lengths.cumsum(out=out[1:])
+    index = np.arange(int(out[-1]), dtype=np.int64) + (starts - out[:-1]).repeat(
+        lengths
     )
     return index, out
 

@@ -163,7 +163,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.tool == "megis":
             result = session.analyze(reads)
             if args.timings:
-                _print_timings(result.timings)
+                _print_timings(result)
         else:
             result = session.analyze_metalign(reads)
         profile = result.profile
@@ -181,7 +181,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                      backend=args.backend)
                 result = AnalysisSession(index, config).analyze(reads)
                 if args.timings:
-                    _print_timings(result.timings)
+                    _print_timings(result)
             else:
                 result = AnalysisSession(index).analyze_metalign(reads)
             profile = result.profile
@@ -199,14 +199,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_timings(timings) -> None:
+def _print_timings(result) -> None:
+    """The phases, then the stream counters: Step 1's bucket count, and
+    the database intervals Step 2 streamed (one per shard)."""
+    timings = result.timings
     print(f"step-2 backend: {timings.backend}")
     for phase in ("extract", "intersect", "retrieve", "candidates", "abundance"):
         print(f"  {phase:10s} {getattr(timings, f'{phase}_ms'):9.2f} ms")
     print(f"  {'total':10s} {timings.total_ms:9.2f} ms")
     print(f"  db k-mers streamed: {timings.db_kmers_streamed}   "
           f"query k-mers: {timings.query_kmers_streamed}   "
-          f"buckets: {timings.buckets_processed}")
+          f"buckets: {result.n_buckets}   "
+          f"step-2 intervals: {timings.buckets_processed}")
 
 
 class _StdinReader:

@@ -166,7 +166,14 @@ class SketchDatabase:
         ``taxids`` must be ascending (what ``np.unique`` produces); the
         sorted key/size columns are built once and cached, so batch
         containment scoring never touches the Python dict per taxID.
+        The answer for the last column asked for is kept too, and handed
+        back (not to be written) when the same array object is asked
+        again: candidate scoring asks for its signature table's universe
+        on every sample.
         """
+        last = getattr(self, "_last_sizes", None)
+        if last is not None and last[0] is taxids:
+            return last[1]
         cached = getattr(self, "_size_columns", None)
         if cached is None:
             keys = np.asarray(sorted(self.sketch_sizes), dtype=np.int64)
@@ -183,6 +190,7 @@ class SketchDatabase:
             idx_clipped = np.minimum(idx, len(keys) - 1)
             found = keys[idx_clipped] == np.asarray(taxids, dtype=np.int64)
             out[found] = sizes[idx_clipped[found]]
+        self._last_sizes = (taxids, out)
         return out
 
     # -- size accounting -------------------------------------------------------

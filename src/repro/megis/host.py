@@ -38,6 +38,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -97,43 +99,48 @@ class Bucket:
 class BucketSet:
     """All buckets of a sample, in ascending range order.
 
+    ``column`` is the sample's selected k-mers, sorted, in the backend's
+    native container: the buckets' concatenation, held once.  Bucket
+    ``i`` covers keys ``[edges[i], edges[i + 1])`` and holds
+    ``column[cuts[i]:cuts[i + 1]]``; :attr:`buckets` cuts them out (as
+    views of an ndarray column) only when something asks — a session's
+    Step 2 takes the column whole.
+
     ``stream`` is the sample's sorted, read-tagged k-mer stream when
     :meth:`KmerBucketPartitioner.partition` was asked to keep it and it
     fits ``uint64`` words; ``None`` otherwise.
     """
 
     k: int
-    buckets: List[Bucket]
+    column: KmerColumn
+    edges: List[int]
+    cuts: List[int]
     spilled_bytes: int = 0
     stream: Optional[KmerStream] = None
+
+    @cached_property
+    def buckets(self) -> List[Bucket]:
+        """The buckets, cut from the column on first access and kept."""
+        edges, cuts = self.edges, self.cuts
+        return [
+            Bucket(index=i, lo=edges[i], hi=edges[i + 1],
+                   kmers=self.column[cuts[i]:cuts[i + 1]])
+            for i in range(len(self))
+        ]
 
     def slices(self) -> List[BucketSlice]:
         """The buckets as the Step-2 kernel's ``(lo, hi, kmers)`` slices."""
         return [(b.lo, b.hi, b.kmers) for b in self.buckets]
 
-    def merged_sorted(self) -> List[int]:
-        """Global sorted k-mer list (bucket concatenation in range order)."""
-        merged: List[int] = []
-        for bucket in self.buckets:
-            merged.extend(column_to_list(bucket.kmers))
-        return merged
-
     def merged_column(self) -> KmerColumn:
-        """Bucket concatenation in the native container (globally sorted).
-
-        ndarray buckets concatenate into one ndarray column with no
-        per-element conversion; list buckets fall back to a flat int list.
-        """
-        columns = [b.kmers for b in self.buckets]
-        if columns and all(isinstance(c, np.ndarray) for c in columns):
-            return np.concatenate(columns)
-        return self.merged_sorted()
+        """The sorted column itself: no concatenation, no copy."""
+        return self.column
 
     def total_kmers(self) -> int:
-        return sum(len(b.kmers) for b in self.buckets)
+        return len(self.column)
 
     def __len__(self) -> int:
-        return len(self.buckets)
+        return len(self.edges) - 1
 
 
 class KmerBucketPartitioner:
@@ -195,9 +202,9 @@ class KmerBucketPartitioner:
         """
         return max(0, 2 * self.k - PREFIX_BITS)
 
-    def _boundaries(self, sample: KmerColumn) -> List[int]:
+    def _boundaries(self, ordered: KmerColumn) -> List[int]:
         """Equal-frequency, prefix-aligned boundaries from a preliminary
-        k-mer subset.
+        k-mer subset, sorted ascending.
 
         Each preliminary pick — a quantile of the sorted head, or an
         equal-width cut of the key space when the head is empty — is
@@ -205,17 +212,15 @@ class KmerBucketPartitioner:
         picks are then deduplicated, merging preliminary buckets as the
         paper describes, so a degenerate sample yields fewer, wider
         buckets.  For ``k <= 8`` the shift is 0 and the edges are the
-        quantiles themselves.  An ndarray head is sorted in numpy; either
-        container gives the same ascending picks, so both backends cut
-        the same buckets.
+        quantiles themselves.  Either container gives the same ascending
+        picks, so both backends cut the same buckets.
         """
         shift = self.prefix_shift
-        n = len(sample)
+        n = len(ordered)
         cuts = range(1, self.n_buckets)
         if not n:
             space = 1 << (2 * self.k)
             return [space * i // self.n_buckets >> shift << shift for i in cuts]
-        ordered = np.sort(sample) if isinstance(sample, np.ndarray) else sorted(sample)
         picks = [int(ordered[min(n - 1, n * i // self.n_buckets)]) for i in cuts]
         return sorted({pick >> shift << shift for pick in picks})
 
@@ -236,9 +241,11 @@ class KmerBucketPartitioner:
         sample's k-mers into one key column in one pass
         (:func:`~repro.sequences.keys.extract_kmers_batch` — the stream
         in read order, whose ndarray head is the preliminary sample the
-        boundary pass sorts in numpy), selects over the whole stream with
-        one sort (:meth:`_select_sorted`) and cuts each bucket as a view
-        at ``np.searchsorted(selected, boundaries)``.  With
+        boundary pass sorts in numpy; a sample no longer than that head
+        has its boundaries read off its own sort instead), selects over
+        the whole stream with one sort (:meth:`_select_sorted`) and
+        keeps that one column as :attr:`BucketSet.column`, with the
+        bucket cuts at ``np.searchsorted(selected, boundaries)``.  With
         ``keep_stream`` that sort is of read-tagged words
         (:meth:`KmerStream.build <repro.sequences.kmers.KmerStream.build>`),
         selection reads the k-mers above the read bits, and the stream is
@@ -247,21 +254,26 @@ class KmerBucketPartitioner:
         kept.  The Counter path — the ``python`` reference's — extracts
         read by read and folds each in immediately so peak memory stays
         O(distinct k-mers), then scatters the counts into buckets and
-        selects per bucket; it keeps no stream.
+        selects per bucket; its column is those buckets joined, and it
+        keeps no stream.
         """
         stream: Optional[KmerStream] = None
-        columns: List[KmerColumn]
+        selected: KmerColumn
         sequences = read_sequences(reads)
         if self._backend.columnar:
             merged, read_ids = extract_kmers_batch(sequences, self.k)
-            boundaries = self._boundaries(merged[:PRELIMINARY_SAMPLE])
+            # A sample no longer than the preliminary head is all head: its
+            # boundaries are read off the one sort below.
+            head = (
+                np.sort(merged[:PRELIMINARY_SAMPLE])
+                if len(merged) > PRELIMINARY_SAMPLE else None
+            )
             if keep_stream:  # tags and sorts ``merged`` in place
                 stream = KmerStream.build(sequences, self.k, (merged, read_ids))
-            selected = self._select_sorted(
-                np.sort(merged) if stream is None else stream.kmers()
-            )
-            bounds = [0, *edge_cuts(selected, boundaries), len(selected)]
-            columns = [selected[a:b] for a, b in zip(bounds, bounds[1:])]
+            ordered = np.sort(merged) if stream is None else stream.kmers()
+            boundaries = self._boundaries(ordered if head is None else head)
+            selected = self._select_sorted(ordered)
+            cuts = [0, *edge_cuts(selected, boundaries), len(selected)]
         else:
             counts: Counter = Counter()
             head: List[int] = []
@@ -271,17 +283,17 @@ class KmerBucketPartitioner:
                 remaining = PRELIMINARY_SAMPLE - len(head)
                 if remaining > 0:
                     head.extend(int(x) for x in kmers[:remaining].tolist())
-            boundaries = self._boundaries(head)
+            boundaries = self._boundaries(sorted(head))
             columns = [
                 self._select(raw)
                 for raw in self._group_counted(counts, boundaries, len(boundaries) + 1)
             ]
-        edges = [0, *boundaries, 1 << (2 * self.k)]
-        buckets = [
-            Bucket(index=i, lo=edges[i], hi=edges[i + 1], kmers=kmers)
-            for i, kmers in enumerate(columns)
-        ]
-        bucket_set = BucketSet(k=self.k, buckets=buckets, stream=stream)
+            selected = [kmer for column in columns for kmer in column]
+            cuts = list(accumulate(map(len, columns), initial=0))
+        bucket_set = BucketSet(
+            k=self.k, column=selected, edges=[0, *boundaries, 1 << (2 * self.k)],
+            cuts=cuts, stream=stream,
+        )
         self._assign_pinning(bucket_set)
         return bucket_set
 
@@ -309,7 +321,7 @@ class KmerBucketPartitioner:
         """
         first = np.ones(len(ordered), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        starts = first.nonzero()[0]
         if self.min_count == 1 and self.max_count is None:
             return self._backend.query_column(ordered[starts], self.k)
         counts = np.diff(starts, append=len(ordered))

@@ -40,9 +40,10 @@ same mapper — and :meth:`analyze_metalign` runs that baseline over the
 same index (sharing the Step-3 caches), which is how the equivalence tests
 pin the paper's identical-accuracy claim.
 
-Multi-sample mode (§4.7) batches Step 2 across samples: each database
-bucket slice is streamed from flash once and intersected against every
-buffered sample's query bucket before advancing, so the dominant flash
+Multi-sample mode (§4.7) batches Step 2 across samples: each shard's
+database range is streamed from flash once and intersected against every
+buffered sample's sorted query column (Step 1's buckets, held as the one
+column they are cut from) before advancing, so the dominant flash
 traffic is amortized over the batch while each sample's result stays
 identical to an independent analysis.
 """
@@ -90,7 +91,7 @@ from repro.megis.multissd import (
 )
 from repro.sequences.keys import fits_word
 from repro.sequences.kmers import KmerStream
-from repro.sequences.reads import Read, read_sequences
+from repro.sequences.reads import BareReads, Read, read_sequences
 from repro.taxonomy.profiles import AbundanceProfile
 from repro.tools.mapping import (
     ColumnarSpeciesIndex,
@@ -203,6 +204,8 @@ class MegisResult:
     sketch_hits: Dict[int, Dict[int, int]] = _BuiltOnRead(dict, "as_dict")  # type: ignore[assignment]
     candidates: Set[int] = field(default_factory=set)
     profile: AbundanceProfile = field(default_factory=AbundanceProfile)
+    #: Step 1's bucket count (``timings.buckets_processed`` counts the
+    #: intervals Step 2 streamed instead: one per shard).
     n_buckets: int = 0
     spilled_bytes: int = 0
     query_kmers: int = 0
@@ -442,9 +445,9 @@ class AnalysisSession:
 
         Functionally equivalent to analyzing each sample independently —
         identical candidates and profiles — but the sorted database is
-        streamed from flash *once* for all buffered samples: every database
-        interval is intersected against each sample's matching query bucket
-        before the stream advances (§4.7).  The per-result timings record
+        streamed from flash *once* for all buffered samples: each shard's
+        range is intersected against every sample's sorted column before
+        the stream advances (§4.7).  The per-result timings record
         the shared stream (``db_kmers_streamed`` counts each database k-mer
         once per batch, ``samples_batched`` the batch width).  Step 3
         reuses the session's unified-index caches, so samples whose
@@ -469,6 +472,8 @@ class AnalysisSession:
         ``(intersecting, retrieved)`` pair per sample — from the local
         shards (:meth:`_step_two_local`) or from a cluster scatter.
         """
+        # Each sample's sequences, taken once: Step 1 and the vote share them.
+        samples = [BareReads(read_sequences(reads)) for reads in samples]
         # Step 1 (host) per sample: extract, bucket, sort, exclude.  All
         # samples' buckets are buffered before the database stream starts.
         # A mapping Step 3 whose k-mers are prefixes of Step 1's keeps the
@@ -520,14 +525,13 @@ class AnalysisSession:
     def _step_two_local(
         self, bucket_sets: Sequence[BucketSet], timings: PhaseTimings
     ) -> List[StepTwoResult]:
-        """Every sample's buckets share one database stream per shard,
-        the shards one after another on the calling thread."""
-        results, shard_timings = step_two_over_shards(
-            self._backend, self.cluster_shards(),
-            [buckets.slices() for buckets in bucket_sets],
+        """Every sample's sorted column shares one database stream per
+        shard, the shards one after another on the calling thread: Step 1
+        holds the column its buckets are cut from, and each shard takes
+        it whole, as one interval (:meth:`step_two_partial`)."""
+        return self.step_two_partial(
+            [buckets.merged_column() for buckets in bucket_sets], timings
         )
-        timings.merge(shard_timings)
-        return results
 
     # -- partial Step 2 over a shard range (cluster-node mode) --------------------
 
@@ -562,8 +566,11 @@ class AnalysisSession:
         """Step 2 over this session's shard subset, one result per sample.
 
         ``queries`` are sorted query columns (one per sample — what
-        :meth:`~repro.megis.host.BucketSet.merged_column` produces, or
-        the k-mer columns a node decodes off the wire).
+        :meth:`~repro.megis.host.BucketSet.merged_column` holds, or
+        the k-mer columns a node decodes off the wire), each handed over
+        as one whole-range slice
+        (:func:`~repro.megis.multissd.whole_range`), so every shard
+        streams one interval of its range.
         :func:`~repro.megis.multissd.step_two_over_shards` runs each shard
         once for the whole request — one database stream however many
         samples it carries — and gathers the per-shard partials in

@@ -151,8 +151,8 @@ def extract_kmers_batch(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    kept = np.flatnonzero(lengths >= k)
-    read_ids: NDArray[np.int64] = np.repeat(kept, lengths[kept] - k + 1)
+    kept = (lengths >= k).nonzero()[0]
+    read_ids: NDArray[np.int64] = kept.repeat(lengths[kept] - k + 1)
     if not fits_word(k):
         column = _object_column(
             kmer
@@ -185,7 +185,7 @@ def extract_kmers_batch(
     # A window is a k-mer of one read unless it starts within k - 1 bases
     # of a join: the last k - 1 starts before every read end but the last.
     valid = np.ones(n, dtype=bool)
-    joins = np.cumsum(lengths[kept])[:-1]
+    joins = lengths[kept].cumsum()[:-1]
     valid[(joins[:, None] - np.arange(1, k)).ravel()] = False
     # A mask, not a take: this mask is dense and regular (81-96% kept on
     # 100-500 bp reads), where numpy 2.4's mask gather of 60k keys runs
@@ -213,6 +213,9 @@ def edge_cuts(column: NDArray[Any], edges: Sequence[int]) -> List[int]:
         cuts: List[int] = np.searchsorted(column, _object_column(edges)).tolist()
         return cuts
     limit = int(np.iinfo(column.dtype).max)
+    if max(edges, default=0) <= limit:  # the usual case: one cast, one search
+        cuts = np.searchsorted(column, np.array(edges, dtype=column.dtype)).tolist()
+        return cuts
     clamped = np.asarray([min(int(e), limit) for e in edges], dtype=column.dtype)
     cuts = np.searchsorted(column, clamped).tolist()
     return [len(column) if int(e) > limit else c for e, c in zip(edges, cuts)]
@@ -234,20 +237,24 @@ def pack_kmer(value: int, k: int) -> bytes:
 def pack_kmer_column(column: Any, k: int) -> bytes:
     """Pack a sorted key column into big-endian records (one bulk blob).
 
-    The mirror of :func:`parse_kmer_records`.  For a word column each
-    left-aligned key is written one record byte at a time: byte ``b`` of
-    every record is one shifted column stored at the record stride.  An
-    ``object`` column is packed one :func:`pack_kmer` at a time.
+    The mirror of :func:`parse_kmer_records`, which reads the big-endian
+    ``uint64`` word starting at each record: for a word column each
+    left-aligned key is written as that word, at the record stride, in
+    one strided store.  A word spills ``8 - width`` zero bytes into the
+    records after it, and the next word overwrites them: this relies on
+    numpy storing a self-overlapping destination in ascending order, cast
+    buffer after cast buffer (``tests/test_keys.py`` pins it past one
+    buffer at every width).  An ``object`` column is packed one
+    :func:`pack_kmer` at a time.
     """
     if not fits_word(k):
         return b"".join(pack_kmer(int(v), k) for v in column)
     width = kmer_record_bytes(k)
-    key_bits: int = BITS_PER_BASE * k
-    shifted = np.asarray(column, dtype=np.uint64) << np.uint64(width * 8 - key_bits)
-    records = np.empty((len(shifted), width), dtype=np.uint8)
-    for byte in range(width):
-        records[:, byte] = shifted >> np.uint64(8 * (width - 1 - byte))
-    return records.tobytes()
+    count = len(column)
+    out = np.empty(count * width + 8 - width, dtype=np.uint8)
+    words = np.ndarray((count,), dtype=">u8", buffer=out, strides=(width,))
+    words[...] = np.asarray(column, dtype=np.uint64) << np.uint64(spare_bits(k))
+    return out[: count * width].tobytes()
 
 
 def parse_kmer_records(raw: NDArray[np.uint8], k: int, count: int) -> NDArray[Any]:

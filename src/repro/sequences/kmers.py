@@ -73,7 +73,7 @@ class KmerStream:
         )
         last_kmers = np.zeros(len(sequences), dtype=np.uint64)
         held = lengths >= k
-        last_kmers[held] = kmers[np.cumsum(lengths[held] - (k - 1)) - 1]
+        last_kmers[held] = kmers[(lengths[held] - (k - 1)).cumsum() - 1]
         kmers <<= np.uint64(read_bits)
         kmers |= read_ids.view(np.uint64)
         kmers.sort()

@@ -341,15 +341,13 @@ class ReadMapper:
         """
         n_rows = index.signatures.shape[0]
 
-        def cells(run_seeds, run_reads):
-            starts, needle = _distinct(run_seeds)
+        def cells(run_seeds: np.ndarray, run_reads: np.ndarray) -> np.ndarray:
+            lengths, needle = _distinct(run_seeds)
             slots = searchsorted_clamped(index.kmers, needle)
             signature = np.where(
                 index.kmers[slots] == needle, index.key_signature[slots], n_rows - 1
             )
-            return run_reads * n_rows + np.repeat(
-                signature, np.diff(starts, append=run_reads.size)
-            )
+            return run_reads * n_rows + signature.repeat(lengths)
 
         counted = cells(seeds, reads)
         if tail_reads.size:
@@ -395,8 +393,9 @@ def _stream_seeds(
     ``words`` are the stream's words of those reads, in key order.  Their
     ``k``-prefixes are every read's k-mers but those starting in its last
     ``stream.k - k`` positions, in key order: the main run.  The tail run
-    cuts those out of each long read's last ``stream.k``-mer (``stream.k
-    - k`` shifts and masks), extracts every k-mer of a read shorter than
+    cuts those out of each long read's last ``stream.k``-mer (a
+    ``(reads, stream.k - k)`` grid of shifts and masks, tagged with its
+    read in place), extracts every k-mer of a read shorter than
     ``stream.k`` (a read shorter than ``k`` has none), and sorts the
     lot.  Read ids are block-local.
     """
@@ -405,30 +404,26 @@ def _stream_seeds(
     reads = (words & np.uint64((1 << stream.read_bits) - 1)).view(np.int64)
     if lo:
         reads = reads - lo
-    lengths = stream.lengths[lo:hi]
-    tails: List[np.ndarray] = []
-    tail_reads: List[np.ndarray] = []
-    if span:
-        held = np.flatnonzero(lengths >= stream.k)
-        shifts = np.arange(2 * (span - 1), -1, -2, dtype=np.uint64)
-        window = np.uint64((1 << (2 * k)) - 1)
-        tails.append(
-            ((stream.last_kmers[lo:hi][held] >> shifts[:, None]) & window).ravel()
-        )
-        tail_reads.append(np.tile(held, span))
-        short = np.flatnonzero((lengths >= k) & (lengths < stream.k))
-        if short.size:
-            kmers, ids = extract_kmers_batch(
-                [sequences[lo + i] for i in short.tolist()], k
-            )
-            tails.append(kmers)
-            tail_reads.append(short[ids])
-    if not tails:
+    if not span:
         empty = np.empty(0, dtype=np.uint64)
         return seeds, reads, empty, empty.view(np.int64)
     read_bits = read_id_bits(hi - lo)
-    tagged = np.concatenate(tails) << np.uint64(read_bits)
-    tagged |= np.concatenate(tail_reads).view(np.uint64)
+    lengths = stream.lengths[lo:hi]
+    held = (lengths >= stream.k).nonzero()[0]
+    shifts = np.arange(2 * (span - 1), -1, -2, dtype=np.uint64)
+    grid = stream.last_kmers[lo:hi][held, None] >> shifts
+    grid &= np.uint64((1 << (2 * k)) - 1)
+    grid <<= np.uint64(read_bits)
+    grid |= held.view(np.uint64)[:, None]
+    tagged = grid.ravel()
+    short = ((lengths >= k) & (lengths < stream.k)).nonzero()[0]
+    if short.size:
+        kmers, ids = extract_kmers_batch(
+            [sequences[lo + i] for i in short.tolist()], k
+        )
+        kmers <<= np.uint64(read_bits)
+        kmers |= short[ids].view(np.uint64)
+        tagged = np.concatenate((tagged, kmers))
     tagged.sort()
     return (
         seeds,
@@ -439,13 +434,18 @@ def _stream_seeds(
 
 
 def _distinct(seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal seeds starts, and its seed.
+    """The length of each run of equal seeds, and its seed.
 
     The distinct seeds are a take at ``flatnonzero(first)``: a boolean
-    mask this sparse and irregular is several times slower.
+    mask this sparse and irregular is several times slower.  The lengths
+    are the gaps between run starts, written in place (``np.diff`` with
+    ``append`` concatenates and broadcasts first).
     """
     first = np.empty(seeds.size, dtype=bool)
     first[:1] = True
     np.not_equal(seeds[1:], seeds[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, seeds[starts]
+    starts = first.nonzero()[0]
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = seeds.size - starts[-1:]
+    return lengths, seeds[starts]

@@ -73,13 +73,13 @@ def accumulate_hits(retrieved: RetrievalResult) -> HitAccumulation:
     stacked += np.arange(0, len(ks) * n, n)[:, None]
     per_set = np.bincount(stacked.ravel(), minlength=len(ks) * n)
     per_set[::n] = 0  # signature 0 of every level: no owners
-    hit = np.flatnonzero(per_set != 0)
+    hit = (per_set != 0).nonzero()[0]
     level, signature = np.divmod(hit, n)
     entries, offsets = table.entries(signature)
-    lengths = np.diff(offsets)
+    lengths = offsets[1:] - offsets[:-1]
     totals = np.bincount(
-        np.repeat(level * width, lengths) + table.codes[entries],
-        weights=np.repeat(per_set[hit], lengths),
+        (level * width).repeat(lengths) + table.codes[entries],
+        weights=per_set[hit].repeat(lengths),
         minlength=len(ks) * width,
     )
     counts = totals.astype(np.int64).reshape(len(ks), width)
@@ -92,22 +92,28 @@ def batch_containment(
     """Vectorized containment over every hit taxID: (taxids, scores).
 
     The hit taxIDs are the matrix's non-zero columns; the k_max row and
-    the sum of every other level's row are read at them: a taxID's score
-    is ``(k_max hits + 0.25 * other hits) / max(1, sketch size)``, the
-    same IEEE-754 sequence as the per-taxID score (integer hit counts are
-    exact in float64 and the 0.25 weight is a power of two), with zero
-    per-taxID Python loops.  Smaller-k hits weigh less: they expand
+    the sum of every other level's row (all levels' sum less the k_max
+    row) are read at them: a taxID's score is ``(k_max hits + 0.25 *
+    other hits) / max(1, sketch size)``, the same IEEE-754 sequence as
+    the per-taxID score (integer hit counts are exact in float64 and the
+    0.25 weight is a power of two), with zero per-taxID Python loops.
+    The sizes are those of the whole universe (one column per signature
+    table, kept by :meth:`~repro.databases.sketch.SketchDatabase.size_column`)
+    taken at the hit taxIDs.  Smaller-k hits weigh less: they expand
     matches (raising the true-positive rate) but are less specific.
     """
-    owners = np.flatnonzero(hits.counts.any(axis=0))
+    owners = hits.counts.any(axis=0).nonzero()[0]
     taxids = hits.universe[owners]
     if not len(taxids):
         return taxids, np.empty(0, dtype=np.float64)
     at_hits = hits.counts[:, owners]
-    is_kmax = np.asarray(hits.ks) == sketch.k_max
-    kmax_counts = at_hits[is_kmax].sum(axis=0)
-    others = at_hits[~is_kmax].sum(axis=0)
-    return taxids, (kmax_counts + 0.25 * others) / sketch.size_column(taxids)
+    total = at_hits.sum(axis=0)
+    kmax_counts = (
+        at_hits[hits.ks.index(sketch.k_max)] if sketch.k_max in hits.ks
+        else np.zeros_like(total)
+    )
+    sizes = sketch.size_column(hits.universe)[owners]
+    return taxids, (kmax_counts + 0.25 * (total - kmax_counts)) / sizes
 
 
 def select_candidates(

@@ -119,6 +119,49 @@ def doc_commands() -> List[Tuple[str, List[str]]]:
     return found
 
 
+def long_flags(
+    parser: argparse.ArgumentParser, path: Tuple[str, ...] = ()
+) -> Iterator[Tuple[str, str]]:
+    """``(subcommand, --flag)`` for every long option of every subcommand
+    (``index build`` nested), ``--help`` aside."""
+    subcommands = _subcommands(parser)
+    for name, sub in subcommands.items():
+        yield from long_flags(sub, path + (name,))
+    if subcommands:
+        return
+    for option in parser._option_string_actions:
+        if option.startswith("--") and option != "--help":
+            yield " ".join(path), option
+
+
+def undocumented_flags(parser: argparse.ArgumentParser, text: str) -> List[str]:
+    """``"subcommand --flag"`` for each long flag ``text`` never names."""
+    return [
+        f"{command} {flag}" for command, flag in long_flags(parser)
+        if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    ]
+
+
+def test_every_flag_is_in_the_readme():
+    """Each subcommand's long flags (what its ``--help`` lists) appear in
+    README at least once."""
+    readme = (ROOT / "README.md").read_text()
+    assert undocumented_flags(build_parser(), readme) == []
+
+
+def test_a_missing_flag_is_caught():
+    """README with one flag seeded out names that flag, once per
+    subcommand that takes it (``--k`` is not a prefix of ``--kss``)."""
+    readme = (ROOT / "README.md").read_text()
+    parser = build_parser()
+    for flag, missing in [
+        ("--sketch-fraction", ["index build --sketch-fraction"]),
+        ("--seed", ["simulate --seed", "index build --seed"]),
+    ]:
+        seeded = re.sub(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", "", readme)
+        assert undocumented_flags(parser, seeded) == missing
+
+
 def test_the_docs_show_commands():
     """The extraction finds the quickstart's and the serving examples'
     lines: an empty list would make the check below pass vacuously."""

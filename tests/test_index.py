@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.backends import get_backend
+from repro.backends import PhaseTimings, get_backend
 from repro.databases.serialization import (
     SerializationError,
     pack_sections,
@@ -555,6 +555,45 @@ class TestServedEquivalence:
             assert (getattr(single.timings, counter)
                     == getattr(batched.timings, counter)), counter
         assert single.timings.db_stream_passes == n_ssds
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_ssds", [1, 3])
+    def test_served_step_two_equals_the_bucketed_engines(self, opened, sample,
+                                                         backend, n_ssds):
+        """A session hands each shard a sample's one sorted column; the
+        engines the ledger traces (``isp.run_bucket_set``, and
+        ``multissd.run_multi`` when sharded) take Step 1's bucket slices.
+        Both give the same k-mers, signature columns and stream counters;
+        only the interval count differs: one per shard, against at least
+        one per bucket."""
+        session = AnalysisSession(
+            opened, MegisConfig(backend=backend, n_ssds=n_ssds)
+        )
+        buckets = session._partitioner.partition(sample.reads)
+        assert len(buckets) == 16
+        served_timings = PhaseTimings()
+        [served] = session._step_two_local([buckets], served_timings)
+        bucketed_timings = PhaseTimings()
+        if n_ssds == 1:
+            bucketed = session.isp.run_bucket_set(buckets, bucketed_timings)
+        else:
+            [bucketed] = session.multissd.run_multi(
+                [buckets.slices()], bucketed_timings
+            )
+        assert as_ints(served[0]) == as_ints(bucketed[0])
+        (_, got), (_, want) = served, bucketed
+        assert as_ints(got.queries) == as_ints(want.queries)
+        assert sorted(got.levels) == sorted(want.levels)
+        for k in want.levels:
+            assert (np.asarray(got.levels[k]).tolist()
+                    == np.asarray(want.levels[k]).tolist()), k
+        assert query_dicts(got) == query_dicts(want)
+        for counter in ("db_kmers_streamed", "db_stream_passes",
+                        "query_kmers_streamed"):
+            assert (getattr(served_timings, counter)
+                    == getattr(bucketed_timings, counter)), counter
+        assert served_timings.buckets_processed == n_ssds
+        assert bucketed_timings.buckets_processed >= len(buckets)
 
     def test_metalign_session_over_opened_index(self, opened, sorted_db,
                                                 sketch_db, sample):

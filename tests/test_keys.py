@@ -120,3 +120,18 @@ def test_the_key_space_ends_at_the_word_edge(k):
     assert parse_kmer_records(np.frombuffer(packed, np.uint8), k, 2).tolist() == [0, top]
     assert edge_cuts(column, [0, top, top + 1]) == [0, 1, 2]
     assert extract_kmers("T" * (k + 1), k, canonical=False).tolist() == [top, top]
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_packing_a_column_longer_than_a_cast_buffer(k):
+    """The packed words overlap and the later one must win: a column past
+    numpy's 8192-element cast buffer, at every record width, packs to the
+    per-key records and parses back."""
+    rng = np.random.default_rng(k)
+    keys = np.sort(rng.integers(0, 1 << (2 * k), 8192 * 2 + 3, dtype=np.uint64))
+    if k == 32:
+        keys[-1] = (1 << 64) - 1  # every bit of the widest record set
+    packed = pack_kmer_column(keys, k)
+    assert packed == b"".join(pack_kmer(key, k) for key in keys.tolist())
+    parsed = parse_kmer_records(np.frombuffer(packed, np.uint8), k, len(keys))
+    assert np.array_equal(parsed, keys)

@@ -13,6 +13,7 @@ from repro.megis.host import (
 from repro.sequences.keys import as_column, column_dtype
 from repro.sequences.kmers import KmerCounter, KmerStream, extract_kmers
 from repro.sequences.reads import Read
+from tests.columns import as_ints
 from tests.oracles import is_sorted
 from tests.strategies import property_settings
 
@@ -114,13 +115,13 @@ class TestPartitioning:
             assert all(bucket.lo <= x < bucket.hi for x in bucket.kmers)
 
     def test_concatenation_globally_sorted(self, bucket_set):
-        merged = bucket_set.merged_sorted()
+        merged = as_ints(bucket_set.merged_column())
         assert merged == sorted(merged)
 
     def test_matches_kmer_counter_selection(self, sample, bucket_set):
         counter = KmerCounter(20, canonical=False)
         counter.add_sequences(r.sequence for r in sample.reads)
-        assert bucket_set.merged_sorted() == counter.selected(min_count=1).tolist()
+        assert as_ints(bucket_set.merged_column()) == counter.selected(min_count=1).tolist()
 
     def test_exclusion_thresholds(self, sample):
         strict = KmerBucketPartitioner(k=20, n_buckets=8, min_count=2)
@@ -135,7 +136,7 @@ class TestPartitioning:
         bucket_set = partitioner.partition(reads)
         from repro.sequences.encoding import encode_kmer
 
-        assert encode_kmer("A" * 10) not in bucket_set.merged_sorted()
+        assert encode_kmer("A" * 10) not in as_ints(bucket_set.merged_column())
 
     def test_balanced_buckets(self, bucket_set, python_bucket_set):
         for buckets in (bucket_set, python_bucket_set):
@@ -178,7 +179,7 @@ class TestPartitioning:
         bucket_set = partitioner.partition(make_reads(seqs))
         counter = KmerCounter(12, canonical=False)
         counter.add_sequences(seqs)
-        assert bucket_set.merged_sorted() == counter.selected().tolist()
+        assert as_ints(bucket_set.merged_column()) == counter.selected().tolist()
 
 
 class TestColumnarPartitioner:
@@ -201,7 +202,7 @@ class TestColumnarPartitioner:
 
     def test_identical_contents(self, per_backend):
         python, numpy_ = per_backend["python"], per_backend["numpy"]
-        assert python.merged_sorted() == numpy_.merged_sorted()
+        assert as_ints(python.merged_column()) == as_ints(numpy_.merged_column())
         assert [(b.lo, b.hi) for b in python.buckets] == [
             (b.lo, b.hi) for b in numpy_.buckets
         ]
@@ -222,7 +223,11 @@ class TestColumnarPartitioner:
     def test_merged_column(self, per_backend):
         merged = per_backend["numpy"].merged_column()
         assert isinstance(merged, np.ndarray)
-        assert merged.tolist() == per_backend["numpy"].merged_sorted()
+        # The kept column is the buckets' concatenation, in range order.
+        for bucket_set in per_backend.values():
+            assert as_ints(bucket_set.merged_column()) == [
+                kmer for bucket in bucket_set.buckets for kmer in as_ints(bucket.kmers)
+            ]
         assert isinstance(per_backend["python"].merged_column(), list)
 
     @pytest.mark.parametrize("thresholds", [
@@ -235,7 +240,7 @@ class TestColumnarPartitioner:
         numpy_ = KmerBucketPartitioner(
             k=20, n_buckets=4, backend="numpy", **thresholds
         ).partition(sample.reads)
-        assert python.merged_sorted() == numpy_.merged_sorted()
+        assert as_ints(python.merged_column()) == as_ints(numpy_.merged_column())
 
     def test_pinning_parity(self, sample):
         kwargs = dict(k=20, n_buckets=8, host_dram_bytes=50_000)

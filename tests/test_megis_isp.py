@@ -80,7 +80,7 @@ class TestIspStepTwo:
         buckets = KmerBucketPartitioner(
             k=SKETCH_K, n_buckets=8, backend="python"
         ).partition(sample.reads)
-        query = buckets.merged_sorted()
+        query = as_ints(buckets.merged_column())
         isp = IspStepTwo(sorted_db, kss_tables, n_channels=8, backend="python")
         intersecting, _ = run_flat(isp, query)
         assert intersecting == sorted_db.intersect(query)

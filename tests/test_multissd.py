@@ -223,9 +223,9 @@ class TestMultiSsdStepTwo:
     @pytest.mark.parametrize("n_ssds", [1, 2, 4, 8])
     def test_sharded_equals_single(self, sorted_db, kss_tables, sample,
                                    backend, n_ssds):
-        query = KmerBucketPartitioner(k=20, n_buckets=4).partition(
+        query = as_ints(KmerBucketPartitioner(k=20, n_buckets=4).partition(
             sample.reads
-        ).merged_sorted()
+        ).merged_column())
         single = IspStepTwo(sorted_db, kss_tables, n_channels=8,
                             backend=backend).run(query)
         multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=n_ssds,
